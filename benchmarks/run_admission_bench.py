@@ -84,9 +84,11 @@ def _build_events(num_flows: int, seed: int, alpha_args: dict):
 def _timed_drive(controller, events, **kwargs):
     """Run :func:`repro.workload.drive` with the cyclic GC paused.
 
-    The runs retain ~10^6 objects (decisions, flow specs, events), so
-    generation-0 collections fire thousands of times while freeing
-    almost nothing — a flat per-op tax that swamps the actual admission
+    ``drive`` pre-builds the whole run before its clock starts, so ~10^6
+    GC-tracked objects (flow specs, events, epoch lists) stay alive
+    throughout — the controller itself retains nothing per decision —
+    and generation-0 collections fire thousands of times while freeing
+    almost nothing: a flat per-op tax that swamps the actual admission
     cost in *both* modes.  Pausing collection during the timed region
     (pyperf does the same) measures the controllers, not the collector.
     """

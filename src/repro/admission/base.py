@@ -105,7 +105,12 @@ class AdmissionController(abc.ABC):
         # admissions (and whole batches) skip per-hop index lookups.
         # Invalidated by update_routes.
         self._server_cache: Dict[Pair, "np.ndarray"] = {}
-        self.decisions: List[AdmissionDecision] = []
+        # Streaming decision accounting: one update per admit()/batch
+        # call, nothing retained — callers keep the decisions they are
+        # handed, so memory is O(servers + established flows).
+        self._num_decisions = 0
+        self._num_admitted = 0
+        self._decision_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     # public API
@@ -139,8 +144,10 @@ class AdmissionController(abc.ABC):
             reason=reason,
             decision_seconds=elapsed,
         )
-        self.decisions.append(decision)
+        self._num_decisions += 1
+        self._decision_seconds += elapsed
         if ok:
+            self._num_admitted += 1
             self._established[flow.flow_id] = flow
             self._committed_routes[flow.flow_id] = list(route)
         elif logger.isEnabledFor(logging.DEBUG):
@@ -224,7 +231,8 @@ class AdmissionController(abc.ABC):
             start = time.perf_counter()
             outcomes = self._admit_batch_impl(flows, routes)
             elapsed = time.perf_counter() - start
-            sp.set(admitted=sum(1 for ok, _ in outcomes if ok))
+            admitted = sum(1 for ok, _ in outcomes if ok)
+            sp.set(admitted=admitted)
         decisions: List[AdmissionDecision] = []
         append = decisions.append
         committed = self._committed_routes
@@ -248,7 +256,11 @@ class AdmissionController(abc.ABC):
                 # update_routes replaces map entries (never mutates) and
                 # committed_route hands out copies.
                 committed[fid] = route
-        self.decisions.extend(decisions)
+        # The batch shares one wall-clock measurement, so its amortized
+        # per-request costs sum to exactly ``elapsed``.
+        self._num_decisions += batch
+        self._num_admitted += admitted
+        self._decision_seconds += elapsed
         if OBS.enabled:
             ctrl = type(self).__name__
             reg = OBS.registry
@@ -494,32 +506,35 @@ class AdmissionController(abc.ABC):
         return flow_id in self._established
 
     @property
+    def num_decisions(self) -> int:
+        """Admission attempts decided so far (admitted + rejected)."""
+        return self._num_decisions
+
+    @property
     def num_admitted(self) -> int:
-        return sum(1 for d in self.decisions if d.admitted)
+        return self._num_admitted
 
     @property
     def num_rejected(self) -> int:
-        return sum(1 for d in self.decisions if not d.admitted)
+        return self._num_decisions - self._num_admitted
 
     @property
     def acceptance_ratio(self) -> float:
-        if not self.decisions:
+        if not self._num_decisions:
             return float("nan")
-        return self.num_admitted / len(self.decisions)
+        return self._num_admitted / self._num_decisions
 
     def mean_decision_seconds(self) -> float:
         """Mean per-request decision cost.
 
         Decisions produced by :meth:`admit_batch` share one wall-clock
         measurement for the whole call, so each is amortized over its
-        ``batch_size`` — summing raw ``decision_seconds`` would count a
-        k-request batch k times over.
+        ``batch_size`` — a k-request batch contributes its elapsed time
+        once, not k times over.
         """
-        if not self.decisions:
+        if not self._num_decisions:
             return float("nan")
-        return sum(
-            d.per_request_seconds for d in self.decisions
-        ) / len(self.decisions)
+        return self._decision_seconds / self._num_decisions
 
     # ------------------------------------------------------------------ #
     # subclass hooks

@@ -36,6 +36,8 @@ class ReplayStats:
         ``(time, established_flows)`` samples after every event.
     peak_population:
         Largest concurrent established-flow count.
+    admitted_ids:
+        Ids of the flows this replay admitted, in schedule order.
     """
 
     attempts: int
@@ -44,6 +46,7 @@ class ReplayStats:
     decision_seconds: np.ndarray
     population: List[Tuple[float, int]]
     peak_population: int
+    admitted_ids: List[Hashable] = field(default_factory=list)
 
     @property
     def blocking_probability(self) -> float:
@@ -80,7 +83,8 @@ def replay_schedule(
     latencies: List[float] = []
     population: List[Tuple[float, int]] = []
     peak = 0
-    admitted_ids: set = set()
+    admitted_ids: List[Hashable] = []
+    live_ids: set = set()
 
     events = schedule if max_events is None else schedule[:max_events]
     for event in events:
@@ -90,13 +94,14 @@ def replay_schedule(
             latencies.append(decision.decision_seconds)
             if decision.admitted:
                 admitted += 1
-                admitted_ids.add(event.flow.flow_id)
+                admitted_ids.append(event.flow.flow_id)
+                live_ids.add(event.flow.flow_id)
             else:
                 rejected += 1
         elif event.kind == "departure":
-            if event.flow.flow_id in admitted_ids:
+            if event.flow.flow_id in live_ids:
                 controller.release(event.flow.flow_id)
-                admitted_ids.discard(event.flow.flow_id)
+                live_ids.discard(event.flow.flow_id)
         else:  # pragma: no cover - generator only emits two kinds
             raise ValueError(f"unknown event kind {event.kind!r}")
         count = controller.num_established
@@ -110,4 +115,5 @@ def replay_schedule(
         decision_seconds=np.asarray(latencies, dtype=np.float64),
         population=population,
         peak_population=peak,
+        admitted_ids=admitted_ids,
     )

@@ -1938,6 +1938,12 @@ def _render_top(stats, prev, interval) -> str:
         f"(fill {stats.get('mean_batch_fill', 0.0):.1f})   "
         f"snapshot age "
         + (f"{age:.1f} s" if age is not None else "n/a")
+        + (
+            f"   rss {stats['rss_mb']:.1f} MB "
+            f"(peak {stats.get('peak_rss_mb', 0.0):.1f})"
+            if "rss_mb" in stats  # older servers do not report it
+            else ""
+        )
     )
     gov = stats.get("governor")
     if isinstance(gov, dict):

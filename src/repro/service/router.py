@@ -58,6 +58,7 @@ from typing import (
 
 from ..errors import ProtocolError, ServiceError
 from ..obs import OBS, to_prometheus_text
+from ..obs.process import process_memory_text
 from . import protocol
 from .server import _Conn
 
@@ -456,6 +457,9 @@ _SUMMED_KEYS = (
     "coalesced_ops",
     "established",
     "queue_depth",
+    "decisions_total",
+    "admitted_total",
+    "rejected_total",
 )
 
 _STATUS_RANK = {"ok": 0, "degraded": 1, "overloaded": 2, "draining": 3}
@@ -1284,6 +1288,11 @@ class ClusterRouter:
                 for s in per_worker
                 if s is not None and s.get(key) is not None
             )
+        # Memory of the workers (the router's own is on its /metrics).
+        for key in ("rss_mb", "peak_rss_mb"):
+            out[key] = round(
+                sum(float(s.get(key) or 0.0) for s in per_worker if s), 1
+            )
         out["shedding"] = any(
             bool(s.get("shedding")) for s in per_worker if s is not None
         )
@@ -1455,4 +1464,4 @@ class ClusterRouter:
         text = "\n".join(lines) + "\n"
         if OBS.enabled:
             text += to_prometheus_text(OBS.registry)
-        return text
+        return text + process_memory_text()

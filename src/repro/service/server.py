@@ -53,6 +53,7 @@ from ..obs import (
     to_prometheus_text,
     trace_context_from_obj,
 )
+from ..obs.process import process_memory_mb, process_memory_text
 from . import protocol
 from .audit import AuditLog
 from .coalescer import (
@@ -1516,11 +1517,21 @@ class AdmissionService:
 
     def stats(self) -> Dict[str, Any]:
         coalescer = self.coalescer
+        controller = self.controller
+        rss_mb, peak_rss_mb = process_memory_mb()
         out: Dict[str, Any] = {
             "schema": protocol.PROTOCOL_SCHEMA,
-            "controller": type(self.controller).__name__,
+            "controller": type(controller).__name__,
             "pid": os.getpid(),
-            "established": self.controller.num_established,
+            "rss_mb": rss_mb,
+            "peak_rss_mb": peak_rss_mb,
+            "established": controller.num_established,
+            # The controller's own O(1) tallies: every admission it
+            # decided, including restores and preemption re-admits that
+            # the per-request ``admitted``/``rejected`` counts never see.
+            "decisions_total": controller.num_decisions,
+            "admitted_total": controller.num_admitted,
+            "rejected_total": controller.num_rejected,
             "queue_depth": coalescer.pending,
             "shedding": self._shedding,
             "draining": self._draining,
@@ -1600,9 +1611,11 @@ class AdmissionService:
     def scrape_text(self) -> str:
         """Prometheus exposition text for ``GET /metrics``."""
         if not OBS.enabled:
-            return "# observability is disabled on this server\n"
-        self.refresh_gauges()
-        return to_prometheus_text(OBS.registry)
+            text = "# observability is disabled on this server\n"
+        else:
+            self.refresh_gauges()
+            text = to_prometheus_text(OBS.registry)
+        return text + process_memory_text()
 
     # ------------------------------------------------------------------ #
     # response writing

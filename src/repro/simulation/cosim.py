@@ -91,9 +91,9 @@ def co_simulate(
         else:
             departures[event.flow.flow_id] = event.time
     stats = replay_schedule(controller, schedule)
-    admitted_ids = {
-        d.flow_id for d in controller.decisions if d.admitted
-    }
+    # This replay's admissions only: a reused controller's earlier
+    # flows are not part of this schedule's population.
+    admitted_ids = set(stats.admitted_ids)
 
     # Phase 2: packet simulation of the admitted population.
     sim = Simulator(graph, registry)

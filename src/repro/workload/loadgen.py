@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..admission.base import AdmissionController
+from ..admission.base import AdmissionController, AdmissionDecision
 from ..errors import TrafficError
 from ..traffic.flows import PRIORITIES, FlowSpec
 from .arrivals import ArrivalSchedule
@@ -204,13 +204,14 @@ def drive(
     num_arrivals = num_admitted = num_released = 0
     # Priority attribution happens outside the timed window: flow id ->
     # priority is resolved up front, and the per-priority tally replays
-    # the controller's decision records afterwards.
+    # the decisions the controller returned (kept only for a
+    # priority-labelled trace) afterwards.
     priority_of = {
         e.flow_id: e.priority
         for e in events
         if e.kind == "arrival" and e.priority is not None
     }
-    first_decision = len(controller.decisions)
+    decisions: List[AdmissionDecision] = []
     if mode == "sequential":
         # op = FlowSpec to admit, or a bare flow id to release.
         ops = [
@@ -221,7 +222,10 @@ def drive(
         for op in ops:
             if isinstance(op, FlowSpec):
                 num_arrivals += 1
-                if controller.admit(op).admitted:
+                decision = controller.admit(op)
+                if priority_of:
+                    decisions.append(decision)
+                if decision.admitted:
                     admitted_ids.add(op.flow_id)
                     num_admitted += 1
             elif op in admitted_ids:
@@ -256,7 +260,10 @@ def drive(
                 num_released += len(early)
             if flows:
                 num_arrivals += len(flows)
-                for decision in controller.admit_batch(flows):
+                decided = controller.admit_batch(flows)
+                if priority_of:
+                    decisions.extend(decided)
+                for decision in decided:
                     if decision.admitted:
                         admitted_ids.add(decision.flow_id)
                         num_admitted += 1
@@ -271,7 +278,7 @@ def drive(
     per_priority: Optional[Dict[str, Dict[str, int]]] = None
     if priority_of:
         per_priority = {}
-        for decision in controller.decisions[first_decision:]:
+        for decision in decisions:
             pri = priority_of.get(decision.flow_id)
             if pri is None:
                 continue

@@ -7,6 +7,8 @@ batch-aware :class:`~repro.admission.base.AdmissionDecision` records
 equivalence lives in ``test_property_batch_admission.py``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -266,7 +268,10 @@ class TestAdmitBatchValidation:
     def test_empty_batch_is_a_no_op(self, controller):
         assert controller.admit_batch([]) == []
         controller.release_batch([])
-        assert controller.decisions == []
+        assert controller.num_decisions == 0
+        assert controller.num_admitted == controller.num_rejected == 0
+        assert math.isnan(controller.acceptance_ratio)
+        assert math.isnan(controller.mean_decision_seconds())
 
     def test_unknown_class_raises_without_mutation(
         self, controller, mci_pairs

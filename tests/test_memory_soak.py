@@ -1,0 +1,170 @@
+"""Memory soak: deciding an op must not cost the server a byte it keeps.
+
+The paper's run-time test keeps no per-flow state in the core and
+nothing that grows with history; an admission server never restarts, so
+anything retained per *decided* op is a leak with a rate.  The test
+drives one stationary churn — a bit under 2k established flows, admits
+and releases interleaved, every flow id unique — through a real
+``UtilizationAdmissionController``, rotating its frames over the three
+ways a ``MicroBatchCoalescer`` decides them (inline ``submit_bulk``;
+queued with an ``AuditLog`` attached; with a ``Preemptor`` rescuing
+rejected hard-RT arrivals), and asserts with ``tracemalloc`` that the
+heap after 60k ops is within 64 KiB of the heap after 20k ops.
+Retaining one decision record per admit costs about 170 bytes an op —
+megabytes over the same window.  (``tracemalloc`` costs about a
+microsecond per allocation, which is what makes this a ~6 s test.)
+"""
+
+import asyncio
+import gc
+import tracemalloc
+from collections import deque
+
+from repro.admission import UtilizationAdmissionController
+from repro.control import Preemptor
+from repro.errors import AdmissionError
+from repro.routing.shortest import shortest_path_routes
+from repro.service.audit import AuditLog
+from repro.service.coalescer import (
+    BULK_OP_ADMIT,
+    BULK_OP_RELEASE,
+    MicroBatchCoalescer,
+)
+from repro.traffic.flows import FlowSpec
+
+WARM_OPS = 20_000
+TOTAL_OPS = 60_000
+FRAME_OPS = 512
+RUN_OPS = 32
+HARD_RT_EVERY = 128
+ALPHA = 0.035
+PATHS = ("inline", "queued_audited", "preempt")
+ESTABLISHED = 2_000
+MAX_GROWTH_BYTES = 64 * 1024
+
+
+class _Churn:
+    """Stationary admit/release interleaving with unique flow ids."""
+
+    def __init__(self, controller, pairs):
+        self.controller = controller
+        self.pairs = pairs
+        self.window = deque()
+        self.serial = 0
+        self.ops = 0
+        self.rejected = 0
+
+    def frame(self):
+        """One frame's ``(slot, kind, payload)`` entries: runs of
+        ``RUN_OPS`` admits, each followed by the releases that bring
+        the window back to ``ESTABLISHED``."""
+        entries = []
+        while len(entries) < FRAME_OPS:
+            for i in range(self.serial, self.serial + RUN_OPS):
+                src, dst = self.pairs[i % len(self.pairs)]
+                flow = FlowSpec(
+                    f"soak-{i}", "voice", src, dst,
+                    priority="elastic" if i % HARD_RT_EVERY else "hard_rt",
+                )
+                entries.append((len(entries), BULK_OP_ADMIT, flow))
+                self.window.append(flow.flow_id)
+            self.serial += RUN_OPS
+            while len(self.window) > ESTABLISHED:
+                fid = self.window.popleft()
+                # Rejected arrivals and preemption victims are gone.
+                if self.controller.is_established(fid):
+                    entries.append((len(entries), BULK_OP_RELEASE, fid))
+        return entries
+
+    def settle(self, entries, outcomes):
+        for (_slot, kind, _payload), outcome in zip(entries, outcomes):
+            if kind == BULK_OP_RELEASE:
+                # A flow evicted after the frame was built, before its
+                # release ran, fails the way any client racing an
+                # eviction would.
+                assert outcome is True or isinstance(
+                    outcome, AdmissionError
+                ), outcome
+            elif not outcome.admitted:
+                self.rejected += 1
+        self.ops += len(entries)
+
+
+def _traced_bytes():
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+async def _soak(coalescers, churn):
+    """Rotate the churn's frames over ``coalescers``; returns the heap
+    growth between ``WARM_OPS`` and ``TOTAL_OPS`` and the ops each
+    path decided."""
+    decided = dict.fromkeys(coalescers, 0)
+    for coalescer in coalescers.values():
+        coalescer.start()
+    try:
+        at_warm = None
+        frame = 0
+        while churn.ops < TOTAL_OPS:
+            path = PATHS[frame % len(PATHS)]
+            frame += 1
+            coalescer = coalescers[path]
+            entries = churn.frame()
+            slots = coalescer.open_bulk(len(entries))
+            coalescer.submit_bulk(slots, entries)
+            # Audit switches the inline fast path off: every op queues.
+            assert slots.remaining == (
+                len(entries) if path == "queued_audited" else 0
+            )
+            await slots.wait()
+            churn.settle(entries, slots.outcomes)
+            decided[path] += len(entries)
+            del entries, slots
+            if at_warm is None and churn.ops >= WARM_OPS:
+                at_warm = _traced_bytes()
+        return _traced_bytes() - at_warm, decided
+    finally:
+        for coalescer in coalescers.values():
+            await coalescer.stop()
+
+
+def test_decided_ops_leave_nothing_behind(
+    tmp_path, mci, mci_graph, mci_pairs, voice_registry
+):
+    # Tight enough that some arrivals are rejected on every path, and
+    # hard-RT ones on the preempt path go through the eviction planner.
+    controller = UtilizationAdmissionController(
+        mci_graph,
+        voice_registry,
+        {"voice": ALPHA},
+        shortest_path_routes(mci, mci_pairs),
+    )
+    churn = _Churn(controller, mci_pairs)
+
+    async def scenario():
+        coalescers = {
+            path: MicroBatchCoalescer(controller, max_delay=0.0)
+            for path in PATHS
+        }
+        coalescers["preempt"].preemptor = Preemptor(controller)
+        with AuditLog(str(tmp_path / "audit.jsonl")) as audit:
+            coalescers["queued_audited"].audit = audit
+            growth, decided = await _soak(coalescers, churn)
+        return growth, decided, coalescers["preempt"].preempted_admits
+
+    tracemalloc.start()
+    try:
+        growth, decided, preempted_admits = asyncio.run(scenario())
+    finally:
+        tracemalloc.stop()
+
+    assert growth <= MAX_GROWTH_BYTES, (
+        f"heap grew {growth} bytes between op {WARM_OPS} and op "
+        f"{TOTAL_OPS} ({controller.num_established} flows established)"
+    )
+    assert min(decided.values()) >= TOTAL_OPS // 4, decided
+    assert churn.rejected > 0 and preempted_admits > 0
+    # A rescue is a second, counted, admit of the same arrival.
+    assert controller.num_decisions == churn.serial + preempted_admits
+    assert controller.num_rejected == churn.rejected + preempted_admits
+    assert controller.verify_invariants() == []

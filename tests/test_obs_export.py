@@ -11,7 +11,13 @@ from repro.obs.export import (
     to_json_lines,
     to_prometheus_text,
 )
+from repro.obs import process
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.process import (
+    process_memory_bytes,
+    process_memory_mb,
+    process_memory_text,
+)
 from repro.obs.trace import Tracer
 
 
@@ -217,3 +223,31 @@ class TestParser:
 
         with pytest.raises(ValueError):
             parse_prometheus_text("!!! not a sample")
+
+
+class TestProcessMemory:
+    def test_resident_never_exceeds_peak(self):
+        rss, peak = process_memory_bytes()
+        assert 1 << 20 < rss <= peak
+        rss_mb, peak_mb = process_memory_mb()
+        assert rss_mb == pytest.approx(rss / 2 ** 20, abs=8.0)
+        assert peak_mb >= rss_mb
+
+    def test_falls_back_to_getrusage_without_procfs(self, monkeypatch):
+        def no_procfs(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        # A module-level ``open`` shadows the builtin for that module only.
+        monkeypatch.setattr(process, "open", no_procfs, raising=False)
+        rss, peak = process_memory_bytes()
+        monkeypatch.undo()
+        assert rss == peak
+        # Same quantity as VmHWM, from another kernel interface.
+        assert peak == pytest.approx(process_memory_bytes()[1], rel=0.05)
+
+    def test_exposition_text_parses(self):
+        samples = parse_prometheus_text(process_memory_text())
+        assert set(samples) == {
+            ("process_resident_memory_bytes", ()),
+            ("process_peak_resident_memory_bytes", ()),
+        }

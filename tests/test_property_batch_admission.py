@@ -9,6 +9,8 @@ rejections actually occur) and compares a batch-driven controller
 against a sequentially driven twin after every step.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.admission import (  # noqa: E402
     ShardedAdmissionController,
     UtilizationAdmissionController,
 )
+from repro.control import Preemptor  # noqa: E402
 from repro.routing.shortest import shortest_path_routes  # noqa: E402
 from repro.topology import LinkServerGraph, line_network  # noqa: E402
 from repro.traffic import ClassRegistry, voice_class  # noqa: E402
@@ -104,10 +107,51 @@ def _ledger_state(controller):
     return None
 
 
+def _spy(controller):
+    """Collect every decision the controller hands out, whichever
+    public entry point (admit, admit_batch, reroute, restore, a
+    preemptor) produced it."""
+    returned = []
+    admit, routed = controller.admit, controller.admit_batch_routed
+
+    def spy_admit(flow):
+        decision = admit(flow)
+        returned.append(decision)
+        return decision
+
+    def spy_routed(flows, routes):
+        decisions = routed(flows, routes)
+        returned.extend(decisions)
+        return decisions
+
+    controller.admit = spy_admit
+    controller.admit_batch_routed = spy_routed
+    return returned
+
+
+def _assert_counters_match(controller, returned):
+    """The O(1) counters equal a tally of the returned decisions."""
+    total = len(returned)
+    admitted = sum(1 for d in returned if d.admitted)
+    assert controller.num_decisions == total
+    assert controller.num_admitted == admitted
+    assert controller.num_rejected == total - admitted
+    if not total:
+        assert math.isnan(controller.acceptance_ratio)
+        assert math.isnan(controller.mean_decision_seconds())
+        return
+    assert controller.acceptance_ratio == admitted / total
+    assert controller.mean_decision_seconds() == pytest.approx(
+        sum(d.per_request_seconds for d in returned) / total
+    )
+
+
 def _run_script(kind, alphas, script):
     """Drive batch and sequential twins; assert equivalence throughout."""
     batch_ctrl = _make(kind, alphas)
     seq_ctrl = _make(kind, alphas)
+    batch_returned = _spy(batch_ctrl)
+    seq_returned = _spy(seq_ctrl)
     live = []
     for step_index, (batch, release_seed) in enumerate(script):
         flows = _flows_of(step_index, batch)
@@ -130,6 +174,10 @@ def _run_script(kind, alphas, script):
         assert set(batch_ctrl._established) == set(seq_ctrl._established)
         assert _ledger_state(batch_ctrl) == _ledger_state(seq_ctrl)
     assert batch_ctrl.num_established == seq_ctrl.num_established
+    _assert_counters_match(batch_ctrl, batch_returned)
+    _assert_counters_match(seq_ctrl, seq_returned)
+    assert batch_ctrl.num_admitted == seq_ctrl.num_admitted
+    assert batch_ctrl.num_rejected == seq_ctrl.num_rejected
     return batch_ctrl, seq_ctrl
 
 
@@ -165,6 +213,63 @@ class TestFlowAwareEquivalence:
     @given(script=st.lists(_step, min_size=1, max_size=3))
     def test_equivalence(self, script):
         _run_script("flow-aware", None, script)
+
+
+class TestDecisionCounters:
+    """The paths that decide without the caller calling admit itself."""
+
+    def _full_pair(self, controller, prefix):
+        """Admit elastic flows on PAIRS[0] until one is rejected."""
+        src, dst = PAIRS[0]
+        for i in range(10_000):
+            flow = FlowSpec(
+                f"{prefix}{i}", "voice", src, dst, priority="elastic"
+            )
+            if not controller.admit(flow).admitted:
+                return
+        raise AssertionError("pair never filled")
+
+    def test_empty_batch_leaves_counters_unchanged(self):
+        controller = _make("utilization", TIGHT_ALPHA)
+        returned = _spy(controller)
+        controller.admit_batch(_flows_of(0, [(0, "voice"), (1, "voice")]))
+        before = (
+            controller.num_decisions,
+            controller.num_admitted,
+            controller.mean_decision_seconds(),
+        )
+        assert controller.admit_batch([]) == []
+        assert controller.admit_batch_routed([], []) == []
+        assert before == (
+            controller.num_decisions,
+            controller.num_admitted,
+            controller.mean_decision_seconds(),
+        )
+        _assert_counters_match(controller, returned)
+
+    def test_reroute_restore_and_preemption_are_counted(self):
+        controller = _make("utilization", TIGHT_ALPHA)
+        returned = _spy(controller)
+        self._full_pair(controller, "e")
+        assert not returned[-1].admitted
+        # reroute: release + one more counted admit (same path re-pinned).
+        moved = controller.reroute("e0", controller.committed_route("e0"))
+        assert moved.admitted and returned[-1] is moved
+        # Preemptor.try_admit: evicts an elastic flow, re-admits hard-RT.
+        hard = FlowSpec("h0", "voice", *PAIRS[0], priority="hard_rt")
+        assert not controller.admit(hard).admitted
+        outcome = Preemptor(controller).try_admit(hard)
+        assert outcome.admitted and returned[-1] is outcome.decision
+        _assert_counters_match(controller, returned)
+        assert controller.num_rejected == 2
+
+        # restore: a fresh controller re-admits (and counts) the snapshot.
+        twin = _make("utilization", TIGHT_ALPHA)
+        twin_returned = _spy(twin)
+        twin.restore(controller.snapshot())
+        assert len(twin_returned) == controller.num_established
+        _assert_counters_match(twin, twin_returned)
+        assert twin.num_rejected == 0
 
 
 class TestObsCounterEquivalence:

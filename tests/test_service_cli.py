@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import threading
 import time
 
@@ -427,6 +428,7 @@ def test_top_renders_live_stats(served, capsys):
     assert "requests" in out
     assert "SLO" in out
     assert out.count("uptime") == 2  # one header per refresh
+    assert re.search(r"rss \d+\.\d MB \(peak \d+\.\d\)", out)
 
 
 def test_top_connect_failure(tmp_path, capsys):

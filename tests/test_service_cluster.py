@@ -420,6 +420,14 @@ class TestClusterEndToEnd:
                 assert sum(per_worker) == len(admitted)
                 # Both shards took flows — the hash spread them.
                 assert all(count > 0 for count in per_worker)
+                # Controller tallies sum over shards; memory is the
+                # workers' (each reports its own process).
+                assert stats["decisions_total"] == 30
+                assert stats["admitted_total"] == len(admitted)
+                assert stats["rss_mb"] == pytest.approx(
+                    sum(w["rss_mb"] for w in stats["per_worker"]), abs=0.2
+                )
+                assert stats["rss_mb"] <= stats["peak_rss_mb"]
                 # query and release land on the committing worker.
                 assert client.query(admitted[0]) is True
                 assert client.release(admitted[0]) is True

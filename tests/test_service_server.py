@@ -584,6 +584,11 @@ class TestLifecycleAndSnapshots:
         assert stats["batches"] >= 1
         assert stats["mean_batch_fill"] >= 1.0
         assert stats["controller"] == "UtilizationAdmissionController"
+        # The controller's O(1) tallies and the process's own memory.
+        assert stats["decisions_total"] == 1
+        assert stats["admitted_total"] == 1
+        assert stats["rejected_total"] == 0
+        assert 1.0 < stats["rss_mb"] <= stats["peak_rss_mb"] < 4096.0
 
     def test_snapshot_requires_restorable_controller(self, tmp_path):
         class NoRestore:

@@ -251,6 +251,12 @@ class TestMetricsEndpoint:
         assert any(
             name == "repro_slo_burn_rate" for name, _ in samples
         )
+        rss = samples[("process_resident_memory_bytes", ())]
+        peak = samples[("process_peak_resident_memory_bytes", ())]
+        assert 1 << 20 < rss <= peak < 1 << 32
+        assert json.loads(stats[1])["peak_rss_mb"] == pytest.approx(
+            peak / 2 ** 20, abs=8.0
+        )
         assert healthz[0] == 200
         health = json.loads(healthz[1])
         assert health["status"] == "ok"
@@ -309,6 +315,13 @@ class TestMetricsEndpoint:
 
         text = asyncio.run(scenario())
         assert "disabled" in text
+        # Memory is reported the same with observability off.
+        samples = parse_prometheus_text(text)
+        assert (
+            1 << 20
+            < samples[("process_resident_memory_bytes", ())]
+            <= samples[("process_peak_resident_memory_bytes", ())]
+        )
 
 
 class TestSLOSurface:

@@ -135,6 +135,39 @@ class TestCoSimulation:
         assert result.admission.rejected == 1
         assert result.flows_simulated == 1
 
+    def test_reused_controller_simulates_this_schedule_only(
+        self, voice_registry
+    ):
+        """A flow admitted by an earlier run but rejected by this one
+        must not be simulated: the population is this replay's."""
+        net = line_network(2)
+        graph = LinkServerGraph(net)
+        routes = {("r0", "r1"): ["r0", "r1"]}
+        ctrl = UtilizationAdmissionController(
+            graph, voice_registry, {"voice": 0.00034}, routes  # 1 slot
+        )
+        a = FlowSpec("a", "voice", "r0", "r1")
+        b = FlowSpec("b", "voice", "r0", "r1")
+        first = co_simulate(
+            graph, voice_registry, ctrl,
+            [FlowEvent(0.1, "arrival", a), FlowEvent(1.0, "departure", a)],
+            packet_size=640,
+        )
+        assert first.admission.admitted_ids == ["a"]
+        second = co_simulate(
+            graph, voice_registry, ctrl,
+            [
+                FlowEvent(0.1, "arrival", b),
+                FlowEvent(0.2, "arrival", a),  # slot taken: rejected
+                FlowEvent(2.0, "departure", b),
+                FlowEvent(2.0, "departure", a),
+            ],
+            packet_size=640,
+        )
+        assert second.admission.admitted_ids == ["b"]
+        assert second.flows_simulated == 1
+        assert set(second.packets.recorder.per_flow_worst()) == {"b"}
+
     def test_departed_flows_stop_sending(self, voice_registry):
         net = line_network(2)
         graph = LinkServerGraph(net)

@@ -20,8 +20,10 @@ from repro.workload import (
     ArrivalSchedule,
     TraceEvent,
     ZipfPairPopularity,
+    assign_priorities,
     drive,
     open_loop_schedule,
+    parse_priority_mix,
     read_trace,
     schedule_events,
     trace_lines,
@@ -186,12 +188,73 @@ class TestDrive:
         self, controller, mci, mci_pairs
     ):
         events = self._events(mci, mci_pairs, n=300)
+        # The controller retains no decisions; observe the ones each
+        # admit_batch call hands back to the driver.
+        returned = []
+        admit_batch = controller.admit_batch
+
+        def spy(flows):
+            decisions = admit_batch(flows)
+            returned.extend(decisions)
+            return decisions
+
+        controller.admit_batch = spy
         result = drive(controller, events, batch_size=128)
         assert result.mode == "batch"
         assert result.batch_size == 128
-        sizes = {d.batch_size for d in controller.decisions}
+        sizes = {d.batch_size for d in returned}
         assert max(sizes) <= 128
         assert 128 in sizes
+        assert len(returned) == controller.num_decisions == 300
+
+    #: ``per_priority`` of the trace below at alpha 0.02, recorded from
+    #: the commit that still tallied it off the controller's retained
+    #: decision list; byte-identical means key order included.
+    _PER_PRIORITY = {
+        "sequential": (
+            '{"soft_rt": {"arrivals": 383, "admitted": 317, "rejected": 66}, '
+            '"elastic": {"arrivals": 1422, "admitted": 1189, "rejected": 233}, '
+            '"hard_rt": {"arrivals": 195, "admitted": 164, "rejected": 31}}'
+        ),
+        "batch": (
+            '{"soft_rt": {"arrivals": 383, "admitted": 321, "rejected": 62}, '
+            '"elastic": {"arrivals": 1422, "admitted": 1211, "rejected": 211}, '
+            '"hard_rt": {"arrivals": 195, "admitted": 159, "rejected": 36}}'
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["sequential", "batch"])
+    def test_per_priority_tallied_from_returned_decisions(
+        self, mode, mci, mci_pairs, mci_graph, voice_registry
+    ):
+        routes = shortest_path_routes(mci, mci_pairs)
+        controller = UtilizationAdmissionController(
+            mci_graph, voice_registry, {"voice": 0.02}, routes
+        )
+        events = assign_priorities(
+            self._events(mci, mci_pairs),
+            parse_priority_mix("hard_rt=1,soft_rt=2,elastic=7"),
+            seed=5,
+        )
+        result = drive(controller, events, batch_size=64, mode=mode)
+        assert json.dumps(result.per_priority) == self._PER_PRIORITY[mode]
+        assert controller.num_admitted == result.num_admitted
+        assert controller.num_rejected == result.num_rejected
+        # A reused controller: the table covers this call's decisions
+        # only, while the controller's counters keep the running total.
+        again = drive(
+            controller,
+            [
+                TraceEvent(
+                    time=0.0, kind="arrival", flow_id="late",
+                    class_name="voice", source=mci_pairs[0][0],
+                    destination=mci_pairs[0][1], priority="hard_rt",
+                )
+            ],
+            mode=mode,
+        )
+        assert sum(b["arrivals"] for b in again.per_priority.values()) == 1
+        assert controller.num_decisions == result.num_arrivals + 1
 
     def test_unknown_mode_rejected(self, controller):
         with pytest.raises(TrafficError):
