@@ -44,6 +44,7 @@ from ..faults.degraded import BackoffPolicy
 from ..obs import OBS, TraceContext, new_span_id, new_trace_id
 from ..traffic.flows import FlowSpec
 from . import protocol
+from .conn import propose_v2, read_responses
 
 __all__ = ["WireDecision", "AsyncServiceClient", "ServiceClient"]
 
@@ -132,45 +133,13 @@ class AsyncServiceClient:
         if not self._want_v2 or self._dispatcher is not None:
             return
         try:
-            self._writer.write(
-                protocol.encode_frame(
-                    {
-                        "id": protocol.HELLO_ID,
-                        "op": protocol.HELLO_OP,
-                        "protocol": protocol.PROTOCOL_SCHEMA_V2,
-                    }
-                )
+            self._proto = await propose_v2(
+                self._reader, self._writer, _FRAME_LIMIT
             )
-            await self._writer.drain()
-            line = await self._reader.readline()
         except (ConnectionError, OSError) as exc:
             raise ServiceError(
                 f"connection lost during protocol negotiation: {exc}"
             ) from exc
-        if not line:
-            raise ServiceError(
-                "server closed the connection during protocol "
-                "negotiation"
-            )
-        frame = protocol.decode_frame(line)
-        if frame.get("ok"):
-            agreed = frame.get("result", {}).get("protocol")
-            if agreed != protocol.PROTOCOL_SCHEMA_V2:
-                raise ProtocolError(
-                    protocol.BAD_REQUEST,
-                    f"server answered hello with unexpected protocol "
-                    f"{agreed!r}",
-                )
-            self._proto = 2
-        else:
-            err = frame.get("error", {})
-            code = err.get("code", protocol.INTERNAL)
-            if code not in (protocol.UNKNOWN_OP, protocol.BAD_REQUEST):
-                raise _mapped_error(
-                    code, err.get("message", "negotiation failed")
-                )
-            # Old server that predates hello (unknown_op) or a router
-            # that refuses upgrades (bad_request): stay on v1.
         self._start_dispatcher()
 
     # ------------------------------------------------------------------ #
@@ -276,94 +245,25 @@ class AsyncServiceClient:
     # ------------------------------------------------------------------ #
 
     async def _dispatch(self) -> None:
+        """Settle waiters until the stream ends; whatever ends it —
+        EOF, a reset, a frame that cannot be delimited or decoded —
+        fails every pending call with the reason attached."""
         try:
-            if self._proto == 2:
-                await self._dispatch_v2()
-            else:
-                await self._dispatch_v1()
+            await read_responses(
+                self._reader, self._proto, _FRAME_LIMIT, self._settle
+            )
+            self._fail_pending(
+                ServiceError("server closed the connection")
+            )
+        except ProtocolError as exc:
+            self._fail_pending(exc)
         except (ConnectionError, OSError) as exc:
             self._fail_pending(
                 ServiceError(f"connection lost: {exc}")
             )
-        except asyncio.CancelledError:
-            raise
 
-    async def _dispatch_v1(self) -> None:
-        while True:
-            line = await self._reader.readline()
-            if not line:
-                self._fail_pending(
-                    ServiceError("server closed the connection")
-                )
-                return
-            if not line.strip():
-                continue
-            try:
-                frame = protocol.decode_frame(line)
-            except ProtocolError as exc:
-                self._fail_pending(exc)
-                return
-            if not self._settle(frame):
-                return
-
-    async def _dispatch_v2(self) -> None:
-        while True:
-            try:
-                header = await self._reader.readexactly(
-                    protocol.FRAME_HEADER_BYTES
-                )
-            except asyncio.IncompleteReadError:
-                self._fail_pending(
-                    ServiceError("server closed the connection")
-                )
-                return
-            length = int.from_bytes(header, "big")
-            if length == 0 or length > _FRAME_LIMIT:
-                self._fail_pending(
-                    ProtocolError(
-                        protocol.BAD_REQUEST,
-                        f"invalid v2 frame length {length} from server",
-                    )
-                )
-                return
-            try:
-                payload = await self._reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                self._fail_pending(
-                    ServiceError(
-                        "server closed the connection mid-frame"
-                    )
-                )
-                return
-            try:
-                tag, obj = protocol.decode_payload_v2(
-                    payload, max_bytes=_FRAME_LIMIT
-                )
-                if tag == protocol.TAG_RESULTS:
-                    # Unpacking is deferred to the waiter (`bulk`) so a
-                    # raw consumer never pays the dict conversion.
-                    rid, slots = protocol.parse_bulk_request(obj)
-                    frame = {"id": rid, "ok": True, "_packed": slots}
-                elif tag == protocol.TAG_JSON:
-                    frame = obj
-                else:  # a bulk *request* from the server
-                    raise ProtocolError(
-                        protocol.BAD_REQUEST,
-                        "unexpected bulk-request frame from server",
-                    )
-            except ProtocolError as exc:
-                self._fail_pending(exc)
-                return
-            if not self._settle(frame):
-                return
-
-    def _settle(self, frame: Dict[str, Any]) -> bool:
-        """Resolve the waiter for one response frame.
-
-        Returns False when the dispatcher should stop (the server
-        reported an unattributable error, after which it closes the
-        connection on its side for v1 framing faults).
-        """
+    def _settle(self, frame: Dict[str, Any]) -> None:
+        """Resolve the waiter for one response frame."""
         rid = frame.get("id")
         future = self._pending.pop(rid, None)
         if future is None:
@@ -378,10 +278,8 @@ class AsyncServiceClient:
                         err.get("message", "unattributed error"),
                     )
                 )
-            return True
-        if not future.done():
+        elif not future.done():
             future.set_result(frame)
-        return True
 
     def _fail_pending(self, exc: Exception) -> None:
         pending, self._pending = self._pending, {}
@@ -540,7 +438,7 @@ class AsyncServiceClient:
         same ``overloaded`` retry loop as :meth:`request`.
 
         ``subops`` are packed arrays (``[0, flow_id, cls, src, dst,
-        route|null]`` admits / ``[1, flow_id]`` releases) — the binary
+        route|null[, pri]]`` admits / ``[1, flow_id]`` releases) — the binary
         protocol's native shape, bypassing op-dict packing entirely.
         With ``raw=True`` the packed result slots come back undecoded
         (``[0, reason, batch_size]`` admitted / ``[1, reason,

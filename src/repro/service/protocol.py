@@ -110,6 +110,7 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "parse_request",
+    "request_from_obj",
     "flow_to_obj",
     "flow_from_obj",
     "validate_flow_id",
@@ -121,6 +122,8 @@ __all__ = [
     "decode_payload_v2",
     "parse_bulk_request",
     "bulk_admit_flow",
+    "decode_bulk_subop",
+    "unpack_batch_op",
     "pack_batch_ops",
     "pack_bulk_results",
     "unpack_bulk_results",
@@ -278,7 +281,12 @@ def parse_request(
     body fields are validated by the server so the error can carry the
     request id.
     """
-    obj = decode_frame(line, max_bytes=max_bytes)
+    return request_from_obj(decode_frame(line, max_bytes=max_bytes))
+
+
+def request_from_obj(obj: Dict[str, Any]) -> Request:
+    """Shape-check one decoded request object (a v1 line or the body of
+    a v2 carrier frame)."""
     rid = obj.get("id")
     if not isinstance(rid, (str, int)) or isinstance(rid, bool):
         raise ProtocolError(
@@ -400,7 +408,7 @@ def encode_bulk_request(
     """One packed bulk request frame (tag ``B``).
 
     ``subops`` must already be positional:
-    ``[0, fid, cls, src, dst, route|None]`` or ``[1, fid]``.
+    ``[0, fid, cls, src, dst, route|None[, pri]]`` or ``[1, fid]``.
     """
     return _frame_v2(b"\x42" + _dumps([rid, subops]))
 
@@ -533,6 +541,46 @@ def bulk_admit_flow(sub: list) -> FlowSpec:
         return FlowSpec(fid, cls, src, dst, tuple(route), pri)
     except Exception as exc:  # TrafficError and friends: bad field values
         raise ProtocolError(BAD_REQUEST, str(exc)) from None
+
+
+def decode_bulk_subop(sub: Any) -> Tuple[int, Any]:
+    """``(kind, argument)`` of one packed bulk sub-op: a validated
+    :class:`FlowSpec` for :data:`BULK_ADMIT`, a validated flow id for
+    :data:`BULK_RELEASE`.
+
+    The one place a packed sub-op is validated, so a server and a
+    cluster front door refuse a malformed entry with the same bytes.
+    """
+    if not isinstance(sub, list) or not sub:
+        raise ProtocolError(
+            BAD_REQUEST, "bulk sub-op must be a non-empty array"
+        )
+    kind = sub[0]
+    if kind == BULK_ADMIT:
+        return BULK_ADMIT, bulk_admit_flow(sub)
+    if kind == BULK_RELEASE:
+        if len(sub) != 2:
+            raise ProtocolError(
+                BAD_REQUEST, "packed release sub-op must have 2 fields"
+            )
+        return BULK_RELEASE, validate_flow_id(sub[1])
+    raise ProtocolError(
+        BAD_REQUEST,
+        f"bulk sub-op kind must be {BULK_ADMIT} (admit) or "
+        f"{BULK_RELEASE} (release), got {kind!r}",
+    )
+
+
+def unpack_batch_op(sub: Any) -> Dict[str, Any]:
+    """v1 ``batch`` sub-op object of one packed bulk sub-op.
+
+    Entry-wise inverse of :func:`pack_batch_ops` (route and priority
+    included), raising :class:`ProtocolError` for a malformed entry.
+    """
+    kind, arg = decode_bulk_subop(sub)
+    if kind == BULK_RELEASE:
+        return {"op": "release", "flow_id": arg}
+    return {"op": "admit", "flow": flow_to_obj(arg)}
 
 
 def pack_batch_ops(ops: list) -> Optional[list]:

@@ -13,11 +13,11 @@ unchanged for clients:
   release and query of one flow therefore always land on the worker
   that committed it — release/query routing falls out of the hash, no
   lookup table needed;
-* **order-preserving forwarding** — the per-client read loop submits to
-  the owning :class:`WorkerLink`'s outbox *synchronously*, before
-  reading the next frame, mirroring the single server's coalescer
-  submission; one connection's ops for one flow reach the worker in
-  exactly the order they were sent;
+* **order-preserving forwarding** — clients are served through the same
+  :mod:`repro.service.conn` layer as a single server; this class is its
+  handler, and submits to the owning :class:`WorkerLink`'s outbox
+  *synchronously*, before the next frame is read, so one connection's
+  ops for one flow reach the worker in exactly the order they were sent;
 * **batch splitting** — a ``batch`` frame is split per owner (slot
   positions preserved) and re-merged into one response; a sub-op too
   malformed to route is forwarded to worker 0, whose validation answer
@@ -47,12 +47,13 @@ from typing import (
     Any,
     Awaitable,
     Callable,
+    Coroutine,
     Dict,
     Hashable,
+    Iterable,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -60,7 +61,13 @@ from ..errors import ProtocolError, ServiceError
 from ..obs import OBS, to_prometheus_text
 from ..obs.process import process_memory_text
 from . import protocol
-from .server import _Conn
+from .conn import (
+    Connection,
+    ConnectionLayer,
+    close_writer,
+    propose_v2,
+    read_responses,
+)
 
 __all__ = ["HashRing", "WorkerLink", "ClusterRouter"]
 
@@ -260,13 +267,17 @@ class WorkerLink:
                     await asyncio.sleep(self.reconnect_delay)
                     continue
                 try:
-                    self.proto = await self._handshake(reader, writer)
+                    # Before the write loop starts, so the hello never
+                    # interleaves with forwarded requests.
+                    self.proto = (
+                        await propose_v2(
+                            reader, writer, self.max_frame_bytes
+                        )
+                        if self.want_v2
+                        else 1
+                    )
                 except (ConnectionError, OSError, ProtocolError):
-                    try:
-                        if not writer.is_closing():
-                            writer.close()
-                    except Exception:
-                        pass
+                    close_writer(writer)
                     await asyncio.sleep(self.reconnect_delay)
                     continue
                 self.connects += 1
@@ -274,73 +285,42 @@ class WorkerLink:
                 write_task = asyncio.get_running_loop().create_task(
                     self._write_loop(writer)
                 )
+                why = "connection closed"
                 try:
-                    await self._read_loop(reader)
+                    await read_responses(
+                        reader,
+                        self.proto,
+                        self.max_frame_bytes,
+                        self._settle,
+                    )
+                except (ProtocolError, ConnectionError, OSError) as exc:
+                    # An undecodable worker frame loses the stream just
+                    # like a reset does: reconnecting resynchronizes.
+                    why = str(exc)
                 finally:
                     self._up = False
                     write_task.cancel()
                     await asyncio.gather(
                         write_task, return_exceptions=True
                     )
-                    try:
-                        if not writer.is_closing():
-                            writer.close()
-                    except Exception:
-                        pass
+                    close_writer(writer)
                     self._fail_all("connection lost")
                 logger.warning(
-                    "lost worker %d on %s; reconnecting",
+                    "lost worker %d on %s (%s); reconnecting",
                     self.index,
                     self.socket_path,
+                    why,
                 )
                 await asyncio.sleep(self.reconnect_delay)
         except asyncio.CancelledError:
             pass
-
-    async def _handshake(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> int:
-        """Negotiate the hop's framing; the settled generation (1/2).
-
-        Runs before the write loop starts, so the hello never
-        interleaves with forwarded requests and no router-local request
-        id is consumed (the hello rides the reserved id 0).
-        """
-        if not self.want_v2:
-            return 1
-        writer.write(
-            protocol.encode_frame(
-                {
-                    "id": protocol.HELLO_ID,
-                    "op": protocol.HELLO_OP,
-                    "protocol": protocol.PROTOCOL_SCHEMA_V2,
-                }
-            )
-        )
-        await writer.drain()
-        line = await reader.readline()
-        if not line:
-            raise ConnectionError(
-                "worker closed during protocol negotiation"
-            )
-        frame = protocol.decode_frame(
-            line, max_bytes=self.max_frame_bytes
-        )
-        if (
-            frame.get("ok")
-            and frame.get("result", {}).get("protocol")
-            == protocol.PROTOCOL_SCHEMA_V2
-        ):
-            return 2
-        return 1  # pre-v2 worker (unknown_op): stay on v1
 
     def _encode(self, frame: Dict[str, Any]) -> bytes:
         """Wire bytes for one outbound frame on the settled protocol.
 
         On a v2 hop, a plain ``batch`` frame (no trace or other extras)
         is re-packed into a binary bulk frame — the worker's fast path —
-        with the v1-shaped results restored by :meth:`_read_loop`, so
-        the router's merge logic never sees the difference.
+        with the v1-shaped results restored by :meth:`_settle`.
         """
         if self.proto != 2:
             return protocol.encode_frame(frame)
@@ -368,75 +348,14 @@ class WorkerLink:
                 # pending future (including this one).
                 return
 
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
-        if self.proto == 2:
-            await self._read_loop_v2(reader)
-        else:
-            await self._read_loop_v1(reader)
-
-    async def _read_loop_v1(self, reader: asyncio.StreamReader) -> None:
-        while True:
-            try:
-                line = await reader.readline()
-            except (
-                ConnectionError,
-                OSError,
-                asyncio.LimitOverrunError,
-                ValueError,
-            ):
-                return
-            if not line:
-                return
-            if not line.strip():
-                continue
-            try:
-                frame = protocol.decode_frame(
-                    line, max_bytes=self.max_frame_bytes
-                )
-            except ProtocolError:
-                continue  # unparseable worker frame; drop it
-            self._settle(frame)
-
-    async def _read_loop_v2(self, reader: asyncio.StreamReader) -> None:
-        while True:
-            try:
-                header = await reader.readexactly(
-                    protocol.FRAME_HEADER_BYTES
-                )
-                length = int.from_bytes(header, "big")
-                if length == 0 or length > self.max_frame_bytes:
-                    return  # framing lost; reconnect resynchronizes
-                payload = await reader.readexactly(length)
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                OSError,
-            ):
-                return
-            try:
-                tag, obj = protocol.decode_payload_v2(
-                    payload, max_bytes=self.max_frame_bytes
-                )
-                if tag == protocol.TAG_RESULTS:
-                    rid, slots = protocol.parse_bulk_request(obj)
-                    frame = {
-                        "id": rid,
-                        "ok": True,
-                        "result": {
-                            "results": protocol.unpack_bulk_results(
-                                slots
-                            )
-                        },
-                    }
-                elif tag == protocol.TAG_JSON:
-                    frame = obj
-                else:
-                    continue  # a bulk request from a worker; drop it
-            except ProtocolError:
-                continue  # unparseable worker frame; drop it
-            self._settle(frame)
-
     def _settle(self, frame: Dict[str, Any]) -> None:
+        packed = frame.pop("_packed", None)
+        if packed is not None:
+            # v1-shaped results, so the router's merge logic never sees
+            # which framing the hop negotiated.
+            frame["result"] = {
+                "results": protocol.unpack_bulk_results(packed)
+            }
         future = self._pending.pop(frame.get("id"), None)
         if future is not None and not future.done():
             future.set_result(frame)
@@ -498,9 +417,6 @@ class ClusterRouter:
         #: Extra synchronous key/values merged into cluster stats
         #: (the supervisor contributes restart counts).
         self.extra_stats = extra_stats
-        #: Accept client ``hello`` upgrades to v2 framing; ``False``
-        #: mimics a pre-v2 front door (hello earns ``unknown_op``).
-        self.negotiate_v2 = bool(negotiate_v2)
         self.links = [
             WorkerLink(
                 i,
@@ -512,8 +428,6 @@ class ClusterRouter:
             for i, path in enumerate(self.worker_sockets)
         ]
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
-        self._request_tasks: Set["asyncio.Task"] = set()
         self._draining = False
         self._started_at = time.time()
         self._where = "?"
@@ -523,6 +437,13 @@ class ClusterRouter:
             "connections": 0,
             "forwarded": 0,
         }
+        #: Clients are served by the same layer as a single server's, so
+        #: they cannot tell a front door from a worker by construction.
+        self._layer = ConnectionLayer(
+            self,
+            max_frame_bytes=max_frame_bytes,
+            negotiate_v2=negotiate_v2,
+        )
 
     # -------------------------------------------------------------- #
     # lifecycle
@@ -537,7 +458,9 @@ class ClusterRouter:
         if os.path.exists(path):
             os.unlink(path)
         self._server = await asyncio.start_unix_server(
-            self._on_client, path=path, limit=self.max_frame_bytes
+            self._layer.serve,
+            path=path,
+            limit=self.max_frame_bytes,
         )
         self._where = path
         self._started_at = time.time()
@@ -554,484 +477,79 @@ class ClusterRouter:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        while self._request_tasks:
-            await asyncio.gather(
-                *tuple(self._request_tasks), return_exceptions=True
-            )
+        await self._layer.settle()
         for link in self.links:
             await link.stop()
-        for writer in tuple(self._connections):
-            try:
-                if not writer.is_closing():
-                    writer.close()
-            except Exception:
-                pass
-        self._connections.clear()
+        self._layer.close()
 
     # -------------------------------------------------------------- #
-    # client connections (mirrors AdmissionService._on_connection)
+    # conn.FrameHandler: the two synchronous entry points
     # -------------------------------------------------------------- #
 
-    async def _on_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        self.counts["connections"] += 1
-        conn = _Conn(reader, writer)
-        try:
-            upgraded = await self._read_v1(conn)
-            if upgraded:
-                await self._read_v2(conn)
-        finally:
-            self._connections.discard(writer)
-            try:
-                if not writer.is_closing():
-                    writer.close()
-            except Exception:
-                pass
+    def frame_context(self) -> None:
+        return None
 
-    async def _read_v1(self, conn: _Conn) -> bool:
-        """Newline-delimited JSON loop; True when upgraded to v2."""
-        reader = conn.reader
-        while True:
-            try:
-                line = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                await self._send(
-                    conn,
-                    protocol.error_response(
-                        None,
-                        protocol.FRAME_TOO_LARGE,
-                        f"frame exceeds "
-                        f"{self.max_frame_bytes} bytes",
-                    ),
-                )
-                return False
-            except (ConnectionError, OSError):
-                return False
-            if not line or not line.endswith(b"\n"):
-                return False
-            if not line.strip():
-                continue
-            hello = (
-                self._peek_hello(line) if self.negotiate_v2 else None
-            )
-            if hello is not None:
-                response, upgrade = self._negotiate(conn, hello)
-                await self._send(conn, response)
-                if upgrade:
-                    conn.proto = 2
-                    return True
-                continue
-            self._handle_line(conn, line)
+    def begin_request(
+        self, conn: Connection, request: protocol.Request, ctx: None
+    ) -> Coroutine[Any, Any, None]:
+        return self._finish(request, self._begin(request), conn)
 
-    def _peek_hello(self, line: bytes) -> Optional[protocol.Request]:
-        """The parsed request iff this line is a ``hello``."""
-        if b'"hello"' not in line:
-            return None
-        try:
-            request = protocol.parse_request(
-                line, max_bytes=self.max_frame_bytes
-            )
-        except ProtocolError:
-            return None  # _handle_line produces the canonical error
-        return request if request.op == protocol.HELLO_OP else None
-
-    def _negotiate(
-        self, conn: _Conn, request: protocol.Request
-    ) -> Tuple[Dict[str, Any], bool]:
-        """Answer one ``hello``: ``(response, upgrade_to_v2)``.
-
-        Same rules as the single server: negotiation only before the
-        first ordinary request, same refusal messages — a client cannot
-        tell a front door from a worker.
-        """
-        self.counts["requests"] += 1
-        rid = request.id
-        if conn.saw_request:
-            self.counts["errors"] += 1
-            return (
-                protocol.error_response(
-                    rid,
-                    protocol.BAD_REQUEST,
-                    "hello must be the first request on a connection",
-                ),
-                False,
-            )
-        conn.saw_request = True
-        proposed = request.body.get("protocol")
-        if proposed == protocol.PROTOCOL_SCHEMA_V2:
-            return (
-                protocol.ok_response(
-                    rid, {"protocol": protocol.PROTOCOL_SCHEMA_V2}
-                ),
-                True,
-            )
-        if proposed == protocol.PROTOCOL_SCHEMA:
-            return (
-                protocol.ok_response(
-                    rid, {"protocol": protocol.PROTOCOL_SCHEMA}
-                ),
-                False,
-            )
-        self.counts["errors"] += 1
-        return (
-            protocol.error_response(
-                rid,
-                protocol.BAD_REQUEST,
-                f"unsupported protocol {proposed!r} (supported: "
-                f"{protocol.PROTOCOL_SCHEMA}, "
-                f"{protocol.PROTOCOL_SCHEMA_V2})",
-            ),
-            False,
-        )
-
-    async def _read_v2(self, conn: _Conn) -> None:
-        """Binary frame loop (negotiated); mirrors the single server's
-        fault rules — keep the connection while the length prefix can
-        be trusted, close when it cannot."""
-        reader = conn.reader
-        max_bytes = self.max_frame_bytes
-        while True:
-            try:
-                header = await reader.readexactly(
-                    protocol.FRAME_HEADER_BYTES
-                )
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                OSError,
-            ):
-                return
-            length = int.from_bytes(header, "big")
-            if length == 0:
-                self.counts["errors"] += 1
-                await self._send(
-                    conn,
-                    protocol.error_response(
-                        None,
-                        protocol.BAD_REQUEST,
-                        "zero-length v2 frame",
-                    ),
-                )
-                return
-            if length > max_bytes:
-                self.counts["errors"] += 1
-                if header[0:1] == b"{":
-                    response = protocol.error_response(
-                        None,
-                        protocol.BAD_REQUEST,
-                        "v1 text frame on a v2-negotiated connection",
-                    )
-                else:
-                    response = protocol.error_response(
-                        None,
-                        protocol.FRAME_TOO_LARGE,
-                        f"v2 frame of {length} bytes exceeds the "
-                        f"{max_bytes}-byte limit",
-                    )
-                await self._send(conn, response)
-                return
-            try:
-                payload = await reader.readexactly(length)
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                OSError,
-            ):
-                return
-            self._handle_v2_payload(conn, payload)
-
-    def _handle_v2_payload(self, conn: _Conn, payload: bytes) -> None:
-        self.counts["requests"] += 1
-        try:
-            tag, obj = protocol.decode_payload_v2(
-                payload, max_bytes=self.max_frame_bytes
-            )
-        except ProtocolError as exc:
-            self.counts["errors"] += 1
-            self._spawn(
-                self._send(
-                    conn,
-                    protocol.error_response(None, exc.code, str(exc)),
-                )
-            )
-            return
-        if tag == protocol.TAG_BULK:
-            self._begin_bulk(conn, obj)
-            return
-        if tag == protocol.TAG_RESULTS:
-            self.counts["errors"] += 1
-            self._spawn(
-                self._send(
-                    conn,
-                    protocol.error_response(
-                        None,
-                        protocol.BAD_REQUEST,
-                        "unexpected bulk-response frame from a client",
-                    ),
-                )
-            )
-            return
-        rid = obj.get("id")
-        if not isinstance(rid, (str, int)) or isinstance(rid, bool):
-            self.counts["errors"] += 1
-            self._spawn(
-                self._send(
-                    conn,
-                    protocol.error_response(
-                        None,
-                        protocol.BAD_REQUEST,
-                        "request id must be a string or integer",
-                    ),
-                )
-            )
-            return
-        op = obj.get("op")
-        if not isinstance(op, str):
-            self.counts["errors"] += 1
-            self._spawn(
-                self._send(
-                    conn,
-                    protocol.error_response(
-                        None,
-                        protocol.BAD_REQUEST,
-                        "request op must be a string",
-                    ),
-                )
-            )
-            return
-        body = {k: v for k, v in obj.items() if k not in ("id", "op")}
-        self._dispatch_request(
-            conn, protocol.Request(id=rid, op=op, body=body)
-        )
-
-    def _handle_line(self, conn: _Conn, line: bytes) -> None:
-        """Parse one frame and forward it — synchronously, so per-flow
-        op order survives the extra hop."""
-        self.counts["requests"] += 1
-        try:
-            request = protocol.parse_request(
-                line, max_bytes=self.max_frame_bytes
-            )
-        except ProtocolError as exc:
-            self.counts["errors"] += 1
-            self._spawn(
-                self._send(
-                    conn,
-                    protocol.error_response(None, exc.code, str(exc)),
-                )
-            )
-            return
-        self._dispatch_request(conn, request)
-
-    def _dispatch_request(
-        self, conn: _Conn, request: protocol.Request
-    ) -> None:
-        conn.saw_request = True
-        if request.op == protocol.HELLO_OP and self.negotiate_v2:
-            self.counts["errors"] += 1
-            self._spawn(
-                self._send(
-                    conn,
-                    protocol.error_response(
-                        request.id,
-                        protocol.BAD_REQUEST,
-                        "hello must be the first request on a "
-                        "connection",
-                    ),
-                )
-            )
-            return
-        if request.id in conn.inflight:
-            self.counts["errors"] += 1
-            self._spawn(
-                self._send(
-                    conn,
-                    protocol.error_response(
-                        request.id,
-                        protocol.DUPLICATE_ID,
-                        f"request id {request.id!r} is already in "
-                        "flight on this connection",
-                    ),
-                )
-            )
-            return
-        conn.inflight.add(request.id)
-        try:
-            pending = self._begin(request)
-        except ProtocolError as exc:
-            conn.inflight.discard(request.id)
-            self.counts["errors"] += 1
-            self._spawn(
-                self._send(
-                    conn,
-                    protocol.error_response(
-                        request.id, exc.code, str(exc)
-                    ),
-                )
-            )
-            return
-        except Exception as exc:  # defensive: keep the read loop alive
-            conn.inflight.discard(request.id)
-            self.counts["errors"] += 1
-            logger.exception(
-                "internal error routing request %r", request.id
-            )
-            self._spawn(
-                self._send(
-                    conn,
-                    protocol.error_response(
-                        request.id,
-                        protocol.INTERNAL,
-                        f"{type(exc).__name__}: {exc}",
-                    ),
-                )
-            )
-            return
-        self._spawn(self._finish(request, pending, conn))
-
-    # -------------------------------------------------------------- #
-    # v2 packed bulk: split per owner, merge, re-pack
-    # -------------------------------------------------------------- #
-
-    def _begin_bulk(self, conn: _Conn, obj: Any) -> None:
+    def begin_bulk(
+        self,
+        conn: Connection,
+        rid: protocol.RequestId,
+        subops: list,
+        ctx: None,
+    ) -> Coroutine[Any, Any, None]:
         """Split one packed bulk frame per owning worker.
 
-        Each sub-op is validated with the same codec functions the
-        single server uses (identical error strings), converted to its
+        Each sub-op is validated by the codec function the single
+        server uses (identical error strings), converted to its
         v1-shaped op, and forwarded in the owner's carrier ``batch``
         call — the worker link re-packs it to binary when its hop
         negotiated v2.  Slots that fail validation are decided here,
         exactly like the single server decides them before the
         coalescer.
         """
-        rid, subops = protocol.parse_bulk_request(obj)
-        if rid in conn.inflight:
-            self.counts["errors"] += 1
-            self._spawn(
-                self._send(
-                    conn,
-                    protocol.error_response(
-                        rid,
-                        protocol.DUPLICATE_ID,
-                        f"request id {rid!r} is already in "
-                        "flight on this connection",
-                    ),
-                )
-            )
-            return
-        conn.inflight.add(rid)
         if self._draining:
-            self._spawn(
-                self._finish(
-                    protocol.Request(id=rid, op="bulk", body={}),
-                    protocol.error_response(
-                        rid, protocol.UNAVAILABLE, "cluster is draining"
-                    ),
-                    conn,
-                )
+            return self._finish(
+                protocol.Request(id=rid, op="bulk", body={}),
+                protocol.error_response(
+                    rid, protocol.UNAVAILABLE, "cluster is draining"
+                ),
+                conn,
             )
-            return
         fixed: Dict[int, Dict[str, Any]] = {}
-        per_worker: Dict[int, List[Any]] = {}
-        slot_map: Dict[int, List[int]] = {}
+        ops: List[Tuple[int, Any]] = []
         for slot, sub in enumerate(subops):
             try:
-                op_dict, fid = self._bulk_sub_to_op(sub)
+                ops.append((slot, protocol.unpack_batch_op(sub)))
             except ProtocolError as exc:
                 fixed[slot] = {
                     "ok": False,
                     "error": {"code": exc.code, "message": str(exc)},
                 }
-                continue
-            w = self.ring.worker_of(fid)
-            per_worker.setdefault(w, []).append(op_dict)
-            slot_map.setdefault(w, []).append(slot)
-        futures: Dict[int, Any] = {}
-        for w, sub_ops in per_worker.items():
-            try:
-                futures[w] = self.links[w].call(
-                    "batch", {"ops": sub_ops}
-                )
-            except ProtocolError as exc:
-                futures[w] = protocol.error_response(
-                    None, exc.code, str(exc)
-                )
-        self.counts["forwarded"] += len(per_worker)
-        self._spawn(
-            self._finish_bulk(
-                conn, rid, (futures, slot_map, len(subops)), fixed
-            )
-        )
-
-    def _bulk_sub_to_op(
-        self, sub: Any
-    ) -> Tuple[Dict[str, Any], Any]:
-        """``(v1_op_dict, flow_id)`` of one valid packed sub-op.
-
-        Raises :class:`ProtocolError` with the single server's exact
-        message for any malformed entry, so fuzzing the front door and
-        a worker yields the same bytes.
-        """
-        if not isinstance(sub, list) or not sub:
-            raise ProtocolError(
-                protocol.BAD_REQUEST,
-                "bulk sub-op must be a non-empty array",
-            )
-        kind = sub[0]
-        if kind == protocol.BULK_ADMIT:
-            protocol.bulk_admit_flow(sub)  # shared validation
-            flow: Dict[str, Any] = {
-                "id": sub[1],
-                "cls": sub[2],
-                "src": sub[3],
-                "dst": sub[4],
-            }
-            if sub[5] is not None:
-                flow["route"] = list(sub[5])
-            return {"op": "admit", "flow": flow}, sub[1]
-        if kind == protocol.BULK_RELEASE:
-            if len(sub) != 2:
-                raise ProtocolError(
-                    protocol.BAD_REQUEST,
-                    "packed release sub-op must have 2 fields",
-                )
-            fid = protocol.validate_flow_id(sub[1])
-            return {"op": "release", "flow_id": fid}, fid
-        raise ProtocolError(
-            protocol.BAD_REQUEST,
-            f"bulk sub-op kind must be {protocol.BULK_ADMIT} (admit) "
-            f"or {protocol.BULK_RELEASE} (release), got {kind!r}",
-        )
+        plan = (*self._forward_batch(ops, {}), len(subops))
+        return self._finish_bulk(conn, rid, plan, fixed)
 
     async def _finish_bulk(
         self,
-        conn: _Conn,
+        conn: Connection,
         rid: protocol.RequestId,
         plan: Tuple[Any, ...],
         fixed: Dict[int, Dict[str, Any]],
     ) -> None:
-        try:
-            response = await self._finish_batch(rid, plan)
-            results = response["result"]["results"]
-            for slot, r in fixed.items():
-                results[slot] = r
-            if any(not r.get("ok", False) for r in results):
-                self.counts["errors"] += 1
-            await self._send_raw(
-                conn,
-                protocol.encode_bulk_response(
-                    rid, protocol.pack_bulk_results(results)
-                ),
+        response = await self._finish_batch(rid, plan)
+        results = response["result"]["results"]
+        for slot, r in fixed.items():
+            results[slot] = r
+        if any(not r.get("ok", False) for r in results):
+            self.counts["errors"] += 1
+        await conn.send_raw(
+            protocol.encode_bulk_response(
+                rid, protocol.pack_bulk_results(results)
             )
-        finally:
-            conn.inflight.discard(rid)
-
-    def _spawn(self, coro: Awaitable[None]) -> None:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._request_tasks.add(task)
-        task.add_done_callback(self._request_tasks.discard)
+        )
 
     # -------------------------------------------------------------- #
     # dispatch
@@ -1106,9 +624,18 @@ class ClusterRouter:
                 protocol.BAD_REQUEST, "batch needs an ops list"
             )
         extra = {k: v for k, v in body.items() if k != "ops"}
+        return (*self._forward_batch(enumerate(ops), extra), len(ops))
+
+    def _forward_batch(
+        self, ops: Iterable[Tuple[int, Any]], extra: Dict[str, Any]
+    ) -> Tuple[Dict[int, Any], Dict[int, List[int]]]:
+        """Forward ``(slot, v1_sub_op)`` pairs as one ``batch`` call per
+        owning worker: ``(futures, slot_map)``, both keyed by worker,
+        ``slot_map[w]`` listing in order the slots worker ``w``
+        answers."""
         per_worker: Dict[int, List[Any]] = {}
         slot_map: Dict[int, List[int]] = {}
-        for slot, sub in enumerate(ops):
+        for slot, sub in ops:
             w = self._route_sub_op(sub)
             per_worker.setdefault(w, []).append(sub)
             slot_map.setdefault(w, []).append(slot)
@@ -1123,7 +650,7 @@ class ClusterRouter:
                     None, exc.code, str(exc)
                 )
         self.counts["forwarded"] += len(per_worker)
-        return (futures, slot_map, len(ops))
+        return futures, slot_map
 
     def _route_sub_op(self, sub: Any) -> int:
         """Owning worker of one batch sub-op.
@@ -1161,23 +688,20 @@ class ClusterRouter:
         self,
         request: protocol.Request,
         pending: Any,
-        conn: _Conn,
+        conn: Connection,
     ) -> None:
-        try:
-            if isinstance(pending, dict):
-                response = pending
-            elif asyncio.isfuture(pending):
-                frame = await pending
-                response = self._restamp(frame, request.id)
-            elif isinstance(pending, tuple):
-                response = await self._finish_batch(request.id, pending)
-            else:  # coroutine (fan-out op)
-                response = await pending
-            if not response.get("ok", False):
-                self.counts["errors"] += 1
-            await self._send(conn, response)
-        finally:
-            conn.inflight.discard(request.id)
+        if isinstance(pending, dict):
+            response = pending
+        elif asyncio.isfuture(pending):
+            frame = await pending
+            response = self._restamp(frame, request.id)
+        elif isinstance(pending, tuple):
+            response = await self._finish_batch(request.id, pending)
+        else:  # coroutine (fan-out op)
+            response = await pending
+        if not response.get("ok", False):
+            self.counts["errors"] += 1
+        await conn.send(response)
 
     @staticmethod
     def _restamp(
@@ -1227,23 +751,6 @@ class ClusterRouter:
                 for slot in slots:
                     results[slot] = dict(fill)
         return protocol.ok_response(rid, {"results": results})
-
-    async def _send(
-        self, conn: _Conn, response: Dict[str, Any]
-    ) -> None:
-        if conn.proto == 2:
-            frame = protocol.encode_frame_v2(response)
-        else:
-            frame = protocol.encode_frame(response)
-        await self._send_raw(conn, frame)
-
-    async def _send_raw(self, conn: _Conn, frame: bytes) -> None:
-        try:
-            async with conn.lock:
-                conn.writer.write(frame)
-                await conn.writer.drain()
-        except (ConnectionError, RuntimeError, OSError):
-            logger.debug("dropped a response to a closed connection")
 
     # -------------------------------------------------------------- #
     # fan-out ops and aggregation

@@ -1,14 +1,13 @@
 """Asyncio admission-control server.
 
 :class:`AdmissionService` fronts any admission controller with the
-newline-delimited JSON protocol of :mod:`repro.service.protocol` over
-TCP or a Unix socket.  Its request path is deliberately thin: the
-per-connection read loop parses each frame and hands admits/releases to
-the :class:`~repro.service.coalescer.MicroBatchCoalescer` **synchronously,
-in frame order** (submission happens before the loop yields, so one
-connection's requests are decided in exactly the order they were sent),
-then a small task per request awaits the decision and writes the
-response.
+wire protocol of :mod:`repro.service.protocol` over TCP or a Unix
+socket.  Framing, negotiation and response writing belong to
+:mod:`repro.service.conn`; this class is its handler: each parsed frame
+hands its admits/releases to the
+:class:`~repro.service.coalescer.MicroBatchCoalescer` **synchronously,
+in frame order**, and returns the small coroutine that awaits the
+decision and writes the response.
 
 Around that core:
 
@@ -33,7 +32,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Coroutine, Dict, List, Optional, Tuple
 
 from ..admission.base import AdmissionController, AdmissionDecision
 from ..control.governor import GovernorSample
@@ -63,6 +62,7 @@ from .coalescer import (
     MicroBatchCoalescer,
     _Op,
 )
+from .conn import Connection, ConnectionLayer
 from .http import MetricsEndpoint
 from .snapshots import SnapshotStore, service_snapshot
 
@@ -198,31 +198,6 @@ class _ReqTele:
         self.span_hex: Optional[str] = None
 
 
-class _Conn:
-    """Per-connection state: stream pair, write lock, in-flight ids,
-    and the negotiated protocol generation (1 = JSON lines, 2 = binary
-    frames)."""
-
-    __slots__ = (
-        "reader",
-        "writer",
-        "lock",
-        "inflight",
-        "proto",
-        "saw_request",
-    )
-
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ):
-        self.reader = reader
-        self.writer = writer
-        self.lock = asyncio.Lock()
-        self.inflight: Set[protocol.RequestId] = set()
-        self.proto = 1
-        self.saw_request = False
-
-
 class AdmissionService:
     """Serve admission control for one controller over one socket."""
 
@@ -275,8 +250,6 @@ class AdmissionService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
         self._snapshot_task: Optional["asyncio.Task"] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
-        self._request_tasks: Set["asyncio.Task"] = set()
         self._shedding = False
         self._draining = False
         self._where = "?"
@@ -294,6 +267,11 @@ class AdmissionService:
             "restored": 0,
             "governor_moves": 0,
         }
+        self._layer = ConnectionLayer(
+            self,
+            max_frame_bytes=config.max_frame_bytes,
+            negotiate_v2=config.negotiate_v2,
+        )
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -428,15 +406,7 @@ class AdmissionService:
                 self._governor_task, return_exceptions=True
             )
             self._governor_task = None
-        # Let every already-parsed request reach its response.  The
-        # read loops stay live until the writers close below, so a
-        # request parsed after one gather snapshot can spawn a new
-        # task — loop until the set is genuinely empty (new arrivals
-        # are answered "unavailable", so each pass terminates fast).
-        while self._request_tasks:
-            await asyncio.gather(
-                *tuple(self._request_tasks), return_exceptions=True
-            )
+        await self._layer.settle()
         await self.coalescer.flush()
         await self.coalescer.stop()
         self.write_snapshot()
@@ -445,9 +415,7 @@ class AdmissionService:
         if self.metrics_endpoint is not None:
             await self.metrics_endpoint.stop()
             self.metrics_endpoint = None
-        for writer in tuple(self._connections):
-            _close_writer(writer)
-        self._connections.clear()
+        self._layer.close()
         if self._stopped is not None:
             self._stopped.set()
         logger.info("admission service on %s drained", self._where)
@@ -635,297 +603,30 @@ class AdmissionService:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
-        self.counts["connections"] += 1
         if OBS.enabled:
             OBS.registry.counter(
                 "repro_service_connections_total"
             ).inc()
-        conn = _Conn(reader, writer)
-        try:
-            # Read until EOF; during drain, admission ops are answered
-            # with "unavailable" and drain() closes the connection once
-            # everything in flight has been written.
-            upgraded = await self._read_v1(conn)
-            if upgraded:
-                await self._read_v2(conn)
-        finally:
-            self._connections.discard(writer)
-            _close_writer(writer)
+        await self._layer.serve(reader, writer)
 
-    async def _read_v1(self, conn: "_Conn") -> bool:
-        """Newline-delimited JSON loop; True when upgraded to v2."""
-        reader = conn.reader
-        while True:
-            try:
-                line = await reader.readline()
-            except (
-                asyncio.LimitOverrunError,
-                ValueError,
-            ):
-                # Oversized frame: structured error, clean close
-                # (the stream beyond the overrun is unparseable).
-                await self._send(
-                    conn,
-                    protocol.error_response(
-                        None,
-                        protocol.FRAME_TOO_LARGE,
-                        f"frame exceeds "
-                        f"{self.config.max_frame_bytes} bytes",
-                    ),
-                )
-                return False
-            except (ConnectionError, OSError):
-                return False
-            if not line or not line.endswith(b"\n"):
-                # EOF — possibly mid-request; nothing to answer.
-                return False
-            if not line.strip():
-                continue
-            hello = (
-                self._peek_hello(line)
-                if self.config.negotiate_v2
-                else None
-            )
-            if hello is not None:
-                response, upgrade = self._negotiate(conn, hello)
-                # The hello answer is always a v1 line, written before
-                # the mode flips, so the client can switch its own
-                # parser the moment it reads this response.
-                await self._send(conn, response)
-                if upgrade:
-                    conn.proto = 2
-                    return True
-                continue
-            self._handle_line(conn, line)
-
-    def _peek_hello(self, line: bytes) -> Optional[protocol.Request]:
-        """The parsed request iff this line is a ``hello``."""
-        if b'"hello"' not in line:
-            return None
-        try:
-            request = protocol.parse_request(
-                line, max_bytes=self.config.max_frame_bytes
-            )
-        except ProtocolError:
-            return None  # _handle_line produces the canonical error
-        return request if request.op == protocol.HELLO_OP else None
-
-    def _negotiate(
-        self, conn: "_Conn", request: Request_T
-    ) -> Tuple[Dict[str, Any], bool]:
-        """Answer one ``hello``: ``(response, upgrade_to_v2)``.
-
-        Negotiation happens before any ordinary request id exists on
-        the connection (clients send hello first, on the reserved id
-        0); a hello arriving later is refused so in-flight v1 responses
-        can never interleave with binary frames.
-        """
-        self.counts["requests"] += 1
-        rid = request.id
-        if conn.saw_request:
-            self.counts["errors"] += 1
-            return (
-                protocol.error_response(
-                    rid,
-                    protocol.BAD_REQUEST,
-                    "hello must be the first request on a connection",
-                ),
-                False,
-            )
-        conn.saw_request = True
-        proposed = request.body.get("protocol")
-        if proposed == protocol.PROTOCOL_SCHEMA_V2:
-            return (
-                protocol.ok_response(
-                    rid, {"protocol": protocol.PROTOCOL_SCHEMA_V2}
-                ),
-                True,
-            )
-        if proposed == protocol.PROTOCOL_SCHEMA:
-            return (
-                protocol.ok_response(
-                    rid, {"protocol": protocol.PROTOCOL_SCHEMA}
-                ),
-                False,
-            )
-        self.counts["errors"] += 1
-        return (
-            protocol.error_response(
-                rid,
-                protocol.BAD_REQUEST,
-                f"unsupported protocol {proposed!r} (supported: "
-                f"{protocol.PROTOCOL_SCHEMA}, "
-                f"{protocol.PROTOCOL_SCHEMA_V2})",
-            ),
-            False,
-        )
-
-    async def _read_v2(self, conn: "_Conn") -> None:
-        """Length-prefixed binary frame loop (after negotiation).
-
-        Framing faults follow one rule: if the length prefix can still
-        be trusted, answer a structured error and keep reading; if it
-        cannot (oversized/corrupt prefix, v1 text bytes), answer the
-        error and close — resynchronization is impossible.  Either way
-        the fault stays on this connection; the coalescer and every
-        other connection never notice.
-        """
-        reader = conn.reader
-        max_bytes = self.config.max_frame_bytes
-        while True:
-            try:
-                header = await reader.readexactly(
-                    protocol.FRAME_HEADER_BYTES
-                )
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                OSError,
-            ):
-                return  # EOF or mid-header disconnect
-            length = int.from_bytes(header, "big")
-            if length == 0:
-                self.counts["errors"] += 1
-                await self._send(
-                    conn,
-                    protocol.error_response(
-                        None,
-                        protocol.BAD_REQUEST,
-                        "zero-length v2 frame",
-                    ),
-                )
-                return
-            if length > max_bytes:
-                self.counts["errors"] += 1
-                if header[0:1] == b"{":
-                    # A v1 JSON line read as a length prefix: '{' makes
-                    # the "length" >= 2 GiB, far past any real frame.
-                    response = protocol.error_response(
-                        None,
-                        protocol.BAD_REQUEST,
-                        "v1 text frame on a v2-negotiated connection",
-                    )
-                else:
-                    response = protocol.error_response(
-                        None,
-                        protocol.FRAME_TOO_LARGE,
-                        f"v2 frame of {length} bytes exceeds the "
-                        f"{max_bytes}-byte limit",
-                    )
-                await self._send(conn, response)
-                return
-            try:
-                payload = await reader.readexactly(length)
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                OSError,
-            ):
-                return  # mid-frame disconnect; nothing attributable
-            self._handle_v2_payload(conn, payload)
-
-    def _handle_v2_payload(self, conn: "_Conn", payload: bytes) -> None:
-        """Decode one v2 payload and start its request task."""
-        self.counts["requests"] += 1
+    def frame_context(self) -> "Optional[_ReqTele]":
+        """Per-frame telemetry scratchpad (``None`` with telemetry
+        off), stamped before the frame is decoded."""
         tele: Optional[_ReqTele] = None
         if self._slo_on or OBS.enabled:
             tele = _ReqTele(time.perf_counter())
             self.slo.record_request()
         if OBS.enabled:
             OBS.registry.counter("repro_service_requests_total").inc()
-        try:
-            tag, obj = protocol.decode_payload_v2(
-                payload, max_bytes=self.config.max_frame_bytes
-            )
-        except ProtocolError as exc:
-            # The frame was well-delimited, so the stream is still in
-            # sync: answer and keep the connection.
-            self.counts["errors"] += 1
-            self._spawn_send(
-                conn,
-                protocol.error_response(None, exc.code, str(exc)),
-            )
-            return
-        if tag == protocol.TAG_BULK:
-            self._begin_bulk(conn, obj, tele)
-            return
-        if tag == protocol.TAG_RESULTS:
-            self.counts["errors"] += 1
-            self._spawn_send(
-                conn,
-                protocol.error_response(
-                    None,
-                    protocol.BAD_REQUEST,
-                    "unexpected bulk-response frame from a client",
-                ),
-            )
-            return
-        rid = obj.get("id")
-        if not isinstance(rid, (str, int)) or isinstance(rid, bool):
-            self.counts["errors"] += 1
-            self._spawn_send(
-                conn,
-                protocol.error_response(
-                    None,
-                    protocol.BAD_REQUEST,
-                    "request id must be a string or integer",
-                ),
-            )
-            return
-        op = obj.get("op")
-        if not isinstance(op, str):
-            self.counts["errors"] += 1
-            self._spawn_send(
-                conn,
-                protocol.error_response(
-                    None,
-                    protocol.BAD_REQUEST,
-                    "request op must be a string",
-                ),
-            )
-            return
-        body = {k: v for k, v in obj.items() if k not in ("id", "op")}
-        self._dispatch_request(
-            conn, protocol.Request(id=rid, op=op, body=body), tele
-        )
+        return tele
 
-    def _handle_line(self, conn: "_Conn", line: bytes) -> None:
-        """Parse one frame and start its request task.
-
-        Runs synchronously inside the read loop: coalescer submission
-        happens *here*, before the loop reads the next frame, which is
-        what makes one connection's decisions order-identical to
-        sequential submission.
-        """
-        self.counts["requests"] += 1
-        tele: Optional[_ReqTele] = None
-        if self._slo_on or OBS.enabled:
-            tele = _ReqTele(time.perf_counter())
-            self.slo.record_request()
-        if OBS.enabled:
-            OBS.registry.counter("repro_service_requests_total").inc()
-        try:
-            request = protocol.parse_request(
-                line, max_bytes=self.config.max_frame_bytes
-            )
-        except ProtocolError as exc:
-            self.counts["errors"] += 1
-            self._spawn_send(
-                conn,
-                protocol.error_response(None, exc.code, str(exc)),
-            )
-            return
-        self._dispatch_request(conn, request, tele)
-
-    def _dispatch_request(
+    def begin_request(
         self,
-        conn: "_Conn",
-        request: Request_T,
+        conn: Connection,
+        request: protocol.Request,
         tele: "Optional[_ReqTele]",
-    ) -> None:
-        """Begin one parsed request and spawn its response task."""
-        conn.saw_request = True
+    ) -> Coroutine[Any, Any, None]:
+        """Begin one parsed request; its response coroutine."""
         if tele is not None:
             tele.t_parsed = time.perf_counter()
             tele.op = request.op
@@ -934,73 +635,21 @@ class AdmissionService:
             )
             if OBS.enabled and OBS.tracer is not None:
                 tele.span_hex = new_span_id()
-        if request.op == protocol.HELLO_OP and self.config.negotiate_v2:
-            # A hello after the first request (v1), or inside a v2
-            # carrier frame: renegotiation is not supported.  (With
-            # negotiation disabled, hello falls through to the ordinary
-            # unknown-op answer — exactly what a pre-v2 build says.)
-            self.counts["errors"] += 1
-            self._spawn_send(
-                conn,
-                protocol.error_response(
-                    request.id,
-                    protocol.BAD_REQUEST,
-                    "hello must be the first request on a connection",
-                ),
-            )
-            return
-        if request.id in conn.inflight:
-            self.counts["errors"] += 1
-            self._spawn_send(
-                conn,
-                protocol.error_response(
-                    request.id,
-                    protocol.DUPLICATE_ID,
-                    f"request id {request.id!r} is already in flight "
-                    "on this connection",
-                ),
-            )
-            return
-        conn.inflight.add(request.id)
-        try:
-            pending = self._begin(request, tele)
-        except ProtocolError as exc:
-            conn.inflight.discard(request.id)
-            self.counts["errors"] += 1
-            self._spawn_send(
-                conn,
-                protocol.error_response(request.id, exc.code, str(exc)),
-            )
-            return
-        except Exception as exc:  # defensive: never tear down the
-            # read loop over one request — answer and keep serving.
-            conn.inflight.discard(request.id)
-            self.counts["errors"] += 1
-            logger.exception(
-                "internal error beginning request %r", request.id
-            )
-            self._spawn_send(
-                conn,
-                protocol.error_response(
-                    request.id,
-                    protocol.INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                ),
-            )
-            return
-        task = asyncio.get_running_loop().create_task(
-            self._finish(request, pending, conn, tele)
+        return self._finish(
+            request, self._begin(request, tele), conn, tele
         )
-        self._request_tasks.add(task)
-        task.add_done_callback(self._request_tasks.discard)
 
     # ------------------------------------------------------------------ #
     # v2 bulk fast path
     # ------------------------------------------------------------------ #
 
-    def _begin_bulk(
-        self, conn: "_Conn", obj: Any, tele: "Optional[_ReqTele]"
-    ) -> None:
+    def begin_bulk(
+        self,
+        conn: Connection,
+        rid: protocol.RequestId,
+        subops: list,
+        tele: "Optional[_ReqTele]",
+    ) -> Coroutine[Any, Any, None]:
         """Submit one packed bulk frame's sub-ops in arrival order.
 
         The per-sub-op work is deliberately minimal — positional decode
@@ -1010,23 +659,9 @@ class AdmissionService:
         Decisions are bit-identical to the same ops arriving as v1
         frames: the coalescer machinery downstream is shared.
         """
-        rid, subops = protocol.parse_bulk_request(obj)
         if tele is not None:
             tele.t_parsed = time.perf_counter()
             tele.op = "bulk"
-        if rid in conn.inflight:
-            self.counts["errors"] += 1
-            self._spawn_send(
-                conn,
-                protocol.error_response(
-                    rid,
-                    protocol.DUPLICATE_ID,
-                    f"request id {rid!r} is already in flight "
-                    "on this connection",
-                ),
-            )
-            return
-        conn.inflight.add(rid)
         ready: Optional[Dict[str, Any]] = None
         if self._draining:
             ready = protocol.error_response(
@@ -1035,105 +670,67 @@ class AdmissionService:
         elif self.shedding():
             ready = self._shed_response(rid)
         if ready is not None:
-            task = asyncio.get_running_loop().create_task(
-                self._finish(
-                    protocol.Request(id=rid, op="bulk", body={}),
-                    ready,
-                    conn,
-                    tele,
-                )
+            return self._finish(
+                protocol.Request(id=rid, op="bulk", body={}),
+                ready,
+                conn,
+                tele,
             )
-            self._request_tasks.add(task)
-            task.add_done_callback(self._request_tasks.discard)
-            return
         slots = self.coalescer.open_bulk(len(subops))
         entries: List[Tuple[int, str, Any]] = []
         append = entries.append
+        decode = protocol.decode_bulk_subop
         bulk_admit = protocol.BULK_ADMIT
-        admit_flow = protocol.bulk_admit_flow
         for i, sub in enumerate(subops):
             try:
-                if not isinstance(sub, list) or not sub:
-                    raise ProtocolError(
-                        protocol.BAD_REQUEST,
-                        "bulk sub-op must be a non-empty array",
-                    )
-                kind = sub[0]
-                if kind == bulk_admit:
-                    append((i, BULK_OP_ADMIT, admit_flow(sub)))
-                elif kind == protocol.BULK_RELEASE:
-                    if len(sub) != 2:
-                        raise ProtocolError(
-                            protocol.BAD_REQUEST,
-                            "packed release sub-op must have 2 fields",
-                        )
-                    entries.append(
-                        (
-                            i,
-                            BULK_OP_RELEASE,
-                            protocol.validate_flow_id(sub[1]),
-                        )
-                    )
-                else:
-                    raise ProtocolError(
-                        protocol.BAD_REQUEST,
-                        f"bulk sub-op kind must be {protocol.BULK_ADMIT}"
-                        f" (admit) or {protocol.BULK_RELEASE} "
-                        f"(release), got {kind!r}",
-                    )
+                kind, arg = decode(sub)
             except ProtocolError as exc:
                 slots.fill(i, exc)
+                continue
+            op = BULK_OP_ADMIT if kind == bulk_admit else BULK_OP_RELEASE
+            append((i, op, arg))
         self.coalescer.submit_bulk(slots, entries)
-        task = asyncio.get_running_loop().create_task(
-            self._finish_bulk(conn, rid, slots, tele)
-        )
-        self._request_tasks.add(task)
-        task.add_done_callback(self._request_tasks.discard)
+        return self._finish_bulk(conn, rid, slots, tele)
 
     async def _finish_bulk(
         self,
-        conn: "_Conn",
+        conn: Connection,
         rid: protocol.RequestId,
         slots: BulkSlots,
         tele: "Optional[_ReqTele]",
     ) -> None:
-        try:
-            await slots.wait()
-            # Inline the dominant decision case; _bulk_slot keeps the
-            # full outcome mapping for releases and errors.
-            slot_admitted = protocol.SLOT_ADMITTED
-            slot_rejected = protocol.SLOT_REJECTED
-            bulk_slot = self._bulk_slot
-            n_admitted = n_rejected = 0
-            out: List[List[Any]] = []
-            append = out.append
-            for o in slots.outcomes:
-                if type(o) is AdmissionDecision:
-                    if o.admitted:
-                        n_admitted += 1
-                        append([slot_admitted, o.reason, o.batch_size])
-                    else:
-                        n_rejected += 1
-                        append([slot_rejected, o.reason, o.batch_size])
+        await slots.wait()
+        # Inline the dominant decision case; _bulk_slot keeps the
+        # full outcome mapping for releases and errors.
+        slot_admitted = protocol.SLOT_ADMITTED
+        slot_rejected = protocol.SLOT_REJECTED
+        bulk_slot = self._bulk_slot
+        n_admitted = n_rejected = 0
+        out: List[List[Any]] = []
+        append = out.append
+        for o in slots.outcomes:
+            if type(o) is AdmissionDecision:
+                if o.admitted:
+                    n_admitted += 1
+                    append([slot_admitted, o.reason, o.batch_size])
                 else:
-                    append(bulk_slot(o))
-            counts = self.counts
-            counts["admitted"] += n_admitted
-            counts["rejected"] += n_rejected
-            if tele is not None:
-                tele.t_write = time.perf_counter()
-            await self._send_raw(
-                conn, protocol.encode_bulk_response(rid, out)
+                    n_rejected += 1
+                    append([slot_rejected, o.reason, o.batch_size])
+            else:
+                append(bulk_slot(o))
+        counts = self.counts
+        counts["admitted"] += n_admitted
+        counts["rejected"] += n_rejected
+        if tele is not None:
+            tele.t_write = time.perf_counter()
+        await conn.send_raw(protocol.encode_bulk_response(rid, out))
+        if tele is not None:
+            self._finish_telemetry(
+                protocol.Request(id=rid, op="bulk", body={}),
+                tele,
+                [],
+                {"ok": True},
             )
-            if tele is not None:
-                self._finish_telemetry(
-                    protocol.Request(id=rid, op="bulk", body={}),
-                    tele,
-                    [],
-                    {"ok": True},
-                )
-        finally:
-            conn.inflight.discard(rid)
 
     def _bulk_slot(self, outcome: Any) -> List[Any]:
         """Packed response slot for one settled bulk outcome (mirrors
@@ -1182,7 +779,7 @@ class AdmissionService:
     # ------------------------------------------------------------------ #
 
     def _begin(
-        self, request: Request_T, tele: "Optional[_ReqTele]" = None
+        self, request: protocol.Request, tele: "Optional[_ReqTele]" = None
     ) -> Any:
         """Synchronous part of a request: validate and (for admission
         ops) submit to the coalescer in arrival order.
@@ -1310,53 +907,44 @@ class AdmissionService:
 
     async def _finish(
         self,
-        request: Request_T,
+        request: protocol.Request,
         pending: Any,
-        conn: "_Conn",
+        conn: Connection,
         tele: "Optional[_ReqTele]" = None,
     ) -> None:
-        try:
-            if isinstance(pending, dict):  # ready response
-                response = pending
-            elif isinstance(pending, _Op):
-                response = await self._await_single(
-                    request.id, pending.future
-                )
-            elif isinstance(pending, asyncio.Future):
-                response = await self._await_single(request.id, pending)
-            else:  # batch slots
-                results = []
-                for slot in pending:
-                    if isinstance(slot, dict):
-                        results.append(slot)
-                        self.counts["errors"] += 1
-                        continue
-                    future = (
-                        slot.future if isinstance(slot, _Op) else slot
-                    )
-                    sub = await self._await_single(None, future)
-                    if sub["ok"]:
-                        results.append(
-                            {"ok": True, "result": sub["result"]}
-                        )
-                    else:
-                        results.append(
-                            {"ok": False, "error": sub["error"]}
-                        )
-                response = protocol.ok_response(
-                    request.id, {"results": results}
-                )
-            if tele is not None:
-                tele.t_write = time.perf_counter()
-            await self._send(conn, response)
-            if tele is not None:
-                self._finish_telemetry(request, tele, pending, response)
-        finally:
-            conn.inflight.discard(request.id)
+        if isinstance(pending, dict):  # ready response
+            response = pending
+        elif isinstance(pending, _Op):
+            response = await self._await_single(
+                request.id, pending.future
+            )
+        elif isinstance(pending, asyncio.Future):
+            response = await self._await_single(request.id, pending)
+        else:  # batch slots
+            results = []
+            for slot in pending:
+                if isinstance(slot, dict):
+                    results.append(slot)
+                    self.counts["errors"] += 1
+                    continue
+                future = slot.future if isinstance(slot, _Op) else slot
+                sub = await self._await_single(None, future)
+                if sub["ok"]:
+                    results.append({"ok": True, "result": sub["result"]})
+                else:
+                    results.append({"ok": False, "error": sub["error"]})
+            response = protocol.ok_response(
+                request.id, {"results": results}
+            )
+        if tele is not None:
+            tele.t_write = time.perf_counter()
+        await conn.send(response)
+        if tele is not None:
+            self._finish_telemetry(request, tele, pending, response)
 
     def _finish_telemetry(
         self,
-        request: Request_T,
+        request: protocol.Request,
         tele: "_ReqTele",
         pending: Any,
         response: Dict[str, Any],
@@ -1616,52 +1204,3 @@ class AdmissionService:
             self.refresh_gauges()
             text = to_prometheus_text(OBS.registry)
         return text + process_memory_text()
-
-    # ------------------------------------------------------------------ #
-    # response writing
-    # ------------------------------------------------------------------ #
-
-    def _spawn_send(
-        self, conn: "_Conn", response: Dict[str, Any]
-    ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._send(conn, response)
-        )
-        self._request_tasks.add(task)
-        task.add_done_callback(self._request_tasks.discard)
-
-    async def _send(
-        self, conn: "_Conn", response: Dict[str, Any]
-    ) -> None:
-        """Encode per the connection's negotiated protocol and write.
-
-        On a v2 connection the v1-shaped response object travels inside
-        a JSON carrier frame, so every op keeps one wire shape per
-        protocol generation.
-        """
-        if conn.proto == 2:
-            frame = protocol.encode_frame_v2(response)
-        else:
-            frame = protocol.encode_frame(response)
-        await self._send_raw(conn, frame)
-
-    async def _send_raw(self, conn: "_Conn", frame: bytes) -> None:
-        try:
-            async with conn.lock:
-                conn.writer.write(frame)
-                await conn.writer.drain()
-        except (ConnectionError, RuntimeError, OSError):
-            # Peer vanished mid-response; the decision is already
-            # committed, nothing to unwind.
-            logger.debug("dropped a response to a closed connection")
-
-
-Request_T = protocol.Request
-
-
-def _close_writer(writer: asyncio.StreamWriter) -> None:
-    try:
-        if not writer.is_closing():
-            writer.close()
-    except Exception:  # pragma: no cover - platform-specific teardown
-        pass

@@ -303,6 +303,34 @@ class TestAsyncClient:
         asyncio.run(scenario())
 
 
+    def test_over_limit_response_line_fails_pending_calls(self, tmp_path):
+        """A response line past the frame limit cannot be delimited:
+        every pending call fails with the reason (it used to kill the
+        dispatcher task and leave the calls waiting forever)."""
+        sock = str(tmp_path / "stub.sock")
+
+        async def oversized_answer(reader, writer):
+            await reader.readline()
+            writer.write(b"x" * (protocol.MAX_FRAME_BYTES + 10) + b"\n")
+            await writer.drain()
+
+        async def scenario():
+            stub = await asyncio.start_unix_server(oversized_answer, sock)
+            client = await AsyncServiceClient.connect_unix(sock)
+            calls = [client.stats(), client.health()]
+            results = await asyncio.wait_for(
+                asyncio.gather(*calls, return_exceptions=True), 1
+            )
+            for result in results:
+                assert isinstance(result, ProtocolError)
+                assert result.code == protocol.FRAME_TOO_LARGE
+            await client.close()
+            stub.close()
+            await stub.wait_closed()
+
+        asyncio.run(scenario())
+
+
 def line4_events():
     """10 arrivals r0->r3, departures for the first 5, one departure of
     a flow that never arrived (must be skipped, as drive() does)."""

@@ -17,6 +17,7 @@ from repro.admission import SlotShardController
 from repro.errors import ReproError
 from repro.routing.shortest import shortest_path_routes
 from repro.service import AdmissionService, AsyncServiceClient, ServiceConfig
+from repro.service import protocol as wire
 from repro.service.audit import iter_audit, verify_audit
 from repro.service.router import ClusterRouter
 from repro.topology import LinkServerGraph, line_network
@@ -285,3 +286,48 @@ def test_cluster_batch_frames_match_single_ops(protocol, tmp_path):
         cluster_run(ops, protocol, tmp_path)
     )
     assert batch_outcomes == single_outcomes
+
+
+def test_bulk_frame_priority_survives_the_router(tmp_path):
+    """A hard-RT flow admitted through the front door over a packed
+    bulk frame is stored hard-RT on its shard, exactly as it is direct
+    to a server — not as a priority-less legal preemption victim."""
+    sub = [wire.BULK_ADMIT, "rt", _VOICE.name, "r0", "r3", None, "hard_rt"]
+
+    async def stored_priority(controllers, services, front):
+        try:
+            client = await AsyncServiceClient.connect_unix(
+                front, protocol="v2"
+            )
+            (slot,) = await client.bulk([sub], raw=True)
+            await client.close()
+        finally:
+            for service in services:
+                await service.stop()
+        assert slot[0] == wire.SLOT_ADMITTED
+        (flow,) = [
+            f for c in controllers for f in c.established_flows
+        ]
+        return flow.priority
+
+    async def direct():
+        controller = make_controller()
+        service = AdmissionService(controller)
+        sock = str(tmp_path / "direct.sock")
+        await service.start_unix(sock)
+        return await stored_priority([controller], [service], sock)
+
+    async def routed():
+        shards = [make_shard(i, 2) for i in range(2)]
+        workers = [AdmissionService(shard) for shard in shards]
+        sockets = []
+        for i, worker in enumerate(workers):
+            sockets.append(str(tmp_path / f"pri-worker-{i}.sock"))
+            await worker.start_unix(sockets[-1])
+        router = ClusterRouter(sockets)
+        front = str(tmp_path / "pri-front.sock")
+        await router.start_unix(front)
+        return await stored_priority(shards, [router, *workers], front)
+
+    assert asyncio.run(direct()) == "hard_rt"
+    assert asyncio.run(routed()) == "hard_rt"

@@ -14,7 +14,11 @@ import random
 from repro.service import AsyncServiceClient, protocol
 from repro.traffic.flows import FlowSpec
 
-from test_service_server import start_service
+from test_service_server import (
+    FrontDoorCases,
+    start_router,
+    start_service,
+)
 
 
 HELLO_V2 = protocol.encode_frame(
@@ -71,10 +75,10 @@ def run(coro):
     asyncio.run(coro)
 
 
-class TestMalformedPrefixes:
+class TestMalformedPrefixes(FrontDoorCases):
     def test_oversized_length_prefix_is_frame_too_large(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             try:
                 reader, writer = await negotiated_v2_connection(sock)
                 writer.write((1 << 24).to_bytes(4, "big") + b"J{}")
@@ -91,7 +95,7 @@ class TestMalformedPrefixes:
 
     def test_zero_length_frame_is_bad_request(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             try:
                 reader, writer = await negotiated_v2_connection(sock)
                 writer.write(b"\x00\x00\x00\x00")
@@ -108,7 +112,7 @@ class TestMalformedPrefixes:
         # A '{' where the length prefix belongs decodes as a >=2 GiB
         # length; the server names the actual mistake.
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             try:
                 reader, writer = await negotiated_v2_connection(sock)
                 writer.write(
@@ -126,10 +130,10 @@ class TestMalformedPrefixes:
         run(scenario())
 
 
-class TestTruncationAndDisconnects:
+class TestTruncationAndDisconnects(FrontDoorCases):
     def test_mid_header_disconnect(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             try:
                 reader, writer = await negotiated_v2_connection(sock)
                 writer.write(b"\x00\x00")  # half a length prefix
@@ -143,7 +147,7 @@ class TestTruncationAndDisconnects:
 
     def test_mid_payload_disconnect(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             try:
                 reader, writer = await negotiated_v2_connection(sock)
                 # Claim 100 bytes, deliver 5, vanish.
@@ -158,7 +162,7 @@ class TestTruncationAndDisconnects:
 
     def test_disconnect_between_frames_after_real_work(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             try:
                 reader, writer = await negotiated_v2_connection(sock)
                 sub = [protocol.BULK_ADMIT, "g1", "voice", "r0", "r3", None]
@@ -177,12 +181,12 @@ class TestTruncationAndDisconnects:
         run(scenario())
 
 
-class TestInSyncFaults:
+class TestInSyncFaults(FrontDoorCases):
     """Well-delimited but malformed payloads: error, keep connection."""
 
     def fault_then_recover(self, tmp_path, payload, expect_code):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             try:
                 reader, writer = await negotiated_v2_connection(sock)
                 writer.write(
@@ -233,7 +237,7 @@ class TestInSyncFaults:
         # Decodes fine; the sub-op validator rejects per-slot, so the
         # response is a RESULTS frame whose slot carries the error.
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             try:
                 reader, writer = await negotiated_v2_connection(sock)
                 writer.write(
@@ -257,13 +261,13 @@ class TestInSyncFaults:
         run(scenario())
 
 
-class TestRandomFuzz:
+class TestRandomFuzz(FrontDoorCases):
     def test_random_garbage_never_wedges_the_service(self, tmp_path):
         """200 random byte blobs across fresh v2 connections."""
         rng = random.Random(0xF022)
 
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             try:
                 for trial in range(200):
                     blob = bytes(
@@ -293,7 +297,7 @@ class TestRandomFuzz:
         rng = random.Random(2468)
 
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             try:
                 reader, writer = await negotiated_v2_connection(sock)
                 for trial in range(100):
@@ -324,3 +328,78 @@ class TestRandomFuzz:
                 await service.stop()
 
         run(scenario())
+
+
+class TestMalformedPrefixesRouter(TestMalformedPrefixes):
+    door = "router"
+
+
+class TestTruncationAndDisconnectsRouter(TestTruncationAndDisconnects):
+    door = "router"
+
+
+class TestInSyncFaultsRouter(TestInSyncFaults):
+    door = "router"
+
+
+class TestRandomFuzzRouter(TestRandomFuzz):
+    door = "router"
+
+
+def frame(payload):
+    return len(payload).to_bytes(4, "big") + payload
+
+
+#: Faults the connection layer answers itself (never the handler behind
+#: it), as ``(name, bytes sent after the v2 upgrade)``.
+LAYER_FAULTS = [
+    ("oversized prefix", (1 << 24).to_bytes(4, "big") + b"J{}"),
+    ("zero length", b"\x00\x00\x00\x00"),
+    ("v1 line on v2", protocol.encode_frame({"id": 1, "op": "stats"})),
+    ("R frame from a client", frame(b"R[1,[[2]]]")),
+    ("unknown tag", frame(b"\x07{}")),
+    ("bad id type", frame(b'J{"id":[1],"op":"stats"}')),
+    ("bool id", frame(b'J{"id":true,"op":"stats"}')),
+    ("bad op type", frame(b'J{"id":1,"op":7}')),
+    ("bulk bad shape", frame(b"B{}")),
+    ("hello in a carrier", frame(b"J" + HELLO_V2.strip())),
+]
+
+
+def test_server_and_router_answer_layer_faults_identically(tmp_path):
+    """Same bytes, same error object — code *and* message — whichever
+    front door they hit."""
+
+    async def answers(start):
+        service, sock = await start(tmp_path)
+        out = {}
+        try:
+            for name, data in LAYER_FAULTS:
+                reader, writer = await negotiated_v2_connection(sock)
+                writer.write(data)
+                await writer.drain()
+                out[name] = await read_v2_error(reader)
+                writer.close()
+            # v1-side faults: an over-limit line is answered then
+            # closed; a late hello is refused and the line stays v1.
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(b'{"id":1,"op":"health"}\n')
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"]
+            writer.write(HELLO_V2)
+            await writer.drain()
+            out["late hello"] = json.loads(await reader.readline())
+            writer.write(b"x" * (protocol.MAX_FRAME_BYTES + 10) + b"\n")
+            await writer.drain()
+            out["over-limit line"] = json.loads(await reader.readline())
+            assert await reader.read() == b""
+            writer.close()
+            service.controller.verify_invariants()
+        finally:
+            await service.stop()
+        return out
+
+    server = asyncio.run(answers(start_service))
+    routed = asyncio.run(answers(start_router))
+    assert server == routed
+    assert all(a for a in server.values())

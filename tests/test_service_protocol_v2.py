@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.service import protocol as wire
-from repro.traffic.flows import FlowSpec
+from repro.traffic.flows import PRIORITIES, FlowSpec
 
 
 def payload_of(frame: bytes) -> bytes:
@@ -214,3 +216,29 @@ class TestPackUnpack:
                       ["flat"]):
             with pytest.raises(ProtocolError):
                 wire.unpack_bulk_results(slots)
+
+    def test_unpack_batch_op_rejects_what_the_server_rejects(self):
+        for sub in ("flat", [], [7, "f"], [wire.BULK_RELEASE, "f", "x"],
+                    [wire.BULK_RELEASE, ["f"]], [wire.BULK_ADMIT, "f"]):
+            with pytest.raises(ProtocolError) as exc_info:
+                wire.unpack_batch_op(sub)
+            assert exc_info.value.code == wire.BAD_REQUEST
+
+
+_flow_ids = st.one_of(st.text(min_size=1, max_size=6), st.integers())
+_packed_admit = st.builds(
+    lambda fid, route, pri: [wire.BULK_ADMIT, fid, "voice", "A", "C", route]
+    + ([] if pri is None else [pri]),
+    _flow_ids,
+    st.sampled_from([None, ["A", "C"], ["A", "B", "C"]]),
+    st.sampled_from([None, *PRIORITIES]),
+)
+_packed_release = st.builds(lambda fid: [wire.BULK_RELEASE, fid], _flow_ids)
+
+
+@given(st.lists(st.one_of(_packed_admit, _packed_release), max_size=12))
+def test_unpack_batch_op_inverts_pack_batch_ops(subops):
+    """Route and priority survive packed -> v1 op -> packed: the hop a
+    bulk frame takes through the cluster router."""
+    ops = [wire.unpack_batch_op(sub) for sub in subops]
+    assert wire.pack_batch_ops(ops) == subops

@@ -19,6 +19,7 @@ from repro.routing.shortest import shortest_path_routes
 from repro.service import (
     AdmissionService,
     AsyncServiceClient,
+    ClusterRouter,
     ServiceConfig,
     SnapshotStore,
     protocol,
@@ -56,6 +57,61 @@ async def start_service(tmp_path, name="s.sock", **config_kwargs):
     return service, sock
 
 
+class RoutedService:
+    """A ClusterRouter over one in-process worker, with the slice of
+    AdmissionService's surface the hostile-input suites touch."""
+
+    def __init__(self, worker, router):
+        self.worker = worker
+        self.router = router
+        self.coalescer = worker.coalescer
+        self.controller = worker.controller
+
+    async def drain(self):
+        await self.router.stop()
+        await self.worker.drain()
+
+    stop = drain
+
+
+async def start_router(tmp_path, name="s.sock", **config_kwargs):
+    worker, worker_sock = await start_service(
+        tmp_path, "worker-" + name, **config_kwargs
+    )
+    router = ClusterRouter(
+        [worker_sock],
+        max_frame_bytes=worker.config.max_frame_bytes,
+        negotiate_v2=worker.config.negotiate_v2,
+    )
+    sock = str(tmp_path / name)
+    await router.start_unix(sock)
+    return RoutedService(worker, router), sock
+
+
+class FrontDoorCases:
+    """Base of the hostile-input suites: every case runs against a bare
+    AdmissionService and, in a ``door = "router"`` subclass, against a
+    ClusterRouter over one worker.  Both are served by
+    ``repro.service.conn``, so the same bytes must earn the same answer
+    — and whatever was thrown at the door, the ledger behind it must
+    still pass ``verify_invariants()``."""
+
+    door = "server"
+
+    @pytest.fixture(autouse=True)
+    def _ledger_stays_sound(self):
+        self._started = []
+        yield
+        for service in self._started:
+            service.controller.verify_invariants()
+
+    async def start(self, tmp_path, **config_kwargs):
+        starter = start_router if self.door == "router" else start_service
+        service, sock = await starter(tmp_path, **config_kwargs)
+        self._started.append(service)
+        return service, sock
+
+
 async def raw_connection(sock):
     return await asyncio.open_unix_connection(sock)
 
@@ -72,10 +128,10 @@ async def rpc(reader, writer, obj_or_bytes):
     return json.loads(line)
 
 
-class TestProtocolHardening:
+class TestProtocolHardening(FrontDoorCases):
     def test_malformed_json_yields_structured_error(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             resp = await rpc(reader, writer, b"{not json}\n")
             assert resp["ok"] is False
@@ -93,7 +149,7 @@ class TestProtocolHardening:
 
     def test_unknown_op_echoes_the_request_id(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             resp = await rpc(reader, writer, {"id": "r9", "op": "explode"})
             assert resp == {
@@ -109,7 +165,7 @@ class TestProtocolHardening:
 
     def test_duplicate_inflight_request_id_is_rejected(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             # Hold the first request in flight so the duplicate is
             # detectable deterministically.
@@ -141,7 +197,7 @@ class TestProtocolHardening:
 
     def test_oversized_frame_errors_and_closes_cleanly(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(
+            service, sock = await self.start(
                 tmp_path, max_frame_bytes=512
             )
             reader, writer = await raw_connection(sock)
@@ -166,7 +222,7 @@ class TestProtocolHardening:
 
     def test_mid_request_disconnect_does_not_wedge(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             # Half a frame, then vanish.
             _reader, writer = await raw_connection(sock)
             writer.write(b'{"id":1,"op":"adm')
@@ -232,7 +288,7 @@ class TestProtocolHardening:
         self, tmp_path, frame, code
     ):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             resp = await rpc(reader, writer, frame)
             assert resp["ok"] is False
@@ -247,7 +303,7 @@ class TestProtocolHardening:
         self, tmp_path
     ):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             # Historically this frame raised TypeError inside the
             # coalescer's drain loop, killing it permanently: every
@@ -289,7 +345,7 @@ class TestProtocolHardening:
 
     def test_batch_with_malformed_subops_keeps_slots(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             resp = await rpc(
                 reader,
@@ -651,7 +707,7 @@ class TestSnapshotStore:
             store.restore_into(NoRestore())
 
 
-class TestProtocolNegotiation:
+class TestProtocolNegotiation(FrontDoorCases):
     """The hello exchange happens before any ordinary request id."""
 
     def hello_line(self, proposed=protocol.PROTOCOL_SCHEMA_V2):
@@ -663,7 +719,7 @@ class TestProtocolNegotiation:
 
     def test_v2_hello_upgrades_and_answers_ok(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             resp = await rpc(reader, writer, self.hello_line())
             assert resp["ok"] and resp["id"] == protocol.HELLO_ID
@@ -689,7 +745,7 @@ class TestProtocolNegotiation:
 
     def test_v1_hello_is_acknowledged_without_upgrade(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             resp = await rpc(
                 reader, writer, self.hello_line(protocol.PROTOCOL_SCHEMA)
@@ -708,7 +764,7 @@ class TestProtocolNegotiation:
         self, tmp_path
     ):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             resp = await rpc(
                 reader, writer, self.hello_line("repro-admission-rpc/v9")
@@ -724,7 +780,7 @@ class TestProtocolNegotiation:
 
     def test_late_hello_is_refused(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             resp = await rpc(reader, writer, {"id": 1, "op": "health"})
             assert resp["ok"]
@@ -742,7 +798,7 @@ class TestProtocolNegotiation:
 
     def test_pre_v2_server_answers_hello_with_unknown_op(self, tmp_path):
         async def scenario():
-            service, sock = await start_service(
+            service, sock = await self.start(
                 tmp_path, negotiate_v2=False
             )
             reader, writer = await raw_connection(sock)
@@ -762,7 +818,7 @@ class TestProtocolNegotiation:
         exactly as if v1 had been requested all along."""
 
         async def scenario():
-            service, sock = await start_service(
+            service, sock = await self.start(
                 tmp_path, negotiate_v2=False
             )
             client = await AsyncServiceClient.connect_unix(
@@ -787,7 +843,7 @@ class TestProtocolNegotiation:
         self, tmp_path
     ):
         async def scenario():
-            service, sock = await start_service(tmp_path)
+            service, sock = await self.start(tmp_path)
             client = await AsyncServiceClient.connect_unix(
                 sock, protocol="v2"
             )
@@ -801,3 +857,11 @@ class TestProtocolNegotiation:
             await service.stop()
 
         asyncio.run(scenario())
+
+
+class TestProtocolHardeningRouter(TestProtocolHardening):
+    door = "router"
+
+
+class TestProtocolNegotiationRouter(TestProtocolNegotiation):
+    door = "router"
