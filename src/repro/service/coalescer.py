@@ -23,9 +23,13 @@ preserve exactness:
   not-established release) are detected up front and resolved onto the
   caller's future, never poisoning the whole batch.
 
-The controller only mutates inside :meth:`_process`, which contains no
-``await`` — snapshots taken between event-loop callbacks therefore see
-a consistent ledger.
+All of that lives in one place, :meth:`MicroBatchCoalescer._decide`:
+ordered ops in, ordered outcomes out, no ``await``, no futures, no
+queue.  The drain loop and the inline branch of ``submit_bulk`` are its
+two callers; they differ only in how an outcome reaches its caller (a
+future per op, or a slot of the frame's :class:`BulkSlots`).  The
+controller only mutates inside ``_decide`` — snapshots taken between
+event-loop callbacks therefore see a consistent ledger.
 """
 
 from __future__ import annotations
@@ -85,8 +89,7 @@ class _Op:
 
     __slots__ = (
         "kind",
-        "flow",
-        "flow_id",
+        "payload",
         "future",
         "enqueued_at",
         "trace",
@@ -100,15 +103,14 @@ class _Op:
         self,
         kind: str,
         future: "ResultFuture",
-        flow: Optional[FlowSpec] = None,
-        flow_id: Optional[Hashable] = None,
+        payload: Any = None,
         trace: Optional[TraceContext] = None,
         span_hex: Optional[str] = None,
         enqueued_at: Optional[float] = None,
     ):
         self.kind = kind
-        self.flow = flow
-        self.flow_id = flow_id
+        #: A :class:`FlowSpec` for an admit, a flow id for a release.
+        self.payload = payload
         self.future = future
         self.enqueued_at = (
             time.perf_counter() if enqueued_at is None else enqueued_at
@@ -119,14 +121,11 @@ class _Op:
         self.decided_at = 0.0
         self.batch_hex: Optional[str] = None
 
-    def trace_obj(self) -> Optional[dict]:
-        return None if self.trace is None else self.trace.to_obj()
-
 
 class BulkSlots:
-    """Result collector for one bulk frame's worth of coalesced ops.
+    """Result collector for one frame's worth of coalesced ops.
 
-    The v2 bulk fast path decides hundreds of sub-ops per frame; giving
+    A frame (v1 ``batch`` or v2 ``B``) holds hundreds of sub-ops; giving
     each its own :class:`asyncio.Future` would pay ``call_soon``
     scheduling per op.  Instead every sub-op gets a :class:`_SlotFuture`
     writing into one shared ``outcomes`` list, and a single real future
@@ -168,7 +167,7 @@ class BulkSlots:
 
 
 class _SlotFuture:
-    """Future-shaped result slot (duck-typed for ``_resolve``/``_reject``).
+    """Future-shaped result slot (duck-typed for :func:`_settle`).
 
     Implements exactly the three methods the drain loop touches —
     ``done`` / ``set_result`` / ``set_exception`` — settling its
@@ -318,8 +317,7 @@ class MicroBatchCoalescer:
         op = _Op(
             _ADMIT,
             asyncio.get_running_loop().create_future(),
-            flow=flow,
-            flow_id=flow.flow_id,
+            flow,
             trace=trace,
             span_hex=span_hex,
         )
@@ -348,7 +346,7 @@ class MicroBatchCoalescer:
         op = _Op(
             _RELEASE,
             asyncio.get_running_loop().create_future(),
-            flow_id=flow_id,
+            flow_id,
             trace=trace,
             span_hex=span_hex,
         )
@@ -364,13 +362,7 @@ class MicroBatchCoalescer:
     ) -> None:
         """Enqueue one bulk admit; the outcome lands in ``slots``."""
         self._submit_slot(
-            _Op(
-                _ADMIT,
-                _SlotFuture(slots, index),
-                flow=flow,
-                flow_id=flow.flow_id,
-            ),
-            slots,
+            _Op(_ADMIT, _SlotFuture(slots, index), flow), slots
         )
 
     def submit_bulk_release(
@@ -378,35 +370,46 @@ class MicroBatchCoalescer:
     ) -> None:
         """Enqueue one bulk release; the outcome lands in ``slots``."""
         self._submit_slot(
-            _Op(_RELEASE, _SlotFuture(slots, index), flow_id=flow_id),
-            slots,
+            _Op(_RELEASE, _SlotFuture(slots, index), flow_id), slots
         )
 
     def submit_bulk(
         self,
         slots: BulkSlots,
         entries: List[Tuple[int, str, Any]],
-    ) -> None:
-        """Submit one bulk frame's ops, deciding them inline when safe.
+        *,
+        trace: Optional[TraceContext] = None,
+        span_hex: Optional[str] = None,
+    ) -> List[_Op]:
+        """Submit one frame's ops, deciding them inline when safe.
 
         ``entries`` are ``(slot_index, kind, payload)`` triples in frame
         order — a :class:`FlowSpec` payload for admits, a flow id for
         releases; slots the server failed during decode are already
-        filled and simply absent here.
+        filled and simply absent here.  ``trace`` / ``span_hex`` are the
+        frame's wire trace context and request span; every op that has
+        to queue carries them (the audit log and the batch span read
+        them).
 
         When nothing else is undecided (``pending == 0``), the frame is
-        decided synchronously right here, writing outcomes straight
-        into ``slots`` with no per-op queue traffic or future objects.
-        This is bit-identical to the queued path: with no pending ops,
-        the arrival order of every undecided op is exactly this frame's
-        order, and batch *composition* never affects decisions (the
-        batch kernels are sequential-identical by the differential
-        contract) — only op order does.  The frame is chunked by
-        ``max_batch`` so the documented per-batch bound holds.  The
-        telemetry-rich configurations (audit log, live metrics) and the
-        pause/stop staging controls fall back to per-op submission
-        through the queue, which records everything exactly as v1
-        carrier frames would.
+        decided synchronously right here: :meth:`_decide` runs on the
+        frame's own ops and the outcomes land in ``slots`` with no
+        per-op queue traffic or future objects.  This is bit-identical
+        to the queued path: with no pending ops, the arrival order of
+        every undecided op is exactly this frame's order, and batch
+        *composition* never affects decisions (the batch kernels are
+        sequential-identical by the differential contract) — only op
+        order does.  The frame is chunked by ``max_batch`` so the
+        documented per-batch bound holds.  The telemetry-rich
+        configurations (audit log, live metrics) and the pause/stop
+        staging controls queue one op per entry instead: the per-op
+        stamps and batch spans only exist in the drain loop, and the
+        benchmark defines its audited workload as "every op is queued".
+
+        Returns the ops that were queued (none when decided inline) so
+        the server can read their telemetry stamps.  Nothing here keeps
+        that list, so a finished frame leaves no
+        ``_Op -> _SlotFuture -> BulkSlots -> ops`` cycle behind.
         """
         if self._closed:
             raise ServiceError("coalescer is stopped")
@@ -416,157 +419,30 @@ class MicroBatchCoalescer:
             and self.audit is None
             and not OBS.enabled
         ):
+            outcomes = slots.outcomes
             for start in range(0, len(entries), self.max_batch):
                 chunk = entries[start : start + self.max_batch]
-                try:
-                    self._process_bulk(slots, chunk)
-                except Exception as exc:
-                    # Same defensive rule as the drain loop: a poisoned
-                    # batch fails its own callers, nothing else.
-                    logger.exception(
-                        "inline bulk decision failed; failing batch"
-                    )
-                    for index, _kind, _payload in chunk:
-                        if slots.outcomes[index] is None:
-                            slots.fill(index, exc)
-            return
+                decided = self._decide(
+                    [(kind, payload, None) for _, kind, payload in chunk]
+                )
+                for entry, outcome in zip(chunk, decided):
+                    outcomes[entry[0]] = outcome
+            return []
         enqueued_at = time.perf_counter()
-        for index, kind, payload in entries:
-            if kind == _ADMIT:
-                op = _Op(
-                    _ADMIT,
-                    _SlotFuture(slots, index),
-                    flow=payload,
-                    flow_id=payload.flow_id,
-                    enqueued_at=enqueued_at,
-                )
-            else:
-                op = _Op(
-                    _RELEASE,
-                    _SlotFuture(slots, index),
-                    flow_id=payload,
-                    enqueued_at=enqueued_at,
-                )
+        ops = [
+            _Op(
+                kind,
+                _SlotFuture(slots, index),
+                payload,
+                trace=trace,
+                span_hex=span_hex,
+                enqueued_at=enqueued_at,
+            )
+            for index, kind, payload in entries
+        ]
+        for op in ops:
             self._submit_slot(op, slots)
-
-    def _process_bulk(
-        self,
-        slots: BulkSlots,
-        entries: List[Tuple[int, str, Any]],
-    ) -> None:
-        """Inline analogue of :meth:`_process`: identical run grouping
-        and duplicate-admit splitting, with outcomes written directly
-        into ``slots.outcomes`` instead of settled through futures."""
-        self.batches += 1
-        self.coalesced_ops += len(entries)
-        self.largest_batch = max(self.largest_batch, len(entries))
-        i, n = 0, len(entries)
-        while i < n:
-            kind = entries[i][1]
-            run: List[Tuple[int, str, Any]] = []
-            if kind == _ADMIT:
-                seen: set = set()
-                while i < n and entries[i][1] == _ADMIT:
-                    fid = entries[i][2].flow_id
-                    if fid in seen:
-                        # Split: this attempt must see the earlier
-                        # occurrence's committed outcome first.
-                        break
-                    seen.add(fid)
-                    run.append(entries[i])
-                    i += 1
-                self._admit_run_bulk(slots, run)
-            else:
-                while i < n and entries[i][1] == _RELEASE:
-                    run.append(entries[i])
-                    i += 1
-                self._release_run_bulk(slots, run)
-
-    def _admit_run_bulk(
-        self,
-        slots: BulkSlots,
-        run: List[Tuple[int, str, Any]],
-    ) -> None:
-        """Slot-direct mirror of :meth:`_admit_run` (audit is off on
-        this path, so only the decision plumbing remains)."""
-        controller = self.controller
-        registry_get = controller.registry.get
-        established = controller._established
-        route_map = controller.route_map
-        resolve_route = controller.resolve_route
-        outcomes = slots.outcomes
-        indices: List[int] = []
-        flows: List[FlowSpec] = []
-        routes: List = []
-        for index, _kind, flow in run:
-            try:
-                # Mirrors the sequential admit() failure order:
-                # established check, route resolution, class lookup.
-                # The route-less common case inlines resolve_route's
-                # map lookup (same list object, same failure message).
-                if flow.flow_id in established:
-                    raise AdmissionError(
-                        f"flow {flow.flow_id!r} is already established"
-                    )
-                if flow.route is None:
-                    pair = (flow.source, flow.destination)
-                    route = route_map.get(pair)
-                    if route is None:
-                        raise AdmissionError(
-                            f"no configured route for pair {pair!r}"
-                        )
-                else:
-                    route = resolve_route(flow)
-                registry_get(flow.class_name)
-            except ReproError as exc:
-                outcomes[index] = exc
-                continue
-            indices.append(index)
-            flows.append(flow)
-            routes.append(route)
-        if not flows:
-            return
-        try:
-            decisions = controller.admit_batch_routed(flows, routes)
-        except Exception as exc:  # unexpected: fail the run, not the loop
-            for index in indices:
-                outcomes[index] = exc
-            return
-        if self.preemptor is not None:
-            decisions = self._preempt_pass(flows, list(decisions))
-        for index, decision in zip(indices, decisions):
-            outcomes[index] = decision
-
-    def _release_run_bulk(
-        self,
-        slots: BulkSlots,
-        run: List[Tuple[int, str, Any]],
-    ) -> None:
-        """Slot-direct mirror of :meth:`_release_run`."""
-        controller = self.controller
-        outcomes = slots.outcomes
-        valid: List[Tuple[int, Hashable]] = []
-        run_ids: set = set()
-        for index, _kind, fid in run:
-            if controller.is_established(fid) and fid not in run_ids:
-                run_ids.add(fid)
-                valid.append((index, fid))
-            else:
-                # Duplicate-in-run ids fail identically: sequentially,
-                # the second release would find the flow gone.
-                outcomes[index] = AdmissionError(
-                    f"flow {fid!r} is not established"
-                )
-        if not valid:
-            return
-        try:
-            controller.release_batch([fid for _index, fid in valid])
-        except Exception as exc:
-            for index, _fid in valid:
-                outcomes[index] = exc
-            return
-        for index, _fid in valid:
-            outcomes[index] = True
+        return ops
 
     def _submit_slot(self, op: _Op, slots: BulkSlots) -> None:
         if self._closed:
@@ -605,17 +481,17 @@ class MicroBatchCoalescer:
             try:
                 self._process(batch)
             except Exception as exc:
-                # Defensive: one poisoned batch (e.g. an op whose
-                # payload the wire layer failed to validate) must not
-                # kill the drain loop — that would wedge every queued
-                # and future request.  Fail this batch's callers and
+                # Defensive: `_decide` fails a poisoned batch's ops
+                # itself, so this only fires when settling or the
+                # telemetry block blows up.  Either way the drain loop
+                # must survive — its death would wedge every queued and
+                # future request.  Fail whoever is still undecided and
                 # keep draining.
-                logger.exception("batch decision failed; failing batch")
+                logger.exception("batch settlement failed; failing batch")
                 for op in batch:
-                    if op.kind == _BARRIER:
-                        _resolve(op.future, True)
-                    else:
-                        _reject(op.future, exc)
+                    _settle(
+                        op.future, True if op.kind == _BARRIER else exc
+                    )
             if stop:
                 return
 
@@ -657,41 +533,24 @@ class MicroBatchCoalescer:
     # ------------------------------------------------------------------ #
 
     def _process(self, ops: List[_Op]) -> None:
-        self.batches += 1
-        self.coalesced_ops += len(ops)
-        self.largest_batch = max(self.largest_batch, len(ops))
+        """The drain loop's caller of :meth:`_decide`: stamp the ops,
+        settle every future from its outcome, record the telemetry."""
         t_start = time.perf_counter()
         for op in ops:
             op.dequeued_at = t_start
-        i, n = 0, len(ops)
-        while i < n:
-            kind = ops[i].kind
-            if kind == _BARRIER:
-                _resolve(ops[i].future, True)
-                i += 1
-                continue
-            run: List[_Op] = []
-            if kind == _ADMIT:
-                seen: set = set()
-                while i < n and ops[i].kind == _ADMIT:
-                    fid = ops[i].flow.flow_id  # type: ignore[union-attr]
-                    if fid in seen:
-                        # Split: this attempt must see the earlier
-                        # occurrence's committed outcome first.
-                        break
-                    seen.add(fid)
-                    run.append(ops[i])
-                    i += 1
-                self._admit_run(run)
-            else:
-                while i < n and ops[i].kind == _RELEASE:
-                    run.append(ops[i])
-                    i += 1
-                self._release_run(run)
+        outcomes = self._decide(
+            [(op.kind, op.payload, op.trace) for op in ops]
+        )
         now = time.perf_counter()
-        for op in ops:
+        for op, outcome in zip(ops, outcomes):
             op.decided_at = now
-        if OBS.enabled:
+            _settle(op.future, outcome)
+        if not OBS.enabled:
+            return
+        # A flush barrier is not a decided op: it is left out of every
+        # batch statistic, and a barrier-only drain records none.
+        ops = [op for op in ops if op.kind != _BARRIER]
+        if ops:
             reg = OBS.registry
             reg.counter("repro_service_batches_total").inc()
             reg.histogram(
@@ -738,86 +597,171 @@ class MicroBatchCoalescer:
                 for op in ops:
                     op.batch_hex = batch_hex
 
-    def _admit_run(self, run: List[_Op]) -> None:
-        """One ``admit_batch`` call, after filtering the requests the
-        sequential API would have rejected with an exception."""
+    def _decide(
+        self, ops: List[Tuple[str, Any, Optional[TraceContext]]]
+    ) -> List[object]:
+        """The one decision step: ordered ops in, ordered outcomes out.
+
+        ``ops`` are ``(kind, payload, trace)`` triples — a
+        :class:`FlowSpec` for an admit, a flow id for a release, the
+        caller's wire trace context (only the audit records read it).
+        The result holds, op for op, the
+        :class:`~repro.admission.base.AdmissionDecision`, ``True`` for
+        a release, or the exception the sequential API would have
+        raised.  No ``await``, no futures, no queue: this is the only
+        code in the service that calls the batch kernels, so the ledger
+        only ever changes here.
+
+        Ops are decided strictly in order, as maximal runs of one kind;
+        an admit run is split where a flow id repeats.  A flush barrier
+        yields ``True`` and is not an op — the batch counters skip it.
+
+        Never raises.  A poisoned batch (e.g. an op whose payload the
+        wire layer failed to validate) fails its own undecided ops,
+        never the caller's loop, and never un-decides a run that
+        already committed.
+        """
+        n = len(ops)
+        outcomes: List[object] = [None] * n
+        i = barriers = 0
+        try:
+            while i < n:
+                kind = ops[i][0]
+                lo = i
+                if kind == _ADMIT:
+                    seen: set = set()
+                    while i < n and ops[i][0] == _ADMIT:
+                        fid = ops[i][1].flow_id
+                        if fid in seen:
+                            # Split: this attempt must see the earlier
+                            # occurrence's committed outcome first.
+                            break
+                        seen.add(fid)
+                        i += 1
+                    self._admit_run(ops[lo:i], lo, outcomes)
+                elif kind == _RELEASE:
+                    while i < n and ops[i][0] == _RELEASE:
+                        i += 1
+                    self._release_run(ops[lo:i], lo, outcomes)
+                else:
+                    outcomes[i] = True
+                    barriers += 1
+                    i += 1
+        except Exception as exc:
+            logger.exception("batch decision failed; failing batch")
+            for j, op in enumerate(ops):
+                if outcomes[j] is not None:
+                    continue
+                if op[0] == _BARRIER:
+                    barriers += 1
+                    outcomes[j] = True
+                else:
+                    outcomes[j] = exc
+        if n > barriers:
+            self.batches += 1
+            self.coalesced_ops += n - barriers
+            self.largest_batch = max(self.largest_batch, n - barriers)
+        return outcomes
+
+    def _admit_run(
+        self,
+        run: List[Tuple[str, Any, Optional[TraceContext]]],
+        lo: int,
+        outcomes: List[object],
+    ) -> None:
+        """One ``admit_batch_routed`` call for ``run`` (ops ``lo...`` of
+        the batch), after filtering the requests the sequential API
+        would have rejected with an exception."""
         controller = self.controller
-        registry = controller.registry
+        registry_get = controller.registry.get
+        established = controller._established
+        route_map = controller.route_map
+        resolve_route = controller.resolve_route
         audit = self.audit
-        valid: List[_Op] = []
+        indices: List[int] = []
+        flows: List[FlowSpec] = []
         routes: List = []
-        for op in run:
-            flow = op.flow
-            assert flow is not None
+        for i, (_kind, flow, trace) in enumerate(run, lo):
             try:
                 # Mirrors the sequential admit() failure order:
                 # established check, route resolution, class lookup.
-                if controller.is_established(flow.flow_id):
+                # The route-less common case inlines resolve_route's
+                # map lookup (same list object, same failure message).
+                if flow.flow_id in established:
                     raise AdmissionError(
                         f"flow {flow.flow_id!r} is already established"
                     )
-                route = controller.resolve_route(flow)
-                registry.get(flow.class_name)
+                if flow.route is None:
+                    pair = (flow.source, flow.destination)
+                    route = route_map.get(pair)
+                    if route is None:
+                        raise AdmissionError(
+                            f"no configured route for pair {pair!r}"
+                        )
+                else:
+                    route = resolve_route(flow)
+                registry_get(flow.class_name)
             except ReproError as exc:
+                outcomes[i] = exc
                 if audit is not None:
                     audit.record_admit(
                         flow,
                         admitted=False,
                         error=str(exc),
-                        trace=op.trace_obj(),
+                        trace=_trace_obj(trace),
                     )
-                _reject(op.future, exc)
                 continue
-            valid.append(op)
+            indices.append(i)
+            flows.append(flow)
             routes.append(route)
-        if not valid:
+        if not flows:
             return
         try:
             # The precheck above proved exactly what admit_batch would
             # re-validate (no established/duplicate ids, resolvable
             # routes), so the routed entry point skips that second pass.
-            decisions = controller.admit_batch_routed(
-                [op.flow for op in valid],  # type: ignore[misc]
-                routes,
-            )
-        except Exception as exc:  # unexpected: fail the run, not the loop
-            if audit is not None:
-                for op in valid:
+            decisions = controller.admit_batch_routed(flows, routes)
+        except Exception as exc:  # unexpected: fail the run, not the batch
+            logger.exception("admit kernel failed; failing its run")
+            for i, flow in zip(indices, flows):
+                outcomes[i] = exc
+                if audit is not None:
                     audit.record_admit(
-                        op.flow,  # type: ignore[arg-type]
+                        flow,
                         admitted=False,
                         error=f"{type(exc).__name__}: {exc}",
-                        trace=op.trace_obj(),
+                        trace=_trace_obj(run[i - lo][2]),
                     )
-            for op in valid:
-                _reject(op.future, exc)
             return
         rescues: Dict[int, Tuple[Hashable, ...]] = {}
         if self.preemptor is not None:
             decisions = self._preempt_pass(
-                [op.flow for op in valid],
-                list(decisions),
+                flows, list(decisions), rescues
+            )
+        for i, decision in zip(indices, decisions):
+            outcomes[i] = decision
+        if audit is not None:
+            self._audit_admits(
+                flows,
+                [_trace_obj(run[i - lo][2]) for i in indices],
+                decisions,
                 rescues,
             )
-        if audit is not None:
-            self._audit_admits(valid, decisions, rescues)
-        for op, decision in zip(valid, decisions):
-            _resolve(op.future, decision)
 
     def _preempt_pass(
         self,
         flows: List[FlowSpec],
         decisions: List[AdmissionDecision],
-        rescues: "Optional[Dict[int, Tuple[Hashable, ...]]]" = None,
+        rescues: Dict[int, Tuple[Hashable, ...]],
     ) -> List[AdmissionDecision]:
         """Give each rejected, preemption-eligible flow one eviction
         attempt, swapping successful re-admit decisions in place.
 
-        ``rescues`` (when given) collects ``index -> evicted ids`` for
-        every swapped decision, so the audit step can record each
-        rescue *after* the kernel's own admits — a victim admitted
-        earlier in the same batch must appear in the log as admitted
-        before its preempted release.
+        ``rescues`` collects ``index -> evicted ids`` for every swapped
+        decision, so the audit step can record each rescue *after* the
+        kernel's own admits — a victim admitted earlier in the same
+        batch must appear in the log as admitted before its preempted
+        release.
         """
         preemptor = self.preemptor
         assert preemptor is not None
@@ -831,8 +775,7 @@ class MicroBatchCoalescer:
             outcome = preemptor.try_admit(flow)
             if not outcome.admitted:
                 continue
-            if rescues is not None:
-                rescues[i] = outcome.evicted
+            rescues[i] = outcome.evicted
             # A stale rejection re-admitted with no sacrifice (an
             # earlier eviction in this pass freed the route) is not a
             # preempted admit — only count rescues that evicted.
@@ -852,9 +795,10 @@ class MicroBatchCoalescer:
 
     def _audit_admits(
         self,
-        valid: List[_Op],
-        decisions,
-        rescues: "Optional[Dict[int, Tuple[Hashable, ...]]]" = None,
+        flows: List[FlowSpec],
+        traces: List[Optional[dict]],
+        decisions: List[AdmissionDecision],
+        rescued: Dict[int, Tuple[Hashable, ...]],
     ) -> None:
         """Record each committed admit decision: the route the flow
         occupies (or would have), and the post-decision headroom of its
@@ -870,19 +814,15 @@ class MicroBatchCoalescer:
         controller = self.controller
         audit = self.audit
         assert audit is not None
-        rescued = rescues or {}
         ordered = [
-            i for i in range(len(valid)) if i not in rescued
+            i for i in range(len(flows)) if i not in rescued
         ] + sorted(rescued)
         headroom_fn = getattr(controller, "headroom", None)
         for i in ordered:
-            op, decision = valid[i], decisions[i]
-            flow = op.flow
-            assert flow is not None
+            flow, trace, decision = flows[i], traces[i], decisions[i]
             for victim in rescued.get(i, ()):
                 audit.record_release(
-                    victim, ok=True, reason="preempted",
-                    trace=op.trace_obj(),
+                    victim, ok=True, reason="preempted", trace=trace
                 )
             route: Optional[List] = None
             try:
@@ -911,66 +851,71 @@ class MicroBatchCoalescer:
                 reason=decision.reason,
                 route=route,
                 headroom=headroom,
-                trace=op.trace_obj(),
+                trace=trace,
             )
 
-    def _release_run(self, run: List[_Op]) -> None:
+    def _release_run(
+        self,
+        run: List[Tuple[str, Any, Optional[TraceContext]]],
+        lo: int,
+        outcomes: List[object],
+    ) -> None:
+        """One ``release_batch`` call for ``run`` (ops ``lo...`` of the
+        batch), after failing the ids the sequential API would."""
         controller = self.controller
         audit = self.audit
-        valid: List[_Op] = []
+        indices: List[int] = []
+        fids: List[Hashable] = []
         run_ids: set = set()
-        for op in run:
-            fid = op.flow_id
+        for i, (_kind, fid, trace) in enumerate(run, lo):
             if controller.is_established(fid) and fid not in run_ids:
                 run_ids.add(fid)
-                valid.append(op)
+                indices.append(i)
+                fids.append(fid)
             else:
                 # Duplicate-in-run ids fail identically: sequentially,
                 # the second release would find the flow gone.
+                outcomes[i] = AdmissionError(
+                    f"flow {fid!r} is not established"
+                )
                 if audit is not None:
                     audit.record_release(
                         fid,
                         ok=False,
                         error="not established",
-                        trace=op.trace_obj(),
+                        trace=_trace_obj(trace),
                     )
-                _reject(
-                    op.future,
-                    AdmissionError(f"flow {fid!r} is not established"),
-                )
-        if not valid:
+        if not fids:
             return
+        outcome: object = True
+        error: Optional[str] = None
         try:
-            controller.release_batch([op.flow_id for op in valid])
-        except Exception as exc:
+            controller.release_batch(fids)
+        except Exception as exc:  # unexpected: fail the run, not the batch
+            logger.exception("release kernel failed; failing its run")
+            outcome, error = exc, f"{type(exc).__name__}: {exc}"
+        for i, fid in zip(indices, fids):
+            outcomes[i] = outcome
             if audit is not None:
-                for op in valid:
-                    audit.record_release(
-                        op.flow_id,
-                        ok=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                        trace=op.trace_obj(),
-                    )
-            for op in valid:
-                _reject(op.future, exc)
-            return
-        if audit is not None:
-            for op in valid:
                 audit.record_release(
-                    op.flow_id, ok=True, trace=op.trace_obj()
+                    fid,
+                    ok=error is None,
+                    error=error,
+                    trace=_trace_obj(run[i - lo][2]),
                 )
-        for op in valid:
-            _resolve(op.future, True)
 
 
-def _resolve(future: "ResultFuture", value: object) -> None:
+def _trace_obj(trace: Optional[TraceContext]) -> Optional[dict]:
+    return None if trace is None else trace.to_obj()
+
+
+def _settle(future: "ResultFuture", outcome: object) -> None:
+    """Resolve ``future`` from one :meth:`_decide` outcome."""
     if not future.done():
-        future.set_result(value)
-
-
-def _reject(future: "ResultFuture", exc: BaseException) -> None:
-    if not future.done():
-        future.set_exception(exc)
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
 
 
 # Re-export for annotation convenience in the server module.

@@ -123,6 +123,7 @@ __all__ = [
     "parse_bulk_request",
     "bulk_admit_flow",
     "decode_bulk_subop",
+    "decode_batch_subop",
     "unpack_batch_op",
     "pack_batch_ops",
     "pack_bulk_results",
@@ -568,6 +569,27 @@ def decode_bulk_subop(sub: Any) -> Tuple[int, Any]:
         BAD_REQUEST,
         f"bulk sub-op kind must be {BULK_ADMIT} (admit) or "
         f"{BULK_RELEASE} (release), got {kind!r}",
+    )
+
+
+def decode_batch_subop(sub: Any) -> Tuple[int, Any]:
+    """``(kind, argument)`` of one v1 ``batch`` sub-op object — the
+    pair :func:`decode_bulk_subop` yields for its packed form, so a
+    server decodes both frame generations to the same entries."""
+    if not isinstance(sub, dict):
+        raise ProtocolError(BAD_REQUEST, "batch sub-op must be an object")
+    sub_op = sub.get("op")
+    if sub_op == "admit":
+        return BULK_ADMIT, flow_from_obj(sub.get("flow"))
+    if sub_op == "release":
+        if "flow_id" not in sub:
+            raise ProtocolError(
+                BAD_REQUEST, "release sub-op needs flow_id"
+            )
+        return BULK_RELEASE, validate_flow_id(sub["flow_id"])
+    raise ProtocolError(
+        BAD_REQUEST,
+        f"batch sub-op must be admit or release, got {sub_op!r}",
     )
 
 

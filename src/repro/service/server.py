@@ -32,7 +32,16 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Coroutine, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Coroutine,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..admission.base import AdmissionController, AdmissionDecision
 from ..control.governor import GovernorSample
@@ -596,6 +605,19 @@ class AdmissionService:
             f"{self.config.high_water} high-water mark; retry later",
         )
 
+    def _refusal(
+        self, rid: protocol.RequestId
+    ) -> Optional[Dict[str, Any]]:
+        """The ready error response of an admission request this server
+        will not take right now (draining, shedding), else ``None``."""
+        if self._draining:
+            return protocol.error_response(
+                rid, protocol.UNAVAILABLE, "server is draining"
+            )
+        if self.shedding():
+            return self._shed_response(rid)
+        return None
+
     # ------------------------------------------------------------------ #
     # connection handling
     # ------------------------------------------------------------------ #
@@ -640,7 +662,7 @@ class AdmissionService:
         )
 
     # ------------------------------------------------------------------ #
-    # v2 bulk fast path
+    # frames: v1 ``batch`` and v2 ``B`` share one carrier
     # ------------------------------------------------------------------ #
 
     def begin_bulk(
@@ -652,34 +674,40 @@ class AdmissionService:
     ) -> Coroutine[Any, Any, None]:
         """Submit one packed bulk frame's sub-ops in arrival order.
 
-        The per-sub-op work is deliberately minimal — positional decode
-        into a :class:`~repro.traffic.flows.FlowSpec` and a queue put
-        onto a shared :class:`BulkSlots` collector — so a frame of
-        hundreds of ops costs one request task and one response write.
-        Decisions are bit-identical to the same ops arriving as v1
-        frames: the coalescer machinery downstream is shared.
+        A frame of hundreds of ops costs one request task and one
+        response write.  Decisions are bit-identical to the same ops
+        arriving as v1 frames: both ride :meth:`_submit_frame`.
         """
         if tele is not None:
             tele.t_parsed = time.perf_counter()
             tele.op = "bulk"
-        ready: Optional[Dict[str, Any]] = None
-        if self._draining:
-            ready = protocol.error_response(
-                rid, protocol.UNAVAILABLE, "server is draining"
-            )
-        elif self.shedding():
-            ready = self._shed_response(rid)
-        if ready is not None:
-            return self._finish(
-                protocol.Request(id=rid, op="bulk", body={}),
-                ready,
-                conn,
-                tele,
-            )
+        return self._finish(
+            protocol.Request(id=rid, op="bulk", body={}),
+            self._refusal(rid)
+            or self._submit_frame(subops, protocol.decode_bulk_subop),
+            conn,
+            tele,
+        )
+
+    def _submit_frame(
+        self,
+        subops: list,
+        decode: Callable[[Any], Tuple[int, Any]],
+        tele: "Optional[_ReqTele]" = None,
+    ) -> Tuple[BulkSlots, List[_Op]]:
+        """Decode one frame's sub-ops (``decode`` is the v1 or the
+        packed sub-op validator) and submit the well-formed ones in
+        order; a malformed one keeps its slot as an inline error.
+
+        The per-sub-op work is deliberately minimal — decode into a
+        :class:`~repro.traffic.flows.FlowSpec` or a flow id and one
+        ``(slot, kind, payload)`` entry on a shared :class:`BulkSlots`
+        collector.  Returns the collector and the ops the coalescer had
+        to queue (none when it decided the frame inline).
+        """
         slots = self.coalescer.open_bulk(len(subops))
         entries: List[Tuple[int, str, Any]] = []
         append = entries.append
-        decode = protocol.decode_bulk_subop
         bulk_admit = protocol.BULK_ADMIT
         for i, sub in enumerate(subops):
             try:
@@ -689,90 +717,43 @@ class AdmissionService:
                 continue
             op = BULK_OP_ADMIT if kind == bulk_admit else BULK_OP_RELEASE
             append((i, op, arg))
-        self.coalescer.submit_bulk(slots, entries)
-        return self._finish_bulk(conn, rid, slots, tele)
-
-    async def _finish_bulk(
-        self,
-        conn: Connection,
-        rid: protocol.RequestId,
-        slots: BulkSlots,
-        tele: "Optional[_ReqTele]",
-    ) -> None:
-        await slots.wait()
-        # Inline the dominant decision case; _bulk_slot keeps the
-        # full outcome mapping for releases and errors.
-        slot_admitted = protocol.SLOT_ADMITTED
-        slot_rejected = protocol.SLOT_REJECTED
-        bulk_slot = self._bulk_slot
-        n_admitted = n_rejected = 0
-        out: List[List[Any]] = []
-        append = out.append
-        for o in slots.outcomes:
-            if type(o) is AdmissionDecision:
-                if o.admitted:
-                    n_admitted += 1
-                    append([slot_admitted, o.reason, o.batch_size])
-                else:
-                    n_rejected += 1
-                    append([slot_rejected, o.reason, o.batch_size])
-            else:
-                append(bulk_slot(o))
-        counts = self.counts
-        counts["admitted"] += n_admitted
-        counts["rejected"] += n_rejected
-        if tele is not None:
-            tele.t_write = time.perf_counter()
-        await conn.send_raw(protocol.encode_bulk_response(rid, out))
-        if tele is not None:
-            self._finish_telemetry(
-                protocol.Request(id=rid, op="bulk", body={}),
-                tele,
-                [],
-                {"ok": True},
-            )
+        return slots, self.coalescer.submit_bulk(
+            slots,
+            entries,
+            trace=None if tele is None else tele.trace,
+            span_hex=None if tele is None else tele.span_hex,
+        )
 
     def _bulk_slot(self, outcome: Any) -> List[Any]:
-        """Packed response slot for one settled bulk outcome (mirrors
-        the v1 error mapping in :meth:`_await_single`)."""
+        """Packed response slot for one settled outcome, counted.
+
+        The one outcome -> wire mapping: an ``R`` frame ships these
+        slots as they are, a v1 ``batch`` or single response is their
+        :func:`~repro.service.protocol.unpack_bulk_results` form.
+        """
         if outcome is True:  # release
             self.counts["released"] += 1
             return [protocol.SLOT_RELEASED]
-        if isinstance(outcome, BaseException):
-            self.counts["errors"] += 1
-            if isinstance(outcome, ProtocolError):
-                return [protocol.SLOT_ERROR, outcome.code, str(outcome)]
-            if isinstance(outcome, (AdmissionError, TrafficError)):
-                return [
-                    protocol.SLOT_ERROR,
-                    protocol.ADMISSION_ERROR,
-                    str(outcome),
-                ]
-            if isinstance(outcome, ReproError):
-                return [
-                    protocol.SLOT_ERROR,
-                    protocol.INTERNAL,
-                    str(outcome),
-                ]
-            return [
-                protocol.SLOT_ERROR,
-                protocol.INTERNAL,
-                f"{type(outcome).__name__}: {outcome}",
-            ]
-        decision: AdmissionDecision = outcome
-        if decision.admitted:
-            self.counts["admitted"] += 1
-            return [
-                protocol.SLOT_ADMITTED,
-                decision.reason,
-                decision.batch_size,
-            ]
-        self.counts["rejected"] += 1
-        return [
-            protocol.SLOT_REJECTED,
-            decision.reason,
-            decision.batch_size,
-        ]
+        if not isinstance(outcome, BaseException):
+            decision: AdmissionDecision = outcome
+            if decision.admitted:
+                self.counts["admitted"] += 1
+                kind = protocol.SLOT_ADMITTED
+            else:
+                self.counts["rejected"] += 1
+                kind = protocol.SLOT_REJECTED
+            return [kind, decision.reason, decision.batch_size]
+        self.counts["errors"] += 1
+        if isinstance(outcome, ProtocolError):
+            return [protocol.SLOT_ERROR, outcome.code, str(outcome)]
+        if isinstance(outcome, (AdmissionError, TrafficError)):
+            code, message = protocol.ADMISSION_ERROR, str(outcome)
+        elif isinstance(outcome, ReproError):
+            code, message = protocol.INTERNAL, str(outcome)
+        else:  # unexpected; the coalescer logged it where it was caught
+            code = protocol.INTERNAL
+            message = f"{type(outcome).__name__}: {outcome}"
+        return [protocol.SLOT_ERROR, code, message]
 
     # ------------------------------------------------------------------ #
     # request dispatch
@@ -785,8 +766,8 @@ class AdmissionService:
         ops) submit to the coalescer in arrival order.
 
         Returns whatever :meth:`_finish` needs to produce the response:
-        a ready response dict, one future, or a list of per-sub-op
-        futures/errors for ``batch``.
+        a ready response dict, the one queued op, or the frame carrier
+        of :meth:`_submit_frame` for ``batch``.
         """
         op = request.op
         body = request.body
@@ -827,12 +808,9 @@ class AdmissionService:
                 f"unknown op {op!r} (expected one of "
                 f"{', '.join(protocol.OPS)})",
             )
-        if self._draining:
-            return protocol.error_response(
-                rid, protocol.UNAVAILABLE, "server is draining"
-            )
-        if self.shedding():
-            return self._shed_response(rid)
+        refusal = self._refusal(rid)
+        if refusal is not None:
+            return refusal
         trace = tele.trace if tele is not None else None
         span_hex = tele.span_hex if tele is not None else None
         if op == "admit":
@@ -850,60 +828,12 @@ class AdmissionService:
                 trace=trace,
                 span_hex=span_hex,
             )
-        # batch: submit every well-formed sub-op in order; malformed
-        # ones keep their slot as an inline error.
         ops = body.get("ops")
         if not isinstance(ops, list):
             raise ProtocolError(
                 protocol.BAD_REQUEST, "batch needs an ops list"
             )
-        slots: List[Any] = []
-        for sub in ops:
-            try:
-                if not isinstance(sub, dict):
-                    raise ProtocolError(
-                        protocol.BAD_REQUEST,
-                        "batch sub-op must be an object",
-                    )
-                sub_op = sub.get("op")
-                if sub_op == "admit":
-                    slots.append(
-                        self.coalescer.submit_admit_op(
-                            protocol.flow_from_obj(sub.get("flow")),
-                            trace=trace,
-                            span_hex=span_hex,
-                        )
-                    )
-                elif sub_op == "release":
-                    if "flow_id" not in sub:
-                        raise ProtocolError(
-                            protocol.BAD_REQUEST,
-                            "release sub-op needs flow_id",
-                        )
-                    slots.append(
-                        self.coalescer.submit_release_op(
-                            protocol.validate_flow_id(sub["flow_id"]),
-                            trace=trace,
-                            span_hex=span_hex,
-                        )
-                    )
-                else:
-                    raise ProtocolError(
-                        protocol.BAD_REQUEST,
-                        f"batch sub-op must be admit or release, "
-                        f"got {sub_op!r}",
-                    )
-            except ProtocolError as exc:
-                slots.append(
-                    {
-                        "ok": False,
-                        "error": {
-                            "code": exc.code,
-                            "message": str(exc),
-                        },
-                    }
-                )
-        return slots
+        return self._submit_frame(ops, protocol.decode_batch_subop, tele)
 
     async def _finish(
         self,
@@ -912,48 +842,64 @@ class AdmissionService:
         conn: Connection,
         tele: "Optional[_ReqTele]" = None,
     ) -> None:
+        """Await what :meth:`_begin` / :meth:`begin_bulk` submitted and
+        write the response; every outcome goes through
+        :meth:`_bulk_slot`."""
+        ops: List[_Op] = []
+        n_subops: Optional[int] = None
+        response: Union[Dict[str, Any], bytes]
         if isinstance(pending, dict):  # ready response
             response = pending
         elif isinstance(pending, _Op):
-            response = await self._await_single(
-                request.id, pending.future
+            ops = [pending]
+            try:
+                outcome = await pending.future
+            except Exception as exc:
+                outcome = exc
+            (sub,) = protocol.unpack_bulk_results(
+                [self._bulk_slot(outcome)]
             )
-        elif isinstance(pending, asyncio.Future):
-            response = await self._await_single(request.id, pending)
-        else:  # batch slots
-            results = []
-            for slot in pending:
-                if isinstance(slot, dict):
-                    results.append(slot)
-                    self.counts["errors"] += 1
-                    continue
-                future = slot.future if isinstance(slot, _Op) else slot
-                sub = await self._await_single(None, future)
-                if sub["ok"]:
-                    results.append({"ok": True, "result": sub["result"]})
-                else:
-                    results.append({"ok": False, "error": sub["error"]})
-            response = protocol.ok_response(
-                request.id, {"results": results}
-            )
+            response = {"id": request.id, **sub}
+        else:  # a frame's carrier
+            slots, ops = pending
+            await slots.wait()
+            n_subops = len(slots.outcomes)
+            packed = [self._bulk_slot(o) for o in slots.outcomes]
+            if request.op == "bulk":
+                response = protocol.encode_bulk_response(
+                    request.id, packed
+                )
+            else:
+                response = protocol.ok_response(
+                    request.id,
+                    {"results": protocol.unpack_bulk_results(packed)},
+                )
         if tele is not None:
             tele.t_write = time.perf_counter()
-        await conn.send(response)
+        if isinstance(response, bytes):  # an ``R`` frame, always ok
+            await conn.send_raw(response)
+            ok = True
+        else:
+            await conn.send(response)
+            ok = bool(response.get("ok", False))
         if tele is not None:
-            self._finish_telemetry(request, tele, pending, response)
+            self._finish_telemetry(request, tele, ops, ok, n_subops)
 
     def _finish_telemetry(
         self,
         request: protocol.Request,
         tele: "_ReqTele",
-        pending: Any,
-        response: Dict[str, Any],
+        ops: List[_Op],
+        ok: bool,
+        n_subops: Optional[int],
     ) -> None:
         """Per-request SLO feed, latency histogram, and span emission.
 
-        Runs synchronously right after the response hits the socket, so
-        a client that sees its reply and immediately scrapes
-        ``/metrics`` finds this request already counted.
+        ``ops`` are the request's queued coalescer ops (their stamps
+        give the queue and execute stages), ``n_subops`` a frame's
+        sub-op count.  Runs synchronously right after the response hits
+        the socket, so a client that sees its reply and immediately
+        scrapes ``/metrics`` finds this request already counted.
         """
         t_end = time.perf_counter()
         total = t_end - tele.t_recv
@@ -969,7 +915,7 @@ class AdmissionService:
             return
         attrs: Dict[str, Any] = {
             "op": request.op,
-            "ok": bool(response.get("ok", False)),
+            "ok": ok,
             "parse_seconds": tele.t_parsed - tele.t_recv,
             "write_seconds": t_end - tele.t_write,
         }
@@ -978,12 +924,8 @@ class AdmissionService:
         if tele.trace is not None:
             attrs["trace_id"] = tele.trace.trace_id
             attrs["parent_id"] = tele.trace.span_id
-        ops: List[_Op] = []
-        if isinstance(pending, _Op):
-            ops = [pending]
-        elif isinstance(pending, list):
-            ops = [s for s in pending if isinstance(s, _Op)]
-            attrs["n_subops"] = len(pending)
+        if n_subops is not None:
+            attrs["n_subops"] = n_subops
         if ops:
             attrs["queue_seconds"] = max(
                 0.0, ops[0].dequeued_at - ops[0].enqueued_at
@@ -1007,45 +949,6 @@ class AdmissionService:
             start=tele.t_recv,
             duration=total,
             **attrs,
-        )
-
-    async def _await_single(
-        self, rid: Optional[protocol.RequestId], future: "asyncio.Future"
-    ) -> Dict[str, Any]:
-        """Resolve one coalesced op into a response-shaped dict."""
-        try:
-            outcome = await future
-        except (AdmissionError, TrafficError) as exc:
-            self.counts["errors"] += 1
-            return protocol.error_response(
-                rid, protocol.ADMISSION_ERROR, str(exc)
-            )
-        except ReproError as exc:
-            self.counts["errors"] += 1
-            return protocol.error_response(
-                rid, protocol.INTERNAL, str(exc)
-            )
-        except Exception as exc:  # unexpected; keep the server alive
-            self.counts["errors"] += 1
-            logger.exception("internal error deciding a request")
-            return protocol.error_response(
-                rid, protocol.INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-        if outcome is True:  # release
-            self.counts["released"] += 1
-            return protocol.ok_response(rid, {"released": True})
-        decision = outcome
-        if decision.admitted:
-            self.counts["admitted"] += 1
-        else:
-            self.counts["rejected"] += 1
-        return protocol.ok_response(
-            rid,
-            {
-                "admitted": decision.admitted,
-                "reason": decision.reason,
-                "batch_size": decision.batch_size,
-            },
         )
 
     # ------------------------------------------------------------------ #

@@ -7,13 +7,19 @@ in-process submission — is exercised here on hand-built op sequences
 """
 
 import asyncio
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.admission import UtilizationAdmissionController
+from repro.control import Preemptor
 from repro.errors import AdmissionError, ReproError, ServiceError
 from repro.routing.shortest import shortest_path_routes
 from repro.service import MicroBatchCoalescer
+from repro.service.audit import AuditLog, iter_audit, verify_audit
 from repro.topology import LinkServerGraph, line_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import FlowSpec
@@ -77,6 +83,107 @@ async def run_coalesced(controller, ops, **kwargs):
             outcomes.append(("decision", outcome.admitted, outcome.reason))
     await coalescer.stop()
     return outcomes, coalescer
+
+
+# ---------------------------------------------------------------------- #
+# differential property: one decision step, five ways to reach it
+# ---------------------------------------------------------------------- #
+
+# Small id pool -> duplicate admits, double releases and
+# release-then-readmit chains inside one frame; two slots per server
+# -> rejections, and with them preemption rescues.
+_DIFF_IDS = [f"f{i}" for i in range(8)]
+_DIFF_ALPHA = 0.0007
+
+# Overlapping routes of different lengths in both directions, one
+# pinned, and the two arrivals the precheck refuses.
+_DIFF_VARIANTS = {
+    "r0>r3": ("voice", "r0", "r3", None),
+    "r3>r0": ("voice", "r3", "r0", None),
+    "r0>r1": ("voice", "r0", "r1", None),
+    "r1>r3": ("voice", "r1", "r3", None),
+    "r2>r0": ("voice", "r2", "r0", None),
+    "pinned": ("voice", "r0", "r3", ("r0", "r1", "r2", "r3")),
+    "unroutable": ("voice", "r0", "r9", None),
+    "unknown_class": ("video9", "r0", "r3", None),
+}
+
+differential_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("admit"),
+            st.sampled_from(_DIFF_IDS),
+            st.sampled_from(sorted(_DIFF_VARIANTS)),
+            st.sampled_from([None, "elastic", "soft_rt", "hard_rt"]),
+        ),
+        st.tuples(st.just("release"), st.sampled_from(_DIFF_IDS)),
+    ),
+    max_size=40,
+)
+
+
+def make_differential_controller():
+    return make_controller(_DIFF_ALPHA)[0]
+
+
+def differential_flow(op):
+    _kind, fid, variant, priority = op
+    cls, src, dst, route = _DIFF_VARIANTS[variant]
+    return FlowSpec(fid, cls, src, dst, route, priority)
+
+
+def outcome_shape(outcome):
+    if isinstance(outcome, Exception):
+        return ("error", type(outcome).__name__, str(outcome))
+    if outcome is True:
+        return ("released",)
+    return ("decision", outcome.admitted, outcome.reason)
+
+
+def differential_sequential(controller, ops):
+    """The reference: one in-process ``admit``/``release`` per op, in
+    order, and one ``Preemptor.try_admit`` per rejected arrival of an
+    eligible priority.
+
+    Preemption is documented as a *batch pass* (docs/overload.md): the
+    rescues of an admit run happen after the run's last plain decision,
+    in order.  A run is what the coalescer promises it to be — maximal
+    consecutive admits, cut where a flow id repeats — so the reference
+    holds its rescue attempts back until the run ends.
+    """
+    preemptor = Preemptor(controller)
+    outcomes = []
+    run_ids, rescues = set(), []
+
+    def end_run():
+        for slot, flow in rescues:
+            rescue = preemptor.try_admit(flow)
+            if rescue.admitted:
+                outcomes[slot] = rescue.decision
+        run_ids.clear()
+        rescues.clear()
+
+    for op in ops:
+        if op[0] == "release" or op[1] in run_ids:
+            end_run()
+        try:
+            if op[0] == "release":
+                controller.release(op[1])
+                outcomes.append(True)
+                continue
+            run_ids.add(op[1])
+            flow = differential_flow(op)
+            decision = controller.admit(flow)
+            if (
+                not decision.admitted
+                and flow.priority in preemptor.policy.admit_priorities
+            ):
+                rescues.append((len(outcomes), flow))
+            outcomes.append(decision)
+        except ReproError as exc:
+            outcomes.append(exc)
+    end_run()
+    return [outcome_shape(o) for o in outcomes]
 
 
 class TestSequentialIdentity:
@@ -227,6 +334,53 @@ class TestLifecycle:
             await coalescer.stop()
 
         asyncio.run(scenario())
+
+    def test_flush_on_an_idle_coalescer_counts_no_batch(self):
+        """A flush barrier is not a decided op: a barrier-only drain
+        must not show up as a batch of fill 1 (nor in the metrics)."""
+        from repro import obs
+
+        controller, _ = make_controller()
+
+        async def scenario():
+            coalescer = MicroBatchCoalescer(controller, max_delay=0)
+            coalescer.start()
+            await coalescer.flush()
+            await coalescer.stop()
+            return coalescer
+
+        obs.enable(fresh=True)
+        try:
+            coalescer = asyncio.run(scenario())
+            text = obs.prometheus_text()
+        finally:
+            obs.disable()
+        assert coalescer.batches == 0
+        assert coalescer.coalesced_ops == 0
+        assert coalescer.largest_batch == 0
+        assert "repro_service_batches_total" not in text
+        assert "repro_service_batch_fill" not in text
+
+    def test_flush_riding_with_ops_does_not_inflate_the_fill(self):
+        controller, _ = make_controller()
+
+        async def scenario():
+            coalescer = MicroBatchCoalescer(controller, max_delay=0)
+            coalescer.start()
+            coalescer.pause()
+            futures = [coalescer.submit_admit(flow(i)) for i in range(3)]
+            flush = asyncio.ensure_future(coalescer.flush())
+            await asyncio.sleep(0)  # the barrier joins the same drain
+            coalescer.resume()
+            await asyncio.wait_for(flush, 5)
+            assert all(f.done() for f in futures)
+            await coalescer.stop()
+            return coalescer
+
+        coalescer = asyncio.run(scenario())
+        assert coalescer.batches == 1
+        assert coalescer.coalesced_ops == 3
+        assert coalescer.largest_batch == 3
 
     def test_pause_holds_the_backlog(self):
         controller, _ = make_controller()
@@ -475,39 +629,88 @@ class TestBulkSubmission:
 
         asyncio.run(scenario())
 
-    def test_inline_and_queued_outcomes_identical(self):
-        ops = []
-        for i in (0, 1, 0, 2):  # duplicate admit of f0 in one frame
-            ops.append((len(ops), "admit", flow(i)))
-        ops.append((len(ops), "release", "f1"))
-        ops.append((len(ops), "release", "nope"))
+    # The hand-written frame this property test grew out of: a
+    # duplicate admit of f0 inside one frame, then two releases.
+    @example(
+        ops=[
+            ("admit", "f0", "r0>r3", None),
+            ("admit", "f1", "r0>r3", None),
+            ("admit", "f0", "r0>r3", None),
+            ("admit", "f2", "r0>r3", None),
+            ("release", "f1"),
+            ("release", "nope"),
+        ]
+    )
+    @settings(deadline=None, max_examples=60)
+    @given(ops=differential_ops)
+    def test_inline_and_queued_outcomes_identical(self, ops):
+        """Every carrier of the one decision step agrees with the
+        sequential API — outcome for outcome and slot for slot."""
+        reference = make_differential_controller()
+        expected = differential_sequential(reference, ops)
 
-        def shape(outcome):
-            if isinstance(outcome, Exception):
-                return ("error", type(outcome).__name__, str(outcome))
-            if outcome is True:
-                return ("released",)
-            return ("decision", outcome.admitted, outcome.reason)
-
-        async def run_frame(paused):
-            controller, _ = make_controller()
+        async def run(way, audit_path=None):
+            controller = make_differential_controller()
             coalescer = MicroBatchCoalescer(controller, max_delay=0)
+            coalescer.preemptor = Preemptor(controller)
+            if audit_path is not None:
+                coalescer.audit = AuditLog(audit_path)
             coalescer.start()
-            if paused:
+            if way in ("futures", "queued"):
                 coalescer.pause()
-            slots = coalescer.open_bulk(len(ops))
-            coalescer.submit_bulk(slots, list(ops))
-            if paused:
+            if way == "futures":
+                futures = [
+                    coalescer.submit_admit(differential_flow(op))
+                    if op[0] == "admit"
+                    else coalescer.submit_release(op[1])
+                    for op in ops
+                ]
                 coalescer.resume()
-            await asyncio.wait_for(slots.wait(), 5)
+                outcomes = await asyncio.gather(
+                    *futures, return_exceptions=True
+                )
+            else:
+                slots = coalescer.open_bulk(len(ops))
+                coalescer.submit_bulk(
+                    slots,
+                    [
+                        (i, op[0], differential_flow(op))
+                        if op[0] == "admit"
+                        else (i, op[0], op[1])
+                        for i, op in enumerate(ops)
+                    ],
+                )
+                # Only the idle, unaudited frame is decided inline.
+                queued = 0 if way == "inline" else len(ops)
+                assert slots.remaining == queued
+                assert coalescer.pending == queued
+                coalescer.resume()
+                await asyncio.wait_for(slots.wait(), 5)
+                outcomes = slots.outcomes
             await coalescer.stop()
-            return [shape(o) for o in slots.outcomes]
+            assert coalescer.pending == 0
+            assert coalescer.coalesced_ops == len(ops)
+            if coalescer.audit is not None:
+                coalescer.audit.close()
+            return [outcome_shape(o) for o in outcomes], controller
 
-        inline = asyncio.run(run_frame(paused=False))
-        queued = asyncio.run(run_frame(paused=True))
-        assert inline == queued
-        assert inline[0] == ("decision", True, "")
-        assert inline[2][0] == "error"  # duplicate admit of f0
+        with tempfile.TemporaryDirectory() as tmp:
+            audit_path = os.path.join(tmp, "audit.jsonl")
+            for way in ("futures", "inline", "queued", "audited"):
+                shapes, controller = asyncio.run(
+                    run(way, audit_path if way == "audited" else None)
+                )
+                assert shapes == expected, way
+                assert controller.verify_invariants() == [], way
+                assert (
+                    controller.ledger.used("voice")
+                    == reference.ledger.used("voice")
+                ).all(), way
+            report = verify_audit(iter_audit(audit_path))
+        assert report["ok"], report["problems"]
+        assert report["established"] == sorted(
+            f.flow_id for f in reference.established_flows
+        )
 
     def test_submit_bulk_after_stop_raises(self):
         controller, _ = make_controller()

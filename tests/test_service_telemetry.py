@@ -96,6 +96,60 @@ class TestTraceProparation:
                 assert span.attrs[stage] >= 0.0
             assert span.attrs["ok"] is True
 
+    @pytest.mark.parametrize("frame", ["batch", "bulk"])
+    def test_frame_span_carries_subop_count_and_stages(
+        self, tmp_path, frame
+    ):
+        """A v1 ``batch`` and a v2 ``B`` frame ride the same carrier,
+        so both request spans report the frame's size, its queue and
+        execute stages, and the batch span that decided it."""
+        obs.enable(fresh=True)
+
+        async def scenario():
+            service, sock = await start_service(tmp_path)
+            async with await AsyncServiceClient.connect_unix(
+                sock, protocol="v2" if frame == "bulk" else "v1"
+            ) as client:
+                if frame == "bulk":
+                    results = await client.bulk(
+                        [
+                            [0, "f0", "voice", "r0", "r3", None],
+                            [0, "f1", "voice", "r0", "r3", None],
+                            [1, "f0"],
+                            [7],  # malformed: keeps its slot
+                        ]
+                    )
+                else:
+                    results = await client.batch(
+                        [
+                            {"op": "admit", "flow": flow_obj(0)},
+                            {"op": "admit", "flow": flow_obj(1)},
+                            {"op": "release", "flow_id": "f0"},
+                            {"op": "nope"},
+                        ]
+                    )
+            await service.drain()
+            return results
+
+        results = asyncio.run(scenario())
+        assert [r["ok"] for r in results] == [True, True, True, False]
+        (span,) = [
+            s
+            for s in spans_by_name("service.request")
+            if s.attrs["op"] == frame
+        ]
+        assert span.attrs["n_subops"] == 4
+        assert span.attrs["ok"] is True
+        assert span.attrs["queue_seconds"] >= 0.0
+        assert span.attrs["execute_seconds"] >= 0.0
+        batch_ids = {
+            s.attrs["span_hex"] for s in spans_by_name("service.batch")
+        }
+        assert span.attrs["batch_span"] in batch_ids
+        (batch,) = spans_by_name("service.batch")
+        # The malformed sub-op never reached the coalescer.
+        assert batch.attrs["ops"] == 3
+
     def test_malformed_trace_is_served_without_a_parent(self, tmp_path):
         obs.enable(fresh=True)
 
