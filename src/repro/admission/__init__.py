@@ -1,56 +1,56 @@
 """Run-time admission control: the paper's utilization-based controller
 and the flow-aware (IntServ-style) baseline."""
 
-from .base import AdmissionController, AdmissionDecision
-from .batch import (
-    PADDING_FREE,
-    batch_slot_decisions,
-    batch_slot_decisions_numpy,
-    flat_committed_servers,
-    pad_server_matrix,
-)
-from .flowaware import FlowAwareAdmissionController
-from .kernels import (
-    HAVE_NUMBA,
-    active_slot_kernel,
-    available_slot_kernels,
-    batch_slot_decisions_sequential,
-    set_slot_kernel,
-    use_slot_kernel,
-    warm_slot_kernel,
-)
-from .flowtable import FlowTable
-from .ledger import UtilizationLedger
-from .sharded import (
-    ShardedAdmissionController,
-    SlotShardController,
-    plan_slot_shards,
-)
-from .statistics import ReplayStats, replay_schedule
-from .utilization import UtilizationAdmissionController
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "FlowAwareAdmissionController",
-    "FlowTable",
-    "HAVE_NUMBA",
-    "PADDING_FREE",
-    "ReplayStats",
-    "ShardedAdmissionController",
-    "SlotShardController",
-    "UtilizationAdmissionController",
-    "UtilizationLedger",
-    "active_slot_kernel",
-    "available_slot_kernels",
-    "batch_slot_decisions",
-    "batch_slot_decisions_numpy",
-    "batch_slot_decisions_sequential",
-    "flat_committed_servers",
-    "pad_server_matrix",
-    "plan_slot_shards",
-    "replay_schedule",
-    "set_slot_kernel",
-    "use_slot_kernel",
-    "warm_slot_kernel",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .base import AdmissionController, AdmissionDecision
+    from .batch import (
+        PADDING_FREE,
+        batch_slot_decisions,
+        batch_slot_decisions_numpy,
+        flat_committed_servers,
+        pad_server_matrix,
+    )
+    from .flowaware import FlowAwareAdmissionController
+    from .kernels import (
+        HAVE_NUMBA,
+        active_slot_kernel,
+        available_slot_kernels,
+        batch_slot_decisions_sequential,
+        set_slot_kernel,
+        use_slot_kernel,
+        warm_slot_kernel,
+    )
+    from .flowtable import FlowTable
+    from .ledger import UtilizationLedger
+    from .sharded import (
+        ShardedAdmissionController,
+        SlotShardController,
+        plan_slot_shards,
+    )
+    from .statistics import ReplayStats, replay_schedule
+    from .utilization import UtilizationAdmissionController
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".base": ("AdmissionController", "AdmissionDecision"),
+    ".batch": (
+        "PADDING_FREE", "batch_slot_decisions", "batch_slot_decisions_numpy",
+        "flat_committed_servers", "pad_server_matrix",
+    ),
+    ".flowaware": ("FlowAwareAdmissionController",),
+    ".kernels": (
+        "HAVE_NUMBA", "active_slot_kernel", "available_slot_kernels",
+        "batch_slot_decisions_sequential", "set_slot_kernel", "use_slot_kernel",
+        "warm_slot_kernel",
+    ),
+    ".flowtable": ("FlowTable",),
+    ".ledger": ("UtilizationLedger",),
+    ".sharded": (
+        "ShardedAdmissionController", "SlotShardController", "plan_slot_shards",
+    ),
+    ".statistics": ("ReplayStats", "replay_schedule"),
+    ".utilization": ("UtilizationAdmissionController",),
+})

@@ -46,6 +46,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+# Imported here, not at the first decision: the registry probes for numba
+# on import, and that belongs to start-up, not to the first request.
+# (No cycle: kernels.py reaches back into this module only when called.)
+from . import kernels
+
 __all__ = [
     "PADDING_FREE",
     "pad_server_matrix",
@@ -108,9 +113,7 @@ def batch_slot_decisions(
     (test every server, then commit on success) would have decided for
     request ``i``.
     """
-    from repro.admission.kernels import get_slot_kernel
-
-    return get_slot_kernel()(matrix, free)
+    return kernels.get_slot_kernel()(matrix, free)
 
 
 def batch_slot_decisions_numpy(

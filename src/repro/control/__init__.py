@@ -24,25 +24,23 @@ Flow priorities (``hard_rt`` / ``soft_rt`` / ``elastic``) live on
 the optional ``pri`` field; they are re-exported here for convenience.
 """
 
-from ..traffic.flows import PRIORITIES, PRIORITY_CODES, priority_rank
-from .governor import (
-    AlphaGovernor,
-    GovernorConfig,
-    GovernorSample,
-)
-from .ladder import AlphaLadder, certify_ladder
-from .preempt import PreemptionOutcome, PreemptionPolicy, Preemptor
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "PRIORITIES",
-    "PRIORITY_CODES",
-    "priority_rank",
-    "AlphaGovernor",
-    "GovernorConfig",
-    "GovernorSample",
-    "AlphaLadder",
-    "certify_ladder",
-    "PreemptionOutcome",
-    "PreemptionPolicy",
-    "Preemptor",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from ..traffic.flows import PRIORITIES, PRIORITY_CODES, priority_rank
+    from .governor import (
+        AlphaGovernor,
+        GovernorConfig,
+        GovernorSample,
+    )
+    from .ladder import AlphaLadder, certify_ladder
+    from .preempt import PreemptionOutcome, PreemptionPolicy, Preemptor
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "..traffic.flows": ("PRIORITIES", "PRIORITY_CODES", "priority_rank"),
+    ".governor": ("AlphaGovernor", "GovernorConfig", "GovernorSample"),
+    ".ladder": ("AlphaLadder", "certify_ladder"),
+    ".preempt": ("PreemptionOutcome", "PreemptionPolicy", "Preemptor"),
+})

@@ -29,13 +29,6 @@ from typing import List, Optional
 
 from .. import obs
 from .._version import __version__
-from ..config.bounds import utilization_bounds
-from ..config.procedures import verify_safe_assignment
-from ..routing.shortest import shortest_path_routes
-from .reporting import format_metrics_snapshot, format_table
-from .scenarios import paper_scenario
-from .sweeps import sweep_burst, sweep_deadline
-from .table1 import run_table1
 
 __all__ = ["main", "build_parser"]
 
@@ -807,17 +800,16 @@ _FAULTS_PAIRS = [
 def _run_faults(args: argparse.Namespace) -> int:
     from ..config.configured import configure
     from ..errors import ConfigurationError, FaultInjectionError
-    from ..faults import (
-        BackoffPolicy,
-        ChaosHarness,
-        DegradedModePolicy,
-        FaultSchedule,
+    from ..faults.degraded import BackoffPolicy, DegradedModePolicy
+    from ..faults.harness import ChaosHarness
+    from ..faults.scenario import (
         adversarial_flow_schedule,
         configured_flow_schedule,
         default_link_failure_scenario,
-        random_fault_schedule,
     )
-    from ..workload import AdversaryModel
+    from ..faults.schedule import FaultSchedule, random_fault_schedule
+    from ..workload.adversarial import AdversaryModel
+    from .scenarios import paper_scenario
 
     sc = paper_scenario()
     try:
@@ -903,17 +895,19 @@ def _run_faults(args: argparse.Namespace) -> int:
 def _run_verify_bounded(args: argparse.Namespace) -> int:
     """``repro-ubac verify [--bound N ...]`` — the machine checker."""
     from ..errors import VerificationError
-    from ..verify import (
-        MUTANTS,
-        VERIFY_REPORT_SCHEMA,
+    from ..verify.instances import (
         VerifyBound,
-        load_verify_report,
         replay_batch_equivalence,
         replay_no_overcommit,
-        run_verify,
+    )
+    from ..verify.mutants import MUTANTS
+    from ..verify.report import (
+        VERIFY_REPORT_SCHEMA,
+        load_verify_report,
         validate_verify_report,
         write_verify_report,
     )
+    from ..verify.runner import run_verify
 
     if args.validate is not None:
         try:
@@ -978,7 +972,7 @@ def _run_verify_bounded(args: argparse.Namespace) -> int:
             else "  replay DOES NOT reproduce the violation"
         )
         if args.cx_dir is not None:
-            from ..workload import write_trace
+            from ..workload.trace import write_trace
 
             os.makedirs(args.cx_dir, exist_ok=True)
             path = os.path.join(args.cx_dir, f"cx_{res.name}.jsonl")
@@ -1016,9 +1010,11 @@ def _run_verify_bounded(args: argparse.Namespace) -> int:
 
 def _admission_setup(topology: str):
     """(graph, registry, voice, pairs, routes) for a served topology."""
-    from ..topology import LinkServerGraph, mci_backbone, nsfnet_backbone
-    from ..traffic import ClassRegistry, voice_class
-    from ..traffic.generators import all_ordered_pairs
+    from ..routing.shortest import shortest_path_routes
+    from ..topology.builders import mci_backbone, nsfnet_backbone
+    from ..topology.servergraph import LinkServerGraph
+    from ..traffic.classes import ClassRegistry
+    from ..traffic.generators import all_ordered_pairs, voice_class
 
     network = mci_backbone() if topology == "mci" else nsfnet_backbone()
     graph = LinkServerGraph(network)
@@ -1031,7 +1027,7 @@ def _admission_setup(topology: str):
 
 def _connect_service_client(target, socket_path, protocol="v1"):
     """ServiceClient for ``--target HOST:PORT`` / ``--socket PATH``."""
-    from ..service import ServiceClient
+    from ..service.client import ServiceClient
 
     if (target is None) == (socket_path is None):
         raise SystemExit(
@@ -1046,19 +1042,13 @@ def _connect_service_client(target, socket_path, protocol="v1"):
 
 
 def _run_loadgen(args: argparse.Namespace) -> int:
-    from ..admission import (
-        FlowAwareAdmissionController,
-        ShardedAdmissionController,
-        UtilizationAdmissionController,
-    )
-    from ..workload import (
-        ZipfPairPopularity,
-        drive,
-        open_loop_schedule,
-        read_trace,
-        schedule_events,
-        write_trace,
-    )
+    from ..admission.flowaware import FlowAwareAdmissionController
+    from ..admission.sharded import ShardedAdmissionController
+    from ..admission.utilization import UtilizationAdmissionController
+    from ..workload.arrivals import open_loop_schedule
+    from ..workload.loadgen import drive, schedule_events
+    from ..workload.popularity import ZipfPairPopularity
+    from ..workload.trace import read_trace, write_trace
 
     service_mode = args.target is not None or args.socket is not None
     graph, registry, voice, pairs, routes = _admission_setup(
@@ -1079,7 +1069,7 @@ def _run_loadgen(args: argparse.Namespace) -> int:
             f"(meta: {meta})"
         )
     elif args.adversarial:
-        from ..workload import AdversaryModel, adversarial_events
+        from ..workload.adversarial import AdversaryModel, adversarial_events
 
         events = adversarial_events(
             graph,
@@ -1108,7 +1098,7 @@ def _run_loadgen(args: argparse.Namespace) -> int:
             shuffle_seed=args.seed,
         )
         if args.ramp is not None:
-            from ..workload import ramp_schedule
+            from ..workload.arrivals import ramp_schedule
 
             schedule = ramp_schedule(
                 args.flows,
@@ -1136,7 +1126,7 @@ def _run_loadgen(args: argparse.Namespace) -> int:
         events = schedule_events(schedule, pairs, voice.name)
     if args.priority_mix is not None:
         from ..errors import TrafficError
-        from ..workload import assign_priorities, parse_priority_mix
+        from ..workload.loadgen import assign_priorities, parse_priority_mix
 
         try:
             mix = parse_priority_mix(args.priority_mix)
@@ -1506,13 +1496,13 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from ..admission import (
+    from ..admission.sharded import (
         ShardedAdmissionController,
         SlotShardController,
-        UtilizationAdmissionController,
     )
+    from ..admission.utilization import UtilizationAdmissionController
     from ..errors import ReproError, ServiceError
-    from ..service import AdmissionService, ServiceConfig
+    from ..service.server import AdmissionService, ServiceConfig
 
     if args.workers is not None:
         return _run_serve_cluster(args)
@@ -1576,7 +1566,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         governor = None
         preemptor = None
         if args.governor:
-            from ..control import AlphaGovernor, certify_ladder
+            from ..control.governor import AlphaGovernor
+            from ..control.ladder import certify_ladder
 
             if args.alpha_ladder is not None:
                 try:
@@ -1608,7 +1599,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             print("FAILURE: --alpha-ladder needs --governor")
             return 2
         if args.preempt:
-            from ..control import PreemptionPolicy, Preemptor
+            from ..control.preempt import PreemptionPolicy, Preemptor
 
             preemptor = Preemptor(
                 controller,
@@ -1848,7 +1839,7 @@ def _run_audit(args: argparse.Namespace) -> int:
     import json
 
     from ..errors import ReproError
-    from ..service import audit_to_trace_events, iter_audit, verify_audit
+    from ..service.audit import audit_to_trace_events, iter_audit, verify_audit
 
     try:
         records = list(iter_audit(args.log))
@@ -1874,7 +1865,7 @@ def _run_audit(args: argparse.Namespace) -> int:
             f"({len(matching)} matching, {len(shown)} shown)"
         )
     if args.to_trace is not None:
-        from ..workload import write_trace
+        from ..workload.trace import write_trace
 
         events = audit_to_trace_events(records)
         write_trace(
@@ -1914,9 +1905,13 @@ def _render_top(stats, prev, interval) -> str:
     lines = []
     status = stats.get("status", "?")
     uptime = stats.get("uptime_seconds", 0.0)
+    startup = stats.get("startup_seconds")  # older servers do not report it
+    restart = stats.get("last_restart_seconds")  # cluster, after a worker died
     lines.append(
         f"repro-ubac top — {stats.get('controller', '?')} "
         f"status: {status}   uptime: {uptime:.1f} s"
+        + (f"   startup: {startup:.2f} s" if startup is not None else "")
+        + (f"   last restart: {restart:.2f} s" if restart is not None else "")
     )
     rate = ""
     if prev is not None and interval > 0:
@@ -2020,6 +2015,9 @@ def _run_top(args: argparse.Namespace) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "bounds":
+        from ..config.bounds import utilization_bounds
+        from .reporting import format_table
+
         bounds = utilization_bounds(
             args.fan_in, args.diameter, args.burst, args.rate, args.deadline
         )
@@ -2037,6 +2035,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "table1":
+        from .reporting import format_metrics_snapshot
+        from .table1 import run_table1
+
         result = run_table1(resolution=args.resolution)
         print(result.render())
         print(
@@ -2068,6 +2069,10 @@ def _dispatch(args: argparse.Namespace) -> int:
                 "give either an alpha (paper-scenario check) or the "
                 "bounded-checker flags, not both"
             )
+        from ..config.procedures import verify_safe_assignment
+        from ..routing.shortest import shortest_path_routes
+        from .scenarios import paper_scenario
+
         sc = paper_scenario()
         routes = shortest_path_routes(sc.network, sc.pairs)
         result = verify_safe_assignment(
@@ -2088,6 +2093,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if result.success else 1
 
     if args.command == "sweep":
+        from .sweeps import sweep_burst, sweep_deadline
+
         run = sweep_deadline if args.parameter == "deadline" else sweep_burst
         sweep = run(
             include_searches=args.searches, workers=args.workers
@@ -2098,6 +2105,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "simulate":
         from ..config.configured import configure
         from ..errors import ConfigurationError
+        from .scenarios import paper_scenario
 
         sc = paper_scenario()
         try:
@@ -2146,6 +2154,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             sweep_record,
             table1_record,
         )
+        from .sweeps import sweep_burst, sweep_deadline
+        from .table1 import run_table1
 
         print("regenerating Table 1 (this runs both searches)...")
         table1 = run_table1(resolution=args.resolution)

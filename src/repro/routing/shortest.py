@@ -1,16 +1,15 @@
 """Shortest-path routing — the paper's comparison baseline (Section 6).
 
 Hop-count shortest paths with deterministic (BFS insertion-order)
-tie-breaking, as produced by NetworkX.  The Table 1 experiment compares the
-maximum safe utilization under these routes against the Section 5.2
+tie-breaking (:meth:`Network.shortest_paths_from`, path for path what
+NetworkX's single-source search returns).  The Table 1 experiment compares
+the maximum safe utilization under these routes against the Section 5.2
 heuristic.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Sequence, Tuple
-
-import networkx as nx
 
 from ..errors import NoRouteError
 from ..topology.network import Network
@@ -24,10 +23,9 @@ def shortest_path_route(
     network: Network, source: Hashable, destination: Hashable
 ) -> List[Hashable]:
     """One hop-count shortest path (deterministic tie-breaking)."""
-    try:
-        return nx.shortest_path(network.graph, source, destination)
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        raise NoRouteError(source, destination) from None
+    return shortest_path_routes(network, [(source, destination)])[
+        (source, destination)
+    ]
 
 
 def shortest_path_routes(
@@ -40,9 +38,7 @@ def shortest_path_routes(
         if src not in by_source:
             if src not in network:
                 raise NoRouteError(src, dst)
-            by_source[src] = nx.single_source_shortest_path(
-                network.graph, src
-            )
+            by_source[src] = network.shortest_paths_from(src)
         try:
             routes[(src, dst)] = by_source[src][dst]
         except KeyError:

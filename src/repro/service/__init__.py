@@ -34,67 +34,59 @@ traces at a live server.  CLI entry points: ``repro-ubac serve`` and
 ``repro-ubac client``.
 """
 
-from .audit import (
-    AUDIT_SCHEMA,
-    AuditLog,
-    audit_to_trace_events,
-    flow_set_digest,
-    iter_audit,
-    verify_audit,
-)
-from .client import AsyncServiceClient, ServiceClient, WireDecision
-from .cluster import ClusterConfig, ClusterSupervisor, worker_serve_command
-from .coalescer import MicroBatchCoalescer
-from .http import MetricsEndpoint
-from .protocol import JSON_BACKEND, MAX_FRAME_BYTES, OPS, PROTOCOL_SCHEMA
-from .replay import (
-    ServiceReplayResult,
-    partition_events,
-    replay_events,
-    replay_events_concurrent,
-    replay_trace,
-)
-from .router import ClusterRouter, HashRing
-from .server import AdmissionService, ServiceConfig
-from .snapshots import (
-    SNAPSHOT_SCHEMA,
-    SnapshotStore,
-    merge_cluster_snapshot,
-    service_snapshot,
-    split_cluster_snapshot,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "PROTOCOL_SCHEMA",
-    "SNAPSHOT_SCHEMA",
-    "AUDIT_SCHEMA",
-    "JSON_BACKEND",
-    "MAX_FRAME_BYTES",
-    "OPS",
-    "AdmissionService",
-    "ServiceConfig",
-    "ClusterConfig",
-    "ClusterRouter",
-    "ClusterSupervisor",
-    "HashRing",
-    "worker_serve_command",
-    "merge_cluster_snapshot",
-    "split_cluster_snapshot",
-    "MicroBatchCoalescer",
-    "AsyncServiceClient",
-    "ServiceClient",
-    "WireDecision",
-    "SnapshotStore",
-    "service_snapshot",
-    "AuditLog",
-    "audit_to_trace_events",
-    "flow_set_digest",
-    "iter_audit",
-    "verify_audit",
-    "MetricsEndpoint",
-    "ServiceReplayResult",
-    "partition_events",
-    "replay_events",
-    "replay_events_concurrent",
-    "replay_trace",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .audit import (
+        AUDIT_SCHEMA,
+        AuditLog,
+        audit_to_trace_events,
+        flow_set_digest,
+        iter_audit,
+        verify_audit,
+    )
+    from .client import AsyncServiceClient, ServiceClient, WireDecision
+    from .cluster import ClusterConfig, ClusterSupervisor, worker_serve_command
+    from .coalescer import MicroBatchCoalescer
+    from .http import MetricsEndpoint
+    from .protocol import JSON_BACKEND, MAX_FRAME_BYTES, OPS, PROTOCOL_SCHEMA
+    from .replay import (
+        ServiceReplayResult,
+        partition_events,
+        replay_events,
+        replay_events_concurrent,
+        replay_trace,
+    )
+    from .router import ClusterRouter, HashRing
+    from .server import AdmissionService, ServiceConfig
+    from .snapshots import (
+        SNAPSHOT_SCHEMA,
+        SnapshotStore,
+        merge_cluster_snapshot,
+        service_snapshot,
+        split_cluster_snapshot,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".audit": (
+        "AUDIT_SCHEMA", "AuditLog", "audit_to_trace_events", "flow_set_digest",
+        "iter_audit", "verify_audit",
+    ),
+    ".client": ("AsyncServiceClient", "ServiceClient", "WireDecision"),
+    ".cluster": ("ClusterConfig", "ClusterSupervisor", "worker_serve_command"),
+    ".coalescer": ("MicroBatchCoalescer",),
+    ".http": ("MetricsEndpoint",),
+    ".protocol": ("JSON_BACKEND", "MAX_FRAME_BYTES", "OPS", "PROTOCOL_SCHEMA"),
+    ".replay": (
+        "ServiceReplayResult", "partition_events", "replay_events",
+        "replay_events_concurrent", "replay_trace",
+    ),
+    ".router": ("ClusterRouter", "HashRing"),
+    ".server": ("AdmissionService", "ServiceConfig"),
+    ".snapshots": (
+        "SNAPSHOT_SCHEMA", "SnapshotStore", "merge_cluster_snapshot",
+        "service_snapshot", "split_cluster_snapshot",
+    ),
+})

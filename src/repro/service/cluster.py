@@ -251,6 +251,10 @@ class ClusterSupervisor:
             self.manifest_store = SnapshotStore(config.snapshot_path)
         self.metrics_endpoint: Optional[MetricsEndpoint] = None
         self.restarts = 0
+        #: Death of a worker to its replacement answering ``health``,
+        #: for the most recent restart: the window in which that shard's
+        #: flows could not be admitted.
+        self.last_restart_seconds: Optional[float] = None
         self.merges = 0
         self.restored = 0
         self._draining = False
@@ -481,6 +485,7 @@ class ClusterSupervisor:
                 code = await proc.wait()
                 if self._draining:
                     return
+                died_at = time.monotonic()
                 self.restarts += 1
                 logger.warning(
                     "worker %d (pid %s) died with %s; restarting",
@@ -517,6 +522,15 @@ class ClusterSupervisor:
                     )
                 worker.launches += 1
                 await self._wait_healthy(worker)
+                self.last_restart_seconds = round(
+                    time.monotonic() - died_at, 3
+                )
+                logger.info(
+                    "worker %d healthy again (pid %s) %.3f s after it died",
+                    worker.index,
+                    worker.pid,
+                    self.last_restart_seconds,
+                )
         except asyncio.CancelledError:
             pass
 
@@ -551,6 +565,7 @@ class ClusterSupervisor:
         """Supervisor contribution to the aggregated ``stats`` op."""
         return {
             "worker_restarts": self.restarts,
+            "last_restart_seconds": self.last_restart_seconds,
             "manifest_merges": self.merges,
             "cluster_restored": self.restored,
             "worker_pids": [w.pid for w in self.workers],

@@ -59,7 +59,7 @@ from typing import (
 
 from ..errors import ProtocolError, ServiceError
 from ..obs import OBS, to_prometheus_text
-from ..obs.process import process_memory_text
+from ..obs.process import process_text, startup_seconds
 from . import protocol
 from .conn import (
     Connection,
@@ -788,6 +788,7 @@ class ClusterRouter:
             "status": self._cluster_status(per_worker),
             "draining": self._draining,
             "uptime_seconds": max(0.0, time.time() - self._started_at),
+            "startup_seconds": startup_seconds(self._started_at),
         }
         for key in _SUMMED_KEYS:
             out[key] = sum(
@@ -893,6 +894,7 @@ class ClusterRouter:
             ),
             "draining": self._draining,
             "uptime_seconds": max(0.0, time.time() - self._started_at),
+            "startup_seconds": startup_seconds(self._started_at),
             "per_worker": [
                 (
                     {"worker_index": i, **s}
@@ -971,4 +973,4 @@ class ClusterRouter:
         text = "\n".join(lines) + "\n"
         if OBS.enabled:
             text += to_prometheus_text(OBS.registry)
-        return text + process_memory_text()
+        return text + process_text()

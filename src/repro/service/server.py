@@ -61,7 +61,7 @@ from ..obs import (
     to_prometheus_text,
     trace_context_from_obj,
 )
-from ..obs.process import process_memory_mb, process_memory_text
+from ..obs.process import process_memory_mb, process_text, startup_seconds
 from . import protocol
 from .audit import AuditLog
 from .coalescer import (
@@ -983,6 +983,7 @@ class AdmissionService:
             "shedding": self._shedding,
             "draining": self._draining,
             "uptime_seconds": max(0.0, time.time() - self._started_at),
+            "startup_seconds": startup_seconds(self._started_at),
         }
         if self.governor is not None:
             snap = self.governor.snapshot()
@@ -1028,6 +1029,7 @@ class AdmissionService:
             "draining": self._draining,
             "status": self._status(),
             "uptime_seconds": max(0.0, time.time() - self._started_at),
+            "startup_seconds": startup_seconds(self._started_at),
             "snapshot_age_seconds": self.snapshot_age_seconds(),
             "batches": coalescer.batches,
             "coalesced_ops": coalescer.coalesced_ops,
@@ -1106,4 +1108,4 @@ class AdmissionService:
         else:
             self.refresh_gauges()
             text = to_prometheus_text(OBS.registry)
-        return text + process_memory_text()
+        return text + process_text()

@@ -1,23 +1,24 @@
 """Packet-level discrete-event simulator (class-based static priority)."""
 
-from .cosim import CoSimulationResult, co_simulate
-from .events import EventQueue
-from .metrics import DelayRecorder, SimulationReport
-from .packets import Packet
-from .servers import StaticPriorityServer
-from .simulator import Simulator
-from .sources import PacketPattern, TokenBucketPolicer, emission_times
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CoSimulationResult",
-    "DelayRecorder",
-    "EventQueue",
-    "Packet",
-    "PacketPattern",
-    "SimulationReport",
-    "Simulator",
-    "StaticPriorityServer",
-    "co_simulate",
-    "TokenBucketPolicer",
-    "emission_times",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .cosim import CoSimulationResult, co_simulate
+    from .events import EventQueue
+    from .metrics import DelayRecorder, SimulationReport
+    from .packets import Packet
+    from .servers import StaticPriorityServer
+    from .simulator import Simulator
+    from .sources import PacketPattern, TokenBucketPolicer, emission_times
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".cosim": ("CoSimulationResult", "co_simulate"),
+    ".events": ("EventQueue",),
+    ".metrics": ("DelayRecorder", "SimulationReport"),
+    ".packets": ("Packet",),
+    ".servers": ("StaticPriorityServer",),
+    ".simulator": ("Simulator",),
+    ".sources": ("PacketPattern", "TokenBucketPolicer", "emission_times"),
+})

@@ -5,17 +5,22 @@ overbooking: trade the deterministic hard guarantee for measured capacity
 at a bounded deadline-miss probability.
 """
 
-from .empirical import DelayDistribution, estimate_delay_distribution
-from .overbooking import (
-    CalibrationResult,
-    OverbookedAdmissionController,
-    calibrate_overbooking,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CalibrationResult",
-    "DelayDistribution",
-    "OverbookedAdmissionController",
-    "calibrate_overbooking",
-    "estimate_delay_distribution",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .empirical import DelayDistribution, estimate_delay_distribution
+    from .overbooking import (
+        CalibrationResult,
+        OverbookedAdmissionController,
+        calibrate_overbooking,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".empirical": ("DelayDistribution", "estimate_delay_distribution"),
+    ".overbooking": (
+        "CalibrationResult", "OverbookedAdmissionController",
+        "calibrate_overbooking",
+    ),
+})

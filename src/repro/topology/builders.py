@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Hashable, List, Sequence, Tuple
 
-import networkx as nx
-
 from ..errors import TopologyError
 from .network import Network
 from .router import DEFAULT_CAPACITY
@@ -247,6 +245,8 @@ def tree_network(
     """A balanced tree; internal degree ``branching + 1``, diameter ``2*depth``."""
     if branching < 1 or depth < 1:
         raise TopologyError("tree needs branching >= 1 and depth >= 1")
+    import networkx as nx
+
     g = nx.balanced_tree(branching, depth)
     edges = [(f"t{u}", f"t{v}") for u, v in g.edges()]
     return Network.from_edges(
@@ -340,6 +340,8 @@ def waxman_network(
         raise TopologyError("waxman network needs at least 2 routers")
     if not (0 < alpha <= 1) or beta <= 0:
         raise TopologyError("need 0 < alpha <= 1 and beta > 0")
+    import networkx as nx
+
     for attempt in range(max_tries):
         # NetworkX's parameter names are swapped relative to the classic
         # formula: its `beta` is the multiplier, its `alpha` the scale.
@@ -373,6 +375,8 @@ def random_network(
         raise TopologyError("random network needs at least 2 routers")
     if not (0.0 < p <= 1.0):
         raise TopologyError(f"edge probability must be in (0, 1], got {p}")
+    import networkx as nx
+
     for attempt in range(max_tries):
         g = nx.gnp_random_graph(n, p, seed=seed + attempt)
         if nx.is_connected(g):

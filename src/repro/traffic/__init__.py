@@ -1,52 +1,50 @@
 """Traffic substrate: envelopes, classes, flows, workload generators."""
 
-from .classes import (
-    BEST_EFFORT_PRIORITY,
-    ClassRegistry,
-    TrafficClass,
-    class_from_tspec,
-)
-from .conformance import ConformanceReport, check_conformance
-from .envelope import (
-    Envelope,
-    constant_rate_envelope,
-    leaky_bucket_envelope,
-    tspec_envelope,
-)
-from .flows import FlowSet, FlowSpec, fresh_flow_id
-from .generators import (
-    FlowEvent,
-    all_ordered_pairs,
-    data_class,
-    gravity_demand,
-    poisson_flow_schedule,
-    random_pairs,
-    uniform_flow_demand,
-    video_class,
-    voice_class,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BEST_EFFORT_PRIORITY",
-    "ClassRegistry",
-    "ConformanceReport",
-    "Envelope",
-    "FlowEvent",
-    "FlowSet",
-    "FlowSpec",
-    "TrafficClass",
-    "all_ordered_pairs",
-    "check_conformance",
-    "class_from_tspec",
-    "constant_rate_envelope",
-    "data_class",
-    "fresh_flow_id",
-    "gravity_demand",
-    "leaky_bucket_envelope",
-    "tspec_envelope",
-    "poisson_flow_schedule",
-    "random_pairs",
-    "uniform_flow_demand",
-    "video_class",
-    "voice_class",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .classes import (
+        BEST_EFFORT_PRIORITY,
+        ClassRegistry,
+        TrafficClass,
+        class_from_tspec,
+    )
+    from .conformance import ConformanceReport, check_conformance
+    from .envelope import (
+        Envelope,
+        constant_rate_envelope,
+        leaky_bucket_envelope,
+        tspec_envelope,
+    )
+    from .flows import FlowSet, FlowSpec, fresh_flow_id
+    from .generators import (
+        FlowEvent,
+        all_ordered_pairs,
+        data_class,
+        gravity_demand,
+        poisson_flow_schedule,
+        random_pairs,
+        uniform_flow_demand,
+        video_class,
+        voice_class,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".classes": (
+        "BEST_EFFORT_PRIORITY", "ClassRegistry", "TrafficClass",
+        "class_from_tspec",
+    ),
+    ".conformance": ("ConformanceReport", "check_conformance"),
+    ".envelope": (
+        "Envelope", "constant_rate_envelope", "leaky_bucket_envelope",
+        "tspec_envelope",
+    ),
+    ".flows": ("FlowSet", "FlowSpec", "fresh_flow_id"),
+    ".generators": (
+        "FlowEvent", "all_ordered_pairs", "data_class", "gravity_demand",
+        "poisson_flow_schedule", "random_pairs", "uniform_flow_demand",
+        "video_class", "voice_class",
+    ),
+})

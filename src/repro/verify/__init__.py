@@ -22,65 +22,63 @@ schema-validated ``repro-verify-report/v1`` documents
 (:mod:`repro.verify.report`).
 """
 
-from .bounded import (
-    exhaustive_batch_equivalence,
-    exhaustive_no_overcommit,
-    iter_release_patterns,
-)
-from .instances import (
-    INSTANCE_CLASS,
-    CheckResult,
-    Counterexample,
-    VerifyBound,
-    build_chain_controller,
-    replay_batch_equivalence,
-    replay_no_overcommit,
-    sequential_slot_decisions,
-    simulate_sequential,
-)
-from .mutants import MUTANTS, mutant_admit_on_full, mutant_ignore_contention
-from .report import (
-    VERIFY_REPORT_SCHEMA,
-    build_verify_report,
-    load_verify_report,
-    validate_verify_report,
-    write_verify_report,
-)
-from .runner import ALL_CHECKS, run_verify
-from .smt import (
-    HAVE_Z3,
-    Z3_PIN,
-    require_z3,
-    smt_batch_equivalence,
-    smt_no_overcommit,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ALL_CHECKS",
-    "CheckResult",
-    "Counterexample",
-    "HAVE_Z3",
-    "INSTANCE_CLASS",
-    "MUTANTS",
-    "VERIFY_REPORT_SCHEMA",
-    "VerifyBound",
-    "Z3_PIN",
-    "build_chain_controller",
-    "build_verify_report",
-    "exhaustive_batch_equivalence",
-    "exhaustive_no_overcommit",
-    "iter_release_patterns",
-    "load_verify_report",
-    "mutant_admit_on_full",
-    "mutant_ignore_contention",
-    "replay_batch_equivalence",
-    "replay_no_overcommit",
-    "require_z3",
-    "run_verify",
-    "sequential_slot_decisions",
-    "simulate_sequential",
-    "smt_batch_equivalence",
-    "smt_no_overcommit",
-    "validate_verify_report",
-    "write_verify_report",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .bounded import (
+        exhaustive_batch_equivalence,
+        exhaustive_no_overcommit,
+        iter_release_patterns,
+    )
+    from .instances import (
+        INSTANCE_CLASS,
+        CheckResult,
+        Counterexample,
+        VerifyBound,
+        build_chain_controller,
+        replay_batch_equivalence,
+        replay_no_overcommit,
+        sequential_slot_decisions,
+        simulate_sequential,
+    )
+    from .mutants import MUTANTS, mutant_admit_on_full, mutant_ignore_contention
+    from .report import (
+        VERIFY_REPORT_SCHEMA,
+        build_verify_report,
+        load_verify_report,
+        validate_verify_report,
+        write_verify_report,
+    )
+    from .runner import ALL_CHECKS, run_verify
+    from .smt import (
+        HAVE_Z3,
+        Z3_PIN,
+        require_z3,
+        smt_batch_equivalence,
+        smt_no_overcommit,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".bounded": (
+        "exhaustive_batch_equivalence", "exhaustive_no_overcommit",
+        "iter_release_patterns",
+    ),
+    ".instances": (
+        "INSTANCE_CLASS", "CheckResult", "Counterexample", "VerifyBound",
+        "build_chain_controller", "replay_batch_equivalence",
+        "replay_no_overcommit", "sequential_slot_decisions",
+        "simulate_sequential",
+    ),
+    ".mutants": ("MUTANTS", "mutant_admit_on_full", "mutant_ignore_contention"),
+    ".report": (
+        "VERIFY_REPORT_SCHEMA", "build_verify_report", "load_verify_report",
+        "validate_verify_report", "write_verify_report",
+    ),
+    ".runner": ("ALL_CHECKS", "run_verify"),
+    ".smt": (
+        "HAVE_Z3", "Z3_PIN", "require_z3", "smt_batch_equivalence",
+        "smt_no_overcommit",
+    ),
+})

@@ -189,10 +189,10 @@ def _chain_fixture(servers: int):
     """(graph, registry, routes) for the ``servers``-link chain —
     cached because exhaustive runs build thousands of controllers."""
     from ..routing.shortest import shortest_path_routes
-    from ..topology import LinkServerGraph
     from ..topology.builders import line_network
-    from ..traffic import ClassRegistry, voice_class
-    from ..traffic.generators import all_ordered_pairs
+    from ..topology.servergraph import LinkServerGraph
+    from ..traffic.classes import ClassRegistry
+    from ..traffic.generators import all_ordered_pairs, voice_class
 
     network = line_network(servers + 1)
     graph = LinkServerGraph(network)

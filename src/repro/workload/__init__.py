@@ -9,52 +9,54 @@ Zipf-skewed pair popularity (:mod:`~repro.workload.popularity`),
 and the admission throughput bench.
 """
 
-from .adversarial import (
-    AdversaryModel,
-    adversarial_events,
-    hot_servers,
-    validate_adversarial_events,
-)
-from .arrivals import (
-    RAMP_SHAPES,
-    ArrivalSchedule,
-    open_loop_schedule,
-    ramp_schedule,
-)
-from .loadgen import (
-    LoadgenResult,
-    assign_priorities,
-    drive,
-    parse_priority_mix,
-    schedule_events,
-)
-from .popularity import ZipfPairPopularity
-from .trace import (
-    TRACE_SCHEMA,
-    TraceEvent,
-    read_trace,
-    trace_lines,
-    write_trace,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AdversaryModel",
-    "ArrivalSchedule",
-    "LoadgenResult",
-    "RAMP_SHAPES",
-    "TRACE_SCHEMA",
-    "TraceEvent",
-    "ZipfPairPopularity",
-    "adversarial_events",
-    "assign_priorities",
-    "drive",
-    "hot_servers",
-    "open_loop_schedule",
-    "parse_priority_mix",
-    "ramp_schedule",
-    "read_trace",
-    "schedule_events",
-    "trace_lines",
-    "validate_adversarial_events",
-    "write_trace",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .adversarial import (
+        AdversaryModel,
+        adversarial_events,
+        hot_servers,
+        validate_adversarial_events,
+    )
+    from .arrivals import (
+        RAMP_SHAPES,
+        ArrivalSchedule,
+        open_loop_schedule,
+        ramp_schedule,
+    )
+    from .loadgen import (
+        LoadgenResult,
+        assign_priorities,
+        drive,
+        parse_priority_mix,
+        schedule_events,
+    )
+    from .popularity import ZipfPairPopularity
+    from .trace import (
+        TRACE_SCHEMA,
+        TraceEvent,
+        read_trace,
+        trace_lines,
+        write_trace,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    ".adversarial": (
+        "AdversaryModel", "adversarial_events", "hot_servers",
+        "validate_adversarial_events",
+    ),
+    ".arrivals": (
+        "RAMP_SHAPES", "ArrivalSchedule", "open_loop_schedule", "ramp_schedule",
+    ),
+    ".loadgen": (
+        "LoadgenResult", "assign_priorities", "drive", "parse_priority_mix",
+        "schedule_events",
+    ),
+    ".popularity": ("ZipfPairPopularity",),
+    ".trace": (
+        "TRACE_SCHEMA", "TraceEvent", "read_trace", "trace_lines",
+        "write_trace",
+    ),
+})

@@ -16,7 +16,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.process import (
     process_memory_bytes,
     process_memory_mb,
-    process_memory_text,
+    process_start_time,
+    process_text,
+    startup_seconds,
 )
 from repro.obs.trace import Tracer
 
@@ -246,8 +248,34 @@ class TestProcessMemory:
         assert peak == pytest.approx(process_memory_bytes()[1], rel=0.05)
 
     def test_exposition_text_parses(self):
-        samples = parse_prometheus_text(process_memory_text())
+        samples = parse_prometheus_text(process_text())
         assert set(samples) == {
             ("process_resident_memory_bytes", ()),
             ("process_peak_resident_memory_bytes", ()),
+            ("process_start_time_seconds", ()),
         }
+        assert samples[("process_start_time_seconds", ())] == pytest.approx(
+            process_start_time(), abs=0.01
+        )
+
+
+class TestProcessStartTime:
+    def test_start_precedes_now_and_does_not_move(self):
+        import time
+
+        started = process_start_time()
+        # pytest has been up for a while, and not since before the epoch.
+        assert 0.05 < time.time() - started < 86400.0
+        assert process_start_time() == started
+
+    def test_falls_back_to_import_time_without_procfs(self, monkeypatch):
+        def no_procfs(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(process, "open", no_procfs, raising=False)
+        assert process_start_time.__wrapped__() == process._IMPORTED_AT
+
+    def test_startup_seconds_is_listening_minus_start(self):
+        started = process_start_time()
+        assert startup_seconds(started + 0.4321) == pytest.approx(0.432)
+        assert startup_seconds(started - 5.0) == 0.0

@@ -431,6 +431,18 @@ def test_top_renders_live_stats(served, capsys):
     assert "SLO" in out
     assert out.count("uptime") == 2  # one header per refresh
     assert re.search(r"rss \d+\.\d MB \(peak \d+\.\d\)", out)
+    assert re.search(r"startup: \d+\.\d\d s", out)
+    assert "last restart" not in out  # a single server has no supervisor
+
+
+def test_top_shows_the_last_worker_restart_gap():
+    from repro.experiments.cli import _render_top
+
+    stats = {"controller": "cluster", "startup_seconds": 1.234}
+    assert "last restart" not in _render_top(stats, None, 1.0)
+    stats["last_restart_seconds"] = 0.481
+    header = _render_top(stats, None, 1.0).splitlines()[0]
+    assert header.endswith("startup: 1.23 s   last restart: 0.48 s")
 
 
 def test_top_connect_failure(tmp_path, capsys):

@@ -20,6 +20,7 @@ the kill -9 worker chaos path, and the merged-manifest restart.
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -428,6 +429,13 @@ class TestClusterEndToEnd:
                     sum(w["rss_mb"] for w in stats["per_worker"]), abs=0.2
                 )
                 assert stats["rss_mb"] <= stats["peak_rss_mb"]
+                # Start-up is visible: the front door's own (which waited
+                # for both workers) and each worker's; nothing restarted.
+                assert all(
+                    0.0 < w["startup_seconds"] < stats["startup_seconds"]
+                    for w in stats["per_worker"]
+                )
+                assert stats["last_restart_seconds"] is None
                 # query and release land on the committing worker.
                 assert client.query(admitted[0]) is True
                 assert client.release(admitted[0]) is True
@@ -473,6 +481,15 @@ class TestClusterEndToEnd:
                 assert (
                     client.stats()["established"] == len(admitted) + 1
                 )
+                # The supervisor timed the gap: death -> healthy again
+                # (it may note it a poll after the router reconnected).
+                deadline = time.monotonic() + 10.0
+                while (
+                    client.stats()["last_restart_seconds"] is None
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.05)
+                assert 0.0 < client.stats()["last_restart_seconds"] < 30.0
 
     def test_drain_merges_manifest_and_resized_restart_readmits(
         self, tmp_path, mci_pairs

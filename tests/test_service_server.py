@@ -645,6 +645,9 @@ class TestLifecycleAndSnapshots:
         assert stats["admitted_total"] == 1
         assert stats["rejected_total"] == 0
         assert 1.0 < stats["rss_mb"] <= stats["peak_rss_mb"] < 4096.0
+        # Process start -> listening socket: fixed once the socket is
+        # open, so it does not grow with uptime.
+        assert 0.0 < stats["startup_seconds"] < 86400.0
 
     def test_snapshot_requires_restorable_controller(self, tmp_path):
         class NoRestore:

@@ -16,6 +16,7 @@ import pytest
 from repro import obs
 from repro.obs import OBS
 from repro.obs.export import parse_prometheus_text
+from repro.obs.process import process_start_time
 from repro.service import (
     AdmissionService,
     AsyncServiceClient,
@@ -308,6 +309,7 @@ class TestMetricsEndpoint:
         rss = samples[("process_resident_memory_bytes", ())]
         peak = samples[("process_peak_resident_memory_bytes", ())]
         assert 1 << 20 < rss <= peak < 1 << 32
+        started = samples[("process_start_time_seconds", ())]
         assert json.loads(stats[1])["peak_rss_mb"] == pytest.approx(
             peak / 2 ** 20, abs=8.0
         )
@@ -315,6 +317,14 @@ class TestMetricsEndpoint:
         health = json.loads(healthz[1])
         assert health["status"] == "ok"
         assert health["slo"]["requests"] >= 3
+        # Process start -> listening is the same from health and stats;
+        # the process start itself is the /metrics gauge.
+        assert (
+            0.0
+            < health["startup_seconds"]
+            == json.loads(stats[1])["startup_seconds"]
+        )
+        assert started == pytest.approx(process_start_time(), abs=0.01)
         assert json.loads(stats[1])["established"] == 3
         assert missing[0] == 404
 
@@ -376,6 +386,7 @@ class TestMetricsEndpoint:
             < samples[("process_resident_memory_bytes", ())]
             <= samples[("process_peak_resident_memory_bytes", ())]
         )
+        assert samples[("process_start_time_seconds", ())] > 1e9
 
 
 class TestSLOSurface:

@@ -132,3 +132,29 @@ def test_to_networkx_is_copy(triangle):
     g = triangle.to_networkx()
     g.remove_node("a")
     assert "a" in triangle  # original unaffected
+
+
+def test_graph_is_a_frozen_view_that_follows_the_network(triangle):
+    import networkx as nx
+
+    view = triangle.graph
+    assert triangle.graph is view  # derived once, then cached
+    for mutate in (
+        lambda: view.remove_edge("a", "b"),
+        lambda: view.add_edge("a", "z"),
+        lambda: view.remove_node("c"),
+    ):
+        with pytest.raises(nx.NetworkXError):
+            mutate()
+    assert triangle.has_link("a", "b")
+    assert "z" not in triangle and "c" in triangle
+    # The private copy stays editable and carries the capacities.
+    mutable = triangle.to_networkx()
+    assert mutable.edges["b", "c"]["capacity"] == 50e6
+    mutable.remove_edge("a", "b")
+    assert view.has_edge("a", "b")
+    # Editing the Network is seen by the next read of the view.
+    triangle.add_router("d")
+    assert "d" in triangle.graph and "d" not in view
+    triangle.add_link("d", "a", capacity=5e6)
+    assert triangle.graph.edges["a", "d"]["capacity"] == 5e6
