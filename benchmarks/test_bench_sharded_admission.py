@@ -1,24 +1,35 @@
-"""Ext-L: sharded (coordination-free) vs shared-ledger admission.
+"""Ext-L: the admitted-share price of ``serve --workers N``.
 
-Quota sharding makes every edge-router decision purely local — no shared
-state — at the cost of capacity fragmentation.  The bench replays the
-same Poisson workload through both controllers and reports blocking and
-decision cost; sharding must never admit beyond the shared certificate.
+A cluster of N workers partitions every link's verified slots N ways
+(:func:`~repro.admission.sharded.plan_slot_shards`) and routes each flow
+to the worker owning its id on the consistent-hash ring — decisions are
+purely local, at the cost of capacity fragmentation: a flow can be
+rejected by its owner while another worker still holds free slots on the
+same links.  The bench replays one Poisson workload through the shared
+ledger and through N in {1, 2, 4} in-process
+:class:`~repro.admission.sharded.SlotShardController`\\ s, flows routed by
+``HashRing.worker_of(flow_id)`` exactly as ``ClusterRouter`` does, and
+reports blocking per N.  Sharding must never admit beyond the shared
+certificate, and one shard *is* the shared ledger.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.admission import (
-    ShardedAdmissionController,
+    SlotShardController,
     UtilizationAdmissionController,
     replay_schedule,
 )
 from repro.experiments import format_table
+from repro.service.router import HashRing
 from repro.traffic.generators import poisson_flow_schedule
 
 # Tight utilization so blocking actually occurs at this load.
 ALPHA = 0.02
+SHARD_COUNTS = (1, 2, 4)
 
 
 @pytest.fixture(scope="module")
@@ -29,61 +40,100 @@ def workload(scenario):
     )
 
 
-def _run(scenario, sp_routes, controller_cls, workload):
-    ctrl = controller_cls(
+def _replay_shared(scenario, sp_routes, workload):
+    ctrl = UtilizationAdmissionController(
         scenario.graph, scenario.registry, {"voice": ALPHA}, sp_routes
     )
     return ctrl, replay_schedule(ctrl, workload)
 
 
-def test_bench_sharded_vs_shared(benchmark, scenario, sp_routes, workload,
-                                 capsys):
-    def run_both():
-        shared = _run(
-            scenario, sp_routes, UtilizationAdmissionController, workload
+def _replay_cluster(scenario, sp_routes, workload, n):
+    """N shards behind the router's ring; one stats object per shard."""
+    ring = HashRing(n)
+    shards = [
+        SlotShardController(
+            scenario.graph, scenario.registry, {"voice": ALPHA}, sp_routes,
+            shard_index=i, shard_count=n,
         )
-        sharded = _run(
-            scenario, sp_routes, ShardedAdmissionController, workload
-        )
-        return shared, sharded
+        for i in range(n)
+    ]
+    # Shards share no state, so replaying each owner's sub-schedule on
+    # its own decides exactly what the interleaved cluster would.
+    owned = [[] for _ in range(n)]
+    for event in workload:
+        owned[ring.worker_of(event.flow.flow_id)].append(event)
+    return shards, [
+        replay_schedule(shard, events)
+        for shard, events in zip(shards, owned)
+    ]
 
-    (shared_ctrl, shared), (sharded_ctrl, sharded) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
+
+def _row(label, stats):
+    """One table row over the per-ledger stats of a deployment."""
+    attempts = sum(s.attempts for s in stats)
+    latencies = np.concatenate([s.decision_seconds for s in stats])
+    return [
+        label,
+        attempts,
+        sum(s.admitted for s in stats),
+        f"{sum(s.rejected for s in stats) / attempts:.3f}",
+        f"{latencies.mean() * 1e6:.1f} us",
+    ]
+
+
+def test_bench_slot_shards_vs_shared(benchmark, scenario, sp_routes,
+                                     workload, capsys):
+    def run_all():
+        shared = _replay_shared(scenario, sp_routes, workload)
+        clusters = {
+            n: _replay_cluster(scenario, sp_routes, workload, n)
+            for n in SHARD_COUNTS
+        }
+        return shared, clusters
+
+    (shared_ctrl, shared), clusters = benchmark.pedantic(
+        run_all, rounds=1, iterations=1
     )
+    rows = [_row("shared ledger", [shared])] + [
+        _row(f"{n} slot shard{'s' if n > 1 else ''}", stats)
+        for n, (_shards, stats) in clusters.items()
+    ]
     with capsys.disabled():
         print()
         print(
             format_table(
-                ["metric", "shared ledger", "sharded (local)"],
-                [
-                    ["attempts", shared.attempts, sharded.attempts],
-                    ["blocking probability",
-                     f"{shared.blocking_probability:.3f}",
-                     f"{sharded.blocking_probability:.3f}"],
-                    ["peak concurrent", shared.peak_population,
-                     sharded.peak_population],
-                    ["mean decision",
-                     f"{shared.mean_decision_seconds * 1e6:.1f} us",
-                     f"{sharded.mean_decision_seconds * 1e6:.1f} us"],
-                    ["fragmentation", "-",
-                     f"{sharded_ctrl.fragmentation('voice'):.2f}"],
-                ],
-                title=f"Ext-L: admission architectures at alpha = {ALPHA}",
+                ["ledger", "attempts", "admitted", "blocking probability",
+                 "mean decision"],
+                rows,
+                title=(
+                    "Ext-L: admitted-share price of serve --workers N "
+                    f"at alpha = {ALPHA}"
+                ),
             )
         )
-    # Fragmentation can only cost capacity, never create it.
-    assert sharded.admitted <= shared.admitted
-    # Both stay within the verified certificate.
-    np.testing.assert_array_equal(
-        sharded_ctrl.total_quota("voice"),
-        shared_ctrl.ledger.slots("voice"),
-    )
+    verified = shared_ctrl.ledger.slots("voice")
+    for n, (shards, stats) in clusters.items():
+        # Every arrival reached exactly one owner.
+        assert sum(s.attempts for s in stats) == shared.attempts
+        # Fragmentation can only cost capacity, never create it.
+        assert sum(s.admitted for s in stats) <= shared.admitted
+        # The shards partition the verified certificate exactly.
+        np.testing.assert_array_equal(
+            sum(shard.shard_slots("voice") for shard in shards), verified
+        )
+    # One shard is the shared ledger: same flows, decision for decision.
+    (_only,), (single,) = clusters[1]
+    assert single.admitted_ids == shared.admitted_ids
+    assert single.rejected == shared.rejected
 
 
 @pytest.mark.parametrize(
     "controller_cls",
-    [UtilizationAdmissionController, ShardedAdmissionController],
-    ids=["shared", "sharded"],
+    [
+        UtilizationAdmissionController,
+        partial(SlotShardController, shard_index=0, shard_count=2),
+    ],
+    ids=["shared", "slotshard"],
 )
 def test_bench_decision_cost(benchmark, scenario, sp_routes,
                              controller_cls):

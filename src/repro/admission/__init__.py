@@ -10,7 +10,6 @@ if TYPE_CHECKING:
     from .batch import (
         PADDING_FREE,
         batch_slot_decisions,
-        batch_slot_decisions_numpy,
         flat_committed_servers,
         pad_server_matrix,
     )
@@ -19,6 +18,7 @@ if TYPE_CHECKING:
         HAVE_NUMBA,
         active_slot_kernel,
         available_slot_kernels,
+        batch_slot_decisions_numpy,
         batch_slot_decisions_sequential,
         set_slot_kernel,
         use_slot_kernel,
@@ -26,31 +26,25 @@ if TYPE_CHECKING:
     )
     from .flowtable import FlowTable
     from .ledger import UtilizationLedger
-    from .sharded import (
-        ShardedAdmissionController,
-        SlotShardController,
-        plan_slot_shards,
-    )
+    from .sharded import SlotShardController, plan_slot_shards
     from .statistics import ReplayStats, replay_schedule
     from .utilization import UtilizationAdmissionController
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".base": ("AdmissionController", "AdmissionDecision"),
     ".batch": (
-        "PADDING_FREE", "batch_slot_decisions", "batch_slot_decisions_numpy",
-        "flat_committed_servers", "pad_server_matrix",
+        "PADDING_FREE", "batch_slot_decisions", "flat_committed_servers",
+        "pad_server_matrix",
     ),
     ".flowaware": ("FlowAwareAdmissionController",),
     ".kernels": (
         "HAVE_NUMBA", "active_slot_kernel", "available_slot_kernels",
-        "batch_slot_decisions_sequential", "set_slot_kernel", "use_slot_kernel",
-        "warm_slot_kernel",
+        "batch_slot_decisions_numpy", "batch_slot_decisions_sequential",
+        "set_slot_kernel", "use_slot_kernel", "warm_slot_kernel",
     ),
     ".flowtable": ("FlowTable",),
     ".ledger": ("UtilizationLedger",),
-    ".sharded": (
-        "ShardedAdmissionController", "SlotShardController", "plan_slot_shards",
-    ),
+    ".sharded": ("SlotShardController", "plan_slot_shards"),
     ".statistics": ("ReplayStats", "replay_schedule"),
     ".utilization": ("UtilizationAdmissionController",),
 })

@@ -25,7 +25,6 @@ Pair = Tuple[Hashable, Hashable]
 #: Stable metric-label keys for the controllers' free-text reject reasons.
 _REASON_PREFIXES = (
     ("utilization limit", "utilization_limit"),
-    ("edge", "edge_quota"),
     ("analysis rejected", "analysis_error"),
     ("flow-aware analysis diverged", "analysis_diverged"),
 )

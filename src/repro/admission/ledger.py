@@ -316,6 +316,21 @@ class UtilizationLedger:
             self._used[class_name] > self._capacity_full[class_name]
         )
 
+    def verified_headroom(self) -> float:
+        """Free fraction of the **verified** slot capacity, all classes.
+
+        The governor's pressure signal: measured against the certified
+        ceiling, not the degraded/effective one, so a DEC move never
+        feeds back into its own input.  1.0 when nothing is certified.
+        """
+        total = used = 0
+        for name in self._class_names:
+            total += int(self._capacity_full[name].sum())
+            used += int(self._used[name].sum())
+        if total <= 0:
+            return 1.0
+        return max(0.0, (total - used) / total)
+
     def occupancy(self, class_name: str) -> Dict[str, np.ndarray]:
         """Used / effective / verified slot vectors of a class (copies)."""
         self._check_class(class_name)

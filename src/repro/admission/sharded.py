@@ -1,59 +1,40 @@
-"""Sharded (per-edge-router) admission control.
+"""Slot sharding: the one notion of "a shard" in this codebase.
 
-The controllers in :mod:`repro.admission.utilization` keep one logical
-utilization ledger.  In a deployed DiffServ network the paper envisions
-admission decisions at the *edge*; a shared ledger then needs a
-consistency protocol between edge routers.  The classic way to avoid it
-is **quota sharding**: every link's slot capacity is split ahead of time
-among the edge routers, and each edge router admits against its private
-share only.
+The paper's run-time state is one slot counter per (link server,
+class), and its safety argument only needs ``used <= verified slots``
+on every server.  A *shard* is therefore just a
+:class:`~repro.admission.ledger.UtilizationLedger` whose capacity is
+one row of :func:`plan_slot_shards` — an exact integer partition of
+every class's verified slot vector among ``n`` owners.  Each owner
+(:class:`SlotShardController`, one per ``serve --workers N`` worker)
+admits against its private row only, so decisions stay purely local and
+the union of all owners' admissions can never over-commit a link no
+matter how they interleave.
 
-Decisions become **purely local** — no coordination at all — at the cost
-of capacity fragmentation: a flow can be rejected at one edge while
-another edge still holds unused quota on the same links.  The bench
-(Ext-K) quantifies that trade against the shared-ledger controller.
-
-Shares default to proportional-to-demand: each edge router receives, for
-every link, a fraction of the slots equal to the fraction of configured
-routes *originating at that edge* that traverse the link (unclaimed
-remainders go round-robin).
+The price is capacity fragmentation: a flow can be rejected by its
+owner while another owner still holds unused slots on the same links.
+The Ext-L bench quantifies that against the shared ledger.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import AdmissionError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
-from ..traffic.flows import FlowSpec
-from .base import AdmissionController, Pair
-from .batch import (
-    PADDING_FREE,
-    batch_slot_decisions,
-    flat_committed_servers,
-    pad_server_matrix,
-)
-from .flowtable import NO_CLASS, FlowTable
+from .base import Pair
 from .utilization import UtilizationAdmissionController
 
 __all__ = [
-    "ShardedAdmissionController",
     "SlotShardController",
     "plan_slot_shards",
 ]
 
-_EMPTY_SERVERS = np.empty(0, dtype=np.int64)
-_ADMITTED = (True, "")
 
-
-def plan_slot_shards(
-    total_slots: np.ndarray,
-    n_shards: int,
-    weights: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def plan_slot_shards(total_slots: np.ndarray, n_shards: int) -> np.ndarray:
     """Partition per-server slot capacity among ``n_shards`` owners.
 
     ``total_slots`` is the verified per-server slot vector of one class;
@@ -63,11 +44,10 @@ def plan_slot_shards(
     preserves the certified utilization bound no matter how the owners
     interleave.
 
-    ``weights`` (same shape as the result) biases the split
-    proportionally per server; omitted or all-zero columns fall back to
-    uniform.  Flooring leaves a remainder of at most ``n_shards - 1``
-    slots per server, handed out round-robin by descending fractional
-    part so the split is deterministic.
+    The split is ``divmod``: every owner gets ``total // n_shards``
+    slots of a server and the first ``total % n_shards`` owners one
+    more, so the plan is deterministic and a restarted shard recomputes
+    the row its snapshot was taken under.
     """
     if n_shards < 1:
         raise AdmissionError(f"need at least one shard, got {n_shards}")
@@ -76,410 +56,8 @@ def plan_slot_shards(
         raise AdmissionError("total_slots must be one-dimensional")
     if np.any(total < 0):
         raise AdmissionError("total_slots must be non-negative")
-    n_servers = total.shape[0]
-    if weights is None:
-        weights = np.ones((n_shards, n_servers), dtype=np.float64)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n_shards, n_servers):
-            raise AdmissionError(
-                f"weights shape {weights.shape} != {(n_shards, n_servers)}"
-            )
-        if np.any(weights < 0):
-            raise AdmissionError("shard weights must be non-negative")
-    col_sums = weights.sum(axis=0)
-    uniform = np.full(n_shards, 1.0 / n_shards)
-    shares = np.where(
-        col_sums > 0,
-        weights / np.where(col_sums > 0, col_sums, 1.0),
-        uniform[:, None],
-    )
-    raw = shares * total[None, :]
-    quota = np.floor(raw).astype(np.int64)
-    remainder = total - quota.sum(axis=0)
-    frac = raw - np.floor(raw)
-    # Hand out remainders to the largest fractional parts per server.
-    order = np.argsort(-frac, axis=0, kind="stable")
-    for s in range(n_servers):
-        for r in range(int(remainder[s])):
-            quota[order[r % n_shards, s], s] += 1
-    assert np.all(quota.sum(axis=0) == total)
-    return quota
-
-
-class ShardedAdmissionController(AdmissionController):
-    """Coordination-free edge admission via per-edge slot quotas.
-
-    Parameters
-    ----------
-    alphas:
-        The verified per-class utilization assignment (same certificate
-        as the shared controller — sharding only *partitions* it, so the
-        hard guarantee is preserved: the sum of shares never exceeds the
-        verified slot counts).
-    """
-
-    def __init__(
-        self,
-        graph: LinkServerGraph,
-        registry: ClassRegistry,
-        alphas: Mapping[str, float],
-        route_map: Mapping[Pair, Sequence[Hashable]],
-    ):
-        super().__init__(graph, registry, route_map)
-        self.alphas = dict(alphas)
-        self._edges: List[Hashable] = sorted(
-            {src for src, _ in route_map}, key=str
-        )
-        if not self._edges:
-            raise AdmissionError("route map has no source edge routers")
-        self._edge_index = {e: i for i, e in enumerate(self._edges)}
-        # quota[class][edge_idx, server] and used[...] mirror it.
-        self._quota: Dict[str, np.ndarray] = {}
-        self._total_slots: Dict[str, np.ndarray] = {}
-        self._used: Dict[str, np.ndarray] = {}
-        self._class_names = [c.name for c in registry.realtime_classes()]
-        self._class_codes = {n: i for i, n in enumerate(self._class_names)}
-        # Server indices per established flow (tag = admitting edge).
-        self._flows = FlowTable(pad=graph.num_servers)
-        self._blocked: np.ndarray = np.zeros(graph.num_servers, dtype=bool)
-        self._degradation = 1.0
-        for cls in registry.realtime_classes():
-            name = cls.name
-            if name not in self.alphas:
-                raise AdmissionError(f"missing alpha for class {name!r}")
-            total = np.floor(
-                float(self.alphas[name]) * graph.capacities / cls.rate
-            ).astype(np.int64)
-            self._total_slots[name] = total
-            self._quota[name] = self._split_quota(total)
-            self._used[name] = np.zeros_like(self._quota[name])
-
-    # ------------------------------------------------------------------ #
-    # quota construction
-    # ------------------------------------------------------------------ #
-
-    def _split_quota(self, total_slots: np.ndarray) -> np.ndarray:
-        """Partition per-server slots among edges, demand-weighted.
-
-        For every server, edge ``e``'s weight is the number of configured
-        routes originating at ``e`` that traverse the server.  Weights of
-        zero everywhere fall back to uniform.  Flooring leaves a
-        remainder of at most ``num_edges - 1`` slots per server, handed
-        out round-robin by descending fractional part — the shares always
-        sum to exactly the verified total.
-        """
-        n_edges = len(self._edges)
-        n_servers = self.graph.num_servers
-        weights = np.zeros((n_edges, n_servers), dtype=np.float64)
-        for (src, _dst), path in self.route_map.items():
-            servers = self.graph.route_servers(path)
-            weights[self._edge_index[src], servers] += 1.0
-        return plan_slot_shards(total_slots, n_edges, weights)
-
-    def _effective_total(self, class_name: str) -> np.ndarray:
-        """Verified per-server slots after degradation and dead links."""
-        total = np.floor(
-            self._total_slots[class_name] * self._degradation
-        ).astype(np.int64)
-        total[self._blocked] = 0
-        return total
-
-    # ------------------------------------------------------------------ #
-    # degraded operation (fault tolerance)
-    # ------------------------------------------------------------------ #
-
-    def rebalance(
-        self,
-        routes: Optional[Mapping[Pair, Sequence[Hashable]]] = None,
-    ) -> None:
-        """Re-split every quota against the current demand pattern.
-
-        Called after a failure transition: with ``routes`` given, the
-        configured route map is replaced first (see
-        :meth:`~repro.admission.base.AdmissionController.update_routes`),
-        then each class's effective slot total — dead servers zeroed,
-        degradation applied — is re-partitioned demand-weighted.  Usage
-        is preserved verbatim; an edge left with ``used > quota`` simply
-        cannot admit until it drains.
-        """
-        if routes is not None:
-            self.update_routes(routes)
-        for name in self._quota:
-            self._quota[name] = self._split_quota(
-                self._effective_total(name)
-            )
-
-    def block_servers(self, servers: Sequence[int]) -> None:
-        """Zero every edge's quota on dead link servers and rebalance."""
-        self._blocked[np.asarray(servers, dtype=np.int64)] = True
-        self.rebalance()
-
-    def unblock_servers(self, servers: Sequence[int]) -> None:
-        """Restore quota capacity on recovered link servers."""
-        self._blocked[np.asarray(servers, dtype=np.int64)] = False
-        self.rebalance()
-
-    def enter_degraded_mode(self, factor: float) -> None:
-        """Scale every quota to ``factor`` of the verified slots."""
-        if not (0.0 < factor <= 1.0):
-            raise AdmissionError(
-                f"degradation factor must be in (0, 1], got {factor}"
-            )
-        self._degradation = float(factor)
-        self.rebalance()
-
-    def exit_degraded_mode(self) -> None:
-        self._degradation = 1.0
-        self.rebalance()
-
-    @property
-    def degraded_factor(self) -> float:
-        return self._degradation
-
-    @property
-    def in_degraded_mode(self) -> bool:
-        return self._degradation < 1.0
-
-    # ------------------------------------------------------------------ #
-    # controller hooks
-    # ------------------------------------------------------------------ #
-
-    def _admit_impl(
-        self, flow: FlowSpec, route: Sequence[Hashable]
-    ) -> Tuple[bool, str]:
-        cls = self.registry.get(flow.class_name)
-        if not cls.is_realtime:
-            self._flows.add(flow.flow_id, NO_CLASS, _EMPTY_SERVERS)
-            return True, ""
-        edge = flow.source
-        if edge not in self._edge_index:
-            return False, (
-                f"edge router {edge!r} holds no quota "
-                "(not a configured source)"
-            )
-        e = self._edge_index[edge]
-        servers = self._servers_for(flow, route)
-        quota = self._quota[flow.class_name]
-        used = self._used[flow.class_name]
-        if np.any(used[e, servers] >= quota[e, servers]):
-            return False, (
-                f"edge {edge!r} exhausted its {flow.class_name!r} quota "
-                "on the path"
-            )
-        used[e, servers] += 1
-        self._flows.add(
-            flow.flow_id, self._class_codes[flow.class_name], servers,
-            tag=e,
-        )
-        return True, ""
-
-    def _release_impl(
-        self, flow: FlowSpec, route: Sequence[Hashable]
-    ) -> None:
-        code, servers, e = self._flows.pop(flow.flow_id)
-        if code == NO_CLASS:
-            return
-        name = self._class_names[code]
-        self._used[name][e, servers] -= 1
-        if np.any(self._used[name][e, servers] < 0):
-            raise AdmissionError("quota accounting went negative")
-
-    def _admit_batch_impl(
-        self,
-        flows: Sequence[FlowSpec],
-        routes: Sequence[Sequence[Hashable]],
-    ) -> List[Tuple[bool, str]]:
-        """Vectorized batch decision over the per-edge quota shards.
-
-        The kernel runs once per class on a combined ``edge * S +
-        server`` index space: flows admitted at different edges never
-        share a combined index, so one call resolves every shard's
-        intra-batch contention at once while staying decision-identical
-        to the sequential loop.
-        """
-        table = self._flows
-        codes = self._class_codes
-        n_servers = self.graph.num_servers
-        n_cells = len(self._edges) * n_servers
-        outcomes: List[Tuple[bool, str]] = [_ADMITTED] * len(flows)
-        by_class: Dict[str, List[int]] = {}
-        best_effort: List[FlowSpec] = []
-        for i, flow in enumerate(flows):
-            if flow.class_name not in codes:
-                self.registry.get(flow.class_name)
-                best_effort.append(flow)
-            elif flow.source not in self._edge_index:
-                outcomes[i] = (
-                    False,
-                    f"edge router {flow.source!r} holds no quota "
-                    "(not a configured source)",
-                )
-            else:
-                by_class.setdefault(flow.class_name, []).append(i)
-        for flow in best_effort:
-            table.add(flow.flow_id, NO_CLASS, _EMPTY_SERVERS)
-        for name, members in by_class.items():
-            rows = [
-                self._servers_for(flows[i], routes[i]) for i in members
-            ]
-            matrix, lengths = pad_server_matrix(rows, n_servers)
-            edge_col = np.fromiter(
-                (self._edge_index[flows[i].source] for i in members),
-                dtype=np.int64,
-                count=len(members),
-            )
-            combined = matrix + edge_col[:, None] * n_servers
-            combined[matrix == n_servers] = n_cells
-            free = np.empty(n_cells + 1, dtype=np.int64)
-            np.subtract(
-                self._quota[name].reshape(-1),
-                self._used[name].reshape(-1),
-                out=free[:n_cells],
-            )
-            free[n_cells] = PADDING_FREE
-            admitted = batch_slot_decisions(combined, free)
-            ok = np.flatnonzero(admitted)
-            if ok.size:
-                flat = flat_committed_servers(combined, admitted, n_cells)
-                np.add.at(self._used[name].reshape(-1), flat, 1)
-                table.add_batch(
-                    [flows[members[r]].flow_id for r in ok],
-                    self._class_codes[name],
-                    matrix[ok],
-                    lengths[ok],
-                    tags=edge_col[ok],
-                )
-            for r in np.flatnonzero(~admitted):
-                i = members[r]
-                outcomes[i] = (
-                    False,
-                    f"edge {flows[i].source!r} exhausted its "
-                    f"{name!r} quota on the path",
-                )
-        return outcomes
-
-    def _release_batch_impl(
-        self,
-        flows: Sequence[FlowSpec],
-        routes: Sequence[Sequence[Hashable]],
-    ) -> None:
-        codes, matrix, _lengths, tags = self._flows.pop_batch(
-            [f.flow_id for f in flows]
-        )
-        pad = self._flows.pad
-        n_servers = self.graph.num_servers
-        for code in np.unique(codes):
-            if code == NO_CLASS:
-                continue
-            name = self._class_names[int(code)]
-            used = self._used[name].reshape(-1)
-            mask = codes == code
-            sel = matrix[mask]
-            combined = sel + tags[mask][:, None] * n_servers
-            counts = np.bincount(
-                combined[sel != pad], minlength=used.size
-            )
-            used -= counts
-            if np.any(used < 0):
-                raise AdmissionError("quota accounting went negative")
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def edges(self) -> List[Hashable]:
-        return list(self._edges)
-
-    def quota_of(self, class_name: str, edge: Hashable) -> np.ndarray:
-        """Per-server slot quota a given edge router holds."""
-        return self._quota[class_name][self._edge_index[edge]].copy()
-
-    def total_quota(self, class_name: str) -> np.ndarray:
-        """Sum of all shares — equals the shared controller's slots."""
-        return self._quota[class_name].sum(axis=0)
-
-    def verify_invariants(self) -> List[str]:
-        """Base bookkeeping checks plus the quota-partition safety
-        argument.
-
-        Sharding preserves the paper's certificate through two
-        properties checked here: every class's quota matrix columns sum
-        to **exactly** the effective per-server totals (the partition
-        never mints capacity), and summed usage across all edges never
-        exceeds the *verified* totals (an individual edge sitting above
-        its quota after a rebalance is legal — it just cannot admit —
-        but the network-wide sum must stay certified).  Per-edge usage
-        is also reconstructed from the established flows' committed
-        server sets.
-        """
-        problems = super().verify_invariants()
-        expected: Dict[str, np.ndarray] = {
-            name: np.zeros_like(self._used[name])
-            for name in self._class_names
-        }
-        for fid in self._established:
-            if fid not in self._flows:
-                problems.append(
-                    f"established flow {fid!r} missing from the flow "
-                    "table"
-                )
-                continue
-            code, servers, edge = self._flows.entry(fid)
-            if code == NO_CLASS:
-                continue
-            np.add.at(
-                expected[self._class_names[code]][edge], servers, 1
-            )
-        for name in self._class_names:
-            used = self._used[name]
-            if np.any(used < 0):
-                problems.append(
-                    f"negative quota usage for class {name!r}"
-                )
-            effective = self._effective_total(name)
-            col_sums = self._quota[name].sum(axis=0)
-            if not np.array_equal(col_sums, effective):
-                diff = np.flatnonzero(col_sums != effective)
-                problems.append(
-                    f"quota partition of class {name!r} mints or loses "
-                    f"capacity on servers {diff.tolist()}"
-                )
-            total_used = used.sum(axis=0)
-            over = np.flatnonzero(total_used > self._total_slots[name])
-            for s in over:
-                problems.append(
-                    f"over-commit: class {name!r} server {int(s)} holds "
-                    f"{int(total_used[s])} slots across all edges but "
-                    f"only {int(self._total_slots[name][s])} are "
-                    "verified"
-                )
-            if not np.array_equal(expected[name], used):
-                edges_bad, servers_bad = np.nonzero(
-                    expected[name] != used
-                )
-                problems.append(
-                    f"quota ledger mismatch: class {name!r} usage at "
-                    f"(edge, server) cells "
-                    f"{list(zip(edges_bad.tolist(), servers_bad.tolist()))} "
-                    "cannot be reconstructed from the established flows"
-                )
-        return problems
-
-    def fragmentation(self, class_name: str) -> float:
-        """Fraction of globally-free slots unusable by the busiest edge.
-
-        0 means no fragmentation right now; approaching 1 means almost
-        all remaining capacity is locked in other edges' quotas.
-        """
-        quota = self._quota[class_name]
-        used = self._used[class_name]
-        free_total = float((quota - used).sum())
-        if free_total == 0:
-            return 0.0
-        per_edge_free = (quota - used).sum(axis=1)
-        return 1.0 - float(per_edge_free.max()) / free_total
+    base, extra = np.divmod(total, n_shards)
+    return base[None, :] + (np.arange(n_shards)[:, None] < extra[None, :])
 
 
 class SlotShardController(UtilizationAdmissionController):

@@ -23,10 +23,13 @@ Safety properties (pinned by the property suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..errors import AdmissionError
 from ..traffic.flows import FlowSpec, priority_rank
+
+if TYPE_CHECKING:
+    from ..admission.utilization import UtilizationAdmissionController
 
 __all__ = ["PreemptionOutcome", "PreemptionPolicy", "Preemptor"]
 
@@ -69,15 +72,14 @@ class PreemptionOutcome:
 
 
 class Preemptor:
-    """Plans and executes evictions against one admission controller.
+    """Plans and executes evictions against one slot-ledger controller
+    (the shared ledger or one shard of it)."""
 
-    Works with any controller exposing the utilization-controller
-    surface (``ledger``, ``established_flows``, ``committed_route``,
-    ``release``, ``admit``); the shared-ledger controller is the
-    production target.
-    """
-
-    def __init__(self, controller, policy: PreemptionPolicy = PreemptionPolicy()):
+    def __init__(
+        self,
+        controller: UtilizationAdmissionController,
+        policy: PreemptionPolicy = PreemptionPolicy(),
+    ):
         self.controller = controller
         self.policy = policy
         self.preempted_total = 0
@@ -103,11 +105,7 @@ class Preemptor:
             route = ctrl.resolve_route(flow)
         except AdmissionError as exc:
             return PreemptionOutcome(False, (), str(exc))
-        ledger = getattr(ctrl, "ledger", None)
-        if ledger is None:
-            return PreemptionOutcome(
-                False, (), "controller has no slot ledger"
-            )
+        ledger = ctrl.ledger
         cls = flow.class_name
         try:
             registry_cls = ctrl.registry.get(cls)

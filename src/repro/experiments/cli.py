@@ -196,10 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verified utilization for the configuration",
     )
     f.add_argument(
-        "--controller", choices=["utilization", "sharded"],
-        default="utilization", help="admission controller under test",
-    )
-    f.add_argument(
         "--horizon", type=float, default=2.0, help="simulated seconds"
     )
     f.add_argument("--seed", type=int, default=7, help="scenario seed")
@@ -265,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lg.add_argument(
         "--controller",
-        choices=["utilization", "sharded", "flowaware"],
+        choices=["utilization", "flowaware"],
         default="utilization", help="admission controller under load",
     )
     lg.add_argument(
@@ -430,10 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--topology", choices=["mci", "nsfnet"], default="nsfnet",
         help="backbone to serve admission for",
-    )
-    srv.add_argument(
-        "--controller", choices=["utilization", "sharded"],
-        default="utilization", help="admission controller to front",
     )
     srv.add_argument(
         "--alpha", type=float, default=0.3,
@@ -862,7 +854,6 @@ def _run_faults(args: argparse.Namespace) -> int:
             )
         harness = ChaosHarness(
             cfg,
-            controller=args.controller,
             policy=DegradedModePolicy(
                 alpha_factor=args.alpha_factor,
                 backoff=BackoffPolicy(),
@@ -1043,7 +1034,6 @@ def _connect_service_client(target, socket_path, protocol="v1"):
 
 def _run_loadgen(args: argparse.Namespace) -> int:
     from ..admission.flowaware import FlowAwareAdmissionController
-    from ..admission.sharded import ShardedAdmissionController
     from ..admission.utilization import UtilizationAdmissionController
     from ..workload.arrivals import open_loop_schedule
     from ..workload.loadgen import drive, schedule_events
@@ -1218,10 +1208,6 @@ def _run_loadgen(args: argparse.Namespace) -> int:
         controller = UtilizationAdmissionController(
             graph, registry, alphas, routes
         )
-    elif args.controller == "sharded":
-        controller = ShardedAdmissionController(
-            graph, registry, alphas, routes
-        )
     else:
         controller = FlowAwareAdmissionController(graph, registry, routes)
     result = drive(
@@ -1349,7 +1335,7 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
     """``serve --workers N``: shard workers behind one front door."""
     import asyncio
 
-    from ..errors import ReproError, ServiceError
+    from ..errors import ReproError
     from ..service.cluster import (
         ClusterConfig,
         ClusterSupervisor,
@@ -1369,12 +1355,6 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
         print(
             "FAILURE: --workers spawns its own shard workers; "
             "--shard-index/--shard-count are per-worker flags"
-        )
-        return 2
-    if args.controller != "utilization":
-        print(
-            "FAILURE: a cluster always shards the utilization "
-            "controller (drop --controller)"
         )
         return 2
     unsupported = {
@@ -1404,15 +1384,12 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
             drain_grace=args.drain_grace,
             protocol=args.protocol,
         )
-    except (ServiceError, ReproError, ValueError) as exc:
+    except (ReproError, ValueError) as exc:
         print(f"FAILURE: {exc}")
         return 2
     worker_extra = ["--protocol", args.protocol]
     if args.uvloop:
         worker_extra.append("--uvloop")
-    if args.alpha_ladder is not None and not args.governor:
-        print("FAILURE: --alpha-ladder needs --governor")
-        return 2
     if args.governor:
         worker_extra += [
             "--governor", "--governor-interval",
@@ -1486,26 +1463,32 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
         )
         return 0
 
+    return asyncio.run(_serve())
+
+
+def _run_serve(args: argparse.Namespace) -> int:
+    """``repro-ubac serve``: one process, or ``--workers N`` of them."""
+    from ..errors import ReproError
+
+    if args.alpha_ladder is not None and not args.governor:
+        print("FAILURE: --alpha-ladder needs --governor")
+        return 2
+    run = (
+        _run_serve_single if args.workers is None else _run_serve_cluster
+    )
     try:
-        return asyncio.run(_serve())
-    except (ServiceError, ReproError) as exc:
+        return run(args)
+    except (ReproError, OSError) as exc:
+        # Start-up (bind, restore, spawn) and drain failures alike.
         print(f"FAILURE: {exc}")
         return 1
 
 
-def _run_serve(args: argparse.Namespace) -> int:
+def _run_serve_single(args: argparse.Namespace) -> int:
     import asyncio
 
-    from ..admission.sharded import (
-        ShardedAdmissionController,
-        SlotShardController,
-    )
-    from ..admission.utilization import UtilizationAdmissionController
-    from ..errors import ReproError, ServiceError
+    from ..errors import ReproError
     from ..service.server import AdmissionService, ServiceConfig
-
-    if args.workers is not None:
-        return _run_serve_cluster(args)
 
     shard_mode = (
         args.shard_index is not None or args.shard_count is not None
@@ -1515,12 +1498,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     ):
         print("FAILURE: --shard-index and --shard-count go together")
         return 2
-    if shard_mode and args.controller != "utilization":
-        print(
-            "FAILURE: a shard worker always fronts the utilization "
-            "controller (drop --controller)"
-        )
-        return 2
 
     graph, registry, voice, _pairs, routes = _admission_setup(
         args.topology
@@ -1528,6 +1505,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     alphas = {voice.name: args.alpha}
     try:
         if shard_mode:
+            from ..admission.sharded import SlotShardController
+
             controller = SlotShardController(
                 graph,
                 registry,
@@ -1536,12 +1515,12 @@ def _run_serve(args: argparse.Namespace) -> int:
                 shard_index=args.shard_index,
                 shard_count=args.shard_count,
             )
-        elif args.controller == "utilization":
-            controller = UtilizationAdmissionController(
-                graph, registry, alphas, routes
-            )
         else:
-            controller = ShardedAdmissionController(
+            from ..admission.utilization import (
+                UtilizationAdmissionController,
+            )
+
+            controller = UtilizationAdmissionController(
                 graph, registry, alphas, routes
             )
         config = ServiceConfig(
@@ -1595,9 +1574,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 graph, list(routes.values()), registry, alphas, candidates
             )
             governor = AlphaGovernor(ladder)
-        elif args.alpha_ladder is not None:
-            print("FAILURE: --alpha-ladder needs --governor")
-            return 2
         if args.preempt:
             from ..control.preempt import PreemptionPolicy, Preemptor
 
@@ -1607,7 +1583,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                     max_victims=args.preempt_max_victims
                 ),
             )
-    except (ServiceError, ReproError, ValueError) as exc:
+    except (ReproError, ValueError) as exc:
         print(f"FAILURE: {exc}")
         return 2
     if args.socket is None and args.port is None:
@@ -1655,7 +1631,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         what = (
             f"shard {args.shard_index}/{args.shard_count}"
             if shard_mode
-            else args.controller
+            else "utilization"
         )
         print(
             f"admission service ({what}, "
@@ -1684,11 +1660,9 @@ def _run_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
         if args.serve_seconds is not None:
-            async def _auto_drain() -> None:
-                await asyncio.sleep(args.serve_seconds)
-                await service.drain()
-
-            asyncio.get_running_loop().create_task(_auto_drain())
+            asyncio.get_running_loop().call_later(
+                args.serve_seconds, service.request_drain
+            )
         await service.serve_forever()
         stats = service.stats()
         print(

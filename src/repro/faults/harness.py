@@ -2,7 +2,7 @@
 
 The harness drives three coupled machines through a shared timeline:
 
-* a **run-time admission controller** (shared-ledger or sharded) fed the
+* a **run-time admission controller** (the shared slot ledger) fed the
   flow arrival/departure schedule;
 * the **configuration-time repair machinery** — on a topology fault the
   established flows are partitioned into survivors and casualties, the
@@ -27,8 +27,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from ..admission.base import AdmissionController
-from ..admission.sharded import ShardedAdmissionController
 from ..admission.utilization import UtilizationAdmissionController
 from ..config.configured import ConfiguredNetwork
 from ..config.repair import repair_routes
@@ -73,10 +71,6 @@ class ChaosHarness:
     ----------
     cfg:
         The verified configuration under test.
-    controller:
-        ``"utilization"`` (shared ledger; supports controller
-        crash/restore via snapshots) or ``"sharded"`` (per-edge quotas,
-        rebalanced off dead links; no snapshot support).
     policy:
         Degraded-mode fallback knobs (alpha scale, backoff, repair
         latency).
@@ -108,7 +102,6 @@ class ChaosHarness:
         self,
         cfg: ConfiguredNetwork,
         *,
-        controller: str = "utilization",
         policy: DegradedModePolicy = DegradedModePolicy(),
         options: HeuristicOptions = HeuristicOptions(),
         batch_admission: bool = False,
@@ -116,12 +109,7 @@ class ChaosHarness:
         governor_config=None,
         preemption=None,
     ):
-        if controller not in ("utilization", "sharded"):
-            raise FaultInjectionError(
-                f"unknown controller kind {controller!r}"
-            )
         self.cfg = cfg
-        self.controller_kind = controller
         self.policy = policy
         self.options = options
         self.batch_admission = bool(batch_admission)
@@ -166,11 +154,6 @@ class ChaosHarness:
             e.kind in ("controller_crash", "controller_restore")
             for e in faults
         )
-        if needs_snapshot and self.controller_kind == "sharded":
-            raise FaultInjectionError(
-                "controller crash/restore faults require the "
-                "'utilization' controller (sharded has no snapshots)"
-            )
         if horizon is None:
             horizon = max(
                 max(e.time for e in schedule), faults.horizon
@@ -181,7 +164,7 @@ class ChaosHarness:
             alpha=float(
                 next(iter(self.cfg.alphas.values()))
             ),
-            controller=self.controller_kind,
+            controller="utilization",
             horizon=float(horizon),
             seed=int(seed),
         )
@@ -190,7 +173,6 @@ class ChaosHarness:
         obs_span = (
             OBS.span(
                 "faults.run",
-                controller=self.controller_kind,
                 flow_events=len(schedule),
                 fault_events=len(faults),
             )
@@ -264,14 +246,7 @@ class ChaosHarness:
         self._pending_retries: Dict[Hashable, TransitionRecord] = {}
         self._crash_record: Optional[TransitionRecord] = None
 
-    def _make_controller(self) -> AdmissionController:
-        if self.controller_kind == "sharded":
-            return ShardedAdmissionController(
-                self.cfg.graph,
-                self.cfg.registry,
-                self.cfg.alphas,
-                self.cfg.routes,
-            )
+    def _make_controller(self) -> UtilizationAdmissionController:
         return UtilizationAdmissionController(
             self.cfg.graph,
             self.cfg.registry,
@@ -281,13 +256,10 @@ class ChaosHarness:
 
     def _snapshot(self) -> None:
         if self._needs_snapshot and self._controller_up:
-            self._last_snapshot = self.controller.snapshot()  # type: ignore[attr-defined]
+            self._last_snapshot = self.controller.snapshot()
 
     def _apply_routes(self, routes: Dict[Pair, List[Hashable]]) -> None:
-        if isinstance(self.controller, ShardedAdmissionController):
-            self.controller.rebalance(routes)
-        else:
-            self.controller.update_routes(routes)
+        self.controller.update_routes(routes)
         self._routes.update(routes)
 
     def _count(self, name: str, **labels: str) -> None:
@@ -316,19 +288,6 @@ class ChaosHarness:
         else:
             self.controller.exit_degraded_mode()
 
-    def _headroom(self) -> float:
-        """Free fraction of the verified (not effective) capacity."""
-        ledger = getattr(self.controller, "ledger", None)
-        if ledger is None:
-            return 1.0
-        total = used = 0
-        for cls in self.cfg.registry.realtime_classes():
-            total += int(ledger.verified_slots(cls.name).sum())
-            used += int(ledger.used_view(cls.name).sum())
-        if total <= 0:
-            return 1.0
-        return max(0.0, (total - used) / total)
-
     def _governor_step(self) -> None:
         """One headroom-driven governor observation per arrival.
 
@@ -341,7 +300,10 @@ class ChaosHarness:
         from ..control.governor import GovernorSample
 
         moved = self.governor.observe(
-            GovernorSample(queue_delay=0.0, headroom=self._headroom())
+            GovernorSample(
+                queue_delay=0.0,
+                headroom=self.controller.ledger.verified_headroom(),
+            )
         )
         if moved is not None:
             self._report.governor_moves += 1

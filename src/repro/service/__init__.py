@@ -1,8 +1,9 @@
 """repro.service — the admission controller as a network service.
 
 An asyncio server (:class:`~repro.service.server.AdmissionService`)
-fronts any admission controller over TCP or a Unix socket, speaking the
-newline-delimited JSON protocol of :mod:`repro.service.protocol`
+fronts the slot-ledger admission controller (or one shard of it) over
+TCP or a Unix socket, speaking the newline-delimited JSON protocol of
+:mod:`repro.service.protocol`
 (``repro-admission-rpc/v1``).  Its core is the
 :class:`~repro.service.coalescer.MicroBatchCoalescer`: requests arriving
 within a small window are decided by one vectorized batch-kernel call —

@@ -39,7 +39,8 @@ import logging
 import time
 from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
-from ..admission.base import AdmissionController, AdmissionDecision
+from ..admission.base import AdmissionDecision
+from ..admission.utilization import UtilizationAdmissionController
 from ..errors import AdmissionError, ReproError, ServiceError
 from ..obs import (
     DEFAULT_DEPTH_BUCKETS,
@@ -200,7 +201,9 @@ class MicroBatchCoalescer:
     Parameters
     ----------
     controller:
-        Any :class:`~repro.admission.base.AdmissionController`.
+        The slot-ledger controller
+        (:class:`~repro.admission.utilization.UtilizationAdmissionController`
+        or a shard of one) every op is decided against.
     max_batch:
         Upper bound on ops decided per drain.
     max_delay:
@@ -211,7 +214,7 @@ class MicroBatchCoalescer:
 
     def __init__(
         self,
-        controller: AdmissionController,
+        controller: UtilizationAdmissionController,
         *,
         max_batch: int = 1024,
         max_delay: float = 0.002,
@@ -817,7 +820,6 @@ class MicroBatchCoalescer:
         ordered = [
             i for i in range(len(flows)) if i not in rescued
         ] + sorted(rescued)
-        headroom_fn = getattr(controller, "headroom", None)
         for i in ordered:
             flow, trace, decision = flows[i], traces[i], decisions[i]
             for victim in rescued.get(i, ()):
@@ -834,17 +836,12 @@ class MicroBatchCoalescer:
                     route = list(controller.resolve_route(flow))
             except ReproError:
                 route = None
-            headroom: Optional[int] = None
-            if headroom_fn is not None:
-                try:
-                    headroom = int(
-                        headroom_fn(
-                            flow.class_name,
-                            (flow.source, flow.destination),
-                        )
-                    )
-                except (ReproError, KeyError):
-                    headroom = None
+            try:
+                headroom: Optional[int] = controller.headroom(
+                    flow.class_name, (flow.source, flow.destination)
+                )
+            except (ReproError, KeyError):
+                headroom = None
             audit.record_admit(
                 flow,
                 admitted=decision.admitted,

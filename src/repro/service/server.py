@@ -1,8 +1,10 @@
 """Asyncio admission-control server.
 
-:class:`AdmissionService` fronts any admission controller with the
-wire protocol of :mod:`repro.service.protocol` over TCP or a Unix
-socket.  Framing, negotiation and response writing belong to
+:class:`AdmissionService` fronts a slot-ledger admission controller
+(:class:`~repro.admission.utilization.UtilizationAdmissionController`,
+or a shard of one) with the wire protocol of
+:mod:`repro.service.protocol` over TCP or a Unix socket.  Framing,
+negotiation and response writing belong to
 :mod:`repro.service.conn`; this class is its handler: each parsed frame
 hands its admits/releases to the
 :class:`~repro.service.coalescer.MicroBatchCoalescer` **synchronously,
@@ -43,7 +45,8 @@ from typing import (
     Union,
 )
 
-from ..admission.base import AdmissionController, AdmissionDecision
+from ..admission.base import AdmissionDecision
+from ..admission.utilization import UtilizationAdmissionController
 from ..control.governor import GovernorSample
 from ..errors import (
     AdmissionError,
@@ -212,12 +215,20 @@ class AdmissionService:
 
     def __init__(
         self,
-        controller: AdmissionController,
+        controller: UtilizationAdmissionController,
         config: ServiceConfig = ServiceConfig(),
         *,
         governor: Optional[Any] = None,
         preemptor: Optional[Any] = None,
     ):
+        if not isinstance(controller, UtilizationAdmissionController):
+            # Snapshots, the governor's headroom signal, preemption and
+            # the audit headroom all read the slot ledger.
+            raise ServiceError(
+                f"controller {type(controller).__name__} holds no slot "
+                "ledger; the service fronts a "
+                "UtilizationAdmissionController"
+            )
         self.controller = controller
         self.config = config
         self.coalescer = MicroBatchCoalescer(
@@ -234,12 +245,6 @@ class AdmissionService:
             self.coalescer.preemptor = preemptor
         self.store: Optional[SnapshotStore] = None
         if config.snapshot_path is not None:
-            if getattr(controller, "restore", None) is None:
-                raise ServiceError(
-                    f"controller {type(controller).__name__} has no "
-                    "snapshot support; drop snapshot_path or use the "
-                    "utilization controller"
-                )
             self.store = SnapshotStore(config.snapshot_path)
         self.audit: Optional[AuditLog] = None
         if config.audit_path is not None:
@@ -261,6 +266,7 @@ class AdmissionService:
         self._snapshot_task: Optional["asyncio.Task"] = None
         self._shedding = False
         self._draining = False
+        self._drain_error: Optional[Exception] = None
         self._where = "?"
         self._started_at = time.time()
         # Lifetime counters surfaced by the ``stats`` op.
@@ -372,21 +378,29 @@ class AdmissionService:
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
-                loop.add_signal_handler(sig, self._request_drain)
+                loop.add_signal_handler(sig, self.request_drain)
             except (NotImplementedError, ValueError, RuntimeError):
                 # Non-main thread or platform without signal support
                 # (asyncio wraps the set_wakeup_fd ValueError in a
                 # RuntimeError): callers fall back to stop()/drain().
                 return
 
-    def _request_drain(self) -> None:
-        asyncio.get_running_loop().create_task(self.drain())
+    def request_drain(self) -> None:
+        """Start :meth:`drain` in the background (signal handlers,
+        timers); :meth:`serve_forever` reports how it ended."""
+        task = asyncio.get_running_loop().create_task(self.drain())
+        # serve_forever() re-raises a failed drain; retrieve it here so
+        # the detached task does not also warn at exit.
+        task.add_done_callback(lambda t: t.cancelled() or t.exception())
 
     async def serve_forever(self) -> None:
-        """Block until :meth:`drain` completes."""
+        """Block until :meth:`drain` completes; re-raises its failure
+        (a final snapshot that could not be written)."""
         if self._stopped is None:
             raise ServiceError("service is not started")
         await self._stopped.wait()
+        if self._drain_error is not None:
+            raise self._drain_error
 
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting, answer everything
@@ -418,15 +432,24 @@ class AdmissionService:
         await self._layer.settle()
         await self.coalescer.flush()
         await self.coalescer.stop()
-        self.write_snapshot()
-        if self.audit is not None:
-            self.audit.close()
-        if self.metrics_endpoint is not None:
-            await self.metrics_endpoint.stop()
-            self.metrics_endpoint = None
-        self._layer.close()
-        if self._stopped is not None:
-            self._stopped.set()
+        try:
+            self.write_snapshot()
+        except Exception as exc:
+            # The listeners are already closed: shutdown must finish
+            # (audit fsynced, serve_forever() released) or the process
+            # can only be killed.  The failure is not swallowed.
+            logger.error("final snapshot failed: %s", exc)
+            self._drain_error = exc
+            raise
+        finally:
+            if self.audit is not None:
+                self.audit.close()
+            if self.metrics_endpoint is not None:
+                await self.metrics_endpoint.stop()
+                self.metrics_endpoint = None
+            self._layer.close()
+            if self._stopped is not None:
+                self._stopped.set()
         logger.info("admission service on %s drained", self._where)
 
     async def stop(self) -> None:
@@ -519,22 +542,8 @@ class AdmissionService:
         queue_delay = (pending / self.config.max_batch) * per_batch
         return GovernorSample(
             queue_delay=queue_delay,
-            headroom=self._verified_headroom(),
+            headroom=self.controller.ledger.verified_headroom(),
         )
-
-    def _verified_headroom(self) -> float:
-        """Free fraction of the certified slot capacity (1.0 when the
-        controller holds no slot ledger)."""
-        ledger = getattr(self.controller, "ledger", None)
-        if ledger is None:
-            return 1.0
-        total = used = 0
-        for cls in self.controller.registry.realtime_classes():
-            total += int(ledger.verified_slots(cls.name).sum())
-            used += int(ledger.used_view(cls.name).sum())
-        if total <= 0:
-            return 1.0
-        return max(0.0, (total - used) / total)
 
     def governor_step(self) -> Optional[float]:
         """Run one governor observation; applies any rung move to the
@@ -961,7 +970,7 @@ class AdmissionService:
             return "draining"
         if self._shedding:
             return "overloaded"
-        if bool(getattr(self.controller, "in_degraded_mode", False)):
+        if self.controller.in_degraded_mode:
             return "degraded"
         if self._slo_on and self.slo.snapshot()["breaching"]:
             return "degraded"

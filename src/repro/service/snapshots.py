@@ -16,10 +16,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Sequence
 
-from ..admission.base import AdmissionController
 from ..errors import ServiceError
+
+if TYPE_CHECKING:
+    from ..admission.utilization import UtilizationAdmissionController
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -32,7 +34,9 @@ __all__ = [
 SNAPSHOT_SCHEMA = "repro-admission-snapshot/v1"
 
 
-def service_snapshot(controller: AdmissionController) -> Dict[str, Any]:
+def service_snapshot(
+    controller: UtilizationAdmissionController,
+) -> Dict[str, Any]:
     """Snapshot dict with committed routes pinned.
 
     Unlike ``controller.snapshot()`` (which records the route *request*,
@@ -54,7 +58,7 @@ def service_snapshot(controller: AdmissionController) -> Dict[str, Any]:
         )
     return {
         "schema": SNAPSHOT_SCHEMA,
-        "alphas": dict(getattr(controller, "alphas", {})),
+        "alphas": dict(controller.alphas),
         "flows": flows,
     }
 
@@ -237,7 +241,9 @@ class SnapshotStore:
             )
         return snapshot
 
-    def restore_into(self, controller: AdmissionController) -> int:
+    def restore_into(
+        self, controller: UtilizationAdmissionController
+    ) -> int:
         """Re-admit a stored snapshot into a fresh controller.
 
         Returns the number of flows re-established (0 when no snapshot
@@ -249,13 +255,7 @@ class SnapshotStore:
         snapshot = self.load()
         if snapshot is None:
             return 0
-        restore = getattr(controller, "restore", None)
-        if restore is None:
-            raise ServiceError(
-                f"controller {type(controller).__name__} does not "
-                "support snapshot restore"
-            )
-        restore(
+        controller.restore(
             {
                 "alphas": snapshot.get("alphas", {}),
                 "flows": [

@@ -25,8 +25,8 @@ Three tactics are layered on top of the envelope:
 
 Traces are ordinary :class:`~repro.workload.trace.TraceEvent` streams,
 so the same adversarial workload drives the sequential loop, the batch
-kernel, the sharded controller, the service coalescer and the cluster
-router unchanged.
+kernel, a slot shard, the service coalescer and the cluster router
+unchanged.
 
 Construction-time guard: :func:`adversarial_events` validates its own
 output via :func:`validate_adversarial_events` before returning — a

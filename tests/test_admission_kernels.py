@@ -26,7 +26,6 @@ import pytest
 from repro.admission.batch import (
     PADDING_FREE,
     batch_slot_decisions,
-    batch_slot_decisions_numpy,
     pad_server_matrix,
 )
 from repro.admission.kernels import (
@@ -34,6 +33,7 @@ from repro.admission.kernels import (
     NUMBA_PIN,
     active_slot_kernel,
     available_slot_kernels,
+    batch_slot_decisions_numpy,
     batch_slot_decisions_sequential,
     default_slot_kernel,
     get_slot_kernel,

@@ -106,7 +106,6 @@ class TestHarness:
     def test_chaos_run_survivors_hold(self, cfg, flows):
         harness = ChaosHarness(
             cfg,
-            controller="utilization",
             policy=DegradedModePolicy(repair_latency=0.02),
         )
         report = harness.run(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.admission import SlotShardController
 from repro.config import configure
 from repro.errors import FaultInjectionError
 from repro.faults import (
@@ -50,14 +51,24 @@ def link_faults(cfg):
     return default_link_failure_scenario(cfg, horizon=HORIZON)
 
 
-def run_chaos(cfg, flows, faults, **kwargs):
+class ShardChaosHarness(ChaosHarness):
+    """The same co-simulation over the shard that ships: worker 0 of
+    a 2-worker cluster, admitting against its half of every link."""
+
+    def _make_controller(self):
+        cfg = self.cfg
+        return SlotShardController(
+            cfg.graph, cfg.registry, cfg.alphas, cfg.routes,
+            shard_index=0, shard_count=2,
+        )
+
+
+def run_chaos(cfg, flows, faults, harness=ChaosHarness, **kwargs):
     kwargs.setdefault(
         "policy", DegradedModePolicy(repair_latency=0.02)
     )
-    controller = kwargs.pop("controller", "utilization")
-    harness = ChaosHarness(
+    harness = harness(
         cfg,
-        controller=controller,
         policy=kwargs.pop("policy"),
         batch_admission=kwargs.pop("batch_admission", False),
     )
@@ -163,20 +174,25 @@ class TestLinkFailureTransition:
 class TestShardedController:
     def test_sharded_survives_link_failure(self, cfg, flows, link_faults):
         report = run_chaos(
-            cfg, flows, link_faults, controller="sharded"
+            cfg, flows, link_faults, harness=ShardChaosHarness
         )
         assert report.survivors_held()
         assert report.accounts_for(e.flow.flow_id for e in flows)
 
-    def test_sharded_rejects_controller_faults(self, cfg, flows):
+    def test_sharded_survives_controller_crash(self, cfg, flows):
+        # A shard is a ledger like any other: it snapshots, so
+        # controller crash/restore faults work on it unchanged.
         faults = FaultSchedule(
             [
                 FaultEvent(0.5, "controller_crash"),
                 FaultEvent(0.9, "controller_restore"),
             ]
         )
-        with pytest.raises(FaultInjectionError):
-            run_chaos(cfg, flows, faults, controller="sharded")
+        report = run_chaos(
+            cfg, flows, faults, harness=ShardChaosHarness
+        )
+        assert report.survivors_held()
+        assert report.accounts_for(e.flow.flow_id for e in flows)
 
 
 class TestBatchAdmissionMode:
@@ -212,11 +228,11 @@ class TestBatchAdmissionMode:
         self, cfg, flows, link_faults
     ):
         scalar = run_chaos(
-            cfg, flows, link_faults, controller="sharded",
+            cfg, flows, link_faults, harness=ShardChaosHarness,
             simulate_packets=False,
         )
         batch = run_chaos(
-            cfg, flows, link_faults, controller="sharded",
+            cfg, flows, link_faults, harness=ShardChaosHarness,
             simulate_packets=False, batch_admission=True,
         )
         assert batch.to_dict() == scalar.to_dict()
@@ -476,5 +492,6 @@ class TestValidation:
             ChaosHarness(cfg).run([], faults, horizon=1.0)
 
     def test_unknown_controller_rejected(self, cfg):
-        with pytest.raises(FaultInjectionError):
-            ChaosHarness(cfg, controller="quantum")
+        # One slot ledger: there is no controller kind to choose.
+        with pytest.raises(TypeError):
+            ChaosHarness(cfg, controller="sharded")

@@ -7,9 +7,9 @@ implement the paper's rule over a shared ledger:
 
 * the sequential admit/release loop,
 * the vectorized batch kernel (whole bursts per epoch),
-* the sharded controller (sequential vs batch against *itself* — its
-  per-shard quota partition legitimately differs from the shared
-  ledger, so it is compared within its own type), and
+* a slot shard (sequential vs batch against *itself* — its row of the
+  slot partition legitimately admits less than the shared ledger, so
+  it is compared within its own type), and
 * the asyncio service over the wire (micro-batch coalescer included).
 
 Extends the PR 4/5 differential suites with a Hypothesis strategy over
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.admission import (
-    ShardedAdmissionController,
+    SlotShardController,
     UtilizationAdmissionController,
 )
 from repro.routing.shortest import shortest_path_routes
@@ -48,17 +48,16 @@ _ALPHA = 0.02
 
 
 def make_controller(kind):
-    cls = (
-        UtilizationAdmissionController
-        if kind == "utilization"
-        else ShardedAdmissionController
-    )
-    return cls(
+    args = (
         _GRAPH,
         ClassRegistry.two_class(_VOICE),
         {_VOICE.name: _ALPHA},
         _PAIRS_ROUTES,
     )
+    if kind == "utilization":
+        return UtilizationAdmissionController(*args)
+    # The shard that ships: worker 0 of a 2-worker cluster.
+    return SlotShardController(*args, shard_index=0, shard_count=2)
 
 
 adversary_strategy = st.builds(
@@ -169,8 +168,8 @@ def test_batch_kernel_identical_to_sequential(params):
 @given(params=adversary_strategy)
 def test_sharded_batch_identical_to_sharded_sequential(params):
     events = make_events(params)
-    seq = make_controller("sharded")
-    bat = make_controller("sharded")
+    seq = make_controller("slotshard")
+    bat = make_controller("slotshard")
     assert batch_decisions(bat, events) == sequential_decisions(
         seq, events
     )

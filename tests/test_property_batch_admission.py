@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.admission import (  # noqa: E402
     FlowAwareAdmissionController,
-    ShardedAdmissionController,
+    SlotShardController,
     UtilizationAdmissionController,
 )
 from repro.control import Preemptor  # noqa: E402
@@ -57,8 +57,11 @@ def _make(kind, alphas):
         return UtilizationAdmissionController(
             GRAPH, REGISTRY, alphas, ROUTES
         )
-    if kind == "sharded":
-        return ShardedAdmissionController(GRAPH, REGISTRY, alphas, ROUTES)
+    if kind == "slotshard":
+        # The shard that ships: worker 0 of a 2-worker cluster.
+        return SlotShardController(
+            GRAPH, REGISTRY, alphas, ROUTES, shard_index=0, shard_count=2
+        )
     return FlowAwareAdmissionController(GRAPH, REGISTRY, ROUTES)
 
 
@@ -98,11 +101,6 @@ def _ledger_state(controller):
         return {
             name: controller.ledger.used(name).tolist()
             for name in controller.alphas
-        }
-    if isinstance(controller, ShardedAdmissionController):
-        return {
-            name: used.tolist()
-            for name, used in sorted(controller._used.items())
         }
     return None
 
@@ -197,12 +195,12 @@ class TestShardedEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(script=_script)
     def test_tight_assignment(self, script):
-        _run_script("sharded", {"voice": 0.01}, script)
+        _run_script("slotshard", TIGHT_ALPHA, script)
 
     @settings(max_examples=10, deadline=None)
     @given(script=_script)
     def test_roomy_assignment(self, script):
-        _run_script("sharded", ROOMY_ALPHA, script)
+        _run_script("slotshard", ROOMY_ALPHA, script)
 
 
 class TestFlowAwareEquivalence:

@@ -227,6 +227,42 @@ def test_serve_seconds_drains_cleanly(tmp_path, capsys):
     assert "in 0 batches (mean fill 0.0)" in out
 
 
+def test_serve_failed_final_snapshot_exits_nonzero(tmp_path, capsys):
+    # A final snapshot that cannot be written must fail the command,
+    # not wedge it: the listeners are closed by then, so a drain that
+    # stops half way leaves a process only kill -9 ends.
+    server = ServeThread(
+        [
+            "serve", "--socket", str(tmp_path / "s.sock"),
+            "--topology", "mci",
+            "--snapshot", str(tmp_path / "no_such_dir" / "snap.json"),
+            "--serve-seconds", "0.5",
+        ]
+    )
+    assert server.join(timeout=5.0) == 1
+    out = capsys.readouterr().out
+    assert "FAILURE:" in out and "no_such_dir" in out
+
+
+def test_serve_startup_errors_are_failure_lines(tmp_path, capsys):
+    # Same handling as the --workers path: a line, not a traceback.
+    sock = str(tmp_path / "no_such_dir" / "s.sock")
+    assert main(["serve", "--socket", sock]) == 1
+    captured = capsys.readouterr()
+    assert "FAILURE:" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_serve_has_no_controller_option(tmp_path, capsys):
+    # One slot ledger: there is nothing to choose between.
+    sock = str(tmp_path / "s.sock")
+    for command in (["serve", "--socket", sock], ["faults"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--controller", "utilization"])
+        assert exc.value.code == 2
+        assert "--controller" in capsys.readouterr().err
+
+
 def test_serve_preempt_max_victims(tmp_path, capsys):
     # An invalid cap fails at startup, before the listener exists.
     sock = str(tmp_path / "pre.sock")
@@ -492,15 +528,6 @@ def test_serve_workers_argument_validation(tmp_path, capsys):
     # Cluster serving is Unix-socket only.
     assert main(["serve", "--workers", "2", "--port", "0"]) == 2
     assert "Unix socket" in capsys.readouterr().out
-    # The cluster always shards the utilization controller.
-    assert (
-        main(
-            ["serve", "--workers", "2", "--socket", sock,
-             "--controller", "sharded"]
-        )
-        == 2
-    )
-    assert "utilization" in capsys.readouterr().out
     # Shard flags belong to workers, not the supervisor.
     assert (
         main(
@@ -531,14 +558,6 @@ def test_serve_shard_flags_must_pair(tmp_path, capsys):
         main(["serve", "--socket", sock, "--shard-index", "0"]) == 2
     )
     assert "go together" in capsys.readouterr().out
-    assert (
-        main(
-            ["serve", "--socket", sock, "--shard-index", "0",
-             "--shard-count", "2", "--controller", "sharded"]
-        )
-        == 2
-    )
-    assert "utilization" in capsys.readouterr().out
 
 
 def test_serve_single_shard_worker(tmp_path, capsys):

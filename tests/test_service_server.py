@@ -13,7 +13,10 @@ import os
 
 import pytest
 
-from repro.admission import UtilizationAdmissionController
+from repro.admission import (
+    FlowAwareAdmissionController,
+    UtilizationAdmissionController,
+)
 from repro.errors import ServiceError
 from repro.routing.shortest import shortest_path_routes
 from repro.service import (
@@ -25,6 +28,7 @@ from repro.service import (
     protocol,
     service_snapshot,
 )
+from repro.service.audit import iter_audit, verify_audit
 from repro.topology import LinkServerGraph, line_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import FlowSpec
@@ -515,6 +519,45 @@ class TestLifecycleAndSnapshots:
         assert data["schema"] == "repro-admission-snapshot/v1"
         assert [f["flow_id"] for f in data["flows"]] == ["f1"]
 
+    def test_failed_final_snapshot_still_completes_the_drain(
+        self, tmp_path
+    ):
+        # The listeners are closed by the time the final snapshot is
+        # written; if that write raises and the rest of drain() is
+        # skipped, serve_forever() never returns and only kill -9 ends
+        # the process.
+        audit = str(tmp_path / "audit.jsonl")
+
+        async def scenario():
+            service, sock = await start_service(
+                tmp_path,
+                snapshot_path=str(tmp_path / "no_such_dir" / "s.json"),
+                audit_path=audit,
+                metrics_port=0,
+            )
+            client = await AsyncServiceClient.connect_unix(sock)
+            assert (
+                await client.admit(FlowSpec("f1", "voice", "r0", "r3"))
+            ).admitted
+            await client.close()
+            forever = asyncio.ensure_future(service.serve_forever())
+            with pytest.raises(FileNotFoundError):
+                await asyncio.wait_for(service.drain(), timeout=10)
+            # The same failure reaches whoever blocks in
+            # serve_forever() (the CLI: FAILURE + exit 1).
+            with pytest.raises(FileNotFoundError):
+                await asyncio.wait_for(forever, timeout=10)
+            assert service.audit._fh is None  # closed => fsynced
+            assert service.metrics_endpoint is None
+            # A second drain (second SIGTERM) is still a no-op.
+            await service.drain()
+
+        asyncio.run(scenario())
+        # Closed cleanly: the whole log verifies, the admit included.
+        records = list(iter_audit(audit))
+        assert verify_audit(records)["ok"]
+        assert [r["kind"] for r in records].count("admit") == 1
+
     def test_requests_during_drain_are_unavailable(self, tmp_path):
         async def scenario():
             service, sock = await start_service(tmp_path)
@@ -650,14 +693,20 @@ class TestLifecycleAndSnapshots:
         assert 0.0 < stats["startup_seconds"] < 86400.0
 
     def test_snapshot_requires_restorable_controller(self, tmp_path):
-        class NoRestore:
-            restore = None
-
-        with pytest.raises(ServiceError):
-            AdmissionService(
-                NoRestore(),
-                ServiceConfig(snapshot_path=str(tmp_path / "s.json")),
-            )
+        # Snapshots, the governor's headroom and preemption all read
+        # the slot ledger, so a controller without one is refused at
+        # construction — with or without a snapshot path — not at the
+        # first restore.
+        base = make_controller()
+        ledgerless = FlowAwareAdmissionController(
+            base.graph, base.registry, base.route_map
+        )
+        for config in (
+            ServiceConfig(),
+            ServiceConfig(snapshot_path=str(tmp_path / "s.json")),
+        ):
+            with pytest.raises(ServiceError, match="slot ledger"):
+                AdmissionService(ledgerless, config)
 
 
 class TestSnapshotStore:
@@ -698,16 +747,6 @@ class TestSnapshotStore:
             make_controller()
         )
         assert restored == 1
-
-    def test_restore_requires_restore_support(self, tmp_path):
-        store = SnapshotStore(str(tmp_path / "snap.json"))
-        store.write(service_snapshot(make_controller()))
-
-        class NoRestore:
-            restore = None
-
-        with pytest.raises(ServiceError, match="restore"):
-            store.restore_into(NoRestore())
 
 
 class TestProtocolNegotiation(FrontDoorCases):

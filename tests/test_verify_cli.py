@@ -132,9 +132,9 @@ class TestAdversarialLoadgen:
         ) == 0
         capsys.readouterr()
         assert main(
-            ["loadgen", "--replay", trace, "--controller", "sharded"]
+            ["loadgen", "--replay", trace, "--controller", "flowaware"]
         ) == 0
-        assert "sharded controller" in capsys.readouterr().out
+        assert "flowaware controller" in capsys.readouterr().out
 
 
 class TestAdversarialFaults:
