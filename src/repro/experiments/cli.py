@@ -33,6 +33,16 @@ from .._version import __version__
 __all__ = ["main", "build_parser"]
 
 
+def _alpha_ladder(text: str) -> List[float]:
+    """``serve --alpha-ladder``: comma-separated floats."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated floats, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-ubac",
@@ -441,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     srv.add_argument(
-        "--alpha-ladder", default=None, metavar="A1,A2,...",
+        "--alpha-ladder", type=_alpha_ladder, default=None,
+        metavar="A1,A2,...",
         help=(
             "comma-separated candidate effective alphas below --alpha "
             "for the governor's ladder (default: 0.5, 0.625, 0.75 and "
@@ -1331,103 +1342,40 @@ def _serve_slo_config(args: argparse.Namespace):
     return SLOConfig(**set_values)
 
 
-def _run_serve_cluster(args: argparse.Namespace) -> int:
+def _run_serve_cluster(args: argparse.Namespace):
     """``serve --workers N``: shard workers behind one front door."""
-    import asyncio
-
-    from ..errors import ReproError
-    from ..service.cluster import (
-        ClusterConfig,
-        ClusterSupervisor,
-        worker_serve_command,
-    )
+    from ..service.cluster import ClusterConfig, ClusterSupervisor
 
     if args.workers < 1:
-        print(f"FAILURE: --workers must be >= 1, got {args.workers}")
-        return 2
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     if args.socket is None or args.port is not None:
-        print(
-            "FAILURE: --workers serves over a Unix socket only "
+        raise ValueError(
+            "--workers serves over a Unix socket only "
             "(use --socket PATH, not --port)"
         )
-        return 2
     if args.shard_index is not None or args.shard_count is not None:
-        print(
-            "FAILURE: --workers spawns its own shard workers; "
+        raise ValueError(
+            "--workers spawns its own shard workers; "
             "--shard-index/--shard-count are per-worker flags"
         )
-        return 2
-    unsupported = {
-        "--span-out": args.span_out,
-        "--slo-p50-ms": args.slo_p50_ms,
-        "--slo-p99-ms": args.slo_p99_ms,
-        "--slo-shed-rate": args.slo_shed_rate,
-        "--slo-window": args.slo_window,
-    }
-    for flag, value in unsupported.items():
-        if value is not None:
-            print(
-                f"FAILURE: {flag} is per-worker state and is not "
-                "plumbed through --workers yet; run shard workers "
-                "individually to use it"
-            )
-            return 2
-
-    try:
-        config = ClusterConfig(
-            workers=args.workers,
-            socket_path=args.socket,
-            snapshot_path=args.snapshot,
-            snapshot_interval=args.snapshot_interval,
-            metrics_host=args.metrics_host,
-            metrics_port=args.metrics_port,
-            drain_grace=args.drain_grace,
-            protocol=args.protocol,
-        )
-    except (ReproError, ValueError) as exc:
-        print(f"FAILURE: {exc}")
-        return 2
-    worker_extra = ["--protocol", args.protocol]
-    if args.uvloop:
-        worker_extra.append("--uvloop")
-    if args.governor:
-        worker_extra += [
-            "--governor", "--governor-interval",
-            str(args.governor_interval),
-        ]
-        if args.alpha_ladder is not None:
-            worker_extra += ["--alpha-ladder", args.alpha_ladder]
-    if args.preempt:
-        worker_extra += [
-            "--preempt",
-            "--preempt-max-victims", str(args.preempt_max_victims),
-        ]
-    if args.audit is not None:
-        worker_extra += [
-            "--audit-fsync-every", str(args.audit_fsync_every),
-            "--audit-keep", str(args.audit_keep),
-        ]
-        if args.audit_max_bytes is not None:
-            worker_extra += [
-                "--audit-max-bytes", str(args.audit_max_bytes)
-            ]
-    command = worker_serve_command(
-        shard_count=args.workers,
-        topology=args.topology,
-        alpha=args.alpha,
-        max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
+    config = ClusterConfig(
+        workers=args.workers,
+        socket_path=args.socket,
+        snapshot_path=args.snapshot,
         snapshot_interval=args.snapshot_interval,
-        high_water=args.high_water,
-        low_water=args.low_water,
-        audit_path=args.audit,
-        extra_args=worker_extra,
+        metrics_host=args.metrics_host,
+        metrics_port=args.metrics_port,
+        drain_grace=args.drain_grace,
+        protocol=args.protocol,
     )
 
-    async def _serve() -> int:
-        supervisor = ClusterSupervisor(config, command)
-        restored = await supervisor.start()
-        supervisor.install_signal_handlers()
+    async def start():
+        # Every other option reaches the workers as the operator
+        # spelled it (repro.service.cluster.worker_options).
+        supervisor = ClusterSupervisor(config, vars(args))
+        return supervisor, await supervisor.start()
+
+    def banner(supervisor, restored) -> None:
         print(
             f"admission cluster ({args.workers} workers, "
             f"{args.topology}, alpha={args.alpha:g}) listening on "
@@ -1440,19 +1388,8 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
                 f"w{args.workers - 1}",
                 flush=True,
             )
-        if supervisor.metrics_endpoint is not None:
-            print(
-                f"telemetry endpoint on http://{args.metrics_host}:"
-                f"{supervisor.metrics_endpoint.port}/metrics",
-                flush=True,
-            )
-        if args.serve_seconds is not None:
-            async def _auto_drain() -> None:
-                await asyncio.sleep(args.serve_seconds)
-                await supervisor.drain()
 
-            asyncio.get_running_loop().create_task(_auto_drain())
-        await supervisor.serve_forever()
+    def summary(supervisor) -> None:
         counts = supervisor.router.counts
         print(
             f"cluster drained after {counts['requests']} front-door "
@@ -1461,33 +1398,61 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
             f"{supervisor.restarts} worker restarts, "
             f"{supervisor.merges} manifest merges)"
         )
-        return 0
 
-    return asyncio.run(_serve())
+    return start, banner, summary, None
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """``repro-ubac serve``: one process, or ``--workers N`` of them."""
+    """``repro-ubac serve``: one process, or ``--workers N`` of them.
+
+    Either mode hands back ``(start, banner, summary, span_sink)``;
+    ``start()`` builds its server inside the running loop and returns
+    it with the restored-flow count.
+    """
+    import asyncio
+
     from ..errors import ReproError
 
-    if args.alpha_ladder is not None and not args.governor:
-        print("FAILURE: --alpha-ladder needs --governor")
-        return 2
-    run = (
-        _run_serve_single if args.workers is None else _run_serve_cluster
-    )
+    async def _serve() -> None:
+        server, restored = await start()
+        server.install_signal_handlers()
+        banner(server, restored)
+        if server.metrics_endpoint is not None:
+            print(
+                f"telemetry endpoint on http://{args.metrics_host}:"
+                f"{server.metrics_endpoint.port}/metrics",
+                flush=True,
+            )
+        if args.serve_seconds is not None:
+            asyncio.get_running_loop().call_later(
+                args.serve_seconds, server.request_drain
+            )
+        await server.serve_forever()
+        summary(server)
+
+    build = _run_serve_single if args.workers is None else _run_serve_cluster
     try:
-        return run(args)
+        if args.alpha_ladder is not None and not args.governor:
+            raise ValueError("--alpha-ladder needs --governor")
+        start, banner, summary, span_sink = build(args)
+    except (ReproError, ValueError) as exc:
+        print(f"FAILURE: {exc}")
+        return 2
+    try:
+        asyncio.run(_serve())
+        return 0
     except (ReproError, OSError) as exc:
         # Start-up (bind, restore, spawn) and drain failures alike.
         print(f"FAILURE: {exc}")
         return 1
+    finally:
+        if span_sink is not None:
+            span_sink.close()
+            print(f"wrote span stream to {args.span_out}")
 
 
-def _run_serve_single(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from ..errors import ReproError
+def _run_serve_single(args: argparse.Namespace):
+    """Plain ``serve``, and each shard worker of a cluster."""
     from ..service.server import AdmissionService, ServiceConfig
 
     shard_mode = (
@@ -1496,99 +1461,80 @@ def _run_serve_single(args: argparse.Namespace) -> int:
     if shard_mode and (
         args.shard_index is None or args.shard_count is None
     ):
-        print("FAILURE: --shard-index and --shard-count go together")
-        return 2
+        raise ValueError("--shard-index and --shard-count go together")
 
     graph, registry, voice, _pairs, routes = _admission_setup(
         args.topology
     )
     alphas = {voice.name: args.alpha}
-    try:
-        if shard_mode:
-            from ..admission.sharded import SlotShardController
+    if shard_mode:
+        from ..admission.sharded import SlotShardController
 
-            controller = SlotShardController(
-                graph,
-                registry,
-                alphas,
-                routes,
-                shard_index=args.shard_index,
-                shard_count=args.shard_count,
-            )
-        else:
-            from ..admission.utilization import (
-                UtilizationAdmissionController,
-            )
-
-            controller = UtilizationAdmissionController(
-                graph, registry, alphas, routes
-            )
-        config = ServiceConfig(
-            max_batch=args.max_batch,
-            max_delay=args.max_delay_ms / 1000.0,
-            high_water=args.high_water,
-            low_water=args.low_water,
-            snapshot_path=args.snapshot,
-            snapshot_interval=args.snapshot_interval,
-            metrics_host=args.metrics_host,
-            metrics_port=args.metrics_port,
-            audit_path=args.audit,
-            audit_fsync_every=args.audit_fsync_every,
-            audit_max_bytes=args.audit_max_bytes,
-            audit_keep=args.audit_keep,
-            slo=_serve_slo_config(args),
-            negotiate_v2=args.protocol != "v1",
-            drain_grace=args.drain_grace,
-            worker_index=args.shard_index,
-            governor_interval=args.governor_interval,
+        controller = SlotShardController(
+            graph,
+            registry,
+            alphas,
+            routes,
+            shard_index=args.shard_index,
+            shard_count=args.shard_count,
         )
-        governor = None
-        preemptor = None
-        if args.governor:
-            from ..control.governor import AlphaGovernor
-            from ..control.ladder import certify_ladder
+    else:
+        from ..admission.utilization import (
+            UtilizationAdmissionController,
+        )
 
-            if args.alpha_ladder is not None:
-                try:
-                    candidates = [
-                        float(tok)
-                        for tok in args.alpha_ladder.split(",")
-                        if tok.strip()
-                    ]
-                except ValueError:
-                    print(
-                        "FAILURE: --alpha-ladder must be "
-                        "comma-separated floats, got "
-                        f"{args.alpha_ladder!r}"
-                    )
-                    return 2
-            else:
-                candidates = [
-                    args.alpha * f for f in (0.5, 0.625, 0.75, 0.875)
-                ]
-            # Certification always runs against the full backbone: a
-            # shard worker's quota is a partition of the certified
-            # slots, so a rung safe for the whole network is safe for
-            # every shard of it.
-            ladder = certify_ladder(
-                graph, list(routes.values()), registry, alphas, candidates
-            )
-            governor = AlphaGovernor(ladder)
-        if args.preempt:
-            from ..control.preempt import PreemptionPolicy, Preemptor
+        controller = UtilizationAdmissionController(
+            graph, registry, alphas, routes
+        )
+    config = ServiceConfig(
+        max_batch=args.max_batch,
+        max_delay=args.max_delay_ms / 1000.0,
+        high_water=args.high_water,
+        low_water=args.low_water,
+        snapshot_path=args.snapshot,
+        snapshot_interval=args.snapshot_interval,
+        metrics_host=args.metrics_host,
+        metrics_port=args.metrics_port,
+        audit_path=args.audit,
+        audit_fsync_every=args.audit_fsync_every,
+        audit_max_bytes=args.audit_max_bytes,
+        audit_keep=args.audit_keep,
+        slo=_serve_slo_config(args),
+        negotiate_v2=args.protocol != "v1",
+        drain_grace=args.drain_grace,
+        worker_index=args.shard_index,
+        governor_interval=args.governor_interval,
+    )
+    governor = None
+    preemptor = None
+    if args.governor:
+        from ..control.governor import AlphaGovernor
+        from ..control.ladder import certify_ladder
 
-            preemptor = Preemptor(
-                controller,
-                policy=PreemptionPolicy(
-                    max_victims=args.preempt_max_victims
-                ),
-            )
-    except (ReproError, ValueError) as exc:
-        print(f"FAILURE: {exc}")
-        return 2
+        candidates = args.alpha_ladder
+        if candidates is None:
+            candidates = [
+                args.alpha * f for f in (0.5, 0.625, 0.75, 0.875)
+            ]
+        # Certification always runs against the full backbone: a
+        # shard worker's quota is a partition of the certified
+        # slots, so a rung safe for the whole network is safe for
+        # every shard of it.
+        ladder = certify_ladder(
+            graph, list(routes.values()), registry, alphas, candidates
+        )
+        governor = AlphaGovernor(ladder)
+    if args.preempt:
+        from ..control.preempt import PreemptionPolicy, Preemptor
+
+        preemptor = Preemptor(
+            controller,
+            policy=PreemptionPolicy(
+                max_victims=args.preempt_max_victims
+            ),
+        )
     if args.socket is None and args.port is None:
-        print("FAILURE: specify --socket PATH or --port N")
-        return 2
+        raise ValueError("specify --socket PATH or --port N")
 
     # A live scrape endpoint or span stream is pointless without
     # collection: either flag opts the server process into obs (the
@@ -1617,22 +1563,21 @@ def _run_serve_single(args: argparse.Namespace) -> int:
                 "staying on the stdlib asyncio event loop"
             )
 
-    async def _serve() -> int:
+    async def start():
         service = AdmissionService(
             controller, config, governor=governor, preemptor=preemptor
         )
         if args.socket is not None:
-            restored = await service.start_unix(args.socket)
-            where = args.socket
-        else:
-            restored = await service.start_tcp(args.host, args.port)
-            where = f"{args.host}:{service.port}"
-        service.install_signal_handlers()
+            return service, await service.start_unix(args.socket)
+        return service, await service.start_tcp(args.host, args.port)
+
+    def banner(service, restored) -> None:
         what = (
             f"shard {args.shard_index}/{args.shard_count}"
             if shard_mode
             else "utilization"
         )
+        where = args.socket or f"{args.host}:{service.port}"
         print(
             f"admission service ({what}, "
             f"{args.topology}, alpha={args.alpha:g}) listening on "
@@ -1653,17 +1598,8 @@ def _run_serve_single(args: argparse.Namespace) -> int:
                 "lower-priority flows",
                 flush=True,
             )
-        if service.metrics_endpoint is not None:
-            print(
-                f"telemetry endpoint on http://{args.metrics_host}:"
-                f"{service.metrics_endpoint.port}/metrics",
-                flush=True,
-            )
-        if args.serve_seconds is not None:
-            asyncio.get_running_loop().call_later(
-                args.serve_seconds, service.request_drain
-            )
-        await service.serve_forever()
+
+    def summary(service) -> None:
         stats = service.stats()
         print(
             f"drained after {stats['requests']} requests "
@@ -1685,14 +1621,8 @@ def _run_serve_single(args: argparse.Namespace) -> int:
                 f"(effective alpha {gov['effective_alpha']:g}), "
                 f"{gov['dec']} dec / {gov['inc']} inc moves"
             )
-        return 0
 
-    try:
-        return asyncio.run(_serve())
-    finally:
-        if span_sink is not None:
-            span_sink.close()
-            print(f"wrote span stream to {args.span_out}")
+    return start, banner, summary, span_sink
 
 
 def _run_client(args: argparse.Namespace) -> int:

@@ -19,15 +19,18 @@ from __future__ import annotations
 import os
 import signal
 import subprocess
-import sys
 import time
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence
 
 from ..errors import FaultInjectionError, ServiceError
+from ..service.launch import serve_child
 from .degraded import BackoffPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..service.client import ServiceClient
+
+#: How long a launched server may take to answer ``health``.
+STARTUP_TIMEOUT = 30.0
 
 __all__ = [
     "ClusterProcess",
@@ -38,103 +41,38 @@ __all__ = [
 
 
 class ServiceProcess:
-    """A ``repro-ubac serve`` subprocess under chaos-harness control."""
+    """A ``repro-ubac serve`` subprocess under chaos-harness control.
+
+    ``options`` are ``serve`` options named by parser dest
+    (``snapshot=``, ``snapshot_interval=``, ``audit=``, ``topology=``
+    ...); unset ones take the CLI's own defaults.  ``extra_args`` are
+    appended verbatim.
+    """
 
     def __init__(
         self,
         *,
         socket_path: str,
-        snapshot_path: Optional[str] = None,
-        snapshot_interval: Optional[float] = None,
-        topology: str = "nsfnet",
-        alpha: float = 0.3,
-        max_batch: int = 1024,
-        max_delay_ms: float = 2.0,
-        high_water: Optional[int] = None,
-        low_water: Optional[int] = None,
-        audit_path: Optional[str] = None,
-        audit_fsync_every: Optional[int] = None,
-        metrics_port: Optional[int] = None,
         extra_args: Sequence[str] = (),
-        startup_timeout: float = 30.0,
+        **options: Any,
     ):
         self.socket_path = socket_path
-        self.snapshot_path = snapshot_path
-        self.snapshot_interval = snapshot_interval
-        self.topology = topology
-        self.alpha = alpha
-        self.max_batch = max_batch
-        self.max_delay_ms = max_delay_ms
-        self.high_water = high_water
-        self.low_water = low_water
-        self.audit_path = audit_path
-        self.audit_fsync_every = audit_fsync_every
-        self.metrics_port = metrics_port
+        self.options = {"socket": socket_path, **options}
         self.extra_args = list(extra_args)
-        self.startup_timeout = startup_timeout
         self.proc: Optional[subprocess.Popen] = None
         self.launches = 0
-        #: Server stdout+stderr land here (truncated per launch) — a
-        #: file, not a pipe, so a chatty server can never fill a 64 KiB
-        #: pipe buffer and block with nobody draining it.
+        #: Server stdout+stderr land here (truncated per launch).
         self.log_path = socket_path + ".serve.log"
 
     # ------------------------------------------------------------------ #
-
-    def command(self) -> List[str]:
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "serve",
-            "--socket",
-            self.socket_path,
-            "--topology",
-            self.topology,
-            "--alpha",
-            str(self.alpha),
-            "--max-batch",
-            str(self.max_batch),
-            "--max-delay-ms",
-            str(self.max_delay_ms),
-        ]
-        if self.snapshot_path is not None:
-            argv += ["--snapshot", self.snapshot_path]
-        if self.snapshot_interval is not None:
-            argv += ["--snapshot-interval", str(self.snapshot_interval)]
-        if self.high_water is not None:
-            argv += ["--high-water", str(self.high_water)]
-        if self.low_water is not None:
-            argv += ["--low-water", str(self.low_water)]
-        if self.audit_path is not None:
-            argv += ["--audit", self.audit_path]
-        if self.audit_fsync_every is not None:
-            argv += ["--audit-fsync-every", str(self.audit_fsync_every)]
-        if self.metrics_port is not None:
-            argv += ["--metrics-port", str(self.metrics_port)]
-        argv += self.extra_args
-        return argv
 
     def start(self) -> None:
         """Launch the server and block until it answers ``health``."""
         if self.proc is not None and self.proc.poll() is None:
             raise FaultInjectionError("server process is already running")
-        env = dict(os.environ)
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__)
-            ))),
-        )
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        # The child inherits a duplicate of the log fd; the parent's
-        # copy closes immediately so dead launches never leak fds.
-        with open(self.log_path, "wb") as log_fh:
-            self.proc = subprocess.Popen(
-                self.command(),
-                env=env,
-                stdout=log_fh,
-                stderr=subprocess.STDOUT,
-            )
+        child = serve_child(self.log_path, self.options, self.extra_args)
+        with child as (argv, io):
+            self.proc = subprocess.Popen(argv, **io)
         self.launches += 1
         self.wait_healthy()
 
@@ -148,7 +86,7 @@ class ServiceProcess:
 
     def wait_healthy(self) -> Dict[str, Any]:
         """Poll ``health`` until the server responds (or dies)."""
-        deadline = time.monotonic() + self.startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         last_error: Optional[Exception] = None
         while time.monotonic() < deadline:
             if self.proc is not None and self.proc.poll() is not None:
@@ -164,7 +102,7 @@ class ServiceProcess:
                 time.sleep(0.05)
         raise FaultInjectionError(
             f"server did not become healthy within "
-            f"{self.startup_timeout:g} s: {last_error}"
+            f"{STARTUP_TIMEOUT:g} s: {last_error}"
         )
 
     def client(self, *, retries: int = 5) -> "ServiceClient":
@@ -231,10 +169,7 @@ class ClusterProcess(ServiceProcess):
     """
 
     def __init__(self, *, workers: int, **kwargs: Any):
-        extra = ["--workers", str(workers)] + list(
-            kwargs.pop("extra_args", ())
-        )
-        super().__init__(extra_args=extra, **kwargs)
+        super().__init__(workers=workers, **kwargs)
         self.workers = workers
 
     def worker_pids(self) -> List[Optional[int]]:

@@ -49,7 +49,7 @@ if TYPE_CHECKING:
         verify_audit,
     )
     from .client import AsyncServiceClient, ServiceClient, WireDecision
-    from .cluster import ClusterConfig, ClusterSupervisor, worker_serve_command
+    from .cluster import ClusterConfig, ClusterSupervisor
     from .coalescer import MicroBatchCoalescer
     from .http import MetricsEndpoint
     from .protocol import JSON_BACKEND, MAX_FRAME_BYTES, OPS, PROTOCOL_SCHEMA
@@ -76,7 +76,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "iter_audit", "verify_audit",
     ),
     ".client": ("AsyncServiceClient", "ServiceClient", "WireDecision"),
-    ".cluster": ("ClusterConfig", "ClusterSupervisor", "worker_serve_command"),
+    ".cluster": ("ClusterConfig", "ClusterSupervisor"),
     ".coalescer": ("MicroBatchCoalescer",),
     ".http": ("MetricsEndpoint",),
     ".protocol": ("JSON_BACKEND", "MAX_FRAME_BYTES", "OPS", "PROTOCOL_SCHEMA"),

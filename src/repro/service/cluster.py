@@ -15,7 +15,8 @@ Fault handling:
 * a worker that dies (``kill -9`` included) is restarted automatically;
   it re-admits its shard's flows from its own crash-safe snapshot on
   their original routes before taking traffic — the single-server
-  survivor guarantee, per shard;
+  survivor guarantee, per shard; a replacement that dies before it is
+  healthy is one more death, counted and retried the same way;
 * per-worker snapshots are merged into one cluster **manifest**
   (:func:`~repro.service.snapshots.merge_cluster_snapshot`) on a
   timer, on the ``snapshot`` op, and at drain; the manifest is itself
@@ -33,22 +34,16 @@ import asyncio
 import logging
 import os
 import signal
-import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..errors import ServiceError
 from ..faults.degraded import BackoffPolicy
-from . import protocol
 from .client import AsyncServiceClient
 from .http import MetricsEndpoint
-from .router import (
-    DEFAULT_RING_SALT,
-    DEFAULT_VIRTUAL_NODES,
-    ClusterRouter,
-    HashRing,
-)
+from .launch import serve_child
+from .router import ClusterRouter, HashRing
 from .snapshots import (
     SnapshotStore,
     merge_cluster_snapshot,
@@ -58,74 +53,38 @@ from .snapshots import (
 __all__ = [
     "ClusterConfig",
     "ClusterSupervisor",
-    "worker_serve_command",
+    "worker_options",
 ]
 
 logger = logging.getLogger("repro.service")
 
-#: Argv factory: (worker_index, worker_socket, worker_snapshot) -> argv.
-WorkerCommand = Callable[[int, str, Optional[str]], List[str]]
+#: Front-door-only options: a cluster's shard workers never see them.
+FRONT_DOOR_ONLY = frozenset({
+    "workers", "host", "port", "metrics_port", "metrics_host",
+    "drain_grace", "serve_seconds", "metrics_out", "trace_out",
+})
+#: Per-worker files: worker ``i`` gets ``<path>.w<i>``.
+PER_WORKER_PATHS = ("socket", "snapshot", "audit", "span_out")
+
+#: Pause between a worker's death and the launch of its replacement.
+RESTART_DELAY = 0.2
+#: How long a launched worker may take to answer ``health``.
+STARTUP_TIMEOUT = 60.0
 
 
-def worker_serve_command(
-    *,
-    shard_count: int,
-    topology: str = "nsfnet",
-    alpha: float = 0.3,
-    max_batch: int = 1024,
-    max_delay_ms: float = 2.0,
-    snapshot_interval: Optional[float] = None,
-    high_water: Optional[int] = None,
-    low_water: Optional[int] = None,
-    audit_path: Optional[str] = None,
-    extra_args: Sequence[str] = (),
-) -> WorkerCommand:
-    """Standard worker argv factory over the ``repro-ubac serve`` CLI.
-
-    Each worker is the ordinary single-socket server plus the hidden
-    ``--shard-index/--shard-count`` pair that swaps its controller for
-    a :class:`~repro.admission.SlotShardController`.  An audit log is
-    per-worker state: worker ``i`` appends to ``<audit_path>.w<i>``
-    (each shard log verifies independently with ``repro-ubac audit``).
-    """
-
-    def command(
-        index: int, socket_path: str, snapshot_path: Optional[str]
-    ) -> List[str]:
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "serve",
-            "--socket",
-            socket_path,
-            "--topology",
-            topology,
-            "--alpha",
-            str(alpha),
-            "--max-batch",
-            str(max_batch),
-            "--max-delay-ms",
-            str(max_delay_ms),
-            "--shard-index",
-            str(index),
-            "--shard-count",
-            str(shard_count),
-        ]
-        if snapshot_path is not None:
-            argv += ["--snapshot", snapshot_path]
-            if snapshot_interval is not None:
-                argv += ["--snapshot-interval", str(snapshot_interval)]
-        if high_water is not None:
-            argv += ["--high-water", str(high_water)]
-        if low_water is not None:
-            argv += ["--low-water", str(low_water)]
-        if audit_path is not None:
-            argv += ["--audit", f"{audit_path}.w{index}"]
-        argv += list(extra_args)
-        return argv
-
-    return command
+def worker_options(
+    options: Mapping[str, Any], index: int, count: int
+) -> Dict[str, Any]:
+    """The operator's own ``serve`` options (by parser dest), as shard
+    worker ``index`` of ``count``: the ordinary single-socket server
+    plus the hidden ``--shard-index/--shard-count`` pair that swaps its
+    controller for a :class:`~repro.admission.SlotShardController`.
+    Every other option reaches the worker verbatim."""
+    out = {k: v for k, v in options.items() if k not in FRONT_DOOR_ONLY}
+    for dest in PER_WORKER_PATHS:
+        if out.get(dest) is not None:
+            out[dest] = f"{out[dest]}.w{index}"
+    return {**out, "shard_index": index, "shard_count": count}
 
 
 @dataclass(frozen=True)
@@ -142,14 +101,8 @@ class ClusterConfig:
     socket_path: str = ""
     snapshot_path: Optional[str] = None
     snapshot_interval: Optional[float] = None
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES
-    ring_salt: str = DEFAULT_RING_SALT
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
-    link_max_pending: int = 16384
     metrics_host: str = "127.0.0.1"
     metrics_port: Optional[int] = None
-    restart_delay: float = 0.2
-    startup_timeout: float = 60.0
     drain_grace: float = 0.0
     #: ``"v2"`` (default): the front door accepts v2 upgrades and the
     #: worker links propose v2 per (re)connect; ``"v1"`` pins both
@@ -194,11 +147,19 @@ class _Worker:
     """Book-keeping for one worker subprocess."""
 
     index: int
-    socket_path: str
-    snapshot_path: Optional[str]
+    #: This worker's ``serve`` options (see :func:`worker_options`).
+    options: Dict[str, Any]
     proc: Optional["asyncio.subprocess.Process"] = None
     launches: int = 0
     monitor: Optional["asyncio.Task"] = field(default=None, repr=False)
+
+    @property
+    def socket_path(self) -> str:
+        return self.options["socket"]
+
+    @property
+    def snapshot_path(self) -> Optional[str]:
+        return self.options["snapshot"]
 
     @property
     def log_path(self) -> str:
@@ -210,33 +171,29 @@ class _Worker:
 
 
 class ClusterSupervisor:
-    """Run N shard workers plus the front-door router, restart on death."""
+    """Run N shard workers plus the front-door router, restart on death.
 
-    def __init__(
-        self,
-        config: ClusterConfig,
-        worker_command: WorkerCommand,
-    ):
+    ``options`` are the operator's own ``serve`` options by parser dest
+    (``vars()`` of the parsed namespace); each worker is started from
+    them through :func:`worker_options`.  The front-door socket and the
+    manifest path are ``config``'s.
+    """
+
+    def __init__(self, config: ClusterConfig, options: Mapping[str, Any]):
         self.config = config
-        self.worker_command = worker_command
-        self.ring = HashRing(
-            config.workers,
-            virtual_nodes=config.virtual_nodes,
-            salt=config.ring_salt,
-        )
+        self.ring = HashRing(config.workers)
+        options = {
+            **options,
+            "socket": config.socket_path,
+            "snapshot": config.snapshot_path,
+        }
         self.workers = [
-            _Worker(
-                index=i,
-                socket_path=config.worker_socket(i),
-                snapshot_path=config.worker_snapshot(i),
-            )
+            _Worker(i, worker_options(options, i, config.workers))
             for i in range(config.workers)
         ]
         self.router = ClusterRouter(
             [w.socket_path for w in self.workers],
             ring=self.ring,
-            max_frame_bytes=config.max_frame_bytes,
-            link_max_pending=config.link_max_pending,
             on_snapshot=(
                 self._snapshot_op
                 if config.snapshot_path is not None
@@ -258,6 +215,7 @@ class ClusterSupervisor:
         self.merges = 0
         self.restored = 0
         self._draining = False
+        self._drain_error: Optional[Exception] = None
         self._stopped: Optional[asyncio.Event] = None
         self._merge_task: Optional["asyncio.Task"] = None
         self._merge_lock: Optional[asyncio.Lock] = None
@@ -275,6 +233,11 @@ class ClusterSupervisor:
         await asyncio.gather(
             *(self._launch(worker) for worker in self.workers)
         )
+        for worker in self.workers:
+            worker.monitor = asyncio.get_running_loop().create_task(
+                self._monitor(worker),
+                name=f"repro-cluster-worker-{worker.index}",
+            )
         self.restored = await self._count_restored()
         await self.router.start_unix(self.config.socket_path)
         if self.config.metrics_port is not None:
@@ -304,19 +267,26 @@ class ClusterSupervisor:
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
-                loop.add_signal_handler(
-                    sig,
-                    lambda: asyncio.get_running_loop().create_task(
-                        self.drain()
-                    ),
-                )
+                loop.add_signal_handler(sig, self.request_drain)
             except (NotImplementedError, ValueError, RuntimeError):
                 return
 
+    def request_drain(self) -> None:
+        """Start :meth:`drain` in the background (signal handlers,
+        timers); :meth:`serve_forever` reports how it ended."""
+        task = asyncio.get_running_loop().create_task(self.drain())
+        # serve_forever() re-raises a failed drain; retrieve it here so
+        # the detached task does not also warn at exit.
+        task.add_done_callback(lambda t: t.cancelled() or t.exception())
+
     async def serve_forever(self) -> None:
+        """Block until :meth:`drain` completes; re-raises its failure
+        (a final manifest that could not be written)."""
         if self._stopped is None:
             raise ServiceError("cluster is not started")
         await self._stopped.wait()
+        if self._drain_error is not None:
+            raise self._drain_error
 
     async def drain(self) -> None:
         """Graceful shutdown: front door first, then the workers, then
@@ -360,16 +330,23 @@ class ClusterSupervisor:
         )
         # Workers wrote final shard snapshots during their drain;
         # merge them into the authoritative cluster cut.
-        if self.manifest_store is not None:
-            try:
+        try:
+            if self.manifest_store is not None:
                 await self._merge_once()
-            except ServiceError as exc:
-                logger.error("final manifest merge failed: %s", exc)
-        if self.metrics_endpoint is not None:
-            await self.metrics_endpoint.stop()
-            self.metrics_endpoint = None
-        if self._stopped is not None:
-            self._stopped.set()
+        except Exception as exc:
+            # The front door is closed and the workers are gone:
+            # shutdown must finish (serve_forever() released) or the
+            # supervisor can only be killed.  The failure is not
+            # swallowed.
+            logger.error("final manifest merge failed: %s", exc)
+            self._drain_error = exc
+            raise
+        finally:
+            if self.metrics_endpoint is not None:
+                await self.metrics_endpoint.stop()
+                self.metrics_endpoint = None
+            if self._stopped is not None:
+                self._stopped.set()
         logger.info(
             "cluster on %s drained", self.config.socket_path
         )
@@ -423,32 +400,13 @@ class ClusterSupervisor:
 
     async def _launch(self, worker: _Worker) -> None:
         """Spawn one worker subprocess and wait until it is healthy."""
-        argv = self.worker_command(
-            worker.index, worker.socket_path, worker.snapshot_path
-        )
-        env = dict(os.environ)
-        src = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        # Log to a file, not a pipe: a chatty worker must never block
-        # on a full pipe that nobody drains.
-        with open(worker.log_path, "wb") as log_fh:
-            worker.proc = await asyncio.create_subprocess_exec(
-                *argv,
-                env=env,
-                stdout=log_fh,
-                stderr=asyncio.subprocess.STDOUT,
-            )
+        with serve_child(worker.log_path, worker.options) as (argv, io):
+            worker.proc = await asyncio.create_subprocess_exec(*argv, **io)
         worker.launches += 1
         await self._wait_healthy(worker)
-        worker.monitor = asyncio.get_running_loop().create_task(
-            self._monitor(worker),
-            name=f"repro-cluster-worker-{worker.index}",
-        )
 
     async def _wait_healthy(self, worker: _Worker) -> Dict[str, Any]:
-        deadline = time.monotonic() + self.config.startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         last_error: Optional[Exception] = None
         while time.monotonic() < deadline:
             proc = worker.proc
@@ -472,11 +430,12 @@ class ClusterSupervisor:
                 await asyncio.sleep(0.05)
         raise ServiceError(
             f"worker {worker.index} did not become healthy within "
-            f"{self.config.startup_timeout:g} s: {last_error}"
+            f"{STARTUP_TIMEOUT:g} s: {last_error}"
         )
 
     async def _monitor(self, worker: _Worker) -> None:
         """Restart the worker whenever its process dies un-drained."""
+        died_at: Optional[float] = None
         try:
             while not self._draining:
                 proc = worker.proc
@@ -485,7 +444,8 @@ class ClusterSupervisor:
                 code = await proc.wait()
                 if self._draining:
                     return
-                died_at = time.monotonic()
+                if died_at is None:
+                    died_at = time.monotonic()
                 self.restarts += 1
                 logger.warning(
                     "worker %d (pid %s) died with %s; restarting",
@@ -493,38 +453,26 @@ class ClusterSupervisor:
                     proc.pid,
                     code,
                 )
-                await asyncio.sleep(self.config.restart_delay)
-                # Relaunch without re-registering a monitor task —
-                # this loop keeps watching the new process.  The
-                # worker restores its shard snapshot before its socket
-                # answers, so survivors are back on their original
-                # routes before the router reconnects.
-                argv = self.worker_command(
-                    worker.index,
-                    worker.socket_path,
-                    worker.snapshot_path,
-                )
-                env = dict(os.environ)
-                src = os.path.dirname(
-                    os.path.dirname(
-                        os.path.dirname(os.path.abspath(__file__))
+                await asyncio.sleep(RESTART_DELAY)
+                # The worker restores its shard snapshot before its
+                # socket answers, so survivors are back on their
+                # original routes before the router reconnects.
+                try:
+                    await self._launch(worker)
+                except (ServiceError, OSError) as exc:
+                    # A replacement that dies or hangs before it is
+                    # healthy is one more death: end it, go round again.
+                    logger.warning(
+                        "worker %d replacement failed: %s", worker.index, exc
                     )
-                )
-                env["PYTHONPATH"] = (
-                    src + os.pathsep + env.get("PYTHONPATH", "")
-                )
-                with open(worker.log_path, "wb") as log_fh:
-                    worker.proc = await asyncio.create_subprocess_exec(
-                        *argv,
-                        env=env,
-                        stdout=log_fh,
-                        stderr=asyncio.subprocess.STDOUT,
-                    )
-                worker.launches += 1
-                await self._wait_healthy(worker)
+                    hung = worker.proc
+                    if hung is not None and hung.returncode is None:
+                        hung.kill()
+                    continue
                 self.last_restart_seconds = round(
                     time.monotonic() - died_at, 3
                 )
+                died_at = None
                 logger.info(
                     "worker %d healthy again (pid %s) %.3f s after it died",
                     worker.index,
@@ -588,7 +536,7 @@ class ClusterSupervisor:
                 await asyncio.sleep(self.config.snapshot_interval)
                 try:
                     await self._merge_once(trigger_workers=True)
-                except ServiceError as exc:
+                except (ServiceError, OSError) as exc:
                     logger.error("manifest merge failed: %s", exc)
         except asyncio.CancelledError:
             pass

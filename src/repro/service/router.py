@@ -148,8 +148,9 @@ class WorkerLink:
     dies, every sent-but-unanswered request resolves to an
     ``unavailable`` error frame and the link reconnects with backoff
     until the supervisor has the worker back; ops still queued in the
-    outbox (never written) survive the reconnect, so no caller waits
-    forever and no op is silently dropped.
+    outbox (never written) survive the reconnect, and :meth:`stop`
+    answers them ``unavailable`` too, so no caller waits forever and
+    no op is silently dropped.
     """
 
     def __init__(
@@ -200,6 +201,10 @@ class WorkerLink:
             self._task.cancel()
             await asyncio.gather(self._task, return_exceptions=True)
             self._task = None
+        while not self._outbox.empty():
+            # Never written, never will be: these fail with the rest.
+            rid, _frame, future = self._outbox.get_nowait()
+            self._pending[rid] = future
         self._fail_all("link closed")
 
     @property
@@ -477,6 +482,12 @@ class ClusterRouter:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # A down link never writes its queue: answer those requests
+        # now, or settle() waits on them for as long as the shard is
+        # gone.
+        for link in self.links:
+            if not link.up:
+                await link.stop()
         await self._layer.settle()
         for link in self.links:
             await link.stop()

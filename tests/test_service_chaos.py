@@ -33,7 +33,7 @@ class TestServiceProcess:
         snap = str(tmp_path / "snap.json")
         with ServiceProcess(
             socket_path=sock,
-            snapshot_path=snap,
+            snapshot=snap,
             snapshot_interval=30.0,  # rely on the explicit snapshot op
         ) as proc:
             proc.start()
@@ -70,7 +70,7 @@ class TestServiceProcess:
         sock = str(tmp_path / "s.sock")
         snap = str(tmp_path / "snap.json")
         with ServiceProcess(
-            socket_path=sock, snapshot_path=snap, snapshot_interval=60.0
+            socket_path=sock, snapshot=snap, snapshot_interval=60.0
         ) as proc:
             proc.start()
             with proc.client() as client:
@@ -94,7 +94,7 @@ class TestServiceProcess:
         sock = str(tmp_path / "s.sock")
         snap = str(tmp_path / "snap.json")
         with ServiceProcess(
-            socket_path=sock, snapshot_path=snap
+            socket_path=sock, snapshot=snap
         ) as proc:
             proc.start()
             with proc.client() as client:
@@ -124,9 +124,9 @@ class TestServiceProcess:
         audit = str(tmp_path / "audit.jsonl")
         with ServiceProcess(
             socket_path=sock,
-            snapshot_path=snap,
+            snapshot=snap,
             snapshot_interval=60.0,
-            audit_path=audit,
+            audit=audit,
             audit_fsync_every=1,
         ) as proc:
             proc.start()

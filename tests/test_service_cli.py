@@ -8,7 +8,10 @@ import time
 
 import pytest
 
-from repro.experiments.cli import main
+from repro.experiments.cli import build_parser, main
+from repro.faults import ClusterProcess
+from repro.service.launch import serve_argv
+from repro.service.server import ServiceConfig
 from repro.workload.trace import TraceEvent, write_trace
 
 
@@ -65,6 +68,21 @@ def last_json(out):
     interleave its own status prints)."""
     lines = [l for l in out.strip().splitlines() if l.startswith("{")]
     return json.loads(lines[-1])
+
+
+def serve_pids(marker):
+    """Pids of live processes whose command line mentions ``marker``
+    (a tmp_path socket: only this test's servers and workers)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and int(entry) != os.getpid():
+            try:
+                with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                    if marker.encode() in fh.read():
+                        pids.append(int(entry))
+            except OSError:
+                pass  # exited between listdir and open
+    return pids
 
 
 def test_serve_client_roundtrip(served, capsys):
@@ -242,6 +260,26 @@ def test_serve_failed_final_snapshot_exits_nonzero(tmp_path, capsys):
     assert server.join(timeout=5.0) == 1
     out = capsys.readouterr().out
     assert "FAILURE:" in out and "no_such_dir" in out
+
+
+def test_serve_workers_failed_final_manifest_exits_nonzero(
+    tmp_path, capsys
+):
+    # The same contract behind --workers: the drain used to stop at the
+    # failed merge with _stopped never set, and ignored SIGTERM after.
+    sock = str(tmp_path / "front.sock")
+    server = ServeThread(
+        [
+            "serve", "--workers", "2", "--socket", sock,
+            "--topology", "mci",
+            "--snapshot", str(tmp_path / "no_such_dir" / "m.json"),
+            "--serve-seconds", "0.5",
+        ]
+    )
+    assert server.join(timeout=10.0) == 1
+    out = capsys.readouterr().out
+    assert "FAILURE:" in out and "no_such_dir" in out
+    assert serve_pids(sock) == []
 
 
 def test_serve_startup_errors_are_failure_lines(tmp_path, capsys):
@@ -537,19 +575,87 @@ def test_serve_workers_argument_validation(tmp_path, capsys):
         == 2
     )
     assert "per-worker" in capsys.readouterr().out
-    # Per-worker state that is not plumbed through yet is refused
-    # loudly instead of silently dropped.  (--audit used to sit in
-    # this list; it now fans out to per-worker logs.)
-    assert (
-        main(
-            ["serve", "--workers", "2", "--socket", sock,
-             "--span-out", str(tmp_path / "spans.jsonl")]
-        )
-        == 2
-    )
-    assert "--span-out" in capsys.readouterr().out
     assert main(["serve", "--workers", "0", "--socket", sock]) == 2
     assert ">= 1" in capsys.readouterr().out
+
+
+def test_serve_workers_forwards_per_worker_options(tmp_path):
+    # --span-out and --slo-* used to be refused under --workers; every
+    # option now reaches the workers, per-worker files as <path>.w<i>.
+    spans = str(tmp_path / "spans.jsonl")
+    with ClusterProcess(
+        workers=2,
+        socket_path=str(tmp_path / "front.sock"),
+        topology="mci",
+        slo_p99_ms=50,
+        span_out=spans,
+    ) as cluster:
+        cluster.start()
+        with cluster.client() as client:
+            stats = client.stats()
+        assert [
+            w["slo"]["targets"]["p99_ms"] for w in stats["per_worker"]
+        ] == [50, 50]
+        assert cluster.terminate() == 0
+    assert os.path.exists(spans + ".w0") and os.path.exists(spans + ".w1")
+    assert not os.path.exists(spans)
+
+
+@pytest.mark.parametrize("mode", [[], ["--workers", "2"]])
+def test_serve_bad_alpha_ladder_is_one_usage_error(tmp_path, capsys, mode):
+    # Parsed once, at parse time: both modes answer alike (the cluster
+    # used to spawn its workers and report the first one's exit code).
+    argv = ["serve", "--socket", str(tmp_path / "s.sock"), "--governor",
+            "--alpha-ladder", "0.1,abc"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + mode)
+    assert exc.value.code == 2
+    assert "comma-separated floats" in capsys.readouterr().err
+
+
+# One row per way of spelling things; between them every serve dest is
+# set to a non-default value (checked below), so a new srv.add_argument
+# needs a row here before it can ship.
+SERVE_COMMAND_LINES = [
+    "--socket /tmp/s.sock --topology mci --alpha 0.25 --max-batch 64 "
+    "--max-delay-ms 1.5 --high-water 100 --low-water 50 --snapshot /tmp/s.json "
+    "--snapshot-interval 0.5 --protocol v1 --uvloop --drain-grace 2",
+    "--host 0.0.0.0 --port 0 --metrics-port 0 --metrics-host 0.0.0.0 "
+    "--metrics-out /tmp/m.prom --trace-out /tmp/t.json --serve-seconds 3",
+    "--socket /tmp/s.sock --workers 4 --governor --alpha-ladder 0.1,0.15,0.2 "
+    "--governor-interval 0.02 --preempt --preempt-max-victims 3",
+    "--socket /tmp/w.sock --shard-index 1 --shard-count 4 --audit /tmp/a.jsonl "
+    "--audit-fsync-every 1 --audit-max-bytes 4096 --audit-keep 2",
+    "--socket /tmp/s.sock --span-out /tmp/sp.jsonl --slo-p50-ms 5 "
+    "--slo-p99-ms 50 --slo-shed-rate 0.01 --slo-window 30",
+]
+
+
+def test_serve_argv_round_trips_every_option():
+    parse = build_parser().parse_args
+    defaults = vars(parse(["serve"]))
+    exercised = set()
+    for line in SERVE_COMMAND_LINES:
+        parsed = parse(["serve"] + line.split())
+        assert parse(serve_argv(vars(parsed))) == parsed, line
+        exercised |= {
+            dest for dest, value in vars(parsed).items()
+            if value != defaults[dest]
+        }
+    assert exercised == set(defaults) - {"command"}
+
+
+def test_serve_parser_defaults_are_service_config_defaults():
+    # The parser must not import server.py (cold start), so its
+    # literals are copies; this is what keeps them honest.
+    args = build_parser().parse_args(["serve"])
+    config = ServiceConfig()
+    assert args.max_delay_ms / 1000.0 == config.max_delay
+    for dest in (
+        "max_batch", "high_water", "low_water", "audit_fsync_every",
+        "audit_keep", "governor_interval", "drain_grace", "metrics_host",
+    ):
+        assert getattr(args, dest) == getattr(config, dest), dest
 
 
 def test_serve_shard_flags_must_pair(tmp_path, capsys):

@@ -20,6 +20,8 @@ the kill -9 worker chaos path, and the merged-manifest restart.
 
 import json
 import os
+import signal
+import threading
 import time
 
 import numpy as np
@@ -36,13 +38,21 @@ from repro.errors import AdmissionError, FaultInjectionError, ServiceError
 from repro.faults import ClusterProcess, kill_worker_restart_check
 from repro.routing.shortest import shortest_path_routes
 from repro.service import merge_cluster_snapshot, split_cluster_snapshot
-from repro.service.cluster import ClusterConfig, worker_serve_command
+from repro.experiments.cli import build_parser
+from repro.service.cluster import (
+    FRONT_DOOR_ONLY,
+    ClusterConfig,
+    worker_options,
+)
+from repro.service.launch import serve_argv
 from repro.service.router import HashRing
 from repro.service.snapshots import SNAPSHOT_SCHEMA
 from repro.topology import LinkServerGraph, mci_backbone
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generators import all_ordered_pairs
+
+from test_service_cli import serve_pids
 
 # --------------------------------------------------------------------- #
 # shard planning: quotas never exceed verified capacity
@@ -360,21 +370,46 @@ class TestClusterConfig:
                 workers=2, socket_path="/tmp/x.sock", snapshot_interval=5.0
             )
 
-    def test_worker_serve_command_argv(self):
-        command = worker_serve_command(
-            shard_count=4, topology="mci", alpha=0.25, snapshot_interval=3.0
+    def test_worker_argv_is_the_operators_own_options(self):
+        parse = build_parser().parse_args
+        operator = parse(
+            "serve --workers 4 --socket /tmp/x.sock --topology mci "
+            "--snapshot /tmp/m.json --snapshot-interval 3.0 "
+            "--audit /tmp/a.jsonl --span-out /tmp/sp.jsonl "
+            "--slo-p99-ms 50 --governor --governor-interval 0.02 "
+            "--preempt --preempt-max-victims 3 --metrics-port 9464 "
+            "--metrics-host 0.0.0.0 --drain-grace 2 --serve-seconds 9 "
+            "--metrics-out /tmp/m.prom --trace-out /tmp/t.json".split()
         )
-        argv = command(2, "/tmp/x.sock.w2", "/tmp/m.json.w2")
+        argv = serve_argv(worker_options(vars(operator), 2, 4))
         joined = " ".join(argv)
-        assert "--shard-index 2" in joined
-        assert "--shard-count 4" in joined
+        # Per-worker files and the shard identity...
         assert "--socket /tmp/x.sock.w2" in joined
         assert "--snapshot /tmp/m.json.w2" in joined
-        assert "--snapshot-interval 3.0" in joined
-        assert "--topology mci" in joined
-        # No snapshot path -> no snapshot flags at all.
-        bare = command(0, "/tmp/x.sock.w0", None)
-        assert "--snapshot" not in " ".join(bare)
+        assert "--audit /tmp/a.jsonl.w2" in joined
+        assert "--span-out /tmp/sp.jsonl.w2" in joined
+        assert "--shard-index 2 --shard-count 4" in joined
+        # ...nothing that belongs to the front door...
+        for dest in FRONT_DOOR_ONLY:
+            assert "--" + dest.replace("_", "-") not in argv, dest
+        # ...and everything else verbatim.
+        assert (
+            "--slo-p99-ms 50.0" in joined
+            and "--governor-interval 0.02" in joined
+            and "--preempt-max-victims 3" in joined
+            and "--snapshot-interval 3.0" in joined
+            and "--topology mci" in joined
+        )
+        worker = parse(argv)
+        assert (worker.shard_index, worker.shard_count) == (2, 4)
+        assert worker.slo_p99_ms == 50 and worker.governor and worker.preempt
+        # No snapshot/audit/span path -> no such flags at all.
+        bare = serve_argv(
+            worker_options(
+                vars(parse(["serve", "--socket", "/tmp/x.sock"])), 0, 2
+            )
+        )
+        assert not {"--snapshot", "--audit", "--span-out"} & set(bare)
 
 
 # --------------------------------------------------------------------- #
@@ -395,7 +430,7 @@ class TestClusterEndToEnd:
         with ClusterProcess(
             workers=2,
             socket_path=sock,
-            snapshot_path=snap,
+            snapshot=snap,
             topology="mci",
         ) as cluster:
             cluster.start()
@@ -453,7 +488,7 @@ class TestClusterEndToEnd:
         with ClusterProcess(
             workers=2,
             socket_path=sock,
-            snapshot_path=snap,
+            snapshot=snap,
             topology="mci",
             snapshot_interval=60.0,
         ) as cluster:
@@ -490,13 +525,73 @@ class TestClusterEndToEnd:
                     time.sleep(0.05)
                 assert 0.0 < client.stats()["last_restart_seconds"] < 30.0
 
+    def test_second_kill_inside_the_restart_gap_is_one_more_restart(
+        self, tmp_path, mci_pairs
+    ):
+        # The replacement dies before it ever answers health.  The
+        # monitor used to die with it: shard gone for good, front-door
+        # stats hanging, SIGTERM ignored.
+        sock = str(tmp_path / "front.sock")
+        with ClusterProcess(
+            workers=2,
+            socket_path=sock,
+            snapshot=str(tmp_path / "manifest.json"),
+            topology="mci",
+        ) as cluster:
+            cluster.start()
+            with cluster.client() as client:
+                admitted = []
+                for i, (src, dst) in enumerate(mci_pairs[:25]):
+                    if client.admit(
+                        FlowSpec(f"d{i}", "voice", src, dst)
+                    ).admitted:
+                        admitted.append(f"d{i}")
+                assert admitted
+                client.snapshot()  # durable shard cuts before the kills
+            first = cluster.kill_worker(0)
+            # The replacement is invisible through the front door until
+            # it is healthy, so find it the way an operator would.
+            second = None
+            deadline = time.monotonic() + 20.0
+            while second is None and time.monotonic() < deadline:
+                second = next(
+                    (p for p in serve_pids(sock + ".w0") if p != first),
+                    None,
+                )
+            assert second is not None, "no replacement was launched"
+            os.kill(second, signal.SIGKILL)
+            answers = []  # (seconds, stats) per front-door stats call
+
+            def probe():
+                with cluster.client() as client:
+                    for _ in range(5):
+                        t0 = time.monotonic()
+                        stats = client.stats()
+                        answers.append((time.monotonic() - t0, stats))
+
+            thread = threading.Thread(target=probe, daemon=True)
+            thread.start()
+            thread.join(30.0)
+            assert len(answers) == 5, "front-door stats hung"
+            assert max(seconds for seconds, _ in answers) < 5.0
+            stats = answers[-1][1]
+            with cluster.client() as client:
+                lost = [f for f in admitted if not client.query(f)]
+            assert stats["worker_pids"][0] not in (first, second)
+            assert stats["worker_restarts"] >= 2
+            assert stats["workers_up"] == 2
+            assert lost == []
+            t0 = time.monotonic()
+            assert cluster.terminate(timeout=10.0) == 0
+            assert time.monotonic() - t0 < 10.0
+
     def test_drain_merges_manifest_and_resized_restart_readmits(
         self, tmp_path, mci_pairs
     ):
         sock = str(tmp_path / "front.sock")
         snap = str(tmp_path / "manifest.json")
         with ClusterProcess(
-            workers=2, socket_path=sock, snapshot_path=snap, topology="mci"
+            workers=2, socket_path=sock, snapshot=snap, topology="mci"
         ) as cluster:
             cluster.start()
             admitted = []
@@ -511,7 +606,7 @@ class TestClusterEndToEnd:
         # Restart at a different worker count: the manifest re-splits
         # by the ring and every survivor is re-admitted.
         with ClusterProcess(
-            workers=3, socket_path=sock, snapshot_path=snap, topology="mci"
+            workers=3, socket_path=sock, snapshot=snap, topology="mci"
         ) as bigger:
             bigger.start()
             with bigger.client() as client:

@@ -284,3 +284,49 @@ def test_worker_link_treats_an_undecodable_frame_as_a_lost_link(tmp_path):
         await stub.wait_closed()
 
     asyncio.run(scenario())
+
+
+def test_worker_link_stop_answers_calls_it_never_wrote(tmp_path):
+    """A call queued to a link whose worker never comes back was never
+    written, so no lost connection ever fails it: ``stop()`` must, or
+    the caller — and the front door's drain behind it — waits forever."""
+
+    async def scenario():
+        link = WorkerLink(
+            0, str(tmp_path / "never.sock"), reconnect_delay=0.01
+        )
+        link.start()
+        queued = link.call("stats", {})
+        await asyncio.sleep(0.05)  # a few failed dials
+        assert not link.up and not queued.done() and link.pending == 1
+        await link.stop()
+        frame = await asyncio.wait_for(queued, 1)
+        assert frame["error"]["code"] == protocol.UNAVAILABLE
+        assert (link.failed_calls, link.pending) == (1, 0)
+
+    asyncio.run(scenario())
+
+
+def test_router_drain_answers_requests_queued_to_a_down_shard(tmp_path):
+    """The front door settles every in-flight request before it closes
+    the links — so a request queued to a link that is down must be
+    answered first, or the drain (and SIGTERM) waits on a worker that
+    may never come back."""
+    from repro.service.router import ClusterRouter
+
+    front = str(tmp_path / "front.sock")
+
+    async def scenario():
+        router = ClusterRouter([str(tmp_path / "never.sock")])
+        await router.start_unix(front)
+        reader, writer = await asyncio.open_unix_connection(front)
+        writer.write(line(7, op="stats"))
+        await writer.drain()
+        while router.links[0].pending == 0:
+            await asyncio.sleep(0.01)
+        await asyncio.wait_for(router.stop(), 2)
+        frame = json.loads(await asyncio.wait_for(reader.readline(), 1))
+        assert frame["id"] == 7 and frame["result"]["workers_up"] == 0
+        writer.close()
+
+    asyncio.run(scenario())
