@@ -15,15 +15,14 @@ speedup over the sequential baseline::
     python benchmarks/run_admission_bench.py --validate BENCH_admission.json
 
 A ``kernels`` section times the raw ``batch_slot_decisions`` slot
-kernel per registered backend (numpy always, numba when the ``jit``
-extra is installed, plus the sequential reference loop) over identical
-1024-row inputs.
+kernel (the vectorized numpy kernel) and the sequential reference loop
+over identical 1024-row inputs.
 
 ``--validate`` checks a summary against the schema — including the
 acceptance floors that batch size 1024 sustains ≥5x the sequential
-throughput over ≥1M total operations and that every vectorized or
-compiled kernel backend sustains ≥1M rows/s — and exits non-zero on
-any violation; CI runs it against the checked-in snapshot.
+throughput over ≥1M total operations and that the numpy kernel
+sustains ≥1M rows/s — and exits non-zero on any violation; CI runs it
+against the checked-in snapshot.
 """
 
 from __future__ import annotations
@@ -45,9 +44,9 @@ MIN_SPEEDUP_AT_1024 = 5.0
 
 BATCH_SIZES = (64, 256, 1024, 4096)
 
-#: Raw slot-kernel cells: rows per timed call, and the floor every
-#: vectorized/compiled backend must clear (the sequential reference is
-#: recorded but exempt — it exists for differential testing, not speed).
+#: Raw slot-kernel cells: rows per timed call, and the floor the
+#: kernel must clear (the sequential reference is recorded but exempt —
+#: it exists for differential testing, not speed).
 KERNEL_BATCH_ROWS = 1024
 MIN_KERNEL_ROWS_PER_SECOND = 1_000_000
 
@@ -132,23 +131,17 @@ def _kernel_workload(rows: int, *, width: int, num_servers: int, seed: int):
 
 
 def run_kernel_bench(*, seed: int, target_rows: int = 4_000_000) -> dict:
-    """Raw ``batch_slot_decisions`` throughput per backend.
+    """Raw ``batch_slot_decisions`` throughput, kernel and reference.
 
-    Times each registered backend (numpy always; numba when the
-    ``jit`` extra is installed; the sequential reference loop for
+    Times the numpy kernel (and the sequential reference loop, for
     scale) over identical :data:`KERNEL_BATCH_ROWS`-row inputs, free
-    vector copied per call since the kernel commits in place.  Backends
-    are warmed first — numba's first call pays the JIT compile, which
-    is a startup cost, not a per-batch one.
+    vector copied per call.
     """
     from time import perf_counter
 
     from repro.admission.kernels import (
-        HAVE_NUMBA,
-        active_slot_kernel,
-        available_slot_kernels,
-        get_slot_kernel,
-        use_slot_kernel,
+        batch_slot_decisions_numpy,
+        batch_slot_decisions_sequential,
     )
 
     matrix, free = _kernel_workload(
@@ -156,28 +149,29 @@ def run_kernel_bench(*, seed: int, target_rows: int = 4_000_000) -> dict:
     )
     rows = matrix.shape[0]
     runs = []
-    for backend in available_slot_kernels():
-        with use_slot_kernel(backend):
-            kernel = get_slot_kernel()
-            kernel(matrix, free.copy())  # warm (JIT compile, caches)
-            # The sequential reference is ~100x slower; keep its cell
-            # honest but short.
-            reps = max(
-                1,
-                (target_rows if backend != "sequential" else rows * 8)
-                // rows,
-            )
-            gc.collect()
-            enabled = gc.isenabled()
-            gc.disable()
-            begin = perf_counter()
-            try:
-                for _ in range(reps):
-                    kernel(matrix, free.copy())
-            finally:
-                if enabled:
-                    gc.enable()
-            elapsed = perf_counter() - begin
+    for backend, kernel in (
+        ("numpy", batch_slot_decisions_numpy),
+        ("sequential", batch_slot_decisions_sequential),
+    ):
+        kernel(matrix, free.copy())  # warm (caches)
+        # The sequential reference is ~100x slower; keep its cell
+        # honest but short.
+        reps = max(
+            1,
+            (target_rows if backend != "sequential" else rows * 8)
+            // rows,
+        )
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        begin = perf_counter()
+        try:
+            for _ in range(reps):
+                kernel(matrix, free.copy())
+        finally:
+            if enabled:
+                gc.enable()
+        elapsed = perf_counter() - begin
         runs.append(
             {
                 "backend": backend,
@@ -192,9 +186,6 @@ def run_kernel_bench(*, seed: int, target_rows: int = 4_000_000) -> dict:
         )
     best = max(runs, key=lambda r: r["rows_per_second"])
     return {
-        "available": list(available_slot_kernels()),
-        "active": active_slot_kernel(),
-        "have_numba": HAVE_NUMBA,
         "batch_rows": KERNEL_BATCH_ROWS,
         "runs": runs,
         "best": {
@@ -375,21 +366,13 @@ def validate_summary(data: dict) -> list:
 def _validate_kernels_section(kernels) -> list:
     """Violations in the raw slot-kernel section.
 
-    The >=1M rows/s floor applies to every backend except the
+    The >=1M rows/s floor applies to every cell except the
     ``sequential`` reference loop (present for scale, exempt by
-    design); ``numpy`` must always have a cell, ``numba`` only where
-    the summary says the extra is installed.
+    design); ``numpy`` must always have a cell.
     """
     problems = []
     if not isinstance(kernels, dict):
         return ["kernels must be an object"]
-    available = kernels.get("available")
-    if not isinstance(available, list) or "numpy" not in available:
-        problems.append(
-            f"kernels.available must be a list containing 'numpy', "
-            f"got {available!r}"
-        )
-        return problems
     runs = kernels.get("runs")
     if not isinstance(runs, list) or not runs:
         return ["kernels.runs must be a non-empty list"]
@@ -420,10 +403,6 @@ def _validate_kernels_section(kernels) -> list:
                 )
     if "numpy" not in measured:
         problems.append("kernels.runs is missing the 'numpy' backend")
-    if kernels.get("have_numba") and "numba" not in measured:
-        problems.append(
-            "kernels.have_numba is true but no 'numba' run is recorded"
-        )
     return problems
 
 

@@ -15,14 +15,9 @@ if TYPE_CHECKING:
     )
     from .flowaware import FlowAwareAdmissionController
     from .kernels import (
-        HAVE_NUMBA,
         active_slot_kernel,
-        available_slot_kernels,
         batch_slot_decisions_numpy,
         batch_slot_decisions_sequential,
-        set_slot_kernel,
-        use_slot_kernel,
-        warm_slot_kernel,
     )
     from .flowtable import FlowTable
     from .ledger import UtilizationLedger
@@ -38,9 +33,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ),
     ".flowaware": ("FlowAwareAdmissionController",),
     ".kernels": (
-        "HAVE_NUMBA", "active_slot_kernel", "available_slot_kernels",
-        "batch_slot_decisions_numpy", "batch_slot_decisions_sequential",
-        "set_slot_kernel", "use_slot_kernel", "warm_slot_kernel",
+        "active_slot_kernel", "batch_slot_decisions_numpy",
+        "batch_slot_decisions_sequential",
     ),
     ".flowtable": ("FlowTable",),
     ".ledger": ("UtilizationLedger",),

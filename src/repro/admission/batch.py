@@ -12,12 +12,17 @@ Routes enter as a **padded server-index matrix** (requests x max route
 length); padding cells point at one virtual slot whose free count is
 effectively infinite, so they can never cause a violation.
 
-The callable actually run is selected through
-:mod:`repro.admission.kernels`, which owns all three backends (the
-vectorized numpy reference, the plain sequential loop, a Numba-compiled
-twin when numba is importable); :func:`batch_slot_decisions` is the
-dispatcher.  All backends are pinned bit-identical by the kernel
-differential suite.
+The contract of :func:`batch_slot_decisions` ``(matrix, free)``:
+``matrix`` is the ``int64[b, L]`` padded server-index matrix, every cell
+indexing into ``free`` and padding cells pointing at an entry that holds
+:data:`PADDING_FREE`; ``free`` is the free slots per (possibly virtual)
+server **before** the batch, ``capacity - used``, and may be negative
+(degraded operation).  It returns ``bool[b]`` where ``admitted[i]`` is
+exactly what a sequential loop (test every server, then commit on
+success) would have decided for request ``i``.  The function *is* the
+vectorized numpy kernel of :mod:`repro.admission.kernels`, which the
+kernel differential suite pins bit-identical to the plain sequential
+loop kept beside it.
 """
 
 from __future__ import annotations
@@ -26,9 +31,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-# Imported here, not at the first decision: the registry probes for numba
-# on import, and that belongs to start-up, not to the first request.
-from . import kernels
+from .kernels import batch_slot_decisions_numpy as batch_slot_decisions
 
 __all__ = [
     "PADDING_FREE",
@@ -63,35 +66,6 @@ def pad_server_matrix(
             [r for r in rows if r.size]
         )
     return matrix, lengths
-
-
-def batch_slot_decisions(
-    matrix: np.ndarray, free: np.ndarray
-) -> np.ndarray:
-    """Sequential-equivalent admit/reject verdicts for a request batch.
-
-    Dispatches to the backend selected in
-    :mod:`repro.admission.kernels` (``numpy`` reference, compiled
-    ``numba`` twin, or the plain ``sequential`` loop); all are
-    bit-identical by the differential suite.
-
-    Parameters
-    ----------
-    matrix:
-        ``int64[b, L]`` padded server-index matrix; every cell indexes
-        into ``free``.  Padding cells must point at (an) entry holding
-        :data:`PADDING_FREE`.
-    free:
-        Free slots per (possibly virtual) server **before** the batch:
-        ``capacity - used``.  May be negative (degraded operation).
-
-    Returns
-    -------
-    ``bool[b]`` — ``admitted[i]`` is exactly what a sequential loop
-    (test every server, then commit on success) would have decided for
-    request ``i``.
-    """
-    return kernels.get_slot_kernel()(matrix, free)
 
 
 def flat_committed_servers(

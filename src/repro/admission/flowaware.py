@@ -23,6 +23,7 @@ the batch benchmarks quantify against the utilization controllers.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Hashable, List, Mapping, Sequence, Tuple
 
 from ..analysis.netcalc import flow_aware_delays
@@ -56,13 +57,7 @@ class FlowAwareAdmissionController(AdmissionController):
         """The flow with its route made explicit (analysis needs routes)."""
         if flow.route is not None:
             return flow
-        return FlowSpec(
-            flow_id=flow.flow_id,
-            class_name=flow.class_name,
-            source=flow.source,
-            destination=flow.destination,
-            route=tuple(self.resolve_route(flow)),
-        )
+        return replace(flow, route=tuple(self.resolve_route(flow)))
 
     def _admit_impl(
         self, flow: FlowSpec, route: Sequence[Hashable]

@@ -1,68 +1,30 @@
-"""Runtime-selectable backends for the batch slot kernel.
+"""The batch slot kernel and its differential reference.
 
-Three interchangeable implementations of the sequential-equivalent
-slot decision (see :mod:`repro.admission.batch` for the contract):
+Two implementations of the sequential-equivalent slot decision (see
+:mod:`repro.admission.batch` for the contract):
 
-``numpy``
-    The vectorized interval iteration — the bit-identical *reference*
-    implementation, always available.
-``numba``
-    A ``@njit``-compiled test-then-commit loop.  Fastest once warm;
-    only registered when :mod:`numba` imports cleanly.
-``sequential``
+``batch_slot_decisions_numpy``
+    The vectorized interval iteration — the one kernel production runs
+    (:func:`repro.admission.batch.batch_slot_decisions` *is* this
+    function).
+``batch_slot_decisions_sequential``
     The plain-Python test-then-commit loop.  Slow, but it *is* the
-    semantics — the differential suite pins both fast paths to it.
+    semantics — the differential suite and :mod:`repro.verify` pin the
+    kernel to it bit for bit.
 
-Selection is process-global: the default backend is ``numba`` when
-available, else ``numpy``; override with the ``REPRO_SLOT_KERNEL``
-environment variable or :func:`set_slot_kernel`.  The compiled path
-falls back cleanly — asking for ``numba`` without numba installed
-raises an explicit error rather than silently degrading, while the
-*default* simply never offers it.
+There is nothing to select: a second production kernel has to arrive
+with a benchmark cell that shows what it buys.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Tuple
-
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "NUMBA_PIN",
-    "SlotKernel",
     "batch_slot_decisions_sequential",
     "batch_slot_decisions_numpy",
-    "available_slot_kernels",
-    "default_slot_kernel",
     "active_slot_kernel",
-    "get_slot_kernel",
-    "set_slot_kernel",
-    "use_slot_kernel",
-    "warm_slot_kernel",
 ]
-
-#: ``(matrix, free) -> admitted`` — the batch slot decision signature.
-SlotKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-#: Environment variable naming the default backend for this process.
-ENV_VAR = "REPRO_SLOT_KERNEL"
-
-#: The numba version CI compiles the kernel against (the ``jit``
-#: extra).  Pinned for the same reason as the z3 solver: JIT codegen
-#: drifts across releases, and the differential suite's bit-identical
-#: claim must be reproducible.
-NUMBA_PIN = "0.60.0"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - ImportError or broken install
-    numba = None  # type: ignore[assignment]
-    HAVE_NUMBA = False
 
 
 def batch_slot_decisions_sequential(
@@ -262,129 +224,6 @@ def batch_slot_decisions_numpy(
     return admitted
 
 
-_numba_kernel: Optional[SlotKernel] = None
-
-
-def _compile_numba_kernel() -> SlotKernel:
-    """JIT-compile the test-then-commit loop (cached per process)."""
-    global _numba_kernel
-    if _numba_kernel is not None:
-        return _numba_kernel
-    if not HAVE_NUMBA:  # pragma: no cover - guarded by callers
-        raise RuntimeError(
-            "numba is not installed; install the 'jit' extra or use "
-            "the 'numpy' kernel"
-        )
-
-    @numba.njit(cache=False)  # pragma: no cover - compiled, not traced
-    def _jit_slot_decisions(
-        matrix: np.ndarray, free: np.ndarray
-    ) -> np.ndarray:
-        b, width = matrix.shape
-        admitted = np.zeros(b, dtype=np.bool_)
-        used = np.zeros(free.shape[0], dtype=np.int64)
-        for i in range(b):
-            ok = True
-            for j in range(width):
-                s = matrix[i, j]
-                if used[s] >= free[s]:
-                    ok = False
-                    break
-            if ok:
-                admitted[i] = True
-                for j in range(width):
-                    used[matrix[i, j]] += 1
-        return admitted
-
-    _numba_kernel = _jit_slot_decisions
-    return _numba_kernel
-
-
-def _numba_dispatch(matrix: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Compile on first call, then delegate to the jitted kernel."""
-    kernel = _compile_numba_kernel()
-    return np.asarray(kernel(matrix, free), dtype=bool)
-
-
-_KERNELS: Dict[str, SlotKernel] = {
-    "numpy": batch_slot_decisions_numpy,
-    "sequential": batch_slot_decisions_sequential,
-}
-if HAVE_NUMBA:  # pragma: no cover - exercised only with numba
-    _KERNELS["numba"] = _numba_dispatch
-
-
-def available_slot_kernels() -> Tuple[str, ...]:
-    """Backend names usable in this process (numba only if importable)."""
-    return tuple(sorted(_KERNELS))
-
-
-def default_slot_kernel() -> str:
-    """Backend picked at startup: env override, else numba-if-present."""
-    env = os.environ.get(ENV_VAR, "").strip().lower()
-    if env:
-        if env not in _KERNELS:
-            raise ValueError(
-                f"{ENV_VAR}={env!r} is not an available slot kernel "
-                f"(have: {', '.join(available_slot_kernels())})"
-            )
-        return env
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_active: Optional[str] = None
-
-
 def active_slot_kernel() -> str:
-    """Name of the backend :func:`get_slot_kernel` would return."""
-    global _active
-    if _active is None:
-        _active = default_slot_kernel()
-    return _active
-
-
-def get_slot_kernel() -> SlotKernel:
-    """The callable behind the active backend."""
-    return _KERNELS[active_slot_kernel()]
-
-
-def set_slot_kernel(name: str) -> str:
-    """Select a backend process-wide; returns the previous name."""
-    global _active
-    if name not in _KERNELS:
-        raise ValueError(
-            f"unknown slot kernel {name!r} "
-            f"(have: {', '.join(available_slot_kernels())})"
-        )
-    previous = active_slot_kernel()
-    _active = name
-    return previous
-
-
-@contextmanager
-def use_slot_kernel(name: str) -> Iterator[str]:
-    """Temporarily select a backend (restores the previous on exit)."""
-    previous = set_slot_kernel(name)
-    try:
-        yield name
-    finally:
-        set_slot_kernel(previous)
-
-
-def warm_slot_kernel(name: Optional[str] = None) -> str:
-    """Force any one-time compilation for a backend (e.g. numba JIT).
-
-    Runs the backend once on a tiny instance so the first production
-    batch doesn't pay the compile.  Returns the warmed backend name.
-    """
-    target = name or active_slot_kernel()
-    kernel = _KERNELS.get(target)
-    if kernel is None:
-        raise ValueError(
-            f"unknown slot kernel {target!r} "
-            f"(have: {', '.join(available_slot_kernels())})"
-        )
-    matrix = np.array([[0, 1], [1, 1]], dtype=np.int64)
-    free = np.array([1, 1], dtype=np.int64)
-    kernel(matrix, free)
-    return target
+    """Name of the one production kernel (bench fingerprints record it)."""
+    return "numpy"

@@ -21,7 +21,12 @@ import numpy as np
 from ..errors import AdmissionError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
-from ..traffic.flows import PRIORITY_CODES, FlowSpec
+from ..traffic.flows import (
+    PRIORITY_CODES,
+    FlowSpec,
+    flow_from_record,
+    flow_record,
+)
 from .base import AdmissionController, Pair
 from .batch import (
     PADDING_FREE,
@@ -318,25 +323,17 @@ class UtilizationAdmissionController(AdmissionController):
         The ledger itself is *derived* state: a restarted controller
         rebuilds it by re-admitting the snapshot, so a snapshot is just
         the flow list (plus the configuration identity for sanity
-        checks).
+        checks).  Every flow is written on its **committed** route, so
+        a restore lands it on the path it occupies even if the route
+        map changed or the restarted process resolves pairs
+        differently.
         """
-        flows = []
-        for flow in self.established_flows:
-            record = {
-                "flow_id": flow.flow_id,
-                "class_name": flow.class_name,
-                "source": flow.source,
-                "destination": flow.destination,
-                "route": None if flow.route is None else list(flow.route),
-            }
-            if flow.priority is not None:
-                # Key only present when set: priority-less snapshots
-                # stay byte-identical to pre-priority ones.
-                record["priority"] = flow.priority
-            flows.append(record)
         return {
             "alphas": dict(self.alphas),
-            "flows": flows,
+            "flows": [
+                flow_record(flow, self._committed_routes[flow.flow_id])
+                for flow in self.established_flows
+            ],
         }
 
     def restore(self, snapshot: dict) -> None:
@@ -347,8 +344,6 @@ class UtilizationAdmissionController(AdmissionController):
         fit — it fit before).  Raises :class:`AdmissionError` on
         configuration mismatch or if a flow unexpectedly fails.
         """
-        from ..traffic.flows import FlowSpec
-
         if self.num_established:
             raise AdmissionError(
                 "restore requires a fresh controller (no established flows)"
@@ -358,18 +353,8 @@ class UtilizationAdmissionController(AdmissionController):
                 "snapshot was taken under a different utilization "
                 "assignment"
             )
-        for record in snapshot["flows"]:
-            flow = FlowSpec(
-                flow_id=record["flow_id"],
-                class_name=record["class_name"],
-                source=record["source"],
-                destination=record["destination"],
-                route=(
-                    None if record["route"] is None
-                    else tuple(record["route"])
-                ),
-                priority=record.get("priority"),
-            )
+        for record in snapshot.get("flows", []):
+            flow = flow_from_record(record)
             decision = self.admit(flow)
             if not decision.admitted:
                 raise AdmissionError(

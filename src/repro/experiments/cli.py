@@ -578,13 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     srv.add_argument(
-        "--uvloop", action="store_true",
-        help=(
-            "run on the uvloop event loop when importable "
-            "(falls back to stdlib asyncio with a warning)"
-        ),
-    )
-    srv.add_argument(
         # Test/CI hook: drain automatically after a fixed wall-clock
         # budget instead of waiting for a signal.
         "--serve-seconds", type=float, default=None,
@@ -1430,11 +1423,19 @@ def _run_serve(args: argparse.Namespace) -> int:
         await server.serve_forever()
         summary(server)
 
-    build = _run_serve_single if args.workers is None else _run_serve_cluster
     try:
         if args.alpha_ladder is not None and not args.governor:
             raise ValueError("--alpha-ladder needs --governor")
-        start, banner, summary, span_sink = build(args)
+        # Figure 2 runs before anything listens or spawns, in every
+        # mode: an alpha it rejects makes the counter compare no
+        # deadline guarantee at all.
+        setup = _admission_setup(args.topology)
+        ladder = _certified_ladder(args, setup)
+        if args.workers is None:
+            built = _run_serve_single(args, setup, ladder)
+        else:
+            built = _run_serve_cluster(args)
+        start, banner, summary, span_sink = built
     except (ReproError, ValueError) as exc:
         print(f"FAILURE: {exc}")
         return 2
@@ -1451,7 +1452,26 @@ def _run_serve(args: argparse.Namespace) -> int:
             print(f"wrote span stream to {args.span_out}")
 
 
-def _run_serve_single(args: argparse.Namespace):
+def _certified_ladder(args: argparse.Namespace, setup):
+    """The verified ``--alpha`` plus, under ``--governor``, its rungs."""
+    from ..control.ladder import certify_ladder
+
+    graph, registry, voice, _pairs, routes = setup
+    candidates = args.alpha_ladder
+    if not args.governor:
+        candidates = []
+    elif candidates is None:
+        candidates = [args.alpha * f for f in (0.5, 0.625, 0.75, 0.875)]
+    # Certification always runs against the full backbone: a shard
+    # worker's quota is a partition of the certified slots, so a rung
+    # safe for the whole network is safe for every shard of it.
+    return certify_ladder(
+        graph, list(routes.values()), registry,
+        {voice.name: args.alpha}, candidates,
+    )
+
+
+def _run_serve_single(args: argparse.Namespace, setup, ladder):
     """Plain ``serve``, and each shard worker of a cluster."""
     from ..service.server import AdmissionService, ServiceConfig
 
@@ -1463,9 +1483,7 @@ def _run_serve_single(args: argparse.Namespace):
     ):
         raise ValueError("--shard-index and --shard-count go together")
 
-    graph, registry, voice, _pairs, routes = _admission_setup(
-        args.topology
-    )
+    graph, registry, voice, _pairs, routes = setup
     alphas = {voice.name: args.alpha}
     if shard_mode:
         from ..admission.sharded import SlotShardController
@@ -1509,20 +1527,7 @@ def _run_serve_single(args: argparse.Namespace):
     preemptor = None
     if args.governor:
         from ..control.governor import AlphaGovernor
-        from ..control.ladder import certify_ladder
 
-        candidates = args.alpha_ladder
-        if candidates is None:
-            candidates = [
-                args.alpha * f for f in (0.5, 0.625, 0.75, 0.875)
-            ]
-        # Certification always runs against the full backbone: a
-        # shard worker's quota is a partition of the certified
-        # slots, so a rung safe for the whole network is safe for
-        # every shard of it.
-        ladder = certify_ladder(
-            graph, list(routes.values()), registry, alphas, candidates
-        )
         governor = AlphaGovernor(ladder)
     if args.preempt:
         from ..control.preempt import PreemptionPolicy, Preemptor
@@ -1551,17 +1556,6 @@ def _run_serve_single(args: argparse.Namespace):
         if tracer is not None:
             span_sink = JsonLinesSpanSink(args.span_out)
             span_sink.attach(tracer)
-
-    if args.uvloop:
-        from ..service.eventloop import install_uvloop
-
-        # The library logs through the silenced "repro" logger; the CLI
-        # must tell the operator when the opt-in didn't take effect.
-        if not install_uvloop():
-            print(
-                "uvloop requested but not importable; "
-                "staying on the stdlib asyncio event loop"
-            )
 
     async def start():
         service = AdmissionService(

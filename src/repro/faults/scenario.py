@@ -135,13 +135,7 @@ def adversarial_flow_schedule(
         if event.flow_id not in keep:
             continue
         if event.kind == "arrival":
-            flow = FlowSpec(
-                flow_id=event.flow_id,
-                class_name=event.class_name,
-                source=event.source,
-                destination=event.destination,
-            )
-            flows[event.flow_id] = flow
+            flow = flows[event.flow_id] = event.flow
             out.append(
                 FlowEvent(time=event.time, kind="arrival", flow=flow)
             )

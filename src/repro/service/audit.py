@@ -218,16 +218,10 @@ class AuditLog:
         trace: Optional[Dict[str, str]] = None,
         error: Optional[str] = None,
     ) -> int:
-        flow_obj: Dict[str, Any] = {
-            "id": flow.flow_id,
-            "cls": flow.class_name,
-            "src": flow.source,
-            "dst": flow.destination,
-        }
-        if flow.priority is not None:
-            # Key only present when set, so priority-less logs stay
-            # byte-identical to pre-priority recordings.
-            flow_obj["pri"] = flow.priority
+        flow_obj = flow.to_obj()
+        # The record's own ``route`` is the committed one; a requested
+        # route is not repeated inside ``flow``.
+        flow_obj.pop("route", None)
         obj: Dict[str, Any] = {
             "kind": "admit",
             "flow": flow_obj,

@@ -301,19 +301,8 @@ def request_from_obj(obj: Dict[str, Any]) -> Request:
     return Request(id=rid, op=op, body=body)
 
 
-def flow_to_obj(flow: FlowSpec) -> Dict[str, Any]:
-    """Wire form of a flow request (keys match the workload-trace idiom)."""
-    obj: Dict[str, Any] = {
-        "id": flow.flow_id,
-        "cls": flow.class_name,
-        "src": flow.source,
-        "dst": flow.destination,
-    }
-    if flow.route is not None:
-        obj["route"] = list(flow.route)
-    if flow.priority is not None:
-        obj["pri"] = flow.priority
-    return obj
+#: Wire form of a flow request: the short-key idiom, written in one place.
+flow_to_obj = FlowSpec.to_obj
 
 
 def flow_from_obj(obj: Any) -> FlowSpec:

@@ -98,17 +98,7 @@ class ServiceReplayResult:
 
 def _op_of(event: TraceEvent) -> Dict[str, Any]:
     if event.kind == "arrival":
-        flow: Dict[str, Any] = {
-            "id": event.flow_id,
-            "cls": event.class_name,
-            "src": event.source,
-            "dst": event.destination,
-        }
-        if event.route is not None:
-            flow["route"] = list(event.route)
-        if event.priority is not None:
-            flow["pri"] = event.priority
-        return {"op": "admit", "flow": flow}
+        return {"op": "admit", "flow": event.flow.to_obj()}
     return {"op": "release", "flow_id": event.flow_id}
 
 

@@ -37,30 +37,10 @@ SNAPSHOT_SCHEMA = "repro-admission-snapshot/v1"
 def service_snapshot(
     controller: UtilizationAdmissionController,
 ) -> Dict[str, Any]:
-    """Snapshot dict with committed routes pinned.
-
-    Unlike ``controller.snapshot()`` (which records the route *request*,
-    possibly ``None`` for configured-pair flows), the service snapshot
-    pins the route each flow actually occupies, so a restore lands every
-    survivor on its original path even if the route map changed or the
-    restarted process resolves pairs differently.
-    """
-    flows = []
-    for flow in controller.established_flows:
-        flows.append(
-            {
-                "flow_id": flow.flow_id,
-                "class_name": flow.class_name,
-                "source": flow.source,
-                "destination": flow.destination,
-                "route": list(controller.committed_route(flow.flow_id)),
-            }
-        )
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "alphas": dict(controller.alphas),
-        "flows": flows,
-    }
+    """``controller.snapshot()`` under the service schema tag: every
+    flow on its committed route, with its ``priority`` when it has one
+    (:func:`repro.traffic.flows.flow_record` writes the records)."""
+    return {"schema": SNAPSHOT_SCHEMA, **controller.snapshot()}
 
 
 def _flow_key(flow_id: Hashable) -> Hashable:
@@ -174,13 +154,7 @@ def split_cluster_snapshot(
         ):
             owner = int(assign(item["flow_id"]))
         shards[owner]["flows"].append(
-            {
-                "flow_id": item["flow_id"],
-                "class_name": item["class_name"],
-                "source": item["source"],
-                "destination": item["destination"],
-                "route": item["route"],
-            }
+            {k: v for k, v in item.items() if k != "worker"}
         )
     return shards
 
@@ -255,19 +229,5 @@ class SnapshotStore:
         snapshot = self.load()
         if snapshot is None:
             return 0
-        controller.restore(
-            {
-                "alphas": snapshot.get("alphas", {}),
-                "flows": [
-                    {
-                        "flow_id": item["flow_id"],
-                        "class_name": item["class_name"],
-                        "source": item["source"],
-                        "destination": item["destination"],
-                        "route": item["route"],
-                    }
-                    for item in snapshot.get("flows", [])
-                ],
-            }
-        )
+        controller.restore(snapshot)
         return len(snapshot.get("flows", []))

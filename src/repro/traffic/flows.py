@@ -10,7 +10,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import TrafficError
 
@@ -19,6 +30,8 @@ __all__ = [
     "FlowSet",
     "PRIORITIES",
     "PRIORITY_CODES",
+    "flow_from_record",
+    "flow_record",
     "fresh_flow_id",
     "priority_rank",
 ]
@@ -112,6 +125,64 @@ class FlowSpec:
     @property
     def pair(self) -> Tuple[Hashable, Hashable]:
         return (self.source, self.destination)
+
+    def to_obj(self) -> Dict[str, Any]:
+        """Short-key form: the wire, audit-log and workload-trace idiom.
+
+        ``route`` and ``pri`` are present only when set, so lines
+        without them stay byte-identical to older recordings.
+        """
+        obj: Dict[str, Any] = {
+            "id": self.flow_id,
+            "cls": self.class_name,
+            "src": self.source,
+            "dst": self.destination,
+        }
+        if self.route is not None:
+            obj["route"] = list(self.route)
+        if self.priority is not None:
+            obj["pri"] = self.priority
+        return obj
+
+
+def flow_record(
+    flow: FlowSpec, route: Optional[Sequence[Hashable]]
+) -> Dict[str, Any]:
+    """Snapshot record of a flow on ``route`` (its committed route).
+
+    The one writer of the long-key form; ``priority`` is present only
+    when set, so priority-less snapshots stay byte-identical to
+    pre-priority ones.
+    """
+    record: Dict[str, Any] = {
+        "flow_id": flow.flow_id,
+        "class_name": flow.class_name,
+        "source": flow.source,
+        "destination": flow.destination,
+        "route": None if route is None else list(route),
+    }
+    if flow.priority is not None:
+        record["priority"] = flow.priority
+    return record
+
+
+def flow_from_record(record: Mapping[str, Any]) -> FlowSpec:
+    """The flow a :func:`flow_record` describes (the one reader)."""
+    try:
+        route = record["route"]
+        return FlowSpec(
+            flow_id=record["flow_id"],
+            class_name=record["class_name"],
+            source=record["source"],
+            destination=record["destination"],
+            route=None if route is None else tuple(route),
+            priority=record.get("priority"),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise TrafficError(
+            f"malformed flow record {record!r}: {what}"
+        ) from None
 
 
 class FlowSet:

@@ -424,19 +424,9 @@ def replay_no_overcommit(
     invariant_problems: List[str] = []
     overcommits: List[Tuple[int, int]] = []
     admitted: set = set()
-    from ..traffic.flows import FlowSpec
-
     for event in cx.to_trace_events():
         if event.kind == "arrival":
-            decision = controller.admit(
-                FlowSpec(
-                    flow_id=event.flow_id,
-                    class_name=event.class_name,
-                    source=event.source,
-                    destination=event.destination,
-                    route=event.route,
-                )
-            )
+            decision = controller.admit(event.flow)
             controller_verdicts.append(decision.admitted)
             if decision.admitted:
                 admitted.add(event.flow_id)

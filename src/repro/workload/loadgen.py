@@ -170,17 +170,6 @@ class LoadgenResult:
         return self.total_ops / self.elapsed_seconds
 
 
-def _flow_of(event: TraceEvent) -> FlowSpec:
-    return FlowSpec(
-        flow_id=event.flow_id,
-        class_name=event.class_name,
-        source=event.source,
-        destination=event.destination,
-        route=event.route,
-        priority=event.priority,
-    )
-
-
 def drive(
     controller: AdmissionController,
     events: Sequence[TraceEvent],
@@ -215,7 +204,7 @@ def drive(
     if mode == "sequential":
         # op = FlowSpec to admit, or a bare flow id to release.
         ops = [
-            _flow_of(e) if e.kind == "arrival" else e.flow_id
+            e.flow if e.kind == "arrival" else e.flow_id
             for e in events
         ]
         start = time.perf_counter()
@@ -241,7 +230,7 @@ def drive(
         departures: List[Hashable] = []
         for event in events:
             if event.kind == "arrival":
-                arrivals.append(_flow_of(event))
+                arrivals.append(event.flow)
                 if len(arrivals) == batch_size:
                     epochs.append((arrivals, departures))
                     arrivals, departures = [], []

@@ -32,7 +32,7 @@ from typing import (
 )
 
 from ..errors import TrafficError
-from ..traffic.flows import PRIORITIES
+from ..traffic.flows import PRIORITIES, FlowSpec
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -84,6 +84,18 @@ class TraceEvent:
                 "and destination"
             )
 
+    @property
+    def flow(self) -> FlowSpec:
+        """The flow request an arrival event describes."""
+        return FlowSpec(
+            flow_id=self.flow_id,
+            class_name=self.class_name,
+            source=self.source,
+            destination=self.destination,
+            route=self.route,
+            priority=self.priority,
+        )
+
 
 def _event_obj(event: TraceEvent) -> Dict[str, Any]:
     obj: Dict[str, Any] = {
@@ -92,13 +104,7 @@ def _event_obj(event: TraceEvent) -> Dict[str, Any]:
         "id": event.flow_id,
     }
     if event.kind == "arrival":
-        obj["cls"] = event.class_name
-        obj["src"] = event.source
-        obj["dst"] = event.destination
-        if event.route is not None:
-            obj["route"] = list(event.route)
-        if event.priority is not None:
-            obj["pri"] = event.priority
+        obj.update(event.flow.to_obj())
     return obj
 
 

@@ -26,18 +26,16 @@ except ImportError:  # pragma: no cover - hypothesis always in test deps
     pass
 
 from repro.obs import NULL_REGISTRY, OBS
-from repro.admission.kernels import HAVE_NUMBA
 from repro.verify.smt import HAVE_Z3
 
 
 def pytest_collection_modifyitems(config, items):
-    """Skip extras-gated tests when the optional solver/JIT is absent.
+    """Skip extras-gated tests when the optional solver is absent.
 
-    Tier-1 runs stay z3- and numba-free by construction; the CI
-    ``verify-smt`` / ``verify-jit`` jobs install the matching extra and
-    run ``pytest -m smt`` / ``-m jit``, where these tests must actually
-    execute (the skip shows up as ``s`` in their output, so an
-    accidentally-bare job is visible).
+    Tier-1 runs stay z3-free by construction; the CI ``verify-smt`` job
+    installs the extra and runs ``pytest -m smt``, where these tests
+    must actually execute (the skip shows up as ``s`` in its output, so
+    an accidentally-bare job is visible).
     """
     if not HAVE_Z3:
         skip_smt = pytest.mark.skip(
@@ -46,13 +44,6 @@ def pytest_collection_modifyitems(config, items):
         for item in items:
             if "smt" in item.keywords:
                 item.add_marker(skip_smt)
-    if not HAVE_NUMBA:
-        skip_jit = pytest.mark.skip(
-            reason="numba not installed (jit extra)"
-        )
-        for item in items:
-            if "jit" in item.keywords:
-                item.add_marker(skip_jit)
 from repro.topology import (
     LinkServerGraph,
     Network,

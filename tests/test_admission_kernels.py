@@ -1,10 +1,10 @@
-"""Kernel differential suite: every slot-kernel backend is bit-identical.
+"""Kernel differential suite: the slot kernel is bit-identical to its
+reference.
 
 The batch slot decision has one semantics — the sequential
-test-then-commit loop in :mod:`repro.admission.kernels` — and two fast
-implementations (the vectorized numpy interval iteration, and the
-numba-compiled twin when numba is installed).  This suite pins all
-backends to the sequential reference on:
+test-then-commit loop in :mod:`repro.admission.kernels` — and one fast
+implementation (the vectorized numpy interval iteration).  This suite
+pins the kernel to the sequential reference on:
 
 * chain instances shaped like the ``repro.verify`` bounded models
   (interval routes over a line network),
@@ -15,13 +15,12 @@ backends to the sequential reference on:
 
 It also proves the differential harness *can* fail: each planted
 mutant from :mod:`repro.verify.mutants` must diverge from the
-reference on at least one instance while the real backends agree.
+reference on at least one instance while the real kernel agrees.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.admission.batch import (
     PADDING_FREE,
@@ -29,17 +28,9 @@ from repro.admission.batch import (
     pad_server_matrix,
 )
 from repro.admission.kernels import (
-    HAVE_NUMBA,
-    NUMBA_PIN,
     active_slot_kernel,
-    available_slot_kernels,
     batch_slot_decisions_numpy,
     batch_slot_decisions_sequential,
-    default_slot_kernel,
-    get_slot_kernel,
-    set_slot_kernel,
-    use_slot_kernel,
-    warm_slot_kernel,
 )
 from repro.verify.mutants import MUTANTS
 
@@ -88,28 +79,16 @@ def random_instance(rng, *, allow_duplicates=True, allow_negative=True):
     return matrix, free
 
 
-def all_backends():
-    kernels = {
-        "sequential": batch_slot_decisions_sequential,
-        "numpy": batch_slot_decisions_numpy,
-    }
-    if HAVE_NUMBA:
-        from repro.admission.kernels import _numba_dispatch
-
-        kernels["numba"] = _numba_dispatch
-    return kernels
-
-
 def assert_all_backends_agree(matrix, free):
     reference = batch_slot_decisions_sequential(matrix, free.copy())
-    for name, kernel in all_backends().items():
-        got = kernel(matrix, free.copy())
-        assert got.dtype == np.bool_
-        assert (got == reference).all(), (
-            f"backend {name!r} diverged from sequential\n"
-            f"matrix={matrix.tolist()} free={free.tolist()}\n"
-            f"sequential={reference.tolist()} {name}={got.tolist()}"
-        )
+    assert reference.dtype == np.bool_
+    got = batch_slot_decisions_numpy(matrix, free.copy())
+    assert got.dtype == np.bool_
+    assert (got == reference).all(), (
+        f"the numpy kernel diverged from sequential\n"
+        f"matrix={matrix.tolist()} free={free.tolist()}\n"
+        f"sequential={reference.tolist()} numpy={got.tolist()}"
+    )
     return reference
 
 
@@ -257,79 +236,12 @@ def test_planted_mutants_diverge_where_backends_agree():
 
 
 # ---------------------------------------------------------------------------
-# Selection registry
+# One kernel: nothing selects
 # ---------------------------------------------------------------------------
 
 
-def test_available_kernels_always_include_reference_pair():
-    names = available_slot_kernels()
-    assert "numpy" in names
-    assert "sequential" in names
-    assert ("numba" in names) == HAVE_NUMBA
-
-
-def test_default_kernel_env_override(monkeypatch):
-    monkeypatch.delenv("REPRO_SLOT_KERNEL", raising=False)
-    assert default_slot_kernel() == ("numba" if HAVE_NUMBA else "numpy")
-    monkeypatch.setenv("REPRO_SLOT_KERNEL", "sequential")
-    assert default_slot_kernel() == "sequential"
-    monkeypatch.setenv("REPRO_SLOT_KERNEL", "not-a-kernel")
-    with pytest.raises(ValueError, match="not an available slot kernel"):
-        default_slot_kernel()
-
-
-def test_set_slot_kernel_rejects_unknown_and_restores():
-    before = active_slot_kernel()
-    with pytest.raises(ValueError, match="unknown slot kernel"):
-        set_slot_kernel("fortran")
-    assert active_slot_kernel() == before
-    with use_slot_kernel("sequential"):
-        assert active_slot_kernel() == "sequential"
-        assert get_slot_kernel() is batch_slot_decisions_sequential
-    assert active_slot_kernel() == before
-
-
-def test_dispatcher_uses_selected_backend():
-    matrix = np.array([[0], [0]], dtype=np.int64)
-    free = np.array([1], dtype=np.int64)
-    with use_slot_kernel("sequential"):
-        verdict = batch_slot_decisions(matrix, free)
-    assert verdict.tolist() == [True, False]
-    with use_slot_kernel("numpy"):
-        verdict = batch_slot_decisions(matrix, free)
-    assert verdict.tolist() == [True, False]
-
-
-def test_warm_slot_kernel():
-    assert warm_slot_kernel("numpy") == "numpy"
-    assert warm_slot_kernel() == active_slot_kernel()
-    with pytest.raises(ValueError, match="unknown slot kernel"):
-        warm_slot_kernel("fortran")
-
-
-def test_numba_pin_matches_the_packaging_extra():
-    """The CI job, the `jit` extra, and `NUMBA_PIN` must agree."""
-    import os
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "pyproject.toml")) as fh:
-        pyproject = fh.read()
-    assert f"numba=={NUMBA_PIN}" in pyproject
-    with open(
-        os.path.join(root, ".github", "workflows", "ci.yml")
-    ) as fh:
-        workflow = fh.read()
-    assert f"numba=={NUMBA_PIN}" in workflow
-
-
-@pytest.mark.jit
-def test_numba_backend_matches_reference_on_chain():
-    # Only collected when numba is installed (see conftest's jit skip).
-    with use_slot_kernel("numba"):
-        warm_slot_kernel()
-        matrix, free = chain_instance(
-            5, [(0, 5), (1, 3), (0, 2), (2, 5)] * 4, free_per_server=2
-        )
-        got = batch_slot_decisions(matrix, free.copy())
-    expected = batch_slot_decisions_sequential(matrix, free.copy())
-    assert (got == expected).all()
+def test_batch_slot_decisions_is_the_numpy_kernel():
+    # No dispatcher sits between the controller and the kernel; a
+    # future one has to show up as a diff of this identity.
+    assert batch_slot_decisions is batch_slot_decisions_numpy
+    assert active_slot_kernel() == "numpy"

@@ -110,6 +110,43 @@ class TestServiceProcess:
             with proc.client() as client:
                 assert client.query("f1") is True
 
+    def test_restart_keeps_hard_rt_flows_out_of_the_preemptors_reach(
+        self, tmp_path, pairs
+    ):
+        # alpha 0.01 leaves 31 voice slots a link.  Fill one pair with
+        # hard_rt flows, restart, offer one more: nothing may be evicted
+        # for it.  A restart used to strip the priorities, and the
+        # arrival pushed out a restored hard_rt flow.
+        src, dst = pairs[0]
+        with ServiceProcess(
+            socket_path=str(tmp_path / "s.sock"),
+            snapshot=str(tmp_path / "snap.json"),
+            alpha=0.01,
+            preempt=True,
+        ) as proc:
+            proc.start()
+            with proc.client() as client:
+                full = 0
+                while client.admit(
+                    FlowSpec(f"h{full}", "voice", src, dst,
+                             priority="hard_rt")
+                ).admitted:
+                    full += 1
+                assert 0 < full < 100
+                assert client.stats()["preemption"]["preempted_flows"] == 0
+            assert proc.terminate() == 0
+            proc.restart()
+            with proc.client() as client:
+                assert client.stats()["established"] == full
+                late = client.admit(
+                    FlowSpec("late", "voice", src, dst, priority="hard_rt")
+                )
+                assert not late.admitted
+                stats = client.stats()
+                assert stats["preemption"]["preempted_flows"] == 0
+                assert stats["established"] == full
+                assert all(client.query(f"h{i}") for i in range(full))
+
     def test_audit_log_accounts_for_every_decision_across_kill9(
         self, tmp_path, pairs
     ):

@@ -291,6 +291,49 @@ def test_serve_startup_errors_are_failure_lines(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("governor", [[], ["--governor"]])
+@pytest.mark.parametrize("mode", [[], ["--workers", "2"]])
+def test_serve_refuses_an_alpha_that_fails_verification(
+    tmp_path, capsys, mode, governor
+):
+    # Figure 2 bounds the worst mci route at 226 ms against the 100 ms
+    # deadline at alpha 0.9.  Only --governor used to check; plain serve
+    # started and exited 0.  Every mode refuses alike now, and a cluster
+    # does so before it spawns a worker.
+    sock = str(tmp_path / "s.sock")
+    argv = ["serve", "--socket", sock, "--topology", "mci", "--alpha",
+            "0.9", "--serve-seconds", "0.3"]
+    assert main(argv + mode + governor) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAILURE: base alpha 0.9 fails verification")
+    assert "listening" not in out
+    assert not os.path.exists(sock) and serve_pids(sock) == []
+
+
+def test_serve_malformed_snapshot_record_is_a_failure_line(
+    tmp_path, capsys
+):
+    # Used to be a raw KeyError traceback out of restore_into.
+    snap = tmp_path / "snap.json"
+    snap.write_text(
+        json.dumps(
+            {
+                "schema": "repro-admission-snapshot/v1",
+                "alphas": {"voice": 0.3},
+                "flows": [{"flow_id": "x"}],
+            }
+        )
+    )
+    rc = main(
+        ["serve", "--socket", str(tmp_path / "s.sock"), "--snapshot",
+         str(snap), "--serve-seconds", "0.3"]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "FAILURE: malformed flow record" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_serve_has_no_controller_option(tmp_path, capsys):
     # One slot ledger: there is nothing to choose between.
     sock = str(tmp_path / "s.sock")
@@ -619,7 +662,7 @@ def test_serve_bad_alpha_ladder_is_one_usage_error(tmp_path, capsys, mode):
 SERVE_COMMAND_LINES = [
     "--socket /tmp/s.sock --topology mci --alpha 0.25 --max-batch 64 "
     "--max-delay-ms 1.5 --high-water 100 --low-water 50 --snapshot /tmp/s.json "
-    "--snapshot-interval 0.5 --protocol v1 --uvloop --drain-grace 2",
+    "--snapshot-interval 0.5 --protocol v1 --drain-grace 2",
     "--host 0.0.0.0 --port 0 --metrics-port 0 --metrics-host 0.0.0.0 "
     "--metrics-out /tmp/m.prom --trace-out /tmp/t.json --serve-seconds 3",
     "--socket /tmp/s.sock --workers 4 --governor --alpha-ladder 0.1,0.15,0.2 "

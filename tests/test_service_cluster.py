@@ -312,6 +312,28 @@ class TestClusterSnapshots:
                 for f in shard["flows"]:
                     assert new_ring.worker_of(f["flow_id"]) == i
 
+    @pytest.mark.parametrize("new_workers", [2, 3])
+    def test_merge_then_split_keeps_priority_and_route(self, new_workers):
+        # The split used to copy five named keys and drop the rest:
+        # every worker restart or resize stripped the priorities.
+        shards = [_shard_snapshot([f"a{i}", i]) for i in range(2)]
+        priorities = [None, "elastic", "soft_rt", "hard_rt"]
+        records = [f for shard in shards for f in shard["flows"]]
+        for record, priority in zip(records, priorities):
+            record["route"] = ["A", str(priority), "B"]
+            if priority is not None:
+                record["priority"] = priority
+        manifest = merge_cluster_snapshot(shards)
+        out = split_cluster_snapshot(
+            manifest, new_workers, HashRing(new_workers).worker_of
+        )
+        by_id = {
+            repr(f["flow_id"]): f for shard in out for f in shard["flows"]
+        }
+        assert by_id == {repr(r["flow_id"]): r for r in records}
+        if new_workers == 2:
+            assert out == shards
+
     def test_merge_rejects_overlapping_shards(self):
         with pytest.raises(ServiceError, match="not disjoint"):
             merge_cluster_snapshot(

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.service import protocol as wire
-from repro.traffic.flows import PRIORITIES, FlowSpec
+from repro.traffic.flows import (
+    PRIORITIES,
+    FlowSpec,
+    flow_from_record,
+    flow_record,
+)
 
 
 def payload_of(frame: bytes) -> bytes:
@@ -242,3 +250,27 @@ def test_unpack_batch_op_inverts_pack_batch_ops(subops):
     bulk frame takes through the cluster router."""
     ops = [wire.unpack_batch_op(sub) for sub in subops]
     assert wire.pack_batch_ops(ops) == subops
+
+
+_flows = st.builds(
+    FlowSpec,
+    _flow_ids,
+    st.just("voice"),
+    st.just("A"),
+    st.just("C"),
+    st.sampled_from([None, ("A", "C"), ("A", "B", "C")]),
+    st.sampled_from([None, *PRIORITIES]),
+)
+
+
+@given(_flows, st.sampled_from([None, ("A", "C"), ("A", "D", "C")]))
+def test_flow_record_and_short_form_round_trip(flow, route):
+    """One writer and one reader per form: the snapshot record (on the
+    route it is written with) and the wire/audit/trace object both give
+    back the flow, priority included, through JSON."""
+    record = json.loads(json.dumps(flow_record(flow, route)))
+    assert flow_from_record(record) == replace(flow, route=route)
+    assert ("priority" in record) == (flow.priority is not None)
+    obj = json.loads(json.dumps(flow.to_obj()))
+    assert wire.flow_from_obj(obj) == flow
+    assert wire.flow_to_obj(flow) == flow.to_obj()

@@ -17,7 +17,7 @@ from repro.admission import (
     FlowAwareAdmissionController,
     UtilizationAdmissionController,
 )
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.routing.shortest import shortest_path_routes
 from repro.service import (
     AdmissionService,
@@ -29,9 +29,9 @@ from repro.service import (
     service_snapshot,
 )
 from repro.service.audit import iter_audit, verify_audit
-from repro.topology import LinkServerGraph, line_network
+from repro.topology import LinkServerGraph, line_network, ring_network
 from repro.traffic import ClassRegistry, voice_class
-from repro.traffic.flows import FlowSpec
+from repro.traffic.flows import PRIORITIES, FlowSpec
 from repro.traffic.generators import all_ordered_pairs
 
 
@@ -44,6 +44,19 @@ def make_controller(alpha=0.3):
     routes = shortest_path_routes(network, pairs)
     return UtilizationAdmissionController(
         graph, registry, {voice.name: alpha}, routes
+    )
+
+
+def make_ring_controller():
+    """Two ways round between opposite routers: a committed route is
+    not what a fresh process would resolve after a route change."""
+    network = ring_network(4)
+    voice = voice_class()
+    return UtilizationAdmissionController(
+        LinkServerGraph(network),
+        ClassRegistry.two_class(voice),
+        {voice.name: 0.3},
+        shortest_path_routes(network, all_ordered_pairs(network)),
     )
 
 
@@ -747,6 +760,68 @@ class TestSnapshotStore:
             make_controller()
         )
         assert restored == 1
+
+    @pytest.mark.parametrize("priority", [None, *PRIORITIES])
+    def test_round_trip_keeps_priority_and_committed_route(
+        self, tmp_path, priority
+    ):
+        # A restart used to hand every flow back with priority None —
+        # below elastic, first in line for the preemptor.
+        original = make_ring_controller()
+        original.admit(
+            FlowSpec("f1", "voice", "r0", "r2", priority=priority)
+        )
+        assert original.committed_route("f1") == ["r0", "r1", "r2"]
+        store = SnapshotStore(str(tmp_path / "snap.json"))
+        store.write(service_snapshot(original))
+        # The restarted process resolves the pair the other way round
+        # the ring: the flow still lands on the path it occupies.
+        fresh = make_ring_controller()
+        fresh.update_routes({("r0", "r2"): ["r0", "r3", "r2"]})
+        assert SnapshotStore(store.path).restore_into(fresh) == 1
+        (flow,) = fresh.established_flows
+        assert flow.priority == priority
+        assert fresh.committed_route("f1") == ["r0", "r1", "r2"]
+        assert fresh.verify_invariants() == []
+        # ... and writes the same bytes again.
+        again = SnapshotStore(str(tmp_path / "again.json"))
+        again.write(service_snapshot(fresh))
+        with open(store.path) as a, open(again.path) as b:
+            assert a.read() == b.read()
+
+    def test_priority_less_file_is_the_pre_priority_format(self, tmp_path):
+        # Byte-for-byte what the parent of this change wrote, and a file
+        # written by it (no "priority" key anywhere) still loads.
+        legacy = (
+            '{"alphas":{"voice":0.3},"flows":[{"class_name":"voice",'
+            '"destination":"r2","flow_id":"f1","route":["r0","r1","r2"],'
+            '"source":"r0"}],"schema":"repro-admission-snapshot/v1"}\n'
+        )
+        controller = make_ring_controller()
+        controller.admit(FlowSpec("f1", "voice", "r0", "r2"))
+        store = SnapshotStore(str(tmp_path / "snap.json"))
+        store.write(service_snapshot(controller))
+        with open(store.path) as fh:
+            assert fh.read() == legacy
+        path = tmp_path / "legacy.json"
+        path.write_text(legacy)
+        fresh = make_ring_controller()
+        assert SnapshotStore(str(path)).restore_into(fresh) == 1
+        assert fresh.established_flows[0].priority is None
+
+    def test_malformed_record_is_a_repro_error(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": "repro-admission-snapshot/v1",
+                    "alphas": {"voice": 0.3},
+                    "flows": [{"flow_id": "x"}],
+                }
+            )
+        )
+        with pytest.raises(ReproError, match="malformed flow record"):
+            SnapshotStore(str(path)).restore_into(make_controller())
 
 
 class TestProtocolNegotiation(FrontDoorCases):
