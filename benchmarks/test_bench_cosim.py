@@ -11,7 +11,7 @@ import pytest
 from repro.admission import UtilizationAdmissionController
 from repro.experiments import format_table
 from repro.simulation import co_simulate
-from repro.traffic.generators import poisson_flow_schedule
+from repro.workload import poisson_flow_schedule
 
 ALPHA = 0.35  # verified for SP routes on MCI (see quickstart)
 

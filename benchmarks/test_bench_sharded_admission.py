@@ -25,7 +25,7 @@ from repro.admission import (
 )
 from repro.experiments import format_table
 from repro.service.router import HashRing
-from repro.traffic.generators import poisson_flow_schedule
+from repro.workload import poisson_flow_schedule
 
 # Tight utilization so blocking actually occurs at this load.
 ALPHA = 0.02
@@ -61,7 +61,7 @@ def _replay_cluster(scenario, sp_routes, workload, n):
     # its own decides exactly what the interleaved cluster would.
     owned = [[] for _ in range(n)]
     for event in workload:
-        owned[ring.worker_of(event.flow.flow_id)].append(event)
+        owned[ring.worker_of(event.flow_id)].append(event)
     return shards, [
         replay_schedule(shard, events)
         for shard, events in zip(shards, owned)

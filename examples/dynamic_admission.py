@@ -24,7 +24,8 @@ from repro import (
     voice_class,
 )
 from repro.experiments import format_table
-from repro.traffic import ClassRegistry, all_ordered_pairs, poisson_flow_schedule
+from repro.traffic import ClassRegistry, all_ordered_pairs
+from repro.workload import poisson_flow_schedule
 
 
 def main() -> None:

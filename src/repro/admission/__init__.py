@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .flowtable import FlowTable
     from .ledger import UtilizationLedger
     from .sharded import SlotShardController, plan_slot_shards
-    from .statistics import ReplayStats, replay_schedule
+    from .statistics import Lifetime, ReplayStats, replay_schedule
     from .utilization import UtilizationAdmissionController
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
@@ -39,6 +39,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".flowtable": ("FlowTable",),
     ".ledger": ("UtilizationLedger",),
     ".sharded": ("SlotShardController", "plan_slot_shards"),
-    ".statistics": ("ReplayStats", "replay_schedule"),
+    ".statistics": ("Lifetime", "ReplayStats", "replay_schedule"),
     ".utilization": ("UtilizationAdmissionController",),
 })

@@ -1,10 +1,12 @@
 """Admission statistics: replaying dynamic flow schedules.
 
 :func:`replay_schedule` drives any :class:`AdmissionController` with a
-timed arrival/departure schedule (e.g. from
-:func:`repro.traffic.generators.poisson_flow_schedule`) and collects the
-metrics the dynamic experiments report: acceptance ratio, decision cost
-distribution, and the population/utilization trajectory.
+timed arrival/departure timeline — whatever produced it:
+:func:`repro.workload.poisson_flow_schedule`, a recorded trace, an audit
+log, a decoded counterexample — and collects the metrics the dynamic
+experiments report (acceptance ratio, decision cost distribution, the
+population trajectory) plus one :class:`Lifetime` per admitted interval,
+the input of the packet-level checkers.
 """
 
 from __future__ import annotations
@@ -14,10 +16,25 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..traffic.generators import FlowEvent
+from ..traffic.flows import FlowSpec
+from ..workload.trace import TraceEvent
 from .base import AdmissionController
 
-__all__ = ["ReplayStats", "replay_schedule"]
+__all__ = ["Lifetime", "ReplayStats", "replay_schedule"]
+
+
+@dataclass
+class Lifetime:
+    """One contiguous interval a flow spent admitted on one route: the
+    one the controller committed at admit time.  ``stop`` is ``None``
+    while the flow is established; ``index`` (the arrival's position in
+    the schedule) seeds the interval's packet source."""
+
+    flow: FlowSpec
+    route: List[Hashable]
+    start: float
+    stop: Optional[float] = None
+    index: int = 0
 
 
 @dataclass
@@ -36,8 +53,9 @@ class ReplayStats:
         ``(time, established_flows)`` samples after every event.
     peak_population:
         Largest concurrent established-flow count.
-    admitted_ids:
-        Ids of the flows this replay admitted, in schedule order.
+    lifetimes:
+        One :class:`Lifetime` per admitted interval, in schedule order
+        (a flow id admitted twice has two).
     """
 
     attempts: int
@@ -46,7 +64,12 @@ class ReplayStats:
     decision_seconds: np.ndarray
     population: List[Tuple[float, int]]
     peak_population: int
-    admitted_ids: List[Hashable] = field(default_factory=list)
+    lifetimes: List[Lifetime] = field(default_factory=list)
+
+    @property
+    def admitted_ids(self) -> List[Hashable]:
+        """Ids of the flows this replay admitted, in schedule order."""
+        return [lifetime.flow.flow_id for lifetime in self.lifetimes]
 
     @property
     def blocking_probability(self) -> float:
@@ -69,51 +92,52 @@ class ReplayStats:
 
 def replay_schedule(
     controller: AdmissionController,
-    schedule: Sequence[FlowEvent],
-    *,
-    max_events: Optional[int] = None,
+    schedule: Sequence[TraceEvent],
 ) -> ReplayStats:
     """Feed a timed arrival/departure schedule to a controller.
 
-    Departures of flows that were rejected (or never arrived within the
-    event budget) are ignored.  Events must be time-ordered, as produced by
-    the generators.
+    Departures of flows this replay does not hold established (rejected,
+    never arrived, already departed) are ignored.  Events must be
+    time-ordered, as produced by the generators.
     """
-    attempts = admitted = rejected = 0
+    attempts = rejected = 0
     latencies: List[float] = []
     population: List[Tuple[float, int]] = []
     peak = 0
-    admitted_ids: List[Hashable] = []
-    live_ids: set = set()
+    lifetimes: List[Lifetime] = []
+    live: Dict[Hashable, Lifetime] = {}
 
-    events = schedule if max_events is None else schedule[:max_events]
-    for event in events:
+    for index, event in enumerate(schedule):
         if event.kind == "arrival":
-            decision = controller.admit(event.flow)
+            flow = event.flow
+            decision = controller.admit(flow)
             attempts += 1
             latencies.append(decision.decision_seconds)
             if decision.admitted:
-                admitted += 1
-                admitted_ids.append(event.flow.flow_id)
-                live_ids.add(event.flow.flow_id)
+                live[event.flow_id] = lifetime = Lifetime(
+                    flow,
+                    controller.committed_route(event.flow_id),
+                    event.time,
+                    index=index,
+                )
+                lifetimes.append(lifetime)
             else:
                 rejected += 1
-        elif event.kind == "departure":
-            if event.flow.flow_id in live_ids:
-                controller.release(event.flow.flow_id)
-                live_ids.discard(event.flow.flow_id)
-        else:  # pragma: no cover - generator only emits two kinds
-            raise ValueError(f"unknown event kind {event.kind!r}")
+        else:
+            lifetime = live.pop(event.flow_id, None)
+            if lifetime is not None:
+                controller.release(event.flow_id)
+                lifetime.stop = event.time
         count = controller.num_established
         peak = max(peak, count)
         population.append((event.time, count))
 
     return ReplayStats(
         attempts=attempts,
-        admitted=admitted,
+        admitted=len(lifetimes),
         rejected=rejected,
         decision_seconds=np.asarray(latencies, dtype=np.float64),
         population=population,
         peak_population=peak,
-        admitted_ids=admitted_ids,
+        lifetimes=lifetimes,
     )

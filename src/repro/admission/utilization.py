@@ -248,11 +248,12 @@ class UtilizationAdmissionController(AdmissionController):
 
     def headroom(self, class_name: str, pair: Pair) -> int:
         """How many more flows of the class fit on the pair's route."""
-        route = self.route_map[pair]
-        servers = self.graph.route_servers(route)
+        servers = self._server_cache.get(pair)
+        if servers is None:
+            servers = self.graph.route_servers(self.route_map[pair])
         free = (
-            self.ledger.slots(class_name)[servers]
-            - self.ledger.used(class_name)[servers]
+            self.ledger.capacity_view(class_name)[servers]
+            - self.ledger.used_view(class_name)[servers]
         )
         return int(free.min())
 

@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..analysis.verification import VerificationResult, verify_assignment
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..admission.utilization import UtilizationAdmissionController
 from ..routing.heuristic import HeuristicOptions, SafeRouteSelector
 from ..routing.shortest import shortest_path_routes
-from ..simulation.simulator import PacketPattern, Simulator
+from ..simulation.simulator import Simulator
 from ..topology.network import Network
 from ..topology.serialization import network_from_dict, network_to_dict
 from ..topology.servergraph import LinkServerGraph
@@ -132,12 +132,12 @@ class ConfiguredNetwork:
         ``packet_size`` defaults to each class's burst (one maximal
         packet), the worst quantization the class permits.
         """
+        from ..admission.statistics import Lifetime
+        from ..simulation.cosim import simulate_lifetimes
         from ..traffic.flows import FlowSpec
 
-        sim = self.simulator()
-        fid = 0
+        lifetimes: List[Lifetime] = []
         for cls in self.registry.realtime_classes():
-            size = packet_size if packet_size is not None else cls.burst
             # Keep the population admissible for this class.
             slots = self.slots_per_link(cls.name)
             per_route = min(
@@ -145,22 +145,22 @@ class ConfiguredNetwork:
                 max(1, slots // max(len(self.routes), 1)),
             )
             for (src, dst), path in self.routes.items():
-                for rep in range(per_route):
-                    sim.add_flow(
-                        FlowSpec(
-                            f"val{fid}", cls.name, src, dst
-                        ),
-                        path,
-                        PacketPattern(
-                            pattern, packet_size=size, seed=fid
-                        ),
-                    )
-                    fid += 1
-        report = sim.run(horizon=horizon)
-        return {
-            cls.name: report.deadline_misses(cls.name, cls.deadline)
-            for cls in self.registry.realtime_classes()
-        }
+                for _ in range(per_route):
+                    fid = len(lifetimes)
+                    lifetimes.append(Lifetime(
+                        FlowSpec(f"val{fid}", cls.name, src, dst),
+                        path, 0.0, index=fid,
+                    ))
+        run = simulate_lifetimes(
+            self.simulator(),
+            lifetimes,
+            horizon=horizon,
+            pattern_kind=pattern,
+            packet_size=packet_size,
+        )
+        if run is None:
+            raise SimulationError("no flow to simulate within the horizon")
+        return run.deadline_misses
 
     # ------------------------------------------------------------------ #
     # serialization

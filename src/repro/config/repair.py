@@ -73,10 +73,6 @@ class RepairResult:
     failed_pair: Optional[Pair]
     reason: str = ""
 
-    @property
-    def num_rerouted(self) -> int:
-        return len(self.affected_pairs) if self.success else 0
-
 
 def repair_routes(
     cfg: ConfiguredNetwork,

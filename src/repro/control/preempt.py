@@ -116,16 +116,17 @@ class Preemptor:
                 False, (), "best-effort flows hold no slots"
             )
         servers = ctrl.graph.route_servers(route)
-        free = ledger.slots(cls) - ledger.used(cls)
+        free = (
+            ledger.capacity_view(cls)[servers]
+            - ledger.used_view(cls)[servers]
+        )
         # Per-server slot deficit: each eviction frees exactly one slot
         # on every server of the victim's route, and the arrival needs
         # one free slot everywhere — so server ``s`` needs ``1 - free``
         # evictions.  Under a degraded/governed ledger ``free`` can be
         # negative, making the deficit larger than one.
         deficit: Dict[int, int] = {
-            int(s): 1 - int(free[int(s)])
-            for s in servers
-            if free[int(s)] <= 0
+            int(s): 1 - int(f) for s, f in zip(servers, free) if f <= 0
         }
         saturated: Set[int] = set(deficit)
         if not saturated:

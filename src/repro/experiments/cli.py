@@ -795,7 +795,7 @@ _FAULTS_PAIRS = [
 
 def _run_faults(args: argparse.Namespace) -> int:
     from ..config.configured import configure
-    from ..errors import ConfigurationError, FaultInjectionError
+    from ..errors import ConfigurationError, FaultInjectionError, TrafficError
     from ..faults.degraded import BackoffPolicy, DegradedModePolicy
     from ..faults.harness import ChaosHarness
     from ..faults.scenario import (
@@ -871,7 +871,7 @@ def _run_faults(args: argparse.Namespace) -> int:
             seed=args.seed,
             simulate_packets=not args.no_packets,
         )
-    except FaultInjectionError as exc:
+    except (FaultInjectionError, TrafficError) as exc:
         print(f"FAILURE: {exc}")
         return 1
     print(report.render())

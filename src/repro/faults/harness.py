@@ -27,6 +27,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from ..admission.statistics import Lifetime
 from ..admission.utilization import UtilizationAdmissionController
 from ..config.configured import ConfiguredNetwork
 from ..config.repair import repair_routes
@@ -34,10 +35,11 @@ from ..errors import AdmissionError, FaultInjectionError
 from ..obs import OBS
 from ..routing.heuristic import HeuristicOptions
 from ..routing.partition import route_uses_link, route_uses_router
+from ..simulation.cosim import simulate_lifetimes
 from ..simulation.events import EventQueue
-from ..simulation.simulator import PacketPattern, Simulator
+from ..simulation.simulator import Simulator
 from ..topology.network import Network
-from ..traffic.generators import FlowEvent
+from ..workload.trace import TraceEvent
 from .degraded import DegradedModePolicy
 from .report import FlowAccount, TransitionRecord, TransitionReport
 from .schedule import FaultEvent, FaultSchedule
@@ -45,16 +47,6 @@ from .schedule import FaultEvent, FaultSchedule
 __all__ = ["ChaosHarness"]
 
 Pair = Tuple[Hashable, Hashable]
-
-
-@dataclass
-class _Segment:
-    """One contiguous interval a flow spent admitted on one route."""
-
-    flow: object
-    route: List[Hashable]
-    start: float
-    stop: Optional[float] = None
 
 
 @dataclass
@@ -131,7 +123,7 @@ class ChaosHarness:
 
     def run(
         self,
-        schedule: Sequence[FlowEvent],
+        schedule: Sequence[TraceEvent],
         faults: FaultSchedule,
         *,
         horizon: Optional[float] = None,
@@ -199,7 +191,6 @@ class ChaosHarness:
                 elif kind == "retry":
                     self._on_retry(time, payload, queue)
 
-            self._close_open_segments(horizon)
             report.flows = self._accounts
             if simulate_packets:
                 self._simulate(
@@ -241,8 +232,8 @@ class ChaosHarness:
         self._last_snapshot: Optional[dict] = None
         self._pending_departures: List[Hashable] = []
         self._accounts: Dict[Hashable, FlowAccount] = {}
-        self._open: Dict[Hashable, _Segment] = {}
-        self._segments: List[_Segment] = []
+        self._open: Dict[Hashable, Lifetime] = {}
+        self._lifetimes: List[Lifetime] = []
         self._pending_retries: Dict[Hashable, TransitionRecord] = {}
         self._crash_record: Optional[TransitionRecord] = None
 
@@ -317,7 +308,7 @@ class ChaosHarness:
         if not outcome.admitted:
             return False
         for victim_id in outcome.evicted:
-            self._close_segment(victim_id, time)
+            self._close_lifetime(victim_id, time)
             account = self._accounts.get(victim_id)
             if account is not None:
                 account.outcome = "preempted"
@@ -328,36 +319,31 @@ class ChaosHarness:
         return True
 
     # ------------------------------------------------------------------ #
-    # segments / accounting
+    # lifetimes / accounting
     # ------------------------------------------------------------------ #
 
-    def _open_segment(
+    def _open_lifetime(
         self, flow, route: Sequence[Hashable], start: float
     ) -> None:
-        segment = _Segment(
-            flow=flow, route=list(route), start=float(start)
+        lifetime = Lifetime(
+            flow, list(route), float(start), index=len(self._lifetimes)
         )
-        self._open[flow.flow_id] = segment
-        self._segments.append(segment)
+        self._open[flow.flow_id] = lifetime
+        self._lifetimes.append(lifetime)
 
-    def _close_segment(self, flow_id: Hashable, stop: float) -> None:
-        segment = self._open.pop(flow_id, None)
-        if segment is not None:
-            segment.stop = float(stop)
-
-    def _close_open_segments(self, horizon: float) -> None:
-        for segment in list(self._open.values()):
-            segment.stop = float(horizon)
-        self._open.clear()
+    def _close_lifetime(self, flow_id: Hashable, stop: float) -> None:
+        lifetime = self._open.pop(flow_id, None)
+        if lifetime is not None:
+            lifetime.stop = float(stop)
 
     # ------------------------------------------------------------------ #
     # flow events
     # ------------------------------------------------------------------ #
 
-    def _on_flow(self, time: float, event: FlowEvent) -> None:
-        flow = event.flow
-        fid = flow.flow_id
+    def _on_flow(self, time: float, event: TraceEvent) -> None:
+        fid = event.flow_id
         if event.kind == "arrival":
+            flow = event.flow
             account = FlowAccount(
                 flow_id=fid,
                 class_name=flow.class_name,
@@ -384,7 +370,7 @@ class ChaosHarness:
             if admitted:
                 account.outcome = "active"
                 account.admitted_at = time
-                self._open_segment(
+                self._open_lifetime(
                     flow, self.controller.committed_route(fid), time
                 )
             else:
@@ -405,13 +391,13 @@ class ChaosHarness:
                     self._snapshot()
                 else:
                     self._pending_departures.append(fid)
-                self._close_segment(fid, time)
+                self._close_lifetime(fid, time)
                 account.outcome = "completed"
                 account.ended_at = time
             elif account.outcome == "active":
                 # Established at crash time, departing during the outage.
                 self._pending_departures.append(fid)
-                self._close_segment(fid, time)
+                self._close_lifetime(fid, time)
                 account.outcome = "completed"
                 account.ended_at = time
 
@@ -593,16 +579,16 @@ class ChaosHarness:
             account = self._accounts.get(fid)
             if account is None or account.outcome != "active":
                 continue  # departed (or already shed) during the outage
-            segment = self._open.get(fid)
-            if segment is None:
+            lifetime = self._open.get(fid)
+            if lifetime is None:
                 continue
-            pinned = replace(segment.flow, route=tuple(segment.route))
+            pinned = replace(lifetime.flow, route=tuple(lifetime.route))
             decision = self._admit(pinned)
             if not decision.admitted:
                 account.casualty = True
                 account.outcome = "shed"
                 account.ended_at = time
-                self._close_segment(fid, time)
+                self._close_lifetime(fid, time)
                 self._count(
                     "repro_faults_flows_lost_total", reason="restore"
                 )
@@ -732,25 +718,22 @@ class ChaosHarness:
             account = self._accounts[fid]
             pair = account.pair
             route = new_routes.get(pair)
+            flow = self._open[fid].flow
             if route is None:
-                flow = self._open[fid].flow
                 self._shed(flow, time, record)
                 continue
             decision = self.controller.reroute(fid, route)
+            self._close_lifetime(fid, time)
             if decision.admitted:
-                self._close_segment(fid, time)
-                self._open_segment(self._segment_flow(fid), route, time)
+                self._open_lifetime(flow, route, time)
                 account.reroutes += 1
                 record.rerouted.append(str(fid))
             else:
                 # Released but not re-admitted: back off and retry.
-                self._close_segment(fid, time)
                 account.outcome = "shed"
                 account.ended_at = time
                 self._pending_retries[fid] = record
-                flow = replace(
-                    self._account_flow(fid), route=tuple(route)
-                )
+                flow = replace(flow, route=tuple(route))
                 queue.push(
                     time + self.policy.backoff.delay(0),
                     "retry",
@@ -781,7 +764,7 @@ class ChaosHarness:
             if decision.admitted:
                 del self._pending_retries[fid]
                 account.outcome = "active"
-                self._open_segment(
+                self._open_lifetime(
                     attempt_flow,
                     self.controller.committed_route(fid),
                     time,
@@ -807,22 +790,13 @@ class ChaosHarness:
         fid = flow.flow_id
         if self.controller.is_established(fid):
             self.controller.release(fid)
-        self._close_segment(fid, time)
+        self._close_lifetime(fid, time)
         account = self._accounts[fid]
         account.casualty = True
         account.outcome = "shed"
         account.ended_at = time
         record.shed.append(str(fid))
         self._count("repro_faults_flows_shed_total")
-
-    def _segment_flow(self, fid: Hashable):
-        for segment in reversed(self._segments):
-            if segment.flow.flow_id == fid:
-                return segment.flow
-        raise FaultInjectionError(f"no segment for flow {fid!r}")
-
-    def _account_flow(self, fid: Hashable):
-        return self._segment_flow(fid)
 
     def _resolve_if_done(
         self, record: TransitionRecord, time: float
@@ -853,29 +827,6 @@ class ChaosHarness:
             self.cfg.registry,
             track_flow_delays=True,
         )
-        attached = 0
-        for index, segment in enumerate(self._segments):
-            stop = segment.stop if segment.stop is not None else horizon
-            stop = min(stop, horizon)
-            if segment.start >= stop:
-                continue
-            cls = self.cfg.registry.get(segment.flow.class_name)
-            size = packet_size if packet_size is not None else cls.burst
-            sim.add_flow(
-                segment.flow,
-                segment.route,
-                PacketPattern(
-                    pattern,
-                    packet_size=size,
-                    seed=seed * 92_821 + index,
-                ),
-                start=segment.start,
-                stop=stop,
-            )
-            attached += 1
-        if attached == 0:
-            return
-
         # Inject the topology faults into the running event loop.
         ups: Dict[frozenset, float] = {}
         for event in faults.topology_kinds():
@@ -895,7 +846,17 @@ class ChaosHarness:
                         event.target, neighbor, event.time, None
                     )
 
-        packet_report = sim.run(horizon=horizon)
+        run = simulate_lifetimes(
+            sim,
+            self._lifetimes,
+            horizon=horizon,
+            pattern_kind=pattern,
+            packet_size=packet_size,
+            seed=seed,
+        )
+        if run is None:
+            return
+        packet_report = run.packets
         report.packets_injected = packet_report.packets_injected
         report.packets_delivered = packet_report.packets_delivered
         report.packets_dropped = packet_report.packets_dropped

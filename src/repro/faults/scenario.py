@@ -1,9 +1,9 @@
 """Canned chaos scenarios: flow schedules over configured pairs.
 
-:func:`poisson_flow_schedule` in :mod:`repro.traffic.generators` draws
-source/destination pairs from *all* edge routers, but a chaos run admits
-against a :class:`~repro.config.configured.ConfiguredNetwork` whose
-route map covers a fixed pair set.  The helpers here generate schedules
+:func:`repro.workload.poisson_flow_schedule` draws source/destination
+pairs from *all* edge routers, but a chaos run admits against a
+:class:`~repro.config.configured.ConfiguredNetwork` whose route map
+covers a fixed pair set.  The helpers here generate schedules
 restricted to those pairs, plus a default deterministic link-failure
 scenario (fail the most-loaded configured link mid-run, restore it
 later) used by the ``repro faults`` CLI and the chaos tests.
@@ -14,13 +14,11 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-import numpy as np
-
 from ..config.configured import ConfiguredNetwork
 from ..errors import FaultInjectionError
-from ..traffic.flows import FlowSpec
-from ..traffic.generators import FlowEvent
 from ..workload.adversarial import AdversaryModel, adversarial_events
+from ..workload.loadgen import poisson_timeline
+from ..workload.trace import TraceEvent
 from .schedule import FaultEvent, FaultSchedule
 
 __all__ = [
@@ -39,45 +37,24 @@ def configured_flow_schedule(
     mean_holding: float,
     horizon: float,
     seed: int,
-) -> List[FlowEvent]:
+) -> List[TraceEvent]:
     """Poisson arrivals restricted to the configuration's pair set.
 
-    Flows arrive at ``arrival_rate`` flows/second between pairs drawn
-    uniformly from ``cfg.routes`` and hold for Exp(``mean_holding``)
-    seconds.  Departures past the horizon are kept so every arrival has
-    a matching departure.  Deterministic in ``(cfg, seed, parameters)``.
+    :func:`~repro.workload.loadgen.poisson_timeline` between pairs drawn
+    uniformly from ``cfg.routes`` (flow ids ``c{seed}_{k}``).
+    Deterministic in ``(cfg, seed, parameters)``.
     """
-    if arrival_rate <= 0 or mean_holding <= 0 or horizon <= 0:
-        raise FaultInjectionError(
-            "arrival_rate, mean_holding and horizon must be positive"
-        )
     cfg.registry.get(class_name)  # raises for unknown classes
     pairs = sorted(cfg.routes, key=str)
-    rng = np.random.default_rng(seed)
-    events: List[FlowEvent] = []
-    t = 0.0
-    k = 0
-    while True:
-        t += float(rng.exponential(1.0 / arrival_rate))
-        if t >= horizon:
-            break
-        src, dst = pairs[int(rng.integers(len(pairs)))]
-        flow = FlowSpec(
-            flow_id=f"c{seed}_{k}",
-            class_name=class_name,
-            source=src,
-            destination=dst,
-        )
-        hold = float(rng.exponential(mean_holding))
-        events.append(FlowEvent(time=t, kind="arrival", flow=flow))
-        events.append(
-            FlowEvent(time=t + hold, kind="departure", flow=flow)
-        )
-        k += 1
-    events.sort(
-        key=lambda e: (e.time, 0 if e.kind == "departure" else 1)
+    return poisson_timeline(
+        lambda rng: pairs[int(rng.integers(len(pairs)))],
+        class_name,
+        arrival_rate=arrival_rate,
+        mean_holding=mean_holding,
+        horizon=horizon,
+        seed=seed,
+        id_prefix="c",
     )
-    return events
 
 
 def adversarial_flow_schedule(
@@ -89,7 +66,7 @@ def adversarial_flow_schedule(
     model: Optional[AdversaryModel] = None,
     hot_edges: int = 1,
     churn_fraction: float = 0.5,
-) -> List[FlowEvent]:
+) -> List[TraceEvent]:
     """Extremal ``(w, b)``-bounded arrivals over the configured pairs.
 
     The chaos-harness twin of :func:`configured_flow_schedule`: instead
@@ -102,9 +79,9 @@ def adversarial_flow_schedule(
     shape, not its average.  The generator validates its stream at
     construction (never releasing a flow that never arrived, envelope
     respected), mirroring :func:`~repro.faults.random_fault_schedule`'s
-    construction-time guard.  Departures past the horizon are kept so
-    every arrival has a matching departure.  Deterministic in
-    ``(cfg, seed, parameters)``.
+    construction-time guard.  Only flows arriving before ``horizon``
+    are kept, each with its departure (past the horizon or not).
+    Deterministic in ``(cfg, seed, parameters)``.
     """
     if horizon <= 0:
         raise FaultInjectionError("horizon must be positive")
@@ -129,25 +106,7 @@ def adversarial_flow_schedule(
         for e in events
         if e.kind == "arrival" and e.time < horizon
     }
-    flows: Dict[Hashable, FlowSpec] = {}
-    out: List[FlowEvent] = []
-    for event in events:
-        if event.flow_id not in keep:
-            continue
-        if event.kind == "arrival":
-            flow = flows[event.flow_id] = event.flow
-            out.append(
-                FlowEvent(time=event.time, kind="arrival", flow=flow)
-            )
-        else:
-            out.append(
-                FlowEvent(
-                    time=event.time,
-                    kind="departure",
-                    flow=flows[event.flow_id],
-                )
-            )
-    return out
+    return [e for e in events if e.flow_id in keep]
 
 
 def most_loaded_link(

@@ -492,43 +492,22 @@ def audit_to_trace_events(
     """
     from ..workload.trace import TraceEvent
 
-    rows: List[Dict[str, Any]] = []
+    events: List[TraceEvent] = []
     t0: Optional[float] = None
     for record in records:
         kind = record.get("kind")
-        if kind not in ("admit", "release"):
+        if not (
+            kind == "admit" and record.get("admitted")
+            or kind == "release" and record.get("released")
+        ):
             continue
-        if kind == "admit" and not record.get("admitted"):
-            continue
-        if kind == "release" and not record.get("released"):
-            continue
+        ts = float(record.get("ts", 0.0))
         if t0 is None:
-            t0 = float(record.get("ts", 0.0))
-        rows.append(record)
-    events: List[TraceEvent] = []
-    for record in rows:
-        ts = float(record.get("ts", 0.0)) - (t0 or 0.0)
-        if record["kind"] == "admit":
-            flow = record["flow"]
-            route = record.get("route")
-            events.append(
-                TraceEvent(
-                    time=ts,
-                    kind="arrival",
-                    flow_id=flow["id"],
-                    class_name=flow["cls"],
-                    source=flow["src"],
-                    destination=flow["dst"],
-                    route=None if route is None else tuple(route),
-                    priority=flow.get("pri"),
-                )
-            )
+            t0 = ts
+        if kind == "admit":
+            events.append(TraceEvent.arrival(ts - t0, FlowSpec.from_obj(
+                {**record["flow"], "route": record.get("route")}
+            )))
         else:
-            events.append(
-                TraceEvent(
-                    time=ts,
-                    kind="departure",
-                    flow_id=record["flow_id"],
-                )
-            )
+            events.append(TraceEvent.departure(ts - t0, record["flow_id"]))
     return events

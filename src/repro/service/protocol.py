@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..errors import ProtocolError
 from ..traffic.flows import PRIORITIES, FlowSpec
@@ -335,14 +335,7 @@ def flow_from_obj(obj: Any) -> FlowSpec:
             f"flow pri must be one of {PRIORITIES}, got {pri!r}",
         )
     try:
-        return FlowSpec(
-            flow_id=obj["id"],
-            class_name=cls,
-            source=obj["src"],
-            destination=obj["dst"],
-            route=None if route is None else tuple(route),
-            priority=pri,
-        )
+        return FlowSpec.from_obj(obj)
     except Exception as exc:  # TrafficError and friends: bad field values
         raise ProtocolError(BAD_REQUEST, str(exc)) from None
 
@@ -361,11 +354,6 @@ def error_response(
         "ok": False,
         "error": {"code": code, "message": message},
     }
-
-
-def flow_key(flow: FlowSpec) -> Tuple[Hashable, ...]:
-    """Hashable identity of a wire flow (used by tests)."""
-    return (flow.flow_id, flow.class_name, flow.source, flow.destination)
 
 
 # ---------------------------------------------------------------------- #

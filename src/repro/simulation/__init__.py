@@ -5,7 +5,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .cosim import CoSimulationResult, co_simulate
+    from .cosim import CoSimulationResult, co_simulate, simulate_lifetimes
     from .events import EventQueue
     from .metrics import DelayRecorder, SimulationReport
     from .packets import Packet
@@ -14,7 +14,7 @@ if TYPE_CHECKING:
     from .sources import PacketPattern, TokenBucketPolicer, emission_times
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".cosim": ("CoSimulationResult", "co_simulate"),
+    ".cosim": ("CoSimulationResult", "co_simulate", "simulate_lifetimes"),
     ".events": ("EventQueue",),
     ".metrics": ("DelayRecorder", "SimulationReport"),
     ".packets": ("Packet",),

@@ -108,16 +108,6 @@ class StaticPriorityServer:
         """Bring the link back into service (queues start empty)."""
         self.dead = False
 
-    def drop_in_service(self) -> Optional[Packet]:
-        """Abort the in-flight transmission on a dead link, if any."""
-        if not self.busy or self.in_service is None:
-            return None
-        packet = self.in_service
-        self.busy = False
-        self.in_service = None
-        self.packets_dropped += 1
-        return packet
-
     def _pop_highest(self) -> Optional[Packet]:
         for prio in self._priorities:
             queue = self._queues[prio]

@@ -1,4 +1,4 @@
-"""Traffic substrate: envelopes, classes, flows, workload generators."""
+"""Traffic substrate: envelopes, classes, flows, static demand."""
 
 from typing import TYPE_CHECKING
 
@@ -20,11 +20,9 @@ if TYPE_CHECKING:
     )
     from .flows import FlowSet, FlowSpec, fresh_flow_id
     from .generators import (
-        FlowEvent,
         all_ordered_pairs,
         data_class,
         gravity_demand,
-        poisson_flow_schedule,
         random_pairs,
         uniform_flow_demand,
         video_class,
@@ -43,8 +41,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ),
     ".flows": ("FlowSet", "FlowSpec", "fresh_flow_id"),
     ".generators": (
-        "FlowEvent", "all_ordered_pairs", "data_class", "gravity_demand",
-        "poisson_flow_schedule", "random_pairs", "uniform_flow_demand",
-        "video_class", "voice_class",
+        "all_ordered_pairs", "data_class", "gravity_demand", "random_pairs",
+        "uniform_flow_demand", "video_class", "voice_class",
     ),
 })

@@ -144,6 +144,21 @@ class FlowSpec:
             obj["pri"] = self.priority
         return obj
 
+    @classmethod
+    def from_obj(cls, obj: Mapping[str, Any]) -> "FlowSpec":
+        """The flow a :meth:`to_obj` object describes (the one reader);
+        ``KeyError`` / ``TypeError`` on a malformed one, for the caller
+        to wrap in its own error type."""
+        route = obj.get("route")
+        return cls(
+            flow_id=obj["id"],
+            class_name=obj["cls"],
+            source=obj["src"],
+            destination=obj["dst"],
+            route=None if route is None else tuple(route),
+            priority=obj.get("pri"),
+        )
+
 
 def flow_record(
     flow: FlowSpec, route: Optional[Sequence[Hashable]]

@@ -1,15 +1,13 @@
-"""Workload generators.
+"""Traffic classes, pairs and static demand.
 
 Ready-made traffic classes (the paper's VoIP scenario plus common extras)
-and deterministic, seedable generators of flow demand for the admission
-control and simulation experiments.
+and deterministic, seedable generators of static flow demand; dynamic
+arrival/departure timelines live in :mod:`repro.workload`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +25,6 @@ __all__ = [
     "all_ordered_pairs",
     "random_pairs",
     "uniform_flow_demand",
-    "FlowEvent",
-    "poisson_flow_schedule",
 ]
 
 
@@ -200,62 +196,3 @@ def gravity_demand(
             )
         )
     return flows
-
-
-@dataclass(frozen=True)
-class FlowEvent:
-    """One event in a dynamic admission-control scenario.
-
-    ``kind`` is ``"arrival"`` or ``"departure"``; departures reference the
-    arrival's flow.
-    """
-
-    time: float
-    kind: str
-    flow: FlowSpec
-
-
-def poisson_flow_schedule(
-    network: Network,
-    class_name: str,
-    arrival_rate: float,
-    mean_holding: float,
-    horizon: float,
-    seed: int,
-) -> List[FlowEvent]:
-    """A Poisson flow arrival process with exponential holding times.
-
-    Flows arrive at rate ``arrival_rate`` (flows/second) between uniformly
-    random distinct edge-router pairs and hold for Exp(``mean_holding``)
-    seconds.  Returns the merged arrival+departure event list sorted by
-    time (departures after ``horizon`` are kept so every arrival has a
-    matching departure).
-    """
-    if arrival_rate <= 0 or mean_holding <= 0 or horizon <= 0:
-        raise TrafficError(
-            "arrival_rate, mean_holding and horizon must be positive"
-        )
-    edges = network.edge_routers()
-    if len(edges) < 2:
-        raise TrafficError("need at least two edge routers")
-    rng = np.random.default_rng(seed)
-    events: List[FlowEvent] = []
-    t = 0.0
-    k = 0
-    while True:
-        t += float(rng.exponential(1.0 / arrival_rate))
-        if t >= horizon:
-            break
-        i, j = rng.choice(len(edges), size=2, replace=False)
-        flow = FlowSpec(
-            flow_id=f"p{seed}_{k}",
-            class_name=class_name,
-            source=edges[int(i)],
-            destination=edges[int(j)],
-        )
-        hold = float(rng.exponential(mean_holding))
-        events.append(FlowEvent(time=t, kind="arrival", flow=flow))
-        events.append(FlowEvent(time=t + hold, kind="departure", flow=flow))
-        k += 1
-    events.sort(key=lambda e: (e.time, 0 if e.kind == "departure" else 1))
-    return events

@@ -45,7 +45,8 @@ from typing import (
 import numpy as np
 
 from ..errors import VerificationError
-from ..workload.trace import TraceEvent
+from ..traffic.flows import FlowSpec
+from ..workload.trace import TraceEvent, merge_events
 
 __all__ = [
     "CheckResult",
@@ -320,23 +321,15 @@ class Counterexample:
         the regression seeds the adversarial engine replays.
         """
         n = len(self.routes)
-        events: List[Tuple[float, int, int, TraceEvent]] = []
-        seq = 0
+        events: List[TraceEvent] = []
         for i, (lo, hi) in enumerate(self.routes):
             route = tuple(f"r{s}" for s in range(lo, hi + 1))
-            events.append((
-                float(i + 1), 1, seq,
-                TraceEvent(
-                    time=float(i + 1),
-                    kind="arrival",
-                    flow_id=f"cx_{i}",
-                    class_name=INSTANCE_CLASS,
-                    source=route[0],
-                    destination=route[-1],
-                    route=route,
+            events.append(TraceEvent.arrival(
+                float(i + 1),
+                FlowSpec(
+                    f"cx_{i}", INSTANCE_CLASS, route[0], route[-1], route
                 ),
             ))
-            seq += 1
             release = (
                 self.releases[i] if i < len(self.releases) else None
             )
@@ -345,15 +338,8 @@ class Counterexample:
                 if release is not None and release < n
                 else float(n + 2 + i)
             )
-            events.append((
-                t_dep, 0, seq,
-                TraceEvent(
-                    time=t_dep, kind="departure", flow_id=f"cx_{i}"
-                ),
-            ))
-            seq += 1
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
-        return [e[3] for e in events]
+            events.append(TraceEvent.departure(t_dep, f"cx_{i}"))
+        return merge_events(events)
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,15 @@ if TYPE_CHECKING:
         assign_priorities,
         drive,
         parse_priority_mix,
+        poisson_flow_schedule,
+        poisson_timeline,
         schedule_events,
     )
     from .popularity import ZipfPairPopularity
     from .trace import (
         TRACE_SCHEMA,
         TraceEvent,
+        merge_events,
         read_trace,
         trace_lines,
         write_trace,
@@ -52,11 +55,11 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ),
     ".loadgen": (
         "LoadgenResult", "assign_priorities", "drive", "parse_priority_mix",
-        "schedule_events",
+        "poisson_flow_schedule", "poisson_timeline", "schedule_events",
     ),
     ".popularity": ("ZipfPairPopularity",),
     ".trace": (
-        "TRACE_SCHEMA", "TraceEvent", "read_trace", "trace_lines",
-        "write_trace",
+        "TRACE_SCHEMA", "TraceEvent", "merge_events", "read_trace",
+        "trace_lines", "write_trace",
     ),
 })

@@ -45,7 +45,8 @@ import numpy as np
 
 from ..errors import TrafficError
 from ..topology.servergraph import LinkServerGraph
-from .trace import TraceEvent
+from ..traffic.flows import FlowSpec
+from .trace import TraceEvent, merge_events
 
 __all__ = [
     "AdversaryModel",
@@ -186,8 +187,7 @@ schedule_events` orders them) with flow ids ``{id_prefix}{seed}_{i}``.
     offsets = rng.integers(0, len(attack_pairs), size=len(burst_instants))
     churn_draws = rng.random(num_flows) < churn_fraction
 
-    events: List[Tuple[float, int, int, TraceEvent]] = []
-    seq = 0
+    events: List[TraceEvent] = []
     burst_idx = -1
     prev_time: Optional[float] = None
     cursor = 0
@@ -199,14 +199,9 @@ schedule_events` orders them) with flow ids ``{id_prefix}{seed}_{i}``.
         src, dst = attack_pairs[cursor % len(attack_pairs)]
         cursor += 1
         fid = f"{id_prefix}{seed}_{i}"
-        events.append((
-            t_arr, 1, seq,
-            TraceEvent(
-                time=t_arr, kind="arrival", flow_id=fid,
-                class_name=class_name, source=src, destination=dst,
-            ),
-        ))
-        seq += 1
+        events.append(
+            TraceEvent.arrival(t_arr, FlowSpec(fid, class_name, src, dst))
+        )
         has_next = burst_idx + 1 < len(burst_instants)
         if churn_draws[i] and has_next:
             # Free the slot at the exact instant the next burst lands;
@@ -215,13 +210,8 @@ schedule_events` orders them) with flow ids ``{id_prefix}{seed}_{i}``.
         else:
             # Pin until after the attack, draining LIFO.
             t_dep = horizon + (num_flows - i) * 1e-3
-        events.append((
-            t_dep, 0, seq,
-            TraceEvent(time=t_dep, kind="departure", flow_id=fid),
-        ))
-        seq += 1
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    stream = [e[3] for e in events]
+        events.append(TraceEvent.departure(t_dep, fid))
+    stream = merge_events(events)
     validate_adversarial_events(stream, model)
     return stream
 

@@ -1,7 +1,9 @@
 """Drive an admission controller with a workload event stream.
 
 :func:`schedule_events` turns an :class:`~repro.workload.arrivals.\
-ArrivalSchedule` into the merged arrival/departure event stream;
+ArrivalSchedule` into the merged arrival/departure event stream and
+:func:`poisson_timeline` draws one flow by flow (the schedules of the
+dynamic experiments and the chaos harness);
 :func:`drive` replays events against any
 :class:`~repro.admission.base.AdmissionController`, either strictly
 sequentially or through the batch engine.
@@ -22,19 +24,22 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..admission.base import AdmissionController, AdmissionDecision
 from ..errors import TrafficError
+from ..topology.network import Network
 from ..traffic.flows import PRIORITIES, FlowSpec
 from .arrivals import ArrivalSchedule
-from .trace import TraceEvent
+from .trace import TraceEvent, merge_events
 
 __all__ = [
     "LoadgenResult",
     "assign_priorities",
     "drive",
     "parse_priority_mix",
+    "poisson_flow_schedule",
+    "poisson_timeline",
     "schedule_events",
 ]
 
@@ -50,33 +55,85 @@ def schedule_events(
 ) -> List[TraceEvent]:
     """Merged, time-sorted arrival + departure events of a schedule.
 
-    Flow ids are ``{id_prefix}{seed}_{i}`` for arrival ``i``.  Ties are
-    broken departures-first (a slot freed at time *t* is available to
-    an arrival at the same instant), then by insertion order — fully
-    deterministic.
+    Flow ids are ``{id_prefix}{seed}_{i}`` for arrival ``i``; ties break
+    as :func:`~repro.workload.trace.merge_events` orders them.
     """
     if schedule.num_flows and not pairs:
         raise TrafficError("schedule references an empty pair list")
-    events: List[Tuple[float, int, int, TraceEvent]] = []
+    events: List[TraceEvent] = []
     departures = schedule.departure_times()
     for i in range(schedule.num_flows):
         src, dst = pairs[int(schedule.pair_indices[i]) % len(pairs)]
         fid = f"{id_prefix}{schedule.seed}_{i}"
-        t_arr = float(schedule.times[i])
-        events.append((
-            t_arr, 1, i,
-            TraceEvent(
-                time=t_arr, kind="arrival", flow_id=fid,
-                class_name=class_name, source=src, destination=dst,
-            ),
+        events.append(TraceEvent.arrival(
+            float(schedule.times[i]), FlowSpec(fid, class_name, src, dst)
         ))
-        t_dep = float(departures[i])
-        events.append((
-            t_dep, 0, i,
-            TraceEvent(time=t_dep, kind="departure", flow_id=fid),
-        ))
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    return [e[3] for e in events]
+        events.append(TraceEvent.departure(float(departures[i]), fid))
+    return merge_events(events)
+
+
+def poisson_timeline(
+    draw_pair: Callable[[np.random.Generator], Pair],
+    class_name: str,
+    *,
+    arrival_rate: float,
+    mean_holding: float,
+    horizon: float,
+    seed: int,
+    id_prefix: str,
+) -> List[TraceEvent]:
+    """Poisson arrivals with exponential holding times, flow by flow.
+
+    Flows ``{id_prefix}{seed}_{k}`` arrive at ``arrival_rate`` per
+    second between the pair ``draw_pair(rng)`` returns and hold for
+    Exp(``mean_holding``) seconds; departures past ``horizon`` are kept
+    so every arrival has one.  Per flow the generator is consulted in
+    the fixed order gap, pair, holding time.
+    """
+    if arrival_rate <= 0 or mean_holding <= 0 or horizon <= 0:
+        raise TrafficError(
+            "arrival_rate, mean_holding and horizon must be positive"
+        )
+    rng = np.random.default_rng(seed)
+    events: List[TraceEvent] = []
+    t = 0.0
+    k = 0
+    while True:
+        t += float(rng.exponential(1.0 / arrival_rate))
+        if t >= horizon:
+            break
+        src, dst = draw_pair(rng)
+        fid = f"{id_prefix}{seed}_{k}"
+        hold = float(rng.exponential(mean_holding))
+        events.append(
+            TraceEvent.arrival(t, FlowSpec(fid, class_name, src, dst))
+        )
+        events.append(TraceEvent.departure(t + hold, fid))
+        k += 1
+    return merge_events(events)
+
+
+def poisson_flow_schedule(
+    network: Network,
+    class_name: str,
+    arrival_rate: float,
+    mean_holding: float,
+    horizon: float,
+    seed: int,
+) -> List[TraceEvent]:
+    """:func:`poisson_timeline` between uniformly random distinct edge
+    routers of ``network`` (flow ids ``p{seed}_{k}``)."""
+    edges = network.edge_routers()
+    if len(edges) < 2:
+        raise TrafficError("need at least two edge routers")
+    return poisson_timeline(
+        lambda rng: tuple(
+            edges[int(i)]
+            for i in rng.choice(len(edges), size=2, replace=False)
+        ),
+        class_name, arrival_rate=arrival_rate, mean_holding=mean_holding,
+        horizon=horizon, seed=seed, id_prefix="p",
+    )
 
 
 def parse_priority_mix(spec: str) -> Dict[str, float]:

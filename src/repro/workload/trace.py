@@ -37,6 +37,7 @@ from ..traffic.flows import PRIORITIES, FlowSpec
 __all__ = [
     "TRACE_SCHEMA",
     "TraceEvent",
+    "merge_events",
     "read_trace",
     "trace_lines",
     "write_trace",
@@ -96,6 +97,26 @@ class TraceEvent:
             priority=self.priority,
         )
 
+    @classmethod
+    def arrival(cls, time: float, flow: FlowSpec) -> "TraceEvent":
+        """The arrival of ``flow`` at ``time`` (inverse of :attr:`flow`)."""
+        return cls(
+            time, "arrival", flow.flow_id, flow.class_name,
+            flow.source, flow.destination, flow.route, flow.priority,
+        )
+
+    @classmethod
+    def departure(cls, time: float, flow_id: Hashable) -> "TraceEvent":
+        """The departure of flow ``flow_id`` at ``time``."""
+        return cls(time, "departure", flow_id)
+
+
+def merge_events(events: Iterable[TraceEvent]) -> List[TraceEvent]:
+    """The events as one timeline: sorted by time, departures first at
+    equal times (a slot freed at *t* is available to an arrival at the
+    same instant), then insertion order — fully deterministic."""
+    return sorted(events, key=lambda e: (e.time, e.kind != "departure"))
+
 
 def _event_obj(event: TraceEvent) -> Dict[str, Any]:
     obj: Dict[str, Any] = {
@@ -142,20 +163,11 @@ def write_trace(
 
 def _parse_event(obj: Dict[str, Any], lineno: int) -> TraceEvent:
     try:
-        kind = _KIND_NAMES[obj["k"]]
-        return TraceEvent(
-            time=float(obj["t"]),
-            kind=kind,
-            flow_id=obj["id"],
-            class_name=obj.get("cls"),
-            source=obj.get("src"),
-            destination=obj.get("dst"),
-            route=(
-                tuple(obj["route"]) if obj.get("route") is not None
-                else None
-            ),
-            priority=obj.get("pri"),
-        )
+        if _KIND_NAMES[obj["k"]] == "arrival":
+            return TraceEvent.arrival(
+                float(obj["t"]), FlowSpec.from_obj(obj)
+            )
+        return TraceEvent.departure(float(obj["t"]), obj["id"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TrafficError(
             f"malformed trace event on line {lineno}: {exc}"

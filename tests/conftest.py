@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -119,3 +121,24 @@ def voice():
 @pytest.fixture(scope="session")
 def voice_registry(voice) -> ClassRegistry:
     return ClassRegistry.two_class(voice)
+
+
+@pytest.fixture(scope="session")
+def stream_digest():
+    """sha256 over ``(time, kind, flow_id, source, destination)`` rows
+    of a workload timeline (a departure takes its endpoints from the
+    flow's arrival) — how the generator streams are pinned."""
+
+    def digest(events) -> str:
+        pairs = {
+            e.flow_id: (e.source, e.destination)
+            for e in events
+            if e.kind == "arrival"
+        }
+        rows = [
+            [repr(float(e.time)), e.kind, e.flow_id, *pairs[e.flow_id]]
+            for e in events
+        ]
+        return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+    return digest

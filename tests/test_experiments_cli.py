@@ -235,6 +235,32 @@ def test_faults_command_unverifiable_alpha(capsys):
     assert "does not verify" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [["--adversarial", "--burst", "0"],
+                                   ["--arrival-rate", "0"]])
+def test_faults_command_bad_workload_parameters(extra, capsys):
+    assert main(["faults", "--no-packets", *extra]) == 1
+    assert capsys.readouterr().out.startswith("FAILURE: ")
+
+
+@pytest.mark.parametrize("extra, digest", [
+    ([], "7f7afcb32248df0daef27811d858e10f804c5d60"
+         "a67471678184cf081d709c92"),
+    (["--adversarial"], "75a289e011d5cf4cade76661845d00cc36f6aaac"
+                        "f71995fab9a8b31056792832"),
+])
+def test_faults_command_report_pinned(tmp_path, extra, digest):
+    """``TransitionReport.to_json()`` of the default scenarios at seed
+    7, packets on, taken at PR 19 (schedules in an event type of the
+    harness's own, its own segment list and packet loop): the workload
+    vocabulary may change, no chaos report may."""
+    import hashlib
+
+    report_path = tmp_path / "transitions.json"
+    argv = ["faults", "--seed", "7", "--report-out", str(report_path)]
+    assert main(argv + extra) == 0
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == digest
+
+
 def test_faults_command_with_metrics_out(tmp_path):
     from repro.obs.export import parse_prometheus_text
 

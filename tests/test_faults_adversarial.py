@@ -62,9 +62,9 @@ class TestSchedule:
         assert max(len(v) for v in by_time.values()) == MODEL.burst
 
     def test_every_arrival_eventually_departs(self, flows):
-        arrived = [e.flow.flow_id for e in flows if e.kind == "arrival"]
+        arrived = [e.flow_id for e in flows if e.kind == "arrival"]
         departed = [
-            e.flow.flow_id for e in flows if e.kind == "departure"
+            e.flow_id for e in flows if e.kind == "departure"
         ]
         assert sorted(arrived) == sorted(departed)
 
@@ -73,8 +73,21 @@ class TestSchedule:
             cfg, "voice", horizon=HORIZON, seed=3, model=MODEL
         )
         assert [
-            (e.time, e.kind, e.flow.flow_id) for e in flows
-        ] == [(e.time, e.kind, e.flow.flow_id) for e in again]
+            (e.time, e.kind, e.flow_id) for e in flows
+        ] == [(e.time, e.kind, e.flow_id) for e in again]
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "dfc96d2598f1f06b3226c5ea887b0fc4a4efb8943cc05c6d6d01748cf2d8fd90"),
+        (7, "79c9f5282eb1cf97462acb51a446356b340feff27bdb203b22d1e5ea55f77418"),
+    ])
+    def test_stream_pinned(self, cfg, stream_digest, seed, digest):
+        """Taken at PR 19, when this converted the engine's events
+        into a second event type; now it only trims to the horizon."""
+        events = adversarial_flow_schedule(
+            cfg, "voice", horizon=HORIZON, seed=seed, model=MODEL
+        )
+        assert len(events) == 64
+        assert stream_digest(events) == digest
 
     def test_denser_than_the_poisson_twin(self, cfg, flows):
         poisson = configured_flow_schedule(

@@ -81,7 +81,9 @@ class TestScenarioHelpers:
     def test_flow_schedule_restricted_to_configured_pairs(self, cfg, flows):
         pairs = set(cfg.routes)
         assert flows
-        assert all(e.flow.pair in pairs for e in flows)
+        assert all(
+            e.flow.pair in pairs for e in flows if e.kind == "arrival"
+        )
 
     def test_flow_schedule_deterministic(self, cfg, flows):
         again = configured_flow_schedule(
@@ -89,13 +91,31 @@ class TestScenarioHelpers:
             horizon=HORIZON, seed=7,
         )
         assert [
-            (e.time, e.kind, e.flow.flow_id) for e in again
-        ] == [(e.time, e.kind, e.flow.flow_id) for e in flows]
+            (e.time, e.kind, e.flow_id) for e in again
+        ] == [(e.time, e.kind, e.flow_id) for e in flows]
+
+    @pytest.mark.parametrize("seed, count, digest", [
+        (3, 94, "1f92694c9e81a38b417902b35834fb84b6125d9b"
+                "8390027211bf88b2051b59a5"),
+        (7, 104, "21ab08db53b2ab687d8f99c699fd63d7d5b3df6e"
+                 "abbaed90d35e018cfa2447c9"),
+    ])
+    def test_flow_schedule_pinned(
+        self, cfg, stream_digest, seed, count, digest
+    ):
+        """Taken at PR 19, when the harness had a Poisson loop of its
+        own: same RNG call order, same flow ids."""
+        events = configured_flow_schedule(
+            cfg, "voice", arrival_rate=30.0, mean_holding=1.0,
+            horizon=HORIZON, seed=seed,
+        )
+        assert len(events) == count
+        assert stream_digest(events) == digest
 
     def test_every_arrival_has_departure(self, flows):
-        arrivals = {e.flow.flow_id for e in flows if e.kind == "arrival"}
+        arrivals = {e.flow_id for e in flows if e.kind == "arrival"}
         departures = {
-            e.flow.flow_id for e in flows if e.kind == "departure"
+            e.flow_id for e in flows if e.kind == "departure"
         }
         assert arrivals == departures
 
@@ -118,10 +138,10 @@ class TestLinkFailureTransition:
 
     def test_every_flow_accounted(self, report, flows):
         assert report.accounts_for(
-            e.flow.flow_id for e in flows
+            e.flow_id for e in flows
         )
         assert len(report.flows) == len(
-            {e.flow.flow_id for e in flows}
+            {e.flow_id for e in flows}
         )
 
     def test_zero_survivor_deadline_misses(self, report):
@@ -154,6 +174,22 @@ class TestLinkFailureTransition:
         again = run_chaos(cfg, flows, link_faults)
         assert again.to_json() == report.to_json()
 
+    def test_recorded_trace_runs_unchanged(
+        self, cfg, flows, link_faults, report
+    ):
+        """What ``read_trace`` hands back is what the harness takes."""
+        import io
+
+        from repro.workload import read_trace, write_trace
+
+        buffer = io.StringIO()
+        write_trace(buffer, flows)
+        buffer.seek(0)
+        _meta, recorded = read_trace(buffer)
+        assert recorded == flows
+        again = run_chaos(cfg, recorded, link_faults)
+        assert again.to_json() == report.to_json()
+
     def test_flow_level_only_run_skips_packets(
         self, cfg, flows, link_faults
     ):
@@ -177,7 +213,7 @@ class TestShardedController:
             cfg, flows, link_faults, harness=ShardChaosHarness
         )
         assert report.survivors_held()
-        assert report.accounts_for(e.flow.flow_id for e in flows)
+        assert report.accounts_for(e.flow_id for e in flows)
 
     def test_sharded_survives_controller_crash(self, cfg, flows):
         # A shard is a ledger like any other: it snapshots, so
@@ -192,7 +228,7 @@ class TestShardedController:
             cfg, flows, faults, harness=ShardChaosHarness
         )
         assert report.survivors_held()
-        assert report.accounts_for(e.flow.flow_id for e in flows)
+        assert report.accounts_for(e.flow_id for e in flows)
 
 
 class TestBatchAdmissionMode:
@@ -222,7 +258,7 @@ class TestBatchAdmissionMode:
             cfg, flows, link_faults, batch_admission=True
         )
         assert report.survivors_held()
-        assert report.accounts_for(e.flow.flow_id for e in flows)
+        assert report.accounts_for(e.flow_id for e in flows)
 
     def test_batch_mode_sharded_controller(
         self, cfg, flows, link_faults
@@ -405,19 +441,17 @@ class TestBackoffRetry:
         # only detour is the counterclockwise ring, and at
         # alpha_factor=0.05 its degraded ledger holds just 7 of them.
         from repro.traffic.flows import FlowSpec
-        from repro.traffic.generators import FlowEvent
+        from repro.workload import TraceEvent
 
         events = []
         for i in range(10):
             flow = FlowSpec(f"hot{i}", "voice", "r1", "r3")
             events.append(
-                FlowEvent(0.1 + 0.01 * i, "arrival", flow)
+                TraceEvent.arrival(0.1 + 0.01 * i, flow)
             )
             events.append(
-                FlowEvent(
-                    early_departure if i < 3 else 1.8,
-                    "departure",
-                    flow,
+                TraceEvent.departure(
+                    early_departure if i < 3 else 1.8, flow.flow_id
                 )
             )
         return events
@@ -481,6 +515,30 @@ class TestBackoffRetry:
         assert set(down.casualties) == set(down.rerouted) | set(
             down.shed
         )
+
+
+class TestDecodedCounterexample:
+    def test_counterexample_trace_runs_unchanged(self, voice_registry):
+        """``Counterexample.to_trace_events()`` (pinned routes on the
+        verification chain) goes into the harness as it comes."""
+        from repro.topology import line_network
+        from repro.verify import VerifyBound, exhaustive_no_overcommit
+
+        cx = exhaustive_no_overcommit(
+            VerifyBound(flows=2, servers=2, max_capacity=1),
+            admit_on_full=True,
+        ).counterexample
+        events = cx.to_trace_events()
+        chain = configure(
+            line_network(cx.servers + 1), voice_registry,
+            {"voice": 0.3}, pairs=[("r0", f"r{cx.servers}")],
+            routing="shortest-path",
+        )
+        report = ChaosHarness(chain).run(events, FaultSchedule([]))
+        assert report.accounts_for(e.flow_id for e in events)
+        assert report.outcomes == {"completed": len(cx.routes)}
+        assert report.packets_injected > 0
+        assert report.survivors_held()
 
 
 class TestValidation:

@@ -22,7 +22,8 @@ from repro.faults import (
 from repro.topology import ring_network
 from repro.traffic import ClassRegistry
 from repro.traffic.flows import FlowSpec
-from repro.traffic.generators import FlowEvent, voice_class
+from repro.traffic.generators import voice_class
+from repro.workload import TraceEvent, merge_events
 
 HORIZON = 2.0
 
@@ -77,9 +78,9 @@ def overload_schedule(cfg):
                 f"bg{k}", "voice", src, dst, priority="elastic"
             )
             events.append(
-                FlowEvent(0.05 + 0.01 * k, "arrival", flow)
+                TraceEvent.arrival(0.05 + 0.01 * k, flow)
             )
-            events.append(FlowEvent(1.9, "departure", flow))
+            events.append(TraceEvent.departure(1.9, flow.flow_id))
             k += 1
     # Hard-RT arrivals after the fill: plain admission finds the ring
     # saturated, so each one must go through the preemptor.
@@ -87,8 +88,8 @@ def overload_schedule(cfg):
         flow = FlowSpec(
             f"hard{i}", "voice", src, dst, priority="hard_rt"
         )
-        events.append(FlowEvent(0.4 + 0.02 * i, "arrival", flow))
-        events.append(FlowEvent(1.95, "departure", flow))
+        events.append(TraceEvent.arrival(0.4 + 0.02 * i, flow))
+        events.append(TraceEvent.departure(1.95, flow.flow_id))
     # Adversarial burst (priority-less, hence evictable) across the
     # fault window.
     events.extend(
@@ -96,10 +97,7 @@ def overload_schedule(cfg):
             cfg, "voice", horizon=HORIZON, seed=5
         )
     )
-    events.sort(
-        key=lambda e: (e.time, 0 if e.kind == "departure" else 1)
-    )
-    return events
+    return merge_events(events)
 
 
 def make_harness(cfg, ladder):
@@ -217,7 +215,7 @@ class TestOverloadTransition:
         _harness, report = overload
         schedule = overload_schedule(cfg)
         assert report.accounts_for(
-            e.flow.flow_id for e in schedule
+            e.flow_id for e in schedule
         )
 
     def test_bit_identical_replay(self, cfg, ladder, overload):
@@ -238,19 +236,17 @@ class TestGovernorWithoutFaults:
                     f"bg{k}", "voice", src, dst, priority="elastic"
                 )
                 events.append(
-                    FlowEvent(0.05 + 0.01 * k, "arrival", flow)
+                    TraceEvent.arrival(0.05 + 0.01 * k, flow)
                 )
                 # Early mass departure, then trailing arrivals give
                 # the governor drained samples to climb back on.
-                events.append(FlowEvent(0.6, "departure", flow))
+                events.append(TraceEvent.departure(0.6, flow.flow_id))
                 k += 1
         for i in range(8):
             flow = FlowSpec(f"late{i}", "voice", "r0", "r2")
-            events.append(FlowEvent(0.8 + 0.05 * i, "arrival", flow))
-            events.append(FlowEvent(1.8, "departure", flow))
-        events.sort(
-            key=lambda e: (e.time, 0 if e.kind == "departure" else 1)
-        )
+            events.append(TraceEvent.arrival(0.8 + 0.05 * i, flow))
+            events.append(TraceEvent.departure(1.8, flow.flow_id))
+        events = merge_events(events)
         harness = make_harness(cfg, ladder)
         # A fault schedule is required by the harness; use a no-op
         # window on a link no schedule flow crosses after t=0.6.

@@ -201,6 +201,72 @@ class TestServiceProcess:
             survivors + ["post-kill"]
         )
 
+    def test_served_audit_log_reaches_the_packet_oracle(self, tmp_path):
+        # ROADMAP 4(b), first half: what a real, preempting server
+        # admitted is replayed into a fresh controller and every
+        # admitted lifetime is driven at packet level with greedy
+        # sources.  Needs no adapter: the audit log converts to the
+        # one workload timeline the oracle takes.
+        from repro.admission import UtilizationAdmissionController
+        from repro.experiments.cli import main
+        from repro.routing import shortest_path_routes
+        from repro.service import audit_to_trace_events, iter_audit
+        from repro.simulation import co_simulate
+        from repro.topology import LinkServerGraph, mci_backbone
+        from repro.traffic import ClassRegistry, voice_class
+
+        sock = str(tmp_path / "s.sock")
+        audit = str(tmp_path / "audit.jsonl")
+        with ServiceProcess(
+            socket_path=sock, topology="mci", alpha=0.05,
+            preempt=True, audit=audit,
+        ) as proc:
+            proc.start()
+            assert main([
+                "loadgen", "--socket", sock, "--topology", "mci",
+                "--flows", "2500", "--seed", "17",
+                "--arrival-rate", "400", "--mean-holding", "600",
+                "--zipf-skew", "1.6",
+                "--priority-mix", "hard_rt=1,soft_rt=2,elastic=7",
+            ]) == 0
+            with proc.client() as client:
+                preemption = client.stats()["preemption"]
+                assert preemption["preempted_flows"] > 0
+            assert proc.terminate() == 0
+        records = list(iter_audit(audit))
+        admits = sum(
+            1 for r in records
+            if r["kind"] == "admit" and r.get("admitted")
+        )
+        assert admits > 500
+
+        net = mci_backbone()
+        graph = LinkServerGraph(net)
+        registry = ClassRegistry.two_class(voice_class())
+        controller = UtilizationAdmissionController(
+            graph, registry, {"voice": 0.05},
+            shortest_path_routes(net, all_ordered_pairs(net)),
+        )
+        events = audit_to_trace_events(records)
+        result = co_simulate(
+            graph, registry, controller, events,
+            packet_size=640, pattern_kind="greedy",
+        )
+        # Every audited admit re-fits (preemption re-admits included)
+        # and every interval inside the run sends.
+        assert result.admission.rejected == 0
+        assert result.admission.admitted == admits
+        horizon = events[-1].time
+        assert result.flows_simulated == sum(
+            1 for life in result.admission.lifetimes
+            if life.start < min(
+                horizon if life.stop is None else life.stop, horizon
+            )
+        )
+        assert result.flows_simulated >= admits // 2
+        assert result.packets.packets_injected > 0
+        assert result.guarantees_held
+
     def test_startup_failure_surfaces_the_captured_log(self, tmp_path):
         # Server output goes to a per-launch log file, not an undrained
         # pipe (which a chatty server could fill and block on); startup

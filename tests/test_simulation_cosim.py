@@ -9,7 +9,7 @@ from repro.routing import shortest_path_routes
 from repro.simulation import PacketPattern, Simulator, co_simulate
 from repro.topology import LinkServerGraph, line_network, star_network
 from repro.traffic import ClassRegistry, FlowSpec, voice_class
-from repro.traffic.generators import FlowEvent, poisson_flow_schedule
+from repro.workload import TraceEvent, poisson_flow_schedule
 
 
 class TestWindowedSources:
@@ -123,10 +123,10 @@ class TestCoSimulation:
         )
         flows = [FlowSpec(i, "voice", "r0", "r1") for i in range(2)]
         schedule = [
-            FlowEvent(0.1, "arrival", flows[0]),
-            FlowEvent(0.2, "arrival", flows[1]),
-            FlowEvent(2.0, "departure", flows[0]),
-            FlowEvent(2.0, "departure", flows[1]),
+            TraceEvent.arrival(0.1, flows[0]),
+            TraceEvent.arrival(0.2, flows[1]),
+            TraceEvent.departure(2.0, 0),
+            TraceEvent.departure(2.0, 1),
         ]
         result = co_simulate(
             graph, voice_registry, ctrl, schedule, packet_size=640
@@ -150,17 +150,17 @@ class TestCoSimulation:
         b = FlowSpec("b", "voice", "r0", "r1")
         first = co_simulate(
             graph, voice_registry, ctrl,
-            [FlowEvent(0.1, "arrival", a), FlowEvent(1.0, "departure", a)],
+            [TraceEvent.arrival(0.1, a), TraceEvent.departure(1.0, "a")],
             packet_size=640,
         )
         assert first.admission.admitted_ids == ["a"]
         second = co_simulate(
             graph, voice_registry, ctrl,
             [
-                FlowEvent(0.1, "arrival", b),
-                FlowEvent(0.2, "arrival", a),  # slot taken: rejected
-                FlowEvent(2.0, "departure", b),
-                FlowEvent(2.0, "departure", a),
+                TraceEvent.arrival(0.1, b),
+                TraceEvent.arrival(0.2, a),  # slot taken: rejected
+                TraceEvent.departure(2.0, "b"),
+                TraceEvent.departure(2.0, "a"),
             ],
             packet_size=640,
         )
@@ -177,10 +177,9 @@ class TestCoSimulation:
         )
         flow = FlowSpec("f", "voice", "r0", "r1")
         schedule = [
-            FlowEvent(0.0, "arrival", flow),
-            FlowEvent(0.5, "departure", flow),
-            FlowEvent(2.0, "arrival",
-                      FlowSpec("g", "voice", "r0", "r1")),
+            TraceEvent.arrival(0.0, flow),
+            TraceEvent.departure(0.5, "f"),
+            TraceEvent.arrival(2.0, FlowSpec("g", "voice", "r0", "r1")),
         ]
         result = co_simulate(
             graph, voice_registry, ctrl, schedule, packet_size=640,
@@ -189,6 +188,64 @@ class TestCoSimulation:
         # flow f lives 0.5 s at 50 pps = 25 packets; g starts at the
         # horizon and contributes nothing.
         assert result.packets.packets_injected == 25
+
+    def test_readmitted_id_sends_in_its_lifetimes_only(self, voice_registry):
+        """A flow id admitted twice (a preempted flow re-admitted, a
+        chaos retry) is two lifetimes, not two sources over the union."""
+        net = line_network(2)
+        graph = LinkServerGraph(net)
+        ctrl = UtilizationAdmissionController(
+            graph, voice_registry, {"voice": 0.3},
+            {("r0", "r1"): ["r0", "r1"]},
+        )
+        flow = FlowSpec("f", "voice", "r0", "r1")
+        schedule = [
+            TraceEvent.arrival(0.0, flow),
+            TraceEvent.departure(0.5, "f"),
+            TraceEvent.arrival(1.5, flow),
+            TraceEvent.departure(2.0, "f"),
+        ]
+        result = co_simulate(
+            graph, voice_registry, ctrl, schedule, packet_size=640,
+            pattern_kind="periodic", horizon=2.0,
+        )
+        assert result.flows_simulated == 2
+        assert [
+            (life.start, life.stop) for life in result.admission.lifetimes
+        ] == [(0.0, 0.5), (1.5, 2.0)]
+        # 2 lifetimes x 0.5 s x 50 pps (the id-keyed reconstruction
+        # ran both sources over [0, 2.0): 200 packets).
+        assert result.packets.packets_injected == 50
+
+    def test_rejected_then_admitted_id_sends_from_its_admission(
+        self, voice_registry
+    ):
+        """An id rejected on its first attempt transmits from the
+        instant it was admitted, not from the rejected attempt's."""
+        net = line_network(2)
+        graph = LinkServerGraph(net)
+        ctrl = UtilizationAdmissionController(
+            graph, voice_registry, {"voice": 0.00034},  # 1 slot
+            {("r0", "r1"): ["r0", "r1"]},
+        )
+        holder = FlowSpec("h", "voice", "r0", "r1")
+        late = FlowSpec("f", "voice", "r0", "r1")
+        schedule = [
+            TraceEvent.arrival(0.0, holder),
+            TraceEvent.arrival(0.2, late),  # slot taken: rejected
+            TraceEvent.departure(1.0, "h"),
+            TraceEvent.arrival(1.5, late),  # admitted
+            TraceEvent.departure(2.0, "f"),
+        ]
+        result = co_simulate(
+            graph, voice_registry, ctrl, schedule, packet_size=640,
+            pattern_kind="periodic", horizon=2.0,
+        )
+        assert result.admission.rejected == 1
+        assert result.admission.admitted_ids == ["h", "f"]
+        # h: 1.0 s, f: 0.5 s, at 50 pps.
+        assert result.packets.packets_injected == 75
+        assert result.packets.recorder.flow_packet_count("f") == 25
 
     def test_empty_schedule_rejected(self, mci_graph, voice_registry,
                                      mci_controller):

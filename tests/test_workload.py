@@ -10,10 +10,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.admission import UtilizationAdmissionController
 from repro.errors import TrafficError
 from repro.routing.shortest import shortest_path_routes
+from repro.traffic.flows import PRIORITIES, FlowSpec
 from repro.traffic.generators import all_ordered_pairs
 from repro.workload import (
     TRACE_SCHEMA,
@@ -22,6 +25,7 @@ from repro.workload import (
     ZipfPairPopularity,
     assign_priorities,
     drive,
+    merge_events,
     open_loop_schedule,
     parse_priority_mix,
     read_trace,
@@ -98,6 +102,29 @@ class TestOpenLoopSchedule:
         )
 
 
+ROUTERS = ["A", "B", "C", "D", "E"]
+
+
+def times():
+    return st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def flow_specs(draw):
+    """Any flow the trace format carries: pinned route and priority
+    optional, ids the JSON round trip preserves."""
+    hops = draw(st.integers(min_value=2, max_value=len(ROUTERS)))
+    route = tuple(draw(st.permutations(ROUTERS))[:hops])
+    return FlowSpec(
+        flow_id=draw(st.one_of(st.integers(), st.text(max_size=8))),
+        class_name=draw(st.sampled_from(["voice", "video"])),
+        source=route[0],
+        destination=route[-1],
+        route=draw(st.sampled_from([None, route])),
+        priority=draw(st.sampled_from((None,) + PRIORITIES)),
+    )
+
+
 class TestTraceRoundTrip:
     def _events(self, n=200, seed=5):
         pop = ZipfPairPopularity(num_pairs=12, skew=1.0)
@@ -144,6 +171,41 @@ class TestTraceRoundTrip:
     def test_bad_kind_rejected(self):
         with pytest.raises(TrafficError):
             TraceEvent(time=0.0, kind="teleport", flow_id="x")
+
+    @given(st.lists(st.tuples(times(), flow_specs(), times()), max_size=8))
+    def test_constructors_round_trip(self, rows):
+        """``arrival`` is the inverse of ``.flow``, and what the two
+        constructors build survives the file format exactly."""
+        events = []
+        for t_arr, flow, hold in rows:
+            arrival = TraceEvent.arrival(t_arr, flow)
+            assert arrival.flow == flow
+            events.append(arrival)
+            events.append(TraceEvent.departure(t_arr + hold, flow.flow_id))
+        buffer = io.StringIO()
+        write_trace(buffer, events)
+        buffer.seek(0)
+        _meta, again = read_trace(buffer)
+        assert again == events
+
+    def test_merge_is_departures_first_then_insertion_order(self):
+        a, b = (FlowSpec(i, "voice", "x", "y") for i in "ab")
+        events = [
+            TraceEvent.arrival(1.0, a),
+            TraceEvent.departure(2.0, "a"),
+            TraceEvent.arrival(1.0, b),
+            TraceEvent.departure(1.0, "b"),
+            TraceEvent.arrival(0.5, a),
+        ]
+        assert [
+            (e.time, e.kind, e.flow_id) for e in merge_events(events)
+        ] == [
+            (0.5, "arrival", "a"),
+            (1.0, "departure", "b"),
+            (1.0, "arrival", "a"),
+            (1.0, "arrival", "b"),
+            (2.0, "departure", "a"),
+        ]
 
 
 class TestDrive:
