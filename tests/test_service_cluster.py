@@ -515,21 +515,45 @@ class TestClusterEndToEnd:
             snapshot_interval=60.0,
         ) as cluster:
             cluster.start()
+            # One hard_rt flow on the shard about to die: its priority
+            # has to survive the shard snapshot, the restart and the
+            # merged manifest.
+            ring = HashRing(2)
+            hard = next(
+                f"k{i}" for i in range(25) if ring.worker_of(f"k{i}") == 0
+            )
+
+            def durable_cut(client):
+                client.snapshot()
+                with open(snap) as fh:
+                    return {
+                        f["flow_id"]: (f["route"], f.get("priority"))
+                        for f in json.load(fh)["flows"]
+                    }
+
             with cluster.client() as client:
                 admitted = []
                 for i, (src, dst) in enumerate(mci_pairs[:25]):
                     if client.admit(
-                        FlowSpec(f"k{i}", "voice", src, dst)
+                        FlowSpec(
+                            f"k{i}", "voice", src, dst,
+                            priority="hard_rt" if f"k{i}" == hard else None,
+                        )
                     ).admitted:
                         admitted.append(f"k{i}")
-                assert admitted
-                client.snapshot()  # durable shard cuts before the kill
+                assert hard in admitted
+                before = durable_cut(client)  # shard cuts before the kill
+            assert sorted(before) == sorted(admitted)
+            assert before[hard][1] == "hard_rt"
             report = kill_worker_restart_check(cluster, 0, admitted)
             assert report["lost"] == []
             assert report["worker_restarts"] >= 1
             assert report["new_pid"] != report["old_pid"]
-            # The reborn shard serves new traffic on the restored ledger.
             with cluster.client() as client:
+                # Same routes, same (one) priority across the restart.
+                assert durable_cut(client) == before
+                # The reborn shard serves new traffic on the restored
+                # ledger.
                 src, dst = mci_pairs[40]
                 assert client.admit(
                     FlowSpec("post-chaos", "voice", src, dst)
