@@ -6,11 +6,11 @@ import abc
 import logging
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import AdmissionError
+from ..errors import AdmissionError, UnknownLinkError
 from ..obs import DEFAULT_ITERATION_BUCKETS, NULL_SPAN, OBS
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
@@ -21,6 +21,8 @@ __all__ = ["AdmissionDecision", "AdmissionController"]
 logger = logging.getLogger("repro.admission")
 
 Pair = Tuple[Hashable, Hashable]
+#: An established flow and the route it was admitted on.
+FlowRecord = Tuple[FlowSpec, Sequence[Hashable]]
 
 #: Stable metric-label keys for the controllers' free-text reject reasons.
 _REASON_PREFIXES = (
@@ -95,11 +97,11 @@ class AdmissionController(abc.ABC):
         self.graph = graph
         self.registry = registry
         self.route_map = {k: list(v) for k, v in route_map.items()}
-        self._established: Dict[Hashable, FlowSpec] = {}
-        # Route committed at admit time, reused verbatim at release so a
+        # The one per-flow record: flow id -> (spec, route committed at
+        # admit time).  The route is reused verbatim at release so a
         # later route_map change (or re-resolution) cannot free the wrong
-        # servers.
-        self._committed_routes: Dict[Hashable, List[Hashable]] = {}
+        # servers.  Written by `_establish`, dropped by `_forget`.
+        self._established: Dict[Hashable, FlowRecord] = {}
         # Pair -> server-index array for configured routes, so repeated
         # admissions (and whole batches) skip per-hop index lookups.
         # Invalidated by update_routes.
@@ -115,13 +117,27 @@ class AdmissionController(abc.ABC):
     # public API
     # ------------------------------------------------------------------ #
 
-    def admit(self, flow: FlowSpec) -> AdmissionDecision:
-        """Attempt to establish a flow; returns the decision record."""
+    def check_admit(self, flow: FlowSpec) -> List[Hashable]:
+        """The route ``flow`` would be admitted on — or the exception
+        :meth:`admit` raises for it.
+
+        The one statement of what the sequential API refuses outright
+        (as opposed to deciding): an established id, a pair with no
+        configured route, a pinned route over a link the graph does not
+        have, an unknown class.  Mutates nothing, so a batch caller runs
+        it per request and a request that fails it fails alone.
+        """
         if flow.flow_id in self._established:
             raise AdmissionError(
                 f"flow {flow.flow_id!r} is already established"
             )
         route = self.resolve_route(flow)
+        self.registry.get(flow.class_name)
+        return route
+
+    def admit(self, flow: FlowSpec) -> AdmissionDecision:
+        """Attempt to establish a flow; returns the decision record."""
+        route = self.check_admit(flow)
         # Span kwargs are only materialized when observability is on.
         obs_span = (
             OBS.span(
@@ -134,7 +150,7 @@ class AdmissionController(abc.ABC):
         )
         with obs_span as sp:
             start = time.perf_counter()
-            ok, reason = self._admit_impl(flow, route)
+            ok, reason = self._admit_one(flow, route)
             elapsed = time.perf_counter() - start
             sp.set(admitted=ok)
         decision = AdmissionDecision(
@@ -147,8 +163,6 @@ class AdmissionController(abc.ABC):
         self._decision_seconds += elapsed
         if ok:
             self._num_admitted += 1
-            self._established[flow.flow_id] = flow
-            self._committed_routes[flow.flow_id] = list(route)
         elif logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "flow %r rejected by %s: %s",
@@ -173,28 +187,21 @@ class AdmissionController(abc.ABC):
         over the batch; the differential property suite pins the
         equivalence.
 
-        Every request must carry a flow id that is neither established
-        nor repeated inside the batch, and a resolvable route; both are
-        validated up front, before any resource is committed.
+        Every request must pass :meth:`check_admit` and carry an id not
+        repeated inside the batch; all of them are checked before any
+        resource is committed, so a call that raises changed nothing.
         """
         flows = list(flows)
-        if not flows:
-            return []
-        established = self._established
         seen = set()
         routes = []
         for flow in flows:
             fid = flow.flow_id
-            if fid in established:
-                raise AdmissionError(
-                    f"flow {fid!r} is already established"
-                )
             if fid in seen:
                 raise AdmissionError(
                     f"duplicate flow id {fid!r} in batch"
                 )
             seen.add(fid)
-            routes.append(self.resolve_route(flow))
+            routes.append(self.check_admit(flow))
         return self.admit_batch_routed(flows, routes)
 
     def admit_batch_routed(
@@ -205,17 +212,15 @@ class AdmissionController(abc.ABC):
         """:meth:`admit_batch` minus the validation pass, for callers
         that already proved it.
 
-        ``routes[i]`` must be ``resolve_route(flows[i])``, and the ids
-        must be neither established nor repeated — exactly what the
-        service coalescer's per-op precheck establishes before handing a
-        run over, so the route resolution is not paid twice per op on
-        the hot path.  Everything downstream (decision records, ledger
-        commits, counters) is byte-identical to :meth:`admit_batch`.
+        ``routes[i]`` must be ``check_admit(flows[i])`` and the ids must
+        not repeat — what the service coalescer establishes per op
+        before handing a run over, so no check is paid twice on the hot
+        path.  Everything downstream (decision records, ledger commits,
+        counters) is byte-identical to :meth:`admit_batch`.
         """
         flows = list(flows)
         if not flows:
             return []
-        established = self._established
         batch = len(flows)
         obs_span = (
             OBS.span(
@@ -234,27 +239,19 @@ class AdmissionController(abc.ABC):
             sp.set(admitted=admitted)
         decisions: List[AdmissionDecision] = []
         append = decisions.append
-        committed = self._committed_routes
         # Hot loop: __new__ + direct __dict__ stores skip the frozen
         # dataclass __init__ (which pays object.__setattr__ per field,
         # ~2x the whole construction cost at 1M decisions).
         new = AdmissionDecision.__new__
-        for flow, route, (ok, reason) in zip(flows, routes, outcomes):
-            fid = flow.flow_id
+        for flow, (ok, reason) in zip(flows, outcomes):
             decision = new(AdmissionDecision)
             d = decision.__dict__
             d["decision_seconds"] = elapsed
             d["batch_size"] = batch
-            d["flow_id"] = fid
+            d["flow_id"] = flow.flow_id
             d["admitted"] = ok
             d["reason"] = reason
             append(decision)
-            if ok:
-                established[fid] = flow
-                # The resolved route list is shared, not copied:
-                # update_routes replaces map entries (never mutates) and
-                # committed_route hands out copies.
-                committed[fid] = route
         # The batch shares one wall-clock measurement, so its amortized
         # per-request costs sum to exactly ``elapsed``.
         self._num_decisions += batch
@@ -288,44 +285,9 @@ class AdmissionController(abc.ABC):
         ids = list(flow_ids)
         if not ids:
             return
-        established = self._established
-        pop = established.pop
-        flows: List[FlowSpec] = []
-        append = flows.append
-        try:
-            # Validation and removal fused: a KeyError (duplicate or
-            # never-established id) rolls every pop back before raising,
-            # preserving the all-or-nothing contract.
-            for fid in ids:
-                append(pop(fid))
-        except KeyError:
-            for popped_id, flow in zip(ids, flows):
-                established[popped_id] = flow
-            if fid in ids[: len(flows)]:
-                raise AdmissionError(
-                    f"duplicate flow id {fid!r} in batch"
-                ) from None
-            raise AdmissionError(
-                f"flow {fid!r} is not established"
-            ) from None
-        committed_pop = self._committed_routes.pop
-        routes: List[List[Hashable]] = [
-            committed_pop(fid, None) for fid in ids
-        ]
-        if None in routes:  # pre-fix snapshots / exotic subclasses
-            for i, route in enumerate(routes):
-                if route is None:
-                    routes[i] = self.resolve_route(flows[i])
-        self._release_batch_impl(flows, routes)
+        self._release_batch_impl(*zip(*self._forget(ids)))
         if OBS.enabled:
-            ctrl = type(self).__name__
-            reg = OBS.registry
-            reg.counter(
-                "repro_admission_releases_total", controller=ctrl
-            ).inc(len(ids))
-            reg.gauge(
-                "repro_admission_established_flows", controller=ctrl
-            ).set(len(self._established))
+            self._record_releases(len(ids))
 
     def release(self, flow_id: Hashable) -> None:
         """Tear down an established flow.
@@ -334,22 +296,20 @@ class AdmissionController(abc.ABC):
         re-resolved, so intervening ``route_map`` edits cannot release
         the wrong servers.
         """
-        flow = self._established.pop(flow_id, None)
-        if flow is None:
-            raise AdmissionError(f"flow {flow_id!r} is not established")
-        route = self._committed_routes.pop(flow_id, None)
-        if route is None:  # pre-fix snapshots / exotic subclasses
-            route = self.resolve_route(flow)
+        ((flow, route),) = self._forget((flow_id,))
         self._release_impl(flow, route)
         if OBS.enabled:
-            ctrl = type(self).__name__
-            reg = OBS.registry
-            reg.counter(
-                "repro_admission_releases_total", controller=ctrl
-            ).inc()
-            reg.gauge(
-                "repro_admission_established_flows", controller=ctrl
-            ).set(len(self._established))
+            self._record_releases(1)
+
+    def _record_releases(self, count: int) -> None:
+        ctrl = type(self).__name__
+        reg = OBS.registry
+        reg.counter(
+            "repro_admission_releases_total", controller=ctrl
+        ).inc(count)
+        reg.gauge(
+            "repro_admission_established_flows", controller=ctrl
+        ).set(len(self._established))
 
     def reroute(
         self, flow_id: Hashable, new_route: Sequence[Hashable]
@@ -361,12 +321,15 @@ class AdmissionController(abc.ABC):
         ends up **not established** — the caller (e.g. the chaos
         harness) owns the retry/shed policy; silently keeping the old
         reservation would hold slots on a path the flow no longer uses.
+        A route the flow could never be admitted on (wrong endpoints, an
+        unknown link) raises before anything is released.
         """
-        flow = self._established.get(flow_id)
-        if flow is None:
+        record = self._established.get(flow_id)
+        if record is None:
             raise AdmissionError(f"flow {flow_id!r} is not established")
+        moved = replace(record[0], route=tuple(new_route))
+        self.resolve_route(moved)
         self.release(flow_id)
-        moved = replace(flow, route=tuple(new_route))
         decision = self.admit(moved)
         if OBS.enabled:
             OBS.registry.counter(
@@ -392,7 +355,7 @@ class AdmissionController(abc.ABC):
     def committed_route(self, flow_id: Hashable) -> List[Hashable]:
         """The route an established flow was admitted on."""
         try:
-            return list(self._committed_routes[flow_id])
+            return list(self._established[flow_id][1])
         except KeyError:
             raise AdmissionError(
                 f"flow {flow_id!r} is not established"
@@ -419,17 +382,28 @@ class AdmissionController(abc.ABC):
         ).set(len(self._established))
 
     def resolve_route(self, flow: FlowSpec) -> List[Hashable]:
-        """The router-level path a flow will use."""
-        if flow.route is not None:
-            return list(flow.route)
+        """The router-level path a flow will use: its pinned route if it
+        has one (every hop must be a link of the graph), else the
+        configured route of its pair."""
+        if flow.route is None:
+            return self._configured_route(flow.pair)
         try:
-            return self.route_map[flow.pair]
-        except KeyError:
+            self.graph.route_servers(flow.route)
+        except UnknownLinkError as exc:
             raise AdmissionError(
-                f"no configured route for pair {flow.pair!r}"
+                f"flow {flow.flow_id!r} pins a route over an {exc}"
+            ) from None
+        return list(flow.route)
+
+    def _configured_route(self, pair: Pair) -> List[Hashable]:
+        try:
+            return self.route_map[pair]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise AdmissionError(
+                f"no configured route for pair {pair!r}"
             ) from None
 
-    def _servers_for(
+    def servers_for(
         self, flow: FlowSpec, route: Sequence[Hashable]
     ) -> np.ndarray:
         """Server indices of a flow's route, cached per configured pair.
@@ -453,31 +427,17 @@ class AdmissionController(abc.ABC):
     def verify_invariants(self) -> List[str]:
         """Audit the controller's bookkeeping; returns violations found.
 
-        The base contract every controller must keep: the established
-        set and the committed-route table cover exactly the same flows,
-        and each committed route is a real path between the flow's
-        endpoints.  Subclasses extend this with their resource-ledger
-        invariants (no slot over-commit past verified capacity, ledger
-        state reconstructible from established flows).  An empty list
+        The base contract every controller must keep: each committed
+        route is a real path between the flow's endpoints.  Subclasses
+        extend this with their resource-ledger invariants (no slot
+        over-commit past verified capacity, ledger state reconstructible
+        from established flows).  An empty list
         means every checked invariant holds; each violation is a
         human-readable string naming the broken property.  Read-only
         and safe to call at any point, including mid-replay.
         """
         problems: List[str] = []
-        established = set(self._established)
-        committed = set(self._committed_routes)
-        for fid in sorted(established - committed, key=repr):
-            problems.append(
-                f"established flow {fid!r} has no committed route"
-            )
-        for fid in sorted(committed - established, key=repr):
-            problems.append(
-                f"committed route for non-established flow {fid!r}"
-            )
-        for fid, flow in self._established.items():
-            route = self._committed_routes.get(fid)
-            if route is None:
-                continue
+        for fid, (flow, route) in self._established.items():
             if (
                 len(route) < 2
                 or route[0] != flow.source
@@ -495,6 +455,11 @@ class AdmissionController(abc.ABC):
 
     @property
     def established_flows(self) -> List[FlowSpec]:
+        return [flow for flow, _ in self._established.values()]
+
+    @property
+    def established_records(self) -> List[FlowRecord]:
+        """Every established flow with the route it was admitted on."""
         return list(self._established.values())
 
     @property
@@ -536,6 +501,51 @@ class AdmissionController(abc.ABC):
         return self._decision_seconds / self._num_decisions
 
     # ------------------------------------------------------------------ #
+    # the flow record: one establish site, one forget site
+    # ------------------------------------------------------------------ #
+
+    def _establish(self, records: Iterable[FlowRecord]) -> None:
+        """Record admitted flows on their committed routes.  The route
+        lists are shared, not copied: ``update_routes`` replaces map
+        entries (never mutates) and :meth:`committed_route` hands out
+        copies."""
+        established = self._established
+        for record in records:
+            established[record[0].flow_id] = record
+
+    def _forget(self, flow_ids: Sequence[Hashable]) -> List[FlowRecord]:
+        """Drop the records of ``flow_ids`` and return them, all or
+        nothing: a duplicate or never-established id rolls every pop
+        back before raising."""
+        established = self._established
+        pop = established.pop
+        records: List[FlowRecord] = []
+        append = records.append
+        try:
+            for fid in flow_ids:
+                append(pop(fid))
+        except KeyError:
+            established.update(zip(flow_ids, records))
+            if fid in flow_ids[: len(records)]:
+                raise AdmissionError(
+                    f"duplicate flow id {fid!r} in batch"
+                ) from None
+            raise AdmissionError(
+                f"flow {fid!r} is not established"
+            ) from None
+        return records
+
+    def _admit_one(
+        self, flow: FlowSpec, route: Sequence[Hashable]
+    ) -> Tuple[bool, str]:
+        """Decide one flow and establish it if admitted: the step
+        :meth:`admit` and the default batch loop share."""
+        ok, reason = self._admit_impl(flow, route)
+        if ok:
+            self._establish(((flow, route),))
+        return ok, reason
+
+    # ------------------------------------------------------------------ #
     # subclass hooks
     # ------------------------------------------------------------------ #
 
@@ -556,22 +566,20 @@ class AdmissionController(abc.ABC):
         flows: Sequence[FlowSpec],
         routes: Sequence[Sequence[Hashable]],
     ) -> List[Tuple[bool, str]]:
-        """Decide and commit a batch; default is the sequential loop.
+        """Decide a batch, commit and establish what it admits; default
+        is the sequential loop.
 
-        Admitted flows are established *immediately* (not after the
+        Each admitted flow is established *immediately* (not after the
         batch) so controllers whose decision reads the established set
         — the flow-aware baseline — see earlier batch members exactly
-        as a sequential caller would.  ``admit_batch`` re-applies the
-        same bookkeeping afterwards, idempotently.
+        as a sequential caller would.  An override touches no state
+        until no request of the batch can fail on its input any more,
+        then calls :meth:`_establish` for the flows it admits.
         """
-        outcomes: List[Tuple[bool, str]] = []
-        for flow, route in zip(flows, routes):
-            ok, reason = self._admit_impl(flow, route)
-            if ok:
-                self._established[flow.flow_id] = flow
-                self._committed_routes[flow.flow_id] = list(route)
-            outcomes.append((ok, reason))
-        return outcomes
+        return [
+            self._admit_one(flow, route)
+            for flow, route in zip(flows, routes)
+        ]
 
     def _release_batch_impl(
         self,

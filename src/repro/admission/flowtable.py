@@ -16,7 +16,7 @@ the only per-flow Python object on the path.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,6 +211,9 @@ class FlowTable:
 
     def __len__(self) -> int:
         return len(self._index)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._index)
 
     def servers_of(self, flow_id: Hashable) -> np.ndarray:
         """Committed server indices of an established flow (copy)."""

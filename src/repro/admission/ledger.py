@@ -289,11 +289,6 @@ class UtilizationLedger:
     # introspection (verification hooks)
     # ------------------------------------------------------------------ #
 
-    @property
-    def class_names(self) -> Tuple[str, ...]:
-        """Registered real-time class names, in registry order."""
-        return tuple(self._class_names)
-
     def verified_slots(self, class_name: str) -> np.ndarray:
         """Per-server *verified* (full) slot capacity — the certified
         ceiling that degraded operation shrinks from (read-only copy)."""

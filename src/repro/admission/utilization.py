@@ -79,25 +79,20 @@ class UtilizationAdmissionController(AdmissionController):
     def _admit_impl(
         self, flow: FlowSpec, route: Sequence[Hashable]
     ) -> Tuple[bool, str]:
-        cls = self.registry.get(flow.class_name)
+        # A class without a code is best-effort (check_admit refused
+        # unknown names): never blocked, never guaranteed, no slot held.
+        code = self._class_codes.get(flow.class_name, NO_CLASS)
+        servers = _EMPTY_SERVERS
+        if code != NO_CLASS:
+            servers = self.servers_for(flow, route)
+            if not self.ledger.available(flow.class_name, servers):
+                return False, (
+                    f"utilization limit reached for class "
+                    f"{flow.class_name!r} on the path"
+                )
+            self.ledger.reserve(flow.class_name, servers)
         tag = PRIORITY_CODES.get(flow.priority, -1)
-        if not cls.is_realtime:
-            # Best-effort traffic is never blocked (and never guaranteed).
-            self._flows.add(flow.flow_id, NO_CLASS, _EMPTY_SERVERS, tag=tag)
-            return True, ""
-        servers = self._servers_for(flow, route)
-        if not self.ledger.available(flow.class_name, servers):
-            return False, (
-                f"utilization limit reached for class {flow.class_name!r} "
-                "on the path"
-            )
-        self.ledger.reserve(flow.class_name, servers)
-        self._flows.add(
-            flow.flow_id,
-            self._class_codes[flow.class_name],
-            servers,
-            tag=tag,
-        )
+        self._flows.add(flow.flow_id, code, servers, tag=tag)
         return True, ""
 
     def _release_impl(
@@ -133,6 +128,12 @@ class UtilizationAdmissionController(AdmissionController):
                 # path — and before any state is mutated.
                 self.registry.get(flow.class_name)
                 best_effort.append(flow)
+        # Every row is resolved before the first commit: a route that
+        # does not translate raises here, with nothing to undo.
+        rows = {
+            name: [self.servers_for(flows[i], routes[i]) for i in members]
+            for name, members in by_class.items()
+        }
         for flow in best_effort:
             table.add(
                 flow.flow_id,
@@ -141,10 +142,7 @@ class UtilizationAdmissionController(AdmissionController):
                 tag=PRIORITY_CODES.get(flow.priority, -1),
             )
         for name, members in by_class.items():
-            rows = [
-                self._servers_for(flows[i], routes[i]) for i in members
-            ]
-            matrix, lengths = pad_server_matrix(rows, pad)
+            matrix, lengths = pad_server_matrix(rows[name], pad)
             free = np.empty(pad + 1, dtype=np.int64)
             np.subtract(
                 self.ledger.capacity_view(name),
@@ -160,17 +158,16 @@ class UtilizationAdmissionController(AdmissionController):
                     flat_committed_servers(matrix, admitted, pad),
                     int(ok.size),
                 )
+                winners = [members[r] for r in ok.tolist()]
                 table.add_batch(
-                    [flows[members[r]].flow_id for r in ok],
-                    self._class_codes[name],
+                    [flows[i].flow_id for i in winners],
+                    codes[name],
                     matrix[ok],
                     lengths[ok],
                     tags=np.asarray(
                         [
-                            PRIORITY_CODES.get(
-                                flows[members[r]].priority, -1
-                            )
-                            for r in ok
+                            PRIORITY_CODES.get(flows[i].priority, -1)
+                            for i in winners
                         ],
                         dtype=np.int64,
                     ),
@@ -183,6 +180,14 @@ class UtilizationAdmissionController(AdmissionController):
                 )
                 for r in np.flatnonzero(~admitted):
                     outcomes[members[r]] = rejected
+        # Flow-table rows and flow records are written together, in
+        # batch order (snapshots list flows in the order they were
+        # established).
+        self._establish(
+            (flow, route)
+            for flow, route, outcome in zip(flows, routes, outcomes)
+            if outcome is _ADMITTED
+        )
         return outcomes
 
     def _release_batch_impl(
@@ -246,11 +251,16 @@ class UtilizationAdmissionController(AdmissionController):
         """Current bandwidth fraction used by a class, per server."""
         return self.ledger.utilization(class_name)
 
+    def committed_servers(self, flow_id: Hashable) -> np.ndarray:
+        """Link servers an established flow holds a slot on (none for a
+        best-effort flow)."""
+        return self._flows.servers_of(flow_id)
+
     def headroom(self, class_name: str, pair: Pair) -> int:
         """How many more flows of the class fit on the pair's route."""
         servers = self._server_cache.get(pair)
         if servers is None:
-            servers = self.graph.route_servers(self.route_map[pair])
+            servers = self.graph.route_servers(self._configured_route(pair))
         free = (
             self.ledger.capacity_view(class_name)[servers]
             - self.ledger.used_view(class_name)[servers]
@@ -273,14 +283,22 @@ class UtilizationAdmissionController(AdmissionController):
           is not);
         * **ledger reconstructibility** — replaying the established
           flows' committed server sets reproduces the ledger's ``used``
-          vectors exactly, so no slot is leaked or double-counted.
+          vectors exactly, so no slot is leaked or double-counted;
+        * **record ⇔ flow-table row** — every established flow has a
+          flow-table row and every row belongs to an established flow.
         """
         problems = super().verify_invariants()
         expected: Dict[str, np.ndarray] = {
             name: np.zeros(self.graph.num_servers, dtype=np.int64)
             for name in self._class_names
         }
-        for fid, flow in self._established.items():
+        for fid in self._flows:
+            if not self.is_established(fid):
+                problems.append(
+                    f"flow-table row for non-established flow {fid!r}"
+                )
+        for flow in self.established_flows:
+            fid = flow.flow_id
             if fid not in self._flows:
                 problems.append(
                     f"established flow {fid!r} missing from the flow "
@@ -332,8 +350,8 @@ class UtilizationAdmissionController(AdmissionController):
         return {
             "alphas": dict(self.alphas),
             "flows": [
-                flow_record(flow, self._committed_routes[flow.flow_id])
-                for flow in self.established_flows
+                flow_record(flow, route)
+                for flow, route in self.established_records
             ],
         }
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Set, Tuple
 
-from ..errors import AdmissionError
+from ..errors import AdmissionError, ReproError
 from ..traffic.flows import FlowSpec, priority_rank
 
 if TYPE_CHECKING:
@@ -102,20 +102,16 @@ class Preemptor:
         if flow.priority not in policy.admit_priorities:
             return PreemptionOutcome(False, (), "priority not eligible")
         try:
-            route = ctrl.resolve_route(flow)
-        except AdmissionError as exc:
+            route = ctrl.check_admit(flow)
+        except ReproError as exc:
             return PreemptionOutcome(False, (), str(exc))
         ledger = ctrl.ledger
         cls = flow.class_name
-        try:
-            registry_cls = ctrl.registry.get(cls)
-        except Exception as exc:
-            return PreemptionOutcome(False, (), str(exc))
-        if not registry_cls.is_realtime:
+        if not ctrl.registry.get(cls).is_realtime:
             return PreemptionOutcome(
                 False, (), "best-effort flows hold no slots"
             )
-        servers = ctrl.graph.route_servers(route)
+        servers = ctrl.servers_for(flow, route)
         free = (
             ledger.capacity_view(cls)[servers]
             - ledger.used_view(cls)[servers]
@@ -187,10 +183,7 @@ class Preemptor:
             if other.class_name != flow.class_name:
                 continue
             overlap = saturated.intersection(
-                int(s)
-                for s in ctrl.graph.route_servers(
-                    ctrl.committed_route(other.flow_id)
-                )
+                ctrl.committed_servers(other.flow_id).tolist()
             )
             if overlap:
                 candidates.append(

@@ -18,10 +18,11 @@ preserve exactness:
   second attempt must observe the first one's outcome (admitted ⇒
   "already established" error; rejected ⇒ a fresh attempt), so it is
   decided in a later batch after the first commits;
-* per-request failures that the sequential API surfaces as exceptions
-  (already-established, unresolvable route, unknown class,
-  not-established release) are detected up front and resolved onto the
-  caller's future, never poisoning the whole batch.
+* a request the sequential API refuses with an exception fails alone,
+  with that exception, and never touches state: every admit is put to
+  :meth:`~repro.admission.base.AdmissionController.check_admit` (the
+  controller's own statement of what ``admit()`` raises for) before its
+  run is handed over, every release to ``is_established``.
 
 All of that lives in one place, :meth:`MicroBatchCoalescer._decide`:
 ordered ops in, ordered outcomes out, no ``await``, no futures, no
@@ -674,36 +675,17 @@ class MicroBatchCoalescer:
     ) -> None:
         """One ``admit_batch_routed`` call for ``run`` (ops ``lo...`` of
         the batch), after filtering the requests the sequential API
-        would have rejected with an exception."""
+        refuses with an exception — each fails alone, with that
+        exception, and never reaches the controller's state."""
         controller = self.controller
-        registry_get = controller.registry.get
-        established = controller._established
-        route_map = controller.route_map
-        resolve_route = controller.resolve_route
+        check_admit = controller.check_admit
         audit = self.audit
         indices: List[int] = []
         flows: List[FlowSpec] = []
         routes: List = []
         for i, (_kind, flow, trace) in enumerate(run, lo):
             try:
-                # Mirrors the sequential admit() failure order:
-                # established check, route resolution, class lookup.
-                # The route-less common case inlines resolve_route's
-                # map lookup (same list object, same failure message).
-                if flow.flow_id in established:
-                    raise AdmissionError(
-                        f"flow {flow.flow_id!r} is already established"
-                    )
-                if flow.route is None:
-                    pair = (flow.source, flow.destination)
-                    route = route_map.get(pair)
-                    if route is None:
-                        raise AdmissionError(
-                            f"no configured route for pair {pair!r}"
-                        )
-                else:
-                    route = resolve_route(flow)
-                registry_get(flow.class_name)
+                route = check_admit(flow)
             except ReproError as exc:
                 outcomes[i] = exc
                 if audit is not None:
@@ -720,9 +702,9 @@ class MicroBatchCoalescer:
         if not flows:
             return
         try:
-            # The precheck above proved exactly what admit_batch would
-            # re-validate (no established/duplicate ids, resolvable
-            # routes), so the routed entry point skips that second pass.
+            # check_admit per op (and _decide's split on a repeated id)
+            # is exactly what admit_batch would re-validate, so the
+            # routed entry point skips that second pass.
             decisions = controller.admit_batch_routed(flows, routes)
         except Exception as exc:  # unexpected: fail the run, not the batch
             logger.exception("admit kernel failed; failing its run")
@@ -746,6 +728,7 @@ class MicroBatchCoalescer:
         if audit is not None:
             self._audit_admits(
                 flows,
+                routes,
                 [_trace_obj(run[i - lo][2]) for i in indices],
                 decisions,
                 rescues,
@@ -799,6 +782,7 @@ class MicroBatchCoalescer:
     def _audit_admits(
         self,
         flows: List[FlowSpec],
+        routes: List,
         traces: List[Optional[dict]],
         decisions: List[AdmissionDecision],
         rescued: Dict[int, Tuple[Hashable, ...]],
@@ -815,6 +799,7 @@ class MicroBatchCoalescer:
         by the same batch that evicted it.
         """
         controller = self.controller
+        established = controller.is_established
         audit = self.audit
         assert audit is not None
         ordered = [
@@ -826,21 +811,16 @@ class MicroBatchCoalescer:
                 audit.record_release(
                     victim, ok=True, reason="preempted", trace=trace
                 )
-            route: Optional[List] = None
-            try:
-                if decision.admitted:
-                    route = list(
-                        controller.committed_route(flow.flow_id)
-                    )
-                else:
-                    route = list(controller.resolve_route(flow))
-            except ReproError:
+            # check_admit's route is the committed one — unless a later
+            # rescue of this batch already evicted the flow again.
+            route = routes[i]
+            if decision.admitted and not established(flow.flow_id):
                 route = None
             try:
                 headroom: Optional[int] = controller.headroom(
                     flow.class_name, (flow.source, flow.destination)
                 )
-            except (ReproError, KeyError):
+            except ReproError:
                 headroom = None
             audit.record_admit(
                 flow,

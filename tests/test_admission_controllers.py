@@ -151,6 +151,35 @@ class TestUtilizationController:
             assert np.all(util <= alpha + 1e-12)
 
 
+    def test_invariants_name_a_row_or_record_without_its_twin(
+        self, line4_graph, voice_registry, line_routes
+    ):
+        """Flow record <=> flow-table row, checked in both directions."""
+        ctrl = _controller(line4_graph, voice_registry, line_routes)
+        assert ctrl.admit(_flow("kept")).admitted
+        assert ctrl.verify_invariants() == []
+        # A row nobody established (what a half-admitted batch leaves).
+        ctrl._flows.add("orphan", -1, np.empty(0, dtype=np.int64))
+        assert ctrl.verify_invariants() == [
+            "flow-table row for non-established flow 'orphan'"
+        ]
+        ctrl._flows.pop("orphan")
+        # ... and a record whose row is gone.
+        ctrl._flows.pop("kept")
+        problems = ctrl.verify_invariants()
+        assert "established flow 'kept' missing from the flow table" in (
+            problems
+        )
+
+    def test_headroom_of_an_unconfigured_pair_is_an_admission_error(
+        self, line4_graph, voice_registry, line_routes
+    ):
+        ctrl = _controller(line4_graph, voice_registry, line_routes)
+        assert ctrl.headroom("voice", ("r0", "r3")) > 0
+        with pytest.raises(AdmissionError, match="no configured route"):
+            ctrl.headroom("voice", ("r0", "r9"))
+
+
 class TestFlowAwareController:
     def test_admits_light_load(self, line4_graph, voice_registry,
                                line_routes):

@@ -316,6 +316,38 @@ class TestPreemptor:
         assert not outcome.admitted
         assert outcome.reason == "priority not eligible"
 
+    @pytest.mark.parametrize(
+        "arrival, names",
+        [
+            (
+                FlowSpec("h0", "voice", "r0", "r2", ("r0", "Nowhere", "r2"),
+                         "hard_rt"),
+                "'r0' -> 'Nowhere'",
+            ),
+            (
+                FlowSpec("e0", "voice", "r0", "r2", priority="hard_rt"),
+                "already established",
+            ),
+            (
+                FlowSpec("h0", "video9", "r0", "r2", priority="hard_rt"),
+                "unknown class",
+            ),
+        ],
+    )
+    def test_an_arrival_admit_would_refuse_is_an_outcome(
+        self, arrival, names
+    ):
+        # The decision step calls try_admit unguarded: a request that
+        # admit() raises for must come back as a failed outcome, before
+        # any victim is released.
+        controller = make_controller(ring_cfg())
+        fill(controller, ("r0", "r2"), 3, "elastic", "e")
+        outcome = Preemptor(controller).try_admit(arrival)
+        assert not outcome.admitted and outcome.evicted == ()
+        assert names in outcome.reason
+        assert controller.num_established == 3
+        assert controller.verify_invariants() == []
+
     def test_stale_rejection_readmits_without_sacrifice(self):
         # In a batched preemption pass every decision precedes any
         # eviction, so a flow can reach try_admit after an earlier

@@ -24,6 +24,7 @@ from repro.admission import (  # noqa: E402
     UtilizationAdmissionController,
 )
 from repro.control import Preemptor  # noqa: E402
+from repro.errors import ReproError  # noqa: E402
 from repro.routing.shortest import shortest_path_routes  # noqa: E402
 from repro.topology import LinkServerGraph, line_network  # noqa: E402
 from repro.traffic import ClassRegistry, voice_class  # noqa: E402
@@ -169,7 +170,9 @@ def _run_script(kind, alphas, script):
             for fid in to_release:
                 seq_ctrl.release(fid)
 
-        assert set(batch_ctrl._established) == set(seq_ctrl._established)
+        assert [f.flow_id for f in batch_ctrl.established_flows] == [
+            f.flow_id for f in seq_ctrl.established_flows
+        ]
         assert _ledger_state(batch_ctrl) == _ledger_state(seq_ctrl)
     assert batch_ctrl.num_established == seq_ctrl.num_established
     _assert_counters_match(batch_ctrl, batch_returned)
@@ -211,6 +214,99 @@ class TestFlowAwareEquivalence:
     @given(script=st.lists(_step, min_size=1, max_size=3))
     def test_equivalence(self, script):
         _run_script("flow-aware", None, script)
+
+
+#: One request the sequential API refuses with an exception, by what
+#: makes it hostile.  ``PAIRS[0]`` is r0 -> r1, one hop.
+_HOSTILE = {
+    "established id": lambda: FlowSpec("seed0", "voice", *PAIRS[0]),
+    "repeated id": lambda: FlowSpec("ok0", "voice", *PAIRS[0]),
+    "unknown class": lambda: FlowSpec("h", "video9", *PAIRS[0]),
+    "unconfigured pair": lambda: FlowSpec("h", "voice", "r0", "Nowhere"),
+    "unknown link": lambda: FlowSpec(
+        "h", "voice", "r0", "r3", route=("r0", "Nowhere", "r3")
+    ),
+}
+
+
+def _footprint(controller):
+    """Everything a failed call must leave exactly as it found it."""
+    return (
+        controller.snapshot(),
+        {
+            name: controller.ledger.used_view(name).tolist()
+            for name in controller.alphas
+        },
+        len(controller._flows),
+        controller.num_decisions,
+    )
+
+
+class TestRaisingCallsChangeNothing:
+    """A call that raises touched no state: no ledger slot, no flow
+    record, no flow-table row — wherever in the batch the bad request
+    sits, and whatever valid requests (best-effort ones commit without a
+    kernel call) sit before it."""
+
+    @pytest.mark.parametrize("kind", ["utilization", "slotshard"])
+    @pytest.mark.parametrize("hostile", sorted(_HOSTILE))
+    @settings(max_examples=15, deadline=None)
+    @given(
+        batch=st.lists(
+            st.tuples(
+                st.integers(0, len(PAIRS) - 1),
+                st.sampled_from(["voice", "best-effort"]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        position=st.integers(0, 8),
+    )
+    def test_admit_batch_that_raises(self, kind, hostile, batch, position):
+        controller = _make(kind, ROOMY_ALPHA)
+        controller.admit_batch(
+            [FlowSpec(f"seed{i}", "voice", *PAIRS[i]) for i in range(3)]
+        )
+        flows = [
+            FlowSpec(f"ok{i}", cls, *PAIRS[k])
+            for i, (k, cls) in enumerate(batch)
+        ]
+        flows.insert(min(position, len(flows)), _HOSTILE[hostile]())
+        before = _footprint(controller)
+        with pytest.raises(ReproError):
+            controller.admit_batch(flows)
+        assert _footprint(controller) == before
+        assert controller.verify_invariants() == []
+        # ... and the same ids are still admissible afterwards.
+        good = list(
+            {f.flow_id: f for f in flows if f.flow_id.startswith("ok")}
+            .values()
+        )
+        assert all(d.admitted for d in controller.admit_batch(good))
+        assert len(controller._flows) == controller.num_established
+
+    @pytest.mark.parametrize("kind", ["utilization", "slotshard", "flow-aware"])
+    @pytest.mark.parametrize(
+        "bad_route",
+        [
+            ("r0", "Nowhere", "r3"),  # unknown link
+            ("r0", "r1", "r2"),  # does not reach the destination
+            ("r0",),  # no hop at all
+        ],
+    )
+    def test_reroute_onto_a_bad_route(self, kind, bad_route):
+        controller = _make(kind, ROOMY_ALPHA)
+        flow = FlowSpec("m", "voice", "r0", "r3")
+        assert controller.admit(flow).admitted
+        decisions = controller.num_decisions
+        with pytest.raises(ReproError):
+            controller.reroute("m", bad_route)
+        assert controller.is_established("m")
+        assert controller.committed_route("m") == ["r0", "r1", "r2", "r3"]
+        assert controller.num_decisions == decisions
+        assert controller.verify_invariants() == []
+        controller.release("m")
+        assert controller.num_established == 0
 
 
 class TestDecisionCounters:

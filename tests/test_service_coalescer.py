@@ -96,7 +96,8 @@ _DIFF_IDS = [f"f{i}" for i in range(8)]
 _DIFF_ALPHA = 0.0007
 
 # Overlapping routes of different lengths in both directions, one
-# pinned, and the two arrivals the precheck refuses.
+# pinned, a best-effort flow (it commits without a kernel call), and the
+# four arrivals check_admit refuses.
 _DIFF_VARIANTS = {
     "r0>r3": ("voice", "r0", "r3", None),
     "r3>r0": ("voice", "r3", "r0", None),
@@ -106,6 +107,9 @@ _DIFF_VARIANTS = {
     "pinned": ("voice", "r0", "r3", ("r0", "r1", "r2", "r3")),
     "unroutable": ("voice", "r0", "r9", None),
     "unknown_class": ("video9", "r0", "r3", None),
+    "best_effort": ("best-effort", "r0", "r3", None),
+    "unknown_link": ("voice", "r0", "r3", ("r0", "Nowhere", "r3")),
+    "unhashable_src": ("voice", ["r0"], "r3", None),
 }
 
 differential_ops = st.lists(
@@ -711,6 +715,60 @@ class TestBulkSubmission:
         assert report["established"] == sorted(
             f.flow_id for f in reference.established_flows
         )
+
+    @pytest.mark.parametrize("way", ["inline", "queued"])
+    def test_hostile_route_fails_alone(self, way, tmp_path):
+        """One request the sequential API refuses fails alone: its
+        neighbours in the frame are decided, nothing is half-admitted,
+        and later frames that name the same ids are decided too."""
+        controller, _ = make_controller()
+        good = FlowSpec("good", "voice", "r0", "r3")
+        be1 = FlowSpec("be1", "best-effort", "r0", "r3")
+        bad = FlowSpec(
+            "bad", "voice", "r0", "r3", route=("r0", "Nowhere", "r3")
+        )
+
+        async def frame(coalescer, flows):
+            slots = coalescer.open_bulk(len(flows))
+            coalescer.submit_bulk(
+                slots, [(i, "admit", f) for i, f in enumerate(flows)]
+            )
+            assert slots.remaining == (0 if way == "inline" else len(flows))
+            await asyncio.wait_for(slots.wait(), 5)
+            return slots.outcomes
+
+        async def scenario():
+            coalescer = MicroBatchCoalescer(controller)
+            if way == "queued":  # an audited coalescer queues every op
+                coalescer.audit = AuditLog(str(tmp_path / "audit.jsonl"))
+            coalescer.start()
+            first = await frame(coalescer, [good, be1, bad])
+            assert first[0].admitted and first[1].admitted
+            assert isinstance(first[2], AdmissionError)
+            assert "'r0' -> 'Nowhere'" in str(first[2])
+            assert controller.num_established == 2
+            assert len(controller._flows) == 2
+            assert controller.verify_invariants() == []
+            again = await frame(coalescer, [good, be1])
+            assert [str(o) for o in again] == [
+                "flow 'good' is already established",
+                "flow 'be1' is already established",
+            ]
+            other = await frame(coalescer, [flow(1), flow(2)])
+            assert other[0].admitted and other[1].admitted
+            await coalescer.stop()
+            assert controller.verify_invariants() == []
+            assert len(controller._flows) == controller.num_established == 4
+            if coalescer.audit is not None:
+                coalescer.audit.close()
+                errors = [
+                    record["flow"]["id"]
+                    for record in iter_audit(str(tmp_path / "audit.jsonl"))
+                    if "error" in record
+                ]
+                assert errors == ["bad", "good", "be1"]
+
+        asyncio.run(scenario())
 
     def test_submit_bulk_after_stop_raises(self):
         controller, _ = make_controller()

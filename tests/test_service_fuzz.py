@@ -174,7 +174,7 @@ class TestTruncationAndDisconnects(FrontDoorCases):
                 await reader.readexactly(int.from_bytes(header, "big"))
                 writer.close()  # flow g1 stays admitted server-side
                 await assert_still_serving(sock)
-                assert "g1" in service.controller._established
+                assert service.controller.is_established("g1")
             finally:
                 await service.stop()
 

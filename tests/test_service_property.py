@@ -1,11 +1,13 @@
 """Property test: the service is decision-identical to the in-process API.
 
 For any interleaving of admit/release requests — duplicate flow ids,
-releases of unknown flows, re-admissions after rejection, all of it —
-pipelining the ops through the server (where the micro-batch coalescer
-groups them into batch-kernel calls) must produce exactly the outcomes
-of calling the controller sequentially in process, and leave the ledger
-in the identical state.
+releases of unknown flows, re-admissions after rejection, best-effort
+flows, and the requests ``admit()`` refuses outright (an unknown class,
+a pinned route over a link that does not exist) — pipelining the ops
+through the server (where the micro-batch coalescer groups them into
+batch-kernel calls) must produce exactly the outcomes of calling the
+controller sequentially in process, error code and message included,
+and leave the controller in the identical state.
 """
 
 import asyncio
@@ -15,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.admission import UtilizationAdmissionController
-from repro.errors import ReproError
+from repro.errors import (
+    AdmissionError,
+    ProtocolError,
+    ReproError,
+    TrafficError,
+)
 from repro.routing.shortest import shortest_path_routes
 from repro.service import AdmissionService, AsyncServiceClient, ServiceConfig
 from repro.topology import LinkServerGraph, line_network
@@ -46,12 +53,18 @@ def make_controller():
     )
 
 
+#: What an admit asks for.  Mostly plain voice flows; the rest are a
+#: best-effort flow (commits without a kernel call) and the two requests
+#: the sequential API refuses with an exception whatever the load.
+_SHAPES = ["voice"] * 5 + ["best-effort", "unknown class", "unknown link"]
+
 ops_strategy = st.lists(
     st.one_of(
         st.tuples(
             st.just("admit"),
             st.sampled_from(FLOW_IDS),
             st.sampled_from(range(len(_PAIRS))),
+            st.sampled_from(_SHAPES),
         ),
         st.tuples(st.just("release"), st.sampled_from(FLOW_IDS)),
     ),
@@ -60,9 +73,28 @@ ops_strategy = st.lists(
 
 
 def flow_of(op):
-    _kind, fid, pair_idx = op
+    _kind, fid, pair_idx, shape = op
     src, dst = _PAIRS[pair_idx]
-    return FlowSpec(fid, _VOICE.name, src, dst)
+    if shape == "unknown link":
+        return FlowSpec(
+            fid, _VOICE.name, src, dst, route=(src, "Nowhere", dst)
+        )
+    if shape == "unknown class":
+        return FlowSpec(fid, "video9", src, dst)
+    return FlowSpec(fid, shape, src, dst)
+
+
+def error_outcome(exc):
+    """An exception as the wire reports it: ``(error, code, message)``.
+    In process the code is what the server's outcome encoder would pick
+    for the exception's type."""
+    if isinstance(exc, ProtocolError):
+        code = exc.code
+    elif isinstance(exc, (AdmissionError, TrafficError)):
+        code = "admission_error"
+    else:
+        code = "internal"
+    return ("error", code, str(exc))
 
 
 def sequential_outcomes(controller, ops):
@@ -78,7 +110,7 @@ def sequential_outcomes(controller, ops):
                 controller.release(op[1])
                 outcomes.append(("released",))
         except ReproError as exc:
-            outcomes.append(("error", str(exc)))
+            outcomes.append(error_outcome(exc))
     return outcomes
 
 
@@ -102,7 +134,7 @@ async def wire_outcomes(controller, ops, protocol="v1"):
             await client.release(op[1])
             return ("released",)
         except ReproError as exc:
-            return ("error", str(exc))
+            return error_outcome(exc)
 
     # gather() starts the tasks in order; each one's request frame is
     # written synchronously before its first await, so the server sees
@@ -113,14 +145,11 @@ async def wire_outcomes(controller, ops, protocol="v1"):
     return outcomes
 
 
-def ledger_state(controller):
-    return {
-        flow.flow_id: (
-            flow.class_name,
-            tuple(controller.committed_route(flow.flow_id)),
-        )
-        for flow in controller.established_flows
-    }
+def assert_same_state(wire_controller, seq_controller):
+    assert wire_controller.snapshot() == seq_controller.snapshot()
+    for controller in (wire_controller, seq_controller):
+        assert controller.verify_invariants() == []
+        assert len(controller._flows) == controller.num_established
 
 
 @pytest.mark.parametrize("protocol", ["v1", "v2"])
@@ -132,7 +161,7 @@ def test_wire_decisions_identical_to_in_process(protocol, ops):
     wire = asyncio.run(wire_outcomes(wire_controller, ops, protocol))
     seq = sequential_outcomes(seq_controller, ops)
     assert wire == seq
-    assert ledger_state(wire_controller) == ledger_state(seq_controller)
+    assert_same_state(wire_controller, seq_controller)
 
 
 @pytest.mark.parametrize("protocol", ["v1", "v2"])
@@ -152,17 +181,8 @@ def test_batch_frames_identical_to_in_process(protocol, ops):
         wire_ops = []
         for op in ops:
             if op[0] == "admit":
-                flow = flow_of(op)
                 wire_ops.append(
-                    {
-                        "op": "admit",
-                        "flow": {
-                            "id": flow.flow_id,
-                            "cls": flow.class_name,
-                            "src": flow.source,
-                            "dst": flow.destination,
-                        },
-                    }
+                    {"op": "admit", "flow": flow_of(op).to_obj()}
                 )
             else:
                 wire_ops.append({"op": "release", "flow_id": op[1]})
@@ -170,7 +190,8 @@ def test_batch_frames_identical_to_in_process(protocol, ops):
         outcomes = []
         for result in results:
             if not result["ok"]:
-                outcomes.append(("error", result["error"]["message"]))
+                error = result["error"]
+                outcomes.append(("error", error["code"], error["message"]))
             elif "admitted" in result["result"]:
                 outcomes.append(
                     (
@@ -190,4 +211,4 @@ def test_batch_frames_identical_to_in_process(protocol, ops):
     wire = asyncio.run(via_batch(wire_controller))
     seq = sequential_outcomes(seq_controller, ops)
     assert wire == seq
-    assert ledger_state(wire_controller) == ledger_state(seq_controller)
+    assert_same_state(wire_controller, seq_controller)

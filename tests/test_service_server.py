@@ -120,7 +120,9 @@ class FrontDoorCases:
         self._started = []
         yield
         for service in self._started:
-            service.controller.verify_invariants()
+            controller = service.controller
+            assert controller.verify_invariants() == []
+            assert len(controller._flows) == controller.num_established
 
     async def start(self, tmp_path, **config_kwargs):
         starter = start_router if self.door == "router" else start_service
@@ -387,6 +389,68 @@ class TestProtocolHardening(FrontDoorCases):
             assert results[3]["ok"] and results[3]["result"]["released"]
             writer.close()
             await service.drain()
+
+        asyncio.run(scenario())
+
+
+    @pytest.mark.parametrize("audited", [False, True])
+    @pytest.mark.parametrize("wire", ["v1", "v2"])
+    def test_hostile_route_fails_alone_in_its_frame(
+        self, tmp_path, wire, audited
+    ):
+        """A v1 ``batch`` / v2 ``B`` frame holding one request the
+        sequential API refuses: that op alone errors, its neighbours are
+        decided, and nobody's later frame pays for it."""
+        audit = str(tmp_path / "audit.jsonl") if audited else None
+        good = flow_obj("good")
+        be1 = dict(flow_obj("be1"), cls="best-effort")
+        bad = dict(flow_obj("bad"), route=["r0", "Nowhere", "r3"])
+        odd = dict(flow_obj("odd"), src=["r0"])  # not even hashable
+
+        def admits(*flows):
+            return [{"op": "admit", "flow": flow} for flow in flows]
+
+        async def scenario():
+            service, sock = await self.start(tmp_path, audit_path=audit)
+            client = await AsyncServiceClient.connect_unix(
+                sock, protocol=wire
+            )
+            assert client.negotiated_protocol == wire
+            first = await client.batch(admits(good, be1, bad, odd))
+            assert [r["ok"] for r in first] == [True, True, False, False]
+            assert first[0]["result"]["admitted"]
+            assert first[1]["result"]["admitted"]
+            assert first[2]["error"]["code"] == "admission_error"
+            assert "'r0' -> 'Nowhere'" in first[2]["error"]["message"]
+            assert first[3]["error"]["code"] == "admission_error"
+            assert "no configured route" in first[3]["error"]["message"]
+            controller = service.controller
+            assert controller.num_established == 2
+            assert len(controller._flows) == 2
+            assert controller.verify_invariants() == []
+            again = await client.batch(admits(good, be1))
+            assert [r["error"] for r in again] == [
+                {
+                    "code": "admission_error",
+                    "message": f"flow {fid!r} is already established",
+                }
+                for fid in ("fgood", "fbe1")
+            ]
+            other = await AsyncServiceClient.connect_unix(
+                sock, protocol=wire
+            )
+            third = await other.batch(admits(flow_obj(1), flow_obj(2)))
+            assert all(r["ok"] and r["result"]["admitted"] for r in third)
+            await other.close()
+            await client.close()
+            await service.drain()
+            if audited:
+                errors = [
+                    record["flow"]["id"]
+                    for record in iter_audit(audit)
+                    if "error" in record
+                ]
+                assert errors == ["fbad", "fodd", "fgood", "fbe1"]
 
         asyncio.run(scenario())
 

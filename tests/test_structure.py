@@ -224,6 +224,40 @@ RATCHETS = (
         ),
     ),
     Ratchet(
+        name="One flow record: only the controller base touches it",
+        why=(
+            "flow id -> (spec, committed route) is one mapping written "
+            "at one establish site; the coalescer reading it to copy "
+            "admit()'s checks is how one hostile route came to fail "
+            "whole frames and leak a flow-table row.  Ask the "
+            "controller: check_admit, is_established, established_flows."
+        ),
+        # The deleted second table's name is spelled in two pieces so a
+        # grep for it over src/ and tests/ finds nothing at all.
+        pattern=r"\._established\b|\._committed_" r"routes\b",
+        roots=("src", "tests"),
+        offender=(
+            "src/repro/service/coalescer.py",
+            "        established = controller._established",
+        ),
+        allowed=(r"^src/repro/admission/base\.py:",),
+    ),
+    Ratchet(
+        name="One flow record: committed servers are read, not re-derived",
+        why=(
+            "The servers a flow holds are in the controller's flow "
+            "table (committed_servers, servers_for); translating a "
+            "route again under service/ or control/ is a second source "
+            "of truth, paid per established flow per rejected arrival."
+        ),
+        pattern=r"route_servers\(",
+        roots=("src/repro/service", "src/repro/control"),
+        offender=(
+            "src/repro/control/preempt.py",
+            "        servers = ctrl.graph.route_servers(route)",
+        ),
+    ),
+    Ratchet(
         name="One workload timeline: one event record",
         why=(
             "repro.workload.trace.TraceEvent is the only "
