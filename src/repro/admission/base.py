@@ -6,7 +6,7 @@ import abc
 import logging
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -14,15 +14,18 @@ from ..errors import AdmissionError, UnknownLinkError
 from ..obs import DEFAULT_ITERATION_BUCKETS, NULL_SPAN, OBS
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
-from ..traffic.flows import FlowSpec
+from ..traffic.flows import PRIORITY_TAGS, FlowSpec
+from .flowtable import NO_SERVERS, FlowTable, Pair, Record
 
 __all__ = ["AdmissionDecision", "AdmissionController"]
 
 logger = logging.getLogger("repro.admission")
 
-Pair = Tuple[Hashable, Hashable]
 #: An established flow and the route it was admitted on.
-FlowRecord = Tuple[FlowSpec, Sequence[Hashable]]
+FlowRecord = Tuple[FlowSpec, List[Hashable]]
+
+#: Flow-table tag -> priority.
+_TAG_PRIORITIES = {tag: priority for priority, tag in PRIORITY_TAGS.items()}
 
 #: Stable metric-label keys for the controllers' free-text reject reasons.
 _REASON_PREFIXES = (
@@ -97,11 +100,15 @@ class AdmissionController(abc.ABC):
         self.graph = graph
         self.registry = registry
         self.route_map = {k: list(v) for k, v in route_map.items()}
-        # The one per-flow record: flow id -> (spec, route committed at
-        # admit time).  The route is reused verbatim at release so a
-        # later route_map change (or re-resolution) cannot free the wrong
-        # servers.  Written by `_establish`, dropped by `_forget`.
-        self._established: Dict[Hashable, FlowRecord] = {}
+        # The one per-flow record.  A row keeps the servers and the
+        # route committed at admit time; both are reused verbatim at
+        # release, so a later route_map change (or re-resolution) cannot
+        # free the wrong servers.
+        self._flows = FlowTable(pad=graph.num_servers)
+        # Class code of a row: an index over every registry class, so a
+        # best-effort flow round-trips (it simply holds no servers).
+        self._class_names = registry.names()
+        self._class_codes = {n: i for i, n in enumerate(self._class_names)}
         # Pair -> server-index array for configured routes, so repeated
         # admissions (and whole batches) skip per-hop index lookups.
         # Invalidated by update_routes.
@@ -127,7 +134,7 @@ class AdmissionController(abc.ABC):
         have, an unknown class.  Mutates nothing, so a batch caller runs
         it per request and a request that fails it fails alone.
         """
-        if flow.flow_id in self._established:
+        if flow.flow_id in self._flows:
             raise AdmissionError(
                 f"flow {flow.flow_id!r} is already established"
             )
@@ -150,7 +157,7 @@ class AdmissionController(abc.ABC):
         )
         with obs_span as sp:
             start = time.perf_counter()
-            ok, reason = self._admit_one(flow, route)
+            ok, reason = self._admit_impl(flow, route)
             elapsed = time.perf_counter() - start
             sp.set(admitted=ok)
         decision = AdmissionDecision(
@@ -285,7 +292,8 @@ class AdmissionController(abc.ABC):
         ids = list(flow_ids)
         if not ids:
             return
-        self._release_batch_impl(*zip(*self._forget(ids)))
+        codes, matrix, _lengths, _tags = self._flows.pop_batch(ids)
+        self._release_batch_impl(codes, matrix)
         if OBS.enabled:
             self._record_releases(len(ids))
 
@@ -296,8 +304,8 @@ class AdmissionController(abc.ABC):
         re-resolved, so intervening ``route_map`` edits cannot release
         the wrong servers.
         """
-        ((flow, route),) = self._forget((flow_id,))
-        self._release_impl(flow, route)
+        code, servers, _tag = self._flows.pop(flow_id)
+        self._release_impl(code, servers)
         if OBS.enabled:
             self._record_releases(1)
 
@@ -309,7 +317,7 @@ class AdmissionController(abc.ABC):
         ).inc(count)
         reg.gauge(
             "repro_admission_established_flows", controller=ctrl
-        ).set(len(self._established))
+        ).set(len(self._flows))
 
     def reroute(
         self, flow_id: Hashable, new_route: Sequence[Hashable]
@@ -324,10 +332,8 @@ class AdmissionController(abc.ABC):
         A route the flow could never be admitted on (wrong endpoints, an
         unknown link) raises before anything is released.
         """
-        record = self._established.get(flow_id)
-        if record is None:
-            raise AdmissionError(f"flow {flow_id!r} is not established")
-        moved = replace(record[0], route=tuple(new_route))
+        flow, _route = self._materialise(self._flows.record(flow_id))
+        moved = replace(flow, route=tuple(new_route))
         self.resolve_route(moved)
         self.release(flow_id)
         decision = self.admit(moved)
@@ -346,7 +352,8 @@ class AdmissionController(abc.ABC):
 
         Future admissions resolve through the new paths; established
         flows keep the route committed at admit time (released exactly
-        as committed).
+        as committed).  Entries are replaced, never mutated in place:
+        the flow table's rows share the old lists.
         """
         for pair, path in routes.items():
             self.route_map[pair] = list(path)
@@ -354,12 +361,7 @@ class AdmissionController(abc.ABC):
 
     def committed_route(self, flow_id: Hashable) -> List[Hashable]:
         """The route an established flow was admitted on."""
-        try:
-            return list(self._established[flow_id][1])
-        except KeyError:
-            raise AdmissionError(
-                f"flow {flow_id!r} is not established"
-            ) from None
+        return list(self._flows.route_of(flow_id))
 
     def _record_decision(self, decision: AdmissionDecision) -> None:
         ctrl = type(self).__name__
@@ -379,7 +381,7 @@ class AdmissionController(abc.ABC):
         ).observe(decision.per_request_seconds)
         reg.gauge(
             "repro_admission_established_flows", controller=ctrl
-        ).set(len(self._established))
+        ).set(len(self._flows))
 
     def resolve_route(self, flow: FlowSpec) -> List[Hashable]:
         """The router-level path a flow will use: its pinned route if it
@@ -436,16 +438,17 @@ class AdmissionController(abc.ABC):
         human-readable string naming the broken property.  Read-only
         and safe to call at any point, including mid-replay.
         """
-        problems: List[str] = []
-        for fid, (flow, route) in self._established.items():
-            if (
-                len(route) < 2
-                or route[0] != flow.source
-                or route[-1] != flow.destination
-            ):
+        problems = self._flows.verify()
+        for fid, _code, _tag, pair, route, _pin in self._flows.records():
+            if pair is None or route is None:
+                problems.append(
+                    f"flow {fid!r} is recorded without its endpoints or "
+                    "its committed route"
+                )
+            elif len(route) < 2 or (route[0], route[-1]) != pair:
                 problems.append(
                     f"committed route of flow {fid!r} does not join "
-                    f"{flow.source!r} to {flow.destination!r}: {route!r}"
+                    f"{pair[0]!r} to {pair[1]!r}: {list(route)!r}"
                 )
         return problems
 
@@ -455,19 +458,20 @@ class AdmissionController(abc.ABC):
 
     @property
     def established_flows(self) -> List[FlowSpec]:
-        return [flow for flow, _ in self._established.values()]
+        return [flow for flow, _ in self.established_records]
 
     @property
     def established_records(self) -> List[FlowRecord]:
-        """Every established flow with the route it was admitted on."""
-        return list(self._established.values())
+        """Every established flow with the route it was admitted on, in
+        establishment order (rebuilt from the flow table per call)."""
+        return [self._materialise(r) for r in self._flows.records()]
 
     @property
     def num_established(self) -> int:
-        return len(self._established)
+        return len(self._flows)
 
     def is_established(self, flow_id: Hashable) -> bool:
-        return flow_id in self._established
+        return flow_id in self._flows
 
     @property
     def num_decisions(self) -> int:
@@ -501,49 +505,53 @@ class AdmissionController(abc.ABC):
         return self._decision_seconds / self._num_decisions
 
     # ------------------------------------------------------------------ #
-    # the flow record: one establish site, one forget site
+    # the flow record
     # ------------------------------------------------------------------ #
 
-    def _establish(self, records: Iterable[FlowRecord]) -> None:
-        """Record admitted flows on their committed routes.  The route
-        lists are shared, not copied: ``update_routes`` replaces map
-        entries (never mutates) and :meth:`committed_route` hands out
-        copies."""
-        established = self._established
-        for record in records:
-            established[record[0].flow_id] = record
+    def _class_code(self, class_name: str) -> int:
+        """Flow-table code of a class (one registered after this
+        controller was built gets the next free code)."""
+        code = self._class_codes.get(class_name)
+        if code is None:
+            self.registry.get(class_name)
+            code = self._class_codes[class_name] = len(self._class_names)
+            self._class_names.append(class_name)
+        return code
 
-    def _forget(self, flow_ids: Sequence[Hashable]) -> List[FlowRecord]:
-        """Drop the records of ``flow_ids`` and return them, all or
-        nothing: a duplicate or never-established id rolls every pop
-        back before raising."""
-        established = self._established
-        pop = established.pop
-        records: List[FlowRecord] = []
-        append = records.append
-        try:
-            for fid in flow_ids:
-                append(pop(fid))
-        except KeyError:
-            established.update(zip(flow_ids, records))
-            if fid in flow_ids[: len(records)]:
-                raise AdmissionError(
-                    f"duplicate flow id {fid!r} in batch"
-                ) from None
-            raise AdmissionError(
-                f"flow {fid!r} is not established"
-            ) from None
-        return records
+    def _establish(
+        self,
+        flow: FlowSpec,
+        route: Sequence[Hashable],
+        servers: np.ndarray = NO_SERVERS,
+    ) -> None:
+        """Record an admitted flow on its committed route, holding a
+        slot on ``servers``.  A configured route's list is shared, not
+        copied: ``update_routes`` replaces map entries (never mutates)
+        and :meth:`committed_route` hands out copies."""
+        pinned = flow.route is not None
+        self._flows.add(
+            flow.flow_id,
+            self._class_code(flow.class_name),
+            servers,
+            PRIORITY_TAGS[flow.priority],
+            self._flows.pair_code((flow.source, flow.destination)),
+            flow.route if pinned else route,
+            pinned,
+        )
 
-    def _admit_one(
-        self, flow: FlowSpec, route: Sequence[Hashable]
-    ) -> Tuple[bool, str]:
-        """Decide one flow and establish it if admitted: the step
-        :meth:`admit` and the default batch loop share."""
-        ok, reason = self._admit_impl(flow, route)
-        if ok:
-            self._establish(((flow, route),))
-        return ok, reason
+    def _materialise(self, record: Record) -> FlowRecord:
+        """The :class:`FlowSpec` a flow-table record stands for, and a
+        copy of its committed route."""
+        fid, code, tag, (source, destination), route, pinned = record
+        flow = FlowSpec(
+            fid,
+            self._class_names[code],
+            source,
+            destination,
+            route if pinned else None,
+            _TAG_PRIORITIES[tag],
+        )
+        return flow, list(route)
 
     # ------------------------------------------------------------------ #
     # subclass hooks
@@ -553,13 +561,13 @@ class AdmissionController(abc.ABC):
     def _admit_impl(
         self, flow: FlowSpec, route: Sequence[Hashable]
     ) -> Tuple[bool, str]:
-        """Decide and, on success, commit resources. Returns (ok, reason)."""
+        """Decide and, on success, commit resources and
+        :meth:`_establish` the flow.  Returns (ok, reason)."""
 
     @abc.abstractmethod
-    def _release_impl(
-        self, flow: FlowSpec, route: Sequence[Hashable]
-    ) -> None:
-        """Free the resources committed by a successful admit."""
+    def _release_impl(self, code: int, servers: np.ndarray) -> None:
+        """Free what a flow of class ``code`` held on ``servers``; its
+        flow-table row is already gone."""
 
     def _admit_batch_impl(
         self,
@@ -574,18 +582,19 @@ class AdmissionController(abc.ABC):
         — the flow-aware baseline — see earlier batch members exactly
         as a sequential caller would.  An override touches no state
         until no request of the batch can fail on its input any more,
-        then calls :meth:`_establish` for the flows it admits.
+        then records the flows it admits in batch order.
         """
         return [
-            self._admit_one(flow, route)
+            self._admit_impl(flow, route)
             for flow, route in zip(flows, routes)
         ]
 
     def _release_batch_impl(
-        self,
-        flows: Sequence[FlowSpec],
-        routes: Sequence[Sequence[Hashable]],
+        self, codes: np.ndarray, matrix: np.ndarray
     ) -> None:
-        """Free a batch's resources; default is the sequential loop."""
-        for flow, route in zip(flows, routes):
-            self._release_impl(flow, route)
+        """Free what a popped batch held (``FlowTable.pop_batch``'s
+        class codes and padded server matrix); default is the
+        sequential loop."""
+        pad = self._flows.pad
+        for code, row in zip(codes.tolist(), matrix):
+            self._release_impl(code, row[row != pad])

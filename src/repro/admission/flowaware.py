@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Hashable, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from ..analysis.netcalc import flow_aware_delays
 from ..errors import AnalysisError
 from ..obs import DEFAULT_ITERATION_BUCKETS, OBS
@@ -62,6 +64,12 @@ class FlowAwareAdmissionController(AdmissionController):
     def _admit_impl(
         self, flow: FlowSpec, route: Sequence[Hashable]
     ) -> Tuple[bool, str]:
+        ok, reason = self._decide(flow)
+        if ok:
+            self._establish(flow, route)
+        return ok, reason
+
+    def _decide(self, flow: FlowSpec) -> Tuple[bool, str]:
         cls = self.registry.get(flow.class_name)
         if not cls.is_realtime:
             return True, ""
@@ -101,8 +109,6 @@ class FlowAwareAdmissionController(AdmissionController):
                 )
         return True, ""
 
-    def _release_impl(
-        self, flow: FlowSpec, route: Sequence[Hashable]
-    ) -> None:
+    def _release_impl(self, code: int, servers: np.ndarray) -> None:
         # All state is the established-flow set kept by the base class.
         return None

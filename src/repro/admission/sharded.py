@@ -94,7 +94,7 @@ class SlotShardController(UtilizationAdmissionController):
         # The ledger starts at the full verified capacity; keep a copy
         # of it per class before installing this worker's share.
         self._full_slots: Dict[str, np.ndarray] = {
-            name: self.ledger.slots(name) for name in self._class_names
+            name: self.ledger.slots(name) for name in self._slot_classes
         }
         self._shard_index = -1
         self._shard_count = 0
@@ -118,7 +118,7 @@ class SlotShardController(UtilizationAdmissionController):
             )
         self._shard_index = int(shard_index)
         self._shard_count = int(shard_count)
-        for name in self._class_names:
+        for name in self._slot_classes:
             plan = plan_slot_shards(self._full_slots[name], shard_count)
             self.ledger.set_capacity(name, plan[shard_index])
 

@@ -22,7 +22,7 @@ from ..errors import AdmissionError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
 from ..traffic.flows import (
-    PRIORITY_CODES,
+    PRIORITY_TAGS,
     FlowSpec,
     flow_from_record,
     flow_record,
@@ -34,12 +34,11 @@ from .batch import (
     flat_committed_servers,
     pad_server_matrix,
 )
-from .flowtable import NO_CLASS, FlowTable
+from .flowtable import NO_SERVERS
 from .ledger import UtilizationLedger
 
 __all__ = ["UtilizationAdmissionController"]
 
-_EMPTY_SERVERS = np.empty(0, dtype=np.int64)
 _ADMITTED = (True, "")
 
 
@@ -70,20 +69,20 @@ class UtilizationAdmissionController(AdmissionController):
         super().__init__(graph, registry, route_map)
         self.alphas = dict(alphas)
         self.ledger = UtilizationLedger(graph, registry, alphas)
-        self._class_names = [c.name for c in registry.realtime_classes()]
-        self._class_codes = {n: i for i, n in enumerate(self._class_names)}
-        # Committed servers of every established flow, in flat arrays so
-        # whole batches commit/free without a Python loop per flow.
-        self._flows = FlowTable(pad=graph.num_servers)
+        # The classes that hold slots (one ledger column each), with
+        # their flow-table codes; any other class is best-effort.
+        self._slot_classes = {
+            c.name: self._class_codes[c.name]
+            for c in registry.realtime_classes()
+        }
 
     def _admit_impl(
         self, flow: FlowSpec, route: Sequence[Hashable]
     ) -> Tuple[bool, str]:
-        # A class without a code is best-effort (check_admit refused
-        # unknown names): never blocked, never guaranteed, no slot held.
-        code = self._class_codes.get(flow.class_name, NO_CLASS)
-        servers = _EMPTY_SERVERS
-        if code != NO_CLASS:
+        # Any other class is best-effort (check_admit refused unknown
+        # names): never blocked, never guaranteed, no slot held.
+        servers = NO_SERVERS
+        if flow.class_name in self._slot_classes:
             servers = self.servers_for(flow, route)
             if not self.ledger.available(flow.class_name, servers):
                 return False, (
@@ -91,16 +90,13 @@ class UtilizationAdmissionController(AdmissionController):
                     f"{flow.class_name!r} on the path"
                 )
             self.ledger.reserve(flow.class_name, servers)
-        tag = PRIORITY_CODES.get(flow.priority, -1)
-        self._flows.add(flow.flow_id, code, servers, tag=tag)
-        return True, ""
+        self._establish(flow, route, servers)
+        return _ADMITTED
 
-    def _release_impl(
-        self, flow: FlowSpec, route: Sequence[Hashable]
-    ) -> None:
-        code, servers, _tag = self._flows.pop(flow.flow_id)
-        if code != NO_CLASS:
-            self.ledger.release(flow.class_name, servers)
+    def _release_impl(self, code: int, servers: np.ndarray) -> None:
+        name = self._class_names[code]
+        if name in self._slot_classes:
+            self.ledger.release(name, servers)
 
     def _admit_batch_impl(
         self,
@@ -115,34 +111,31 @@ class UtilizationAdmissionController(AdmissionController):
         occupancy match the per-flow loop exactly.
         """
         table = self._flows
-        codes = self._class_codes
+        slot_classes = self._slot_classes
         pad = self.graph.num_servers
-        outcomes: List[Tuple[bool, str]] = [_ADMITTED] * len(flows)
+        n = len(flows)
+        outcomes: List[Tuple[bool, str]] = [_ADMITTED] * n
         by_class: Dict[str, List[int]] = {}
-        best_effort: List[FlowSpec] = []
         for i, flow in enumerate(flows):
-            if flow.class_name in codes:
-                by_class.setdefault(flow.class_name, []).append(i)
-            else:
-                # Unknown names must still raise like the sequential
-                # path — and before any state is mutated.
-                self.registry.get(flow.class_name)
-                best_effort.append(flow)
+            by_class.setdefault(flow.class_name, []).append(i)
+        # Unknown names must still raise like the sequential path — and
+        # before any state is mutated.
+        codes = np.empty(n, dtype=np.int64)
+        for name, members in by_class.items():
+            codes[members] = self._class_code(name)
         # Every row is resolved before the first commit: a route that
         # does not translate raises here, with nothing to undo.
-        rows = {
-            name: [self.servers_for(flows[i], routes[i]) for i in members]
-            for name, members in by_class.items()
-        }
-        for flow in best_effort:
-            table.add(
-                flow.flow_id,
-                NO_CLASS,
-                _EMPTY_SERVERS,
-                tag=PRIORITY_CODES.get(flow.priority, -1),
-            )
+        held = [NO_SERVERS] * n
         for name, members in by_class.items():
-            matrix, lengths = pad_server_matrix(rows[name], pad)
+            if name in slot_classes:
+                for i in members:
+                    held[i] = self.servers_for(flows[i], routes[i])
+        matrix, lengths = pad_server_matrix(held, pad)
+        admitted = np.ones(n, dtype=bool)
+        for name, members in by_class.items():
+            if name not in slot_classes:
+                continue
+            rows = matrix[members]
             free = np.empty(pad + 1, dtype=np.int64)
             np.subtract(
                 self.ledger.capacity_view(name),
@@ -150,65 +143,54 @@ class UtilizationAdmissionController(AdmissionController):
                 out=free[:pad],
             )
             free[pad] = PADDING_FREE
-            admitted = batch_slot_decisions(matrix, free)
-            ok = np.flatnonzero(admitted)
-            if ok.size:
+            ok = batch_slot_decisions(rows, free)
+            n_ok = int(np.count_nonzero(ok))
+            if n_ok:
                 self.ledger.commit_flat(
-                    name,
-                    flat_committed_servers(matrix, admitted, pad),
-                    int(ok.size),
+                    name, flat_committed_servers(rows, ok, pad), n_ok
                 )
-                winners = [members[r] for r in ok.tolist()]
-                table.add_batch(
-                    [flows[i].flow_id for i in winners],
-                    codes[name],
-                    matrix[ok],
-                    lengths[ok],
-                    tags=np.asarray(
-                        [
-                            PRIORITY_CODES.get(flows[i].priority, -1)
-                            for i in winners
-                        ],
-                        dtype=np.int64,
-                    ),
-                )
-            if ok.size < len(members):
+            if n_ok < len(members):
+                admitted[members] = ok
                 rejected = (
                     False,
                     f"utilization limit reached for class {name!r} "
                     "on the path",
                 )
-                for r in np.flatnonzero(~admitted):
+                for r in np.flatnonzero(~ok).tolist():
                     outcomes[members[r]] = rejected
-        # Flow-table rows and flow records are written together, in
-        # batch order (snapshots list flows in the order they were
-        # established).
-        self._establish(
-            (flow, route)
-            for flow, route, outcome in zip(flows, routes, outcomes)
-            if outcome is _ADMITTED
-        )
+        # One flow-table write for the whole batch, in batch order:
+        # snapshots list flows in the order they were established.
+        winners = np.flatnonzero(admitted)
+        pair_code = table.pair_code
+        ids, columns = [], []
+        for i in winners.tolist():
+            flow = flows[i]
+            pinned = flow.route is not None
+            ids.append(flow.flow_id)
+            columns.append((
+                PRIORITY_TAGS[flow.priority],
+                pair_code((flow.source, flow.destination)),
+                pinned,
+                flow.route if pinned else routes[i],
+            ))
+        if ids:
+            tags, pairs, pins, committed = zip(*columns)
+            table.add_batch(
+                ids, codes[winners], matrix[winners], lengths[winners],
+                tags, pairs, committed, pins,
+            )
         return outcomes
 
     def _release_batch_impl(
-        self,
-        flows: Sequence[FlowSpec],
-        routes: Sequence[Sequence[Hashable]],
+        self, codes: np.ndarray, matrix: np.ndarray
     ) -> None:
-        codes, matrix, _lengths, _tags = self._flows.pop_batch(
-            [f.flow_id for f in flows]
-        )
         pad = self._flows.pad
-        for code in np.unique(codes):
-            if code == NO_CLASS:
-                continue
+        for name, code in self._slot_classes.items():
             mask = codes == code
-            sel = matrix[mask]
-            self.ledger.release_flat(
-                self._class_names[int(code)],
-                sel[sel != pad],
-                int(np.count_nonzero(mask)),
-            )
+            count = int(np.count_nonzero(mask))
+            if count:
+                held = matrix[mask]
+                self.ledger.release_flat(name, held[held != pad], count)
 
     # ------------------------------------------------------------------ #
     # degraded operation (fault tolerance)
@@ -256,6 +238,18 @@ class UtilizationAdmissionController(AdmissionController):
         best-effort flow)."""
         return self._flows.servers_of(flow_id)
 
+    def slot_holders(
+        self, class_name: str, tags: Sequence[int], servers: Sequence[int]
+    ) -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
+        """Established flows of a class, tagged with one of ``tags``
+        (``PRIORITY_TAGS``), that hold a slot on any of
+        ``servers``: ``(flow_ids, tags, hits)`` with ``hits[j, i]`` true
+        when flow ``i`` holds ``servers[j]`` — one scan of the flow
+        table, whatever the number of established flows."""
+        return self._flows.holders(
+            self._class_codes[class_name], tags, servers
+        )
+
     def headroom(self, class_name: str, pair: Pair) -> int:
         """How many more flows of the class fit on the pair's route."""
         servers = self._server_cache.get(pair)
@@ -275,46 +269,21 @@ class UtilizationAdmissionController(AdmissionController):
         """Base bookkeeping checks plus the slot-ledger safety argument.
 
         Extends :meth:`AdmissionController.verify_invariants` with the
-        two properties the paper's certificate rests on:
+        properties the paper's certificate rests on:
 
         * **no over-commit** — on every link server, reserved slots
           never exceed the *verified* capacity (usage above the
           degraded/effective ceiling is legal; above the verified one
           is not);
-        * **ledger reconstructibility** — replaying the established
-          flows' committed server sets reproduces the ledger's ``used``
+        * **ledger reconstructibility** — summing the flow table's
+          committed server rows reproduces the ledger's ``used``
           vectors exactly, so no slot is leaked or double-counted;
-        * **record ⇔ flow-table row** — every established flow has a
-          flow-table row and every row belongs to an established flow.
+        * **servers ⇔ route** — the servers a slot-holding flow commits
+          are the link servers of the route it is recorded on.
         """
         problems = super().verify_invariants()
-        expected: Dict[str, np.ndarray] = {
-            name: np.zeros(self.graph.num_servers, dtype=np.int64)
-            for name in self._class_names
-        }
-        for fid in self._flows:
-            if not self.is_established(fid):
-                problems.append(
-                    f"flow-table row for non-established flow {fid!r}"
-                )
-        for flow in self.established_flows:
-            fid = flow.flow_id
-            if fid not in self._flows:
-                problems.append(
-                    f"established flow {fid!r} missing from the flow "
-                    "table"
-                )
-                continue
-            code, servers, tag = self._flows.entry(fid)
-            if tag != PRIORITY_CODES.get(flow.priority, -1):
-                problems.append(
-                    f"flow-table priority tag of {fid!r} is {tag}, "
-                    f"expected the code of {flow.priority!r}"
-                )
-            if code == NO_CLASS:
-                continue
-            np.add.at(expected[self._class_names[code]], servers, 1)
-        for name in self._class_names:
+        table = self._flows
+        for name, code in self._slot_classes.items():
             for s in self.ledger.overcommitted(name):
                 used = int(self.ledger.used_view(name)[s])
                 cap = int(self.ledger.verified_slots(name)[s])
@@ -322,14 +291,27 @@ class UtilizationAdmissionController(AdmissionController):
                     f"over-commit: class {name!r} server {int(s)} holds "
                     f"{used} slots but only {cap} are verified"
                 )
+            expected = table.usage(code)
             actual = self.ledger.used_view(name)
-            if not np.array_equal(expected[name], actual):
-                diff = np.flatnonzero(expected[name] != actual)
+            if not np.array_equal(expected, actual):
+                diff = np.flatnonzero(expected != actual)
                 problems.append(
                     f"ledger mismatch: class {name!r} usage on servers "
                     f"{diff.tolist()} cannot be reconstructed from the "
                     "established flows"
                 )
+        slot_codes = set(self._slot_classes.values())
+        for fid, code, _tag, _pair, route, _pinned in table.records():
+            if code in slot_codes and route is not None:
+                servers = table.servers_of(fid)
+                if not np.array_equal(
+                    servers, self.graph.route_servers(route)
+                ):
+                    problems.append(
+                        f"flow {fid!r} holds servers {servers.tolist()}"
+                        f", not those of its committed route "
+                        f"{list(route)!r}"
+                    )
         return problems
 
     # ------------------------------------------------------------------ #

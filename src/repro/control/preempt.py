@@ -25,8 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..errors import AdmissionError, ReproError
-from ..traffic.flows import FlowSpec, priority_rank
+from ..traffic.flows import PRIORITY_TAGS, FlowSpec, priority_rank
 
 if TYPE_CHECKING:
     from ..admission.utilization import UtilizationAdmissionController
@@ -164,52 +166,41 @@ class Preemptor:
 
         Candidates are established flows of the same class with
         strictly lower priority (never a protected one) whose committed
-        servers intersect the deficit.  Each eviction reduces every
-        touched server's deficit by one; the plan is complete when all
-        deficits reach zero.  Deterministic: ties break by (priority
-        rank, flow id repr).
+        servers intersect the deficit — one scan of the controller's
+        flow table, not a walk over flow objects.  Each eviction
+        reduces every touched server's deficit by one; the plan is
+        complete when all deficits reach zero.  Deterministic: ties
+        break by (priority rank, flow id repr).
         """
-        ctrl = self.controller
         policy = self.policy
-        saturated = set(deficit)
         arrival_rank = priority_rank(flow.priority)
-        candidates: List[Tuple[int, str, Hashable, Set[int]]] = []
-        for other in ctrl.established_flows:
-            if other.priority in policy.protect:
-                continue
-            rank = priority_rank(other.priority)
-            if rank >= arrival_rank:
-                continue
-            if other.class_name != flow.class_name:
-                continue
-            overlap = saturated.intersection(
-                ctrl.committed_servers(other.flow_id).tolist()
-            )
-            if overlap:
-                candidates.append(
-                    (rank, repr(other.flow_id), other.flow_id, overlap)
-                )
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        remaining = dict(deficit)
+        evictable = [
+            tag
+            for priority, tag in PRIORITY_TAGS.items()
+            if priority not in policy.protect
+            and priority_rank(priority) < arrival_rank
+        ]
+        servers = list(deficit)
+        ids, tags, hits = self.controller.slot_holders(
+            flow.class_name, evictable, servers
+        )
+        # A tag is its priority's rank, but for unset (-1, rank 0).
+        ranks = np.maximum(tags, 0).tolist()
+        order = sorted(
+            range(len(ids)), key=lambda i: (ranks[i], repr(ids[i]))
+        )
+        hits = hits[:, order]
+        remaining = np.array([deficit[s] for s in servers])
         plan: List[Hashable] = []
-        while (
-            any(d > 0 for d in remaining.values())
-            and len(plan) < policy.max_victims
-        ):
-            best = None
-            best_gain = 0
-            for cand in candidates:
-                gain = sum(
-                    1 for s in cand[3] if remaining.get(s, 0) > 0
-                )
-                if gain > best_gain:
-                    best, best_gain = cand, gain
-            if best is None:
+        while (remaining > 0).any() and len(plan) < policy.max_victims:
+            gain = hits[remaining > 0].sum(axis=0)
+            if not gain.any():
                 return None
-            candidates.remove(best)
-            plan.append(best[2])
-            for s in best[3]:
-                remaining[s] -= 1
-        if any(d > 0 for d in remaining.values()):
+            # argmax takes the first of equal gains: the tie-break.
+            best = int(gain.argmax())
+            plan.append(ids[order[best]])
+            remaining -= hits[:, best]
+            hits[:, best] = False
+        if (remaining > 0).any():
             return None
         return plan

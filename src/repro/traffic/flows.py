@@ -30,6 +30,7 @@ __all__ = [
     "FlowSet",
     "PRIORITIES",
     "PRIORITY_CODES",
+    "PRIORITY_TAGS",
     "flow_from_record",
     "flow_record",
     "fresh_flow_id",
@@ -45,6 +46,9 @@ PRIORITIES = ("elastic", "soft_rt", "hard_rt")
 
 #: Flow-table tag codes for priorities (unset flows tag -1).
 PRIORITY_CODES = {name: i + 1 for i, name in enumerate(PRIORITIES)}
+
+#: The flow-table tag of everything ``FlowSpec.priority`` can be.
+PRIORITY_TAGS = {None: -1, **PRIORITY_CODES}
 
 _PRIORITY_RANKS = {name: i + 1 for i, name in enumerate(PRIORITIES)}
 

@@ -30,6 +30,7 @@ if TYPE_CHECKING:
     from .bounded import (
         exhaustive_batch_equivalence,
         exhaustive_no_overcommit,
+        exhaustive_preemption_safety,
         iter_release_patterns,
     )
     from .instances import (
@@ -43,7 +44,12 @@ if TYPE_CHECKING:
         sequential_slot_decisions,
         simulate_sequential,
     )
-    from .mutants import MUTANTS, mutant_admit_on_full, mutant_ignore_contention
+    from .mutants import (
+        MUTANTS,
+        mutant_admit_on_full,
+        mutant_ignore_contention,
+        mutant_planner_ignores_protect,
+    )
     from .report import (
         VERIFY_REPORT_SCHEMA,
         build_verify_report,
@@ -63,7 +69,7 @@ if TYPE_CHECKING:
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".bounded": (
         "exhaustive_batch_equivalence", "exhaustive_no_overcommit",
-        "iter_release_patterns",
+        "exhaustive_preemption_safety", "iter_release_patterns",
     ),
     ".instances": (
         "INSTANCE_CLASS", "CheckResult", "Counterexample", "VerifyBound",
@@ -71,7 +77,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "replay_no_overcommit", "sequential_slot_decisions",
         "simulate_sequential",
     ),
-    ".mutants": ("MUTANTS", "mutant_admit_on_full", "mutant_ignore_contention"),
+    ".mutants": (
+        "MUTANTS", "mutant_admit_on_full", "mutant_ignore_contention",
+        "mutant_planner_ignores_protect",
+    ),
     ".report": (
         "VERIFY_REPORT_SCHEMA", "build_verify_report", "load_verify_report",
         "validate_verify_report", "write_verify_report",

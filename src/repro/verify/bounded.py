@@ -13,7 +13,12 @@ VerifyBound` and running the **real production code** on each:
 * :func:`exhaustive_batch_equivalence` runs the real
   :func:`~repro.admission.batch.batch_slot_decisions` kernel (or a
   deliberately broken mutant from :mod:`repro.verify.mutants`) against
-  the sequential reference on every (routes, free-vector) instance.
+  the sequential reference on every (routes, free-vector) instance;
+* :func:`exhaustive_preemption_safety` hands every arrival the
+  controller rejects to the real
+  :class:`~repro.control.preempt.Preemptor` (or the planner mutant)
+  over every assignment of priorities to the established flows: never a
+  protected victim, all or nothing, invariants intact.
 
 Because the subjects are the shipped kernel and controller — not a
 model of them — this backend catches *code* mutants the SMT encoding
@@ -26,12 +31,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import VerificationError
-from ..traffic.flows import FlowSpec
+from ..traffic.flows import PRIORITIES, FlowSpec, priority_rank
 from .instances import (
     INSTANCE_CLASS,
     CheckResult,
@@ -45,6 +50,7 @@ from .instances import (
 __all__ = [
     "exhaustive_batch_equivalence",
     "exhaustive_no_overcommit",
+    "exhaustive_preemption_safety",
     "iter_release_patterns",
 ]
 
@@ -274,6 +280,139 @@ def exhaustive_batch_equivalence(
         )
     return CheckResult(
         name="batch_equivalence",
+        backend="exhaustive",
+        status="passed",
+        elapsed_seconds=time.perf_counter() - start,
+        instances=count,
+    )
+
+
+#: Protect sets the preemption check quantifies over: the shipped
+#: default, and one that shields a priority an arrival outranks.
+_PROTECT_SETS = (("hard_rt",), ("hard_rt", "soft_rt"))
+
+
+def _preemption_problem(
+    capacities: Sequence[int],
+    routes: Sequence[Tuple[int, int]],
+    priorities: Sequence[Optional[str]],
+    protect: Tuple[str, ...],
+    preemptor: Callable[[Any, Any], Any],
+) -> Optional[str]:
+    """Run one instance: establish all flows but the last on the real
+    controller, then send the last through ``admit`` and, if rejected,
+    the preemptor.  Returns the first broken property, or ``None``."""
+    from ..control.preempt import PreemptionPolicy
+
+    controller = build_chain_controller(len(capacities), capacities)
+    policy = PreemptionPolicy(protect=protect)
+    flows = []
+    for i, ((lo, hi), priority) in enumerate(zip(routes, priorities)):
+        route = tuple(f"r{s}" for s in range(lo, hi + 1))
+        flows.append(FlowSpec(
+            f"x{i}", INSTANCE_CLASS, route[0], route[-1], route, priority
+        ))
+    for flow in flows[:-1]:
+        controller.admit(flow)
+    arrival = flows[-1]
+    if controller.admit(arrival).admitted:
+        return None
+
+    def state():
+        return (
+            controller.snapshot(),
+            controller.ledger.used_view(INSTANCE_CLASS).tolist(),
+        )
+
+    before = state()
+    outcome = preemptor(controller, policy).try_admit(arrival)
+    for victim in outcome.evicted:
+        priority = priorities[int(victim[1:])]
+        if priority in protect:
+            return (
+                f"evicted {victim!r}, whose priority {priority!r} is "
+                f"protected by {protect!r}"
+            )
+        if priority_rank(priority) >= priority_rank(arrival.priority):
+            return (
+                f"evicted {victim!r} ({priority!r}) for an arrival "
+                "that does not outrank it"
+            )
+        if controller.is_established(victim):
+            return f"victim {victim!r} is still established"
+    if len(outcome.evicted) > policy.max_victims:
+        return f"{len(outcome.evicted)} victims exceed max_victims"
+    if outcome.admitted != controller.is_established(arrival.flow_id):
+        return "outcome.admitted disagrees with the established set"
+    if not outcome.admitted and (outcome.evicted or state() != before):
+        return "a failed preemption changed the controller"
+    problems = controller.verify_invariants()
+    return problems[0] if problems else None
+
+
+def exhaustive_preemption_safety(
+    bound: VerifyBound,
+    preemptor: Optional[Callable[[Any, Any], Any]] = None,
+) -> CheckResult:
+    """Check the preemptor's contract on every instance in the bound.
+
+    The first ``flows - 1`` requests of an instance are established in
+    order (those that fit), under every assignment of a priority — or
+    none — to each; the last arrives ``hard_rt``, and if plain admission
+    rejects it, goes to ``preemptor(controller, policy).try_admit``
+    (the real :class:`~repro.control.preempt.Preemptor` unless the
+    planner mutant is passed), once per protect set.  Checked: no
+    victim is protected or outranks the arrival, at most
+    ``max_victims`` are evicted, a failed attempt leaves ``snapshot()``
+    and the ledger untouched, and ``verify_invariants()`` (no
+    over-commit, ledger reconstructible) holds afterwards.
+    """
+    from ..control.preempt import Preemptor
+
+    subject = preemptor or Preemptor
+    start = time.perf_counter()
+    route_options = bound.interval_routes()
+    background = bound.flows - 1
+    count = 0
+    for capacities in itertools.product(
+        range(bound.max_capacity + 1), repeat=bound.servers
+    ):
+        for routes in itertools.product(route_options, repeat=bound.flows):
+            for chosen in itertools.product(
+                (None,) + PRIORITIES, repeat=background
+            ):
+                priorities = chosen + ("hard_rt",)
+                for protect in _PROTECT_SETS:
+                    count += 1
+                    detail = _preemption_problem(
+                        capacities, routes, priorities, protect, subject
+                    )
+                    if detail is None:
+                        continue
+                    return CheckResult(
+                        name="preemption_safety",
+                        backend="exhaustive",
+                        status="violated",
+                        elapsed_seconds=time.perf_counter() - start,
+                        instances=count,
+                        counterexample=Counterexample(
+                            check="preemption_safety",
+                            backend="exhaustive",
+                            servers=bound.servers,
+                            capacities=tuple(capacities),
+                            routes=tuple(routes),
+                            priorities=priorities,
+                            detail=f"protect={protect!r}: {detail}",
+                        ),
+                    )
+    if preemptor is not None:
+        raise VerificationError(
+            "the planner mutant broke no preemption property on any of "
+            f"the {count} instances of bound {bound.to_dict()} — bound "
+            "too small to falsify, enlarge it"
+        )
+    return CheckResult(
+        name="preemption_safety",
         backend="exhaustive",
         status="passed",
         elapsed_seconds=time.perf_counter() - start,

@@ -252,7 +252,9 @@ def _forward_server_indices(servers: int) -> List[int]:
 class Counterexample:
     """A decoded violation of one bounded check.
 
-    ``check`` is ``"no_overcommit"`` or ``"batch_equivalence"``;
+    ``check`` is ``"no_overcommit"``, ``"batch_equivalence"`` or
+    ``"preemption_safety"`` (whose flows carry ``priorities`` and whose
+    last flow is the arrival that went to the preemptor);
     ``capacities`` holds per-server slot capacities (the pre-batch
     *free* vector for equivalence instances, where negative values model
     degraded servers); ``routes`` are the chain intervals ``[lo, hi)``;
@@ -270,9 +272,16 @@ class Counterexample:
     expected: Tuple[bool, ...] = ()
     actual: Tuple[bool, ...] = ()
     detail: str = ""
+    priorities: Tuple[Optional[str], ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
+        # ``priorities`` only when set: the other checks' documents
+        # stay byte-identical.
+        extra = (
+            {"priorities": list(self.priorities)} if self.priorities else {}
+        )
         return {
+            **extra,
             "check": self.check,
             "backend": self.backend,
             "servers": self.servers,
@@ -302,6 +311,10 @@ class Counterexample:
                 expected=tuple(bool(v) for v in obj.get("expected", [])),
                 actual=tuple(bool(v) for v in obj.get("actual", [])),
                 detail=str(obj.get("detail", "")),
+                priorities=tuple(
+                    None if p is None else str(p)
+                    for p in obj.get("priorities", [])
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise VerificationError(
@@ -327,7 +340,8 @@ class Counterexample:
             events.append(TraceEvent.arrival(
                 float(i + 1),
                 FlowSpec(
-                    f"cx_{i}", INSTANCE_CLASS, route[0], route[-1], route
+                    f"cx_{i}", INSTANCE_CLASS, route[0], route[-1], route,
+                    self.priorities[i] if self.priorities else None,
                 ),
             ))
             release = (

@@ -1,4 +1,5 @@
-"""Deliberately broken admission kernels, for falsifiability.
+"""Deliberately broken admission kernels (and one broken eviction
+planner), for falsifiability.
 
 A verifier that can only say "yes" is worthless: CI must also prove
 the machinery *would* catch a real bug.  Each mutant here is a drop-in
@@ -15,11 +16,17 @@ bug is the *only* difference from the sequential reference.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from dataclasses import replace
+from typing import Any, Callable, Dict
 
 import numpy as np
 
-__all__ = ["MUTANTS", "mutant_admit_on_full", "mutant_ignore_contention"]
+__all__ = [
+    "MUTANTS",
+    "mutant_admit_on_full",
+    "mutant_ignore_contention",
+    "mutant_planner_ignores_protect",
+]
 
 
 def mutant_admit_on_full(
@@ -61,3 +68,19 @@ MUTANTS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "admit_on_full": mutant_admit_on_full,
     "ignore_contention": mutant_ignore_contention,
 }
+
+
+def mutant_planner_ignores_protect(controller: Any, policy: Any) -> Any:
+    """A :class:`~repro.control.preempt.Preemptor` whose planner never
+    consults ``policy.protect``.
+
+    Everything else is the shipped preemptor — same scan, same greedy
+    cover, same tie-break — so the only way to tell it from the real
+    one is an instance where the cheapest cover runs through a
+    protected flow.  Not a kernel, so not in :data:`MUTANTS`:
+    :func:`~repro.verify.bounded.exhaustive_preemption_safety` takes it
+    as its ``preemptor`` and must come back ``"violated"``.
+    """
+    from ..control.preempt import Preemptor
+
+    return Preemptor(controller, replace(policy, protect=()))

@@ -167,6 +167,81 @@ class TestFlowTable:
         with pytest.raises(AdmissionError):
             table.pop_batch(["a", "missing"])
 
+    def test_pop_batch_is_all_or_nothing(self):
+        """An unknown or repeated id raises what ``release_batch``
+        raises, with no id gone, no row handed back and the survivors
+        in the order they were established."""
+        table = FlowTable(pad=9)
+        matrix, lengths = pad_server_matrix(
+            [np.array([1, 2]), np.array([3]), np.array([4])], pad=9
+        )
+        table.add_batch(["f0", "f1", "f2"], 0, matrix, lengths)
+        free = list(table._free)
+        for ids, message in [
+            (["f0", "f1", "nope"], "flow 'nope' is not established"),
+            (["f1", "f0", "f1"], "duplicate flow id 'f1' in batch"),
+            (["nope", "nope"], "flow 'nope' is not established"),
+        ]:
+            with pytest.raises(AdmissionError, match=message):
+                table.pop_batch(ids)
+            assert list(table) == ["f0", "f1", "f2"]
+            assert table._free == free
+            assert table.verify() == []
+        assert table.servers_of("f0").tolist() == [1, 2]
+        table.pop_batch(["f1", "f0"])
+        assert list(table) == ["f2"] and table.verify() == []
+
+    def test_add_batch_is_all_or_nothing(self):
+        table = FlowTable(pad=9)
+        one, one_len = pad_server_matrix([np.array([1])], pad=9)
+        table.add_batch(["f0"], 0, one, one_len)
+        free = list(table._free)
+        two, two_len = pad_server_matrix(
+            [np.array([2]), np.array([3])], pad=9
+        )
+        for ids in (["new", "f0"], ["new", "new"]):
+            with pytest.raises(AdmissionError, match="already established"):
+                table.add_batch(ids, 0, two, two_len)
+            assert list(table) == ["f0"] and table._free == free
+            assert table.verify() == []
+
+    def test_a_recycled_row_keeps_nothing_of_its_last_occupant(self):
+        table = FlowTable(pad=9, capacity=1)
+        pair = table.pair_code(("a", "d"))
+        table.add(
+            "pinned", 1, np.array([1, 2, 3, 4], dtype=np.int64), 3,
+            pair, ("a", "b", "c", "d"), True,
+        )
+        table.pop("pinned")
+        other = table.pair_code(("x", "y"))
+        matrix, lengths = pad_server_matrix([np.array([5])], pad=9)
+        shared = ["x", "y"]
+        table.add_batch(["bare"], 0, matrix, lengths, None, other, [shared])
+        assert table.record("bare") == (
+            "bare", 0, -1, ("x", "y"), shared, False
+        )
+        assert table.route_of("bare") is shared
+        assert table.servers_of("bare").tolist() == [5]
+        assert table.usage(0).tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0]
+        assert table.usage(1).tolist() == [0] * 9
+
+    def test_holders_scans_class_tag_and_servers(self):
+        table = FlowTable(pad=9)
+        rows = [np.array([1, 2]), np.array([2, 3]), np.array([4]),
+                np.array([1, 2]), np.array([2])]
+        matrix, lengths = pad_server_matrix(rows, pad=9)
+        table.add_batch(
+            ["a", "b", "c", "other-class", "protected"],
+            [0, 0, 0, 1, 0], matrix, lengths, [1, -1, 1, 1, 3],
+        )
+        table.pop("c")  # a freed row is not a candidate
+        ids, tags, hits = table.holders(0, [-1, 1], [2, 3])
+        assert dict(zip(ids, zip(tags.tolist(), hits.T.tolist()))) == {
+            "a": (1, [True, False]), "b": (-1, [True, True]),
+        }
+        ids, _tags, hits = table.holders(0, [1], [7])
+        assert ids == [] and hits.shape == (1, 0)
+
     def test_servers_of_returns_copy(self):
         table = FlowTable(pad=5)
         table.add("a", 0, np.array([1, 2], dtype=np.int64))

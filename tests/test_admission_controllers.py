@@ -154,22 +154,43 @@ class TestUtilizationController:
     def test_invariants_name_a_row_or_record_without_its_twin(
         self, line4_graph, voice_registry, line_routes
     ):
-        """Flow record <=> flow-table row, checked in both directions."""
+        """The flow table is the only flow record, so what can still
+        disagree is inside it — ``id -> row`` against ``row -> id`` —
+        and between a row's servers and the ledger or its route."""
         ctrl = _controller(line4_graph, voice_registry, line_routes)
         assert ctrl.admit(_flow("kept")).admitted
+        assert ctrl.admit(_flow("other", "r3", "r0")).admitted
         assert ctrl.verify_invariants() == []
-        # A row nobody established (what a half-admitted batch leaves).
-        ctrl._flows.add("orphan", -1, np.empty(0, dtype=np.int64))
-        assert ctrl.verify_invariants() == [
-            "flow-table row for non-established flow 'orphan'"
+        table = ctrl._flows
+        kept, other = table._index["kept"], table._index["other"]
+        # An id that indexes another flow's row, whose own row nothing
+        # indexes any more.
+        table._index["kept"] = other
+        assert ctrl.verify_invariants()[:2] == [
+            f"flow 'kept' indexes flow-table row {other}, which belongs "
+            "to 'other'",
+            f"flow-table row {kept} holds 'kept', which no flow id "
+            "indexes",
         ]
-        ctrl._flows.pop("orphan")
-        # ... and a record whose row is gone.
-        ctrl._flows.pop("kept")
+        table._index["kept"] = kept
+        assert ctrl.verify_invariants() == []
+        # A row whose servers are not what the ledger counted (and not
+        # those of the route the row is recorded on).
+        held = table._servers[kept].copy()
+        table._servers[kept, 0] = table._servers[other, 0]
         problems = ctrl.verify_invariants()
-        assert "established flow 'kept' missing from the flow table" in (
-            problems
-        )
+        assert any(p.startswith("ledger mismatch") for p in problems)
+        assert any(p.startswith("flow 'kept' holds servers") for p in problems)
+        table._servers[kept] = held
+        # A row that was given back while its id still points at it.
+        ctrl.ledger.release("voice", ctrl.committed_servers("kept"))
+        table._codes[kept] = -1
+        assert ctrl.verify_invariants() == [
+            f"flow 'kept' indexes flow-table row {kept}, which holds "
+            "no flow",
+            "flow-table free list is not the set of rows that hold no "
+            "flow",
+        ]
 
     def test_headroom_of_an_unconfigured_pair_is_an_admission_error(
         self, line4_graph, voice_registry, line_routes

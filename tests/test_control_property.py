@@ -15,6 +15,7 @@ Three machine-checked safety contracts:
 import asyncio
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.control import (
     AlphaGovernor,
     GovernorConfig,
     GovernorSample,
+    PreemptionPolicy,
     Preemptor,
     certify_ladder,
 )
@@ -35,8 +37,8 @@ from repro.routing.shortest import shortest_path_routes
 from repro.service import AdmissionService, AsyncServiceClient, ServiceConfig
 from repro.service.audit import iter_audit, verify_audit
 from repro.topology import LinkServerGraph, line_network, ring_network
-from repro.traffic import ClassRegistry, voice_class
-from repro.traffic.flows import PRIORITIES, FlowSpec
+from repro.traffic import ClassRegistry, TrafficClass, voice_class
+from repro.traffic.flows import PRIORITIES, FlowSpec, priority_rank
 from repro.traffic.generators import all_ordered_pairs
 
 RING_PAIRS = [(f"r{i}", f"r{(i + 2) % 6}") for i in range(6)]
@@ -162,6 +164,181 @@ def test_preemption_never_evicts_hard_rt(ops):
         slots = controller.ledger.slots("voice")
         assert (used <= slots).all()
     assert controller.verify_invariants() == []
+
+
+# --------------------------------------------------------------------- #
+# preemption: the column-scan planner is the loop it replaced
+# --------------------------------------------------------------------- #
+
+
+class ReferencePreemptor(Preemptor):
+    """``Preemptor`` with the planner it shipped with until the flow
+    table became the flow record: a Python walk over
+    ``established_flows``, kept verbatim as the differential's
+    reference."""
+
+    def _plan(self, flow, deficit):
+        ctrl = self.controller
+        policy = self.policy
+        saturated = set(deficit)
+        arrival_rank = priority_rank(flow.priority)
+        candidates = []
+        for other in ctrl.established_flows:
+            if other.priority in policy.protect:
+                continue
+            rank = priority_rank(other.priority)
+            if rank >= arrival_rank:
+                continue
+            if other.class_name != flow.class_name:
+                continue
+            overlap = saturated.intersection(
+                ctrl.committed_servers(other.flow_id).tolist()
+            )
+            if overlap:
+                candidates.append(
+                    (rank, repr(other.flow_id), other.flow_id, overlap)
+                )
+        candidates.sort(key=lambda c: (c[0], c[1]))
+        remaining = dict(deficit)
+        plan = []
+        while (
+            any(d > 0 for d in remaining.values())
+            and len(plan) < policy.max_victims
+        ):
+            best = None
+            best_gain = 0
+            for cand in candidates:
+                gain = sum(
+                    1 for s in cand[3] if remaining.get(s, 0) > 0
+                )
+                if gain > best_gain:
+                    best, best_gain = cand, gain
+            if best is None:
+                return None
+            candidates.remove(best)
+            plan.append(best[2])
+            for s in best[3]:
+                remaining[s] -= 1
+        if any(d > 0 for d in remaining.values()):
+            return None
+        return plan
+
+
+#: Ids whose ``repr`` order (the tie-break) is neither their numeric
+#: nor their insertion order: '10' < '9', 10 < 9 as text, str after int.
+PLANNER_IDS = [9, 10, 11, "9", "10", "b", "a", "B"]
+_planner_flow = st.builds(
+    lambda fid, pair, cls, priority: FlowSpec(
+        fid, cls, *RING_PAIRS[pair], priority=priority
+    ),
+    st.sampled_from(PLANNER_IDS),
+    st.sampled_from(range(len(RING_PAIRS))),
+    st.sampled_from(["voice", "voice", "voice", "other"]),
+    st.sampled_from((None,) + PRIORITIES),
+)
+planner_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("admit"), _planner_flow),
+        # A rescue may evict a flow its own batch just admitted.
+        st.tuples(st.just("batch"), st.lists(_planner_flow, max_size=6)),
+        st.tuples(st.just("release"), st.sampled_from(PLANNER_IDS)),
+        # Effective capacity below usage: per-server deficits above one.
+        st.tuples(st.just("degrade"), st.sampled_from([0.34, 0.67, 1.0])),
+    ),
+    max_size=30,
+)
+planner_policies = st.builds(
+    PreemptionPolicy,
+    admit_priorities=st.sampled_from(
+        [("hard_rt",), ("hard_rt", "soft_rt"), PRIORITIES]
+    ),
+    protect=st.sampled_from(
+        [("hard_rt",), (), ("hard_rt", "soft_rt"), ("elastic",)]
+    ),
+    max_victims=st.integers(1, 4),
+)
+_PLANNER_REGISTRY = ClassRegistry(
+    [
+        voice_class(),
+        replace(voice_class(), name="other", priority=2),
+        TrafficClass.best_effort(),
+    ]
+)
+
+
+def _deficit(controller, flow):
+    """The per-server deficit ``try_admit`` hands its planner."""
+    servers = controller.servers_for(flow, controller.check_admit(flow))
+    ledger = controller.ledger
+    free = (
+        ledger.capacity_view(flow.class_name)[servers]
+        - ledger.used_view(flow.class_name)[servers]
+    )
+    return {int(s): 1 - int(f) for s, f in zip(servers, free) if f <= 0}
+
+
+@settings(deadline=None, max_examples=150)
+@given(ops=planner_ops, policy=planner_policies)
+def test_column_planner_is_the_reference_planner(ops, policy):
+    twins = []
+    for cls in (Preemptor, ReferencePreemptor):
+        controller = UtilizationAdmissionController(
+            _TIGHT_CFG.graph,
+            _PLANNER_REGISTRY,
+            {"voice": 0.1, "other": 0.1},
+            _TIGHT_CFG.routes,
+        )
+        twins.append((controller, cls(controller, policy)))
+
+    def rescue(flow):
+        got, want = (p.try_admit(flow) for _c, p in twins)
+        assert (got.admitted, got.evicted, got.reason) == (
+            want.admitted, want.evicted, want.reason
+        )
+        for victim in got.evicted:
+            assert victim_priority[victim] not in policy.protect
+
+    victim_priority = {}
+    for op in ops:
+        if op[0] == "release":
+            for controller, _p in twins:
+                if controller.is_established(op[1]):
+                    controller.release(op[1])
+        elif op[0] == "degrade":
+            for controller, _p in twins:
+                controller.enter_degraded_mode(op[1])
+        else:
+            established = twins[0][0].is_established
+            batch = op[1] if op[0] == "batch" else [op[1]]
+            batch = [
+                f
+                for f in {f.flow_id: f for f in batch}.values()
+                if not established(f.flow_id)
+            ]
+            victim_priority.update((f.flow_id, f.priority) for f in batch)
+            verdicts = [
+                [d.admitted for d in controller.admit_batch(batch)]
+                for controller, _p in twins
+            ]
+            assert verdicts[0] == verdicts[1]
+            for flow, admitted in zip(batch, verdicts[0]):
+                if not admitted:
+                    rescue(flow)
+        (real, _), (reference, _) = twins
+        assert real.snapshot() == reference.snapshot()
+        assert real.verify_invariants() == []
+    # Whatever state the sequence reached: every arrival that could
+    # come next gets the same plan, without executing it.
+    for pair, priority, cls in itertools.product(
+        RING_PAIRS, PRIORITIES, ("voice", "other")
+    ):
+        flow = FlowSpec("arrival", cls, *pair, priority=priority)
+        deficit = _deficit(twins[0][0], flow)
+        assert deficit == _deficit(twins[1][0], flow)
+        if deficit:
+            assert twins[0][1]._plan(flow, deficit) == twins[1][1]._plan(
+                flow, deficit
+            )
 
 
 # --------------------------------------------------------------------- #

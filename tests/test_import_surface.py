@@ -104,6 +104,58 @@ def test_serve_loads_only_what_it_runs(tmp_path, flags):
     assert len(under(modules, "repro")) <= MAX_REPRO_MODULES
 
 
+_SERVE_ONE_ADMIT_AND_ONE_RELEASE = """
+import json, os, signal, sys, threading, time
+from repro.experiments.cli import main
+
+sock = sys.argv[1]
+served = {}
+
+def drive():
+    from repro.service.client import ServiceClient
+    from repro.traffic.flows import FlowSpec
+    try:
+        deadline = time.monotonic() + 60
+        while not os.path.exists(sock) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with ServiceClient(socket_path=sock) as client:
+            flow = FlowSpec("f", "voice", "Seattle", "Denver")
+            served["admitted"] = client.admit(flow).admitted
+            served["released"] = client.release("f")
+    finally:
+        os.kill(os.getpid(), signal.SIGTERM)  # drain: main() returns
+
+thread = threading.Thread(target=drive)
+thread.start()
+code = main(["serve", "--socket", sock, "--topology", "mci",
+             "--serve-seconds", "120"])
+thread.join()
+print(json.dumps(
+    {"code": code, "served": served, "modules": sorted(sys.modules)}
+))
+"""
+
+
+def test_a_served_release_does_not_import_numpy_ma(tmp_path):
+    """`np.unique` imports `numpy.ma` (1.2 MB resident, ~9 ms inside
+    the first release frame); the release path loops over the class
+    codes it knows instead."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVE_ONE_ADMIT_AND_ONE_RELEASE,
+         str(tmp_path / "u.sock")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] in (0, None), proc.stdout
+    assert result["served"] == {"admitted": True, "released": True}
+    assert "repro.admission.kernels" in result["modules"]
+    assert under(result["modules"], "numpy.ma") == []
+
+
 def test_version_needs_neither_numpy_nor_networkx():
     modules = modules_after(["--version"])
     assert under(modules, "numpy") == [] and under(modules, "networkx") == []

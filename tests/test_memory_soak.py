@@ -258,3 +258,106 @@ def test_served_bulk_frames_leave_no_cycles(tmp_path):
         obs.disable()
     assert batches >= SERVED_WARM_FRAMES + SERVED_FRAMES
     assert cycles == 0, f"{cycles} objects were only freed by the gc"
+
+
+# --------------------------------------------------------------------- #
+# bytes per established flow
+# --------------------------------------------------------------------- #
+
+WIRE_FLOWS = 6_000
+WIRE_FRAME_FLOWS = 1_024
+#: Ceiling on what one established flow may keep alive.  What it must
+#: keep: the decoded id string (~57 B), one slot of the id -> row dict
+#: (~50 B at this fill), the row int (32 B) and ~75 B of columns, the
+#: last two at the table's power-of-two capacity — 272 B here, at 6 000
+#: flows in 8 192 rows.  A record that keeps the decoded ``FlowSpec``
+#: per flow (the planted offender, and the parent of this test) is at
+#: 830-840 B.
+MAX_BYTES_PER_FLOW = 350
+
+
+class _KeepsTheSpec(UtilizationAdmissionController):
+    """The planted offender: a flow record that also keeps every
+    decoded ``FlowSpec`` alive, one per row."""
+
+    def _admit_batch_impl(self, flows, routes):
+        outcomes = super()._admit_batch_impl(flows, routes)
+        kept = self.__dict__.setdefault("kept", {})
+        for flow, (ok, _reason) in zip(flows, outcomes):
+            if ok:
+                kept[flow.flow_id] = flow
+        return outcomes
+
+
+def _bytes_per_wire_established_flow(controller, pairs):
+    """Establish ``WIRE_FLOWS`` flows the way a served process does —
+    packed ``B`` frames encoded, then ``decode_payload_v2`` ->
+    ``decode_bulk_subop`` -> ``submit_bulk``, so every string of every
+    flow is freshly decoded — and return what the heap grew by per
+    established flow."""
+    from repro.service import protocol
+
+    priorities = ("elastic", "soft_rt", "hard_rt", None)
+
+    def frame(start):
+        subops = []
+        for i in range(start, min(start + WIRE_FRAME_FLOWS, WIRE_FLOWS)):
+            src, dst = pairs[i % len(pairs)]
+            subops.append(
+                [0, f"wire-{i}", "voice", src, dst, None,
+                 priorities[i % len(priorities)]]
+            )
+        return protocol.encode_bulk_request(start, subops)
+
+    async def scenario():
+        coalescer = MicroBatchCoalescer(controller, max_delay=0.0)
+        coalescer.start()
+        try:
+            for start in range(0, WIRE_FLOWS, WIRE_FRAME_FLOWS):
+                wire = frame(start)
+                _tag, body = protocol.decode_payload_v2(
+                    wire[protocol.FRAME_HEADER_BYTES:]
+                )
+                _rid, subops = protocol.parse_bulk_request(body)
+                entries = [
+                    (i, BULK_OP_ADMIT, protocol.decode_bulk_subop(sub)[1])
+                    for i, sub in enumerate(subops)
+                ]
+                slots = coalescer.open_bulk(len(entries))
+                coalescer.submit_bulk(slots, entries)
+                assert slots.remaining == 0  # decided inline
+                del wire, body, subops, entries, slots
+        finally:
+            await coalescer.stop()
+
+    before = _traced_bytes()
+    asyncio.run(scenario())
+    growth = _traced_bytes() - before
+    assert controller.num_established >= 5_000
+    assert controller.verify_invariants() == []
+    return growth / controller.num_established
+
+
+def test_an_established_flow_keeps_a_row_not_an_object(
+    mci, mci_graph, mci_pairs, voice_registry
+):
+    routes = shortest_path_routes(mci, mci_pairs)
+    per_flow = {}
+    tracemalloc.start()
+    try:
+        for cls in (UtilizationAdmissionController, _KeepsTheSpec):
+            controller = cls(
+                mci_graph, voice_registry, {"voice": 0.3}, routes
+            )
+            per_flow[cls] = _bytes_per_wire_established_flow(
+                controller, mci_pairs
+            )
+            del controller
+    finally:
+        tracemalloc.stop()
+    kept = per_flow[UtilizationAdmissionController]
+    assert kept <= MAX_BYTES_PER_FLOW, (
+        f"an established flow keeps {kept:.0f} B alive"
+    )
+    # The gate fires on a record that keeps the decoded spec per row.
+    assert per_flow[_KeepsTheSpec] > 2 * MAX_BYTES_PER_FLOW, per_flow

@@ -9,7 +9,11 @@ rejections actually occur) and compares a batch-driven controller
 against a sequentially driven twin after every step.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -242,6 +246,31 @@ def _footprint(controller):
     )
 
 
+_COUNT_FLOWSPECS_BUILT_BY_RELEASE = """
+import json
+from repro.traffic.flows import FlowSpec
+from tests.test_property_batch_admission import PAIRS, ROOMY_ALPHA, _make
+
+built = []
+FlowSpec.__new__ = lambda cls, *a, **kw: built.append(cls) or object.__new__(cls)
+counts = {}
+for kind in ("utilization", "slotshard", "flow-aware"):
+    controller = _make(kind, ROOMY_ALPHA)
+    controller.admit_batch(
+        [FlowSpec(f"f{i}", "voice", *PAIRS[i]) for i in range(4)]
+    )
+    del built[:]
+    controller.release("f0")
+    controller.release_batch(["f3", "f1"])
+    released = len(built)
+    assert [f.flow_id for f in controller.established_flows] == ["f2"]
+    counts[kind] = {
+        "release": released, "established_flows": len(built) - released
+    }
+print(json.dumps(counts))
+"""
+
+
 class TestRaisingCallsChangeNothing:
     """A call that raises touched no state: no ledger slot, no flow
     record, no flow-table row — wherever in the batch the bad request
@@ -284,6 +313,48 @@ class TestRaisingCallsChangeNothing:
         )
         assert all(d.admitted for d in controller.admit_batch(good))
         assert len(controller._flows) == controller.num_established
+
+    @pytest.mark.parametrize("kind", ["utilization", "slotshard"])
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["seed0", "be", "nope"], "flow 'nope' is not established"),
+            (["seed1", "seed0", "seed1"], "duplicate flow id 'seed1'"),
+            ([("unhashable", [])], None),
+        ],
+    )
+    def test_release_batch_that_raises(self, kind, ids, message):
+        """All-or-nothing is the flow table's own property now: nothing
+        pre-checks the ids before ``FlowTable.pop_batch``."""
+        controller = _make(kind, ROOMY_ALPHA)
+        controller.admit_batch(
+            [FlowSpec(f"seed{i}", "voice", *PAIRS[i]) for i in range(3)]
+            + [FlowSpec("be", "best-effort", *PAIRS[3])]
+        )
+        before = _footprint(controller)
+        with pytest.raises(
+            TypeError if message is None else ReproError, match=message
+        ):
+            controller.release_batch(ids)
+        assert _footprint(controller) == before
+        assert controller.verify_invariants() == []
+        controller.release_batch(["seed2", "be", "seed0", "seed1"])
+        assert controller.num_established == len(controller._flows) == 0
+
+    def test_release_builds_no_flowspec(self):
+        """A release works on ids and rows: the flow it tears down is
+        never rebuilt.  Counted at ``FlowSpec.__new__`` in an
+        interpreter of its own — a class whose ``__new__`` was ever
+        assigned does not get ``object.__new__``'s argument check back."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNT_FLOWSPECS_BUILT_BY_RELEASE],
+            capture_output=True, text=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert json.loads(proc.stdout) == {
+            kind: {"release": 0, "established_flows": 1}
+            for kind in ("utilization", "slotshard", "flow-aware")
+        }
 
     @pytest.mark.parametrize("kind", ["utilization", "slotshard", "flow-aware"])
     @pytest.mark.parametrize(

@@ -226,21 +226,21 @@ RATCHETS = (
     Ratchet(
         name="One flow record: only the controller base touches it",
         why=(
-            "flow id -> (spec, committed route) is one mapping written "
-            "at one establish site; the coalescer reading it to copy "
-            "admit()'s checks is how one hostile route came to fail "
-            "whole frames and leak a flow-table row.  Ask the "
+            "The flow table (admission/flowtable.py, owned by the "
+            "controller base) is the only per-flow record: id -> row "
+            "and columns, no FlowSpec kept per flow.  A dict of records "
+            "beside it is ~830 B a flow of resident memory and a "
+            "second index that must be cross-checked.  Ask the "
             "controller: check_admit, is_established, established_flows."
         ),
-        # The deleted second table's name is spelled in two pieces so a
+        # The other deleted table's name is spelled in two pieces so a
         # grep for it over src/ and tests/ finds nothing at all.
         pattern=r"\._established\b|\._committed_" r"routes\b",
         roots=("src", "tests"),
         offender=(
-            "src/repro/service/coalescer.py",
-            "        established = controller._established",
+            "src/repro/admission/base.py",
+            "        self._established: Dict[Hashable, FlowRecord] = {}",
         ),
-        allowed=(r"^src/repro/admission/base\.py:",),
     ),
     Ratchet(
         name="One flow record: committed servers are read, not re-derived",
@@ -526,3 +526,26 @@ def test_benchmark_json_is_what_the_catalogue_generates(loadgen):
         assert json.load(fh) == catalogue.benchmark_json(
             loadgen.WORKLOADS.values()
         )
+
+
+def test_every_history_row_names_its_commit_and_machine(loadgen):
+    # BENCH_history.jsonl is appended to by `run.py --history`, never
+    # rewritten; a row without a commit or a machine fingerprint is a
+    # number nobody can place.
+    catalogue = _load("catalogue")
+    gated = {metric.name for metric in catalogue.END_TO_END}
+    lines = (REPO / "BENCH_history.jsonl").read_text("utf-8").splitlines()
+    seen = set()
+    for number, line in enumerate(lines, 1):
+        row = json.loads(line)
+        where = f"BENCH_history.jsonl:{number}"
+        assert row["workload"] in loadgen.WORKLOADS, where
+        assert isinstance(row["seed"], int) and row["at"], where
+        machine = row["machine"]
+        assert machine["commit"], f"{where}: no commit"
+        for key in ("cpu_model", "cpu_count", "python", "numpy"):
+            assert machine[key], f"{where}: no machine {key}"
+        if not row["traced"]:
+            assert gated <= set(row["metrics"]), where
+        seen.add(row["workload"])
+    assert seen == set(loadgen.WORKLOADS)

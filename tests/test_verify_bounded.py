@@ -19,7 +19,9 @@ from repro.verify import (
     build_verify_report,
     exhaustive_batch_equivalence,
     exhaustive_no_overcommit,
+    exhaustive_preemption_safety,
     load_verify_report,
+    mutant_planner_ignores_protect,
     replay_batch_equivalence,
     replay_no_overcommit,
     run_verify,
@@ -170,6 +172,53 @@ class TestExhaustiveBackend:
         with pytest.raises(VerificationError, match="bound"):
             exhaustive_batch_equivalence(
                 tiny, kernel=MUTANTS["ignore_contention"]
+            )
+
+
+class TestPreemptionSafety:
+    """ROADMAP 4(b): never a protected victim, all or nothing — on the
+    real ``Preemptor``, with a planted planner the check must kill."""
+
+    @pytest.mark.parametrize("bound", [SMALL, VerifyBound()])
+    def test_real_preemptor_keeps_its_contract(self, bound):
+        result = exhaustive_preemption_safety(bound)
+        assert result.name == "preemption_safety"
+        assert result.status == "passed"
+        assert result.counterexample is None
+        # capacities x routes x priorities of the established flows x
+        # the two protect sets.
+        assert result.instances == (
+            (bound.max_capacity + 1) ** bound.servers
+            * len(bound.interval_routes()) ** bound.flows
+            * 4 ** (bound.flows - 1)
+            * 2
+        )
+
+    def test_planner_that_ignores_protect_is_caught(self):
+        result = exhaustive_preemption_safety(
+            SMALL, mutant_planner_ignores_protect
+        )
+        assert result.status == "violated"
+        cx = result.counterexample
+        assert cx.check == "preemption_safety"
+        assert "is protected by ('hard_rt', 'soft_rt')" in cx.detail
+        assert cx.priorities[-1] == "hard_rt"
+        assert "soft_rt" in cx.priorities[:-1]
+        # The instance survives a report round trip, priorities and all,
+        # and its trace replays them.
+        assert Counterexample.from_dict(cx.to_dict()) == cx
+        arrivals = [
+            e for e in cx.to_trace_events() if e.kind == "arrival"
+        ]
+        assert tuple(e.flow.priority for e in arrivals) == cx.priorities
+
+    def test_unfalsifiable_bound_is_an_error(self):
+        # With nothing established there is nobody to evict.
+        tiny = VerifyBound(flows=1, servers=1, max_capacity=1)
+        assert exhaustive_preemption_safety(tiny).status == "passed"
+        with pytest.raises(VerificationError, match="bound"):
+            exhaustive_preemption_safety(
+                tiny, mutant_planner_ignores_protect
             )
 
 
