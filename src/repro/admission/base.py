@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
@@ -178,7 +179,7 @@ class AdmissionController(abc.ABC):
                 reason,
             )
         if OBS.enabled:
-            self._record_decision(decision)
+            self._record_decisions(((ok, reason),), elapsed)
         return decision
 
     def admit_batch(
@@ -209,7 +210,16 @@ class AdmissionController(abc.ABC):
                 )
             seen.add(fid)
             routes.append(self.check_admit(flow))
-        return self.admit_batch_routed(flows, routes)
+        if not (flows and OBS.enabled):
+            return self.admit_batch_routed(flows, routes)
+        with OBS.span(
+            "admission.admit_batch",
+            controller=type(self).__name__,
+            batch=len(flows),
+        ) as sp:
+            decisions = self.admit_batch_routed(flows, routes)
+            sp.set(admitted=sum(1 for d in decisions if d.admitted))
+        return decisions
 
     def admit_batch_routed(
         self,
@@ -224,26 +234,19 @@ class AdmissionController(abc.ABC):
         before handing a run over, so no check is paid twice on the hot
         path.  Everything downstream (decision records, ledger commits,
         counters) is byte-identical to :meth:`admit_batch`.
+
+        Opens no span and updates each metric series once per call, by
+        count: the service enters here once per run of a decision step,
+        and the step records its own span (``service.batch``).
         """
         flows = list(flows)
         if not flows:
             return []
         batch = len(flows)
-        obs_span = (
-            OBS.span(
-                "admission.admit_batch",
-                controller=type(self).__name__,
-                batch=batch,
-            )
-            if OBS.enabled
-            else NULL_SPAN
-        )
-        with obs_span as sp:
-            start = time.perf_counter()
-            outcomes = self._admit_batch_impl(flows, routes)
-            elapsed = time.perf_counter() - start
-            admitted = sum(1 for ok, _ in outcomes if ok)
-            sp.set(admitted=admitted)
+        start = time.perf_counter()
+        outcomes = self._admit_batch_impl(flows, routes)
+        elapsed = time.perf_counter() - start
+        admitted = sum(1 for ok, _ in outcomes if ok)
         decisions: List[AdmissionDecision] = []
         append = decisions.append
         # Hot loop: __new__ + direct __dict__ stores skip the frozen
@@ -278,8 +281,7 @@ class AdmissionController(abc.ABC):
                 buckets=DEFAULT_ITERATION_BUCKETS,
                 controller=ctrl,
             ).observe(batch)
-            for decision in decisions:
-                self._record_decision(decision)
+            self._record_decisions(outcomes, elapsed / batch)
         return decisions
 
     def release_batch(self, flow_ids: Sequence[Hashable]) -> None:
@@ -363,22 +365,41 @@ class AdmissionController(abc.ABC):
         """The route an established flow was admitted on."""
         return list(self._flows.route_of(flow_id))
 
-    def _record_decision(self, decision: AdmissionDecision) -> None:
+    def _record_decisions(
+        self,
+        outcomes: Sequence[Tuple[bool, str]],
+        per_request_seconds: float,
+    ) -> None:
+        """Count one call's ``(ok, reason)`` outcomes: each series is
+        updated once, by count.  Every decision of a call shares its
+        amortized cost, so one ``observe(cost, n)`` fills the decision
+        histogram's buckets exactly as ``n`` single observations would.
+        """
         ctrl = type(self).__name__
         reg = OBS.registry
-        result = "admitted" if decision.admitted else "rejected"
-        reg.counter(
-            "repro_admission_decisions_total", controller=ctrl, result=result
-        ).inc()
-        if not decision.admitted:
+        reasons = Counter(
+            _reason_key(reason) for ok, reason in outcomes if not ok
+        )
+        rejected = sum(reasons.values())
+        for result, count in (
+            ("admitted", len(outcomes) - rejected),
+            ("rejected", rejected),
+        ):
+            if count:
+                reg.counter(
+                    "repro_admission_decisions_total",
+                    controller=ctrl,
+                    result=result,
+                ).inc(count)
+        for key, count in reasons.items():
             reg.counter(
                 "repro_admission_rejections_total",
                 controller=ctrl,
-                reason=_reason_key(decision.reason),
-            ).inc()
+                reason=key,
+            ).inc(count)
         reg.histogram(
             "repro_admission_decision_seconds", controller=ctrl
-        ).observe(decision.per_request_seconds)
+        ).observe(per_request_seconds, len(outcomes))
         reg.gauge(
             "repro_admission_established_flows", controller=ctrl
         ).set(len(self._flows))

@@ -144,15 +144,17 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` in one update (a
+        batch whose members share one amortized cost)."""
         value = float(value)
         i = bisect.bisect_left(self.bounds, value)
         if i < len(self.bounds):
-            self.bucket_counts[i] += 1
+            self.bucket_counts[i] += count
         else:
-            self.overflow += 1
-        self.sum += value
-        self.count += 1
+            self.overflow += count
+        self.sum += value * count
+        self.count += count
 
     def cumulative_counts(self) -> List[int]:
         """Prometheus-style cumulative counts, one per bound plus +Inf."""
@@ -284,7 +286,7 @@ class NullHistogram:
     kind = "histogram"
     __slots__ = ()
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         pass
 
 

@@ -1,15 +1,25 @@
 """Decision audit log (``repro-admission-audit/v1``).
 
-Every admit/release the coalescer decides is appended as one JSON line:
-flow identity, the decided route, the decision and its reason, the
-per-route utilization headroom *after* the decision committed, and the
-wire trace context when the caller propagated one — so any production
-accept/reject is attributable long after the span ring buffer forgot
-it.
+Every decision step of the coalescer is appended as **one** JSON line,
+a ``frame``: the sequence number of its first decision, the decision
+count, one timestamp, and the decisions in ledger order as compact
+entries — flow identity, the decision and its reason, the committed
+route, the error the sequential API raised, and the wire trace context
+when the caller propagated one — so any production accept/reject is
+attributable long after the span ring buffer forgot it.  A frame of
+``n`` decisions holds sequence numbers ``seq .. seq + n - 1``.
+
+:func:`iter_audit` is the one reader: it expands every frame back into
+one record per decision (``kind`` ``admit`` / ``release``, the form
+this log used to be written in one line per decision — logs in that
+form, or switching to frames at a restart, read the same way), so
+:func:`verify_audit` and :func:`audit_to_trace_events` only ever see
+per-decision records.
 
 Durability contract (what makes the log trustworthy across ``kill -9``):
 
-* records are buffered but **fsynced every** ``fsync_every`` records;
+* records are buffered but **fsynced every** ``fsync_every`` decisions
+  (checked after each frame, so a frame is never split);
 * before the server writes a crash-safe snapshot it calls
   :meth:`AuditLog.mark_snapshot`, which fsyncs everything recorded so
   far and appends a ``snapshot`` marker carrying a digest of the
@@ -45,11 +55,13 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Union,
 )
 
 from ..errors import ServiceError
 from ..traffic.flows import FlowSpec
+from .protocol import encode_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workload.trace import TraceEvent
@@ -57,6 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "AUDIT_SCHEMA",
     "AuditLog",
+    "admit_entry",
+    "release_entry",
     "iter_audit",
     "verify_audit",
     "audit_to_trace_events",
@@ -64,8 +78,100 @@ __all__ = [
 
 AUDIT_SCHEMA = "repro-admission-audit/v1"
 
-#: Record kinds appearing in an audit stream.
+#: Record kinds appearing in an audit stream (after frame expansion).
 KINDS = ("admit", "release", "snapshot", "restore")
+
+#: Optional frame entry keys -> per-decision record keys.  Beside them
+#: an admit entry carries ``f`` (the flow, short form) and a release
+#: entry ``x`` (the flow id), both carry ``ok``.
+_ENTRY_KEYS = (
+    ("why", "reason"),
+    ("r", "route"),
+    ("err", "error"),
+    ("tr", "trace"),
+)
+
+
+def _encode_entry(entry: Dict[str, Any]) -> bytes:
+    # orjson hands back its whole working buffer (1 KiB for an entry of
+    # ~100 B); a decision step keeps an entry per op until its frame is
+    # written, so it keeps an exact-size copy.
+    return memoryview(encode_json(entry)).tobytes()
+
+
+def admit_entry(
+    flow: FlowSpec,
+    admitted: bool,
+    *,
+    reason: str = "",
+    route: Optional[Sequence[Hashable]] = None,
+    error: Optional[str] = None,
+    trace: Optional[Dict[str, str]] = None,
+) -> bytes:
+    """Frame entry of one admit decision, encoded when it is decided (a
+    decision step holds its entries as bytes, not objects).  ``route``
+    is the committed one; a route the request pinned is not repeated
+    inside the flow."""
+    flow_obj = flow.to_obj()
+    flow_obj.pop("route", None)
+    entry: Dict[str, Any] = {"f": flow_obj, "ok": bool(admitted)}
+    if reason:
+        entry["why"] = reason
+    if route is not None:
+        entry["r"] = route
+    if error is not None:
+        entry["err"] = error
+    if trace is not None:
+        entry["tr"] = trace
+    return _encode_entry(entry)
+
+
+def release_entry(
+    flow_id: Hashable,
+    ok: bool,
+    *,
+    reason: Optional[str] = None,
+    error: Optional[str] = None,
+    trace: Optional[Dict[str, str]] = None,
+) -> bytes:
+    """Frame entry of one release, encoded.  ``reason`` tags a release
+    the caller did not ask for (``"preempted"``: the overload control
+    plane evicted the flow)."""
+    entry: Dict[str, Any] = {"x": flow_id, "ok": bool(ok)}
+    if reason is not None:
+        entry["why"] = reason
+    if error is not None:
+        entry["err"] = error
+    if trace is not None:
+        entry["tr"] = trace
+    return _encode_entry(entry)
+
+
+def _expand_frame(frame: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The per-decision records of one frame line, in ledger order
+    (``KeyError`` / ``TypeError`` on a malformed frame)."""
+    seq, ts = frame["seq"], frame["ts"]
+    records = []
+    for i, entry in enumerate(frame["ops"]):
+        if "f" in entry:
+            record = {"kind": "admit", "flow": entry["f"]}
+            record["admitted"] = entry["ok"]
+        else:
+            record = {"kind": "release", "flow_id": entry["x"]}
+            record["released"] = entry["ok"]
+        for short, long in _ENTRY_KEYS:
+            if short in entry:
+                record[long] = entry[short]
+        record["seq"] = seq + i
+        record["ts"] = ts
+        records.append(record)
+    return records
+
+
+def _ends_a_line(path: str) -> bool:
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) == b"\n"
 
 
 def flow_set_digest(flow_ids: Iterable[Hashable]) -> str:
@@ -112,11 +218,13 @@ class AuditLog:
         #: the existing file tail, so the whole multi-launch history is
         #: one gap-free sequence.
         self._next_seq = self._scan_last_seq() + 1
-        self._fh: Optional[IO[str]] = open(
-            self.path, "a", encoding="utf-8"
-        )
+        self._fh: Optional[IO[bytes]] = open(self.path, "ab")
         if self._fh.tell() == 0:
             self._write_obj({"schema": AUDIT_SCHEMA})
+        elif not _ends_a_line(self.path):
+            # A crash tore the last line: end it, so the next record
+            # starts a line of its own instead of being glued to it.
+            self._fh.write(b"\n")
 
     # ------------------------------------------------------------ io
 
@@ -136,28 +244,41 @@ class AuditLog:
                         except json.JSONDecodeError:
                             continue  # torn tail line from a crash
                         seq = obj.get("seq")
-                        if isinstance(seq, int) and seq > last:
-                            last = seq
+                        if isinstance(seq, int):
+                            # A frame holds seq .. seq + n - 1.
+                            last = max(last, seq + obj.get("n", 1) - 1)
             except OSError:
                 continue
         return last
 
     def _write_obj(self, obj: Dict[str, Any]) -> None:
         assert self._fh is not None
-        self._fh.write(
-            json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        self._fh.write(encode_json(obj) + b"\n")
 
-    def _append(self, obj: Dict[str, Any]) -> int:
+    def _append(self, obj: Dict[str, Any], ops: Sequence[bytes] = ()) -> int:
+        """Write one record line; returns its sequence number.  A
+        frame's ``ops`` (encoded entries) become its ``ops`` array, one
+        sequence number each."""
         if self._fh is None:
             raise ServiceError("audit log is closed")
         seq = self._next_seq
-        self._next_seq += 1
         obj["seq"] = seq
         obj["ts"] = time.time()
-        self._write_obj(obj)
-        self.records_written += 1
-        self._unsynced += 1
+        if not ops:
+            self._write_obj(obj)  # a line that cannot be written takes no seq
+        else:
+            # "ops" sorts between "n" and "seq": splice the entries in
+            # there and the line is the canonical encoding of the frame.
+            line = encode_json(obj)
+            at = line.index(b',"seq":')
+            self._fh.writelines((
+                line[:at], b',"ops":[', b",".join(ops), b"]",
+                line[at:], b"\n",
+            ))
+        count = len(ops) or 1
+        self._next_seq += count
+        self.records_written += count
+        self._unsynced += count
         if self._unsynced >= self.fsync_every:
             self.sync()
         if (
@@ -188,7 +309,7 @@ class AuditLog:
             if os.path.exists(src):
                 os.replace(src, f"{self.path}.{i + 1}")
         os.replace(self.path, f"{self.path}.1")
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "ab")
         self._write_obj({"schema": AUDIT_SCHEMA})
 
     def close(self) -> None:
@@ -207,6 +328,14 @@ class AuditLog:
 
     # ------------------------------------------------------------ records
 
+    def record_frame(self, entries: Sequence[bytes]) -> int:
+        """Append one decision step's entries (:func:`admit_entry` /
+        :func:`release_entry`, in ledger order) as one ``frame`` line;
+        returns the sequence number of the first."""
+        if not entries:
+            raise ServiceError("an audit frame holds at least one entry")
+        return self._append({"kind": "frame", "n": len(entries)}, entries)
+
     def record_admit(
         self,
         flow: FlowSpec,
@@ -214,30 +343,14 @@ class AuditLog:
         admitted: bool,
         reason: str = "",
         route: Optional[List[Hashable]] = None,
-        headroom: Optional[int] = None,
         trace: Optional[Dict[str, str]] = None,
         error: Optional[str] = None,
     ) -> int:
-        flow_obj = flow.to_obj()
-        # The record's own ``route`` is the committed one; a requested
-        # route is not repeated inside ``flow``.
-        flow_obj.pop("route", None)
-        obj: Dict[str, Any] = {
-            "kind": "admit",
-            "flow": flow_obj,
-            "admitted": bool(admitted),
-        }
-        if reason:
-            obj["reason"] = reason
-        if route is not None:
-            obj["route"] = list(route)
-        if headroom is not None:
-            obj["headroom"] = int(headroom)
-        if trace is not None:
-            obj["trace"] = trace
-        if error is not None:
-            obj["error"] = error
-        return self._append(obj)
+        """One admit decision as a frame of its own."""
+        return self.record_frame([admit_entry(
+            flow, admitted, reason=reason, route=route, error=error,
+            trace=trace,
+        )])
 
     def record_release(
         self,
@@ -248,22 +361,10 @@ class AuditLog:
         trace: Optional[Dict[str, str]] = None,
         error: Optional[str] = None,
     ) -> int:
-        """``reason`` tags non-caller-initiated releases (e.g.
-        ``"preempted"`` when the overload control plane evicted the
-        flow); plain releases omit the key, keeping existing logs
-        byte-identical."""
-        obj: Dict[str, Any] = {
-            "kind": "release",
-            "flow_id": flow_id,
-            "released": bool(ok),
-        }
-        if reason is not None:
-            obj["reason"] = reason
-        if trace is not None:
-            obj["trace"] = trace
-        if error is not None:
-            obj["error"] = error
-        return self._append(obj)
+        """One release as a frame of its own."""
+        return self.record_frame([release_entry(
+            flow_id, ok, reason=reason, error=error, trace=trace
+        )])
 
     def mark_snapshot(self, flow_ids: Iterable[Hashable]) -> int:
         """Durable pre-snapshot cut: fsync the log, then the marker.
@@ -305,11 +406,14 @@ class AuditLog:
 
 
 def iter_audit(path: str, *, keep: int = 16) -> Iterator[Dict[str, Any]]:
-    """Yield audit records oldest-first across rotated files.
+    """Yield audit records oldest-first across rotated files, one per
+    decision or marker: a ``frame`` line is expanded into its
+    decisions, each with its own ``seq`` and the frame's ``ts``.
 
     Header lines are skipped; a torn final line (crash mid-append) is
     ignored, matching the durability contract — an unsynced record was
-    never guaranteed.
+    never guaranteed.  A frame that parses but cannot be expanded is
+    yielded as it is, for :func:`verify_audit` to report.
     """
     if not os.path.exists(path):
         raise ServiceError(f"audit log {path!r} does not exist")
@@ -329,13 +433,15 @@ def iter_audit(path: str, *, keep: int = 16) -> Iterator[Dict[str, Any]]:
                 except json.JSONDecodeError:
                     continue
                 if not isinstance(obj, dict) or "seq" not in obj:
-                    if (
-                        isinstance(obj, dict)
-                        and obj.get("schema") == AUDIT_SCHEMA
-                    ):
-                        continue  # per-file header
+                    continue  # per-file header (or not a record)
+                if obj.get("kind") != "frame":
+                    yield obj
                     continue
-                yield obj
+                try:
+                    records = _expand_frame(obj)
+                except (KeyError, TypeError, AttributeError):
+                    records = [obj]
+                yield from records
 
 
 def verify_audit(

@@ -31,6 +31,11 @@ two callers; they differ only in how an outcome reaches its caller (a
 future per op, or a slot of the frame's :class:`BulkSlots`).  The
 controller only mutates inside ``_decide`` — snapshots taken between
 event-loop callbacks therefore see a consistent ledger.
+
+Telemetry is per ``_decide`` call, whichever caller made it: one audit
+``frame`` line, one ``service.batch`` span, one update of each batch
+metric.  Neither an audit log nor observability changes which caller
+runs.
 """
 
 from __future__ import annotations
@@ -38,7 +43,16 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..admission.base import AdmissionDecision
 from ..admission.utilization import UtilizationAdmissionController
@@ -51,7 +65,7 @@ from ..obs import (
     new_span_id,
 )
 from ..traffic.flows import FlowSpec
-from .audit import AuditLog
+from .audit import AuditLog, admit_entry, release_entry
 
 __all__ = [
     "MicroBatchCoalescer",
@@ -60,8 +74,8 @@ __all__ = [
     "BULK_OP_RELEASE",
 ]
 
-#: Batch spans list at most this many linked request span ids; larger
-#: batches record the count and a truncation flag instead of the tail.
+#: Batch spans list at most this many distinct request span ids; larger
+#: batches record how many more there were instead of the tail.
 _SPAN_LINK_CAP = 64
 
 logger = logging.getLogger("repro.service")
@@ -80,26 +94,43 @@ BULK_OP_ADMIT = _ADMIT
 BULK_OP_RELEASE = _RELEASE
 
 
-class _Op:
-    """One queued request: an admit, a release, or a flush barrier.
+class _Stamp:
+    """Telemetry marks of what one :meth:`MicroBatchCoalescer._decide`
+    call decided for a request: a queued op, or one ``max_batch`` chunk
+    of a frame decided inline.
 
-    The telemetry fields (``trace``, ``span_hex``, timing marks,
-    ``batch_hex``) are populated by the server / drain loop so a
-    per-request span can report queue-wait and batch-execute stages and
-    link to the batch span that decided it.
+    ``span_hex`` is the request's span id (the batch span links it);
+    :meth:`~MicroBatchCoalescer._decide` fills in when the step started
+    and ended and the id of its batch span, so the request span can
+    report queue-wait and execute stages and link back.
     """
 
     __slots__ = (
-        "kind",
-        "payload",
-        "future",
-        "enqueued_at",
-        "trace",
         "span_hex",
+        "enqueued_at",
         "dequeued_at",
         "decided_at",
         "batch_hex",
     )
+
+    def __init__(
+        self,
+        span_hex: Optional[str] = None,
+        enqueued_at: Optional[float] = None,
+    ):
+        self.span_hex = span_hex
+        self.enqueued_at = (
+            time.perf_counter() if enqueued_at is None else enqueued_at
+        )
+        self.dequeued_at = 0.0
+        self.decided_at = 0.0
+        self.batch_hex: Optional[str] = None
+
+
+class _Op(_Stamp):
+    """One queued request: an admit, a release, or a flush barrier."""
+
+    __slots__ = ("kind", "payload", "future", "trace")
 
     def __init__(
         self,
@@ -110,18 +141,12 @@ class _Op:
         span_hex: Optional[str] = None,
         enqueued_at: Optional[float] = None,
     ):
+        super().__init__(span_hex, enqueued_at)
         self.kind = kind
         #: A :class:`FlowSpec` for an admit, a flow id for a release.
         self.payload = payload
         self.future = future
-        self.enqueued_at = (
-            time.perf_counter() if enqueued_at is None else enqueued_at
-        )
         self.trace = trace
-        self.span_hex = span_hex
-        self.dequeued_at = 0.0
-        self.decided_at = 0.0
-        self.batch_hex: Optional[str] = None
 
 
 class BulkSlots:
@@ -384,16 +409,15 @@ class MicroBatchCoalescer:
         *,
         trace: Optional[TraceContext] = None,
         span_hex: Optional[str] = None,
-    ) -> List[_Op]:
+    ) -> List[_Stamp]:
         """Submit one frame's ops, deciding them inline when safe.
 
         ``entries`` are ``(slot_index, kind, payload)`` triples in frame
         order — a :class:`FlowSpec` payload for admits, a flow id for
         releases; slots the server failed during decode are already
         filled and simply absent here.  ``trace`` / ``span_hex`` are the
-        frame's wire trace context and request span; every op that has
-        to queue carries them (the audit log and the batch span read
-        them).
+        frame's wire trace context and request span (the audit log and
+        the batch span read them).
 
         When nothing else is undecided (``pending == 0``), the frame is
         decided synchronously right here: :meth:`_decide` runs on the
@@ -404,34 +428,34 @@ class MicroBatchCoalescer:
         *composition* never affects decisions (the batch kernels are
         sequential-identical by the differential contract) — only op
         order does.  The frame is chunked by ``max_batch`` so the
-        documented per-batch bound holds.  The telemetry-rich
-        configurations (audit log, live metrics) and the pause/stop
-        staging controls queue one op per entry instead: the per-op
-        stamps and batch spans only exist in the drain loop, and the
-        benchmark defines its audited workload as "every op is queued".
+        documented per-batch bound holds.  Only ordering (an undecided
+        op ahead of the frame) and the pause/stop staging controls
+        queue one op per entry instead; an audit log or observability
+        never does, because ``_decide`` writes the audit frame and the
+        batch telemetry wherever it runs.
 
-        Returns the ops that were queued (none when decided inline) so
-        the server can read their telemetry stamps.  Nothing here keeps
-        that list, so a finished frame leaves no
+        Returns the telemetry stamps of the frame: one per inline chunk,
+        or the queued ops themselves, so the server's request span can
+        read the stages and the batch span.  Nothing here keeps that
+        list, so a finished frame leaves no
         ``_Op -> _SlotFuture -> BulkSlots -> ops`` cycle behind.
         """
         if self._closed:
             raise ServiceError("coalescer is stopped")
-        if (
-            self.pending == 0
-            and self._paused.is_set()
-            and self.audit is None
-            and not OBS.enabled
-        ):
+        if self.pending == 0 and self._paused.is_set():
             outcomes = slots.outcomes
+            stamps = []
             for start in range(0, len(entries), self.max_batch):
                 chunk = entries[start : start + self.max_batch]
+                stamp = _Stamp(span_hex)
                 decided = self._decide(
-                    [(kind, payload, None) for _, kind, payload in chunk]
+                    [(kind, payload, trace) for _, kind, payload in chunk],
+                    (stamp,),
                 )
                 for entry, outcome in zip(chunk, decided):
                     outcomes[entry[0]] = outcome
-            return []
+                stamps.append(stamp)
+            return stamps
         enqueued_at = time.perf_counter()
         ops = [
             _Op(
@@ -537,78 +561,30 @@ class MicroBatchCoalescer:
     # ------------------------------------------------------------------ #
 
     def _process(self, ops: List[_Op]) -> None:
-        """The drain loop's caller of :meth:`_decide`: stamp the ops,
-        settle every future from its outcome, record the telemetry."""
-        t_start = time.perf_counter()
-        for op in ops:
-            op.dequeued_at = t_start
+        """The drain loop's caller of :meth:`_decide`: decide the ops,
+        settle every future from its outcome, and record how long each
+        decided op waited in the queue."""
         outcomes = self._decide(
-            [(op.kind, op.payload, op.trace) for op in ops]
+            [(op.kind, op.payload, op.trace) for op in ops], ops
         )
-        now = time.perf_counter()
         for op, outcome in zip(ops, outcomes):
-            op.decided_at = now
             _settle(op.future, outcome)
-        if not OBS.enabled:
-            return
-        # A flush barrier is not a decided op: it is left out of every
-        # batch statistic, and a barrier-only drain records none.
-        ops = [op for op in ops if op.kind != _BARRIER]
-        if ops:
-            reg = OBS.registry
-            reg.counter("repro_service_batches_total").inc()
-            reg.histogram(
-                "repro_service_batch_fill",
-                buckets=DEFAULT_ITERATION_BUCKETS,
-            ).observe(len(ops))
-            reg.gauge("repro_service_queue_depth").set(self.pending)
-            hist = reg.histogram("repro_service_coalesce_seconds")
+        if OBS.enabled:
+            hist = OBS.registry.histogram("repro_service_coalesce_seconds")
             for op in ops:
-                hist.observe(now - op.enqueued_at)
-            reg.histogram(
-                "repro_service_backlog",
-                buckets=DEFAULT_DEPTH_BUCKETS,
-            ).observe(max(self.pending, 0))
-            tracer = OBS.tracer
-            if tracer is not None:
-                # One batch-kernel span linking the request spans it
-                # decided; callers link back via ``op.batch_hex``.
-                batch_hex = new_span_id()
-                linked = [
-                    op.span_hex for op in ops if op.span_hex is not None
-                ]
-                attrs = {
-                    "span_hex": batch_hex,
-                    "ops": len(ops),
-                    "admits": sum(
-                        1 for op in ops if op.kind == _ADMIT
-                    ),
-                    "releases": sum(
-                        1 for op in ops if op.kind == _RELEASE
-                    ),
-                    "request_spans": ",".join(linked[:_SPAN_LINK_CAP]),
-                }
-                if len(linked) > _SPAN_LINK_CAP:
-                    attrs["request_spans_truncated"] = (
-                        len(linked) - _SPAN_LINK_CAP
-                    )
-                tracer.record_span(
-                    "service.batch",
-                    start=t_start,
-                    duration=now - t_start,
-                    **attrs,
-                )
-                for op in ops:
-                    op.batch_hex = batch_hex
+                if op.kind != _BARRIER:
+                    hist.observe(op.decided_at - op.enqueued_at)
 
     def _decide(
-        self, ops: List[Tuple[str, Any, Optional[TraceContext]]]
+        self,
+        ops: List[Tuple[str, Any, Optional[TraceContext]]],
+        stamps: Sequence[_Stamp] = (),
     ) -> List[object]:
         """The one decision step: ordered ops in, ordered outcomes out.
 
         ``ops`` are ``(kind, payload, trace)`` triples — a
         :class:`FlowSpec` for an admit, a flow id for a release, the
-        caller's wire trace context (only the audit records read it).
+        caller's wire trace context (only the audit entries read it).
         The result holds, op for op, the
         :class:`~repro.admission.base.AdmissionDecision`, ``True`` for
         a release, or the exception the sequential API would have
@@ -620,14 +596,24 @@ class MicroBatchCoalescer:
         an admit run is split where a flow id repeats.  A flush barrier
         yields ``True`` and is not an op — the batch counters skip it.
 
+        Each call is accounted for once, after its last run: one audit
+        frame, one update of the batch metrics and one batch span
+        (:meth:`_record_step`), and ``stamps`` (what the step decided
+        for, see :class:`_Stamp`) get its start, end and span id.
+
         Never raises.  A poisoned batch (e.g. an op whose payload the
         wire layer failed to validate) fails its own undecided ops,
         never the caller's loop, and never un-decides a run that
         already committed.
         """
+        t_start = time.perf_counter()
         n = len(ops)
         outcomes: List[object] = [None] * n
-        i = barriers = 0
+        entries: Optional[List[bytes]] = (
+            None if self.audit is None else []
+        )
+        preempted = self.preempted_flows, self.preempted_admits
+        i = barriers = runs = 0
         try:
             while i < n:
                 kind = ops[i][0]
@@ -642,11 +628,13 @@ class MicroBatchCoalescer:
                             break
                         seen.add(fid)
                         i += 1
-                    self._admit_run(ops[lo:i], lo, outcomes)
+                    runs += 1
+                    self._admit_run(ops[lo:i], lo, outcomes, entries)
                 elif kind == _RELEASE:
                     while i < n and ops[i][0] == _RELEASE:
                         i += 1
-                    self._release_run(ops[lo:i], lo, outcomes)
+                    runs += 1
+                    self._release_run(ops[lo:i], lo, outcomes, entries)
                 else:
                     outcomes[i] = True
                     barriers += 1
@@ -661,25 +649,101 @@ class MicroBatchCoalescer:
                     outcomes[j] = True
                 else:
                     outcomes[j] = exc
+        now = time.perf_counter()
         if n > barriers:
             self.batches += 1
             self.coalesced_ops += n - barriers
             self.largest_batch = max(self.largest_batch, n - barriers)
+        batch_hex: Optional[str] = None
+        try:
+            if entries:
+                assert self.audit is not None
+                self.audit.record_frame(entries)
+            if n > barriers and OBS.enabled:
+                batch_hex = self._record_step(
+                    ops, stamps, t_start, now, runs, preempted
+                )
+        except Exception:
+            # The decisions stand (they are committed); only their
+            # record is lost, and the caller must still settle them.
+            logger.exception("recording a decision step failed")
+        for stamp in stamps:
+            stamp.dequeued_at = t_start
+            stamp.decided_at = now
+            stamp.batch_hex = batch_hex
         return outcomes
+
+    def _record_step(
+        self,
+        ops: List[Tuple[str, Any, Optional[TraceContext]]],
+        stamps: Sequence[_Stamp],
+        t_start: float,
+        now: float,
+        runs: int,
+        preempted: Tuple[int, int],
+    ) -> Optional[str]:
+        """Metrics and span of one :meth:`_decide` call (observability
+        on): one update of each batch series, and one ``service.batch``
+        span naming the distinct request spans it decided for.  Returns
+        the span's id (``None`` with tracing off)."""
+        admits = sum(1 for op in ops if op[0] == _ADMIT)
+        releases = sum(1 for op in ops if op[0] == _RELEASE)
+        reg = OBS.registry
+        reg.counter("repro_service_batches_total").inc()
+        reg.histogram(
+            "repro_service_batch_fill", buckets=DEFAULT_ITERATION_BUCKETS
+        ).observe(admits + releases)
+        # What is still queued behind this step (0 for an inline frame).
+        backlog = self._queue.qsize()
+        reg.gauge("repro_service_queue_depth").set(backlog)
+        reg.histogram(
+            "repro_service_backlog", buckets=DEFAULT_DEPTH_BUCKETS
+        ).observe(backlog)
+        flows, admitted = preempted
+        if self.preempted_admits > admitted:
+            reg.counter("repro_service_preempted_flows_total").inc(
+                self.preempted_flows - flows
+            )
+            reg.counter("repro_service_preempted_admits_total").inc(
+                self.preempted_admits - admitted
+            )
+        tracer = OBS.tracer
+        if tracer is None:
+            return None
+        batch_hex = new_span_id()
+        # A frame's queued ops all carry its one request span id.
+        linked = list(
+            dict.fromkeys(s.span_hex for s in stamps if s.span_hex)
+        )
+        attrs: Dict[str, Any] = {
+            "span_hex": batch_hex,
+            "ops": admits + releases,
+            "admits": admits,
+            "releases": releases,
+            "runs": runs,
+            "request_spans": ",".join(linked[:_SPAN_LINK_CAP]),
+        }
+        if len(linked) > _SPAN_LINK_CAP:
+            attrs["request_spans_truncated"] = len(linked) - _SPAN_LINK_CAP
+        tracer.record_span(
+            "service.batch", start=t_start, duration=now - t_start, **attrs
+        )
+        return batch_hex
 
     def _admit_run(
         self,
         run: List[Tuple[str, Any, Optional[TraceContext]]],
         lo: int,
         outcomes: List[object],
+        entries: Optional[List[bytes]],
     ) -> None:
         """One ``admit_batch_routed`` call for ``run`` (ops ``lo...`` of
         the batch), after filtering the requests the sequential API
         refuses with an exception — each fails alone, with that
-        exception, and never reaches the controller's state."""
+        exception, and never reaches the controller's state.  Audit
+        entries go to ``entries`` (``None``: no audit log)."""
         controller = self.controller
         check_admit = controller.check_admit
-        audit = self.audit
         indices: List[int] = []
         flows: List[FlowSpec] = []
         routes: List = []
@@ -688,13 +752,10 @@ class MicroBatchCoalescer:
                 route = check_admit(flow)
             except ReproError as exc:
                 outcomes[i] = exc
-                if audit is not None:
-                    audit.record_admit(
-                        flow,
-                        admitted=False,
-                        error=str(exc),
-                        trace=_trace_obj(trace),
-                    )
+                if entries is not None:
+                    entries.append(admit_entry(
+                        flow, False, error=str(exc), trace=_trace_obj(trace)
+                    ))
                 continue
             indices.append(i)
             flows.append(flow)
@@ -710,13 +771,13 @@ class MicroBatchCoalescer:
             logger.exception("admit kernel failed; failing its run")
             for i, flow in zip(indices, flows):
                 outcomes[i] = exc
-                if audit is not None:
-                    audit.record_admit(
+                if entries is not None:
+                    entries.append(admit_entry(
                         flow,
-                        admitted=False,
+                        False,
                         error=f"{type(exc).__name__}: {exc}",
                         trace=_trace_obj(run[i - lo][2]),
-                    )
+                    ))
             return
         rescues: Dict[int, Tuple[Hashable, ...]] = {}
         if self.preemptor is not None:
@@ -725,13 +786,14 @@ class MicroBatchCoalescer:
             )
         for i, decision in zip(indices, decisions):
             outcomes[i] = decision
-        if audit is not None:
-            self._audit_admits(
+        if entries is not None:
+            self._admit_entries(
                 flows,
                 routes,
                 [_trace_obj(run[i - lo][2]) for i in indices],
                 decisions,
                 rescues,
+                entries,
             )
 
     def _preempt_pass(
@@ -768,79 +830,61 @@ class MicroBatchCoalescer:
             if outcome.evicted:
                 self.preempted_flows += len(outcome.evicted)
                 self.preempted_admits += 1
-                if OBS.enabled:
-                    reg = OBS.registry
-                    reg.counter(
-                        "repro_service_preempted_flows_total"
-                    ).inc(len(outcome.evicted))
-                    reg.counter(
-                        "repro_service_preempted_admits_total"
-                    ).inc()
             decisions[i] = outcome.decision
         return decisions
 
-    def _audit_admits(
+    def _admit_entries(
         self,
         flows: List[FlowSpec],
         routes: List,
         traces: List[Optional[dict]],
         decisions: List[AdmissionDecision],
         rescued: Dict[int, Tuple[Hashable, ...]],
+        entries: List[bytes],
     ) -> None:
-        """Record each committed admit decision: the route the flow
-        occupies (or would have), and the post-decision headroom of its
-        class on that pair — "how many more such flows fit right now".
+        """Audit entries of a run's committed admit decisions, with the
+        route each flow occupies (or would have).
 
-        Records follow ledger order, which for a batch is: the kernel's
-        own decisions in batch order first, then each preemption rescue
+        Entries follow ledger order, which for a run is: the kernel's
+        own decisions in run order first, then each preemption rescue
         as its victims' ``reason="preempted"`` releases followed by the
         rescued flow's admit.  Replaying the log therefore reconstructs
         the established set exactly — even when a victim was admitted
         by the same batch that evicted it.
         """
-        controller = self.controller
-        established = controller.is_established
-        audit = self.audit
-        assert audit is not None
+        established = self.controller.is_established
         ordered = [
             i for i in range(len(flows)) if i not in rescued
         ] + sorted(rescued)
         for i in ordered:
             flow, trace, decision = flows[i], traces[i], decisions[i]
             for victim in rescued.get(i, ()):
-                audit.record_release(
-                    victim, ok=True, reason="preempted", trace=trace
-                )
+                entries.append(release_entry(
+                    victim, True, reason="preempted", trace=trace
+                ))
             # check_admit's route is the committed one — unless a later
             # rescue of this batch already evicted the flow again.
             route = routes[i]
             if decision.admitted and not established(flow.flow_id):
                 route = None
-            try:
-                headroom: Optional[int] = controller.headroom(
-                    flow.class_name, (flow.source, flow.destination)
-                )
-            except ReproError:
-                headroom = None
-            audit.record_admit(
+            entries.append(admit_entry(
                 flow,
-                admitted=decision.admitted,
+                decision.admitted,
                 reason=decision.reason,
                 route=route,
-                headroom=headroom,
                 trace=trace,
-            )
+            ))
 
     def _release_run(
         self,
         run: List[Tuple[str, Any, Optional[TraceContext]]],
         lo: int,
         outcomes: List[object],
+        entries: Optional[List[bytes]],
     ) -> None:
         """One ``release_batch`` call for ``run`` (ops ``lo...`` of the
         batch), after failing the ids the sequential API would."""
         controller = self.controller
-        audit = self.audit
         indices: List[int] = []
         fids: List[Hashable] = []
         run_ids: set = set()
@@ -855,13 +899,13 @@ class MicroBatchCoalescer:
                 outcomes[i] = AdmissionError(
                     f"flow {fid!r} is not established"
                 )
-                if audit is not None:
-                    audit.record_release(
+                if entries is not None:
+                    entries.append(release_entry(
                         fid,
-                        ok=False,
+                        False,
                         error="not established",
                         trace=_trace_obj(trace),
-                    )
+                    ))
         if not fids:
             return
         outcome: object = True
@@ -873,13 +917,13 @@ class MicroBatchCoalescer:
             outcome, error = exc, f"{type(exc).__name__}: {exc}"
         for i, fid in zip(indices, fids):
             outcomes[i] = outcome
-            if audit is not None:
-                audit.record_release(
+            if entries is not None:
+                entries.append(release_entry(
                     fid,
-                    ok=error is None,
+                    error is None,
                     error=error,
                     trace=_trace_obj(run[i - lo][2]),
-                )
+                ))
 
 
 def _trace_obj(trace: Optional[TraceContext]) -> Optional[dict]:

@@ -107,6 +107,7 @@ __all__ = [
     "UNAVAILABLE",
     "INTERNAL",
     "Request",
+    "encode_json",
     "encode_frame",
     "decode_frame",
     "parse_request",
@@ -213,7 +214,9 @@ if _orjson is not None:
     #: Name of the active JSON backend ("orjson" or "json").
     JSON_BACKEND = "orjson"
 
-    def _dumps(obj: Any) -> bytes:
+    def encode_json(obj: Any) -> bytes:
+        """Canonical JSON bytes of ``obj`` (sorted keys, no
+        whitespace): the one encoder of wire frames and audit lines."""
         # orjson is 3-10x faster on the small frames this protocol
         # ships; its JSONEncodeError is a TypeError subclass, so the
         # rare object it cannot serialize (tuples, exotic key types)
@@ -227,7 +230,7 @@ if _orjson is not None:
     _loads = _orjson.loads
 else:
     JSON_BACKEND = "json"
-    _dumps = _dumps_std
+    encode_json = _dumps_std
     _loads = json.loads
 
 
@@ -240,7 +243,7 @@ def encode_frame(obj: Dict[str, Any]) -> bytes:
     so installing the optional dependency speeds up every frame on the
     wire without any configuration.
     """
-    return _dumps(obj) + b"\n"
+    return encode_json(obj) + b"\n"
 
 
 def decode_frame(
@@ -377,7 +380,7 @@ def _frame_v2(payload: bytes) -> bytes:
 
 def encode_frame_v2(obj: Dict[str, Any]) -> bytes:
     """One JSON-carrier v2 frame: header + tag ``J`` + canonical JSON."""
-    return _frame_v2(b"\x4a" + _dumps(obj))
+    return _frame_v2(b"\x4a" + encode_json(obj))
 
 
 def encode_bulk_request(
@@ -388,12 +391,12 @@ def encode_bulk_request(
     ``subops`` must already be positional:
     ``[0, fid, cls, src, dst, route|None[, pri]]`` or ``[1, fid]``.
     """
-    return _frame_v2(b"\x42" + _dumps([rid, subops]))
+    return _frame_v2(b"\x42" + encode_json([rid, subops]))
 
 
 def encode_bulk_response(rid: RequestId, slots: list) -> bytes:
     """One packed bulk response frame (tag ``R``)."""
-    return _frame_v2(b"\x52" + _dumps([rid, slots]))
+    return _frame_v2(b"\x52" + encode_json([rid, slots]))
 
 
 def decode_payload_v2(

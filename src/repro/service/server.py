@@ -73,6 +73,7 @@ from .coalescer import (
     BulkSlots,
     MicroBatchCoalescer,
     _Op,
+    _Stamp,
 )
 from .conn import Connection, ConnectionLayer
 from .http import MetricsEndpoint
@@ -209,6 +210,14 @@ class _ReqTele:
         self.trace: Optional[TraceContext] = None
         self.span_hex: Optional[str] = None
 
+    def parsed(self, op: str) -> None:
+        """Stamp the end of decoding; mint the request's span id when
+        spans are recorded, so the batch span can name it."""
+        self.t_parsed = time.perf_counter()
+        self.op = op
+        if OBS.enabled and OBS.tracer is not None:
+            self.span_hex = new_span_id()
+
 
 class AdmissionService:
     """Serve admission control for one controller over one socket."""
@@ -222,8 +231,8 @@ class AdmissionService:
         preemptor: Optional[Any] = None,
     ):
         if not isinstance(controller, UtilizationAdmissionController):
-            # Snapshots, the governor's headroom signal, preemption and
-            # the audit headroom all read the slot ledger.
+            # Snapshots, the governor's headroom signal and preemption
+            # all read the slot ledger.
             raise ServiceError(
                 f"controller {type(controller).__name__} holds no slot "
                 "ledger; the service fronts a "
@@ -659,13 +668,10 @@ class AdmissionService:
     ) -> Coroutine[Any, Any, None]:
         """Begin one parsed request; its response coroutine."""
         if tele is not None:
-            tele.t_parsed = time.perf_counter()
-            tele.op = request.op
+            tele.parsed(request.op)
             tele.trace = trace_context_from_obj(
                 request.body.get("trace")
             )
-            if OBS.enabled and OBS.tracer is not None:
-                tele.span_hex = new_span_id()
         return self._finish(
             request, self._begin(request, tele), conn, tele
         )
@@ -688,12 +694,11 @@ class AdmissionService:
         arriving as v1 frames: both ride :meth:`_submit_frame`.
         """
         if tele is not None:
-            tele.t_parsed = time.perf_counter()
-            tele.op = "bulk"
+            tele.parsed("bulk")
         return self._finish(
             protocol.Request(id=rid, op="bulk", body={}),
             self._refusal(rid)
-            or self._submit_frame(subops, protocol.decode_bulk_subop),
+            or self._submit_frame(subops, protocol.decode_bulk_subop, tele),
             conn,
             tele,
         )
@@ -702,8 +707,8 @@ class AdmissionService:
         self,
         subops: list,
         decode: Callable[[Any], Tuple[int, Any]],
-        tele: "Optional[_ReqTele]" = None,
-    ) -> Tuple[BulkSlots, List[_Op]]:
+        tele: "Optional[_ReqTele]",
+    ) -> Tuple[BulkSlots, List[_Stamp]]:
         """Decode one frame's sub-ops (``decode`` is the v1 or the
         packed sub-op validator) and submit the well-formed ones in
         order; a malformed one keeps its slot as an inline error.
@@ -711,8 +716,8 @@ class AdmissionService:
         The per-sub-op work is deliberately minimal — decode into a
         :class:`~repro.traffic.flows.FlowSpec` or a flow id and one
         ``(slot, kind, payload)`` entry on a shared :class:`BulkSlots`
-        collector.  Returns the collector and the ops the coalescer had
-        to queue (none when it decided the frame inline).
+        collector.  Returns the collector and the frame's telemetry
+        stamps (one per inline chunk, or the ops the coalescer queued).
         """
         slots = self.coalescer.open_bulk(len(subops))
         entries: List[Tuple[int, str, Any]] = []
@@ -854,7 +859,7 @@ class AdmissionService:
         """Await what :meth:`_begin` / :meth:`begin_bulk` submitted and
         write the response; every outcome goes through
         :meth:`_bulk_slot`."""
-        ops: List[_Op] = []
+        ops: List[_Stamp] = []
         n_subops: Optional[int] = None
         response: Union[Dict[str, Any], bytes]
         if isinstance(pending, dict):  # ready response
@@ -898,14 +903,15 @@ class AdmissionService:
         self,
         request: protocol.Request,
         tele: "_ReqTele",
-        ops: List[_Op],
+        ops: List[_Stamp],
         ok: bool,
         n_subops: Optional[int],
     ) -> None:
         """Per-request SLO feed, latency histogram, and span emission.
 
-        ``ops`` are the request's queued coalescer ops (their stamps
-        give the queue and execute stages), ``n_subops`` a frame's
+        ``ops`` are the request's coalescer stamps — its queued ops, or
+        one per chunk of a frame decided inline — and give the queue and
+        execute stages and the batch span(s); ``n_subops`` is a frame's
         sub-op count.  Runs synchronously right after the response hits
         the socket, so a client that sees its reply and immediately
         scrapes ``/metrics`` finds this request already counted.

@@ -5,11 +5,12 @@ nothing that grows with history; an admission server never restarts, so
 anything retained per *decided* op is a leak with a rate.  The test
 drives one stationary churn — a bit under 2k established flows, admits
 and releases interleaved, every flow id unique — through a real
-``UtilizationAdmissionController``, rotating its frames over the three
-ways a ``MicroBatchCoalescer`` decides them (inline ``submit_bulk``;
-queued with an ``AuditLog`` attached; with a ``Preemptor`` rescuing
-rejected hard-RT arrivals), and asserts with ``tracemalloc`` that the
-heap after 60k ops is within 64 KiB of the heap after 20k ops.
+``UtilizationAdmissionController``, rotating its frames over three
+``MicroBatchCoalescer`` configurations (inline ``submit_bulk``; inline
+with an ``AuditLog`` attached and observability on; with a
+``Preemptor`` rescuing rejected hard-RT arrivals), and asserts with
+``tracemalloc`` that the heap after 60k ops is within 64 KiB of the heap
+after 20k ops.
 Retaining one decision record per admit costs about 170 bytes an op —
 megabytes over the same window.  (``tracemalloc`` costs about a
 microsecond per allocation, which is what makes this a ~6 s test.)
@@ -20,7 +21,8 @@ a reference cycle (``_Op -> _SlotFuture -> BulkSlots -> ops``) frees
 nothing until a collection, which on a served workload is resident
 memory — so it has to fail here, not at a benchmark bound.  A second
 case drives whole bulk frames through an audited, obs-on
-``AdmissionService`` under the same rule.
+``AdmissionService`` under the same rule, and a third counts what an
+obs-on served frame leaves in the span ring.
 """
 
 import asyncio
@@ -28,9 +30,11 @@ import gc
 import tracemalloc
 from collections import deque
 
+from repro import obs
 from repro.admission import UtilizationAdmissionController
 from repro.control import Preemptor
 from repro.errors import AdmissionError
+from repro.obs import OBS
 from repro.routing.shortest import shortest_path_routes
 from repro.service.audit import AuditLog
 from repro.service.coalescer import (
@@ -46,9 +50,13 @@ FRAME_OPS = 512
 RUN_OPS = 32
 HARD_RT_EVERY = 128
 ALPHA = 0.035
-PATHS = ("inline", "queued_audited", "preempt")
+PATHS = ("inline", "inline_audited_obs", "preempt")
 ESTABLISHED = 2_000
 MAX_GROWTH_BYTES = 64 * 1024
+#: The audited, obs-on frames record into a span ring this small, so it
+#: is full long before the measured window: the window then sees what a
+#: long-lived server does once its ring has wrapped.
+SOAK_TRACE_CAPACITY = 16
 
 
 class _Churn:
@@ -120,11 +128,14 @@ async def _soak(coalescers, churn):
             coalescer = coalescers[path]
             entries = churn.frame()
             slots = coalescer.open_bulk(len(entries))
-            coalescer.submit_bulk(slots, entries)
-            # Audit switches the inline fast path off: every op queues.
-            assert slots.remaining == (
-                len(entries) if path == "queued_audited" else 0
-            )
+            if path == "inline_audited_obs":
+                obs.enable(trace_capacity=SOAK_TRACE_CAPACITY)
+            try:
+                coalescer.submit_bulk(slots, entries)
+            finally:
+                obs.disable()
+            # Neither audit nor obs turns the inline path off.
+            assert slots.remaining == 0
             await slots.wait()
             churn.settle(entries, slots.outcomes)
             decided[path] += len(entries)
@@ -160,18 +171,23 @@ def test_decided_ops_leave_nothing_behind(
         }
         coalescers["preempt"].preemptor = Preemptor(controller)
         with AuditLog(str(tmp_path / "audit.jsonl")) as audit:
-            coalescers["queued_audited"].audit = audit
+            coalescers["inline_audited_obs"].audit = audit
             growth, cycles, decided = await _soak(coalescers, churn)
         return (
             growth,
             cycles,
             decided,
             coalescers["preempt"].preempted_admits,
+            audit.records_written,
         )
 
+    # The registry and the small ring the audited frames record into;
+    # _soak switches collection on for those frames only.
+    obs.enable(fresh=True, trace_capacity=SOAK_TRACE_CAPACITY)
+    obs.disable()
     tracemalloc.start()
     try:
-        growth, cycles, decided, preempted_admits = asyncio.run(
+        growth, cycles, decided, preempted_admits, audited = asyncio.run(
             scenario()
         )
     finally:
@@ -188,6 +204,9 @@ def test_decided_ops_leave_nothing_behind(
     assert controller.num_decisions == churn.serial + preempted_admits
     assert controller.num_rejected == churn.rejected + preempted_admits
     assert controller.verify_invariants() == []
+    # The audited frames really were recorded: spans, and the audit log.
+    assert len(OBS.tracer.records()) == SOAK_TRACE_CAPACITY
+    assert audited == decided["inline_audited_obs"]
 
 
 SERVED_WARM_FRAMES = 5
@@ -196,9 +215,9 @@ SERVED_FRAME_FLOWS = 64
 
 
 def test_served_bulk_frames_leave_no_cycles(tmp_path):
-    """Audited and obs-on, every op of a bulk frame queues and the
-    server keeps the queued ops for the frame's request span: once the
-    response is written nothing may still point at them."""
+    """Audited and obs-on, the server keeps a bulk frame's telemetry
+    stamps for its request span: once the response is written nothing
+    may still point at them (or at the slots they were decided into)."""
     from repro import obs
     from repro.service import (
         AdmissionService,
@@ -231,7 +250,7 @@ def test_served_bulk_frames_leave_no_cycles(tmp_path):
                 + [[1, fid] for fid in ids],
                 raw=True,
             )
-            # Admitted, then released: every op really queued.
+            # Admitted, then released.
             assert [s[0] for s in slots] == (
                 [0] * SERVED_FRAME_FLOWS + [2] * SERVED_FRAME_FLOWS
             )
@@ -258,6 +277,71 @@ def test_served_bulk_frames_leave_no_cycles(tmp_path):
         obs.disable()
     assert batches >= SERVED_WARM_FRAMES + SERVED_FRAMES
     assert cycles == 0, f"{cycles} objects were only freed by the gc"
+
+
+# --------------------------------------------------------------------- #
+# spans per served frame
+# --------------------------------------------------------------------- #
+
+SPAN_FRAMES = 12
+SPAN_FRAME_PAIRS = 32
+
+
+def _server_spans_per_frame(controller, sock):
+    """Serve ``SPAN_FRAMES`` obs-on v2 frames on ``sock``, each admits
+    and releases interleaved (so one frame is ``2 * SPAN_FRAME_PAIRS``
+    kernel runs), and return the server-side spans left in the ring per
+    frame."""
+    from repro.service import AdmissionService, AsyncServiceClient
+
+    async def scenario():
+        service = AdmissionService(controller)
+        await service.start_unix(sock)
+        client = await AsyncServiceClient.connect_unix(sock, protocol="v2")
+        try:
+            for k in range(SPAN_FRAMES):
+                subops = []
+                for i in range(SPAN_FRAME_PAIRS):
+                    fid = f"span-{k}-{i}"
+                    subops += [[0, fid, "voice", "r0", "r3", None], [1, fid]]
+                await client.bulk(subops, raw=True)
+        finally:
+            await client.close()
+            await service.drain()
+
+    obs.enable(fresh=True)
+    try:
+        asyncio.run(scenario())
+        names = [record.name for record in OBS.tracer.records()]
+    finally:
+        obs.disable()
+    served = [name for name in names if not name.startswith("client.")]
+    return len(served) / SPAN_FRAMES
+
+
+class _SpanPerRun(UtilizationAdmissionController):
+    """The planted offender: a span per kernel run, as the controller
+    once recorded for every ``admit_batch_routed`` call."""
+
+    def admit_batch_routed(self, flows, routes):
+        with OBS.span("admission.admit_batch", batch=len(flows)):
+            return super().admit_batch_routed(flows, routes)
+
+
+def test_an_obs_on_frame_leaves_at_most_two_spans(tmp_path):
+    """Recording a decision step costs one batch span, a request one
+    request span: a long-lived server's ring holds its last few
+    thousand frames, not the kernel runs of its last few dozen."""
+    from tests.test_service_server import make_controller
+
+    real = make_controller()
+    planted = _SpanPerRun(
+        real.graph, real.registry, dict(real.alphas), real.route_map
+    )
+    assert _server_spans_per_frame(real, str(tmp_path / "a.sock")) <= 2
+    # The gate fires on a per-run span.
+    per_frame = _server_spans_per_frame(planted, str(tmp_path / "b.sock"))
+    assert per_frame > SPAN_FRAME_PAIRS
 
 
 # --------------------------------------------------------------------- #

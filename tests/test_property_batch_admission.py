@@ -22,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro import obs  # noqa: E402
+from repro.obs import Histogram  # noqa: E402
 from repro.admission import (  # noqa: E402
     FlowAwareAdmissionController,
     SlotShardController,
@@ -48,6 +49,7 @@ TIGHT_ALPHA = {"voice": 0.002}
 ROOMY_ALPHA = {"voice": 0.05}
 
 _COUNTER_NAMES = (
+    "repro_admission_decision_seconds",
     "repro_admission_decisions_total",
     "repro_admission_rejections_total",
     "repro_admission_releases_total",
@@ -453,12 +455,16 @@ class TestObsCounterEquivalence:
         controller = _make("utilization", TIGHT_ALPHA)
         live = []
         final = 0
+        # The decision histogram, observed the per-decision way.
+        reference = Histogram("reference")
         for step_index, (batch, release_seed) in enumerate(script):
             flows = _flows_of(step_index, batch)
             if mode == "batch":
                 decisions = controller.admit_batch(flows)
             else:
                 decisions = [controller.admit(flow) for flow in flows]
+            for decision in decisions:
+                reference.observe(decision.per_request_seconds)
             live.extend(d.flow_id for d in decisions if d.admitted)
             rng = np.random.default_rng(release_seed)
             rng.shuffle(live)
@@ -477,6 +483,14 @@ class TestObsCounterEquivalence:
             if name not in _COUNTER_NAMES:
                 continue
             key = (name, tuple(sorted(dict(series.labels).items())))
+            if isinstance(series, Histogram):
+                # One observe(cost, n) per batch fills the buckets
+                # exactly as n single observations would; the count is
+                # what batched and sequential must agree on.
+                assert series.bucket_counts == reference.bucket_counts
+                assert series.overflow == reference.overflow
+                totals[key] = series.count
+                continue
             totals[key] = totals.get(key, 0.0) + series.value
         gauge = obs.get_registry().get(
             "repro_admission_established_flows",

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -9,9 +10,11 @@ from repro.errors import ServiceError
 from repro.service.audit import (
     AUDIT_SCHEMA,
     AuditLog,
+    admit_entry,
     audit_to_trace_events,
     flow_set_digest,
     iter_audit,
+    release_entry,
     verify_audit,
 )
 from repro.traffic.flows import FlowSpec
@@ -28,20 +31,23 @@ def make_log(tmp_path, **kwargs):
 class TestAuditLog:
     def test_header_then_sequenced_records(self, tmp_path):
         log = make_log(tmp_path, fsync_every=1)
-        log.record_admit(
-            flow(1), admitted=True, route=["r0", "r1"], headroom=7
-        )
+        log.record_admit(flow(1), admitted=True, route=["r0", "r1"])
         log.record_release("f1", ok=True)
         log.close()
         with open(log.path, encoding="utf-8") as fh:
             lines = [json.loads(l) for l in fh]
         assert lines[0] == {"schema": AUDIT_SCHEMA}
-        admit, release = lines[1], lines[2]
+        # On disk: one frame line per call, holding its decisions.
+        assert [(l["kind"], l["seq"], l["n"]) for l in lines[1:]] == [
+            ("frame", 1, 1),
+            ("frame", 2, 1),
+        ]
+        admit, release = iter_audit(log.path)
         assert admit["seq"] == 1 and release["seq"] == 2
         assert admit["kind"] == "admit"
         assert admit["flow"]["id"] == "f1"
         assert admit["route"] == ["r0", "r1"]
-        assert admit["headroom"] == 7
+        assert "headroom" not in admit
         assert release["kind"] == "release"
         assert release["released"] is True
 
@@ -119,6 +125,8 @@ class TestAuditLog:
         log = make_log(tmp_path, fsync_every=1)
         assert log.record_admit(flow(2), admitted=True) == 2
         log.close()
+        # ... and starts a line of its own, not glued to the torn one.
+        assert [r["seq"] for r in iter_audit(log.path)] == [1, 2]
 
 
 class TestVerifyAudit:
@@ -210,6 +218,134 @@ class TestVerifyAudit:
         snap.write_text("[1, 2, 3]")
         with pytest.raises(ServiceError):
             verify_audit([], snapshot=str(snap))
+
+
+#: A log in the one-line-per-decision form (written by the service at
+#: commit ba220e4, before frames): rejections, check_admit errors, a
+#: preemption rescue whose victim was admitted in the same batch (so its
+#: admit carries no route), traced requests, restore and snapshot
+#: markers.  Beside it, the trace its reader produced.
+PER_OP_LOG = os.path.join(
+    os.path.dirname(__file__), "data", "audit_per_op.jsonl"
+)
+PER_OP_TRACE = PER_OP_LOG.replace(".jsonl", ".trace.jsonl")
+
+#: What ``verify_audit`` reported on it when it was written.
+PER_OP_REPORT = {
+    "ok": True,
+    "problems": [],
+    "last_seq": 19,
+    "established": ["e0", "e1", "e2", "e3", "e4", "h0", "t0"],
+    "records": 19,
+    "admits": 13,
+    "admitted": 10,
+    "rejected": 1,
+    "admit_errors": 2,
+    "releases": 4,
+    "released": 3,
+    "release_errors": 1,
+    "preempted": 1,
+    "snapshots": 1,
+    "restores": 1,
+}
+
+
+class TestFrames:
+    def test_per_op_log_reads_as_it_always_did(self):
+        from repro.workload.trace import trace_lines
+
+        records = list(iter_audit(PER_OP_LOG))
+        assert verify_audit(records) == PER_OP_REPORT
+        with open(PER_OP_TRACE, encoding="utf-8") as fh:
+            expected = fh.read().splitlines()
+        assert list(trace_lines(audit_to_trace_events(records))) == expected
+
+    def test_frame_expands_to_the_per_op_records(self, tmp_path):
+        log = make_log(tmp_path, fsync_every=1)
+        trace = {"trace_id": "t" * 32, "parent_id": "p" * 16}
+        first = log.record_frame([
+            admit_entry(flow(1), True, route=["r0", "r3"], trace=trace),
+            admit_entry(flow(2), False, reason="full", route=["r0", "r3"]),
+            admit_entry(flow(3), False, error="unknown class 'x'"),
+            release_entry("f9", True, reason="preempted"),
+            release_entry("zz", False, error="not established"),
+        ])
+        log.close()
+        assert first == 1 and log.records_written == 5
+        records = list(iter_audit(log.path))
+        assert [r["seq"] for r in records] == [1, 2, 3, 4, 5]
+        assert len({r["ts"] for r in records}) == 1  # one ts per frame
+        for record in records:
+            del record["seq"], record["ts"]
+        assert records == [
+            {"kind": "admit", "flow": flow(1).to_obj(), "admitted": True,
+             "route": ["r0", "r3"], "trace": trace},
+            {"kind": "admit", "flow": flow(2).to_obj(), "admitted": False,
+             "reason": "full", "route": ["r0", "r3"]},
+            {"kind": "admit", "flow": flow(3).to_obj(), "admitted": False,
+             "error": "unknown class 'x'"},
+            {"kind": "release", "flow_id": "f9", "released": True,
+             "reason": "preempted"},
+            {"kind": "release", "flow_id": "zz", "released": False,
+             "error": "not established"},
+        ]
+
+    def test_log_switching_to_frames_at_a_restart_verifies(self, tmp_path):
+        path = str(tmp_path / "audit.jsonl")
+        shutil.copyfile(PER_OP_LOG, path)
+        # The next launch resumes from the per-op log's snapshot cut and
+        # writes frames after it: one gap-free sequence.
+        log = AuditLog(path, fsync_every=1)
+        log.mark_restore(PER_OP_REPORT["established"])
+        log.record_frame([
+            release_entry("e1", True),
+            admit_entry(flow(7), True, route=["r0", "r1", "r2", "r3"]),
+        ])
+        log.mark_snapshot(
+            sorted(set(PER_OP_REPORT["established"]) - {"e1"} | {"f7"})
+        )
+        log.close()
+        records = list(iter_audit(path))
+        assert [r["seq"] for r in records] == list(range(1, 24))
+        report = verify_audit(records)
+        assert report["ok"], report["problems"]
+        assert report["restores"] == 2 and report["snapshots"] == 2
+        assert "f7" in report["established"]
+        assert "e1" not in report["established"]
+
+    def test_torn_final_frame_is_ignored(self, tmp_path):
+        log = make_log(tmp_path, fsync_every=1)
+        log.record_frame([admit_entry(flow(i), True) for i in (1, 2)])
+        log.close()
+        with open(log.path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind":"frame","n":3,"ops":[{"f":{"id":"f3"')
+        assert [r["seq"] for r in iter_audit(log.path)] == [1, 2]
+        # The torn frame was never durable: its seqs are handed out again.
+        log = make_log(tmp_path, fsync_every=1)
+        assert log.record_frame([release_entry("f1", True)]) == 3
+        log.close()
+        records = list(iter_audit(log.path))
+        assert [r["seq"] for r in records] == [1, 2, 3]
+        assert verify_audit(records)["ok"]
+
+    def test_fsync_every_counts_decisions(self, tmp_path):
+        log = make_log(tmp_path, fsync_every=4)
+        log.record_frame([admit_entry(flow(i), True) for i in range(3)])
+        assert log._unsynced == 3
+        log.record_frame([admit_entry(flow(i), True) for i in range(3, 5)])
+        assert log._unsynced == 0  # 5 decisions >= 4: synced
+        assert log.records_written == 5
+        log.close()
+
+    def test_malformed_frame_is_reported_not_raised(self, tmp_path):
+        log = make_log(tmp_path, fsync_every=1)
+        log.record_frame([admit_entry(flow(1), True)])
+        log.close()
+        with open(log.path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind":"frame","n":1,"seq":2,"ts":0.0}\n')
+        report = verify_audit(iter_audit(log.path))
+        assert not report["ok"]
+        assert any("'frame'" in p for p in report["problems"])
 
 
 class TestFlowSetDigest:

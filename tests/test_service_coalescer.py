@@ -610,28 +610,38 @@ class TestBulkSubmission:
 
         asyncio.run(scenario())
 
-    def test_audit_log_disables_the_inline_path(self, tmp_path):
-        from repro.service.audit import AuditLog
+    def test_audit_log_keeps_the_inline_path(self, tmp_path):
+        import json
 
         controller, _ = make_controller()
+        path = str(tmp_path / "audit.jsonl")
 
         async def scenario():
-            coalescer = MicroBatchCoalescer(controller)
+            coalescer = MicroBatchCoalescer(controller, max_batch=3)
             coalescer.start()
-            coalescer.audit = AuditLog(str(tmp_path / "audit.jsonl"))
-            slots = coalescer.open_bulk(1)
+            coalescer.audit = AuditLog(path)
+            slots = coalescer.open_bulk(4)
             coalescer.submit_bulk(
-                slots, self.admit_entries(coalescer, 1)
+                slots, self.admit_entries(coalescer, 4)
             )
-            # Not inline: the audit record is written at commit time by
-            # the drain loop, so the op must travel through the queue.
-            assert slots.remaining == 1
-            await asyncio.wait_for(slots.wait(), 5)
-            assert slots.outcomes[0].admitted
+            # Inline: the decision step writes the audit frame wherever
+            # it runs, so an audited frame never has to queue.
+            assert slots.remaining == 0
+            assert all(o.admitted for o in slots.outcomes)
             await coalescer.stop()
             coalescer.audit.close()
 
         asyncio.run(scenario())
+        with open(path, encoding="utf-8") as fh:
+            frames = [json.loads(line) for line in fh][1:]
+        # One frame per decision step: 4 ops through max_batch=3.
+        assert [(f["kind"], f["seq"], f["n"]) for f in frames] == [
+            ("frame", 1, 3),
+            ("frame", 4, 1),
+        ]
+        assert [r["flow"]["id"] for r in iter_audit(path)] == [
+            "f0", "f1", "f2", "f3",
+        ]
 
     # The hand-written frame this property test grew out of: a
     # duplicate admit of f0 inside one frame, then two releases.
@@ -684,8 +694,8 @@ class TestBulkSubmission:
                         for i, op in enumerate(ops)
                     ],
                 )
-                # Only the idle, unaudited frame is decided inline.
-                queued = 0 if way == "inline" else len(ops)
+                # An idle frame is decided inline, audited or not.
+                queued = len(ops) if way == "queued" else 0
                 assert slots.remaining == queued
                 assert coalescer.pending == queued
                 coalescer.resume()
@@ -716,6 +726,94 @@ class TestBulkSubmission:
             f.flow_id for f in reference.established_flows
         )
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        ops=differential_ops,
+        cuts=st.lists(st.integers(1, 39), max_size=4),
+        holds=st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    def test_telemetry_changes_neither_path_nor_answer(
+        self, ops, cuts, holds
+    ):
+        """An audit log and observability record a decision step; they
+        never pick how it runs.  The same frames — some submitted to a
+        paused coalescer, some behind undecided ops — are decided with
+        nothing, audit, obs, and both on: the path each frame takes, the
+        outcomes, the controller's snapshot and its invariants agree,
+        and a frame queues only when an op is pending or the coalescer
+        is paused."""
+        from repro import obs
+
+        bounds = [0, *sorted(c for c in set(cuts) if c < len(ops)), len(ops)]
+        frames = [
+            [
+                (i, op[0], differential_flow(op))
+                if op[0] == "admit"
+                else (i, op[0], op[1])
+                for i, op in enumerate(ops[lo:hi])
+            ]
+            for lo, hi in zip(bounds, bounds[1:])
+            if hi > lo
+        ]
+
+        async def run(audit_path):
+            controller = make_differential_controller()
+            coalescer = MicroBatchCoalescer(controller, max_delay=0)
+            coalescer.preemptor = Preemptor(controller)
+            if audit_path is not None:
+                coalescer.audit = AuditLog(audit_path)
+            coalescer.start()
+            paths, carriers = [], []
+            for entries, hold in zip(frames, holds):
+                if hold:
+                    coalescer.pause()
+                else:
+                    coalescer.resume()
+                must_queue = hold or coalescer.pending > 0
+                slots = coalescer.open_bulk(len(entries))
+                coalescer.submit_bulk(slots, entries)
+                assert slots.remaining == (
+                    len(entries) if must_queue else 0
+                )
+                paths.append(must_queue)
+                carriers.append(slots)
+            coalescer.resume()
+            for slots in carriers:
+                await asyncio.wait_for(slots.wait(), 5)
+            await coalescer.stop()
+            if coalescer.audit is not None:
+                coalescer.audit.close()
+            assert controller.verify_invariants() == []
+            return (
+                paths,
+                [[outcome_shape(o) for o in s.outcomes] for s in carriers],
+                controller.snapshot(),
+            )
+
+        results = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for config in ("nothing", "audit", "obs", "audit+obs"):
+                if "obs" in config:
+                    obs.enable(fresh=True)
+                try:
+                    results[config] = asyncio.run(run(
+                        os.path.join(tmp, f"{config}.jsonl")
+                        if "audit" in config else None
+                    ))
+                finally:
+                    obs.disable()
+                    obs.reset()
+            for config in ("audit", "audit+obs"):
+                report = verify_audit(
+                    iter_audit(os.path.join(tmp, f"{config}.jsonl"))
+                )
+                assert report["ok"], report["problems"]
+                assert report["established"] == sorted(
+                    f["flow_id"] for f in results[config][2]["flows"]
+                )
+        for config, result in results.items():
+            assert result == results["nothing"], config
+
     @pytest.mark.parametrize("way", ["inline", "queued"])
     def test_hostile_route_fails_alone(self, way, tmp_path):
         """One request the sequential API refuses fails alone: its
@@ -730,17 +828,19 @@ class TestBulkSubmission:
 
         async def frame(coalescer, flows):
             slots = coalescer.open_bulk(len(flows))
+            if way == "queued":  # a paused coalescer queues every op
+                coalescer.pause()
             coalescer.submit_bulk(
                 slots, [(i, "admit", f) for i, f in enumerate(flows)]
             )
             assert slots.remaining == (0 if way == "inline" else len(flows))
+            coalescer.resume()
             await asyncio.wait_for(slots.wait(), 5)
             return slots.outcomes
 
         async def scenario():
             coalescer = MicroBatchCoalescer(controller)
-            if way == "queued":  # an audited coalescer queues every op
-                coalescer.audit = AuditLog(str(tmp_path / "audit.jsonl"))
+            coalescer.audit = AuditLog(str(tmp_path / "audit.jsonl"))
             coalescer.start()
             first = await frame(coalescer, [good, be1, bad])
             assert first[0].admitted and first[1].admitted
@@ -759,14 +859,13 @@ class TestBulkSubmission:
             await coalescer.stop()
             assert controller.verify_invariants() == []
             assert len(controller._flows) == controller.num_established == 4
-            if coalescer.audit is not None:
-                coalescer.audit.close()
-                errors = [
-                    record["flow"]["id"]
-                    for record in iter_audit(str(tmp_path / "audit.jsonl"))
-                    if "error" in record
-                ]
-                assert errors == ["bad", "good", "be1"]
+            coalescer.audit.close()
+            errors = [
+                record["flow"]["id"]
+                for record in iter_audit(str(tmp_path / "audit.jsonl"))
+                if "error" in record
+            ]
+            assert errors == ["bad", "good", "be1"]
 
         asyncio.run(scenario())
 

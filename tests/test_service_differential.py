@@ -139,8 +139,11 @@ def normalized_audit(path):
 @settings(deadline=None, max_examples=8)
 @given(ops=ops_strategy)
 def test_audit_trail_identical_across_protocols(ops, tmp_path_factory):
-    # An enabled audit log forces the coalescer's queue path, so this
-    # differential also covers the non-inline pipeline.
+    # Single admit/release requests ride the coalescer's queue on both
+    # protocols, audit log or not; how the pipelined requests fall into
+    # drain batches is timing, and may differ between the two runs.  A
+    # record carries nothing that depends on that composition (the
+    # post-batch headroom that did is gone), so the trails must match.
     base = tmp_path_factory.mktemp("audits")
     trails = {}
     for protocol in ("v1", "v2"):

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs import OBS
+from repro.obs import OBS, JsonLinesSpanSink, read_span_lines
 from repro.obs.export import parse_prometheus_text
 from repro.obs.process import process_start_time
 from repro.service import (
@@ -150,6 +150,86 @@ class TestTraceProparation:
         (batch,) = spans_by_name("service.batch")
         # The malformed sub-op never reached the coalescer.
         assert batch.attrs["ops"] == 3
+
+    @pytest.mark.parametrize("path", ["inline", "queued"])
+    @pytest.mark.parametrize("frame", ["batch", "bulk"])
+    def test_batch_span_names_its_frame_once(self, tmp_path, frame, path):
+        """A v1 ``batch`` and a v2 ``B`` frame of 100 ops are one
+        request each: the streamed batch span that decided the frame
+        names that request exactly once, and the request span names the
+        batch span back.  ``queued``: a single admit is pending ahead of
+        the frame, so the frame's ops travel through the queue and one
+        drain decides both requests."""
+        spans_path = str(tmp_path / "spans.jsonl")
+        obs.enable(fresh=True)
+        sink = JsonLinesSpanSink(spans_path)
+        sink.attach(OBS.tracer)
+        ids = [f"g{i}" for i in range(50)]
+
+        async def scenario():
+            service, sock = await start_service(tmp_path)
+            async with await AsyncServiceClient.connect_unix(
+                sock, protocol="v2" if frame == "bulk" else "v1"
+            ) as client:
+                if frame == "bulk":
+                    request = client.bulk(
+                        [[0, fid, "voice", "r0", "r3", None] for fid in ids]
+                        + [[1, fid] for fid in ids]
+                    )
+                else:
+                    request = client.batch(
+                        [
+                            {"op": "admit", "flow": {**flow_obj(0), "id": fid}}
+                            for fid in ids
+                        ]
+                        + [{"op": "release", "flow_id": fid} for fid in ids]
+                    )
+                ahead = None
+                if path == "queued":
+                    service.coalescer.pause()
+                    ahead = asyncio.ensure_future(
+                        client.request("admit", flow=flow_obj(99))
+                    )
+                    while service.coalescer.pending < 1:
+                        await asyncio.sleep(0.001)
+                results = asyncio.ensure_future(request)
+                if path == "queued":
+                    while service.coalescer.pending < 1 + len(ids) * 2:
+                        await asyncio.sleep(0.001)
+                    service.coalescer.resume()
+                    assert (await ahead)["admitted"] is True
+                assert all(r["ok"] for r in await results)
+            await service.drain()
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            sink.close()
+        _header, spans = read_span_lines(spans_path)
+        (request,) = [
+            s for s in spans
+            if s["name"] == "service.request"
+            and s["attrs"]["op"] == frame
+        ]
+        mine = request["attrs"]["span_hex"]
+        batches = {
+            s["attrs"]["span_hex"]: s["attrs"]
+            for s in spans if s["name"] == "service.batch"
+        }
+        named = [
+            hex_id
+            for attrs in batches.values()
+            for hex_id in attrs["request_spans"].split(",")
+        ]
+        assert named.count(mine) == 1
+        assert len(named) == len(set(named))  # no request twice
+        (deciding,) = [
+            attrs for attrs in batches.values()
+            if mine in attrs["request_spans"].split(",")
+        ]
+        assert request["attrs"]["batch_span"] == deciding["span_hex"]
+        assert deciding["ops"] == 100 + (path == "queued")
+        assert "request_spans_truncated" not in deciding
 
     def test_malformed_trace_is_served_without_a_parent(self, tmp_path):
         obs.enable(fresh=True)

@@ -160,6 +160,67 @@ RATCHETS = (
         max_count=1,
     ),
     Ratchet(
+        name="Audited is the fast path: telemetry picks no path",
+        why=(
+            "submit_bulk decides an idle frame inline whatever is "
+            "recorded: _decide writes the audit frame and the batch "
+            "telemetry wherever it runs.  An audit or OBS term in the "
+            "inline test is how an audited server came to queue every "
+            "op (half the throughput, 4 MB more resident)."
+        ),
+        pattern=r"and (self\.)?audit is None|and not OBS\.enabled",
+        roots=("src/repro/service/coalescer.py",),
+        offender=(
+            "src/repro/service/coalescer.py",
+            "            and not OBS.enabled",
+        ),
+    ),
+    Ratchet(
+        name="Audited is the fast path: no span per kernel run",
+        why=(
+            "admit_batch_routed is entered once per run of a decision "
+            "step (~2 ops on churn); a span there filled the 8 192-span "
+            "ring within ~40 frames.  The two spans of base.py are "
+            "admission.admit and admission.admit_batch (public entries)."
+        ),
+        pattern=r"OBS\.span\(",
+        roots=("src/repro/admission/base.py",),
+        offender=(
+            "src/repro/admission/base.py",
+            '        with OBS.span("admission.admit_batch", batch=batch):',
+        ),
+        max_count=2,
+    ),
+    Ratchet(
+        name="Audited is the fast path: no per-decision metrics loop",
+        why=(
+            "A call's decisions are counted with one update per series, "
+            "by count (_record_decisions); a per-decision recorder is "
+            "the loop that cost a metrics update per op."
+        ),
+        pattern=r"_record_decision\(",
+        roots=("src/repro",),
+        offender=(
+            "src/repro/admission/base.py",
+            "                self._record_decision(decision)",
+        ),
+    ),
+    Ratchet(
+        name="Audited is the fast path: one audit writer",
+        why=(
+            "The coalescer collects a decision step's entries and "
+            "writes one frame line (AuditLog.record_frame); a per-op "
+            "record_admit / record_release under service/ is a JSON "
+            "line per op coming back."
+        ),
+        pattern=r"audit\.record_(admit|release)\(",
+        roots=("src/repro/service",),
+        offender=(
+            "src/repro/service/coalescer.py",
+            "                    audit.record_admit(flow, admitted=False)",
+        ),
+    ),
+    Ratchet(
         name="One slot ledger: no per-edge quota controller",
         why=(
             "A shard is a UtilizationLedger whose capacity is a row of "
