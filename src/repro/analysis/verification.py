@@ -21,7 +21,6 @@ from ..topology.network import Network
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry, TrafficClass
 from .delays import single_class_delays
-from .multiclass import multi_class_delays
 
 __all__ = ["VerificationResult", "verify_assignment"]
 
@@ -160,6 +159,10 @@ def verify_assignment(
             server_delays={cls.name: fp.delays},
             route_delays={cls.name: fp.route_delays},
         )
+
+    # More than one real-time class: the paper's scenarios (and every
+    # served configuration) have one, so only this branch loads it.
+    from .multiclass import multi_class_delays
 
     mc = multi_class_delays(
         graph,

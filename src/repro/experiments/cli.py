@@ -23,6 +23,7 @@ collected data on exit.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import List, Optional
@@ -724,9 +725,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"directory {parent!r} does not exist")
     if capture:
         obs.enable(fresh=True)
+    collector = gc.isenabled(), gc.get_freeze_count()
     try:
         return _dispatch(args)
     finally:
+        _hand_back_collector(*collector)
         if capture:
             if metrics_out:
                 fmt = (
@@ -741,266 +744,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             obs.disable()
 
 
-def _measure_admission(result) -> None:
-    """Replay a burst of admissions against the Table-1 heuristic routes.
-
-    Exercises the run-time side of the paper's comparison so a
-    ``table1 --metrics-out`` run captures admission-decision series
-    (latency histogram, admit/reject counters) alongside the
-    configuration-time fixed-point series.
-    """
-    from ..admission.utilization import UtilizationAdmissionController
-    from ..traffic.flows import FlowSpec
-
-    sc = result.scenario
-    routes = result.heuristic.routes
-    if not routes:
-        return
-    controller = UtilizationAdmissionController(
-        sc.graph,
-        sc.registry,
-        {sc.voice.name: result.heuristic.alpha},
-        routes,
-    )
-    pairs = list(routes)
-    admitted = 0
-    rejected = 0
-    for i in range(200):
-        src, dst = pairs[i % len(pairs)]
-        decision = controller.admit(
-            FlowSpec(f"table1-probe-{i}", sc.voice.name, src, dst)
-        )
-        if decision.admitted:
-            admitted += 1
-        else:
-            rejected += 1
-    print(
-        f"admission replay at alpha={result.heuristic.alpha:.3f}: "
-        f"{admitted} admitted, {rejected} rejected, "
-        f"mean decision {controller.mean_decision_seconds() * 1e6:.1f} us"
-    )
-
-
-#: Demand pairs for the chaos scenario: a small coast-to-coast subset of
-#: the MCI pair set that keeps configuration fast while still crossing
-#: the backbone's most-loaded links.
-_FAULTS_PAIRS = [
-    ("Seattle", "Miami"),
-    ("Boston", "Phoenix"),
-    ("Chicago", "Dallas"),
-    ("NewYork", "LosAngeles"),
-    ("Denver", "WashingtonDC"),
-]
-
-
-def _run_faults(args: argparse.Namespace) -> int:
-    from ..config.configured import configure
-    from ..errors import ConfigurationError, FaultInjectionError, TrafficError
-    from ..faults.degraded import BackoffPolicy, DegradedModePolicy
-    from ..faults.harness import ChaosHarness
-    from ..faults.scenario import (
-        adversarial_flow_schedule,
-        configured_flow_schedule,
-        default_link_failure_scenario,
-    )
-    from ..faults.schedule import FaultSchedule, random_fault_schedule
-    from ..workload.adversarial import AdversaryModel
-    from .scenarios import paper_scenario
-
-    sc = paper_scenario()
-    try:
-        cfg = configure(
-            sc.network,
-            sc.registry,
-            {sc.voice.name: args.alpha},
-            pairs=_FAULTS_PAIRS,
-            routing="shortest-path",
-        )
-    except ConfigurationError as exc:
-        print(f"FAILURE: alpha={args.alpha} does not verify: {exc}")
-        return 1
-
-    try:
-        if args.schedule is not None:
-            faults = FaultSchedule.load(args.schedule, network=sc.network)
-        elif args.random_links is not None:
-            faults = random_fault_schedule(
-                sc.network,
-                seed=args.seed,
-                horizon=args.horizon,
-                link_failures=args.random_links,
-            )
-        else:
-            faults = default_link_failure_scenario(
-                cfg,
-                horizon=args.horizon,
-                down_at=0.3 * args.horizon,
-                up_at=0.7 * args.horizon,
-            )
-        if args.adversarial:
-            flows = adversarial_flow_schedule(
-                cfg,
-                sc.voice.name,
-                horizon=args.horizon,
-                seed=args.seed,
-                model=AdversaryModel(
-                    rate=args.arrival_rate, burst=args.burst
-                ),
-            )
-        else:
-            flows = configured_flow_schedule(
-                cfg,
-                sc.voice.name,
-                arrival_rate=args.arrival_rate,
-                mean_holding=args.mean_holding,
-                horizon=args.horizon,
-                seed=args.seed,
-            )
-        harness = ChaosHarness(
-            cfg,
-            policy=DegradedModePolicy(
-                alpha_factor=args.alpha_factor,
-                backoff=BackoffPolicy(),
-                repair_latency=args.repair_latency,
-            ),
-        )
-        report = harness.run(
-            flows,
-            faults,
-            horizon=args.horizon,
-            seed=args.seed,
-            simulate_packets=not args.no_packets,
-        )
-    except (FaultInjectionError, TrafficError) as exc:
-        print(f"FAILURE: {exc}")
-        return 1
-    print(report.render())
-    if args.report_out:
-        report.save(args.report_out)
-        print(f"wrote transition report to {args.report_out}")
-    held = report.survivors_held()
-    print(
-        "survivor guarantees held"
-        if held
-        else "SURVIVOR GUARANTEE VIOLATION"
-    )
-    return 0 if held else 1
-
-
-def _run_verify_bounded(args: argparse.Namespace) -> int:
-    """``repro-ubac verify [--bound N ...]`` — the machine checker."""
-    from ..errors import VerificationError
-    from ..verify.instances import (
-        VerifyBound,
-        replay_batch_equivalence,
-        replay_no_overcommit,
-    )
-    from ..verify.mutants import MUTANTS
-    from ..verify.report import (
-        VERIFY_REPORT_SCHEMA,
-        load_verify_report,
-        validate_verify_report,
-        write_verify_report,
-    )
-    from ..verify.runner import run_verify
-
-    if args.validate is not None:
-        try:
-            validate_verify_report(load_verify_report(args.validate))
-        except VerificationError as exc:
-            print(f"FAILURE: {exc}")
-            return 1
-        print(f"{args.validate}: valid {VERIFY_REPORT_SCHEMA} document")
-        return 0
-
-    try:
-        bound = VerifyBound(
-            flows=3 if args.bound is None else args.bound,
-            servers=args.servers,
-            max_capacity=args.max_capacity,
-        )
-        report, results = run_verify(
-            bound,
-            backend=args.backend,
-            checks=(
-                tuple(args.checks) if args.checks else ("no_overcommit",
-                                                        "batch_equivalence")
-            ),
-            mutant=args.mutant,
-        )
-    except VerificationError as exc:
-        print(f"FAILURE: {exc}")
-        return 1
-
-    print(
-        f"bounded universe: up to {bound.flows} flows, "
-        f"{bound.servers} chain servers, capacities 0.."
-        f"{bound.max_capacity}"
-    )
-    replayed_ok = True
-    for res in results:
-        print(
-            f"{res.name} [{res.backend}]: {res.status} "
-            f"({res.instances} instances, {res.elapsed_seconds:.3f} s)"
-        )
-        cx = res.counterexample
-        if cx is None:
-            continue
-        print(f"  counterexample: {cx.detail}")
-        # Decoded counterexamples must reproduce through the real
-        # implementations, or the decoding itself is broken.
-        if res.name == "no_overcommit":
-            replay = replay_no_overcommit(
-                cx, admit_on_full=args.mutant == "admit_on_full"
-            )
-            reproduced = bool(replay["reproduced"])
-        else:
-            replay = replay_batch_equivalence(
-                cx,
-                kernel=None if args.mutant is None else MUTANTS[args.mutant],
-            )
-            reproduced = bool(replay["diverged"])
-        replayed_ok = replayed_ok and reproduced
-        print(
-            "  replay reproduces the violation"
-            if reproduced
-            else "  replay DOES NOT reproduce the violation"
-        )
-        if args.cx_dir is not None:
-            from ..workload.trace import write_trace
-
-            os.makedirs(args.cx_dir, exist_ok=True)
-            path = os.path.join(args.cx_dir, f"cx_{res.name}.jsonl")
-            write_trace(
-                path,
-                cx.to_trace_events(),
-                meta={
-                    "check": res.name,
-                    "backend": res.backend,
-                    "mutant": args.mutant,
-                    "bound": bound.to_dict(),
-                    "detail": cx.detail,
-                },
-            )
-            print(f"  wrote replayable counterexample to {path}")
-    if args.out is not None:
-        write_verify_report(args.out, report)
-        print(f"wrote verify report to {args.out}")
-    if args.mutant is None:
-        ok = bool(report["ok"])
-        print(
-            "all invariants hold within the bound"
-            if ok
-            else "INVARIANT VIOLATION within the bound"
-        )
+def _hand_back_collector(enabled: bool, frozen: int) -> None:
+    """Undo what ``serve`` did to the collector (``gc.disable()`` while
+    it starts, ``gc.freeze()`` once it listens): tests call :func:`main`
+    in-process, and the process goes on after it returns."""
+    if gc.get_freeze_count() != frozen:
+        gc.unfreeze()
+    if enabled:
+        gc.enable()
     else:
-        ok = bool(report["ok"]) and replayed_ok
-        print(
-            f"mutant {args.mutant!r} caught, decoded, and replayed"
-            if ok
-            else f"MUTANT {args.mutant!r} SURVIVED verification"
-        )
-    return 0 if ok else 1
+        gc.disable()
 
 
 def _admission_setup(topology: str):
@@ -1018,305 +771,6 @@ def _admission_setup(topology: str):
     pairs = all_ordered_pairs(network)
     routes = shortest_path_routes(network, pairs)
     return graph, registry, voice, pairs, routes
-
-
-def _connect_service_client(target, socket_path, protocol="v1"):
-    """ServiceClient for ``--target HOST:PORT`` / ``--socket PATH``."""
-    from ..service.client import ServiceClient
-
-    if (target is None) == (socket_path is None):
-        raise SystemExit(
-            "specify exactly one of --target HOST:PORT or --socket PATH"
-        )
-    if socket_path is not None:
-        return ServiceClient(socket_path=socket_path, protocol=protocol)
-    host, _, port = target.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"--target must be HOST:PORT, got {target!r}")
-    return ServiceClient(host=host, port=int(port), protocol=protocol)
-
-
-def _run_loadgen(args: argparse.Namespace) -> int:
-    from ..admission.flowaware import FlowAwareAdmissionController
-    from ..admission.utilization import UtilizationAdmissionController
-    from ..workload.arrivals import open_loop_schedule
-    from ..workload.loadgen import drive, schedule_events
-    from ..workload.popularity import ZipfPairPopularity
-    from ..workload.trace import read_trace, write_trace
-
-    service_mode = args.target is not None or args.socket is not None
-    graph, registry, voice, pairs, routes = _admission_setup(
-        args.topology
-    )
-
-    if args.replay is not None:
-        meta, events = read_trace(args.replay)
-        bound = meta.get("bound")
-        if isinstance(bound, dict) and "servers" in bound:
-            # Decoded bounded-checker counterexample: its routes live on
-            # the verification chain, not a backbone.
-            from ..verify.instances import chain_fixture
-
-            graph, registry, routes = chain_fixture(int(bound["servers"]))
-        print(
-            f"replaying {len(events)} events from {args.replay} "
-            f"(meta: {meta})"
-        )
-    elif args.adversarial:
-        from ..workload.adversarial import AdversaryModel, adversarial_events
-
-        events = adversarial_events(
-            graph,
-            routes,
-            voice.name,
-            num_flows=args.flows,
-            model=AdversaryModel(
-                rate=args.arrival_rate,
-                burst=args.burst,
-                window=args.window,
-            ),
-            seed=args.seed,
-            hot_edges=args.hot_edges,
-        )
-        print(
-            f"adversarial workload: {args.flows} flows flushed against "
-            f"the ({args.window:g} s, {args.burst}) envelope at "
-            f"{args.arrival_rate:g} flows/s, targeting the "
-            f"{args.hot_edges} hottest link server"
-            f"{'' if args.hot_edges == 1 else 's'}"
-        )
-    else:
-        popularity = ZipfPairPopularity(
-            num_pairs=len(pairs),
-            skew=args.zipf_skew,
-            shuffle_seed=args.seed,
-        )
-        if args.ramp is not None:
-            from ..workload.arrivals import ramp_schedule
-
-            schedule = ramp_schedule(
-                args.flows,
-                arrival_rate=args.arrival_rate,
-                ramp_factor=args.ramp_factor,
-                mean_holding=args.mean_holding,
-                popularity=popularity,
-                shape=args.ramp,
-                seed=args.seed,
-            )
-            print(
-                f"{args.ramp} ramp: {args.arrival_rate:g} -> "
-                f"{args.arrival_rate * args.ramp_factor:g} flows/s "
-                f"across {args.flows} arrivals"
-            )
-        else:
-            schedule = open_loop_schedule(
-                args.flows,
-                arrival_rate=args.arrival_rate,
-                mean_holding=args.mean_holding,
-                popularity=popularity,
-                seed=args.seed,
-                workers=args.workers,
-            )
-        events = schedule_events(schedule, pairs, voice.name)
-    if args.priority_mix is not None:
-        from ..errors import TrafficError
-        from ..workload.loadgen import assign_priorities, parse_priority_mix
-
-        try:
-            mix = parse_priority_mix(args.priority_mix)
-        except TrafficError as exc:
-            raise SystemExit(f"bad --priority-mix: {exc}")
-        events = assign_priorities(events, mix, seed=args.seed)
-    if args.record is not None:
-        meta = {
-            "topology": args.topology,
-            "seed": args.seed,
-            "flows": args.flows,
-            "arrival_rate": args.arrival_rate,
-            "mean_holding": args.mean_holding,
-            "zipf_skew": args.zipf_skew,
-        }
-        if args.adversarial:
-            meta.update(
-                adversarial=True,
-                burst=args.burst,
-                window=args.window,
-                hot_edges=args.hot_edges,
-            )
-        if args.ramp is not None:
-            meta.update(ramp=args.ramp, ramp_factor=args.ramp_factor)
-        if args.priority_mix is not None:
-            meta.update(priority_mix=args.priority_mix)
-        write_trace(args.record, events, meta=meta)
-        print(f"wrote {len(events)} events to {args.record}")
-
-    if service_mode:
-        from ..service.replay import replay_events_concurrent
-
-        if args.connections < 1:
-            raise SystemExit(
-                f"--connections must be >= 1, got {args.connections}"
-            )
-        result = replay_events_concurrent(
-            lambda _index: _connect_service_client(
-                args.target, args.socket, args.protocol
-            ),
-            events,
-            connections=args.connections,
-            frame_size=args.batch_size,
-        )
-        where = args.socket or args.target
-        print(
-            f"admission service at {where} "
-            f"({args.protocol} frames of {args.batch_size}, "
-            f"{args.connections} connection"
-            f"{'' if args.connections == 1 else 's'}): "
-            f"{result.num_admitted} admitted / {result.num_rejected} "
-            f"rejected of {result.num_arrivals} arrivals, "
-            f"{result.num_released} released, "
-            f"{result.num_skipped} skipped, {result.num_errors} errors"
-        )
-        print(
-            f"{result.total_ops} ops in {result.elapsed_seconds:.3f} s "
-            f"= {result.ops_per_second:,.0f} ops/s over the wire"
-        )
-        latency = result.latency_summary()
-        print(
-            f"frame latency p50 {latency['p50_ms']:.2f} ms, "
-            f"p90 {latency['p90_ms']:.2f} ms, "
-            f"p99 {latency['p99_ms']:.2f} ms "
-            f"({result.frames} frames of {args.batch_size})"
-        )
-        _print_per_priority(result.per_priority)
-        if args.summary_out is not None:
-            _write_bench_summary(
-                args.summary_out,
-                args,
-                mode="service",
-                target=where,
-                ops=result.total_ops,
-                elapsed=result.elapsed_seconds,
-                admitted=result.num_admitted,
-                rejected=result.num_rejected,
-                released=result.num_released,
-                errors=result.num_errors,
-                latency_ms=latency,
-                frames=result.frames,
-                connections=args.connections,
-                per_priority=result.per_priority,
-            )
-        return 0 if result.num_errors == 0 else 1
-
-    alphas = {voice.name: args.alpha}
-    if args.controller == "utilization":
-        controller = UtilizationAdmissionController(
-            graph, registry, alphas, routes
-        )
-    else:
-        controller = FlowAwareAdmissionController(graph, registry, routes)
-    result = drive(
-        controller,
-        events,
-        batch_size=args.batch_size,
-        mode="sequential" if args.sequential else "batch",
-    )
-    print(
-        f"{args.controller} controller, {result.mode} mode "
-        f"(batch={result.batch_size}): "
-        f"{result.num_admitted} admitted / {result.num_rejected} "
-        f"rejected of {result.num_arrivals} arrivals, "
-        f"{result.num_released} released"
-    )
-    print(
-        f"{result.total_ops} ops in {result.elapsed_seconds:.3f} s "
-        f"= {result.ops_per_second:,.0f} ops/s; mean decision "
-        f"{controller.mean_decision_seconds() * 1e6:.2f} us/request"
-    )
-    _print_per_priority(result.per_priority)
-    if args.summary_out is not None:
-        _write_bench_summary(
-            args.summary_out,
-            args,
-            mode="sequential" if args.sequential else "batch",
-            target=f"in-process:{args.controller}",
-            ops=result.total_ops,
-            elapsed=result.elapsed_seconds,
-            admitted=result.num_admitted,
-            rejected=result.num_rejected,
-            released=result.num_released,
-            errors=0,
-            per_priority=result.per_priority,
-        )
-    return 0
-
-
-def _print_per_priority(per_priority) -> None:
-    """Highest-priority-first outcome line (no-op without priorities)."""
-    if not per_priority:
-        return
-    from ..traffic.flows import priority_rank
-
-    cells = []
-    for name in sorted(per_priority, key=priority_rank, reverse=True):
-        counts = per_priority[name]
-        cells.append(
-            f"{name} {counts['admitted']}/{counts['arrivals']} admitted "
-            f"({counts['rejected']} rejected)"
-        )
-    print("per-priority: " + "   ".join(cells))
-
-
-def _write_bench_summary(
-    path: str,
-    args: argparse.Namespace,
-    *,
-    mode: str,
-    target: str,
-    ops: int,
-    elapsed: float,
-    admitted: int,
-    rejected: int,
-    released: int,
-    errors: int,
-    latency_ms=None,
-    frames=None,
-    connections=None,
-    per_priority=None,
-) -> None:
-    """Write a machine-readable ``repro-bench-summary/v1`` run summary."""
-    import json
-
-    summary = {
-        "schema": "repro-bench-summary/v1",
-        "mode": mode,
-        "target": target,
-        "topology": args.topology,
-        "batch_size": args.batch_size,
-        "seed": args.seed,
-        "ops": ops,
-        "elapsed_seconds": elapsed,
-        "ops_per_second": (ops / elapsed) if elapsed > 0 else 0.0,
-        "admitted": admitted,
-        "rejected": rejected,
-        "released": released,
-        "errors": errors,
-        "protocol": getattr(args, "protocol", "v1"),
-    }
-    if latency_ms is not None:
-        summary["latency_ms"] = latency_ms
-    if frames is not None:
-        summary["frames"] = frames
-    if connections is not None:
-        summary["connections"] = connections
-    if per_priority:
-        summary["per_priority"] = per_priority
-    if getattr(args, "ramp", None) is not None:
-        summary["ramp"] = args.ramp
-        summary["ramp_factor"] = args.ramp_factor
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    print(f"wrote run summary to {path}")
 
 
 def _serve_slo_config(args: argparse.Namespace):
@@ -1402,12 +856,24 @@ def _run_serve(args: argparse.Namespace) -> int:
     ``start()`` builds its server inside the running loop and returns
     it with the restored-flow count.
     """
+    # Start-up (asyncio, the server modules, routes, the ledger)
+    # allocates tens of thousands of objects and frees almost none:
+    # collecting them before the first request is pure cost.
+    gc.disable()
     import asyncio
 
     from ..errors import ReproError
 
     async def _serve() -> None:
         server, restored = await start()
+        # Listening.  What start-up built (modules, routes, the ledger)
+        # lives as long as the process: freeze it out of every later
+        # collection, then let the collector run.  A heap an in-process
+        # caller already froze is left as it is, so that main() can
+        # hand it back unchanged.
+        if not gc.get_freeze_count():
+            gc.freeze()
+        gc.enable()
         server.install_signal_handlers()
         banner(server, restored)
         if server.metrics_endpoint is not None:
@@ -1619,298 +1085,6 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
     return start, banner, summary, span_sink
 
 
-def _run_client(args: argparse.Namespace) -> int:
-    import json
-
-    from ..errors import ReproError, ServiceError
-    from ..traffic.flows import FlowSpec, fresh_flow_id
-
-    try:
-        client = _connect_service_client(
-            args.target, args.socket, args.protocol
-        )
-    except ServiceError as exc:
-        print(f"FAILURE: {exc}")
-        return 1
-    try:
-        with client:
-            if args.op in ("query", "release") and args.flow_id is None:
-                print(f"FAILURE: {args.op} needs --flow-id")
-                return 2
-            if args.op == "health":
-                result = client.health()
-            elif args.op == "stats":
-                result = client.stats()
-            elif args.op == "snapshot":
-                result = client.snapshot()
-            elif args.op == "query":
-                result = {"established": client.query(args.flow_id)}
-            elif args.op == "release":
-                result = {"released": client.release(args.flow_id)}
-            else:  # admit
-                if args.src is None or args.dst is None:
-                    print("FAILURE: admit needs --src and --dst")
-                    return 2
-                decision = client.admit(
-                    FlowSpec(
-                        flow_id=(
-                            args.flow_id
-                            if args.flow_id is not None
-                            else f"cli-{fresh_flow_id()}"
-                        ),
-                        class_name=args.cls,
-                        source=args.src,
-                        destination=args.dst,
-                    )
-                )
-                result = {
-                    "flow_id": decision.flow_id,
-                    "admitted": decision.admitted,
-                    "reason": decision.reason,
-                    "batch_size": decision.batch_size,
-                }
-            print(json.dumps(result, sort_keys=True))
-            return 0
-    except ReproError as exc:
-        print(f"FAILURE: {exc}")
-        return 1
-
-
-def _audit_record_matches(record, kind, flow_id) -> bool:
-    if kind is not None and record.get("kind") != kind:
-        return False
-    if flow_id is not None:
-        fid = record.get("flow_id")
-        if fid is None and isinstance(record.get("flow"), dict):
-            fid = record["flow"].get("id")
-        if fid is None or str(fid) != flow_id:
-            return False
-    return True
-
-
-def _audit_record_line(record) -> str:
-    seq = record.get("seq", "?")
-    kind = record.get("kind", "?")
-    if kind == "admit":
-        flow = record.get("flow", {})
-        verdict = (
-            f"error: {record['error']}"
-            if record.get("error") is not None
-            else ("admitted" if record.get("admitted") else "rejected")
-        )
-        parts = [
-            f"#{seq} admit {flow.get('id')!r} {flow.get('cls')} "
-            f"{flow.get('src')}->{flow.get('dst')}: {verdict}"
-        ]
-        if record.get("route") is not None:
-            parts.append(f"route={'-'.join(map(str, record['route']))}")
-        if record.get("headroom") is not None:
-            parts.append(f"headroom={record['headroom']}")
-        if record.get("reason"):
-            parts.append(f"reason={record['reason']!r}")
-    elif kind == "release":
-        verdict = (
-            f"error: {record['error']}"
-            if record.get("error") is not None
-            else ("released" if record.get("released") else "failed")
-        )
-        parts = [f"#{seq} release {record.get('flow_id')!r}: {verdict}"]
-        if record.get("reason"):
-            parts.append(f"reason={record['reason']}")
-    elif kind in ("snapshot", "restore"):
-        count = record.get(
-            "established" if kind == "snapshot" else "restored"
-        )
-        parts = [
-            f"#{seq} {kind} marker: {count} flows, "
-            f"digest {record.get('digest')}"
-        ]
-    else:
-        parts = [f"#{seq} {kind}?"]
-    trace = record.get("trace")
-    if isinstance(trace, dict) and trace.get("trace_id"):
-        parts.append(f"trace={trace['trace_id']}")
-    return "  ".join(parts)
-
-
-def _run_audit(args: argparse.Namespace) -> int:
-    import json
-
-    from ..errors import ReproError
-    from ..service.audit import audit_to_trace_events, iter_audit, verify_audit
-
-    try:
-        records = list(iter_audit(args.log))
-    except (ReproError, OSError) as exc:
-        print(f"FAILURE: {exc}")
-        return 1
-    matching = [
-        r
-        for r in records
-        if _audit_record_matches(r, args.kind, args.flow_id)
-    ]
-    shown = (
-        matching[-args.limit:] if args.limit is not None else matching
-    )
-    for record in shown:
-        if args.json:
-            print(json.dumps(record, sort_keys=True))
-        else:
-            print(_audit_record_line(record))
-    if not args.json:
-        print(
-            f"{len(records)} records in {args.log} "
-            f"({len(matching)} matching, {len(shown)} shown)"
-        )
-    if args.to_trace is not None:
-        from ..workload.trace import write_trace
-
-        events = audit_to_trace_events(records)
-        write_trace(
-            args.to_trace,
-            events,
-            meta={"source": "audit-log", "log": args.log},
-        )
-        print(
-            f"wrote {len(events)} replayable events to {args.to_trace}"
-        )
-    if args.verify or args.snapshot is not None:
-        try:
-            report = verify_audit(records, snapshot=args.snapshot)
-        except (ReproError, OSError, json.JSONDecodeError) as exc:
-            print(f"FAILURE: {exc}")
-            return 1
-        print(
-            f"verify: {report['admits']} admits "
-            f"({report['admitted']} admitted, {report['rejected']} "
-            f"rejected, {report['admit_errors']} errors), "
-            f"{report['releases']} releases, "
-            f"{report['snapshots']} snapshot markers, "
-            f"{report['restores']} restores; "
-            f"{len(report['established'])} established at end"
-        )
-        if report["ok"]:
-            print("audit log is consistent")
-            return 0
-        for problem in report["problems"]:
-            print(f"PROBLEM: {problem}")
-        return 1
-    return 0
-
-
-def _render_top(stats, prev, interval) -> str:
-    """One refresh of the ``top`` view from a ``stats`` response."""
-    lines = []
-    status = stats.get("status", "?")
-    uptime = stats.get("uptime_seconds", 0.0)
-    startup = stats.get("startup_seconds")  # older servers do not report it
-    restart = stats.get("last_restart_seconds")  # cluster, after a worker died
-    lines.append(
-        f"repro-ubac top — {stats.get('controller', '?')} "
-        f"status: {status}   uptime: {uptime:.1f} s"
-        + (f"   startup: {startup:.2f} s" if startup is not None else "")
-        + (f"   last restart: {restart:.2f} s" if restart is not None else "")
-    )
-    rate = ""
-    if prev is not None and interval > 0:
-        delta = stats.get("requests", 0) - prev.get("requests", 0)
-        rate = f" ({delta / interval:,.0f}/s)"
-    lines.append(
-        f"requests {stats.get('requests', 0):,}{rate}   "
-        f"admitted {stats.get('admitted', 0):,}   "
-        f"rejected {stats.get('rejected', 0):,}   "
-        f"released {stats.get('released', 0):,}   "
-        f"shed {stats.get('shed', 0):,}   "
-        f"errors {stats.get('errors', 0):,}"
-    )
-    age = stats.get("snapshot_age_seconds")
-    lines.append(
-        f"queue {stats.get('queue_depth', 0)}   "
-        f"established {stats.get('established', 0):,}   "
-        f"batches {stats.get('batches', 0):,} "
-        f"(fill {stats.get('mean_batch_fill', 0.0):.1f})   "
-        f"snapshot age "
-        + (f"{age:.1f} s" if age is not None else "n/a")
-        + (
-            f"   rss {stats['rss_mb']:.1f} MB "
-            f"(peak {stats.get('peak_rss_mb', 0.0):.1f})"
-            if "rss_mb" in stats  # older servers do not report it
-            else ""
-        )
-    )
-    gov = stats.get("governor")
-    if isinstance(gov, dict):
-        line = (
-            f"governor rung {gov.get('rung', 0) + 1}/"
-            f"{gov.get('rungs', '?')}   "
-            f"effective alpha {gov.get('effective_alpha', 0.0):g} "
-            f"(base {gov.get('base_alpha', 0.0):g})   "
-            f"signal {gov.get('signal', '?')}   "
-            f"moves {gov.get('dec', 0)} dec / {gov.get('inc', 0)} inc"
-        )
-        pre = stats.get("preemption")
-        if isinstance(pre, dict):
-            line += (
-                f"   preempted {pre.get('preempted_flows', 0):,} "
-                f"(for {pre.get('preempted_admits', 0):,} admits)"
-            )
-        lines.append(line)
-    elif isinstance(stats.get("preemption"), dict):
-        pre = stats["preemption"]
-        lines.append(
-            f"preempted {pre.get('preempted_flows', 0):,} flows "
-            f"(for {pre.get('preempted_admits', 0):,} hard-RT admits)"
-        )
-    slo = stats.get("slo")
-    if isinstance(slo, dict):
-        burn = slo.get("burn_rates", {})
-        lines.append(
-            f"SLO p50 {slo.get('p50_ms', 0.0):.1f} ms "
-            f"(burn {burn.get('p50', 0.0):.2f})   "
-            f"p99 {slo.get('p99_ms', 0.0):.1f} ms "
-            f"(burn {burn.get('p99', 0.0):.2f})   "
-            f"shed {100 * slo.get('shed_rate', 0.0):.2f}% "
-            f"(burn {burn.get('shed_rate', 0.0):.2f})   "
-            + ("BREACHING" if slo.get("breaching") else "within targets")
-        )
-    return "\n".join(lines)
-
-
-def _run_top(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from ..errors import ReproError, ServiceError
-
-    try:
-        client = _connect_service_client(args.target, args.socket)
-    except ServiceError as exc:
-        print(f"FAILURE: {exc}")
-        return 1
-    prev = None
-    refreshes = 0
-    try:
-        with client:
-            while True:
-                try:
-                    stats = client.stats()
-                except ReproError as exc:
-                    print(f"FAILURE: {exc}")
-                    return 1
-                if not args.no_clear and refreshes:
-                    # Cursor home + clear-to-end redraw (same shape
-                    # every refresh, so no full-screen flicker).
-                    sys.stdout.write("\x1b[H\x1b[J")
-                print(_render_top(stats, prev, args.interval))
-                sys.stdout.flush()
-                prev = stats
-                refreshes += 1
-                if args.count is not None and refreshes >= args.count:
-                    return 0
-                _time.sleep(max(args.interval, 0.0))
-    except KeyboardInterrupt:
-        return 0
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "bounds":
         from ..config.bounds import utilization_bounds
@@ -1946,6 +1120,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         if obs.is_enabled():
             # Run-time side of the paper's cost comparison, then the
             # snapshot of everything the regeneration recorded.
+            from .commands import _measure_admission
+
             _measure_admission(result)
             print()
             print(format_metrics_snapshot())
@@ -1961,6 +1137,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             or args.checks is not None
         )
         if args.alpha is None:
+            from .commands import _run_verify_bounded
+
             return _run_verify_bounded(args)
         if bounded_flags:
             raise SystemExit(
@@ -2027,23 +1205,24 @@ def _dispatch(args: argparse.Namespace) -> int:
         print("guarantees held" if ok else "GUARANTEE VIOLATION")
         return 0 if ok else 1
 
-    if args.command == "faults":
-        return _run_faults(args)
-
-    if args.command == "loadgen":
-        return _run_loadgen(args)
-
     if args.command == "serve":
         return _run_serve(args)
 
-    if args.command == "client":
-        return _run_client(args)
+    if args.command == "loadgen":
+        from .commands import _run_loadgen
 
-    if args.command == "audit":
-        return _run_audit(args)
+        return _run_loadgen(args, _admission_setup(args.topology))
 
-    if args.command == "top":
-        return _run_top(args)
+    if args.command in ("faults", "client", "audit", "top"):
+        from . import commands
+
+        run = {
+            "faults": commands._run_faults,
+            "client": commands._run_client,
+            "audit": commands._run_audit,
+            "top": commands._run_top,
+        }[args.command]
+        return run(args)
 
     if args.command == "report":
         from .persistence import (

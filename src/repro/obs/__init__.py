@@ -32,14 +32,9 @@ from __future__ import annotations
 
 import json
 import logging
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
-from .export import (
-    parse_prometheus_text,
-    to_chrome_trace,
-    to_json_lines,
-    to_prometheus_text,
-)
+from .._lazy import lazy_exports
 from .metrics import (
     NULL_REGISTRY,
     Counter,
@@ -51,7 +46,6 @@ from .metrics import (
     MetricsRegistry,
     NullRegistry,
 )
-from .sinks import SPAN_SCHEMA, JsonLinesSpanSink, read_span_lines
 from .slo import RollingCounter, RollingHistogram, SLOConfig, SLOTracker
 from .trace import (
     NULL_SPAN,
@@ -63,6 +57,32 @@ from .trace import (
     new_span_id,
     new_trace_id,
     trace_context_from_obj,
+)
+
+if TYPE_CHECKING:
+    from .export import (
+        parse_prometheus_text,
+        to_chrome_trace,
+        to_json_lines,
+        to_prometheus_text,
+    )
+    from .sinks import SPAN_SCHEMA, JsonLinesSpanSink, read_span_lines
+
+# Exporters and the span sink run behind a flag (--metrics-port,
+# --metrics-out, --span-out ...), so they load on first use; the rest of
+# this module is what every instrumented call site reads.
+__getattr__, __dir__, _ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".export": (
+            "parse_prometheus_text",
+            "to_chrome_trace",
+            "to_json_lines",
+            "to_prometheus_text",
+        ),
+        ".sinks": ("SPAN_SCHEMA", "JsonLinesSpanSink", "read_span_lines"),
+    },
 )
 
 __all__ = [
@@ -229,6 +249,8 @@ def prometheus_text() -> str:
     registry = OBS.registry
     if isinstance(registry, NullRegistry):
         return ""
+    from .export import to_prometheus_text
+
     return to_prometheus_text(registry)
 
 
@@ -236,6 +258,8 @@ def json_lines() -> str:
     registry = OBS.registry
     if isinstance(registry, NullRegistry):
         return ""
+    from .export import to_json_lines
+
     return to_json_lines(registry)
 
 
@@ -243,6 +267,8 @@ def chrome_trace() -> dict:
     tracer = OBS.tracer
     if tracer is None:
         return {"traceEvents": [], "displayTimeUnit": "ms", "otherData": {}}
+    from .export import to_chrome_trace
+
     return to_chrome_trace(tracer)
 
 

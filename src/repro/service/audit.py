@@ -188,6 +188,11 @@ def flow_set_digest(flow_ids: Iterable[Hashable]) -> str:
 class AuditLog:
     """Rotating, fsync-batched JSON-lines decision log."""
 
+    #: The frame entry encoders, for a writer that holds the log (the
+    #: coalescer) rather than importing this module.
+    admit_entry = staticmethod(admit_entry)
+    release_entry = staticmethod(release_entry)
+
     def __init__(
         self,
         path: str,

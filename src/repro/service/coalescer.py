@@ -44,6 +44,7 @@ import asyncio
 import logging
 import time
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Hashable,
@@ -52,6 +53,7 @@ from typing import (
     Sequence,
     Tuple,
     Union,
+    cast,
 )
 
 from ..admission.base import AdmissionDecision
@@ -65,7 +67,11 @@ from ..obs import (
     new_span_id,
 )
 from ..traffic.flows import FlowSpec
-from .audit import AuditLog, admit_entry, release_entry
+
+if TYPE_CHECKING:
+    # Reached through the log the server hands in (``--audit``): a server
+    # without one never loads the module.
+    from .audit import AuditLog
 
 __all__ = [
     "MicroBatchCoalescer",
@@ -742,6 +748,7 @@ class MicroBatchCoalescer:
         refuses with an exception — each fails alone, with that
         exception, and never reaches the controller's state.  Audit
         entries go to ``entries`` (``None``: no audit log)."""
+        audit = cast("AuditLog", self.audit)  # used only with entries
         controller = self.controller
         check_admit = controller.check_admit
         indices: List[int] = []
@@ -753,7 +760,7 @@ class MicroBatchCoalescer:
             except ReproError as exc:
                 outcomes[i] = exc
                 if entries is not None:
-                    entries.append(admit_entry(
+                    entries.append(audit.admit_entry(
                         flow, False, error=str(exc), trace=_trace_obj(trace)
                     ))
                 continue
@@ -772,7 +779,7 @@ class MicroBatchCoalescer:
             for i, flow in zip(indices, flows):
                 outcomes[i] = exc
                 if entries is not None:
-                    entries.append(admit_entry(
+                    entries.append(audit.admit_entry(
                         flow,
                         False,
                         error=f"{type(exc).__name__}: {exc}",
@@ -852,6 +859,7 @@ class MicroBatchCoalescer:
         the established set exactly — even when a victim was admitted
         by the same batch that evicted it.
         """
+        audit = cast("AuditLog", self.audit)
         established = self.controller.is_established
         ordered = [
             i for i in range(len(flows)) if i not in rescued
@@ -859,7 +867,7 @@ class MicroBatchCoalescer:
         for i in ordered:
             flow, trace, decision = flows[i], traces[i], decisions[i]
             for victim in rescued.get(i, ()):
-                entries.append(release_entry(
+                entries.append(audit.release_entry(
                     victim, True, reason="preempted", trace=trace
                 ))
             # check_admit's route is the committed one — unless a later
@@ -867,7 +875,7 @@ class MicroBatchCoalescer:
             route = routes[i]
             if decision.admitted and not established(flow.flow_id):
                 route = None
-            entries.append(admit_entry(
+            entries.append(audit.admit_entry(
                 flow,
                 decision.admitted,
                 reason=decision.reason,
@@ -884,6 +892,7 @@ class MicroBatchCoalescer:
     ) -> None:
         """One ``release_batch`` call for ``run`` (ops ``lo...`` of the
         batch), after failing the ids the sequential API would."""
+        audit = cast("AuditLog", self.audit)  # used only with entries
         controller = self.controller
         indices: List[int] = []
         fids: List[Hashable] = []
@@ -900,7 +909,7 @@ class MicroBatchCoalescer:
                     f"flow {fid!r} is not established"
                 )
                 if entries is not None:
-                    entries.append(release_entry(
+                    entries.append(audit.release_entry(
                         fid,
                         False,
                         error="not established",
@@ -918,7 +927,7 @@ class MicroBatchCoalescer:
         for i, fid in zip(indices, fids):
             outcomes[i] = outcome
             if entries is not None:
-                entries.append(release_entry(
+                entries.append(audit.release_entry(
                     fid,
                     error is None,
                     error=error,

@@ -27,10 +27,13 @@ sequential submission.
 from __future__ import annotations
 
 import asyncio
+import errno
 import logging
+import os
+import socket
 from typing import Any, Callable, Coroutine, Dict, Optional, Protocol, Set
 
-from ..errors import ProtocolError
+from ..errors import ProtocolError, ServiceError
 from . import protocol
 from .protocol import RequestId
 
@@ -38,6 +41,7 @@ __all__ = [
     "Connection",
     "ConnectionLayer",
     "FrameHandler",
+    "claim_unix_path",
     "close_writer",
     "propose_v2",
     "read_responses",
@@ -118,6 +122,26 @@ def _answer(rid: Optional[RequestId], exc: ProtocolError) -> Dict[str, Any]:
 # ---------------------------------------------------------------------- #
 # accepting side
 # ---------------------------------------------------------------------- #
+
+
+def claim_unix_path(path: str) -> None:
+    """Make ``path`` free to bind, without taking it from a live server.
+
+    A listener that still accepts there raises :class:`ServiceError`;
+    a file nobody accepts on (``ECONNREFUSED``: the socket of a killed
+    predecessor) is removed.  Any other answer is left for the bind to
+    report.
+    """
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        probe.setblocking(False)  # a full backlog must not block start-up
+        code = probe.connect_ex(path)
+    finally:
+        probe.close()
+    if code in (0, errno.EAGAIN, errno.EINPROGRESS):
+        raise ServiceError(f"another server is already serving on {path}")
+    if code == errno.ECONNREFUSED:
+        os.unlink(path)
 
 
 class Connection:

@@ -64,6 +64,7 @@ from . import protocol
 from .conn import (
     Connection,
     ConnectionLayer,
+    claim_unix_path,
     close_writer,
     propose_v2,
     read_responses,
@@ -456,12 +457,9 @@ class ClusterRouter:
 
     async def start_unix(self, path: str) -> None:
         """Connect every worker link and open the front door."""
-        import os
-
+        claim_unix_path(path)
         for link in self.links:
             link.start()
-        if os.path.exists(path):
-            os.unlink(path)
         self._server = await asyncio.start_unix_server(
             self._layer.serve,
             path=path,

@@ -35,6 +35,7 @@ import signal
 import time
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Coroutine,
@@ -47,7 +48,6 @@ from typing import (
 
 from ..admission.base import AdmissionDecision
 from ..admission.utilization import UtilizationAdmissionController
-from ..control.governor import GovernorSample
 from ..errors import (
     AdmissionError,
     ProtocolError,
@@ -61,12 +61,10 @@ from ..obs import (
     SLOTracker,
     TraceContext,
     new_span_id,
-    to_prometheus_text,
     trace_context_from_obj,
 )
 from ..obs.process import process_memory_mb, process_text, startup_seconds
 from . import protocol
-from .audit import AuditLog
 from .coalescer import (
     BULK_OP_ADMIT,
     BULK_OP_RELEASE,
@@ -75,9 +73,13 @@ from .coalescer import (
     _Op,
     _Stamp,
 )
-from .conn import Connection, ConnectionLayer
-from .http import MetricsEndpoint
-from .snapshots import SnapshotStore, service_snapshot
+from .conn import Connection, ConnectionLayer, claim_unix_path
+
+if TYPE_CHECKING:
+    from ..control.governor import GovernorSample
+    from .audit import AuditLog
+    from .http import MetricsEndpoint
+    from .snapshots import SnapshotStore
 
 __all__ = ["ServiceConfig", "AdmissionService"]
 
@@ -252,11 +254,18 @@ class AdmissionService:
         self._governor_task: Optional["asyncio.Task"] = None
         if preemptor is not None:
             self.coalescer.preemptor = preemptor
+        # What a flag turns on is imported here, where the flag is acted
+        # on: a server without it never loads the module (DESIGN.md,
+        # "Import rule").
         self.store: Optional[SnapshotStore] = None
         if config.snapshot_path is not None:
+            from .snapshots import SnapshotStore
+
             self.store = SnapshotStore(config.snapshot_path)
         self.audit: Optional[AuditLog] = None
         if config.audit_path is not None:
+            from .audit import AuditLog
+
             self.audit = AuditLog(
                 config.audit_path,
                 fsync_every=config.audit_fsync_every,
@@ -303,11 +312,8 @@ class AdmissionService:
 
     async def start_unix(self, path: str) -> int:
         """Bind a Unix socket; returns the number of restored flows."""
-        import os
-
+        claim_unix_path(path)
         restored = self._restore()
-        if os.path.exists(path):
-            os.unlink(path)  # stale socket from a killed predecessor
         self._server = await asyncio.start_unix_server(
             self._on_connection,
             path=path,
@@ -374,6 +380,8 @@ class AdmissionService:
                 self._governor_loop(), name="repro-service-governor"
             )
         if self.config.metrics_port is not None:
+            from .http import MetricsEndpoint
+
             self.metrics_endpoint = MetricsEndpoint(
                 self,
                 host=self.config.metrics_host,
@@ -474,6 +482,8 @@ class AdmissionService:
         store is configured)."""
         if self.store is None:
             return None
+        from .snapshots import service_snapshot
+
         snapshot = service_snapshot(self.controller)
         self._mark_snapshot(snapshot)
         self.store.write(snapshot)
@@ -497,6 +507,8 @@ class AdmissionService:
     async def _snapshot_loop(self) -> None:
         assert self.config.snapshot_interval is not None
         assert self.store is not None
+        from .snapshots import service_snapshot
+
         loop = asyncio.get_running_loop()
         try:
             while True:
@@ -546,6 +558,8 @@ class AdmissionService:
         degraded/effective one), so a DEC move never feeds back into
         its own pressure signal.
         """
+        from ..control.governor import GovernorSample
+
         pending = self.coalescer.pending
         per_batch = max(self.config.max_delay, 1e-4)
         queue_delay = (pending / self.config.max_batch) * per_batch
@@ -1121,6 +1135,8 @@ class AdmissionService:
         if not OBS.enabled:
             text = "# observability is disabled on this server\n"
         else:
+            from ..obs.export import to_prometheus_text
+
             self.refresh_gauges()
             text = to_prometheus_text(OBS.registry)
         return text + process_text()

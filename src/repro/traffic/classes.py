@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ClassRegistryError, TrafficError
-from .envelope import Envelope, leaky_bucket_envelope
+
+if TYPE_CHECKING:
+    from .envelope import Envelope
 
 __all__ = [
     "TrafficClass",
@@ -88,6 +90,10 @@ class TrafficClass:
 
     def envelope(self, line_rate: Optional[float] = None) -> Envelope:
         """The source traffic constraint function of one flow of this class."""
+        # Only the network-calculus analyses call this; a served process
+        # never does.
+        from .envelope import leaky_bucket_envelope
+
         return leaky_bucket_envelope(self.burst, self.rate, line_rate)
 
     @staticmethod

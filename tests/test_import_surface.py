@@ -48,10 +48,50 @@ NOT_ON_THE_SERVE_PATH = (
     "repro.service.replay",
 )
 
+#: Modules only a `serve` flag calls: loaded where the flag is acted on,
+#: when the server is built, and never by a plain serve.  `hashlib` (via
+#: the audit log) maps more of libcrypto: 0.7 MB resident.
+FLAG_MODULES = {
+    "--audit": ("repro.service.audit",),
+    "--metrics-port": ("repro.service.http",),
+    "--snapshot": ("repro.service.snapshots",),
+    "--governor": ("repro.control.governor",),
+    "--span-out": ("repro.obs.sinks",),
+    "--preempt": ("repro.control.preempt",),
+}
+
+#: Not loaded by any serve: `/metrics` renders through `obs.export` on
+#: its first scrape, and one real-time class needs neither the
+#: multi-class fixed point nor the envelope arithmetic.
+NOT_SERVED = (
+    "repro.obs.export",
+    "repro.analysis.multiclass",
+    "repro.traffic.envelope",
+)
+
 #: `repro.*` modules a served process may hold (108 before the package
-#: surface went lazy, 53-54 after).  Counted over `repro.*` only, so the
-#: number does not depend on the Python version.
-MAX_REPRO_MODULES = 60
+#: surface went lazy, 52 before imports followed flags).  Counted over
+#: `repro.*` only, so the number does not depend on the Python version;
+#: the CLI module counts (`-m` runs it as `__main__` instead).
+MAX_REPRO_MODULES = {"plain": 44, "everything": 50}
+
+
+def serve_argv(tmp_path, *flags):
+    return [
+        "serve", "--socket", str(tmp_path / "u.sock"), "--topology", "mci",
+        "--alpha", "0.3", "--serve-seconds", "0.05", *flags,
+    ]
+
+
+def flag_argv(tmp_path, flag):
+    """`flag` as a serve command line spells it."""
+    value = {
+        "--audit": [str(tmp_path / "audit.jsonl")],
+        "--metrics-port": ["0"],
+        "--snapshot": [str(tmp_path / "snap.json")],
+        "--span-out": [str(tmp_path / "spans.jsonl")],
+    }.get(flag, [])
+    return [flag, *value]
 
 _RUN_MAIN = """
 import json, sys
@@ -85,31 +125,58 @@ def under(modules, prefix):
 
 @pytest.mark.parametrize("flags", ["plain", "everything"])
 def test_serve_loads_only_what_it_runs(tmp_path, flags):
-    argv = [
-        "serve", "--socket", str(tmp_path / "u.sock"), "--topology", "mci",
-        "--alpha", "0.3", "--serve-seconds", "0.05",
-    ]
+    argv = serve_argv(tmp_path)
     if flags == "everything":
-        argv += [
-            "--governor", "--preempt", "--metrics-port", "0",
-            "--audit", str(tmp_path / "audit.jsonl"),
-        ]
+        for flag in FLAG_MODULES:
+            argv += flag_argv(tmp_path, flag)
     modules = modules_after(argv)
     assert "repro.service.server" in modules  # it did serve
     # ... and what the first request needs is loaded before it arrives:
     # laziness is for what a process never runs, not for its hot path.
     assert "repro.admission.kernels" in modules
-    for prefix in NOT_ON_THE_SERVE_PATH:
+    for prefix in NOT_ON_THE_SERVE_PATH + NOT_SERVED:
         assert under(modules, prefix) == []
-    assert len(under(modules, "repro")) <= MAX_REPRO_MODULES
+    gated = [m for names in FLAG_MODULES.values() for m in names]
+    if flags == "plain":
+        assert [m for m in gated + ["hashlib"] if m in modules] == []
+    else:
+        assert [m for m in gated if m not in modules] == []
+    assert len(under(modules, "repro")) <= MAX_REPRO_MODULES[flags]
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_MODULES))
+def test_each_serve_flag_adds_exactly_its_own_modules(tmp_path, flag):
+    plain = set(modules_after(serve_argv(tmp_path)))
+    flagged = set(modules_after(serve_argv(tmp_path, *flag_argv(tmp_path, flag))))
+    added = flagged - plain
+    assert sorted(under(added, "repro")) == sorted(FLAG_MODULES[flag])
+    assert ("hashlib" in added) == (flag == "--audit")
+    assert plain <= flagged
 
 
 _SERVE_ONE_ADMIT_AND_ONE_RELEASE = """
-import json, os, signal, sys, threading, time
-from repro.experiments.cli import main
+import gc, json, os, signal, sys, threading, time
+from repro.experiments import cli
 
 sock = sys.argv[1]
 served = {}
+collector = {"early": 0}
+
+def count_early(phase, info):
+    # After _run_serve is entered and before the start-up heap is
+    # frozen (which happens once the listener is up).
+    if (
+        phase == "start" and "entered" in collector
+        and "serving" not in collector and not gc.get_freeze_count()
+    ):
+        collector["early"] += 1
+
+run_serve = cli._run_serve
+def entered(args):
+    collector["entered"] = True
+    return run_serve(args)
+cli._run_serve = entered
+gc.callbacks.append(count_early)
 
 def drive():
     from repro.service.client import ServiceClient
@@ -121,39 +188,59 @@ def drive():
         with ServiceClient(socket_path=sock) as client:
             flow = FlowSpec("f", "voice", "Seattle", "Denver")
             served["admitted"] = client.admit(flow).admitted
+            collector["serving"] = [gc.isenabled(), gc.get_freeze_count()]
             served["released"] = client.release("f")
     finally:
         os.kill(os.getpid(), signal.SIGTERM)  # drain: main() returns
 
 thread = threading.Thread(target=drive)
 thread.start()
-code = main(["serve", "--socket", sock, "--topology", "mci",
-             "--serve-seconds", "120"])
+code = cli.main(["serve", "--socket", sock, "--topology", "mci",
+                 "--serve-seconds", "120"])
 thread.join()
-print(json.dumps(
-    {"code": code, "served": served, "modules": sorted(sys.modules)}
-))
+print(json.dumps({
+    "code": code, "served": served, "collector": collector,
+    "modules": sorted(sys.modules),
+}))
 """
 
 
-def test_a_served_release_does_not_import_numpy_ma(tmp_path):
-    """`np.unique` imports `numpy.ma` (1.2 MB resident, ~9 ms inside
-    the first release frame); the release path loops over the class
-    codes it knows instead."""
+@pytest.fixture(scope="module")
+def served_once(tmp_path_factory):
+    """One served admit and release, in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
     )
+    sock = tmp_path_factory.mktemp("served") / "u.sock"
     proc = subprocess.run(
-        [sys.executable, "-c", _SERVE_ONE_ADMIT_AND_ONE_RELEASE,
-         str(tmp_path / "u.sock")],
+        [sys.executable, "-c", _SERVE_ONE_ADMIT_AND_ONE_RELEASE, str(sock)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] in (0, None), proc.stdout
     assert result["served"] == {"admitted": True, "released": True}
-    assert "repro.admission.kernels" in result["modules"]
-    assert under(result["modules"], "numpy.ma") == []
+    return result
+
+
+def test_a_served_release_does_not_import_numpy_ma(served_once):
+    """`np.unique` imports `numpy.ma` (1.2 MB resident, ~9 ms inside
+    the first release frame); the release path loops over the class
+    codes it knows instead."""
+    assert "repro.admission.kernels" in served_once["modules"]
+    assert under(served_once["modules"], "numpy.ma") == []
+
+
+def test_no_collection_before_the_listener(served_once):
+    """Start-up builds ~31k objects that all live as long as the
+    process: the collector stays off until the listener is up (59
+    collections before), then the heap it built is frozen out of
+    every later collection and the collector runs again."""
+    collector = served_once["collector"]
+    assert collector["entered"]
+    assert collector["early"] == 0
+    enabled, frozen = collector["serving"]
+    assert enabled and frozen > 0
 
 
 def test_version_needs_neither_numpy_nor_networkx():
@@ -197,7 +284,7 @@ def test_root_all_is_what_it_was():
     assert len(set(repro.__all__)) == len(repro.__all__)
 
 
-@pytest.mark.parametrize("package", LAZY_PACKAGES)
+@pytest.mark.parametrize("package", LAZY_PACKAGES + ["repro.obs"])
 def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     assert module.__all__

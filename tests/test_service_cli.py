@@ -553,7 +553,7 @@ def test_top_renders_live_stats(served, capsys):
 
 
 def test_top_shows_the_last_worker_restart_gap():
-    from repro.experiments.cli import _render_top
+    from repro.experiments.commands import _render_top
 
     stats = {"controller": "cluster", "startup_seconds": 1.234}
     assert "last restart" not in _render_top(stats, None, 1.0)
@@ -726,3 +726,36 @@ def test_serve_single_shard_worker(tmp_path, capsys):
     assert stats["worker_index"] == 0
     assert stats["controller"] == "SlotShardController"
     assert stats["pid"] == os.getpid() or stats["pid"] > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "extra, rc",
+    [
+        (["--serve-seconds", "0.2"], 0),  # drained normally
+        (["--alpha", "0.9"], 2),  # refused by Figure 2
+        (None, 1),  # bind failure: socket under a missing directory
+    ],
+    ids=["drain", "refused", "bind-failure"],
+)
+def test_main_hands_the_collector_back(tmp_path, capsys, extra, rc, enabled):
+    # serve turns the collector off while it starts and freezes its heap
+    # once it listens; main() is called in-process here, so the caller
+    # must get the collector back as it was, on every return path.
+    import gc
+
+    sock = tmp_path / "s.sock"
+    argv = ["serve", "--socket", str(sock), "--topology", "mci"]
+    if extra is None:
+        argv[2] = str(tmp_path / "no_such_dir" / "s.sock")
+        extra = ["--serve-seconds", "0.2"]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main(argv + extra) == rc
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    out = capsys.readouterr().out
+    assert ("drained after" in out) == (rc == 0)

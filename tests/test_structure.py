@@ -429,6 +429,39 @@ RATCHETS = (
             "import networkx as nx",
         ),
     ),
+    Ratchet(
+        name="A served process loads only what it serves: one-shot runners",
+        why=(
+            "`python -m repro.experiments.cli serve` runs cli.py as "
+            "__main__, which is compiled on every start (no bytecode "
+            "cache for __main__).  The one-shot commands' runners live in "
+            "experiments/commands.py, imported when one of them runs; a "
+            "second _run_* beside serve's is their compiling (half of "
+            "the 2 077-line cli.py's) on every cold start coming back."
+        ),
+        pattern=r"^def _run_(?!serve)",
+        roots=("src/repro/experiments/cli.py",),
+        offender=(
+            "src/repro/experiments/cli.py",
+            "def _run_faults(args: argparse.Namespace) -> int:",
+        ),
+    ),
+    Ratchet(
+        name="A served process loads only what it serves: bytecode is the environment's",
+        why=(
+            "Whether a start compiles its sources is the environment's "
+            "setting (PYTHONDONTWRITEBYTECODE, an installed wheel's "
+            "bytecode).  Code that writes, ships or redirects bytecode "
+            "changes what a cold-start measurement measures, not the "
+            "program."
+        ),
+        pattern=r"dont_write_bytecode|pycache_prefix|compileall|py_compile",
+        roots=("src",),
+        offender=(
+            "src/repro/experiments/cli.py",
+            "sys.dont_write_bytecode = False",
+        ),
+    ),
 )
 
 BY_NAME = pytest.mark.parametrize(
