@@ -231,6 +231,18 @@ class FlowTable:
         self._free.append(row)
         return code, servers, tag
 
+    def check_poppable(self, flow_ids: Sequence[Hashable]) -> None:
+        """Raise what :meth:`pop_batch` raises for ``flow_ids`` — the
+        first id that repeats or is not established — and change
+        nothing."""
+        seen = set()
+        for fid in flow_ids:
+            if fid in seen:
+                raise AdmissionError(f"duplicate flow id {fid!r} in batch")
+            if fid not in self._index:
+                raise AdmissionError(f"flow {fid!r} is not established")
+            seen.add(fid)
+
     def pop_batch(
         self, flow_ids: Sequence[Hashable]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -245,17 +257,7 @@ class FlowTable:
         get = index.get
         rows = [get(fid, -1) for fid in flow_ids]
         if len(set(rows)) != len(rows) or -1 in rows:
-            seen = set()
-            for fid in flow_ids:
-                if fid in seen:
-                    raise AdmissionError(
-                        f"duplicate flow id {fid!r} in batch"
-                    )
-                if fid not in index:
-                    raise AdmissionError(
-                        f"flow {fid!r} is not established"
-                    )
-                seen.add(fid)
+            self.check_poppable(flow_ids)
         for fid in flow_ids:
             del index[fid]
         at = np.asarray(rows, dtype=np.intp)

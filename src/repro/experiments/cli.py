@@ -129,14 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest verified slot capacity per server",
     )
     v.add_argument(
-        "--backend", choices=["auto", "exhaustive", "z3"],
-        default="auto",
-        help=(
-            "bounded-checker backend (auto = z3 when installed, "
-            "exhaustive otherwise)"
-        ),
-    )
-    v.add_argument(
         "--check", dest="checks", action="append",
         choices=["no_overcommit", "batch_equivalence"], default=None,
         help="run only this check (repeatable; default: all)",

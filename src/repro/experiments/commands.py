@@ -195,7 +195,6 @@ def _run_verify_bounded(args: argparse.Namespace) -> int:
         )
         report, results = run_verify(
             bound,
-            backend=args.backend,
             checks=(
                 tuple(args.checks) if args.checks else ("no_overcommit",
                                                         "batch_equivalence")

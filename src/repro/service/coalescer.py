@@ -1,12 +1,15 @@
 """Micro-batch coalescing of admission requests.
 
-The coalescer is the server's core: requests arriving within a
-configurable window (``max_delay`` seconds, ``max_batch`` requests) are
-drained from an :class:`asyncio.Queue` into a single
-:meth:`~repro.admission.base.AdmissionController.admit_batch` /
-:meth:`~repro.admission.base.AdmissionController.release_batch` call, so
-per-request cost amortizes exactly as the batch-kernel benchmarks
-demonstrated, and every caller's future resolves with its own decision.
+The coalescer is the server's core.  Requests arrive as frames — a v1
+``batch``, a v2 ``B`` frame, or a lone ``admit`` / ``release``, which is
+a frame of one — and a frame that finds nothing undecided ahead of it is
+decided on arrival, one
+:meth:`~repro.admission.base.AdmissionController.admit_batch_routed` /
+:meth:`~repro.admission.base.AdmissionController.release_batch` call
+per run of its ops.  Only ops submitted behind undecided ones, or while
+the coalescer is paused, go through an :class:`asyncio.Queue`, whose
+drain loop waits up to ``max_delay`` seconds for ``max_batch`` of them.
+Every outcome lands in a slot of its frame's :class:`BulkSlots`.
 
 **Decisions are bit-identical to sequential submission.**  The drained
 ops are processed strictly in arrival order, grouped into maximal
@@ -27,10 +30,9 @@ preserve exactness:
 All of that lives in one place, :meth:`MicroBatchCoalescer._decide`:
 ordered ops in, ordered outcomes out, no ``await``, no futures, no
 queue.  The drain loop and the inline branch of ``submit_bulk`` are its
-two callers; they differ only in how an outcome reaches its caller (a
-future per op, or a slot of the frame's :class:`BulkSlots`).  The
-controller only mutates inside ``_decide`` — snapshots taken between
-event-loop callbacks therefore see a consistent ledger.
+two callers, and both settle the same slots.  The controller only
+mutates inside ``_decide`` — snapshots taken between event-loop
+callbacks therefore see a consistent ledger.
 
 Telemetry is per ``_decide`` call, whichever caller made it: one audit
 ``frame`` line, one ``service.batch`` span, one update of each batch
@@ -86,8 +88,9 @@ _SPAN_LINK_CAP = 64
 
 logger = logging.getLogger("repro.service")
 
-#: Anything the drain loop can settle: a real asyncio future or a
-#: bulk result slot (same done/set_result/set_exception surface).
+#: Anything the drain loop can settle: a frame's result slot, or the
+#: real asyncio future of a flush barrier (same
+#: done/set_result/set_exception surface).
 ResultFuture = Union["asyncio.Future", "_SlotFuture"]
 
 _ADMIT = "admit"
@@ -190,13 +193,28 @@ class BulkSlots:
         self.outcomes[index] = outcome
         self._coalescer.pending -= 1
         self.remaining -= 1
-        if self.remaining == 0 and not self.waiter.done():
-            self.waiter.set_result(None)
+        if self.remaining == 0:
+            self._done()
+
+    def _done(self) -> None:
+        """Every slot holds its outcome: release the waiter."""
+        _settle(self.waiter, None)
 
     async def wait(self) -> None:
         """Block until every queued slot has settled."""
         if self.remaining:
             await self.waiter
+
+
+class _LoneSlot(BulkSlots):
+    """A frame of one whose waiter resolves to the one outcome, or
+    raises it: what :meth:`MicroBatchCoalescer.submit_admit` and
+    :meth:`~MicroBatchCoalescer.submit_release` hand back."""
+
+    __slots__ = ()
+
+    def _done(self) -> None:
+        _settle(self.waiter, self.outcomes[0])
 
 
 class _SlotFuture:
@@ -228,7 +246,8 @@ class _SlotFuture:
 
 
 class MicroBatchCoalescer:
-    """Queue admission ops; decide them in sequential-identical batches.
+    """Decide admission frames in sequential-identical batches: on
+    arrival when nothing is undecided, through the queue otherwise.
 
     Parameters
     ----------
@@ -237,11 +256,12 @@ class MicroBatchCoalescer:
         (:class:`~repro.admission.utilization.UtilizationAdmissionController`
         or a shard of one) every op is decided against.
     max_batch:
-        Upper bound on ops decided per drain.
+        Upper bound on ops decided per decision step (a larger frame is
+        decided in chunks).
     max_delay:
-        Seconds the drain loop waits for the batch to fill once at
+        Seconds the drain loop waits for a queued batch to fill once at
         least one op is pending.  ``0`` coalesces only what is already
-        queued (greedy, no added latency).
+        queued.  A frame decided on arrival never waits.
     """
 
     def __init__(
@@ -325,68 +345,24 @@ class MicroBatchCoalescer:
     # submission
     # ------------------------------------------------------------------ #
 
-    def submit_admit(
-        self,
-        flow: FlowSpec,
-        *,
-        trace: Optional[TraceContext] = None,
-        span_hex: Optional[str] = None,
-    ) -> "asyncio.Future":
-        """Enqueue an admission; the future resolves to its
-        :class:`~repro.admission.base.AdmissionDecision` (or an
+    def submit_admit(self, flow: FlowSpec) -> "asyncio.Future":
+        """Submit an admission as a frame of one; the future resolves
+        to its :class:`~repro.admission.base.AdmissionDecision` (or an
         :class:`~repro.errors.AdmissionError`-family exception, exactly
         where the sequential API would raise)."""
-        return self.submit_admit_op(
-            flow, trace=trace, span_hex=span_hex
-        ).future
+        return self._submit_lone(_ADMIT, flow)
 
-    def submit_admit_op(
-        self,
-        flow: FlowSpec,
-        *,
-        trace: Optional[TraceContext] = None,
-        span_hex: Optional[str] = None,
-    ) -> _Op:
-        """Like :meth:`submit_admit`, returning the queued op itself so
-        the server can read its telemetry fields after resolution."""
-        op = _Op(
-            _ADMIT,
-            asyncio.get_running_loop().create_future(),
-            flow,
-            trace=trace,
-            span_hex=span_hex,
-        )
-        self._submit(op)
-        return op
+    def submit_release(self, flow_id: Hashable) -> "asyncio.Future":
+        """Submit a release as a frame of one; the future resolves to
+        ``True``."""
+        return self._submit_lone(_RELEASE, flow_id)
 
-    def submit_release(
-        self,
-        flow_id: Hashable,
-        *,
-        trace: Optional[TraceContext] = None,
-        span_hex: Optional[str] = None,
-    ) -> "asyncio.Future":
-        """Enqueue a release; the future resolves to ``True``."""
-        return self.submit_release_op(
-            flow_id, trace=trace, span_hex=span_hex
-        ).future
-
-    def submit_release_op(
-        self,
-        flow_id: Hashable,
-        *,
-        trace: Optional[TraceContext] = None,
-        span_hex: Optional[str] = None,
-    ) -> _Op:
-        op = _Op(
-            _RELEASE,
-            asyncio.get_running_loop().create_future(),
-            flow_id,
-            trace=trace,
-            span_hex=span_hex,
-        )
-        self._submit(op)
-        return op
+    def _submit_lone(self, kind: str, payload: Any) -> "asyncio.Future":
+        slots = _LoneSlot(1, self)
+        self.submit_bulk(slots, [(0, kind, payload)])
+        if not slots.remaining:  # decided inline
+            slots._done()
+        return slots.waiter
 
     def open_bulk(self, size: int) -> BulkSlots:
         """Result collector for one bulk frame of ``size`` sub-ops."""
@@ -481,23 +457,11 @@ class MicroBatchCoalescer:
     def _submit_slot(self, op: _Op, slots: BulkSlots) -> None:
         if self._closed:
             raise ServiceError("coalescer is stopped")
-        # Backpressure accounting is per op, exactly like `_submit`;
-        # the decrement happens in BulkSlots._settle instead of a
-        # future done-callback.
+        # Backpressure accounting is per op; BulkSlots._settle takes it
+        # back when the op is decided.
         self.pending += 1
         slots.remaining += 1
         self._queue.put_nowait(op)
-
-    def _submit(self, op: _Op) -> "asyncio.Future":
-        if self._closed:
-            raise ServiceError("coalescer is stopped")
-        self.pending += 1
-        op.future.add_done_callback(self._on_done)
-        self._queue.put_nowait(op)
-        return op.future
-
-    def _on_done(self, _future: "asyncio.Future") -> None:
-        self.pending -= 1
 
     # ------------------------------------------------------------------ #
     # drain loop
@@ -946,7 +910,3 @@ def _settle(future: "ResultFuture", outcome: object) -> None:
             future.set_exception(outcome)
         else:
             future.set_result(outcome)
-
-
-# Re-export for annotation convenience in the server module.
-Decision = AdmissionDecision

@@ -6,17 +6,19 @@ or a shard of one) with the wire protocol of
 :mod:`repro.service.protocol` over TCP or a Unix socket.  Framing,
 negotiation and response writing belong to
 :mod:`repro.service.conn`; this class is its handler: each parsed frame
-hands its admits/releases to the
-:class:`~repro.service.coalescer.MicroBatchCoalescer` **synchronously,
-in frame order**, and returns the small coroutine that awaits the
-decision and writes the response.
+(a lone admit or release is a frame of one) hands its admits/releases
+to the :class:`~repro.service.coalescer.MicroBatchCoalescer`
+**synchronously, in frame order** — on an idle coalescer that decides
+them on the spot — and returns the small coroutine that writes the
+response.
 
 Around that core:
 
-* **backpressure with load shedding** — once the coalescer backlog
-  crosses ``high_water`` pending ops, admit/release/batch requests are
-  answered with an explicit ``overloaded`` error (never silently
-  dropped) until the backlog drains below ``low_water`` (hysteresis);
+* **backpressure** — a frame is read once the one before it is
+  decided, so excess load waits in the socket; ops queue only behind a
+  paused coalescer, and past ``high_water`` of them admission requests
+  are answered ``overloaded`` (never silently dropped) until the
+  backlog drains below ``low_water`` (hysteresis);
 * **graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
   requests finish, flush the coalescer, write a final snapshot, and
   close every connection;
@@ -70,7 +72,6 @@ from .coalescer import (
     BULK_OP_RELEASE,
     BulkSlots,
     MicroBatchCoalescer,
-    _Op,
     _Stamp,
 )
 from .conn import Connection, ConnectionLayer, claim_unix_path
@@ -93,14 +94,17 @@ class ServiceConfig:
     Attributes
     ----------
     max_batch / max_delay:
-        Coalescing window: requests arriving within ``max_delay``
-        seconds (up to ``max_batch`` of them) are decided by one batch
-        kernel call.
+        ``max_batch`` bounds the ops one decision step takes (a larger
+        frame is decided in chunks).  ``max_delay`` is the coalescing
+        window of ops queued behind a paused coalescer: the drain loop
+        waits up to that long for ``max_batch`` of them.  A frame that
+        arrives with nothing undecided ahead of it never waits.
     high_water / low_water:
-        Backlog hysteresis (pending coalescer ops).  At or above
-        ``high_water`` the server sheds admit/release/batch requests
-        with ``overloaded`` responses; shedding stops once the backlog
-        drains to ``low_water`` or below.
+        Backlog hysteresis (pending coalescer ops, which only a paused
+        coalescer accumulates).  At or above ``high_water`` the server
+        sheds admit/release/batch requests with ``overloaded``
+        responses; shedding stops once the backlog drains to
+        ``low_water`` or below.
     max_frame_bytes:
         Per-line protocol frame ceiling; an oversized frame earns a
         ``frame_too_large`` error and a clean connection close.
@@ -219,6 +223,12 @@ class _ReqTele:
         self.op = op
         if OBS.enabled and OBS.tracer is not None:
             self.span_hex = new_span_id()
+
+
+def _decoded(entry: Tuple[int, Any]) -> Tuple[int, Any]:
+    """Sub-op decoder of a lone op's frame of one: its ``(kind,
+    argument)`` entry was validated by :meth:`AdmissionService._begin`."""
+    return entry
 
 
 class AdmissionService:
@@ -691,7 +701,7 @@ class AdmissionService:
         )
 
     # ------------------------------------------------------------------ #
-    # frames: v1 ``batch`` and v2 ``B`` share one carrier
+    # frames: v1 ``batch``, v2 ``B`` and a lone op share one carrier
     # ------------------------------------------------------------------ #
 
     def begin_bulk(
@@ -724,8 +734,9 @@ class AdmissionService:
         tele: "Optional[_ReqTele]",
     ) -> Tuple[BulkSlots, List[_Stamp]]:
         """Decode one frame's sub-ops (``decode`` is the v1 or the
-        packed sub-op validator) and submit the well-formed ones in
-        order; a malformed one keeps its slot as an inline error.
+        packed sub-op validator, or :func:`_decoded` for a lone op) and
+        submit the well-formed ones in order; a malformed one keeps its
+        slot as an inline error.
 
         The per-sub-op work is deliberately minimal — decode into a
         :class:`~repro.traffic.flows.FlowSpec` or a flow id and one
@@ -794,8 +805,10 @@ class AdmissionService:
         ops) submit to the coalescer in arrival order.
 
         Returns whatever :meth:`_finish` needs to produce the response:
-        a ready response dict, the one queued op, or the frame carrier
-        of :meth:`_submit_frame` for ``batch``.
+        a ready response dict, or the frame carrier of
+        :meth:`_submit_frame` — a lone ``admit`` / ``release`` is a
+        frame of one, validated here so that a malformed one is refused
+        before anything is submitted.
         """
         op = request.op
         body = request.body
@@ -839,29 +852,28 @@ class AdmissionService:
         refusal = self._refusal(rid)
         if refusal is not None:
             return refusal
-        trace = tele.trace if tele is not None else None
-        span_hex = tele.span_hex if tele is not None else None
+        if op == "batch":
+            ops = body.get("ops")
+            if not isinstance(ops, list):
+                raise ProtocolError(
+                    protocol.BAD_REQUEST, "batch needs an ops list"
+                )
+            return self._submit_frame(ops, protocol.decode_batch_subop, tele)
         if op == "admit":
-            flow = protocol.flow_from_obj(body.get("flow"))
-            return self.coalescer.submit_admit_op(
-                flow, trace=trace, span_hex=span_hex
+            entry = (
+                protocol.BULK_ADMIT,
+                protocol.flow_from_obj(body.get("flow")),
             )
-        if op == "release":
+        else:
             if "flow_id" not in body:
                 raise ProtocolError(
                     protocol.BAD_REQUEST, "release needs flow_id"
                 )
-            return self.coalescer.submit_release_op(
+            entry = (
+                protocol.BULK_RELEASE,
                 protocol.validate_flow_id(body["flow_id"]),
-                trace=trace,
-                span_hex=span_hex,
             )
-        ops = body.get("ops")
-        if not isinstance(ops, list):
-            raise ProtocolError(
-                protocol.BAD_REQUEST, "batch needs an ops list"
-            )
-        return self._submit_frame(ops, protocol.decode_batch_subop, tele)
+        return self._submit_frame([entry], _decoded, tele)
 
     async def _finish(
         self,
@@ -878,29 +890,22 @@ class AdmissionService:
         response: Union[Dict[str, Any], bytes]
         if isinstance(pending, dict):  # ready response
             response = pending
-        elif isinstance(pending, _Op):
-            ops = [pending]
-            try:
-                outcome = await pending.future
-            except Exception as exc:
-                outcome = exc
-            (sub,) = protocol.unpack_bulk_results(
-                [self._bulk_slot(outcome)]
-            )
-            response = {"id": request.id, **sub}
         else:  # a frame's carrier
             slots, ops = pending
             await slots.wait()
-            n_subops = len(slots.outcomes)
             packed = [self._bulk_slot(o) for o in slots.outcomes]
-            if request.op == "bulk":
-                response = protocol.encode_bulk_response(
-                    request.id, packed
-                )
+            if request.op in ("admit", "release"):  # a frame of one
+                (sub,) = protocol.unpack_bulk_results(packed)
+                response = {"id": request.id, **sub}
             else:
-                response = protocol.ok_response(
-                    request.id,
-                    {"results": protocol.unpack_bulk_results(packed)},
+                n_subops = len(packed)
+                response = (
+                    protocol.encode_bulk_response(request.id, packed)
+                    if request.op == "bulk"
+                    else protocol.ok_response(
+                        request.id,
+                        {"results": protocol.unpack_bulk_results(packed)},
+                    )
                 )
         if tele is not None:
             tele.t_write = time.perf_counter()

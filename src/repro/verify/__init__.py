@@ -1,16 +1,11 @@
 """Machine-checked verification of the admission safety argument.
 
-Two complementary backends over one bounded universe
-(:class:`VerifyBound` — symbolic capacities, contiguous interval
-routes on a chain, ordered arrivals with release points):
-
-* :mod:`repro.verify.bounded` — exhaustive enumeration driving the
-  **real** controller and batch kernel (tier-1, no dependencies);
-* :mod:`repro.verify.smt` — z3 symbolic proof in the CCAC
-  constraint-encoding style (optional ``smt`` extra, CI ``verify-smt``
-  job).
-
-Both decode violations into :class:`Counterexample` objects whose
+:mod:`repro.verify.bounded` enumerates one bounded universe
+(:class:`VerifyBound` — every capacity up to a bound, contiguous
+interval routes on a chain, ordered arrivals with release points) and
+drives the **real** controller and batch kernel through every instance
+of it (tier-1, no dependencies).  Violations decode into
+:class:`Counterexample` objects whose
 :meth:`~Counterexample.to_trace_events` form is a concrete
 ``repro-workload-trace/v1`` stream — replayable through the loadgen,
 the service, and the adversarial regression suite.  Deliberately
@@ -58,13 +53,6 @@ if TYPE_CHECKING:
         write_verify_report,
     )
     from .runner import ALL_CHECKS, run_verify
-    from .smt import (
-        HAVE_Z3,
-        Z3_PIN,
-        require_z3,
-        smt_batch_equivalence,
-        smt_no_overcommit,
-    )
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".bounded": (
@@ -86,8 +74,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "validate_verify_report", "write_verify_report",
     ),
     ".runner": ("ALL_CHECKS", "run_verify"),
-    ".smt": (
-        "HAVE_Z3", "Z3_PIN", "require_z3", "smt_batch_equivalence",
-        "smt_no_overcommit",
-    ),
 })

@@ -1,8 +1,7 @@
-"""Exhaustive bounded checking — the z3-free backend.
+"""Exhaustive bounded checking.
 
-Where :mod:`repro.verify.smt` *proves* the bounded safety properties
-symbolically, this module checks the same properties by enumerating
-every concrete instance inside a :class:`~repro.verify.instances.\
+This module checks the bounded safety properties by enumerating every
+concrete instance inside a :class:`~repro.verify.instances.\
 VerifyBound` and running the **real production code** on each:
 
 * :func:`exhaustive_no_overcommit` drives the real
@@ -21,9 +20,10 @@ VerifyBound` and running the **real production code** on each:
   protected victim, all or nothing, invariants intact.
 
 Because the subjects are the shipped kernel and controller — not a
-model of them — this backend catches *code* mutants the SMT encoding
-alone cannot, and it runs in tier-1 CI with zero optional
-dependencies.  At the default bound (3 flows x 2 servers) that is
+model of them — a *code* mutant is caught where it lives, and the
+checker runs in tier-1 with no optional dependencies.  CCAC's
+constraint encodings (SNIPPETS.md) stay the modelling reference for
+new properties.  At the default bound (3 flows x 2 servers) that is
 ~1.5k controller instances and ~400 kernel calls, well under a second.
 """
 

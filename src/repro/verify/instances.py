@@ -1,10 +1,10 @@
-"""Bounded symbolic instances of the admission safety argument.
+"""Bounded instances of the admission safety argument.
 
 The paper's certificate is interval-based: a verified utilization
 assignment gives every link server a per-class slot capacity, and the
 run-time test admits a flow iff a slot is free on *every* server of its
 route.  To machine-check that argument we shrink it to finite bounded
-instances that both the exhaustive and the z3 backend share:
+instances, every one of which the exhaustive checker runs:
 
 * a **chain topology** of ``servers`` forward link servers
   (``r0 -> r1 -> ... -> r{servers}``), so that every contiguous server
@@ -24,8 +24,8 @@ occupancy just after one.
 :func:`simulate_sequential` is the executable model (with the
 ``admit_on_full`` mutant switch), :func:`build_chain_controller` maps
 an instance onto the *real* :class:`UtilizationAdmissionController`,
-and :class:`Counterexample` carries a decoded violation — from either
-backend — as a concrete, replayable
+and :class:`Counterexample` carries a decoded violation as a concrete,
+replayable
 ``repro-workload-trace/v1`` event stream.
 """
 
@@ -71,7 +71,7 @@ _MAX_CAPACITY = 4
 
 @dataclass(frozen=True)
 class VerifyBound:
-    """Size of the bounded universe both backends quantify over.
+    """Size of the bounded universe the checker enumerates.
 
     ``intervals`` (== ``flows``) is the number of event intervals the
     occupancy is checked on: each arrival opens one.
@@ -358,13 +358,11 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one bounded check run by either backend.
+    """Outcome of one bounded check.
 
-    ``status`` is ``"proved"`` (z3: violation query UNSAT),
-    ``"passed"`` (exhaustive: every instance clean), or ``"violated"``
+    ``status`` is ``"passed"`` (every instance clean) or ``"violated"``
     (a counterexample was found — the expected outcome under a mutant).
-    ``instances`` counts concrete instances an exhaustive run covered
-    (``None`` for symbolic proofs).
+    ``instances`` counts the concrete instances the run covered.
     """
 
     name: str

@@ -29,22 +29,21 @@ __all__ = [
 VERIFY_REPORT_SCHEMA = "repro-verify-report/v1"
 
 _CHECK_NAMES = ("no_overcommit", "batch_equivalence")
-_BACKENDS = ("exhaustive", "z3")
-_STATUSES = ("proved", "passed", "violated")
+_BACKENDS = ("exhaustive",)
+_STATUSES = ("passed", "violated")
 
 
 def build_verify_report(
     bound: VerifyBound,
     results: Sequence[CheckResult],
     *,
-    backend: str,
     mutant: Optional[str] = None,
     elapsed_seconds: float = 0.0,
 ) -> Dict[str, Any]:
     """Assemble a schema-tagged report for one verification run.
 
     ``ok`` means the run did what it set out to do: without a mutant,
-    every check proved/passed; with one, every check found (and
+    every check passed; with one, every check found (and
     decoded) a counterexample — a mutant surviving verification is a
     failure of the verifier.
     """
@@ -52,7 +51,7 @@ def build_verify_report(
         raise VerificationError("a verify report needs at least one check")
     checks = [r.to_dict() for r in results]
     if mutant is None:
-        ok = all(r.status in ("proved", "passed") for r in results)
+        ok = all(r.status == "passed" for r in results)
     else:
         ok = all(
             r.status == "violated" and r.counterexample is not None
@@ -61,7 +60,7 @@ def build_verify_report(
     return {
         "schema": VERIFY_REPORT_SCHEMA,
         "version": __version__,
-        "backend": backend,
+        "backend": "exhaustive",
         "mutant": mutant,
         "bound": bound.to_dict(),
         "checks": checks,
@@ -140,9 +139,7 @@ def validate_verify_report(report: Dict[str, Any]) -> None:
     if not isinstance(ok, bool):
         raise VerificationError("report ok flag must be a boolean")
     if mutant is None:
-        expected_ok = all(
-            c["status"] in ("proved", "passed") for c in checks
-        )
+        expected_ok = all(c["status"] == "passed" for c in checks)
     else:
         expected_ok = all(c["status"] == "violated" for c in checks)
     if ok != expected_ok:

@@ -1,11 +1,9 @@
 """One-call verification runs shared by the CLI and CI.
 
-:func:`run_verify` dispatches the requested checks to a backend —
-``"exhaustive"`` (pure Python, always available, runs the *real*
-kernel and controller), ``"z3"`` (symbolic proof, optional
-dependency), or ``"auto"`` (z3 when installed, exhaustive otherwise) —
-and returns the results plus an assembled, already-validated
-``repro-verify-report/v1`` document.
+:func:`run_verify` runs the requested checks on the exhaustive backend
+(pure Python, runs the *real* kernel and controller) and returns the
+results plus an assembled, already-validated ``repro-verify-report/v1``
+document.
 """
 
 from __future__ import annotations
@@ -21,28 +19,15 @@ from .bounded import (
 from .instances import CheckResult, VerifyBound
 from .mutants import MUTANTS
 from .report import build_verify_report, validate_verify_report
-from .smt import HAVE_Z3, smt_batch_equivalence, smt_no_overcommit
 
 __all__ = ["ALL_CHECKS", "run_verify"]
 
 ALL_CHECKS = ("no_overcommit", "batch_equivalence")
 
 
-def _resolve_backend(backend: str) -> str:
-    if backend == "auto":
-        return "z3" if HAVE_Z3 else "exhaustive"
-    if backend not in ("exhaustive", "z3"):
-        raise VerificationError(
-            f"unknown backend {backend!r}; "
-            "choose exhaustive, z3 or auto"
-        )
-    return backend
-
-
 def run_verify(
     bound: VerifyBound,
     *,
-    backend: str = "auto",
     checks: Sequence[str] = ALL_CHECKS,
     mutant: Optional[str] = None,
 ) -> Tuple[Dict[str, Any], List[CheckResult]]:
@@ -54,7 +39,6 @@ def run_verify(
     skipped).  The returned report has already passed
     :func:`~repro.verify.report.validate_verify_report`.
     """
-    resolved = _resolve_backend(backend)
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise VerificationError(
@@ -75,30 +59,18 @@ def run_verify(
             # ignore_contention is a batching bug.
             if mutant is not None and mutant != "admit_on_full":
                 continue
-            if resolved == "z3":
-                results.append(
-                    smt_no_overcommit(bound, mutant=mutant)
+            results.append(
+                exhaustive_no_overcommit(
+                    bound, admit_on_full=mutant == "admit_on_full"
                 )
-            else:
-                results.append(
-                    exhaustive_no_overcommit(
-                        bound, admit_on_full=mutant == "admit_on_full"
-                    )
-                )
+            )
         else:
-            if resolved == "z3":
-                results.append(
-                    smt_batch_equivalence(bound, mutant=mutant)
+            results.append(
+                exhaustive_batch_equivalence(
+                    bound,
+                    kernel=None if mutant is None else MUTANTS[mutant],
                 )
-            else:
-                results.append(
-                    exhaustive_batch_equivalence(
-                        bound,
-                        kernel=(
-                            None if mutant is None else MUTANTS[mutant]
-                        ),
-                    )
-                )
+            )
     if not results:
         raise VerificationError(
             f"mutant {mutant!r} applies to none of the requested "
@@ -107,7 +79,6 @@ def run_verify(
     report = build_verify_report(
         bound,
         results,
-        backend=resolved,
         mutant=mutant,
         elapsed_seconds=time.perf_counter() - start,
     )

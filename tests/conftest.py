@@ -28,24 +28,6 @@ except ImportError:  # pragma: no cover - hypothesis always in test deps
     pass
 
 from repro.obs import NULL_REGISTRY, OBS
-from repro.verify.smt import HAVE_Z3
-
-
-def pytest_collection_modifyitems(config, items):
-    """Skip extras-gated tests when the optional solver is absent.
-
-    Tier-1 runs stay z3-free by construction; the CI ``verify-smt`` job
-    installs the extra and runs ``pytest -m smt``, where these tests
-    must actually execute (the skip shows up as ``s`` in its output, so
-    an accidentally-bare job is visible).
-    """
-    if not HAVE_Z3:
-        skip_smt = pytest.mark.skip(
-            reason="z3-solver not installed (smt extra)"
-        )
-        for item in items:
-            if "smt" in item.keywords:
-                item.add_marker(skip_smt)
 from repro.topology import (
     LinkServerGraph,
     Network,

@@ -446,7 +446,7 @@ class TestBatchPreemptionAudit:
         audit_path = str(tmp_path / "audit.jsonl")
         service = AdmissionService(
             controller,
-            ServiceConfig(max_delay=0.05, audit_path=audit_path),
+            ServiceConfig(audit_path=audit_path),
             preemptor=Preemptor(controller),
         )
 
@@ -456,7 +456,7 @@ class TestBatchPreemptionAudit:
                 "127.0.0.1", service.port
             )
             # Fill two of the three route slots in their own batches,
-            # so the coalesced pair below finds exactly one slot: the
+            # so the batch frame below finds exactly one slot: the
             # kernel admits the elastic arrival into it and rejects
             # the hard-RT one, and the preemption pass must then evict
             # the elastic flow admitted moments earlier in the same
@@ -467,26 +467,26 @@ class TestBatchPreemptionAudit:
                     f"z{i}", "voice", "r0", "r2", priority="elastic",
                 ))
                 assert decision.admitted
-            decisions = await asyncio.gather(
-                client.admit(FlowSpec(
+            results = await client.batch([
+                {"op": "admit", "flow": FlowSpec(
                     "a-victim", "voice", "r0", "r2",
                     priority="elastic",
-                )),
-                client.admit(FlowSpec(
+                ).to_obj()},
+                {"op": "admit", "flow": FlowSpec(
                     "rescued", "voice", "r0", "r2",
                     priority="hard_rt",
-                )),
-            )
+                ).to_obj()},
+            ])
             await client.close()
             await service.drain()
-            return decisions
+            return results
 
-        elastic_dec, hard_dec = asyncio.run(run())
+        elastic_res, hard_res = asyncio.run(run())
         assert service.coalescer.largest_batch == 2, (
-            "arrivals did not coalesce into one batch"
+            "the frame was not decided as one batch"
         )
-        assert elastic_dec.admitted
-        assert hard_dec.admitted
+        assert elastic_res["result"]["admitted"]
+        assert hard_res["result"]["admitted"]
         assert service.coalescer.preempted_admits == 1
         assert controller.is_established("rescued")
         assert not controller.is_established("a-victim")

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.obs import Histogram  # noqa: E402
+from repro.admission import base as admission_base  # noqa: E402
 from repro.admission import (  # noqa: E402
     FlowAwareAdmissionController,
     SlotShardController,
@@ -545,3 +547,196 @@ class TestObsCounterEquivalence:
         finally:
             obs.disable()
             obs.reset()
+
+
+# ---------------------------------------------------------------------- #
+# runs either side of the sequential/batch crossover
+# ---------------------------------------------------------------------- #
+
+#: Admit variants: plain pairs and a pinned route of each class, and the
+#: requests ``check_admit`` refuses (the coalescer fails those alone and
+#: never hands them over).
+_RUN_VARIANTS = (
+    "pair",
+    "best_effort",
+    "pinned",
+    "established_id",
+    "unknown_class",
+    "unconfigured_pair",
+    "unknown_link",
+    "unhashable_src",
+)
+
+_run_admit = st.tuples(
+    st.sampled_from(_RUN_VARIANTS),
+    st.integers(0, len(PAIRS) - 1),
+    st.sampled_from([None, "elastic", "soft_rt", "hard_rt"]),
+)
+
+
+def _crossover_lengths(threshold):
+    return st.sampled_from([threshold - 1, threshold, threshold + 1])
+
+
+def _run_flow(fid, variant, pair, priority, established):
+    src, dst = PAIRS[pair]
+    if variant == "best_effort":
+        return FlowSpec(fid, "best-effort", src, dst, None, priority)
+    if variant == "pinned":
+        return FlowSpec(fid, "voice", "r0", "r3", ("r0", "r1", "r2", "r3"),
+                        priority)
+    if variant == "established_id" and established:
+        return FlowSpec(established[pair % len(established)], "voice", src,
+                        dst, None, priority)
+    if variant == "unknown_class":
+        return FlowSpec(fid, "video9", src, dst, None, priority)
+    if variant == "unconfigured_pair":
+        return FlowSpec(fid, "voice", "r0", "Nowhere", None, priority)
+    if variant == "unknown_link":
+        return FlowSpec(fid, "voice", "r0", "r3", ("r0", "Nowhere", "r3"),
+                        priority)
+    if variant == "unhashable_src":
+        return FlowSpec(fid, "voice", [src], dst, None, priority)
+    return FlowSpec(fid, "voice", src, dst, None, priority)
+
+
+class TestCrossoverRuns:
+    """``admit_batch_routed`` / ``release_batch`` decide a run shorter
+    than the crossover with the sequential loop and a longer one with
+    the subclass's batch path.  Runs one short of, at and one past each
+    crossover — what the coalescer hands over once ``check_admit`` has
+    failed the hostile requests alone — answer as sequential ``admit()``
+    / ``release()`` calls do, and as the batch path alone does: outcomes,
+    reasons, ``batch_size``, ledger, flow-table order, committed routes
+    (with priorities) and decision counters."""
+
+    @staticmethod
+    def _state(controller):
+        return (
+            [
+                (flow.flow_id, flow.class_name, flow.priority, route)
+                for flow, route in controller.established_records
+            ],
+            _ledger_state(controller),
+            controller.num_decisions,
+            controller.num_admitted,
+            controller.verify_invariants(),
+        )
+
+    @staticmethod
+    def _admit_run(controller, flows):
+        """The coalescer's ``_admit_run``: refused requests fail alone,
+        the rest is one ``admit_batch_routed`` call."""
+        outcomes, valid, routes = {}, [], []
+        for i, flow in enumerate(flows):
+            try:
+                routes.append(controller.check_admit(flow))
+            except ReproError as exc:
+                outcomes[i] = ("error", str(exc))
+                continue
+            valid.append(i)
+        decisions = controller.admit_batch_routed(
+            [flows[i] for i in valid], routes
+        )
+        for i, d in zip(valid, decisions):
+            outcomes[i] = (d.flow_id, d.admitted, d.reason, d.batch_size)
+        return [outcomes[i] for i in range(len(flows))]
+
+    @staticmethod
+    def _sequential(controller, flows):
+        outcomes = []
+        for flow in flows:
+            try:
+                d = controller.admit(flow)
+            except ReproError as exc:
+                outcomes.append(("error", str(exc)))
+                continue
+            outcomes.append((d.flow_id, d.admitted, d.reason))
+        return outcomes
+
+    def _drive(self, kind, alphas, steps):
+        selected = _make(kind, alphas)
+        batch_only = _make(kind, alphas)
+        sequential = _make(kind, alphas)
+        counter = 0
+        for admits, n_release, seed in steps:
+            established = [
+                f.flow_id for f in sequential.established_flows
+            ]
+            flows = []
+            for variant, pair, priority in admits:
+                counter += 1
+                flows.append(_run_flow(
+                    f"c{counter}", variant, pair, priority, established
+                ))
+            got = self._admit_run(selected, flows)
+            with mock.patch.object(admission_base, "ADMIT_BATCH_MIN_RUN", 1):
+                forced = self._admit_run(batch_only, flows)
+            want = self._sequential(sequential, flows)
+            assert got == forced
+            assert [o[:3] for o in got] == want
+            n_valid = sum(1 for o in got if o[0] != "error")
+            assert all(o[3] == n_valid for o in got if o[0] != "error")
+
+            live = [f.flow_id for f in sequential.established_flows]
+            rng = np.random.default_rng(seed)
+            ids = [
+                live[i] for i in rng.permutation(len(live))[:n_release]
+            ]
+            if ids:
+                selected.release_batch(ids)
+                with mock.patch.object(
+                    admission_base, "RELEASE_BATCH_MIN_RUN", 1
+                ):
+                    batch_only.release_batch(ids)
+                for fid in ids:
+                    sequential.release(fid)
+            state = self._state(sequential)
+            assert state[-1] == []
+            assert self._state(selected) == state
+            assert self._state(batch_only) == state
+
+    @staticmethod
+    def _steps(max_steps):
+        return st.lists(
+            st.tuples(
+                _crossover_lengths(admission_base.ADMIT_BATCH_MIN_RUN)
+                .flatmap(lambda n: st.lists(_run_admit, min_size=n,
+                                            max_size=n)),
+                _crossover_lengths(admission_base.RELEASE_BATCH_MIN_RUN),
+                st.integers(0, 2 ** 16),
+            ),
+            min_size=1,
+            max_size=max_steps,
+        )
+
+    @pytest.mark.parametrize("kind", ["utilization", "slotshard"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_slot_ledger_controllers(self, kind, data):
+        steps = data.draw(self._steps(6))
+        self._drive(kind, TIGHT_ALPHA, steps)
+
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_flow_aware_controller(self, data):
+        steps = data.draw(self._steps(2))
+        self._drive("flow-aware", None, steps)
+
+    @pytest.mark.parametrize("kind", ["utilization", "slotshard", "flow-aware"])
+    def test_short_release_run_is_all_or_nothing(self, kind):
+        """Below the crossover a release run is freed id by id, after
+        the whole run is checked: a missing id frees nobody."""
+        assert 2 < admission_base.RELEASE_BATCH_MIN_RUN
+        controller = _make(kind, ROOMY_ALPHA)
+        controller.admit_batch([FlowSpec("a", "voice", *PAIRS[0])])
+        before = self._state(controller)
+        with pytest.raises(ReproError, match="flow 'nope' is not established"):
+            controller.release_batch(["a", "nope"])
+        assert controller.is_established("a")
+        assert self._state(controller) == before
+        with pytest.raises(ReproError, match="duplicate flow id 'a'"):
+            controller.release_batch(["a", "a"])
+        assert controller.is_established("a")
+        controller.release_batch(["a"])
+        assert controller.num_established == len(controller._flows) == 0

@@ -279,9 +279,6 @@ class TestAsyncClient:
                 f"f{i}" for i in range(50)
             ]
             assert all(d.admitted for d in decisions)
-            stats = await client.stats()
-            # Pipelined requests coalesce: far fewer batches than ops.
-            assert stats["batches"] < 50
             await client.close()
             await service.drain()
 

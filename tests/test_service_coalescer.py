@@ -60,16 +60,22 @@ def run_sequential(controller, ops):
     return outcomes
 
 
-async def run_coalesced(controller, ops, **kwargs):
-    """The same ops through a coalescer, submitted in order up front."""
+async def run_coalesced(controller, ops, paused=False, **kwargs):
+    """The same ops through a coalescer, submitted in order up front:
+    each a frame of one decided on arrival, or (``paused``) all queued
+    behind a paused coalescer and drained together."""
     coalescer = MicroBatchCoalescer(controller, **kwargs)
     coalescer.start()
+    if paused:
+        coalescer.pause()
     futures = []
     for kind, arg in ops:
         if kind == "admit":
             futures.append(coalescer.submit_admit(arg))
         else:
             futures.append(coalescer.submit_release(arg))
+    assert [f.done() for f in futures] == [not paused] * len(futures)
+    coalescer.resume()
     outcomes = []
     for future in futures:
         try:
@@ -144,7 +150,7 @@ def outcome_shape(outcome):
     return ("decision", outcome.admitted, outcome.reason)
 
 
-def differential_sequential(controller, ops):
+def differential_sequential(controller, ops, lone=False):
     """The reference: one in-process ``admit``/``release`` per op, in
     order, and one ``Preemptor.try_admit`` per rejected arrival of an
     eligible priority.
@@ -153,7 +159,8 @@ def differential_sequential(controller, ops):
     rescues of an admit run happen after the run's last plain decision,
     in order.  A run is what the coalescer promises it to be — maximal
     consecutive admits, cut where a flow id repeats — so the reference
-    holds its rescue attempts back until the run ends.
+    holds its rescue attempts back until the run ends.  With ``lone``
+    every op is a frame of its own, so every run is one op long.
     """
     preemptor = Preemptor(controller)
     outcomes = []
@@ -168,7 +175,7 @@ def differential_sequential(controller, ops):
         rescues.clear()
 
     for op in ops:
-        if op[0] == "release" or op[1] in run_ids:
+        if lone or op[0] == "release" or op[1] in run_ids:
             end_run()
         try:
             if op[0] == "release":
@@ -192,27 +199,26 @@ def differential_sequential(controller, ops):
 
 class TestSequentialIdentity:
     def check(self, ops, alpha=0.3, **kwargs):
-        wire_controller, _ = make_controller(alpha)
+        """Lone frames decided on arrival and the same ops queued behind
+        a paused coalescer both answer as sequential calls do; returns
+        the queued run's outcomes and coalescer."""
         seq_controller, _ = make_controller(alpha)
-        wire, coalescer = asyncio.run(
-            run_coalesced(wire_controller, ops, **kwargs)
-        )
         seq = run_sequential(seq_controller, ops)
-        assert wire == seq
-        assert (
-            wire_controller.num_established
-            == seq_controller.num_established
-        )
-        assert set(
-            f.flow_id for f in wire_controller.established_flows
-        ) == set(f.flow_id for f in seq_controller.established_flows)
+        for paused in (False, True):
+            wire_controller, _ = make_controller(alpha)
+            wire, coalescer = asyncio.run(
+                run_coalesced(wire_controller, ops, paused, **kwargs)
+            )
+            assert wire == seq, paused
+            assert wire_controller.snapshot() == seq_controller.snapshot()
         return wire, coalescer
 
     def test_plain_admits_coalesce_into_one_batch(self):
         ops = [("admit", flow(i)) for i in range(32)]
         wire, coalescer = self.check(ops)
         assert all(kind == "decision" for kind, _, _ in wire)
-        # All 32 were queued before the drain loop first ran.
+        # All 32 were queued behind the pause before the drain loop
+        # first ran.
         assert coalescer.batches == 1
         assert coalescer.largest_batch == 32
         assert coalescer.coalesced_ops == 32
@@ -436,9 +442,14 @@ class TestLifecycle:
                 controller, max_delay=0.2
             )
             coalescer.start()
+            # Queued behind the pause, the first op opens the window
+            # once the drain loop resumes.
+            coalescer.pause()
             first = coalescer.submit_admit(flow(0))
-            # Trickle more ops in while the window is open; they must
-            # land in the same batch as the first.
+            coalescer.resume()
+            # Trickle more ops in while the window is open (each queues
+            # behind the undecided first); they must land in the same
+            # batch as the first.
             for i in range(1, 5):
                 await asyncio.sleep(0.005)
                 coalescer.submit_admit(flow(i))
@@ -502,7 +513,10 @@ class TestObsIntegration:
         async def scenario():
             coalescer = MicroBatchCoalescer(controller)
             coalescer.start()
+            # The coalesce histogram times queued ops: queue them.
+            coalescer.pause()
             futures = [coalescer.submit_admit(flow(i)) for i in range(4)]
+            coalescer.resume()
             await asyncio.gather(*futures)
             await coalescer.stop()
 
@@ -662,6 +676,10 @@ class TestBulkSubmission:
         sequential API — outcome for outcome and slot for slot."""
         reference = make_differential_controller()
         expected = differential_sequential(reference, ops)
+        lone_reference = make_differential_controller()
+        expected_lone = differential_sequential(
+            lone_reference, ops, lone=True
+        )
 
         async def run(way, audit_path=None):
             controller = make_differential_controller()
@@ -670,16 +688,17 @@ class TestBulkSubmission:
             if audit_path is not None:
                 coalescer.audit = AuditLog(audit_path)
             coalescer.start()
-            if way in ("futures", "queued"):
+            if way == "queued":
                 coalescer.pause()
-            if way == "futures":
+            if way == "lone":
                 futures = [
                     coalescer.submit_admit(differential_flow(op))
                     if op[0] == "admit"
                     else coalescer.submit_release(op[1])
                     for op in ops
                 ]
-                coalescer.resume()
+                # Each lone op is a frame of one, decided on arrival.
+                assert all(future.done() for future in futures)
                 outcomes = await asyncio.gather(
                     *futures, return_exceptions=True
                 )
@@ -710,16 +729,18 @@ class TestBulkSubmission:
 
         with tempfile.TemporaryDirectory() as tmp:
             audit_path = os.path.join(tmp, "audit.jsonl")
-            for way in ("futures", "inline", "queued", "audited"):
+            for way in ("lone", "inline", "queued", "audited"):
                 shapes, controller = asyncio.run(
                     run(way, audit_path if way == "audited" else None)
                 )
-                assert shapes == expected, way
+                ref, want = (
+                    (lone_reference, expected_lone)
+                    if way == "lone"
+                    else (reference, expected)
+                )
+                assert shapes == want, way
                 assert controller.verify_invariants() == [], way
-                assert (
-                    controller.ledger.used("voice")
-                    == reference.ledger.used("voice")
-                ).all(), way
+                assert controller.snapshot() == ref.snapshot(), way
             report = verify_audit(iter_audit(audit_path))
         assert report["ok"], report["problems"]
         assert report["established"] == sorted(

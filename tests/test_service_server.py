@@ -455,6 +455,112 @@ class TestProtocolHardening(FrontDoorCases):
         asyncio.run(scenario())
 
 
+async def rpc_v2(reader, writer, obj):
+    """Send one v2 JSON carrier frame and read one response object."""
+    writer.write(protocol.encode_frame_v2(obj))
+    await writer.drain()
+    header = await asyncio.wait_for(
+        reader.readexactly(protocol.FRAME_HEADER_BYTES), 10
+    )
+    payload = await reader.readexactly(int.from_bytes(header, "big"))
+    tag, resp = protocol.decode_payload_v2(payload)
+    assert tag == protocol.TAG_JSON
+    return resp
+
+
+def _refused(rid, code, message):
+    return {"id": rid, "ok": False, "error": {"code": code, "message": message}}
+
+
+class TestLoneOpIsAFrameOfOne(FrontDoorCases):
+    """A lone ``admit`` / ``release`` is a frame of one: an idle server
+    decides it on arrival, however long its coalescing window, and
+    answers exactly what it answered when the op waited out that
+    window (the responses below were recorded from that server)."""
+
+    CASES = [
+        (
+            {"id": 1, "op": "admit", "flow": flow_obj(1)},
+            {
+                "id": 1, "ok": True,
+                "result": {"admitted": True, "reason": "", "batch_size": 1},
+            },
+        ),
+        (
+            {"id": 2, "op": "admit",
+             "flow": {"id": "m", "cls": "voice", "src": "r0"}},
+            _refused(2, "bad_request", "flow object is missing 'dst'"),
+        ),
+        (
+            {"id": 3, "op": "admit", "flow": dict(flow_obj(3), id=["x"])},
+            _refused(
+                3, "bad_request",
+                "flow id must be a string or integer, got list",
+            ),
+        ),
+        (
+            {"id": 4, "op": "admit", "flow": flow_obj(1)},
+            _refused(
+                4, "admission_error", "flow 'f1' is already established"
+            ),
+        ),
+        (
+            {"id": 5, "op": "admit", "flow": flow_obj(5, dst="r9")},
+            _refused(
+                5, "admission_error",
+                "no configured route for pair ('r0', 'r9')",
+            ),
+        ),
+        (
+            {"id": 6, "op": "release", "flow_id": "f1"},
+            {"id": 6, "ok": True, "result": {"released": True}},
+        ),
+        (
+            {"id": 7, "op": "release", "flow_id": ["x"]},
+            _refused(
+                7, "bad_request",
+                "flow_id must be a string or integer, got list",
+            ),
+        ),
+        (
+            {"id": 8, "op": "release"},
+            _refused(8, "bad_request", "release needs flow_id"),
+        ),
+        (
+            {"id": 9, "op": "release", "flow_id": "ghost"},
+            _refused(
+                9, "admission_error", "flow 'ghost' is not established"
+            ),
+        ),
+    ]
+
+    @pytest.mark.parametrize("wire", ["v1", "v2"])
+    def test_idle_server_answers_without_the_window(self, tmp_path, wire):
+        async def scenario():
+            service, sock = await self.start(tmp_path, max_delay=1.0)
+            reader, writer = await raw_connection(sock)
+            call = rpc
+            if wire == "v2":
+                hello = await rpc(reader, writer, {
+                    "id": protocol.HELLO_ID,
+                    "op": protocol.HELLO_OP,
+                    "protocol": protocol.PROTOCOL_SCHEMA_V2,
+                })
+                assert hello["ok"]
+                call = rpc_v2
+            loop = asyncio.get_running_loop()
+            for request, expected in self.CASES:
+                started = loop.time()
+                resp = await call(reader, writer, request)
+                assert loop.time() - started < 0.2, request
+                assert resp == expected
+            assert service.coalescer.pending == 0
+            writer.close()
+            await service.drain()
+
+        asyncio.run(scenario())
+
+
 class TestBackpressure:
     def test_shed_past_high_water_resume_at_low_water(self, tmp_path):
         async def scenario():

@@ -221,6 +221,53 @@ RATCHETS = (
         ),
     ),
     Ratchet(
+        name="A lone op is a frame of one: one carrier",
+        why=(
+            "A lone admit/release rides _submit_frame -> submit_bulk like "
+            "any frame; the per-op submit pair and its done-callback are "
+            "the second carrier, which made a lone request on an idle "
+            "server wait out the 2 ms window (2.4 of its 2.6 ms)."
+        ),
+        pattern=r"submit_admit_op|submit_release_op|_on_done\b",
+        roots=("src/repro/service",),
+        offender=(
+            "src/repro/service/server.py",
+            "            return self.coalescer.submit_admit_op(flow)",
+        ),
+    ),
+    Ratchet(
+        name="A lone op is a frame of one: no future per op",
+        why=(
+            "An outcome lands in its frame's BulkSlots; the only real "
+            "futures in coalescer.py are a frame's one waiter "
+            "(BulkSlots.__init__) and a flush barrier's (flush).  A third "
+            "create_future( is a future per op coming back."
+        ),
+        pattern=r"create_future\(",
+        roots=("src/repro/service/coalescer.py",),
+        offender=(
+            "src/repro/service/coalescer.py",
+            "        future = asyncio.get_running_loop().create_future()",
+        ),
+        max_count=2,
+    ),
+    Ratchet(
+        name="A lone op is a frame of one: the crossover is no knob",
+        why=(
+            "Which path decides a run (sequential loop below "
+            "ADMIT_BATCH_MIN_RUN / RELEASE_BATCH_MIN_RUN, the batch path "
+            "above) is a measured constant in admission/base.py; an "
+            "environment variable under admission/ is a second way to "
+            "pick it."
+        ),
+        pattern=r"os\.environ",
+        roots=("src/repro/admission",),
+        offender=(
+            "src/repro/admission/base.py",
+            '    ADMIT_BATCH_MIN_RUN = int(os.environ.get("REPRO_MIN_RUN", 5))',
+        ),
+    ),
+    Ratchet(
         name="One slot ledger: no per-edge quota controller",
         why=(
             "A shard is a UtilizationLedger whose capacity is a row of "

@@ -1,11 +1,8 @@
 """Bounded machine-checking of the admission safety argument.
 
-Everything here runs on the exhaustive backend (the real controller
-and the real batch kernel) — no solver required.  The z3 twin of this
-suite is ``tests/test_verify_smt.py``.
+Everything here runs on the exhaustive checker (the real controller
+and the real batch kernel) — no solver required.
 """
-
-import os
 
 import pytest
 
@@ -14,7 +11,6 @@ from repro.verify import (
     MUTANTS,
     Counterexample,
     VerifyBound,
-    Z3_PIN,
     build_chain_controller,
     build_verify_report,
     exhaustive_batch_equivalence,
@@ -30,7 +26,6 @@ from repro.verify import (
     validate_verify_report,
     write_verify_report,
 )
-from repro.verify.smt import HAVE_Z3, require_z3
 
 SMALL = VerifyBound(flows=2, servers=2, max_capacity=1)
 
@@ -247,16 +242,17 @@ class TestCounterexample:
 
 class TestRunner:
     def test_auto_backend_resolution(self):
-        report, results = run_verify(SMALL, backend="auto")
-        expected = "z3" if HAVE_Z3 else "exhaustive"
-        assert report["backend"] == expected
+        """One backend is left: every report names it."""
+        report, results = run_verify(SMALL)
+        assert report["backend"] == "exhaustive"
+        assert {r.backend for r in results} == {"exhaustive"}
         assert report["ok"] is True
         assert {r.name for r in results} == {
             "no_overcommit", "batch_equivalence",
         }
 
     def test_report_file_round_trip(self, tmp_path):
-        report, _results = run_verify(SMALL, backend="exhaustive")
+        report, _results = run_verify(SMALL)
         path = str(tmp_path / "report.json")
         write_verify_report(path, report)
         loaded = load_verify_report(path)
@@ -265,20 +261,18 @@ class TestRunner:
 
     def test_mutant_run_reports_ok_when_caught(self):
         report, results = run_verify(
-            SMALL, backend="exhaustive", mutant="admit_on_full"
+            SMALL, mutant="admit_on_full"
         )
         assert report["ok"] is True
         assert all(r.status == "violated" for r in results)
 
     def test_ignore_contention_skips_the_overcommit_check(self):
         _report, results = run_verify(
-            SMALL, backend="exhaustive", mutant="ignore_contention"
+            SMALL, mutant="ignore_contention"
         )
         assert [r.name for r in results] == ["batch_equivalence"]
 
     def test_unknown_inputs_rejected(self):
-        with pytest.raises(VerificationError):
-            run_verify(SMALL, backend="cvc5")
         with pytest.raises(VerificationError):
             run_verify(SMALL, checks=("nonsense",))
         with pytest.raises(VerificationError):
@@ -286,18 +280,10 @@ class TestRunner:
         with pytest.raises(VerificationError):
             run_verify(SMALL, mutant="off_by_two")
 
-    def test_z3_backend_requires_the_solver(self):
-        if HAVE_Z3:
-            pytest.skip("z3 installed; the guard cannot fire")
-        with pytest.raises(VerificationError, match="repro\\[smt\\]"):
-            run_verify(SMALL, backend="z3")
-        with pytest.raises(VerificationError):
-            require_z3()
-
 
 class TestReportValidation:
     def report(self):
-        report, _ = run_verify(SMALL, backend="exhaustive")
+        report, _ = run_verify(SMALL)
         return report
 
     def test_tampered_schema_rejected(self):
@@ -314,7 +300,7 @@ class TestReportValidation:
 
     def test_violated_check_without_counterexample_rejected(self):
         report, _ = run_verify(
-            SMALL, backend="exhaustive", mutant="admit_on_full"
+            SMALL, mutant="admit_on_full"
         )
         report["checks"][0]["counterexample"] = None
         with pytest.raises(VerificationError, match="counterexample"):
@@ -328,17 +314,5 @@ class TestReportValidation:
 
     def test_empty_results_rejected(self):
         with pytest.raises(VerificationError):
-            build_verify_report(SMALL, [], backend="exhaustive")
+            build_verify_report(SMALL, [])
 
-
-def test_z3_pin_matches_the_packaging_extra():
-    """The CI job, the `smt` extra, and `Z3_PIN` must agree."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "pyproject.toml")) as fh:
-        pyproject = fh.read()
-    assert f'z3-solver=={Z3_PIN}' in pyproject
-    with open(
-        os.path.join(root, ".github", "workflows", "ci.yml")
-    ) as fh:
-        workflow = fh.read()
-    assert f"z3-solver=={Z3_PIN}" in workflow

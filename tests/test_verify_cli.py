@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.cli import main
 from repro.verify import validate_verify_report
-from repro.verify.smt import HAVE_Z3
 from repro.workload import read_trace, validate_adversarial_events
 
 SMALL = ["--bound", "2", "--max-capacity", "1"]
@@ -23,8 +22,7 @@ class TestVerifyBounded:
     def test_report_out_and_validate_round_trip(self, tmp_path, capsys):
         report_path = str(tmp_path / "report.json")
         assert main(
-            ["verify", *SMALL, "--backend", "exhaustive",
-             "--out", report_path]
+            ["verify", *SMALL, "--out", report_path]
         ) == 0
         report = json.load(open(report_path))
         validate_verify_report(report)
@@ -35,8 +33,7 @@ class TestVerifyBounded:
     def test_validate_rejects_a_tampered_report(self, tmp_path, capsys):
         report_path = str(tmp_path / "report.json")
         assert main(
-            ["verify", *SMALL, "--backend", "exhaustive",
-             "--out", report_path]
+            ["verify", *SMALL, "--out", report_path]
         ) == 0
         report = json.load(open(report_path))
         report["ok"] = False
@@ -60,8 +57,7 @@ class TestVerifyBounded:
     ):
         cx_dir = tmp_path / "cx"
         assert main(
-            ["verify", *SMALL, "--backend", "exhaustive",
-             "--mutant", mutant, "--cx-dir", str(cx_dir)]
+            ["verify", *SMALL, "--mutant", mutant, "--cx-dir", str(cx_dir)]
         ) == 0
         out = capsys.readouterr().out
         assert "violated" in out
@@ -80,8 +76,7 @@ class TestVerifyBounded:
     ):
         cx_dir = tmp_path / "cx"
         assert main(
-            ["verify", *SMALL, "--backend", "exhaustive",
-             "--mutant", "admit_on_full", "--cx-dir", str(cx_dir)]
+            ["verify", *SMALL, "--mutant", "admit_on_full", "--cx-dir", str(cx_dir)]
         ) == 0
         capsys.readouterr()
         # cx routes live on the verification chain, not a backbone —
@@ -91,12 +86,6 @@ class TestVerifyBounded:
         out = capsys.readouterr().out
         assert "replaying" in out
         assert "utilization controller" in out
-
-    def test_z3_backend_without_solver_fails_cleanly(self, capsys):
-        if HAVE_Z3:
-            pytest.skip("z3 installed; the guard cannot fire")
-        assert main(["verify", *SMALL, "--backend", "z3"]) == 1
-        assert "repro[smt]" in capsys.readouterr().out
 
     def test_alpha_and_bounded_flags_are_exclusive(self):
         with pytest.raises(SystemExit):
