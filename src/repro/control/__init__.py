@@ -1,9 +1,9 @@
 """Adaptive overload control plane.
 
 The paper certifies one utilization bound ``alpha`` at configuration
-time, so the running service's only overload response used to be
-shedding at the queue.  This package closes the loop at runtime while
-keeping every operating point provably safe:
+time, so the running service has no overload response of its own:
+excess load waits in the socket.  This package closes the loop at
+runtime while keeping every operating point provably safe:
 
 * :mod:`repro.control.ladder` — a pre-certified ladder of alphas.
   Every rung is re-verified through the existing Figure 2 fixed-point

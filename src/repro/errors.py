@@ -179,8 +179,8 @@ class ProtocolError(ServiceError):
 
 
 class ServiceOverloadedError(ServiceError):
-    """The server shed the request under backpressure (queue past the
-    high-water mark); retry after a backoff."""
+    """The request was refused for load (a cluster router's worker link
+    at its in-flight bound); retry after a backoff."""
 
 
 class VerificationError(ReproError):

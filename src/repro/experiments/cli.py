@@ -483,14 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="coalescing window in milliseconds",
     )
     srv.add_argument(
-        "--high-water", type=int, default=8192,
-        help="queue depth that starts load shedding",
-    )
-    srv.add_argument(
-        "--low-water", type=int, default=4096,
-        help="queue depth at which shedding stops (hysteresis)",
-    )
-    srv.add_argument(
         "--snapshot", default=None, metavar="FILE",
         help=(
             "crash-safe snapshot path; restored on startup, written on "
@@ -545,10 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--slo-p99-ms", type=float, default=None, metavar="MS",
         help="rolling-window p99 latency objective (enables SLO tracking)",
-    )
-    srv.add_argument(
-        "--slo-shed-rate", type=float, default=None, metavar="FRAC",
-        help="shed-rate objective in [0, 1] (enables SLO tracking)",
     )
     srv.add_argument(
         "--slo-window", type=float, default=None, metavar="SEC",
@@ -772,7 +760,6 @@ def _serve_slo_config(args: argparse.Namespace):
     overrides = {
         "p50_ms": args.slo_p50_ms,
         "p99_ms": args.slo_p99_ms,
-        "shed_rate": args.slo_shed_rate,
         "window_seconds": args.slo_window,
     }
     set_values = {k: v for k, v in overrides.items() if v is not None}
@@ -965,8 +952,6 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
     config = ServiceConfig(
         max_batch=args.max_batch,
         max_delay=args.max_delay_ms / 1000.0,
-        high_water=args.high_water,
-        low_water=args.low_water,
         snapshot_path=args.snapshot,
         snapshot_interval=args.snapshot_interval,
         metrics_host=args.metrics_host,
@@ -1056,8 +1041,8 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
         print(
             f"drained after {stats['requests']} requests "
             f"({stats['admitted']} admitted, {stats['rejected']} "
-            f"rejected, {stats['released']} released, "
-            f"{stats['shed']} shed) in {stats['batches']} batches "
+            f"rejected, {stats['released']} released) "
+            f"in {stats['batches']} batches "
             f"(mean fill {stats['mean_batch_fill']:.1f})"
         )
         pre = stats.get("preemption")

@@ -777,7 +777,6 @@ def _render_top(stats, prev, interval) -> str:
         f"admitted {stats.get('admitted', 0):,}   "
         f"rejected {stats.get('rejected', 0):,}   "
         f"released {stats.get('released', 0):,}   "
-        f"shed {stats.get('shed', 0):,}   "
         f"errors {stats.get('errors', 0):,}"
     )
     age = stats.get("snapshot_age_seconds")
@@ -826,8 +825,6 @@ def _render_top(stats, prev, interval) -> str:
             f"(burn {burn.get('p50', 0.0):.2f})   "
             f"p99 {slo.get('p99_ms', 0.0):.1f} ms "
             f"(burn {burn.get('p99', 0.0):.2f})   "
-            f"shed {100 * slo.get('shed_rate', 0.0):.2f}% "
-            f"(burn {burn.get('shed_rate', 0.0):.2f})   "
             + ("BREACHING" if slo.get("breaching") else "within targets")
         )
     return "\n".join(lines)

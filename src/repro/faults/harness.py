@@ -68,13 +68,6 @@ class ChaosHarness:
         latency).
     options:
         Heuristic options for the online safe re-selection.
-    batch_admission:
-        Route every admission through
-        :meth:`~repro.admission.base.AdmissionController.admit_batch`
-        (as single-flow batches) instead of
-        :meth:`~repro.admission.base.AdmissionController.admit`.
-        Decisions are identical by contract; the switch exists so the
-        chaos suite exercises the vectorized path under faults.
     ladder:
         Optional pre-certified :class:`~repro.control.AlphaLadder`; a
         fresh :class:`~repro.control.AlphaGovernor` over it is stepped
@@ -96,7 +89,6 @@ class ChaosHarness:
         *,
         policy: DegradedModePolicy = DegradedModePolicy(),
         options: HeuristicOptions = HeuristicOptions(),
-        batch_admission: bool = False,
         ladder=None,
         governor_config=None,
         preemption=None,
@@ -104,18 +96,11 @@ class ChaosHarness:
         self.cfg = cfg
         self.policy = policy
         self.options = options
-        self.batch_admission = bool(batch_admission)
         self.ladder = ladder
         self.governor_config = governor_config
         self.preemption = preemption
         self.governor = None
         self.preemptor = None
-
-    def _admit(self, flow):
-        """One admission through the configured (batch or scalar) path."""
-        if self.batch_admission:
-            return self.controller.admit_batch([flow])[0]
-        return self.controller.admit(flow)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -359,7 +344,7 @@ class ChaosHarness:
                 )
                 return
             try:
-                decision = self._admit(flow)
+                decision = self.controller.admit(flow)
             except AdmissionError:
                 # No configured route for the pair: plain rejection.
                 account.outcome = "rejected"
@@ -583,7 +568,7 @@ class ChaosHarness:
             if lifetime is None:
                 continue
             pinned = replace(lifetime.flow, route=tuple(lifetime.route))
-            decision = self._admit(pinned)
+            decision = self.controller.admit(pinned)
             if not decision.admitted:
                 account.casualty = True
                 account.outcome = "shed"
@@ -760,7 +745,7 @@ class ChaosHarness:
             attempt_flow = (
                 replace(flow, route=tuple(route)) if route else flow
             )
-            decision = self._admit(attempt_flow)
+            decision = self.controller.admit(attempt_flow)
             if decision.admitted:
                 del self._pending_retries[fid]
                 account.outcome = "active"

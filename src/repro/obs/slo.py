@@ -3,9 +3,9 @@
 Lifetime histograms answer "how has the service behaved since boot";
 an SLO needs "how is it behaving *right now*".  This module keeps
 time-sliced rolling windows — a ring of per-slice bucket counts where
-expired slices are zeroed lazily — so p50/p99 latency and shed rate
-over the last ``window`` seconds cost O(slices × buckets) to read and
-O(1) to update, with no timestamps stored per observation.
+expired slices are zeroed lazily — so p50/p99 latency and the request
+count over the last ``window`` seconds cost O(slices × buckets) to read
+and O(1) to update, with no timestamps stored per observation.
 
 :class:`SLOTracker` compares the measured window against a
 :class:`SLOConfig` and reports *burn rates* (measured / target; > 1
@@ -170,25 +170,19 @@ class RollingHistogram:
 
 @dataclass(frozen=True)
 class SLOConfig:
-    """Latency/shedding objectives for the rolling window.
+    """Latency objectives for the rolling window.
 
-    ``shed_rate`` is a fraction of requests (0.01 = 1%).  A target of
-    zero disables that objective's burn rate (reported as 0.0) rather
-    than dividing by it.
+    A target of zero disables that objective's burn rate (reported as
+    0.0) rather than dividing by it.
     """
 
     p50_ms: float = 50.0
     p99_ms: float = 250.0
-    shed_rate: float = 0.01
     window_seconds: float = 60.0
 
     def __post_init__(self) -> None:
         if self.p50_ms < 0 or self.p99_ms < 0:
             raise ValueError("SLO latency targets must be >= 0")
-        if not 0.0 <= self.shed_rate <= 1.0:
-            raise ValueError(
-                f"shed_rate must be in [0, 1], got {self.shed_rate}"
-            )
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be > 0")
 
@@ -200,9 +194,9 @@ def _burn(measured: float, target: float) -> float:
 
 
 class SLOTracker:
-    """Measure rolling latency/shed behavior against an SLO.
+    """Measure rolling request latency against an SLO.
 
-    The service feeds it per-request latencies and shed events; readers
+    The service feeds it arriving requests and their latencies; readers
     pull :meth:`snapshot` (JSON-safe dict for ``stats``/``/healthz``)
     or :meth:`export_gauges` (Prometheus burn-rate series).
     """
@@ -222,9 +216,6 @@ class SLOTracker:
         self._requests = RollingCounter(
             window=window, slices=slices, clock=clock
         )
-        self._sheds = RollingCounter(
-            window=window, slices=slices, clock=clock
-        )
 
     # ------------------------------------------------------------ feed
 
@@ -234,22 +225,13 @@ class SLOTracker:
     def record_request(self, n: int = 1) -> None:
         self._requests.inc(n)
 
-    def record_shed(self, n: int = 1) -> None:
-        self._sheds.inc(n)
-
     # ------------------------------------------------------------ read
 
     def measured(self) -> Dict[str, float]:
-        requests = self._requests.total()
-        sheds = self._sheds.total()
-        # record_request() counts every arriving frame, shed ones
-        # included, so requests already IS the attempt count.
         return {
             "p50_ms": self._latency.quantile(0.50) * 1e3,
             "p99_ms": self._latency.quantile(0.99) * 1e3,
-            "shed_rate": (sheds / requests) if requests else 0.0,
-            "requests": float(requests),
-            "sheds": float(sheds),
+            "requests": float(self._requests.total()),
         }
 
     def snapshot(self) -> Dict[str, Any]:
@@ -258,19 +240,15 @@ class SLOTracker:
         burn_rates = {
             "p50": _burn(m["p50_ms"], cfg.p50_ms),
             "p99": _burn(m["p99_ms"], cfg.p99_ms),
-            "shed_rate": _burn(m["shed_rate"], cfg.shed_rate),
         }
         return {
             "window_seconds": cfg.window_seconds,
             "requests": int(m["requests"]),
-            "sheds": int(m["sheds"]),
             "p50_ms": m["p50_ms"],
             "p99_ms": m["p99_ms"],
-            "shed_rate": m["shed_rate"],
             "targets": {
                 "p50_ms": cfg.p50_ms,
                 "p99_ms": cfg.p99_ms,
-                "shed_rate": cfg.shed_rate,
             },
             "burn_rates": burn_rates,
             "breaching": any(b > 1.0 for b in burn_rates.values()),
@@ -283,7 +261,6 @@ class SLOTracker:
         for objective, measured_v, target in (
             ("p50", m["p50_ms"], cfg.p50_ms),
             ("p99", m["p99_ms"], cfg.p99_ms),
-            ("shed_rate", m["shed_rate"], cfg.shed_rate),
         ):
             registry.gauge(
                 "repro_slo_burn_rate", objective=objective
@@ -294,4 +271,3 @@ class SLOTracker:
         registry.gauge(
             "repro_slo_latency_ms", quantile="0.99"
         ).set(m["p99_ms"])
-        registry.gauge("repro_slo_shed_ratio").set(m["shed_rate"])

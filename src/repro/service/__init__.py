@@ -5,14 +5,14 @@ fronts the slot-ledger admission controller (or one shard of it) over
 TCP or a Unix socket, speaking the newline-delimited JSON protocol of
 :mod:`repro.service.protocol`
 (``repro-admission-rpc/v1``).  Its core is the
-:class:`~repro.service.coalescer.MicroBatchCoalescer`: requests arriving
-within a small window are decided by one vectorized batch-kernel call —
+:class:`~repro.service.coalescer.MicroBatchCoalescer`: each frame's ops
+are decided as they are read, one controller call per run of one kind —
 with decisions **bit-identical to sequential submission** — so the
 service inherits the batch engine's throughput while clients keep the
 one-request-one-response API.
 
-Around the core: bounded-queue backpressure with explicit load shedding
-(``overloaded`` responses, hysteresis resume), graceful drain on
+Around the core: backpressure through the socket (a connection's next
+frame is read once the one before it is decided), graceful drain on
 SIGTERM/SIGINT, and crash-safe periodic snapshots
 (:mod:`repro.service.snapshots`) so a restarted server re-admits its
 established flows on their original routes before accepting new
@@ -29,7 +29,8 @@ per-worker crash-safe snapshots merge into a single cluster manifest
 
 Client side, :class:`~repro.service.client.ServiceClient` (sync) and
 :class:`~repro.service.client.AsyncServiceClient` (asyncio) pipeline
-requests and retry sheds under a backoff policy;
+requests and retry ``overloaded`` answers (the router's per-link bound)
+under a backoff policy;
 :func:`~repro.service.replay.replay_trace` drives recorded workload
 traces at a live server.  CLI entry points: ``repro-ubac serve`` and
 ``repro-ubac client``.

@@ -22,8 +22,9 @@ everything else rides in JSON carrier frames with unchanged semantics.
 Server-side failures surface as the exceptions the in-process API
 raises: a rejected-with-exception admission (already established, bad
 route, unknown class) raises :class:`~repro.errors.AdmissionError`;
-shedding raises :class:`~repro.errors.ServiceOverloadedError` once
-retries are exhausted; protocol violations raise
+an ``overloaded`` answer (a cluster router's worker link at its bound)
+raises :class:`~repro.errors.ServiceOverloadedError` once retries are
+exhausted; protocol violations raise
 :class:`~repro.errors.ProtocolError` with the server's error code.
 """
 
@@ -473,7 +474,7 @@ class AsyncServiceClient:
                     return packed
                 return protocol.unpack_bulk_results(packed)
             # Carrier-shaped response: only errors arrive this way for
-            # a bulk request (e.g. an ``overloaded`` shed).
+            # a bulk request (e.g. the router's ``overloaded``).
             try:
                 return list(self._result_of(frame).get("results", []))
             except ServiceOverloadedError:

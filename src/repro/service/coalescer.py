@@ -88,14 +88,12 @@ _SPAN_LINK_CAP = 64
 
 logger = logging.getLogger("repro.service")
 
-#: Anything the drain loop can settle: a frame's result slot, or the
-#: real asyncio future of a flush barrier (same
-#: done/set_result/set_exception surface).
+#: Anything :func:`_settle` resolves: a queued op's result slot, or a
+#: frame's waiter (same done/set_result/set_exception surface).
 ResultFuture = Union["asyncio.Future", "_SlotFuture"]
 
 _ADMIT = "admit"
 _RELEASE = "release"
-_BARRIER = "barrier"
 
 #: Public aliases for the bulk-entry ``kind`` field of
 #: :meth:`MicroBatchCoalescer.submit_bulk`.
@@ -137,7 +135,7 @@ class _Stamp:
 
 
 class _Op(_Stamp):
-    """One queued request: an admit, a release, or a flush barrier."""
+    """One queued op: an admit or a release."""
 
     __slots__ = ("kind", "payload", "future", "trace")
 
@@ -325,21 +323,13 @@ class MicroBatchCoalescer:
         self._paused.set()
 
     async def stop(self) -> None:
-        """Flush everything queued, then stop the drain loop."""
+        """Decide everything queued, then stop the drain loop."""
         self._closed = True
         self.resume()
         if self._task is not None:
             await self._queue.put(None)
             await self._task
             self._task = None
-
-    async def flush(self) -> None:
-        """Wait until every op queued before this call is decided."""
-        fut: "asyncio.Future" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._queue.put_nowait(_Op(_BARRIER, fut))
-        await fut
 
     # ------------------------------------------------------------------ #
     # submission
@@ -487,9 +477,7 @@ class MicroBatchCoalescer:
                 # keep draining.
                 logger.exception("batch settlement failed; failing batch")
                 for op in batch:
-                    _settle(
-                        op.future, True if op.kind == _BARRIER else exc
-                    )
+                    _settle(op.future, exc)
             if stop:
                 return
 
@@ -542,8 +530,7 @@ class MicroBatchCoalescer:
         if OBS.enabled:
             hist = OBS.registry.histogram("repro_service_coalesce_seconds")
             for op in ops:
-                if op.kind != _BARRIER:
-                    hist.observe(op.decided_at - op.enqueued_at)
+                hist.observe(op.decided_at - op.enqueued_at)
 
     def _decide(
         self,
@@ -563,8 +550,7 @@ class MicroBatchCoalescer:
         only ever changes here.
 
         Ops are decided strictly in order, as maximal runs of one kind;
-        an admit run is split where a flow id repeats.  A flush barrier
-        yields ``True`` and is not an op — the batch counters skip it.
+        an admit run is split where a flow id repeats.
 
         Each call is accounted for once, after its last run: one audit
         frame, one update of the batch metrics and one batch span
@@ -583,12 +569,11 @@ class MicroBatchCoalescer:
             None if self.audit is None else []
         )
         preempted = self.preempted_flows, self.preempted_admits
-        i = barriers = runs = 0
+        i = runs = 0
         try:
             while i < n:
-                kind = ops[i][0]
                 lo = i
-                if kind == _ADMIT:
+                if ops[i][0] == _ADMIT:
                     seen: set = set()
                     while i < n and ops[i][0] == _ADMIT:
                         fid = ops[i][1].flow_id
@@ -600,36 +585,26 @@ class MicroBatchCoalescer:
                         i += 1
                     runs += 1
                     self._admit_run(ops[lo:i], lo, outcomes, entries)
-                elif kind == _RELEASE:
+                else:
                     while i < n and ops[i][0] == _RELEASE:
                         i += 1
                     runs += 1
                     self._release_run(ops[lo:i], lo, outcomes, entries)
-                else:
-                    outcomes[i] = True
-                    barriers += 1
-                    i += 1
         except Exception as exc:
             logger.exception("batch decision failed; failing batch")
-            for j, op in enumerate(ops):
-                if outcomes[j] is not None:
-                    continue
-                if op[0] == _BARRIER:
-                    barriers += 1
-                    outcomes[j] = True
-                else:
+            for j in range(n):
+                if outcomes[j] is None:
                     outcomes[j] = exc
         now = time.perf_counter()
-        if n > barriers:
-            self.batches += 1
-            self.coalesced_ops += n - barriers
-            self.largest_batch = max(self.largest_batch, n - barriers)
+        self.batches += 1
+        self.coalesced_ops += n
+        self.largest_batch = max(self.largest_batch, n)
         batch_hex: Optional[str] = None
         try:
             if entries:
                 assert self.audit is not None
                 self.audit.record_frame(entries)
-            if n > barriers and OBS.enabled:
+            if OBS.enabled:
                 batch_hex = self._record_step(
                     ops, stamps, t_start, now, runs, preempted
                 )

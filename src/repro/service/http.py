@@ -7,9 +7,9 @@ next to the RPC socket:
 * ``GET /metrics`` — the obs registry in Prometheus exposition format
   (``repro.obs.export.to_prometheus_text``), with the service's live
   gauges (queue depth, snapshot age, SLO burn rates) refreshed first;
-* ``GET /healthz`` — JSON health: ``ok`` / ``degraded`` / ``overloaded``
-  / ``draining`` with HTTP 200 for the servable states and 503 once the
-  server sheds or drains, so load balancers can react without parsing;
+* ``GET /healthz`` — JSON health: ``ok`` / ``degraded`` / ``draining``
+  with HTTP 200 for the servable states and 503 once the server drains,
+  so load balancers can react without parsing;
 * ``GET /stats`` — the ``stats`` op as JSON for humans with ``curl``.
 
 Only GET is implemented; anything else earns a 405, unknown paths a

@@ -374,7 +374,6 @@ _SUMMED_KEYS = (
     "rejected",
     "released",
     "errors",
-    "shed",
     "connections",
     "snapshots",
     "restored",
@@ -387,7 +386,7 @@ _SUMMED_KEYS = (
     "rejected_total",
 )
 
-_STATUS_RANK = {"ok": 0, "degraded": 1, "overloaded": 2, "draining": 3}
+_STATUS_RANK = {"ok": 0, "degraded": 1, "draining": 2}
 
 
 class ClusterRouter:
@@ -810,9 +809,6 @@ class ClusterRouter:
             out[key] = round(
                 sum(float(s.get(key) or 0.0) for s in per_worker if s), 1
             )
-        out["shedding"] = any(
-            bool(s.get("shedding")) for s in per_worker if s is not None
-        )
         out["largest_batch"] = max(
             (int(s.get("largest_batch", 0)) for s in per_worker if s),
             default=0,
@@ -896,11 +892,6 @@ class ClusterRouter:
                 for s in per_worker
                 if s is not None
             ),
-            "shedding": any(
-                bool(s.get("shedding"))
-                for s in per_worker
-                if s is not None
-            ),
             "draining": self._draining,
             "uptime_seconds": max(0.0, time.time() - self._started_at),
             "startup_seconds": startup_seconds(self._started_at),
@@ -932,10 +923,7 @@ class ClusterRouter:
 
     async def healthz(self) -> Tuple[int, Dict[str, Any]]:
         obj = await self.cluster_health()
-        status = (
-            503 if obj["status"] in ("draining", "overloaded") else 200
-        )
-        return status, obj
+        return 503 if obj["status"] == "draining" else 200, obj
 
     async def stats(self) -> Dict[str, Any]:
         return await self.cluster_stats()
@@ -954,7 +942,6 @@ class ClusterRouter:
             "admitted",
             "rejected",
             "released",
-            "shed",
             "established",
             "queue_depth",
         ):

@@ -14,13 +14,12 @@ response.
 
 Around that core:
 
-* **backpressure** — a frame is read once the one before it is
-  decided, so excess load waits in the socket; ops queue only behind a
-  paused coalescer, and past ``high_water`` of them admission requests
-  are answered ``overloaded`` (never silently dropped) until the
-  backlog drains below ``low_water`` (hysteresis);
+* **backpressure** — a connection's next frame is read once the one
+  before it is decided, so excess load waits in the socket; nothing is
+  refused for load here (the cluster router's per-link bound is what
+  answers ``overloaded``);
 * **graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
-  requests finish, flush the coalescer, write a final snapshot, and
+  requests finish, stop the coalescer, write a final snapshot, and
   close every connection;
 * **crash-safe periodic snapshots** — the established-flow set (with
   committed routes pinned) is atomically persisted every
@@ -99,12 +98,6 @@ class ServiceConfig:
         window of ops queued behind a paused coalescer: the drain loop
         waits up to that long for ``max_batch`` of them.  A frame that
         arrives with nothing undecided ahead of it never waits.
-    high_water / low_water:
-        Backlog hysteresis (pending coalescer ops, which only a paused
-        coalescer accumulates).  At or above ``high_water`` the server
-        sheds admit/release/batch requests with ``overloaded``
-        responses; shedding stops once the backlog drains to
-        ``low_water`` or below.
     max_frame_bytes:
         Per-line protocol frame ceiling; an oversized frame earns a
         ``frame_too_large`` error and a clean connection close.
@@ -121,7 +114,7 @@ class ServiceConfig:
         fsync batching, and rotation policy.  ``None`` path disables
         auditing.
     slo:
-        Rolling-window latency/shed objectives; ``None`` tracks against
+        Rolling-window latency objectives; ``None`` tracks against
         the :class:`~repro.obs.slo.SLOConfig` defaults but only while
         observability is enabled.
     drain_grace:
@@ -143,8 +136,6 @@ class ServiceConfig:
 
     max_batch: int = 1024
     max_delay: float = 0.002
-    high_water: int = 8192
-    low_water: int = 4096
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     snapshot_path: Optional[str] = None
     snapshot_interval: Optional[float] = None
@@ -165,13 +156,6 @@ class ServiceConfig:
     worker_index: Optional[int] = None
 
     def __post_init__(self):
-        if self.low_water > self.high_water:
-            raise ServiceError(
-                f"low_water {self.low_water} must not exceed "
-                f"high_water {self.high_water}"
-            )
-        if self.high_water < 1:
-            raise ServiceError("high_water must be >= 1")
         if (
             self.snapshot_interval is not None
             and self.snapshot_interval <= 0
@@ -292,7 +276,6 @@ class AdmissionService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
         self._snapshot_task: Optional["asyncio.Task"] = None
-        self._shedding = False
         self._draining = False
         self._drain_error: Optional[Exception] = None
         self._where = "?"
@@ -304,7 +287,6 @@ class AdmissionService:
             "rejected": 0,
             "released": 0,
             "errors": 0,
-            "shed": 0,
             "connections": 0,
             "snapshots": 0,
             "restored": 0,
@@ -431,7 +413,7 @@ class AdmissionService:
 
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting, answer everything
-        in-flight, flush the coalescer, snapshot, close."""
+        in-flight, stop the coalescer, snapshot, close."""
         if self._draining:
             return
         self._draining = True
@@ -457,7 +439,6 @@ class AdmissionService:
             )
             self._governor_task = None
         await self._layer.settle()
-        await self.coalescer.flush()
         await self.coalescer.stop()
         try:
             self.write_snapshot()
@@ -619,45 +600,20 @@ class AdmissionService:
             pass
 
     # ------------------------------------------------------------------ #
-    # backpressure
+    # refusal
     # ------------------------------------------------------------------ #
-
-    def shedding(self) -> bool:
-        """Current shed state, updated with hysteresis."""
-        depth = self.coalescer.pending
-        if self._shedding:
-            if depth <= self.config.low_water:
-                self._shedding = False
-        elif depth >= self.config.high_water:
-            self._shedding = True
-        return self._shedding
-
-    def _shed_response(self, rid: protocol.RequestId) -> Dict[str, Any]:
-        self.counts["shed"] += 1
-        if self._slo_on or OBS.enabled:
-            self.slo.record_shed()
-        if OBS.enabled:
-            OBS.registry.counter(
-                "repro_service_shed_total", reason="high_water"
-            ).inc()
-        return protocol.error_response(
-            rid,
-            protocol.OVERLOADED,
-            f"queue depth {self.coalescer.pending} is past the "
-            f"{self.config.high_water} high-water mark; retry later",
-        )
 
     def _refusal(
         self, rid: protocol.RequestId
     ) -> Optional[Dict[str, Any]]:
-        """The ready error response of an admission request this server
-        will not take right now (draining, shedding), else ``None``."""
+        """The ready error response of an admission request while the
+        server drains, else ``None``.  Load is never refused here: a
+        connection's next frame is read once this one is decided, so
+        excess load waits in the socket."""
         if self._draining:
             return protocol.error_response(
                 rid, protocol.UNAVAILABLE, "server is draining"
             )
-        if self.shedding():
-            return self._shed_response(rid)
         return None
 
     # ------------------------------------------------------------------ #
@@ -993,8 +949,6 @@ class AdmissionService:
         """One-word serving state, worst condition first."""
         if self._draining:
             return "draining"
-        if self._shedding:
-            return "overloaded"
         if self.controller.in_degraded_mode:
             return "degraded"
         if self._slo_on and self.slo.snapshot()["breaching"]:
@@ -1014,7 +968,6 @@ class AdmissionService:
             "schema": protocol.PROTOCOL_SCHEMA,
             "established": self.controller.num_established,
             "queue_depth": self.coalescer.pending,
-            "shedding": self._shedding,
             "draining": self._draining,
             "uptime_seconds": max(0.0, time.time() - self._started_at),
             "startup_seconds": startup_seconds(self._started_at),
@@ -1031,15 +984,13 @@ class AdmissionService:
     def healthz(self) -> Tuple[int, Dict[str, Any]]:
         """(HTTP status, body) for ``GET /healthz``.
 
-        ``ok``/``degraded`` answer 200 (still servable), ``overloaded``
-        and ``draining`` answer 503 so load balancers stop routing
-        without parsing the body.
+        ``ok``/``degraded`` answer 200 (still servable), ``draining``
+        answers 503 so load balancers stop routing without parsing the
+        body.
         """
-        self.shedding()  # refresh hysteresis from the live queue depth
         obj = self.health()
         obj["slo"] = self.slo.snapshot()
-        status = 503 if obj["status"] in ("draining", "overloaded") else 200
-        return status, obj
+        return 503 if obj["status"] == "draining" else 200, obj
 
     def stats(self) -> Dict[str, Any]:
         coalescer = self.coalescer
@@ -1059,7 +1010,6 @@ class AdmissionService:
             "admitted_total": controller.num_admitted,
             "rejected_total": controller.num_rejected,
             "queue_depth": coalescer.pending,
-            "shedding": self._shedding,
             "draining": self._draining,
             "status": self._status(),
             "uptime_seconds": max(0.0, time.time() - self._started_at),
@@ -1075,8 +1025,6 @@ class AdmissionService:
             ),
             "max_batch": self.config.max_batch,
             "max_delay": self.config.max_delay,
-            "high_water": self.config.high_water,
-            "low_water": self.config.low_water,
             "slo": self.slo.snapshot(),
             **{k: v for k, v in self.counts.items()},
         }
@@ -1109,9 +1057,6 @@ class AdmissionService:
         reg.gauge("repro_service_queue_depth").set(self.coalescer.pending)
         reg.gauge("repro_service_established_flows").set(
             self.controller.num_established
-        )
-        reg.gauge("repro_service_shedding").set(
-            1.0 if self._shedding else 0.0
         )
         reg.gauge("repro_service_draining").set(
             1.0 if self._draining else 0.0

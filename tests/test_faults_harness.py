@@ -67,11 +67,7 @@ def run_chaos(cfg, flows, faults, harness=ChaosHarness, **kwargs):
     kwargs.setdefault(
         "policy", DegradedModePolicy(repair_latency=0.02)
     )
-    harness = harness(
-        cfg,
-        policy=kwargs.pop("policy"),
-        batch_admission=kwargs.pop("batch_admission", False),
-    )
+    harness = harness(cfg, policy=kwargs.pop("policy"))
     return harness.run(
         flows, faults, horizon=HORIZON, seed=7, **kwargs
     )
@@ -229,49 +225,6 @@ class TestShardedController:
         )
         assert report.survivors_held()
         assert report.accounts_for(e.flow_id for e in flows)
-
-
-class TestBatchAdmissionMode:
-    """The vectorized admission path under faults.
-
-    ``batch_admission=True`` routes every harness admission through
-    ``admit_batch`` as single-flow batches; the transition report must
-    be indistinguishable from the scalar path.
-    """
-
-    def test_report_identical_to_scalar_path(
-        self, cfg, flows, link_faults
-    ):
-        scalar = run_chaos(
-            cfg, flows, link_faults, simulate_packets=False
-        )
-        batch = run_chaos(
-            cfg, flows, link_faults, simulate_packets=False,
-            batch_admission=True,
-        )
-        assert batch.to_dict() == scalar.to_dict()
-
-    def test_batch_mode_survivors_hold_under_failure(
-        self, cfg, flows, link_faults
-    ):
-        report = run_chaos(
-            cfg, flows, link_faults, batch_admission=True
-        )
-        assert report.survivors_held()
-        assert report.accounts_for(e.flow_id for e in flows)
-
-    def test_batch_mode_sharded_controller(
-        self, cfg, flows, link_faults
-    ):
-        scalar = run_chaos(
-            cfg, flows, link_faults, harness=ShardChaosHarness,
-            simulate_packets=False,
-        )
-        batch = run_chaos(
-            cfg, flows, link_faults, harness=ShardChaosHarness,
-            simulate_packets=False, batch_admission=True,
-        )
-        assert batch.to_dict() == scalar.to_dict()
 
 
 class TestRouterDown:

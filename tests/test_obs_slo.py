@@ -118,8 +118,8 @@ class TestSLOConfig:
         [
             {"p50_ms": -1.0},
             {"p99_ms": -0.5},
-            {"shed_rate": 1.5},
-            {"shed_rate": -0.1},
+            {"p50_ms": float("-inf")},
+            {"window_seconds": -1.0},
             {"window_seconds": 0.0},
         ],
     )
@@ -133,15 +133,12 @@ class TestSLOTracker:
         return SLOTracker(SLOConfig(**cfg), clock=clock)
 
     def test_healthy_window_is_not_breaching(self):
-        tracker = self.make(
-            FakeClock(), p50_ms=50.0, p99_ms=250.0, shed_rate=0.01
-        )
+        tracker = self.make(FakeClock(), p50_ms=50.0, p99_ms=250.0)
         for _ in range(100):
             tracker.record_request()
             tracker.observe_latency(0.002)
         snap = tracker.snapshot()
         assert snap["requests"] == 100
-        assert snap["sheds"] == 0
         assert snap["breaching"] is False
         assert all(b <= 1.0 for b in snap["burn_rates"].values())
 
@@ -154,23 +151,6 @@ class TestSLOTracker:
         assert snap["breaching"] is True
         assert snap["burn_rates"]["p50"] > 1.0
         assert snap["burn_rates"]["p99"] > 1.0
-
-    def test_shed_rate_counts_sheds_over_all_requests(self):
-        # record_request() is called for *every* arriving frame, shed
-        # ones included — the shed rate divides by that attempt count.
-        tracker = self.make(FakeClock(), shed_rate=0.10)
-        for i in range(100):
-            tracker.record_request()
-            if i < 5:
-                tracker.record_shed()
-        m = tracker.measured()
-        assert m["shed_rate"] == pytest.approx(0.05)
-        assert tracker.snapshot()["breaching"] is False
-        tracker.record_request()
-        for _ in range(20):
-            tracker.record_shed()
-        assert tracker.snapshot()["burn_rates"]["shed_rate"] > 1.0
-        assert tracker.snapshot()["breaching"] is True
 
     def test_zero_target_disables_that_objective(self):
         tracker = self.make(FakeClock(), p50_ms=0.0, p99_ms=0.0)
@@ -202,7 +182,6 @@ class TestSLOTracker:
         assert burn.value > 1.0
         p50 = registry.gauge("repro_slo_latency_ms", quantile="0.5")
         assert p50.value > 0.0
-        assert registry.gauge("repro_slo_shed_ratio").value == 0.0
 
     def test_snapshot_is_json_shaped(self):
         import json
@@ -214,10 +193,8 @@ class TestSLOTracker:
         assert set(snap) == {
             "window_seconds",
             "requests",
-            "sheds",
             "p50_ms",
             "p99_ms",
-            "shed_rate",
             "targets",
             "burn_rates",
             "breaching",

@@ -6,7 +6,8 @@ occupancy, same established set, and the same observability counters.
 Hypothesis drives randomized interleavings of batches and releases under
 tight utilization assignments (so intra-batch contention and mid-batch
 rejections actually occur) and compares a batch-driven controller
-against a sequentially driven twin after every step.
+against a sequentially driven twin after every step, on a slot ledger
+whole or degraded to a drawn fraction of its capacity.
 """
 
 import json
@@ -87,6 +88,8 @@ _step = st.tuples(
     st.integers(0, 2 ** 16),  # release-selection seed
 )
 _script = st.lists(_step, min_size=1, max_size=6)
+#: Effective-capacity scale of a degraded slot ledger (1.0: whole).
+_degradation = st.floats(0.05, 1.0)
 
 
 def _flows_of(step_index, batch):
@@ -153,14 +156,22 @@ def _assert_counters_match(controller, returned):
     )
 
 
-def _run_script(kind, alphas, script):
-    """Drive batch and sequential twins; assert equivalence throughout."""
+def _run_script(kind, alphas, script, degradation=1.0):
+    """Drive batch and sequential twins; assert equivalence throughout.
+
+    From the second step on, a slot-ledger pair admits against
+    ``degradation`` of every capacity, so kernel-sized runs meet servers
+    at or already past their degraded ceiling.
+    """
     batch_ctrl = _make(kind, alphas)
     seq_ctrl = _make(kind, alphas)
     batch_returned = _spy(batch_ctrl)
     seq_returned = _spy(seq_ctrl)
     live = []
     for step_index, (batch, release_seed) in enumerate(script):
+        if step_index == 1 and degradation < 1.0:
+            batch_ctrl.enter_degraded_mode(degradation)
+            seq_ctrl.enter_degraded_mode(degradation)
         flows = _flows_of(step_index, batch)
         got = batch_ctrl.admit_batch(flows)
         want = [seq_ctrl.admit(flow) for flow in flows]
@@ -192,26 +203,26 @@ def _run_script(kind, alphas, script):
 
 class TestUtilizationEquivalence:
     @settings(max_examples=25, deadline=None)
-    @given(script=_script)
-    def test_tight_assignment(self, script):
-        _run_script("utilization", TIGHT_ALPHA, script)
+    @given(script=_script, degradation=_degradation)
+    def test_tight_assignment(self, script, degradation):
+        _run_script("utilization", TIGHT_ALPHA, script, degradation)
 
     @settings(max_examples=10, deadline=None)
-    @given(script=_script)
-    def test_roomy_assignment(self, script):
-        _run_script("utilization", ROOMY_ALPHA, script)
+    @given(script=_script, degradation=_degradation)
+    def test_roomy_assignment(self, script, degradation):
+        _run_script("utilization", ROOMY_ALPHA, script, degradation)
 
 
 class TestShardedEquivalence:
     @settings(max_examples=25, deadline=None)
-    @given(script=_script)
-    def test_tight_assignment(self, script):
-        _run_script("slotshard", TIGHT_ALPHA, script)
+    @given(script=_script, degradation=_degradation)
+    def test_tight_assignment(self, script, degradation):
+        _run_script("slotshard", TIGHT_ALPHA, script, degradation)
 
     @settings(max_examples=10, deadline=None)
-    @given(script=_script)
-    def test_roomy_assignment(self, script):
-        _run_script("slotshard", ROOMY_ALPHA, script)
+    @given(script=_script, degradation=_degradation)
+    def test_roomy_assignment(self, script, degradation):
+        _run_script("slotshard", ROOMY_ALPHA, script, degradation)
 
 
 class TestFlowAwareEquivalence:

@@ -214,17 +214,17 @@ def test_serve_requires_a_listener(capsys):
     assert "FAILURE" in capsys.readouterr().out
 
 
-def test_serve_rejects_bad_watermarks(capsys):
+def test_serve_rejects_a_bad_service_config(capsys):
+    # ServiceConfig refuses it (a period with nowhere to write): one
+    # FAILURE: line and exit 2, before anything listens.
     assert (
         main(
             [
                 "serve",
                 "--socket",
                 "/tmp/unused.sock",
-                "--high-water",
+                "--snapshot-interval",
                 "1",
-                "--low-water",
-                "2",
             ]
         )
         == 2
@@ -241,7 +241,6 @@ def test_serve_seconds_drains_cleanly(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "listening on" in out
     assert "drained after 0 requests" in out
-    # The drain's own flush barrier is not a batch.
     assert "in 0 batches (mean fill 0.0)" in out
 
 
@@ -661,7 +660,7 @@ def test_serve_bad_alpha_ladder_is_one_usage_error(tmp_path, capsys, mode):
 # needs a row here before it can ship.
 SERVE_COMMAND_LINES = [
     "--socket /tmp/s.sock --topology mci --alpha 0.25 --max-batch 64 "
-    "--max-delay-ms 1.5 --high-water 100 --low-water 50 --snapshot /tmp/s.json "
+    "--max-delay-ms 1.5 --snapshot /tmp/s.json "
     "--snapshot-interval 0.5 --protocol v1 --drain-grace 2",
     "--host 0.0.0.0 --port 0 --metrics-port 0 --metrics-host 0.0.0.0 "
     "--metrics-out /tmp/m.prom --trace-out /tmp/t.json --serve-seconds 3",
@@ -670,7 +669,7 @@ SERVE_COMMAND_LINES = [
     "--socket /tmp/w.sock --shard-index 1 --shard-count 4 --audit /tmp/a.jsonl "
     "--audit-fsync-every 1 --audit-max-bytes 4096 --audit-keep 2",
     "--socket /tmp/s.sock --span-out /tmp/sp.jsonl --slo-p50-ms 5 "
-    "--slo-p99-ms 50 --slo-shed-rate 0.01 --slo-window 30",
+    "--slo-p99-ms 50 --slo-window 30",
 ]
 
 
@@ -695,7 +694,7 @@ def test_serve_parser_defaults_are_service_config_defaults():
     config = ServiceConfig()
     assert args.max_delay_ms / 1000.0 == config.max_delay
     for dest in (
-        "max_batch", "high_water", "low_water", "audit_fsync_every",
+        "max_batch", "audit_fsync_every",
         "audit_keep", "governor_interval", "drain_grace", "metrics_host",
     ):
         assert getattr(args, dest) == getattr(config, dest), dest

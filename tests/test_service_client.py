@@ -1,6 +1,7 @@
 """Tests for the service client library and the trace-replay bridge."""
 
 import asyncio
+import json
 import threading
 
 import pytest
@@ -153,6 +154,31 @@ class TestSyncClient:
             )
 
 
+async def start_overloaded_stub(sock, refusals):
+    """A v1 server that answers its first ``refusals`` requests
+    ``overloaded`` (as a cluster router's worker link at its bound does)
+    and admits every one after; also returns the request ids it saw."""
+    seen = []
+
+    async def answer(reader, writer):
+        while line := await reader.readline():
+            rid = json.loads(line)["id"]
+            seen.append(rid)
+            if len(seen) <= refusals:
+                response = protocol.error_response(
+                    rid, protocol.OVERLOADED, "link at its bound; retry later"
+                )
+            else:
+                response = protocol.ok_response(
+                    rid, {"admitted": True, "reason": "ok", "batch_size": 1}
+                )
+            writer.write(protocol.encode_frame(response))
+            await writer.drain()
+        writer.close()
+
+    return await asyncio.start_unix_server(answer, sock), seen
+
+
 class TestAsyncClient:
     def test_connect_retries_until_server_is_up(self, tmp_path):
         sock = str(tmp_path / "late.sock")
@@ -179,88 +205,43 @@ class TestAsyncClient:
         asyncio.run(scenario())
 
     def test_overloaded_retry_succeeds_after_resume(self, tmp_path):
-        sock = str(tmp_path / "s.sock")
+        """Two ``overloaded`` answers, then the server resumes: the
+        client retries under its backoff, each attempt a fresh id."""
+        sock = str(tmp_path / "stub.sock")
 
         async def scenario():
-            service = AdmissionService(
-                make_controller(),
-                ServiceConfig(high_water=1, low_water=0),
-            )
-            await service.start_unix(sock)
-            filler = await AsyncServiceClient.connect_unix(sock)
+            stub, seen = await start_overloaded_stub(sock, refusals=2)
             client = await AsyncServiceClient.connect_unix(
-                sock, backoff=BackoffPolicy(base=0.05, max_retries=8)
+                sock, backoff=BackoffPolicy(base=0.01, max_retries=8)
             )
-            service.coalescer.pause()
-            # Fill the queue past the high-water mark.
-            hold = filler._submit(
-                "admit",
-                {
-                    "flow": {
-                        "id": "hold",
-                        "cls": "voice",
-                        "src": "r0",
-                        "dst": "r3",
-                    }
-                },
-            )
-            while service.coalescer.pending < 1:
-                await asyncio.sleep(0.005)
-
-            async def unblock():
-                await asyncio.sleep(0.15)
-                service.coalescer.resume()
-
-            unblocker = asyncio.get_running_loop().create_task(unblock())
             decision = await client.admit(
                 FlowSpec("f1", "voice", "r0", "r3")
             )
-            assert decision.admitted
-            assert service.counts["shed"] >= 1
-            await unblocker
-            await hold
-            await filler.close()
             await client.close()
-            await service.drain()
+            stub.close()
+            await stub.wait_closed()
+            return decision, seen
 
-        asyncio.run(scenario())
+        decision, seen = asyncio.run(scenario())
+        assert decision.admitted
+        assert seen == [1, 2, 3]
 
     def test_overloaded_raises_without_retry(self, tmp_path):
-        sock = str(tmp_path / "s.sock")
+        sock = str(tmp_path / "stub.sock")
 
         async def scenario():
-            service = AdmissionService(
-                make_controller(),
-                ServiceConfig(high_water=1, low_water=0),
-            )
-            await service.start_unix(sock)
-            filler = await AsyncServiceClient.connect_unix(sock)
+            stub, seen = await start_overloaded_stub(sock, refusals=1)
             client = await AsyncServiceClient.connect_unix(
                 sock, retry_overloaded=False
             )
-            service.coalescer.pause()
-            hold = filler._submit(
-                "admit",
-                {
-                    "flow": {
-                        "id": "hold",
-                        "cls": "voice",
-                        "src": "r0",
-                        "dst": "r3",
-                    }
-                },
-            )
-            while service.coalescer.pending < 1:
-                await asyncio.sleep(0.005)
             with pytest.raises(ServiceOverloadedError):
                 await client.admit(FlowSpec("f1", "voice", "r0", "r3"))
-            service.coalescer.resume()
-            await hold
-            await filler.close()
             await client.close()
-            await service.drain()
+            stub.close()
+            await stub.wait_closed()
+            return seen
 
-        asyncio.run(scenario())
+        assert asyncio.run(scenario()) == [1]
 
     def test_pipelined_requests_resolve_by_id(self, tmp_path):
         sock = str(tmp_path / "s.sock")

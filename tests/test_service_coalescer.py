@@ -331,23 +331,10 @@ class TestLifecycle:
         decisions = asyncio.run(scenario())
         assert all(d.admitted for d in decisions)
 
-    def test_flush_waits_for_prior_ops(self):
-        controller, _ = make_controller()
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(controller)
-            coalescer.start()
-            future = coalescer.submit_admit(flow(1))
-            await coalescer.flush()
-            assert future.done()
-            assert coalescer.pending == 0
-            await coalescer.stop()
-
-        asyncio.run(scenario())
-
-    def test_flush_on_an_idle_coalescer_counts_no_batch(self):
-        """A flush barrier is not a decided op: a barrier-only drain
-        must not show up as a batch of fill 1 (nor in the metrics)."""
+    def test_stop_on_an_idle_coalescer_counts_no_batch(self):
+        """The stop sentinel is not a decided op: stopping an idle
+        coalescer must not show up as a batch of fill 1 (nor in the
+        metrics)."""
         from repro import obs
 
         controller, _ = make_controller()
@@ -355,7 +342,6 @@ class TestLifecycle:
         async def scenario():
             coalescer = MicroBatchCoalescer(controller, max_delay=0)
             coalescer.start()
-            await coalescer.flush()
             await coalescer.stop()
             return coalescer
 
@@ -371,7 +357,7 @@ class TestLifecycle:
         assert "repro_service_batches_total" not in text
         assert "repro_service_batch_fill" not in text
 
-    def test_flush_riding_with_ops_does_not_inflate_the_fill(self):
+    def test_stop_riding_with_ops_does_not_inflate_the_fill(self):
         controller, _ = make_controller()
 
         async def scenario():
@@ -379,12 +365,9 @@ class TestLifecycle:
             coalescer.start()
             coalescer.pause()
             futures = [coalescer.submit_admit(flow(i)) for i in range(3)]
-            flush = asyncio.ensure_future(coalescer.flush())
-            await asyncio.sleep(0)  # the barrier joins the same drain
-            coalescer.resume()
-            await asyncio.wait_for(flush, 5)
+            # The sentinel queues behind the three and joins their drain.
+            await asyncio.wait_for(coalescer.stop(), 5)
             assert all(f.done() for f in futures)
-            await coalescer.stop()
             return coalescer
 
         coalescer = asyncio.run(scenario())
@@ -406,9 +389,8 @@ class TestLifecycle:
             assert coalescer.pending == 7
             assert not any(f.done() for f in futures)
             coalescer.resume()
-            await coalescer.flush()
+            await asyncio.gather(*futures)
             assert coalescer.pending == 0
-            assert all(f.done() for f in futures)
             await coalescer.stop()
 
         asyncio.run(scenario())
@@ -424,7 +406,6 @@ class TestLifecycle:
             futures = [
                 coalescer.submit_admit(flow(i)) for i in range(20)
             ]
-            await coalescer.flush()
             await coalescer.stop()
             for future in futures:
                 assert (await future).admitted
@@ -450,12 +431,12 @@ class TestLifecycle:
             # Trickle more ops in while the window is open (each queues
             # behind the undecided first); they must land in the same
             # batch as the first.
+            trickled = [first]
             for i in range(1, 5):
                 await asyncio.sleep(0.005)
-                coalescer.submit_admit(flow(i))
-            await coalescer.flush()
+                trickled.append(coalescer.submit_admit(flow(i)))
+            await asyncio.gather(*trickled)
             await coalescer.stop()
-            await first
             return coalescer
 
         coalescer = asyncio.run(scenario())
@@ -476,17 +457,16 @@ class TestDrainLoopResilience:
             bad = coalescer.submit_release(["not", "hashable"])
             with pytest.raises(TypeError):
                 await bad
-            # The loop survives: later ops are still decided, and
-            # flush/stop do not deadlock.
+            # The loop survives: later ops are still decided, and stop
+            # does not deadlock.
             decision = await coalescer.submit_admit(flow(1))
             assert decision.admitted
-            await coalescer.flush()
             await coalescer.stop()
             assert coalescer.pending == 0
 
         asyncio.run(scenario())
 
-    def test_poisoned_batch_resolves_interleaved_barriers(self):
+    def test_poisoned_batch_does_not_wedge_stop(self):
         controller, _ = make_controller()
 
         async def scenario():
@@ -494,12 +474,10 @@ class TestDrainLoopResilience:
             coalescer.start()
             coalescer.pause()
             bad = coalescer.submit_release({"k": 1})
-            flush = asyncio.ensure_future(coalescer.flush())
-            coalescer.resume()
+            stop = asyncio.ensure_future(coalescer.stop())
             with pytest.raises(TypeError):
                 await bad
-            await asyncio.wait_for(flush, 5)
-            await coalescer.stop()
+            await asyncio.wait_for(stop, 5)
 
         asyncio.run(scenario())
 

@@ -3,7 +3,7 @@
 Covers the protocol-hardening surface (malformed JSON, unknown op,
 duplicate request id, oversized frame, mid-request disconnect — each
 must produce a structured error or a clean close without wedging the
-coalescer), backpressure shedding with hysteresis, graceful drain, and
+coalescer), backpressure through the socket, graceful drain, and
 snapshot/restore over the wire.
 """
 
@@ -13,11 +13,13 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.admission import (
     FlowAwareAdmissionController,
     UtilizationAdmissionController,
 )
-from repro.errors import ReproError, ServiceError
+from repro.control import Preemptor
+from repro.errors import AdmissionError, ReproError, ServiceError
 from repro.routing.shortest import shortest_path_routes
 from repro.service import (
     AdmissionService,
@@ -29,6 +31,7 @@ from repro.service import (
     service_snapshot,
 )
 from repro.service.audit import iter_audit, verify_audit
+from repro.service.coalescer import MicroBatchCoalescer
 from repro.topology import LinkServerGraph, line_network, ring_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import PRIORITIES, FlowSpec
@@ -257,8 +260,10 @@ class TestProtocolHardening(FrontDoorCases):
             )
             await writer2.drain()
             writer2.close()
-            await asyncio.sleep(0.05)
-            await service.coalescer.flush()
+            for _ in range(200):
+                if service.controller.num_decisions:
+                    break
+                await asyncio.sleep(0.005)
             # Fresh connection: the coalescer is alive and the
             # orphaned admit was committed.
             reader3, writer3 = await raw_connection(sock)
@@ -562,100 +567,107 @@ class TestLoneOpIsAFrameOfOne(FrontDoorCases):
 
 
 class TestBackpressure:
-    def test_shed_past_high_water_resume_at_low_water(self, tmp_path):
+    """A served connection's next frame is read once the one before it
+    is decided, so excess load waits in the socket: no served op reaches
+    the coalescer's queue, and nothing is refused for load."""
+
+    def test_served_load_never_reaches_the_queue(self, tmp_path, monkeypatch):
+        queued = []
+
+        def never(coalescer, op, slots):
+            queued.append(op.kind)
+            raise AssertionError("a served op reached the coalescer's queue")
+
+        monkeypatch.setattr(MicroBatchCoalescer, "_submit_slot", never)
+        obs.enable(fresh=True)
+        pairs = all_ordered_pairs(line_network(4))
+        answered = []
+
+        def flows(prefix, n):
+            return [
+                FlowSpec(
+                    f"{prefix}{i}", "voice", *pairs[i % len(pairs)],
+                    priority=PRIORITIES[i % len(PRIORITIES)],
+                )
+                for i in range(n)
+            ]
+
+        def admit_op(flow):
+            return {"op": "admit", "flow": protocol.flow_to_obj(flow)}
+
+        async def load(sock, c, wire):
+            client = await AsyncServiceClient.connect_unix(
+                sock, protocol=wire, propagate_trace=False
+            )
+            assert client.negotiated_protocol == wire
+            # Pipelined lone admits, then pipelined frames of admits.
+            lone = flows(f"c{c}-lone-", 60)
+            decisions = await asyncio.gather(
+                *(client.admit(flow) for flow in lone)
+            )
+            framed = [flows(f"c{c}-f{k}-", 48) for k in range(4)]
+            frames = [[admit_op(f) for f in frame] for frame in framed]
+            results = await asyncio.gather(*map(client.batch, frames))
+            # Mixed frames: release what each frame admitted, admit more.
+            mixed = [
+                [
+                    {"op": "release", "flow_id": f.flow_id}
+                    for f, a in zip(frame, answers)
+                    if a["ok"] and a["result"]["admitted"]
+                ]
+                + [admit_op(f) for f in flows(f"c{c}-m{k}-", 16)]
+                for k, (frame, answers) in enumerate(zip(framed, results))
+            ]
+            frames += mixed
+            results += await asyncio.gather(*map(client.batch, mixed))
+            # Pipelined lone releases; a preempted flow is no longer
+            # established, which is an answer too.
+            held = [d.flow_id for d in decisions if d.admitted]
+            released = await asyncio.gather(
+                *map(client.release, held), return_exceptions=True
+            )
+            await client.close()
+            assert all(
+                r is True or isinstance(r, AdmissionError) for r in released
+            )
+            # One answer per lone op, one result slot per frame sub-op.
+            answered.append((
+                [len(lone), len(held)] + [len(ops) for ops in frames],
+                [len(decisions), len(released)] + [len(r) for r in results],
+            ))
+
         async def scenario():
-            service, sock = await start_service(
-                tmp_path, high_water=5, low_water=2
+            controller = make_controller(alpha=0.05)
+            service = AdmissionService(
+                controller,
+                ServiceConfig(audit_path=str(tmp_path / "a.jsonl")),
+                preemptor=Preemptor(controller),
             )
-            reader, writer = await raw_connection(sock)
-            service.coalescer.pause()
-            for i in range(5):
-                writer.write(
-                    protocol.encode_frame(
-                        {"id": i, "op": "admit", "flow": flow_obj(i)}
-                    )
-                )
-            await writer.drain()
-            # Wait until all five are submitted (pending == 5) so the
-            # sixth deterministically crosses the high-water mark.
-            for _ in range(200):
-                if service.coalescer.pending >= 5:
-                    break
-                await asyncio.sleep(0.005)
-            resp = await rpc(
-                reader,
-                writer,
-                {"id": 99, "op": "admit", "flow": flow_obj(99)},
+            sock = str(tmp_path / "s.sock")
+            await service.start_unix(sock)
+            await asyncio.wait_for(
+                asyncio.gather(
+                    *(load(sock, c, ("v1", "v2")[c % 2]) for c in range(4))
+                ),
+                60,
             )
-            assert resp["ok"] is False
-            assert resp["error"]["code"] == "overloaded"
-            assert service.counts["shed"] == 1
-            # Hysteresis: still shedding until pending <= low_water.
-            assert service.shedding() is True
-            service.coalescer.resume()
-            await service.coalescer.flush()
-            assert service.shedding() is False
-            # The five held admits were decided, never dropped.
-            decided = 0
-            while decided < 5:
-                frame = json.loads(
-                    await asyncio.wait_for(reader.readline(), 10)
-                )
-                if frame["id"] in range(5):
-                    assert frame["ok"] is True
-                    decided += 1
-            # Back under the low-water mark requests flow again.
-            resp = await rpc(
-                reader,
-                writer,
-                {"id": 100, "op": "admit", "flow": flow_obj(100)},
-            )
-            assert resp["ok"] is True
-            writer.close()
+            stats = service.stats()
             await service.drain()
+            return stats
 
-        asyncio.run(scenario())
-
-    def test_overload_responses_are_explicit_not_silent(self, tmp_path):
-        async def scenario():
-            service, sock = await start_service(
-                tmp_path, high_water=1, low_water=0
-            )
-            reader, writer = await raw_connection(sock)
-            service.coalescer.pause()
-            writer.write(
-                protocol.encode_frame(
-                    {"id": 0, "op": "admit", "flow": flow_obj(0)}
-                )
-            )
-            await writer.drain()
-            for _ in range(200):
-                if service.coalescer.pending >= 1:
-                    break
-                await asyncio.sleep(0.005)
-            # Every extra request gets its own overloaded response.
-            for i in range(1, 4):
-                resp = await rpc(
-                    reader,
-                    writer,
-                    {"id": i, "op": "admit", "flow": flow_obj(i)},
-                )
-                assert resp["error"]["code"] == "overloaded"
-            assert service.counts["shed"] == 3
-            service.coalescer.resume()
-            await service.coalescer.flush()
-            writer.close()
-            await service.drain()
-
-        asyncio.run(scenario())
+        stats = asyncio.run(scenario())
+        assert queued == []
+        assert len(answered) == 4
+        for sent, got in answered:
+            assert got == sent
+        assert stats["queue_depth"] == 0
+        # The only errors are releases of flows a rescue evicted.
+        assert stats["errors"] <= stats["preemption"]["preempted_flows"]
+        assert stats["preemption"]["preempted_flows"] > 0
 
 
 class TestLifecycleAndSnapshots:
     def test_config_validation(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(high_water=1, low_water=2)
-        with pytest.raises(ServiceError):
-            ServiceConfig(high_water=0)
         with pytest.raises(ServiceError):
             ServiceConfig(snapshot_interval=1.0)  # no path
         with pytest.raises(ServiceError):

@@ -498,14 +498,13 @@ class TestSLOSurface:
             service, sock = await start_service(
                 tmp_path,
                 metrics_port=0,
-                slo=SLOConfig(shed_rate=0.01),
+                slo=SLOConfig(p99_ms=5.0),
             )
-            # Synthesize a shed storm directly into the tracker: 50%
-            # of the window's frames shed against a 1% objective.
+            # Synthesize slow requests directly into the tracker:
+            # 500 ms each against a 5 ms p99 objective.
             for _ in range(10):
                 service.slo.record_request()
-            for _ in range(5):
-                service.slo.record_shed()
+                service.slo.observe_latency(0.5)
             port = service.metrics_endpoint.port
             healthz = await http_get(port, "/healthz")
             async with await AsyncServiceClient.connect_unix(
@@ -521,7 +520,7 @@ class TestSLOSurface:
         body = json.loads(healthz[1])
         assert body["status"] == "degraded"
         assert body["slo"]["breaching"] is True
-        assert body["slo"]["burn_rates"]["shed_rate"] > 1.0
+        assert body["slo"]["burn_rates"]["p99"] > 1.0
         assert resp["admitted"] is True
 
     def test_audit_stats_block_reports_the_log(self, tmp_path):

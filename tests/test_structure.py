@@ -239,9 +239,10 @@ RATCHETS = (
         name="A lone op is a frame of one: no future per op",
         why=(
             "An outcome lands in its frame's BulkSlots; the only real "
-            "futures in coalescer.py are a frame's one waiter "
-            "(BulkSlots.__init__) and a flush barrier's (flush).  A third "
-            "create_future( is a future per op coming back."
+            "future in coalescer.py is a frame's one waiter "
+            "(BulkSlots.__init__; the drain waits on stop(), not on a "
+            "flush barrier).  A second create_future( is a future per op "
+            "coming back."
         ),
         pattern=r"create_future\(",
         roots=("src/repro/service/coalescer.py",),
@@ -249,7 +250,7 @@ RATCHETS = (
             "src/repro/service/coalescer.py",
             "        future = asyncio.get_running_loop().create_future()",
         ),
-        max_count=2,
+        max_count=1,
     ),
     Ratchet(
         name="A lone op is a frame of one: the crossover is no knob",
@@ -265,6 +266,28 @@ RATCHETS = (
         offender=(
             "src/repro/admission/base.py",
             '    ADMIT_BATCH_MIN_RUN = int(os.environ.get("REPRO_MIN_RUN", 5))',
+        ),
+    ),
+    Ratchet(
+        name="Backpressure is the socket",
+        why=(
+            "A served connection's next frame is read once the one "
+            "before it is decided, so excess load waits in the socket "
+            "and no served op reaches the coalescer's queue "
+            "(tests/test_service_server.py::TestBackpressure).  Backlog "
+            "shedding (high/low-water knobs, a shed response, a shed "
+            "SLO objective or counter) is a refusal path no served "
+            "process can reach; the router's per-link bound is the one "
+            "load refusal."
+        ),
+        pattern=(
+            r"high_water|low_water|_shed_response|record_shed|shed_rate"
+            r"|repro_service_shed"
+        ),
+        roots=("src/repro",),
+        offender=(
+            "src/repro/service/server.py",
+            "        if self.coalescer.pending >= self.config.high_water:",
         ),
     ),
     Ratchet(
