@@ -33,6 +33,15 @@ from .._version import __version__
 
 __all__ = ["main", "build_parser"]
 
+#: What a served process never imports: OpenSSL.  ``import asyncio``
+#: loads ``ssl`` (libssl and libcrypto, ≈ 4 MB resident) only to offer
+#: TLS transports, and nothing served speaks TLS; ``hashlib`` maps
+#: libcrypto through ``_hashlib`` where CPython's builtin ``_sha256`` /
+#: ``_blake2`` compute the same digests.  A ``None`` entry in
+#: ``sys.modules`` is CPython's import blocker, and both stdlib modules
+#: fall back cleanly behind it.  A TLS feature must remove this first.
+NOT_SERVED_MODULES = ("ssl", "_hashlib")
+
 
 def _alpha_ladder(text: str) -> List[float]:
     """``serve --alpha-ladder``: comma-separated floats."""
@@ -705,11 +714,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"directory {parent!r} does not exist")
     if capture:
         obs.enable(fresh=True)
-    collector = gc.isenabled(), gc.get_freeze_count()
+    interpreter = (
+        gc.isenabled(),
+        gc.get_freeze_count(),
+        [name for name in NOT_SERVED_MODULES if name not in sys.modules],
+    )
     try:
         return _dispatch(args)
     finally:
-        _hand_back_collector(*collector)
+        _hand_back_interpreter(*interpreter)
         if capture:
             if metrics_out:
                 fmt = (
@@ -724,16 +737,24 @@ def main(argv: Optional[List[str]] = None) -> int:
             obs.disable()
 
 
-def _hand_back_collector(enabled: bool, frozen: int) -> None:
-    """Undo what ``serve`` did to the collector (``gc.disable()`` while
-    it starts, ``gc.freeze()`` once it listens): tests call :func:`main`
-    in-process, and the process goes on after it returns."""
+def _hand_back_interpreter(
+    enabled: bool, frozen: int, unloaded: List[str]
+) -> None:
+    """Undo what ``serve`` did to the interpreter: the collector
+    (``gc.disable()`` while it starts, ``gc.freeze()`` once it listens)
+    and the import blocks it set on ``unloaded``, the
+    :data:`NOT_SERVED_MODULES` not yet imported when :func:`main` was
+    entered.  Tests call :func:`main` in-process, and the process goes
+    on after it returns."""
     if gc.get_freeze_count() != frozen:
         gc.unfreeze()
     if enabled:
         gc.enable()
     else:
         gc.disable()
+    for name in unloaded:
+        if name in sys.modules and sys.modules[name] is None:
+            del sys.modules[name]
 
 
 def _admission_setup(topology: str):
@@ -839,6 +860,10 @@ def _run_serve(args: argparse.Namespace) -> int:
     # allocates tens of thousands of objects and frees almost none:
     # collecting them before the first request is pure cost.
     gc.disable()
+    # Before asyncio or any server module loads.  A name an in-process
+    # caller already imported keeps its module.
+    for name in NOT_SERVED_MODULES:
+        sys.modules.setdefault(name, None)
     import asyncio
 
     from ..errors import ReproError

@@ -610,12 +610,8 @@ class ClusterRouter:
                 rid, protocol.UNAVAILABLE, "cluster is draining"
             )
         if op == "admit":
-            flow = body.get("flow")
-            if not isinstance(flow, dict) or "id" not in flow:
-                # Let a worker produce the canonical validation error.
-                return self._forward(self.links[0], op, body)
             return self._forward(
-                self._owner(flow["id"]), op, body
+                self.links[self._route_sub_op(body, "admit")], op, body
             )
         if op in ("release", "query"):
             if "flow_id" not in body:
@@ -660,17 +656,19 @@ class ClusterRouter:
         self.counts["forwarded"] += len(per_worker)
         return futures, slot_map
 
-    def _route_sub_op(self, sub: Any) -> int:
-        """Owning worker of one batch sub-op.
+    def _route_sub_op(self, sub: Any, sub_op: Optional[str] = None) -> int:
+        """Owning worker of one batch sub-op, or of a lone op's body
+        (``sub_op`` names its op).
 
-        Unroutable (malformed) sub-ops go to worker 0: they never touch
+        Unroutable (malformed) ops go to worker 0: they never touch
         admission state, so any worker's validation answer is identical
         — and this keeps the error messages bit-compatible with the
         single-server path.
         """
         if not isinstance(sub, dict):
             return 0
-        sub_op = sub.get("op")
+        if sub_op is None:
+            sub_op = sub.get("op")
         try:
             if sub_op == "admit":
                 flow = sub.get("flow")

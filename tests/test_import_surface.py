@@ -50,7 +50,8 @@ NOT_ON_THE_SERVE_PATH = (
 
 #: Modules only a `serve` flag calls: loaded where the flag is acted on,
 #: when the server is built, and never by a plain serve.  `hashlib` (via
-#: the audit log) maps more of libcrypto: 0.7 MB resident.
+#: the audit log) comes without `_hashlib`: its digests are the builtin
+#: `_sha256` / `_blake2`.
 FLAG_MODULES = {
     "--audit": ("repro.service.audit",),
     "--metrics-port": ("repro.service.http",),
@@ -68,6 +69,11 @@ NOT_SERVED = (
     "repro.analysis.multiclass",
     "repro.traffic.envelope",
 )
+
+#: Never loaded by any serve, whatever its flags: OpenSSL (libssl and
+#: libcrypto, ≈ 4 MB resident), which `import asyncio` and `hashlib`
+#: would otherwise map (`cli.NOT_SERVED_MODULES`).  Names, not prefixes.
+NEVER_SERVED = ("ssl", "_ssl", "_hashlib")
 
 #: `repro.*` modules a served process may hold (108 before the package
 #: surface went lazy, 52 before imports followed flags).  Counted over
@@ -136,6 +142,7 @@ def test_serve_loads_only_what_it_runs(tmp_path, flags):
     assert "repro.admission.kernels" in modules
     for prefix in NOT_ON_THE_SERVE_PATH + NOT_SERVED:
         assert under(modules, prefix) == []
+    assert [m for m in NEVER_SERVED if m in modules] == []
     gated = [m for names in FLAG_MODULES.values() for m in names]
     if flags == "plain":
         assert [m for m in gated + ["hashlib"] if m in modules] == []
@@ -151,6 +158,7 @@ def test_each_serve_flag_adds_exactly_its_own_modules(tmp_path, flag):
     added = flagged - plain
     assert sorted(under(added, "repro")) == sorted(FLAG_MODULES[flag])
     assert ("hashlib" in added) == (flag == "--audit")
+    assert [m for m in NEVER_SERVED if m in flagged] == []
     assert plain <= flagged
 
 

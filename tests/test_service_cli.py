@@ -737,12 +737,21 @@ def test_serve_single_shard_worker(tmp_path, capsys):
     ],
     ids=["drain", "refused", "bind-failure"],
 )
-def test_main_hands_the_collector_back(tmp_path, capsys, extra, rc, enabled):
-    # serve turns the collector off while it starts and freezes its heap
-    # once it listens; main() is called in-process here, so the caller
-    # must get the collector back as it was, on every return path.
+def test_main_hands_the_collector_back(
+    tmp_path, capsys, monkeypatch, extra, rc, enabled
+):
+    # serve turns the collector off while it starts, freezes its heap
+    # once it listens, and blocks the OpenSSL modules it never uses;
+    # main() is called in-process here, so the caller must get the
+    # interpreter back as it was, on every return path.
     import gc
+    import importlib
+    import sys
 
+    # `ssl` unloaded, as in a fresh serve, so that this serve blocks it;
+    # `_hashlib` loaded, as an in-process caller's is, so it is kept.
+    monkeypatch.delitem(sys.modules, "ssl", raising=False)
+    hashlib_backend = importlib.import_module("_hashlib")
     sock = tmp_path / "s.sock"
     argv = ["serve", "--socket", str(sock), "--topology", "mci"]
     if extra is None:
@@ -756,5 +765,10 @@ def test_main_hands_the_collector_back(tmp_path, capsys, extra, rc, enabled):
         assert (gc.isenabled(), gc.get_freeze_count()) == before
     finally:
         (gc.enable if was_enabled else gc.disable)()
+    assert sys.modules["_hashlib"] is hashlib_backend
+    # No block left behind: the name imports again.
+    assert "ssl" not in sys.modules
+    importlib.import_module("ssl")
+    assert sys.modules.get("ssl") is not None
     out = capsys.readouterr().out
     assert ("drained after" in out) == (rc == 0)

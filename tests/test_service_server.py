@@ -1164,3 +1164,7 @@ class TestProtocolHardeningRouter(TestProtocolHardening):
 
 class TestProtocolNegotiationRouter(TestProtocolNegotiation):
     door = "router"
+
+
+class TestLoneOpIsAFrameOfOneRouter(TestLoneOpIsAFrameOfOne):
+    door = "router"

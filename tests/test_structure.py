@@ -532,6 +532,22 @@ RATCHETS = (
             "sys.dont_write_bytecode = False",
         ),
     ),
+    Ratchet(
+        name="No TLS in src/",
+        why=(
+            "serve blocks `ssl` before asyncio loads it "
+            "(cli.NOT_SERVED_MODULES: ≈ 4 MB of libssl and libcrypto per "
+            "served process), which is safe only while nothing served "
+            "speaks TLS.  A TLS feature removes that block on purpose, "
+            "with this row."
+        ),
+        pattern=r"import ssl|from ssl|\bssl\.",
+        roots=("src/repro",),
+        offender=(
+            "src/repro/service/server.py",
+            "        context = ssl.create_default_context()",
+        ),
+    ),
 )
 
 BY_NAME = pytest.mark.parametrize(
