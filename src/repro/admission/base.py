@@ -123,6 +123,7 @@ class AdmissionController(abc.ABC):
         # best-effort flow round-trips (it simply holds no servers).
         self._class_names = registry.names()
         self._class_codes = {n: i for i, n in enumerate(self._class_names)}
+        self._flows.fit_class_code(len(self._class_names) - 1)
         # Pair -> server-index array for configured routes, so repeated
         # admissions (and whole batches) skip per-hop index lookups.
         # Invalidated by update_routes.
@@ -145,7 +146,8 @@ class AdmissionController(abc.ABC):
         The one statement of what the sequential API refuses outright
         (as opposed to deciding): an established id, a pair with no
         configured route, a pinned route over a link the graph does not
-        have, an unknown class.  Mutates nothing, so a batch caller runs
+        have, an unknown class (or one the controller cannot admit, see
+        :meth:`_check_class`).  Mutates nothing, so a batch caller runs
         it per request and a request that fails it fails alone.
         """
         if flow.flow_id in self._flows:
@@ -153,8 +155,13 @@ class AdmissionController(abc.ABC):
                 f"flow {flow.flow_id!r} is already established"
             )
         route = self.resolve_route(flow)
-        self.registry.get(flow.class_name)
+        self._check_class(flow.class_name)
         return route
+
+    def _check_class(self, class_name: str) -> None:
+        """Raise for a class this controller cannot admit flows of: by
+        default, one the registry does not know."""
+        self.registry.get(class_name)
 
     def admit(self, flow: FlowSpec) -> AdmissionDecision:
         """Attempt to establish a flow; returns the decision record."""
@@ -519,6 +526,17 @@ class AdmissionController(abc.ABC):
     def num_established(self) -> int:
         return len(self._flows)
 
+    @property
+    def flow_rows(self) -> int:
+        """Rows of the flow table, free ones included."""
+        return self._flows.rows
+
+    @property
+    def flow_table_bytes(self) -> int:
+        """Fixed-width bytes of the flow table (``FlowTable.nbytes``):
+        with :attr:`flow_rows`, what each row of the record costs."""
+        return self._flows.nbytes
+
     def is_established(self, flow_id: Hashable) -> bool:
         return flow_id in self._flows
 
@@ -563,7 +581,9 @@ class AdmissionController(abc.ABC):
         code = self._class_codes.get(class_name)
         if code is None:
             self.registry.get(class_name)
-            code = self._class_codes[class_name] = len(self._class_names)
+            code = len(self._class_names)
+            self._flows.fit_class_code(code)
+            self._class_codes[class_name] = code
             self._class_names.append(class_name)
         return code
 

@@ -13,6 +13,17 @@ a handful of vectorized operations.
 
 Rows are recycled through a free list; the columns grow by doubling and
 the server matrix widens on demand when a longer route arrives.
+
+Each integer column holds the narrowest signed type that fits its range
+(:func:`narrowest`): the server matrix follows ``pad`` (``int8`` up to
+127 servers), class codes and priority tags start at ``int8``, route
+lengths follow the matrix width and pair codes the number of distinct
+pairs.  numpy wraps an out-of-range array write silently, so a column
+is widened *before* it is handed a value it cannot hold — when a longer
+route arrives, when a class code is minted (:meth:`fit_class_code`) or
+a pair is interned — never after.  What the table hands out
+(:meth:`pop`, :meth:`pop_batch`, :meth:`servers_of`, :meth:`holders`)
+is ``int64``, whatever the columns hold.
 """
 
 from __future__ import annotations
@@ -37,10 +48,29 @@ __all__ = ["FlowTable"]
 NO_CLASS = -1
 #: The committed servers of a flow that holds no slot (best-effort).
 NO_SERVERS = np.empty(0, dtype=np.int64)
+#: What the table hands out, whatever its columns hold (a dtype object:
+#: ``astype`` resolves one faster than the scalar type).
+_INT64 = np.dtype(np.int64)
+#: Bytes a list slot of the two object columns costs (one pointer).
+_POINTER_BYTES = np.dtype(np.intp).itemsize
 
 Pair = Tuple[Hashable, Hashable]
 #: ``(flow id, class code, tag, pair, committed route, pinned)``.
 Record = Tuple[Hashable, int, int, Optional[Pair], Sequence[Hashable], bool]
+
+
+def narrowest(high: int) -> np.dtype:
+    """The narrowest signed integer type holding every value from -1
+    (a column's "none") to ``high``."""
+    return np.min_scalar_type(-(max(int(high), 0) + 1))
+
+
+def _fit(column: np.ndarray, high: int) -> np.ndarray:
+    """``column``, or a wider copy of it if it cannot hold ``high``."""
+    dtype = narrowest(high)
+    if dtype.itemsize <= column.dtype.itemsize:
+        return column
+    return column.astype(dtype)
 
 
 class FlowTable:
@@ -51,7 +81,7 @@ class FlowTable:
     pad:
         Sentinel server index filling unused matrix cells (the
         controllers use ``graph.num_servers``, their kernels' virtual
-        padding slot).
+        padding slot); it fixes the matrix's integer type.
     width / capacity:
         Initial matrix shape; both grow automatically.
     """
@@ -70,11 +100,15 @@ class FlowTable:
         # The two object columns are plain lists: they are only ever
         # read and written an element at a time.
         self._ids: List[Hashable] = [None] * capacity
-        self._codes = np.full(capacity, NO_CLASS, dtype=np.int64)
-        self._tags = np.full(capacity, -1, dtype=np.int64)
-        self._servers = np.full((capacity, width), self.pad, dtype=np.int64)
-        self._lengths = np.zeros(capacity, dtype=np.int64)
-        self._pairs = np.full(capacity, -1, dtype=np.int64)
+        # Class codes widen as they are minted (fit_class_code); the
+        # priority tags are PRIORITY_TAGS, -1 .. 3.
+        self._codes = np.full(capacity, NO_CLASS, dtype=np.int8)
+        self._tags = np.full(capacity, -1, dtype=np.int8)
+        self._servers = np.full(
+            (capacity, width), self.pad, dtype=narrowest(self.pad)
+        )
+        self._lengths = np.zeros(capacity, dtype=narrowest(width))
+        self._pairs = np.full(capacity, -1, dtype=narrowest(0))
         self._pinned = np.zeros(capacity, dtype=bool)
         self._routes: List[Optional[Sequence[Hashable]]] = [None] * capacity
         self._free: List[int] = list(range(capacity - 1, -1, -1))
@@ -112,9 +146,10 @@ class FlowTable:
             return
         extra = np.full(
             (self._servers.shape[0], width - have), self.pad,
-            dtype=np.int64,
+            dtype=self._servers.dtype,
         )
         self._servers = np.concatenate([self._servers, extra], axis=1)
+        self._lengths = _fit(self._lengths, width)
 
     def _alloc(self, n: int) -> List[int]:
         while len(self._free) < n:
@@ -131,9 +166,17 @@ class FlowTable:
         """The interned code of a source/destination pair."""
         code = self._pair_codes.get(pair)
         if code is None:
-            code = self._pair_codes[pair] = len(self._pair_names)
+            code = len(self._pair_names)
+            self._pairs = _fit(self._pairs, code)
+            self._pair_codes[pair] = code
             self._pair_names.append(pair)
         return code
+
+    def fit_class_code(self, code: int) -> None:
+        """Widen the class column, if it must, so that it holds
+        ``code`` — called by whoever mints class codes, before the
+        first row carries it."""
+        self._codes = _fit(self._codes, code)
 
     def add(
         self,
@@ -193,8 +236,9 @@ class FlowTable:
         ids = self._ids
         for k, (fid, row) in enumerate(zip(flow_ids, rows)):
             if fid in index:
-                for undo in flow_ids[:k]:
+                for undo, undo_row in zip(flow_ids[:k], rows):
                     del index[undo]
+                    ids[undo_row] = None
                 self._free.extend(rows)
                 raise AdmissionError(
                     f"flow {fid!r} is already established"
@@ -202,15 +246,18 @@ class FlowTable:
             index[fid] = row
             ids[row] = fid
         at = np.asarray(rows, dtype=np.intp)
-        self._codes[at] = code
-        self._tags[at] = -1 if tags is None else tags
-        self._lengths[at] = lengths
+        # put(), not an indexed assignment: it casts int64 input into a
+        # narrow column without the assignment's cast set-up, which is
+        # most of a short run's cost.
+        self._codes.put(at, code)
+        self._tags.put(at, -1 if tags is None else tags)
+        self._lengths.put(at, lengths)
         # Reused rows may hold a previous occupant's longer route; clear
         # the tail beyond this batch's width before writing.
         self._servers[at, width:] = self.pad
         self._servers[at, :width] = matrix
-        self._pairs[at] = -1 if pairs is None else pairs
-        self._pinned[at] = False if pinned is None else pinned
+        self._pairs.put(at, -1 if pairs is None else pairs)
+        self._pinned.put(at, False if pinned is None else pinned)
         column = self._routes
         for row, route in zip(rows, routes or [None] * n):
             column[row] = route
@@ -224,9 +271,12 @@ class FlowTable:
                 f"flow {flow_id!r} is not established"
             ) from None
         n = int(self._lengths[row])
-        servers = self._servers[row, :n].copy()
+        servers = self._servers[row, :n].astype(_INT64)
         code = int(self._codes[row])
         tag = int(self._tags[row])
+        # A free row keeps nothing alive: not the id, not the route.
+        self._ids[row] = None
+        self._routes[row] = None
         self._codes[row] = NO_CLASS
         self._free.append(row)
         return code, servers, tag
@@ -258,15 +308,21 @@ class FlowTable:
         rows = [get(fid, -1) for fid in flow_ids]
         if len(set(rows)) != len(rows) or -1 in rows:
             self.check_poppable(flow_ids)
-        for fid in flow_ids:
+        ids = self._ids
+        routes = self._routes
+        for fid, row in zip(flow_ids, rows):
             del index[fid]
+            ids[row] = None
+            routes[row] = None
         at = np.asarray(rows, dtype=np.intp)
-        lengths = self._lengths[at]
-        width = int(lengths.max()) if rows else 0
-        matrix = self._servers[at, :width]
-        codes = self._codes[at]
-        tags = self._tags[at]
-        self._codes[at] = NO_CLASS
+        # take() then slice: gathering whole rows is far cheaper than
+        # indexing rows and columns at once.
+        lengths = self._lengths.take(at).astype(_INT64)
+        width = max(lengths.tolist(), default=0)
+        matrix = self._servers.take(at, axis=0)[:, :width].astype(_INT64)
+        codes = self._codes.take(at).astype(_INT64)
+        tags = self._tags.take(at).astype(_INT64)
+        self._codes.put(at, NO_CLASS)
         self._free.extend(rows)
         return codes, matrix, lengths, tags
 
@@ -283,6 +339,24 @@ class FlowTable:
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._index)
 
+    @property
+    def rows(self) -> int:
+        """Rows allocated, free ones included."""
+        return len(self._ids)
+
+    @property
+    def nbytes(self) -> int:
+        """The table's fixed-width part: every column's buffer plus one
+        pointer per slot of the two object columns (not the ids, routes
+        and index those point into)."""
+        columns = (
+            self._codes, self._tags, self._servers, self._lengths,
+            self._pairs, self._pinned,
+        )
+        return sum(c.nbytes for c in columns) + _POINTER_BYTES * (
+            len(self._ids) + len(self._routes)
+        )
+
     def _row(self, flow_id: Hashable) -> int:
         try:
             return self._index[flow_id]
@@ -294,7 +368,7 @@ class FlowTable:
     def servers_of(self, flow_id: Hashable) -> np.ndarray:
         """Committed server indices of an established flow (copy)."""
         row = self._row(flow_id)
-        return self._servers[row, : int(self._lengths[row])].copy()
+        return self._servers[row, : int(self._lengths[row])].astype(_INT64)
 
     def route_of(self, flow_id: Hashable) -> Sequence[Hashable]:
         """The route an established flow was admitted on (shared, not
@@ -356,7 +430,7 @@ class FlowTable:
         ids = self._ids
         return (
             [ids[r] for r in rows.tolist()],
-            self._tags[rows],
+            self._tags[rows].astype(_INT64),
             hits[:, keep],
         )
 
@@ -395,4 +469,11 @@ class FlowTable:
                 "flow-table free list is not the set of rows that hold "
                 "no flow"
             )
+        routes = self._routes
+        for row in sorted(self._free):
+            if ids[row] is not None or routes[row] is not None:
+                problems.append(
+                    f"free flow-table row {row} still keeps the id "
+                    f"{ids[row]!r} or a route alive"
+                )
         return problems

@@ -76,11 +76,26 @@ class UtilizationAdmissionController(AdmissionController):
             for c in registry.realtime_classes()
         }
 
+    def _check_class(self, class_name: str) -> None:
+        # A real-time class registered after this controller was built
+        # has no verified utilization and no ledger column: admitting
+        # it as best-effort would establish a deadline flow that holds
+        # no slot.
+        if (
+            class_name not in self._slot_classes
+            and self.registry.get(class_name).is_realtime
+        ):
+            raise AdmissionError(
+                f"no verified utilization for real-time class "
+                f"{class_name!r}"
+            )
+
     def _admit_impl(
         self, flow: FlowSpec, route: Sequence[Hashable]
     ) -> Tuple[bool, str]:
         # Any other class is best-effort (check_admit refused unknown
-        # names): never blocked, never guaranteed, no slot held.
+        # names and unverified real-time ones): never blocked, never
+        # guaranteed, no slot held.
         servers = NO_SERVERS
         if flow.class_name in self._slot_classes:
             servers = self.servers_for(flow, route)
@@ -279,7 +294,9 @@ class UtilizationAdmissionController(AdmissionController):
           committed server rows reproduces the ledger's ``used``
           vectors exactly, so no slot is leaked or double-counted;
         * **servers ⇔ route** — the servers a slot-holding flow commits
-          are the link servers of the route it is recorded on.
+          are the link servers of the route it is recorded on;
+        * **every real-time flow holds a slot** — none is established
+          in a real-time class that has no verified utilization.
         """
         problems = super().verify_invariants()
         table = self._flows
@@ -301,8 +318,19 @@ class UtilizationAdmissionController(AdmissionController):
                     "established flows"
                 )
         slot_codes = set(self._slot_classes.values())
+        unslotted = {
+            code: name
+            for name, code in self._class_codes.items()
+            if code not in slot_codes and self.registry.get(name).is_realtime
+        }
         for fid, code, _tag, _pair, route, _pinned in table.records():
-            if code in slot_codes and route is not None:
+            if code in unslotted:
+                problems.append(
+                    f"flow {fid!r} of real-time class {unslotted[code]!r} "
+                    "is established without a slot (no verified "
+                    "utilization)"
+                )
+            elif code in slot_codes and route is not None:
                 servers = table.servers_of(fid)
                 if not np.array_equal(
                     servers, self.graph.route_servers(route)

@@ -380,6 +380,8 @@ _SUMMED_KEYS = (
     "batches",
     "coalesced_ops",
     "established",
+    "flow_rows",
+    "flow_table_bytes",
     "queue_depth",
     "decisions_total",
     "admitted_total",

@@ -1003,6 +1003,10 @@ class AdmissionService:
             "rss_mb": rss_mb,
             "peak_rss_mb": peak_rss_mb,
             "established": controller.num_established,
+            # What the flow record costs: its rows (free ones included)
+            # and their fixed-width bytes.
+            "flow_rows": controller.flow_rows,
+            "flow_table_bytes": controller.flow_table_bytes,
             # The controller's own O(1) tallies: every admission it
             # decided, including restores and preemption re-admits that
             # the per-request ``admitted``/``rejected`` counts never see.

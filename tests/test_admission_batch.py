@@ -7,7 +7,9 @@ batch-aware :class:`~repro.admission.base.AdmissionDecision` records
 equivalence lives in ``test_property_batch_admission.py``.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,17 +17,20 @@ import pytest
 from repro.admission import (
     FlowTable,
     PADDING_FREE,
+    SlotShardController,
     UtilizationAdmissionController,
     batch_slot_decisions,
     flat_committed_servers,
     pad_server_matrix,
 )
-from repro.admission.base import AdmissionDecision
+from repro.admission import flowtable
+from repro.admission.base import ADMIT_BATCH_MIN_RUN, AdmissionDecision
 from repro.admission.flowtable import NO_CLASS
 from repro.errors import AdmissionError
 from repro.routing.shortest import shortest_path_routes
+from repro.traffic import BEST_EFFORT_PRIORITY, ClassRegistry, TrafficClass
 from repro.traffic.flows import FlowSpec
-from repro.traffic.generators import all_ordered_pairs
+from repro.traffic.generators import all_ordered_pairs, video_class
 
 
 def _free(values):
@@ -110,6 +115,133 @@ class TestBatchSlotDecisions:
         admitted = np.array([True, True])
         flat = flat_committed_servers(matrix, admitted, pad=3)
         assert sorted(flat.tolist()) == [0, 1, 2]
+
+
+class _Id:
+    """A hashable flow id a weakref can watch."""
+
+    __slots__ = ("name", "__weakref__")
+
+    def __init__(self, name):
+        self.name = name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __eq__(self, other):
+        return isinstance(other, _Id) and other.name == self.name
+
+
+class _Route(list):
+    """A pinned route a weakref can watch."""
+
+
+def _best_effort(name, rank):
+    return TrafficClass(
+        name=name, burst=0.0, rate=0.0, deadline=math.inf,
+        priority=BEST_EFFORT_PRIORITY + 1 + rank,
+    )
+
+
+def _int8_only(high):
+    """The planted offender: every column fixed to ``int8``."""
+    return np.dtype(np.int8)
+
+
+# Boundary checks: each passes on the real table and must fail on a
+# table whose columns never widen past int8.
+
+
+def _servers_round_trip(pad):
+    """A server index one below ``pad``, and ``pad`` itself, survive
+    every path in and out of the matrix."""
+    top = pad - 1
+    table = FlowTable(pad=pad, width=2)
+    table.add("seq", 0, np.array([top, 0, top - 1], dtype=np.int64))
+    matrix, lengths = pad_server_matrix(
+        [np.array([top]), np.array([1, top])], pad=pad
+    )
+    table.add_batch(["b0", "b1"], 0, matrix, lengths)
+    assert table.servers_of("seq").tolist() == [top, 0, top - 1]
+    assert table.usage(0)[top] == 3
+    ids, tags, hits = table.holders(0, [-1], [top])
+    assert sorted(ids) == ["b0", "b1", "seq"] and hits.all()
+    assert tags.dtype == np.int64
+    codes, popped, popped_lengths, _tags = table.pop_batch(["b1", "b0"])
+    assert popped.dtype == np.int64
+    assert popped.tolist() == [[1, top], [top, pad]]
+    assert popped_lengths.tolist() == [2, 1] and codes.tolist() == [0, 0]
+    _code, servers, _tag = table.pop("seq")
+    assert servers.dtype == np.int64
+    assert servers.tolist() == [top, 0, top - 1]
+    assert table.verify() == []
+
+
+def _lengths_round_trip():
+    """Routes longer than 127 hops, through ``add`` and ``add_batch``."""
+    table = FlowTable(pad=300, width=2)
+    long = np.arange(200, dtype=np.int64)
+    table.add("seq", 0, long)
+    matrix, lengths = pad_server_matrix([long[:150], long], pad=300)
+    table.add_batch(["b0", "b1"], 0, matrix, lengths)
+    assert table.servers_of("seq").tolist() == list(range(200))
+    _codes, popped, popped_lengths, _tags = table.pop_batch(["b0", "b1"])
+    assert popped_lengths.tolist() == [150, 200]
+    assert popped[0, :150].tolist() == list(range(150))
+    assert table.verify() == []
+
+
+def _class_codes_round_trip(mci, mci_graph, mci_pairs, voice):
+    """Class codes past 127, minted at run time by best-effort classes
+    registered after the controller was built, through the sequential
+    and the batch path."""
+    registry = ClassRegistry.two_class(voice)
+    controller = UtilizationAdmissionController(
+        mci_graph, registry, {"voice": 0.3},
+        shortest_path_routes(mci, mci_pairs),
+    )
+    names = [f"bulk-{i}" for i in range(250)]
+    for rank, name in enumerate(names):
+        registry.add(_best_effort(name, rank))
+    pair = mci_pairs[0]
+    seq = [FlowSpec(f"s-{name}", name, *pair) for name in names[:100]]
+    batch = [FlowSpec(f"b-{name}", name, *pair) for name in names[100:200]]
+    late = [FlowSpec(f"l-{name}", name, *pair) for name in names[200:]]
+    voice_flow = FlowSpec("v", "voice", *pair)
+    for flow in seq:
+        assert controller.admit(flow).admitted
+    # Codes 102 .. 201: the batch path crosses 127.
+    assert all(d.admitted for d in controller.admit_batch(batch))
+    # Codes 202 .. 251, one at a time.
+    for flow in late + [voice_flow]:
+        assert controller.admit(flow).admitted
+    assert controller.established_flows == seq + batch + late + [voice_flow]
+    assert controller.verify_invariants() == []
+    controller.release_batch([f.flow_id for f in batch])
+    for flow in seq + late + [voice_flow]:
+        controller.release(flow.flow_id)
+    assert controller.num_established == 0
+    assert not controller.ledger.used_view("voice").any()
+
+
+def _pair_codes_round_trip():
+    """Pair codes past 32 767 (the interned endpoints of 40 000
+    distinct pairs), through ``add`` and ``add_batch``."""
+    table = FlowTable(pad=9)
+    pairs = [(f"s{i}", f"d{i}") for i in range(40_000)]
+    assert [table.pair_code(p) for p in pairs] == list(range(40_000))
+    one = np.array([1], dtype=np.int64)
+    for k in (127, 128, 32_768):
+        table.add(f"seq-{k}", 0, one, pair=k, route=list(pairs[k]))
+    picks = [32_767, 32_769, 39_999]
+    matrix, lengths = pad_server_matrix([one] * len(picks), pad=9)
+    table.add_batch(
+        [f"batch-{k}" for k in picks], 0, matrix, lengths,
+        pairs=picks, routes=[list(pairs[k]) for k in picks],
+    )
+    for fid, _code, _tag, pair, route, _pinned in table.records():
+        assert pair == tuple(route), fid
+    assert table.verify() == []
 
 
 class TestFlowTable:
@@ -249,6 +381,102 @@ class TestFlowTable:
         view[:] = 0
         assert table.servers_of("a").tolist() == [1, 2]
 
+    def test_columns_take_the_narrowest_type_that_fits(self):
+        table = FlowTable(pad=70)  # MCI
+        assert table._servers.dtype == np.int8
+        assert table._codes.dtype == table._tags.dtype == np.int8
+        assert table._lengths.dtype == table._pairs.dtype == np.int8
+        # 4 servers, code, tag, length, pair, pinned, two list slots.
+        assert table.nbytes == table.rows * (4 + 5 + 16)
+        assert FlowTable(pad=127)._servers.dtype == np.int8
+        assert FlowTable(pad=128)._servers.dtype == np.int16
+        assert FlowTable(pad=40_000)._servers.dtype == np.int32
+
+    @pytest.mark.parametrize("pad", [127, 128])
+    def test_the_server_matrix_holds_pad(self, pad):
+        _servers_round_trip(pad)
+
+    def test_a_longer_route_widens_the_length_column(self):
+        _lengths_round_trip()
+
+    def test_class_codes_past_127(
+        self, mci, mci_graph, mci_pairs, voice
+    ):
+        _class_codes_round_trip(mci, mci_graph, mci_pairs, voice)
+
+    def test_pair_codes_past_32767(self):
+        _pair_codes_round_trip()
+
+    @pytest.mark.parametrize(
+        "check", ["servers", "lengths", "classes", "pairs"]
+    )
+    def test_a_table_fixed_to_int8_fails_the_boundaries(
+        self, check, monkeypatch, mci, mci_graph, mci_pairs, voice
+    ):
+        monkeypatch.setattr(flowtable, "narrowest", _int8_only)
+        run = {
+            "servers": lambda: _servers_round_trip(128),
+            "lengths": _lengths_round_trip,
+            "classes": lambda: _class_codes_round_trip(
+                mci, mci_graph, mci_pairs, voice
+            ),
+            "pairs": _pair_codes_round_trip,
+        }[check]
+        # numpy refuses an out-of-range Python int, and wraps an
+        # out-of-range array silently: either way the check fails.
+        with pytest.raises((AssertionError, OverflowError)):
+            run()
+
+    def test_a_freed_row_keeps_nothing_alive(self):
+        """``pop``, ``pop_batch`` and a refused ``add_batch`` let go of
+        every id and route: memory is O(established flows), not
+        O(peak flows)."""
+        table = FlowTable(pad=9)
+        pair = table.pair_code(("a", "b"))
+        table.add("stays", 0, np.array([1], dtype=np.int64))
+        refs = []
+
+        def watched(n):
+            ids = [_Id(f"f{len(refs) + i}") for i in range(n)]
+            routes = [_Route(["a", "b"]) for _ in range(n)]
+            refs.extend(weakref.ref(x) for x in ids + routes)
+            return ids, routes
+
+        def names(ids):
+            return [_Id(fid.name) for fid in ids]
+
+        ids, routes = watched(1)
+        table.add(
+            ids[0], 0, np.array([1, 2], dtype=np.int64), 1, pair,
+            routes[0], True,
+        )
+        popped = names(ids)
+        del ids, routes
+        table.pop(popped[0])
+
+        ids, routes = watched(3)
+        matrix, lengths = pad_server_matrix(
+            [np.array([k]) for k in range(3)], pad=9
+        )
+        table.add_batch(ids, 0, matrix, lengths, None, pair, routes, True)
+        popped = names(ids)
+        del ids, routes
+        table.pop_batch(popped)
+
+        ids, routes = watched(2)
+        refused = ids + ["stays"]
+        matrix, lengths = pad_server_matrix(
+            [np.array([k]) for k in range(3)], pad=9
+        )
+        with pytest.raises(AdmissionError, match="already established"):
+            table.add_batch(
+                refused, 0, matrix, lengths, None, pair, routes + [None]
+            )
+        del ids, routes, refused, popped
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
+        assert list(table) == ["stays"] and table.verify() == []
+
 
 class TestDecisionRecords:
     def test_per_request_seconds_amortizes_batch(self):
@@ -362,6 +590,79 @@ class TestAdmitBatchValidation:
             controller.admit_batch(flows)
         assert controller.num_established == 0
         assert (controller.ledger.used("voice") == 0).all()
+
+
+class TestLateRealtimeClass:
+    """A real-time class registered on the controller's registry after
+    the controller was built has no verified utilization and no ledger
+    column: its flows are refused, never admitted as best-effort."""
+
+    REFUSED = "no verified utilization for real-time class 'video'"
+
+    @pytest.fixture(params=["utilization", "slotshard"])
+    def controller(self, request, mci, mci_graph, mci_pairs, voice):
+        registry = ClassRegistry.two_class(voice)
+        routes = shortest_path_routes(mci, mci_pairs)
+        if request.param == "slotshard":
+            controller = SlotShardController(
+                mci_graph, registry, {"voice": 0.3}, routes,
+                shard_index=0, shard_count=2,
+            )
+        else:
+            controller = UtilizationAdmissionController(
+                mci_graph, registry, {"voice": 0.3}, routes
+            )
+        registry.add(video_class())
+        registry.add(_best_effort("bulk", 0))
+        return controller
+
+    def test_sequential_admit_is_refused(self, controller, mci_pairs):
+        flow = FlowSpec("v0", "video", *mci_pairs[0])
+        with pytest.raises(AdmissionError, match=self.REFUSED):
+            controller.admit(flow)
+        with pytest.raises(AdmissionError, match=self.REFUSED):
+            controller.check_admit(flow)
+        assert controller.num_established == controller.num_decisions == 0
+
+    def test_a_batch_run_is_refused(self, controller, mci_pairs):
+        run = [
+            FlowSpec(f"v{i}", "video", *mci_pairs[i])
+            for i in range(ADMIT_BATCH_MIN_RUN)
+        ]
+        voice = [
+            FlowSpec(f"a{i}", "voice", *mci_pairs[i])
+            for i in range(ADMIT_BATCH_MIN_RUN)
+        ]
+        for batch in (run, voice + run[:1]):
+            with pytest.raises(AdmissionError, match=self.REFUSED):
+                controller.admit_batch(batch)
+        assert controller.num_established == 0
+        assert not controller.ledger.used_view("voice").any()
+
+    def test_a_late_best_effort_class_is_admitted(
+        self, controller, mci_pairs
+    ):
+        flows = [
+            FlowSpec(f"b{i}", "bulk", *mci_pairs[i])
+            for i in range(ADMIT_BATCH_MIN_RUN + 1)
+        ]
+        assert controller.admit(flows[0]).admitted
+        assert all(d.admitted for d in controller.admit_batch(flows[1:]))
+        assert controller.committed_servers("b0").size == 0
+        assert controller.established_flows == flows
+        assert controller.verify_invariants() == []
+
+    def test_verify_invariants_reports_a_real_time_flow_without_a_slot(
+        self, controller, mci_pairs
+    ):
+        # What admit() did before it refused the class: decide it as
+        # best-effort and establish it holding nothing.
+        flow = FlowSpec("v0", "video", *mci_pairs[0])
+        controller._admit_impl(flow, controller.resolve_route(flow))
+        problems = controller.verify_invariants()
+        assert len(problems) == 1
+        assert "real-time class 'video'" in problems[0]
+        assert "without a slot" in problems[0]
 
 
 def test_all_pairs_helper_nonempty(mci, mci_pairs):

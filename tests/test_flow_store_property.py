@@ -18,6 +18,11 @@ after every step:
   admitted before ``update_routes`` releases exactly what it committed
   and a recycled row leaks nothing of its previous occupant (route
   tail, pair, pinned bit).
+
+It runs on two rings: six routers (12 link servers, every column of
+the table ``int8``) and 65 routers (130 link servers, past ``int8``, so
+the server column is ``int16`` and routes cross servers on both sides
+of 127).
 """
 
 from dataclasses import replace
@@ -38,47 +43,100 @@ from repro.topology import LinkServerGraph, ring_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import PRIORITIES, FlowSpec, flow_record
 
-N = 6
-NET = ring_network(N, capacity=1e6)
-GRAPH = LinkServerGraph(NET)
-REGISTRY = ClassRegistry.two_class(voice_class())
-PAIRS = [(f"r{i}", f"r{j}") for i in range(N) for j in range(N) if i != j]
-ROUTES = shortest_path_routes(NET, PAIRS)
 #: Ids that are distinct keys but equal as text.
 IDS = [0, 1, 2, "0", "1", "a", "b"]
 #: Three and fifteen voice slots a link.
 ALPHAS = (0.1, 0.5)
+REGISTRY = ClassRegistry.two_class(voice_class())
 
 
-def way_round(pair, clockwise):
-    """One of the two simple paths of the ring between ``pair``."""
-    i, j = int(pair[0][1:]), int(pair[1][1:])
-    step = 1 if clockwise else -1
-    path = [i]
-    while path[-1] != j:
-        path.append((path[-1] + step) % N)
-    return tuple(f"r{k}" for k in path)
+class Ring:
+    """A ring of ``n`` routers, and the ordered pairs of ``routers``
+    (all of them when omitted) with their shortest routes."""
 
+    def __init__(self, n, routers=None):
+        self.n = n
+        net = ring_network(n, capacity=1e6)
+        self.graph = LinkServerGraph(net)
+        names = [f"r{i}" for i in (range(n) if routers is None else routers)]
+        self.pairs = [(a, b) for a in names for b in names if a != b]
+        self.routes = shortest_path_routes(net, self.pairs)
 
-def make(kind, alpha):
-    if kind == "flow-aware":
-        return FlowAwareAdmissionController(GRAPH, REGISTRY, ROUTES)
-    if kind == "slotshard":
-        return SlotShardController(
-            GRAPH, REGISTRY, {"voice": alpha}, ROUTES,
-            shard_index=0, shard_count=1,
+    def way_round(self, pair, clockwise):
+        """One of the two simple paths of the ring between ``pair``."""
+        i, j = int(pair[0][1:]), int(pair[1][1:])
+        step = 1 if clockwise else -1
+        path = [i]
+        while path[-1] != j:
+            path.append((path[-1] + step) % self.n)
+        return tuple(f"r{k}" for k in path)
+
+    def make(self, kind, alpha):
+        if kind == "flow-aware":
+            return FlowAwareAdmissionController(
+                self.graph, REGISTRY, self.routes
+            )
+        if kind == "slotshard":
+            return SlotShardController(
+                self.graph, REGISTRY, {"voice": alpha}, self.routes,
+                shard_index=0, shard_count=1,
+            )
+        return UtilizationAdmissionController(
+            self.graph, REGISTRY, {"voice": alpha}, self.routes
         )
-    return UtilizationAdmissionController(
-        GRAPH, REGISTRY, {"voice": alpha}, ROUTES
-    )
+
+    def ops(self):
+        """Hypothesis op sequences over this ring's pairs."""
+        flows = st.builds(
+            lambda fid, pair, cls, priority, pin: FlowSpec(
+                fid, cls, *pair, priority=priority,
+                route=None if pin is None else self.way_round(pair, pin),
+            ),
+            st.sampled_from(IDS),
+            st.sampled_from(self.pairs),
+            st.sampled_from(["voice", "voice", "voice", "best-effort"]),
+            st.sampled_from((None,) + PRIORITIES),
+            st.sampled_from([None, None, True, False]),
+        )
+        return st.lists(
+            st.one_of(
+                st.tuples(st.just("admit"), flows),
+                st.tuples(
+                    st.just("admit_batch"), st.lists(flows, max_size=5)
+                ),
+                st.tuples(st.just("release"), st.sampled_from(IDS)),
+                st.tuples(
+                    st.just("release_batch"),
+                    st.lists(st.sampled_from(IDS), max_size=4, unique=True),
+                ),
+                st.tuples(
+                    st.just("reroute"), st.sampled_from(IDS), st.booleans()
+                ),
+                st.tuples(
+                    st.just("update_routes"),
+                    st.sampled_from(self.pairs),
+                    st.booleans(),
+                ),
+            ),
+            max_size=30,
+        )
+
+
+SMALL = Ring(6)
+#: 130 link servers, so an int16 server column; routes among these
+#: routers cross servers 0 .. 129.
+WIDE = Ring(65, routers=(0, 1, 2, 32, 62, 63, 64))
 
 
 class DictOfRecords:
     """The record the flow table replaced: ``flow id -> (FlowSpec,
     committed route)`` in a plain, insertion-ordered dict."""
 
-    def __init__(self):
-        self.route_map = {pair: list(path) for pair, path in ROUTES.items()}
+    def __init__(self, ring):
+        self.ring = ring
+        self.route_map = {
+            pair: list(path) for pair, path in ring.routes.items()
+        }
         self.established = {}
 
     def establish(self, flow):
@@ -92,42 +150,12 @@ class DictOfRecords:
     def used(self):
         """What the ledger must hold: one slot per link server of every
         real-time flow's recorded route."""
-        used = np.zeros(GRAPH.num_servers, dtype=np.int64)
+        graph = self.ring.graph
+        used = np.zeros(graph.num_servers, dtype=np.int64)
         for flow, route in self.established.values():
             if flow.class_name == "voice":
-                used[GRAPH.route_servers(route)] += 1
+                used[graph.route_servers(route)] += 1
         return used
-
-
-flows = st.builds(
-    lambda fid, pair, cls, priority, pin: FlowSpec(
-        fid, cls, *pair, priority=priority,
-        route=None if pin is None else way_round(pair, pin),
-    ),
-    st.sampled_from(IDS),
-    st.sampled_from(PAIRS),
-    st.sampled_from(["voice", "voice", "voice", "best-effort"]),
-    st.sampled_from((None,) + PRIORITIES),
-    st.sampled_from([None, None, True, False]),
-)
-ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("admit"), flows),
-        st.tuples(st.just("admit_batch"), st.lists(flows, max_size=5)),
-        st.tuples(st.just("release"), st.sampled_from(IDS)),
-        st.tuples(
-            st.just("release_batch"),
-            st.lists(st.sampled_from(IDS), max_size=4, unique=True),
-        ),
-        st.tuples(
-            st.just("reroute"), st.sampled_from(IDS), st.booleans()
-        ),
-        st.tuples(
-            st.just("update_routes"), st.sampled_from(PAIRS), st.booleans()
-        ),
-    ),
-    max_size=30,
-)
 
 
 def apply(controller, model, op):
@@ -170,12 +198,14 @@ def apply(controller, model, op):
         # Release-on-reroute: gone, then (if it fits) back at the end
         # of the establishment order with the new route pinned.
         flow, _route = established.pop(fid)
-        moved = replace(flow, route=way_round(flow.pair, clockwise))
+        moved = replace(
+            flow, route=model.ring.way_round(flow.pair, clockwise)
+        )
         if controller.reroute(fid, moved.route).admitted:
             model.establish(moved)
     else:
         _kind, pair, clockwise = op
-        path = list(way_round(pair, clockwise))
+        path = list(model.ring.way_round(pair, clockwise))
         controller.update_routes({pair: path})
         model.route_map[pair] = path
 
@@ -199,18 +229,15 @@ def check(controller, model):
         )
 
 
-@pytest.mark.parametrize("kind", ["utilization", "slotshard", "flow-aware"])
-@settings(deadline=None, max_examples=60)
-@given(ops=ops, alpha=st.sampled_from(ALPHAS))
-def test_the_store_round_trips_what_the_dict_held(kind, ops, alpha):
-    controller, model = make(kind, alpha), DictOfRecords()
+def round_trip(ring, kind, ops, alpha):
+    controller, model = ring.make(kind, alpha), DictOfRecords(ring)
     for op in ops:
         apply(controller, model, op)
         check(controller, model)
     if kind != "flow-aware":
         # A restart re-admits the snapshot: same flows, same order,
         # every one pinned to the route it held.
-        restored = make(kind, alpha)
+        restored = ring.make(kind, alpha)
         restored.restore(controller.snapshot())
         assert restored.snapshot() == controller.snapshot()
         assert restored.established_records == [
@@ -224,16 +251,30 @@ def test_the_store_round_trips_what_the_dict_held(kind, ops, alpha):
     check(controller, model)
 
 
+@pytest.mark.parametrize("kind", ["utilization", "slotshard", "flow-aware"])
+@settings(deadline=None, max_examples=60)
+@given(ops=SMALL.ops(), alpha=st.sampled_from(ALPHAS))
+def test_the_store_round_trips_what_the_dict_held(kind, ops, alpha):
+    round_trip(SMALL, kind, ops, alpha)
+
+
+@pytest.mark.parametrize("kind", ["utilization", "slotshard", "flow-aware"])
+@settings(deadline=None, max_examples=30)
+@given(ops=WIDE.ops(), alpha=st.sampled_from(ALPHAS))
+def test_the_store_round_trips_past_the_int8_server_column(kind, ops, alpha):
+    round_trip(WIDE, kind, ops, alpha)
+
+
 def test_update_routes_replaces_route_lists_and_never_mutates_them():
     """Flow-table rows share the configured route's list, so the list
     an established flow points at must never change under it."""
-    controller = make("utilization", 0.5)
+    controller = SMALL.make("utilization", 0.5)
     pair = ("r0", "r2")
     before = controller.route_map[pair]
     contents = list(before)
     assert controller.admit(FlowSpec("old", "voice", *pair)).admitted
     servers = controller.committed_servers("old").tolist()
-    detour = list(way_round(pair, clockwise=False))
+    detour = list(SMALL.way_round(pair, clockwise=False))
     assert detour != contents
     controller.update_routes({pair: detour})
     assert controller.route_map[pair] is not before

@@ -27,6 +27,9 @@ obs-on served frame leaves in the span ring.
 
 import asyncio
 import gc
+import json
+import re
+import socket
 import tracemalloc
 from collections import deque
 
@@ -348,16 +351,17 @@ def test_an_obs_on_frame_leaves_at_most_two_spans(tmp_path):
 # bytes per established flow
 # --------------------------------------------------------------------- #
 
-WIRE_FLOWS = 6_000
 WIRE_FRAME_FLOWS = 1_024
-#: Ceiling on what one established flow may keep alive.  What it must
-#: keep: the decoded id string (~57 B), one slot of the id -> row dict
-#: (~50 B at this fill), the row int (32 B) and ~75 B of columns, the
-#: last two at the table's power-of-two capacity — 272 B here, at 6 000
-#: flows in 8 192 rows.  A record that keeps the decoded ``FlowSpec``
-#: per flow (the planted offender, and the parent of this test) is at
-#: 830-840 B.
-MAX_BYTES_PER_FLOW = 350
+#: Ceiling on what one established flow may keep alive, per fill of the
+#: table.  What it must keep: the decoded id string (~57 B), one slot of
+#: the id -> row dict (~50 B at 6 000 flows), the row int (32 B) and the
+#: columns — 26 B a row on MCI since each holds the narrowest integer
+#: type that fits it (81 B in int64) — the last two at the table's
+#: power-of-two capacity.  That is ~197 B at 6 000 flows in 8 192 rows
+#: (272 B in int64), and ~237 B at 4 100 flows, just after the table
+#: doubled (346 B in int64).  A record that keeps the decoded
+#: ``FlowSpec`` per flow (the planted offender) is at 760-800 B.
+MAX_BYTES_PER_FLOW = {6_000: 230, 4_100: 280}
 
 
 class _KeepsTheSpec(UtilizationAdmissionController):
@@ -373,8 +377,8 @@ class _KeepsTheSpec(UtilizationAdmissionController):
         return outcomes
 
 
-def _bytes_per_wire_established_flow(controller, pairs):
-    """Establish ``WIRE_FLOWS`` flows the way a served process does —
+def _bytes_per_wire_established_flow(controller, pairs, flows):
+    """Establish ``flows`` flows the way a served process does —
     packed ``B`` frames encoded, then ``decode_payload_v2`` ->
     ``decode_bulk_subop`` -> ``submit_bulk``, so every string of every
     flow is freshly decoded — and return what the heap grew by per
@@ -385,7 +389,7 @@ def _bytes_per_wire_established_flow(controller, pairs):
 
     def frame(start):
         subops = []
-        for i in range(start, min(start + WIRE_FRAME_FLOWS, WIRE_FLOWS)):
+        for i in range(start, min(start + WIRE_FRAME_FLOWS, flows)):
             src, dst = pairs[i % len(pairs)]
             subops.append(
                 [0, f"wire-{i}", "voice", src, dst, None,
@@ -397,7 +401,7 @@ def _bytes_per_wire_established_flow(controller, pairs):
         coalescer = MicroBatchCoalescer(controller, max_delay=0.0)
         coalescer.start()
         try:
-            for start in range(0, WIRE_FLOWS, WIRE_FRAME_FLOWS):
+            for start in range(0, flows, WIRE_FRAME_FLOWS):
                 wire = frame(start)
                 _tag, body = protocol.decode_payload_v2(
                     wire[protocol.FRAME_HEADER_BYTES:]
@@ -417,14 +421,14 @@ def _bytes_per_wire_established_flow(controller, pairs):
     before = _traced_bytes()
     asyncio.run(scenario())
     growth = _traced_bytes() - before
-    assert controller.num_established >= 5_000
+    # Every flow fits at alpha 0.3.
+    assert controller.num_established == flows
     assert controller.verify_invariants() == []
     return growth / controller.num_established
 
 
-def test_an_established_flow_keeps_a_row_not_an_object(
-    mci, mci_graph, mci_pairs, voice_registry
-):
+def _gate_bytes_per_flow(flows, mci, mci_graph, mci_pairs, voice_registry):
+    gate = MAX_BYTES_PER_FLOW[flows]
     routes = shortest_path_routes(mci, mci_pairs)
     per_flow = {}
     tracemalloc.start()
@@ -434,14 +438,77 @@ def test_an_established_flow_keeps_a_row_not_an_object(
                 mci_graph, voice_registry, {"voice": 0.3}, routes
             )
             per_flow[cls] = _bytes_per_wire_established_flow(
-                controller, mci_pairs
+                controller, mci_pairs, flows
             )
             del controller
     finally:
         tracemalloc.stop()
     kept = per_flow[UtilizationAdmissionController]
-    assert kept <= MAX_BYTES_PER_FLOW, (
-        f"an established flow keeps {kept:.0f} B alive"
-    )
+    assert kept <= gate, f"an established flow keeps {kept:.0f} B alive"
     # The gate fires on a record that keeps the decoded spec per row.
-    assert per_flow[_KeepsTheSpec] > 2 * MAX_BYTES_PER_FLOW, per_flow
+    assert per_flow[_KeepsTheSpec] > 2 * gate, per_flow
+
+
+def test_an_established_flow_keeps_a_row_not_an_object(
+    mci, mci_graph, mci_pairs, voice_registry
+):
+    _gate_bytes_per_flow(6_000, mci, mci_graph, mci_pairs, voice_registry)
+
+
+def test_a_just_doubled_table_keeps_a_row_not_an_object(
+    mci, mci_graph, mci_pairs, voice_registry
+):
+    """Just past a doubling, half the rows are free and every column
+    costs twice what it does when full: the worst fill."""
+    _gate_bytes_per_flow(4_100, mci, mci_graph, mci_pairs, voice_registry)
+
+
+# --------------------------------------------------------------------- #
+# what a flow row costs, from the running system
+# --------------------------------------------------------------------- #
+
+#: Ceiling on the fixed-width bytes of a flow-table row a served MCI
+#: process reports: ~26 B with every column in the narrowest integer
+#: type that fits it, 81 B when they were all int64.
+MAX_ROW_BYTES = 48
+
+
+def _scrape_stats(port):
+    """``GET /stats`` from the telemetry endpoint, decoded."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.sendall(b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n")
+        raw = b""
+        while chunk := conn.recv(65536):
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[1] == b"200", head
+    return json.loads(body)
+
+
+def test_a_served_process_reports_what_a_flow_row_costs(tmp_path, mci_pairs):
+    from repro.faults import ServiceProcess
+
+    flows = 200
+    sock = str(tmp_path / "s.sock")
+    with ServiceProcess(
+        socket_path=sock, topology="mci", metrics_port=0
+    ) as server:
+        server.start()
+        with server.client() as client:
+            client.batch([
+                {"op": "admit", "flow": {
+                    "id": f"f{i}", "cls": "voice", "src": src, "dst": dst,
+                }}
+                for i, (src, dst) in enumerate(mci_pairs[:flows])
+            ])
+            stats = client.stats()
+        port = re.search(
+            r"telemetry endpoint on http://[^:]+:(\d+)/", server.read_log()
+        )
+        scraped = _scrape_stats(int(port.group(1)))
+        assert server.terminate() == 0
+    assert stats["established"] == flows <= stats["flow_rows"]
+    assert stats["flow_table_bytes"] <= MAX_ROW_BYTES * stats["flow_rows"]
+    # The same two numbers from the scrape endpoint.
+    for key in ("flow_rows", "flow_table_bytes"):
+        assert scraped[key] == stats[key]

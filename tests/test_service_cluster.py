@@ -485,6 +485,10 @@ class TestClusterEndToEnd:
                     sum(w["rss_mb"] for w in stats["per_worker"]), abs=0.2
                 )
                 assert stats["rss_mb"] <= stats["peak_rss_mb"]
+                for key in ("flow_rows", "flow_table_bytes"):
+                    assert stats[key] == sum(
+                        w[key] for w in stats["per_worker"]
+                    ) > 0
                 # Start-up is visible: the front door's own (which waited
                 # for both workers) and each worker's; nothing restarted.
                 assert all(

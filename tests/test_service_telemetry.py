@@ -406,6 +406,10 @@ class TestMetricsEndpoint:
         )
         assert started == pytest.approx(process_start_time(), abs=0.01)
         assert json.loads(stats[1])["established"] == 3
+        # What the flow record costs, per row, is readable too.
+        served = json.loads(stats[1])
+        assert served["flow_rows"] >= 3
+        assert 0 < served["flow_table_bytes"] <= 48 * served["flow_rows"]
         assert missing[0] == 404
 
     def test_healthz_flips_to_503_while_draining(self, tmp_path):
