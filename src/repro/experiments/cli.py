@@ -559,15 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     srv.add_argument(
-        "--protocol", choices=["v1", "v2"], default="v2",
-        help=(
-            "highest wire protocol to negotiate: v2 (default) accepts "
-            "hello upgrades to the binary framing; v1 answers hello "
-            "with unknown_op exactly like a pre-v2 build (clients fall "
-            "back transparently)"
-        ),
-    )
-    srv.add_argument(
         # Test/CI hook: drain automatically after a fixed wall-clock
         # budget instead of waiting for a signal.
         "--serve-seconds", type=float, default=None,
@@ -813,7 +804,6 @@ def _run_serve_cluster(args: argparse.Namespace):
         metrics_host=args.metrics_host,
         metrics_port=args.metrics_port,
         drain_grace=args.drain_grace,
-        protocol=args.protocol,
     )
 
     async def start():
@@ -986,7 +976,6 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
         audit_max_bytes=args.audit_max_bytes,
         audit_keep=args.audit_keep,
         slo=_serve_slo_config(args),
-        negotiate_v2=args.protocol != "v1",
         drain_grace=args.drain_grace,
         worker_index=args.shard_index,
         governor_interval=args.governor_interval,

@@ -341,36 +341,6 @@ class AuditLog:
             raise ServiceError("an audit frame holds at least one entry")
         return self._append({"kind": "frame", "n": len(entries)}, entries)
 
-    def record_admit(
-        self,
-        flow: FlowSpec,
-        *,
-        admitted: bool,
-        reason: str = "",
-        route: Optional[List[Hashable]] = None,
-        trace: Optional[Dict[str, str]] = None,
-        error: Optional[str] = None,
-    ) -> int:
-        """One admit decision as a frame of its own."""
-        return self.record_frame([admit_entry(
-            flow, admitted, reason=reason, route=route, error=error,
-            trace=trace,
-        )])
-
-    def record_release(
-        self,
-        flow_id: Hashable,
-        *,
-        ok: bool,
-        reason: Optional[str] = None,
-        trace: Optional[Dict[str, str]] = None,
-        error: Optional[str] = None,
-    ) -> int:
-        """One release as a frame of its own."""
-        return self.record_frame([release_entry(
-            flow_id, ok, reason=reason, error=error, trace=trace
-        )])
-
     def mark_snapshot(self, flow_ids: Iterable[Hashable]) -> int:
         """Durable pre-snapshot cut: fsync the log, then the marker.
 

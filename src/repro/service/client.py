@@ -33,7 +33,16 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    TypeVar,
+)
 
 from ..errors import (
     AdmissionError,
@@ -51,6 +60,8 @@ __all__ = ["WireDecision", "AsyncServiceClient", "ServiceClient"]
 
 #: Errors that mean "the connection attempt should be retried".
 _CONNECT_ERRORS = (ConnectionError, FileNotFoundError, OSError)
+
+T = TypeVar("T")
 
 #: Stream read limit (the ``protocol`` module name is shadowed by the
 #: keyword argument of the same name in the connect paths).
@@ -292,9 +303,14 @@ class AsyncServiceClient:
     # request primitives
     # ------------------------------------------------------------------ #
 
-    def _submit(self, op: str, body: Dict[str, Any]) -> "asyncio.Future":
-        """Write one request frame; the future resolves to the raw
-        response frame."""
+    async def _call(self, encode: Callable[[int], bytes]) -> Dict[str, Any]:
+        """Write one frame — ``encode`` of a fresh request id — and
+        await its raw response frame.
+
+        The one submit path: a write or drain that fails, or a stream
+        that has already ended, raises :class:`ServiceError` with the
+        waiter gone from ``_pending``.
+        """
         if self._closed:
             raise ServiceError("client is closed")
         if self._dispatcher is None:
@@ -302,21 +318,39 @@ class AsyncServiceClient:
                 "protocol negotiation has not run — connect via "
                 "connect_unix()/connect_tcp() or await handshake()"
             )
+        if self._dispatcher.done():
+            raise ServiceError("connection lost: the stream has ended")
         self._next_id += 1
         rid = self._next_id
-        frame: Dict[str, Any] = {"id": rid, "op": op}
-        frame.update(body)
         future = asyncio.get_running_loop().create_future()
         self._pending[rid] = future
         try:
-            if self._proto == 2:
-                self._writer.write(protocol.encode_frame_v2(frame))
-            else:
-                self._writer.write(protocol.encode_frame(frame))
+            self._writer.write(encode(rid))
+            await self._writer.drain()
         except (ConnectionError, RuntimeError, OSError) as exc:
             self._pending.pop(rid, None)
+            if future.done() and not future.cancelled():
+                future.exception()  # the dispatcher's copy of this failure
             raise ServiceError(f"connection lost: {exc}") from exc
-        return future
+        return await future
+
+    async def _retrying(
+        self, attempt_once: Callable[[int], Awaitable[T]]
+    ) -> T:
+        """``attempt_once(attempt)`` until it is not refused
+        ``overloaded``, under the backoff policy."""
+        attempt = 0
+        while True:
+            try:
+                return await attempt_once(attempt)
+            except ServiceOverloadedError:
+                if (
+                    not self.retry_overloaded
+                    or attempt >= self.backoff.max_retries
+                ):
+                    raise
+                await asyncio.sleep(self.backoff.delay(attempt))
+                attempt += 1
 
     @staticmethod
     def _result_of(frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -343,29 +377,27 @@ class AsyncServiceClient:
         joined back to the exact client call (and retry) that caused
         them.
         """
-        attempt = 0
-        while True:
+        encode = (
+            protocol.encode_frame_v2
+            if self._proto == 2
+            else protocol.encode_frame
+        )
+
+        async def once(attempt: int) -> Dict[str, Any]:
             ctx: Optional[TraceContext] = None
             t0 = 0.0
             if self._tracing():
                 ctx = TraceContext(new_trace_id(), new_span_id())
                 body["trace"] = ctx.to_obj()
                 t0 = time.perf_counter()
-            future = self._submit(op, body)
-            await self._writer.drain()
-            frame = await future
+            frame = await self._call(
+                lambda rid: encode({"id": rid, "op": op, **body})
+            )
             if ctx is not None:
                 self._record_client_span(op, ctx, t0, frame, attempt)
-            try:
-                return self._result_of(frame)
-            except ServiceOverloadedError:
-                if (
-                    not self.retry_overloaded
-                    or attempt >= self.backoff.max_retries
-                ):
-                    raise
-                await asyncio.sleep(self.backoff.delay(attempt))
-                attempt += 1
+            return self._result_of(frame)
+
+        return await self._retrying(once)
 
     @staticmethod
     def _record_client_span(
@@ -451,40 +483,19 @@ class AsyncServiceClient:
             raise ServiceError(
                 "bulk frames require a v2-negotiated connection"
             )
-        attempt = 0
-        while True:
-            if self._closed:
-                raise ServiceError("client is closed")
-            self._next_id += 1
-            rid = self._next_id
-            future = asyncio.get_running_loop().create_future()
-            self._pending[rid] = future
-            try:
-                self._writer.write(
-                    protocol.encode_bulk_request(rid, subops)
-                )
-                await self._writer.drain()
-            except (ConnectionError, RuntimeError, OSError) as exc:
-                self._pending.pop(rid, None)
-                raise ServiceError(f"connection lost: {exc}") from exc
-            frame = await future
+
+        async def once(_attempt: int) -> List[Any]:
+            frame = await self._call(
+                lambda rid: protocol.encode_bulk_request(rid, subops)
+            )
             packed = frame.get("_packed")
-            if packed is not None:
-                if raw:
-                    return packed
-                return protocol.unpack_bulk_results(packed)
-            # Carrier-shaped response: only errors arrive this way for
-            # a bulk request (e.g. the router's ``overloaded``).
-            try:
+            if packed is None:
+                # Carrier-shaped response: only errors arrive this way
+                # for a bulk request (e.g. the router's ``overloaded``).
                 return list(self._result_of(frame).get("results", []))
-            except ServiceOverloadedError:
-                if (
-                    not self.retry_overloaded
-                    or attempt >= self.backoff.max_retries
-                ):
-                    raise
-                await asyncio.sleep(self.backoff.delay(attempt))
-                attempt += 1
+            return packed if raw else protocol.unpack_bulk_results(packed)
+
+        return await self._retrying(once)
 
     async def query(self, flow_id: Hashable) -> bool:
         result = await self.request("query", flow_id=flow_id)

@@ -104,10 +104,6 @@ class ClusterConfig:
     metrics_host: str = "127.0.0.1"
     metrics_port: Optional[int] = None
     drain_grace: float = 0.0
-    #: ``"v2"`` (default): the front door accepts v2 upgrades and the
-    #: worker links propose v2 per (re)connect; ``"v1"`` pins both
-    #: sides of the cluster to the line protocol.
-    protocol: str = "v2"
 
     def __post_init__(self):
         if self.workers < 1:
@@ -128,10 +124,6 @@ class ClusterConfig:
             raise ServiceError("snapshot_interval must be positive")
         if self.drain_grace < 0:
             raise ServiceError("drain_grace must be >= 0")
-        if self.protocol not in ("v1", "v2"):
-            raise ServiceError(
-                f"protocol must be 'v1' or 'v2', got {self.protocol!r}"
-            )
 
     def worker_socket(self, index: int) -> str:
         return f"{self.socket_path}.w{index}"
@@ -200,8 +192,6 @@ class ClusterSupervisor:
                 else None
             ),
             extra_stats=self._extra_stats,
-            negotiate_v2=config.protocol != "v1",
-            link_protocol=config.protocol,
         )
         self.manifest_store: Optional[SnapshotStore] = None
         if config.snapshot_path is not None:

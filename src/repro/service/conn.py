@@ -219,15 +219,10 @@ class FrameHandler(Protocol):
 class ConnectionLayer:
     """Read loops, negotiation and response tasks of one listener."""
 
-    def __init__(
-        self, handler: FrameHandler, max_frame_bytes: int, negotiate_v2: bool
-    ):
+    def __init__(self, handler: FrameHandler, max_frame_bytes: int):
         self.handler = handler
         self.counts = handler.counts
         self.max_frame_bytes = int(max_frame_bytes)
-        #: Accept ``hello`` upgrades to v2 framing; ``False`` behaves
-        #: exactly like a pre-v2 build (hello earns ``unknown_op``).
-        self.negotiate_v2 = bool(negotiate_v2)
         self.connections: Set[Connection] = set()
         self._tasks: Set["asyncio.Task"] = set()
 
@@ -278,7 +273,7 @@ class ConnectionLayer:
                 return False
             if not line.strip():
                 continue
-            hello = self._peek_hello(line) if self.negotiate_v2 else None
+            hello = self._peek_hello(line)
             if hello is not None:
                 if await self._negotiate(conn, hello):
                     conn.proto = 2
@@ -378,11 +373,9 @@ class ConnectionLayer:
         self, conn: Connection, request: protocol.Request, ctx: Any
     ) -> None:
         conn.saw_request = True
-        if request.op == protocol.HELLO_OP and self.negotiate_v2:
+        if request.op == protocol.HELLO_OP:
             # A hello after the first request (v1), or inside a v2
-            # carrier frame: renegotiation is not supported.  (With
-            # negotiation disabled, hello falls through to the handler's
-            # unknown-op answer — exactly what a pre-v2 build says.)
+            # carrier frame: renegotiation is not supported.
             self._refuse(conn, request.id, _LATE_HELLO)
             return
         self._begin(

@@ -125,7 +125,6 @@ __all__ = [
     "bulk_admit_flow",
     "decode_bulk_subop",
     "decode_batch_subop",
-    "unpack_batch_op",
     "pack_batch_ops",
     "pack_bulk_results",
     "unpack_bulk_results",
@@ -474,25 +473,26 @@ def bulk_admit_flow(sub: list) -> FlowSpec:
         pri = None
     elif len(sub) == 7:
         _, fid, cls, src, dst, route, pri = sub
-        if pri is not None and pri not in PRIORITIES:
-            raise ProtocolError(
-                BAD_REQUEST,
-                f"flow pri must be one of {PRIORITIES}, got {pri!r}",
-            )
     else:
         raise ProtocolError(
             BAD_REQUEST,
             f"packed admit sub-op must have 6 or 7 fields, "
             f"got {len(sub)}",
         )
-    if not isinstance(fid, (str, int)) or isinstance(fid, bool):
-        raise ProtocolError(
-            BAD_REQUEST,
-            f"flow id must be a string or integer, "
-            f"got {type(fid).__name__}",
-        )
+    # The checks run in flow_from_obj's order, so an entry with two
+    # faults is refused for the same one in either form.
+    validate_flow_id(fid, what="flow id")
     if not isinstance(cls, str):
         raise ProtocolError(BAD_REQUEST, "flow cls must be a string")
+    if route is not None and (not isinstance(route, list) or len(route) < 2):
+        raise ProtocolError(
+            BAD_REQUEST, "flow route must be a list of >= 2 routers"
+        )
+    if pri is not None and pri not in PRIORITIES:
+        raise ProtocolError(
+            BAD_REQUEST,
+            f"flow pri must be one of {PRIORITIES}, got {pri!r}",
+        )
     if route is None:
         # Hot path: a frozen dataclass pays ``object.__setattr__`` per
         # field in ``__init__``, so the common route-less flow is built
@@ -514,10 +514,6 @@ def bulk_admit_flow(sub: list) -> FlowSpec:
             priority=pri,
         )
         return flow
-    if not isinstance(route, list) or len(route) < 2:
-        raise ProtocolError(
-            BAD_REQUEST, "flow route must be a list of >= 2 routers"
-        )
     try:
         return FlowSpec(fid, cls, src, dst, tuple(route), pri)
     except Exception as exc:  # TrafficError and friends: bad field values
@@ -529,8 +525,9 @@ def decode_bulk_subop(sub: Any) -> Tuple[int, Any]:
     :class:`FlowSpec` for :data:`BULK_ADMIT`, a validated flow id for
     :data:`BULK_RELEASE`.
 
-    The one place a packed sub-op is validated, so a server and a
-    cluster front door refuse a malformed entry with the same bytes.
+    The one place a packed sub-op is validated.  A cluster front door
+    forwards packed sub-ops undecoded, so its workers refuse a
+    malformed entry with the single server's bytes by construction.
     """
     if not isinstance(sub, list) or not sub:
         raise ProtocolError(
@@ -573,24 +570,14 @@ def decode_batch_subop(sub: Any) -> Tuple[int, Any]:
     )
 
 
-def unpack_batch_op(sub: Any) -> Dict[str, Any]:
-    """v1 ``batch`` sub-op object of one packed bulk sub-op.
-
-    Entry-wise inverse of :func:`pack_batch_ops` (route and priority
-    included), raising :class:`ProtocolError` for a malformed entry.
-    """
-    kind, arg = decode_bulk_subop(sub)
-    if kind == BULK_RELEASE:
-        return {"op": "release", "flow_id": arg}
-    return {"op": "admit", "flow": flow_to_obj(arg)}
-
-
 def pack_batch_ops(ops: list) -> Optional[list]:
     """Positional form of a v1 ``batch`` ops list, or None.
 
     Returns None when any sub-op does not fit the packed shapes (a
     malformed or exotic entry); callers then fall back to a carrier
-    ``batch`` frame so validation errors stay bit-identical to v1.
+    ``batch`` frame.  A packed entry decodes (:func:`decode_bulk_subop`)
+    to what its v1 object decodes to (:func:`decode_batch_subop`),
+    refusals included, so the packing never changes an answer.
     """
     packed: list = []
     for sub in ops:
@@ -632,9 +619,9 @@ def pack_batch_ops(ops: list) -> Optional[list]:
 def pack_bulk_results(results: list) -> list:
     """Packed response slots from v1-shaped per-sub-op result objects.
 
-    Exact inverse of :func:`unpack_bulk_results`; the router uses it to
-    answer a packed bulk request from slot-wise merged v1-shaped worker
-    results without a second protocol pipeline.
+    Exact inverse of :func:`unpack_bulk_results`; the cluster front
+    door uses it to merge a worker's answer to a carrier ``batch`` with
+    the packed slots of every other worker.
     """
     slots: list = []
     for r in results:

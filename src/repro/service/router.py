@@ -2,8 +2,9 @@
 
 One asyncio process accepts client connections on the cluster's public
 socket and dispatches every admission op to the worker that owns the
-flow, keeping the ``repro-admission-rpc/v1`` wire protocol byte-for-byte
-unchanged for clients:
+flow, keeping both wire protocols byte-for-byte unchanged for clients.
+Every router→worker hop speaks v2 (a worker is always this repository's
+``serve``):
 
 * **consistent-hash dispatch** — :class:`HashRing` maps flow ids to
   workers with :func:`hashlib.blake2b` (never Python's per-process
@@ -18,11 +19,12 @@ unchanged for clients:
   handler, and submits to the owning :class:`WorkerLink`'s outbox
   *synchronously*, before the next frame is read, so one connection's
   ops for one flow reach the worker in exactly the order they were sent;
-* **batch splitting** — a ``batch`` frame is split per owner (slot
-  positions preserved) and re-merged into one response; a sub-op too
-  malformed to route is forwarded to worker 0, whose validation answer
-  is bit-identical to any other worker's (malformed ops never touch
-  state);
+* **frame splitting, packed** — a v2 ``B`` frame is split per owner
+  as it is (routed on each sub-op's id, never decoded), a v1 ``batch``
+  is packed once and split the same way, and the owners' ``R`` slots
+  are merged back by position; a sub-op whose id cannot be routed goes
+  to worker 0, whose validation answer is bit-identical to any other
+  worker's (malformed ops never touch state);
 * **aggregation** — ``stats``/``health`` fan out to every worker and
   come back as one cluster view (summed counters, worst status,
   ``per_worker`` breakdown incl. pids), which also feeds the
@@ -50,7 +52,6 @@ from typing import (
     Coroutine,
     Dict,
     Hashable,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -140,18 +141,20 @@ class HashRing:
 
 
 class WorkerLink:
-    """One persistent router→worker connection.
+    """One persistent router→worker connection, always v2-framed.
 
-    Requests enter through :meth:`call` — a **synchronous** enqueue
-    onto an ordered outbox, so the caller controls ordering — and are
-    written by a single writer task with router-local request ids; a
-    reader task matches responses back to futures.  When the worker
-    dies, every sent-but-unanswered request resolves to an
-    ``unavailable`` error frame and the link reconnects with backoff
-    until the supervisor has the worker back; ops still queued in the
-    outbox (never written) survive the reconnect, and :meth:`stop`
-    answers them ``unavailable`` too, so no caller waits forever and
-    no op is silently dropped.
+    Requests enter through :meth:`call` / :meth:`call_bulk` — a
+    **synchronous** enqueue onto an ordered outbox, so the caller
+    controls ordering — encoded once with a router-local request id and
+    written by a single writer task; a reader task matches responses
+    back to futures.  A worker is always this repository's ``serve``,
+    so a peer that will not speak v2 is treated like a failed dial:
+    close, back off, retry.  When the worker dies, every
+    sent-but-unanswered request resolves to an ``unavailable`` error
+    frame and the link reconnects with backoff until the supervisor
+    has the worker back; ops still queued in the outbox (never written)
+    survive the reconnect, and :meth:`stop` answers them ``unavailable``
+    too, so no caller waits forever and no op is silently dropped.
     """
 
     def __init__(
@@ -162,24 +165,15 @@ class WorkerLink:
         max_pending: int = 16384,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         reconnect_delay: float = 0.1,
-        link_protocol: str = "v2",
     ):
         self.index = int(index)
         self.socket_path = str(socket_path)
         self.max_pending = int(max_pending)
         self.max_frame_bytes = int(max_frame_bytes)
         self.reconnect_delay = float(reconnect_delay)
-        #: Propose the v2 binary framing on every (re)connect; a worker
-        #: that answers ``unknown_op`` keeps the link on v1 — the hop
-        #: downgrades transparently, exactly like the public client.
-        self.want_v2 = link_protocol in (
-            "v2",
-            protocol.PROTOCOL_SCHEMA_V2,
-        )
-        self.proto = 1
         self.connects = 0
         self.failed_calls = 0
-        self._outbox: "asyncio.Queue[Tuple[int, Dict[str, Any], asyncio.Future]]" = (
+        self._outbox: "asyncio.Queue[Tuple[int, bytes, asyncio.Future]]" = (
             asyncio.Queue()
         )
         self._pending: Dict[int, "asyncio.Future"] = {}
@@ -217,13 +211,26 @@ class WorkerLink:
     def pending(self) -> int:
         return len(self._pending) + self._outbox.qsize()
 
-    def call(
-        self, op: str, body: Dict[str, Any]
-    ) -> "asyncio.Future":
-        """Enqueue one op; the future resolves to the worker's raw
-        response frame (or an ``unavailable`` error frame on link
-        death).  Synchronous, so enqueue order == caller order.
+    def call(self, op: str, body: Dict[str, Any]) -> "asyncio.Future":
+        """Enqueue one op in a JSON carrier frame; the future resolves
+        to the worker's raw response frame (or an ``unavailable`` error
+        frame on link death).  Synchronous, so enqueue order == caller
+        order.
         """
+        return self._enqueue(
+            lambda rid: protocol.encode_frame_v2({"id": rid, "op": op, **body})
+        )
+
+    def call_bulk(self, subops: list) -> "asyncio.Future":
+        """Enqueue packed sub-ops as one ``B`` frame, as they are; the
+        future resolves to ``{"id", "ok": True, "_packed": slots}`` (or
+        the worker's error frame)."""
+        return self._enqueue(
+            lambda rid: protocol.encode_bulk_request(rid, subops)
+        )
+
+    def _enqueue(self, encode: Callable[[int], bytes]) -> "asyncio.Future":
+        """Queue one frame: ``encode`` of a fresh router-local id."""
         if self._closed:
             raise ProtocolError(
                 protocol.UNAVAILABLE,
@@ -237,10 +244,8 @@ class WorkerLink:
             )
         self._next_id += 1
         rid = self._next_id
-        frame: Dict[str, Any] = {"id": rid, "op": op}
-        frame.update(body)
         future = asyncio.get_running_loop().create_future()
-        self._outbox.put_nowait((rid, frame, future))
+        self._outbox.put_nowait((rid, encode(rid), future))
         return future
 
     # -------------------------------------------------------------- #
@@ -275,13 +280,14 @@ class WorkerLink:
                 try:
                     # Before the write loop starts, so the hello never
                     # interleaves with forwarded requests.
-                    self.proto = (
-                        await propose_v2(
-                            reader, writer, self.max_frame_bytes
-                        )
-                        if self.want_v2
-                        else 1
+                    proto = await propose_v2(
+                        reader, writer, self.max_frame_bytes
                     )
+                    if proto != 2:
+                        raise ProtocolError(
+                            protocol.BAD_REQUEST,
+                            f"worker {self.index} refused v2 framing",
+                        )
                 except (ConnectionError, OSError, ProtocolError):
                     close_writer(writer)
                     await asyncio.sleep(self.reconnect_delay)
@@ -294,10 +300,7 @@ class WorkerLink:
                 why = "connection closed"
                 try:
                     await read_responses(
-                        reader,
-                        self.proto,
-                        self.max_frame_bytes,
-                        self._settle,
+                        reader, 2, self.max_frame_bytes, self._settle
                     )
                 except (ProtocolError, ConnectionError, OSError) as exc:
                     # An undecodable worker frame loses the stream just
@@ -321,25 +324,6 @@ class WorkerLink:
         except asyncio.CancelledError:
             pass
 
-    def _encode(self, frame: Dict[str, Any]) -> bytes:
-        """Wire bytes for one outbound frame on the settled protocol.
-
-        On a v2 hop, a plain ``batch`` frame (no trace or other extras)
-        is re-packed into a binary bulk frame — the worker's fast path —
-        with the v1-shaped results restored by :meth:`_settle`.
-        """
-        if self.proto != 2:
-            return protocol.encode_frame(frame)
-        if frame.get("op") == "batch" and frame.keys() == {
-            "id",
-            "op",
-            "ops",
-        }:
-            packed = protocol.pack_batch_ops(frame["ops"])
-            if packed is not None:
-                return protocol.encode_bulk_request(frame["id"], packed)
-        return protocol.encode_frame_v2(frame)
-
     async def _write_loop(self, writer: asyncio.StreamWriter) -> None:
         while True:
             rid, frame, future = await self._outbox.get()
@@ -347,7 +331,7 @@ class WorkerLink:
                 continue
             self._pending[rid] = future
             try:
-                writer.write(self._encode(frame))
+                writer.write(frame)
                 await writer.drain()
             except (ConnectionError, RuntimeError, OSError):
                 # The read loop observes the same death and fails every
@@ -355,13 +339,6 @@ class WorkerLink:
                 return
 
     def _settle(self, frame: Dict[str, Any]) -> None:
-        packed = frame.pop("_packed", None)
-        if packed is not None:
-            # v1-shaped results, so the router's merge logic never sees
-            # which framing the hop negotiated.
-            frame["result"] = {
-                "results": protocol.unpack_bulk_results(packed)
-            }
         future = self._pending.pop(frame.get("id"), None)
         if future is not None and not future.done():
             future.set_result(frame)
@@ -390,6 +367,47 @@ _SUMMED_KEYS = (
 
 _STATUS_RANK = {"ok": 0, "degraded": 1, "draining": 2}
 
+#: A frame split per owning worker: its sub-op count, and per worker
+#: ``(worker, slots, answer)`` — the positions it answers, in order,
+#: and its pending answer (or the error frame its link refused with).
+_Split = Tuple[int, List[Tuple[int, List[int], Any]]]
+
+
+def _packed_flow_id(sub: Any) -> Any:
+    """The flow id a packed sub-op names (``sub[1]``), or None."""
+    return sub[1] if isinstance(sub, list) and len(sub) > 1 else None
+
+
+def _v1_flow_id(sub: Any, op: Optional[str] = None) -> Any:
+    """The flow id a v1 sub-op names — or a lone op's body, with
+    ``op`` its name — or None."""
+    if not isinstance(sub, dict):
+        return None
+    if op is None:
+        op = sub.get("op")
+    if op == "admit":
+        flow = sub.get("flow")
+        return flow.get("id") if isinstance(flow, dict) else None
+    return sub.get("flow_id") if op == "release" else None
+
+
+def _slots_of(w: int, frame: Dict[str, Any], n: int) -> list:
+    """Worker ``w``'s answer to ``n`` sub-ops as packed slots: its ``R``
+    slots, its carrier ``batch`` results packed, or its refusal of the
+    whole frame in every slot."""
+    slots = frame.get("_packed")
+    if slots is None and frame.get("ok"):
+        results = frame.get("result", {}).get("results", [])
+        slots = protocol.pack_bulk_results(results)
+    if slots is None:
+        err = frame.get("error", {})
+        code = err.get("code", protocol.INTERNAL)
+        return [[protocol.SLOT_ERROR, code, err.get("message", "")]] * n
+    if len(slots) != n:
+        message = f"worker {w} returned {len(slots)} results for {n} ops"
+        return [[protocol.SLOT_ERROR, protocol.INTERNAL, message]] * n
+    return slots
+
 
 class ClusterRouter:
     """Route one front-door socket onto N admission workers."""
@@ -405,8 +423,6 @@ class ClusterRouter:
             Callable[[], Awaitable[Dict[str, Any]]]
         ] = None,
         extra_stats: Optional[Callable[[], Dict[str, Any]]] = None,
-        negotiate_v2: bool = True,
-        link_protocol: str = "v2",
     ):
         if not worker_sockets:
             raise ServiceError("cluster needs at least one worker")
@@ -430,7 +446,6 @@ class ClusterRouter:
                 path,
                 max_pending=link_max_pending,
                 max_frame_bytes=max_frame_bytes,
-                link_protocol=link_protocol,
             )
             for i, path in enumerate(self.worker_sockets)
         ]
@@ -446,11 +461,7 @@ class ClusterRouter:
         }
         #: Clients are served by the same layer as a single server's, so
         #: they cannot tell a front door from a worker by construction.
-        self._layer = ConnectionLayer(
-            self,
-            max_frame_bytes=max_frame_bytes,
-            negotiate_v2=negotiate_v2,
-        )
+        self._layer = ConnectionLayer(self, max_frame_bytes)
 
     # -------------------------------------------------------------- #
     # lifecycle
@@ -511,15 +522,13 @@ class ClusterRouter:
         subops: list,
         ctx: None,
     ) -> Coroutine[Any, Any, None]:
-        """Split one packed bulk frame per owning worker.
+        """Split one packed bulk frame per owning worker, sub-ops as
+        they are.
 
-        Each sub-op is validated by the codec function the single
-        server uses (identical error strings), converted to its
-        v1-shaped op, and forwarded in the owner's carrier ``batch``
-        call — the worker link re-packs it to binary when its hop
-        negotiated v2.  Slots that fail validation are decided here,
-        exactly like the single server decides them before the
-        coalescer.
+        The front door decodes none of them: each owner gets its share
+        in one ``B`` frame and validates it with the single server's own
+        decoder, so a malformed entry earns the same bytes (and the
+        same ``errors`` count) either way.
         """
         if self._draining:
             return self._finish(
@@ -529,37 +538,15 @@ class ClusterRouter:
                 ),
                 conn,
             )
-        fixed: Dict[int, Dict[str, Any]] = {}
-        ops: List[Tuple[int, Any]] = []
-        for slot, sub in enumerate(subops):
-            try:
-                ops.append((slot, protocol.unpack_batch_op(sub)))
-            except ProtocolError as exc:
-                fixed[slot] = {
-                    "ok": False,
-                    "error": {"code": exc.code, "message": str(exc)},
-                }
-        plan = (*self._forward_batch(ops, {}), len(subops))
-        return self._finish_bulk(conn, rid, plan, fixed)
-
-    async def _finish_bulk(
-        self,
-        conn: Connection,
-        rid: protocol.RequestId,
-        plan: Tuple[Any, ...],
-        fixed: Dict[int, Dict[str, Any]],
-    ) -> None:
-        response = await self._finish_batch(rid, plan)
-        results = response["result"]["results"]
-        for slot, r in fixed.items():
-            results[slot] = r
-        if any(not r.get("ok", False) for r in results):
-            self.counts["errors"] += 1
-        await conn.send_raw(
-            protocol.encode_bulk_response(
-                rid, protocol.pack_bulk_results(results)
-            )
+        return self._send_bulk(
+            conn, rid, self._split(subops, _packed_flow_id, WorkerLink.call_bulk)
         )
+
+    async def _send_bulk(
+        self, conn: Connection, rid: protocol.RequestId, split: _Split
+    ) -> None:
+        slots = await self._merge(split)
+        await conn.send_raw(protocol.encode_bulk_response(rid, slots))
 
     # -------------------------------------------------------------- #
     # dispatch
@@ -569,12 +556,24 @@ class ClusterRouter:
         fid = protocol.validate_flow_id(flow_id)
         return self.links[self.ring.worker_of(fid)]
 
+    def _worker_of(self, flow_id: Any) -> int:
+        """Index of the worker owning ``flow_id``.
+
+        An id no worker accepts goes to worker 0: a refused op never
+        touches admission state, so any worker's refusal is the same
+        bytes as the single server's.
+        """
+        try:
+            return self.ring.worker_of(protocol.validate_flow_id(flow_id))
+        except ProtocolError:
+            return 0
+
     def _begin(self, request: protocol.Request) -> Any:
         """Synchronous routing of one request.
 
-        Returns a ready response dict, a single link future, a
-        ``(futures, slot_map, n_slots, inline)`` batch plan, or a
-        coroutine for the fan-out ops.
+        Returns a ready response dict, a single link future, a split
+        ``batch`` (see :meth:`_split`), or a coroutine for the fan-out
+        ops.
         """
         op = request.op
         body = request.body
@@ -612,9 +611,8 @@ class ClusterRouter:
                 rid, protocol.UNAVAILABLE, "cluster is draining"
             )
         if op == "admit":
-            return self._forward(
-                self.links[self._route_sub_op(body, "admit")], op, body
-            )
+            link = self.links[self._worker_of(_v1_flow_id(body, "admit"))]
+            return self._forward(link, op, body)
         if op in ("release", "query"):
             if "flow_id" not in body:
                 raise ProtocolError(
@@ -623,68 +621,61 @@ class ClusterRouter:
             return self._forward(
                 self._owner(body["flow_id"]), op, body
             )
-        # batch: split per owning worker, slot positions preserved.
         ops = body.get("ops")
         if not isinstance(ops, list):
             raise ProtocolError(
                 protocol.BAD_REQUEST, "batch needs an ops list"
             )
         extra = {k: v for k, v in body.items() if k != "ops"}
-        return (*self._forward_batch(enumerate(ops), extra), len(ops))
+        # Packed once, as a v2 client would send it; a batch that cannot
+        # be packed (or carries a trace) goes as a carrier ``batch``.
+        packed = None if extra else protocol.pack_batch_ops(ops)
+        if packed is not None:
+            return self._split(packed, _packed_flow_id, WorkerLink.call_bulk)
+        return self._split(
+            ops,
+            _v1_flow_id,
+            lambda link, subs: link.call("batch", {"ops": subs, **extra}),
+        )
 
-    def _forward_batch(
-        self, ops: Iterable[Tuple[int, Any]], extra: Dict[str, Any]
-    ) -> Tuple[Dict[int, Any], Dict[int, List[int]]]:
-        """Forward ``(slot, v1_sub_op)`` pairs as one ``batch`` call per
-        owning worker: ``(futures, slot_map)``, both keyed by worker,
-        ``slot_map[w]`` listing in order the slots worker ``w``
-        answers."""
-        per_worker: Dict[int, List[Any]] = {}
-        slot_map: Dict[int, List[int]] = {}
-        for slot, sub in ops:
-            w = self._route_sub_op(sub)
-            per_worker.setdefault(w, []).append(sub)
-            slot_map.setdefault(w, []).append(slot)
-        futures: Dict[int, Any] = {}
-        for w, sub_ops in per_worker.items():
+    def _split(
+        self,
+        subops: list,
+        flow_id_of: Callable[[Any], Any],
+        call: Callable[[WorkerLink, list], Any],
+    ) -> _Split:
+        """Forward a frame's sub-ops, as they are, in one ``call`` per
+        owning worker."""
+        per_worker: Dict[int, Tuple[List[int], list]] = {}
+        for slot, sub in enumerate(subops):
+            w = self._worker_of(flow_id_of(sub))
+            part = per_worker.get(w)
+            if part is None:
+                part = per_worker[w] = ([], [])
+            part[0].append(slot)
+            part[1].append(sub)
+        parts = []
+        for w, (slots, subs) in per_worker.items():
             try:
-                futures[w] = self.links[w].call(
-                    "batch", {"ops": sub_ops, **extra}
-                )
+                answer = call(self.links[w], subs)
             except ProtocolError as exc:
-                futures[w] = protocol.error_response(
-                    None, exc.code, str(exc)
-                )
-        self.counts["forwarded"] += len(per_worker)
-        return futures, slot_map
+                answer = protocol.error_response(None, exc.code, str(exc))
+            parts.append((w, slots, answer))
+        self.counts["forwarded"] += len(parts)
+        return len(subops), parts
 
-    def _route_sub_op(self, sub: Any, sub_op: Optional[str] = None) -> int:
-        """Owning worker of one batch sub-op, or of a lone op's body
-        (``sub_op`` names its op).
-
-        Unroutable (malformed) ops go to worker 0: they never touch
-        admission state, so any worker's validation answer is identical
-        — and this keeps the error messages bit-compatible with the
-        single-server path.
-        """
-        if not isinstance(sub, dict):
-            return 0
-        if sub_op is None:
-            sub_op = sub.get("op")
-        try:
-            if sub_op == "admit":
-                flow = sub.get("flow")
-                if isinstance(flow, dict) and "id" in flow:
-                    return self.ring.worker_of(
-                        protocol.validate_flow_id(flow["id"])
-                    )
-            elif sub_op == "release" and "flow_id" in sub:
-                return self.ring.worker_of(
-                    protocol.validate_flow_id(sub["flow_id"])
-                )
-        except ProtocolError:
-            return 0
-        return 0
+    async def _merge(self, split: _Split) -> list:
+        """The frame's packed slots: each worker's, back in position."""
+        n, parts = split
+        merged: list = [None] * n
+        for w, slots, answer in parts:
+            if asyncio.isfuture(answer):
+                answer = await answer
+            for slot, packed in zip(slots, _slots_of(w, answer, len(slots))):
+                merged[slot] = packed
+        if any(slot[0] == protocol.SLOT_ERROR for slot in merged):
+            self.counts["errors"] += 1
+        return merged
 
     def _forward(
         self, link: WorkerLink, op: str, body: Dict[str, Any]
@@ -703,8 +694,9 @@ class ClusterRouter:
         elif asyncio.isfuture(pending):
             frame = await pending
             response = self._restamp(frame, request.id)
-        elif isinstance(pending, tuple):
-            response = await self._finish_batch(request.id, pending)
+        elif isinstance(pending, tuple):  # a split v1 batch
+            results = protocol.unpack_bulk_results(await self._merge(pending))
+            response = protocol.ok_response(request.id, {"results": results})
         else:  # coroutine (fan-out op)
             response = await pending
         if not response.get("ok", False):
@@ -719,46 +711,6 @@ class ClusterRouter:
         out = dict(frame)
         out["id"] = rid
         return out
-
-    async def _finish_batch(
-        self, rid: protocol.RequestId, plan: Tuple[Any, ...]
-    ) -> Dict[str, Any]:
-        futures, slot_map, n_slots = plan
-        results: List[Any] = [None] * n_slots
-        for w, pending in futures.items():
-            slots = slot_map[w]
-            if isinstance(pending, dict):  # link refused the call
-                err = pending.get("error", {})
-                fill = {"ok": False, "error": err}
-                for slot in slots:
-                    results[slot] = dict(fill)
-                continue
-            frame = await pending
-            if frame.get("ok"):
-                sub_results = frame.get("result", {}).get("results", [])
-                if len(sub_results) != len(slots):
-                    fill = {
-                        "ok": False,
-                        "error": {
-                            "code": protocol.INTERNAL,
-                            "message": (
-                                f"worker {w} returned "
-                                f"{len(sub_results)} results for "
-                                f"{len(slots)} ops"
-                            ),
-                        },
-                    }
-                    for slot in slots:
-                        results[slot] = dict(fill)
-                else:
-                    for slot, sub in zip(slots, sub_results):
-                        results[slot] = sub
-            else:
-                err = frame.get("error", {})
-                fill = {"ok": False, "error": err}
-                for slot in slots:
-                    results[slot] = dict(fill)
-        return protocol.ok_response(rid, {"results": results})
 
     # -------------------------------------------------------------- #
     # fan-out ops and aggregation

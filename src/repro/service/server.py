@@ -122,12 +122,6 @@ class ServiceConfig:
         ``/healthz``) answering *after* flipping to ``draining`` —
         the window a load balancer needs to observe the flip and stop
         routing before connections close.
-    negotiate_v2:
-        Accept ``hello`` upgrades to the binary v2 framing (default).
-        ``False`` makes the server behave exactly like a pre-v2 build:
-        ``hello`` earns ``unknown_op`` and v2-capable clients fall back
-        to v1 transparently — the knob behind ``serve --protocol v1``
-        and the back-compat tests.
     governor_interval:
         Seconds between alpha-governor control steps (only meaningful
         when an :class:`~repro.control.AlphaGovernor` is attached to the
@@ -146,7 +140,6 @@ class ServiceConfig:
     audit_max_bytes: Optional[int] = None
     audit_keep: int = 4
     slo: Optional[SLOConfig] = None
-    negotiate_v2: bool = True
     drain_grace: float = 0.0
     governor_interval: float = 0.05
     #: Shard index when this server is one worker of a cluster (set by
@@ -292,11 +285,7 @@ class AdmissionService:
             "restored": 0,
             "governor_moves": 0,
         }
-        self._layer = ConnectionLayer(
-            self,
-            max_frame_bytes=config.max_frame_bytes,
-            negotiate_v2=config.negotiate_v2,
-        )
+        self._layer = ConnectionLayer(self, config.max_frame_bytes)
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -31,8 +31,8 @@ def make_log(tmp_path, **kwargs):
 class TestAuditLog:
     def test_header_then_sequenced_records(self, tmp_path):
         log = make_log(tmp_path, fsync_every=1)
-        log.record_admit(flow(1), admitted=True, route=["r0", "r1"])
-        log.record_release("f1", ok=True)
+        log.record_frame([admit_entry(flow(1), True, route=["r0", "r1"])])
+        log.record_frame([release_entry("f1", True)])
         log.close()
         with open(log.path, encoding="utf-8") as fh:
             lines = [json.loads(l) for l in fh]
@@ -53,10 +53,10 @@ class TestAuditLog:
 
     def test_sequence_continues_across_reopen(self, tmp_path):
         log = make_log(tmp_path, fsync_every=1)
-        log.record_admit(flow(1), admitted=True)
+        log.record_frame([admit_entry(flow(1), True)])
         log.close()
         log = make_log(tmp_path, fsync_every=1)
-        seq = log.record_admit(flow(2), admitted=True)
+        seq = log.record_frame([admit_entry(flow(2), True)])
         log.close()
         assert seq == 2
         records = list(iter_audit(log.path))
@@ -65,7 +65,7 @@ class TestAuditLog:
     def test_fsync_batching_counts(self, tmp_path):
         log = make_log(tmp_path, fsync_every=3)
         for i in range(5):
-            log.record_admit(flow(i), admitted=True)
+            log.record_frame([admit_entry(flow(i), True)])
         # 3 synced at the batch boundary, 2 still buffered.
         assert log.records_written == 5
         assert log._unsynced == 2
@@ -75,7 +75,7 @@ class TestAuditLog:
 
     def test_markers_force_fsync(self, tmp_path):
         log = make_log(tmp_path, fsync_every=1000)
-        log.record_admit(flow(1), admitted=True)
+        log.record_frame([admit_entry(flow(1), True)])
         log.mark_snapshot(["f1"])
         assert log._unsynced == 0
         log.close()
@@ -83,7 +83,7 @@ class TestAuditLog:
     def test_rotation_keeps_bounded_history(self, tmp_path):
         log = make_log(tmp_path, fsync_every=1, max_bytes=1024, keep=2)
         for i in range(200):
-            log.record_admit(flow(i), admitted=True)
+            log.record_frame([admit_entry(flow(i), True)])
         log.close()
         assert os.path.exists(log.path + ".1")
         assert not os.path.exists(log.path + ".3")
@@ -100,7 +100,7 @@ class TestAuditLog:
         log = make_log(tmp_path)
         log.close()
         with pytest.raises(ServiceError):
-            log.record_release("f1", ok=True)
+            log.record_frame([release_entry("f1", True)])
 
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ServiceError):
@@ -114,7 +114,7 @@ class TestAuditLog:
 
     def test_torn_tail_line_is_ignored(self, tmp_path):
         log = make_log(tmp_path, fsync_every=1)
-        log.record_admit(flow(1), admitted=True)
+        log.record_frame([admit_entry(flow(1), True)])
         log.close()
         with open(log.path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "admit", "seq": 2, "trunc')
@@ -123,7 +123,7 @@ class TestAuditLog:
         # scans only parsable lines, so the next seq may collide with
         # the torn one — which was never durable, so that is correct.
         log = make_log(tmp_path, fsync_every=1)
-        assert log.record_admit(flow(2), admitted=True) == 2
+        assert log.record_frame([admit_entry(flow(2), True)]) == 2
         log.close()
         # ... and starts a line of its own, not glued to the torn one.
         assert [r["seq"] for r in iter_audit(log.path)] == [1, 2]
@@ -133,11 +133,11 @@ class TestVerifyAudit:
     def run_log(self, tmp_path):
         log = make_log(tmp_path, fsync_every=1)
         log.mark_restore([])
-        log.record_admit(flow(1), admitted=True)
-        log.record_admit(flow(2), admitted=False, reason="utilization")
-        log.record_release("f1", ok=True)
-        log.record_release("zz", ok=False, error="not established")
-        log.record_admit(flow(3), admitted=True)
+        log.record_frame([admit_entry(flow(1), True)])
+        log.record_frame([admit_entry(flow(2), False, reason="utilization")])
+        log.record_frame([release_entry("f1", True)])
+        log.record_frame([release_entry("zz", False, error="not established")])
+        log.record_frame([admit_entry(flow(3), True)])
         log.mark_snapshot(["f3"])
         log.close()
         return log
@@ -158,7 +158,7 @@ class TestVerifyAudit:
         # Second launch: restore the snapshot cut, keep deciding.
         log = make_log(tmp_path, fsync_every=1)
         log.mark_restore(["f3"])
-        log.record_release("f3", ok=True)
+        log.record_frame([release_entry("f3", True)])
         log.close()
         report = verify_audit(iter_audit(log.path))
         assert report["ok"], report["problems"]
@@ -167,7 +167,7 @@ class TestVerifyAudit:
 
     def test_restore_from_unknown_cut_is_flagged(self, tmp_path):
         log = make_log(tmp_path, fsync_every=1)
-        log.record_admit(flow(1), admitted=True)
+        log.record_frame([admit_entry(flow(1), True)])
         log.mark_restore(["ghost"])  # no snapshot marker recorded this
         log.close()
         report = verify_audit(iter_audit(log.path))
@@ -364,12 +364,12 @@ class TestFlowSetDigest:
 class TestAuditToTraceEvents:
     def test_accepted_load_becomes_replayable_events(self, tmp_path):
         log = make_log(tmp_path, fsync_every=1)
-        log.record_admit(
-            flow(1), admitted=True, route=["r0", "r1", "r2", "r3"]
-        )
-        log.record_admit(flow(2), admitted=False, reason="full")
-        log.record_release("f1", ok=True)
-        log.record_release("zz", ok=False, error="unknown")
+        log.record_frame([admit_entry(
+            flow(1), True, route=["r0", "r1", "r2", "r3"]
+        )])
+        log.record_frame([admit_entry(flow(2), False, reason="full")])
+        log.record_frame([release_entry("f1", True)])
+        log.record_frame([release_entry("zz", False, error="unknown")])
         log.close()
         events = audit_to_trace_events(iter_audit(log.path))
         assert [e.kind for e in events] == ["arrival", "departure"]

@@ -202,7 +202,7 @@ class TestServiceProcess:
         )
 
     def test_served_audit_log_reaches_the_packet_oracle(self, tmp_path):
-        # ROADMAP 4(b), first half: what a real, preempting server
+        # ROADMAP 5(a), first half: what a real, preempting server
         # admitted is replayed into a fresh controller and every
         # admitted lifetime is driven at packet level with greedy
         # sources.  Needs no adapter: the audit log converts to the

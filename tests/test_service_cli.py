@@ -449,7 +449,7 @@ def test_serve_full_telemetry_pipeline(tmp_path, capsys):
 
 
 def test_audit_cli_filters_and_trace_export(tmp_path, capsys):
-    from repro.service.audit import AuditLog
+    from repro.service.audit import AuditLog, admit_entry, release_entry
     from repro.traffic.flows import FlowSpec
     from repro.workload.trace import read_trace
 
@@ -457,12 +457,12 @@ def test_audit_cli_filters_and_trace_export(tmp_path, capsys):
     with AuditLog(log_path, fsync_every=1) as log:
         log.mark_restore([])
         for i in range(3):
-            log.record_admit(
+            log.record_frame([admit_entry(
                 FlowSpec(f"f{i}", "voice", "r0", "r3"),
-                admitted=True,
+                True,
                 route=["r0", "r1", "r2", "r3"],
-            )
-        log.record_release("f0", ok=True)
+            )])
+        log.record_frame([release_entry("f0", True)])
 
     assert (
         main(["audit", log_path, "--kind", "admit", "--json"]) == 0
@@ -661,7 +661,7 @@ def test_serve_bad_alpha_ladder_is_one_usage_error(tmp_path, capsys, mode):
 SERVE_COMMAND_LINES = [
     "--socket /tmp/s.sock --topology mci --alpha 0.25 --max-batch 64 "
     "--max-delay-ms 1.5 --snapshot /tmp/s.json "
-    "--snapshot-interval 0.5 --protocol v1 --drain-grace 2",
+    "--snapshot-interval 0.5 --drain-grace 2",
     "--host 0.0.0.0 --port 0 --metrics-port 0 --metrics-host 0.0.0.0 "
     "--metrics-out /tmp/m.prom --trace-out /tmp/t.json --serve-seconds 3",
     "--socket /tmp/s.sock --workers 4 --governor --alpha-ladder 0.1,0.15,0.2 "

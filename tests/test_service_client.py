@@ -1,6 +1,7 @@
 """Tests for the service client library and the trace-replay bridge."""
 
 import asyncio
+import gc
 import json
 import threading
 
@@ -179,6 +180,32 @@ async def start_overloaded_stub(sock, refusals):
     return await asyncio.start_unix_server(answer, sock), seen
 
 
+async def start_hang_up_stub(sock, v2):
+    """A server that drops every connection: on accept, or, for a v2
+    client, right after agreeing to the binary framing."""
+
+    async def hang_up(reader, writer):
+        if v2:
+            await reader.readline()
+            writer.write(protocol.encode_frame(protocol.ok_response(
+                protocol.HELLO_ID, {"protocol": protocol.PROTOCOL_SCHEMA_V2}
+            )))
+            await writer.drain()
+        writer.close()
+
+    return await asyncio.start_unix_server(hang_up, sock)
+
+
+#: One call down each send path: a request, the two ops built on it, and
+#: a packed bulk frame (a v2 ``batch`` is one too).
+CALLS = {
+    "request": lambda client: client.request("stats"),
+    "admit": lambda client: client.admit(FlowSpec("f1", "voice", "r0", "r3")),
+    "batch": lambda client: client.batch([{"op": "release", "flow_id": "f1"}]),
+    "bulk": lambda client: client.bulk([[protocol.BULK_RELEASE, "f1"]]),
+}
+
+
 class TestAsyncClient:
     def test_connect_retries_until_server_is_up(self, tmp_path):
         sock = str(tmp_path / "late.sock")
@@ -242,6 +269,40 @@ class TestAsyncClient:
             return seen
 
         assert asyncio.run(scenario()) == [1]
+
+    @pytest.mark.parametrize("settle", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "call,wire",
+        [(c, w) for c in CALLS for w in ("v1", "v2") if (c, w) != ("bulk", "v1")],
+    )
+    def test_lost_connection_is_a_service_error(
+        self, tmp_path, call, wire, settle
+    ):
+        """Every call on a connection the server dropped raises
+        ServiceError and leaves no waiter behind — whether the write,
+        the drain or the read sees the loss first (``settle`` lets the
+        client's reader see the hang-up before the call)."""
+        sock = str(tmp_path / "stub.sock")
+
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: unhandled.append(context["message"])
+            )
+            stub = await start_hang_up_stub(sock, v2=wire == "v2")
+            client = await AsyncServiceClient.connect_unix(sock, protocol=wire)
+            assert client.negotiated_protocol == wire
+            await asyncio.sleep(settle)
+            with pytest.raises(ServiceError):
+                await CALLS[call](client)
+            assert client._pending == {}
+            await client.close()
+            stub.close()
+            await stub.wait_closed()
+            gc.collect()  # an unretrieved future reports itself here
+            return unhandled
+
+        assert asyncio.run(scenario()) == []
 
     def test_pipelined_requests_resolve_by_id(self, tmp_path):
         sock = str(tmp_path / "s.sock")

@@ -56,7 +56,7 @@ class RecordingHandler:
 
 async def start_layer(tmp_path, max_frame_bytes=protocol.MAX_FRAME_BYTES):
     handler = RecordingHandler()
-    layer = ConnectionLayer(handler, max_frame_bytes, negotiate_v2=True)
+    layer = ConnectionLayer(handler, max_frame_bytes)
     sock = str(tmp_path / "conn.sock")
     server = await asyncio.start_unix_server(
         layer.serve, path=sock, limit=max_frame_bytes
@@ -263,16 +263,18 @@ def test_worker_link_treats_an_undecodable_frame_as_a_lost_link(tmp_path):
     sock = str(tmp_path / "worker.sock")
 
     async def garbage_worker(reader, writer):
-        await reader.readline()
-        writer.write(b"this is not a frame\n")
+        hello = json.loads(await reader.readline())
+        writer.write(protocol.encode_frame(protocol.ok_response(
+            hello["id"], {"protocol": protocol.PROTOCOL_SCHEMA_V2}
+        )))
+        if await reader.read(1):  # the forwarded call is arriving
+            writer.write(b"\x00\x00\x00\x05Xjunk")  # an unknown tag
         await writer.drain()
         writer.close()
 
     async def scenario():
         stub = await asyncio.start_unix_server(garbage_worker, sock)
-        link = WorkerLink(
-            0, sock, link_protocol="v1", reconnect_delay=0.01
-        )
+        link = WorkerLink(0, sock, reconnect_delay=0.01)
         link.start()
         frame = await asyncio.wait_for(link.call("stats", {}), 1)
         assert frame["error"]["code"] == protocol.UNAVAILABLE
@@ -284,6 +286,43 @@ def test_worker_link_treats_an_undecodable_frame_as_a_lost_link(tmp_path):
         await stub.wait_closed()
 
     asyncio.run(scenario())
+
+
+def test_worker_link_never_comes_up_on_a_peer_that_refuses_v2(tmp_path):
+    """The router→worker hop is always v2: a peer that answers the hello
+    ``unknown_op`` (a pre-v2 build) is a failed dial, retried, never a
+    v1 link.  The call stays queued, unwritten, until ``stop()``
+    answers it ``unavailable``."""
+    sock = str(tmp_path / "old.sock")
+    seen = []
+
+    async def pre_v2_worker(reader, writer):
+        while line := await reader.readline():
+            request = json.loads(line)
+            seen.append(request["op"])
+            writer.write(protocol.encode_frame(protocol.error_response(
+                request["id"], protocol.UNKNOWN_OP, "unknown op 'hello'"
+            )))
+            await writer.drain()
+        writer.close()
+
+    async def scenario():
+        stub = await asyncio.start_unix_server(pre_v2_worker, sock)
+        link = WorkerLink(0, sock, reconnect_delay=0.01)
+        link.start()
+        queued = link.call("stats", {})
+        while len(seen) < 3:  # three dials, each refused
+            await asyncio.sleep(0.01)
+        assert not link.up and link.connects == 0
+        assert not queued.done() and link.pending == 1
+        await link.stop()
+        frame = await asyncio.wait_for(queued, 1)
+        assert frame["error"]["code"] == protocol.UNAVAILABLE
+        stub.close()
+        await stub.wait_closed()
+        return seen
+
+    assert set(asyncio.run(scenario())) == {protocol.HELLO_OP}
 
 
 def test_worker_link_stop_answers_calls_it_never_wrote(tmp_path):

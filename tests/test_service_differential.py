@@ -19,7 +19,7 @@ from repro.routing.shortest import shortest_path_routes
 from repro.service import AdmissionService, AsyncServiceClient, ServiceConfig
 from repro.service import protocol as wire
 from repro.service.audit import iter_audit, verify_audit
-from repro.service.router import ClusterRouter
+from repro.service.router import ClusterRouter, HashRing
 from repro.topology import LinkServerGraph, line_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import FlowSpec
@@ -334,3 +334,115 @@ def test_bulk_frame_priority_survives_the_router(tmp_path):
 
     assert asyncio.run(direct()) == "hard_rt"
     assert asyncio.run(routed()) == "hard_rt"
+
+
+# One frame of everything: valid admits and releases, a pinned hard-RT
+# route, an entry that routes but is malformed, and entries with no id
+# to route on (they go to worker 0).
+MIXED_FRAME = [
+    [wire.BULK_ADMIT, "f0", _VOICE.name, "r0", "r3", None],
+    [wire.BULK_ADMIT, "f1", _VOICE.name, "r1", "r2", None],
+    [wire.BULK_ADMIT, "rt", _VOICE.name, "r0", "r3",
+     ["r0", "r1", "r2", "r3"], "hard_rt"],
+    [wire.BULK_RELEASE, "f1"],
+    [wire.BULK_ADMIT, "f0", _VOICE.name, "r0", "r3", None],  # established
+    [wire.BULK_ADMIT, "bad", 7, "r0", "r3", None],  # cls is no string
+    "flat",  # not a sub-op at all
+    [wire.BULK_RELEASE, True],  # a bool is no flow id
+    [wire.BULK_RELEASE, "never"],  # never admitted
+    [wire.BULK_ADMIT, "f2", _VOICE.name, "r3", "r0", None],
+    [wire.BULK_ADMIT, "f6", _VOICE.name, "r2", "r0", None],
+    [wire.BULK_RELEASE, "f2"],
+]
+
+
+def v1_batch_op(sub):
+    """The v1 ``batch`` object of one packed sub-op (a non-list entry
+    stays what it is)."""
+    if not isinstance(sub, list):
+        return sub
+    if sub[0] == wire.BULK_RELEASE:
+        return {"op": "release", "flow_id": sub[1]}
+    _kind, fid, cls, src, dst, route, *pri = sub
+    flow = {"id": fid, "cls": cls, "src": src, "dst": dst}
+    if route is not None:
+        flow["route"] = route
+    if pri:
+        flow["pri"] = pri[0]
+    return {"op": "admit", "flow": flow}
+
+
+async def one_frame(frame, tmp_path, *, workers):
+    """``frame`` sent once — as a ``B`` frame when its entries are
+    packed, as a v1 ``batch`` otherwise — to a single server
+    (``workers=0``) or to a front door over that many shard workers:
+    the answer, what stayed established (priority and route), and the
+    summed ``errors``."""
+    count = max(workers, 1)
+    shards = [make_shard(i, count) for i in range(count)]
+    services = [AdmissionService(shard) for shard in shards]
+    sockets = [str(tmp_path / f"mix{workers}-{i}.sock") for i in range(len(shards))]
+    for service, sock in zip(services, sockets):
+        await service.start_unix(sock)
+    router = ClusterRouter(sockets) if workers else None
+    door = sockets[0]
+    if router is not None:
+        door = str(tmp_path / f"mix{workers}-front.sock")
+        await router.start_unix(door)
+    try:
+        client = await AsyncServiceClient.connect_unix(door, protocol="v2")
+        if any(isinstance(op, dict) for op in frame):
+            answer = (await client.request("batch", ops=frame))["results"]
+        else:
+            answer = await client.bulk(frame, raw=True)
+        await client.close()
+        errors = (
+            services[0].counts["errors"]
+            if router is None
+            else (await router.cluster_stats())["errors"]
+        )
+    finally:
+        if router is not None:
+            await router.stop()
+        for service in services:
+            await service.drain()
+    established = {
+        flow.flow_id: (flow.priority, tuple(shard.committed_route(flow.flow_id)))
+        for shard in shards
+        for flow in shard.established_flows
+    }
+    return answer, established, errors
+
+
+def without_batch_size(slots):
+    """Slots minus ``batch_size``: the length of the decision run, which
+    splitting a frame between workers changes by construction."""
+    return [s[:2] if s[0] in (wire.SLOT_ADMITTED, wire.SLOT_REJECTED) else s
+            for s in slots]
+
+
+def test_mixed_bulk_frame_through_the_front_door_is_the_single_server(tmp_path):
+    """The front door forwards packed sub-ops undecoded, so each worker
+    decodes its share with the single server's own decoder: the same
+    slots (error bytes included), the same established flows, and the
+    same summed ``errors`` — one per error slot, wherever it arose."""
+    single = asyncio.run(one_frame(MIXED_FRAME, tmp_path, workers=0))
+    routed = asyncio.run(one_frame(MIXED_FRAME, tmp_path, workers=2))
+    slots, established, errors = single
+    assert without_batch_size(routed[0]) == without_batch_size(slots)
+    assert routed[1:] == (established, errors)
+    # The frame does what it says: both workers own a flow, the pinned
+    # hard-RT route held, and five entries were refused.
+    ring = HashRing(2)
+    assert {ring.worker_of(fid) for fid in established} == {0, 1}
+    assert established["rt"] == ("hard_rt", ("r0", "r1", "r2", "r3"))
+    assert [s[0] for s in slots].count(wire.SLOT_ERROR) == errors == 5
+    # The same ops as a v1 batch: one error per refused entry again.
+    v1_batch = [v1_batch_op(sub) for sub in MIXED_FRAME]
+    for workers in (0, 2):
+        where = tmp_path / f"v1-{workers}"
+        where.mkdir()
+        _results, v1_established, v1_errors = asyncio.run(
+            one_frame(v1_batch, where, workers=workers)
+        )
+        assert (v1_established, v1_errors) == (established, errors)

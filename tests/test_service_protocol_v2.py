@@ -225,31 +225,54 @@ class TestPackUnpack:
             with pytest.raises(ProtocolError):
                 wire.unpack_bulk_results(slots)
 
-    def test_unpack_batch_op_rejects_what_the_server_rejects(self):
+    def test_decode_bulk_subop_rejects_malformed_entries(self):
         for sub in ("flat", [], [7, "f"], [wire.BULK_RELEASE, "f", "x"],
                     [wire.BULK_RELEASE, ["f"]], [wire.BULK_ADMIT, "f"]):
             with pytest.raises(ProtocolError) as exc_info:
-                wire.unpack_batch_op(sub)
+                wire.decode_bulk_subop(sub)
             assert exc_info.value.code == wire.BAD_REQUEST
 
 
 _flow_ids = st.one_of(st.text(min_size=1, max_size=6), st.integers())
-_packed_admit = st.builds(
-    lambda fid, route, pri: [wire.BULK_ADMIT, fid, "voice", "A", "C", route]
-    + ([] if pri is None else [pri]),
-    _flow_ids,
-    st.sampled_from([None, ["A", "C"], ["A", "B", "C"]]),
-    st.sampled_from([None, *PRIORITIES]),
+def _decoded(decode, sub):
+    try:
+        return decode(sub)
+    except ProtocolError as exc:
+        return exc.code, str(exc)
+
+
+_anything = st.sampled_from([None, True, 1.5, ["f"], 3])
+_v1_admit = st.builds(
+    lambda fid, cls, dst, route, pri: {
+        "op": "admit",
+        "flow": {"id": fid, "cls": cls, "src": "A", "dst": dst,
+                 **({} if route == "absent" else {"route": route}),
+                 **({} if pri == "absent" else {"pri": pri})},
+    },
+    st.one_of(_flow_ids, _anything),
+    st.one_of(st.just("voice"), _anything),
+    st.sampled_from(["C", "A"]),
+    st.sampled_from(["absent", None, ["A", "C"], ["A", "B", "C"], ["A"],
+                     "AC", ["A", "A", "C"], ["B", "C"], [["A"], "C"]]),
+    st.sampled_from(["absent", None, *PRIORITIES, "bogus"]),
 )
-_packed_release = st.builds(lambda fid: [wire.BULK_RELEASE, fid], _flow_ids)
+_v1_release = st.builds(
+    lambda fid: {"op": "release", "flow_id": fid},
+    st.one_of(_flow_ids, _anything),
+)
 
 
-@given(st.lists(st.one_of(_packed_admit, _packed_release), max_size=12))
-def test_unpack_batch_op_inverts_pack_batch_ops(subops):
-    """Route and priority survive packed -> v1 op -> packed: the hop a
-    bulk frame takes through the cluster router."""
-    ops = [wire.unpack_batch_op(sub) for sub in subops]
-    assert wire.pack_batch_ops(ops) == subops
+@given(st.lists(st.one_of(_v1_admit, _v1_release), max_size=12))
+def test_packed_batch_ops_decode_like_v1_ops(ops):
+    """A v1 batch packed the way the cluster front door packs it decodes
+    to the same entries, or the same refusals, as the v1 ops do on a
+    single server: packing never changes an answer."""
+    packed = wire.pack_batch_ops(ops)
+    assert packed is not None
+    for op, sub in zip(ops, packed):
+        assert _decoded(wire.decode_bulk_subop, sub) == _decoded(
+            wire.decode_batch_subop, op
+        )
 
 
 _flows = st.builds(

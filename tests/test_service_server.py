@@ -32,6 +32,7 @@ from repro.service import (
 )
 from repro.service.audit import iter_audit, verify_audit
 from repro.service.coalescer import MicroBatchCoalescer
+from repro.service.conn import propose_v2
 from repro.topology import LinkServerGraph, line_network, ring_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import PRIORITIES, FlowSpec
@@ -99,9 +100,7 @@ async def start_router(tmp_path, name="s.sock", **config_kwargs):
         tmp_path, "worker-" + name, **config_kwargs
     )
     router = ClusterRouter(
-        [worker_sock],
-        max_frame_bytes=worker.config.max_frame_bytes,
-        negotiate_v2=worker.config.negotiate_v2,
+        [worker_sock], max_frame_bytes=worker.config.max_frame_bytes
     )
     sock = str(tmp_path / name)
     await router.start_unix(sock)
@@ -136,6 +135,37 @@ class FrontDoorCases:
 
 async def raw_connection(sock):
     return await asyncio.open_unix_connection(sock)
+
+
+async def start_pre_v2_peer(sock):
+    """A peer built before ``hello`` existed: it answers the proposal
+    ``unknown_op``, like any op it does not know, and serves v1 lines
+    (admits admitted, releases released, the rest ok).  Returns the
+    listener and the requests it saw."""
+    seen = []
+
+    async def serve(reader, writer):
+        while line := await reader.readline():
+            request = json.loads(line)
+            seen.append(request)
+            rid, op = request["id"], request["op"]
+            if op == protocol.HELLO_OP:
+                response = protocol.error_response(
+                    rid, protocol.UNKNOWN_OP, f"unknown op {op!r}"
+                )
+            elif op == "admit":
+                response = protocol.ok_response(
+                    rid, {"admitted": True, "reason": "", "batch_size": 1}
+                )
+            elif op == "release":
+                response = protocol.ok_response(rid, {"released": True})
+            else:
+                response = protocol.ok_response(rid, {"status": "ok"})
+            writer.write(protocol.encode_frame(response))
+            await writer.drain()
+        writer.close()
+
+    return await asyncio.start_unix_server(serve, sock), seen
 
 
 async def rpc(reader, writer, obj_or_bytes):
@@ -1096,18 +1126,28 @@ class TestProtocolNegotiation(FrontDoorCases):
         asyncio.run(scenario())
 
     def test_pre_v2_server_answers_hello_with_unknown_op(self, tmp_path):
-        async def scenario():
-            service, sock = await self.start(
-                tmp_path, negotiate_v2=False
-            )
-            reader, writer = await raw_connection(sock)
-            resp = await rpc(reader, writer, self.hello_line())
-            assert not resp["ok"]
-            assert resp["error"]["code"] == protocol.UNKNOWN_OP
-            writer.close()
-            await service.stop()
+        """Against a peer that predates ``hello``, the proposal settles
+        on v1 and the same connection goes on in v1 lines."""
 
-        asyncio.run(scenario())
+        async def scenario():
+            sock = str(tmp_path / "old.sock")
+            peer, seen = await start_pre_v2_peer(sock)
+            reader, writer = await raw_connection(sock)
+            generation = await propose_v2(
+                reader, writer, protocol.MAX_FRAME_BYTES
+            )
+            assert generation == 1
+            resp = await rpc(reader, writer, {"id": 1, "op": "health"})
+            assert resp["ok"]
+            writer.close()
+            peer.close()
+            await peer.wait_closed()
+            return seen
+
+        seen = asyncio.run(scenario())
+        assert [(r["id"], r["op"]) for r in seen] == [
+            (protocol.HELLO_ID, protocol.HELLO_OP), (1, "health")
+        ]
 
     def test_v2_client_falls_back_transparently_on_old_server(
         self, tmp_path
@@ -1117,9 +1157,8 @@ class TestProtocolNegotiation(FrontDoorCases):
         exactly as if v1 had been requested all along."""
 
         async def scenario():
-            service, sock = await self.start(
-                tmp_path, negotiate_v2=False
-            )
+            sock = str(tmp_path / "old.sock")
+            peer, seen = await start_pre_v2_peer(sock)
             client = await AsyncServiceClient.connect_unix(
                 sock, protocol="v2"
             )
@@ -1134,9 +1173,12 @@ class TestProtocolNegotiation(FrontDoorCases):
             assert client._next_id == 1
             assert await client.release("bc1")
             await client.close()
-            await service.stop()
+            peer.close()
+            await peer.wait_closed()
+            return seen
 
-        asyncio.run(scenario())
+        seen = asyncio.run(scenario())
+        assert [r["id"] for r in seen] == [protocol.HELLO_ID, 1, 2]
 
     def test_v2_client_against_v2_server_same_first_request_id(
         self, tmp_path

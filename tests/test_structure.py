@@ -210,14 +210,14 @@ RATCHETS = (
         why=(
             "The coalescer collects a decision step's entries and "
             "writes one frame line (AuditLog.record_frame); a per-op "
-            "record_admit / record_release under service/ is a JSON "
-            "line per op coming back."
+            "record_admit / record_release writer is a JSON line per "
+            "op coming back (the last ones had no caller outside tests)."
         ),
-        pattern=r"audit\.record_(admit|release)\(",
-        roots=("src/repro/service",),
+        pattern=r"record_(admit|release)\(",
+        roots=("src/repro",),
         offender=(
-            "src/repro/service/coalescer.py",
-            "                    audit.record_admit(flow, admitted=False)",
+            "src/repro/service/audit.py",
+            "    def record_admit(self, flow, *, admitted, reason=''):",
         ),
     ),
     Ratchet(
@@ -288,6 +288,39 @@ RATCHETS = (
         offender=(
             "src/repro/service/server.py",
             "        if self.coalescer.pending >= self.config.high_water:",
+        ),
+    ),
+    Ratchet(
+        name="One protocol per hop: no protocol knob",
+        why=(
+            "Every server accepts a hello upgrade and every router→worker "
+            "hop is v2 (a worker is always our own serve); the client's "
+            "protocol= is the one choice.  An accepting-side switch, a "
+            "link protocol, or a packed -> v1 sub-op converter is the "
+            "v1 hop, and the front door's decode/re-encode, coming back."
+        ),
+        pattern=r"negotiate_v2|link_protocol|unpack_batch_op",
+        roots=("src",),
+        offender=(
+            "src/repro/service/router.py",
+            '        link_protocol: str = "v2",',
+        ),
+    ),
+    Ratchet(
+        name="One protocol per hop: the front door decodes no sub-op",
+        why=(
+            "The front door routes a packed sub-op on its id and forwards "
+            "it as it is; each worker validates it with the single "
+            "server's decoder, so error bytes and counts match by "
+            "construction.  Decoding it at the front door is the second "
+            "validator, and it was half the front door's CPU per op on a "
+            "v2 replay through two workers: work that decides nothing."
+        ),
+        pattern=r"decode_bulk_subop|flow_to_obj",
+        roots=("src/repro/service/router.py",),
+        offender=(
+            "src/repro/service/router.py",
+            "                kind, arg = protocol.decode_bulk_subop(sub)",
         ),
     ),
     Ratchet(

@@ -171,7 +171,7 @@ class TestExhaustiveBackend:
 
 
 class TestPreemptionSafety:
-    """ROADMAP 4(b): never a protected victim, all or nothing — on the
+    """Never a protected victim, all or nothing — on the
     real ``Preemptor``, with a planted planner the check must kill."""
 
     @pytest.mark.parametrize("bound", [SMALL, VerifyBound()])
