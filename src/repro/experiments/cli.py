@@ -6,8 +6,7 @@ Commands
 * ``table1`` — regenerate the paper's Table 1 (may take ~10 s).
 * ``verify`` — verify a utilization level on the MCI scenario with
   shortest-path routes, or (with ``--bound``/no alpha) run the bounded
-  machine-checked admission invariants and emit a
-  ``repro-verify-report/v1`` document.
+  machine-checked admission invariants.
 * ``sweep`` — print a deadline or burst sensitivity sweep.
 * ``serve`` — run the admission service on a TCP port or Unix socket.
 * ``client`` — one-shot RPC against a running admission service.
@@ -138,21 +137,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest verified slot capacity per server",
     )
     v.add_argument(
-        "--check", dest="checks", action="append",
-        choices=["no_overcommit", "batch_equivalence"], default=None,
-        help="run only this check (repeatable; default: all)",
-    )
-    v.add_argument(
-        "--mutant",
-        choices=["admit_on_full", "ignore_contention"], default=None,
+        "--check", dest="checks", action="append", default=None,
+        metavar="CHECK_NAME",
         help=(
-            "verify the verifier: run against this deliberately broken "
-            "kernel, which must be caught, decoded, and replayed"
+            "run only this row of the bounded checker's table "
+            "(repeatable; default: every row)"
         ),
     )
     v.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the repro-verify-report/v1 document here",
+        "--mutant", default=None, metavar="MUTANT_NAME",
+        help=(
+            "verify the verifier: plant this bug in every row that must "
+            "catch it; each must catch, decode and replay it"
+        ),
     )
     v.add_argument(
         "--cx-dir", default=None, metavar="DIR",
@@ -160,10 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
             "write decoded counterexamples here as replayable "
             "repro-workload-trace/v1 files"
         ),
-    )
-    v.add_argument(
-        "--validate", default=None, metavar="FILE",
-        help="instead, audit an existing verify report and exit",
     )
 
     s = sub.add_parser(
@@ -1121,9 +1114,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         bounded_flags = (
             args.bound is not None
-            or args.validate is not None
             or args.mutant is not None
-            or args.out is not None
             or args.cx_dir is not None
             or args.checks is not None
         )

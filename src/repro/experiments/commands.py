@@ -3,9 +3,9 @@
 ``faults``, ``verify`` (the bounded checker), ``loadgen``, ``client``,
 ``audit`` and ``top`` run once and exit, as does the admission replay of
 ``table1 --metrics-out``.  :func:`repro.experiments.cli._dispatch`
-imports this module when one of them runs, so a ``serve`` process (the
-CLI module runs as ``__main__`` and is compiled on every start) never
-compiles them.
+imports this module when one of them runs, so a ``serve`` process never
+compiles them (where bytecode is not written, every start compiles
+every module it loads).
 """
 
 from __future__ import annotations
@@ -162,45 +162,25 @@ def _run_faults(args: argparse.Namespace) -> int:
 
 
 def _run_verify_bounded(args: argparse.Namespace) -> int:
-    """``repro-ubac verify [--bound N ...]`` — the machine checker."""
+    """``repro-ubac verify [--bound N ...]`` — the bounded checker: the
+    rows of ``repro.verify.bounded.CHECKS`` that ``--check`` and
+    ``--mutant`` select."""
     from ..errors import VerificationError
-    from ..verify.instances import (
-        VerifyBound,
-        replay_batch_equivalence,
-        replay_no_overcommit,
-    )
-    from ..verify.mutants import MUTANTS
-    from ..verify.report import (
-        VERIFY_REPORT_SCHEMA,
-        load_verify_report,
-        validate_verify_report,
-        write_verify_report,
-    )
-    from ..verify.runner import run_verify
+    from ..verify.bounded import select_checks
+    from ..verify.instances import VerifyBound
 
-    if args.validate is not None:
-        try:
-            validate_verify_report(load_verify_report(args.validate))
-        except VerificationError as exc:
-            print(f"FAILURE: {exc}")
-            return 1
-        print(f"{args.validate}: valid {VERIFY_REPORT_SCHEMA} document")
-        return 0
-
+    try:
+        rows = select_checks(args.checks, args.mutant)
+    except VerificationError as exc:
+        print(f"FAILURE: {exc}")
+        return 2
     try:
         bound = VerifyBound(
             flows=3 if args.bound is None else args.bound,
             servers=args.servers,
             max_capacity=args.max_capacity,
         )
-        report, results = run_verify(
-            bound,
-            checks=(
-                tuple(args.checks) if args.checks else ("no_overcommit",
-                                                        "batch_equivalence")
-            ),
-            mutant=args.mutant,
-        )
+        results = [row.check(bound, args.mutant) for row in rows]
     except VerificationError as exc:
         print(f"FAILURE: {exc}")
         return 1
@@ -210,30 +190,21 @@ def _run_verify_bounded(args: argparse.Namespace) -> int:
         f"{bound.servers} chain servers, capacities 0.."
         f"{bound.max_capacity}"
     )
-    replayed_ok = True
-    for res in results:
+    ok = True
+    for row, res in zip(rows, results):
         print(
-            f"{res.name} [{res.backend}]: {res.status} "
+            f"{res.name}: {res.status} "
             f"({res.instances} instances, {res.elapsed_seconds:.3f} s)"
         )
         cx = res.counterexample
         if cx is None:
+            ok = ok and args.mutant is None
             continue
         print(f"  counterexample: {cx.detail}")
         # Decoded counterexamples must reproduce through the real
         # implementations, or the decoding itself is broken.
-        if res.name == "no_overcommit":
-            replay = replay_no_overcommit(
-                cx, admit_on_full=args.mutant == "admit_on_full"
-            )
-            reproduced = bool(replay["reproduced"])
-        else:
-            replay = replay_batch_equivalence(
-                cx,
-                kernel=None if args.mutant is None else MUTANTS[args.mutant],
-            )
-            reproduced = bool(replay["diverged"])
-        replayed_ok = replayed_ok and reproduced
+        reproduced = row.reproduces(cx, args.mutant)
+        ok = ok and args.mutant is not None and reproduced
         print(
             "  replay reproduces the violation"
             if reproduced
@@ -249,25 +220,19 @@ def _run_verify_bounded(args: argparse.Namespace) -> int:
                 cx.to_trace_events(),
                 meta={
                     "check": res.name,
-                    "backend": res.backend,
                     "mutant": args.mutant,
                     "bound": bound.to_dict(),
                     "detail": cx.detail,
                 },
             )
             print(f"  wrote replayable counterexample to {path}")
-    if args.out is not None:
-        write_verify_report(args.out, report)
-        print(f"wrote verify report to {args.out}")
     if args.mutant is None:
-        ok = bool(report["ok"])
         print(
             "all invariants hold within the bound"
             if ok
             else "INVARIANT VIOLATION within the bound"
         )
     else:
-        ok = bool(report["ok"]) and replayed_ok
         print(
             f"mutant {args.mutant!r} caught, decoded, and replayed"
             if ok

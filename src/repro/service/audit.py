@@ -168,6 +168,50 @@ def _expand_frame(frame: Dict[str, Any]) -> List[Dict[str, Any]]:
     return records
 
 
+#: Bytes read per step when a restart looks for the log's last record.
+_TAIL_BLOCK = 64 * 1024
+
+
+def _lines_from_the_end(fh: IO[bytes]) -> Iterator[bytes]:
+    """The newline-terminated lines of a binary file, last first; the
+    bytes after its last newline end no line and are skipped."""
+    pos = fh.seek(0, os.SEEK_END)
+    head = b""  # the part of a line whose start is not read yet
+    ended = False  # the file's last newline has been seen
+    while pos > 0:
+        step = min(pos, _TAIL_BLOCK)
+        pos -= step
+        fh.seek(pos)
+        lines = (fh.read(step) + head).split(b"\n")
+        head = lines.pop(0)
+        if not ended and lines:
+            lines.pop()  # after the last newline: a torn tail, or b""
+            ended = True
+        yield from reversed(lines)
+    if ended:
+        yield head
+
+
+def _last_seq_in(path: str) -> Optional[int]:
+    """The last sequence number the newest complete record of ``path``
+    holds (a frame of ``n`` decisions holds ``seq .. seq + n - 1``), or
+    ``None`` when it holds none.  Reads backwards, so a restart costs
+    the same whatever the length of the log."""
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh:
+        for line in _lines_from_the_end(fh):
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                continue  # torn by a crash, then ended by a restart
+            if isinstance(obj, dict) and isinstance(obj.get("seq"), int):
+                return obj["seq"] + obj.get("n", 1) - 1
+    return None
+
+
 def _ends_a_line(path: str) -> bool:
     with open(path, "rb") as fh:
         fh.seek(-1, os.SEEK_END)
@@ -219,10 +263,13 @@ class AuditLog:
         self.keep = int(keep)
         self.records_written = 0
         self._unsynced = 0
-        #: Next sequence number; continues across restarts by scanning
-        #: the existing file tail, so the whole multi-launch history is
-        #: one gap-free sequence.
-        self._next_seq = self._scan_last_seq() + 1
+        #: Next sequence number; continues across restarts from the
+        #: newest record on disk — the current file's, or the newest
+        #: rotated file's when it holds none (it was just rotated) — so
+        #: the whole multi-launch history is one gap-free sequence.
+        rotated = [f"{self.path}.{i}" for i in range(1, self.keep + 1)]
+        lasts = (_last_seq_in(name) for name in [self.path] + rotated)
+        self._next_seq = 1 + next((s for s in lasts if s is not None), 0)
         self._fh: Optional[IO[bytes]] = open(self.path, "ab")
         if self._fh.tell() == 0:
             self._write_obj({"schema": AUDIT_SCHEMA})
@@ -232,29 +279,6 @@ class AuditLog:
             self._fh.write(b"\n")
 
     # ------------------------------------------------------------ io
-
-    def _scan_last_seq(self) -> int:
-        last = 0
-        for candidate in (self.path,) + tuple(
-            f"{self.path}.{i}" for i in range(1, self.keep + 1)
-        ):
-            try:
-                with open(candidate, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            obj = json.loads(line)
-                        except json.JSONDecodeError:
-                            continue  # torn tail line from a crash
-                        seq = obj.get("seq")
-                        if isinstance(seq, int):
-                            # A frame holds seq .. seq + n - 1.
-                            last = max(last, seq + obj.get("n", 1) - 1)
-            except OSError:
-                continue
-        return last
 
     def _write_obj(self, obj: Dict[str, Any]) -> None:
         assert self._fh is not None

@@ -24,34 +24,56 @@ model of them — a *code* mutant is caught where it lives, and the
 checker runs in tier-1 with no optional dependencies.  CCAC's
 constraint encodings (SNIPPETS.md) stay the modelling reference for
 new properties.  At the default bound (3 flows x 2 servers) that is
-~1.5k controller instances and ~400 kernel calls, well under a second.
+~1.5k controller instances and ~400 kernel calls, well under a second,
+and ~7.8k preemption instances in ~1.5 s.
+
+:data:`CHECKS` is the one list of them: a :class:`Check` row names the
+function, the mutants it must catch, and the replay that re-runs a
+decoded counterexample through the real code.  ``repro-ubac verify``
+runs the rows :func:`select_checks` picks; a new check is a new row.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from ..errors import VerificationError
-from ..traffic.flows import PRIORITIES, FlowSpec, priority_rank
+from ..traffic.flows import PRIORITIES, FlowSpec
 from .instances import (
     INSTANCE_CLASS,
+    PROTECT_SETS,
     CheckResult,
     Counterexample,
     VerifyBound,
     build_chain_controller,
+    preemption_problem,
+    replay_batch_equivalence,
+    replay_no_overcommit,
+    replay_preemption_safety,
     sequential_slot_decisions,
     simulate_sequential,
 )
+from .mutants import (
+    mutant_admit_on_full,
+    mutant_ignore_contention,
+    mutant_planner_ignores_protect,
+)
 
 __all__ = [
+    "CHECKS",
+    "Check",
     "exhaustive_batch_equivalence",
     "exhaustive_no_overcommit",
     "exhaustive_preemption_safety",
     "iter_release_patterns",
+    "select_checks",
 ]
 
 
@@ -67,6 +89,18 @@ def iter_release_patterns(flows: int):
         list(range(f + 1, flows)) + [None] for f in range(flows)
     ]
     return itertools.product(*options)
+
+
+def _result(name: str, start: float, instances: int, **found) -> CheckResult:
+    """A check's outcome: ``violated`` with ``found`` (the fields of the
+    decoded :class:`Counterexample`), or ``passed`` when it is empty."""
+    return CheckResult(
+        name=name,
+        status="violated" if found else "passed",
+        elapsed_seconds=time.perf_counter() - start,
+        instances=instances,
+        counterexample=Counterexample(check=name, **found) if found else None,
+    )
 
 
 def _drive_instance(
@@ -135,61 +169,39 @@ def exhaustive_no_overcommit(
                     admit_on_full=admit_on_full,
                 )
                 if violations:
-                    strict, _ = simulate_sequential(
+                    expected, _ = simulate_sequential(
                         capacities, routes, releases
                     )
+                    actual = verdicts
                     i, s, occ, cap = violations[0]
-                    return CheckResult(
-                        name="no_overcommit",
-                        backend="exhaustive",
-                        status="violated",
-                        elapsed_seconds=time.perf_counter() - start,
-                        instances=count,
-                        counterexample=Counterexample(
-                            check="no_overcommit",
-                            backend="exhaustive",
-                            servers=bound.servers,
-                            capacities=tuple(capacities),
-                            routes=tuple(routes),
-                            releases=tuple(releases),
-                            expected=tuple(strict),
-                            actual=tuple(verdicts),
-                            detail=(
-                                f"after arrival {i}, server {s} holds "
-                                f"{occ} slots over capacity {cap}"
-                            ),
-                        ),
+                    detail = (
+                        f"after arrival {i}, server {s} holds "
+                        f"{occ} slots over capacity {cap}"
                     )
-                if admit_on_full:
+                elif admit_on_full:
                     continue  # mutant hunt: only violations matter
-                real_verdicts, problems = _drive_instance(
-                    capacities, routes, releases
-                )
-                if real_verdicts != verdicts or problems:
+                else:
+                    actual, problems = _drive_instance(
+                        capacities, routes, releases
+                    )
+                    if actual == verdicts and not problems:
+                        continue
+                    expected = verdicts
                     detail = (
                         problems[0]
                         if problems
                         else "controller verdicts diverge from the "
                         "sequential model"
                     )
-                    return CheckResult(
-                        name="no_overcommit",
-                        backend="exhaustive",
-                        status="violated",
-                        elapsed_seconds=time.perf_counter() - start,
-                        instances=count,
-                        counterexample=Counterexample(
-                            check="no_overcommit",
-                            backend="exhaustive",
-                            servers=bound.servers,
-                            capacities=tuple(capacities),
-                            routes=tuple(routes),
-                            releases=tuple(releases),
-                            expected=tuple(verdicts),
-                            actual=tuple(real_verdicts),
-                            detail=detail,
-                        ),
-                    )
+                return _result(
+                    "no_overcommit", start, count, servers=bound.servers,
+                    capacities=tuple(capacities),
+                    routes=tuple(routes),
+                    releases=tuple(releases),
+                    expected=tuple(expected),
+                    actual=tuple(actual),
+                    detail=detail,
+                )
     if admit_on_full:
         # The mutant admitted nothing extra anywhere in the bound —
         # the bound is too small to expose it, which is itself a
@@ -199,13 +211,7 @@ def exhaustive_no_overcommit(
             f"the bound {bound.to_dict()} — bound too small to "
             "falsify, enlarge it"
         )
-    return CheckResult(
-        name="no_overcommit",
-        backend="exhaustive",
-        status="passed",
-        elapsed_seconds=time.perf_counter() - start,
-        instances=count,
-    )
+    return _result("no_overcommit", start, count)
 
 
 def exhaustive_batch_equivalence(
@@ -251,24 +257,15 @@ def exhaustive_batch_equivalence(
             kernel_verdicts = [bool(v) for v in kernel_fn(matrix, free)]
             sequential = sequential_slot_decisions(routes, free_vals)
             if kernel_verdicts != sequential:
-                return CheckResult(
-                    name="batch_equivalence",
-                    backend="exhaustive",
-                    status="violated",
-                    elapsed_seconds=time.perf_counter() - start,
-                    instances=count,
-                    counterexample=Counterexample(
-                        check="batch_equivalence",
-                        backend="exhaustive",
-                        servers=bound.servers,
-                        capacities=tuple(free_vals),
-                        routes=tuple(routes),
-                        expected=tuple(sequential),
-                        actual=tuple(kernel_verdicts),
-                        detail=(
-                            f"kernel {kernel_name!r} diverges from the "
-                            "sequential reference"
-                        ),
+                return _result(
+                    "batch_equivalence", start, count, servers=bound.servers,
+                    capacities=tuple(free_vals),
+                    routes=tuple(routes),
+                    expected=tuple(sequential),
+                    actual=tuple(kernel_verdicts),
+                    detail=(
+                        f"kernel {kernel_name!r} diverges from the "
+                        "sequential reference"
                     ),
                 )
     if kernel is not None:
@@ -278,76 +275,7 @@ def exhaustive_batch_equivalence(
             f"{bound.to_dict()} — bound too small to falsify, "
             "enlarge it"
         )
-    return CheckResult(
-        name="batch_equivalence",
-        backend="exhaustive",
-        status="passed",
-        elapsed_seconds=time.perf_counter() - start,
-        instances=count,
-    )
-
-
-#: Protect sets the preemption check quantifies over: the shipped
-#: default, and one that shields a priority an arrival outranks.
-_PROTECT_SETS = (("hard_rt",), ("hard_rt", "soft_rt"))
-
-
-def _preemption_problem(
-    capacities: Sequence[int],
-    routes: Sequence[Tuple[int, int]],
-    priorities: Sequence[Optional[str]],
-    protect: Tuple[str, ...],
-    preemptor: Callable[[Any, Any], Any],
-) -> Optional[str]:
-    """Run one instance: establish all flows but the last on the real
-    controller, then send the last through ``admit`` and, if rejected,
-    the preemptor.  Returns the first broken property, or ``None``."""
-    from ..control.preempt import PreemptionPolicy
-
-    controller = build_chain_controller(len(capacities), capacities)
-    policy = PreemptionPolicy(protect=protect)
-    flows = []
-    for i, ((lo, hi), priority) in enumerate(zip(routes, priorities)):
-        route = tuple(f"r{s}" for s in range(lo, hi + 1))
-        flows.append(FlowSpec(
-            f"x{i}", INSTANCE_CLASS, route[0], route[-1], route, priority
-        ))
-    for flow in flows[:-1]:
-        controller.admit(flow)
-    arrival = flows[-1]
-    if controller.admit(arrival).admitted:
-        return None
-
-    def state():
-        return (
-            controller.snapshot(),
-            controller.ledger.used_view(INSTANCE_CLASS).tolist(),
-        )
-
-    before = state()
-    outcome = preemptor(controller, policy).try_admit(arrival)
-    for victim in outcome.evicted:
-        priority = priorities[int(victim[1:])]
-        if priority in protect:
-            return (
-                f"evicted {victim!r}, whose priority {priority!r} is "
-                f"protected by {protect!r}"
-            )
-        if priority_rank(priority) >= priority_rank(arrival.priority):
-            return (
-                f"evicted {victim!r} ({priority!r}) for an arrival "
-                "that does not outrank it"
-            )
-        if controller.is_established(victim):
-            return f"victim {victim!r} is still established"
-    if len(outcome.evicted) > policy.max_victims:
-        return f"{len(outcome.evicted)} victims exceed max_victims"
-    if outcome.admitted != controller.is_established(arrival.flow_id):
-        return "outcome.admitted disagrees with the established set"
-    if not outcome.admitted and (outcome.evicted or state() != before):
-        return "a failed preemption changed the controller"
-    problems = controller.verify_invariants()
-    return problems[0] if problems else None
+    return _result("batch_equivalence", start, count)
 
 
 def exhaustive_preemption_safety(
@@ -382,28 +310,19 @@ def exhaustive_preemption_safety(
                 (None,) + PRIORITIES, repeat=background
             ):
                 priorities = chosen + ("hard_rt",)
-                for protect in _PROTECT_SETS:
+                for protect in PROTECT_SETS:
                     count += 1
-                    detail = _preemption_problem(
+                    detail = preemption_problem(
                         capacities, routes, priorities, protect, subject
                     )
                     if detail is None:
                         continue
-                    return CheckResult(
-                        name="preemption_safety",
-                        backend="exhaustive",
-                        status="violated",
-                        elapsed_seconds=time.perf_counter() - start,
-                        instances=count,
-                        counterexample=Counterexample(
-                            check="preemption_safety",
-                            backend="exhaustive",
-                            servers=bound.servers,
-                            capacities=tuple(capacities),
-                            routes=tuple(routes),
-                            priorities=priorities,
-                            detail=f"protect={protect!r}: {detail}",
-                        ),
+                    return _result(
+                        "preemption_safety", start, count, servers=bound.servers,
+                        capacities=tuple(capacities),
+                        routes=tuple(routes),
+                        priorities=priorities,
+                        detail=f"protect={protect!r}: {detail}",
                     )
     if preemptor is not None:
         raise VerificationError(
@@ -411,10 +330,102 @@ def exhaustive_preemption_safety(
             f"the {count} instances of bound {bound.to_dict()} — bound "
             "too small to falsify, enlarge it"
         )
-    return CheckResult(
-        name="preemption_safety",
-        backend="exhaustive",
-        status="passed",
-        elapsed_seconds=time.perf_counter() - start,
-        instances=count,
+    return _result("preemption_safety", start, count)
+
+
+# --------------------------------------------------------------------- #
+# the table
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the bounded checker.
+
+    ``run`` checks every instance of a :class:`VerifyBound`; ``replay``
+    re-runs one decoded :class:`Counterexample` through the real code
+    and says whether it ``reproduced`` the violation.  ``mutants`` maps
+    each planted bug the check must catch to the keyword arguments that
+    plant it in both; without them, both run the shipped code.
+    """
+
+    name: str
+    run: Callable[..., CheckResult]
+    mutants: Mapping[str, Mapping[str, Any]]
+    replay: Callable[..., Dict[str, Any]]
+
+    def check(
+        self, bound: VerifyBound, mutant: Optional[str] = None
+    ) -> CheckResult:
+        """Run the check over ``bound``, with ``mutant`` planted."""
+        return self.run(bound, **self._planted(mutant))
+
+    def reproduces(
+        self, cx: Counterexample, mutant: Optional[str] = None
+    ) -> bool:
+        """Whether ``cx`` breaks the code again, ``mutant`` planted."""
+        return bool(self.replay(cx, **self._planted(mutant))["reproduced"])
+
+    def _planted(self, mutant: Optional[str]) -> Mapping[str, Any]:
+        return {} if mutant is None else self.mutants[mutant]
+
+
+#: Every bounded check, in the order ``repro-ubac verify`` runs them.
+CHECKS = (
+    Check(
+        "no_overcommit",
+        run=exhaustive_no_overcommit,
+        mutants={"admit_on_full": {"admit_on_full": True}},
+        replay=replay_no_overcommit,
+    ),
+    Check(
+        "batch_equivalence",
+        run=exhaustive_batch_equivalence,
+        mutants={
+            "admit_on_full": {"kernel": mutant_admit_on_full},
+            "ignore_contention": {"kernel": mutant_ignore_contention},
+        },
+        replay=replay_batch_equivalence,
+    ),
+    Check(
+        "preemption_safety",
+        run=exhaustive_preemption_safety,
+        mutants={
+            "planner_ignores_protect": {
+                "preemptor": mutant_planner_ignores_protect,
+            },
+        },
+        replay=replay_preemption_safety,
+    ),
+)
+
+
+def select_checks(
+    names: Optional[Sequence[str]] = None, mutant: Optional[str] = None
+) -> Tuple[Check, ...]:
+    """The rows of :data:`CHECKS` a run executes, in table order: the
+    ones ``names`` lists (every row when it is empty) that must catch
+    ``mutant``, when one is given.  An unknown name, or a selection with
+    no row left, is a :class:`VerificationError` naming the choices."""
+    checks = [row.name for row in CHECKS]
+    mutants = sorted({m for row in CHECKS for m in row.mutants})
+    for name in names or ():
+        if name not in checks:
+            raise VerificationError(
+                f"unknown check {name!r}; choose from {', '.join(checks)}"
+            )
+    if mutant is not None and mutant not in mutants:
+        raise VerificationError(
+            f"unknown mutant {mutant!r}; choose from {', '.join(mutants)}"
+        )
+    rows = tuple(
+        row for row in CHECKS
+        if (not names or row.name in names)
+        and (mutant is None or mutant in row.mutants)
     )
+    if not rows:
+        raise VerificationError(
+            f"mutant {mutant!r} is caught by none of the checks "
+            f"{', '.join(names or ())}"
+        )
+    return rows

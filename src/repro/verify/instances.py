@@ -24,38 +24,35 @@ occupancy just after one.
 :func:`simulate_sequential` is the executable model (with the
 ``admit_on_full`` mutant switch), :func:`build_chain_controller` maps
 an instance onto the *real* :class:`UtilizationAdmissionController`,
+:func:`preemption_problem` does the same for one preemption instance,
 and :class:`Counterexample` carries a decoded violation as a concrete,
-replayable
-``repro-workload-trace/v1`` event stream.
+replayable ``repro-workload-trace/v1`` event stream; the ``replay_*``
+functions re-run one through the real code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import VerificationError
-from ..traffic.flows import FlowSpec
+from ..traffic.flows import FlowSpec, priority_rank
 from ..workload.trace import TraceEvent, merge_events
 
 __all__ = [
+    "PROTECT_SETS",
     "CheckResult",
     "Counterexample",
     "VerifyBound",
     "build_chain_controller",
     "chain_fixture",
-    "replay_no_overcommit",
+    "preemption_problem",
     "replay_batch_equivalence",
+    "replay_no_overcommit",
+    "replay_preemption_safety",
     "sequential_slot_decisions",
     "simulate_sequential",
 ]
@@ -186,9 +183,11 @@ def sequential_slot_decisions(
 
 
 @lru_cache(maxsize=8)
-def _chain_fixture(servers: int):
-    """(graph, registry, routes) for the ``servers``-link chain —
-    cached because exhaustive runs build thousands of controllers."""
+def chain_fixture(servers: int) -> Any:
+    """``(graph, registry, routes)`` for the ``servers``-link chain —
+    cached because exhaustive runs build thousands of controllers; also
+    what replays a decoded counterexample trace outside the checker
+    (``loadgen --replay`` on a ``--cx-dir`` artifact)."""
     from ..routing.shortest import shortest_path_routes
     from ..topology.builders import line_network
     from ..topology.servergraph import LinkServerGraph
@@ -200,13 +199,6 @@ def _chain_fixture(servers: int):
     registry = ClassRegistry.two_class(voice_class())
     routes = shortest_path_routes(network, all_ordered_pairs(network))
     return graph, registry, routes
-
-
-def chain_fixture(servers: int) -> Any:
-    """Public ``(graph, registry, routes)`` chain fixture, for replaying
-    decoded counterexample traces outside the checker (e.g. ``loadgen
-    --replay`` on a ``--cx-dir`` artifact)."""
-    return _chain_fixture(servers)
 
 
 def build_chain_controller(
@@ -225,7 +217,7 @@ def build_chain_controller(
         raise VerificationError(
             f"expected {servers} capacities, got {len(capacities)}"
         )
-    graph, registry, routes = _chain_fixture(servers)
+    graph, registry, routes = chain_fixture(servers)
     controller = UtilizationAdmissionController(
         graph, registry, {INSTANCE_CLASS: 0.5}, routes
     )
@@ -237,10 +229,73 @@ def build_chain_controller(
 
 
 def _forward_server_indices(servers: int) -> List[int]:
-    graph, _registry, _routes = _chain_fixture(servers)
+    graph, _registry, _routes = chain_fixture(servers)
     return [
         graph.server_index(f"r{s}", f"r{s + 1}") for s in range(servers)
     ]
+
+
+#: Protect sets the preemption check quantifies over: the shipped
+#: default, and one that shields a priority an arrival outranks.
+PROTECT_SETS = (("hard_rt",), ("hard_rt", "soft_rt"))
+
+
+def preemption_problem(
+    capacities: Sequence[int],
+    routes: Sequence[Tuple[int, int]],
+    priorities: Sequence[Optional[str]],
+    protect: Tuple[str, ...],
+    preemptor: Callable[[Any, Any], Any],
+) -> Optional[str]:
+    """Run one instance: establish all flows but the last on the real
+    controller, then send the last through ``admit`` and, if rejected,
+    the preemptor.  Returns the first broken property, or ``None``."""
+    from ..control.preempt import PreemptionPolicy
+
+    controller = build_chain_controller(len(capacities), capacities)
+    policy = PreemptionPolicy(protect=protect)
+    flows = []
+    for i, ((lo, hi), priority) in enumerate(zip(routes, priorities)):
+        route = tuple(f"r{s}" for s in range(lo, hi + 1))
+        flows.append(FlowSpec(
+            f"x{i}", INSTANCE_CLASS, route[0], route[-1], route, priority
+        ))
+    for flow in flows[:-1]:
+        controller.admit(flow)
+    arrival = flows[-1]
+    if controller.admit(arrival).admitted:
+        return None
+
+    def state():
+        return (
+            controller.snapshot(),
+            controller.ledger.used_view(INSTANCE_CLASS).tolist(),
+        )
+
+    before = state()
+    outcome = preemptor(controller, policy).try_admit(arrival)
+    for victim in outcome.evicted:
+        priority = priorities[int(victim[1:])]
+        if priority in protect:
+            return (
+                f"evicted {victim!r}, whose priority {priority!r} is "
+                f"protected by {protect!r}"
+            )
+        if priority_rank(priority) >= priority_rank(arrival.priority):
+            return (
+                f"evicted {victim!r} ({priority!r}) for an arrival "
+                "that does not outrank it"
+            )
+        if controller.is_established(victim):
+            return f"victim {victim!r} is still established"
+    if len(outcome.evicted) > policy.max_victims:
+        return f"{len(outcome.evicted)} victims exceed max_victims"
+    if outcome.admitted != controller.is_established(arrival.flow_id):
+        return "outcome.admitted disagrees with the established set"
+    if not outcome.admitted and (outcome.evicted or state() != before):
+        return "a failed preemption changed the controller"
+    problems = controller.verify_invariants()
+    return problems[0] if problems else None
 
 
 # --------------------------------------------------------------------- #
@@ -264,7 +319,6 @@ class Counterexample:
     """
 
     check: str
-    backend: str
     servers: int
     capacities: Tuple[int, ...]
     routes: Tuple[Tuple[int, int], ...]
@@ -273,53 +327,6 @@ class Counterexample:
     actual: Tuple[bool, ...] = ()
     detail: str = ""
     priorities: Tuple[Optional[str], ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        # ``priorities`` only when set: the other checks' documents
-        # stay byte-identical.
-        extra = (
-            {"priorities": list(self.priorities)} if self.priorities else {}
-        )
-        return {
-            **extra,
-            "check": self.check,
-            "backend": self.backend,
-            "servers": self.servers,
-            "capacities": list(self.capacities),
-            "routes": [list(r) for r in self.routes],
-            "releases": list(self.releases),
-            "expected": list(self.expected),
-            "actual": list(self.actual),
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: Dict[str, Any]) -> "Counterexample":
-        try:
-            return cls(
-                check=str(obj["check"]),
-                backend=str(obj["backend"]),
-                servers=int(obj["servers"]),
-                capacities=tuple(int(c) for c in obj["capacities"]),
-                routes=tuple(
-                    (int(lo), int(hi)) for lo, hi in obj["routes"]
-                ),
-                releases=tuple(
-                    None if r is None else int(r)
-                    for r in obj.get("releases", [])
-                ),
-                expected=tuple(bool(v) for v in obj.get("expected", [])),
-                actual=tuple(bool(v) for v in obj.get("actual", [])),
-                detail=str(obj.get("detail", "")),
-                priorities=tuple(
-                    None if p is None else str(p)
-                    for p in obj.get("priorities", [])
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise VerificationError(
-                f"malformed counterexample: {exc}"
-            ) from None
 
     def to_trace_events(self) -> List[TraceEvent]:
         """The instance as a concrete ``repro-workload-trace/v1`` stream.
@@ -366,27 +373,10 @@ class CheckResult:
     """
 
     name: str
-    backend: str
     status: str
     elapsed_seconds: float
-    instances: Optional[int] = None
+    instances: int
     counterexample: Optional[Counterexample] = None
-    detail: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "backend": self.backend,
-            "status": self.status,
-            "elapsed_seconds": self.elapsed_seconds,
-            "instances": self.instances,
-            "counterexample": (
-                None
-                if self.counterexample is None
-                else self.counterexample.to_dict()
-            ),
-            "detail": self.detail,
-        }
 
 
 # --------------------------------------------------------------------- #
@@ -406,7 +396,9 @@ def replay_no_overcommit(
     auditing :meth:`verify_invariants` after every event.  A healthy
     kernel replays the trace with zero violations even when the model
     rule over-commits — which is exactly what makes a decoded
-    counterexample a usable regression seed.
+    counterexample a usable regression seed.  ``reproduced``: the
+    mutant rule over-commits, or (without it) the controller breaks
+    from the model.
     """
     if cx.check != "no_overcommit":
         raise VerificationError(
@@ -443,8 +435,10 @@ def replay_no_overcommit(
         "controller_verdicts": controller_verdicts,
         "controller_overcommits": overcommits,
         "controller_invariant_problems": invariant_problems,
-        "reproduced": bool(model_violations) if admit_on_full else (
-            not model_violations
+        "reproduced": bool(model_violations) if admit_on_full else bool(
+            controller_verdicts != model_verdicts
+            or overcommits
+            or invariant_problems
         ),
     }
 
@@ -457,7 +451,7 @@ def replay_batch_equivalence(
     ``kernel`` defaults to the real
     :func:`~repro.admission.batch.batch_slot_decisions`; pass a mutant
     (:mod:`repro.verify.mutants`) to confirm the decoded instance
-    really splits it from the sequential reference.
+    really splits it from the sequential reference (``reproduced``).
     """
     from ..admission.batch import (
         PADDING_FREE,
@@ -484,5 +478,34 @@ def replay_batch_equivalence(
     return {
         "sequential_verdicts": sequential,
         "kernel_verdicts": kernel_verdicts,
-        "diverged": kernel_verdicts != sequential,
+        "reproduced": kernel_verdicts != sequential,
     }
+
+
+def replay_preemption_safety(
+    cx: Counterexample, preemptor=None
+) -> Dict[str, Any]:
+    """Replay a preemption-safety counterexample through a preemptor.
+
+    Re-runs the decoded instance — its capacities, routes and
+    priorities — once per protect set of :data:`PROTECT_SETS` through
+    ``preemptor`` (the real :class:`~repro.control.preempt.Preemptor`
+    unless the planner mutant is passed) and collects every broken
+    property; ``reproduced`` when there is one.
+    """
+    from ..control.preempt import Preemptor
+
+    if cx.check != "preemption_safety":
+        raise VerificationError(
+            f"expected a preemption_safety counterexample, "
+            f"got {cx.check!r}"
+        )
+    problems = []
+    for protect in PROTECT_SETS:
+        detail = preemption_problem(
+            cx.capacities, cx.routes, cx.priorities, protect,
+            preemptor or Preemptor,
+        )
+        if detail is not None:
+            problems.append(f"protect={protect!r}: {detail}")
+    return {"problems": problems, "reproduced": bool(problems)}

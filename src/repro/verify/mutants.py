@@ -2,27 +2,28 @@
 planner), for falsifiability.
 
 A verifier that can only say "yes" is worthless: CI must also prove
-the machinery *would* catch a real bug.  Each mutant here is a drop-in
-replacement for :func:`~repro.admission.batch.batch_slot_decisions`
-with one classic defect planted; the bounded checkers must decode a
-replayable counterexample against every one of them, at the default
-bound, or the verification job fails.
+the machinery *would* catch a real bug.  The kernel mutants here are
+drop-in replacements for :func:`~repro.admission.batch.\
+batch_slot_decisions` with one classic defect planted; the bounded
+checkers must decode a replayable counterexample against every one of
+them, at the default bound, or the run fails.  The rows of
+:data:`repro.verify.bounded.CHECKS` say which check must catch which
+mutant, under which name.
 
-The mutants mirror the real kernel's calling convention — a padded
-server-index matrix plus a free-slot vector whose last entry is the
-virtual padding slot — but are written as plain loops so the planted
-bug is the *only* difference from the sequential reference.
+The kernel mutants mirror the real kernel's calling convention — a
+padded server-index matrix plus a free-slot vector whose last entry is
+the virtual padding slot — but are written as plain loops so the
+planted bug is the *only* difference from the sequential reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Dict
+from typing import Any
 
 import numpy as np
 
 __all__ = [
-    "MUTANTS",
     "mutant_admit_on_full",
     "mutant_ignore_contention",
     "mutant_planner_ignores_protect",
@@ -63,13 +64,6 @@ def mutant_ignore_contention(
     return np.asarray((free[matrix] > 0).all(axis=1))
 
 
-#: CLI / CI registry: mutant name -> broken kernel.
-MUTANTS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "admit_on_full": mutant_admit_on_full,
-    "ignore_contention": mutant_ignore_contention,
-}
-
-
 def mutant_planner_ignores_protect(controller: Any, policy: Any) -> Any:
     """A :class:`~repro.control.preempt.Preemptor` whose planner never
     consults ``policy.protect``.
@@ -77,7 +71,7 @@ def mutant_planner_ignores_protect(controller: Any, policy: Any) -> Any:
     Everything else is the shipped preemptor — same scan, same greedy
     cover, same tie-break — so the only way to tell it from the real
     one is an instance where the cheapest cover runs through a
-    protected flow.  Not a kernel, so not in :data:`MUTANTS`:
+    protected flow.  Not a kernel:
     :func:`~repro.verify.bounded.exhaustive_preemption_safety` takes it
     as its ``preemptor`` and must come back ``"violated"``.
     """

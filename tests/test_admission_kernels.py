@@ -32,7 +32,7 @@ from repro.admission.kernels import (
     batch_slot_decisions_numpy,
     batch_slot_decisions_sequential,
 )
-from repro.verify.mutants import MUTANTS
+from repro.verify.bounded import select_checks
 
 # ---------------------------------------------------------------------------
 # Instance generators
@@ -214,15 +214,22 @@ def test_scalar_tail_on_contended_batch():
 # ---------------------------------------------------------------------------
 
 
+#: The kernel mutants the bounded checker's equivalence row must catch.
+(EQUIVALENCE,) = select_checks(["batch_equivalence"])
+KERNEL_MUTANTS = {
+    name: planted["kernel"] for name, planted in EQUIVALENCE.mutants.items()
+}
+
+
 def test_planted_mutants_diverge_where_backends_agree():
     rng = np.random.default_rng(31337)
-    caught = {name: False for name in MUTANTS}
+    caught = {name: False for name in KERNEL_MUTANTS}
     for trial in range(200):
         matrix, free = random_instance(
             rng, allow_duplicates=False, allow_negative=False
         )
         reference = assert_all_backends_agree(matrix, free)
-        for name, mutant in MUTANTS.items():
+        for name, mutant in KERNEL_MUTANTS.items():
             got = mutant(matrix, free.copy())
             if (got != reference).any():
                 caught[name] = True

@@ -81,6 +81,12 @@ NEVER_SERVED = ("ssl", "_ssl", "_hashlib")
 #: the CLI module counts (`-m` runs it as `__main__` instead).
 MAX_REPRO_MODULES = {"plain": 44, "everything": 50}
 
+#: Statement lines (`code_lines`) of the `repro.*` modules a plain serve
+#: loads.  Under `PYTHONDONTWRITEBYTECODE=1`, the benchmark's setting,
+#: every start compiles all of them: the largest start-up cost this
+#: package controls (`docs/performance.md`, *Cold start*).
+MAX_SERVED_CODE_LINES = 8030
+
 
 def serve_argv(tmp_path, *flags):
     return [
@@ -129,6 +135,40 @@ def under(modules, prefix):
     return [m for m in modules if m == prefix or m.startswith(prefix + ".")]
 
 
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if (
+            isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+            and body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)
+        ):
+            yield body[0]
+
+
+def code_lines(path):
+    """Lines of ``path`` that hold a statement, docstrings excluded: all
+    of a simple statement's lines, a compound statement's header."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skip = {id(node) for doc in _docstrings(tree) for node in ast.walk(doc)}
+    lines = set()
+    for node in ast.walk(tree):
+        if id(node) in skip or not hasattr(node, "end_lineno"):
+            continue
+        if isinstance(node, ast.stmt) and hasattr(node, "body"):
+            lines.add(node.lineno)  # its header's expressions add the rest
+        else:
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return len(lines)
+
+
+def module_file(name):
+    path = SRC.parent.joinpath(*name.split("."))
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
 @pytest.mark.parametrize("flags", ["plain", "everything"])
 def test_serve_loads_only_what_it_runs(tmp_path, flags):
     argv = serve_argv(tmp_path)
@@ -149,6 +189,9 @@ def test_serve_loads_only_what_it_runs(tmp_path, flags):
     else:
         assert [m for m in gated if m not in modules] == []
     assert len(under(modules, "repro")) <= MAX_REPRO_MODULES[flags]
+    if flags == "plain":
+        served = sum(code_lines(module_file(m)) for m in under(modules, "repro"))
+        assert served <= MAX_SERVED_CODE_LINES
 
 
 @pytest.mark.parametrize("flag", sorted(FLAG_MODULES))

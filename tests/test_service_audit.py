@@ -129,6 +129,114 @@ class TestAuditLog:
         assert [r["seq"] for r in iter_audit(log.path)] == [1, 2]
 
 
+def scanned_last_seq(path, keep=4):
+    """The last seq a parse of every line of every file finds: how a
+    restart used to continue the sequence, kept as the reference."""
+    last = 0
+    for name in [path] + [f"{path}.{i}" for i in range(1, keep + 1)]:
+        if not os.path.exists(name):
+            continue
+        with open(name, encoding="utf-8") as fh:
+            for line in fh:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                if isinstance(obj.get("seq"), int):
+                    last = max(last, obj["seq"] + obj.get("n", 1) - 1)
+    return last
+
+
+class TestRestartReadsOnlyTheTail:
+    """A restart continues the sequence from the newest record, read
+    backwards — the same number a scan of the whole history finds."""
+
+    def reopened_seq(self, tmp_path, **kwargs):
+        expected = scanned_last_seq(str(tmp_path / "audit.jsonl")) + 1
+        log = make_log(tmp_path, fsync_every=1, **kwargs)
+        seq = log.record_frame([release_entry("next", True)])
+        log.close()
+        assert seq == expected
+        return seq
+
+    def test_torn_tail_then_a_second_restart(self, tmp_path):
+        log = make_log(tmp_path, fsync_every=1)
+        log.record_frame([admit_entry(flow(i), True) for i in (1, 2)])
+        log.close()
+        with open(log.path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind":"frame","n":3,"seq":3,"ops":[{"f":')
+        # The first restart ends the torn line and writes nothing...
+        make_log(tmp_path).close()
+        # ... so the next one meets it newline-terminated and skips it.
+        assert self.reopened_seq(tmp_path) == 3
+
+    def test_header_only_file_after_rotation(self, tmp_path):
+        log = make_log(tmp_path, fsync_every=1, max_bytes=1024, keep=2)
+        for i in range(1000):
+            log.record_frame([admit_entry(flow(i), True)])
+            if os.path.getsize(log.path) == len(
+                json.dumps({"schema": AUDIT_SCHEMA}, separators=(",", ":"))
+            ) + 1:
+                break  # just rotated: the current file is its header
+        log.close()
+        assert [json.loads(l) for l in open(log.path)] == [
+            {"schema": AUDIT_SCHEMA}
+        ]
+        assert self.reopened_seq(
+            tmp_path, max_bytes=1024, keep=2
+        ) == i + 2
+
+    def test_a_frame_ending_the_log_holds_n_seqs(self, tmp_path):
+        log = make_log(tmp_path, fsync_every=1)
+        log.mark_restore([])
+        assert log.record_frame(
+            [admit_entry(flow(i), True) for i in range(5)]
+        ) == 2
+        log.close()
+        assert self.reopened_seq(tmp_path) == 2 + 5
+
+    def test_a_last_frame_longer_than_a_read_block(self, tmp_path):
+        log = make_log(tmp_path, fsync_every=1)
+        log.record_frame([admit_entry(flow(0), True)])
+        log.record_frame(
+            [admit_entry(flow(i), True, route=["r0", "r3"])
+             for i in range(3000)]
+        )
+        log.close()
+        assert os.path.getsize(log.path) > 3 * 64 * 1024
+        assert self.reopened_seq(tmp_path) == 3002
+
+    def test_a_long_log_costs_a_bounded_number_of_parses(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "audit.jsonl"
+        entries = ",".join(
+            json.dumps({"f": {"id": f"f{i}", "cls": "voice"}, "ok": True})
+            for i in range(10)
+        )
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"schema": AUDIT_SCHEMA}) + "\n")
+            seq = 1
+            while fh.tell() < 10 * 2**20:
+                fh.write(
+                    f'{{"kind":"frame","n":10,"ops":[{entries}],'
+                    f'"seq":{seq},"ts":0.0}}\n'
+                )
+                seq += 10
+        parses = []
+        loads = json.loads
+
+        def counting(*args, **kwargs):
+            parses.append(1)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        log = AuditLog(str(path))
+        log.close()
+        assert log._next_seq == seq
+        assert len(parses) <= 2
+
+
 class TestVerifyAudit:
     def run_log(self, tmp_path):
         log = make_log(tmp_path, fsync_every=1)

@@ -535,12 +535,14 @@ RATCHETS = (
     Ratchet(
         name="A served process loads only what it serves: one-shot runners",
         why=(
-            "`python -m repro.experiments.cli serve` runs cli.py as "
-            "__main__, which is compiled on every start (no bytecode "
-            "cache for __main__).  The one-shot commands' runners live in "
-            "experiments/commands.py, imported when one of them runs; a "
-            "second _run_* beside serve's is their compiling (half of "
-            "the 2 077-line cli.py's) on every cold start coming back."
+            "Every serve start loads cli.py, and with "
+            "PYTHONDONTWRITEBYTECODE=1 (this environment's and the "
+            "benchmark's setting) it compiles it every time; `-m` reads "
+            "__pycache__ when bytecode is written.  The one-shot "
+            "commands' runners live in experiments/commands.py, imported "
+            "when one of them runs; a second _run_* beside serve's is "
+            "their compiling (half of the 2 077-line cli.py's) on every "
+            "cold start coming back."
         ),
         pattern=r"^def _run_(?!serve)",
         roots=("src/repro/experiments/cli.py",),
@@ -563,6 +565,42 @@ RATCHETS = (
         offender=(
             "src/repro/experiments/cli.py",
             "sys.dont_write_bytecode = False",
+        ),
+    ),
+    Ratchet(
+        name="Check names are written once: not in the CLI",
+        why=(
+            "repro.verify.bounded.CHECKS is the one list of bounded "
+            "checks and their mutants; `verify` validates --check and "
+            "--mutant against it when it runs.  A name under "
+            "experiments/ (argparse choices=, a default tuple, a replay "
+            "if) is a second list that drifts: four such lists kept "
+            "preemption_safety out of the CLI."
+        ),
+        pattern=(
+            r"no_overcommit|batch_equivalence|preemption_safety"
+            r"|admit_on_full|ignore_contention|planner_ignores_protect"
+        ),
+        roots=("src/repro/experiments",),
+        offender=(
+            "src/repro/experiments/cli.py",
+            '        choices=["no_overcommit", "batch_equivalence"], '
+            "default=None,",
+        ),
+    ),
+    Ratchet(
+        name="Check names are written once: no report format, no backend",
+        why=(
+            "The repro-verify-report/v1 document, its runner and the "
+            "one-valued `backend` field served a CI job that was "
+            "deleted with the SMT backend; a check's outcome is its "
+            "CheckResult and its --cx-dir trace."
+        ),
+        pattern=r"repro-verify-report|run_verify|\bbackend\b",
+        roots=("src/repro/verify",),
+        offender=(
+            "src/repro/verify/bounded.py",
+            '                        backend="exhaustive",',
         ),
     ),
     Ratchet(

@@ -1,31 +1,32 @@
 """Bounded machine-checking of the admission safety argument.
 
-Everything here runs on the exhaustive checker (the real controller
-and the real batch kernel) — no solver required.
+Everything here runs on the exhaustive checker (the real controller,
+the real batch kernel and the real preemptor) — no solver required.
 """
 
 import pytest
 
 from repro.errors import VerificationError
 from repro.verify import (
-    MUTANTS,
-    Counterexample,
+    CHECKS,
     VerifyBound,
     build_chain_controller,
-    build_verify_report,
     exhaustive_batch_equivalence,
     exhaustive_no_overcommit,
     exhaustive_preemption_safety,
-    load_verify_report,
     mutant_planner_ignores_protect,
     replay_batch_equivalence,
     replay_no_overcommit,
-    run_verify,
+    replay_preemption_safety,
+    select_checks,
     sequential_slot_decisions,
     simulate_sequential,
-    validate_verify_report,
-    write_verify_report,
 )
+
+(EQUIVALENCE,) = select_checks(["batch_equivalence"])
+KERNEL_MUTANTS = {
+    name: planted["kernel"] for name, planted in EQUIVALENCE.mutants.items()
+}
 
 SMALL = VerifyBound(flows=2, servers=2, max_capacity=1)
 
@@ -121,7 +122,6 @@ class TestExhaustiveBackend:
     def test_no_overcommit_passes_and_counts_instances(self):
         result = exhaustive_no_overcommit(SMALL)
         assert result.name == "no_overcommit"
-        assert result.backend == "exhaustive"
         assert result.status == "passed"
         assert result.counterexample is None
         assert result.instances > 0
@@ -144,20 +144,20 @@ class TestExhaustiveBackend:
         assert replay["controller_overcommits"] == []
         assert replay["controller_invariant_problems"] == []
 
-    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    @pytest.mark.parametrize("mutant", sorted(KERNEL_MUTANTS))
     def test_kernel_mutants_split_from_sequential(self, mutant):
         result = exhaustive_batch_equivalence(
-            SMALL, kernel=MUTANTS[mutant]
+            SMALL, kernel=KERNEL_MUTANTS[mutant]
         )
         assert result.status == "violated"
         cx = result.counterexample
         assert cx is not None
         assert replay_batch_equivalence(
-            cx, kernel=MUTANTS[mutant]
-        )["diverged"]
+            cx, kernel=KERNEL_MUTANTS[mutant]
+        )["reproduced"]
         # The real kernel agrees with the sequential reference on the
         # very same instance.
-        assert not replay_batch_equivalence(cx)["diverged"]
+        assert not replay_batch_equivalence(cx)["reproduced"]
 
     def test_unfalsifiable_bound_is_an_error(self):
         # A single one-request batch cannot distinguish the
@@ -166,7 +166,7 @@ class TestExhaustiveBackend:
         tiny = VerifyBound(flows=1, servers=1, max_capacity=1)
         with pytest.raises(VerificationError, match="bound"):
             exhaustive_batch_equivalence(
-                tiny, kernel=MUTANTS["ignore_contention"]
+                tiny, kernel=KERNEL_MUTANTS["ignore_contention"]
             )
 
 
@@ -199,9 +199,16 @@ class TestPreemptionSafety:
         assert "is protected by ('hard_rt', 'soft_rt')" in cx.detail
         assert cx.priorities[-1] == "hard_rt"
         assert "soft_rt" in cx.priorities[:-1]
-        # The instance survives a report round trip, priorities and all,
-        # and its trace replays them.
-        assert Counterexample.from_dict(cx.to_dict()) == cx
+        # The decoded instance breaks the mutant again and not the real
+        # preemptor, and its trace replays its priorities.
+        replay = replay_preemption_safety(
+            cx, preemptor=mutant_planner_ignores_protect
+        )
+        assert replay["reproduced"]
+        assert cx.detail in replay["problems"]
+        assert replay_preemption_safety(cx) == {
+            "problems": [], "reproduced": False,
+        }
         arrivals = [
             e for e in cx.to_trace_events() if e.kind == "arrival"
         ]
@@ -223,11 +230,6 @@ class TestCounterexample:
             SMALL, admit_on_full=True
         ).counterexample
 
-    def test_dict_round_trip(self):
-        cx = self.cx()
-        again = Counterexample.from_dict(cx.to_dict())
-        assert again == cx
-
     def test_trace_events_are_replayable(self):
         from repro.workload import validate_adversarial_events
 
@@ -241,78 +243,43 @@ class TestCounterexample:
 
 
 class TestRunner:
-    def test_auto_backend_resolution(self):
-        """One backend is left: every report names it."""
-        report, results = run_verify(SMALL)
-        assert report["backend"] == "exhaustive"
-        assert {r.backend for r in results} == {"exhaustive"}
-        assert report["ok"] is True
-        assert {r.name for r in results} == {
-            "no_overcommit", "batch_equivalence",
-        }
+    """The table ``repro-ubac verify`` runs."""
 
-    def test_report_file_round_trip(self, tmp_path):
-        report, _results = run_verify(SMALL)
-        path = str(tmp_path / "report.json")
-        write_verify_report(path, report)
-        loaded = load_verify_report(path)
-        validate_verify_report(loaded)
-        assert loaded == report
+    def test_every_row_catches_its_mutants_and_replays_them(self):
+        for row in CHECKS:
+            assert row.check(SMALL).status == "passed"
+            for mutant in row.mutants:
+                cx = row.check(SMALL, mutant).counterexample
+                assert cx is not None and cx.check == row.name
+                assert row.reproduces(cx, mutant)
+                # ... and the shipped code does not break on it.
+                assert not row.reproduces(cx)
 
     def test_mutant_run_reports_ok_when_caught(self):
-        report, results = run_verify(
-            SMALL, mutant="admit_on_full"
-        )
-        assert report["ok"] is True
+        rows = select_checks(mutant="admit_on_full")
+        assert [row.name for row in rows] == [
+            "no_overcommit", "batch_equivalence",
+        ]
+        results = [row.check(SMALL, "admit_on_full") for row in rows]
         assert all(r.status == "violated" for r in results)
 
     def test_ignore_contention_skips_the_overcommit_check(self):
-        _report, results = run_verify(
-            SMALL, mutant="ignore_contention"
+        rows = select_checks(mutant="ignore_contention")
+        assert [row.name for row in rows] == ["batch_equivalence"]
+
+    def test_default_selection_is_the_whole_table(self):
+        assert select_checks() == CHECKS
+        assert [row.name for row in CHECKS] == [
+            "no_overcommit", "batch_equivalence", "preemption_safety",
+        ]
+        assert select_checks(["preemption_safety", "no_overcommit"]) == (
+            CHECKS[0], CHECKS[2],
         )
-        assert [r.name for r in results] == ["batch_equivalence"]
 
     def test_unknown_inputs_rejected(self):
-        with pytest.raises(VerificationError):
-            run_verify(SMALL, checks=("nonsense",))
-        with pytest.raises(VerificationError):
-            run_verify(SMALL, checks=())
-        with pytest.raises(VerificationError):
-            run_verify(SMALL, mutant="off_by_two")
-
-
-class TestReportValidation:
-    def report(self):
-        report, _ = run_verify(SMALL)
-        return report
-
-    def test_tampered_schema_rejected(self):
-        report = self.report()
-        report["schema"] = "repro-verify-report/v0"
-        with pytest.raises(VerificationError, match="schema"):
-            validate_verify_report(report)
-
-    def test_contradictory_ok_flag_rejected(self):
-        report = self.report()
-        report["ok"] = False
-        with pytest.raises(VerificationError, match="ok"):
-            validate_verify_report(report)
-
-    def test_violated_check_without_counterexample_rejected(self):
-        report, _ = run_verify(
-            SMALL, mutant="admit_on_full"
-        )
-        report["checks"][0]["counterexample"] = None
-        with pytest.raises(VerificationError, match="counterexample"):
-            validate_verify_report(report)
-
-    def test_truncated_report_rejected(self):
-        report = self.report()
-        report["checks"] = []
-        with pytest.raises(VerificationError):
-            validate_verify_report(report)
-
-    def test_empty_results_rejected(self):
-        with pytest.raises(VerificationError):
-            build_verify_report(SMALL, [])
-
+        with pytest.raises(VerificationError, match="unknown check"):
+            select_checks(["nonsense"])
+        with pytest.raises(VerificationError, match="unknown mutant"):
+            select_checks(mutant="off_by_two")
+        with pytest.raises(VerificationError, match="none of the checks"):
+            select_checks(["no_overcommit"], mutant="ignore_contention")

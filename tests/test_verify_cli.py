@@ -1,11 +1,9 @@
 """`repro-ubac verify` bounded mode, `loadgen/faults --adversarial`."""
 
-import json
-
 import pytest
 
 from repro.experiments.cli import main
-from repro.verify import validate_verify_report
+from repro.verify import CHECKS
 from repro.workload import read_trace, validate_adversarial_events
 
 SMALL = ["--bound", "2", "--max-capacity", "1"]
@@ -15,31 +13,26 @@ class TestVerifyBounded:
     def test_default_run_proves_the_default_bound(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert "no_overcommit" in out
-        assert "batch_equivalence" in out
+        for row in CHECKS:
+            assert f"{row.name}: passed" in out
+        assert "exhaustive" not in out
         assert "all invariants hold within the bound" in out
 
-    def test_report_out_and_validate_round_trip(self, tmp_path, capsys):
-        report_path = str(tmp_path / "report.json")
-        assert main(
-            ["verify", *SMALL, "--out", report_path]
-        ) == 0
-        report = json.load(open(report_path))
-        validate_verify_report(report)
-        assert report["ok"] is True
-        assert main(["verify", "--validate", report_path]) == 0
-        assert "valid repro-verify-report/v1" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv", [["--check", "nonsense"], ["--mutant", "off_by_two"]]
+    )
+    def test_unknown_names_fail_against_the_table(self, argv, capsys):
+        assert main(["verify", *argv]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("FAILURE: unknown")
+        assert "choose from" in out
 
-    def test_validate_rejects_a_tampered_report(self, tmp_path, capsys):
-        report_path = str(tmp_path / "report.json")
-        assert main(
-            ["verify", *SMALL, "--out", report_path]
-        ) == 0
-        report = json.load(open(report_path))
-        report["ok"] = False
-        json.dump(report, open(report_path, "w"))
-        assert main(["verify", "--validate", report_path]) == 1
-        assert "FAILURE" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", ["--out", "--validate"])
+    def test_report_flags_are_gone(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", f"{flag}={tmp_path / 'report.json'}"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}=" in capsys.readouterr().err
 
     def test_single_check_selection(self, capsys):
         assert main(
@@ -50,7 +43,7 @@ class TestVerifyBounded:
         assert "no_overcommit" not in out
 
     @pytest.mark.parametrize(
-        "mutant", ["admit_on_full", "ignore_contention"]
+        "mutant", sorted({m for row in CHECKS for m in row.mutants})
     )
     def test_mutants_caught_with_replayable_traces(
         self, tmp_path, mutant, capsys
@@ -64,10 +57,13 @@ class TestVerifyBounded:
         assert "replay reproduces the violation" in out
         assert f"mutant {mutant!r} caught, decoded, and replayed" in out
         traces = sorted(p.name for p in cx_dir.iterdir())
-        assert "cx_batch_equivalence.jsonl" in traces
+        assert traces == sorted(
+            f"cx_{row.name}.jsonl" for row in CHECKS if mutant in row.mutants
+        )
         for trace in cx_dir.iterdir():
             meta, events = read_trace(str(trace))
             assert meta["mutant"] == mutant
+            assert "backend" not in meta
             validate_adversarial_events(events)
             assert events
 
