@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument(
         "--summary-out", default=None, metavar="FILE",
         help=(
-            "write a repro-bench-summary/v1 JSON summary of the run "
+            "write a repro-loadgen-summary/v1 JSON summary of the run "
             "(throughput, outcome counts, client-side latency)"
         ),
     )

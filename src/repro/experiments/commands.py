@@ -241,20 +241,28 @@ def _run_verify_bounded(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _connect_service_client(target, socket_path, protocol="v1"):
-    """ServiceClient for ``--target HOST:PORT`` / ``--socket PATH``."""
-    from ..service.client import ServiceClient
-
+def _service_address(target, socket_path):
+    """``(path, None)`` for ``--socket``, ``(host, port)`` for ``--target``."""
     if (target is None) == (socket_path is None):
         raise SystemExit(
             "specify exactly one of --target HOST:PORT or --socket PATH"
         )
     if socket_path is not None:
-        return ServiceClient(socket_path=socket_path, protocol=protocol)
+        return socket_path, None
     host, _, port = target.rpartition(":")
     if not host or not port.isdigit():
         raise SystemExit(f"--target must be HOST:PORT, got {target!r}")
-    return ServiceClient(host=host, port=int(port), protocol=protocol)
+    return host, int(port)
+
+
+def _connect_service_client(target, socket_path, protocol="v1"):
+    """ServiceClient for ``--target HOST:PORT`` / ``--socket PATH``."""
+    from ..service.client import ServiceClient
+
+    where, port = _service_address(target, socket_path)
+    if port is None:
+        return ServiceClient(socket_path=where, protocol=protocol)
+    return ServiceClient(host=where, port=port, protocol=protocol)
 
 
 def _run_loadgen(args: argparse.Namespace, setup) -> int:
@@ -373,35 +381,54 @@ def _run_loadgen(args: argparse.Namespace, setup) -> int:
         print(f"wrote {len(events)} events to {args.record}")
 
     if service_mode:
-        from ..service.replay import replay_events_concurrent
+        import asyncio
 
         if args.connections < 1:
             raise SystemExit(
                 f"--connections must be >= 1, got {args.connections}"
             )
-        result = replay_events_concurrent(
-            lambda _index: _connect_service_client(
-                args.target, args.socket, args.protocol
-            ),
-            events,
-            connections=args.connections,
-            frame_size=args.batch_size,
-        )
-        where = args.socket or args.target
-        print(
-            f"admission service at {where} "
-            f"({args.protocol} frames of {args.batch_size}, "
+        result, protocol = asyncio.run(_replay_at_service(args, events))
+        target = args.socket or args.target
+        label = (
+            f"admission service at {target} "
+            f"({protocol} frames of {args.batch_size}, "
             f"{args.connections} connection"
-            f"{'' if args.connections == 1 else 's'}): "
-            f"{result.num_admitted} admitted / {result.num_rejected} "
-            f"rejected of {result.num_arrivals} arrivals, "
-            f"{result.num_released} released, "
-            f"{result.num_skipped} skipped, {result.num_errors} errors"
+            f"{'' if args.connections == 1 else 's'})"
         )
-        print(
-            f"{result.total_ops} ops in {result.elapsed_seconds:.3f} s "
-            f"= {result.ops_per_second:,.0f} ops/s over the wire"
+        rate_note = " over the wire"
+    else:
+        controller = (
+            UtilizationAdmissionController(
+                graph, registry, {voice.name: args.alpha}, routes
+            )
+            if args.controller == "utilization"
+            else FlowAwareAdmissionController(graph, registry, routes)
         )
+        result = drive(
+            controller,
+            events,
+            batch_size=args.batch_size,
+            mode="sequential" if args.sequential else "batch",
+        )
+        protocol = None
+        target = f"in-process:{args.controller}"
+        label = (
+            f"{args.controller} controller, {result.mode} mode "
+            f"(batch={result.batch_size})"
+        )
+        decision_us = controller.mean_decision_seconds() * 1e6
+        rate_note = f"; mean decision {decision_us:.2f} us/request"
+    print(
+        f"{label}: {result.num_admitted} admitted / "
+        f"{result.num_rejected} rejected of {result.num_arrivals} "
+        f"arrivals, {result.num_released} released, "
+        f"{result.num_skipped} skipped, {result.num_errors} errors"
+    )
+    print(
+        f"{result.total_ops} ops in {result.elapsed_seconds:.3f} s "
+        f"= {result.ops_per_second:,.0f} ops/s{rate_note}"
+    )
+    if protocol is not None:
         latency = result.latency_summary()
         print(
             f"frame latency p50 {latency['p50_ms']:.2f} ms, "
@@ -409,67 +436,36 @@ def _run_loadgen(args: argparse.Namespace, setup) -> int:
             f"p99 {latency['p99_ms']:.2f} ms "
             f"({result.frames} frames of {args.batch_size})"
         )
-        _print_per_priority(result.per_priority)
-        if args.summary_out is not None:
-            _write_bench_summary(
-                args.summary_out,
-                args,
-                mode="service",
-                target=where,
-                ops=result.total_ops,
-                elapsed=result.elapsed_seconds,
-                admitted=result.num_admitted,
-                rejected=result.num_rejected,
-                released=result.num_released,
-                errors=result.num_errors,
-                latency_ms=latency,
-                frames=result.frames,
-                connections=args.connections,
-                per_priority=result.per_priority,
-            )
-        return 0 if result.num_errors == 0 else 1
-
-    alphas = {voice.name: args.alpha}
-    if args.controller == "utilization":
-        controller = UtilizationAdmissionController(
-            graph, registry, alphas, routes
-        )
-    else:
-        controller = FlowAwareAdmissionController(graph, registry, routes)
-    result = drive(
-        controller,
-        events,
-        batch_size=args.batch_size,
-        mode="sequential" if args.sequential else "batch",
-    )
-    print(
-        f"{args.controller} controller, {result.mode} mode "
-        f"(batch={result.batch_size}): "
-        f"{result.num_admitted} admitted / {result.num_rejected} "
-        f"rejected of {result.num_arrivals} arrivals, "
-        f"{result.num_released} released"
-    )
-    print(
-        f"{result.total_ops} ops in {result.elapsed_seconds:.3f} s "
-        f"= {result.ops_per_second:,.0f} ops/s; mean decision "
-        f"{controller.mean_decision_seconds() * 1e6:.2f} us/request"
-    )
     _print_per_priority(result.per_priority)
     if args.summary_out is not None:
-        _write_bench_summary(
-            args.summary_out,
-            args,
-            mode="sequential" if args.sequential else "batch",
-            target=f"in-process:{args.controller}",
-            ops=result.total_ops,
-            elapsed=result.elapsed_seconds,
-            admitted=result.num_admitted,
-            rejected=result.num_rejected,
-            released=result.num_released,
-            errors=0,
-            per_priority=result.per_priority,
+        _write_loadgen_summary(
+            args.summary_out, args, result, target, protocol
         )
-    return 0
+    return 0 if result.num_errors == 0 else 1
+
+
+async def _replay_at_service(args, events):
+    """``events`` over ``--connections`` clients: the result, and the
+    protocol the server agreed to."""
+    from ..service.client import AsyncServiceClient as Client
+    from ..service.replay import replay_events
+
+    where, port = _service_address(args.target, args.socket)
+    clients = []
+    try:
+        for _ in range(args.connections):
+            clients.append(await (
+                Client.connect_unix(where, protocol=args.protocol)
+                if port is None
+                else Client.connect_tcp(where, port, protocol=args.protocol)
+            ))
+        result = await replay_events(
+            clients, events, frame_size=args.batch_size
+        )
+        return result, clients[0].negotiated_protocol
+    finally:
+        for client in clients:
+            await client.close()
 
 
 def _print_per_priority(per_priority) -> None:
@@ -488,50 +484,33 @@ def _print_per_priority(per_priority) -> None:
     print("per-priority: " + "   ".join(cells))
 
 
-def _write_bench_summary(
-    path: str,
-    args: argparse.Namespace,
-    *,
-    mode: str,
-    target: str,
-    ops: int,
-    elapsed: float,
-    admitted: int,
-    rejected: int,
-    released: int,
-    errors: int,
-    latency_ms=None,
-    frames=None,
-    connections=None,
-    per_priority=None,
-) -> None:
-    """Write a machine-readable ``repro-bench-summary/v1`` run summary."""
+def _write_loadgen_summary(path, args, result, target, protocol) -> None:
+    """Write a machine-readable ``repro-loadgen-summary/v1`` run
+    summary; ``protocol`` is the negotiated one, None in process."""
     import json
 
     summary = {
-        "schema": "repro-bench-summary/v1",
-        "mode": mode,
+        "schema": "repro-loadgen-summary/v1",
+        "mode": result.mode,
         "target": target,
         "topology": args.topology,
         "batch_size": args.batch_size,
         "seed": args.seed,
-        "ops": ops,
-        "elapsed_seconds": elapsed,
-        "ops_per_second": (ops / elapsed) if elapsed > 0 else 0.0,
-        "admitted": admitted,
-        "rejected": rejected,
-        "released": released,
-        "errors": errors,
-        "protocol": getattr(args, "protocol", "v1"),
+        "ops": result.total_ops,
+        "elapsed_seconds": result.elapsed_seconds,
+        "ops_per_second": result.ops_per_second,
+        "admitted": result.num_admitted,
+        "rejected": result.num_rejected,
+        "released": result.num_released,
+        "errors": result.num_errors,
     }
-    if latency_ms is not None:
-        summary["latency_ms"] = latency_ms
-    if frames is not None:
-        summary["frames"] = frames
-    if connections is not None:
-        summary["connections"] = connections
-    if per_priority:
-        summary["per_priority"] = per_priority
+    if protocol is not None:
+        summary["protocol"] = protocol
+        summary["latency_ms"] = result.latency_summary()
+        summary["frames"] = result.frames
+        summary["connections"] = args.connections
+    if result.per_priority:
+        summary["per_priority"] = result.per_priority
     if getattr(args, "ramp", None) is not None:
         summary["ramp"] = args.ramp
         summary["ramp_factor"] = args.ramp_factor

@@ -31,8 +31,8 @@ Client side, :class:`~repro.service.client.ServiceClient` (sync) and
 :class:`~repro.service.client.AsyncServiceClient` (asyncio) pipeline
 requests and retry ``overloaded`` answers (the router's per-link bound)
 under a backoff policy;
-:func:`~repro.service.replay.replay_trace` drives recorded workload
-traces at a live server.  CLI entry points: ``repro-ubac serve`` and
+:func:`~repro.service.replay.replay_events` replays workload traces at
+a live server.  CLI entry points: ``repro-ubac serve`` and
 ``repro-ubac client``.
 """
 
@@ -54,13 +54,7 @@ if TYPE_CHECKING:
     from .coalescer import MicroBatchCoalescer
     from .http import MetricsEndpoint
     from .protocol import JSON_BACKEND, MAX_FRAME_BYTES, OPS, PROTOCOL_SCHEMA
-    from .replay import (
-        ServiceReplayResult,
-        partition_events,
-        replay_events,
-        replay_events_concurrent,
-        replay_trace,
-    )
+    from .replay import replay_events
     from .router import ClusterRouter, HashRing
     from .server import AdmissionService, ServiceConfig
     from .snapshots import (
@@ -81,10 +75,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".coalescer": ("MicroBatchCoalescer",),
     ".http": ("MetricsEndpoint",),
     ".protocol": ("JSON_BACKEND", "MAX_FRAME_BYTES", "OPS", "PROTOCOL_SCHEMA"),
-    ".replay": (
-        "ServiceReplayResult", "partition_events", "replay_events",
-        "replay_events_concurrent", "replay_trace",
-    ),
+    ".replay": ("replay_events",),
     ".router": ("ClusterRouter", "HashRing"),
     ".server": ("AdmissionService", "ServiceConfig"),
     ".snapshots": (

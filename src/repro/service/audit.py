@@ -36,7 +36,8 @@ The log rotates (``path`` → ``path.1`` → … up to ``keep`` files) at
 ``max_bytes``; :func:`iter_audit` reads rotated files oldest-first.
 :func:`audit_to_trace_events` converts a log back into a
 ``repro-workload-trace/v1`` event stream, so an audit log is itself
-replayable through :func:`repro.service.replay.replay_events`.
+replayable: by :func:`repro.workload.loadgen.drive` in process, or at a
+live server by the :func:`repro.service.replay.replay_events` coroutine.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ directly rather than through this driver.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -41,6 +42,7 @@ __all__ = [
     "poisson_flow_schedule",
     "poisson_timeline",
     "schedule_events",
+    "tally_priorities",
 ]
 
 Pair = Tuple[Hashable, Hashable]
@@ -201,7 +203,8 @@ def assign_priorities(
 
 @dataclass(frozen=True)
 class LoadgenResult:
-    """Outcome summary of one :func:`drive` run."""
+    """Outcome summary of one :func:`drive` run, or of one wire replay
+    (:func:`repro.service.replay.replay_events`)."""
 
     mode: str
     batch_size: int
@@ -214,6 +217,17 @@ class LoadgenResult:
     #: present only when the driven events carried priorities
     #: (priority-less runs keep the historical result shape).
     per_priority: Optional[Dict[str, Dict[str, int]]] = None
+    #: Departures of flows that were not established when they left.
+    num_skipped: int = 0
+    #: Ops a server answered with an error other than a rejection.
+    num_errors: int = 0
+    #: Client-observed seconds of each round trip, in send order
+    #: (none in process).
+    frame_latencies: Tuple[float, ...] = ()
+
+    @property
+    def frames(self) -> int:
+        return len(self.frame_latencies)
 
     @property
     def total_ops(self) -> int:
@@ -222,9 +236,44 @@ class LoadgenResult:
 
     @property
     def ops_per_second(self) -> float:
+        """0.0 for a run too short for the clock to see."""
         if self.elapsed_seconds <= 0:
-            return float("nan")
+            return 0.0
         return self.total_ops / self.elapsed_seconds
+
+    def latency_percentile(self, q: float) -> float:
+        """Nearest-rank frame-latency percentile in seconds (0.0 when
+        no frame was sent)."""
+        if not 0.0 <= q <= 1.0:
+            raise TrafficError(f"percentile must be in [0, 1], got {q}")
+        if not self.frame_latencies:
+            return 0.0
+        ordered = sorted(self.frame_latencies)
+        return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+    def latency_summary(self) -> Dict[str, float]:
+        """p50/p90/p99 frame latencies in milliseconds."""
+        return {
+            f"p{p}_ms": self.latency_percentile(p / 100) * 1e3
+            for p in (50, 90, 99)
+        }
+
+
+def tally_priorities(
+    outcomes: Sequence[Tuple[Optional[str], bool]],
+) -> Optional[Dict[str, Dict[str, int]]]:
+    """``{priority: {"arrivals", "admitted", "rejected"}}`` over
+    ``(priority, admitted)`` arrival outcomes, in first-seen order;
+    None when no outcome carries a priority."""
+    per_priority: Dict[str, Dict[str, int]] = {}
+    for priority, admitted in outcomes:
+        if priority is not None:
+            bucket = per_priority.setdefault(
+                priority, {"arrivals": 0, "admitted": 0, "rejected": 0}
+            )
+            bucket["arrivals"] += 1
+            bucket["admitted" if admitted else "rejected"] += 1
+    return per_priority or None
 
 
 def drive(
@@ -248,10 +297,8 @@ def drive(
         raise TrafficError(f"batch_size must be >= 1, got {batch_size}")
     admitted_ids = set()
     num_arrivals = num_admitted = num_released = 0
-    # Priority attribution happens outside the timed window: flow id ->
-    # priority is resolved up front, and the per-priority tally replays
-    # the decisions the controller returned (kept only for a
-    # priority-labelled trace) afterwards.
+    # Priorities are tallied after the timed window, from the decisions
+    # kept for a priority-labelled trace.
     priority_of = {
         e.flow_id: e.priority
         for e in events
@@ -321,18 +368,6 @@ def drive(
                 admitted_ids.difference_update(late)
                 num_released += len(late)
         elapsed = time.perf_counter() - start
-    per_priority: Optional[Dict[str, Dict[str, int]]] = None
-    if priority_of:
-        per_priority = {}
-        for decision in decisions:
-            pri = priority_of.get(decision.flow_id)
-            if pri is None:
-                continue
-            bucket = per_priority.setdefault(
-                pri, {"arrivals": 0, "admitted": 0, "rejected": 0}
-            )
-            bucket["arrivals"] += 1
-            bucket["admitted" if decision.admitted else "rejected"] += 1
     return LoadgenResult(
         mode=mode,
         batch_size=batch_size if mode == "batch" else 1,
@@ -341,5 +376,8 @@ def drive(
         num_rejected=num_arrivals - num_admitted,
         num_released=num_released,
         elapsed_seconds=elapsed,
-        per_priority=per_priority,
+        per_priority=tally_priorities(
+            [(priority_of.get(d.flow_id), d.admitted) for d in decisions]
+        ),
+        num_skipped=len(events) - num_arrivals - num_released,
     )

@@ -1,5 +1,6 @@
 """CLI surface of the admission service: serve, client, loadgen --socket."""
 
+import asyncio
 import json
 import os
 import re
@@ -7,9 +8,11 @@ import threading
 import time
 
 import pytest
+from test_service_server import start_pre_v2_peer
 
 from repro.experiments.cli import build_parser, main
 from repro.faults import ClusterProcess
+from repro.service import protocol
 from repro.service.launch import serve_argv
 from repro.service.server import ServiceConfig
 from repro.workload.trace import TraceEvent, write_trace
@@ -417,7 +420,7 @@ def test_serve_full_telemetry_pipeline(tmp_path, capsys):
     assert "frame latency p50" in loadgen_out
     with open(summary, encoding="utf-8") as fh:
         report = json.load(fh)
-    assert report["schema"] == "repro-bench-summary/v1"
+    assert report["schema"] == "repro-loadgen-summary/v1"
     assert report["mode"] == "service"
     assert report["ops"] > 0
     assert set(report["latency_ms"]) == {"p50_ms", "p90_ms", "p99_ms"}
@@ -592,6 +595,41 @@ def test_loadgen_fans_out_over_multiple_connections(served, capsys):
     out = capsys.readouterr().out
     assert "3 connections" in out
     assert "0 errors" in out
+
+
+def test_loadgen_summary_names_the_negotiated_protocol(tmp_path, capsys):
+    """A v2 request to a peer that predates v2 runs, and reports, v1;
+    an in-process run has no protocol to report."""
+    sock = str(tmp_path / "old.sock")
+    loop = asyncio.new_event_loop()
+    peer, seen = loop.run_until_complete(start_pre_v2_peer(sock))
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    wire = str(tmp_path / "wire.json")
+    try:
+        assert main([
+            "loadgen", "--socket", sock, "--protocol", "v2",
+            "--flows", "20", "--summary-out", wire,
+        ]) == 0
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        peer.close()
+        loop.run_until_complete(peer.wait_closed())
+        loop.close()
+    assert "(v1 frames of" in capsys.readouterr().out
+    with open(wire, encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["protocol"] == "v1"
+    assert report["admitted"] == report["released"] == 20
+    assert {r["op"] for r in seen} == {protocol.HELLO_OP, "batch"}
+
+    in_process = str(tmp_path / "in_process.json")
+    assert main(["loadgen", "--flows", "20", "--summary-out", in_process]) == 0
+    with open(in_process, encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["schema"] == "repro-loadgen-summary/v1"
+    assert "protocol" not in report
 
 
 def test_loadgen_rejects_bad_connections(served, capsys):

@@ -13,6 +13,7 @@ from repro.errors import (
     ProtocolError,
     ServiceError,
     ServiceOverloadedError,
+    TrafficError,
 )
 from repro.faults import BackoffPolicy
 from repro.routing.shortest import shortest_path_routes
@@ -23,14 +24,19 @@ from repro.service import (
     ServiceConfig,
     protocol,
     replay_events,
-    replay_trace,
 )
 from repro.topology import LinkServerGraph, line_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generators import all_ordered_pairs
 from repro.workload import drive
-from repro.workload.trace import TraceEvent, write_trace
+from repro.workload.loadgen import (
+    LoadgenResult,
+    assign_priorities,
+    parse_priority_mix,
+    poisson_timeline,
+)
+from repro.workload.trace import TraceEvent, read_trace, write_trace
 
 
 def make_controller(alpha=0.3):
@@ -384,31 +390,73 @@ def line4_events():
     return events
 
 
+def replay(sock, events, frame_size=512, wire="v1", connections=1):
+    """``replay_events`` over fresh connections; the result and the
+    server's ``stats`` after it."""
+
+    async def scenario():
+        clients = [
+            await AsyncServiceClient.connect_unix(sock, protocol=wire)
+            for _ in range(connections)
+        ]
+        try:
+            result = await replay_events(
+                clients, events, frame_size=frame_size
+            )
+            return result, await clients[0].stats()
+        finally:
+            for client in clients:
+                await client.close()
+
+    return asyncio.run(scenario())
+
+
+def rejecting_line4_events():
+    """572 arrivals between line-4 pairs with a hard/soft/elastic mix;
+    at alpha 0.01, 172 of them are rejected."""
+    pairs = all_ordered_pairs(line_network(4))
+    events = poisson_timeline(
+        lambda rng: pairs[int(rng.integers(len(pairs)))],
+        "voice",
+        arrival_rate=200,
+        mean_holding=1,
+        horizon=3,
+        seed=5,
+        id_prefix="d",
+    )
+    mix = parse_priority_mix("hard_rt=1,soft_rt=2,elastic=7")
+    return assign_priorities(events, mix, seed=5)
+
+
 class TestReplayBridge:
     def test_replay_matches_in_process_drive(self, server):
         events = line4_events()
         twin = make_controller()
         reference = drive(twin, events, mode="sequential")
-        with ServiceClient(socket_path=server.sock) as client:
-            result = replay_events(client, events, frame_size=4)
+        result, stats = replay(server.sock, events, frame_size=4)
         assert result.num_arrivals == reference.num_arrivals == 10
         assert result.num_admitted == reference.num_admitted == 10
         assert result.num_rejected == reference.num_rejected == 0
         assert result.num_released == reference.num_released == 5
-        assert result.num_skipped == 1
+        assert result.num_skipped == reference.num_skipped == 1
         assert result.num_errors == 0
         assert result.frames == 4
         assert result.total_ops == reference.total_ops
         assert server.service.controller.num_established == 5
+        # The departure of the flow that never arrived was not sent.
+        assert stats["errors"] == 0
+        assert stats["coalesced_ops"] == 15
 
     def test_replay_from_trace_file(self, server, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         write_trace(path, line4_events(), meta={"purpose": "test"})
-        with ServiceClient(socket_path=server.sock) as client:
-            result = replay_trace(client, path, frame_size=100)
+        _meta, events = read_trace(path)
+        result, _stats = replay(server.sock, events, frame_size=100)
         assert result.num_admitted == 10
         assert result.num_released == 5
-        assert result.frames == 1
+        # The five departures follow their admits in one frame: the
+        # frame ends before the first of them.
+        assert result.frames == 2
 
     def test_pinned_routes_survive_the_wire(self, server):
         events = [
@@ -422,8 +470,7 @@ class TestReplayBridge:
                 route=("r0", "r1", "r2", "r3"),
             )
         ]
-        with ServiceClient(socket_path=server.sock) as client:
-            result = replay_events(client, events)
+        result, _stats = replay(server.sock, events)
         assert result.num_admitted == 1
         controller = server.service.controller
         assert controller.committed_route("pinned") == [
@@ -434,6 +481,77 @@ class TestReplayBridge:
         ]
 
     def test_frame_size_validation(self, server):
-        with ServiceClient(socket_path=server.sock) as client:
-            with pytest.raises(Exception):
-                replay_events(client, [], frame_size=0)
+        with pytest.raises(TrafficError, match="frame_size"):
+            replay(server.sock, [], frame_size=0)
+
+
+class TestReplayDifferential:
+    """One connection decides what the in-process sequential replay
+    decides, and releases only what it saw admitted."""
+
+    @pytest.mark.parametrize("wire", ["v1", "v2"])
+    def test_rejecting_trace_matches_sequential_drive(self, tmp_path, wire):
+        events = rejecting_line4_events()
+        twin = make_controller(alpha=0.01)
+        reference = drive(twin, events, mode="sequential")
+        assert reference.num_rejected > 100 and reference.per_priority
+        with ServerThread(str(tmp_path / "s.sock"), alpha=0.01) as srv:
+            result, stats = replay(srv.sock, events, frame_size=64, wire=wire)
+        assert (
+            result.num_arrivals,
+            result.num_admitted,
+            result.num_rejected,
+            result.num_released,
+            result.num_skipped,
+        ) == (
+            reference.num_arrivals,
+            reference.num_admitted,
+            reference.num_rejected,
+            reference.num_released,
+            reference.num_skipped,
+        )
+        assert result.per_priority == reference.per_priority
+        assert result.num_errors == 0
+        assert stats["errors"] == 0
+        assert stats["coalesced_ops"] == (
+            reference.num_arrivals + reference.num_released
+        )
+        assert stats["established"] == twin.num_established
+
+    def test_fan_out_releases_only_admitted_flows(self, tmp_path):
+        events = rejecting_line4_events()
+        with ServerThread(str(tmp_path / "s.sock"), alpha=0.01) as srv:
+            result, stats = replay(
+                srv.sock, events, frame_size=64, connections=3
+            )
+        assert result.num_arrivals == 572
+        assert result.num_errors == stats["errors"] == 0
+        assert result.num_released == result.num_admitted
+        assert result.num_skipped == result.num_rejected
+        assert stats["coalesced_ops"] == 572 + result.num_released
+        assert stats["established"] == 0
+
+
+class TestFrameLatency:
+    @staticmethod
+    def with_latencies(latencies):
+        return LoadgenResult(
+            mode="service", batch_size=1, num_arrivals=0, num_admitted=0,
+            num_rejected=0, num_released=0, elapsed_seconds=1.0,
+            frame_latencies=tuple(latencies),
+        )
+
+    def test_percentile_is_nearest_rank(self):
+        hundred = self.with_latencies(range(1, 101))
+        assert hundred.latency_percentile(0.99) == 99
+        assert hundred.latency_percentile(0.50) == 50
+        assert hundred.latency_percentile(1.0) == 100
+        assert hundred.latency_percentile(0.0) == 1
+        assert self.with_latencies([2, 1]).latency_percentile(0.5) == 1
+
+    def test_no_frames_no_latency(self):
+        result = self.with_latencies([])
+        assert result.frames == 0
+        assert result.latency_summary() == {
+            "p50_ms": 0.0, "p90_ms": 0.0, "p99_ms": 0.0,
+        }

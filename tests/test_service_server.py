@@ -140,9 +140,16 @@ async def raw_connection(sock):
 async def start_pre_v2_peer(sock):
     """A peer built before ``hello`` existed: it answers the proposal
     ``unknown_op``, like any op it does not know, and serves v1 lines
-    (admits admitted, releases released, the rest ok).  Returns the
-    listener and the requests it saw."""
+    (admits admitted, releases released, each op of a batch likewise,
+    the rest ok).  Returns the listener and the requests it saw."""
     seen = []
+
+    def answer(op):
+        if op == "admit":
+            return {"admitted": True, "reason": "", "batch_size": 1}
+        if op == "release":
+            return {"released": True}
+        return {"status": "ok"}
 
     async def serve(reader, writer):
         while line := await reader.readline():
@@ -153,14 +160,13 @@ async def start_pre_v2_peer(sock):
                 response = protocol.error_response(
                     rid, protocol.UNKNOWN_OP, f"unknown op {op!r}"
                 )
-            elif op == "admit":
-                response = protocol.ok_response(
-                    rid, {"admitted": True, "reason": "", "batch_size": 1}
-                )
-            elif op == "release":
-                response = protocol.ok_response(rid, {"released": True})
+            elif op == "batch":
+                response = protocol.ok_response(rid, {"results": [
+                    {"ok": True, "result": answer(sub["op"])}
+                    for sub in request["ops"]
+                ]})
             else:
-                response = protocol.ok_response(rid, {"status": "ok"})
+                response = protocol.ok_response(rid, answer(op))
             writer.write(protocol.encode_frame(response))
             await writer.drain()
         writer.close()

@@ -324,6 +324,30 @@ RATCHETS = (
         ),
     ),
     Ratchet(
+        name="One wire driver",
+        why=(
+            "loadgen --socket replays on one event loop through "
+            "service.replay.replay_events, which returns the in-process "
+            "driver's LoadgenResult and releases only what it saw "
+            "admitted.  A thread pool of sync clients, each on its own "
+            "loop, with a second result type and a merge step, sent "
+            "every departure of a rejected flow: 29 % of the ops one "
+            "MCI replay made the server decide were errors."
+        ),
+        pattern=(
+            r"ThreadPoolExecutor|replay_events_concurrent"
+            r"|ServiceReplayResult|replay_trace"
+        ),
+        roots=("src/repro",),
+        offender=(
+            "src/repro/service/replay.py",
+            "from concurrent.futures import ThreadPoolExecutor",
+        ),
+        # Schedule generation in parallel chunks (loadgen --workers),
+        # long before anything reaches a socket.
+        allowed=(r"^src/repro/workload/arrivals\.py:",),
+    ),
+    Ratchet(
         name="One slot ledger: no per-edge quota controller",
         why=(
             "A shard is a UtilizationLedger whose capacity is a row of "
