@@ -37,13 +37,14 @@ if TYPE_CHECKING:
     from .fixedpoint import (
         DEFAULT_TOLERANCE,
         FixedPointResult,
+        FixedPointWorkspace,
+        Theorem3Map,
         solve_fixed_point,
     )
     from .multiclass import ClassDelays, MultiClassResult, multi_class_delays
     from .netcalc import FlowAwareResult, flow_aware_delays, static_priority_delay
     from .reshaped import reshaped_delay_bound, reshaped_max_alpha
-    from .routesystem import GrowableRouteSystem, RouteSystem
-    from .scratch import FixedPointWorkspace, Theorem3Map
+    from .routesystem import RouteSystem
     from .sensitivity import (
         RouteSlack,
         SensitivityReport,
@@ -67,12 +68,14 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "aggregate_envelope_delay", "busy_period_terms", "even_split",
         "lemma2_delay", "theorem2_worst_delay",
     ),
-    ".fixedpoint": ("DEFAULT_TOLERANCE", "FixedPointResult", "solve_fixed_point"),
+    ".fixedpoint": (
+        "DEFAULT_TOLERANCE", "FixedPointResult", "FixedPointWorkspace",
+        "Theorem3Map", "solve_fixed_point",
+    ),
     ".multiclass": ("ClassDelays", "MultiClassResult", "multi_class_delays"),
     ".netcalc": ("FlowAwareResult", "flow_aware_delays", "static_priority_delay"),
     ".reshaped": ("reshaped_delay_bound", "reshaped_max_alpha"),
-    ".routesystem": ("GrowableRouteSystem", "RouteSystem"),
-    ".scratch": ("FixedPointWorkspace", "Theorem3Map"),
+    ".routesystem": ("RouteSystem",),
     ".sensitivity": (
         "RouteSlack", "SensitivityReport", "ServerLoad", "critical_alpha",
         "sensitivity_report",

@@ -24,10 +24,11 @@ from .beta import beta_coefficient
 from .fixedpoint import (
     DEFAULT_TOLERANCE,
     FixedPointResult,
+    FixedPointWorkspace,
+    Theorem3Map,
     solve_fixed_point,
 )
 from .routesystem import RouteSystem
-from .scratch import FixedPointWorkspace, Theorem3Map
 
 __all__ = [
     "resolve_fan_in",
@@ -71,12 +72,11 @@ def theorem3_update(
     zero delay; this keeps reported vectors clean and does not affect any
     route sum.
 
-    Returns a callable :class:`~repro.analysis.scratch.Theorem3Map`; the
-    fixed-point solver recognizes it and, when handed a workspace, runs
-    the allocation-free scratch path.  ``beta_full`` optionally supplies a
-    precomputed unmasked ``beta_coefficient(alpha, rate, fan_in)`` so
-    callers probing many route sets at one utilization skip recomputing it
-    per trial.
+    Returns a :class:`~repro.analysis.fixedpoint.Theorem3Map` for
+    :func:`~repro.analysis.fixedpoint.solve_fixed_point`.  ``beta_full``
+    optionally supplies a precomputed unmasked
+    ``beta_coefficient(alpha, rate, fan_in)`` so callers probing many
+    route sets at one utilization skip recomputing it per trial.
     """
     if burst < 0 or rate <= 0:
         raise AnalysisError("need burst >= 0 and rate > 0")
@@ -166,8 +166,8 @@ def single_class_delays(
     early_deadline_exit:
         Stop as soon as some route provably misses the deadline.
     workspace:
-        Optional scratch buffers enabling the allocation-free solver path
-        (reused across calls, e.g. by the binary search over ``alpha``).
+        Optional solver buffers to reuse across calls (e.g. by the binary
+        search over ``alpha``).
     """
     if not traffic_class.is_realtime:
         raise AnalysisError(

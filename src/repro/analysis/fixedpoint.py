@@ -20,34 +20,38 @@ A diverging iteration (utilization too high for this route structure)
 is reported as ``converged=False`` with ``diverged=True`` once the iterates
 cross a configurable ceiling, or when the iteration budget is exhausted.
 
-Two execution paths produce bit-identical results:
-
-* the **reference path** iterates an arbitrary monotone callable and
-  allocates fresh arrays each step (simple, obviously correct);
-* the **scratch path** runs when a :class:`~repro.analysis.scratch.
-  FixedPointWorkspace` is supplied and the update is a
-  :class:`~repro.analysis.scratch.Theorem3Map`: the cumulative-sum pass
-  shared by the route-delay and upstream kernels is computed once per
-  iteration, and every intermediate lives in preallocated buffers, so the
-  inner loop performs zero heap allocation.  The floating-point operations
-  and their order are identical to the reference path — property tests
-  assert exact (bitwise) equality of the results.
+There is one loop.  Every ``Z`` in this package has the form
+``d = f(Y(d))``: the loop computes ``Y`` from the route system and hands
+it to the map's ``apply(y, out)``, which writes ``f(Y)`` in place —
+:class:`Theorem3Map` for one real-time class, and
+:class:`~repro.analysis.multiclass.Theorem5Map` for several, stacked into
+one route system.  The cumulative-sum pass shared by ``Y`` and the
+per-route delay sums is computed once per iteration, and every
+intermediate lives in the buffers of a :class:`FixedPointWorkspace`, so
+the inner loop performs zero heap allocation.  Route selection solves
+thousands of fixed points per configuration run and passes one
+workspace to all of them; without one, a solve makes its own.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Protocol, Union
 
 import numpy as np
 
 from ..errors import AnalysisError
 from ..obs import DEFAULT_ITERATION_BUCKETS, OBS
-from .routesystem import RouteSystem
-from .scratch import FixedPointWorkspace, Theorem3Map
+from .routesystem import RouteSystem, _grown
 
-__all__ = ["FixedPointResult", "solve_fixed_point", "DEFAULT_TOLERANCE"]
+__all__ = [
+    "DEFAULT_TOLERANCE",
+    "FixedPointResult",
+    "FixedPointWorkspace",
+    "Theorem3Map",
+    "solve_fixed_point",
+]
 
 logger = logging.getLogger("repro.analysis.fixedpoint")
 
@@ -60,6 +64,13 @@ DEFAULT_CEILING = 1e6
 
 #: Per-route deadlines: one bound per route, or a scalar applied to all.
 Deadlines = Union[np.ndarray, float, None]
+
+
+class DelayMap(Protocol):
+    """The per-server part of ``Z``: delays from upstream jitter ``Y``."""
+
+    def apply(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Write ``Z`` for upstream-jitter vector ``y`` into ``out``."""
 
 
 @dataclass
@@ -99,9 +110,111 @@ class FixedPointResult:
         return self.converged and not self.deadline_violated
 
 
+class FixedPointWorkspace:
+    """Reusable buffers for allocation-free fixed-point iteration.
+
+    One workspace serves any sequence of solves; ``ensure`` is called at
+    the start of each solve and only reallocates when a dimension first
+    exceeds the high-water mark, so a workspace owned by a selector
+    amortizes to zero allocation across an entire binary search.  Buffers
+    are handed out as views of the live prefix, so callers must copy
+    anything they keep (the solver copies its result vectors before
+    returning).
+    """
+
+    __slots__ = (
+        "_servers",
+        "_occ",
+        "_routes",
+        "d",
+        "d_next",
+        "y",
+        "work",
+        "d_occ",
+        "csum",
+        "prefix",
+        "base",
+        "route_lo",
+        "route_hi",
+        "route_d",
+        "route_cmp",
+        "resizes",
+    )
+
+    def __init__(self):
+        self._servers = 0
+        self._occ = 0
+        self._routes = 0
+        self.resizes = 0
+        self._alloc_servers(16)
+        self._alloc_occ(64)
+        self._alloc_routes(16)
+
+    def _alloc_servers(self, n: int) -> None:
+        self._servers = n
+        self.d = np.empty(n, dtype=np.float64)
+        self.d_next = np.empty(n, dtype=np.float64)
+        self.y = np.empty(n, dtype=np.float64)
+        self.work = np.empty(n, dtype=np.float64)
+
+    def _alloc_occ(self, n: int) -> None:
+        self._occ = n
+        self.d_occ = np.empty(n, dtype=np.float64)
+        self.csum = np.empty(n + 1, dtype=np.float64)
+        self.prefix = np.empty(n, dtype=np.float64)
+        self.base = np.empty(n, dtype=np.float64)
+
+    def _alloc_routes(self, n: int) -> None:
+        self._routes = n
+        self.route_lo = np.empty(n, dtype=np.float64)
+        self.route_hi = np.empty(n, dtype=np.float64)
+        self.route_d = np.empty(n, dtype=np.float64)
+        self.route_cmp = np.empty(n, dtype=bool)
+
+    def ensure(self, num_servers: int, num_occ: int, num_routes: int) -> None:
+        """Make every buffer large enough for the given system sizes."""
+        if num_servers > self._servers:
+            self._alloc_servers(_grown(num_servers, self._servers))
+            self.resizes += 1
+        if num_occ > self._occ:
+            self._alloc_occ(_grown(num_occ, self._occ))
+            self.resizes += 1
+        if num_routes > self._routes:
+            self._alloc_routes(_grown(num_routes, self._routes))
+            self.resizes += 1
+
+
+class Theorem3Map:
+    """The monotone eq. (14) map ``Z(d) = beta * (T + rho * Y(d))``.
+
+    ``beta`` is the per-server Theorem 3 coefficient already masked to
+    zero on servers no route touches.  The solver calls :meth:`apply`
+    with ``Y``; calling the object evaluates ``Z(d)`` with the route
+    system's allocating kernels.
+    """
+
+    __slots__ = ("system", "burst", "rate", "beta")
+
+    def __init__(self, system, burst: float, rate: float, beta: np.ndarray):
+        self.system = system
+        self.burst = float(burst)
+        self.rate = float(rate)
+        self.beta = beta
+
+    def apply(self, y: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(y, self.rate, out=out)
+        np.add(out, self.burst, out=out)
+        np.multiply(out, self.beta, out=out)
+
+    def __call__(self, d: np.ndarray) -> np.ndarray:
+        out = np.empty(self.system.num_servers, dtype=np.float64)
+        self.apply(self.system.upstream_delays(d), out)
+        return out
+
+
 def solve_fixed_point(
     system: RouteSystem,
-    update: Callable[[np.ndarray], np.ndarray],
+    update: DelayMap,
     *,
     initial: Optional[np.ndarray] = None,
     deadlines: Deadlines = None,
@@ -115,14 +228,12 @@ def solve_fixed_point(
     Parameters
     ----------
     system:
-        Route system used to evaluate per-route delays (for the deadline
-        early exit and the reported ``route_delays``).  Either a
-        :class:`RouteSystem` or a
-        :class:`~repro.analysis.routesystem.GrowableRouteSystem`.
+        Route system giving ``Y`` to ``update`` and the per-route delays
+        (for the deadline early exit and the reported ``route_delays``).
     update:
-        The monotone map ``Z``; receives and returns ``float64[S]``.
-        For the single-class Theorem 3 map use
-        :func:`repro.analysis.delays.theorem3_update`.
+        The monotone map: ``update.apply(y, out)`` writes ``Z`` for the
+        upstream-jitter vector ``y`` into ``out``.  For the single-class
+        Theorem 3 map use :func:`repro.analysis.delays.theorem3_update`.
     initial:
         Warm-start vector (must be pointwise <= the least fixed point —
         callers are responsible; ``update(d0) >= d0`` is checked).
@@ -130,15 +241,14 @@ def solve_fixed_point(
         Optional per-route deadlines enabling early failure: a
         ``float64[R]`` array or a scalar applied to every route.
     workspace:
-        Optional scratch buffers enabling the allocation-free fast path
-        (requires ``update`` to be a Theorem 3 map; other updates fall
-        back to the reference path).
+        Buffers to reuse (e.g. across the probes of a binary search);
+        a solve without one makes its own.
     """
-    use_scratch = workspace is not None and isinstance(update, Theorem3Map)
-    solver = _solve_scratch if use_scratch else _solve
+    if workspace is None:
+        workspace = FixedPointWorkspace()
     # Fast path: observability off (the default) adds one attribute load.
     if not OBS.enabled:
-        return solver(
+        return _solve(
             system,
             update,
             workspace=workspace,
@@ -155,9 +265,8 @@ def solve_fixed_point(
         routes=system.num_routes,
         servers=system.num_servers,
         warm_start=warm,
-        scratch=use_scratch,
     ) as sp:
-        result = solver(
+        result = _solve(
             system,
             update,
             workspace=workspace,
@@ -176,8 +285,6 @@ def solve_fixed_point(
         "repro_fixedpoint_iterations", buckets=DEFAULT_ITERATION_BUCKETS
     ).observe(result.iterations)
     reg.gauge("repro_fixedpoint_last_residual").set(result.residual)
-    if use_scratch:
-        reg.counter("repro_fixedpoint_scratch_solves_total").inc()
     if warm:
         reg.counter("repro_fixedpoint_warm_starts_total").inc()
     if result.deadline_violated and not result.converged:
@@ -202,99 +309,9 @@ def _outcome(result: FixedPointResult) -> str:
     return "budget_exhausted"
 
 
-def _validate(tolerance: float, max_iterations: int) -> None:
-    if tolerance <= 0:
-        raise AnalysisError(f"tolerance must be positive, got {tolerance}")
-    if max_iterations < 1:
-        raise AnalysisError("max_iterations must be >= 1")
-
-
 def _solve(
     system: RouteSystem,
-    update: Callable[[np.ndarray], np.ndarray],
-    *,
-    workspace: Optional[FixedPointWorkspace],
-    initial: Optional[np.ndarray],
-    deadlines: Deadlines,
-    tolerance: float,
-    max_iterations: int,
-    ceiling: float,
-) -> FixedPointResult:
-    _validate(tolerance, max_iterations)
-
-    if initial is None:
-        d = np.zeros(system.num_servers, dtype=np.float64)
-        d = update(d)  # zero-jitter starting point beta*T
-    else:
-        d = np.asarray(initial, dtype=np.float64).copy()
-        if d.shape != (system.num_servers,):
-            raise AnalysisError(
-                f"initial vector has shape {d.shape}, "
-                f"expected ({system.num_servers},)"
-            )
-        d_next = update(d)
-        if np.any(d_next < d - tolerance):
-            raise AnalysisError(
-                "warm start is above the least fixed point "
-                "(update decreased some delay); start from zero instead"
-            )
-        d = d_next
-
-    residual = float("inf")
-    for iteration in range(1, max_iterations + 1):
-        route_d = system.route_delays(d)
-        if deadlines is not None and np.any(route_d > deadlines):
-            return FixedPointResult(
-                delays=d,
-                route_delays=route_d,
-                converged=False,
-                deadline_violated=True,
-                diverged=False,
-                iterations=iteration,
-                residual=residual,
-            )
-        if float(d.max(initial=0.0)) > ceiling:
-            return FixedPointResult(
-                delays=d,
-                route_delays=route_d,
-                converged=False,
-                deadline_violated=False,
-                diverged=True,
-                iterations=iteration,
-                residual=residual,
-            )
-        d_next = update(d)
-        residual = float(np.abs(d_next - d).max(initial=0.0))
-        d = d_next
-        if residual <= tolerance:
-            route_d = system.route_delays(d)
-            violated = deadlines is not None and bool(
-                np.any(route_d > deadlines)
-            )
-            return FixedPointResult(
-                delays=d,
-                route_delays=route_d,
-                converged=True,
-                deadline_violated=violated,
-                diverged=False,
-                iterations=iteration,
-                residual=residual,
-            )
-
-    return FixedPointResult(
-        delays=d,
-        route_delays=system.route_delays(d),
-        converged=False,
-        deadline_violated=False,
-        diverged=False,
-        iterations=max_iterations,
-        residual=residual,
-    )
-
-
-def _solve_scratch(
-    system: RouteSystem,
-    update: Theorem3Map,
+    update: DelayMap,
     *,
     workspace: FixedPointWorkspace,
     initial: Optional[np.ndarray],
@@ -303,17 +320,21 @@ def _solve_scratch(
     max_iterations: int,
     ceiling: float,
 ) -> FixedPointResult:
-    """Allocation-free twin of :func:`_solve` for the Theorem 3 map.
-
-    Performs the same floating-point operations in the same order as the
-    reference path (the shared cumulative sum is a pure gather/cumsum of
-    the same operands), so results are bit-identical.
-    """
-    _validate(tolerance, max_iterations)
+    if tolerance <= 0:
+        raise AnalysisError(f"tolerance must be positive, got {tolerance}")
+    if max_iterations < 1:
+        raise AnalysisError("max_iterations must be >= 1")
     ws = workspace
     S = system.num_servers
     M = system.num_occurrences
     R = system.num_routes
+    if deadlines is not None:
+        deadlines = np.asarray(deadlines, dtype=np.float64)
+        if deadlines.ndim and deadlines.shape != (R,):
+            raise AnalysisError(
+                f"deadlines has shape {deadlines.shape}, expected a scalar "
+                f"or ({R},)"
+            )
     ws.ensure(S, M, R)
 
     occ_server = system.occ_server
@@ -321,9 +342,6 @@ def _solve_scratch(
     starts = system.route_start
     start_lo = starts[:-1]
     start_hi = starts[1:]
-    beta = update.beta
-    burst = update.burst
-    rate = update.rate
 
     d = ws.d[:S]
     d_next = ws.d_next[:S]
@@ -361,9 +379,7 @@ def _solve_scratch(
         np.subtract(csum_head, base, out=prefix)
         y.fill(0.0)
         np.maximum.at(y, occ_server, prefix)
-        np.multiply(y, rate, out=out)
-        np.add(out, burst, out=out)
-        np.multiply(out, beta, out=out)
+        update.apply(y, out)
 
     if initial is None:
         d.fill(0.0)

@@ -26,6 +26,10 @@ class-``l`` traffic appear elsewhere).
 All classes are iterated *jointly* to the least fixed point; the update is
 monotone for fan-in >= 2 (see the derivative analysis in DESIGN.md), which
 the constructor enforces when more than one real-time class is present.
+The joint iteration is the single-class loop of
+:func:`~repro.analysis.fixedpoint.solve_fixed_point` over one route
+system that stacks the classes side by side, with :class:`Theorem5Map`
+in place of the Theorem 3 map.
 """
 
 from __future__ import annotations
@@ -39,12 +43,12 @@ from ..errors import AnalysisError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry, TrafficClass
 from .delays import resolve_fan_in
-from .fixedpoint import DEFAULT_TOLERANCE
+from .fixedpoint import DEFAULT_TOLERANCE, solve_fixed_point
 from .routesystem import RouteSystem
 
-__all__ = ["MultiClassResult", "ClassDelays", "multi_class_delays"]
-
-_CEILING = 1e6  # seconds; divergence guard
+__all__ = [
+    "MultiClassResult", "ClassDelays", "Theorem5Map", "multi_class_delays",
+]
 
 
 @dataclass
@@ -153,109 +157,113 @@ def multi_class_delays(
             "(monotonicity of the Theorem 5 update)"
         )
 
-    systems = [
-        RouteSystem(
-            graph.routes_servers(routes_by_class[c.name]), graph.num_servers
-        )
-        for c in rt_classes
-    ]
-    touched = np.stack([s.touched_servers for s in systems])  # bool[i, k]
-    bursts = np.asarray([c.burst for c in rt_classes])
-    rates = np.asarray([c.rate for c in rt_classes])
-    deadlines = np.asarray([c.deadline for c in rt_classes])
-
     n_classes = len(rt_classes)
     n_servers = graph.num_servers
+    # One route system over C*S servers: class i's routes live on servers
+    # [i*S, (i+1)*S), so the shared loop computes every class's own Y.
+    class_routes = [
+        graph.routes_servers(routes_by_class[c.name]) for c in rt_classes
+    ]
+    system = RouteSystem(
+        [
+            np.asarray(r, dtype=np.int64) + i * n_servers
+            for i, routes in enumerate(class_routes)
+            for r in routes
+        ],
+        n_classes * n_servers,
+    )
+    counts = [len(routes) for routes in class_routes]
+    deadlines = np.asarray([c.deadline for c in rt_classes])
+    initial = None
     if warm_start is not None:
-        d = np.asarray(warm_start, dtype=np.float64).copy()
-        if d.shape != (n_classes, n_servers):
+        initial = np.asarray(warm_start, dtype=np.float64)
+        if initial.shape != (n_classes, n_servers):
             raise AnalysisError(
-                f"warm start has shape {d.shape}, expected "
+                f"warm start has shape {initial.shape}, expected "
                 f"({n_classes}, {n_servers})"
             )
-    else:
-        d = np.zeros((n_classes, n_servers), dtype=np.float64)
+        initial = initial.reshape(-1)
 
-    cum_incl = np.cumsum(alpha_vec)            # sum_{l<=i} alpha_l
-    cum_excl = cum_incl - alpha_vec            # sum_{l<i} alpha_l
+    update = Theorem5Map(
+        system.touched_servers.reshape(n_classes, n_servers),
+        np.asarray([c.burst for c in rt_classes]),
+        np.asarray([c.rate for c in rt_classes]),
+        alpha_vec,
+        fan_in,
+    )
+    result = solve_fixed_point(
+        system,
+        update,
+        initial=initial,
+        deadlines=np.repeat(deadlines, counts) if early_deadline_exit else None,
+        tolerance=tolerance,
+        max_iterations=max_iterations,
+    )
 
-    def update(cur: np.ndarray) -> np.ndarray:
-        # Upstream jitter per class along its own routes.
-        y = np.stack(
-            [systems[i].upstream_delays(cur[i]) for i in range(n_classes)]
-        )
-        base = bursts[:, None] + rates[:, None] * y          # T_l + rho_l*Y
-        a_term = base * (alpha_vec / rates)[:, None]          # A_l
-        g_term = base * (
-            alpha_vec[:, None]
-            / (rates[:, None] * (fan_in[None, :] - alpha_vec[:, None]))
-        )
-        # Mask classes absent from a server out of the interference sums.
-        a_term = np.where(touched, a_term, 0.0)
-        g_masked = np.where(touched, g_term, np.inf)
-
-        out = np.empty_like(cur)
-        for i in range(n_classes):
-            a_sum = a_term[: i + 1].sum(axis=0)
-            g_min = g_masked[: i + 1].min(axis=0)
-            # Servers where no class <= i is present: delay 0.
-            present = np.isfinite(g_min)
-            g_min = np.where(present, g_min, 0.0)
-            num = a_sum + (cum_incl[i] - 1.0) * g_min
-            denom = 1.0 - cum_excl[i]
-            d_i = np.where(present, num / denom, 0.0)
-            # Class i's delay only matters where class i itself flows.
-            out[i] = np.where(touched[i], np.maximum(d_i, 0.0), 0.0)
-        return out
-
-    residual = float("inf")
-    converged = False
-    violated = False
-    diverged = False
-    iterations = 0
-    d_next = update(d)
-    if warm_start is not None and np.any(d_next < d - tolerance):
-        raise AnalysisError(
-            "warm start is above the least fixed point "
-            "(update decreased some delay); start from zero instead"
-        )
-    d = d_next
-    for iterations in range(1, max_iterations + 1):
-        if early_deadline_exit:
-            for i in range(n_classes):
-                rd = systems[i].route_delays(d[i])
-                if rd.size and float(rd.max()) > deadlines[i]:
-                    violated = True
-                    break
-            if violated:
-                break
-        if float(d.max(initial=0.0)) > _CEILING:
-            diverged = True
-            break
-        d_next = update(d)
-        residual = float(np.abs(d_next - d).max(initial=0.0))
-        d = d_next
-        if residual <= tolerance:
-            converged = True
-            break
-
+    d = result.delays.reshape(n_classes, n_servers)
+    bounds = np.cumsum([0] + counts)
     per_class = {}
     for i, cls in enumerate(rt_classes):
         per_class[cls.name] = ClassDelays(
             class_name=cls.name,
             deadline=float(deadlines[i]),
             server_delays=d[i],
-            route_delays=systems[i].route_delays(d[i]),
+            route_delays=result.route_delays[bounds[i] : bounds[i + 1]],
         )
-    if converged:
+    violated = result.deadline_violated
+    if result.converged:
         violated = violated or any(
             not c.meets_deadline for c in per_class.values()
         )
     return MultiClassResult(
         per_class=per_class,
-        converged=converged,
+        converged=result.converged,
         deadline_violated=violated,
-        diverged=diverged,
-        iterations=iterations,
-        residual=residual,
+        diverged=result.diverged,
+        iterations=result.iterations,
+        residual=result.residual,
     )
+
+
+class Theorem5Map:
+    """The Theorem 5 update on ``(C, S)`` views of the stacked vectors.
+
+    ``touched[i, k]`` says whether some class-``i`` route traverses
+    server ``k``; classes absent from a server are masked out of the
+    interference sums there.
+    """
+
+    def __init__(
+        self,
+        touched: np.ndarray,
+        bursts: np.ndarray,
+        rates: np.ndarray,
+        alphas: np.ndarray,
+        fan_in: np.ndarray,
+    ):
+        self.touched = touched
+        self.bursts = bursts[:, None]
+        self.rates = rates[:, None]
+        self.a_coef = (alphas / rates)[:, None]
+        self.g_coef = alphas[:, None] / (
+            rates[:, None] * (fan_in[None, :] - alphas[:, None])
+        )
+        self.cum_incl = np.cumsum(alphas)           # sum_{l<=i} alpha_l
+        self.cum_excl = self.cum_incl - alphas      # sum_{l<i} alpha_l
+
+    def apply(self, y: np.ndarray, out: np.ndarray) -> None:
+        touched = self.touched
+        out = out.reshape(touched.shape)
+        base = self.bursts + self.rates * y.reshape(touched.shape)
+        a_term = np.where(touched, base * self.a_coef, 0.0)       # A_l
+        g_masked = np.where(touched, base * self.g_coef, np.inf)  # g_l
+        for i in range(touched.shape[0]):
+            a_sum = a_term[: i + 1].sum(axis=0)
+            g_min = g_masked[: i + 1].min(axis=0)
+            # Servers where no class <= i is present: delay 0.
+            present = np.isfinite(g_min)
+            g_min = np.where(present, g_min, 0.0)
+            num = a_sum + (self.cum_incl[i] - 1.0) * g_min
+            d_i = np.where(present, num / (1.0 - self.cum_excl[i]), 0.0)
+            # Class i's delay only matters where class i itself flows.
+            out[i] = np.where(touched[i], np.maximum(d_i, 0.0), 0.0)

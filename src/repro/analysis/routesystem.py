@@ -10,29 +10,32 @@ server ``k``,
 :class:`RouteSystem` flattens a set of routes (arrays of server indices)
 into occurrence arrays so both quantities are computed with vectorized
 NumPy segmented prefix sums — no Python-level loop over routes in the hot
-path.  Systems are immutable; :class:`GrowableRouteSystem` is the mutable
-builder the route-selection heuristic uses to trial candidates with
-amortized O(route-length) ``push``/``pop`` instead of an O(total
-occurrences) rebuild per candidate.
-
-Both classes expose the same kernel interface (``occ_server``,
-``occ_start``, ``route_start``, ``upstream_delays``, ``route_delays``),
-so the fixed-point solver and the Theorem 3 map accept either.
+path.  The occurrence buffers grow geometrically, so the route-selection
+heuristic trials a candidate with an amortized O(route-length)
+``push``/``pop`` instead of an O(total occurrences) rebuild.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from ..errors import AnalysisError
 
-__all__ = ["RouteSystem", "GrowableRouteSystem"]
+__all__ = ["RouteSystem"]
+
+
+def _grown(size: int, current: int) -> int:
+    """Geometric growth target covering ``size`` (amortized O(1) pushes)."""
+    cap = max(current, 16)
+    while cap < size:
+        cap *= 2
+    return cap
 
 
 class RouteSystem:
-    """An immutable, index-compiled set of routes over ``num_servers`` servers.
+    """An index-compiled set of routes over ``num_servers`` servers.
 
     Parameters
     ----------
@@ -42,221 +45,19 @@ class RouteSystem:
     num_servers:
         Total number of link servers in the graph (array sizes).
 
+    ``occ_server``, ``occ_start`` and ``route_start`` are zero-copy views
+    of the live prefix of the buffers; :meth:`push` and :meth:`pop` change
+    them, so callers must not hold them across a mutation.
+
     Attributes
     ----------
     occ_server:
         ``int64[M]`` server index of every (route, position) occurrence,
         routes concatenated in order.
-    occ_route:
-        ``int64[M]`` route index of every occurrence.
+    occ_start:
+        ``int64[M]`` start offset of the owning route, per occurrence.
     route_start:
         ``int64[R+1]`` offsets of each route in the occurrence arrays.
-    """
-
-    __slots__ = (
-        "num_servers",
-        "num_routes",
-        "occ_server",
-        "occ_route",
-        "route_start",
-        "_touched",
-        "_route_lengths",
-        "_occ_start",
-    )
-
-    def __init__(self, routes: Sequence[Sequence[int]], num_servers: int):
-        if num_servers <= 0:
-            raise AnalysisError("route system needs at least one server")
-        arrays: List[np.ndarray] = []
-        for i, r in enumerate(routes):
-            arr = np.asarray(r, dtype=np.int64)
-            if arr.ndim != 1 or arr.size == 0:
-                raise AnalysisError(f"route {i} must be a non-empty 1-D array")
-            arrays.append(arr)
-
-        self.num_servers = int(num_servers)
-        self.num_routes = len(arrays)
-        lengths = np.asarray([a.size for a in arrays], dtype=np.int64)
-        self.route_start = np.concatenate(
-            [[0], np.cumsum(lengths)]
-        ).astype(np.int64)
-        if arrays:
-            self.occ_server = np.concatenate(arrays)
-            self.occ_route = np.repeat(
-                np.arange(self.num_routes, dtype=np.int64), lengths
-            )
-            # One range check over the concatenation instead of two
-            # reductions per route — construction is a measured hot spot.
-            lo = int(self.occ_server.min())
-            hi = int(self.occ_server.max())
-            if lo < 0 or hi >= num_servers:
-                bad = int(
-                    self.occ_route[
-                        np.argmax(
-                            (self.occ_server < 0)
-                            | (self.occ_server >= num_servers)
-                        )
-                    ]
-                )
-                raise AnalysisError(
-                    f"route {bad} references servers outside "
-                    f"[0, {num_servers})"
-                )
-        else:
-            self.occ_server = np.empty(0, dtype=np.int64)
-            self.occ_route = np.empty(0, dtype=np.int64)
-        touched = np.zeros(self.num_servers, dtype=bool)
-        touched[self.occ_server] = True
-        self._touched = touched
-        self._route_lengths = lengths
-        self._occ_start: Optional[np.ndarray] = None
-
-    @classmethod
-    def _from_parts(
-        cls,
-        occ_server: np.ndarray,
-        occ_route: np.ndarray,
-        route_start: np.ndarray,
-        touched: np.ndarray,
-        num_servers: int,
-    ) -> "RouteSystem":
-        """Assemble a system from already-validated occurrence arrays."""
-        self = object.__new__(cls)
-        self.num_servers = int(num_servers)
-        self.num_routes = int(route_start.size - 1)
-        self.occ_server = occ_server
-        self.occ_route = occ_route
-        self.route_start = route_start
-        self._touched = touched
-        self._route_lengths = np.diff(route_start)
-        self._occ_start = None
-        return self
-
-    # ------------------------------------------------------------------ #
-    # basic queries
-    # ------------------------------------------------------------------ #
-
-    @property
-    def num_occurrences(self) -> int:
-        return int(self.occ_server.size)
-
-    @property
-    def touched_servers(self) -> np.ndarray:
-        """Boolean mask of servers used by at least one route."""
-        return self._touched
-
-    @property
-    def occ_start(self) -> np.ndarray:
-        """``int64[M]`` start offset of the owning route, per occurrence."""
-        if self._occ_start is None:
-            self._occ_start = self.route_start[self.occ_route]
-        return self._occ_start
-
-    def route(self, index: int) -> np.ndarray:
-        """Server indices of route ``index`` (a view, do not mutate)."""
-        lo, hi = self.route_start[index], self.route_start[index + 1]
-        return self.occ_server[lo:hi]
-
-    def route_lengths(self) -> np.ndarray:
-        return self._route_lengths
-
-    def with_route(self, route: Sequence[int]) -> "RouteSystem":
-        """A new system with ``route`` appended (used by the heuristic).
-
-        Concatenates the existing occurrence arrays directly — O(M + len)
-        with a single validation pass over the new route, instead of
-        re-slicing and re-validating every committed route.
-        """
-        arr = np.asarray(route, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise AnalysisError(
-                f"route {self.num_routes} must be a non-empty 1-D array"
-            )
-        if arr.min() < 0 or arr.max() >= self.num_servers:
-            raise AnalysisError(
-                f"route {self.num_routes} references servers outside "
-                f"[0, {self.num_servers})"
-            )
-        occ_server = np.concatenate([self.occ_server, arr])
-        occ_route = np.concatenate(
-            [
-                self.occ_route,
-                np.full(arr.size, self.num_routes, dtype=np.int64),
-            ]
-        )
-        route_start = np.concatenate(
-            [self.route_start, [self.num_occurrences + arr.size]]
-        ).astype(np.int64)
-        touched = self._touched.copy()
-        touched[arr] = True
-        return RouteSystem._from_parts(
-            occ_server, occ_route, route_start, touched, self.num_servers
-        )
-
-    # ------------------------------------------------------------------ #
-    # vectorized kernels
-    # ------------------------------------------------------------------ #
-
-    def upstream_delays(self, d: np.ndarray) -> np.ndarray:
-        """The paper's ``Y`` vector (eq. 6) for per-server delays ``d``.
-
-        ``Y[k]`` is the maximum over occurrences of server ``k`` of the sum
-        of delays at the servers preceding it on the same route; 0 for
-        servers no route traverses (and for first-hop occurrences).
-        """
-        y = np.zeros(self.num_servers, dtype=np.float64)
-        if self.num_occurrences == 0:
-            return y
-        prefix = self._prefix_sums(d)
-        np.maximum.at(y, self.occ_server, prefix)
-        return y
-
-    def route_delays(self, d: np.ndarray) -> np.ndarray:
-        """End-to-end delay of every route: segment sums of ``d``."""
-        if self.num_routes == 0:
-            return np.empty(0, dtype=np.float64)
-        d_occ = d[self.occ_server]
-        csum = np.concatenate([[0.0], np.cumsum(d_occ)])
-        return csum[self.route_start[1:]] - csum[self.route_start[:-1]]
-
-    def _prefix_sums(self, d: np.ndarray) -> np.ndarray:
-        """Exclusive per-route prefix sums of ``d`` at every occurrence."""
-        d_occ = d[self.occ_server]
-        csum = np.concatenate([[0.0], np.cumsum(d_occ)])
-        # exclusive prefix within the whole concatenation ...
-        exclusive = csum[:-1]
-        # ... minus the running total at each route's start (a gather via
-        # the cached per-occurrence start offsets — no np.repeat rebuild)
-        return exclusive - csum[self.occ_start]
-
-    def server_route_count(self) -> np.ndarray:
-        """Number of route occurrences per server (load indicator)."""
-        counts = np.zeros(self.num_servers, dtype=np.int64)
-        np.add.at(counts, self.occ_server, 1)
-        return counts
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RouteSystem(routes={self.num_routes}, "
-            f"occurrences={self.num_occurrences}, "
-            f"servers={self.num_servers})"
-        )
-
-
-class GrowableRouteSystem:
-    """A mutable route system with amortized O(route-length) append/undo.
-
-    The Section 5.2 heuristic trials one candidate at a time on top of the
-    committed set: ``push`` the candidate, solve, then ``pop`` it (or keep
-    it).  Occurrence buffers grow geometrically and are handed to the
-    kernels as zero-copy views of the live prefix, so a trial costs the
-    candidate's length — not a rebuild of every committed route.
-
-    The class exposes the same kernel interface as :class:`RouteSystem`
-    (``occ_server``/``occ_start``/``route_start`` views plus the
-    allocating ``upstream_delays``/``route_delays``), so it can be passed
-    directly to :func:`repro.analysis.delays.theorem3_update` and
-    :func:`repro.analysis.fixedpoint.solve_fixed_point`.
     """
 
     __slots__ = (
@@ -273,29 +74,42 @@ class GrowableRouteSystem:
         "pops",
     )
 
-    def __init__(
-        self,
-        num_servers: int,
-        routes: Sequence[Sequence[int]] = (),
-        *,
-        occ_capacity: int = 64,
-        route_capacity: int = 16,
-    ):
+    def __init__(self, routes: Sequence[Sequence[int]], num_servers: int):
         if num_servers <= 0:
             raise AnalysisError("route system needs at least one server")
+        arrays: List[np.ndarray] = []
+        for i, r in enumerate(routes):
+            arr = np.asarray(r, dtype=np.int64)
+            if arr.ndim != 1 or arr.size == 0:
+                raise AnalysisError(f"route {i} must be a non-empty 1-D array")
+            arrays.append(arr)
+
         self.num_servers = int(num_servers)
-        self._occ_server = np.empty(max(occ_capacity, 1), dtype=np.int64)
-        self._occ_start = np.empty(max(occ_capacity, 1), dtype=np.int64)
-        self._route_start = np.zeros(max(route_capacity, 1) + 1, dtype=np.int64)
-        self._server_count = np.zeros(self.num_servers, dtype=np.int64)
-        self._touched = np.zeros(self.num_servers, dtype=bool)
+        lengths = np.asarray([a.size for a in arrays], dtype=np.int64)
+        route_start = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        if arrays:
+            occ_server = np.concatenate(arrays)
+            # One range check over the concatenation instead of two
+            # reductions per route — construction is a measured hot spot.
+            bad = (occ_server < 0) | (occ_server >= num_servers)
+            if bad.any():
+                route = np.searchsorted(route_start, np.argmax(bad), "right")
+                raise AnalysisError(
+                    f"route {int(route) - 1} references servers outside "
+                    f"[0, {num_servers})"
+                )
+        else:
+            occ_server = np.empty(0, dtype=np.int64)
+        self._occ_server = occ_server
+        self._occ_start = np.repeat(route_start[:-1], lengths)
+        self._route_start = route_start
+        self._server_count = np.bincount(occ_server, minlength=num_servers)
+        self._touched = self._server_count > 0
         self._touched_valid = True
-        self._num_routes = 0
-        self._num_occ = 0
+        self._num_routes = len(arrays)
+        self._num_occ = int(occ_server.size)
         self.pushes = 0
         self.pops = 0
-        for r in routes:
-            self.push(r)
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -315,20 +129,15 @@ class GrowableRouteSystem:
             )
         m, n = self._num_occ, int(arr.size)
         if m + n > self._occ_server.size:
-            cap = self._occ_server.size
-            while cap < m + n:
-                cap *= 2
-            self._occ_server = np.concatenate(
-                [self._occ_server[:m], np.empty(cap - m, dtype=np.int64)]
-            )
-            self._occ_start = np.concatenate(
-                [self._occ_start[:m], np.empty(cap - m, dtype=np.int64)]
-            )
+            spare = np.empty(_grown(m + n, self._occ_server.size) - m, np.int64)
+            self._occ_server = np.concatenate([self._occ_server[:m], spare])
+            self._occ_start = np.concatenate([self._occ_start[:m], spare])
         if self._num_routes + 1 >= self._route_start.size:
-            grown = np.zeros(2 * self._route_start.size, dtype=np.int64)
-            grown[: self._num_routes + 1] = self._route_start[
-                : self._num_routes + 1
-            ]
+            grown = np.empty(
+                _grown(self._num_routes + 2, self._route_start.size),
+                dtype=np.int64,
+            )
+            grown[: self._num_routes + 1] = self.route_start
             self._route_start = grown
         self._occ_server[m : m + n] = arr
         self._occ_start[m : m + n] = m
@@ -354,7 +163,7 @@ class GrowableRouteSystem:
         self.pops += 1
 
     # ------------------------------------------------------------------ #
-    # RouteSystem-compatible interface (views of the live prefix)
+    # basic queries (views of the live prefix)
     # ------------------------------------------------------------------ #
 
     @property
@@ -378,13 +187,22 @@ class GrowableRouteSystem:
         return self._route_start[: self._num_routes + 1]
 
     @property
+    def occ_route(self) -> np.ndarray:
+        """``int64[M]`` route index of every occurrence (built on read)."""
+        return np.repeat(
+            np.arange(self._num_routes, dtype=np.int64), self.route_lengths()
+        )
+
+    @property
     def touched_servers(self) -> np.ndarray:
+        """Boolean mask of servers used by at least one route."""
         if not self._touched_valid:
             np.greater(self._server_count, 0, out=self._touched)
             self._touched_valid = True
         return self._touched
 
     def route(self, index: int) -> np.ndarray:
+        """Server indices of route ``index`` (a view, do not mutate)."""
         if not 0 <= index < self._num_routes:
             raise AnalysisError(f"route index {index} out of range")
         lo, hi = self._route_start[index], self._route_start[index + 1]
@@ -394,46 +212,41 @@ class GrowableRouteSystem:
         return np.diff(self.route_start)
 
     def server_route_count(self) -> np.ndarray:
+        """Number of route occurrences per server (load indicator)."""
         return self._server_count.copy()
 
-    def freeze(self) -> RouteSystem:
-        """An immutable :class:`RouteSystem` snapshot of the current state."""
-        occ_route = np.repeat(
-            np.arange(self._num_routes, dtype=np.int64), self.route_lengths()
-        )
-        return RouteSystem._from_parts(
-            self.occ_server.copy(),
-            occ_route,
-            self.route_start.copy(),
-            self.touched_servers.copy(),
-            self.num_servers,
-        )
-
     # ------------------------------------------------------------------ #
-    # allocating kernels (reference semantics, identical to RouteSystem)
+    # vectorized kernels
     # ------------------------------------------------------------------ #
 
     def upstream_delays(self, d: np.ndarray) -> np.ndarray:
+        """The paper's ``Y`` vector (eq. 6) for per-server delays ``d``.
+
+        ``Y[k]`` is the maximum over occurrences of server ``k`` of the sum
+        of delays at the servers preceding it on the same route; 0 for
+        servers no route traverses (and for first-hop occurrences).
+        """
         y = np.zeros(self.num_servers, dtype=np.float64)
         if self._num_occ == 0:
             return y
         occ = self.occ_server
-        d_occ = d[occ]
-        csum = np.concatenate([[0.0], np.cumsum(d_occ)])
+        csum = np.concatenate([[0.0], np.cumsum(d[occ])])
+        # exclusive prefix within the whole concatenation, minus the
+        # running total at each route's start
         prefix = csum[:-1] - csum[self.occ_start]
         np.maximum.at(y, occ, prefix)
         return y
 
     def route_delays(self, d: np.ndarray) -> np.ndarray:
+        """End-to-end delay of every route: segment sums of ``d``."""
         if self._num_routes == 0:
             return np.empty(0, dtype=np.float64)
-        d_occ = d[self.occ_server]
-        csum = np.concatenate([[0.0], np.cumsum(d_occ)])
+        csum = np.concatenate([[0.0], np.cumsum(d[self.occ_server])])
         starts = self.route_start
         return csum[starts[1:]] - csum[starts[:-1]]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"GrowableRouteSystem(routes={self._num_routes}, "
+            f"RouteSystem(routes={self._num_routes}, "
             f"occurrences={self._num_occ}, servers={self.num_servers})"
         )

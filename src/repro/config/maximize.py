@@ -30,7 +30,7 @@ from typing import (
 import numpy as np
 
 from ..analysis.delays import single_class_delays
-from ..analysis.scratch import FixedPointWorkspace
+from ..analysis.fixedpoint import FixedPointWorkspace
 from ..obs import OBS
 from ..errors import ConfigurationError, InfeasibleUtilization
 from ..topology.network import Network
@@ -175,7 +175,7 @@ def max_utilization_heuristic(
     routes, so the search never reports less than the guaranteed bound;
     disable it to study the bare heuristic.
 
-    One selector (and its candidate, ordering, and scratch-buffer caches)
+    One selector (and its candidate, ordering, and solver-buffer caches)
     serves every probe of the binary search; with ``warm_probes`` the SP
     fallback checks also warm-start from the converged delay vector of
     the best feasible probe so far (sound — see
@@ -240,7 +240,7 @@ def max_utilization_shortest_path(
 
     With ``warm_probes`` (default) each probe warm-starts the fixed-point
     iteration from the converged delay vector of the best feasible probe
-    so far, and all probes share one scratch workspace; see
+    so far, and all probes share one solver workspace; see
     :func:`binary_search_max_alpha` for why this is sound.
     """
     bounds = _theorem4_interval(network, traffic_class)

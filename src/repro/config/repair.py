@@ -19,9 +19,9 @@ chaos harness (:mod:`repro.faults`) automates that fallback: on a failed
 repair it drops into a degraded admission mode and re-routes on
 uncertified shortest paths under a reduced effective ``alpha``.
 
-The greedy selection reuses the incremental
-:class:`~repro.analysis.routesystem.GrowableRouteSystem` kernels, so an
-*online* repair costs one candidate search over the casualties only —
+The greedy selection pushes and pops candidates on one
+:class:`~repro.analysis.routesystem.RouteSystem`, so an *online*
+repair costs one candidate search over the casualties only —
 survivor routes are pushed once and shared across every candidate probe.
 Repeated repairs (a chaos schedule with several failures) can pass a
 pre-built :class:`~repro.routing.heuristic.SafeRouteSelector` via

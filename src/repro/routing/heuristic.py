@@ -32,9 +32,8 @@ import numpy as np
 
 from ..analysis.beta import beta_coefficient
 from ..analysis.delays import resolve_fan_in, theorem3_update
-from ..analysis.fixedpoint import solve_fixed_point
-from ..analysis.routesystem import GrowableRouteSystem
-from ..analysis.scratch import FixedPointWorkspace
+from ..analysis.fixedpoint import FixedPointWorkspace, solve_fixed_point
+from ..analysis.routesystem import RouteSystem
 from ..errors import RoutingError
 from ..obs import OBS
 from ..topology.network import Network
@@ -144,7 +143,7 @@ class SafeRouteSelector:
         # Reused across select() calls (the Section 5.3 binary search
         # probes the same pairs at many utilization levels).
         self._workspace = FixedPointWorkspace()
-        self._last_system: Optional[GrowableRouteSystem] = None
+        self._last_system: Optional[RouteSystem] = None
         self._order_cache: Dict[Tuple[Pair, ...], List[Pair]] = {}
         self._server_cand_cache: Dict[Pair, List[np.ndarray]] = {}
         self._beta_cache: Dict[float, np.ndarray] = {}
@@ -251,7 +250,7 @@ class SafeRouteSelector:
         grow = self._last_system
         if grow is not None:
             # Incremental-path health: pushes/pops instead of rebuilds,
-            # and how rarely the scratch workspace had to regrow.
+            # and how rarely the solver workspace had to regrow.
             reg.counter("repro_routing_route_pushes_total").inc(grow.pushes)
             reg.counter("repro_routing_route_pops_total").inc(grow.pops)
         reg.gauge("repro_routing_workspace_resizes").set(
@@ -280,10 +279,10 @@ class SafeRouteSelector:
         cls = self.traffic_class
         ordered = self._ordered_pairs(pairs)
 
-        # The growable system holds the committed routes; each candidate
-        # trial pushes one route, solves in the shared scratch workspace,
-        # and pops — no per-candidate rebuild of the committed set.
-        grow = GrowableRouteSystem(self.graph.num_servers)
+        # The route system holds the committed routes; each candidate
+        # trial pushes one route, solves in the shared workspace, and
+        # pops — no per-candidate rebuild of the committed set.
+        grow = RouteSystem([], self.graph.num_servers)
         self._last_system = grow
         routes: Dict[Pair, List[Hashable]] = {}
         deps = ServerDependencyGraph()
@@ -396,7 +395,7 @@ class SafeRouteSelector:
 
     def _try_candidate(
         self,
-        grow: GrowableRouteSystem,
+        grow: RouteSystem,
         candidate: np.ndarray,
         alpha: float,
         warm: np.ndarray,
@@ -441,7 +440,7 @@ class SafeRouteSelector:
         return result.delays, float(result.route_delays[-1])
 
     def _worst_route_delay(
-        self, system: GrowableRouteSystem, delays: np.ndarray
+        self, system: RouteSystem, delays: np.ndarray
     ) -> float:
         rd = system.route_delays(delays)
         return float(rd.max()) if rd.size else 0.0

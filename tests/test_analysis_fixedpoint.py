@@ -120,6 +120,20 @@ class TestMechanics:
                 system, _update(system, 0.3), initial=np.zeros(5)
             )
 
+    def test_deadlines_must_be_scalar_or_one_per_route(self):
+        system = RouteSystem([[0, 1], [1, 2]], num_servers=3)
+        update = _update(system, 0.3)
+        for shape in (1, 3, (2, 1)):
+            bad = np.full(shape, 10.0)
+            with pytest.raises(AnalysisError, match="deadlines"):
+                solve_fixed_point(system, update, deadlines=bad)
+        scalar = solve_fixed_point(system, update, deadlines=10.0)
+        per_route = solve_fixed_point(
+            system, update, deadlines=np.full(2, 10.0)
+        )
+        assert scalar.safe and per_route.safe
+        assert np.array_equal(scalar.delays, per_route.delays)
+
     def test_iteration_budget_reported(self):
         system = self_cycle = RouteSystem([[0, 1], [1, 0]], num_servers=2)
         result = solve_fixed_point(

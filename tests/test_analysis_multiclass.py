@@ -171,3 +171,28 @@ def test_multiclass_on_mci(mci_graph, three_class_registry):
     assert mc.safe
     assert mc.per_class["voice"].meets_deadline
     assert mc.per_class["video"].meets_deadline
+
+
+def test_ext_d_scenario_is_pinned(mci, mci_graph, mci_pairs,
+                                  three_class_registry):
+    """Ext-D: voice 0.10 + video 0.20 on MCI shortest-path routes.  The
+    worst route bounds, iteration count and verdict were recorded from
+    the per-class loop that Theorem 5 had before it shared the
+    single-class one; the stacked route system sums the classes in one
+    cumulative sum, so the bounds may move by rounding only."""
+    from repro.routing import shortest_path_routes
+
+    shared = list(shortest_path_routes(mci, mci_pairs).values())
+    mc = multi_class_delays(
+        mci_graph, {"voice": shared, "video": shared},
+        three_class_registry, {"voice": 0.10, "video": 0.20},
+    )
+    assert mc.safe
+    assert mc.iterations == 18
+    assert mc.per_class["voice"].worst_route_delay == pytest.approx(
+        0.008464939590130394, rel=1e-12
+    )
+    assert mc.per_class["video"].worst_route_delay == pytest.approx(
+        0.031331396849940685, rel=1e-12
+    )
+    assert mc.delay_matrix().shape == (2, mci_graph.num_servers)

@@ -57,10 +57,17 @@ class TestConstruction:
 
     def test_with_route_appends(self):
         rs = RouteSystem([[0, 1]], num_servers=4)
-        rs2 = rs.with_route([2, 3])
-        assert rs.num_routes == 1  # immutability of the original
-        assert rs2.num_routes == 2
-        np.testing.assert_array_equal(rs2.route(1), [2, 3])
+        assert rs.push([2, 3]) == 1
+        assert rs.num_routes == 2
+        np.testing.assert_array_equal(rs.route(0), [0, 1])
+        np.testing.assert_array_equal(rs.route(1), [2, 3])
+
+    def test_route_index_out_of_range(self):
+        rs = RouteSystem([[0, 1, 2], [2, 3]], num_servers=5)
+        with pytest.raises(AnalysisError):
+            rs.route(-1)
+        with pytest.raises(AnalysisError):
+            rs.route(2)
 
     def test_server_route_count(self):
         rs = RouteSystem([[0, 1], [1, 2], [1, 3]], num_servers=4)
@@ -155,10 +162,10 @@ def test_prop_upstream_monotone_in_delays(case):
 
 
 class TestGrowableRouteSystem:
-    def test_push_pop_roundtrip(self):
-        from repro.analysis import GrowableRouteSystem
+    """``RouteSystem.push``/``pop`` on the growable buffers."""
 
-        grow = GrowableRouteSystem(5, occ_capacity=1, route_capacity=1)
+    def test_push_pop_roundtrip(self):
+        grow = RouteSystem([], 5)
         assert grow.num_routes == 0 and grow.num_occurrences == 0
         grow.push([0, 1, 2])
         grow.push([2, 3])
@@ -167,16 +174,34 @@ class TestGrowableRouteSystem:
         assert list(grow.occ_server) == [0, 1, 2, 2, 3]
         assert list(grow.route_start) == [0, 3, 5]
         assert list(grow.occ_start) == [0, 0, 0, 3, 3]
+        assert list(grow.occ_route) == [0, 0, 0, 1, 1]
         assert list(grow.route(1)) == [2, 3]
         grow.pop()
         assert grow.num_routes == 1
         assert list(grow.occ_server) == [0, 1, 2]
         assert grow.pushes == 2 and grow.pops == 1
+        with pytest.raises(AnalysisError):
+            grow.route(1)
+
+    def test_regrowth_past_initial_capacity(self):
+        # A bulk build holds exactly its routes, and an empty system
+        # starts small: both regrow, more than once, on these pushes.
+        routes = [[k % 5, (k + 1) % 5, (k + 2) % 5] for k in range(40)]
+        bulk = RouteSystem(routes[:3], 5)
+        empty = RouteSystem([], 5)
+        for r in routes[3:]:
+            bulk.push(r)
+        for r in routes:
+            empty.push(r)
+        rs = RouteSystem(routes, 5)
+        for grown in (bulk, empty):
+            assert np.array_equal(grown.occ_server, rs.occ_server)
+            assert np.array_equal(grown.occ_start, rs.occ_start)
+            assert np.array_equal(grown.route_start, rs.route_start)
+            assert list(grown.route(39)) == routes[39]
 
     def test_touched_and_counts_track_pops(self):
-        from repro.analysis import GrowableRouteSystem
-
-        grow = GrowableRouteSystem(4, [[0, 1], [1, 2]])
+        grow = RouteSystem([[0, 1], [1, 2]], 4)
         assert list(grow.server_route_count()) == [1, 2, 1, 0]
         assert list(grow.touched_servers) == [True, True, True, False]
         grow.pop()
@@ -184,23 +209,20 @@ class TestGrowableRouteSystem:
         assert list(grow.touched_servers) == [True, True, False, False]
 
     def test_matches_immutable_system(self):
-        from repro.analysis import GrowableRouteSystem
-
         routes = [[0, 1, 2], [2, 3], [3, 0, 1]]
         rs = RouteSystem(routes, num_servers=4)
-        grow = GrowableRouteSystem(4, routes, occ_capacity=1)
+        grow = RouteSystem([], 4)
+        for r in routes:
+            grow.push(r)
         d = np.asarray([0.5, 1.0, 0.25, 2.0])
         assert np.array_equal(grow.route_delays(d), rs.route_delays(d))
         assert np.array_equal(grow.upstream_delays(d), rs.upstream_delays(d))
-        frozen = grow.freeze()
-        assert np.array_equal(frozen.occ_server, rs.occ_server)
-        assert np.array_equal(frozen.occ_route, rs.occ_route)
-        assert np.array_equal(frozen.route_start, rs.route_start)
+        assert np.array_equal(grow.occ_server, rs.occ_server)
+        assert np.array_equal(grow.occ_route, rs.occ_route)
+        assert np.array_equal(grow.route_start, rs.route_start)
 
     def test_validation_errors(self):
-        from repro.analysis import GrowableRouteSystem
-
-        grow = GrowableRouteSystem(3)
+        grow = RouteSystem([], 3)
         with pytest.raises(AnalysisError):
             grow.push([])
         with pytest.raises(AnalysisError):
@@ -210,7 +232,7 @@ class TestGrowableRouteSystem:
         with pytest.raises(AnalysisError):
             grow.pop()
         with pytest.raises(AnalysisError):
-            GrowableRouteSystem(0)
+            RouteSystem([], 0)
         # failed pushes must leave no partial state behind
         assert grow.num_routes == 0 and grow.num_occurrences == 0
         assert not grow.touched_servers.any()

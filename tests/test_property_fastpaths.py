@@ -1,11 +1,12 @@
 """Fast paths are result-identical to the reference paths.
 
-This PR added three performance paths to the configuration-time pipeline:
+Three performance paths serve the configuration-time pipeline:
 
-* :class:`GrowableRouteSystem` — incremental push/pop instead of full
-  :class:`RouteSystem` rebuilds,
-* the scratch-buffer solver in :func:`solve_fixed_point` — zero-allocation
-  iterations when handed a :class:`FixedPointWorkspace`,
+* :meth:`RouteSystem.push`/:meth:`~RouteSystem.pop` — incremental
+  append/undo instead of full :class:`RouteSystem` rebuilds,
+* the fused, buffer-reusing loop of :func:`solve_fixed_point` — checked
+  against :func:`_solve`, the allocating loop that iterates the map as a
+  plain callable and serves here as the reference,
 * warm-started probes in the Section 5.3 binary searches.
 
 None of them is allowed to change a single bit of any result: the
@@ -14,22 +15,120 @@ properties below assert **exact** equality (``np.array_equal``, not
 route subsets, and utilizations.
 """
 
+from typing import Callable, Optional
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
+    FixedPointResult,
     FixedPointWorkspace,
-    GrowableRouteSystem,
     RouteSystem,
     solve_fixed_point,
     theorem3_update,
 )
 from repro.analysis.delays import resolve_fan_in
+from repro.analysis.fixedpoint import (
+    DEFAULT_CEILING,
+    DEFAULT_TOLERANCE,
+    Deadlines,
+)
+from repro.errors import AnalysisError
 from repro.config import max_utilization_heuristic, max_utilization_shortest_path
 from repro.routing import shortest_path_routes
 from repro.topology import LinkServerGraph, analyze, random_network
 from repro.traffic import all_ordered_pairs, voice_class
+
+
+def _validate(tolerance: float, max_iterations: int) -> None:
+    if tolerance <= 0:
+        raise AnalysisError(f"tolerance must be positive, got {tolerance}")
+    if max_iterations < 1:
+        raise AnalysisError("max_iterations must be >= 1")
+
+
+def _solve(
+    system: RouteSystem,
+    update: Callable[[np.ndarray], np.ndarray],
+    *,
+    workspace: Optional[FixedPointWorkspace],
+    initial: Optional[np.ndarray],
+    deadlines: Deadlines,
+    tolerance: float,
+    max_iterations: int,
+    ceiling: float,
+) -> FixedPointResult:
+    _validate(tolerance, max_iterations)
+
+    if initial is None:
+        d = np.zeros(system.num_servers, dtype=np.float64)
+        d = update(d)  # zero-jitter starting point beta*T
+    else:
+        d = np.asarray(initial, dtype=np.float64).copy()
+        if d.shape != (system.num_servers,):
+            raise AnalysisError(
+                f"initial vector has shape {d.shape}, "
+                f"expected ({system.num_servers},)"
+            )
+        d_next = update(d)
+        if np.any(d_next < d - tolerance):
+            raise AnalysisError(
+                "warm start is above the least fixed point "
+                "(update decreased some delay); start from zero instead"
+            )
+        d = d_next
+
+    residual = float("inf")
+    for iteration in range(1, max_iterations + 1):
+        route_d = system.route_delays(d)
+        if deadlines is not None and np.any(route_d > deadlines):
+            return FixedPointResult(
+                delays=d,
+                route_delays=route_d,
+                converged=False,
+                deadline_violated=True,
+                diverged=False,
+                iterations=iteration,
+                residual=residual,
+            )
+        if float(d.max(initial=0.0)) > ceiling:
+            return FixedPointResult(
+                delays=d,
+                route_delays=route_d,
+                converged=False,
+                deadline_violated=False,
+                diverged=True,
+                iterations=iteration,
+                residual=residual,
+            )
+        d_next = update(d)
+        residual = float(np.abs(d_next - d).max(initial=0.0))
+        d = d_next
+        if residual <= tolerance:
+            route_d = system.route_delays(d)
+            violated = deadlines is not None and bool(
+                np.any(route_d > deadlines)
+            )
+            return FixedPointResult(
+                delays=d,
+                route_delays=route_d,
+                converged=True,
+                deadline_violated=violated,
+                diverged=False,
+                iterations=iteration,
+                residual=residual,
+            )
+
+    return FixedPointResult(
+        delays=d,
+        route_delays=system.route_delays(d),
+        converged=False,
+        deadline_violated=False,
+        diverged=False,
+        iterations=max_iterations,
+        residual=residual,
+    )
 
 
 def _server_routes(n, p, seed):
@@ -42,17 +141,26 @@ def _server_routes(n, p, seed):
 
 
 def _solve_reference(routes, graph, alpha, deadline):
-    """Fresh immutable build + allocating solver (the reference path)."""
+    """Fresh bulk build + allocating solver (the reference path)."""
     system = RouteSystem(routes, graph.num_servers)
     voice = voice_class()
     update = theorem3_update(
         system, voice.burst, voice.rate, alpha, resolve_fan_in(graph)
     )
-    return solve_fixed_point(system, update, deadlines=deadline)
+    return _solve(
+        system,
+        update,
+        workspace=None,
+        initial=None,
+        deadlines=deadline,
+        tolerance=DEFAULT_TOLERANCE,
+        max_iterations=100_000,
+        ceiling=DEFAULT_CEILING,
+    )
 
 
 def _solve_fast(grow, graph, alpha, deadline, workspace):
-    """Incremental system + scratch-buffer solver (the fast path)."""
+    """Pushed system + the solver's fused loop (the fast path)."""
     voice = voice_class()
     update = theorem3_update(
         grow, voice.burst, voice.rate, alpha, resolve_fan_in(graph)
@@ -81,14 +189,14 @@ def _assert_identical(ref, fast):
     keep=st.integers(min_value=1, max_value=10**6),
 )
 def test_prop_incremental_scratch_bit_identical(n, p, seed, alpha, keep):
-    """Incremental append + scratch solve == fresh build + allocating solve,
+    """Incremental append + fused solve == fresh build + allocating solve,
     bit for bit, on a random prefix of the route set — including after
-    push/pop churn on the growable system."""
+    push/pop churn, with a shared workspace and with a fresh one."""
     net, graph, routes = _server_routes(n, p, seed)
     k = 1 + keep % len(routes)
     deadline = voice_class().deadline
 
-    grow = GrowableRouteSystem(graph.num_servers, occ_capacity=1)
+    grow = RouteSystem([], graph.num_servers)
     workspace = FixedPointWorkspace()
     for r in routes[:k]:
         grow.push(r)
@@ -100,11 +208,12 @@ def test_prop_incremental_scratch_bit_identical(n, p, seed, alpha, keep):
     ref = _solve_reference(routes[:k], graph, alpha, deadline)
     fast = _solve_fast(grow, graph, alpha, deadline, workspace)
     _assert_identical(ref, fast)
+    _assert_identical(ref, _solve_fast(grow, graph, alpha, deadline, None))
 
     # Workspace reuse at a different size must not leak state between
     # solves: drop to a one-route system and compare again.
     ref1 = _solve_reference(routes[:1], graph, alpha, deadline)
-    grow1 = GrowableRouteSystem(graph.num_servers, routes[:1])
+    grow1 = RouteSystem(routes[:1], graph.num_servers)
     fast1 = _solve_fast(grow1, graph, alpha, deadline, workspace)
     _assert_identical(ref1, fast1)
 
@@ -116,25 +225,34 @@ def test_prop_incremental_scratch_bit_identical(n, p, seed, alpha, keep):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_prop_with_route_matches_fresh_build(n, p, seed):
-    """RouteSystem.with_route's direct concatenation equals a full rebuild;
-    GrowableRouteSystem.freeze equals the same rebuild."""
+    """A bulk build with one route pushed, and routes pushed one by one
+    onto an empty system with a push/pop of a spare route on the way,
+    both equal a bulk build of the whole set."""
     net, graph, routes = _server_routes(n, p, seed)
-    base = RouteSystem(routes[:-1], graph.num_servers)
-    appended = base.with_route(routes[-1])
+    appended = RouteSystem(routes[:-1], graph.num_servers)
+    appended.push(routes[-1])
     fresh = RouteSystem(routes, graph.num_servers)
-    frozen = GrowableRouteSystem(graph.num_servers, routes).freeze()
-    for fast in (appended, frozen):
+    pushed = RouteSystem([], graph.num_servers)
+    for r in routes:
+        pushed.push(r)
+        pushed.push(routes[0])
+        pushed.pop()
+    for fast in (appended, pushed):
         assert np.array_equal(fast.occ_server, fresh.occ_server)
         assert np.array_equal(fast.occ_route, fresh.occ_route)
         assert np.array_equal(fast.route_start, fresh.route_start)
         assert np.array_equal(fast.occ_start, fresh.occ_start)
         assert np.array_equal(fast.route_lengths(), fresh.route_lengths())
         assert np.array_equal(fast.touched_servers, fresh.touched_servers)
+        assert np.array_equal(
+            fast.server_route_count(), fresh.server_route_count()
+        )
     d = np.linspace(0.0, 1.0, graph.num_servers)
-    assert np.array_equal(appended.route_delays(d), fresh.route_delays(d))
-    assert np.array_equal(
-        appended.upstream_delays(d), fresh.upstream_delays(d)
-    )
+    for fast in (appended, pushed):
+        assert np.array_equal(fast.route_delays(d), fresh.route_delays(d))
+        assert np.array_equal(
+            fast.upstream_delays(d), fresh.upstream_delays(d)
+        )
 
 
 @settings(max_examples=10, deadline=None)

@@ -643,6 +643,32 @@ RATCHETS = (
             "        context = ssl.create_default_context()",
         ),
     ),
+    Ratchet(
+        name="One delay fixed point",
+        why=(
+            "One RouteSystem (push/pop on growable buffers) and one "
+            "iteration loop, solve_fixed_point's, serve Theorem 3, "
+            "Theorem 5, verification and route selection.  A second "
+            "route-system class or loop is a fast/reference twin: which "
+            "one ran used to depend on whether the caller passed a "
+            "workspace, and Theorem 5 kept a third loop of its own.  "
+            "netcalc.py's loop is the flow-aware baseline's envelope "
+            "iteration (eqs. 2-3), a different fixed point over flows."
+        ),
+        pattern=(
+            r"GrowableRouteSystem|_solve_scratch"
+            r"|range\(1, max_iterations \+ 1\)"
+        ),
+        roots=("src",),
+        offender=(
+            "src/repro/analysis/multiclass.py",
+            "    for iterations in range(1, max_iterations + 1):",
+        ),
+        allowed=(
+            r"^src/repro/analysis/(fixedpoint|netcalc)\.py:\d+:"
+            r".*range\(1, max_iterations \+ 1\)",
+        ),
+    ),
 )
 
 BY_NAME = pytest.mark.parametrize(
