@@ -43,11 +43,12 @@ from ..errors import AnalysisError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry, TrafficClass
 from .delays import resolve_fan_in
-from .fixedpoint import DEFAULT_TOLERANCE, solve_fixed_point
+from .fixedpoint import DEFAULT_TOLERANCE, FixedPointResult, solve_fixed_point
 from .routesystem import RouteSystem
 
 __all__ = [
-    "MultiClassResult", "ClassDelays", "Theorem5Map", "multi_class_delays",
+    "MultiClassResult", "ClassDelays", "Theorem5Map", "class_alphas",
+    "multi_class_delays", "split_by_class",
 ]
 
 
@@ -138,24 +139,8 @@ def multi_class_delays(
     for cls in rt_classes:
         if cls.name not in routes_by_class:
             raise AnalysisError(f"missing routes for class {cls.name!r}")
-        if cls.name not in alphas:
-            raise AnalysisError(f"missing alpha for class {cls.name!r}")
-    alpha_vec = np.asarray(
-        [float(alphas[c.name]) for c in rt_classes], dtype=np.float64
-    )
-    if np.any(alpha_vec <= 0) or np.any(alpha_vec > 1):
-        raise AnalysisError("every class alpha must be in (0, 1]")
-    if alpha_vec.sum() > 1.0 + 1e-12:
-        raise AnalysisError(
-            f"total real-time utilization {alpha_vec.sum():.4f} exceeds 1"
-        )
-
     fan_in = resolve_fan_in(graph, n_mode)
-    if len(rt_classes) > 1 and np.any(fan_in < 2):
-        raise AnalysisError(
-            "multi-class analysis requires fan-in >= 2 at every server "
-            "(monotonicity of the Theorem 5 update)"
-        )
+    alpha_vec = class_alphas(rt_classes, alphas, fan_in)
 
     n_classes = len(rt_classes)
     n_servers = graph.num_servers
@@ -199,14 +184,57 @@ def multi_class_delays(
         tolerance=tolerance,
         max_iterations=max_iterations,
     )
+    return split_by_class(result, rt_classes, counts)
 
-    d = result.delays.reshape(n_classes, n_servers)
-    bounds = np.cumsum([0] + counts)
+
+def class_alphas(
+    rt_classes: Sequence[TrafficClass],
+    alphas: Mapping[str, float],
+    fan_in: np.ndarray,
+) -> np.ndarray:
+    """The per-class alpha vector (priority order), validated.
+
+    Every real-time class needs an alpha in ``(0, 1]``, their sum must not
+    exceed 1, and with several classes every server needs fan-in >= 2
+    (monotonicity of the Theorem 5 update).
+    """
+    for cls in rt_classes:
+        if cls.name not in alphas:
+            raise AnalysisError(f"missing alpha for class {cls.name!r}")
+    alpha_vec = np.asarray(
+        [float(alphas[c.name]) for c in rt_classes], dtype=np.float64
+    )
+    if np.any(alpha_vec <= 0) or np.any(alpha_vec > 1):
+        raise AnalysisError("every class alpha must be in (0, 1]")
+    if alpha_vec.sum() > 1.0 + 1e-12:
+        raise AnalysisError(
+            f"total real-time utilization {alpha_vec.sum():.4f} exceeds 1"
+        )
+    if len(rt_classes) > 1 and np.any(fan_in < 2):
+        raise AnalysisError(
+            "multi-class analysis requires fan-in >= 2 at every server "
+            "(monotonicity of the Theorem 5 update)"
+        )
+    return alpha_vec
+
+
+def split_by_class(
+    result: FixedPointResult,
+    rt_classes: Sequence[TrafficClass],
+    counts: Sequence[int],
+) -> MultiClassResult:
+    """Per-class view of a fixed point over the stacked route system.
+
+    ``counts[i]`` is the number of class-``i`` routes; the stacked system
+    holds them in priority order, class ``i`` on servers ``[i*S, (i+1)*S)``.
+    """
+    d = result.delays.reshape(len(rt_classes), -1)
+    bounds = np.cumsum([0, *counts])
     per_class = {}
     for i, cls in enumerate(rt_classes):
         per_class[cls.name] = ClassDelays(
             class_name=cls.name,
-            deadline=float(deadlines[i]),
+            deadline=float(cls.deadline),
             server_delays=d[i],
             route_delays=result.route_delays[bounds[i] : bounds[i + 1]],
         )

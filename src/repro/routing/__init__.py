@@ -8,11 +8,8 @@ if TYPE_CHECKING:
     from .candidates import CandidateGenerator, candidate_routes
     from .dependency import ServerDependencyGraph
     from .heuristic import HeuristicOptions, SafeRouteSelector, SelectionOutcome
+    from .heuristic import MultiClassRouteSelector, MultiClassSelectionOutcome
     from .leastloaded import least_loaded_routes
-    from .multiclass_heuristic import (
-        MultiClassRouteSelector,
-        MultiClassSelectionOutcome,
-    )
     from .partition import (
         partition_by_link,
         partition_by_router,
@@ -24,9 +21,11 @@ if TYPE_CHECKING:
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".candidates": ("CandidateGenerator", "candidate_routes"),
     ".dependency": ("ServerDependencyGraph",),
-    ".heuristic": ("HeuristicOptions", "SafeRouteSelector", "SelectionOutcome"),
+    ".heuristic": (
+        "HeuristicOptions", "SafeRouteSelector", "SelectionOutcome",
+        "MultiClassRouteSelector", "MultiClassSelectionOutcome",
+    ),
     ".leastloaded": ("least_loaded_routes",),
-    ".multiclass_heuristic": ("MultiClassRouteSelector", "MultiClassSelectionOutcome"),
     ".partition": (
         "partition_by_link", "partition_by_router", "route_uses_link",
         "route_uses_router",

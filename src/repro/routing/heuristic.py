@@ -1,4 +1,4 @@
-"""Safe route selection (Section 5.2).
+"""Safe route selection (Sections 5.2 and 5.4).
 
 The problem — pick one route per source/destination pair such that every
 class deadline holds under a given utilization assignment — is NP-hard
@@ -19,30 +19,57 @@ exercises all combinations):
 
 If no candidate of some pair keeps all deadlines satisfiable, the search
 declares failure (no backtracking), exactly as in Figure 3 of the paper.
+
+The "variations" of Section 5.4 for several real-time classes are the
+same loop.  It walks the classes in priority order (highest first, so a
+class never depends on lower-priority routing) over one route system in
+which class ``i`` owns servers ``[i*S, (i+1)*S)``; a candidate is safe
+when the joint Theorem 5 fixed point keeps every class routed so far
+within its deadline.  The dependency graph used for cycle avoidance is
+shared across classes (feedback couples classes through the ``Y``
+terms).  :class:`SafeRouteSelector` is the case of one class under the
+Theorem 3 map.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
 from ..analysis.beta import beta_coefficient
 from ..analysis.delays import resolve_fan_in, theorem3_update
-from ..analysis.fixedpoint import FixedPointWorkspace, solve_fixed_point
+from ..analysis.fixedpoint import (
+    DelayMap,
+    FixedPointResult,
+    FixedPointWorkspace,
+    solve_fixed_point,
+)
+from ..analysis.multiclass import (
+    MultiClassResult,
+    Theorem5Map,
+    class_alphas,
+    split_by_class,
+)
 from ..analysis.routesystem import RouteSystem
-from ..errors import RoutingError
+from ..errors import NoRouteError, RoutingError
 from ..obs import OBS
 from ..topology.network import Network
 from ..topology.servergraph import LinkServerGraph
-from ..traffic.classes import TrafficClass
+from ..traffic.classes import ClassRegistry, TrafficClass
 from .candidates import CandidateGenerator
 from .dependency import ServerDependencyGraph
 
-__all__ = ["HeuristicOptions", "SelectionOutcome", "SafeRouteSelector"]
+__all__ = [
+    "HeuristicOptions",
+    "SelectionOutcome",
+    "SafeRouteSelector",
+    "MultiClassSelectionOutcome",
+    "MultiClassRouteSelector",
+]
 
 logger = logging.getLogger("repro.routing.heuristic")
 
@@ -106,30 +133,106 @@ class SelectionOutcome:
         return len(self.routes)
 
 
-class SafeRouteSelector:
-    """Greedy safe route selection for a single real-time class.
+@dataclass
+class MultiClassSelectionOutcome:
+    """Result of one multi-class safe route selection run."""
 
-    One selector instance caches topology-derived state (candidate routes,
-    fan-in vectors) and can be reused across utilization levels — the
-    binary search of Section 5.3 calls :meth:`select` repeatedly.
+    success: bool
+    routes: Dict[str, Dict[Pair, List[Hashable]]]
+    failed_class: Optional[str]
+    failed_pair: Optional[Pair]
+    verification: Optional[MultiClassResult]
+    candidates_evaluated: int
+
+    @property
+    def num_routed(self) -> int:
+        return sum(len(r) for r in self.routes.values())
+
+    def routes_by_class(self) -> Dict[str, List[List[Hashable]]]:
+        """Route lists keyed by class (the shape the analysis consumes)."""
+        return {
+            name: [list(p) for p in pair_map.values()]
+            for name, pair_map in self.routes.items()
+        }
+
+
+def check_pairs(pairs: Sequence[Pair]) -> None:
+    """Each pair once, and between two different routers."""
+    if len(set(pairs)) != len(pairs):
+        raise RoutingError("duplicate source/destination pairs")
+    for src, dst in pairs:
+        if src == dst:
+            raise RoutingError(
+                f"pair {(src, dst)!r} has the same source and destination"
+            )
+
+
+def farthest_first(
+    network: Network,
+    pairs: Sequence[Pair],
+    distances: Dict[Hashable, Dict[Hashable, int]],
+) -> List[Pair]:
+    """Heuristic (1): pairs by decreasing hop distance, ties by name.
+
+    ``distances`` caches one breadth-first search per source across
+    calls.  A pair with an unknown or unreachable router raises
+    :class:`~repro.errors.NoRouteError`.
+    """
+
+    def hops(pair: Pair) -> int:
+        src, dst = pair
+        if src not in distances:
+            try:
+                distances[src] = nx.single_source_shortest_path_length(
+                    network.graph, src
+                )
+            except nx.NodeNotFound:
+                raise NoRouteError(src, dst) from None
+        if dst not in distances[src]:
+            raise NoRouteError(src, dst)
+        return int(distances[src][dst])
+
+    return sorted(pairs, key=lambda p: (-hops(p), str(p[0]), str(p[1])))
+
+
+@dataclass
+class _Run:
+    """State of one greedy pass; class ``i`` owns servers ``[i*S, (i+1)*S)``."""
+
+    system: RouteSystem
+    #: The last accepted fixed point: every trial's warm start.
+    delays: np.ndarray
+    #: Committed routes per class name, in priority order.
+    routes: Dict[str, Dict[Pair, List[Hashable]]]
+    deps: ServerDependencyGraph = field(default_factory=ServerDependencyGraph)
+    #: The solve that produced ``delays`` (None before the first).
+    solved: Optional[FixedPointResult] = None
+    #: Set on failure (``failed_pair`` is None if committed routes fail).
+    failed_class: Optional[str] = None
+    failed_pair: Optional[Pair] = None
+    candidates_evaluated: int = 0
+    acyclic_hits: int = 0
+
+
+class _GreedySelector:
+    """The greedy loop and the topology-derived state it reuses.
+
+    One instance caches candidate routes, their link-server form, pair
+    distances and the solver workspace, and can be reused across
+    utilization levels — the binary search of Section 5.3 calls
+    ``select`` repeatedly.
     """
 
     def __init__(
         self,
         network: Network,
-        traffic_class: TrafficClass,
-        *,
-        options: HeuristicOptions = HeuristicOptions(),
-        n_mode: str = "uniform",
-        graph: Optional[LinkServerGraph] = None,
+        options: HeuristicOptions,
+        n_mode: str,
+        graph: Optional[LinkServerGraph],
     ):
-        if not traffic_class.is_realtime:
-            raise RoutingError(
-                f"class {traffic_class.name!r} has no finite deadline"
-            )
         self.network = network
-        self.traffic_class = traffic_class
         self.options = options
+        self.n_mode = n_mode
         self.graph = graph if graph is not None else LinkServerGraph(network)
         self.fan_in = resolve_fan_in(self.graph, n_mode)
         # Candidate routes depend only on (topology, k, slack), so every
@@ -139,36 +242,17 @@ class SafeRouteSelector:
             k=options.k_candidates,
             detour_slack=options.detour_slack,
         )
-        self._distance_cache: Dict[Hashable, Dict[Hashable, int]] = {}
-        # Reused across select() calls (the Section 5.3 binary search
-        # probes the same pairs at many utilization levels).
+        self._distances: Dict[Hashable, Dict[Hashable, int]] = {}
         self._workspace = FixedPointWorkspace()
         self._last_system: Optional[RouteSystem] = None
-        self._order_cache: Dict[Tuple[Pair, ...], List[Pair]] = {}
         self._server_cand_cache: Dict[Pair, List[np.ndarray]] = {}
-        self._beta_cache: Dict[float, np.ndarray] = {}
 
-    # ------------------------------------------------------------------ #
-
-    def _distance(self, src: Hashable, dst: Hashable) -> int:
-        if src not in self._distance_cache:
-            self._distance_cache[src] = nx.single_source_shortest_path_length(
-                self.network.graph, src
-            )
-        return int(self._distance_cache[src][dst])
-
-    def _ordered_pairs(self, pairs: Sequence[Pair]) -> List[Pair]:
+    def _ordered(self, pairs: Sequence[Pair]) -> List[Pair]:
+        """``pairs`` checked, in the order heuristic (1) routes them."""
+        check_pairs(pairs)
         if not self.options.order_by_distance:
             return list(pairs)
-        key = tuple(pairs)
-        cached = self._order_cache.get(key)
-        if cached is None:
-            cached = sorted(
-                pairs,
-                key=lambda p: (-self._distance(*p), str(p[0]), str(p[1])),
-            )
-            self._order_cache[key] = cached
-        return list(cached)
+        return farthest_first(self.network, pairs, self._distances)
 
     def _server_candidates(
         self, pair: Pair
@@ -184,6 +268,154 @@ class SafeRouteSelector:
             servers = [self.graph.route_servers(c) for c in raw]
             self._server_cand_cache[pair] = servers
         return raw, servers
+
+    def _greedy(
+        self,
+        classes: Sequence[TrafficClass],
+        demand: Sequence[Sequence[Pair]],
+        update: Callable[[RouteSystem], DelayMap],
+        committed: Sequence[np.ndarray] = (),
+    ) -> _Run:
+        """Route ``demand[i]`` (ordered pairs of ``classes[i]``) in class order.
+
+        ``update(system)`` gives the delay map for the system's current
+        routes.  ``committed`` routes (link-server indices, class 0) are
+        in every safety check but are not reported.
+        """
+        n_servers = self.graph.num_servers
+        size = len(classes) * n_servers
+        run = _Run(
+            system=RouteSystem([], size),
+            delays=np.zeros(size, dtype=np.float64),
+            routes={c.name: {} for c in classes},
+        )
+        self._last_system = run.system
+        counts = [len(pairs) for pairs in demand]
+        counts[0] += len(committed)
+        deadlines = np.repeat([c.deadline for c in classes], counts)
+        if committed:
+            for servers in committed:
+                run.system.push(servers)
+                run.deps.add_route(servers)
+            base = solve_fixed_point(
+                run.system,
+                update(run.system),
+                deadlines=deadlines[: len(committed)],
+                workspace=self._workspace,
+            )
+            run.delays, run.solved = base.delays, base
+            if not base.safe:  # the committed routes alone violate
+                run.failed_class = classes[0].name
+                run.failed_pair = demand[0][0] if demand[0] else None
+                return run
+
+        for ci, (cls, pairs) in enumerate(zip(classes, demand)):
+            offset = ci * n_servers
+            for pair in pairs:
+                raw, servers = self._server_candidates(pair)
+                stacked = [s + offset for s in servers] if offset else servers
+                everything = range(len(servers))
+                groups = [everything]
+                # Heuristic (2): prefer candidates keeping dependencies
+                # acyclic.
+                if self.options.prefer_acyclic:
+                    acyclic = [
+                        i for i in everything
+                        if not run.deps.creates_cycle(servers[i])
+                    ]
+                    rest = [i for i in everything if i not in acyclic]
+                    groups = [g for g in (acyclic, rest) if g]
+                    run.acyclic_hits += bool(acyclic)
+
+                best: Optional[Tuple[int, FixedPointResult, float]] = None
+                for group in groups:
+                    for i in group:
+                        run.candidates_evaluated += 1
+                        result = self._try_candidate(
+                            run, stacked[i], update, deadlines, cls.deadline
+                        )
+                        if result is None:
+                            continue
+                        route_delay = float(result.route_delays[-1])
+                        if best is None or route_delay < best[2]:
+                            best = (i, result, route_delay)
+                        if not self.options.min_delay_choice:
+                            break  # first safe candidate wins
+                    if best is not None:
+                        break  # do not fall through to the cyclic group
+
+                if best is None:
+                    run.failed_class, run.failed_pair = cls.name, pair
+                    return run
+                idx, result, _ = best
+                run.system.push(stacked[idx])
+                run.routes[cls.name][pair] = list(raw[idx])
+                run.deps.add_route(servers[idx])
+                run.delays, run.solved = result.delays, result
+        return run
+
+    def _try_candidate(
+        self,
+        run: _Run,
+        candidate: np.ndarray,
+        update: Callable[[RouteSystem], DelayMap],
+        deadlines: np.ndarray,
+        deadline: float,
+    ) -> Optional[FixedPointResult]:
+        """Fixed point with the candidate added; None if any deadline breaks.
+
+        The candidate is pushed for the duration of the solve and popped
+        before returning (the caller re-pushes the winning candidate).
+        The warm start is sound: adding a route only enlarges the monotone
+        update, so the previous solution lies below the new least fixed
+        point.
+        """
+        # Note: an exact one-pass solver exists for acyclic systems
+        # (repro.analysis.acyclic), but the warm-started vectorized
+        # iteration converges in a handful of cheap NumPy steps here and
+        # measures faster than the per-server Python pass, so the
+        # iterative path stays the hot path.
+        warm = run.delays
+        # Sound pre-solve rejection: the candidate's end-to-end delay at
+        # the warm iterate only grows under the monotone update, so if it
+        # already exceeds the deadline the solver's first-iteration check
+        # would reject it anyway — skip the solve setup entirely.
+        if float(warm[candidate].sum()) > deadline:
+            return None
+        system = run.system
+        system.push(candidate)
+        try:
+            result = solve_fixed_point(
+                system,
+                update(system),
+                initial=warm,
+                deadlines=deadlines[: system.num_routes],
+                workspace=self._workspace,
+            )
+        finally:
+            system.pop()
+        return result if result.safe else None
+
+
+class SafeRouteSelector(_GreedySelector):
+    """Greedy safe route selection for a single real-time class."""
+
+    def __init__(
+        self,
+        network: Network,
+        traffic_class: TrafficClass,
+        *,
+        options: HeuristicOptions = HeuristicOptions(),
+        n_mode: str = "uniform",
+        graph: Optional[LinkServerGraph] = None,
+    ):
+        if not traffic_class.is_realtime:
+            raise RoutingError(
+                f"class {traffic_class.name!r} has no finite deadline"
+            )
+        super().__init__(network, options, n_mode, graph)
+        self.traffic_class = traffic_class
+        self._beta_cache: Dict[float, np.ndarray] = {}
 
     def _beta_full(self, alpha: float) -> np.ndarray:
         """Unmasked Theorem 3 coefficients, cached per utilization level."""
@@ -274,173 +506,103 @@ class SafeRouteSelector:
         *,
         fixed_routes: Optional[Sequence[Sequence[Hashable]]] = None,
     ) -> SelectionOutcome:
-        if len(set(pairs)) != len(pairs):
-            raise RoutingError("duplicate source/destination pairs")
         cls = self.traffic_class
-        ordered = self._ordered_pairs(pairs)
+        beta_full = self._beta_full(alpha)
 
-        # The route system holds the committed routes; each candidate
-        # trial pushes one route, solves in the shared workspace, and
-        # pops — no per-candidate rebuild of the committed set.
-        grow = RouteSystem([], self.graph.num_servers)
-        self._last_system = grow
-        routes: Dict[Pair, List[Hashable]] = {}
-        deps = ServerDependencyGraph()
-        d_current = np.zeros(self.graph.num_servers, dtype=np.float64)
-        candidates_evaluated = 0
-        acyclic_hits = 0
-
-        if fixed_routes:
-            for path in fixed_routes:
-                servers = self.graph.route_servers(path)
-                grow.push(servers)
-                deps.add_route(servers)
-            update = theorem3_update(
-                grow, cls.burst, cls.rate, alpha, self.fan_in,
-                beta_full=self._beta_full(alpha),
+        def update(system: RouteSystem) -> DelayMap:
+            return theorem3_update(
+                system, cls.burst, cls.rate, alpha, self.fan_in,
+                beta_full=beta_full,
             )
-            base = solve_fixed_point(
-                grow,
-                update,
-                deadlines=cls.deadline,
-                workspace=self._workspace,
-            )
-            if not base.safe:
-                # The fixed routes alone already violate: nothing to do.
-                return SelectionOutcome(
-                    success=False,
-                    routes={},
-                    failed_pair=ordered[0] if ordered else None,
-                    server_delays=base.delays,
-                    worst_route_delay=float(
-                        base.route_delays.max(initial=0.0)
-                    ),
-                    candidates_evaluated=0,
-                    acyclic_preferred_hits=0,
-                )
-            d_current = base.delays
 
-        for pair in ordered:
-            raw_candidates, server_cands = self._server_candidates(pair)
-            # Heuristic (2): prefer candidates keeping dependencies acyclic.
-            if self.options.prefer_acyclic:
-                acyclic = [
-                    i
-                    for i, sc in enumerate(server_cands)
-                    if not deps.creates_cycle(sc)
-                ]
-                groups = [acyclic] if acyclic else []
-                acyclic_set = set(acyclic)
-                rest = [
-                    i
-                    for i in range(len(server_cands))
-                    if i not in acyclic_set
-                ]
-                if rest:
-                    groups.append(rest)
-                if acyclic:
-                    acyclic_hits += 1
-            else:
-                groups = [list(range(len(server_cands)))]
-
-            chosen = None  # (cand_idx, delays, route_delay)
-            for group in groups:
-                best: Optional[Tuple[int, np.ndarray, float]] = None
-                for i in group:
-                    candidates_evaluated += 1
-                    trial = self._try_candidate(
-                        grow, server_cands[i], alpha, d_current
-                    )
-                    if trial is None:
-                        continue
-                    delays, new_route_delay = trial
-                    if best is None or new_route_delay < best[2]:
-                        best = (i, delays, new_route_delay)
-                    if not self.options.min_delay_choice:
-                        break  # first safe candidate wins
-                if best is not None:
-                    chosen = best
-                    break  # do not fall through to the cyclic group
-
-            if chosen is None:
-                return SelectionOutcome(
-                    success=False,
-                    routes=routes,
-                    failed_pair=pair,
-                    server_delays=d_current,
-                    worst_route_delay=self._worst_route_delay(
-                        grow, d_current
-                    ),
-                    candidates_evaluated=candidates_evaluated,
-                    acyclic_preferred_hits=acyclic_hits,
-                )
-
-            idx, delays, _ = chosen
-            grow.push(server_cands[idx])
-            routes[pair] = list(raw_candidates[idx])
-            deps.add_route(server_cands[idx])
-            d_current = delays
-
+        run = self._greedy(
+            [cls],
+            [self._ordered(pairs)],
+            update,
+            [self.graph.route_servers(p) for p in fixed_routes or ()],
+        )
+        worst = run.system.route_delays(run.delays)
         return SelectionOutcome(
-            success=True,
-            routes=routes,
-            failed_pair=None,
-            server_delays=d_current,
-            worst_route_delay=self._worst_route_delay(grow, d_current),
-            candidates_evaluated=candidates_evaluated,
-            acyclic_preferred_hits=acyclic_hits,
+            success=run.failed_class is None,
+            routes=run.routes[cls.name],
+            failed_pair=run.failed_pair,
+            server_delays=run.delays,
+            worst_route_delay=float(worst.max()) if worst.size else 0.0,
+            candidates_evaluated=run.candidates_evaluated,
+            acyclic_preferred_hits=run.acyclic_hits,
         )
 
-    # ------------------------------------------------------------------ #
 
-    def _try_candidate(
+class MultiClassRouteSelector(_GreedySelector):
+    """Greedy joint-safety route selection for several real-time classes.
+
+    The Section 5.2 loop over the registry's real-time classes in
+    priority order, judging each candidate by the joint Theorem 5 fixed
+    point of every class routed so far.
+    """
+
+    def __init__(
         self,
-        grow: RouteSystem,
-        candidate: np.ndarray,
-        alpha: float,
-        warm: np.ndarray,
-    ) -> Optional[Tuple[np.ndarray, float]]:
-        """Fixed point with the candidate added; None if any deadline breaks.
+        network: Network,
+        registry: ClassRegistry,
+        *,
+        options: HeuristicOptions = HeuristicOptions(),
+        n_mode: str = "uniform",
+        graph: Optional[LinkServerGraph] = None,
+    ):
+        if not registry.realtime_classes():
+            raise RoutingError("registry has no real-time class to route")
+        super().__init__(network, options, n_mode, graph)
+        self.registry = registry
 
-        The candidate is pushed for the duration of the solve and popped
-        before returning (the caller re-pushes the winning candidate).
-        The warm start is sound: adding a route only enlarges the monotone
-        update, so the previous solution lies below the new least fixed
-        point.
+    def select(
+        self,
+        pairs_by_class: Mapping[str, Sequence[Pair]],
+        alphas: Mapping[str, float],
+    ) -> MultiClassSelectionOutcome:
+        """Route every class's pairs under the joint Theorem 5 bound.
+
+        Parameters
+        ----------
+        pairs_by_class:
+            Source/destination demand per real-time class name.  Classes
+            absent from the mapping get no routes.
+        alphas:
+            Per-class utilization assignment (must cover every real-time
+            class in the registry).
         """
-        # Note: an exact one-pass solver exists for acyclic systems
-        # (repro.analysis.acyclic), but the warm-started vectorized
-        # iteration converges in a handful of cheap NumPy steps here and
-        # measures faster than the per-server Python pass, so the
-        # iterative path stays the hot path.
-        cls = self.traffic_class
-        # Sound pre-solve rejection: the candidate's end-to-end delay at
-        # the warm iterate only grows under the monotone update, so if it
-        # already exceeds the deadline the solver's first-iteration check
-        # would reject it anyway — skip the solve setup entirely.
-        if float(warm[candidate].sum()) > cls.deadline:
-            return None
-        grow.push(candidate)
-        try:
-            update = theorem3_update(
-                grow, cls.burst, cls.rate, alpha, self.fan_in,
-                beta_full=self._beta_full(alpha),
-            )
-            result = solve_fixed_point(
-                grow,
-                update,
-                initial=warm,
-                deadlines=cls.deadline,
-                workspace=self._workspace,
-            )
-        finally:
-            grow.pop()
-        if not result.safe:
-            return None
-        return result.delays, float(result.route_delays[-1])
+        rt_classes = self.registry.realtime_classes()  # priority order
+        rt_names = [c.name for c in rt_classes]
+        for name in pairs_by_class:
+            if name not in rt_names:
+                raise RoutingError(
+                    f"class {name!r} is not a registered real-time class"
+                )
+        alpha_vec = class_alphas(rt_classes, alphas, self.fan_in)
+        demand = [
+            self._ordered(list(pairs_by_class.get(name, ())))
+            for name in rt_names
+        ]
+        shape = (len(rt_classes), self.graph.num_servers)
+        bursts = np.asarray([c.burst for c in rt_classes])
+        rates = np.asarray([c.rate for c in rt_classes])
 
-    def _worst_route_delay(
-        self, system: RouteSystem, delays: np.ndarray
-    ) -> float:
-        rd = system.route_delays(delays)
-        return float(rd.max()) if rd.size else 0.0
+        def update(system: RouteSystem) -> DelayMap:
+            return Theorem5Map(
+                system.touched_servers.reshape(shape),
+                bursts, rates, alpha_vec, self.fan_in,
+            )
+
+        run = self._greedy(rt_classes, demand, update)
+        verification = None
+        if run.solved is not None:
+            counts = [len(routes) for routes in run.routes.values()]
+            verification = split_by_class(run.solved, rt_classes, counts)
+        return MultiClassSelectionOutcome(
+            success=run.failed_class is None,
+            routes=run.routes,
+            failed_class=run.failed_class,
+            failed_pair=run.failed_pair,
+            verification=verification,
+            candidates_evaluated=run.candidates_evaluated,
+        )

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
-from ..errors import RoutingError
 from ..topology.network import Network
 from ..topology.servergraph import LinkServerGraph
 from .candidates import CandidateGenerator
+from .heuristic import check_pairs, farthest_first
 
 __all__ = ["least_loaded_routes"]
 
@@ -41,30 +40,16 @@ def least_loaded_routes(
     graph: Optional[LinkServerGraph] = None,
 ) -> Dict[Pair, List[Hashable]]:
     """Route every pair minimizing the maximum per-server route count."""
-    if len(set(pairs)) != len(pairs):
-        raise RoutingError("duplicate source/destination pairs")
+    check_pairs(pairs)
     g = graph if graph is not None else LinkServerGraph(network)
     candidates = CandidateGenerator(
         network, k=k_candidates, detour_slack=detour_slack
     )
     occupancy = np.zeros(g.num_servers, dtype=np.int64)
-
-    if order_by_distance:
-        dist_cache: Dict[Hashable, Dict[Hashable, int]] = {}
-
-        def distance(pair: Pair) -> int:
-            src, dst = pair
-            if src not in dist_cache:
-                dist_cache[src] = nx.single_source_shortest_path_length(
-                    network.graph, src
-                )
-            return int(dist_cache[src][dst])
-
-        ordered = sorted(
-            pairs, key=lambda p: (-distance(p), str(p[0]), str(p[1]))
-        )
-    else:
-        ordered = list(pairs)
+    ordered = (
+        farthest_first(network, pairs, {}) if order_by_distance
+        else list(pairs)
+    )
 
     routes: Dict[Pair, List[Hashable]] = {}
     for pair in ordered:

@@ -1,13 +1,20 @@
 """The Section 5.2 safe route selection heuristic."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.analysis import single_class_delays
-from repro.errors import RoutingError
-from repro.routing import HeuristicOptions, SafeRouteSelector
+from repro.errors import NoRouteError, RoutingError
+from repro.routing import (
+    HeuristicOptions,
+    MultiClassRouteSelector,
+    SafeRouteSelector,
+    least_loaded_routes,
+)
 from repro.topology import LinkServerGraph
-from repro.traffic import TrafficClass
+from repro.traffic import ClassRegistry, TrafficClass, video_class, voice_class
 
 
 SUBSET = [
@@ -67,6 +74,46 @@ def test_failure_at_absurd_alpha(selector, mci_pairs):
 def test_duplicate_pairs_rejected(selector):
     with pytest.raises(RoutingError):
         selector.select([("Seattle", "Miami")] * 2, alpha=0.3)
+
+
+def _single(network, pairs, ordered):
+    options = HeuristicOptions(order_by_distance=ordered)
+    return SafeRouteSelector(network, voice_class(), options=options).select(
+        pairs, 0.1
+    )
+
+
+def _multi(network, pairs, ordered):
+    registry = ClassRegistry([voice_class(), video_class()])
+    options = HeuristicOptions(order_by_distance=ordered)
+    return MultiClassRouteSelector(network, registry, options=options).select(
+        {"voice": pairs}, {"voice": 0.1, "video": 0.1}
+    )
+
+
+def _least_loaded(network, pairs, ordered):
+    return least_loaded_routes(network, pairs, order_by_distance=ordered)
+
+
+#: Every entry point that validates and orders a pair list.
+ENTRY_POINTS = {
+    "single": _single, "multi": _multi, "least_loaded": _least_loaded,
+}
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("pair", [("Seattle", "Nowhere"), ("Nowhere", "Miami")])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_unknown_router_raises_no_route_error(mci, entry, pair, ordered):
+    with pytest.raises(NoRouteError, match="Nowhere"):
+        ENTRY_POINTS[entry](mci, [("Boston", "Phoenix"), pair], ordered)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_pair_with_one_router_rejected(mci, entry):
+    pair = ("Seattle", "Seattle")
+    with pytest.raises(RoutingError, match=re.escape(repr(pair))):
+        ENTRY_POINTS[entry](mci, [("Boston", "Phoenix"), pair], True)
 
 
 def test_best_effort_class_rejected(mci):

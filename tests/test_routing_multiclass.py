@@ -1,9 +1,12 @@
 """Multi-class safe route selection (Section 5.4 variation)."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.analysis import multi_class_delays, single_class_delays
-from repro.errors import RoutingError
+from repro.errors import AnalysisError, RoutingError
 from repro.routing import (
     HeuristicOptions,
     MultiClassRouteSelector,
@@ -60,7 +63,7 @@ def test_outcome_is_certified(mci, mci_graph, registry, selector):
     # The selector's final joint fixed point matches the re-verification.
     for name in ("voice", "video"):
         assert check.per_class[name].worst_route_delay == pytest.approx(
-            out.verification.per_class[name].worst_route_delay, rel=1e-6
+            out.verification.per_class[name].worst_route_delay, rel=1e-12
         )
 
 
@@ -138,3 +141,66 @@ def test_higher_priority_protected_from_later_classes(selector, registry,
     assert out.success
     voice_res = out.verification.per_class["voice"]
     assert voice_res.meets_deadline
+
+
+@pytest.mark.parametrize(
+    "demand, alphas, missing",
+    [({}, {"voice": 0.1}, "video"), ({"voice": []}, {}, "voice")],
+)
+def test_alphas_validated_without_demand(selector, demand, alphas, missing):
+    """A bad alpha set is refused whether or not any pair is routed."""
+    with pytest.raises(
+        AnalysisError, match=f"missing alpha for class '{missing}'"
+    ):
+        selector.select(demand, alphas)
+
+
+#: Outcomes recorded from the selector that re-solved the joint fixed
+#: point from scratch for every candidate.
+PINNED = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "multiclass_selection.json")
+    .read_text(encoding="utf-8")
+)
+
+#: The Ext-N bench demand (benchmarks/test_bench_multiclass_routing.py).
+EXT_N_VOICE = [
+    ("Seattle", "Miami"),
+    ("Boston", "Phoenix"),
+    ("SanFrancisco", "Orlando"),
+    ("Chicago", "Dallas"),
+    ("Detroit", "Houston"),
+    ("NewYork", "LosAngeles"),
+]
+EXT_N_VIDEO = [
+    ("Denver", "WashingtonDC"),
+    ("Atlanta", "Seattle"),
+    ("Miami", "Chicago"),
+]
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED))
+def test_pinned_outcomes(mci, mci_pairs, selector, scenario):
+    demand, alphas = {
+        "ext_n": (
+            {"voice": EXT_N_VOICE, "video": EXT_N_VIDEO},
+            {"voice": 0.10, "video": 0.20},
+        ),
+        "ordered_pairs_120": (
+            {"voice": mci_pairs[:60], "video": mci_pairs[60:120]},
+            {"voice": 0.05, "video": 0.05},
+        ),
+    }[scenario]
+    pinned = PINNED[scenario]
+    out = selector.select(demand, alphas)
+    assert out.success
+    # Same routes, committed in the same order.
+    assert {
+        name: [[src, dst, path] for (src, dst), path in pair_map.items()]
+        for name, pair_map in out.routes.items()
+    } == pinned["routes"]
+    assert out.candidates_evaluated == pinned["candidates_evaluated"]
+    assert out.verification.iterations == pinned["iterations"]
+    for name, worst in pinned["worst_route_delay"].items():
+        assert out.verification.per_class[
+            name
+        ].worst_route_delay == pytest.approx(worst, rel=1e-12, abs=0)

@@ -669,6 +669,53 @@ RATCHETS = (
             r".*range\(1, max_iterations \+ 1\)",
         ),
     ),
+    Ratchet(
+        name="One greedy route selector: no rebuild per candidate",
+        why=(
+            "Both selectors run one greedy loop that pushes each "
+            "candidate on the stacked route system, solves from the last "
+            "accepted delays and pops it.  A multi_class_delays call "
+            "under routing/ rebuilds every route routed so far for each "
+            "candidate: the hand copy of the loop that did so took twice "
+            "as long on 120 pairs."
+        ),
+        pattern=r"multi_class_delays\(",
+        roots=("src/repro/routing",),
+        offender=(
+            "src/repro/routing/heuristic.py",
+            "        result = multi_class_delays(",
+        ),
+    ),
+    Ratchet(
+        name="One greedy route selector: one pair ordering",
+        why=(
+            "heuristic.farthest_first is the one heuristic (1) ordering "
+            "and owns the distance lookup; each of its three copies "
+            "raised a raw KeyError for an unknown router."
+        ),
+        pattern=r"single_source_shortest_path_length",
+        roots=("src/repro/routing",),
+        offender=(
+            "src/repro/routing/leastloaded.py",
+            "        dist[src] = nx.single_source_shortest_path_length(g, src)",
+        ),
+        max_count=1,
+    ),
+    Ratchet(
+        name="One greedy route selector: one candidate loop",
+        why=(
+            "_GreedySelector._greedy walks the acyclic-first candidate "
+            "groups of every class; a second walk is a second copy of "
+            "the Section 5.2 loop."
+        ),
+        pattern=r"for group in groups",
+        roots=("src/repro/routing",),
+        offender=(
+            "src/repro/routing/heuristic.py",
+            "                for group in groups:",
+        ),
+        max_count=1,
+    ),
 )
 
 BY_NAME = pytest.mark.parametrize(
