@@ -4,8 +4,7 @@
 An operator's workflow beyond the paper's experiment:
 
 1. configure the network in one call (route selection + verification);
-2. ask *what-if* questions: which routes are critical, which links are
-   hot, how far can utilization grow on these routes
+2. ask *what-if*: how far can utilization grow on these routes
    (:func:`critical_alpha`);
 3. ship the configuration as JSON (the artifact routers would consume)
    and reload it bit-for-bit;
@@ -25,7 +24,6 @@ from repro import (
     critical_alpha,
     mci_backbone,
     nsfnet_backbone,
-    sensitivity_report,
     shortest_path_routes,
     theorem4_lower_bound,
     voice_class,
@@ -48,10 +46,6 @@ def main() -> None:
 
     # --- 2. what-if analysis -------------------------------------------
     paths = list(cfg.routes.values())
-    report = sensitivity_report(cfg.graph, paths, voice, 0.40, top=3)
-    print()
-    print(report.render())
-
     a_star = critical_alpha(cfg.graph, paths, voice, resolution=1e-3)
     print()
     print(f"these routes stay certifiable up to alpha = {a_star:.3f} "

@@ -44,7 +44,6 @@ if TYPE_CHECKING:
     from .analysis import (
         FixedPointResult,
         critical_alpha,
-        sensitivity_report,
         FlowAwareResult,
         MultiClassResult,
         RouteSystem,
@@ -68,9 +67,7 @@ if TYPE_CHECKING:
         max_utilization_heuristic,
         max_utilization_shortest_path,
         maximize_multiclass_scale,
-        maximize_utilization,
         repair_after_link_failure,
-        select_safe_routes,
         theorem4_lower_bound,
         theorem4_upper_bound,
         utilization_bounds,
@@ -81,11 +78,9 @@ if TYPE_CHECKING:
         AnalysisError,
         ConfigurationError,
         EnvelopeError,
-        FixedPointDivergence,
         InfeasibleUtilization,
         NoRouteError,
         ReproError,
-        RouteSelectionFailure,
         RoutingError,
         SimulationError,
         TopologyError,
@@ -111,7 +106,6 @@ if TYPE_CHECKING:
     from .simulation import PacketPattern, SimulationReport, Simulator
     from .statistical import (
         DelayDistribution,
-        OverbookedAdmissionController,
         calibrate_overbooking,
         estimate_delay_distribution,
     )
@@ -124,7 +118,6 @@ if TYPE_CHECKING:
     from .traffic import (
         ClassRegistry,
         Envelope,
-        FlowSet,
         FlowSpec,
         TrafficClass,
         all_ordered_pairs,
@@ -140,8 +133,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "replay_schedule",
     ),
     ".analysis": (
-        "FixedPointResult", "critical_alpha", "sensitivity_report",
-        "FlowAwareResult", "MultiClassResult", "RouteSystem",
+        "FixedPointResult", "critical_alpha", "FlowAwareResult",
+        "MultiClassResult", "RouteSystem",
         "SingleClassResult", "VerificationResult", "beta_coefficient",
         "flow_aware_delays", "multi_class_delays", "single_class_delays",
         "theorem3_delay", "uniform_worst_delay", "verify_assignment",
@@ -150,16 +143,15 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "ConfiguredNetwork", "MaximizationResult", "RepairResult",
         "MulticlassScaleResult", "UtilizationBounds", "configure",
         "max_utilization_heuristic", "max_utilization_shortest_path",
-        "maximize_multiclass_scale", "maximize_utilization",
-        "repair_after_link_failure", "select_safe_routes",
+        "maximize_multiclass_scale", "repair_after_link_failure",
         "theorem4_lower_bound", "theorem4_upper_bound", "utilization_bounds",
         "verify_safe_assignment",
     ),
     ".errors": (
         "AdmissionError", "AnalysisError", "ConfigurationError",
-        "EnvelopeError", "FixedPointDivergence", "InfeasibleUtilization",
-        "NoRouteError", "ReproError", "RouteSelectionFailure", "RoutingError",
-        "SimulationError", "TopologyError", "TrafficError",
+        "EnvelopeError", "InfeasibleUtilization", "NoRouteError",
+        "ReproError", "RoutingError", "SimulationError", "TopologyError",
+        "TrafficError",
     ),
     ".experiments": (
         "PAPER_TABLE1", "PaperScenario", "Table1Result", "paper_scenario",
@@ -171,12 +163,12 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ),
     ".simulation": ("PacketPattern", "SimulationReport", "Simulator"),
     ".statistical": (
-        "DelayDistribution", "OverbookedAdmissionController",
-        "calibrate_overbooking", "estimate_delay_distribution",
+        "DelayDistribution", "calibrate_overbooking",
+        "estimate_delay_distribution",
     ),
     ".topology": ("LinkServerGraph", "Network", "mci_backbone", "nsfnet_backbone"),
     ".traffic": (
-        "ClassRegistry", "Envelope", "FlowSet", "FlowSpec", "TrafficClass",
+        "ClassRegistry", "Envelope", "FlowSpec", "TrafficClass",
         "all_ordered_pairs", "leaky_bucket_envelope", "voice_class",
     ),
 })

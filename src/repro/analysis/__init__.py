@@ -14,13 +14,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .acyclic import dependency_topological_order, solve_acyclic
-    from .beta import (
-        beta_coefficient,
-        max_stable_alpha_uniform,
-        theorem3_delay,
-        uniform_worst_delay,
-    )
+    from .beta import beta_coefficient, theorem3_delay, uniform_worst_delay
     from .delays import (
         SingleClassResult,
         resolve_fan_in,
@@ -45,21 +39,11 @@ if TYPE_CHECKING:
     from .netcalc import FlowAwareResult, flow_aware_delays, static_priority_delay
     from .reshaped import reshaped_delay_bound, reshaped_max_alpha
     from .routesystem import RouteSystem
-    from .sensitivity import (
-        RouteSlack,
-        SensitivityReport,
-        ServerLoad,
-        critical_alpha,
-        sensitivity_report,
-    )
+    from .sensitivity import critical_alpha
     from .verification import VerificationResult, verify_assignment
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".acyclic": ("dependency_topological_order", "solve_acyclic"),
-    ".beta": (
-        "beta_coefficient", "max_stable_alpha_uniform", "theorem3_delay",
-        "uniform_worst_delay",
-    ),
+    ".beta": ("beta_coefficient", "theorem3_delay", "uniform_worst_delay"),
     ".delays": (
         "SingleClassResult", "resolve_fan_in", "single_class_delays",
         "theorem3_update",
@@ -76,9 +60,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".netcalc": ("FlowAwareResult", "flow_aware_delays", "static_priority_delay"),
     ".reshaped": ("reshaped_delay_bound", "reshaped_max_alpha"),
     ".routesystem": ("RouteSystem",),
-    ".sensitivity": (
-        "RouteSlack", "SensitivityReport", "ServerLoad", "critical_alpha",
-        "sensitivity_report",
-    ),
+    ".sensitivity": ("critical_alpha",),
     ".verification": ("VerificationResult", "verify_assignment"),
 })

@@ -27,7 +27,6 @@ __all__ = [
     "beta_coefficient",
     "theorem3_delay",
     "uniform_worst_delay",
-    "max_stable_alpha_uniform",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -100,23 +99,3 @@ def uniform_worst_delay(
         return float("inf")
     return beta * burst / (1.0 - feedback)
 
-
-def max_stable_alpha_uniform(
-    rate: float, fan_in: int, diameter: int
-) -> float:
-    """Largest ``alpha`` for which :func:`uniform_worst_delay` is finite.
-
-    Solves ``beta(alpha) * rho * (L - 1) = 1`` for ``alpha``:
-    ``alpha*(N-1)*(L-1) = N - alpha`` gives
-    ``alpha = N / ((N-1)*(L-1) + 1)``.  For ``L = 1`` every
-    ``alpha <= 1`` is stable (no feedback), so 1.0 is returned.
-    """
-    if diameter < 1:
-        raise AnalysisError(f"diameter must be >= 1, got {diameter}")
-    if fan_in < 1:
-        raise AnalysisError(f"fan-in must be >= 1, got {fan_in}")
-    if rate <= 0:
-        raise AnalysisError(f"rate must be positive, got {rate}")
-    if diameter == 1 or fan_in == 1:
-        return 1.0
-    return min(1.0, fan_in / ((fan_in - 1) * (diameter - 1) + 1))

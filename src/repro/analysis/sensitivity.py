@@ -1,150 +1,21 @@
-"""What-if analysis of a verified configuration.
+"""What-if analysis of a verified configuration: how much higher could
+the utilization go before the certificate of fixed routes breaks
+(:func:`critical_alpha`)?
 
-Operators of a configured network want to know more than SUCCESS/FAILURE:
-
-* which routes are *critical* (least deadline slack)?
-* which servers carry the delay (bottlenecks)?
-* how much higher could the utilization go before the certificate breaks
-  (:func:`critical_alpha`), and how sensitive is the worst delay to small
-  utilization changes?
-
-Everything here is built from the same fixed point as verification, so
-the numbers are certificates, not estimates.
+Built from the same fixed point as verification, so the answer is a
+certificate, not an estimate.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Hashable, Sequence
 
 from ..errors import AnalysisError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import TrafficClass
-from .delays import SingleClassResult, single_class_delays
+from .delays import single_class_delays
 
-__all__ = [
-    "RouteSlack",
-    "ServerLoad",
-    "SensitivityReport",
-    "sensitivity_report",
-    "critical_alpha",
-]
-
-
-@dataclass(frozen=True)
-class RouteSlack:
-    """Deadline slack of one route under the verified bound."""
-
-    route_index: int
-    path: Tuple[Hashable, ...]
-    delay_bound: float
-    slack: float
-
-    @property
-    def utilization_of_deadline(self) -> float:
-        """Fraction of the deadline budget this route's bound consumes."""
-        return self.delay_bound / (self.delay_bound + self.slack)
-
-
-@dataclass(frozen=True)
-class ServerLoad:
-    """One server's contribution to the configured delays."""
-
-    server_index: int
-    link: Tuple[Hashable, Hashable]
-    delay_bound: float
-    routes_through: int
-
-
-@dataclass
-class SensitivityReport:
-    """Bundled what-if view of a single-class configuration."""
-
-    alpha: float
-    deadline: float
-    critical_routes: List[RouteSlack]
-    bottleneck_servers: List[ServerLoad]
-    min_slack: float
-    worst_delay: float
-
-    def render(self) -> str:
-        lines = [
-            f"sensitivity at alpha = {self.alpha:.3f} "
-            f"(deadline {self.deadline * 1e3:.0f} ms)",
-            f"  worst route bound : {self.worst_delay * 1e3:.2f} ms",
-            f"  minimum slack     : {self.min_slack * 1e3:.2f} ms",
-            "  tightest routes:",
-        ]
-        for r in self.critical_routes:
-            lines.append(
-                f"    #{r.route_index}  "
-                f"{' -> '.join(str(p) for p in r.path)}  "
-                f"bound {r.delay_bound * 1e3:.2f} ms "
-                f"(slack {r.slack * 1e3:.2f} ms)"
-            )
-        lines.append("  hottest servers:")
-        for s in self.bottleneck_servers:
-            lines.append(
-                f"    {s.link[0]} -> {s.link[1]}  "
-                f"d_k {s.delay_bound * 1e3:.3f} ms, "
-                f"{s.routes_through} routes"
-            )
-        return "\n".join(lines)
-
-
-def sensitivity_report(
-    graph: LinkServerGraph,
-    router_paths: Sequence[Sequence[Hashable]],
-    traffic_class: TrafficClass,
-    alpha: float,
-    *,
-    n_mode: str = "uniform",
-    top: int = 5,
-) -> SensitivityReport:
-    """Critical routes and bottleneck servers of a verified assignment."""
-    result = single_class_delays(
-        graph, router_paths, traffic_class, alpha, n_mode=n_mode
-    )
-    if not result.safe:
-        raise AnalysisError(
-            "sensitivity analysis requires a safe configuration; "
-            "verification failed at this alpha"
-        )
-    deadline = traffic_class.deadline
-    slacks = deadline - result.route_delays
-    order = np.argsort(slacks)
-    critical = [
-        RouteSlack(
-            route_index=int(i),
-            path=tuple(router_paths[int(i)]),
-            delay_bound=float(result.route_delays[int(i)]),
-            slack=float(slacks[int(i)]),
-        )
-        for i in order[:top]
-    ]
-    counts = result.system.server_route_count()
-    hot = np.argsort(result.server_delays)[::-1]
-    bottlenecks = [
-        ServerLoad(
-            server_index=int(k),
-            link=graph.server_key(int(k)),
-            delay_bound=float(result.server_delays[int(k)]),
-            routes_through=int(counts[int(k)]),
-        )
-        for k in hot[:top]
-        if result.server_delays[int(k)] > 0
-    ]
-    return SensitivityReport(
-        alpha=alpha,
-        deadline=deadline,
-        critical_routes=critical,
-        bottleneck_servers=bottlenecks,
-        min_slack=float(slacks.min()) if slacks.size else deadline,
-        worst_delay=result.worst_route_delay,
-    )
+__all__ = ["critical_alpha"]
 
 
 def critical_alpha(

@@ -24,8 +24,6 @@ if TYPE_CHECKING:
     from .procedures import (
         MulticlassScaleResult,
         maximize_multiclass_scale,
-        maximize_utilization,
-        select_safe_routes,
         verify_safe_assignment,
     )
 
@@ -42,6 +40,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".repair": ("RepairResult", "repair_after_link_failure"),
     ".procedures": (
         "MulticlassScaleResult", "maximize_multiclass_scale",
-        "maximize_utilization", "select_safe_routes", "verify_safe_assignment",
+        "verify_safe_assignment",
     ),
 })

@@ -1,4 +1,4 @@
-"""The three configuration procedures (Section 5).
+"""Configuration procedures (Section 5) beyond route selection.
 
 The paper distinguishes three configuration tasks, depending on what is
 given:
@@ -6,9 +6,9 @@ given:
 1. **Verification** — routes and utilization given: check deadlines
    (:func:`verify_safe_assignment`, a re-export of the Figure 2 procedure).
 2. **Safe route selection** — utilization given, routes wanted
-   (:func:`select_safe_routes`).
+   (:class:`repro.routing.heuristic.SafeRouteSelector`).
 3. **Utilization maximization** — neither given: select routes to maximize
-   the assignable utilization (:func:`maximize_utilization`).
+   the assignable utilization (:mod:`repro.config.maximize`).
 
 A multi-class proportional variant (:func:`maximize_multiclass_scale`)
 implements the extension the paper sketches at the end of Section 5.4:
@@ -24,19 +24,10 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 from ..analysis.verification import VerificationResult, verify_assignment
 from ..errors import ConfigurationError, InfeasibleUtilization
 from ..topology.network import Network
-from ..traffic.classes import ClassRegistry, TrafficClass
-from ..routing.heuristic import HeuristicOptions, SafeRouteSelector, SelectionOutcome
-from .maximize import (
-    DEFAULT_RESOLUTION,
-    MaximizationResult,
-    max_utilization_heuristic,
-    max_utilization_shortest_path,
-)
+from ..traffic.classes import ClassRegistry
 
 __all__ = [
     "verify_safe_assignment",
-    "select_safe_routes",
-    "maximize_utilization",
     "MulticlassScaleResult",
     "maximize_multiclass_scale",
 ]
@@ -45,62 +36,6 @@ Pair = Tuple[Hashable, Hashable]
 
 # Configuration type 1 is exactly the Figure 2 procedure.
 verify_safe_assignment = verify_assignment
-
-
-def select_safe_routes(
-    network: Network,
-    pairs: Sequence[Pair],
-    traffic_class: TrafficClass,
-    alpha: float,
-    *,
-    options: HeuristicOptions = HeuristicOptions(),
-    n_mode: str = "uniform",
-) -> SelectionOutcome:
-    """Configuration type 2: find safe routes for a given utilization.
-
-    Runs the Section 5.2 heuristic for a single real-time class.  Returns
-    the :class:`SelectionOutcome`; check ``.success`` for the paper's
-    SUCCESS/FAILURE verdict.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-    selector = SafeRouteSelector(
-        network, traffic_class, options=options, n_mode=n_mode
-    )
-    return selector.select(pairs, alpha)
-
-
-def maximize_utilization(
-    network: Network,
-    pairs: Sequence[Pair],
-    traffic_class: TrafficClass,
-    *,
-    method: str = "heuristic",
-    options: HeuristicOptions = HeuristicOptions(),
-    n_mode: str = "uniform",
-    resolution: float = DEFAULT_RESOLUTION,
-) -> MaximizationResult:
-    """Configuration type 3: maximize the assignable utilization.
-
-    ``method`` selects the route strategy: ``"heuristic"`` (Section 5.2) or
-    ``"shortest-path"`` (the Table 1 baseline).
-    """
-    if method == "heuristic":
-        return max_utilization_heuristic(
-            network,
-            pairs,
-            traffic_class,
-            options=options,
-            n_mode=n_mode,
-            resolution=resolution,
-        )
-    if method in ("shortest-path", "sp"):
-        return max_utilization_shortest_path(
-            network, pairs, traffic_class, n_mode=n_mode, resolution=resolution
-        )
-    raise ConfigurationError(
-        f"unknown method {method!r}; expected 'heuristic' or 'shortest-path'"
-    )
 
 
 @dataclass

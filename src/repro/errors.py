@@ -8,7 +8,7 @@ handlers can inspect them.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 __all__ = [
     "ReproError",
@@ -19,10 +19,8 @@ __all__ = [
     "EnvelopeError",
     "ClassRegistryError",
     "AnalysisError",
-    "FixedPointDivergence",
     "RoutingError",
     "NoRouteError",
-    "RouteSelectionFailure",
     "ConfigurationError",
     "InfeasibleUtilization",
     "AdmissionError",
@@ -76,31 +74,6 @@ class AnalysisError(ReproError):
     """Delay-analysis failure."""
 
 
-class FixedPointDivergence(AnalysisError):
-    """The delay fixed-point iteration failed to converge.
-
-    A diverging iteration means the utilization assignment is *not safe* for
-    the given route set: the worst-case delays grow without bound.
-
-    Attributes
-    ----------
-    iterations:
-        Number of iterations performed before giving up.
-    last_residual:
-        Largest per-server delay change observed at the final iteration.
-    """
-
-    def __init__(self, iterations: int, last_residual: float,
-                 message: Optional[str] = None):
-        self.iterations = iterations
-        self.last_residual = last_residual
-        super().__init__(
-            message
-            or f"delay fixed point did not converge after {iterations} "
-               f"iterations (last residual {last_residual:.3e})"
-        )
-
-
 class RoutingError(ReproError):
     """Route construction or selection failure."""
 
@@ -112,23 +85,6 @@ class NoRouteError(RoutingError):
         self.source = source
         self.destination = destination
         super().__init__(f"no route from {source!r} to {destination!r}")
-
-
-class RouteSelectionFailure(RoutingError):
-    """The safe route selection algorithm could not route every pair.
-
-    Raised (or recorded, depending on API) when no candidate route for some
-    source/destination pair keeps all deadlines satisfiable.
-    """
-
-    def __init__(self, pair: Any, routed: int, total: int):
-        self.pair = pair
-        self.routed = routed
-        self.total = total
-        super().__init__(
-            f"safe route selection failed at pair {pair!r} "
-            f"after routing {routed}/{total} pairs"
-        )
 
 
 class ConfigurationError(ReproError):

@@ -7,7 +7,6 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .persistence import (
         ExperimentRecord,
-        load_records,
         render_markdown_report,
         save_records,
         sweep_record,
@@ -19,7 +18,6 @@ if TYPE_CHECKING:
         CrossTopologyRow,
         SweepPoint,
         SweepResult,
-        bounds_vs_diameter,
         cross_topology_table,
         sweep_burst,
         sweep_deadline,
@@ -28,14 +26,13 @@ if TYPE_CHECKING:
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".persistence": (
-        "ExperimentRecord", "load_records", "render_markdown_report",
-        "save_records", "sweep_record", "table1_record",
+        "ExperimentRecord", "render_markdown_report", "save_records",
+        "sweep_record", "table1_record",
     ),
     ".reporting": ("format_percent", "format_table"),
     ".scenarios": ("PaperScenario", "paper_scenario"),
     ".sweeps": (
-        "CrossTopologyRow", "SweepPoint", "SweepResult", "bounds_vs_diameter",
-        "cross_topology_table", "sweep_burst", "sweep_deadline",
+        "CrossTopologyRow", "SweepPoint", "SweepResult", "cross_topology_table", "sweep_burst", "sweep_deadline",
     ),
     ".table1": ("PAPER_TABLE1", "Table1Result", "run_table1"),
 })

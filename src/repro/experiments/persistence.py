@@ -24,7 +24,6 @@ __all__ = [
     "sweep_record",
     "render_markdown_report",
     "save_records",
-    "load_records",
 ]
 
 _SCHEMA_VERSION = 1
@@ -180,11 +179,3 @@ def save_records(records: Sequence[ExperimentRecord], path: str) -> None:
             [r.to_dict() for r in records], fh, indent=2, sort_keys=True
         )
 
-
-def load_records(path: str) -> List[ExperimentRecord]:
-    """Read records back from :func:`save_records` output."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise ConfigurationError("record file must contain a JSON list")
-    return [ExperimentRecord.from_dict(d) for d in data]

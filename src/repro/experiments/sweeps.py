@@ -39,7 +39,7 @@ from .reporting import format_table
 from .scenarios import PaperScenario, paper_scenario
 
 __all__ = ["SweepPoint", "SweepResult", "CrossTopologyRow", "sweep_deadline",
-           "sweep_burst", "bounds_vs_diameter", "cross_topology_table"]
+           "sweep_burst", "cross_topology_table"]
 
 
 @dataclass(frozen=True)
@@ -211,41 +211,6 @@ def sweep_burst(
         "burst", "bits", bursts, "burst", sc, include_searches, resolution,
         workers,
     )
-
-
-def _diameter_point_task(
-    payload: Tuple[int, int, TrafficClass]
-) -> SweepPoint:
-    diameter, fan_in, cls = payload
-    return SweepPoint(
-        parameter=float(diameter),
-        lower_bound=theorem4_lower_bound(
-            fan_in, diameter, cls.burst, cls.rate, cls.deadline
-        ),
-        upper_bound=theorem4_upper_bound(
-            fan_in, diameter, cls.burst, cls.rate, cls.deadline
-        ),
-    )
-
-
-def bounds_vs_diameter(
-    diameters: Sequence[int] = (1, 2, 3, 4, 5, 6, 8, 10),
-    *,
-    fan_in: int = 6,
-    traffic_class: Optional[TrafficClass] = None,
-    workers: Optional[int] = None,
-) -> SweepResult:
-    """Theorem 4 bounds as a function of the network diameter ``L``.
-
-    Purely analytic (no topology needed): shows how fast the guaranteed
-    utilization decays with path length.
-    """
-    from ..traffic.generators import voice_class
-
-    cls = traffic_class if traffic_class is not None else voice_class()
-    payloads = [(int(l), int(fan_in), cls) for l in diameters]
-    points = _map_points(_diameter_point_task, payloads, workers)
-    return SweepResult(name="diameter", unit="hops", points=points)
 
 
 @dataclass(frozen=True)

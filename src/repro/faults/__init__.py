@@ -18,12 +18,6 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .degraded import BackoffPolicy, DegradedModePolicy
     from .harness import ChaosHarness
-    from .process import (
-        ClusterProcess,
-        ServiceProcess,
-        kill_restart_check,
-        kill_worker_restart_check,
-    )
     from .report import (
         FLOW_OUTCOMES,
         FlowAccount,
@@ -46,10 +40,6 @@ if TYPE_CHECKING:
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".degraded": ("BackoffPolicy", "DegradedModePolicy"),
     ".harness": ("ChaosHarness",),
-    ".process": (
-        "ClusterProcess", "ServiceProcess", "kill_restart_check",
-        "kill_worker_restart_check",
-    ),
     ".report": ("FLOW_OUTCOMES", "FlowAccount", "TransitionRecord", "TransitionReport"),
     ".scenario": (
         "adversarial_flow_schedule", "configured_flow_schedule",

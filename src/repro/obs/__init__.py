@@ -60,13 +60,8 @@ from .trace import (
 )
 
 if TYPE_CHECKING:
-    from .export import (
-        parse_prometheus_text,
-        to_chrome_trace,
-        to_json_lines,
-        to_prometheus_text,
-    )
-    from .sinks import SPAN_SCHEMA, JsonLinesSpanSink, read_span_lines
+    from .export import to_chrome_trace, to_json_lines, to_prometheus_text
+    from .sinks import SPAN_SCHEMA, JsonLinesSpanSink
 
 # Exporters and the span sink run behind a flag (--metrics-port,
 # --metrics-out, --span-out ...), so they load on first use; the rest of
@@ -75,13 +70,8 @@ __getattr__, __dir__, _ = lazy_exports(
     __name__,
     globals(),
     {
-        ".export": (
-            "parse_prometheus_text",
-            "to_chrome_trace",
-            "to_json_lines",
-            "to_prometheus_text",
-        ),
-        ".sinks": ("SPAN_SCHEMA", "JsonLinesSpanSink", "read_span_lines"),
+        ".export": ("to_chrome_trace", "to_json_lines", "to_prometheus_text"),
+        ".sinks": ("SPAN_SCHEMA", "JsonLinesSpanSink"),
     },
 )
 
@@ -102,7 +92,6 @@ __all__ = [
     "chrome_trace",
     "write_metrics",
     "write_trace",
-    "parse_prometheus_text",
     "MetricsRegistry",
     "NullRegistry",
     "Counter",
@@ -117,7 +106,6 @@ __all__ = [
     "trace_context_from_obj",
     "SPAN_SCHEMA",
     "JsonLinesSpanSink",
-    "read_span_lines",
     "RollingCounter",
     "RollingHistogram",
     "SLOConfig",

@@ -18,11 +18,11 @@ chains can be joined offline.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, List, Optional, Tuple
+from typing import IO, Any, Dict, Optional
 
 from .trace import SpanRecord, Tracer
 
-__all__ = ["SPAN_SCHEMA", "JsonLinesSpanSink", "read_span_lines"]
+__all__ = ["SPAN_SCHEMA", "JsonLinesSpanSink"]
 
 SPAN_SCHEMA = "repro-span/v1"
 
@@ -121,25 +121,3 @@ class JsonLinesSpanSink:
     def __exit__(self, *_exc: Any) -> None:
         self.close()
 
-
-def read_span_lines(
-    path: str,
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read a span-sink file back: ``(header, span objects)``.
-
-    Raises ``ValueError`` on a missing/foreign header so downstream
-    tooling cannot silently mis-join unrelated JSON-lines files.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"span file {path!r} is empty")
-    header = json.loads(lines[0])
-    if (
-        not isinstance(header, dict)
-        or header.get("schema") != SPAN_SCHEMA
-    ):
-        raise ValueError(
-            f"span file {path!r} has no {SPAN_SCHEMA!r} header"
-        )
-    return header, [json.loads(line) for line in lines[1:]]

@@ -10,13 +10,8 @@ if TYPE_CHECKING:
     from .heuristic import HeuristicOptions, SafeRouteSelector, SelectionOutcome
     from .heuristic import MultiClassRouteSelector, MultiClassSelectionOutcome
     from .leastloaded import least_loaded_routes
-    from .partition import (
-        partition_by_link,
-        partition_by_router,
-        route_uses_link,
-        route_uses_router,
-    )
-    from .shortest import route_lengths, shortest_path_route, shortest_path_routes
+    from .partition import partition_by_link, route_uses_link, route_uses_router
+    from .shortest import route_lengths, shortest_path_routes
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".candidates": ("CandidateGenerator", "candidate_routes"),
@@ -26,9 +21,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "MultiClassRouteSelector", "MultiClassSelectionOutcome",
     ),
     ".leastloaded": ("least_loaded_routes",),
-    ".partition": (
-        "partition_by_link", "partition_by_router", "route_uses_link",
-        "route_uses_router",
-    ),
-    ".shortest": ("route_lengths", "shortest_path_route", "shortest_path_routes"),
+    ".partition": ("partition_by_link", "route_uses_link", "route_uses_router"),
+    ".shortest": ("route_lengths", "shortest_path_routes"),
 })

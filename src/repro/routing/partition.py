@@ -15,7 +15,6 @@ __all__ = [
     "route_uses_link",
     "route_uses_router",
     "partition_by_link",
-    "partition_by_router",
 ]
 
 Pair = Tuple[Hashable, Hashable]
@@ -48,21 +47,3 @@ def partition_by_link(
             survivors[pair] = list(path)
     return survivors, casualties
 
-
-def partition_by_router(
-    routes: RouteMap, router: Hashable
-) -> Tuple[Dict[Pair, List[Hashable]], List[Pair]]:
-    """Split ``routes`` into (survivors, casualty pairs) for a dead router.
-
-    Pairs whose *endpoint* is the dead router are casualties too — the
-    caller decides whether they are repairable (they are not) or must be
-    shed.
-    """
-    survivors: Dict[Pair, List[Hashable]] = {}
-    casualties: List[Pair] = []
-    for pair, path in routes.items():
-        if route_uses_router(path, router):
-            casualties.append(pair)
-        else:
-            survivors[pair] = list(path)
-    return survivors, casualties

@@ -14,18 +14,9 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 from ..errors import NoRouteError
 from ..topology.network import Network
 
-__all__ = ["shortest_path_route", "shortest_path_routes", "route_lengths"]
+__all__ = ["shortest_path_routes", "route_lengths"]
 
 Pair = Tuple[Hashable, Hashable]
-
-
-def shortest_path_route(
-    network: Network, source: Hashable, destination: Hashable
-) -> List[Hashable]:
-    """One hop-count shortest path (deterministic tie-breaking)."""
-    return shortest_path_routes(network, [(source, destination)])[
-        (source, destination)
-    ]
 
 
 def shortest_path_routes(

@@ -11,16 +11,9 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .empirical import DelayDistribution, estimate_delay_distribution
-    from .overbooking import (
-        CalibrationResult,
-        OverbookedAdmissionController,
-        calibrate_overbooking,
-    )
+    from .overbooking import CalibrationResult, calibrate_overbooking
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".empirical": ("DelayDistribution", "estimate_delay_distribution"),
-    ".overbooking": (
-        "CalibrationResult", "OverbookedAdmissionController",
-        "calibrate_overbooking",
-    ),
+    ".overbooking": ("CalibrationResult", "calibrate_overbooking"),
 })

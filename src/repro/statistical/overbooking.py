@@ -6,12 +6,11 @@ service instead promises "at most a ``target`` fraction of packets miss
 the deadline" and may admit more.  This module implements the simplest
 honest version of the paper's Section 7 outlook:
 
-1. :func:`calibrate_overbooking` searches for the largest overbooking
-   factor whose *simulated* miss-probability upper confidence bound stays
-   within the target, on a caller-supplied reference scenario;
-2. :class:`OverbookedAdmissionController` applies the factor at run time —
-   the admission test is still O(path length), only the per-link slot
-   capacity is scaled.
+:func:`calibrate_overbooking` searches for the largest overbooking
+factor whose *simulated* miss-probability upper confidence bound stays
+within the target, on a caller-supplied reference scenario.  Applied at
+run time, the factor scales each link's slot capacity; the admission
+test stays O(path length).
 
 The calibration is Monte-Carlo, not analytic: it inherits the usual
 caveat that the certificate holds for traffic resembling the reference
@@ -22,63 +21,18 @@ is exactly what the paper's closing paragraph proposes to explore.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..admission.base import Pair
-from ..admission.utilization import UtilizationAdmissionController
-from ..admission.ledger import UtilizationLedger
-from ..errors import AdmissionError, ConfigurationError
+from ..errors import ConfigurationError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
 from ..traffic.flows import FlowSpec
 from .empirical import DelayDistribution, estimate_delay_distribution
 
 __all__ = [
-    "OverbookedAdmissionController",
     "CalibrationResult",
     "calibrate_overbooking",
 ]
-
-
-class OverbookedAdmissionController(UtilizationAdmissionController):
-    """Utilization controller with scaled slot capacity.
-
-    ``factor >= 1`` multiplies every real-time class's per-link slot
-    count.  ``factor = 1`` reproduces the deterministic controller
-    exactly; the deterministic hard guarantee holds only at 1.
-    """
-
-    def __init__(
-        self,
-        graph: LinkServerGraph,
-        registry: ClassRegistry,
-        alphas: Mapping[str, float],
-        route_map: Mapping[Pair, Sequence[Hashable]],
-        *,
-        factor: float = 1.0,
-    ):
-        if factor < 1.0:
-            raise AdmissionError(
-                f"overbooking factor must be >= 1, got {factor}"
-            )
-        super().__init__(graph, registry, alphas, route_map)
-        self.factor = float(factor)
-        # Rescale the ledger's slot capacities in place.
-        for name in list(self.ledger._capacity):
-            base = self.ledger._capacity[name]
-            self.ledger._capacity[name] = np.floor(
-                base * self.factor
-            ).astype(np.int64)
-
-    def deterministic_slots(self, class_name: str) -> np.ndarray:
-        """Per-server slot counts the worst-case analysis certifies."""
-        alpha = self.alphas[class_name]
-        rate = self.registry.get(class_name).rate
-        return np.floor(alpha * self.graph.capacities / rate).astype(
-            np.int64
-        )
 
 
 @dataclass
@@ -130,8 +84,8 @@ def calibrate_overbooking(
     ----------
     reference_flows:
         Callable mapping a factor to the flow population (with routes)
-        that the overbooked controller would admit at that factor —
-        typically ``factor * deterministic_slots`` flows on the hottest
+        that a controller with ``factor`` times the certified per-link
+        slots would admit — typically that many flows on the hottest
         paths.  The calibration simulates exactly that population.
     target_miss:
         Acceptable per-packet deadline-miss probability (e.g. ``1e-3``).

@@ -29,7 +29,7 @@ if TYPE_CHECKING:
         waxman_network,
     )
     from .network import Network
-    from .properties import TopologyReport, analyze, eccentricities, farthest_pairs
+    from .properties import TopologyReport, analyze
     from .router import DEFAULT_CAPACITY, DirectedLink, Router
     from .serialization import dumps, loads, network_from_dict, network_to_dict
     from .servergraph import LinkServerGraph
@@ -42,7 +42,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "ring_network", "star_network", "tree_network", "waxman_network",
     ),
     ".network": ("Network",),
-    ".properties": ("TopologyReport", "analyze", "eccentricities", "farthest_pairs"),
+    ".properties": ("TopologyReport", "analyze"),
     ".router": ("DEFAULT_CAPACITY", "DirectedLink", "Router"),
     ".serialization": ("dumps", "loads", "network_from_dict", "network_to_dict"),
     ".servergraph": ("LinkServerGraph",),

@@ -8,14 +8,14 @@ experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Tuple
+from typing import Dict
 
 import networkx as nx
 
 from ..errors import TopologyError
 from .network import Network
 
-__all__ = ["TopologyReport", "analyze", "eccentricities", "farthest_pairs"]
+__all__ = ["TopologyReport", "analyze"]
 
 
 @dataclass(frozen=True)
@@ -83,25 +83,3 @@ def analyze(network: Network) -> TopologyReport:
         capacity=caps.pop() if uniform else float("nan"),
     )
 
-
-def eccentricities(network: Network) -> Dict[Hashable, int]:
-    """Per-router eccentricity (max hop distance to any other router)."""
-    if not network.is_connected():
-        raise TopologyError("eccentricity requires a connected network")
-    return {k: int(v) for k, v in nx.eccentricity(network.graph).items()}
-
-
-def farthest_pairs(network: Network) -> Tuple[Tuple[Hashable, Hashable], ...]:
-    """All router pairs at exactly diameter distance (each listed once)."""
-    if not network.is_connected():
-        raise TopologyError("farthest pairs require a connected network")
-    g = network.graph
-    diam = nx.diameter(g)
-    pairs = []
-    lengths = dict(nx.all_pairs_shortest_path_length(g))
-    routers = network.routers()
-    for i, u in enumerate(routers):
-        for v in routers[i + 1:]:
-            if lengths[u][v] == diam:
-                pairs.append((u, v))
-    return tuple(pairs)

@@ -27,7 +27,6 @@ __all__ = [
     "TrafficClass",
     "ClassRegistry",
     "BEST_EFFORT_PRIORITY",
-    "class_from_tspec",
 ]
 
 #: Conventional priority for the best-effort class (lowest service priority).
@@ -106,38 +105,6 @@ class TrafficClass:
             deadline=math.inf,
             priority=BEST_EFFORT_PRIORITY,
         )
-
-
-def class_from_tspec(
-    name: str,
-    max_packet: float,
-    peak_rate: float,
-    bucket_depth: float,
-    sustained_rate: float,
-    deadline: float,
-    priority: int,
-) -> TrafficClass:
-    """Conservatively map an IntServ TSpec onto a UBAC class.
-
-    The paper's analysis consumes single leaky buckets.  A TSpec
-    ``min(M + p*I, b + r*I)`` is dominated by its sustained bucket
-    ``(b, r)``, so admitting the flow as a ``(T=b, rho=r)`` class member
-    is safe: every guarantee derived for the class envelope also covers
-    the TSpec source (the peak-rate constraint only removes traffic).
-    The loss of precision is the price of flow aggregation; the
-    flow-aware baseline can use the full
-    :func:`~repro.traffic.envelope.tspec_envelope` instead.
-    """
-    from .envelope import tspec_envelope  # validate parameters
-
-    tspec_envelope(max_packet, peak_rate, bucket_depth, sustained_rate)
-    return TrafficClass(
-        name=name,
-        burst=bucket_depth,
-        rate=sustained_rate,
-        deadline=deadline,
-        priority=priority,
-    )
 
 
 class ClassRegistry:

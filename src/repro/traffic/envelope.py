@@ -34,8 +34,6 @@ from ..errors import EnvelopeError
 __all__ = [
     "Envelope",
     "leaky_bucket_envelope",
-    "constant_rate_envelope",
-    "tspec_envelope",
 ]
 
 #: Relative tolerance used when validating concavity and simplifying
@@ -55,8 +53,7 @@ class Envelope:
     """A concave, nondecreasing, piecewise-linear traffic constraint function.
 
     Most users construct envelopes through
-    :func:`leaky_bucket_envelope` / :func:`constant_rate_envelope` or the
-    algebra (``+``, :meth:`minimum`, :meth:`shift`, :meth:`scale`) rather
+    :func:`leaky_bucket_envelope` or the algebra (``+``, :meth:`minimum`, :meth:`shift`, :meth:`scale`) rather
     than from raw breakpoints.
     """
 
@@ -380,62 +377,3 @@ def leaky_bucket_envelope(
         env = env.clamp_rate(line_rate)
     return env
 
-
-def constant_rate_envelope(rate: float) -> Envelope:
-    """``F(I) = rate * I`` — a perfectly smooth stream (or a service line)."""
-    if rate < 0:
-        raise EnvelopeError(f"rate must be >= 0, got {rate}")
-    return Envelope([0.0], [0.0], rate)
-
-
-def tspec_envelope(
-    max_packet: float,
-    peak_rate: float,
-    bucket_depth: float,
-    sustained_rate: float,
-    line_rate: float = None,
-) -> Envelope:
-    """IntServ TSpec: the dual leaky bucket ``min(M + p*I, b + r*I)``.
-
-    The standard RSVP traffic specification (RFC 2212 style): a peak-rate
-    bucket ``(M, p)`` intersected with the sustained bucket ``(b, r)``.
-    More expressive than the paper's single bucket; the flow-aware
-    analysis and the class mapping
-    :func:`repro.traffic.classes.class_from_tspec` both consume it.
-
-    Parameters
-    ----------
-    max_packet:
-        ``M``, maximum packet/burst at peak rate (bits).
-    peak_rate:
-        ``p`` in bits/second; must be at least ``sustained_rate``.
-    bucket_depth:
-        ``b``, the sustained-bucket depth (bits); must be at least ``M``.
-    sustained_rate:
-        ``r`` in bits/second.
-    line_rate:
-        Optional physical wire clamp ``C * I``.
-    """
-    if max_packet < 0 or bucket_depth < 0:
-        raise EnvelopeError("bucket depths must be >= 0")
-    if peak_rate < sustained_rate:
-        raise EnvelopeError(
-            f"peak rate {peak_rate} must be >= sustained rate "
-            f"{sustained_rate}"
-        )
-    if bucket_depth < max_packet:
-        raise EnvelopeError(
-            f"bucket depth {bucket_depth} must be >= max packet "
-            f"{max_packet}"
-        )
-    env = Envelope.affine(max_packet, peak_rate).minimum(
-        Envelope.affine(bucket_depth, sustained_rate)
-    )
-    if line_rate is not None:
-        if line_rate <= sustained_rate:
-            raise EnvelopeError(
-                f"line rate {line_rate} must exceed sustained rate "
-                f"{sustained_rate}"
-            )
-        env = env.clamp_rate(line_rate)
-    return env

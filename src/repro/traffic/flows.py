@@ -1,33 +1,21 @@
-"""Flow specifications and flow collections.
+"""Flow specifications and their records.
 
 A *flow* (paper, Section 3) is a unidirectional packet stream between two
 edge routers, belonging to one traffic class, following a single route.  The
 run-time admission controller and the flow-aware baseline both operate on
-:class:`FlowSpec` records; :class:`FlowSet` groups them for the analysis.
+:class:`FlowSpec` records.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from ..errors import TrafficError
 
 __all__ = [
     "FlowSpec",
-    "FlowSet",
     "PRIORITIES",
     "PRIORITY_CODES",
     "PRIORITY_TAGS",
@@ -203,55 +191,3 @@ def flow_from_record(record: Mapping[str, Any]) -> FlowSpec:
             f"malformed flow record {record!r}: {what}"
         ) from None
 
-
-class FlowSet:
-    """A collection of flows with per-class and per-pair indexing."""
-
-    def __init__(self, flows: Optional[Iterable[FlowSpec]] = None):
-        self._flows: Dict[Hashable, FlowSpec] = {}
-        for f in flows or []:
-            self.add(f)
-
-    def add(self, flow: FlowSpec) -> None:
-        if flow.flow_id in self._flows:
-            raise TrafficError(f"duplicate flow id {flow.flow_id!r}")
-        self._flows[flow.flow_id] = flow
-
-    def remove(self, flow_id: Hashable) -> FlowSpec:
-        try:
-            return self._flows.pop(flow_id)
-        except KeyError:
-            raise TrafficError(f"unknown flow id {flow_id!r}") from None
-
-    def __contains__(self, flow_id: Hashable) -> bool:
-        return flow_id in self._flows
-
-    def __len__(self) -> int:
-        return len(self._flows)
-
-    def __iter__(self) -> Iterator[FlowSpec]:
-        return iter(self._flows.values())
-
-    def get(self, flow_id: Hashable) -> FlowSpec:
-        try:
-            return self._flows[flow_id]
-        except KeyError:
-            raise TrafficError(f"unknown flow id {flow_id!r}") from None
-
-    def by_class(self) -> Dict[str, List[FlowSpec]]:
-        out: Dict[str, List[FlowSpec]] = {}
-        for f in self:
-            out.setdefault(f.class_name, []).append(f)
-        return out
-
-    def by_pair(self) -> Dict[Tuple[Hashable, Hashable], List[FlowSpec]]:
-        out: Dict[Tuple[Hashable, Hashable], List[FlowSpec]] = {}
-        for f in self:
-            out.setdefault(f.pair, []).append(f)
-        return out
-
-    def count_class(self, class_name: str) -> int:
-        return sum(1 for f in self if f.class_name == class_name)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FlowSet(n={len(self)})"

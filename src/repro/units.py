@@ -12,46 +12,7 @@ overhead (see the HPC guides: keep hot paths on plain ndarrays/floats).
 
 from __future__ import annotations
 
-__all__ = [
-    "bits",
-    "kilobits",
-    "megabits",
-    "bytes_",
-    "bps",
-    "kbps",
-    "mbps",
-    "gbps",
-    "seconds",
-    "milliseconds",
-    "microseconds",
-    "as_milliseconds",
-    "as_mbps",
-]
-
-
-def bits(value: float) -> float:
-    """Identity helper for symmetry: *value* bits."""
-    return float(value)
-
-
-def kilobits(value: float) -> float:
-    """*value* kilobits, in bits."""
-    return float(value) * 1e3
-
-
-def megabits(value: float) -> float:
-    """*value* megabits, in bits."""
-    return float(value) * 1e6
-
-
-def bytes_(value: float) -> float:
-    """*value* bytes, in bits."""
-    return float(value) * 8.0
-
-
-def bps(value: float) -> float:
-    """Identity helper: *value* bits per second."""
-    return float(value)
+__all__ = ["kbps", "mbps", "milliseconds"]
 
 
 def kbps(value: float) -> float:
@@ -64,31 +25,6 @@ def mbps(value: float) -> float:
     return float(value) * 1e6
 
 
-def gbps(value: float) -> float:
-    """*value* gigabits per second, in bits per second."""
-    return float(value) * 1e9
-
-
-def seconds(value: float) -> float:
-    """Identity helper: *value* seconds."""
-    return float(value)
-
-
 def milliseconds(value: float) -> float:
     """*value* milliseconds, in seconds."""
     return float(value) * 1e-3
-
-
-def microseconds(value: float) -> float:
-    """*value* microseconds, in seconds."""
-    return float(value) * 1e-6
-
-
-def as_milliseconds(value_seconds: float) -> float:
-    """Convert seconds to milliseconds (for reporting)."""
-    return float(value_seconds) * 1e3
-
-
-def as_mbps(value_bps: float) -> float:
-    """Convert bits per second to megabits per second (for reporting)."""
-    return float(value_bps) * 1e-6

@@ -1,4 +1,4 @@
-"""Process-level chaos: kill and restart a live admission server.
+"""Process-level chaos for the tests: kill and restart a live server.
 
 :class:`ServiceProcess` manages a ``repro-ubac serve`` subprocess — the
 real server binary, not an in-process stand-in — so the chaos harness
@@ -20,14 +20,12 @@ import os
 import signal
 import subprocess
 import time
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence
 
-from ..errors import FaultInjectionError, ServiceError
-from ..service.launch import serve_child
-from .degraded import BackoffPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..service.client import ServiceClient
+from repro.errors import FaultInjectionError, ServiceError
+from repro.faults.degraded import BackoffPolicy
+from repro.service.client import ServiceClient
+from repro.service.launch import serve_child
 
 #: How long a launched server may take to answer ``health``.
 STARTUP_TIMEOUT = 30.0
@@ -105,13 +103,8 @@ class ServiceProcess:
             f"{STARTUP_TIMEOUT:g} s: {last_error}"
         )
 
-    def client(self, *, retries: int = 5) -> "ServiceClient":
+    def client(self, *, retries: int = 5) -> ServiceClient:
         """A fresh synchronous client for this server's socket."""
-        # Imported here, not at module top: repro.service.client itself
-        # uses the faults backoff policy, and both packages must stay
-        # importable first.
-        from ..service.client import ServiceClient
-
         return ServiceClient(
             socket_path=self.socket_path,
             backoff=BackoffPolicy(base=0.05, max_retries=retries),

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis import (
     beta_coefficient,
-    max_stable_alpha_uniform,
     theorem3_delay,
     uniform_worst_delay,
 )
@@ -95,14 +94,15 @@ def test_uniform_worst_delay_l1_no_feedback():
 
 
 def test_max_stable_alpha():
-    # beta*rho*(L-1) = 1  <=>  alpha = N / ((N-1)(L-1) + 1)
-    assert max_stable_alpha_uniform(RHO, 6, 4) == pytest.approx(6 / 16)
-    assert max_stable_alpha_uniform(RHO, 6, 1) == 1.0
-    assert max_stable_alpha_uniform(RHO, 1, 4) == 1.0
+    # Eq. 17 has no feedback on one hop or one input link: it stays
+    # finite there at any alpha below 1.
+    assert np.isfinite(uniform_worst_delay(T, RHO, 0.99, 6, 1))
+    assert uniform_worst_delay(T, RHO, 0.99, 1, 4) == 0.0
 
 
 def test_max_stable_alpha_boundary_behavior():
-    a_star = max_stable_alpha_uniform(RHO, 6, 4)
+    # beta*rho*(L-1) = 1  <=>  alpha = N / ((N-1)(L-1) + 1)
+    a_star = 6 / ((6 - 1) * (4 - 1) + 1)
     assert np.isfinite(uniform_worst_delay(T, RHO, a_star * 0.999, 6, 4))
     assert uniform_worst_delay(T, RHO, min(a_star * 1.001, 1.0), 6, 4) == float(
         "inf"

@@ -1,12 +1,8 @@
-"""Sensitivity / what-if analysis."""
+"""What-if analysis: the critical utilization of fixed routes."""
 
 import pytest
 
-from repro.analysis import (
-    critical_alpha,
-    sensitivity_report,
-    single_class_delays,
-)
+from repro.analysis import critical_alpha, single_class_delays
 from repro.errors import AnalysisError
 from repro.routing import shortest_path_routes
 
@@ -14,59 +10,6 @@ from repro.routing import shortest_path_routes
 @pytest.fixture(scope="module")
 def paths(mci, mci_pairs):
     return list(shortest_path_routes(mci, mci_pairs).values())
-
-
-def test_report_structure(mci_graph, paths, voice):
-    report = sensitivity_report(mci_graph, paths, voice, 0.35, top=3)
-    assert len(report.critical_routes) == 3
-    assert len(report.bottleneck_servers) == 3
-    assert report.worst_delay <= voice.deadline
-    assert report.min_slack >= 0
-
-
-def test_critical_routes_are_sorted_by_slack(mci_graph, paths, voice):
-    report = sensitivity_report(mci_graph, paths, voice, 0.35, top=5)
-    slacks = [r.slack for r in report.critical_routes]
-    assert slacks == sorted(slacks)
-    # The tightest route's slack is the report's minimum slack.
-    assert report.min_slack == pytest.approx(slacks[0])
-
-
-def test_critical_route_consistency(mci_graph, paths, voice):
-    """Report numbers agree with a direct verification run."""
-    alpha = 0.35
-    report = sensitivity_report(mci_graph, paths, voice, alpha, top=1)
-    direct = single_class_delays(mci_graph, paths, voice, alpha)
-    worst = report.critical_routes[0]
-    assert worst.delay_bound == pytest.approx(direct.worst_route_delay)
-    assert list(worst.path) == list(paths[worst.route_index])
-
-
-def test_bottlenecks_have_positive_delay(mci_graph, paths, voice):
-    report = sensitivity_report(mci_graph, paths, voice, 0.35)
-    for s in report.bottleneck_servers:
-        assert s.delay_bound > 0
-        assert s.routes_through > 0
-    delays = [s.delay_bound for s in report.bottleneck_servers]
-    assert delays == sorted(delays, reverse=True)
-
-
-def test_utilization_of_deadline(mci_graph, paths, voice):
-    report = sensitivity_report(mci_graph, paths, voice, 0.35, top=1)
-    frac = report.critical_routes[0].utilization_of_deadline
-    assert 0 < frac <= 1
-    assert frac == pytest.approx(report.worst_delay / voice.deadline)
-
-
-def test_report_rejects_unsafe_alpha(mci_graph, paths, voice):
-    with pytest.raises(AnalysisError):
-        sensitivity_report(mci_graph, paths, voice, 0.95)
-
-
-def test_render_is_readable(mci_graph, paths, voice):
-    text = sensitivity_report(mci_graph, paths, voice, 0.3).render()
-    assert "tightest routes" in text
-    assert "hottest servers" in text
 
 
 class TestCriticalAlpha:

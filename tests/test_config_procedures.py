@@ -1,16 +1,14 @@
-"""The three configuration procedures (Section 5) and the multi-class
+"""Configuration types 1 and 2 (Section 5) and the multi-class
 proportional maximization extension."""
 
 import pytest
 
 from repro.config import (
     maximize_multiclass_scale,
-    maximize_utilization,
-    select_safe_routes,
     verify_safe_assignment,
 )
-from repro.errors import ConfigurationError, InfeasibleUtilization
-from repro.routing import shortest_path_routes
+from repro.errors import AnalysisError, ConfigurationError, InfeasibleUtilization
+from repro.routing import SafeRouteSelector, shortest_path_routes
 from repro.traffic import ClassRegistry, TrafficClass, video_class, voice_class
 
 SUBSET = [
@@ -29,31 +27,15 @@ def test_type1_verification_alias(mci, mci_pairs, voice_registry):
 
 
 def test_type2_select_safe_routes(mci, voice):
-    out = select_safe_routes(mci, SUBSET, voice, alpha=0.4)
+    """Configuration type 2 is the Section 5.2 selector."""
+    out = SafeRouteSelector(mci, voice).select(SUBSET, 0.4)
     assert out.success
     assert set(out.routes) == set(SUBSET)
 
 
 def test_type2_alpha_validation(mci, voice):
-    with pytest.raises(ConfigurationError):
-        select_safe_routes(mci, SUBSET, voice, alpha=1.5)
-
-
-def test_type3_method_dispatch(mci, voice):
-    sp = maximize_utilization(
-        mci, SUBSET, voice, method="sp", resolution=0.02
-    )
-    heur = maximize_utilization(
-        mci, SUBSET, voice, method="heuristic", resolution=0.02
-    )
-    assert sp.method == "shortest-path"
-    assert heur.method == "heuristic"
-    assert heur.alpha >= sp.alpha - 0.02  # on a subset they may tie
-
-
-def test_type3_unknown_method(mci, voice):
-    with pytest.raises(ConfigurationError):
-        maximize_utilization(mci, SUBSET, voice, method="oracle")
+    with pytest.raises(AnalysisError):
+        SafeRouteSelector(mci, voice).select(SUBSET, 1.5)
 
 
 class TestMulticlassScale:

@@ -22,19 +22,6 @@ def test_unknown_link_carries_endpoints():
     assert (e.tail, e.head) == ("a", "b")
 
 
-def test_fixed_point_divergence_attributes():
-    e = errors.FixedPointDivergence(iterations=42, last_residual=1.5e-3)
-    assert e.iterations == 42
-    assert e.last_residual == pytest.approx(1.5e-3)
-    assert "42" in str(e)
-
-
-def test_route_selection_failure_attributes():
-    e = errors.RouteSelectionFailure(pair=("a", "b"), routed=3, total=10)
-    assert e.pair == ("a", "b")
-    assert e.routed == 3 and e.total == 10
-
-
 def test_infeasible_utilization_interval():
     e = errors.InfeasibleUtilization(0.1, 0.6)
     assert (e.low, e.high) == (0.1, 0.6)
@@ -49,7 +36,5 @@ def test_family_catchable_together():
         raise errors.EnvelopeError("bad")
     with pytest.raises(errors.RoutingError):
         raise errors.NoRouteError("a", "b")
-    with pytest.raises(errors.AnalysisError):
-        raise errors.FixedPointDivergence(1, 0.0)
     with pytest.raises(errors.ConfigurationError):
         raise errors.InfeasibleUtilization(0.0, 1.0)

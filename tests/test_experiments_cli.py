@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
@@ -75,10 +77,10 @@ def test_report_command(tmp_path, capsys):
     assert "Table 1" in text
     assert "| lower_bound | 0.3 |" in text
     # Records reload cleanly.
-    from repro.experiments import load_records
+    from repro.experiments import ExperimentRecord
 
-    loaded = load_records(str(records))
-    assert {r.experiment_id for r in loaded} == {
+    loaded = json.loads(records.read_text())
+    assert {ExperimentRecord.from_dict(d).experiment_id for d in loaded} == {
         "table1", "sweep-deadline", "sweep-burst"
     }
 
@@ -115,7 +117,7 @@ def test_table1_metrics_and_trace_out(tmp_path, capsys):
     import json
 
     from repro import obs
-    from repro.obs.export import parse_prometheus_text
+    from obs_readers import parse_prometheus_text
 
     metrics = tmp_path / "m.prom"
     trace = tmp_path / "t.json"
@@ -165,7 +167,7 @@ def test_metrics_out_jsonl_format(tmp_path):
 
 
 def test_verify_with_metrics_out(tmp_path):
-    from repro.obs.export import parse_prometheus_text
+    from obs_readers import parse_prometheus_text
 
     metrics = tmp_path / "m.prom"
     assert main(["verify", "0.25", "--metrics-out", str(metrics)]) == 0
@@ -262,7 +264,7 @@ def test_faults_command_report_pinned(tmp_path, extra, digest):
 
 
 def test_faults_command_with_metrics_out(tmp_path):
-    from repro.obs.export import parse_prometheus_text
+    from obs_readers import parse_prometheus_text
 
     metrics = tmp_path / "m.prom"
     assert (

@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.experiments import sweep_deadline
 from repro.experiments.persistence import (
     ExperimentRecord,
-    load_records,
     render_markdown_report,
     save_records,
     sweep_record,
@@ -45,18 +44,10 @@ def test_unknown_schema_rejected(record):
 def test_save_load_file(record, tmp_path):
     path = tmp_path / "records.json"
     save_records([record, record], str(path))
-    loaded = load_records(str(path))
+    # plain JSON on disk: a list of records
+    loaded = [ExperimentRecord.from_dict(d) for d in json.loads(path.read_text())]
     assert len(loaded) == 2
     assert loaded[0].measured == record.measured
-    # plain JSON on disk
-    assert isinstance(json.loads(path.read_text()), list)
-
-
-def test_load_rejects_non_list(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{}")
-    with pytest.raises(ConfigurationError):
-        load_records(str(path))
 
 
 def test_table1_record_contains_reference():

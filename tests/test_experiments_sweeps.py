@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import (
-    bounds_vs_diameter,
     paper_scenario,
     sweep_burst,
     sweep_deadline,
@@ -40,15 +39,6 @@ def test_bounds_always_ordered_in_sweeps(sc):
             assert p.lower_bound <= p.upper_bound + 1e-9
 
 
-def test_diameter_sweep_analytic():
-    sweep = bounds_vs_diameter(diameters=(1, 2, 4, 8))
-    lbs = [p.lower_bound for p in sweep.points]
-    assert lbs == sorted(lbs, reverse=True)
-    # L = 1 degenerates to the single-server case: LB == UB.
-    p1 = sweep.points[0]
-    assert p1.lower_bound == pytest.approx(p1.upper_bound)
-
-
 def test_render_produces_table(sc):
     out = sweep_deadline(deadlines=(0.05, 0.1), scenario=sc).render()
     assert "deadline" in out
@@ -78,16 +68,12 @@ def test_parallel_sweep_matches_serial(sc):
     parallel = sweep_deadline(workers=2, **kwargs)
     assert serial.points == parallel.points
 
-    analytic = bounds_vs_diameter(diameters=(1, 2, 4))
-    analytic_par = bounds_vs_diameter(diameters=(1, 2, 4), workers=2)
-    assert analytic.points == analytic_par.points
-
 
 def test_workers_must_be_positive():
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):
-        bounds_vs_diameter(diameters=(1, 2), workers=0)
+        sweep_deadline(deadlines=(0.05, 0.1), workers=0)
 
 
 def test_cross_topology_table_rows_in_input_order():

@@ -12,9 +12,9 @@ import pytest
 import repro
 from repro import (
     PacketPattern,
+    SafeRouteSelector,
     Simulator,
     UtilizationAdmissionController,
-    select_safe_routes,
     single_class_delays,
     utilization_bounds,
     verify_safe_assignment,
@@ -39,7 +39,7 @@ def test_full_lifecycle(mci, mci_graph, voice, voice_registry):
     bounds = utilization_bounds(6, 4, voice.burst, voice.rate, voice.deadline)
     alpha = bounds.lower  # certified safe for any selection within L
 
-    selection = select_safe_routes(mci, pairs, voice, alpha)
+    selection = SafeRouteSelector(mci, voice).select(pairs, alpha)
     assert selection.success
 
     verification = verify_safe_assignment(

@@ -486,7 +486,7 @@ def _scrape_stats(port):
 
 
 def test_a_served_process_reports_what_a_flow_row_costs(tmp_path, mci_pairs):
-    from repro.faults import ServiceProcess
+    from serve_processes import ServiceProcess
 
     flows = 200
     sock = str(tmp_path / "s.sock")

@@ -5,12 +5,8 @@ import math
 
 import pytest
 
-from repro.obs.export import (
-    parse_prometheus_text,
-    to_chrome_trace,
-    to_json_lines,
-    to_prometheus_text,
-)
+from obs_readers import parse_prometheus_text
+from repro.obs.export import to_chrome_trace, to_json_lines, to_prometheus_text
 from repro.obs import process
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.process import (

@@ -4,11 +4,8 @@ import json
 
 import pytest
 
-from repro.obs.sinks import (
-    SPAN_SCHEMA,
-    JsonLinesSpanSink,
-    read_span_lines,
-)
+from obs_readers import read_span_lines
+from repro.obs.sinks import SPAN_SCHEMA, JsonLinesSpanSink
 from repro.obs.trace import Tracer
 
 

@@ -4,12 +4,12 @@ import networkx as nx
 import pytest
 
 from repro.errors import NoRouteError
-from repro.routing import route_lengths, shortest_path_route, shortest_path_routes
+from repro.routing import route_lengths, shortest_path_routes
 from repro.topology import Network
 
 
 def test_single_route(mci):
-    path = shortest_path_route(mci, "Seattle", "Miami")
+    path = shortest_path_routes(mci, [("Seattle", "Miami")])[("Seattle", "Miami")]
     assert path[0] == "Seattle" and path[-1] == "Miami"
     assert len(path) - 1 == nx.shortest_path_length(
         mci.graph, "Seattle", "Miami"
@@ -44,7 +44,7 @@ def test_no_route_raises():
     net.add_router("u")
     net.add_router("v")
     with pytest.raises(NoRouteError):
-        shortest_path_route(net, "u", "v")
+        shortest_path_routes(net, [("u", "v")])
 
 
 def test_unknown_source_raises(mci):

@@ -24,9 +24,9 @@ import sys
 
 import pytest
 
-from repro.faults import ClusterProcess, ServiceProcess
 from repro.service.audit import flow_set_digest, iter_audit, verify_audit
 from repro.service.router import HashRing, _hash64
+from tests.serve_processes import ClusterProcess, ServiceProcess
 from tests.test_service_audit import PER_OP_LOG, PER_OP_REPORT
 
 REPO = pathlib.Path(__file__).resolve().parent.parent

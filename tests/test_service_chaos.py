@@ -2,7 +2,7 @@
 survivors.
 
 These tests launch ``repro-ubac serve`` as a genuine subprocess (via
-:class:`repro.faults.ServiceProcess`), drive it over its Unix socket,
+:class:`serve_processes.ServiceProcess`), drive it over its Unix socket,
 SIGKILL it mid-run, restart it on the same snapshot path, and assert
 the survivor guarantee end to end: every flow whose admission reached a
 crash-safe snapshot is established again — on its pinned route — before
@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.errors import FaultInjectionError
-from repro.faults import ServiceProcess, kill_restart_check
+from serve_processes import ServiceProcess, kill_restart_check
 from repro.topology import nsfnet_backbone
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generators import all_ordered_pairs

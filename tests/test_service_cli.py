@@ -11,7 +11,7 @@ import pytest
 from test_service_server import start_pre_v2_peer
 
 from repro.experiments.cli import build_parser, main
-from repro.faults import ClusterProcess
+from serve_processes import ClusterProcess
 from repro.service import protocol
 from repro.service.launch import serve_argv
 from repro.service.server import ServiceConfig
@@ -436,7 +436,7 @@ def test_serve_full_telemetry_pipeline(tmp_path, capsys):
     assert "wrote span stream" in serve_out
 
     # The span stream is self-describing and non-empty.
-    from repro.obs.sinks import read_span_lines
+    from obs_readers import read_span_lines
 
     _header, span_objs = read_span_lines(spans)
     names = {s["name"] for s in span_objs}

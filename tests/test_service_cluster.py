@@ -35,7 +35,7 @@ from repro.admission import (
     plan_slot_shards,
 )
 from repro.errors import AdmissionError, FaultInjectionError, ServiceError
-from repro.faults import ClusterProcess, kill_worker_restart_check
+from serve_processes import ClusterProcess, kill_worker_restart_check
 from repro.routing.shortest import shortest_path_routes
 from repro.service import merge_cluster_snapshot, split_cluster_snapshot
 from repro.experiments.cli import build_parser

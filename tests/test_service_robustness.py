@@ -3,7 +3,7 @@ live socket path, file descriptors running out, and a peer that stops
 half way through a frame while the server drains.
 
 Each runs the real ``repro-ubac serve`` binary in a subprocess
-(:class:`~repro.faults.ServiceProcess`) and talks to it over raw
+(:class:`~serve_processes.ServiceProcess`) and talks to it over raw
 sockets, so what is checked is what a client would see.
 """
 
@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.experiments.cli import main
-from repro.faults import ServiceProcess
+from serve_processes import ServiceProcess
 from repro.service.router import ClusterRouter
 from repro.service.server import AdmissionService
 

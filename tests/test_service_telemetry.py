@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs import OBS, JsonLinesSpanSink, read_span_lines
-from repro.obs.export import parse_prometheus_text
+from obs_readers import parse_prometheus_text, read_span_lines
+from repro.obs import OBS, JsonLinesSpanSink
 from repro.obs.process import process_start_time
 from repro.service import (
     AdmissionService,

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import AdmissionError, ConfigurationError, SimulationError
 from repro.statistical import (
     DelayDistribution,
-    OverbookedAdmissionController,
     calibrate_overbooking,
     estimate_delay_distribution,
 )
@@ -117,52 +116,6 @@ class TestEstimator:
             estimate_delay_distribution(
                 star[1], voice_registry, [], class_name="voice",
                 packet_size=640,
-            )
-
-
-class TestOverbookedController:
-    def test_factor_one_equals_deterministic(self, mci, mci_graph,
-                                             voice_registry):
-        routes = shortest_path_routes(mci, [("Boston", "NewYork")])
-        ctrl = OverbookedAdmissionController(
-            mci_graph, voice_registry, {"voice": 0.001024}, routes,
-            factor=1.0,
-        )
-        slots = int(0.001024 * 100e6 / 32_000)
-        for i in range(slots):
-            assert ctrl.admit(
-                FlowSpec(i, "voice", "Boston", "NewYork")
-            ).admitted
-        assert not ctrl.admit(
-            FlowSpec("x", "voice", "Boston", "NewYork")
-        ).admitted
-
-    def test_factor_scales_slots(self, mci, mci_graph, voice_registry):
-        routes = shortest_path_routes(mci, [("Boston", "NewYork")])
-        ctrl = OverbookedAdmissionController(
-            mci_graph, voice_registry, {"voice": 0.001024}, routes,
-            factor=2.0,
-        )
-        base = int(0.001024 * 100e6 / 32_000)
-        admitted = 0
-        for i in range(3 * base):
-            if ctrl.admit(
-                FlowSpec(i, "voice", "Boston", "NewYork")
-            ).admitted:
-                admitted += 1
-        assert admitted == 2 * base
-        np.testing.assert_array_equal(
-            ctrl.deterministic_slots("voice"),
-            np.full(mci_graph.num_servers, base),
-        )
-
-    def test_factor_below_one_rejected(self, mci, mci_graph,
-                                       voice_registry):
-        routes = shortest_path_routes(mci, [("Boston", "NewYork")])
-        with pytest.raises(AdmissionError):
-            OverbookedAdmissionController(
-                mci_graph, voice_registry, {"voice": 0.3}, routes,
-                factor=0.5,
             )
 
 

@@ -6,11 +6,13 @@ site, a package-level import on the serve path …), as a regular
 expression over named roots.  They were ``grep`` steps in a CI workflow
 that executes nowhere a session can see; tier-1 is the check that runs.
 
-Three more checks of the same kind ride along: every row is shown to
-fire on a planted offender (so a renamed file or a moved root cannot
-turn a row into a silent pass), every pytest node id the workflow and
-the docs cite resolves to a test, and the one benchmark's command
-lines are accepted by the ``serve`` parser they are passed to.
+More checks of the same kind ride along: every row is shown to fire on
+a planted offender (so a renamed file or a moved root cannot turn a row
+into a silent pass), every public function and class of the package has
+a caller that is not a test, every module the tool config names exists,
+every pytest node id the workflow and the docs cite resolves to a test,
+and the one benchmark's command lines are accepted by the ``serve``
+parser they are passed to.
 """
 
 from __future__ import annotations
@@ -496,14 +498,14 @@ RATCHETS = (
     Ratchet(
         name="One serve launch path: one child environment",
         why=(
-            "Cluster workers and the chaos harness both start through "
-            "service/launch.py; the child environment built in a second "
-            "file is the copy coming back."
+            "Cluster workers and the tests' serve processes both start "
+            "through service/launch.py; the child environment built in a "
+            "second file is the copy coming back."
         ),
         pattern=r"PYTHONPATH",
-        roots=("src/repro",),
+        roots=("src/repro", "tests/serve_processes.py"),
         offender=(
-            "src/repro/faults/process.py",
+            "tests/serve_processes.py",
             '        env["PYTHONPATH"] = src_dir',
         ),
         allowed=(r"^src/repro/service/launch\.py:",),
@@ -784,6 +786,200 @@ def test_ratchet_fires_on_its_planted_offender(row, tmp_path):
     planted.parent.mkdir(parents=True, exist_ok=True)
     planted.write_text((line + "\n") * (row.max_count + 1))
     assert f"{where}:1:{line}" in violations(row, tmp_path)
+
+
+# ---------------------------------------------------------------------- #
+# the package is what runs
+# ---------------------------------------------------------------------- #
+
+#: Code whose calls keep a public name of ``src/repro`` alive.  Tests and
+#: examples are not callers: a name only they call is not the system.
+CALLER_ROOTS = ("src", "benchmarks")
+
+#: Public functions and classes with no caller under CALLER_ROOTS that
+#: stay anyway.  Two kinds earn a line: a reference the tests compare
+#: the running code against, and a topology builder the cross-topology
+#: property tests run on.
+UNCALLED = {
+    "repro.admission.kernels.batch_slot_decisions_sequential": (
+        "the per-row reference the numpy slot kernel is differenced against"
+    ),
+    "repro.analysis.beta.theorem3_delay": (
+        "Theorem 3's closed form, which the Lemma 2 and Theorem 2 bounds "
+        "are checked against"
+    ),
+    "repro.analysis.beta.uniform_worst_delay": (
+        "eq. 17, the uniform bound Theorem 4's lower bound is checked against"
+    ),
+    "repro.analysis.distribution.theorem2_worst_delay": (
+        "Theorem 2's even-split worst case, which Lemma 2 delays of any "
+        "split are checked against"
+    ),
+    "repro.analysis.reshaped.reshaped_delay_bound": (
+        "the per-hop reshaping bound L*beta*T that reshaped_max_alpha "
+        "solves for the deadline"
+    ),
+    **{
+        f"repro.topology.builders.{name}": (
+            "a topology the cross-topology property tests run on"
+        )
+        for name in (
+            "dumbbell_network", "fat_tree_network", "full_mesh",
+            "grid_network", "ring_network", "tree_network", "waxman_network",
+        )
+    },
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def caller_sources(tree: pathlib.Path) -> dict:
+    """``{path: text}`` of every Python file under CALLER_ROOTS."""
+    return {
+        path.relative_to(tree).as_posix(): path.read_text(encoding="utf-8")
+        for root in CALLER_ROOTS
+        for path in sorted((tree / root).rglob("*.py"))
+    }
+
+
+def cli_entry_points(pyproject: str) -> List[str]:
+    """The attributes ``[project.scripts]`` runs (``module:attr``)."""
+    table = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return re.findall(r'=\s*"[\w.]+:(\w+)"', table)
+
+
+def uncalled(sources: dict, entry_points=(), allowed=UNCALLED) -> List[str]:
+    """``path:line: name`` for each public top-level function or class of
+    ``src/repro`` that no code in ``sources`` calls, to a fixed point: a
+    use inside the name's own definition, or inside a definition that is
+    itself uncalled, is not a call.  Names are matched by spelling, with
+    ``from … import a as b`` making a use of ``b`` one of ``a``; imports,
+    ``__all__``, the lazy tables (strings) and ``TYPE_CHECKING`` blocks
+    call nothing."""
+    defined = {}  # (module, name) -> (path, line)
+    callers = {}  # name -> {owner}; owner None is code outside any public def
+    aliases = {}
+    uses = []
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.asname:
+                        aliases.setdefault(alias.asname, set()).add(alias.name)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING":
+                continue
+            owner = None
+            if (
+                path.startswith("src/repro/")
+                and isinstance(stmt, _DEFINITIONS)
+                and not stmt.name.startswith("_")
+            ):
+                module = path[len("src/"):-len(".py")].replace("/", ".")
+                owner = (module, stmt.name)
+                defined[owner] = (path, stmt.lineno)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    uses.append((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    uses.append((node.attr, owner))
+    for name, owner in uses:
+        for called in aliases.get(name, set()) | {name}:
+            callers.setdefault(called, set()).add(owner)
+    for name in entry_points:
+        callers.setdefault(name, set()).add(None)
+    dead = set()
+    while True:
+        now = {
+            key for key in defined
+            if ".".join(key) not in allowed
+            and not callers.get(key[1], set()) - dead - {key}
+        }
+        if now == dead:
+            break
+        dead = now
+    return sorted(f"{defined[k][0]}:{defined[k][1]}: {k[1]}" for k in dead)
+
+
+@pytest.fixture(scope="module")
+def sources():
+    return caller_sources(REPO)
+
+
+@pytest.fixture(scope="module")
+def entry_points():
+    return cli_entry_points((REPO / "pyproject.toml").read_text("utf-8"))
+
+
+def test_every_public_name_has_a_caller(sources, entry_points):
+    assert entry_points == ["main"]  # `repro-ubac`
+    found = uncalled(sources, entry_points)
+    assert not found, (
+        "public names only tests call: delete them with their tests, or "
+        "give one an UNCALLED line if it is a reference the tests compare "
+        "against or a builder the property tests run on\n" + "\n".join(found)
+    )
+
+
+def test_every_uncalled_allowance_is_needed(sources, entry_points):
+    # An allowance for a name that is gone, or that gained a caller, is
+    # stale: it would let the name lose that caller silently.
+    without = uncalled(sources, entry_points, allowed={})
+    for qualified in UNCALLED:
+        module, name = qualified.rsplit(".", 1)
+        path = "src/" + module.replace(".", "/") + ".py"
+        assert any(
+            found.startswith(path + ":") and found.endswith(": " + name)
+            for found in without
+        ), f"{qualified} is gone or has a caller: drop its UNCALLED line"
+
+
+def test_the_caller_check_fires_on_planted_defs(sources, entry_points):
+    planted = dict(sources)
+    planted["src/repro/units.py"] += (
+        "\n\ndef planted_helper():\n    return kbps(1)\n"
+        "\n\ndef planted_caller():\n    return planted_helper()\n"
+        "\n\ndef planted_recursion(n):\n    return planted_recursion(n - 1)\n"
+    )
+    found = {line.rsplit(": ", 1)[1] for line in uncalled(planted, entry_points)}
+    # The helper's only caller is uncalled itself: the fixed point.
+    assert {"planted_helper", "planted_caller", "planted_recursion"} <= found
+    # ... and a caller in src/ (not a test) is what clears a name.
+    planted["src/repro/units.py"] += "\n\nPLANTED = planted_caller()\n"
+    found = {line.rsplit(": ", 1)[1] for line in uncalled(planted, entry_points)}
+    assert not {"planted_helper", "planted_caller"} & found
+
+
+# ---------------------------------------------------------------------- #
+# the tool config names modules that exist
+# ---------------------------------------------------------------------- #
+
+
+def mypy_override_modules(pyproject: str) -> List[str]:
+    """The ``module`` patterns of every ``[[tool.mypy.overrides]]`` table."""
+    found = []
+    for table in pyproject.split("[[tool.mypy.overrides]]")[1:]:
+        table = table.split("\n[", 1)[0]
+        value = re.search(r"^module\s*=\s*(\[[^\]]*\]|\"[^\"]*\")", table, re.M)
+        assert value, f"an override table without a module:\n{table}"
+        found += re.findall(r'"([^"]+)"', value.group(1))
+    return found
+
+
+def module_exists(tree: pathlib.Path, pattern: str) -> bool:
+    """Whether the mypy module pattern (``a.b`` or ``a.b.*``) names at
+    least one file under ``src/``."""
+    path = tree / "src" / pattern.removesuffix(".*").replace(".", "/")
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+
+def test_every_mypy_override_names_a_module():
+    modules = mypy_override_modules((REPO / "pyproject.toml").read_text("utf-8"))
+    assert "repro.analysis.*" in modules and "repro.obs.*" in modules
+    missing = [m for m in modules if not module_exists(REPO, m)]
+    assert not missing, f"pyproject.toml overrides name no module: {missing}"
+    assert not module_exists(REPO, "repro.nowhere.*")
 
 
 # ---------------------------------------------------------------------- #

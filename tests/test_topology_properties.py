@@ -8,8 +8,6 @@ from repro.errors import TopologyError
 from repro.topology import (
     Network,
     analyze,
-    eccentricities,
-    farthest_pairs,
     line_network,
     mci_backbone,
 )
@@ -51,22 +49,3 @@ def test_report_requires_connected():
     net.add_router("v")
     with pytest.raises(TopologyError):
         analyze(net)
-
-
-def test_eccentricities_line():
-    ecc = eccentricities(line_network(5))
-    assert ecc["r0"] == 4
-    assert ecc["r2"] == 2
-
-
-def test_farthest_pairs_line():
-    pairs = farthest_pairs(line_network(4))
-    assert pairs == (("r0", "r3"),)
-
-
-def test_farthest_pairs_at_diameter(mci):
-    pairs = farthest_pairs(mci)
-    assert pairs  # the diameter is realized
-    ecc = eccentricities(mci)
-    for u, v in pairs:
-        assert ecc[u] == 4 or ecc[v] == 4

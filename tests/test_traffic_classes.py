@@ -9,10 +9,14 @@ from repro.traffic import (
     BEST_EFFORT_PRIORITY,
     ClassRegistry,
     TrafficClass,
-    data_class,
     video_class,
     voice_class,
 )
+
+
+def data_class():
+    """A bulk class with a loose deadline, below video in priority."""
+    return TrafficClass("data", burst=12_000.0, rate=2e6, deadline=0.5, priority=3)
 
 
 class TestTrafficClass:

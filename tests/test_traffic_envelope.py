@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EnvelopeError
-from repro.traffic import Envelope, constant_rate_envelope, leaky_bucket_envelope
+from repro.traffic import Envelope, leaky_bucket_envelope
 
 
 # --------------------------------------------------------------------- #
@@ -85,7 +85,7 @@ class TestConstruction:
             leaky_bucket_envelope(640, 32_000, line_rate=1_000)
 
     def test_constant_rate(self):
-        env = constant_rate_envelope(5.0)
+        env = Envelope.affine(0.0, 5.0)
         assert env(3.0) == pytest.approx(15.0)
 
     def test_zero(self):
@@ -175,7 +175,7 @@ class TestAlgebra:
 
     def test_minimum_pointwise(self):
         a = leaky_bucket_envelope(1000, 10)
-        b = constant_rate_envelope(500)
+        b = Envelope.affine(0.0, 500)
         m = a.minimum(b)
         for x in (0.0, 0.5, 1.0, 2.0, 3.0, 10.0):
             assert m(x) == pytest.approx(min(a(x), b(x)), rel=1e-9)
@@ -183,7 +183,7 @@ class TestAlgebra:
     def test_clamp_rate_is_min_with_line(self):
         e = leaky_bucket_envelope(640, 32_000)
         clamped = e.clamp_rate(100e6)
-        line = constant_rate_envelope(100e6)
+        line = Envelope.affine(0.0, 100e6)
         assert clamped.almost_equal(e.minimum(line))
 
 
@@ -221,7 +221,7 @@ class TestQueueing:
         assert e.busy_period(60) == pytest.approx(2.0)
 
     def test_busy_period_zero_when_below(self):
-        e = constant_rate_envelope(5.0)
+        e = Envelope.affine(0.0, 5.0)
         assert e.busy_period(10.0) == 0.0
 
     def test_busy_period_interior_crossing(self):
@@ -232,7 +232,7 @@ class TestQueueing:
         assert e(tau) == pytest.approx(c * tau, rel=1e-9)
 
     def test_delay_zero_for_smooth_traffic(self):
-        e = constant_rate_envelope(10.0)
+        e = Envelope.affine(0.0, 10.0)
         assert e.max_delay(10.0) == 0.0
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TrafficError
-from repro.traffic import FlowSet, FlowSpec, fresh_flow_id
+from repro.traffic import FlowSpec, fresh_flow_id
 
 
 def _flow(i=1, src="a", dst="b", cls="voice", route=None):
@@ -39,50 +39,3 @@ class TestFlowSpec:
     def test_fresh_ids_monotone(self):
         a, b = fresh_flow_id(), fresh_flow_id()
         assert b > a
-
-
-class TestFlowSet:
-    def test_add_len_iter(self):
-        fs = FlowSet([_flow(1), _flow(2, src="b", dst="c")])
-        assert len(fs) == 2
-        assert {f.flow_id for f in fs} == {1, 2}
-
-    def test_duplicate_id_rejected(self):
-        fs = FlowSet([_flow(1)])
-        with pytest.raises(TrafficError):
-            fs.add(_flow(1, src="x", dst="y"))
-
-    def test_remove_returns_flow(self):
-        fs = FlowSet([_flow(1)])
-        removed = fs.remove(1)
-        assert removed.flow_id == 1
-        assert len(fs) == 0
-
-    def test_remove_unknown(self):
-        with pytest.raises(TrafficError):
-            FlowSet().remove(99)
-
-    def test_get(self):
-        fs = FlowSet([_flow(7)])
-        assert fs.get(7).source == "a"
-        with pytest.raises(TrafficError):
-            fs.get(8)
-
-    def test_contains(self):
-        fs = FlowSet([_flow(1)])
-        assert 1 in fs and 2 not in fs
-
-    def test_by_class(self):
-        fs = FlowSet(
-            [_flow(1, cls="voice"), _flow(2, cls="video"), _flow(3, cls="voice")]
-        )
-        grouped = fs.by_class()
-        assert len(grouped["voice"]) == 2
-        assert len(grouped["video"]) == 1
-        assert fs.count_class("voice") == 2
-
-    def test_by_pair(self):
-        fs = FlowSet([_flow(1), _flow(2), _flow(3, src="b", dst="c")])
-        grouped = fs.by_pair()
-        assert len(grouped[("a", "b")]) == 2
-        assert len(grouped[("b", "c")]) == 1

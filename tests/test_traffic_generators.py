@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from repro.errors import TrafficError
-from repro.traffic import (
-    all_ordered_pairs,
-    random_pairs,
-    uniform_flow_demand,
-)
-from repro.traffic.generators import data_class, video_class, voice_class
+from repro.traffic import all_ordered_pairs
+from repro.traffic.generators import video_class, voice_class
 from repro.workload import poisson_flow_schedule
 
 
 def test_class_presets_have_distinct_priorities():
-    classes = [voice_class(), video_class(), data_class()]
+    classes = [voice_class(), video_class()]
     priorities = [c.priority for c in classes]
     assert priorities == sorted(priorities)
-    assert len(set(priorities)) == 3
+    assert len(set(priorities)) == 2
 
 
 def test_all_ordered_pairs_mci(mci, mci_pairs):
@@ -35,40 +31,6 @@ def test_all_ordered_pairs_respects_edge_flag():
     )
     pairs = all_ordered_pairs(net)
     assert set(pairs) == {("a", "c"), ("c", "a")}
-
-
-def test_random_pairs_deterministic(mci):
-    a = random_pairs(mci, 20, seed=3)
-    b = random_pairs(mci, 20, seed=3)
-    assert a == b
-    assert all(u != v for u, v in a)
-
-
-def test_random_pairs_no_repeats(mci):
-    pairs = random_pairs(mci, 50, seed=1, allow_repeats=False)
-    assert len(set(pairs)) == 50
-
-
-def test_random_pairs_needs_two_edges():
-    from repro.topology import Network
-
-    net = Network.from_edges([("a", "b")], edge_routers=["a"])
-    with pytest.raises(TrafficError):
-        random_pairs(net, 1, seed=0)
-
-
-def test_uniform_flow_demand():
-    flows = uniform_flow_demand(
-        [("a", "b"), ("b", "c")], "voice", flows_per_pair=3
-    )
-    assert len(flows) == 6
-    assert len({f.flow_id for f in flows}) == 6
-    assert all(f.class_name == "voice" for f in flows)
-
-
-def test_uniform_flow_demand_validation():
-    with pytest.raises(TrafficError):
-        uniform_flow_demand([("a", "b")], "voice", flows_per_pair=0)
 
 
 class TestPoissonSchedule:
@@ -119,47 +81,3 @@ class TestPoissonSchedule:
         )
         assert len(events) == count
         assert stream_digest(events) == digest
-
-
-class TestGravityDemand:
-    def test_deterministic(self, mci):
-        from repro.traffic import gravity_demand
-
-        a = gravity_demand(mci, 100, "voice", seed=4)
-        b = gravity_demand(mci, 100, "voice", seed=4)
-        assert [(f.source, f.destination) for f in a] == [
-            (f.source, f.destination) for f in b
-        ]
-        assert len({f.flow_id for f in a}) == 100
-
-    def test_valid_flows(self, mci):
-        from repro.traffic import gravity_demand
-
-        flows = gravity_demand(mci, 50, "voice", seed=1)
-        routers = set(mci.routers())
-        for f in flows:
-            assert f.source in routers and f.destination in routers
-            assert f.source != f.destination
-            assert f.class_name == "voice"
-
-    def test_skew_concentrates_demand(self, mci):
-        from collections import Counter
-
-        from repro.traffic import gravity_demand
-
-        def top_share(skew):
-            flows = gravity_demand(mci, 2000, "voice", seed=7, skew=skew)
-            counts = Counter(f.source for f in flows)
-            return counts.most_common(1)[0][1] / len(flows)
-
-        # Stronger skew -> the busiest source carries a larger share.
-        assert top_share(4.0) > top_share(0.5)
-
-    def test_validation(self, mci):
-        from repro.errors import TrafficError
-        from repro.traffic import gravity_demand
-
-        with pytest.raises(TrafficError):
-            gravity_demand(mci, -1, "voice", seed=0)
-        with pytest.raises(TrafficError):
-            gravity_demand(mci, 10, "voice", seed=0, skew=0.0)

@@ -5,44 +5,13 @@ import pytest
 from repro import units
 
 
-def test_bits_identity():
-    assert units.bits(640) == 640.0
-
-
-def test_kilobits():
-    assert units.kilobits(2) == 2_000.0
-
-
-def test_megabits():
-    assert units.megabits(1.5) == 1_500_000.0
-
-
-def test_bytes_to_bits():
-    assert units.bytes_(80) == 640.0
-
-
 def test_rate_helpers():
-    assert units.bps(5) == 5.0
     assert units.kbps(32) == 32_000.0
     assert units.mbps(100) == 100e6
-    assert units.gbps(1) == 1e9
 
 
 def test_time_helpers():
-    assert units.seconds(2) == 2.0
     assert units.milliseconds(100) == pytest.approx(0.1)
-    assert units.microseconds(250) == pytest.approx(2.5e-4)
-
-
-def test_reporting_helpers():
-    assert units.as_milliseconds(0.1) == pytest.approx(100.0)
-    assert units.as_mbps(100e6) == pytest.approx(100.0)
-
-
-def test_roundtrip_ms():
-    assert units.as_milliseconds(units.milliseconds(37.5)) == pytest.approx(
-        37.5
-    )
 
 
 def test_paper_constants_spellable():
