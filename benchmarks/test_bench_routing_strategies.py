@@ -8,10 +8,9 @@ set via :func:`critical_alpha` on the paper's scenario.
 
 import pytest
 
-from repro.analysis import critical_alpha
+from repro.config import critical_alpha, max_utilization_heuristic
 from repro.experiments import format_table
 from repro.routing import least_loaded_routes, shortest_path_routes
-from repro.config import max_utilization_heuristic
 
 
 @pytest.fixture(scope="module")

@@ -43,7 +43,6 @@ if TYPE_CHECKING:
     )
     from .analysis import (
         FixedPointResult,
-        critical_alpha,
         FlowAwareResult,
         MultiClassResult,
         RouteSystem,
@@ -64,6 +63,7 @@ if TYPE_CHECKING:
         MulticlassScaleResult,
         UtilizationBounds,
         configure,
+        critical_alpha,
         max_utilization_heuristic,
         max_utilization_shortest_path,
         maximize_multiclass_scale,
@@ -133,7 +133,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "replay_schedule",
     ),
     ".analysis": (
-        "FixedPointResult", "critical_alpha", "FlowAwareResult",
+        "FixedPointResult", "FlowAwareResult",
         "MultiClassResult", "RouteSystem",
         "SingleClassResult", "VerificationResult", "beta_coefficient",
         "flow_aware_delays", "multi_class_delays", "single_class_delays",
@@ -142,8 +142,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".config": (
         "ConfiguredNetwork", "MaximizationResult", "RepairResult",
         "MulticlassScaleResult", "UtilizationBounds", "configure",
-        "max_utilization_heuristic", "max_utilization_shortest_path",
-        "maximize_multiclass_scale", "repair_after_link_failure",
+        "critical_alpha", "max_utilization_heuristic",
+        "max_utilization_shortest_path", "maximize_multiclass_scale",
+        "repair_after_link_failure",
         "theorem4_lower_bound", "theorem4_upper_bound", "utilization_bounds",
         "verify_safe_assignment",
     ),

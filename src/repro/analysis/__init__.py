@@ -39,7 +39,6 @@ if TYPE_CHECKING:
     from .netcalc import FlowAwareResult, flow_aware_delays, static_priority_delay
     from .reshaped import reshaped_delay_bound, reshaped_max_alpha
     from .routesystem import RouteSystem
-    from .sensitivity import critical_alpha
     from .verification import VerificationResult, verify_assignment
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
@@ -60,6 +59,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".netcalc": ("FlowAwareResult", "flow_aware_delays", "static_priority_delay"),
     ".reshaped": ("reshaped_delay_bound", "reshaped_max_alpha"),
     ".routesystem": ("RouteSystem",),
-    ".sensitivity": ("critical_alpha",),
     ".verification": ("VerificationResult", "verify_assignment"),
 })

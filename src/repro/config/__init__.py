@@ -15,7 +15,8 @@ if TYPE_CHECKING:
     from .maximize import (
         DEFAULT_RESOLUTION,
         MaximizationResult,
-        binary_search_max_alpha,
+        bisect_alpha,
+        critical_alpha,
         max_utilization_heuristic,
         max_utilization_shortest_path,
     )
@@ -33,8 +34,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "utilization_bounds",
     ),
     ".maximize": (
-        "DEFAULT_RESOLUTION", "MaximizationResult", "binary_search_max_alpha",
-        "max_utilization_heuristic", "max_utilization_shortest_path",
+        "DEFAULT_RESOLUTION", "MaximizationResult", "bisect_alpha",
+        "critical_alpha", "max_utilization_heuristic",
+        "max_utilization_shortest_path",
     ),
     ".configured": ("ConfiguredNetwork", "configure"),
     ".repair": ("RepairResult", "repair_after_link_failure"),

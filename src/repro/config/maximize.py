@@ -7,6 +7,12 @@ routes for the baseline), and the interval halves until it is narrower
 than a resolution threshold.  The best *feasible* utilization found and
 its witnessing route set are returned.
 
+:func:`bisect_alpha` is the package's one search on a verdict in
+``alpha``: the Section 5.3 searches here, the certified headroom of
+fixed routes (:func:`critical_alpha`) and the multi-class proportional
+scale (:func:`repro.config.procedures.maximize_multiclass_scale`) all
+call it, and each of its probes warm-starts from the last feasible one.
+
 Feasibility of a greedy heuristic is not theoretically monotone in
 ``alpha``, but the paper (and practice) treat it as such; the search keeps
 the highest succeeding midpoint, which makes the result a certified safe
@@ -31,8 +37,7 @@ import numpy as np
 
 from ..analysis.delays import single_class_delays
 from ..analysis.fixedpoint import FixedPointWorkspace
-from ..obs import OBS
-from ..errors import ConfigurationError, InfeasibleUtilization
+from ..errors import AnalysisError, ConfigurationError, InfeasibleUtilization
 from ..topology.network import Network
 from ..topology.properties import analyze
 from ..topology.servergraph import LinkServerGraph
@@ -43,7 +48,8 @@ from .bounds import UtilizationBounds, utilization_bounds
 
 __all__ = [
     "MaximizationResult",
-    "binary_search_max_alpha",
+    "bisect_alpha",
+    "critical_alpha",
     "max_utilization_heuristic",
     "max_utilization_shortest_path",
 ]
@@ -82,63 +88,101 @@ class MaximizationResult:
         return len(self.evaluations)
 
 
-def binary_search_max_alpha(
-    feasible: Callable[..., Any],
-    low: float,
-    high: float,
+def bisect_alpha(
+    feasible: Callable[[float, Any], Optional[Tuple[Any, Any]]],
+    lo: float,
+    hi: float,
     *,
     resolution: float = DEFAULT_RESOLUTION,
-    stateful: bool = False,
-) -> Tuple[float, RouteMap, List[Tuple[float, bool]]]:
-    """Generic bisection on a feasibility oracle.
+) -> Tuple[float, Any, List[Tuple[float, bool]]]:
+    """The Section 5.3 bisection: the largest ``alpha`` in ``[lo, hi]``
+    the oracle accepts, to within ``resolution``.
 
-    ``feasible(alpha)`` returns a route map when a safe selection exists at
-    ``alpha`` and ``None`` otherwise.  ``low`` is probed first (it must
-    generally succeed — Theorem 4 guarantees it for the standard setup);
-    if even ``low`` fails, :class:`InfeasibleUtilization` is raised.
+    ``feasible(alpha, warm)`` returns ``None`` or ``(witness, delays)``.
+    ``warm`` is the ``delays`` of the **highest feasible probe** so far
+    (``None`` before the first): bisection only probes above it, and the
+    least delay fixed point never decreases as ``alpha`` grows, so it is
+    a sound warm start for every later probe.
 
-    With ``stateful=True`` the oracle is called as
-    ``feasible(alpha, state)`` and must return ``None`` or a
-    ``(routes, state)`` pair; the state of the **highest feasible probe**
-    is threaded into every later call.  Because bisection only probes
-    above the best feasible alpha, a converged delay vector returned as
-    state is a sound warm start for all subsequent probes (the Theorem 3
-    map is monotone in ``alpha``, so the least fixed point only grows).
+    ``lo`` is probed first unless it is 0 (no real-time traffic: nothing
+    to certify).  Returns ``(alpha, witness, evaluations)`` with
+    ``evaluations`` the ``[(alpha, feasible)]`` trace; raises
+    :class:`InfeasibleUtilization` when no probe succeeds.
     """
-    if resolution <= 0:
-        raise ConfigurationError("resolution must be positive")
-    if not (0.0 < low <= high <= 1.0):
+    if not resolution > 0:
         raise ConfigurationError(
-            f"need 0 < low <= high <= 1, got [{low}, {high}]"
+            f"resolution must be positive, got {resolution}"
         )
+    if not 0.0 <= lo <= hi:
+        raise ConfigurationError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
+    low, high = lo, hi
     evaluations: List[Tuple[float, bool]] = []
+    best: Optional[Tuple[float, Any]] = None
+    warm: Any = None
 
-    def probe(alpha: float, state: Any) -> Optional[Tuple[RouteMap, Any]]:
-        if stateful:
-            return feasible(alpha, state)
-        routes = feasible(alpha)
-        return None if routes is None else (routes, None)
+    def probe(alpha: float) -> bool:
+        nonlocal best, warm
+        outcome = feasible(alpha, warm)
+        evaluations.append((alpha, outcome is not None))
+        if outcome is None:
+            return False
+        best = alpha, outcome[0]
+        warm = outcome[1]
+        return True
 
-    state: Any = None
-    outcome = probe(low, state)
-    evaluations.append((low, outcome is not None))
-    if outcome is None:
+    if lo > 0 and not probe(lo):
         raise InfeasibleUtilization(low, high)
-    best_alpha = low
-    best_routes, state = outcome
-
-    lo, hi = low, high
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        outcome = probe(mid, state)
-        evaluations.append((mid, outcome is not None))
-        if outcome is not None:
-            best_alpha = mid
-            best_routes, state = outcome
+        if probe(mid):
             lo = mid
         else:
             hi = mid
-    return best_alpha, best_routes, evaluations
+    if best is None:
+        raise InfeasibleUtilization(low, high)
+    return best[0], best[1], evaluations
+
+
+def critical_alpha(
+    graph: LinkServerGraph,
+    router_paths: Sequence[Sequence[Hashable]],
+    traffic_class: TrafficClass,
+    *,
+    n_mode: str = "uniform",
+    low: float = 1e-3,
+    high: float = 1.0,
+    resolution: float = 1e-3,
+) -> float:
+    """Largest utilization for which these fixed routes verify: how much
+    higher could the utilization of a verified configuration go before
+    its certificate breaks?
+
+    Built from the same fixed point as verification, so the answer is a
+    certificate, not an estimate.  Returns ``high`` if it verifies and
+    raises :class:`AnalysisError` if even ``low`` does not.
+    """
+    if not (0 < low < high <= 1.0):
+        raise AnalysisError("need 0 < low < high <= 1")
+    workspace = FixedPointWorkspace()
+
+    def safe(alpha: float, warm) -> Optional[Tuple[Any, np.ndarray]]:
+        result = single_class_delays(
+            graph, router_paths, traffic_class, alpha,
+            n_mode=n_mode, warm_start=warm, workspace=workspace,
+        )
+        return (result, result.server_delays) if result.safe else None
+
+    if safe(high, None) is not None:
+        return high
+    try:
+        alpha, _, _ = bisect_alpha(safe, low, high, resolution=resolution)
+    except InfeasibleUtilization:
+        raise AnalysisError(
+            f"routes do not verify even at alpha = {low}"
+        ) from None
+    except ConfigurationError as exc:
+        raise AnalysisError(str(exc)) from None
+    return alpha
 
 
 def _theorem4_interval(
@@ -163,7 +207,6 @@ def max_utilization_heuristic(
     n_mode: str = "uniform",
     resolution: float = DEFAULT_RESOLUTION,
     sp_fallback: bool = True,
-    warm_probes: bool = True,
 ) -> MaximizationResult:
     """Maximum safe utilization achievable by the Section 5.2 heuristic.
 
@@ -176,10 +219,9 @@ def max_utilization_heuristic(
     disable it to study the bare heuristic.
 
     One selector (and its candidate, ordering, and solver-buffer caches)
-    serves every probe of the binary search; with ``warm_probes`` the SP
-    fallback checks also warm-start from the converged delay vector of
-    the best feasible probe so far (sound — see
-    :func:`binary_search_max_alpha`).
+    serves every probe of the binary search; the SP fallback checks
+    warm-start from the converged delays of the last SP success (see
+    :func:`bisect_alpha`).
     """
     bounds = _theorem4_interval(network, traffic_class)
     selector = SafeRouteSelector(
@@ -199,24 +241,14 @@ def max_utilization_heuristic(
         if sp_paths is not None:
             check = single_class_delays(
                 graph, sp_paths, traffic_class, alpha,
-                n_mode=n_mode,
-                warm_start=sp_warm if warm_probes else None,
-                workspace=workspace,
+                n_mode=n_mode, warm_start=sp_warm, workspace=workspace,
             )
-            if OBS.enabled and warm_probes and sp_warm is not None:
-                OBS.registry.counter(
-                    "repro_search_warm_probes_total", method="sp_fallback"
-                ).inc()
             if check.safe:
                 return dict(sp_routes), check.server_delays
         return None
 
-    alpha, routes, evals = binary_search_max_alpha(
-        feasible,
-        bounds.lower,
-        bounds.upper,
-        resolution=resolution,
-        stateful=True,
+    alpha, routes, evals = bisect_alpha(
+        feasible, bounds.lower, bounds.upper, resolution=resolution
     )
     return MaximizationResult(
         alpha=alpha,
@@ -234,14 +266,12 @@ def max_utilization_shortest_path(
     *,
     n_mode: str = "uniform",
     resolution: float = DEFAULT_RESOLUTION,
-    warm_probes: bool = True,
 ) -> MaximizationResult:
     """Maximum safe utilization with fixed shortest-path routes (baseline).
 
-    With ``warm_probes`` (default) each probe warm-starts the fixed-point
-    iteration from the converged delay vector of the best feasible probe
-    so far, and all probes share one solver workspace; see
-    :func:`binary_search_max_alpha` for why this is sound.
+    Each probe warm-starts the fixed-point iteration from the converged
+    delays of the best feasible probe so far (see :func:`bisect_alpha`),
+    and all probes share one solver workspace.
     """
     bounds = _theorem4_interval(network, traffic_class)
     graph = LinkServerGraph(network)
@@ -252,24 +282,14 @@ def max_utilization_shortest_path(
     def feasible(alpha: float, warm) -> Optional[Tuple[RouteMap, Any]]:
         result = single_class_delays(
             graph, paths, traffic_class, alpha,
-            n_mode=n_mode,
-            warm_start=warm if warm_probes else None,
-            workspace=workspace,
+            n_mode=n_mode, warm_start=warm, workspace=workspace,
         )
-        if OBS.enabled and warm_probes and warm is not None:
-            OBS.registry.counter(
-                "repro_search_warm_probes_total", method="shortest_path"
-            ).inc()
         if not result.safe:
             return None
         return dict(routes), result.server_delays
 
-    alpha, best_routes, evals = binary_search_max_alpha(
-        feasible,
-        bounds.lower,
-        bounds.upper,
-        resolution=resolution,
-        stateful=True,
+    alpha, best_routes, evals = bisect_alpha(
+        feasible, bounds.lower, bounds.upper, resolution=resolution
     )
     return MaximizationResult(
         alpha=alpha,

@@ -19,12 +19,15 @@ keeps every class schedulable on fixed routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..analysis.verification import VerificationResult, verify_assignment
-from ..errors import ConfigurationError, InfeasibleUtilization
+from ..errors import ConfigurationError
 from ..topology.network import Network
 from ..traffic.classes import ClassRegistry
+from .maximize import bisect_alpha
 
 __all__ = [
     "verify_safe_assignment",
@@ -65,9 +68,10 @@ def maximize_multiclass_scale(
     """Largest ``t`` such that ``alpha_i = t * w_i`` verifies on fixed routes.
 
     Section 5.4's trade-off between class utilizations, restricted to a
-    proportional family: ``weights`` fixes the relative shares and bisection
-    finds the largest feasible common scale.  ``scale_high`` defaults to the
-    largest ``t`` keeping every ``t * w_i <= 1`` and their sum ``<= 1``.
+    proportional family: ``weights`` fixes the relative shares and, below
+    a first probe of the top, :func:`~repro.config.maximize.bisect_alpha`
+    finds the largest feasible common scale.  ``scale_high`` defaults to
+    the largest ``t`` keeping every ``t * w_i <= 1`` and their sum ``<= 1``.
     """
     rt = registry.realtime_classes()
     if not rt:
@@ -83,38 +87,25 @@ def maximize_multiclass_scale(
     cap = min(1.0 / w_sum, 1.0 / w_max)
     high = cap if scale_high is None else min(float(scale_high), cap)
 
-    def check(t: float) -> Optional[VerificationResult]:
+    def check(t: float, warm) -> Optional[Tuple[VerificationResult, Any]]:
         alphas = {name: t * wi for name, wi in w.items()}
         result = verify_assignment(
-            network, routes, registry, alphas, n_mode=n_mode
+            network, routes, registry, alphas, n_mode=n_mode, warm_start=warm
         )
-        return result if result.success else None
-
-    evaluations: List[Tuple[float, bool]] = []
-    lo, hi = 0.0, high
-    best_t = 0.0
-    best: Optional[VerificationResult] = None
+        return (result, result.server_delays) if result.success else None
 
     # Probe the top first: everything may already fit.
-    top = check(hi)
-    evaluations.append((hi, top is not None))
+    top = check(high, None)
     if top is not None:
-        best_t, best = hi, top
-        lo = hi
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        result = check(mid)
-        evaluations.append((mid, result is not None))
-        if result is not None:
-            best_t, best = mid, result
-            lo = mid
-        else:
-            hi = mid
-    if best is None:
-        raise InfeasibleUtilization(0.0, high)
+        scale, best, evaluations = high, top[0], [(high, True)]
+    else:
+        scale, best, evaluations = bisect_alpha(
+            check, 0.0, high, resolution=resolution
+        )
+        evaluations.insert(0, (high, False))
     return MulticlassScaleResult(
-        scale=best_t,
-        alphas={name: best_t * wi for name, wi in w.items()},
+        scale=scale,
+        alphas={name: scale * wi for name, wi in w.items()},
         verification=best,
         evaluations=evaluations,
     )

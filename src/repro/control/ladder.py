@@ -22,7 +22,7 @@ that still holds, and ``verify_invariants()`` stays green throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Hashable, Mapping, Sequence, Tuple, Union
 
 from ..analysis.verification import verify_assignment
 from ..errors import ConfigurationError
@@ -115,6 +115,11 @@ def certify_ladder(
     SUCCEEDs become rungs; the rest are recorded in
     :attr:`AlphaLadder.rejected`.
 
+    Candidates are verified in ascending order and the base last, each
+    warm-started from the delays of the last certified rung: the least
+    fixed point never decreases as the common scale grows, so a lower
+    rung's delays lie below every later one's.
+
     Raises :class:`ConfigurationError` if the base assignment itself
     fails verification (a mis-configured deployment must not start).
     """
@@ -124,35 +129,35 @@ def certify_ladder(
     if base <= 0:
         raise ConfigurationError(f"base alpha must be positive, got {base}")
     route_list = [list(r) for r in routes]
+    warm = None
 
     def _certified(alpha: float) -> bool:
+        nonlocal warm
         scaled = {
             name: float(a) * alpha / base
             for name, a in base_alphas.items()
         }
-        try:
-            return verify_assignment(
-                network, route_list, registry, scaled, n_mode=n_mode
-            ).success
-        except Exception:
-            return False
+        result = verify_assignment(
+            network, route_list, registry, scaled,
+            n_mode=n_mode, warm_start=warm,
+        )
+        if result.success:
+            warm = result.server_delays
+        return result.success
 
+    alphas = [float(raw) for raw in candidates]
+    # Above (or at) base is never a rung: the base already tops the
+    # ladder and anything beyond it is outside the configured
+    # certificate's envelope.
+    rejected = [a for a in alphas if not 0 < a < base and a != base]
+    accepted = []
+    for alpha in sorted({a for a in alphas if 0 < a < base}):
+        (accepted if _certified(alpha) else rejected).append(alpha)
     if not _certified(base):
         raise ConfigurationError(
             f"base alpha {base:g} fails verification; refusing to build "
             "a ladder on an uncertified configuration"
         )
-    accepted: List[float] = []
-    rejected: List[float] = []
-    for raw in candidates:
-        alpha = float(raw)
-        if alpha <= 0 or alpha >= base:
-            # Above (or at) base is never a rung: the base already tops
-            # the ladder and anything beyond it is outside the
-            # configured certificate's envelope.
-            if alpha != base:
-                rejected.append(alpha)
-            continue
-        (accepted if _certified(alpha) else rejected).append(alpha)
-    rungs = tuple(sorted(set(accepted))) + (base,)
-    return AlphaLadder(rungs=rungs, rejected=tuple(sorted(set(rejected))))
+    return AlphaLadder(
+        rungs=(*accepted, base), rejected=tuple(sorted(set(rejected)))
+    )

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis import critical_alpha, single_class_delays
+from repro.analysis import single_class_delays
+from repro.config import critical_alpha
 from repro.errors import AnalysisError
 from repro.routing import shortest_path_routes
 

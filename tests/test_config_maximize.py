@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import single_class_delays
 from repro.config import (
-    binary_search_max_alpha,
+    bisect_alpha,
     max_utilization_heuristic,
     max_utilization_shortest_path,
 )
@@ -26,10 +26,10 @@ class TestBinarySearch:
     def test_converges_to_threshold(self):
         threshold = 0.437
 
-        def oracle(alpha):
-            return {"routes": True} if alpha <= threshold else None
+        def oracle(alpha, warm):
+            return ({"routes": True}, alpha) if alpha <= threshold else None
 
-        best, routes, evals = binary_search_max_alpha(
+        best, routes, evals = bisect_alpha(
             oracle, 0.1, 0.9, resolution=0.001
         )
         assert best == pytest.approx(threshold, abs=0.001)
@@ -38,19 +38,51 @@ class TestBinarySearch:
 
     def test_infeasible_low_raises(self):
         with pytest.raises(InfeasibleUtilization):
-            binary_search_max_alpha(lambda a: None, 0.1, 0.9)
+            bisect_alpha(lambda a, warm: None, 0.1, 0.9)
 
     def test_entire_interval_feasible(self):
-        best, _, _ = binary_search_max_alpha(
-            lambda a: {}, 0.1, 0.9, resolution=0.01
+        best, _, _ = bisect_alpha(
+            lambda a, warm: ({}, None), 0.1, 0.9, resolution=0.01
         )
         assert best >= 0.9 - 0.01
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            binary_search_max_alpha(lambda a: {}, 0.5, 0.4)
+            bisect_alpha(lambda a, warm: ({}, None), 0.5, 0.4)
         with pytest.raises(ConfigurationError):
-            binary_search_max_alpha(lambda a: {}, 0.1, 0.9, resolution=0)
+            bisect_alpha(lambda a, warm: ({}, None), 0.1, 0.9, resolution=0)
+
+    def test_warm_is_the_delays_of_the_highest_feasible_probe(self):
+        threshold = 0.437
+        seen = []
+
+        def oracle(alpha, warm):
+            seen.append((alpha, warm))
+            return ("witness", alpha) if alpha <= threshold else None
+
+        _, _, evals = bisect_alpha(oracle, 0.1, 0.9, resolution=0.001)
+        assert seen[0] == (0.1, None)
+        best = 0.1
+        for (alpha, warm), (probed, ok) in zip(seen, evals):
+            assert probed == alpha
+            if alpha != 0.1:
+                assert warm == best
+            if ok:
+                best = alpha
+
+    def test_zero_floor_is_not_probed(self):
+        evals_seen = []
+
+        def oracle(alpha, warm):
+            evals_seen.append(alpha)
+            return ("witness", None) if alpha <= 0.2 else None
+
+        best, _, evals = bisect_alpha(oracle, 0.0, 0.8, resolution=0.01)
+        assert evals[0] == (0.4, False)
+        assert 0.0 not in evals_seen
+        assert 0.19 <= best <= 0.2
+        with pytest.raises(InfeasibleUtilization):
+            bisect_alpha(lambda a, warm: None, 0.0, 0.8, resolution=0.01)
 
 
 class TestShortestPathSearch:

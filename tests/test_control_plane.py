@@ -20,7 +20,7 @@ from repro.control import (
     Preemptor,
     certify_ladder,
 )
-from repro.errors import AdmissionError, ConfigurationError
+from repro.errors import AdmissionError, ConfigurationError, UnknownLinkError
 from repro.topology import ring_network
 from repro.traffic import ClassRegistry
 from repro.traffic.flows import FlowSpec
@@ -113,6 +113,33 @@ class TestCertifyLadder:
                 cfg.registry,
                 {"voice": 0.9},
                 [0.1],
+            )
+
+    def test_failing_base_keeps_its_message(self):
+        cfg = ring_cfg(alpha=0.3)
+        with pytest.raises(
+            ConfigurationError, match="base alpha 0.9 fails verification"
+        ):
+            certify_ladder(
+                cfg.network, list(cfg.routes.values()), cfg.registry,
+                {"voice": 0.9}, [0.1, 0.5],
+            )
+
+    def test_unknown_router_propagates(self, mci, voice_registry):
+        # Not "base alpha 0.3 fails verification": the input is wrong.
+        with pytest.raises(UnknownLinkError, match="Denvr"):
+            certify_ladder(
+                mci, [["Seattle", "Denvr"]], voice_registry,
+                {"voice": 0.3}, [0.15],
+            )
+
+    def test_missing_class_alpha_propagates(self, mci, voice_registry):
+        with pytest.raises(
+            ConfigurationError, match="missing alpha for class 'voice'"
+        ):
+            certify_ladder(
+                mci, [["Seattle", "Denver"]], voice_registry,
+                {"video": 0.3}, [0.15],
             )
 
     def test_empty_base_rejected(self):

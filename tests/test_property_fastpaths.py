@@ -25,6 +25,7 @@ from repro.analysis import (
     FixedPointResult,
     FixedPointWorkspace,
     RouteSystem,
+    single_class_delays,
     solve_fixed_point,
     theorem3_update,
 )
@@ -35,8 +36,12 @@ from repro.analysis.fixedpoint import (
     Deadlines,
 )
 from repro.errors import AnalysisError
-from repro.config import max_utilization_heuristic, max_utilization_shortest_path
-from repro.routing import shortest_path_routes
+from repro.config import (
+    bisect_alpha,
+    max_utilization_heuristic,
+    max_utilization_shortest_path,
+)
+from repro.routing import SafeRouteSelector, shortest_path_routes
 from repro.topology import LinkServerGraph, analyze, random_network
 from repro.traffic import all_ordered_pairs, voice_class
 
@@ -263,29 +268,39 @@ def test_prop_with_route_matches_fresh_build(n, p, seed):
 )
 def test_prop_warm_search_equals_cold_search(n, p, seed):
     """Warm-started binary-search probes return the same alpha*, the same
-    route set, and the same probe trace as cold probes."""
+    route set, and the same probe trace as a cold oracle, one that
+    ignores the warm start it is handed."""
     net = random_network(n, p, seed=seed)
     if analyze(net).max_degree < 2:
         return
     pairs = all_ordered_pairs(net)
     voice = voice_class()
+    graph = LinkServerGraph(net)
+    sp = shortest_path_routes(net, pairs)
+    paths = list(sp.values())
 
-    warm = max_utilization_shortest_path(
-        net, pairs, voice, resolution=0.01, warm_probes=True
-    )
-    cold = max_utilization_shortest_path(
-        net, pairs, voice, resolution=0.01, warm_probes=False
-    )
-    assert warm.alpha == cold.alpha
-    assert warm.routes == cold.routes
-    assert warm.evaluations == cold.evaluations
+    def cold_sp(alpha, warm):
+        if not single_class_delays(graph, paths, voice, alpha).safe:
+            return None
+        return dict(sp), None
 
-    warm_h = max_utilization_heuristic(
-        net, pairs, voice, resolution=0.02, warm_probes=True
+    warm = max_utilization_shortest_path(net, pairs, voice, resolution=0.01)
+    cold = bisect_alpha(
+        cold_sp, warm.bounds.lower, warm.bounds.upper, resolution=0.01
     )
-    cold_h = max_utilization_heuristic(
-        net, pairs, voice, resolution=0.02, warm_probes=False
+    assert (warm.alpha, warm.routes, warm.evaluations) == cold
+
+    selector = SafeRouteSelector(net, voice)
+
+    def cold_heuristic(alpha, warm):
+        outcome = selector.select(pairs, alpha)
+        if outcome.success:
+            return outcome.routes, None
+        return cold_sp(alpha, None)
+
+    warm_h = max_utilization_heuristic(net, pairs, voice, resolution=0.02)
+    cold_h = bisect_alpha(
+        cold_heuristic, warm_h.bounds.lower, warm_h.bounds.upper,
+        resolution=0.02,
     )
-    assert warm_h.alpha == cold_h.alpha
-    assert warm_h.routes == cold_h.routes
-    assert warm_h.evaluations == cold_h.evaluations
+    assert (warm_h.alpha, warm_h.routes, warm_h.evaluations) == cold_h

@@ -84,7 +84,7 @@ def test_prop_verification_monotone_in_alpha_random(n, p, seed):
 def test_prop_bounds_bracket_sp_critical_alpha(n, p, seed):
     """LB <= (critical alpha of SP routes); UB is a global ceiling so the
     SP critical alpha also respects it."""
-    from repro.analysis import critical_alpha
+    from repro.config import critical_alpha
 
     net, report, graph, paths = _setup(n, p, seed)
     if report.max_degree < 2:

@@ -22,11 +22,16 @@ class ServeThread:
     """``repro-ubac serve`` running in a daemon thread (the
     ``--serve-seconds`` test hook drains it after a fixed budget)."""
 
+    #: Every serve started in this process.  Each one's main() hands the
+    #: collector back when its budget ends, whichever test is running.
+    started = []
+
     def __init__(self, argv):
         self.argv = argv
         self.rc = None
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.thread.start()
+        ServeThread.started.append(self)
 
     def _run(self):
         self.rc = main(self.argv)
@@ -795,6 +800,10 @@ def test_main_hands_the_collector_back(
     if extra is None:
         argv[2] = str(tmp_path / "no_such_dir" / "s.sock")
         extra = ["--serve-seconds", "0.2"]
+    # A serve an earlier test left running would hand the collector back
+    # in the middle of this one: wait out their budgets first.
+    for other in ServeThread.started:
+        other.join()
     was_enabled = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()

@@ -718,6 +718,24 @@ RATCHETS = (
         ),
         max_count=1,
     ),
+    Ratchet(
+        name="One α search",
+        why=(
+            "maximize.bisect_alpha is the one bisection on a verdict in "
+            "alpha: the Section 5.3 searches, critical_alpha and "
+            "maximize_multiclass_scale call it, and it warm-starts every "
+            "probe from the highest feasible one.  Its three copies "
+            "probed cold, and two never checked their resolution: a "
+            "non-positive one looped forever once lo == hi."
+        ),
+        pattern=r"0\.5 \* \(lo \+ hi\)",
+        roots=("src/repro",),
+        offender=(
+            "src/repro/config/procedures.py",
+            "        mid = 0.5 * (lo + hi)",
+        ),
+        allowed=(r"^src/repro/config/maximize\.py:\d+:",),
+    ),
 )
 
 BY_NAME = pytest.mark.parametrize(
