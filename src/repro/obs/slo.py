@@ -127,7 +127,8 @@ class RollingHistogram:
         width = len(self.bounds) + 1
         self._rows = [[0] * width for _ in range(self._ring.slices)]
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` in one update."""
         idx, stale = self._ring.slot_for(self._ring.current_epoch())
         row = self._rows[idx]
         if stale:
@@ -135,9 +136,9 @@ class RollingHistogram:
                 row[i] = 0
         for i, bound in enumerate(self.bounds):
             if value <= bound:
-                row[i] += 1
+                row[i] += count
                 return
-        row[-1] += 1
+        row[-1] += count
 
     def _merged(self) -> List[int]:
         epoch = self._ring.current_epoch()
@@ -194,9 +195,10 @@ def _burn(measured: float, target: float) -> float:
 
 
 class SLOTracker:
-    """Measure rolling request latency against an SLO.
+    """Measure rolling per-op latency against an SLO.
 
-    The service feeds it arriving requests and their latencies; readers
+    The service feeds it arriving requests and, for each, its time per
+    decided op weighted by the ops (:meth:`observe_latency`); readers
     pull :meth:`snapshot` (JSON-safe dict for ``stats``/``/healthz``)
     or :meth:`export_gauges` (Prometheus burn-rate series).
     """
@@ -219,8 +221,10 @@ class SLOTracker:
 
     # ------------------------------------------------------------ feed
 
-    def observe_latency(self, seconds: float) -> None:
-        self._latency.observe(seconds)
+    def observe_latency(self, seconds: float, ops: int = 1) -> None:
+        """One request that decided ``ops`` ops, each taking
+        ``seconds``: the objective is per op, whatever the frame size."""
+        self._latency.observe(seconds, ops)
 
     def record_request(self, n: int = 1) -> None:
         self._requests.inc(n)

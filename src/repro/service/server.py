@@ -269,6 +269,7 @@ class AdmissionService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
         self._snapshot_task: Optional["asyncio.Task"] = None
+        self._snapshot_lock: Optional[asyncio.Lock] = None
         self._draining = False
         self._drain_error: Optional[Exception] = None
         self._where = "?"
@@ -430,7 +431,8 @@ class AdmissionService:
         await self._layer.settle()
         await self.coalescer.stop()
         try:
-            self.write_snapshot()
+            if self.store is not None:
+                await self.write_snapshot()
         except Exception as exc:
             # The listeners are already closed: shutdown must finish
             # (audit fsynced, serve_forever() released) or the process
@@ -457,71 +459,71 @@ class AdmissionService:
     # snapshots
     # ------------------------------------------------------------------ #
 
-    def write_snapshot(self) -> Optional[str]:
-        """Persist current state now; returns the path (None if no
-        store is configured)."""
-        if self.store is None:
-            return None
-        from .snapshots import service_snapshot
+    async def write_snapshot(self) -> int:
+        """Persist the current state; returns the number of flows in
+        the cut written.
 
-        snapshot = service_snapshot(self.controller)
-        self._mark_snapshot(snapshot)
-        self.store.write(snapshot)
-        self.counts["snapshots"] += 1
-        if OBS.enabled:
-            OBS.registry.counter("repro_service_snapshots_total").inc()
-        return self.store.path
-
-    def _mark_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Make the audit log durable *before* the snapshot write.
-
-        Ordering is the crash-safety invariant: the marker (and every
-        decision before it) hits disk first, so a snapshot found after
-        ``kill -9`` is always fully accounted for by the audit log.
+        The one snapshot writer: the periodic loop, the ``snapshot`` op
+        and drain all come here, one write at a time, so two writes
+        never share ``<path>.tmp`` and a caller that returns knows the
+        file holds its cut or a newer one.  The cut is taken
+        synchronously — the controller only mutates inside the
+        coalescer's (await-free) batch step, so it is consistent — but
+        serialization and fsync go to an executor so a large
+        established set never stalls request handling.
         """
-        if self.audit is not None:
-            self.audit.mark_snapshot(
-                item["flow_id"] for item in snapshot["flows"]
-            )
-
-    async def _snapshot_loop(self) -> None:
-        assert self.config.snapshot_interval is not None
         assert self.store is not None
         from .snapshots import service_snapshot
 
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                await asyncio.sleep(self.config.snapshot_interval)
-                # The snapshot dict is built synchronously — the
-                # controller only mutates inside the coalescer's
-                # (await-free) batch step, so this is a consistent
-                # cut — but serialization + fsync go to an executor
-                # so a large established set never stalls request
-                # handling for the duration of the disk write.
-                snapshot = service_snapshot(self.controller)
-                # Audit marker first (synchronously, same consistent
-                # cut): its fsync must complete before the snapshot
-                # replace can make the cut discoverable.
-                self._mark_snapshot(snapshot)
-                write = loop.run_in_executor(
-                    None, self.store.write, snapshot
+        if self._snapshot_lock is None:
+            # Made on the serving loop: before Python 3.10 a lock binds
+            # the loop current when it is constructed.
+            self._snapshot_lock = asyncio.Lock()
+        async with self._snapshot_lock:
+            snapshot = service_snapshot(self.controller)
+            if self.audit is not None:
+                # The marker (and every decision before it) is durable
+                # before the write: a snapshot found after kill -9 is
+                # always fully accounted for by the audit log.
+                self.audit.mark_snapshot(
+                    item["flow_id"] for item in snapshot["flows"]
                 )
-                try:
-                    await asyncio.shield(write)
-                except asyncio.CancelledError:
-                    # Cancellation mid-write (drain): let the executor
-                    # finish so it cannot race drain's final snapshot
-                    # onto the same tmp file.
-                    await write
-                    raise
-                self.counts["snapshots"] += 1
-                if OBS.enabled:
-                    OBS.registry.counter(
-                        "repro_service_snapshots_total"
-                    ).inc()
-        except asyncio.CancelledError:
-            pass
+            write = asyncio.get_running_loop().run_in_executor(
+                None, self.store.write, snapshot
+            )
+            try:
+                await asyncio.shield(write)
+            except asyncio.CancelledError:
+                # Drain cancels the periodic loop: the lock is held
+                # until the file is written, or the next write would
+                # start on the same tmp file.
+                await write
+                raise
+            self.counts["snapshots"] += 1
+            if OBS.enabled:
+                OBS.registry.counter("repro_service_snapshots_total").inc()
+        return len(snapshot["flows"])
+
+    async def _snapshot_op(self, rid: protocol.RequestId) -> Dict[str, Any]:
+        """The ``snapshot`` op's response, once its cut is on disk."""
+        assert self.store is not None
+        try:
+            flows = await self.write_snapshot()
+        except Exception as exc:
+            logger.exception("snapshot op %r failed", rid)
+            self.counts["errors"] += 1
+            return protocol.error_response(
+                rid, protocol.INTERNAL, f"{type(exc).__name__}: {exc}"
+            )
+        return protocol.ok_response(
+            rid, {"path": self.store.path, "flows": flows}
+        )
+
+    async def _snapshot_loop(self) -> None:
+        assert self.config.snapshot_interval is not None
+        while True:
+            await asyncio.sleep(self.config.snapshot_interval)
+            await self.write_snapshot()
 
     # ------------------------------------------------------------------ #
     # adaptive overload control (alpha governor)
@@ -750,7 +752,8 @@ class AdmissionService:
         ops) submit to the coalescer in arrival order.
 
         Returns whatever :meth:`_finish` needs to produce the response:
-        a ready response dict, or the frame carrier of
+        a ready response dict, the ``snapshot`` op's coroutine, or the
+        frame carrier of
         :meth:`_submit_frame` — a lone ``admit`` / ``release`` is a
         frame of one, validated here so that a malformed one is refused
         before anything is submitted.
@@ -779,14 +782,7 @@ class AdmissionService:
                     protocol.UNAVAILABLE,
                     "no snapshot path configured",
                 )
-            path = self.write_snapshot()
-            return protocol.ok_response(
-                rid,
-                {
-                    "path": path,
-                    "flows": self.controller.num_established,
-                },
-            )
+            return self._snapshot_op(rid)
         if op not in ("admit", "release", "batch"):
             return protocol.error_response(
                 rid,
@@ -835,6 +831,8 @@ class AdmissionService:
         response: Union[Dict[str, Any], bytes]
         if isinstance(pending, dict):  # ready response
             response = pending
+        elif asyncio.iscoroutine(pending):  # the snapshot op
+            response = await pending
         else:  # a frame's carrier
             slots, ops = pending
             await slots.wait()
@@ -883,7 +881,10 @@ class AdmissionService:
         t_end = time.perf_counter()
         total = t_end - tele.t_recv
         if self._slo_on or OBS.enabled:
-            self.slo.observe_latency(total)
+            # Per op: a 1024-op frame and a lone op answer to the same
+            # objective.
+            n_ops = n_subops or 1
+            self.slo.observe_latency(total / n_ops, n_ops)
         if not OBS.enabled:
             return
         OBS.registry.histogram(

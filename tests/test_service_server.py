@@ -10,6 +10,7 @@ snapshot/restore over the wire.
 import asyncio
 import json
 import os
+import threading
 
 import pytest
 
@@ -863,6 +864,74 @@ class TestLifecycleAndSnapshots:
         asyncio.run(scenario())
         data = json.load(open(snap))
         assert [f["flow_id"] for f in data["flows"]] == ["f1"]
+
+    def test_one_snapshot_writer_at_a_time(self, tmp_path):
+        # A worker of a cluster with --snapshot-interval writes on its
+        # own timer while the supervisor's merge asks for a `snapshot`
+        # op: both used to write <path>.tmp at once (a lost rename
+        # answered as an error, or a torn file left on disk).
+        snap = str(tmp_path / "snap.json")
+
+        class GatedStore(SnapshotStore):
+            """Holds the first write until the test opens the gate; a
+            second writer arriving meanwhile opens it itself."""
+
+            def __init__(self, path):
+                super().__init__(path)
+                self.gate = threading.Event()
+                self.entered = threading.Event()
+                self.lock = threading.Lock()
+                self.active = self.most = 0
+
+            def write(self, snapshot):
+                with self.lock:
+                    self.active += 1
+                    self.most = max(self.most, self.active)
+                    if self.active > 1:
+                        self.gate.set()
+                self.entered.set()
+                try:
+                    assert self.gate.wait(10)
+                    super().write(snapshot)
+                finally:
+                    with self.lock:
+                        self.active -= 1
+
+        async def scenario():
+            service = AdmissionService(
+                make_controller(),
+                ServiceConfig(snapshot_path=snap, snapshot_interval=0.01),
+            )
+            store = service.store = GatedStore(snap)
+            sock = str(tmp_path / "s.sock")
+            await service.start_unix(sock)
+            client = await AsyncServiceClient.connect_unix(sock)
+            # The periodic write is under way, its cut taken ...
+            for _ in range(1000):
+                if store.entered.is_set():
+                    break
+                await asyncio.sleep(0.005)
+            assert store.entered.is_set()
+            # ... when a flow arrives and the op asks for a newer cut.
+            assert (
+                await client.admit(FlowSpec("f1", "voice", "r0", "r3"))
+            ).admitted
+            op = asyncio.ensure_future(client.snapshot())
+            await asyncio.sleep(0.1)
+            store.gate.set()
+            result = await asyncio.wait_for(op, 10)
+            on_disk = json.load(open(snap))
+            stats = await client.stats()
+            await client.close()
+            await service.drain()
+            return store, result, on_disk, stats
+
+        store, result, on_disk, stats = asyncio.run(scenario())
+        assert store.most == 1
+        assert result["flows"] == 1
+        # Answered: the file holds the op's cut (or a newer one).
+        assert [f["flow_id"] for f in on_disk["flows"]] == ["f1"]
+        assert stats["errors"] == 0
 
     def test_tcp_listener(self, tmp_path):
         async def scenario():

@@ -10,6 +10,7 @@ against the in-process endpoint.
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -24,7 +25,10 @@ from repro.service import (
     iter_audit,
     verify_audit,
 )
-from repro.obs.slo import SLOConfig
+from repro.obs.slo import SLOConfig, SLOTracker
+from repro.service import protocol
+from repro.service.server import _ReqTele
+from tests.test_obs_slo import FakeClock
 from tests.test_service_server import (
     flow_obj,
     make_controller,
@@ -494,6 +498,27 @@ class TestSLOSurface:
         assert "snapshot_age_seconds" in stats
         assert stats["slo"]["requests"] >= 1
         assert stats["slo"]["breaching"] is False
+
+    @pytest.mark.parametrize(
+        "op, n_subops, seconds, breaching",
+        [
+            # 102.4 ms of frame is 0.1 ms per decided op.
+            ("bulk", 1024, 0.1024, False),
+            ("admit", None, 0.060, True),
+        ],
+    )
+    def test_the_objective_is_per_op_whatever_the_frame_size(
+        self, op, n_subops, seconds, breaching
+    ):
+        service = AdmissionService(
+            make_controller(),
+            ServiceConfig(slo=SLOConfig(p50_ms=50.0, p99_ms=5000.0)),
+        )
+        service.slo = SLOTracker(service.config.slo, clock=FakeClock())
+        tele = _ReqTele(time.perf_counter() - seconds)
+        request = protocol.Request(id=1, op=op, body={})
+        service._finish_telemetry(request, tele, [], True, n_subops)
+        assert service.slo.snapshot()["breaching"] is breaching
 
     def test_breaching_slo_degrades_health_but_still_serves(
         self, tmp_path

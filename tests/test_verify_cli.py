@@ -8,6 +8,8 @@ from repro.workload import read_trace, validate_adversarial_events
 
 SMALL = ["--bound", "2", "--max-capacity", "1"]
 
+MUTANTS = sorted({m for row in CHECKS for m in row.mutants})
+
 
 class TestVerifyBounded:
     def test_default_run_proves_the_default_bound(self, capsys):
@@ -15,6 +17,7 @@ class TestVerifyBounded:
         out = capsys.readouterr().out
         for row in CHECKS:
             assert f"{row.name}: passed" in out
+        assert MUTANTS  # the sweep below is not an empty parametrization
         assert "exhaustive" not in out
         assert "all invariants hold within the bound" in out
 
@@ -43,14 +46,16 @@ class TestVerifyBounded:
         assert "no_overcommit" not in out
 
     @pytest.mark.parametrize(
-        "mutant", sorted({m for row in CHECKS for m in row.mutants})
+        "mutant, bound",
+        [pytest.param(m, SMALL, id=m) for m in MUTANTS]
+        + [pytest.param(m, [], id=f"{m}-default-bound") for m in MUTANTS],
     )
     def test_mutants_caught_with_replayable_traces(
-        self, tmp_path, mutant, capsys
+        self, tmp_path, mutant, bound, capsys
     ):
         cx_dir = tmp_path / "cx"
         assert main(
-            ["verify", *SMALL, "--mutant", mutant, "--cx-dir", str(cx_dir)]
+            ["verify", *bound, "--mutant", mutant, "--cx-dir", str(cx_dir)]
         ) == 0
         out = capsys.readouterr().out
         assert "violated" in out
