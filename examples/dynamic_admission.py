@@ -14,6 +14,8 @@ standing population.
 Run:  python examples/dynamic_admission.py
 """
 
+import numpy as np
+
 from repro import (
     FlowAwareAdmissionController,
     LinkServerGraph,
@@ -65,16 +67,16 @@ def main() -> None:
                 ["admission attempts", ubac_stats.attempts,
                  fa_stats.attempts],
                 ["blocking probability",
-                 f"{ubac_stats.blocking_probability:.3f}",
-                 f"{fa_stats.blocking_probability:.3f}"],
+                 f"{ubac_stats.rejected / ubac_stats.attempts:.3f}",
+                 f"{fa_stats.rejected / fa_stats.attempts:.3f}"],
                 ["peak concurrent calls", ubac_stats.peak_population,
                  fa_stats.peak_population],
                 ["mean decision time",
                  f"{ubac_stats.mean_decision_seconds * 1e6:.1f} us",
                  f"{fa_stats.mean_decision_seconds * 1e3:.1f} ms"],
                 ["p99 decision time",
-                 f"{ubac_stats.p99_decision_seconds * 1e6:.1f} us",
-                 f"{fa_stats.p99_decision_seconds * 1e3:.1f} ms"],
+                 f"{np.percentile(ubac_stats.decision_seconds, 99) * 1e6:.1f} us",
+                 f"{np.percentile(fa_stats.decision_seconds, 99) * 1e3:.1f} ms"],
             ],
             title="Run-time admission control comparison",
         )

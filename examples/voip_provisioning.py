@@ -45,8 +45,8 @@ def main() -> None:
     print(f"ordering LB <= SP < heur <= UB: "
           f"{'holds' if result.ordering_holds else 'VIOLATED'}")
     print(f"binary-search probes          : "
-          f"SP {result.shortest_path.num_probes}, "
-          f"heuristic {result.heuristic.num_probes}")
+          f"SP {len(result.shortest_path.evaluations)}, "
+          f"heuristic {len(result.heuristic.evaluations)}")
     print(f"wall clock                    : {elapsed:.1f} s")
     print()
     print("Interpretation: at the heuristic's utilization level, every")

@@ -553,12 +553,6 @@ class AdmissionController(abc.ABC):
     def num_rejected(self) -> int:
         return self._num_decisions - self._num_admitted
 
-    @property
-    def acceptance_ratio(self) -> float:
-        if not self._num_decisions:
-            return float("nan")
-        return self._num_admitted / self._num_decisions
-
     def mean_decision_seconds(self) -> float:
         """Mean per-request decision cost.
 

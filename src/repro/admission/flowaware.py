@@ -47,13 +47,8 @@ class FlowAwareAdmissionController(AdmissionController):
         graph: LinkServerGraph,
         registry: ClassRegistry,
         route_map: Mapping[Pair, Sequence[Hashable]],
-        *,
-        tolerance: float = 1e-7,
-        max_iterations: int = 1_000,
     ):
         super().__init__(graph, registry, route_map)
-        self.tolerance = tolerance
-        self.max_iterations = max_iterations
 
     def _pinned(self, flow: FlowSpec) -> FlowSpec:
         """The flow with its route made explicit (analysis needs routes)."""
@@ -89,11 +84,7 @@ class FlowAwareAdmissionController(AdmissionController):
                 "flowaware.analysis", population=len(tentative)
             ):
                 result = flow_aware_delays(
-                    self.graph,
-                    tentative,
-                    self.registry,
-                    tolerance=self.tolerance,
-                    max_iterations=self.max_iterations,
+                    self.graph, tentative, self.registry
                 )
         except AnalysisError as exc:
             return False, f"analysis rejected the population: {exc}"

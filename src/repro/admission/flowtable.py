@@ -48,6 +48,11 @@ __all__ = ["FlowTable"]
 NO_CLASS = -1
 #: The committed servers of a flow that holds no slot (best-effort).
 NO_SERVERS = np.empty(0, dtype=np.int64)
+
+#: Rows and server columns a new table starts with.
+INITIAL_CAPACITY = 64
+INITIAL_WIDTH = 4
+
 #: What the table hands out, whatever its columns hold (a dtype object:
 #: ``astype`` resolves one faster than the scalar type).
 _INT64 = np.dtype(np.int64)
@@ -82,8 +87,8 @@ class FlowTable:
         Sentinel server index filling unused matrix cells (the
         controllers use ``graph.num_servers``, their kernels' virtual
         padding slot); it fixes the matrix's integer type.
-    width / capacity:
-        Initial matrix shape; both grow automatically.
+    The matrix starts ``INITIAL_CAPACITY`` rows by ``INITIAL_WIDTH``
+    columns; both grow automatically.
     """
 
     __slots__ = (
@@ -92,9 +97,9 @@ class FlowTable:
         "_pair_codes", "_pair_names",
     )
 
-    def __init__(self, pad: int, *, width: int = 4, capacity: int = 64):
-        capacity = max(int(capacity), 1)
-        width = max(int(width), 1)
+    def __init__(self, pad: int):
+        capacity = INITIAL_CAPACITY
+        width = INITIAL_WIDTH
         self.pad = int(pad)
         self._index: Dict[Hashable, int] = {}
         # The two object columns are plain lists: they are only ever

@@ -16,7 +16,7 @@ that core routers stay flow-unaware.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -336,28 +336,6 @@ class UtilizationLedger:
         }
 
     # ------------------------------------------------------------------ #
-
-    def utilization(self, class_name: str) -> np.ndarray:
-        """Fraction of link bandwidth in use by the class, per server."""
-        self._check_class(class_name)
-        rate = self.registry.get(class_name).rate
-        return self._used[class_name] * rate / self.graph.capacities
-
-    def bottleneck(self, class_name: str) -> Tuple[int, float]:
-        """(server index, occupancy ratio) of the fullest server."""
-        self._check_class(class_name)
-        cap = self._capacity[class_name]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(cap > 0, self._used[class_name] / cap, 0.0)
-        k = int(np.argmax(ratio))
-        return k, float(ratio[k])
-
-    def total_reserved_rate(self) -> np.ndarray:
-        """Aggregate reserved real-time rate per server (bits/second)."""
-        out = np.zeros(self.graph.num_servers)
-        for name in self._class_names:
-            out += self._used[name] * self.registry.get(name).rate
-        return out
 
     def _check_class(self, class_name: str) -> None:
         if class_name not in self._capacity:

@@ -72,22 +72,10 @@ class ReplayStats:
         return [lifetime.flow.flow_id for lifetime in self.lifetimes]
 
     @property
-    def blocking_probability(self) -> float:
-        if self.attempts == 0:
-            return float("nan")
-        return self.rejected / self.attempts
-
-    @property
     def mean_decision_seconds(self) -> float:
         if self.decision_seconds.size == 0:
             return float("nan")
         return float(self.decision_seconds.mean())
-
-    @property
-    def p99_decision_seconds(self) -> float:
-        if self.decision_seconds.size == 0:
-            return float("nan")
-        return float(np.percentile(self.decision_seconds, 99))
 
 
 def replay_schedule(

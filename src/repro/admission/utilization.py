@@ -234,24 +234,10 @@ class UtilizationAdmissionController(AdmissionController):
         self.ledger.clear_degradation()
 
     @property
-    def degraded_factor(self) -> float:
-        """Current effective-alpha scale (1.0 = normal operation)."""
-        return self.ledger.degradation
-
-    @property
     def in_degraded_mode(self) -> bool:
         return self.ledger.degradation < 1.0
 
     # ------------------------------------------------------------------ #
-
-    def class_utilization(self, class_name: str) -> np.ndarray:
-        """Current bandwidth fraction used by a class, per server."""
-        return self.ledger.utilization(class_name)
-
-    def committed_servers(self, flow_id: Hashable) -> np.ndarray:
-        """Link servers an established flow holds a slot on (none for a
-        best-effort flow)."""
-        return self._flows.servers_of(flow_id)
 
     def slot_holders(
         self, class_name: str, tags: Sequence[int], servers: Sequence[int]

@@ -22,7 +22,6 @@ from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import TrafficClass
 from .beta import beta_coefficient
 from .fixedpoint import (
-    DEFAULT_TOLERANCE,
     FixedPointResult,
     FixedPointWorkspace,
     Theorem3Map,
@@ -127,10 +126,6 @@ class SingleClassResult:
         """Deadline minus worst end-to-end delay (negative if violated)."""
         return self.deadline - self.worst_route_delay
 
-    def violating_routes(self) -> np.ndarray:
-        """Indices of routes whose bound exceeds the deadline."""
-        return np.nonzero(self.fixed_point.route_delays > self.deadline)[0]
-
 
 def single_class_delays(
     graph: LinkServerGraph,
@@ -140,9 +135,6 @@ def single_class_delays(
     *,
     n_mode: str = "uniform",
     warm_start: Optional[np.ndarray] = None,
-    early_deadline_exit: bool = True,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = 100_000,
     workspace: Optional[FixedPointWorkspace] = None,
 ) -> SingleClassResult:
     """Compute configuration-time delay bounds for one real-time class.
@@ -163,8 +155,6 @@ def single_class_delays(
         Optional per-server delay vector known to lie below the least
         fixed point (e.g. the solution for a subset of the routes, or for
         the same routes at a lower ``alpha``).
-    early_deadline_exit:
-        Stop as soon as some route provably misses the deadline.
     workspace:
         Optional solver buffers to reuse across calls (e.g. by the binary
         search over ``alpha``).
@@ -179,25 +169,15 @@ def single_class_delays(
     update = theorem3_update(
         system, traffic_class.burst, traffic_class.rate, alpha, fan_in
     )
-    deadlines = (
-        np.full(system.num_routes, traffic_class.deadline)
-        if early_deadline_exit
-        else None
-    )
+    # The iteration stops as soon as some route provably misses the
+    # deadline.
     result = solve_fixed_point(
         system,
         update,
         initial=warm_start,
-        deadlines=deadlines,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
+        deadlines=traffic_class.deadline,
         workspace=workspace,
     )
-    if not early_deadline_exit and result.converged:
-        # Deadline check still applies; record it on the result.
-        result.deadline_violated = bool(
-            np.any(result.route_delays > traffic_class.deadline)
-        )
     return SingleClassResult(
         fixed_point=result,
         system=system,

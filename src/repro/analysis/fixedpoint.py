@@ -18,7 +18,7 @@ Two practical consequences are exploited here:
 
 A diverging iteration (utilization too high for this route structure)
 is reported as ``converged=False`` with ``diverged=True`` once the iterates
-cross a configurable ceiling, or when the iteration budget is exhausted.
+cross ``DEFAULT_CEILING``, or when the iteration budget is exhausted.
 
 There is one loop.  Every ``Z`` in this package has the form
 ``d = f(Y(d))``: the loop computes ``Y`` from the route system and hands
@@ -61,6 +61,9 @@ DEFAULT_TOLERANCE = 1e-9
 
 #: Delay ceiling (seconds) above which the iteration is declared divergent.
 DEFAULT_CEILING = 1e6
+
+#: Iteration budget of one solve.
+MAX_ITERATIONS = 100_000
 
 #: Per-route deadlines: one bound per route, or a scalar applied to all.
 Deadlines = Union[np.ndarray, float, None]
@@ -218,9 +221,6 @@ def solve_fixed_point(
     *,
     initial: Optional[np.ndarray] = None,
     deadlines: Deadlines = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = 100_000,
-    ceiling: float = DEFAULT_CEILING,
     workspace: Optional[FixedPointWorkspace] = None,
 ) -> FixedPointResult:
     """Iterate ``d <- update(d)`` to the least fixed point.
@@ -254,9 +254,6 @@ def solve_fixed_point(
             workspace=workspace,
             initial=initial,
             deadlines=deadlines,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            ceiling=ceiling,
         )
 
     warm = initial is not None
@@ -272,9 +269,6 @@ def solve_fixed_point(
             workspace=workspace,
             initial=initial,
             deadlines=deadlines,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            ceiling=ceiling,
         )
         outcome = _outcome(result)
         sp.set(iterations=result.iterations, outcome=outcome)
@@ -316,14 +310,7 @@ def _solve(
     workspace: FixedPointWorkspace,
     initial: Optional[np.ndarray],
     deadlines: Deadlines,
-    tolerance: float,
-    max_iterations: int,
-    ceiling: float,
 ) -> FixedPointResult:
-    if tolerance <= 0:
-        raise AnalysisError(f"tolerance must be positive, got {tolerance}")
-    if max_iterations < 1:
-        raise AnalysisError("max_iterations must be >= 1")
     ws = workspace
     S = system.num_servers
     M = system.num_occurrences
@@ -394,7 +381,7 @@ def _solve(
         d[:] = arr
         fill_csum(d)
         apply_update(d_next)
-        np.subtract(d, tolerance, out=work)
+        np.subtract(d, DEFAULT_TOLERANCE, out=work)
         if np.any(d_next < work):  # setup-time check; one bool temp is fine
             raise AnalysisError(
                 "warm start is above the least fixed point "
@@ -414,21 +401,21 @@ def _solve(
         )
 
     residual = float("inf")
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         fill_csum(d)
         fill_route_delays()
         if deadlines is not None:
             np.greater(route_d, deadlines, out=route_cmp)
             if route_cmp.any():
                 return make_result(False, True, False, iteration, residual)
-        if float(d.max(initial=0.0)) > ceiling:
+        if float(d.max(initial=0.0)) > DEFAULT_CEILING:
             return make_result(False, False, True, iteration, residual)
         apply_update(d_next)
         np.subtract(d_next, d, out=work)
         np.abs(work, out=work)
         residual = float(work.max(initial=0.0))
         d, d_next = d_next, d
-        if residual <= tolerance:
+        if residual <= DEFAULT_TOLERANCE:
             fill_csum(d)
             fill_route_delays()
             violated = False
@@ -439,4 +426,4 @@ def _solve(
 
     fill_csum(d)
     fill_route_delays()
-    return make_result(False, False, False, max_iterations, residual)
+    return make_result(False, False, False, MAX_ITERATIONS, residual)

@@ -43,7 +43,7 @@ from ..errors import AnalysisError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry, TrafficClass
 from .delays import resolve_fan_in
-from .fixedpoint import DEFAULT_TOLERANCE, FixedPointResult, solve_fixed_point
+from .fixedpoint import FixedPointResult, solve_fixed_point
 from .routesystem import RouteSystem
 
 __all__ = [
@@ -93,16 +93,6 @@ class MultiClassResult:
             and all(c.meets_deadline for c in self.per_class.values())
         )
 
-    def delay_matrix(self) -> np.ndarray:
-        """Per-class server delays stacked in priority order.
-
-        Suitable as ``warm_start`` for a later call with a superset of the
-        routes (``per_class`` preserves priority order).
-        """
-        return np.stack(
-            [c.server_delays for c in self.per_class.values()]
-        )
-
 
 def multi_class_delays(
     graph: LinkServerGraph,
@@ -111,9 +101,6 @@ def multi_class_delays(
     alphas: Mapping[str, float],
     *,
     n_mode: str = "uniform",
-    early_deadline_exit: bool = True,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = 100_000,
     warm_start: Optional[np.ndarray] = None,
 ) -> MultiClassResult:
     """Configuration-time delay bounds for every real-time class.
@@ -180,9 +167,7 @@ def multi_class_delays(
         system,
         update,
         initial=initial,
-        deadlines=np.repeat(deadlines, counts) if early_deadline_exit else None,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
+        deadlines=np.repeat(deadlines, counts),
     )
     return split_by_class(result, rt_classes, counts)
 

@@ -31,15 +31,18 @@ __all__ = ["FlowAwareResult", "flow_aware_delays", "static_priority_delay"]
 
 _CEILING = 1e5  # seconds
 _TOL = 1e-9
+#: Iteration budget of the scalar static-priority fixed point (eq. 24).
+_SP_ITERATIONS = 10_000
+#: Convergence tolerance (seconds) and iteration budget of the outer
+#: flow-aware iteration.
+_FLOW_TOL = 1e-7
+_FLOW_ITERATIONS = 1_000
 
 
 def static_priority_delay(
     higher: Sequence[Envelope],
     own: Envelope,
     capacity: float,
-    *,
-    tolerance: float = _TOL,
-    max_iterations: int = 10_000,
 ) -> float:
     """Worst-case delay of one class under static priority (eq. 24).
 
@@ -60,7 +63,7 @@ def static_priority_delay(
     if not higher:
         return own.max_delay(capacity)
     d = 0.0
-    for _ in range(max_iterations):
+    for _ in range(_SP_ITERATIONS):
         shifted = sum((h.shift(d) for h in higher), Envelope.zero())
         d_next = (shifted + own).max_delay(capacity)
         if d_next > _CEILING:
@@ -68,11 +71,11 @@ def static_priority_delay(
                 "static-priority delay iteration diverged "
                 f"(exceeded {_CEILING} s)"
             )
-        if abs(d_next - d) <= tolerance:
+        if abs(d_next - d) <= _TOL:
             return d_next
         d = d_next
     raise AnalysisError(
-        f"static-priority delay did not converge in {max_iterations} "
+        f"static-priority delay did not converge in {_SP_ITERATIONS} "
         "iterations"
     )
 
@@ -96,26 +99,11 @@ class FlowAwareResult:
     iterations: int
     converged: bool
 
-    def meets_deadlines(self, registry: ClassRegistry,
-                        flows: Sequence[FlowSpec]) -> bool:
-        """True if every flow's bound is within its class deadline."""
-        if not self.converged:
-            return False
-        for flow in flows:
-            deadline = registry.get(flow.class_name).deadline
-            if self.flow_delays[flow.flow_id] > deadline:
-                return False
-        return True
-
 
 def flow_aware_delays(
     graph: LinkServerGraph,
     flows: Sequence[FlowSpec],
     registry: ClassRegistry,
-    *,
-    clamp_ingress: bool = True,
-    tolerance: float = 1e-7,
-    max_iterations: int = 1_000,
 ) -> FlowAwareResult:
     """Run the iterative flow-aware analysis over an explicit flow set.
 
@@ -148,11 +136,8 @@ def flow_aware_delays(
     for f in rt_flows:
         servers = graph.route_servers(f.route)
         cls = registry.get(f.class_name)
-        line = (
-            float(graph.capacities[servers[0]]) if clamp_ingress else None
-        )
         flow_servers.append(servers)
-        flow_env.append(cls.envelope(line))
+        flow_env.append(cls.envelope(float(graph.capacities[servers[0]])))
         flow_cls_idx.append(rt_names.index(f.class_name))
 
     n_servers = graph.num_servers
@@ -167,7 +152,7 @@ def flow_aware_delays(
 
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _FLOW_ITERATIONS + 1):
         # 1. Aggregate shifted envelopes per (class, server, input link):
         #    eq. (2) sums flows per input link, and no input link can
         #    deliver faster than its wire, so each per-input aggregate is
@@ -216,7 +201,7 @@ def flow_aware_delays(
         d = d_next
         if float(d.max(initial=0.0)) > _CEILING:
             break
-        if residual <= tolerance:
+        if residual <= _FLOW_TOL:
             converged = True
             break
 

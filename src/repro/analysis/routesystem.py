@@ -187,13 +187,6 @@ class RouteSystem:
         return self._route_start[: self._num_routes + 1]
 
     @property
-    def occ_route(self) -> np.ndarray:
-        """``int64[M]`` route index of every occurrence (built on read)."""
-        return np.repeat(
-            np.arange(self._num_routes, dtype=np.int64), self.route_lengths()
-        )
-
-    @property
     def touched_servers(self) -> np.ndarray:
         """Boolean mask of servers used by at least one route."""
         if not self._touched_valid:
@@ -207,13 +200,6 @@ class RouteSystem:
             raise AnalysisError(f"route index {index} out of range")
         lo, hi = self._route_start[index], self._route_start[index + 1]
         return self._occ_server[lo:hi]
-
-    def route_lengths(self) -> np.ndarray:
-        return np.diff(self.route_start)
-
-    def server_route_count(self) -> np.ndarray:
-        """Number of route occurrences per server (load indicator)."""
-        return self._server_count.copy()
 
     # ------------------------------------------------------------------ #
     # vectorized kernels

@@ -82,8 +82,6 @@ def verify_assignment(
     alphas: Mapping[str, float],
     *,
     n_mode: str = "uniform",
-    tolerance: float = 1e-9,
-    max_iterations: int = 100_000,
     warm_start: Optional[Mapping[str, np.ndarray]] = None,
 ) -> VerificationResult:
     """Run the Figure 2 verification procedure.
@@ -132,7 +130,7 @@ def verify_assignment(
         cls = rt_classes[0]
         result = single_class_delays(
             graph, routes_by_class[cls.name], cls, float(alphas[cls.name]),
-            n_mode=n_mode, tolerance=tolerance, max_iterations=max_iterations,
+            n_mode=n_mode,
             warm_start=None if warm_start is None else warm_start[cls.name],
         )
         fp = result.fixed_point
@@ -167,7 +165,7 @@ def verify_assignment(
 
     mc = multi_class_delays(
         graph, routes_by_class, registry, alphas,
-        n_mode=n_mode, tolerance=tolerance, max_iterations=max_iterations,
+        n_mode=n_mode,
         warm_start=None if warm_start is None else np.stack(
             [warm_start[c.name] for c in rt_classes]
         ),

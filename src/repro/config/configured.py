@@ -27,7 +27,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Uni
 from ..analysis.verification import VerificationResult, verify_assignment
 from ..errors import ConfigurationError, SimulationError
 from ..admission.utilization import UtilizationAdmissionController
-from ..routing.heuristic import HeuristicOptions, SafeRouteSelector
+from ..routing.heuristic import SafeRouteSelector
 from ..routing.shortest import shortest_path_routes
 from ..simulation.simulator import Simulator
 from ..topology.network import Network
@@ -85,14 +85,6 @@ class ConfiguredNetwork:
             n_mode=self.n_mode,
         )
 
-    def route_for(self, source: Hashable, destination: Hashable) -> List[Hashable]:
-        try:
-            return list(self.routes[(source, destination)])
-        except KeyError:
-            raise ConfigurationError(
-                f"no configured route for {source!r} -> {destination!r}"
-            ) from None
-
     def slots_per_link(self, class_name: str) -> int:
         """Certified concurrent flows of a class on a uniform-capacity link."""
         cls = self.registry.get(class_name)
@@ -117,9 +109,7 @@ class ConfiguredNetwork:
         self,
         *,
         flows_per_route: int = 2,
-        packet_size: Optional[float] = None,
         horizon: float = 0.5,
-        pattern: str = "greedy",
     ) -> Dict[str, int]:
         """Adversarial packet-level check of the configured guarantees.
 
@@ -127,10 +117,9 @@ class ConfiguredNetwork:
         class on each configured route (capped to stay admissible), runs
         the simulator, and returns the per-class deadline-miss counts —
         all zeros when the certificate holds, which the analysis
-        guarantees for admissible populations.
-
-        ``packet_size`` defaults to each class's burst (one maximal
-        packet), the worst quantization the class permits.
+        guarantees for admissible populations.  Every source is greedy
+        and sends its class's burst as one packet, the worst quantization
+        the class permits.
         """
         from ..admission.statistics import Lifetime
         from ..simulation.cosim import simulate_lifetimes
@@ -155,8 +144,7 @@ class ConfiguredNetwork:
             self.simulator(),
             lifetimes,
             horizon=horizon,
-            pattern_kind=pattern,
-            packet_size=packet_size,
+            pattern_kind="greedy",
         )
         if run is None:
             raise SimulationError("no flow to simulate within the horizon")
@@ -242,8 +230,6 @@ def configure(
     *,
     pairs: Optional[Sequence[Pair]] = None,
     routing: str = "heuristic",
-    options: HeuristicOptions = HeuristicOptions(),
-    n_mode: str = "uniform",
 ) -> ConfiguredNetwork:
     """One-call configuration: select routes and verify the bundle.
 
@@ -279,9 +265,7 @@ def configure(
                 "real-time class; use routing='shortest-path' or the "
                 "MultiClassRouteSelector directly"
             )
-        selector = SafeRouteSelector(
-            network, rt[0], options=options, n_mode=n_mode
-        )
+        selector = SafeRouteSelector(network, rt[0])
         outcome = selector.select(list(pairs), float(alphas[rt[0].name]))
         if not outcome.success:
             raise ConfigurationError(
@@ -301,5 +285,4 @@ def configure(
         registry=registry,
         alphas={c.name: float(alphas[c.name]) for c in rt},
         routes=dict(routes),
-        n_mode=n_mode,
     )

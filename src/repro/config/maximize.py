@@ -83,10 +83,6 @@ class MaximizationResult:
     evaluations: List[Tuple[float, bool]]
     method: str
 
-    @property
-    def num_probes(self) -> int:
-        return len(self.evaluations)
-
 
 def bisect_alpha(
     feasible: Callable[[float, Any], Optional[Tuple[Any, Any]]],
@@ -143,14 +139,15 @@ def bisect_alpha(
     return best[0], best[1], evaluations
 
 
+#: The lowest utilization :func:`critical_alpha` probes.
+CRITICAL_ALPHA_FLOOR = 1e-3
+
+
 def critical_alpha(
     graph: LinkServerGraph,
     router_paths: Sequence[Sequence[Hashable]],
     traffic_class: TrafficClass,
     *,
-    n_mode: str = "uniform",
-    low: float = 1e-3,
-    high: float = 1.0,
     resolution: float = 1e-3,
 ) -> float:
     """Largest utilization for which these fixed routes verify: how much
@@ -158,27 +155,28 @@ def critical_alpha(
     its certificate breaks?
 
     Built from the same fixed point as verification, so the answer is a
-    certificate, not an estimate.  Returns ``high`` if it verifies and
-    raises :class:`AnalysisError` if even ``low`` does not.
+    certificate, not an estimate.  Returns 1.0 if it verifies there and
+    raises :class:`AnalysisError` if even ``CRITICAL_ALPHA_FLOOR`` does
+    not.
     """
-    if not (0 < low < high <= 1.0):
-        raise AnalysisError("need 0 < low < high <= 1")
     workspace = FixedPointWorkspace()
 
     def safe(alpha: float, warm) -> Optional[Tuple[Any, np.ndarray]]:
         result = single_class_delays(
             graph, router_paths, traffic_class, alpha,
-            n_mode=n_mode, warm_start=warm, workspace=workspace,
+            warm_start=warm, workspace=workspace,
         )
         return (result, result.server_delays) if result.safe else None
 
-    if safe(high, None) is not None:
-        return high
+    if safe(1.0, None) is not None:
+        return 1.0
     try:
-        alpha, _, _ = bisect_alpha(safe, low, high, resolution=resolution)
+        alpha, _, _ = bisect_alpha(
+            safe, CRITICAL_ALPHA_FLOOR, 1.0, resolution=resolution
+        )
     except InfeasibleUtilization:
         raise AnalysisError(
-            f"routes do not verify even at alpha = {low}"
+            f"routes do not verify even at alpha = {CRITICAL_ALPHA_FLOOR}"
         ) from None
     except ConfigurationError as exc:
         raise AnalysisError(str(exc)) from None

@@ -36,7 +36,7 @@ from typing import Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, TopologyError
 from ..obs import OBS
-from ..routing.heuristic import HeuristicOptions, SafeRouteSelector
+from ..routing.heuristic import SafeRouteSelector
 from ..routing.partition import partition_by_link
 from ..topology.network import Network
 from .configured import ConfiguredNetwork
@@ -79,9 +79,6 @@ def repair_routes(
     degraded: Network,
     affected: Sequence[Pair],
     survivors: Mapping[Pair, Sequence[Hashable]],
-    *,
-    options: HeuristicOptions = HeuristicOptions(),
-    selector: Optional[SafeRouteSelector] = None,
 ) -> Tuple[Optional[ConfiguredNetwork], Optional[Pair], str]:
     """Safe re-selection of ``affected`` pairs on a degraded topology.
 
@@ -92,11 +89,6 @@ def repair_routes(
     the survivors pre-committed, merges, re-verifies and returns
     ``(repaired, failed_pair, reason)`` — ``repaired`` is None when no
     safe repair exists.
-
-    ``selector`` lets repeated repairs share one warm
-    :class:`SafeRouteSelector` (candidate and beta caches persist across
-    calls); it must have been built on ``degraded`` with the same class
-    and ``n_mode``.
     """
     rt = cfg.registry.realtime_classes()
     if len(rt) != 1:
@@ -105,10 +97,7 @@ def repair_routes(
         )
     cls = rt[0]
     alpha = float(cfg.alphas[cls.name])
-    if selector is None:
-        selector = SafeRouteSelector(
-            degraded, cls, options=options, n_mode=cfg.n_mode
-        )
+    selector = SafeRouteSelector(degraded, cls, n_mode=cfg.n_mode)
     outcome = selector.select(
         list(affected), alpha, fixed_routes=list(survivors.values())
     )
@@ -134,9 +123,6 @@ def repair_routes(
 def repair_after_link_failure(
     cfg: ConfiguredNetwork,
     failed_link: Tuple[Hashable, Hashable],
-    *,
-    options: HeuristicOptions = HeuristicOptions(),
-    selector: Optional[SafeRouteSelector] = None,
 ) -> RepairResult:
     """Re-route the routes broken by a link failure, keeping the rest.
 
@@ -185,12 +171,7 @@ def repair_after_link_failure(
         )
 
     repaired, failed_pair, reason = repair_routes(
-        cfg,
-        degraded,
-        affected,
-        survivors,
-        options=options,
-        selector=selector,
+        cfg, degraded, affected, survivors
     )
     if repaired is None:
         _record_repair("no_safe_repair", started)

@@ -102,8 +102,6 @@ def certify_ladder(
     registry: ClassRegistry,
     base_alphas: Mapping[str, float],
     candidates: Sequence[float],
-    *,
-    n_mode: str = "uniform",
 ) -> AlphaLadder:
     """Build an :class:`AlphaLadder` from candidate alphas.
 
@@ -138,8 +136,7 @@ def certify_ladder(
             for name, a in base_alphas.items()
         }
         result = verify_assignment(
-            network, route_list, registry, scaled,
-            n_mode=n_mode, warm_start=warm,
+            network, route_list, registry, scaled, warm_start=warm
         )
         if result.success:
             warm = result.server_delays

@@ -23,7 +23,7 @@ Safety properties (pinned by the property suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -43,14 +43,15 @@ class PreemptionPolicy:
     Attributes
     ----------
     admit_priorities:
-        Arrival priorities allowed to trigger a preemption.
+        Arrival priorities allowed to trigger a preemption (one value,
+        not a field).
     protect:
         Priorities that can never be evicted.
     max_victims:
         Upper bound on evictions per admitted arrival.
     """
 
-    admit_priorities: Tuple[str, ...] = ("hard_rt",)
+    admit_priorities: ClassVar[Tuple[str, ...]] = ("hard_rt",)
     protect: Tuple[str, ...] = ("hard_rt",)
     max_victims: int = 8
 

@@ -1002,10 +1002,8 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
     if args.span_out is not None:
         from ..obs import JsonLinesSpanSink
 
-        tracer = obs.get_tracer()
-        if tracer is not None:
-            span_sink = JsonLinesSpanSink(args.span_out)
-            span_sink.attach(tracer)
+        span_sink = JsonLinesSpanSink(args.span_out)
+        span_sink.attach(obs.get_tracer())
 
     async def start():
         service = AdmissionService(

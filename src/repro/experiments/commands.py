@@ -641,7 +641,8 @@ def _run_audit(args: argparse.Namespace) -> int:
     from ..service.audit import audit_to_trace_events, iter_audit, verify_audit
 
     try:
-        records = list(iter_audit(args.log))
+        reader = iter_audit(args.log)
+        records = list(reader)
     except (ReproError, OSError) as exc:
         print(f"FAILURE: {exc}")
         return 1
@@ -688,7 +689,8 @@ def _run_audit(args: argparse.Namespace) -> int:
             f"{report['releases']} releases, "
             f"{report['snapshots']} snapshot markers, "
             f"{report['restores']} restores; "
-            f"{len(report['established'])} established at end"
+            f"{len(report['established'])} established at end; "
+            f"{reader.undecodable} undecodable lines skipped"
         )
         if report["ok"]:
             print("audit log is consistent")

@@ -46,7 +46,7 @@ def format_table(
     return "\n".join(out)
 
 
-def format_metrics_snapshot(registry=None) -> str:
+def format_metrics_snapshot() -> str:
     """Render the active :mod:`repro.obs` registry as a monospace table.
 
     Counters and gauges show their value; histograms show count, mean and
@@ -57,9 +57,7 @@ def format_metrics_snapshot(registry=None) -> str:
     from .. import obs
     from ..obs.metrics import Histogram
 
-    if registry is None:
-        registry = obs.get_registry()
-    series = registry.series()
+    series = obs.get_registry().series()
     if not series:
         return "(no metrics collected; enable with repro.obs.enable())"
     rows: List[List[str]] = []

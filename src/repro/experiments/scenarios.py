@@ -53,9 +53,9 @@ class PaperScenario:
         return self.report.capacity
 
 
-def paper_scenario(capacity: float = 100e6) -> PaperScenario:
-    """Build the Section 6 evaluation setup."""
-    network = mci_backbone(capacity)
+def paper_scenario() -> PaperScenario:
+    """Build the Section 6 evaluation setup (100 Mbps links)."""
+    network = mci_backbone()
     graph = LinkServerGraph(network)
     voice = voice_class()
     return PaperScenario(

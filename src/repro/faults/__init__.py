@@ -19,7 +19,6 @@ if TYPE_CHECKING:
     from .degraded import BackoffPolicy, DegradedModePolicy
     from .harness import ChaosHarness
     from .report import (
-        FLOW_OUTCOMES,
         FlowAccount,
         TransitionRecord,
         TransitionReport,
@@ -40,7 +39,7 @@ if TYPE_CHECKING:
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".degraded": ("BackoffPolicy", "DegradedModePolicy"),
     ".harness": ("ChaosHarness",),
-    ".report": ("FLOW_OUTCOMES", "FlowAccount", "TransitionRecord", "TransitionReport"),
+    ".report": ("FlowAccount", "TransitionRecord", "TransitionReport"),
     ".scenario": (
         "adversarial_flow_schedule", "configured_flow_schedule",
         "default_link_failure_scenario", "most_loaded_link",

@@ -18,30 +18,31 @@ from ..errors import FaultInjectionError
 __all__ = ["BackoffPolicy", "DegradedModePolicy"]
 
 
+#: Each retry waits this many times longer than the one before.
+BACKOFF_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class BackoffPolicy:
     """Exponential backoff-and-retry for rejected re-admissions.
 
-    Attempt ``k`` (0-based) is retried ``base * factor**k`` simulated
-    seconds after the rejection; after ``max_retries`` rejections the
-    flow is shed for good.
+    Attempt ``k`` (0-based) is retried ``base * BACKOFF_FACTOR**k``
+    simulated seconds after the rejection; after ``max_retries``
+    rejections the flow is shed for good.
     """
 
     base: float = 0.05
-    factor: float = 2.0
     max_retries: int = 4
 
     def __post_init__(self):
         if self.base <= 0:
             raise FaultInjectionError("backoff base must be positive")
-        if self.factor < 1.0:
-            raise FaultInjectionError("backoff factor must be >= 1")
         if self.max_retries < 0:
             raise FaultInjectionError("max_retries must be >= 0")
 
     def delay(self, attempt: int) -> float:
         """Wait before retry number ``attempt`` (0-based)."""
-        return self.base * self.factor ** attempt
+        return self.base * BACKOFF_FACTOR ** attempt
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from ..config.configured import ConfiguredNetwork
 from ..config.repair import repair_routes
 from ..errors import AdmissionError, FaultInjectionError
 from ..obs import OBS
-from ..routing.heuristic import HeuristicOptions
 from ..routing.partition import route_uses_link, route_uses_router
 from ..simulation.cosim import simulate_lifetimes
 from ..simulation.events import EventQueue
@@ -66,8 +65,6 @@ class ChaosHarness:
     policy:
         Degraded-mode fallback knobs (alpha scale, backoff, repair
         latency).
-    options:
-        Heuristic options for the online safe re-selection.
     ladder:
         Optional pre-certified :class:`~repro.control.AlphaLadder`; a
         fresh :class:`~repro.control.AlphaGovernor` over it is stepped
@@ -88,14 +85,12 @@ class ChaosHarness:
         cfg: ConfiguredNetwork,
         *,
         policy: DegradedModePolicy = DegradedModePolicy(),
-        options: HeuristicOptions = HeuristicOptions(),
         ladder=None,
         governor_config=None,
         preemption=None,
     ):
         self.cfg = cfg
         self.policy = policy
-        self.options = options
         self.ladder = ladder
         self.governor_config = governor_config
         self.preemption = preemption
@@ -656,11 +651,7 @@ class ChaosHarness:
             return {}, False, None, "degraded topology is disconnected"
         try:
             repaired, failed_pair, reason = repair_routes(
-                self.cfg,
-                degraded_net,
-                affected,
-                survivors,
-                options=self.options,
+                self.cfg, degraded_net, affected, survivors
             )
         except Exception as exc:  # repair machinery rejected the input
             return {}, False, None, str(exc)

@@ -16,18 +16,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 __all__ = ["FlowAccount", "TransitionRecord", "TransitionReport"]
 
-#: Final dispositions a flow can end a chaos run in.  Every flow of the
-#: input schedule lands in exactly one.
-FLOW_OUTCOMES = (
-    "rejected",      # initial admission refused (normal blocking)
-    "completed",     # departed normally
-    "active",        # still established at the end of the run
-    "shed",          # dropped by a fault and never re-admitted
-    "lost_outage",   # arrived while the controller was down
-    "preempted",     # sacrificed for a higher-priority admission
-)
-
-
 @dataclass
 class FlowAccount:
     """Per-flow ledger line of a chaos run."""
@@ -140,22 +128,6 @@ class TransitionReport:
         for account in self.flows.values():
             out[account.outcome] = out.get(account.outcome, 0) + 1
         return out
-
-    @property
-    def flows_shed(self) -> int:
-        return self.outcomes.get("shed", 0)
-
-    @property
-    def flows_preempted(self) -> int:
-        return self.outcomes.get("preempted", 0)
-
-    @property
-    def total_retries(self) -> int:
-        return sum(a.retries for a in self.flows.values())
-
-    def accounts_for(self, flow_ids) -> bool:
-        """True iff every given flow id has a ledger line."""
-        return all(fid in self.flows for fid in flow_ids)
 
     def survivors_held(self) -> bool:
         """Zero deadline misses and zero drops for never-casualty flows."""

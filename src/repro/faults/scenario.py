@@ -64,8 +64,6 @@ def adversarial_flow_schedule(
     horizon: float,
     seed: int,
     model: Optional[AdversaryModel] = None,
-    hot_edges: int = 1,
-    churn_fraction: float = 0.5,
 ) -> List[TraceEvent]:
     """Extremal ``(w, b)``-bounded arrivals over the configured pairs.
 
@@ -97,8 +95,6 @@ def adversarial_flow_schedule(
         num_flows=num_flows,
         model=model,
         seed=seed,
-        hot_edges=hot_edges,
-        churn_fraction=churn_fraction,
         id_prefix="advc",
     )
     keep = {

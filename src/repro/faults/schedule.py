@@ -248,25 +248,25 @@ class FaultSchedule:
             return cls.from_dict(json.load(fh), network=network)
 
 
+#: Mean (seconds) of the exponential time a random link failure lasts.
+MEAN_DOWNTIME = 0.5
+
+
 def random_fault_schedule(
     network: Network,
     *,
     seed: int,
     horizon: float,
     link_failures: int = 1,
-    mean_downtime: float = 0.5,
-    controller_crashes: int = 0,
-    mean_outage: float = 0.2,
 ) -> FaultSchedule:
-    """A seeded pseudo-random link-failure / crash schedule.
+    """A seeded pseudo-random link-failure schedule.
 
     Draws ``link_failures`` distinct links (never cutting the network in
     two: candidates whose removal disconnects the topology are skipped),
     fails each at a uniform time in ``(0, horizon)`` and restores it an
-    Exp(``mean_downtime``) later (capped at the horizon; a repair past
-    the horizon is dropped, leaving the link down).  Controller crashes
-    are laid out the same way and never overlap each other.  The same
-    ``(network, seed, parameters)`` always yields the same schedule.
+    Exp(``MEAN_DOWNTIME``) later (capped at the horizon; a repair past
+    the horizon is dropped, leaving the link down).  The same
+    ``(network, seed, link_failures)`` always yields the same schedule.
     """
     if horizon <= 0:
         raise FaultInjectionError("horizon must be positive")
@@ -293,22 +293,10 @@ def random_fault_schedule(
         for idx in sorted(int(i) for i in chosen):
             u, v = safe_links[idx]
             down = float(rng.uniform(0.05 * horizon, 0.75 * horizon))
-            up = down + float(rng.exponential(mean_downtime))
+            up = down + float(rng.exponential(MEAN_DOWNTIME))
             events.append(FaultEvent(down, "link_down", (u, v)))
             if up < horizon:
                 events.append(FaultEvent(up, "link_up", (u, v)))
-
-    t = 0.0
-    for _ in range(controller_crashes):
-        t += float(rng.uniform(0.05 * horizon, 0.5 * horizon))
-        if t >= horizon:
-            break
-        restore = t + float(rng.exponential(mean_outage))
-        if restore >= horizon:
-            break
-        events.append(FaultEvent(t, "controller_crash"))
-        events.append(FaultEvent(restore, "controller_restore"))
-        t = restore
 
     return FaultSchedule(events, network=network)
 

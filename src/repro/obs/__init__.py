@@ -137,48 +137,28 @@ class _ObsState:
     # ------------------------------------------------------------- #
 
     def span(self, name: str, **attrs: Any):
-        """A live span when tracing is on, the shared no-op otherwise."""
-        if self.enabled and self.tracer is not None:
+        """A live span while enabled, the shared no-op otherwise."""
+        if self.enabled:
             return self.tracer.span(name, **attrs)
         return NULL_SPAN
 
 
 OBS = _ObsState()
 
+#: Ring-buffer size (completed spans) of the tracer :func:`enable` makes.
+TRACE_CAPACITY = 8192
 
-def enable(
-    *,
-    metrics: bool = True,
-    tracing: bool = True,
-    trace_capacity: int = 8192,
-    fresh: bool = False,
-) -> None:
-    """Turn collection on (idempotent; state survives re-enabling).
 
-    Parameters
-    ----------
-    metrics / tracing:
-        Select facilities individually; disabling one leaves the no-op
-        twin in place.
-    trace_capacity:
-        Ring-buffer size for completed spans.
-    fresh:
-        Drop previously collected data instead of accumulating.
-    """
-    if metrics:
-        if fresh or isinstance(OBS.registry, NullRegistry):
-            OBS.registry = MetricsRegistry()
-    else:
-        OBS.registry = NULL_REGISTRY
-    if tracing:
-        if fresh or OBS.tracer is None:
-            OBS.tracer = Tracer(capacity=trace_capacity)
-    else:
-        OBS.tracer = None
+def enable(*, fresh: bool = False) -> None:
+    """Turn metrics and tracing on (idempotent; state survives
+    re-enabling).  ``fresh`` drops previously collected data instead of
+    accumulating.  An enabled state always has a registry and a tracer."""
+    if fresh or isinstance(OBS.registry, NullRegistry):
+        OBS.registry = MetricsRegistry()
+    if fresh or OBS.tracer is None:
+        OBS.tracer = Tracer(capacity=TRACE_CAPACITY)
     OBS.enabled = True
-    logger.debug(
-        "observability enabled (metrics=%s, tracing=%s)", metrics, tracing
-    )
+    logger.debug("observability enabled")
 
 
 def disable() -> None:

@@ -9,7 +9,7 @@ as it lands and can stream it somewhere durable.
 
 :class:`JsonLinesSpanSink` is the shipped implementation: one JSON
 object per span (schema ``repro-span/v1``, header line first), buffered
-writes flushed every ``flush_every`` spans and on close.  The format is
+writes flushed every ``FLUSH_EVERY`` spans and on close.  The format is
 ``jq``/pandas-friendly and carries the wire trace ids
 (``trace_id``/``parent_id`` span attributes) so cross-process span
 chains can be joined offline.
@@ -25,6 +25,9 @@ from .trace import SpanRecord, Tracer
 __all__ = ["SPAN_SCHEMA", "JsonLinesSpanSink"]
 
 SPAN_SCHEMA = "repro-span/v1"
+
+#: Spans buffered between two flushes of the file.
+FLUSH_EVERY = 64
 
 
 def _span_obj(record: SpanRecord) -> Dict[str, Any]:
@@ -55,13 +58,8 @@ class JsonLinesSpanSink:
     even an empty run leaves a self-describing file.
     """
 
-    def __init__(self, path: str, *, flush_every: int = 64):
-        if flush_every < 1:
-            raise ValueError(
-                f"flush_every must be >= 1, got {flush_every}"
-            )
+    def __init__(self, path: str):
         self.path = str(path)
-        self.flush_every = int(flush_every)
         self.written = 0
         self._since_flush = 0
         self._tracer: Optional[Tracer] = None
@@ -91,7 +89,7 @@ class JsonLinesSpanSink:
         )
         self.written += 1
         self._since_flush += 1
-        if self._since_flush >= self.flush_every:
+        if self._since_flush >= FLUSH_EVERY:
             self._fh.flush()
             self._since_flush = 0
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 
@@ -30,21 +30,18 @@ __all__ = [
 ]
 
 
+#: Slices per rolling window: data expires in steps of window / SLICES.
+SLICES = 12
+
+
 class _SliceRing:
     """Shared slice bookkeeping: lazily-zeroed ring of window slices."""
 
-    def __init__(
-        self,
-        window: float,
-        slices: int,
-        clock: Callable[[], float],
-    ):
+    def __init__(self, window: float, clock: Callable[[], float]):
         if window <= 0:
             raise ValueError(f"window must be > 0, got {window}")
-        if slices < 1:
-            raise ValueError(f"slices must be >= 1, got {slices}")
         self.window = float(window)
-        self.slices = int(slices)
+        self.slices = SLICES
         self._clock = clock
         self._slice_width = self.window / self.slices
         #: Epoch (slice number since time zero) stored per ring slot;
@@ -78,10 +75,9 @@ class RollingCounter:
         self,
         *,
         window: float = 60.0,
-        slices: int = 12,
         clock: Callable[[], float] = time.monotonic,
     ):
-        self._ring = _SliceRing(window, slices, clock)
+        self._ring = _SliceRing(window, clock)
         self._counts = [0] * self._ring.slices
 
     def inc(self, value: int = 1) -> None:
@@ -106,23 +102,17 @@ class RollingHistogram:
     the upper bound of the bucket containing the requested rank
     (overflow observations clamp to the last finite bound), which is
     exactly the resolution a Prometheus ``histogram_quantile`` would
-    give for the same buckets.
+    give for the same buckets: ``DEFAULT_LATENCY_BUCKETS``.
     """
 
     def __init__(
         self,
-        bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
         *,
         window: float = 60.0,
-        slices: int = 12,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if list(bounds) != sorted(bounds):
-            raise ValueError("bucket bounds must be sorted ascending")
-        self.bounds = tuple(float(b) for b in bounds)
-        self._ring = _SliceRing(window, slices, clock)
+        self.bounds = tuple(float(b) for b in DEFAULT_LATENCY_BUCKETS)
+        self._ring = _SliceRing(window, clock)
         # One bucket-count row per slice; last column is overflow.
         width = len(self.bounds) + 1
         self._rows = [[0] * width for _ in range(self._ring.slices)]
@@ -208,16 +198,11 @@ class SLOTracker:
         config: Optional[SLOConfig] = None,
         *,
         clock: Callable[[], float] = time.monotonic,
-        slices: int = 12,
     ):
         self.config = config or SLOConfig()
         window = self.config.window_seconds
-        self._latency = RollingHistogram(
-            window=window, slices=slices, clock=clock
-        )
-        self._requests = RollingCounter(
-            window=window, slices=slices, clock=clock
-        )
+        self._latency = RollingHistogram(window=window, clock=clock)
+        self._requests = RollingCounter(window=window, clock=clock)
 
     # ------------------------------------------------------------ feed
 
@@ -226,8 +211,8 @@ class SLOTracker:
         ``seconds``: the objective is per op, whatever the frame size."""
         self._latency.observe(seconds, ops)
 
-    def record_request(self, n: int = 1) -> None:
-        self._requests.inc(n)
+    def record_request(self) -> None:
+        self._requests.inc()
 
     # ------------------------------------------------------------ read
 

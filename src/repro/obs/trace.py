@@ -284,9 +284,6 @@ class Tracer:
         """Completed spans, oldest first."""
         return list(self._buffer)
 
-    def find(self, name: str) -> List[SpanRecord]:
-        return [r for r in self._buffer if r.name == name]
-
     def reset(self) -> None:
         self._buffer.clear()
         self._dropped = 0

@@ -11,7 +11,7 @@ if TYPE_CHECKING:
     from .heuristic import MultiClassRouteSelector, MultiClassSelectionOutcome
     from .leastloaded import least_loaded_routes
     from .partition import partition_by_link, route_uses_link, route_uses_router
-    from .shortest import route_lengths, shortest_path_routes
+    from .shortest import shortest_path_routes
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".candidates": ("CandidateGenerator", "candidate_routes"),
@@ -22,5 +22,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ),
     ".leastloaded": ("least_loaded_routes",),
     ".partition": ("partition_by_link", "route_uses_link", "route_uses_router"),
-    ".shortest": ("route_lengths", "shortest_path_routes"),
+    ".shortest": ("shortest_path_routes",),
 })

@@ -6,18 +6,15 @@ consecutive link servers, and a cycle in the union of those edges means
 the delay fixed point has feedback ("the feedback in the queuing of
 packets is reduced, and so is the delay" — Section 5.2, heuristic (2)).
 
-:class:`ServerDependencyGraph` maintains the union with edge multiplicities
-so routes can be added and removed, and answers "would adding this route
-create a cycle?" queries.
+:class:`ServerDependencyGraph` maintains the union as routes are
+committed and answers "would adding this route create a cycle?" queries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 import networkx as nx
-
-from ..errors import RoutingError
 
 __all__ = ["ServerDependencyGraph"]
 
@@ -36,38 +33,10 @@ class ServerDependencyGraph:
 
     def __init__(self):
         self._graph = nx.DiGraph()
-        self._counts: Dict[Edge, int] = {}
-
-    @property
-    def num_edges(self) -> int:
-        return self._graph.number_of_edges()
-
-    def edge_count(self, edge: Edge) -> int:
-        """How many added routes use this dependency edge."""
-        return self._counts.get(edge, 0)
 
     def add_route(self, servers: Sequence[int]) -> None:
         """Register a route's dependency edges."""
-        for edge in _route_edges(servers):
-            self._counts[edge] = self._counts.get(edge, 0) + 1
-            self._graph.add_edge(*edge)
-
-    def remove_route(self, servers: Sequence[int]) -> None:
-        """Unregister a previously added route."""
-        for edge in _route_edges(servers):
-            count = self._counts.get(edge, 0)
-            if count <= 0:
-                raise RoutingError(
-                    f"removing route that was never added (edge {edge})"
-                )
-            if count == 1:
-                del self._counts[edge]
-                self._graph.remove_edge(*edge)
-            else:
-                self._counts[edge] = count - 1
-
-    def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self._graph)
+        self._graph.add_edges_from(_route_edges(servers))
 
     def creates_cycle(self, servers: Sequence[int]) -> bool:
         """Would adding this route introduce a new directed cycle?
@@ -90,29 +59,3 @@ class ServerDependencyGraph:
             )
         finally:
             self._graph.remove_edges_from(new_edges)
-
-    def acyclic_with(self, servers: Sequence[int]) -> bool:
-        """Is the union still acyclic after adding this route?
-
-        This is the Section 5.2 preference predicate: "whenever possible,
-        each of them forms a noncyclic graph with existing routes".
-        """
-        new_edges = [
-            e for e in _route_edges(servers) if not self._graph.has_edge(*e)
-        ]
-        if not new_edges:
-            return self.is_acyclic()
-        self._graph.add_edges_from(new_edges)
-        try:
-            return nx.is_directed_acyclic_graph(self._graph)
-        finally:
-            self._graph.remove_edges_from(new_edges)
-
-    def cycles_sample(self, limit: int = 10) -> List[List[int]]:
-        """Up to ``limit`` simple cycles, for diagnostics."""
-        out = []
-        for cycle in nx.simple_cycles(self._graph):
-            out.append([int(s) for s in cycle])
-            if len(out) >= limit:
-                break
-        return out

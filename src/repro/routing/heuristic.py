@@ -75,6 +75,12 @@ logger = logging.getLogger("repro.routing.heuristic")
 
 Pair = Tuple[Hashable, Hashable]
 
+#: Candidate generation: the ``K_CANDIDATES`` shortest simple paths within
+#: ``DETOUR_SLACK`` hops of shortest.  The least-loaded baseline draws
+#: from the same candidates.
+K_CANDIDATES = 8
+DETOUR_SLACK = 2
+
 
 @dataclass(frozen=True)
 class HeuristicOptions:
@@ -85,9 +91,6 @@ class HeuristicOptions:
 
     Attributes
     ----------
-    k_candidates / detour_slack:
-        Candidate generation (k-shortest simple paths within
-        ``detour_slack`` hops of shortest).
     order_by_distance:
         Heuristic (1): route farthest pairs first.  Off = given order.
     prefer_acyclic:
@@ -98,17 +101,9 @@ class HeuristicOptions:
         Off = first safe candidate (shortest).
     """
 
-    k_candidates: int = 8
-    detour_slack: int = 2
     order_by_distance: bool = True
     prefer_acyclic: bool = True
     min_delay_choice: bool = True
-
-    def __post_init__(self):
-        if self.k_candidates < 1:
-            raise RoutingError("k_candidates must be >= 1")
-        if self.detour_slack < 0:
-            raise RoutingError("detour_slack must be >= 0")
 
 
 @dataclass
@@ -228,19 +223,16 @@ class _GreedySelector:
         network: Network,
         options: HeuristicOptions,
         n_mode: str,
-        graph: Optional[LinkServerGraph],
     ):
         self.network = network
         self.options = options
         self.n_mode = n_mode
-        self.graph = graph if graph is not None else LinkServerGraph(network)
+        self.graph = LinkServerGraph(network)
         self.fan_in = resolve_fan_in(self.graph, n_mode)
-        # Candidate routes depend only on (topology, k, slack), so every
-        # selector over the same network shares one generator/cache.
+        # Candidate routes depend only on the topology, so every selector
+        # over the same network shares one generator/cache.
         self._candidates = CandidateGenerator.shared(
-            network,
-            k=options.k_candidates,
-            detour_slack=options.detour_slack,
+            network, k=K_CANDIDATES, detour_slack=DETOUR_SLACK
         )
         self._distances: Dict[Hashable, Dict[Hashable, int]] = {}
         self._workspace = FixedPointWorkspace()
@@ -407,13 +399,12 @@ class SafeRouteSelector(_GreedySelector):
         *,
         options: HeuristicOptions = HeuristicOptions(),
         n_mode: str = "uniform",
-        graph: Optional[LinkServerGraph] = None,
     ):
         if not traffic_class.is_realtime:
             raise RoutingError(
                 f"class {traffic_class.name!r} has no finite deadline"
             )
-        super().__init__(network, options, n_mode, graph)
+        super().__init__(network, options, n_mode)
         self.traffic_class = traffic_class
         self._beta_cache: Dict[float, np.ndarray] = {}
 
@@ -545,14 +536,10 @@ class MultiClassRouteSelector(_GreedySelector):
         self,
         network: Network,
         registry: ClassRegistry,
-        *,
-        options: HeuristicOptions = HeuristicOptions(),
-        n_mode: str = "uniform",
-        graph: Optional[LinkServerGraph] = None,
     ):
         if not registry.realtime_classes():
             raise RoutingError("registry has no real-time class to route")
-        super().__init__(network, options, n_mode, graph)
+        super().__init__(network, HeuristicOptions(), "uniform")
         self.registry = registry
 
     def select(

@@ -8,22 +8,22 @@ comparing all three isolates what the Section 5.2 heuristic's
 delay-awareness actually buys (ablation Ext-C's counterpart on the
 routing-strategy axis).
 
-The algorithm routes pairs in the given (or distance-descending) order;
-for each pair it picks, among the k-shortest candidates, the route
+The algorithm routes pairs farthest first; for each pair it picks,
+among the heuristic's k-shortest candidates, the route
 minimizing the maximum occupancy (number of routes already using any of
 its servers), breaking ties by total occupancy and then by length.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
 from ..topology.network import Network
 from ..topology.servergraph import LinkServerGraph
 from .candidates import CandidateGenerator
-from .heuristic import check_pairs, farthest_first
+from .heuristic import DETOUR_SLACK, K_CANDIDATES, check_pairs, farthest_first
 
 __all__ = ["least_loaded_routes"]
 
@@ -33,26 +33,17 @@ Pair = Tuple[Hashable, Hashable]
 def least_loaded_routes(
     network: Network,
     pairs: Sequence[Pair],
-    *,
-    k_candidates: int = 8,
-    detour_slack: int = 2,
-    order_by_distance: bool = True,
-    graph: Optional[LinkServerGraph] = None,
 ) -> Dict[Pair, List[Hashable]]:
     """Route every pair minimizing the maximum per-server route count."""
     check_pairs(pairs)
-    g = graph if graph is not None else LinkServerGraph(network)
+    g = LinkServerGraph(network)
     candidates = CandidateGenerator(
-        network, k=k_candidates, detour_slack=detour_slack
+        network, k=K_CANDIDATES, detour_slack=DETOUR_SLACK
     )
     occupancy = np.zeros(g.num_servers, dtype=np.int64)
-    ordered = (
-        farthest_first(network, pairs, {}) if order_by_distance
-        else list(pairs)
-    )
 
     routes: Dict[Pair, List[Hashable]] = {}
-    for pair in ordered:
+    for pair in farthest_first(network, pairs, {}):
         best = None
         for cand in candidates(*pair):
             servers = g.route_servers(cand)

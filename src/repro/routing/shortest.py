@@ -14,7 +14,7 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 from ..errors import NoRouteError
 from ..topology.network import Network
 
-__all__ = ["shortest_path_routes", "route_lengths"]
+__all__ = ["shortest_path_routes"]
 
 Pair = Tuple[Hashable, Hashable]
 
@@ -35,8 +35,3 @@ def shortest_path_routes(
         except KeyError:
             raise NoRouteError(src, dst) from None
     return routes
-
-
-def route_lengths(routes: Dict[Pair, Sequence[Hashable]]) -> Dict[Pair, int]:
-    """Hop count of every route."""
-    return {pair: len(path) - 1 for pair, path in routes.items()}

@@ -79,9 +79,6 @@ __all__ = [
 
 AUDIT_SCHEMA = "repro-admission-audit/v1"
 
-#: Record kinds appearing in an audit stream (after frame expansion).
-KINDS = ("admit", "release", "snapshot", "restore")
-
 #: Optional frame entry keys -> per-decision record keys.  Beside them
 #: an admit entry carries ``f`` (the flow, short form) and a release
 #: entry ``x`` (the flow id), both carry ``ok``.
@@ -405,43 +402,87 @@ class AuditLog:
 # ------------------------------------------------------------------ #
 
 
-def iter_audit(path: str, *, keep: int = 16) -> Iterator[Dict[str, Any]]:
-    """Yield audit records oldest-first across rotated files, one per
-    decision or marker: a ``frame`` line is expanded into its
-    decisions, each with its own ``seq`` and the frame's ``ts``.
+#: Rotated files :func:`iter_audit` looks for (``path.16`` down to
+#: ``path.1``): more than a writer keeps.
+READ_ROTATED = 16
 
-    Header lines are skipped; a torn final line (crash mid-append) is
-    ignored, matching the durability contract — an unsynced record was
-    never guaranteed.  A frame that parses but cannot be expanded is
+
+def iter_audit(path: str) -> "AuditRecords":
+    """The audit records of ``path`` and its rotated files, oldest
+    first, one per decision or marker: a ``frame`` line is expanded into
+    its decisions, each with its own ``seq`` and the frame's ``ts``.
+
+    Every non-empty file must open with the ``AUDIT_SCHEMA`` header; a
+    file that does not is refused, naming the file and the schema it
+    holds.  A line that does not parse (a torn final line: a crash
+    mid-append) is skipped, matching the durability contract — an
+    unsynced record was never guaranteed — and counted in
+    ``undecodable``.  A frame that parses but cannot be expanded is
     yielded as it is, for :func:`verify_audit` to report.
     """
-    if not os.path.exists(path):
-        raise ServiceError(f"audit log {path!r} does not exist")
-    files = [
-        f"{path}.{i}"
-        for i in range(keep, 0, -1)
-        if os.path.exists(f"{path}.{i}")
-    ] + [path]
-    for filename in files:
-        with open(filename, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(obj, dict) or "seq" not in obj:
-                    continue  # per-file header (or not a record)
-                if obj.get("kind") != "frame":
-                    yield obj
-                    continue
-                try:
-                    records = _expand_frame(obj)
-                except (KeyError, TypeError, AttributeError):
-                    records = [obj]
-                yield from records
+    return AuditRecords(path)
+
+
+class AuditRecords:
+    """The iterator :func:`iter_audit` returns.  ``undecodable`` counts
+    the lines skipped so far because they did not parse."""
+
+    def __init__(self, path: str):
+        if not os.path.exists(path):
+            raise ServiceError(f"audit log {path!r} does not exist")
+        self.undecodable = 0
+        self._records = self._read(path)
+
+    def __iter__(self) -> "AuditRecords":
+        return self
+
+    def __next__(self) -> Dict[str, Any]:
+        return next(self._records)
+
+    def _read(self, path: str) -> Iterator[Dict[str, Any]]:
+        files = [
+            f"{path}.{i}"
+            for i in range(READ_ROTATED, 0, -1)
+            if os.path.exists(f"{path}.{i}")
+        ] + [path]
+        for filename in files:
+            with open(filename, "r", encoding="utf-8") as fh:
+                first = fh.readline()
+                if first:
+                    _check_header(filename, first)
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError:
+                        self.undecodable += 1
+                        continue
+                    if not isinstance(obj, dict) or "seq" not in obj:
+                        continue  # a rotation's header (or not a record)
+                    if obj.get("kind") != "frame":
+                        yield obj
+                        continue
+                    try:
+                        records = _expand_frame(obj)
+                    except (KeyError, TypeError, AttributeError):
+                        records = [obj]
+                    yield from records
+
+
+def _check_header(filename: str, line: str) -> None:
+    """Refuse a file whose first line is not the audit header."""
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError:
+        header = None
+    found = header.get("schema") if isinstance(header, dict) else None
+    if found != AUDIT_SCHEMA:
+        raise ServiceError(
+            f"{filename} is not an audit log: its first line has schema "
+            f"{found!r}, expected {AUDIT_SCHEMA!r}"
+        )
 
 
 def verify_audit(

@@ -99,17 +99,12 @@ class AsyncServiceClient:
         *,
         backoff: BackoffPolicy = BackoffPolicy(base=0.01, max_retries=5),
         retry_overloaded: bool = True,
-        propagate_trace: Optional[bool] = None,
         protocol: str = "v1",
     ):
         self._reader = reader
         self._writer = writer
         self.backoff = backoff
         self.retry_overloaded = retry_overloaded
-        #: Wire trace propagation: ``True`` stamps every request with a
-        #: fresh trace context, ``False`` never does, ``None`` (default)
-        #: follows the process-wide observability switch.
-        self.propagate_trace = propagate_trace
         self._pending: Dict[Any, "asyncio.Future"] = {}
         self._next_id = 0
         self._closed = False
@@ -165,7 +160,6 @@ class AsyncServiceClient:
         *,
         backoff: BackoffPolicy = BackoffPolicy(base=0.01, max_retries=5),
         retry_overloaded: bool = True,
-        propagate_trace: Optional[bool] = None,
         protocol: str = "v1",
     ) -> "AsyncServiceClient":
         """Connect over a Unix socket, retrying while the server comes up."""
@@ -180,7 +174,6 @@ class AsyncServiceClient:
             writer,
             backoff=backoff,
             retry_overloaded=retry_overloaded,
-            propagate_trace=propagate_trace,
             protocol=protocol,
         )
         await client.handshake()
@@ -193,8 +186,6 @@ class AsyncServiceClient:
         port: int,
         *,
         backoff: BackoffPolicy = BackoffPolicy(base=0.01, max_retries=5),
-        retry_overloaded: bool = True,
-        propagate_trace: Optional[bool] = None,
         protocol: str = "v1",
     ) -> "AsyncServiceClient":
         """Connect over TCP, retrying while the server comes up."""
@@ -204,14 +195,7 @@ class AsyncServiceClient:
             ),
             backoff,
         )
-        client = cls(
-            reader,
-            writer,
-            backoff=backoff,
-            retry_overloaded=retry_overloaded,
-            propagate_trace=propagate_trace,
-            protocol=protocol,
-        )
+        client = cls(reader, writer, backoff=backoff, protocol=protocol)
         await client.handshake()
         return client
 
@@ -362,20 +346,14 @@ class AsyncServiceClient:
         message = err.get("message", "unknown server error")
         raise _mapped_error(code, message)
 
-    def _tracing(self) -> bool:
-        if self.propagate_trace is None:
-            return OBS.enabled
-        return self.propagate_trace
-
     async def request(self, op: str, **body: Any) -> Dict[str, Any]:
         """One RPC; retries ``overloaded`` responses under the backoff
         policy (each attempt is a fresh request id).
 
-        When trace propagation is on (see ``propagate_trace``), each
-        attempt carries a fresh trace context on the wire and records a
-        ``client.request`` span, so server-side request spans can be
-        joined back to the exact client call (and retry) that caused
-        them.
+        While observability is on, each attempt carries a fresh trace
+        context on the wire and records a ``client.request`` span, so
+        server-side request spans can be joined back to the exact client
+        call (and retry) that caused them.
         """
         encode = (
             protocol.encode_frame_v2
@@ -386,7 +364,7 @@ class AsyncServiceClient:
         async def once(attempt: int) -> Dict[str, Any]:
             ctx: Optional[TraceContext] = None
             t0 = 0.0
-            if self._tracing():
+            if OBS.enabled:
                 ctx = TraceContext(new_trace_id(), new_span_id())
                 body["trace"] = ctx.to_obj()
                 t0 = time.perf_counter()
@@ -412,18 +390,16 @@ class AsyncServiceClient:
             OBS.registry.histogram(
                 "repro_client_request_seconds", op=op
             ).observe(rtt)
-            tracer = OBS.tracer
-            if tracer is not None:
-                tracer.record_span(
-                    "client.request",
-                    start=t0,
-                    duration=rtt,
-                    op=op,
-                    ok=bool(frame.get("ok", False)),
-                    trace_id=ctx.trace_id,
-                    span_hex=ctx.span_id,
-                    attempt=attempt,
-                )
+            OBS.tracer.record_span(
+                "client.request",
+                start=t0,
+                duration=rtt,
+                op=op,
+                ok=bool(frame.get("ok", False)),
+                trace_id=ctx.trace_id,
+                span_hex=ctx.span_id,
+                attempt=attempt,
+            )
 
     # ------------------------------------------------------------------ #
     # operations
@@ -457,7 +433,7 @@ class AsyncServiceClient:
         falls back to a JSON carrier ``batch``, whose validation errors
         are byte-identical to v1's.
         """
-        if self._proto == 2 and not self._tracing():
+        if self._proto == 2 and not OBS.enabled:
             packed = protocol.pack_batch_ops(ops)
             if packed is not None:
                 return await self.bulk(packed)
@@ -510,20 +486,6 @@ class AsyncServiceClient:
     async def snapshot(self) -> Dict[str, Any]:
         return await self.request("snapshot")
 
-    async def cluster(self) -> Optional[Dict[str, Any]]:
-        """Cluster topology when connected to a front door, else None.
-
-        A single-process server answers ``unknown_op`` for the
-        router-only ``cluster`` discovery op; that is mapped to None so
-        callers can branch without exception plumbing.
-        """
-        try:
-            return await self.request("cluster")
-        except ProtocolError as exc:
-            if exc.code == protocol.UNKNOWN_OP:
-                return None
-            raise
-
 
 def _mapped_error(code: str, message: str) -> Exception:
     if code == protocol.OVERLOADED:
@@ -548,8 +510,6 @@ class ServiceClient:
         host: Optional[str] = None,
         port: Optional[int] = None,
         backoff: BackoffPolicy = BackoffPolicy(base=0.01, max_retries=5),
-        retry_overloaded: bool = True,
-        propagate_trace: Optional[bool] = None,
         protocol: str = "v1",
     ):
         if (socket_path is None) == (host is None):
@@ -563,23 +523,14 @@ class ServiceClient:
             if socket_path is not None:
                 self._client = self._loop.run_until_complete(
                     AsyncServiceClient.connect_unix(
-                        socket_path,
-                        backoff=backoff,
-                        retry_overloaded=retry_overloaded,
-                        propagate_trace=propagate_trace,
-                        protocol=protocol,
+                        socket_path, backoff=backoff, protocol=protocol
                     )
                 )
             else:
                 assert host is not None and port is not None
                 self._client = self._loop.run_until_complete(
                     AsyncServiceClient.connect_tcp(
-                        host,
-                        port,
-                        backoff=backoff,
-                        retry_overloaded=retry_overloaded,
-                        propagate_trace=propagate_trace,
-                        protocol=protocol,
+                        host, port, backoff=backoff, protocol=protocol
                     )
                 )
         except BaseException:
@@ -620,9 +571,6 @@ class ServiceClient:
 
     def snapshot(self) -> Dict[str, Any]:
         return self._run(self._client.snapshot())
-
-    def cluster(self) -> Optional[Dict[str, Any]]:
-        return self._run(self._client.cluster())
 
     def request(self, op: str, **body: Any) -> Dict[str, Any]:
         return self._run(self._client.request(op, **body))

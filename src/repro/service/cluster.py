@@ -125,14 +125,6 @@ class ClusterConfig:
         if self.drain_grace < 0:
             raise ServiceError("drain_grace must be >= 0")
 
-    def worker_socket(self, index: int) -> str:
-        return f"{self.socket_path}.w{index}"
-
-    def worker_snapshot(self, index: int) -> Optional[str]:
-        if self.snapshot_path is None:
-            return None
-        return f"{self.snapshot_path}.w{index}"
-
 
 @dataclass
 class _Worker:

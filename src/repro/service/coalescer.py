@@ -88,10 +88,6 @@ _SPAN_LINK_CAP = 64
 
 logger = logging.getLogger("repro.service")
 
-#: Anything :func:`_settle` resolves: a queued op's result slot, or a
-#: frame's waiter (same done/set_result/set_exception surface).
-ResultFuture = Union["asyncio.Future", "_SlotFuture"]
-
 _ADMIT = "admit"
 _RELEASE = "release"
 
@@ -142,7 +138,7 @@ class _Op(_Stamp):
     def __init__(
         self,
         kind: str,
-        future: "ResultFuture",
+        future: Union[asyncio.Future, _SlotFuture],
         payload: Any = None,
         trace: Optional[TraceContext] = None,
         span_hex: Optional[str] = None,
@@ -626,11 +622,11 @@ class MicroBatchCoalescer:
         now: float,
         runs: int,
         preempted: Tuple[int, int],
-    ) -> Optional[str]:
+    ) -> str:
         """Metrics and span of one :meth:`_decide` call (observability
         on): one update of each batch series, and one ``service.batch``
         span naming the distinct request spans it decided for.  Returns
-        the span's id (``None`` with tracing off)."""
+        the span's id."""
         admits = sum(1 for op in ops if op[0] == _ADMIT)
         releases = sum(1 for op in ops if op[0] == _RELEASE)
         reg = OBS.registry
@@ -652,9 +648,6 @@ class MicroBatchCoalescer:
             reg.counter("repro_service_preempted_admits_total").inc(
                 self.preempted_admits - admitted
             )
-        tracer = OBS.tracer
-        if tracer is None:
-            return None
         batch_hex = new_span_id()
         # A frame's queued ops all carry its one request span id.
         linked = list(
@@ -670,7 +663,7 @@ class MicroBatchCoalescer:
         }
         if len(linked) > _SPAN_LINK_CAP:
             attrs["request_spans_truncated"] = len(linked) - _SPAN_LINK_CAP
-        tracer.record_span(
+        OBS.tracer.record_span(
             "service.batch", start=t_start, duration=now - t_start, **attrs
         )
         return batch_hex
@@ -878,7 +871,9 @@ def _trace_obj(trace: Optional[TraceContext]) -> Optional[dict]:
     return None if trace is None else trace.to_obj()
 
 
-def _settle(future: "ResultFuture", outcome: object) -> None:
+def _settle(
+    future: Union[asyncio.Future, _SlotFuture], outcome: object
+) -> None:
     """Resolve ``future`` from one :meth:`_decide` outcome."""
     if not future.done():
         if isinstance(outcome, BaseException):

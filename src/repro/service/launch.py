@@ -12,7 +12,7 @@ import contextlib
 import os
 import subprocess
 import sys
-from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Tuple
 
 __all__ = ["serve_argv", "serve_child"]
 
@@ -36,7 +36,7 @@ def serve_argv(options: Mapping[str, Any]) -> List[str]:
 
 @contextlib.contextmanager
 def serve_child(
-    log_path: str, options: Mapping[str, Any], extra_args: Sequence[str] = ()
+    log_path: str, options: Mapping[str, Any]
 ) -> Iterator[Tuple[List[str], Dict[str, Any]]]:
     """``(argv, keywords)`` for ``Popen`` / ``create_subprocess_exec``.
 
@@ -45,7 +45,7 @@ def serve_child(
     duplicate of the fd; ours closes on exit, so dead launches leak none.
     """
     argv = [sys.executable, "-m", "repro.experiments.cli"]
-    argv += serve_argv(options) + list(extra_args)
+    argv += serve_argv(options)
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     with open(log_path, "wb") as log_fh:

@@ -23,7 +23,7 @@ structured ``error`` with a machine-readable ``code``::
 
 A frame the server cannot attribute to a request (malformed JSON, or an
 oversized line) is answered with ``"id": null``.  Error codes are the
-:data:`ERROR_CODES` constants; everything else about a failure lives in
+module's ``BAD_REQUEST`` … ``INTERNAL`` constants; everything else about a failure lives in
 the human-readable ``message``.
 
 Requests may additionally carry an optional ``trace`` object (W3C
@@ -97,7 +97,6 @@ __all__ = [
     "TAG_RESULTS",
     "MAX_FRAME_BYTES",
     "OPS",
-    "ERROR_CODES",
     "BAD_REQUEST",
     "UNKNOWN_OP",
     "DUPLICATE_ID",
@@ -161,17 +160,6 @@ OVERLOADED = "overloaded"
 ADMISSION_ERROR = "admission_error"
 UNAVAILABLE = "unavailable"
 INTERNAL = "internal"
-
-ERROR_CODES = (
-    BAD_REQUEST,
-    UNKNOWN_OP,
-    DUPLICATE_ID,
-    FRAME_TOO_LARGE,
-    OVERLOADED,
-    ADMISSION_ERROR,
-    UNAVAILABLE,
-    INTERNAL,
-)
 
 RequestId = Union[str, int]
 FlowId = Union[str, int]

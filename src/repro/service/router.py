@@ -80,6 +80,11 @@ logger = logging.getLogger("repro.service")
 DEFAULT_RING_SALT = "repro-cluster"
 DEFAULT_VIRTUAL_NODES = 64
 
+#: Ops a worker link holds in flight before it answers ``overloaded``.
+LINK_MAX_PENDING = 16384
+#: Seconds a worker link waits between reconnect attempts.
+RECONNECT_DELAY = 0.1
+
 
 def _hash64(key: str) -> int:
     """Stable 64-bit hash (blake2b) — identical across processes."""
@@ -92,32 +97,22 @@ def _hash64(key: str) -> int:
 class HashRing:
     """Consistent hashing of flow ids onto worker indices.
 
-    A pure function of ``(workers, virtual_nodes, salt)``: rebuilding
-    the ring after any restart yields the same assignment, and growing
-    the cluster from ``n`` to ``n+1`` workers remaps only ``~1/(n+1)``
-    of the id space (the consistent-hashing property the tests bound).
+    A pure function of ``workers``: rebuilding the ring after any
+    restart yields the same assignment, and growing the cluster from
+    ``n`` to ``n+1`` workers remaps only ``~1/(n+1)`` of the id space
+    (the consistent-hashing property the tests bound).
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-        salt: str = DEFAULT_RING_SALT,
-    ):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ServiceError(f"need at least one worker, got {workers}")
-        if virtual_nodes < 1:
-            raise ServiceError(
-                f"need at least one virtual node, got {virtual_nodes}"
-            )
         self.workers = int(workers)
-        self.virtual_nodes = int(virtual_nodes)
-        self.salt = str(salt)
+        self.virtual_nodes = DEFAULT_VIRTUAL_NODES
+        self.salt = DEFAULT_RING_SALT
         points: List[Tuple[int, int]] = []
         for w in range(workers):
-            for v in range(virtual_nodes):
-                points.append((_hash64(f"{salt}/{w}/{v}"), w))
+            for v in range(self.virtual_nodes):
+                points.append((_hash64(f"{self.salt}/{w}/{v}"), w))
         points.sort()
         self._hashes = [h for h, _ in points]
         self._owners = [w for _, w in points]
@@ -157,20 +152,11 @@ class WorkerLink:
     too, so no caller waits forever and no op is silently dropped.
     """
 
-    def __init__(
-        self,
-        index: int,
-        socket_path: str,
-        *,
-        max_pending: int = 16384,
-        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
-        reconnect_delay: float = 0.1,
-    ):
+    def __init__(self, index: int, socket_path: str):
         self.index = int(index)
         self.socket_path = str(socket_path)
-        self.max_pending = int(max_pending)
-        self.max_frame_bytes = int(max_frame_bytes)
-        self.reconnect_delay = float(reconnect_delay)
+        self.max_pending = LINK_MAX_PENDING
+        self.max_frame_bytes = protocol.MAX_FRAME_BYTES
         self.connects = 0
         self.failed_calls = 0
         self._outbox: "asyncio.Queue[Tuple[int, bytes, asyncio.Future]]" = (
@@ -275,7 +261,7 @@ class WorkerLink:
                         self.socket_path, limit=self.max_frame_bytes
                     )
                 except (ConnectionError, OSError):
-                    await asyncio.sleep(self.reconnect_delay)
+                    await asyncio.sleep(RECONNECT_DELAY)
                     continue
                 try:
                     # Before the write loop starts, so the hello never
@@ -290,7 +276,7 @@ class WorkerLink:
                         )
                 except (ConnectionError, OSError, ProtocolError):
                     close_writer(writer)
-                    await asyncio.sleep(self.reconnect_delay)
+                    await asyncio.sleep(RECONNECT_DELAY)
                     continue
                 self.connects += 1
                 self._up = True
@@ -320,7 +306,7 @@ class WorkerLink:
                     self.socket_path,
                     why,
                 )
-                await asyncio.sleep(self.reconnect_delay)
+                await asyncio.sleep(RECONNECT_DELAY)
         except asyncio.CancelledError:
             pass
 
@@ -417,8 +403,6 @@ class ClusterRouter:
         worker_sockets: Sequence[str],
         *,
         ring: Optional[HashRing] = None,
-        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
-        link_max_pending: int = 16384,
         on_snapshot: Optional[
             Callable[[], Awaitable[Dict[str, Any]]]
         ] = None,
@@ -433,7 +417,7 @@ class ClusterRouter:
                 f"ring is sized for {self.ring.workers} workers, "
                 f"got {len(worker_sockets)} sockets"
             )
-        self.max_frame_bytes = int(max_frame_bytes)
+        self.max_frame_bytes = protocol.MAX_FRAME_BYTES
         #: Async callback (the supervisor's merge) behind the
         #: ``snapshot`` op; None answers ``unavailable``.
         self.on_snapshot = on_snapshot
@@ -441,12 +425,7 @@ class ClusterRouter:
         #: (the supervisor contributes restart counts).
         self.extra_stats = extra_stats
         self.links = [
-            WorkerLink(
-                i,
-                path,
-                max_pending=link_max_pending,
-                max_frame_bytes=max_frame_bytes,
-            )
+            WorkerLink(i, path)
             for i, path in enumerate(self.worker_sockets)
         ]
         self._server: Optional[asyncio.AbstractServer] = None
@@ -461,7 +440,7 @@ class ClusterRouter:
         }
         #: Clients are served by the same layer as a single server's, so
         #: they cannot tell a front door from a worker by construction.
-        self._layer = ConnectionLayer(self, max_frame_bytes)
+        self._layer = ConnectionLayer(self, self.max_frame_bytes)
 
     # -------------------------------------------------------------- #
     # lifecycle

@@ -98,9 +98,6 @@ class ServiceConfig:
         window of ops queued behind a paused coalescer: the drain loop
         waits up to that long for ``max_batch`` of them.  A frame that
         arrives with nothing undecided ahead of it never waits.
-    max_frame_bytes:
-        Per-line protocol frame ceiling; an oversized frame earns a
-        ``frame_too_large`` error and a clean connection close.
     snapshot_path / snapshot_interval:
         Crash-safe snapshot destination and period in seconds (None
         disables periodic writes; the final drain snapshot and the
@@ -130,7 +127,6 @@ class ServiceConfig:
 
     max_batch: int = 1024
     max_delay: float = 0.002
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     snapshot_path: Optional[str] = None
     snapshot_interval: Optional[float] = None
     metrics_host: str = "127.0.0.1"
@@ -198,7 +194,7 @@ class _ReqTele:
         spans are recorded, so the batch span can name it."""
         self.t_parsed = time.perf_counter()
         self.op = op
-        if OBS.enabled and OBS.tracer is not None:
+        if OBS.enabled:
             self.span_hex = new_span_id()
 
 
@@ -286,7 +282,9 @@ class AdmissionService:
             "restored": 0,
             "governor_moves": 0,
         }
-        self._layer = ConnectionLayer(self, config.max_frame_bytes)
+        # A frame over protocol.MAX_FRAME_BYTES earns ``frame_too_large``
+        # and a clean connection close.
+        self._layer = ConnectionLayer(self, protocol.MAX_FRAME_BYTES)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -299,7 +297,7 @@ class AdmissionService:
         self._server = await asyncio.start_unix_server(
             self._on_connection,
             path=path,
-            limit=self.config.max_frame_bytes,
+            limit=protocol.MAX_FRAME_BYTES,
         )
         self._where = path
         await self._started()
@@ -312,7 +310,7 @@ class AdmissionService:
             self._on_connection,
             host=host,
             port=port,
-            limit=self.config.max_frame_bytes,
+            limit=protocol.MAX_FRAME_BYTES,
         )
         self._where = f"{host}:{self.port}"
         await self._started()
@@ -890,9 +888,6 @@ class AdmissionService:
         OBS.registry.histogram(
             "repro_service_request_seconds", op=request.op
         ).observe(total)
-        tracer = OBS.tracer
-        if tracer is None:
-            return
         attrs: Dict[str, Any] = {
             "op": request.op,
             "ok": ok,
@@ -924,7 +919,7 @@ class AdmissionService:
                 }
                 if len(distinct) > 1:
                     attrs["batch_spans"] = len(distinct)
-        tracer.record_span(
+        OBS.tracer.record_span(
             "service.request",
             start=tele.t_recv,
             duration=total,

@@ -111,8 +111,6 @@ def co_simulate(
     *,
     packet_size: float,
     pattern_kind: str = "poisson",
-    horizon: Optional[float] = None,
-    seed: int = 0,
 ) -> CoSimulationResult:
     """Replay ``schedule`` through ``controller`` and simulate admitted flows.
 
@@ -127,13 +125,12 @@ def co_simulate(
     pattern_kind:
         Source behavior of admitted flows (``"poisson"``, ``"periodic"``
         or the adversarial ``"greedy"``).
-    horizon:
-        Simulation end; defaults to the last schedule event time.
+
+    The simulation ends at the last schedule event.
     """
     if not schedule:
         raise SimulationError("empty schedule")
-    if horizon is None:
-        horizon = max(e.time for e in schedule)
+    horizon = max(e.time for e in schedule)
     if horizon <= 0:
         raise SimulationError("horizon must be positive")
     # This replay's admissions only: a reused controller's earlier
@@ -145,7 +142,6 @@ def co_simulate(
         horizon=horizon,
         pattern_kind=pattern_kind,
         packet_size=packet_size,
-        seed=seed,
     )
     if result is None:
         raise SimulationError("no admitted flow overlaps the horizon")

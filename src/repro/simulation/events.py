@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Tuple
 
 from ..errors import SimulationError
 
@@ -42,10 +42,6 @@ class EventQueue:
         event = heapq.heappop(self._heap)
         self._last_popped = event[0]
         return event
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return len(self._heap)

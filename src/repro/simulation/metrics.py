@@ -56,27 +56,6 @@ class DelayRecorder:
         d = self.e2e_delays(class_name)
         return float(d.max()) if d.size else 0.0
 
-    def max_hop_delay(self, server_index: int, class_name: str) -> float:
-        return self._hop_max.get((server_index, class_name), 0.0)
-
-    def worst_hop_delays(self, class_name: str) -> Dict[int, float]:
-        return {
-            server: value
-            for (server, name), value in self._hop_max.items()
-            if name == class_name
-        }
-
-    def flow_worst(self, flow_id: Hashable) -> float:
-        """Worst end-to-end delay a flow's packets experienced."""
-        return self._flow_max.get(flow_id, 0.0)
-
-    def flow_packet_count(self, flow_id: Hashable) -> int:
-        return self._flow_count.get(flow_id, 0)
-
-    def per_flow_worst(self) -> Dict[Hashable, float]:
-        """Worst delay per flow id (delivered flows only)."""
-        return dict(self._flow_max)
-
     def flow_deadline_misses(
         self, flow_id: Hashable, deadline: float
     ) -> int:
@@ -131,25 +110,12 @@ class SimulationReport:
         d = self.e2e.get(class_name)
         return float(d.mean()) if d is not None and d.size else float("nan")
 
-    def percentile_e2e(self, class_name: str, q: float) -> float:
-        d = self.e2e.get(class_name)
-        if d is None or d.size == 0:
-            return float("nan")
-        return float(np.percentile(d, q))
-
     def deadline_misses(self, class_name: str, deadline: float) -> int:
         """Packets of the class delivered after ``deadline`` seconds."""
         d = self.e2e.get(class_name)
         if d is None or d.size == 0:
             return 0
         return int(np.sum(d > deadline))
-
-    def miss_fraction(self, class_name: str, deadline: float) -> float:
-        """Deadline-miss probability estimate for the class."""
-        d = self.e2e.get(class_name)
-        if d is None or d.size == 0:
-            return float("nan")
-        return float(np.mean(d > deadline))
 
     def jitter(self, class_name: str) -> float:
         """Delay spread (max - min) of the class's delivered packets."""

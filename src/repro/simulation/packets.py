@@ -31,10 +31,6 @@ class Packet:
     delivered_at: Optional[float] = None
 
     @property
-    def delivered(self) -> bool:
-        return self.delivered_at is not None
-
-    @property
     def end_to_end_delay(self) -> float:
         """Delivery time minus creation time (seconds)."""
         if self.delivered_at is None:

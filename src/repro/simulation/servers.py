@@ -125,6 +125,3 @@ class StaticPriorityServer:
     @property
     def has_work(self) -> bool:
         return self.backlog_packets > 0
-
-    def backlog_bits(self) -> float:
-        return sum(p.size_bits for q in self._queues.values() for p in q)

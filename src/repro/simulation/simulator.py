@@ -48,17 +48,14 @@ class _FlowBinding:
 class Simulator:
     """Packet-level simulator over a link-server graph.
 
+    All flows entering the network at the same router share one access
+    wire at that router's first-hop link rate: injection instants are
+    serialized so at most ``C`` bits/second enter per router.  This
+    matches the analysis' premise that every input — including the host
+    side — is a capacity-``C`` link.
+
     Parameters
     ----------
-    ingress_serialization:
-        When True (default), all flows entering the network at the same
-        router share one access wire at that router's first-hop link rate:
-        injection instants are serialized so at most ``C`` bits/second
-        enter per router.  This matches the analysis' premise that every
-        input — including the host side — is a capacity-``C`` link; with
-        it off, simultaneous injections from many flows can exceed any
-        per-flow fluid envelope at the first server and the analytic
-        bounds no longer apply.
     scheduling:
         ``"priority"`` (default) is the paper's class-based static
         priority.  ``"fifo"`` serves all classes from one queue — the
@@ -87,7 +84,6 @@ class Simulator:
         graph: LinkServerGraph,
         registry: ClassRegistry,
         *,
-        ingress_serialization: bool = True,
         scheduling: str = "priority",
         track_flow_delays: bool = False,
     ):
@@ -98,7 +94,6 @@ class Simulator:
             )
         self.graph = graph
         self.registry = registry
-        self.ingress_serialization = bool(ingress_serialization)
         self.scheduling = scheduling
         self.track_flow_delays = bool(track_flow_delays)
         self._flows: List[_FlowBinding] = []
@@ -298,8 +293,7 @@ class Simulator:
                 binding.pattern, cls, end, start=binding.start
             ):
                 injections.append((float(t), order, binding))
-        if self.ingress_serialization:
-            injections = self._serialize_ingress(injections)
+        injections = self._serialize_ingress(injections)
         for t, _, binding in injections:
             queue.push(t, "inject", binding)
             injected += 1

@@ -99,7 +99,7 @@ MCI_EDGES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def mci_backbone(capacity: float = DEFAULT_CAPACITY) -> Network:
+def mci_backbone() -> Network:
     """The reconstructed MCI ISP backbone used in the paper's evaluation.
 
     18 routers, 35 full-duplex 100 Mbps links, hop diameter ``L = 4``,
@@ -110,7 +110,7 @@ def mci_backbone(capacity: float = DEFAULT_CAPACITY) -> Network:
     for name in MCI_ROUTERS:
         net.add_router(name, is_edge=True)
     for u, v in MCI_EDGES:
-        net.add_link(u, v, capacity)
+        net.add_link(u, v, DEFAULT_CAPACITY)
     return net
 
 
@@ -161,7 +161,7 @@ NSFNET_EDGES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def nsfnet_backbone(capacity: float = DEFAULT_CAPACITY) -> Network:
+def nsfnet_backbone() -> Network:
     """The NSFNET T1 backbone — a second real ISP topology.
 
     14 routers, 22 full-duplex links.  Used by the extension experiments
@@ -172,21 +172,21 @@ def nsfnet_backbone(capacity: float = DEFAULT_CAPACITY) -> Network:
     for name in NSFNET_ROUTERS:
         net.add_router(name, is_edge=True)
     for u, v in NSFNET_EDGES:
-        net.add_link(u, v, capacity)
+        net.add_link(u, v, DEFAULT_CAPACITY)
     return net
 
 
-def _sequential_names(n: int, prefix: str = "r") -> List[str]:
-    return [f"{prefix}{i}" for i in range(n)]
+def _sequential_names(n: int) -> List[str]:
+    return [f"r{i}" for i in range(n)]
 
 
-def line_network(n: int, capacity: float = DEFAULT_CAPACITY) -> Network:
+def line_network(n: int) -> Network:
     """A chain ``r0 -- r1 -- ... -- r(n-1)``; diameter ``n - 1``."""
     if n < 2:
         raise TopologyError("line network needs at least 2 routers")
     names = _sequential_names(n)
     return Network.from_edges(
-        zip(names, names[1:]), capacity=capacity, name=f"line-{n}"
+        zip(names, names[1:]), capacity=DEFAULT_CAPACITY, name=f"line-{n}"
     )
 
 
@@ -199,13 +199,13 @@ def ring_network(n: int, capacity: float = DEFAULT_CAPACITY) -> Network:
     return Network.from_edges(edges, capacity=capacity, name=f"ring-{n}")
 
 
-def star_network(n_leaves: int, capacity: float = DEFAULT_CAPACITY) -> Network:
+def star_network(n_leaves: int) -> Network:
     """A hub with ``n_leaves`` spokes; diameter 2, hub degree ``n_leaves``."""
     if n_leaves < 1:
         raise TopologyError("star network needs at least 1 leaf")
     edges = [("hub", f"leaf{i}") for i in range(n_leaves)]
     return Network.from_edges(
-        edges, capacity=capacity, name=f"star-{n_leaves}"
+        edges, capacity=DEFAULT_CAPACITY, name=f"star-{n_leaves}"
     )
 
 
@@ -359,12 +359,14 @@ def waxman_network(
     )
 
 
+#: Seeds :func:`random_network` tries before giving up on connectivity.
+RANDOM_TRIES = 200
+
+
 def random_network(
     n: int,
     p: float,
     seed: int,
-    capacity: float = DEFAULT_CAPACITY,
-    max_tries: int = 200,
 ) -> Network:
     """A connected Erdős–Rényi ``G(n, p)`` network (deterministic per seed).
 
@@ -377,13 +379,13 @@ def random_network(
         raise TopologyError(f"edge probability must be in (0, 1], got {p}")
     import networkx as nx
 
-    for attempt in range(max_tries):
+    for attempt in range(RANDOM_TRIES):
         g = nx.gnp_random_graph(n, p, seed=seed + attempt)
         if nx.is_connected(g):
             edges = [(f"r{u}", f"r{v}") for u, v in g.edges()]
             return Network.from_edges(
-                edges, capacity=capacity, name=f"gnp-{n}-{seed}"
+                edges, capacity=DEFAULT_CAPACITY, name=f"gnp-{n}-{seed}"
             )
     raise TopologyError(
-        f"no connected G({n}, {p}) found in {max_tries} tries; increase p"
+        f"no connected G({n}, {p}) found in {RANDOM_TRIES} tries; increase p"
     )

@@ -234,10 +234,6 @@ class Network:
             for path in self.shortest_paths_from(source).values()
         )
 
-    def to_networkx(self) -> nx.Graph:
-        """A mutable *copy* of the network as an undirected graph."""
-        return self.graph.copy()
-
     @property
     def graph(self) -> nx.Graph:
         """The network as a frozen :class:`networkx.Graph`, for graph
@@ -245,8 +241,7 @@ class Network:
 
         Derived from the adjacency on first use and cached until the next
         :meth:`add_router` / :meth:`add_link`; mutating it raises
-        (:func:`networkx.freeze`) — edit the :class:`Network`, or take
-        :meth:`to_networkx` for a private copy.
+        (:func:`networkx.freeze`) — edit the :class:`Network` instead.
         """
         if self._nx is None:
             import networkx as nx
@@ -307,27 +302,13 @@ class Network:
         *,
         capacity: float = DEFAULT_CAPACITY,
         name: str = "network",
-        edge_routers: Optional[Iterable[Hashable]] = None,
     ) -> "Network":
-        """Build a network from an edge list with uniform capacity.
-
-        Parameters
-        ----------
-        edges:
-            Iterable of ``(u, v)`` pairs.
-        capacity:
-            Capacity applied to every link (bits/second).
-        edge_routers:
-            If given, only these routers are marked ``is_edge``; all others
-            become core routers.
-        """
-        edge_list = list(edges)
-        edge_set = None if edge_routers is None else set(edge_routers)
+        """Build a network from an edge list with uniform capacity
+        (bits/second); every router is an edge router."""
         net = cls(name)
-        for u, v in edge_list:
+        for u, v in edges:
             for node in (u, v):
                 if node not in net:
-                    is_edge = edge_set is None or node in edge_set
-                    net.add_router(node, is_edge=is_edge)
+                    net.add_router(node, is_edge=True)
             net.add_link(u, v, capacity)
         return net

@@ -8,7 +8,6 @@ experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import networkx as nx
 
@@ -42,22 +41,6 @@ class TopologyReport:
     average_shortest_path: float
     is_uniform_capacity: bool
     capacity: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "num_routers": self.num_routers,
-            "num_physical_links": self.num_physical_links,
-            "num_link_servers": self.num_link_servers,
-            "diameter": self.diameter,
-            "max_degree": self.max_degree,
-            "min_degree": self.min_degree,
-            "mean_degree": self.mean_degree,
-            "radius": self.radius,
-            "average_shortest_path": self.average_shortest_path,
-            "is_uniform_capacity": self.is_uniform_capacity,
-            "capacity": self.capacity,
-        }
 
 
 def analyze(network: Network) -> TopologyReport:

@@ -35,11 +35,6 @@ class LinkServerGraph:
     network:
         Source topology.  The expansion snapshots the network; later mutation
         of the network is not reflected.
-    count_host_link:
-        If True, each server's fan-in counts one extra input link for
-        locally injected (host) traffic at its tail router.  The paper's
-        uniform-``N`` convention does not need this; it matters only in
-        ``per_server`` fan-in mode on leaf routers.
 
     Attributes
     ----------
@@ -49,20 +44,18 @@ class LinkServerGraph:
         ``int64[S]`` — per-server number of input links (paper's ``N_k``).
     """
 
-    def __init__(self, network: Network, *, count_host_link: bool = False):
+    def __init__(self, network: Network):
         if network.num_routers == 0:
             raise TopologyError("cannot expand an empty network")
         self.network = network
-        self.count_host_link = bool(count_host_link)
 
         keys: List[Tuple[Hashable, Hashable]] = []
         caps: List[float] = []
         fan_in: List[int] = []
-        extra = 1 if count_host_link else 0
         for link in network.directed_links():
             keys.append(link.key)
             caps.append(link.capacity)
-            fan_in.append(network.degree(link.tail) + extra)
+            fan_in.append(network.degree(link.tail))
 
         self._keys: Tuple[Tuple[Hashable, Hashable], ...] = tuple(keys)
         self._index: Dict[Tuple[Hashable, Hashable], int] = {
@@ -88,16 +81,6 @@ class LinkServerGraph:
             return self._index[(tail, head)]
         except KeyError:
             raise UnknownLinkError(tail, head) from None
-
-    def server_key(self, index: int) -> Tuple[Hashable, Hashable]:
-        """The ``(tail, head)`` pair for a dense index."""
-        return self._keys[index]
-
-    def server_keys(self) -> Tuple[Tuple[Hashable, Hashable], ...]:
-        return self._keys
-
-    def capacity_of(self, tail: Hashable, head: Hashable) -> float:
-        return float(self.capacities[self.server_index(tail, head)])
 
     # ------------------------------------------------------------------ #
     # uniform parameters (paper convention)

@@ -96,10 +96,10 @@ class TrafficClass:
         return leaky_bucket_envelope(self.burst, self.rate, line_rate)
 
     @staticmethod
-    def best_effort(name: str = "best-effort") -> "TrafficClass":
+    def best_effort() -> "TrafficClass":
         """A conventional best-effort class (no envelope, no deadline)."""
         return TrafficClass(
-            name=name,
+            name="best-effort",
             burst=0.0,
             rate=0.0,
             deadline=math.inf,
@@ -172,20 +172,6 @@ class ClassRegistry:
 
     def names(self) -> List[str]:
         return [c.name for c in self.ordered()]
-
-    def higher_or_equal(self, name: str) -> List[TrafficClass]:
-        """Classes at the same or higher priority than ``name`` (ordered).
-
-        These are exactly the classes that can delay class ``name`` traffic
-        under class-based static priority (Section 5.4).
-        """
-        me = self.get(name)
-        return [c for c in self.ordered() if c.priority <= me.priority]
-
-    def index_of(self, name: str) -> int:
-        """Position of ``name`` in priority order (0 = highest)."""
-        me = self.get(name)
-        return self.ordered().index(me)
 
     # ------------------------------------------------------------------ #
     # convenience constructors

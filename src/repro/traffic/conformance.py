@@ -25,7 +25,8 @@ from .envelope import Envelope
 
 __all__ = ["ConformanceReport", "check_conformance"]
 
-#: Default absolute slack, in bits — far below one packet.
+#: Absolute slack, in bits, before a window counts as a violation —
+#: far below one packet.
 _DEFAULT_TOL = 1e-6
 
 
@@ -59,8 +60,6 @@ def check_conformance(
     times: Sequence[float],
     sizes: Union[float, Sequence[float]],
     envelope: Envelope,
-    *,
-    tolerance: float = _DEFAULT_TOL,
 ) -> ConformanceReport:
     """Check a packet arrival sequence against an envelope.
 
@@ -73,8 +72,6 @@ def check_conformance(
         packet arrival.
     sizes:
         Per-packet sizes in bits, or one scalar for homogeneous packets.
-    tolerance:
-        Absolute slack in bits before a window counts as a violation.
     """
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1:
@@ -110,7 +107,7 @@ def check_conformance(
             worst = float(excess[j])
             worst_window = (float(t[i]), float(t[i + j]))
     return ConformanceReport(
-        conforms=worst <= tolerance,
+        conforms=worst <= _DEFAULT_TOL,
         worst_excess=worst,
         worst_window=worst_window,
         packets=int(t.size),

@@ -299,48 +299,9 @@ class Envelope:
         values = self.breaks_y - service_rate * self.breaks_x
         return float(max(values.max(), 0.0))
 
-    def busy_period(self, service_rate: float) -> float:
-        """Length of the maximal busy period: largest ``I`` with ``F(I) >= C*I``.
-
-        This is the paper's ``τ`` (Lemma 1).  Returns 0 for an envelope that
-        never exceeds the service line.
-        """
-        if service_rate <= 0:
-            raise EnvelopeError(
-                f"service rate must be positive, got {service_rate}"
-            )
-        if self.final_slope >= service_rate:
-            if self.final_slope > service_rate * (1 + _RTOL):
-                raise EnvelopeError("unstable server: busy period is infinite")
-            # Rate exactly C: busy forever if currently above the line.
-            gap = self.breaks_y[-1] - service_rate * self.breaks_x[-1]
-            if gap > _ATOL:
-                raise EnvelopeError("unstable server: busy period is infinite")
-        gaps = self.breaks_y - service_rate * self.breaks_x
-        if np.all(gaps <= _ATOL):
-            return 0.0
-        x_last = float(self.breaks_x[-1])
-        g_last = float(gaps[-1])
-        if g_last > 0:
-            # Crossing lies in the tail region.
-            return x_last + g_last / (service_rate - self.final_slope)
-        # Last positive gap is at some breakpoint; crossing is in the segment
-        # that follows it.
-        above = np.nonzero(gaps > _ATOL)[0]
-        i = int(above[-1])
-        x0, g0 = float(self.breaks_x[i]), float(gaps[i])
-        x1, g1 = float(self.breaks_x[i + 1]), float(gaps[i + 1])
-        return x0 + g0 * (x1 - x0) / (g0 - g1)
-
     # ------------------------------------------------------------------ #
     # comparison / repr
     # ------------------------------------------------------------------ #
-
-    def almost_equal(self, other: "Envelope", tol: float = 1e-6) -> bool:
-        """Approximate functional equality (sampled at merged breakpoints)."""
-        xs = np.union1d(self.breaks_x, other.breaks_x)
-        xs = np.concatenate([xs, [xs[-1] + 1.0, xs[-1] + 2.0]])
-        return bool(np.allclose(self(xs), other(xs), rtol=1e-9, atol=tol))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         pts = ", ".join(

@@ -20,32 +20,24 @@ __all__ = [
 ]
 
 
-def voice_class(
-    name: str = "voice",
-    deadline: float = milliseconds(100),
-    priority: int = 1,
-) -> TrafficClass:
+def voice_class(priority: int = 1) -> TrafficClass:
     """The paper's VoIP class: T = 640 bits, rho = 32 kbps, D = 100 ms."""
     return TrafficClass(
-        name=name,
+        name="voice",
         burst=640.0,
         rate=kbps(32),
-        deadline=deadline,
+        deadline=milliseconds(100),
         priority=priority,
     )
 
 
-def video_class(
-    name: str = "video",
-    deadline: float = milliseconds(200),
-    priority: int = 2,
-) -> TrafficClass:
+def video_class(priority: int = 2) -> TrafficClass:
     """A streaming-video-like class: 8 kb burst at 1 Mbps, 200 ms deadline."""
     return TrafficClass(
-        name=name,
+        name="video",
         burst=8_000.0,
         rate=mbps(1),
-        deadline=deadline,
+        deadline=milliseconds(200),
         priority=priority,
     )
 

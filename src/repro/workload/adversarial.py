@@ -91,10 +91,6 @@ class AdversaryModel:
                 f"adversary window must be > 0, got {self.window}"
             )
 
-    def arrivals_allowed(self, tau: float) -> float:
-        """Upper bound on arrivals in any window of length ``tau``."""
-        return self.rate * tau + self.burst
-
 
 def hot_servers(
     graph: LinkServerGraph,
@@ -118,6 +114,10 @@ def hot_servers(
     return [int(s) for s in order[:top]]
 
 
+#: Share of an attack's flows that depart at the next burst instant.
+CHURN_FRACTION = 0.5
+
+
 def adversarial_events(
     graph: LinkServerGraph,
     routes: Dict[Pair, Sequence[Hashable]],
@@ -127,7 +127,6 @@ def adversarial_events(
     model: Optional[AdversaryModel] = None,
     seed: int = 0,
     hot_edges: int = 1,
-    churn_fraction: float = 0.5,
     id_prefix: str = "adv",
 ) -> List[TraceEvent]:
     """Generate an extremal adversarial event stream.
@@ -136,7 +135,7 @@ def adversarial_events(
     departures-first, exactly as :func:`~repro.workload.loadgen.\
 schedule_events` orders them) with flow ids ``{id_prefix}{seed}_{i}``.
 
-    ``churn_fraction`` of the flows depart at the next burst instant
+    ``CHURN_FRACTION`` of the flows depart at the next burst instant
     after their arrival (thundering-herd contention); the rest pin
     their slots until a LIFO drain after the attack ends.  The stream
     is validated against ``model`` before being returned.
@@ -144,10 +143,6 @@ schedule_events` orders them) with flow ids ``{id_prefix}{seed}_{i}``.
     model = model or AdversaryModel()
     if num_flows < 1:
         raise TrafficError(f"num_flows must be >= 1, got {num_flows}")
-    if not 0.0 <= churn_fraction <= 1.0:
-        raise TrafficError(
-            f"churn_fraction must be in [0, 1], got {churn_fraction}"
-        )
     targets = set(hot_servers(graph, routes, top=hot_edges))
     attack_pairs = [
         pair
@@ -185,7 +180,7 @@ schedule_events` orders them) with flow ids ``{id_prefix}{seed}_{i}``.
     # per-burst random offset so successive bursts shift which hot
     # routes collide, while staying fully seed-deterministic.
     offsets = rng.integers(0, len(attack_pairs), size=len(burst_instants))
-    churn_draws = rng.random(num_flows) < churn_fraction
+    churn_draws = rng.random(num_flows) < CHURN_FRACTION
 
     events: List[TraceEvent] = []
     burst_idx = -1

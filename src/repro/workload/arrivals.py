@@ -7,12 +7,11 @@ drawn from a :class:`~repro.workload.popularity.ZipfPairPopularity`.
 
 Determinism contract
 --------------------
-Generation is **chunked**: arrivals ``[k * chunk_size, (k+1) *
-chunk_size)`` always come from ``np.random.SeedSequence(seed,
+Generation is **chunked**: arrivals ``[k * CHUNK_SIZE, (k+1) *
+CHUNK_SIZE)`` always come from ``np.random.SeedSequence(seed,
 spawn_key=(k,))``, regardless of how many worker threads compute
 chunks.  ``workers`` therefore only parallelizes the work; the output
-stream is a pure function of ``(seed, num_flows, rates, popularity,
-chunk_size)``.  The determinism tests pin this byte-for-byte.
+stream is a pure function of ``(seed, num_flows, rates, popularity)``.  The determinism tests pin this byte-for-byte.
 """
 
 from __future__ import annotations
@@ -105,7 +104,6 @@ def open_loop_schedule(
     popularity: ZipfPairPopularity,
     seed: int = 0,
     workers: Optional[int] = None,
-    chunk_size: int = CHUNK_SIZE,
 ) -> ArrivalSchedule:
     """Generate a deterministic open-loop schedule of ``num_flows``.
 
@@ -118,11 +116,9 @@ def open_loop_schedule(
         raise TrafficError(
             "arrival_rate and mean_holding must be positive"
         )
-    if chunk_size < 1:
-        raise TrafficError(f"chunk_size must be >= 1, got {chunk_size}")
     counts = [
-        min(chunk_size, num_flows - start)
-        for start in range(0, num_flows, chunk_size)
+        min(CHUNK_SIZE, num_flows - start)
+        for start in range(0, num_flows, CHUNK_SIZE)
     ]
     if workers is not None and workers > 1 and len(counts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -168,7 +164,6 @@ def ramp_schedule(
     popularity: ZipfPairPopularity,
     shape: str = "linear",
     seed: int = 0,
-    chunk_size: int = CHUNK_SIZE,
 ) -> ArrivalSchedule:
     """Open-loop schedule whose arrival rate ramps up to overload.
 
@@ -196,7 +191,6 @@ def ramp_schedule(
         mean_holding=mean_holding,
         popularity=popularity,
         seed=seed,
-        chunk_size=chunk_size,
     )
     if base.num_flows == 0:
         return base

@@ -52,12 +52,10 @@ def schedule_events(
     schedule: ArrivalSchedule,
     pairs: Sequence[Pair],
     class_name: str,
-    *,
-    id_prefix: str = "w",
 ) -> List[TraceEvent]:
     """Merged, time-sorted arrival + departure events of a schedule.
 
-    Flow ids are ``{id_prefix}{seed}_{i}`` for arrival ``i``; ties break
+    Flow ids are ``w{seed}_{i}`` for arrival ``i``; ties break
     as :func:`~repro.workload.trace.merge_events` orders them.
     """
     if schedule.num_flows and not pairs:
@@ -66,7 +64,7 @@ def schedule_events(
     departures = schedule.departure_times()
     for i in range(schedule.num_flows):
         src, dst = pairs[int(schedule.pair_indices[i]) % len(pairs)]
-        fid = f"{id_prefix}{schedule.seed}_{i}"
+        fid = f"w{schedule.seed}_{i}"
         events.append(TraceEvent.arrival(
             float(schedule.times[i]), FlowSpec(fid, class_name, src, dst)
         ))

@@ -43,20 +43,12 @@ class ServiceProcess:
 
     ``options`` are ``serve`` options named by parser dest
     (``snapshot=``, ``snapshot_interval=``, ``audit=``, ``topology=``
-    ...); unset ones take the CLI's own defaults.  ``extra_args`` are
-    appended verbatim.
+    ...); unset ones take the CLI's own defaults.
     """
 
-    def __init__(
-        self,
-        *,
-        socket_path: str,
-        extra_args: Sequence[str] = (),
-        **options: Any,
-    ):
+    def __init__(self, *, socket_path: str, **options: Any):
         self.socket_path = socket_path
         self.options = {"socket": socket_path, **options}
-        self.extra_args = list(extra_args)
         self.proc: Optional[subprocess.Popen] = None
         self.launches = 0
         #: Server stdout+stderr land here (truncated per launch).
@@ -68,7 +60,7 @@ class ServiceProcess:
         """Launch the server and block until it answers ``health``."""
         if self.proc is not None and self.proc.poll() is None:
             raise FaultInjectionError("server process is already running")
-        child = serve_child(self.log_path, self.options, self.extra_args)
+        child = serve_child(self.log_path, self.options)
         with child as (argv, io):
             self.proc = subprocess.Popen(argv, **io)
         self.launches += 1

@@ -148,6 +148,14 @@ def _int8_only(high):
     return np.dtype(np.int8)
 
 
+def _table(pad, width=flowtable.INITIAL_WIDTH, capacity=flowtable.INITIAL_CAPACITY):
+    """A FlowTable that starts ``capacity`` rows by ``width`` columns."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flowtable, "INITIAL_WIDTH", width)
+        patch.setattr(flowtable, "INITIAL_CAPACITY", capacity)
+        return FlowTable(pad=pad)
+
+
 # Boundary checks: each passes on the real table and must fail on a
 # table whose columns never widen past int8.
 
@@ -156,7 +164,7 @@ def _servers_round_trip(pad):
     """A server index one below ``pad``, and ``pad`` itself, survive
     every path in and out of the matrix."""
     top = pad - 1
-    table = FlowTable(pad=pad, width=2)
+    table = _table(pad, width=2)
     table.add("seq", 0, np.array([top, 0, top - 1], dtype=np.int64))
     matrix, lengths = pad_server_matrix(
         [np.array([top]), np.array([1, top])], pad=pad
@@ -179,7 +187,7 @@ def _servers_round_trip(pad):
 
 def _lengths_round_trip():
     """Routes longer than 127 hops, through ``add`` and ``add_batch``."""
-    table = FlowTable(pad=300, width=2)
+    table = _table(300, width=2)
     long = np.arange(200, dtype=np.int64)
     table.add("seq", 0, long)
     matrix, lengths = pad_server_matrix([long[:150], long], pad=300)
@@ -255,7 +263,7 @@ class TestFlowTable:
         assert "a" not in table and len(table) == 0
 
     def test_row_reuse_clears_stale_tail(self):
-        table = FlowTable(pad=9, width=2, capacity=1)
+        table = _table(9, width=2, capacity=1)
         table.add("long", 0, np.array([1, 2, 3, 4], dtype=np.int64))
         table.pop("long")
         # The recycled row previously held a 4-wide route; a 1-wide
@@ -281,7 +289,7 @@ class TestFlowTable:
         assert len(table) == 0
 
     def test_growth_beyond_initial_capacity(self):
-        table = FlowTable(pad=5, capacity=2)
+        table = _table(5, capacity=2)
         for i in range(100):
             table.add(i, NO_CLASS, np.empty(0, dtype=np.int64))
         assert len(table) == 100
@@ -338,7 +346,7 @@ class TestFlowTable:
             assert table.verify() == []
 
     def test_a_recycled_row_keeps_nothing_of_its_last_occupant(self):
-        table = FlowTable(pad=9, capacity=1)
+        table = _table(9, capacity=1)
         pair = table.pair_code(("a", "d"))
         table.add(
             "pinned", 1, np.array([1, 2, 3, 4], dtype=np.int64), 3,
@@ -573,7 +581,6 @@ class TestAdmitBatchValidation:
         controller.release_batch([])
         assert controller.num_decisions == 0
         assert controller.num_admitted == controller.num_rejected == 0
-        assert math.isnan(controller.acceptance_ratio)
         assert math.isnan(controller.mean_decision_seconds())
 
     def test_unknown_class_raises_without_mutation(
@@ -648,7 +655,7 @@ class TestLateRealtimeClass:
         ]
         assert controller.admit(flows[0]).admitted
         assert all(d.admitted for d in controller.admit_batch(flows[1:]))
-        assert controller.committed_servers("b0").size == 0
+        assert controller._flows.servers_of("b0").size == 0
         assert controller.established_flows == flows
         assert controller.verify_invariants() == []
 

@@ -9,7 +9,7 @@ from repro.admission import (
 )
 from repro.errors import AdmissionError
 from repro.routing import shortest_path_routes
-from repro.topology import LinkServerGraph, line_network, star_network
+from repro.topology import LinkServerGraph, Network, line_network
 from repro.traffic import ClassRegistry, FlowSpec, voice_class
 
 
@@ -126,7 +126,6 @@ class TestUtilizationController:
             ctrl.admit(_flow(i))
         assert ctrl.num_admitted == 3
         assert ctrl.num_rejected == 2
-        assert ctrl.acceptance_ratio == pytest.approx(0.6)
         assert ctrl.mean_decision_seconds() >= 0
 
     def test_utilization_invariant_under_churn(self, line4_graph,
@@ -147,7 +146,8 @@ class TestUtilizationController:
                         ("r1", "r3")][int(rng.integers(4))]
                 if ctrl.admit(_flow(fid, *pair)).admitted:
                     live.append(fid)
-            util = ctrl.class_utilization("voice")
+            used = ctrl.ledger.used("voice")
+            util = used * voice_class().rate / line4_graph.capacities
             assert np.all(util <= alpha + 1e-12)
 
 
@@ -183,7 +183,7 @@ class TestUtilizationController:
         assert any(p.startswith("flow 'kept' holds servers") for p in problems)
         table._servers[kept] = held
         # A row that was given back while its id still points at it.
-        ctrl.ledger.release("voice", ctrl.committed_servers("kept"))
+        ctrl.ledger.release("voice", ctrl._flows.servers_of("kept"))
         table._codes[kept] = -1
         assert ctrl.verify_invariants() == [
             f"flow 'kept' indexes flow-table row {kept}, which holds "
@@ -213,7 +213,9 @@ class TestFlowAwareController:
 
     def test_rejects_overload(self, voice_registry):
         """Saturating a shared 1 Mbps bottleneck must be refused."""
-        net = star_network(3, capacity=1e6)
+        net = Network.from_edges(
+            [("hub", f"leaf{i}") for i in range(3)], capacity=1e6
+        )
         graph = LinkServerGraph(net)
         routes = {
             ("leaf0", "leaf2"): ["leaf0", "hub", "leaf2"],

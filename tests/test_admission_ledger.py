@@ -81,11 +81,17 @@ def test_alpha_sum_capped(line4_graph):
         )
 
 
+def _utilization(ledger, class_name):
+    """Fraction of link bandwidth in use by the class, per server."""
+    rate = ledger.registry.get(class_name).rate
+    return ledger.used(class_name) * rate / ledger.graph.capacities
+
+
 def test_utilization_fraction(ledger, line4_graph, voice):
     servers = line4_graph.route_servers(["r0", "r1"])
     for _ in range(10):
         ledger.reserve("voice", servers)
-    util = ledger.utilization("voice")
+    util = _utilization(ledger, "voice")
     assert util[servers[0]] == pytest.approx(10 * voice.rate / 100e6)
     assert util[servers[0]] <= 0.3  # never exceeds alpha
 
@@ -97,15 +103,15 @@ def test_utilization_never_exceeds_alpha(line4_graph, voice_registry):
     servers = line4_graph.route_servers(["r0", "r1"])
     while ledger.available("voice", servers):
         ledger.reserve("voice", servers)
-    assert np.all(ledger.utilization("voice") <= alpha + 1e-12)
+    assert np.all(_utilization(ledger, "voice") <= alpha + 1e-12)
 
 
 def test_bottleneck(ledger, line4_graph):
     servers = line4_graph.route_servers(["r1", "r2"])
     ledger.reserve("voice", servers)
-    k, ratio = ledger.bottleneck("voice")
-    assert k == servers[0]
-    assert 0 < ratio <= 1
+    ratio = ledger.used("voice") / ledger.slots("voice")
+    assert int(np.argmax(ratio)) == servers[0]
+    assert 0 < ratio.max() <= 1
 
 
 def test_total_reserved_rate(line4_graph, voice):
@@ -116,5 +122,5 @@ def test_total_reserved_rate(line4_graph, voice):
     servers = line4_graph.route_servers(["r0", "r1"])
     ledger.reserve("voice", servers)
     ledger.reserve("video", servers)
-    total = ledger.total_reserved_rate()
-    assert total[servers[0]] == pytest.approx(voice.rate + video_class().rate)
+    total = _utilization(ledger, "voice") + _utilization(ledger, "video")
+    assert total[servers[0]] * 100e6 == pytest.approx(voice.rate + video_class().rate)

@@ -45,7 +45,6 @@ def test_replay_counts(controller):
     assert stats.attempts == 5
     assert stats.admitted == 3
     assert stats.rejected == 2
-    assert stats.blocking_probability == pytest.approx(0.4)
     assert stats.peak_population == 3
     # After all departures the network is empty again.
     assert controller.num_established == 0
@@ -74,13 +73,11 @@ def test_decision_latency_stats(controller):
     stats = replay_schedule(controller, events)
     assert stats.decision_seconds.shape == (1,)
     assert stats.mean_decision_seconds >= 0
-    assert stats.p99_decision_seconds >= 0
 
 
 def test_empty_schedule(controller):
     stats = replay_schedule(controller, [])
     assert stats.attempts == 0
-    assert np.isnan(stats.blocking_probability)
     assert np.isnan(stats.mean_decision_seconds)
 
 

@@ -9,6 +9,7 @@ from repro.analysis import (
     solve_fixed_point,
     theorem3_update,
 )
+from repro.analysis import fixedpoint
 from repro.analysis.delays import resolve_fan_in
 from repro.errors import AnalysisError
 
@@ -83,7 +84,7 @@ class TestFeedback:
         assert not result.safe
         assert result.deadline_violated
 
-    def test_true_divergence_detected(self):
+    def test_true_divergence_detected(self, monkeypatch):
         system = self._cycle()
         # beta*rho > 1 requires alpha > 1 with N=6; emulate stronger
         # feedback with N=2 where beta*rho = alpha/(2-alpha) stays < 1.
@@ -91,7 +92,8 @@ class TestFeedback:
         cyc = RouteSystem([[0, 1, 2], [1, 2, 0], [2, 0, 1]], num_servers=3)
         # beta*rho*2 upstream servers of feedback: diverges for
         # beta*rho > 0.5 <=> alpha*5/(6-alpha) > 0.5 <=> alpha > 6/11.
-        result = solve_fixed_point(cyc, _update(cyc, 0.9), ceiling=10.0)
+        monkeypatch.setattr(fixedpoint, "DEFAULT_CEILING", 10.0)
+        result = solve_fixed_point(cyc, _update(cyc, 0.9))
         assert result.diverged
         assert not result.converged
 
@@ -134,11 +136,10 @@ class TestMechanics:
         assert scalar.safe and per_route.safe
         assert np.array_equal(scalar.delays, per_route.delays)
 
-    def test_iteration_budget_reported(self):
-        system = self_cycle = RouteSystem([[0, 1], [1, 0]], num_servers=2)
-        result = solve_fixed_point(
-            system, _update(system, 0.3), max_iterations=2
-        )
+    def test_iteration_budget_reported(self, monkeypatch):
+        system = RouteSystem([[0, 1], [1, 0]], num_servers=2)
+        monkeypatch.setattr(fixedpoint, "MAX_ITERATIONS", 2)
+        result = solve_fixed_point(system, _update(system, 0.3))
         assert not result.converged
         assert result.iterations == 2
 
@@ -156,11 +157,6 @@ class TestMechanics:
             d_next = update(d)
             assert np.all(d_next >= d - 1e-15)
             d = d_next
-
-    def test_invalid_tolerance(self):
-        system = _line_system(2)
-        with pytest.raises(AnalysisError):
-            solve_fixed_point(system, _update(system, 0.3), tolerance=0.0)
 
     def test_deadline_early_exit_is_sound(self):
         """Early-exit failure implies the converged solution also fails."""

@@ -31,7 +31,7 @@ class TestConstruction:
         assert rs.num_occurrences == 5
         np.testing.assert_array_equal(rs.route(0), [0, 1, 2])
         np.testing.assert_array_equal(rs.route(1), [2, 3])
-        np.testing.assert_array_equal(rs.route_lengths(), [3, 2])
+        np.testing.assert_array_equal(np.diff(rs.route_start), [3, 2])
 
     def test_empty_route_rejected(self):
         with pytest.raises(AnalysisError):
@@ -72,7 +72,7 @@ class TestConstruction:
     def test_server_route_count(self):
         rs = RouteSystem([[0, 1], [1, 2], [1, 3]], num_servers=4)
         np.testing.assert_array_equal(
-            rs.server_route_count(), [1, 3, 1, 1]
+            rs._server_count, [1, 3, 1, 1]
         )
 
 
@@ -174,7 +174,6 @@ class TestGrowableRouteSystem:
         assert list(grow.occ_server) == [0, 1, 2, 2, 3]
         assert list(grow.route_start) == [0, 3, 5]
         assert list(grow.occ_start) == [0, 0, 0, 3, 3]
-        assert list(grow.occ_route) == [0, 0, 0, 1, 1]
         assert list(grow.route(1)) == [2, 3]
         grow.pop()
         assert grow.num_routes == 1
@@ -202,10 +201,10 @@ class TestGrowableRouteSystem:
 
     def test_touched_and_counts_track_pops(self):
         grow = RouteSystem([[0, 1], [1, 2]], 4)
-        assert list(grow.server_route_count()) == [1, 2, 1, 0]
+        assert list(grow._server_count) == [1, 2, 1, 0]
         assert list(grow.touched_servers) == [True, True, True, False]
         grow.pop()
-        assert list(grow.server_route_count()) == [1, 1, 0, 0]
+        assert list(grow._server_count) == [1, 1, 0, 0]
         assert list(grow.touched_servers) == [True, True, False, False]
 
     def test_matches_immutable_system(self):
@@ -218,7 +217,6 @@ class TestGrowableRouteSystem:
         assert np.array_equal(grow.route_delays(d), rs.route_delays(d))
         assert np.array_equal(grow.upstream_delays(d), rs.upstream_delays(d))
         assert np.array_equal(grow.occ_server, rs.occ_server)
-        assert np.array_equal(grow.occ_route, rs.occ_route)
         assert np.array_equal(grow.route_start, rs.route_start)
 
     def test_validation_errors(self):

@@ -36,9 +36,7 @@ class TestCriticalAlpha:
 
     def test_everything_safe_returns_high(self, mci_graph, voice):
         # A single one-hop route verifies at any utilization.
-        a = critical_alpha(
-            mci_graph, [["Seattle", "Denver"]], voice, high=1.0
-        )
+        a = critical_alpha(mci_graph, [["Seattle", "Denver"]], voice)
         assert a == 1.0
 
     def test_unsafe_floor_raises(self, mci_graph, paths):
@@ -52,4 +50,4 @@ class TestCriticalAlpha:
 
     def test_validation(self, mci_graph, paths, voice):
         with pytest.raises(AnalysisError):
-            critical_alpha(mci_graph, paths, voice, low=0.5, high=0.4)
+            critical_alpha(mci_graph, paths, voice, resolution=0.0)

@@ -1,5 +1,7 @@
 """The Figure 2 verification procedure."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import verify_assignment
@@ -86,7 +88,7 @@ def test_multiclass_missing_route_map_entry(line4):
 
 
 def test_multiclass_failure_names_class(line4):
-    tight = video_class(deadline=1e-6)
+    tight = replace(video_class(), deadline=1e-6)
     registry = ClassRegistry([voice_class(), tight])
     result = verify_assignment(
         line4,

@@ -95,10 +95,9 @@ class TestBundle:
             )
 
     def test_route_for(self, cfg):
-        path = cfg.route_for("Seattle", "Miami")
+        path = cfg.routes[("Seattle", "Miami")]
         assert path[0] == "Seattle" and path[-1] == "Miami"
-        with pytest.raises(ConfigurationError):
-            cfg.route_for("Miami", "Seattle")  # not in the demand
+        assert ("Miami", "Seattle") not in cfg.routes  # not in the demand
 
     def test_slots_per_link(self, cfg):
         assert cfg.slots_per_link("voice") == int(0.35 * 100e6 / 32_000)
@@ -118,7 +117,7 @@ class TestBundle:
         sim = cfg.simulator()
         sim.add_flow(
             FlowSpec("x", "voice", "Seattle", "Miami"),
-            cfg.route_for("Seattle", "Miami"),
+            cfg.routes[("Seattle", "Miami")],
             PacketPattern("periodic", packet_size=640),
         )
         report = sim.run(horizon=0.1)

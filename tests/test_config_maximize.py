@@ -9,7 +9,7 @@ from repro.config import (
     max_utilization_shortest_path,
 )
 from repro.errors import ConfigurationError, InfeasibleUtilization
-from repro.routing import HeuristicOptions
+from repro.routing import heuristic
 from repro.topology import LinkServerGraph
 
 SUBSET = [
@@ -107,7 +107,7 @@ class TestShortestPathSearch:
         res = max_utilization_shortest_path(
             mci, SUBSET, voice, resolution=0.02
         )
-        assert res.num_probes >= 3
+        assert len(res.evaluations) >= 3
         assert res.evaluations[0][1]  # the lower bound succeeded
 
 
@@ -117,10 +117,12 @@ class TestHeuristicSearch:
         sp = max_utilization_shortest_path(
             mci, mci_pairs, voice, resolution=0.02
         )
-        heur = max_utilization_heuristic(
-            mci, mci_pairs, voice, resolution=0.02,
-            options=HeuristicOptions(k_candidates=6, detour_slack=1),
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heuristic, "K_CANDIDATES", 6)
+            patch.setattr(heuristic, "DETOUR_SLACK", 1)
+            heur = max_utilization_heuristic(
+                mci, mci_pairs, voice, resolution=0.02
+            )
         assert heur.alpha > sp.alpha
         assert heur.method == "heuristic"
 

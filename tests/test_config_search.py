@@ -26,6 +26,7 @@ from repro.analysis import (
     single_class_delays,
     verify_assignment,
 )
+from repro.analysis import fixedpoint
 from repro.analysis.fixedpoint import DEFAULT_TOLERANCE
 from repro.config import (
     bisect_alpha,
@@ -51,14 +52,21 @@ from repro.traffic import (
 #: stability boundary that need more are left out of the comparison.
 SWEEP_ITERATIONS = 5_000
 
+#: A deadline no converging sweep point reaches (a diverging one crosses
+#: the ceiling first), so the deadline early exit never cuts a sweep
+#: short of its fixed point.
+NO_DEADLINE = 10 * fixedpoint.DEFAULT_CEILING
+
 
 def _converged_sweep(solve, scales):
     """``[(scale, delays)]`` of the scales whose fixed point converged."""
     out = []
-    for scale in sorted(scales):
-        delays, converged = solve(scale)
-        if converged:
-            out.append((scale, delays))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixedpoint, "MAX_ITERATIONS", SWEEP_ITERATIONS)
+        for scale in sorted(scales):
+            delays, converged = solve(scale)
+            if converged:
+                out.append((scale, delays))
     return out
 
 
@@ -109,12 +117,13 @@ def test_prop_theorem3_delays_never_decrease_in_alpha(
     )
     paths = [r for r, k in zip(paths, keep) if k] or paths
     burst, rate = shape
-    cls = TrafficClass("rt", burst=burst, rate=rate, deadline=0.1, priority=1)
+    cls = TrafficClass(
+        "rt", burst=burst, rate=rate, deadline=NO_DEADLINE, priority=1
+    )
 
     def solve(alpha):
         fp = single_class_delays(
-            graph, paths, cls, alpha, n_mode=n_mode,
-            early_deadline_exit=False, max_iterations=SWEEP_ITERATIONS,
+            graph, paths, cls, alpha, n_mode=n_mode
         ).fixed_point
         return fp.delays, fp.converged
 
@@ -142,7 +151,9 @@ def test_prop_theorem5_delays_never_decrease_in_a_common_scale(
     if graph.uniform_fan_in() < 2:
         return
     classes = [
-        TrafficClass(f"c{i}", burst=b, rate=r, deadline=0.1, priority=i + 1)
+        TrafficClass(
+            f"c{i}", burst=b, rate=r, deadline=NO_DEADLINE, priority=i + 1
+        )
         for i, (b, r) in enumerate(shapes)
     ]
     registry = ClassRegistry(classes)
@@ -164,10 +175,10 @@ def test_prop_theorem5_delays_never_decrease_in_a_common_scale(
     def solve(scale):
         alphas = {c.name: scale * w for c, w in zip(classes, weights)}
         mc = multi_class_delays(
-            graph, routes, registry, alphas, n_mode=n_mode,
-            early_deadline_exit=False, max_iterations=SWEEP_ITERATIONS,
+            graph, routes, registry, alphas, n_mode=n_mode
         )
-        return mc.delay_matrix(), mc.converged
+        delays = [c.server_delays for c in mc.per_class.values()]
+        return np.stack(delays), mc.converged
 
     _assert_nondecreasing(_converged_sweep(solve, scales))
 
@@ -185,7 +196,7 @@ def _cold(oracle):
 @contextmanager
 def _iterations():
     """Count the fixed-point iterations spent inside the block."""
-    obs.enable(fresh=True, tracing=False)
+    obs.enable(fresh=True)
     spent = []
     try:
         yield spent

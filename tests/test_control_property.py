@@ -192,7 +192,7 @@ class ReferencePreemptor(Preemptor):
             if other.class_name != flow.class_name:
                 continue
             overlap = saturated.intersection(
-                ctrl.committed_servers(other.flow_id).tolist()
+                ctrl._flows.servers_of(other.flow_id).tolist()
             )
             if overlap:
                 candidates.append(
@@ -247,11 +247,11 @@ planner_ops = st.lists(
     ),
     max_size=30,
 )
+planner_eligible = st.sampled_from(
+    [("hard_rt",), ("hard_rt", "soft_rt"), PRIORITIES]
+)
 planner_policies = st.builds(
     PreemptionPolicy,
-    admit_priorities=st.sampled_from(
-        [("hard_rt",), ("hard_rt", "soft_rt"), PRIORITIES]
-    ),
     protect=st.sampled_from(
         [("hard_rt",), (), ("hard_rt", "soft_rt"), ("elastic",)]
     ),
@@ -278,8 +278,14 @@ def _deficit(controller, flow):
 
 
 @settings(deadline=None, max_examples=150)
-@given(ops=planner_ops, policy=planner_policies)
-def test_column_planner_is_the_reference_planner(ops, policy):
+@given(ops=planner_ops, policy=planner_policies, eligible=planner_eligible)
+def test_column_planner_is_the_reference_planner(ops, policy, eligible):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PreemptionPolicy, "admit_priorities", eligible)
+        _planner_twins_agree(ops, policy)
+
+
+def _planner_twins_agree(ops, policy):
     twins = []
     for cls in (Preemptor, ReferencePreemptor):
         controller = UtilizationAdmissionController(

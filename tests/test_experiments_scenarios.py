@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.topology import builders
 from repro.experiments import (
     PAPER_TABLE1,
     format_percent,
@@ -33,8 +34,9 @@ class TestPaperScenario:
     def test_graph_matches_network(self, sc):
         assert sc.graph.num_servers == sc.network.num_link_servers
 
-    def test_custom_capacity(self):
-        sc = paper_scenario(capacity=1e9)
+    def test_custom_capacity(self, monkeypatch):
+        monkeypatch.setattr(builders, "DEFAULT_CAPACITY", 1e9)
+        sc = paper_scenario()
         assert sc.capacity == 1e9
 
 

@@ -8,7 +8,7 @@ from repro.faults import BackoffPolicy, DegradedModePolicy
 
 class TestBackoffPolicy:
     def test_exponential_delays(self):
-        policy = BackoffPolicy(base=0.1, factor=2.0, max_retries=3)
+        policy = BackoffPolicy(base=0.1, max_retries=3)
         assert policy.delay(0) == pytest.approx(0.1)
         assert policy.delay(1) == pytest.approx(0.2)
         assert policy.delay(2) == pytest.approx(0.4)
@@ -16,8 +16,6 @@ class TestBackoffPolicy:
     def test_validation(self):
         with pytest.raises(FaultInjectionError):
             BackoffPolicy(base=0.0)
-        with pytest.raises(FaultInjectionError):
-            BackoffPolicy(factor=0.5)
         with pytest.raises(FaultInjectionError):
             BackoffPolicy(max_retries=-1)
 

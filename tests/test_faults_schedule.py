@@ -170,7 +170,6 @@ class TestRandomFaultSchedule:
             seed=11,
             horizon=10.0,
             link_failures=3,
-            controller_crashes=1,
         )
         # Validation ran in the constructor; every down precedes its up.
         downs = [e for e in schedule if e.kind == "link_down"]

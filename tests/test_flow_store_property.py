@@ -273,7 +273,7 @@ def test_update_routes_replaces_route_lists_and_never_mutates_them():
     before = controller.route_map[pair]
     contents = list(before)
     assert controller.admit(FlowSpec("old", "voice", *pair)).admitted
-    servers = controller.committed_servers("old").tolist()
+    servers = controller._flows.servers_of("old").tolist()
     detour = list(SMALL.way_round(pair, clockwise=False))
     assert detour != contents
     controller.update_routes({pair: detour})
@@ -285,7 +285,7 @@ def test_update_routes_replaces_route_lists_and_never_mutates_them():
     assert controller.admit(FlowSpec("new", "voice", *pair)).admitted
     assert controller.committed_route("old") == contents
     assert controller.committed_route("new") == detour[:-1]
-    assert controller.committed_servers("old").tolist() == servers
+    assert controller._flows.servers_of("old").tolist() == servers
     assert controller.verify_invariants() == []
     controller.release("old")
     controller.release("new")

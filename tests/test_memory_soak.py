@@ -132,7 +132,7 @@ async def _soak(coalescers, churn):
             entries = churn.frame()
             slots = coalescer.open_bulk(len(entries))
             if path == "inline_audited_obs":
-                obs.enable(trace_capacity=SOAK_TRACE_CAPACITY)
+                obs.enable()
             try:
                 coalescer.submit_bulk(slots, entries)
             finally:
@@ -155,7 +155,7 @@ async def _soak(coalescers, churn):
 
 
 def test_decided_ops_leave_nothing_behind(
-    tmp_path, mci, mci_graph, mci_pairs, voice_registry
+    tmp_path, mci, mci_graph, mci_pairs, voice_registry, monkeypatch
 ):
     # Tight enough that some arrivals are rejected on every path, and
     # hard-RT ones on the preempt path go through the eviction planner.
@@ -186,7 +186,8 @@ def test_decided_ops_leave_nothing_behind(
 
     # The registry and the small ring the audited frames record into;
     # _soak switches collection on for those frames only.
-    obs.enable(fresh=True, trace_capacity=SOAK_TRACE_CAPACITY)
+    monkeypatch.setattr(obs, "TRACE_CAPACITY", SOAK_TRACE_CAPACITY)
+    obs.enable(fresh=True)
     obs.disable()
     tracemalloc.start()
     try:

@@ -16,6 +16,10 @@ from repro.simulation import PacketPattern, Simulator
 from repro.traffic import FlowSpec
 
 
+def _named(tracer, name):
+    return [r for r in tracer.records() if r.name == name]
+
+
 @pytest.fixture()
 def enabled_obs():
     """Fresh collection for one test; always switched off afterwards."""
@@ -97,7 +101,7 @@ class TestInstrumentedSubsystems:
         assert solves is not None and solves.value >= 1
         hist = reg.get("repro_fixedpoint_iterations")
         assert hist is not None and hist.count >= 1
-        assert obs.get_tracer().find("fixedpoint.solve")
+        assert _named(obs.get_tracer(), "fixedpoint.solve")
 
     def test_admission_series(self, enabled_obs, line4, line4_graph,
                               voice_registry):
@@ -136,7 +140,7 @@ class TestInstrumentedSubsystems:
         assert releases.value == 1
         in_use = reg.get("repro_ledger_slots_in_use", cls="voice")
         assert in_use.value == 2 * 3  # 2 flows on a 3-server path
-        assert obs.get_tracer().find("admission.admit")
+        assert _named(obs.get_tracer(), "admission.admit")
 
     def test_routing_series_and_nested_spans(self, enabled_obs, line4,
                                              voice_registry):
@@ -155,8 +159,8 @@ class TestInstrumentedSubsystems:
         assert cache.value >= 1
         # fixed-point solves nest under the routing.select span
         tracer = obs.get_tracer()
-        select_spans = tracer.find("routing.select")
-        solve_spans = tracer.find("fixedpoint.solve")
+        select_spans = _named(tracer, "routing.select")
+        solve_spans = _named(tracer, "fixedpoint.solve")
         assert select_spans and solve_spans
         assert any(
             s.parent_id == select_spans[0].span_id for s in solve_spans
@@ -185,7 +189,7 @@ class TestInstrumentedSubsystems:
             "repro_simulation_max_queue_depth_packets", cls="voice"
         )
         assert depth is not None and depth.value >= 0
-        assert obs.get_tracer().find("simulation.run")
+        assert _named(obs.get_tracer(), "simulation.run")
 
     def test_reset_clears_collected_data(self, enabled_obs, line4,
                                          line4_graph, voice_registry):

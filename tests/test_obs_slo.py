@@ -6,6 +6,7 @@ no sleeps, no wall-clock flakiness.
 
 import pytest
 
+from repro.obs import slo
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     RollingCounter,
@@ -29,7 +30,7 @@ class FakeClock:
 class TestRollingCounter:
     def test_counts_within_the_window(self):
         clock = FakeClock()
-        c = RollingCounter(window=60.0, slices=12, clock=clock)
+        c = RollingCounter(window=60.0, clock=clock)
         c.inc()
         c.inc(4)
         assert c.total() == 5
@@ -37,7 +38,7 @@ class TestRollingCounter:
 
     def test_old_slices_expire(self):
         clock = FakeClock()
-        c = RollingCounter(window=60.0, slices=12, clock=clock)
+        c = RollingCounter(window=60.0, clock=clock)
         c.inc(10)
         clock.advance(30.0)
         c.inc(1)
@@ -48,9 +49,10 @@ class TestRollingCounter:
         clock.advance(60.0)
         assert c.total() == 0
 
-    def test_slot_reuse_zeroes_stale_counts(self):
+    def test_slot_reuse_zeroes_stale_counts(self, monkeypatch):
+        monkeypatch.setattr(slo, "SLICES", 3)
         clock = FakeClock()
-        c = RollingCounter(window=12.0, slices=3, clock=clock)
+        c = RollingCounter(window=12.0, clock=clock)
         c.inc(7)
         # Come back exactly one full ring revolution later: the write
         # lands on the same slot, which must not still hold the 7.
@@ -61,37 +63,34 @@ class TestRollingCounter:
     def test_validation(self):
         with pytest.raises(ValueError):
             RollingCounter(window=0.0)
-        with pytest.raises(ValueError):
-            RollingCounter(window=1.0, slices=0)
 
 
 class TestRollingHistogram:
-    def test_quantiles_resolve_to_bucket_bounds(self):
+    def test_quantiles_resolve_to_bucket_bounds(self, monkeypatch):
+        monkeypatch.setattr(slo, "DEFAULT_LATENCY_BUCKETS", (0.01, 0.1, 1.0))
         clock = FakeClock()
-        h = RollingHistogram(
-            (0.01, 0.1, 1.0), window=60.0, clock=clock
-        )
+        h = RollingHistogram(window=60.0, clock=clock)
         for v in (0.005, 0.005, 0.05, 0.5):
             h.observe(v)
         assert h.count() == 4
         assert h.quantile(0.5) == 0.01
         assert h.quantile(1.0) == 1.0
 
-    def test_overflow_clamps_to_last_finite_bound(self):
-        h = RollingHistogram((0.01, 0.1), clock=FakeClock())
+    def test_overflow_clamps_to_last_finite_bound(self, monkeypatch):
+        monkeypatch.setattr(slo, "DEFAULT_LATENCY_BUCKETS", (0.01, 0.1))
+        h = RollingHistogram(clock=FakeClock())
         h.observe(99.0)
         assert h.quantile(0.99) == 0.1
 
     def test_empty_window_reads_zero(self):
-        h = RollingHistogram((0.01,), clock=FakeClock())
+        h = RollingHistogram(clock=FakeClock())
         assert h.count() == 0
         assert h.quantile(0.99) == 0.0
 
-    def test_observations_expire_with_the_window(self):
+    def test_observations_expire_with_the_window(self, monkeypatch):
+        monkeypatch.setattr(slo, "SLICES", 5)
         clock = FakeClock()
-        h = RollingHistogram(
-            (0.01, 1.0), window=10.0, slices=5, clock=clock
-        )
+        h = RollingHistogram(window=10.0, clock=clock)
         h.observe(0.5)
         assert h.count() == 1
         clock.advance(11.0)
@@ -99,11 +98,7 @@ class TestRollingHistogram:
         assert h.quantile(0.5) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RollingHistogram(())
-        with pytest.raises(ValueError):
-            RollingHistogram((0.1, 0.01))
-        h = RollingHistogram((0.01,), clock=FakeClock())
+        h = RollingHistogram(clock=FakeClock())
         with pytest.raises(ValueError):
             h.quantile(1.5)
 

@@ -61,8 +61,8 @@ class TestSpans:
                 pass
         with tracer.span("b"):
             pass
-        assert len(tracer.find("a")) == 3
-        assert len(tracer.find("b")) == 1
+        assert len([r for r in tracer.records() if r.name == "a"]) == 3
+        assert len([r for r in tracer.records() if r.name == "b"]) == 1
 
 
 class TestRingBuffer:

@@ -32,7 +32,7 @@ from repro.topology import LinkServerGraph, line_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generators import all_ordered_pairs
-from repro.workload import AdversaryModel, adversarial_events
+from repro.workload import AdversaryModel, adversarial, adversarial_events
 
 pytestmark = pytest.mark.adversarial
 
@@ -72,18 +72,21 @@ adversary_strategy = st.builds(
 
 
 def make_events(params):
-    return adversarial_events(
-        _GRAPH,
-        _PAIRS_ROUTES,
-        _VOICE.name,
-        num_flows=params["num_flows"],
-        model=AdversaryModel(
-            rate=params["rate"], burst=params["burst"]
-        ),
-        seed=params["seed"],
-        hot_edges=params["hot_edges"],
-        churn_fraction=params["churn_fraction"],
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            adversarial, "CHURN_FRACTION", params["churn_fraction"]
+        )
+        return adversarial_events(
+            _GRAPH,
+            _PAIRS_ROUTES,
+            _VOICE.name,
+            num_flows=params["num_flows"],
+            model=AdversaryModel(
+                rate=params["rate"], burst=params["burst"]
+            ),
+            seed=params["seed"],
+            hot_edges=params["hot_edges"],
+        )
 
 
 def flow_of(event):

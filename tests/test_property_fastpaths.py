@@ -244,14 +244,10 @@ def test_prop_with_route_matches_fresh_build(n, p, seed):
         pushed.pop()
     for fast in (appended, pushed):
         assert np.array_equal(fast.occ_server, fresh.occ_server)
-        assert np.array_equal(fast.occ_route, fresh.occ_route)
         assert np.array_equal(fast.route_start, fresh.route_start)
         assert np.array_equal(fast.occ_start, fresh.occ_start)
-        assert np.array_equal(fast.route_lengths(), fresh.route_lengths())
         assert np.array_equal(fast.touched_servers, fresh.touched_servers)
-        assert np.array_equal(
-            fast.server_route_count(), fresh.server_route_count()
-        )
+        assert np.array_equal(fast._server_count, fresh._server_count)
     d = np.linspace(0.0, 1.0, graph.num_servers)
     for fast in (appended, pushed):
         assert np.array_equal(fast.route_delays(d), fresh.route_delays(d))

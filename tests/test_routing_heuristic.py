@@ -83,16 +83,17 @@ def _single(network, pairs, ordered):
     )
 
 
+# The multi-class selector and the least-loaded baseline always route
+# farthest first: ``ordered`` reaches only the single-class selector.
 def _multi(network, pairs, ordered):
     registry = ClassRegistry([voice_class(), video_class()])
-    options = HeuristicOptions(order_by_distance=ordered)
-    return MultiClassRouteSelector(network, registry, options=options).select(
+    return MultiClassRouteSelector(network, registry).select(
         {"voice": pairs}, {"voice": 0.1, "video": 0.1}
     )
 
 
 def _least_loaded(network, pairs, ordered):
-    return least_loaded_routes(network, pairs, order_by_distance=ordered)
+    return least_loaded_routes(network, pairs)
 
 
 #: Every entry point that validates and orders a pair list.
@@ -140,13 +141,6 @@ def test_order_toggle_changes_processing(mci, voice):
     out = sel.select(SUBSET, alpha=0.35)
     assert out.success
     assert list(out.routes) == SUBSET  # given order preserved
-
-
-def test_options_validation():
-    with pytest.raises(RoutingError):
-        HeuristicOptions(k_candidates=0)
-    with pytest.raises(RoutingError):
-        HeuristicOptions(detour_slack=-1)
 
 
 def test_full_heuristic_beats_or_matches_crippled(mci, voice, mci_pairs):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import RouteSystem
 from repro.errors import RoutingError
-from repro.routing import least_loaded_routes, shortest_path_routes
+from repro.routing import leastloaded, least_loaded_routes, shortest_path_routes
 from repro.topology import LinkServerGraph, star_network
 
 
@@ -39,12 +39,12 @@ def test_balances_better_than_shortest_path(mci, mci_graph, mci_pairs):
             mci_graph.routes_servers(list(route_map.values())),
             mci_graph.num_servers,
         )
-        return int(system.server_route_count().max())
+        return int(system._server_count.max())
 
     assert max_occupancy(ll) <= max_occupancy(sp)
 
 
-def test_spreads_parallel_demand():
+def test_spreads_parallel_demand(monkeypatch):
     """Two demands sharing the same relay stage spread over relays.
 
     Shortest-path routing pins both a->t and b->t through the same relay
@@ -63,19 +63,15 @@ def test_spreads_parallel_demand():
     pairs = [("a", "t"), ("b", "t")]
     sp = shortest_path_routes(net, pairs)
     assert sp[pairs[0]][2] == sp[pairs[1]][2]  # SP piles on one relay
-    routes = least_loaded_routes(net, pairs, k_candidates=6)
+    monkeypatch.setattr(leastloaded, "K_CANDIDATES", 6)
+    routes = least_loaded_routes(net, pairs)
     relays = {routes[p][2] for p in pairs}
     assert relays == {"m1", "m2"}
 
 
-def test_respects_detour_slack(mci, mci_pairs):
+def test_respects_detour_slack(mci, mci_pairs, monkeypatch):
+    monkeypatch.setattr(leastloaded, "DETOUR_SLACK", 1)
     sp = shortest_path_routes(mci, mci_pairs)
-    ll = least_loaded_routes(mci, mci_pairs, detour_slack=1)
+    ll = least_loaded_routes(mci, mci_pairs)
     for pair in mci_pairs:
         assert len(ll[pair]) - 1 <= (len(sp[pair]) - 1) + 1
-
-
-def test_given_order_mode(mci):
-    pairs = [("Seattle", "Denver"), ("Boston", "NewYork")]
-    routes = least_loaded_routes(mci, pairs, order_by_distance=False)
-    assert list(routes) == pairs

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -87,7 +88,7 @@ def test_classes_can_be_partially_demanded(selector):
 def test_failure_reports_class_and_pair(mci):
     # Video with a 2 ms deadline cannot absorb 50% voice interference:
     # every candidate route misses, and the failure names class and pair.
-    registry = ClassRegistry([voice_class(), video_class(deadline=0.002)])
+    registry = ClassRegistry([voice_class(), replace(video_class(), deadline=0.002)])
     sel = MultiClassRouteSelector(mci, registry)
     out = sel.select(
         {"voice": VOICE_PAIRS, "video": VIDEO_PAIRS},

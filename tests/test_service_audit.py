@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from repro.errors import ServiceError
+from repro.experiments.cli import main
 from repro.service.audit import (
     AUDIT_SCHEMA,
     AuditLog,
@@ -235,6 +236,47 @@ class TestRestartReadsOnlyTheTail:
         log.close()
         assert log._next_seq == seq
         assert len(parses) <= 2
+
+
+class TestOnlyAnAuditLogVerifies:
+    """``audit --verify`` certifies an audit log and nothing else, and
+    says how many lines it could not read."""
+
+    def test_a_file_that_is_not_an_audit_log_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "garbage.jsonl"
+        path.write_text("garbage\n")
+        with pytest.raises(ServiceError, match="garbage.jsonl is not an audit log"):
+            list(iter_audit(str(path)))
+        assert main(["audit", str(path), "--verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAILURE:" in out and "None" in out
+        assert "audit log is consistent" not in out
+
+    def test_records_without_the_header_are_refused(self, tmp_path):
+        log = make_log(tmp_path, fsync_every=1)
+        log.record_frame([admit_entry(flow(1), True)])
+        log.close()
+        with open(log.path, encoding="utf-8") as fh:
+            header, *records = fh.readlines()
+        assert json.loads(header) == {"schema": AUDIT_SCHEMA}
+        with open(log.path, "w", encoding="utf-8") as fh:
+            fh.writelines(['{"schema": "repro-admission-audit/v0"}\n'] + records)
+        with pytest.raises(ServiceError, match="'repro-admission-audit/v0'"):
+            list(iter_audit(log.path))
+
+    def test_verify_counts_the_torn_line_it_skipped(self, tmp_path, capsys):
+        log = make_log(tmp_path, fsync_every=1)
+        log.record_frame([admit_entry(flow(1), True)])
+        log.close()
+        with open(log.path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "admit", "seq": 2, "trunc')
+        reader = iter_audit(log.path)
+        assert [r["seq"] for r in reader] == [1]
+        assert reader.undecodable == 1
+        assert main(["audit", log.path, "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "; 1 undecodable lines skipped" in out
+        assert "audit log is consistent" in out
 
 
 class TestVerifyAudit:

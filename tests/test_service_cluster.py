@@ -39,6 +39,7 @@ from serve_processes import ClusterProcess, kill_worker_restart_check
 from repro.routing.shortest import shortest_path_routes
 from repro.service import merge_cluster_snapshot, split_cluster_snapshot
 from repro.experiments.cli import build_parser
+from repro.service import router as router_module
 from repro.service.cluster import (
     FRONT_DOOR_ONLY,
     ClusterConfig,
@@ -213,12 +214,12 @@ class TestHashRing:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ServiceError):
             HashRing(0)
-        with pytest.raises(ServiceError):
-            HashRing(2, virtual_nodes=0)
 
-    def test_different_salts_give_different_rings(self):
-        a = HashRing(4, salt="a")
-        b = HashRing(4, salt="b")
+    def test_different_salts_give_different_rings(self, monkeypatch):
+        monkeypatch.setattr(router_module, "DEFAULT_RING_SALT", "a")
+        a = HashRing(4)
+        monkeypatch.setattr(router_module, "DEFAULT_RING_SALT", "b")
+        b = HashRing(4)
         assignments_a = [a.worker_of(f"f{i}") for i in range(300)]
         assignments_b = [b.worker_of(f"f{i}") for i in range(300)]
         assert assignments_a != assignments_b
@@ -373,14 +374,11 @@ class TestClusterSnapshots:
 
 class TestClusterConfig:
     def test_derived_paths(self):
-        cfg = ClusterConfig(
-            workers=3, socket_path="/tmp/x.sock", snapshot_path="/tmp/m.json"
-        )
-        assert cfg.worker_socket(1) == "/tmp/x.sock.w1"
-        assert cfg.worker_snapshot(2) == "/tmp/m.json.w2"
-        assert ClusterConfig(
-            workers=1, socket_path="/tmp/x.sock"
-        ).worker_snapshot(0) is None
+        options = {"socket": "/tmp/x.sock", "snapshot": "/tmp/m.json"}
+        assert worker_options(options, 1, 3)["socket"] == "/tmp/x.sock.w1"
+        assert worker_options(options, 2, 3)["snapshot"] == "/tmp/m.json.w2"
+        alone = worker_options({"socket": "/tmp/x.sock", "snapshot": None}, 0, 1)
+        assert alone["snapshot"] is None
 
     def test_validation(self):
         with pytest.raises(ServiceError):
@@ -457,7 +455,7 @@ class TestClusterEndToEnd:
         ) as cluster:
             cluster.start()
             with cluster.client() as client:
-                info = client.cluster()
+                info = client.request("cluster")
                 assert info["workers"] == 2
                 assert len(info["sockets"]) == 2
                 admitted = []

@@ -14,6 +14,7 @@ import json
 from repro.errors import ProtocolError
 from repro.service import protocol
 from repro.service.conn import ConnectionLayer
+from repro.service import router as router_module
 from repro.service.router import WorkerLink
 
 from test_service_fuzz import HELLO_V2
@@ -255,11 +256,12 @@ def test_one_bad_request_never_tears_down_the_read_loop(tmp_path):
     asyncio.run(scenario())
 
 
-def test_worker_link_treats_an_undecodable_frame_as_a_lost_link(tmp_path):
+def test_worker_link_treats_an_undecodable_frame_as_a_lost_link(tmp_path, monkeypatch):
     """The dialling side of the same rule: a worker frame that cannot
     be decoded ends that connection — the caller gets ``unavailable``
     (it used to wait forever on a silently dropped frame) and the link
     reconnects."""
+    monkeypatch.setattr(router_module, "RECONNECT_DELAY", 0.01)
     sock = str(tmp_path / "worker.sock")
 
     async def garbage_worker(reader, writer):
@@ -274,7 +276,7 @@ def test_worker_link_treats_an_undecodable_frame_as_a_lost_link(tmp_path):
 
     async def scenario():
         stub = await asyncio.start_unix_server(garbage_worker, sock)
-        link = WorkerLink(0, sock, reconnect_delay=0.01)
+        link = WorkerLink(0, sock)
         link.start()
         frame = await asyncio.wait_for(link.call("stats", {}), 1)
         assert frame["error"]["code"] == protocol.UNAVAILABLE
@@ -288,11 +290,12 @@ def test_worker_link_treats_an_undecodable_frame_as_a_lost_link(tmp_path):
     asyncio.run(scenario())
 
 
-def test_worker_link_never_comes_up_on_a_peer_that_refuses_v2(tmp_path):
+def test_worker_link_never_comes_up_on_a_peer_that_refuses_v2(tmp_path, monkeypatch):
     """The router→worker hop is always v2: a peer that answers the hello
     ``unknown_op`` (a pre-v2 build) is a failed dial, retried, never a
     v1 link.  The call stays queued, unwritten, until ``stop()``
     answers it ``unavailable``."""
+    monkeypatch.setattr(router_module, "RECONNECT_DELAY", 0.01)
     sock = str(tmp_path / "old.sock")
     seen = []
 
@@ -308,7 +311,7 @@ def test_worker_link_never_comes_up_on_a_peer_that_refuses_v2(tmp_path):
 
     async def scenario():
         stub = await asyncio.start_unix_server(pre_v2_worker, sock)
-        link = WorkerLink(0, sock, reconnect_delay=0.01)
+        link = WorkerLink(0, sock)
         link.start()
         queued = link.call("stats", {})
         while len(seen) < 3:  # three dials, each refused
@@ -325,15 +328,14 @@ def test_worker_link_never_comes_up_on_a_peer_that_refuses_v2(tmp_path):
     assert set(asyncio.run(scenario())) == {protocol.HELLO_OP}
 
 
-def test_worker_link_stop_answers_calls_it_never_wrote(tmp_path):
+def test_worker_link_stop_answers_calls_it_never_wrote(tmp_path, monkeypatch):
     """A call queued to a link whose worker never comes back was never
     written, so no lost connection ever fails it: ``stop()`` must, or
     the caller — and the front door's drain behind it — waits forever."""
+    monkeypatch.setattr(router_module, "RECONNECT_DELAY", 0.01)
 
     async def scenario():
-        link = WorkerLink(
-            0, str(tmp_path / "never.sock"), reconnect_delay=0.01
-        )
+        link = WorkerLink(0, str(tmp_path / "never.sock"))
         link.start()
         queued = link.call("stats", {})
         await asyncio.sleep(0.05)  # a few failed dials

@@ -100,9 +100,7 @@ async def start_router(tmp_path, name="s.sock", **config_kwargs):
     worker, worker_sock = await start_service(
         tmp_path, "worker-" + name, **config_kwargs
     )
-    router = ClusterRouter(
-        [worker_sock], max_frame_bytes=worker.config.max_frame_bytes
-    )
+    router = ClusterRouter([worker_sock])
     sock = str(tmp_path / name)
     await router.start_unix(sock)
     return RoutedService(worker, router), sock
@@ -254,11 +252,13 @@ class TestProtocolHardening(FrontDoorCases):
 
         asyncio.run(scenario())
 
-    def test_oversized_frame_errors_and_closes_cleanly(self, tmp_path):
+    def test_oversized_frame_errors_and_closes_cleanly(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 512)
+
         async def scenario():
-            service, sock = await self.start(
-                tmp_path, max_frame_bytes=512
-            )
+            service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             frame = (
                 b'{"id":1,"op":"admit","pad":"' + b"x" * 2048 + b'"}\n'
@@ -633,9 +633,7 @@ class TestBackpressure:
             return {"op": "admit", "flow": protocol.flow_to_obj(flow)}
 
         async def load(sock, c, wire):
-            client = await AsyncServiceClient.connect_unix(
-                sock, protocol=wire, propagate_trace=False
-            )
+            client = await AsyncServiceClient.connect_unix(sock, protocol=wire)
             assert client.negotiated_protocol == wire
             # Pipelined lone admits, then pipelined frames of admits.
             lone = flows(f"c{c}-lone-", 60)

@@ -283,7 +283,7 @@ def test_cluster_phase_four_workers(tmp_path, serve, loadgen):
     assert summary["connections"] == 4, summary
     assert summary["admitted"] + summary["rejected"] == 10000, summary
     with ServiceClient(socket_path=sock) as client:
-        topology = client.cluster()
+        topology = client.request("cluster")
         stats = client.stats()
     assert topology is not None and topology["workers"] == 4, topology
     assert stats["queue_depth"] == 0, stats

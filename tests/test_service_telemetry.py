@@ -240,36 +240,23 @@ class TestTraceProparation:
 
         async def scenario():
             service, sock = await start_service(tmp_path)
-            async with await AsyncServiceClient.connect_unix(
-                sock, propagate_trace=False
-            ) as client:
-                resp = await client.request(
-                    "admit",
-                    flow=flow_obj(1),
-                    trace={"trace_id": "zz", "parent_id": 7},
-                )
-                assert resp["admitted"] is True
+            # A raw frame: the client would stamp a trace of its own.
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(protocol.encode_frame({
+                "id": 1,
+                "op": "admit",
+                "flow": flow_obj(1),
+                "trace": {"trace_id": "zz", "parent_id": 7},
+            }))
+            resp = json.loads(await reader.readline())
+            assert resp["result"]["admitted"] is True
+            writer.close()
             await service.drain()
 
         asyncio.run(scenario())
         (span,) = spans_by_name("service.request")
         assert span.parent_id is None
         assert "trace_id" not in span.attrs
-
-    def test_client_does_not_send_trace_when_disabled(self, tmp_path):
-        obs.enable(fresh=True)
-
-        async def scenario():
-            service, sock = await start_service(tmp_path)
-            async with await AsyncServiceClient.connect_unix(
-                sock, propagate_trace=False
-            ) as client:
-                await client.request("admit", flow=flow_obj(1))
-            await service.drain()
-
-        asyncio.run(scenario())
-        (span,) = spans_by_name("service.request")
-        assert span.parent_id is None
 
     def test_request_histogram_counts_match_requests_served(
         self, tmp_path

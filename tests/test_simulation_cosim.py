@@ -41,7 +41,7 @@ class TestWindowedSources:
             PacketPattern("periodic", packet_size=640),
         )
         report = sim.run(horizon=1.0)
-        worst = report.recorder.per_flow_worst()
+        worst = report.recorder._flow_max
         assert "w" not in worst and "v" in worst
 
     def test_invalid_window(self, line4_graph, voice_registry):
@@ -166,7 +166,7 @@ class TestCoSimulation:
         )
         assert second.admission.admitted_ids == ["b"]
         assert second.flows_simulated == 1
-        assert set(second.packets.recorder.per_flow_worst()) == {"b"}
+        assert set(second.packets.recorder._flow_max) == {"b"}
 
     def test_departed_flows_stop_sending(self, voice_registry):
         net = line_network(2)
@@ -183,7 +183,7 @@ class TestCoSimulation:
         ]
         result = co_simulate(
             graph, voice_registry, ctrl, schedule, packet_size=640,
-            pattern_kind="periodic", horizon=2.0,
+            pattern_kind="periodic",
         )
         # flow f lives 0.5 s at 50 pps = 25 packets; g starts at the
         # horizon and contributes nothing.
@@ -207,7 +207,7 @@ class TestCoSimulation:
         ]
         result = co_simulate(
             graph, voice_registry, ctrl, schedule, packet_size=640,
-            pattern_kind="periodic", horizon=2.0,
+            pattern_kind="periodic",
         )
         assert result.flows_simulated == 2
         assert [
@@ -239,13 +239,13 @@ class TestCoSimulation:
         ]
         result = co_simulate(
             graph, voice_registry, ctrl, schedule, packet_size=640,
-            pattern_kind="periodic", horizon=2.0,
+            pattern_kind="periodic",
         )
         assert result.admission.rejected == 1
         assert result.admission.admitted_ids == ["h", "f"]
         # h: 1.0 s, f: 0.5 s, at 50 pps.
         assert result.packets.packets_injected == 75
-        assert result.packets.recorder.flow_packet_count("f") == 25
+        assert result.packets.recorder._flow_count["f"] == 25
 
     def test_empty_schedule_rejected(self, mci_graph, voice_registry,
                                      mci_controller):

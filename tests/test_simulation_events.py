@@ -46,15 +46,6 @@ def test_len_and_bool():
     assert q and len(q) == 1
 
 
-def test_peek_time():
-    q = EventQueue()
-    assert q.peek_time() is None
-    q.push(2.5, "a")
-    assert q.peek_time() == 2.5
-    q.pop()
-    assert q.peek_time() is None
-
-
 def test_pop_empty_raises():
     with pytest.raises(SimulationError):
         EventQueue().pop()

@@ -86,7 +86,6 @@ def test_counters():
     for i in range(2):
         srv.enqueue(_packet(i, size=100))
     assert srv.backlog_packets == 2
-    assert srv.backlog_bits() == 200
     assert srv.max_backlog_packets == 2
     srv.start_service(0.0)
     srv.complete_service()

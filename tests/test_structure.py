@@ -8,8 +8,9 @@ that executes nowhere a session can see; tier-1 is the check that runs.
 
 More checks of the same kind ride along: every row is shown to fire on
 a planted offender (so a renamed file or a moved root cannot turn a row
-into a silent pass), every public function and class of the package has
-a caller that is not a test, every module the tool config names exists,
+into a silent pass), every public function and class of the package —
+and every method, module constant and option — has a caller that is not
+a test, every module the tool config names exists,
 every pytest node id the docs cite resolves to a test, the checked-in
 paper-table summary validates, and the one benchmark's command lines are
 accepted by the ``serve`` parser they are passed to.
@@ -18,6 +19,9 @@ accepted by the ``serve`` parser they are passed to.
 from __future__ import annotations
 
 import ast
+import builtins
+import functools
+import importlib
 import importlib.util
 import json
 import pathlib
@@ -25,7 +29,7 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -660,7 +664,7 @@ RATCHETS = (
         ),
         pattern=(
             r"GrowableRouteSystem|_solve_scratch"
-            r"|range\(1, max_iterations \+ 1\)"
+            r"|range\(1, \w*(?:iterations|ITERATIONS) \+ 1\)"
         ),
         roots=("src",),
         offender=(
@@ -669,7 +673,7 @@ RATCHETS = (
         ),
         allowed=(
             r"^src/repro/analysis/(fixedpoint|netcalc)\.py:\d+:"
-            r".*range\(1, max_iterations \+ 1\)",
+            r".*range\(1, \w*ITERATIONS \+ 1\)",
         ),
     ),
     Ratchet(
@@ -826,7 +830,7 @@ def test_ratchet_fires_on_its_planted_offender(row, tmp_path):
 # the package is what runs
 # ---------------------------------------------------------------------- #
 
-#: Code whose calls keep a public name of ``src/repro`` alive.  Tests and
+#: Code whose calls keep a name of ``src/repro`` alive.  Tests and
 #: examples are not callers: a name only they call is not the system.
 CALLER_ROOTS = ("src", "benchmarks")
 
@@ -864,7 +868,78 @@ UNCALLED = {
     },
 }
 
-_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: The only reasons a method, a module constant or an option may stay
+#: with no caller under CALLER_ROOTS.
+REFERENCE = "a reference the tests compare against"
+SEAM = "a seam that lets a test substitute a fake"
+DEPLOYMENT = "a deployment setting (path, host, port)"
+IN_UNCALLED = "a name already in UNCALLED"
+QUEUE_AND_GOVERNOR = (
+    "the coalescer's queue half or the governor, which ROADMAP 3(a) "
+    "deletes whole once 1(b) stops the benchmark driving them"
+)
+REASONS = (REFERENCE, SEAM, DEPLOYMENT, IN_UNCALLED, QUEUE_AND_GOVERNOR)
+
+#: Methods and properties (``module.Class.method``) with no caller.
+UNCALLED_METHODS = {
+    # Pausing is how the tests reach the queue behind the window.
+    "repro.service.coalescer.MicroBatchCoalescer.pause": QUEUE_AND_GOVERNOR,
+    # route_servers is round-tripped against its inverse.
+    "repro.topology.servergraph.LinkServerGraph.servers_to_route": REFERENCE,
+}
+
+#: Module-level constants and aliases (``module.NAME``) nothing reads.
+UNUSED_CONSTANTS = {}
+
+#: Options no call passes: a defaulted parameter (``module.function.
+#: param``; ``module.Class.param`` for a constructor) or a field of a
+#: ``*Config`` / ``*Options`` / ``*Policy`` record (``module.Class.field``).
+UNPASSED_OPTIONS = {
+    # The argv the tests run the CLI with.
+    "repro.experiments.cli.main.argv": SEAM,
+    # The fake clock the rolling-window tests step.
+    "repro.obs.slo.SLOTracker.clock": SEAM,
+    # How long a client keeps dialling a server that is (re)starting.
+    "repro.service.client.ServiceClient.backoff": DEPLOYMENT,
+    # The governor's detector, and the chaos harness's governed overload
+    # arm (a ladder for the governor, preemption beside it).
+    **{
+        f"repro.control.governor.GovernorConfig.{name}": QUEUE_AND_GOVERNOR
+        for name in (
+            "delay_threshold", "gradient_threshold", "headroom_low",
+            "headroom_high", "overuse_samples", "underuse_samples",
+            "hold_samples",
+        )
+    },
+    **{
+        f"repro.faults.harness.ChaosHarness.{name}": QUEUE_AND_GOVERNOR
+        for name in ("ladder", "governor_config", "preemption")
+    },
+    # The options of the UNCALLED topology builders.
+    **{
+        f"repro.topology.builders.{name}": IN_UNCALLED
+        for name in (
+            "ring_network.capacity", "full_mesh.capacity",
+            "grid_network.capacity", "tree_network.capacity",
+            "dumbbell_network.capacity",
+            "dumbbell_network.bottleneck_capacity",
+            "fat_tree_network.capacity", "fat_tree_network.k",
+            "waxman_network.alpha", "waxman_network.beta",
+            "waxman_network.capacity", "waxman_network.max_tries",
+        )
+    },
+}
+
+ALLOWANCES = {
+    "methods": UNCALLED_METHODS,
+    "constants": UNUSED_CONSTANTS,
+    "options": UNPASSED_OPTIONS,
+}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
+#: A ``*Config`` / ``*Options`` / ``*Policy`` record's fields are options.
+_RECORD = re.compile(r"\w*(?:Config|Options|Policy)")
 
 
 def caller_sources(tree: pathlib.Path) -> dict:
@@ -882,63 +957,386 @@ def cli_entry_points(pyproject: str) -> List[str]:
     return re.findall(r'=\s*"[\w.]+:(\w+)"', table)
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(text: str) -> ast.Module:
+    return ast.parse(text)
+
+
+@functools.lru_cache(maxsize=None)
+def _walk(node: ast.AST) -> tuple:
+    """``ast.walk`` once per node: the planted cases re-read one file."""
+    return tuple(ast.walk(node))
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _short(node: ast.expr) -> str:
+    """``a.b.C[x]`` -> ``C``: how a base or decorator is spelled last."""
+    return ast.unparse(node).split("[")[0].split("(")[0].rsplit(".", 1)[-1]
+
+
+@dataclass
+class _Callee:
+    """A function, a method or a constructor, and its options."""
+
+    key: str
+    #: What a call spells: the function's name, or the class's.
+    spelling: str
+    #: The definition whose death takes this one's options with it.
+    owner: Optional[str]
+    path: str
+    #: ``(name, position or None, line)``; position counts past ``self``.
+    options: List[Tuple[str, Optional[int], int]]
+
+
+class Callers:
+    """Who calls what under CALLER_ROOTS, by spelling.
+
+    Four kinds of definition of ``src/repro`` are tracked: public
+    top-level functions and classes, methods and properties (public and
+    private), module-level constants and aliases, and options.  A use is
+    a ``Name`` or an attribute spelled like the definition, owned by the
+    innermost tracked definition around it (``None``: code that always
+    runs).  ``from … import a as b`` and a module-level ``b = a`` make a
+    use of ``b`` one of ``a``; imports, ``__all__``, the lazy tables
+    (strings) and ``TYPE_CHECKING`` blocks use nothing.  Dunders, and
+    overrides of a method a stdlib base defines, are always called.
+    """
+
+    def __init__(self, sources: dict, entry_points=()):
+        self.defs = {}      # key -> (kind, spelling, "path:line", parent)
+        self.uses = []      # (spelling, owner)
+        self.calls = []     # (spelling, owner, positional, keywords, all)
+        self.callees = []   # _Callee
+        self.aliases = {}   # spelling -> {spellings it stands for}
+        self.bases = {}     # class spelling -> [base expressions]
+        self.imports = {}   # path -> {bound name: dotted import}
+        trees = {path: _parse(text) for path, text in sources.items()}
+        for path, tree in trees.items():
+            imports = self.imports[path] = {}
+            for node in _walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        if alias.asname:
+                            self._alias(alias.asname, alias.name)
+                        if node.module and not node.level:
+                            imports[alias.asname or alias.name] = (
+                                f"{node.module}.{alias.name}"
+                            )
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        imports[bound] = alias.name if alias.asname else bound
+                elif isinstance(node, ast.ClassDef):
+                    self.bases.setdefault(node.name, []).extend(node.bases)
+        for path, tree in trees.items():
+            module = None
+            if path.startswith("src/repro/"):
+                module = path[len("src/"):-len(".py")].replace("/", ".")
+                module = module.removesuffix(".__init__")
+            for stmt in tree.body:
+                self._top(path, module, stmt)
+        for name in entry_points:
+            self.uses.append((name, None))
+
+    # -- building ------------------------------------------------------ #
+
+    def _alias(self, alias: str, name: str) -> None:
+        self.aliases.setdefault(alias, set()).add(name)
+
+    def _define(self, kind, key, spelling, path, node, parent=None) -> str:
+        self.defs[key] = (kind, spelling, f"{path}:{node.lineno}", parent)
+        return key
+
+    def _top(self, path, module, stmt) -> None:
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING":
+            return
+        owner = None
+        if module and isinstance(stmt, _DEFINITIONS) and not stmt.name.startswith("_"):
+            owner = self._define("name", f"{module}.{stmt.name}", stmt.name, path, stmt)
+        if module and isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and not _dunder(node.id) and node.id != "_":
+                        key = self._define(
+                            "constant", f"{module}.{node.id}", node.id, path, stmt
+                        )
+                        owner = owner or key
+            if (
+                isinstance(stmt, ast.Assign)
+                and isinstance(stmt.value, ast.Name)
+                and all(isinstance(t, ast.Name) for t in stmt.targets)
+            ):
+                # ``b = a`` is ``from … import a as b``: a call of ``b``
+                # is a call of ``a``, not a reference that escapes.
+                for target in stmt.targets:
+                    self._alias(target.id, stmt.value.id)
+                self.uses.append((stmt.value.id, owner))
+                return
+        if isinstance(stmt, ast.ClassDef):
+            self._class(path, module, stmt, owner, stmt.name)
+            return
+        if module and isinstance(stmt, _FUNCTIONS):
+            self._callee(path, f"{module}.{stmt.name}", stmt.name, owner, stmt, False)
+        self._collect(stmt, owner, None)
+
+    def _class(self, path, module, node, owner, qualname) -> None:
+        decorators = {_short(d) for d in node.decorator_list}
+        if module and _RECORD.fullmatch(node.name) and (
+            "dataclass" in decorators
+            or any(_short(b) == "NamedTuple" for b in node.bases)
+        ):
+            fields, position = [], 0
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    if "ClassVar" in ast.unparse(stmt.annotation):
+                        continue
+                    if stmt.value is not None:
+                        if "init=False" in ast.unparse(stmt.value):
+                            continue
+                        fields.append((stmt.target.id, position, stmt.lineno))
+                    position += 1
+            self.callees.append(
+                _Callee(f"{module}.{qualname}", node.name, owner, path, fields)
+            )
+        for stmt in node.body:
+            if isinstance(stmt, ast.ClassDef):
+                self._class(path, module, stmt, owner, f"{qualname}.{stmt.name}")
+                continue
+            if not isinstance(stmt, _FUNCTIONS):
+                self._collect(stmt, owner, node.name)
+                continue
+            called = _dunder(stmt.name) or self._stdlib_defines(path, node.name, stmt.name)
+            method = owner
+            if module and not called:
+                method = self._define(
+                    "method", f"{module}.{qualname}.{stmt.name}", stmt.name,
+                    path, stmt, parent=owner,
+                )
+            if module and not called:
+                bound = "staticmethod" not in {_short(d) for d in stmt.decorator_list}
+                self._callee(
+                    path, f"{module}.{qualname}.{stmt.name}", stmt.name, method,
+                    stmt, bound,
+                )
+            elif module and stmt.name == "__init__":
+                self._callee(
+                    path, f"{module}.{qualname}", node.name, method, stmt, True
+                )
+            self._collect(stmt, method, node.name)
+
+    def _stdlib_defines(self, path, cls, name, seen=()) -> bool:
+        """Whether a base of ``cls`` outside ``src/`` defines ``name``."""
+        for base in self.bases.get(cls, []):
+            dotted = ast.unparse(base).split("[")[0]
+            head, *rest = dotted.split(".")
+            if head in self.bases:
+                if head not in seen and self._stdlib_defines(
+                    path, head, name, seen + (cls,)
+                ):
+                    return True
+                continue
+            target = self.imports.get(path, {}).get(head)
+            try:
+                if target is None:
+                    obj = getattr(builtins, head)
+                else:
+                    module, _, attr = target.rpartition(".")
+                    try:
+                        obj = importlib.import_module(target)
+                    except ImportError:
+                        obj = getattr(importlib.import_module(module), attr)
+                for attr in rest:
+                    obj = getattr(obj, attr)
+            except (AttributeError, ImportError, ValueError):
+                continue
+            if hasattr(obj, name):
+                return True
+        return False
+
+    def _callee(self, path, key, spelling, owner, node, bound) -> None:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first_default = len(positional) - len(args.defaults)
+        skip = 1 if bound else 0
+        options = [
+            (arg.arg, index - skip, arg.lineno)
+            for index, arg in enumerate(positional)
+            if index >= max(first_default, skip)
+        ] + [
+            (arg.arg, None, arg.lineno)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        self.callees.append(_Callee(key, spelling, owner, path, options))
+
+    def _collect(self, stmt, owner, cls) -> None:
+        # Spellings that name a callable without calling it or typing
+        # with it pass it on to code that may pass anything.
+        typing_only = set()
+        for node in _walk(stmt):
+            if isinstance(node, ast.arg) and node.annotation:
+                typing_only.update(map(id, ast.walk(node.annotation)))
+            elif isinstance(node, _FUNCTIONS) and node.returns:
+                typing_only.update(map(id, ast.walk(node.returns)))
+            elif isinstance(node, ast.AnnAssign):
+                typing_only.update(map(id, ast.walk(node.annotation)))
+            elif isinstance(node, ast.ExceptHandler) and node.type:
+                typing_only.update(map(id, ast.walk(node.type)))
+            elif isinstance(node, ast.Subscript):
+                typing_only.update(map(id, ast.walk(node.slice)))
+            elif isinstance(node, ast.Attribute):
+                typing_only.add(id(node.value))
+            elif isinstance(node, ast.Call):
+                typing_only.add(id(node.func))
+                if ast.unparse(node.func) in ("isinstance", "issubclass"):
+                    typing_only.update(map(id, ast.walk(node.args[-1])))
+                self._call(node, owner, cls)
+                # ``g(f, a, b)`` (``partial``, ``benchmark``, an executor)
+                # calls ``f(a, b)``: a reference with arguments after it.
+                for index, arg in enumerate(node.args[:-1]):
+                    if isinstance(arg, (ast.Name, ast.Attribute)):
+                        typing_only.add(id(arg))
+                        self._pass(
+                            arg.id if isinstance(arg, ast.Name) else arg.attr,
+                            owner, node.args[index + 1:], node.keywords,
+                        )
+        for node in _walk(stmt):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                spelling = node.id
+            elif isinstance(node, ast.Attribute):
+                spelling = node.attr
+            else:
+                continue
+            self.uses.append((spelling, owner))
+            if id(node) not in typing_only and not isinstance(node.ctx, ast.Store):
+                self.calls.append((spelling, owner, 0, (), True))
+
+    def _pass(self, spelling, owner, args, keywords, everything=False) -> None:
+        self.calls.append((
+            spelling,
+            owner,
+            sum(not isinstance(a, ast.Starred) for a in args),
+            tuple(k.arg for k in keywords if k.arg),
+            everything
+            or any(isinstance(a, ast.Starred) for a in args)
+            or any(k.arg is None for k in keywords),
+        ))
+
+    def _call(self, node, owner, cls) -> None:
+        func = node.func
+        if isinstance(func, ast.Name):
+            if func.id == "cls" and cls:
+                self._pass(cls, owner, (), (), everything=True)
+            else:
+                self._pass(func.id, owner, node.args, node.keywords)
+        elif isinstance(func, ast.Attribute):
+            value = func.value
+            if isinstance(value, ast.Call) and ast.unparse(value.func) == "super":
+                # ``super().m(...)`` passes every option of the bases' ``m``.
+                for base in self.bases.get(cls, []):
+                    spelling = _short(base) if func.attr == "__init__" else func.attr
+                    self._pass(spelling, owner, (), (), everything=True)
+            else:
+                self._pass(func.attr, owner, node.args, node.keywords)
+        elif ast.unparse(func) == "type(self)" and cls:
+            self._pass(cls, owner, (), (), everything=True)
+
+    # -- querying ------------------------------------------------------ #
+
+    def _spellings(self, name: str) -> set:
+        return self.aliases.get(name, set()) | {name}
+
+    def dead(self, allowed) -> set:
+        """Keys of the definitions nothing live uses, to a fixed point: a
+        use inside the definition itself, or inside a definition that is
+        itself dead, is not a use.  A method dies with its class."""
+        users = {}
+        for spelling, owner in self.uses:
+            for name in self._spellings(spelling):
+                users.setdefault(name, set()).add(owner)
+        dead = set()
+        while True:
+            now = {
+                key for key, (_, spelling, _, parent) in self.defs.items()
+                if key not in allowed
+                and (parent in dead or not users.get(spelling, set()) - dead - {key})
+            }
+            if now == dead:
+                return dead
+            dead = now
+
+    def unpassed(self, dead, allowed) -> List[str]:
+        """``path:line: key`` of each option of a live definition that no
+        live call passes.  A call passes an option by keyword or by
+        position; ``**kwargs``, ``*args``, ``cls(...)``, ``super()`` and
+        a reference that is not a call pass every option."""
+        passed = {}  # spelling -> (most positional, {keywords}, all)
+        for spelling, owner, positional, keywords, everything in self.calls:
+            if owner in dead:
+                continue
+            for name in self._spellings(spelling):
+                most, names, every = passed.get(name, (0, set(), False))
+                passed[name] = (
+                    max(most, positional), names | set(keywords), every or everything
+                )
+        # dataclasses.replace(record, field=...) and NamedTuple._replace
+        replaced = passed.get("replace", (0, set(), False))[1] | passed.get(
+            "_replace", (0, set(), False)
+        )[1]
+        found = []
+        for callee in self.callees:
+            if callee.owner in dead:
+                continue
+            most, names, every = passed.get(callee.spelling, (0, set(), False))
+            for name, position, line in callee.options:
+                key = f"{callee.key}.{name}"
+                if not (
+                    key in allowed or every or name in names or name in replaced
+                    or (position is not None and position < most)
+                ):
+                    found.append(f"{callee.path}:{line}: {key}")
+        return sorted(found)
+
+    def report(self, allowed) -> dict:
+        """``{kind: ["path:line: key", ...]}`` for the four rows."""
+        dead = self.dead(allowed)
+        out = {"names": [], "methods": [], "constants": []}
+        row = {"name": "names", "method": "methods", "constant": "constants"}
+        for key in sorted(dead):
+            kind, spelling, where, _ = self.defs[key]
+            out[row[kind]].append(
+                f"{where}: {spelling if kind == 'name' else key}"
+            )
+        out["options"] = self.unpassed(dead, allowed)
+        return out
+
+
+def _allowed(without: str = "") -> dict:
+    """Every allowance but those of one row (``names`` is UNCALLED)."""
+    allowed = {} if without == "names" else dict(UNCALLED)
+    for kind, allowances in ALLOWANCES.items():
+        if kind != without:
+            allowed.update(allowances)
+    return allowed
+
+
 def uncalled(sources: dict, entry_points=(), allowed=UNCALLED) -> List[str]:
     """``path:line: name`` for each public top-level function or class of
-    ``src/repro`` that no code in ``sources`` calls, to a fixed point: a
-    use inside the name's own definition, or inside a definition that is
-    itself uncalled, is not a call.  Names are matched by spelling, with
-    ``from … import a as b`` making a use of ``b`` one of ``a``; imports,
-    ``__all__``, the lazy tables (strings) and ``TYPE_CHECKING`` blocks
-    call nothing."""
-    defined = {}  # (module, name) -> (path, line)
-    callers = {}  # name -> {owner}; owner None is code outside any public def
-    aliases = {}
-    uses = []
-    for path, text in sources.items():
-        tree = ast.parse(text)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.asname:
-                        aliases.setdefault(alias.asname, set()).add(alias.name)
-        for stmt in tree.body:
-            if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING":
-                continue
-            owner = None
-            if (
-                path.startswith("src/repro/")
-                and isinstance(stmt, _DEFINITIONS)
-                and not stmt.name.startswith("_")
-            ):
-                module = path[len("src/"):-len(".py")].replace("/", ".")
-                owner = (module, stmt.name)
-                defined[owner] = (path, stmt.lineno)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    uses.append((node.id, owner))
-                elif isinstance(node, ast.Attribute):
-                    uses.append((node.attr, owner))
-    for name, owner in uses:
-        for called in aliases.get(name, set()) | {name}:
-            callers.setdefault(called, set()).add(owner)
-    for name in entry_points:
-        callers.setdefault(name, set()).add(None)
-    dead = set()
-    while True:
-        now = {
-            key for key in defined
-            if ".".join(key) not in allowed
-            and not callers.get(key[1], set()) - dead - {key}
-        }
-        if now == dead:
-            break
-        dead = now
-    return sorted(f"{defined[k][0]}:{defined[k][1]}: {k[1]}" for k in dead)
+    ``src/repro`` that no code in ``sources`` calls (see ``Callers``)."""
+    report = Callers(sources, entry_points).report({**_allowed("names"), **allowed})
+    return report["names"]
 
 
 @pytest.fixture(scope="module")
 def sources():
-    return caller_sources(REPO)
+    yield caller_sources(REPO)
+    # The parse caches hold every tree of the package: not past this file.
+    _parse.cache_clear()
+    _walk.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -946,9 +1344,19 @@ def entry_points():
     return cli_entry_points((REPO / "pyproject.toml").read_text("utf-8"))
 
 
-def test_every_public_name_has_a_caller(sources, entry_points):
+@pytest.fixture(scope="module")
+def callers(sources, entry_points):
+    return Callers(sources, entry_points)
+
+
+@pytest.fixture(scope="module")
+def report(callers):
+    return callers.report(_allowed())
+
+
+def test_every_public_name_has_a_caller(report, entry_points):
     assert entry_points == ["main"]  # `repro-ubac`
-    found = uncalled(sources, entry_points)
+    found = report["names"]
     assert not found, (
         "public names only tests call: delete them with their tests, or "
         "give one an UNCALLED line if it is a reference the tests compare "
@@ -956,10 +1364,10 @@ def test_every_public_name_has_a_caller(sources, entry_points):
     )
 
 
-def test_every_uncalled_allowance_is_needed(sources, entry_points):
+def test_every_uncalled_allowance_is_needed(callers):
     # An allowance for a name that is gone, or that gained a caller, is
     # stale: it would let the name lose that caller silently.
-    without = uncalled(sources, entry_points, allowed={})
+    without = callers.report(_allowed("names"))["names"]
     for qualified in UNCALLED:
         module, name = qualified.rsplit(".", 1)
         path = "src/" + module.replace(".", "/") + ".py"
@@ -980,9 +1388,87 @@ def test_the_caller_check_fires_on_planted_defs(sources, entry_points):
     # The helper's only caller is uncalled itself: the fixed point.
     assert {"planted_helper", "planted_caller", "planted_recursion"} <= found
     # ... and a caller in src/ (not a test) is what clears a name.
-    planted["src/repro/units.py"] += "\n\nPLANTED = planted_caller()\n"
+    planted["src/repro/units.py"] += "\n\nplanted_caller()\n"
     found = {line.rsplit(": ", 1)[1] for line in uncalled(planted, entry_points)}
     assert not {"planted_helper", "planted_caller"} & found
+
+
+ROWS = pytest.mark.parametrize("kind", sorted(ALLOWANCES))
+
+
+@ROWS
+def test_every_method_constant_and_option_has_a_caller(report, kind):
+    found = report[kind]
+    assert not found, (
+        f"{kind} nothing under {CALLER_ROOTS} reaches: delete them with the "
+        "tests that only they kept (an option goes by inlining its default "
+        "as a module constant), or allow one for one of REASONS\n"
+        + "\n".join(found)
+    )
+
+
+@ROWS
+def test_every_allowance_is_needed(callers, kind):
+    without = {line.rsplit(": ", 1)[1] for line in callers.report(_allowed(kind))[kind]}
+    stale = sorted(set(ALLOWANCES[kind]) - without)
+    assert not stale, f"gone or reached now: drop their {kind} allowances: {stale}"
+
+
+def test_every_allowance_gives_one_of_the_reasons():
+    for allowances in ALLOWANCES.values():
+        for key, reason in allowances.items():
+            assert reason in REASONS, f"{key}: {reason!r} is not one of REASONS"
+
+
+#: A planted module: one dead thing of each kind, reached only by a test
+#: or by a dead caller, next to the live code that reaches the rest.
+PLANTED = {
+    "src/repro/planted.py": (
+        "class Planted:\n"
+        "    def run(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        return knob(1, size=2)\n"
+        "    def dead_method(self):\n"
+        "        return knob(1, scale=2)\n"
+        "PLANTED_CONSTANT = 3\n"
+        "def knob(x, *, size=1, scale=1):\n"
+        "    return x * size * scale\n"
+        "def main():\n"
+        "    return Planted().run()\n"
+    ),
+    "tests/test_planted.py": (
+        "from repro.planted import PLANTED_CONSTANT, Planted, knob\n"
+        "def test_it():\n"
+        "    assert Planted().dead_method() == PLANTED_CONSTANT - knob(1, scale=1)\n"
+    ),
+}
+
+#: What each row must report on PLANTED, and what a caller under src/
+#: (PLANTED_CALLER) clears.
+PLANTED_FINDINGS = {
+    "methods": "repro.planted.Planted.dead_method",
+    "constants": "repro.planted.PLANTED_CONSTANT",
+    "options": "repro.planted.knob.scale",
+}
+PLANTED_CALLER = (
+    "from .planted import PLANTED_CONSTANT, Planted, knob\n"
+    "def main():\n"
+    "    return Planted().dead_method(), PLANTED_CONSTANT, knob(2, scale=3)\n"
+)
+
+
+@ROWS
+def test_the_row_fires_on_planted_defs(tmp_path, kind):
+    for path, text in PLANTED.items():
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text)
+    # The test's uses are not read (tests are no CALLER_ROOT); the dead
+    # method's call of knob(scale=) is not a pass: the fixed point.
+    found = Callers(caller_sources(tmp_path), ["main"]).report({})[kind]
+    assert [line.rsplit(": ", 1)[1] for line in found] == [PLANTED_FINDINGS[kind]]
+    (tmp_path / "src/repro/caller.py").write_text(PLANTED_CALLER)
+    assert not Callers(caller_sources(tmp_path), ["main"]).report({})[kind]
 
 
 # ---------------------------------------------------------------------- #

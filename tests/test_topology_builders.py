@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.errors import TopologyError
+from repro.topology import builders
 from repro.topology import (
     MCI_EDGES,
     MCI_ROUTERS,
@@ -50,8 +51,9 @@ class TestMCIBackbone:
     def test_router_names_unique(self):
         assert len(set(MCI_ROUTERS)) == len(MCI_ROUTERS)
 
-    def test_custom_capacity(self):
-        net = mci_backbone(capacity=1e9)
+    def test_custom_capacity(self, monkeypatch):
+        monkeypatch.setattr(builders, "DEFAULT_CAPACITY", 1e9)
+        net = mci_backbone()
         assert net.capacity("Seattle", "Denver") == 1e9
 
     def test_some_pair_at_diameter(self, mci):

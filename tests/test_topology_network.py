@@ -120,20 +120,6 @@ def test_from_edges_builder():
     assert net.capacity("a", "b") == 1e6
 
 
-def test_from_edges_edge_router_subset():
-    net = Network.from_edges(
-        [("a", "b"), ("b", "c")], edge_routers=["a", "c"]
-    )
-    assert sorted(net.edge_routers()) == ["a", "c"]
-    assert not net.router("b").is_edge
-
-
-def test_to_networkx_is_copy(triangle):
-    g = triangle.to_networkx()
-    g.remove_node("a")
-    assert "a" in triangle  # original unaffected
-
-
 def test_graph_is_a_frozen_view_that_follows_the_network(triangle):
     import networkx as nx
 
@@ -148,11 +134,8 @@ def test_graph_is_a_frozen_view_that_follows_the_network(triangle):
             mutate()
     assert triangle.has_link("a", "b")
     assert "z" not in triangle and "c" in triangle
-    # The private copy stays editable and carries the capacities.
-    mutable = triangle.to_networkx()
-    assert mutable.edges["b", "c"]["capacity"] == 50e6
-    mutable.remove_edge("a", "b")
-    assert view.has_edge("a", "b")
+    # The view carries the capacities.
+    assert view.edges["b", "c"]["capacity"] == 50e6
     # Editing the Network is seen by the next read of the view.
     triangle.add_router("d")
     assert "d" in triangle.graph and "d" not in view

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.topology import builders
 from repro.topology import (
     NSFNET_EDGES,
     NSFNET_ROUTERS,
@@ -41,8 +42,9 @@ def test_edges_reference_known_routers():
         assert u in NSFNET_ROUTERS and v in NSFNET_ROUTERS
 
 
-def test_custom_capacity():
-    net = nsfnet_backbone(capacity=45e6)  # the historical T3 upgrade
+def test_custom_capacity(monkeypatch):
+    monkeypatch.setattr(builders, "DEFAULT_CAPACITY", 45e6)  # the T3 upgrade
+    net = nsfnet_backbone()
     assert net.capacity("Seattle", "PaloAlto") == 45e6
 
 

@@ -26,12 +26,6 @@ def test_report_mci(mci):
     assert report.radius <= report.diameter
 
 
-def test_report_as_dict(mci):
-    d = analyze(mci).as_dict()
-    assert d["diameter"] == 4
-    assert set(d) >= {"name", "diameter", "max_degree", "capacity"}
-
-
 def test_report_heterogeneous_capacity():
     net = Network()
     for n in "abc":

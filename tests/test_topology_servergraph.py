@@ -9,7 +9,7 @@ from repro.topology import LinkServerGraph, Network, line_network, star_network
 
 def test_index_roundtrip(line4_graph):
     for i in range(line4_graph.num_servers):
-        tail, head = line4_graph.server_key(i)
+        tail, head = line4_graph._keys[i]
         assert line4_graph.server_index(tail, head) == i
 
 
@@ -34,8 +34,8 @@ def test_capacities_follow_links():
         net.add_router(n)
     net.add_link("a", "b", capacity=42e6)
     g = LinkServerGraph(net)
-    assert g.capacity_of("a", "b") == 42e6
-    assert g.capacity_of("b", "a") == 42e6
+    assert g.capacities[g.server_index("a", "b")] == 42e6
+    assert g.capacities[g.server_index("b", "a")] == 42e6
 
 
 def test_uniform_capacity_raises_on_heterogeneous():
@@ -57,12 +57,6 @@ def test_fan_in_is_tail_degree():
     assert g.fan_in[leaf_out] == 1  # a leaf has only the hub link
 
 
-def test_count_host_link_option():
-    g = LinkServerGraph(star_network(4), count_host_link=True)
-    leaf_out = g.server_index("leaf0", "hub")
-    assert g.fan_in[leaf_out] == 2  # hub link + host injection
-
-
 def test_uniform_fan_in_is_max(mci_graph):
     assert mci_graph.uniform_fan_in() == 6
 
@@ -70,8 +64,8 @@ def test_uniform_fan_in_is_max(mci_graph):
 def test_route_translation(line4_graph):
     servers = line4_graph.route_servers(["r0", "r1", "r2", "r3"])
     assert servers.shape == (3,)
-    assert line4_graph.server_key(int(servers[0])) == ("r0", "r1")
-    assert line4_graph.server_key(int(servers[-1])) == ("r2", "r3")
+    assert line4_graph._keys[int(servers[0])] == ("r0", "r1")
+    assert line4_graph._keys[int(servers[-1])] == ("r2", "r3")
 
 
 def test_route_translation_single_node(line4_graph):

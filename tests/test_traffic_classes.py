@@ -104,12 +104,3 @@ class TestClassRegistry:
         assert "voice" in reg and "ghost" not in reg
         assert [c.name for c in reg] == ["voice", "video"]
 
-    def test_higher_or_equal(self):
-        reg = ClassRegistry([voice_class(), video_class(), data_class()])
-        names = [c.name for c in reg.higher_or_equal("video")]
-        assert names == ["voice", "video"]
-
-    def test_index_of(self):
-        reg = ClassRegistry([voice_class(), video_class()])
-        assert reg.index_of("voice") == 0
-        assert reg.index_of("video") == 1

@@ -60,6 +60,13 @@ def _sample_points(*envelopes: Envelope) -> np.ndarray:
     return np.unique(np.concatenate([xs, mids, extra]))
 
 
+def _almost_equal(a: Envelope, b: Envelope, tol: float = 1e-6) -> bool:
+    """Approximate functional equality, sampled at merged breakpoints."""
+    xs = np.union1d(a.breaks_x, b.breaks_x)
+    xs = np.concatenate([xs, [xs[-1] + 1.0, xs[-1] + 2.0]])
+    return bool(np.allclose(a(xs), b(xs), rtol=1e-9, atol=tol))
+
+
 # --------------------------------------------------------------------- #
 # construction
 # --------------------------------------------------------------------- #
@@ -142,11 +149,11 @@ class TestAlgebra:
 
     def test_scale_matches_repeated_sum(self):
         e = leaky_bucket_envelope(640, 32_000)
-        assert e.scale(3).almost_equal(e + e + e)
+        assert _almost_equal(e.scale(3), e + e + e)
 
     def test_scale_zero_is_zero(self):
-        assert leaky_bucket_envelope(1, 1).scale(0).almost_equal(
-            Envelope.zero()
+        assert _almost_equal(
+            leaky_bucket_envelope(1, 1).scale(0), Envelope.zero()
         )
 
     def test_scale_negative_rejected(self):
@@ -184,7 +191,7 @@ class TestAlgebra:
         e = leaky_bucket_envelope(640, 32_000)
         clamped = e.clamp_rate(100e6)
         line = Envelope.affine(0.0, 100e6)
-        assert clamped.almost_equal(e.minimum(line))
+        assert _almost_equal(clamped, e.minimum(line))
 
 
 # --------------------------------------------------------------------- #
@@ -214,22 +221,6 @@ class TestQueueing:
         kink = 100 / 990
         expected = 1000 * kink - 50 * kink
         assert e.max_backlog(50) == pytest.approx(expected)
-
-    def test_busy_period_hand_case(self):
-        # F = 100 + 10*I vs C = 60: crossing at I = 100/50 = 2.
-        e = leaky_bucket_envelope(100, 10)
-        assert e.busy_period(60) == pytest.approx(2.0)
-
-    def test_busy_period_zero_when_below(self):
-        e = Envelope.affine(0.0, 5.0)
-        assert e.busy_period(10.0) == 0.0
-
-    def test_busy_period_interior_crossing(self):
-        # Clamped bucket whose crossing falls inside a middle segment.
-        e = leaky_bucket_envelope(100, 10, line_rate=1000)
-        c = 200.0
-        tau = e.busy_period(c)
-        assert e(tau) == pytest.approx(c * tau, rel=1e-9)
 
     def test_delay_zero_for_smooth_traffic(self):
         e = Envelope.affine(0.0, 10.0)
@@ -276,7 +267,7 @@ def test_prop_shift_translates(e, delay):
     st.floats(min_value=0.1, max_value=50.0),
 )
 def test_prop_shift_composes(e, a, b):
-    assert e.shift(a).shift(b).almost_equal(e.shift(a + b), tol=1e-4)
+    assert _almost_equal(e.shift(a).shift(b), e.shift(a + b), tol=1e-4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,15 +295,3 @@ def test_prop_delay_nonnegative_and_stable(e):
     assert d >= 0.0
     # Backlog/delay consistency.
     assert e.max_backlog(c) == pytest.approx(d * c)
-
-
-@settings(max_examples=60, deadline=None)
-@given(buckets())
-def test_prop_busy_period_is_crossing(e):
-    c = e.long_term_rate * 1.5 + 1.0
-    tau = e.busy_period(c)
-    if tau > 0:
-        assert e(tau) == pytest.approx(c * tau, rel=1e-6, abs=1e-3)
-    # Beyond tau the envelope stays below the service line.
-    probe = tau + 1.0
-    assert e(probe) <= c * probe + 1e-6

@@ -26,9 +26,11 @@ def test_all_ordered_pairs_mci(mci, mci_pairs):
 def test_all_ordered_pairs_respects_edge_flag():
     from repro.topology import Network
 
-    net = Network.from_edges(
-        [("a", "b"), ("b", "c")], edge_routers=["a", "c"]
-    )
+    net = Network()
+    for name in ("a", "b", "c"):
+        net.add_router(name, is_edge=name != "b")
+    net.add_link("a", "b")
+    net.add_link("b", "c")
     pairs = all_ordered_pairs(net)
     assert set(pairs) == {("a", "c"), ("c", "a")}
 
