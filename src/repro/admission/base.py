@@ -11,12 +11,17 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import AdmissionError, UnknownLinkError
+from ..errors import (
+    AdmissionError,
+    ConfigurationError,
+    TopologyError,
+    UnknownLinkError,
+)
 from ..obs import DEFAULT_ITERATION_BUCKETS, NULL_SPAN, OBS
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
-from ..traffic.flows import PRIORITY_TAGS, FlowSpec
-from .flowtable import NO_SERVERS, FlowTable, Pair, Record
+from ..traffic.flows import PRIORITY_TAGS, FlowSpec, route_fault
+from .flowtable import FlowTable, Pair, Record
 
 __all__ = ["AdmissionDecision", "AdmissionController"]
 
@@ -113,14 +118,14 @@ class AdmissionController(abc.ABC):
     ):
         self.graph = graph
         self.registry = registry
-        self.route_map = {k: list(v) for k, v in route_map.items()}
-        # The one per-flow record.  A row keeps the servers and the
-        # route committed at admit time; both are reused verbatim at
-        # release, so a later route_map change (or re-resolution) cannot
-        # free the wrong servers.
+        self.route_map = self._checked_routes(route_map)
+        # The one per-flow record.  A row keeps the servers committed at
+        # admit time, and the committed route is read back from them;
+        # they are freed verbatim at release, so a later route_map
+        # change (or re-resolution) cannot free the wrong servers.
         self._flows = FlowTable(pad=graph.num_servers)
         # Class code of a row: an index over every registry class, so a
-        # best-effort flow round-trips (it simply holds no servers).
+        # best-effort flow round-trips (it simply holds no slot).
         self._class_names = registry.names()
         self._class_codes = {n: i for i, n in enumerate(self._class_names)}
         self._flows.fit_class_code(len(self._class_names) - 1)
@@ -388,17 +393,40 @@ class AdmissionController(abc.ABC):
         """Replace configured routes for the given pairs.
 
         Future admissions resolve through the new paths; established
-        flows keep the route committed at admit time (released exactly
-        as committed).  Entries are replaced, never mutated in place:
-        the flow table's rows share the old lists.
+        flows keep the servers committed at admit time (released exactly
+        as committed).  Every route is checked first, as at
+        construction: one that is malformed raises and nothing is
+        replaced.
         """
-        for pair, path in routes.items():
-            self.route_map[pair] = list(path)
+        self.route_map.update(self._checked_routes(routes))
         self._server_cache.clear()
 
+    def _checked_routes(
+        self, routes: Mapping[Pair, Sequence[Hashable]]
+    ) -> Dict[Pair, List[Hashable]]:
+        """Copies of configured ``routes``, each a simple path over
+        links of the graph joining its pair — or the
+        :class:`ConfigurationError` naming the first pair that is not."""
+        checked = {}
+        for pair, path in routes.items():
+            path = list(path)
+            fault = route_fault(path, *pair)
+            if not fault:
+                try:
+                    self.graph.route_servers(path)
+                except UnknownLinkError as exc:
+                    fault = f"route runs over an {exc}"
+            if fault:
+                raise ConfigurationError(
+                    f"configured route for pair {pair!r}: {fault}"
+                )
+            checked[pair] = path
+        return checked
+
     def committed_route(self, flow_id: Hashable) -> List[Hashable]:
-        """The route an established flow was admitted on."""
-        return list(self._flows.route_of(flow_id))
+        """The route an established flow was admitted on, read back
+        from the servers its row holds."""
+        return self.graph.servers_to_route(self._flows.servers_of(flow_id))
 
     def _record_decisions(
         self,
@@ -485,26 +513,35 @@ class AdmissionController(abc.ABC):
     def verify_invariants(self) -> List[str]:
         """Audit the controller's bookkeeping; returns violations found.
 
-        The base contract every controller must keep: each committed
-        route is a real path between the flow's endpoints.  Subclasses
-        extend this with their resource-ledger invariants (no slot
-        over-commit past verified capacity, ledger state reconstructible
-        from established flows).  An empty list
-        means every checked invariant holds; each violation is a
-        human-readable string naming the broken property.  Read-only
-        and safe to call at any point, including mid-replay.
+        The base contract every controller must keep: the route read
+        back from each flow's server row is a loop-free path between
+        the flow's endpoints.  Subclasses extend this with their
+        resource-ledger invariants (no slot over-commit past verified
+        capacity, ledger state reconstructible from established
+        flows).  An empty list means every checked invariant holds;
+        each violation is a human-readable string naming the broken
+        property.  Read-only and safe to call at any point, including
+        mid-replay.
         """
         problems = self._flows.verify()
-        for fid, _code, _tag, pair, route, _pin in self._flows.records():
-            if pair is None or route is None:
+        for fid, _code, _tag, pair, _pin in self._flows.records():
+            if pair is None:
                 problems.append(
-                    f"flow {fid!r} is recorded without its endpoints or "
-                    "its committed route"
+                    f"flow {fid!r} is recorded without its endpoints"
                 )
-            elif len(route) < 2 or (route[0], route[-1]) != pair:
+                continue
+            try:
+                route = self.committed_route(fid)
+            except TopologyError as exc:
+                problems.append(
+                    f"flow {fid!r} holds servers that chain into no "
+                    f"route: {exc}"
+                )
+                continue
+            if route_fault(route, *pair):
                 problems.append(
                     f"committed route of flow {fid!r} does not join "
-                    f"{pair[0]!r} to {pair[1]!r}: {list(route)!r}"
+                    f"{pair[0]!r} to {pair[1]!r} without a loop: {route!r}"
                 )
         return problems
 
@@ -581,31 +618,24 @@ class AdmissionController(abc.ABC):
             self._class_names.append(class_name)
         return code
 
-    def _establish(
-        self,
-        flow: FlowSpec,
-        route: Sequence[Hashable],
-        servers: np.ndarray = NO_SERVERS,
-    ) -> None:
-        """Record an admitted flow on its committed route, holding a
-        slot on ``servers``.  A configured route's list is shared, not
-        copied: ``update_routes`` replaces map entries (never mutates)
-        and :meth:`committed_route` hands out copies."""
-        pinned = flow.route is not None
+    def _establish(self, flow: FlowSpec, servers: np.ndarray) -> None:
+        """Record an admitted flow on the ``servers`` of its committed
+        route, whatever its class: whether it holds a slot on them is
+        its class's to say."""
         self._flows.add(
             flow.flow_id,
             self._class_code(flow.class_name),
             servers,
             PRIORITY_TAGS[flow.priority],
             self._flows.pair_code((flow.source, flow.destination)),
-            flow.route if pinned else route,
-            pinned,
+            flow.route is not None,
         )
 
     def _materialise(self, record: Record) -> FlowRecord:
-        """The :class:`FlowSpec` a flow-table record stands for, and a
-        copy of its committed route."""
-        fid, code, tag, (source, destination), route, pinned = record
+        """The :class:`FlowSpec` a flow-table record stands for, and
+        its committed route, read back from its servers."""
+        fid, code, tag, (source, destination), pinned = record
+        route = self.committed_route(fid)
         flow = FlowSpec(
             fid,
             self._class_names[code],
@@ -614,7 +644,7 @@ class AdmissionController(abc.ABC):
             route if pinned else None,
             _TAG_PRIORITIES[tag],
         )
-        return flow, list(route)
+        return flow, route
 
     # ------------------------------------------------------------------ #
     # subclass hooks

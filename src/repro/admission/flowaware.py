@@ -61,7 +61,7 @@ class FlowAwareAdmissionController(AdmissionController):
     ) -> Tuple[bool, str]:
         ok, reason = self._decide(flow)
         if ok:
-            self._establish(flow, route)
+            self._establish(flow, self.servers_for(flow, route))
         return ok, reason
 
     def _decide(self, flow: FlowSpec) -> Tuple[bool, str]:

@@ -5,11 +5,13 @@ The edge controller remembers a flow only so that it can release it.
 dict (ids are arbitrary hashables; the dict's insertion order is the
 establishment order) and, per row, flat columns — class code, priority
 tag, the padded row of committed server indices, an interned
-source/destination pair, a pinned bit and a reference to the committed
-route.  No per-flow object hangs off a row: whoever needs a
-``FlowSpec`` back (snapshots, the chaos harness) rebuilds it from
-:meth:`records`, and whole batches are committed, freed or scanned with
-a handful of vectorized operations.
+source/destination pair and a pinned bit.  The server row is the only
+place a row says where its flow is: the committed route is read back
+from it (``LinkServerGraph.servers_to_route``).  No per-flow object
+hangs off a row: whoever needs a ``FlowSpec`` back (snapshots, the
+chaos harness) rebuilds it from :meth:`records` and :meth:`servers_of`,
+and whole batches are committed, freed or scanned with a handful of
+vectorized operations.
 
 Rows are recycled through a free list; the columns grow by doubling and
 the server matrix widens on demand when a longer route arrives.
@@ -46,8 +48,6 @@ __all__ = ["FlowTable"]
 
 #: Class code of a row that holds no flow (class codes are >= 0).
 NO_CLASS = -1
-#: The committed servers of a flow that holds no slot (best-effort).
-NO_SERVERS = np.empty(0, dtype=np.int64)
 
 #: Rows and server columns a new table starts with.
 INITIAL_CAPACITY = 64
@@ -56,12 +56,12 @@ INITIAL_WIDTH = 4
 #: What the table hands out, whatever its columns hold (a dtype object:
 #: ``astype`` resolves one faster than the scalar type).
 _INT64 = np.dtype(np.int64)
-#: Bytes a list slot of the two object columns costs (one pointer).
+#: Bytes a slot of the id column costs (one list pointer).
 _POINTER_BYTES = np.dtype(np.intp).itemsize
 
 Pair = Tuple[Hashable, Hashable]
-#: ``(flow id, class code, tag, pair, committed route, pinned)``.
-Record = Tuple[Hashable, int, int, Optional[Pair], Sequence[Hashable], bool]
+#: ``(flow id, class code, tag, pair, pinned)``.
+Record = Tuple[Hashable, int, int, Optional[Pair], bool]
 
 
 def narrowest(high: int) -> np.dtype:
@@ -93,7 +93,7 @@ class FlowTable:
 
     __slots__ = (
         "pad", "_index", "_ids", "_codes", "_tags", "_servers",
-        "_lengths", "_pairs", "_pinned", "_routes", "_free",
+        "_lengths", "_pairs", "_pinned", "_free",
         "_pair_codes", "_pair_names",
     )
 
@@ -102,8 +102,8 @@ class FlowTable:
         width = INITIAL_WIDTH
         self.pad = int(pad)
         self._index: Dict[Hashable, int] = {}
-        # The two object columns are plain lists: they are only ever
-        # read and written an element at a time.
+        # The id column is a plain list: it is only ever read and
+        # written an element at a time.
         self._ids: List[Hashable] = [None] * capacity
         # Class codes widen as they are minted (fit_class_code); the
         # priority tags are PRIORITY_TAGS, -1 .. 3.
@@ -115,7 +115,6 @@ class FlowTable:
         self._lengths = np.zeros(capacity, dtype=narrowest(width))
         self._pairs = np.full(capacity, -1, dtype=narrowest(0))
         self._pinned = np.zeros(capacity, dtype=bool)
-        self._routes: List[Optional[Sequence[Hashable]]] = [None] * capacity
         self._free: List[int] = list(range(capacity - 1, -1, -1))
         # Endpoints are a fact of their own (a committed route must join
         # them), stored once per distinct pair rather than per flow.
@@ -142,7 +141,6 @@ class FlowTable:
         self._lengths = grown(self._lengths, 0)
         self._pairs = grown(self._pairs, -1)
         self._pinned = grown(self._pinned, False)
-        self._routes.extend([None] * old)
         self._free.extend(range(2 * old - 1, old - 1, -1))
 
     def _ensure_width(self, width: int) -> None:
@@ -190,12 +188,11 @@ class FlowTable:
         servers: np.ndarray,
         tag: int = -1,
         pair: int = -1,
-        route: Optional[Sequence[Hashable]] = None,
         pinned: bool = False,
     ) -> None:
-        """Record one flow: its class ``code``, the ``servers`` it holds
-        a slot on (none for best-effort), its priority ``tag``, its
-        :meth:`pair_code` and the ``route`` it was admitted on."""
+        """Record one flow: its class ``code``, the ``servers`` of the
+        route it was admitted on, its priority ``tag``, its
+        :meth:`pair_code` and whether its route was ``pinned``."""
         if flow_id in self._index:
             raise AdmissionError(
                 f"flow {flow_id!r} is already established"
@@ -212,7 +209,6 @@ class FlowTable:
             self._servers[row, :n] = servers
         self._pairs[row] = pair
         self._pinned[row] = pinned
-        self._routes[row] = route
         self._index[flow_id] = row
 
     def add_batch(
@@ -223,7 +219,6 @@ class FlowTable:
         lengths: np.ndarray,
         tags=None,
         pairs=None,
-        routes: Optional[Sequence[Sequence[Hashable]]] = None,
         pinned=None,
     ) -> None:
         """Record many flows from a padded server matrix, in the given
@@ -263,9 +258,6 @@ class FlowTable:
         self._servers[at, :width] = matrix
         self._pairs.put(at, -1 if pairs is None else pairs)
         self._pinned.put(at, False if pinned is None else pinned)
-        column = self._routes
-        for row, route in zip(rows, routes or [None] * n):
-            column[row] = route
 
     def pop(self, flow_id: Hashable) -> Tuple[int, np.ndarray, int]:
         """Remove a flow; returns ``(code, servers, tag)``."""
@@ -279,9 +271,8 @@ class FlowTable:
         servers = self._servers[row, :n].astype(_INT64)
         code = int(self._codes[row])
         tag = int(self._tags[row])
-        # A free row keeps nothing alive: not the id, not the route.
+        # A free row keeps nothing alive: not even the id.
         self._ids[row] = None
-        self._routes[row] = None
         self._codes[row] = NO_CLASS
         self._free.append(row)
         return code, servers, tag
@@ -314,11 +305,9 @@ class FlowTable:
         if len(set(rows)) != len(rows) or -1 in rows:
             self.check_poppable(flow_ids)
         ids = self._ids
-        routes = self._routes
         for fid, row in zip(flow_ids, rows):
             del index[fid]
             ids[row] = None
-            routes[row] = None
         at = np.asarray(rows, dtype=np.intp)
         # take() then slice: gathering whole rows is far cheaper than
         # indexing rows and columns at once.
@@ -352,14 +341,14 @@ class FlowTable:
     @property
     def nbytes(self) -> int:
         """The table's fixed-width part: every column's buffer plus one
-        pointer per slot of the two object columns (not the ids, routes
-        and index those point into)."""
+        pointer per slot of the id column (not the ids and index those
+        point into)."""
         columns = (
             self._codes, self._tags, self._servers, self._lengths,
             self._pairs, self._pinned,
         )
-        return sum(c.nbytes for c in columns) + _POINTER_BYTES * (
-            len(self._ids) + len(self._routes)
+        return sum(c.nbytes for c in columns) + _POINTER_BYTES * len(
+            self._ids
         )
 
     def _row(self, flow_id: Hashable) -> int:
@@ -375,11 +364,6 @@ class FlowTable:
         row = self._row(flow_id)
         return self._servers[row, : int(self._lengths[row])].astype(_INT64)
 
-    def route_of(self, flow_id: Hashable) -> Sequence[Hashable]:
-        """The route an established flow was admitted on (shared, not
-        copied: read-only to every caller)."""
-        return self._routes[self._row(flow_id)]
-
     def record(self, flow_id: Hashable) -> Record:
         """Everything kept about one established flow but its servers."""
         row = self._row(flow_id)
@@ -389,7 +373,6 @@ class FlowTable:
             int(self._codes[row]),
             int(self._tags[row]),
             self._pair_names[pair] if pair >= 0 else None,
-            self._routes[row],
             bool(self._pinned[row]),
         )
 
@@ -399,7 +382,6 @@ class FlowTable:
         tags = self._tags.tolist()
         pairs = self._pairs.tolist()
         pinned = self._pinned.tolist()
-        routes = self._routes
         names = self._pair_names
         return [
             (
@@ -407,7 +389,6 @@ class FlowTable:
                 codes[row],
                 tags[row],
                 names[pairs[row]] if pairs[row] >= 0 else None,
-                routes[row],
                 pinned[row],
             )
             for fid, row in self._index.items()
@@ -474,11 +455,10 @@ class FlowTable:
                 "flow-table free list is not the set of rows that hold "
                 "no flow"
             )
-        routes = self._routes
         for row in sorted(self._free):
-            if ids[row] is not None or routes[row] is not None:
+            if ids[row] is not None:
                 problems.append(
                     f"free flow-table row {row} still keeps the id "
-                    f"{ids[row]!r} or a route alive"
+                    f"{ids[row]!r} alive"
                 )
         return problems

@@ -34,7 +34,6 @@ from .batch import (
     flat_committed_servers,
     pad_server_matrix,
 )
-from .flowtable import NO_SERVERS
 from .ledger import UtilizationLedger
 
 __all__ = ["UtilizationAdmissionController"]
@@ -96,16 +95,15 @@ class UtilizationAdmissionController(AdmissionController):
         # Any other class is best-effort (check_admit refused unknown
         # names and unverified real-time ones): never blocked, never
         # guaranteed, no slot held.
-        servers = NO_SERVERS
+        servers = self.servers_for(flow, route)
         if flow.class_name in self._slot_classes:
-            servers = self.servers_for(flow, route)
             if not self.ledger.available(flow.class_name, servers):
                 return False, (
                     f"utilization limit reached for class "
                     f"{flow.class_name!r} on the path"
                 )
             self.ledger.reserve(flow.class_name, servers)
-        self._establish(flow, route, servers)
+        self._establish(flow, servers)
         return _ADMITTED
 
     def _release_impl(self, code: int, servers: np.ndarray) -> None:
@@ -140,12 +138,9 @@ class UtilizationAdmissionController(AdmissionController):
             codes[members] = self._class_code(name)
         # Every row is resolved before the first commit: a route that
         # does not translate raises here, with nothing to undo.
-        held = [NO_SERVERS] * n
-        for name, members in by_class.items():
-            if name in slot_classes:
-                for i in members:
-                    held[i] = self.servers_for(flows[i], routes[i])
-        matrix, lengths = pad_server_matrix(held, pad)
+        matrix, lengths = pad_server_matrix(
+            [self.servers_for(f, r) for f, r in zip(flows, routes)], pad
+        )
         admitted = np.ones(n, dtype=bool)
         for name, members in by_class.items():
             if name not in slot_classes:
@@ -180,19 +175,17 @@ class UtilizationAdmissionController(AdmissionController):
         ids, columns = [], []
         for i in winners.tolist():
             flow = flows[i]
-            pinned = flow.route is not None
             ids.append(flow.flow_id)
             columns.append((
                 PRIORITY_TAGS[flow.priority],
                 pair_code((flow.source, flow.destination)),
-                pinned,
-                flow.route if pinned else routes[i],
+                flow.route is not None,
             ))
         if ids:
-            tags, pairs, pins, committed = zip(*columns)
+            tags, pairs, pins = zip(*columns)
             table.add_batch(
                 ids, codes[winners], matrix[winners], lengths[winners],
-                tags, pairs, committed, pins,
+                tags, pairs, pins,
             )
         return outcomes
 
@@ -279,8 +272,6 @@ class UtilizationAdmissionController(AdmissionController):
         * **ledger reconstructibility** — summing the flow table's
           committed server rows reproduces the ledger's ``used``
           vectors exactly, so no slot is leaked or double-counted;
-        * **servers ⇔ route** — the servers a slot-holding flow commits
-          are the link servers of the route it is recorded on;
         * **every real-time flow holds a slot** — none is established
           in a real-time class that has no verified utilization.
         """
@@ -309,23 +300,13 @@ class UtilizationAdmissionController(AdmissionController):
             for name, code in self._class_codes.items()
             if code not in slot_codes and self.registry.get(name).is_realtime
         }
-        for fid, code, _tag, _pair, route, _pinned in table.records():
+        for fid, code, _tag, _pair, _pinned in table.records():
             if code in unslotted:
                 problems.append(
                     f"flow {fid!r} of real-time class {unslotted[code]!r} "
                     "is established without a slot (no verified "
                     "utilization)"
                 )
-            elif code in slot_codes and route is not None:
-                servers = table.servers_of(fid)
-                if not np.array_equal(
-                    servers, self.graph.route_servers(route)
-                ):
-                    problems.append(
-                        f"flow {fid!r} holds servers {servers.tolist()}"
-                        f", not those of its committed route "
-                        f"{list(route)!r}"
-                    )
         return problems
 
     # ------------------------------------------------------------------ #

@@ -54,6 +54,25 @@ def fresh_flow_id() -> int:
     return next(_flow_counter)
 
 
+def route_fault(
+    route: Sequence[Hashable], source: Hashable, destination: Hashable
+) -> str:
+    """Why ``route`` is no simple path from ``source`` to
+    ``destination`` (empty when it is one): the rules a pinned and a
+    configured route both keep.  Whether each hop is a link is the
+    graph's to say."""
+    if len(route) < 2:
+        return "route must have >= 2 routers"
+    if route[0] != source or route[-1] != destination:
+        return (
+            f"route endpoints {route[0]!r}..{route[-1]!r} do not match "
+            f"{source!r}->{destination!r}"
+        )
+    if len(set(route)) != len(route):
+        return "route visits a router twice"
+    return ""
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """One unidirectional flow request.
@@ -98,20 +117,9 @@ class FlowSpec:
             )
         if self.route is not None:
             route = tuple(self.route)
-            if len(route) < 2:
-                raise TrafficError(
-                    f"flow {self.flow_id!r}: route must have >= 2 routers"
-                )
-            if route[0] != self.source or route[-1] != self.destination:
-                raise TrafficError(
-                    f"flow {self.flow_id!r}: route endpoints "
-                    f"{route[0]!r}..{route[-1]!r} do not match "
-                    f"{self.source!r}->{self.destination!r}"
-                )
-            if len(set(route)) != len(route):
-                raise TrafficError(
-                    f"flow {self.flow_id!r}: route visits a router twice"
-                )
+            fault = route_fault(route, self.source, self.destination)
+            if fault:
+                raise TrafficError(f"flow {self.flow_id!r}: {fault}")
             object.__setattr__(self, "route", route)
 
     @property

@@ -132,10 +132,6 @@ class _Id:
         return isinstance(other, _Id) and other.name == self.name
 
 
-class _Route(list):
-    """A pinned route a weakref can watch."""
-
-
 def _best_effort(name, rank):
     return TrafficClass(
         name=name, burst=0.0, rate=0.0, deadline=math.inf,
@@ -240,15 +236,14 @@ def _pair_codes_round_trip():
     assert [table.pair_code(p) for p in pairs] == list(range(40_000))
     one = np.array([1], dtype=np.int64)
     for k in (127, 128, 32_768):
-        table.add(f"seq-{k}", 0, one, pair=k, route=list(pairs[k]))
+        table.add(f"seq-{k}", 0, one, pair=k)
     picks = [32_767, 32_769, 39_999]
     matrix, lengths = pad_server_matrix([one] * len(picks), pad=9)
     table.add_batch(
-        [f"batch-{k}" for k in picks], 0, matrix, lengths,
-        pairs=picks, routes=[list(pairs[k]) for k in picks],
+        [f"batch-{k}" for k in picks], 0, matrix, lengths, pairs=picks,
     )
-    for fid, _code, _tag, pair, route, _pinned in table.records():
-        assert pair == tuple(route), fid
+    for fid, _code, _tag, pair, _pinned in table.records():
+        assert pair == pairs[int(fid.split("-")[1])], fid
     assert table.verify() == []
 
 
@@ -350,17 +345,13 @@ class TestFlowTable:
         pair = table.pair_code(("a", "d"))
         table.add(
             "pinned", 1, np.array([1, 2, 3, 4], dtype=np.int64), 3,
-            pair, ("a", "b", "c", "d"), True,
+            pair, True,
         )
         table.pop("pinned")
         other = table.pair_code(("x", "y"))
         matrix, lengths = pad_server_matrix([np.array([5])], pad=9)
-        shared = ["x", "y"]
-        table.add_batch(["bare"], 0, matrix, lengths, None, other, [shared])
-        assert table.record("bare") == (
-            "bare", 0, -1, ("x", "y"), shared, False
-        )
-        assert table.route_of("bare") is shared
+        table.add_batch(["bare"], 0, matrix, lengths, None, other)
+        assert table.record("bare") == ("bare", 0, -1, ("x", "y"), False)
         assert table.servers_of("bare").tolist() == [5]
         assert table.usage(0).tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0]
         assert table.usage(1).tolist() == [0] * 9
@@ -394,8 +385,12 @@ class TestFlowTable:
         assert table._servers.dtype == np.int8
         assert table._codes.dtype == table._tags.dtype == np.int8
         assert table._lengths.dtype == table._pairs.dtype == np.int8
-        # 4 servers, code, tag, length, pair, pinned, two list slots.
-        assert table.nbytes == table.rows * (4 + 5 + 16)
+        # MCI's 306 ordered pairs take a two-byte pair code.
+        for k in range(306):
+            table.pair_code((k, "d"))
+        assert table._pairs.dtype == np.int16
+        # 4 servers; code, tag, length, pinned and the pair; the id slot.
+        assert table.nbytes == table.rows * (4 + 6 + 8)
         assert FlowTable(pad=127)._servers.dtype == np.int8
         assert FlowTable(pad=128)._servers.dtype == np.int16
         assert FlowTable(pad=40_000)._servers.dtype == np.int32
@@ -437,8 +432,7 @@ class TestFlowTable:
 
     def test_a_freed_row_keeps_nothing_alive(self):
         """``pop``, ``pop_batch`` and a refused ``add_batch`` let go of
-        every id and route: memory is O(established flows), not
-        O(peak flows)."""
+        every id: memory is O(established flows), not O(peak flows)."""
         table = FlowTable(pad=9)
         pair = table.pair_code(("a", "b"))
         table.add("stays", 0, np.array([1], dtype=np.int64))
@@ -446,41 +440,35 @@ class TestFlowTable:
 
         def watched(n):
             ids = [_Id(f"f{len(refs) + i}") for i in range(n)]
-            routes = [_Route(["a", "b"]) for _ in range(n)]
-            refs.extend(weakref.ref(x) for x in ids + routes)
-            return ids, routes
+            refs.extend(weakref.ref(x) for x in ids)
+            return ids
 
         def names(ids):
             return [_Id(fid.name) for fid in ids]
 
-        ids, routes = watched(1)
-        table.add(
-            ids[0], 0, np.array([1, 2], dtype=np.int64), 1, pair,
-            routes[0], True,
-        )
+        ids = watched(1)
+        table.add(ids[0], 0, np.array([1, 2], dtype=np.int64), 1, pair, True)
         popped = names(ids)
-        del ids, routes
+        del ids
         table.pop(popped[0])
 
-        ids, routes = watched(3)
+        ids = watched(3)
         matrix, lengths = pad_server_matrix(
             [np.array([k]) for k in range(3)], pad=9
         )
-        table.add_batch(ids, 0, matrix, lengths, None, pair, routes, True)
+        table.add_batch(ids, 0, matrix, lengths, None, pair, True)
         popped = names(ids)
-        del ids, routes
+        del ids
         table.pop_batch(popped)
 
-        ids, routes = watched(2)
+        ids = watched(2)
         refused = ids + ["stays"]
         matrix, lengths = pad_server_matrix(
             [np.array([k]) for k in range(3)], pad=9
         )
         with pytest.raises(AdmissionError, match="already established"):
-            table.add_batch(
-                refused, 0, matrix, lengths, None, pair, routes + [None]
-            )
-        del ids, routes, refused, popped
+            table.add_batch(refused, 0, matrix, lengths, None, pair)
+        del ids, refused, popped
         gc.collect()
         assert [r for r in refs if r() is not None] == []
         assert list(table) == ["stays"] and table.verify() == []
@@ -655,7 +643,13 @@ class TestLateRealtimeClass:
         ]
         assert controller.admit(flows[0]).admitted
         assert all(d.admitted for d in controller.admit_batch(flows[1:]))
-        assert controller._flows.servers_of("b0").size == 0
+        # A best-effort row holds its route's servers, and no slot.
+        route = controller.route_map[flows[0].pair]
+        assert (
+            controller._flows.servers_of("b0").tolist()
+            == controller.graph.route_servers(route).tolist()
+        )
+        assert not controller.ledger.used_view("voice").any()
         assert controller.established_flows == flows
         assert controller.verify_invariants() == []
 

@@ -174,8 +174,8 @@ class TestUtilizationController:
         ]
         table._index["kept"] = kept
         assert ctrl.verify_invariants() == []
-        # A row whose servers are not what the ledger counted (and not
-        # those of the route the row is recorded on).
+        # A row whose servers are not what the ledger counted (and
+        # chain into no route).
         held = table._servers[kept].copy()
         table._servers[kept, 0] = table._servers[other, 0]
         problems = ctrl.verify_invariants()

@@ -19,12 +19,16 @@ after every step:
   and a recycled row leaks nothing of its previous occupant (route
   tail, pair, pinned bit).
 
+Around it: a malformed configured route is refused where it enters,
+and a server row planted with another pair's servers is reported.
+
 It runs on two rings: six routers (12 link servers, every column of
 the table ``int8``) and 65 routers (130 link servers, past ``int8``, so
 the server column is ``int16`` and routes cross servers on both sides
 of 127).
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +41,7 @@ from repro.admission import (
     SlotShardController,
     UtilizationAdmissionController,
 )
-from repro.errors import AdmissionError
+from repro.errors import AdmissionError, ConfigurationError
 from repro.routing.shortest import shortest_path_routes
 from repro.topology import LinkServerGraph, ring_network
 from repro.traffic import ClassRegistry, voice_class
@@ -71,18 +75,17 @@ class Ring:
             path.append((path[-1] + step) % self.n)
         return tuple(f"r{k}" for k in path)
 
-    def make(self, kind, alpha):
+    def make(self, kind, alpha, routes=None):
+        routes = self.routes if routes is None else routes
         if kind == "flow-aware":
-            return FlowAwareAdmissionController(
-                self.graph, REGISTRY, self.routes
-            )
+            return FlowAwareAdmissionController(self.graph, REGISTRY, routes)
         if kind == "slotshard":
             return SlotShardController(
-                self.graph, REGISTRY, {"voice": alpha}, self.routes,
+                self.graph, REGISTRY, {"voice": alpha}, routes,
                 shard_index=0, shard_count=1,
             )
         return UtilizationAdmissionController(
-            self.graph, REGISTRY, {"voice": alpha}, self.routes
+            self.graph, REGISTRY, {"voice": alpha}, routes
         )
 
     def ops(self):
@@ -266,8 +269,9 @@ def test_the_store_round_trips_past_the_int8_server_column(kind, ops, alpha):
 
 
 def test_update_routes_replaces_route_lists_and_never_mutates_them():
-    """Flow-table rows share the configured route's list, so the list
-    an established flow points at must never change under it."""
+    """``update_routes`` replaces the configured route's list, never
+    mutates it, and an established flow keeps the route it was
+    admitted on."""
     controller = SMALL.make("utilization", 0.5)
     pair = ("r0", "r2")
     before = controller.route_map[pair]
@@ -290,3 +294,72 @@ def test_update_routes_replaces_route_lists_and_never_mutates_them():
     controller.release("old")
     controller.release("new")
     assert not controller.ledger.used_view("voice").any()
+
+
+#: What a configured route can get wrong.
+MALFORMED = ("wrong endpoint", "one router", "repeated router", "unknown link")
+
+
+def malformed(ring, pair, fault, clockwise):
+    """A route for ``pair`` on ``ring`` that breaks one rule."""
+    source, destination = pair
+    path = list(ring.way_round(pair, clockwise))
+    if fault == "wrong endpoint":
+        if len(path) > 2:
+            return path[:-1]
+        return list(ring.way_round(pair, not clockwise))[:2]
+    if fault == "one router":
+        return [source]
+    if fault == "repeated router":
+        return [source, path[1]] + path
+    return [source, "nowhere", destination]
+
+
+@pytest.mark.parametrize("kind", ["utilization", "slotshard", "flow-aware"])
+@settings(deadline=None, max_examples=40)
+@given(
+    pair=st.sampled_from(SMALL.pairs),
+    fault=st.sampled_from(MALFORMED),
+    clockwise=st.booleans(),
+    ops=SMALL.ops(),
+)
+def test_a_malformed_configured_route_is_refused_where_it_enters(
+    kind, pair, fault, clockwise, ops
+):
+    """At construction and at ``update_routes``: a named error that
+    names the pair, and a controller that is as it was."""
+    bad = malformed(SMALL, pair, fault, clockwise)
+    named = f"configured route for pair {pair!r}"
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        SMALL.make(kind, 0.5, {**SMALL.routes, pair: bad})
+    controller, model = SMALL.make(kind, 0.5), DictOfRecords(SMALL)
+    for op in ops:
+        apply(controller, model, op)
+    route_map = {k: list(v) for k, v in controller.route_map.items()}
+    # A good entry before the bad one is not applied either.
+    other = next(p for p in SMALL.pairs if p != pair)
+    detour = list(SMALL.way_round(other, not clockwise))
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        controller.update_routes({other: detour, pair: bad})
+    assert controller.route_map == route_map
+    check(controller, model)
+    flow = FlowSpec("late", "best-effort", *pair)
+    assert controller.admit(flow).admitted
+    assert controller.committed_route("late") == route_map[pair]
+
+
+@pytest.mark.parametrize("kind", ["utilization", "slotshard"])
+def test_a_row_planted_with_another_pairs_servers_is_reported(kind):
+    """Two voice flows of different pairs swap server rows: the ledger
+    still adds up, but each row now says its flow is somewhere else."""
+    controller = SMALL.make(kind, 0.5)
+    for fid, pair in (("a", ("r0", "r2")), ("b", ("r3", "r5"))):
+        assert controller.admit(FlowSpec(fid, "voice", *pair)).admitted
+    assert controller.verify_invariants() == []
+    table = controller._flows
+    a, b = table._index["a"], table._index["b"]
+    table._servers[[a, b]] = table._servers[[b, a]]
+    problems = controller.verify_invariants()
+    for fid in ("'a'", "'b'"):
+        assert any(f"flow {fid}" in p for p in problems), problems
+    assert not any(p.startswith("ledger mismatch") for p in problems)

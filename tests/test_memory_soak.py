@@ -356,10 +356,10 @@ WIRE_FRAME_FLOWS = 1_024
 #: Ceiling on what one established flow may keep alive, per fill of the
 #: table.  What it must keep: the decoded id string (~57 B), one slot of
 #: the id -> row dict (~50 B at 6 000 flows), the row int (32 B) and the
-#: columns — 26 B a row on MCI since each holds the narrowest integer
+#: columns — 18 B a row on MCI since each holds the narrowest integer
 #: type that fits it (81 B in int64) — the last two at the table's
-#: power-of-two capacity.  That is ~197 B at 6 000 flows in 8 192 rows
-#: (272 B in int64), and ~237 B at 4 100 flows, just after the table
+#: power-of-two capacity.  That is ~187 B at 6 000 flows in 8 192 rows
+#: (272 B in int64), and ~221 B at 4 100 flows, just after the table
 #: doubled (346 B in int64).  A record that keeps the decoded
 #: ``FlowSpec`` per flow (the planted offender) is at 760-800 B.
 MAX_BYTES_PER_FLOW = {6_000: 230, 4_100: 280}
@@ -469,9 +469,9 @@ def test_a_just_doubled_table_keeps_a_row_not_an_object(
 # --------------------------------------------------------------------- #
 
 #: Ceiling on the fixed-width bytes of a flow-table row a served MCI
-#: process reports: ~26 B with every column in the narrowest integer
+#: process reports: 18 B with every column in the narrowest integer
 #: type that fits it, 81 B when they were all int64.
-MAX_ROW_BYTES = 48
+MAX_ROW_BYTES = 18
 
 
 def _scrape_stats(port):

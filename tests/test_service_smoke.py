@@ -256,9 +256,9 @@ def test_v2_phase_binary_frames(tmp_path, serve, loadgen):
     assert stats["admitted"] + stats["rejected"] == 10000, stats
     assert stats["decisions_total"] == 10000, stats
     assert 20 <= stats["rss_mb"] <= stats["peak_rss_mb"] <= 200, stats
-    # Fixed-width bytes per flow-table row: ~26 with every column in
+    # Fixed-width bytes per flow-table row: 18 with every column in
     # the narrowest integer type that fits (81 in int64).
-    assert stats["flow_table_bytes"] / stats["flow_rows"] <= 48, stats
+    assert stats["flow_table_bytes"] / stats["flow_rows"] <= 18, stats
 
     drain(server, timeout=20)
     report = verify_audit(list(iter_audit(audit)), snapshot=snap)

@@ -400,7 +400,7 @@ class TestMetricsEndpoint:
         # What the flow record costs, per row, is readable too.
         served = json.loads(stats[1])
         assert served["flow_rows"] >= 3
-        assert 0 < served["flow_table_bytes"] <= 48 * served["flow_rows"]
+        assert 0 < served["flow_table_bytes"] <= 18 * served["flow_rows"]
         assert missing[0] == 404
 
     def test_healthz_flips_to_503_while_draining(self, tmp_path):

@@ -884,8 +884,6 @@ REASONS = (REFERENCE, SEAM, DEPLOYMENT, IN_UNCALLED, QUEUE_AND_GOVERNOR)
 UNCALLED_METHODS = {
     # Pausing is how the tests reach the queue behind the window.
     "repro.service.coalescer.MicroBatchCoalescer.pause": QUEUE_AND_GOVERNOR,
-    # route_servers is round-tripped against its inverse.
-    "repro.topology.servergraph.LinkServerGraph.servers_to_route": REFERENCE,
 }
 
 #: Module-level constants and aliases (``module.NAME``) nothing reads.
