@@ -1,12 +1,11 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper benches.
 
-Run with::
-
-    pytest benchmarks/ --benchmark-only
-
-Each bench regenerates one table/figure of the paper (or an extension
-experiment from DESIGN.md) and prints the regenerated rows alongside the
-paper's values, in addition to timing the underlying computation.
+Tier-1 runs every bench module listed in ``tests/test_paper_benches.py``
+(``PAPER_BENCHES``) with timing off; ``pytest <module> --benchmark-only``
+times one.  Each bench regenerates one table/figure of the paper (or an
+extension experiment from DESIGN.md), prints the regenerated rows
+alongside the paper's values, and asserts the numbers EXPERIMENTS.md
+prints.
 """
 
 from __future__ import annotations

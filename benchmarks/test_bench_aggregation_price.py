@@ -54,3 +54,13 @@ def test_bench_aggregation_price(benchmark, capsys):
     # At the paper's operating point the price is large (~0.39 of a link).
     d, lb, ub, shaped = rows[DEADLINES.index(0.1)]
     assert shaped - ub > 0.3
+    # What EXPERIMENTS.md prints, to its digits.
+    assert round(shaped - ub, 2) == 0.39
+    assert {
+        d: tuple(round(x, 3) for x in (lb, ub, shaped))
+        for d, lb, ub, shaped in rows if d in (0.01, 0.05, 0.1)
+    } == {
+        0.01: (0.107, 0.125, 0.146),
+        0.05: (0.250, 0.411, 0.667),
+        0.1: (0.300, 0.609, 1.000),
+    }

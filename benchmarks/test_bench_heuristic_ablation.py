@@ -26,6 +26,15 @@ VARIANTS = {
     ),
 }
 
+#: (safe, routed, worst delay in ms) per variant.
+REPORT = {
+    "full": (True, 306, 97.1),
+    "no-ordering": (True, 306, 98.9),
+    "no-acyclic": (True, 306, 98.3),
+    "no-min-delay": (False, 227, None),
+    "greedy-shortest": (False, 223, None),
+}
+
 
 @pytest.fixture(scope="module")
 def outcomes(scenario):
@@ -69,18 +78,12 @@ def test_bench_ablation_report(benchmark, outcomes, scenario, capsys):
                 outcomes["full"].worst_route_delay
                 <= out.worst_route_delay + 1e-9
             )
-
-
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_bench_ablation_timing(benchmark, scenario, variant):
-    """Selection cost of each variant at a moderate utilization."""
-    selector = SafeRouteSelector(
-        scenario.network, scenario.voice, options=VARIANTS[variant]
-    )
-    out = benchmark.pedantic(
-        selector.select,
-        args=(scenario.pairs, 0.40),
-        rounds=1,
-        iterations=1,
-    )
-    assert out.success
+    # What EXPERIMENTS.md prints, to its digits.
+    assert {
+        name: (
+            out.success,
+            out.num_routed,
+            round(out.worst_route_delay * 1e3, 1) if out.success else None,
+        )
+        for name, out in outcomes.items()
+    } == REPORT

@@ -58,6 +58,11 @@ def test_bench_multiclass_solve(benchmark, scenario, registry, routes,
         result.per_class["voice"].worst_route_delay
         < result.per_class["video"].worst_route_delay
     )
+    # What EXPERIMENTS.md prints, to its digits.
+    assert {
+        name: round(c.worst_route_delay * 1e3, 1)
+        for name, c in result.per_class.items()
+    } == {"voice": 8.5, "video": 31.3}
 
 
 def test_bench_multiclass_scale_maximization(benchmark, scenario, registry,
@@ -79,3 +84,8 @@ def test_bench_multiclass_scale_maximization(benchmark, scenario, registry,
         )
     assert result.verification.success
     assert sum(result.alphas.values()) <= 1.0
+    # What EXPERIMENTS.md prints, to its digits.
+    assert round(result.scale, 2) == 0.17
+    assert {k: round(v * 100) for k, v in result.alphas.items()} == {
+        "voice": 17, "video": 35,
+    }

@@ -66,6 +66,13 @@ def test_bench_multiclass_selection(benchmark, scenario, registry, capsys):
         )
     assert outcome.success
     assert outcome.verification.safe
+    # What EXPERIMENTS.md prints, to its digits.
+    assert outcome.num_routed == 9
+    assert outcome.candidates_evaluated == 72
+    assert {
+        name: round(c.worst_route_delay * 1e3, 1)
+        for name, c in outcome.verification.per_class.items()
+    } == {"voice": 7.7, "video": 5.7}
     # The joint check evaluated more candidates than committed routes
     # (min-delay choice scans groups).
     assert outcome.candidates_evaluated > outcome.num_routed

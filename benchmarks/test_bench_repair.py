@@ -77,6 +77,10 @@ def test_bench_single_failure_sweep(benchmark, full_cfg, scenario, capsys):
     # failure without touching the utilization assignment.
     assert failed == 0
     assert repaired == len(outcomes) - bridges
+    # What EXPERIMENTS.md prints.
+    assert len(full_cfg.routes) == 306
+    assert (len(outcomes), repaired) == (35, 35)
+    assert (worst[2], set(worst[0])) == (59, {"Chicago", "NewYork"})
 
 
 def test_bench_cascade(benchmark, scenario, capsys):

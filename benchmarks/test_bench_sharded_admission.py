@@ -125,6 +125,23 @@ def test_bench_slot_shards_vs_shared(benchmark, scenario, sp_routes,
     (_only,), (single,) = clusters[1]
     assert single.admitted_ids == shared.admitted_ids
     assert single.rejected == shared.rejected
+    # What EXPERIMENTS.md prints, to its digits.
+    assert shared.attempts == 1598
+    assert [row[2:4] for row in rows] == [
+        [1543, "0.034"], [1543, "0.034"], [1532, "0.041"], [1498, "0.063"],
+    ]
+    admitted = {n: sum(s.admitted for s in stats)
+                for n, (_shards, stats) in clusters.items()}
+    # The price in admitted share, and in blocking against the shared
+    # ledger's, at 2 and 4 workers.
+    assert [
+        round((shared.admitted - admitted[n]) / shared.attempts * 100, 1)
+        for n in (2, 4)
+    ] == [0.7, 2.8]
+    assert [
+        round((shared.attempts - admitted[n]) / shared.rejected, 1)
+        for n in (2, 4)
+    ] == [1.2, 1.8]
 
 
 @pytest.mark.parametrize(

@@ -76,3 +76,9 @@ def test_bench_bound_vs_measured(benchmark, scenario, capsys):
     assert bound.safe
     assert measured <= bound.worst_route_delay + allowance
     assert measured > 0
+    # What EXPERIMENTS.md prints, to its digits.
+    assert len(ROUTES) * FLOWS_PER_ROUTE == 60
+    assert report.packets_delivered == 6000
+    assert round(measured * 1e3, 3) == 0.307
+    assert round(bound.worst_route_delay * 1e3, 3) == 1.020
+    assert round(bound.worst_route_delay / measured, 1) == 3.3

@@ -104,11 +104,6 @@ if TYPE_CHECKING:
         shortest_path_routes,
     )
     from .simulation import PacketPattern, SimulationReport, Simulator
-    from .statistical import (
-        DelayDistribution,
-        calibrate_overbooking,
-        estimate_delay_distribution,
-    )
     from .topology import (
         LinkServerGraph,
         Network,
@@ -163,10 +158,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "SelectionOutcome", "candidate_routes", "shortest_path_routes",
     ),
     ".simulation": ("PacketPattern", "SimulationReport", "Simulator"),
-    ".statistical": (
-        "DelayDistribution", "calibrate_overbooking",
-        "estimate_delay_distribution",
-    ),
     ".topology": ("LinkServerGraph", "Network", "mci_backbone", "nsfnet_backbone"),
     ".traffic": (
         "ClassRegistry", "Envelope", "FlowSpec", "TrafficClass",

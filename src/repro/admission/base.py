@@ -83,8 +83,8 @@ class AdmissionDecision:
         are O(path), flow-aware recomputation grows with the number of
         established flows).  For a decision made inside
         :meth:`AdmissionController.admit_batch` this is the whole
-        batch's cost, shared by all its decisions; use
-        :attr:`per_request_seconds` for the amortized figure.
+        batch's cost, shared by all its decisions; divide by
+        ``batch_size`` for the amortized figure.
     batch_size:
         Number of requests decided by the same call (1 for
         :meth:`AdmissionController.admit`).
@@ -95,11 +95,6 @@ class AdmissionDecision:
     reason: str
     decision_seconds: float
     batch_size: int = 1
-
-    @property
-    def per_request_seconds(self) -> float:
-        """Decision cost amortized over the call's batch."""
-        return self.decision_seconds / self.batch_size
 
 
 class AdmissionController(abc.ABC):

@@ -158,11 +158,6 @@ class UtilizationLedger:
         self._check_class(class_name)
         return self._capacity[class_name].copy()
 
-    def used(self, class_name: str) -> np.ndarray:
-        """Per-server reserved slots of a class (read-only copy)."""
-        self._check_class(class_name)
-        return self._used[class_name].copy()
-
     def capacity_view(self, class_name: str) -> np.ndarray:
         """Per-server slot capacity, **no copy** — callers must not
         mutate.  Hot-path twin of :meth:`slots` for the batch engine."""
@@ -325,15 +320,6 @@ class UtilizationLedger:
         if total <= 0:
             return 1.0
         return max(0.0, (total - used) / total)
-
-    def occupancy(self, class_name: str) -> Dict[str, np.ndarray]:
-        """Used / effective / verified slot vectors of a class (copies)."""
-        self._check_class(class_name)
-        return {
-            "used": self._used[class_name].copy(),
-            "effective": self._capacity[class_name].copy(),
-            "verified": self._capacity_full[class_name].copy(),
-        }
 
     # ------------------------------------------------------------------ #
 

@@ -93,10 +93,6 @@ class UtilizationBounds:
     rate: float
     deadline: float
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def utilization_bounds(
     fan_in: int, diameter: int, burst: float, rate: float, deadline: float

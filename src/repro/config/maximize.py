@@ -202,19 +202,16 @@ def max_utilization_heuristic(
     traffic_class: TrafficClass,
     *,
     options: HeuristicOptions = HeuristicOptions(),
-    n_mode: str = "uniform",
     resolution: float = DEFAULT_RESOLUTION,
-    sp_fallback: bool = True,
 ) -> MaximizationResult:
     """Maximum safe utilization achievable by the Section 5.2 heuristic.
 
     The greedy no-backtrack heuristic is not complete: near the Theorem 4
     lower bound — which is *constructively proven via shortest-path
     routing* — its early min-delay detours can strand a later pair even
-    though the SP selection is safe.  With ``sp_fallback`` (default), a
-    probe the heuristic fails is retried with verified shortest-path
-    routes, so the search never reports less than the guaranteed bound;
-    disable it to study the bare heuristic.
+    though the SP selection is safe.  So a probe the heuristic fails is
+    retried with verified shortest-path routes, and the search never
+    reports less than the guaranteed bound.
 
     One selector (and its candidate, ordering, and solver-buffer caches)
     serves every probe of the binary search; the SP fallback checks
@@ -222,12 +219,10 @@ def max_utilization_heuristic(
     :func:`bisect_alpha`).
     """
     bounds = _theorem4_interval(network, traffic_class)
-    selector = SafeRouteSelector(
-        network, traffic_class, options=options, n_mode=n_mode
-    )
+    selector = SafeRouteSelector(network, traffic_class, options=options)
     graph = selector.graph
-    sp_routes = shortest_path_routes(network, pairs) if sp_fallback else None
-    sp_paths = list(sp_routes.values()) if sp_routes is not None else None
+    sp_routes = shortest_path_routes(network, pairs)
+    sp_paths = list(sp_routes.values())
     workspace = FixedPointWorkspace()
 
     def feasible(alpha: float, sp_warm) -> Optional[Tuple[RouteMap, Any]]:
@@ -236,13 +231,12 @@ def max_utilization_heuristic(
             # The heuristic's own probes warm-start internally per pair;
             # keep the SP-fallback warm state from the last SP success.
             return outcome.routes, sp_warm
-        if sp_paths is not None:
-            check = single_class_delays(
-                graph, sp_paths, traffic_class, alpha,
-                n_mode=n_mode, warm_start=sp_warm, workspace=workspace,
-            )
-            if check.safe:
-                return dict(sp_routes), check.server_delays
+        check = single_class_delays(
+            graph, sp_paths, traffic_class, alpha,
+            warm_start=sp_warm, workspace=workspace,
+        )
+        if check.safe:
+            return dict(sp_routes), check.server_delays
         return None
 
     alpha, routes, evals = bisect_alpha(
@@ -262,7 +256,6 @@ def max_utilization_shortest_path(
     pairs: Sequence[Pair],
     traffic_class: TrafficClass,
     *,
-    n_mode: str = "uniform",
     resolution: float = DEFAULT_RESOLUTION,
 ) -> MaximizationResult:
     """Maximum safe utilization with fixed shortest-path routes (baseline).
@@ -280,7 +273,7 @@ def max_utilization_shortest_path(
     def feasible(alpha: float, warm) -> Optional[Tuple[RouteMap, Any]]:
         result = single_class_delays(
             graph, paths, traffic_class, alpha,
-            n_mode=n_mode, warm_start=warm, workspace=workspace,
+            warm_start=warm, workspace=workspace,
         )
         if not result.safe:
             return None

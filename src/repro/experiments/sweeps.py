@@ -5,8 +5,8 @@ Theorem 4 bounds and the achieved maximum utilizations move with the
 deadline ``D``, the burst ``T``, and the network diameter ``L`` — the
 sensitivity analysis a deployment would need.
 
-Sweep points are independent, so every sweep (and the cross-topology
-table) accepts ``workers=N`` to fan the points out over a
+Sweep points are independent, so every sweep accepts ``workers=N`` to
+fan the points out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Results keep the input
 order regardless of completion order, so parallel runs are
 bit-for-bit identical to serial ones.
@@ -278,15 +278,11 @@ def cross_topology_table(
     traffic_class: TrafficClass,
     *,
     resolution: float = 0.01,
-    workers: Optional[int] = None,
 ) -> List[CrossTopologyRow]:
-    """The Table 1 experiment on several topologies (Ext-H).
-
-    Each topology is independent, so rows parallelize with ``workers=N``;
-    row order always matches ``topologies`` order.
-    """
+    """The Table 1 experiment on several topologies (Ext-H), one row per
+    topology in ``topologies`` order."""
     payloads = [
         (name, network, traffic_class, None, resolution)
         for name, network in topologies
     ]
-    return _map_points(_cross_topology_task, payloads, workers)
+    return _map_points(_cross_topology_task, payloads, None)

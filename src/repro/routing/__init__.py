@@ -9,7 +9,6 @@ if TYPE_CHECKING:
     from .dependency import ServerDependencyGraph
     from .heuristic import HeuristicOptions, SafeRouteSelector, SelectionOutcome
     from .heuristic import MultiClassRouteSelector, MultiClassSelectionOutcome
-    from .leastloaded import least_loaded_routes
     from .partition import partition_by_link, route_uses_link, route_uses_router
     from .shortest import shortest_path_routes
 
@@ -20,7 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "HeuristicOptions", "SafeRouteSelector", "SelectionOutcome",
         "MultiClassRouteSelector", "MultiClassSelectionOutcome",
     ),
-    ".leastloaded": ("least_loaded_routes",),
     ".partition": ("partition_by_link", "route_uses_link", "route_uses_router"),
     ".shortest": ("shortest_path_routes",),
 })

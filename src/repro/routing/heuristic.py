@@ -76,8 +76,7 @@ logger = logging.getLogger("repro.routing.heuristic")
 Pair = Tuple[Hashable, Hashable]
 
 #: Candidate generation: the ``K_CANDIDATES`` shortest simple paths within
-#: ``DETOUR_SLACK`` hops of shortest.  The least-loaded baseline draws
-#: from the same candidates.
+#: ``DETOUR_SLACK`` hops of shortest.
 K_CANDIDATES = 8
 DETOUR_SLACK = 2
 
@@ -142,13 +141,6 @@ class MultiClassSelectionOutcome:
     @property
     def num_routed(self) -> int:
         return sum(len(r) for r in self.routes.values())
-
-    def routes_by_class(self) -> Dict[str, List[List[Hashable]]]:
-        """Route lists keyed by class (the shape the analysis consumes)."""
-        return {
-            name: [list(p) for p in pair_map.values()]
-            for name, pair_map in self.routes.items()
-        }
 
 
 def check_pairs(pairs: Sequence[Pair]) -> None:

@@ -117,13 +117,6 @@ class SimulationReport:
             return 0
         return int(np.sum(d > deadline))
 
-    def jitter(self, class_name: str) -> float:
-        """Delay spread (max - min) of the class's delivered packets."""
-        d = self.e2e.get(class_name)
-        if d is None or d.size == 0:
-            return float("nan")
-        return float(d.max() - d.min())
-
     @property
     def conserved(self) -> bool:
         """Every injected packet is delivered, queued, or dropped."""

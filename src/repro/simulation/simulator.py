@@ -56,12 +56,6 @@ class Simulator:
 
     Parameters
     ----------
-    scheduling:
-        ``"priority"`` (default) is the paper's class-based static
-        priority.  ``"fifo"`` serves all classes from one queue — the
-        ablation showing why the delay guarantees *need* the priority
-        structure (best-effort bursts then delay real-time packets
-        arbitrarily).
     track_flow_delays:
         Record the full per-flow delay series (needed for per-flow
         deadline-miss counts, e.g. by the chaos harness); off by default
@@ -77,24 +71,15 @@ class Simulator:
     are reported per flow and enter the conservation accounting.
     """
 
-    SCHEDULING_MODES = ("priority", "fifo")
-
     def __init__(
         self,
         graph: LinkServerGraph,
         registry: ClassRegistry,
         *,
-        scheduling: str = "priority",
         track_flow_delays: bool = False,
     ):
-        if scheduling not in self.SCHEDULING_MODES:
-            raise SimulationError(
-                f"unknown scheduling {scheduling!r}; "
-                f"expected one of {self.SCHEDULING_MODES}"
-            )
         self.graph = graph
         self.registry = registry
-        self.scheduling = scheduling
         self.track_flow_delays = bool(track_flow_delays)
         self._flows: List[_FlowBinding] = []
         # (server index, down time, optional up time)
@@ -141,14 +126,12 @@ class Simulator:
             raise SimulationError(
                 f"flow {flow.flow_id!r}: route has no link servers"
             )
-        # Under FIFO scheduling every class shares one queue.
-        priority = 0 if self.scheduling == "fifo" else cls.priority
         self._flows.append(
             _FlowBinding(
                 flow=flow,
                 servers=servers,
                 pattern=pattern,
-                priority=priority,
+                priority=cls.priority,
                 start=float(start),
                 stop=None if stop is None else float(stop),
             )
@@ -209,7 +192,6 @@ class Simulator:
             "simulation.run",
             horizon=horizon,
             flows=len(self._flows),
-            scheduling=self.scheduling,
         ) as sp:
             report = self._run_impl(horizon, drain=drain)
             sp.set(
@@ -234,7 +216,7 @@ class Simulator:
                 "repro_simulation_packets_total", status=status
             ).inc(value)
         # Per-class queue-depth high-water marks (priorities map back to
-        # the classes that used them; under FIFO all classes share 0).
+        # the classes that used them).
         prio_classes: Dict[int, set] = {}
         for binding in self._flows:
             prio_classes.setdefault(binding.priority, set()).add(

@@ -146,7 +146,7 @@ class TestUtilizationController:
                         ("r1", "r3")][int(rng.integers(4))]
                 if ctrl.admit(_flow(fid, *pair)).admitted:
                     live.append(fid)
-            used = ctrl.ledger.used("voice")
+            used = ctrl.ledger.used_view("voice")
             util = used * voice_class().rate / line4_graph.capacities
             assert np.all(util <= alpha + 1e-12)
 
@@ -258,4 +258,4 @@ class TestFlowAwareController:
         u = _controller(line4_graph, voice_registry, line_routes)
         for i in range(20):
             u.admit(_flow(i))
-        assert u.ledger.used("voice").shape == (line4_graph.num_servers,)
+        assert u.ledger.used_view("voice").shape == (line4_graph.num_servers,)

@@ -22,9 +22,9 @@ def test_slot_arithmetic(ledger, voice):
 def test_reserve_release_roundtrip(ledger, line4_graph):
     servers = line4_graph.route_servers(["r0", "r1", "r2"])
     ledger.reserve("voice", servers)
-    assert np.all(ledger.used("voice")[servers] == 1)
+    assert np.all(ledger.used_view("voice")[servers] == 1)
     ledger.release("voice", servers)
-    assert np.all(ledger.used("voice") == 0)
+    assert np.all(ledger.used_view("voice") == 0)
 
 
 def test_available_respects_capacity(line4_graph, voice_registry):
@@ -52,10 +52,10 @@ def test_reserve_is_atomic(line4_graph, voice_registry):
     long = line4_graph.route_servers(["r0", "r1", "r2", "r3"])
     for _ in range(3):
         tiny.reserve("voice", short)  # fill the middle link
-    before = tiny.used("voice").copy()
+    before = tiny.used_view("voice").copy()
     with pytest.raises(AdmissionError):
         tiny.reserve("voice", long)
-    np.testing.assert_array_equal(tiny.used("voice"), before)
+    np.testing.assert_array_equal(tiny.used_view("voice"), before)
 
 
 def test_release_unreserved_raises(ledger, line4_graph):
@@ -84,7 +84,7 @@ def test_alpha_sum_capped(line4_graph):
 def _utilization(ledger, class_name):
     """Fraction of link bandwidth in use by the class, per server."""
     rate = ledger.registry.get(class_name).rate
-    return ledger.used(class_name) * rate / ledger.graph.capacities
+    return ledger.used_view(class_name) * rate / ledger.graph.capacities
 
 
 def test_utilization_fraction(ledger, line4_graph, voice):
@@ -109,7 +109,7 @@ def test_utilization_never_exceeds_alpha(line4_graph, voice_registry):
 def test_bottleneck(ledger, line4_graph):
     servers = line4_graph.route_servers(["r1", "r2"])
     ledger.reserve("voice", servers)
-    ratio = ledger.used("voice") / ledger.slots("voice")
+    ratio = ledger.used_view("voice") / ledger.slots("voice")
     assert int(np.argmax(ratio)) == servers[0]
     assert 0 < ratio.max() <= 1
 

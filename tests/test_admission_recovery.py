@@ -42,7 +42,7 @@ def test_snapshot_restore_rebuilds_ledger(setup):
     recovered.restore(snap)
     assert recovered.num_established == original.num_established
     np.testing.assert_array_equal(
-        recovered.ledger.used("voice"), original.ledger.used("voice")
+        recovered.ledger.used_view("voice"), original.ledger.used_view("voice")
     )
 
 

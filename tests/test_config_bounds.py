@@ -27,7 +27,7 @@ class TestPaperAnchors:
         b = utilization_bounds(**PAPER)
         assert b.lower == pytest.approx(0.30)
         assert b.upper == pytest.approx(0.6092, abs=1e-3)
-        assert b.width > 0
+        assert b.upper > b.lower
 
 
 class TestStructure:

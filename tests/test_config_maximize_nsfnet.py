@@ -14,8 +14,9 @@ from repro.config import (
     max_utilization_shortest_path,
     theorem4_lower_bound,
 )
-from repro.errors import InfeasibleUtilization
-from repro.topology import nsfnet_backbone
+from repro.analysis import single_class_delays
+from repro.routing import SafeRouteSelector, shortest_path_routes
+from repro.topology import LinkServerGraph, nsfnet_backbone
 from repro.traffic import all_ordered_pairs, voice_class
 
 
@@ -50,9 +51,12 @@ def test_heuristic_with_fallback_never_below_lower_bound(setup):
 def test_bare_heuristic_fails_at_the_boundary(setup):
     """Documented incompleteness: the greedy no-backtrack heuristic alone
     cannot route NSFNET at the lower bound (min-delay detours strand a
-    later pair), even though the SP witness exists."""
+    later pair), even though the SP witness exists — which is why
+    max_utilization_heuristic falls back to it."""
     net, pairs, voice = setup
-    with pytest.raises(InfeasibleUtilization):
-        max_utilization_heuristic(
-            net, pairs, voice, resolution=0.01, sp_fallback=False
-        )
+    lb = theorem4_lower_bound(4, 3, voice.burst, voice.rate, voice.deadline)
+    assert not SafeRouteSelector(net, voice).select(pairs, lb).success
+    sp = shortest_path_routes(net, pairs)
+    assert single_class_delays(
+        LinkServerGraph(net), list(sp.values()), voice, lb
+    ).safe

@@ -304,7 +304,7 @@ class TestPreemptor:
         controller = make_controller(cfg)
         fill(controller, ("r0", "r2"), 3, "hard_rt", "h")
         before = {f.flow_id for f in controller.established_flows}
-        used = controller.ledger.used("voice").copy()
+        used = controller.ledger.used_view("voice").copy()
 
         preemptor = Preemptor(controller)
         outcome = preemptor.try_admit(
@@ -315,7 +315,7 @@ class TestPreemptor:
         assert outcome.reason == "no lower-priority flows cover the deficit"
         # Zero side effects on a failed plan.
         assert {f.flow_id for f in controller.established_flows} == before
-        assert (controller.ledger.used("voice") == used).all()
+        assert (controller.ledger.used_view("voice") == used).all()
         assert preemptor.preempted_total == 0
 
     def test_soft_rt_victims_rank_below_hard_rt(self):

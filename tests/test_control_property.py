@@ -160,7 +160,7 @@ def test_preemption_never_evicts_hard_rt(ops):
             _kind, fid = op
             if controller.is_established(fid):
                 controller.release(fid)
-        used = controller.ledger.used("voice")
+        used = controller.ledger.used_view("voice")
         slots = controller.ledger.slots("voice")
         assert (used <= slots).all()
     assert controller.verify_invariants() == []

@@ -68,7 +68,7 @@ class TestAdmissionAtBottleneck:
         assert admitted == cap
         # Access links are far from full; the bottleneck is the binding
         # constraint.
-        ratio = ctrl.ledger.used("voice") / ctrl.ledger.slots("voice")
+        ratio = ctrl.ledger.used_view("voice") / ctrl.ledger.slots("voice")
         assert int(np.argmax(ratio)) == graph.server_index("hubL", "hubR")
         assert ratio.max() == pytest.approx(1.0)
 

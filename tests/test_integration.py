@@ -93,7 +93,7 @@ def test_admission_saturation_matches_slots(mci, mci_graph, voice,
     for i in range(slots):
         assert ctrl.admit(FlowSpec(i, "voice", *pair)).admitted
     assert not ctrl.admit(FlowSpec("extra", "voice", *pair)).admitted
-    util = ctrl.ledger.used("voice") * voice.rate / 100e6
+    util = ctrl.ledger.used_view("voice") * voice.rate / 100e6
     assert np.all(util <= alpha)
 
 

@@ -238,7 +238,7 @@ class TestCommittedRouteRelease:
         del ctrl.route_map[("r0", "r3")]
         ctrl.release(1)
         # Every slot freed on the *original* path; ledger fully drained.
-        assert (ctrl.ledger.used("voice") == 0).all()
+        assert (ctrl.ledger.used_view("voice") == 0).all()
 
     def test_committed_route_unknown_flow_raises(
         self, line4, line4_graph, voice_registry

@@ -111,7 +111,7 @@ def _decision_key(decision):
 def _ledger_state(controller):
     if isinstance(controller, UtilizationAdmissionController):
         return {
-            name: controller.ledger.used(name).tolist()
+            name: controller.ledger.used_view(name).tolist()
             for name in controller.alphas
         }
     return None
@@ -150,7 +150,7 @@ def _assert_counters_match(controller, returned):
         assert math.isnan(controller.mean_decision_seconds())
         return
     assert controller.mean_decision_seconds() == pytest.approx(
-        sum(d.per_request_seconds for d in returned) / total
+        sum(d.decision_seconds / d.batch_size for d in returned) / total
     )
 
 
@@ -475,7 +475,7 @@ class TestObsCounterEquivalence:
             else:
                 decisions = [controller.admit(flow) for flow in flows]
             for decision in decisions:
-                reference.observe(decision.per_request_seconds)
+                reference.observe(decision.decision_seconds / decision.batch_size)
             live.extend(d.flow_id for d in decisions if d.admitted)
             rng = np.random.default_rng(release_seed)
             rng.shuffle(live)

@@ -11,7 +11,6 @@ from repro.routing import (
     HeuristicOptions,
     MultiClassRouteSelector,
     SafeRouteSelector,
-    least_loaded_routes,
 )
 from repro.topology import LinkServerGraph
 from repro.traffic import ClassRegistry, TrafficClass, video_class, voice_class
@@ -83,8 +82,8 @@ def _single(network, pairs, ordered):
     )
 
 
-# The multi-class selector and the least-loaded baseline always route
-# farthest first: ``ordered`` reaches only the single-class selector.
+# The multi-class selector always routes farthest first: ``ordered``
+# reaches only the single-class selector.
 def _multi(network, pairs, ordered):
     registry = ClassRegistry([voice_class(), video_class()])
     return MultiClassRouteSelector(network, registry).select(
@@ -92,14 +91,8 @@ def _multi(network, pairs, ordered):
     )
 
 
-def _least_loaded(network, pairs, ordered):
-    return least_loaded_routes(network, pairs)
-
-
 #: Every entry point that validates and orders a pair list.
-ENTRY_POINTS = {
-    "single": _single, "multi": _multi, "least_loaded": _least_loaded,
-}
+ENTRY_POINTS = {"single": _single, "multi": _multi}
 
 
 @pytest.mark.parametrize("ordered", [True, False])

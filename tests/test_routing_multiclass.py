@@ -57,9 +57,8 @@ def test_outcome_is_certified(mci, mci_graph, registry, selector):
     out = selector.select(
         {"voice": VOICE_PAIRS, "video": VIDEO_PAIRS}, ALPHAS
     )
-    check = multi_class_delays(
-        mci_graph, out.routes_by_class(), registry, ALPHAS
-    )
+    routes = {name: list(by_pair.values()) for name, by_pair in out.routes.items()}
+    check = multi_class_delays(mci_graph, routes, registry, ALPHAS)
     assert check.safe
     # The selector's final joint fixed point matches the re-verification.
     for name in ("voice", "video"):

@@ -55,14 +55,6 @@ class TestReportMetrics:
     def test_miss_fraction_unknown_class(self, report):
         assert report.deadline_misses("ghost", 0.1) == 0
 
-    def test_jitter(self, report):
-        j = report.jitter("voice")
-        assert j == pytest.approx(
-            report.max_e2e("voice") - float(report.e2e["voice"].min())
-        )
-        assert j > 0  # contention creates spread
-        assert np.isnan(report.jitter("ghost"))
-
     def test_per_flow_worst_in_engine(self, report):
         worst = report.recorder._flow_max
         assert len(worst) == 60  # every flow delivered packets

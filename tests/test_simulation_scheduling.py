@@ -1,13 +1,12 @@
-"""Scheduling-discipline ablation: static priority vs FIFO.
+"""Class-based static priority: what a lower class can cost a higher one.
 
-The paper's guarantees rest on class-based static priority (Section 4).
-These tests demonstrate the ablation: under FIFO, best-effort bursts
-delay real-time traffic far beyond the one-packet non-preemption cost.
+The paper's guarantees rest on class-based static priority (Section 4),
+non-preemptive: a best-effort packet already on the wire delays a
+real-time packet by at most one transmission per hop.
 """
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.simulation import PacketPattern, Simulator
 from repro.topology import LinkServerGraph, star_network
 from repro.traffic import ClassRegistry, FlowSpec, TrafficClass, voice_class
@@ -24,68 +23,29 @@ def setup():
     return graph, registry
 
 
-def _run(graph, registry, scheduling):
-    """Voice vs two converging bulk aggressors that oversubscribe the hub
-    output (2 x 55 Mbps + voice > 100 Mbps), so a FIFO queue builds for
-    the whole horizon while priority shields the voice class."""
-    sim = Simulator(graph, registry, scheduling=scheduling)
+def _voice(sim):
     for i in range(10):
         sim.add_flow(
             FlowSpec(f"v{i}", "voice", "leaf0", "leaf3"),
             ["leaf0", "hub", "leaf3"],
             PacketPattern("greedy", packet_size=640, seed=i),
         )
+    return sim
+
+
+def test_priority_cost_bounded_by_one_packet(setup):
+    """Voice beside two converging bulk aggressors that oversubscribe the
+    hub output (2 x 55 Mbps + voice > 100 Mbps): bulk can block voice by
+    at most one packet transmission per hop."""
+    graph, registry = setup
+    sim = _voice(Simulator(graph, registry))
     for b, leaf in enumerate(("leaf1", "leaf2")):
         sim.add_flow(
             FlowSpec(f"b{b}", "bulk", leaf, "leaf3"),
             [leaf, "hub", "leaf3"],
             PacketPattern("greedy", packet_size=12_000, seed=99 + b),
         )
-    return sim.run(horizon=0.3)
-
-
-def test_priority_shields_voice(setup):
-    graph, registry = setup
-    prio = _run(graph, registry, "priority")
-    fifo = _run(graph, registry, "fifo")
-    # Same traffic, very different voice delays.
-    assert fifo.max_e2e("voice") > 2 * prio.max_e2e("voice")
-
-
-def test_priority_cost_bounded_by_one_packet(setup):
-    """Under priority, bulk can block voice by at most one packet
-    transmission per hop (non-preemptive)."""
-    graph, registry = setup
-    prio = _run(graph, registry, "priority")
-    lone = Simulator(graph, registry, scheduling="priority")
-    for i in range(10):
-        lone.add_flow(
-            FlowSpec(f"v{i}", "voice", "leaf0", "leaf3"),
-            ["leaf0", "hub", "leaf3"],
-            PacketPattern("greedy", packet_size=640, seed=i),
-        )
-    quiet = lone.run(horizon=0.3)
+    prio = sim.run(horizon=0.3)
+    quiet = _voice(Simulator(graph, registry)).run(horizon=0.3)
     blocking = 2 * 12_000 / 100e6
     assert prio.max_e2e("voice") <= quiet.max_e2e("voice") + blocking + 1e-9
-
-
-def test_fifo_still_serves_everyone(setup):
-    graph, registry = setup
-    fifo = _run(graph, registry, "fifo")
-    assert fifo.conserved
-    assert fifo.e2e["voice"].size > 0
-    assert fifo.e2e["bulk"].size > 0
-
-
-def test_bulk_prefers_fifo(setup):
-    """The flip side: bulk traffic finishes faster without priority."""
-    graph, registry = setup
-    prio = _run(graph, registry, "priority")
-    fifo = _run(graph, registry, "fifo")
-    assert fifo.mean_e2e("bulk") <= prio.mean_e2e("bulk") + 1e-12
-
-
-def test_unknown_scheduling_rejected(setup):
-    graph, registry = setup
-    with pytest.raises(SimulationError):
-        Simulator(graph, registry, scheduling="wfq")

@@ -10,10 +10,9 @@ More checks of the same kind ride along: every row is shown to fire on
 a planted offender (so a renamed file or a moved root cannot turn a row
 into a silent pass), every public function and class of the package —
 and every method, module constant and option — has a caller that is not
-a test, every module the tool config names exists,
-every pytest node id the docs cite resolves to a test, the checked-in
-paper-table summary validates, and the one benchmark's command lines are
-accepted by the ``serve`` parser they are passed to.
+a test, every module the tool config names exists, every pytest node id
+the docs cite resolves to a test, and the one benchmark's command lines
+are accepted by the ``serve`` parser they are passed to.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import importlib.util
 import json
 import pathlib
 import re
-import subprocess
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -34,6 +32,7 @@ from typing import List, Optional, Tuple
 import pytest
 
 from repro.experiments.cli import build_parser
+from test_paper_benches import PAPER_BENCHES
 
 THIS_FILE = pathlib.Path(__file__).resolve()
 REPO = THIS_FILE.parent.parent
@@ -46,7 +45,7 @@ TEXT_SUFFIXES = (".py", ".md", ".toml")
 #: library code).
 PACKAGES = (
     "admission|analysis|config|control|experiments|faults|routing|service"
-    "|simulation|statistical|topology|traffic|verify|workload"
+    "|simulation|topology|traffic|verify|workload"
 )
 
 
@@ -480,10 +479,7 @@ RATCHETS = (
             "src/repro/faults/harness.py",
             "            simulator.add_flow(flow, route)",
         ),
-        allowed=(
-            r"^src/repro/simulation/",
-            r"^src/repro/statistical/empirical\.py:",
-        ),
+        allowed=(r"^src/repro/simulation/",),
     ),
     Ratchet(
         name="One serve launch path: one child command",
@@ -703,7 +699,7 @@ RATCHETS = (
         pattern=r"single_source_shortest_path_length",
         roots=("src/repro/routing",),
         offender=(
-            "src/repro/routing/leastloaded.py",
+            "src/repro/routing/candidates.py",
             "        dist[src] = nx.single_source_shortest_path_length(g, src)",
         ),
         max_count=1,
@@ -830,17 +826,22 @@ def test_ratchet_fires_on_its_planted_offender(row, tmp_path):
 # the package is what runs
 # ---------------------------------------------------------------------- #
 
-#: Code whose calls keep a name of ``src/repro`` alive.  Tests and
-#: examples are not callers: a name only they call is not the system.
-CALLER_ROOTS = ("src", "benchmarks")
+#: Code whose calls keep a name of ``src/repro`` alive: the package, the
+#: benchmark, and the paper benches tier-1 runs.  Tests, examples and a
+#: bench tier-1 does not run are not callers: a name only they call is
+#: not the system.
+CALLER_ROOTS = ("src", "benchmarks/waterfall", *PAPER_BENCHES)
 
 #: Public functions and classes with no caller under CALLER_ROOTS that
 #: stay anyway.  Two kinds earn a line: a reference the tests compare
-#: the running code against, and a topology builder the cross-topology
-#: property tests run on.
+#: the running code against, and a topology builder the property and
+#: simulation tests run on.
 UNCALLED = {
     "repro.admission.kernels.batch_slot_decisions_sequential": (
         "the per-row reference the numpy slot kernel is differenced against"
+    ),
+    "repro.analysis.distribution.aggregate_envelope_delay": (
+        "the aggregate-envelope delay lemma2_delay is checked against"
     ),
     "repro.analysis.beta.theorem3_delay": (
         "Theorem 3's closed form, which the Lemma 2 and Theorem 2 bounds "
@@ -865,6 +866,12 @@ UNCALLED = {
             "dumbbell_network", "fat_tree_network", "full_mesh",
             "grid_network", "ring_network", "tree_network", "waxman_network",
         )
+    },
+    **{
+        f"repro.topology.builders.{name}": (
+            "a topology the property and simulation tests run on"
+        )
+        for name in ("random_network", "star_network")
     },
 }
 
@@ -941,11 +948,15 @@ _RECORD = re.compile(r"\w*(?:Config|Options|Policy)")
 
 
 def caller_sources(tree: pathlib.Path) -> dict:
-    """``{path: text}`` of every Python file under CALLER_ROOTS."""
+    """``{path: text}`` of every Python file CALLER_ROOTS names, a file
+    or a directory walked for them."""
+    paths = []
+    for root in CALLER_ROOTS:
+        path = tree / root
+        paths += [path] if path.is_file() else sorted(path.rglob("*.py"))
     return {
         path.relative_to(tree).as_posix(): path.read_text(encoding="utf-8")
-        for root in CALLER_ROOTS
-        for path in sorted((tree / root).rglob("*.py"))
+        for path in paths
     }
 
 
@@ -997,15 +1008,17 @@ class Callers:
     private), module-level constants and aliases, and options.  A use is
     a ``Name`` or an attribute spelled like the definition, owned by the
     innermost tracked definition around it (``None``: code that always
-    runs).  ``from … import a as b`` and a module-level ``b = a`` make a
-    use of ``b`` one of ``a``; imports, ``__all__``, the lazy tables
-    (strings) and ``TYPE_CHECKING`` blocks use nothing.  Dunders, and
+    runs); a method is reached only through an attribute, so a local
+    variable spelled like it is no use of it.  ``from … import a as b``
+    and a module-level ``b = a`` make a use of ``b`` one of ``a``;
+    imports, ``__all__``, the lazy tables (strings) and ``TYPE_CHECKING``
+    blocks use nothing.  Dunders, and
     overrides of a method a stdlib base defines, are always called.
     """
 
     def __init__(self, sources: dict, entry_points=()):
         self.defs = {}      # key -> (kind, spelling, "path:line", parent)
-        self.uses = []      # (spelling, owner)
+        self.uses = []      # (spelling, owner, through an attribute)
         self.calls = []     # (spelling, owner, positional, keywords, all)
         self.callees = []   # _Callee
         self.aliases = {}   # spelling -> {spellings it stands for}
@@ -1037,7 +1050,7 @@ class Callers:
             for stmt in tree.body:
                 self._top(path, module, stmt)
         for name in entry_points:
-            self.uses.append((name, None))
+            self.uses.append((name, None, False))
 
     # -- building ------------------------------------------------------ #
 
@@ -1072,7 +1085,7 @@ class Callers:
                 # is a call of ``a``, not a reference that escapes.
                 for target in stmt.targets:
                     self._alias(target.id, stmt.value.id)
-                self.uses.append((stmt.value.id, owner))
+                self.uses.append((stmt.value.id, owner, False))
                 return
         if isinstance(stmt, ast.ClassDef):
             self._class(path, module, stmt, owner, stmt.name)
@@ -1209,7 +1222,7 @@ class Callers:
                 spelling = node.attr
             else:
                 continue
-            self.uses.append((spelling, owner))
+            self.uses.append((spelling, owner, isinstance(node, ast.Attribute)))
             if id(node) not in typing_only and not isinstance(node.ctx, ast.Store):
                 self.calls.append((spelling, owner, 0, (), True))
 
@@ -1252,16 +1265,23 @@ class Callers:
         """Keys of the definitions nothing live uses, to a fixed point: a
         use inside the definition itself, or inside a definition that is
         itself dead, is not a use.  A method dies with its class."""
-        users = {}
-        for spelling, owner in self.uses:
+        users = {}  # (spelling, through an attribute) -> owners
+        for spelling, owner, attribute in self.uses:
             for name in self._spellings(spelling):
-                users.setdefault(name, set()).add(owner)
+                users.setdefault((name, attribute), set()).add(owner)
+
+        def owners(kind, spelling):
+            found = users.get((spelling, True), set())
+            if kind != "method":
+                found = found | users.get((spelling, False), set())
+            return found
+
         dead = set()
         while True:
             now = {
-                key for key, (_, spelling, _, parent) in self.defs.items()
+                key for key, (kind, spelling, _, parent) in self.defs.items()
                 if key not in allowed
-                and (parent in dead or not users.get(spelling, set()) - dead - {key})
+                and (parent in dead or not owners(kind, spelling) - dead - {key})
             }
             if now == dead:
                 return dead
@@ -1391,6 +1411,25 @@ def test_the_caller_check_fires_on_planted_defs(sources, entry_points):
     assert not {"planted_helper", "planted_caller"} & found
 
 
+def test_a_bench_tier1_does_not_run_keeps_nothing_alive(tmp_path):
+    # A bench module outside PAPER_BENCHES runs nowhere, so its calls
+    # are no callers; the same call in a listed bench is one.
+    (tmp_path / "src/repro").mkdir(parents=True)
+    (tmp_path / "src/repro/planted.py").write_text(
+        "def planted_table():\n    return 1\n"
+    )
+    call = (
+        "from repro.planted import planted_table\n"
+        "def test_bench_it():\n    assert planted_table()\n"
+    )
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks/test_bench_unlisted.py").write_text(call)
+    found = Callers(caller_sources(tmp_path)).report({})["names"]
+    assert [line.rsplit(": ", 1)[1] for line in found] == ["planted_table"]
+    (tmp_path / PAPER_BENCHES[-1]).write_text(call)
+    assert not Callers(caller_sources(tmp_path)).report({})["names"]
+
+
 ROWS = pytest.mark.parametrize("kind", sorted(ALLOWANCES))
 
 
@@ -1419,16 +1458,20 @@ def test_every_allowance_gives_one_of_the_reasons():
 
 
 #: A planted module: one dead thing of each kind, reached only by a test
-#: or by a dead caller, next to the live code that reaches the rest.
+#: or by a dead caller, next to the live code that reaches the rest, and
+#: a method whose only "use" is a local variable spelled like it.
 PLANTED = {
     "src/repro/planted.py": (
         "class Planted:\n"
         "    def run(self):\n"
-        "        return self.helper()\n"
+        "        shadowed = self.helper()\n"
+        "        return shadowed\n"
         "    def helper(self):\n"
         "        return knob(1, size=2)\n"
         "    def dead_method(self):\n"
         "        return knob(1, scale=2)\n"
+        "    def shadowed(self):\n"
+        "        return 0\n"
         "PLANTED_CONSTANT = 3\n"
         "def knob(x, *, size=1, scale=1):\n"
         "    return x * size * scale\n"
@@ -1445,14 +1488,18 @@ PLANTED = {
 #: What each row must report on PLANTED, and what a caller under src/
 #: (PLANTED_CALLER) clears.
 PLANTED_FINDINGS = {
-    "methods": "repro.planted.Planted.dead_method",
-    "constants": "repro.planted.PLANTED_CONSTANT",
-    "options": "repro.planted.knob.scale",
+    "methods": [
+        "repro.planted.Planted.dead_method", "repro.planted.Planted.shadowed",
+    ],
+    "constants": ["repro.planted.PLANTED_CONSTANT"],
+    "options": ["repro.planted.knob.scale"],
 }
 PLANTED_CALLER = (
     "from .planted import PLANTED_CONSTANT, Planted, knob\n"
     "def main():\n"
-    "    return Planted().dead_method(), PLANTED_CONSTANT, knob(2, scale=3)\n"
+    "    planted = Planted()\n"
+    "    return (planted.dead_method(), planted.shadowed(), PLANTED_CONSTANT,\n"
+    "            knob(2, scale=3))\n"
 )
 
 
@@ -1464,7 +1511,7 @@ def test_the_row_fires_on_planted_defs(tmp_path, kind):
     # The test's uses are not read (tests are no CALLER_ROOT); the dead
     # method's call of knob(scale=) is not a pass: the fixed point.
     found = Callers(caller_sources(tmp_path), ["main"]).report({})[kind]
-    assert [line.rsplit(": ", 1)[1] for line in found] == [PLANTED_FINDINGS[kind]]
+    assert [line.rsplit(": ", 1)[1] for line in found] == PLANTED_FINDINGS[kind]
     (tmp_path / "src/repro/caller.py").write_text(PLANTED_CALLER)
     assert not Callers(caller_sources(tmp_path), ["main"]).report({})[kind]
 
@@ -1576,18 +1623,6 @@ def test_serve_accepts_every_waterfall_command_line(loadgen, tmp_path):
         assert args.topology == loadgen.TOPOLOGY
         assert args.alpha == loadgen.ALPHA
         assert (args.audit is not None) == workload.audit
-
-
-def test_checked_in_bench_summary_validates():
-    # The paper-table summary benchmarks/run_baseline.py writes, against
-    # its own schema, run as an operator runs it.
-    proc = subprocess.run(
-        [sys.executable, "benchmarks/run_baseline.py",
-         "--validate", "BENCH_routing.json"],
-        cwd=REPO, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "BENCH_routing.json: valid" in proc.stdout
 
 
 def test_benchmark_json_is_what_the_catalogue_generates(loadgen):
