@@ -37,23 +37,11 @@ __all__ = [
 ]
 
 
-def resolve_fan_in(
-    graph: LinkServerGraph, n_mode: str = "uniform"
-) -> np.ndarray:
-    """Per-server fan-in vector under the chosen convention.
-
-    ``"uniform"`` (paper): every server uses the network-wide maximum
-    fan-in ``N``.  ``"per_server"`` (extension): each server uses its own
-    router's actual input-link count — a tighter, still-safe bound.
-    """
-    if n_mode == "uniform":
-        n = graph.uniform_fan_in()
-        return np.full(graph.num_servers, n, dtype=np.float64)
-    if n_mode == "per_server":
-        return graph.fan_in.astype(np.float64)
-    raise AnalysisError(
-        f"unknown n_mode {n_mode!r}; expected 'uniform' or 'per_server'"
-    )
+def resolve_fan_in(graph: LinkServerGraph) -> np.ndarray:
+    """Per-server fan-in vector: every server uses the network-wide
+    maximum fan-in ``N``, the one ``N`` the paper's analysis takes."""
+    n = graph.uniform_fan_in()
+    return np.full(graph.num_servers, n, dtype=np.float64)
 
 
 def theorem3_update(
@@ -133,7 +121,6 @@ def single_class_delays(
     traffic_class: TrafficClass,
     alpha: float,
     *,
-    n_mode: str = "uniform",
     warm_start: Optional[np.ndarray] = None,
     workspace: Optional[FixedPointWorkspace] = None,
 ) -> SingleClassResult:
@@ -149,8 +136,6 @@ def single_class_delays(
         The real-time class (must have a finite deadline).
     alpha:
         Link-bandwidth fraction allocated to the class.
-    n_mode:
-        ``"uniform"`` (paper) or ``"per_server"`` fan-in convention.
     warm_start:
         Optional per-server delay vector known to lie below the least
         fixed point (e.g. the solution for a subset of the routes, or for
@@ -165,7 +150,7 @@ def single_class_delays(
         )
     server_routes = graph.routes_servers(router_paths)
     system = RouteSystem(server_routes, graph.num_servers)
-    fan_in = resolve_fan_in(graph, n_mode)
+    fan_in = resolve_fan_in(graph)
     update = theorem3_update(
         system, traffic_class.burst, traffic_class.rate, alpha, fan_in
     )

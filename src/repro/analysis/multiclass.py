@@ -100,7 +100,6 @@ def multi_class_delays(
     registry: ClassRegistry,
     alphas: Mapping[str, float],
     *,
-    n_mode: str = "uniform",
     warm_start: Optional[np.ndarray] = None,
 ) -> MultiClassResult:
     """Configuration-time delay bounds for every real-time class.
@@ -126,7 +125,7 @@ def multi_class_delays(
     for cls in rt_classes:
         if cls.name not in routes_by_class:
             raise AnalysisError(f"missing routes for class {cls.name!r}")
-    fan_in = resolve_fan_in(graph, n_mode)
+    fan_in = resolve_fan_in(graph)
     alpha_vec = class_alphas(rt_classes, alphas, fan_in)
 
     n_classes = len(rt_classes)

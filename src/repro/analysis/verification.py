@@ -81,7 +81,6 @@ def verify_assignment(
     registry: ClassRegistry,
     alphas: Mapping[str, float],
     *,
-    n_mode: str = "uniform",
     warm_start: Optional[Mapping[str, np.ndarray]] = None,
 ) -> VerificationResult:
     """Run the Figure 2 verification procedure.
@@ -130,7 +129,6 @@ def verify_assignment(
         cls = rt_classes[0]
         result = single_class_delays(
             graph, routes_by_class[cls.name], cls, float(alphas[cls.name]),
-            n_mode=n_mode,
             warm_start=None if warm_start is None else warm_start[cls.name],
         )
         fp = result.fixed_point
@@ -165,7 +163,6 @@ def verify_assignment(
 
     mc = multi_class_delays(
         graph, routes_by_class, registry, alphas,
-        n_mode=n_mode,
         warm_start=None if warm_start is None else np.stack(
             [warm_start[c.name] for c in rt_classes]
         ),

@@ -52,7 +52,6 @@ class ConfiguredNetwork:
     registry: ClassRegistry
     alphas: Dict[str, float]
     routes: RouteMap
-    n_mode: str = "uniform"
     verification: VerificationResult = field(default=None, repr=False)
     _graph: LinkServerGraph = field(default=None, repr=False)
 
@@ -82,7 +81,6 @@ class ConfiguredNetwork:
             list(self.routes.values()),
             self.registry,
             self.alphas,
-            n_mode=self.n_mode,
         )
 
     def slots_per_link(self, class_name: str) -> int:
@@ -175,7 +173,6 @@ class ConfiguredNetwork:
             "classes": classes,
             "alphas": dict(self.alphas),
             "routes": routes,
-            "n_mode": self.n_mode,
         }
 
     @classmethod
@@ -210,7 +207,6 @@ class ConfiguredNetwork:
             registry=registry,
             alphas={k: float(v) for k, v in data["alphas"].items()},
             routes=routes,
-            n_mode=str(data.get("n_mode", "uniform")),
         )
 
     def save(self, path: str) -> None:

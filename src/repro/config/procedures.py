@@ -61,7 +61,6 @@ def maximize_multiclass_scale(
     registry: ClassRegistry,
     weights: Mapping[str, float],
     *,
-    n_mode: str = "uniform",
     resolution: float = 1e-3,
     scale_high: Optional[float] = None,
 ) -> MulticlassScaleResult:
@@ -90,7 +89,7 @@ def maximize_multiclass_scale(
     def check(t: float, warm) -> Optional[Tuple[VerificationResult, Any]]:
         alphas = {name: t * wi for name, wi in w.items()}
         result = verify_assignment(
-            network, routes, registry, alphas, n_mode=n_mode, warm_start=warm
+            network, routes, registry, alphas, warm_start=warm
         )
         return (result, result.server_delays) if result.success else None
 

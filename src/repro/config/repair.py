@@ -97,7 +97,7 @@ def repair_routes(
         )
     cls = rt[0]
     alpha = float(cfg.alphas[cls.name])
-    selector = SafeRouteSelector(degraded, cls, n_mode=cfg.n_mode)
+    selector = SafeRouteSelector(degraded, cls)
     outcome = selector.select(
         list(affected), alpha, fixed_routes=list(survivors.values())
     )
@@ -115,7 +115,6 @@ def repair_routes(
         registry=cfg.registry,
         alphas=dict(cfg.alphas),
         routes=merged,
-        n_mode=cfg.n_mode,
     )
     return repaired, None, ""
 
@@ -159,7 +158,6 @@ def repair_after_link_failure(
             registry=cfg.registry,
             alphas=dict(cfg.alphas),
             routes=dict(survivors),
-            n_mode=cfg.n_mode,
         )
         _record_repair("noop", started)
         return RepairResult(

@@ -11,7 +11,8 @@ released — a failed preemption has zero side effects.
 Safety properties (pinned by the property suite):
 
 * a flow whose priority is in :attr:`PreemptionPolicy.protect`
-  (``hard_rt`` by default) is **never** evicted;
+  (``hard_rt`` by default) is **never** evicted, and no admit evicts
+  more than :data:`MAX_VICTIMS`;
 * every eviction goes through
   :meth:`~repro.admission.base.AdmissionController.release`, so
   ``verify_invariants()`` holds after every step and survivors keep
@@ -27,13 +28,16 @@ from typing import TYPE_CHECKING, Any, ClassVar, Dict, Hashable, List, Optional,
 
 import numpy as np
 
-from ..errors import AdmissionError, ReproError
+from ..errors import ReproError
 from ..traffic.flows import PRIORITY_TAGS, FlowSpec, priority_rank
 
 if TYPE_CHECKING:
     from ..admission.utilization import UtilizationAdmissionController
 
 __all__ = ["PreemptionOutcome", "PreemptionPolicy", "Preemptor"]
+
+#: Upper bound on evictions per admitted arrival.
+MAX_VICTIMS = 8
 
 
 @dataclass(frozen=True)
@@ -47,19 +51,10 @@ class PreemptionPolicy:
         not a field).
     protect:
         Priorities that can never be evicted.
-    max_victims:
-        Upper bound on evictions per admitted arrival.
     """
 
     admit_priorities: ClassVar[Tuple[str, ...]] = ("hard_rt",)
     protect: Tuple[str, ...] = ("hard_rt",)
-    max_victims: int = 8
-
-    def __post_init__(self):
-        if self.max_victims < 1:
-            raise AdmissionError(
-                f"max_victims must be >= 1, got {self.max_victims}"
-            )
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ class Preemptor:
         hits = hits[:, order]
         remaining = np.array([deficit[s] for s in servers])
         plan: List[Hashable] = []
-        while (remaining > 0).any() and len(plan) < policy.max_victims:
+        while (remaining > 0).any() and len(plan) < MAX_VICTIMS:
             gain = hits[remaining > 0].sum(axis=0)
             if not gain.any():
                 return None

@@ -42,16 +42,6 @@ __all__ = ["main", "build_parser"]
 NOT_SERVED_MODULES = ("ssl", "_hashlib")
 
 
-def _alpha_ladder(text: str) -> List[float]:
-    """``serve --alpha-ladder``: comma-separated floats."""
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated floats, got {text!r}"
-        ) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-ubac",
@@ -236,14 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="instead, generate a seeded random schedule of N link failures",
     )
     f.add_argument(
-        "--alpha-factor", type=float, default=0.5,
-        help="effective-alpha scale while in degraded mode",
-    )
-    f.add_argument(
-        "--repair-latency", type=float, default=0.02,
-        help="simulated seconds between a fault and its repair landing",
-    )
-    f.add_argument(
         "--report-out", default=None, metavar="FILE",
         help="write the deterministic transition report (JSON) here",
     )
@@ -276,14 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument(
         "--flows", type=int, default=100_000,
         help="number of flow arrivals to generate",
-    )
-    lg.add_argument(
-        "--batch-size", type=int, default=1024,
-        help="admissions per admit_batch call",
-    )
-    lg.add_argument(
-        "--sequential", action="store_true",
-        help="replay one admit/release call per event instead",
     )
     lg.add_argument(
         "--arrival-rate", type=float, default=1000.0,
@@ -440,19 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--governor", action="store_true",
         help=(
             "close the overload loop at runtime: degrade the effective "
-            "alpha down a pre-certified ladder under queue pressure "
-            "and restore it when drained (every rung re-verified "
-            "through the fixed-point procedure at startup)"
-        ),
-    )
-    srv.add_argument(
-        "--alpha-ladder", type=_alpha_ladder, default=None,
-        metavar="A1,A2,...",
-        help=(
-            "comma-separated candidate effective alphas below --alpha "
-            "for the governor's ladder (default: 0.5, 0.625, 0.75 and "
-            "0.875 of --alpha); uncertifiable candidates are rejected "
-            "at startup, never applied"
+            "alpha down a pre-certified ladder (0.5, 0.625, 0.75 and "
+            "0.875 of --alpha) under queue pressure and restore it when "
+            "drained (every rung re-verified through the fixed-point "
+            "procedure at startup; one that fails is never applied)"
         ),
     )
     srv.add_argument(
@@ -466,19 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
             "lower-priority flows of the same class (never hard_rt) "
             "through the ordinary release path"
         ),
-    )
-    srv.add_argument(
-        "--preempt-max-victims", type=int, default=8, metavar="N",
-        help=(
-            "cap on flows evicted for one preempted admit (with "
-            "--preempt); shard workers see a slice of each link's "
-            "slots, so deficits run deeper there and may need a "
-            "higher cap than a whole-network controller"
-        ),
-    )
-    srv.add_argument(
-        "--max-batch", type=int, default=1024,
-        help="requests coalesced into one batch kernel call",
     )
     srv.add_argument(
         "--max-delay-ms", type=float, default=2.0,
@@ -531,18 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
             "stream request/batch spans to this JSON-lines file "
             "(repro-span/v1; enables observability)"
         ),
-    )
-    srv.add_argument(
-        "--slo-p50-ms", type=float, default=None, metavar="MS",
-        help="rolling-window p50 latency objective (enables SLO tracking)",
-    )
-    srv.add_argument(
-        "--slo-p99-ms", type=float, default=None, metavar="MS",
-        help="rolling-window p99 latency objective (enables SLO tracking)",
-    )
-    srv.add_argument(
-        "--slo-window", type=float, default=None, metavar="SEC",
-        help="rolling SLO window in seconds (enables SLO tracking)",
     )
     srv.add_argument(
         "--drain-grace", type=float, default=0.0, metavar="SEC",
@@ -662,23 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append refreshes instead of redrawing the screen",
     )
 
-    r = sub.add_parser(
-        "report",
-        help="regenerate the reproduction report (Table 1 + sweeps)",
-        parents=[common],
-    )
-    r.add_argument(
-        "--output", default="reproduction-report.md",
-        help="Markdown report path",
-    )
-    r.add_argument(
-        "--records", default=None,
-        help="optional JSON records path",
-    )
-    r.add_argument(
-        "--resolution", type=float, default=0.01,
-        help="binary-search resolution for the Table 1 columns",
-    )
     return parser
 
 
@@ -756,21 +679,6 @@ def _admission_setup(topology: str):
     pairs = all_ordered_pairs(network)
     routes = shortest_path_routes(network, pairs)
     return graph, registry, voice, pairs, routes
-
-
-def _serve_slo_config(args: argparse.Namespace):
-    """SLOConfig from the --slo-* flags (None when none were given)."""
-    from ..obs import SLOConfig
-
-    overrides = {
-        "p50_ms": args.slo_p50_ms,
-        "p99_ms": args.slo_p99_ms,
-        "window_seconds": args.slo_window,
-    }
-    set_values = {k: v for k, v in overrides.items() if v is not None}
-    if not set_values:
-        return None
-    return SLOConfig(**set_values)
 
 
 def _run_serve_cluster(args: argparse.Namespace):
@@ -877,8 +785,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         summary(server)
 
     try:
-        if args.alpha_ladder is not None and not args.governor:
-            raise ValueError("--alpha-ladder needs --governor")
         # Figure 2 runs before anything listens or spawns, in every
         # mode: an alpha it rejects makes the counter compare no
         # deadline guarantee at all.
@@ -906,14 +812,13 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _certified_ladder(args: argparse.Namespace, setup):
-    """The verified ``--alpha`` plus, under ``--governor``, its rungs."""
+    """The verified ``--alpha`` plus, under ``--governor``, its rungs:
+    0.5, 0.625, 0.75 and 0.875 of it."""
     from ..control.ladder import certify_ladder
 
     graph, registry, voice, _pairs, routes = setup
-    candidates = args.alpha_ladder
-    if not args.governor:
-        candidates = []
-    elif candidates is None:
+    candidates = []
+    if args.governor:
         candidates = [args.alpha * f for f in (0.5, 0.625, 0.75, 0.875)]
     # Certification always runs against the full backbone: a shard
     # worker's quota is a partition of the certified slots, so a rung
@@ -958,7 +863,6 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
             graph, registry, alphas, routes
         )
     config = ServiceConfig(
-        max_batch=args.max_batch,
         max_delay=args.max_delay_ms / 1000.0,
         snapshot_path=args.snapshot,
         snapshot_interval=args.snapshot_interval,
@@ -968,7 +872,6 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
         audit_fsync_every=args.audit_fsync_every,
         audit_max_bytes=args.audit_max_bytes,
         audit_keep=args.audit_keep,
-        slo=_serve_slo_config(args),
         drain_grace=args.drain_grace,
         worker_index=args.shard_index,
         governor_interval=args.governor_interval,
@@ -980,14 +883,9 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
 
         governor = AlphaGovernor(ladder)
     if args.preempt:
-        from ..control.preempt import PreemptionPolicy, Preemptor
+        from ..control.preempt import Preemptor
 
-        preemptor = Preemptor(
-            controller,
-            policy=PreemptionPolicy(
-                max_victims=args.preempt_max_victims
-            ),
-        )
+        preemptor = Preemptor(controller)
     if args.socket is None and args.port is None:
         raise ValueError("specify --socket PATH or --port N")
 
@@ -1203,31 +1101,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             "top": commands._run_top,
         }[args.command]
         return run(args)
-
-    if args.command == "report":
-        from .persistence import (
-            render_markdown_report,
-            save_records,
-            sweep_record,
-            table1_record,
-        )
-        from .sweeps import sweep_burst, sweep_deadline
-        from .table1 import run_table1
-
-        print("regenerating Table 1 (this runs both searches)...")
-        table1 = run_table1(resolution=args.resolution)
-        records = [
-            table1_record(table1),
-            sweep_record(sweep_deadline(), "sweep-deadline"),
-            sweep_record(sweep_burst(), "sweep-burst"),
-        ]
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(render_markdown_report(records))
-        print(f"wrote {args.output}")
-        if args.records:
-            save_records(records, args.records)
-            print(f"wrote {args.records}")
-        return 0
 
     raise AssertionError("unreachable")  # pragma: no cover
 

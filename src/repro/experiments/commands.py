@@ -132,11 +132,7 @@ def _run_faults(args: argparse.Namespace) -> int:
             )
         harness = ChaosHarness(
             cfg,
-            policy=DegradedModePolicy(
-                alpha_factor=args.alpha_factor,
-                backoff=BackoffPolicy(),
-                repair_latency=args.repair_latency,
-            ),
+            policy=DegradedModePolicy(backoff=BackoffPolicy()),
         )
         report = harness.run(
             flows,
@@ -391,7 +387,7 @@ def _run_loadgen(args: argparse.Namespace, setup) -> int:
         target = args.socket or args.target
         label = (
             f"admission service at {target} "
-            f"({protocol} frames of {args.batch_size}, "
+            f"({protocol} frames of {result.batch_size}, "
             f"{args.connections} connection"
             f"{'' if args.connections == 1 else 's'})"
         )
@@ -404,18 +400,10 @@ def _run_loadgen(args: argparse.Namespace, setup) -> int:
             if args.controller == "utilization"
             else FlowAwareAdmissionController(graph, registry, routes)
         )
-        result = drive(
-            controller,
-            events,
-            batch_size=args.batch_size,
-            mode="sequential" if args.sequential else "batch",
-        )
+        result = drive(controller, events)
         protocol = None
         target = f"in-process:{args.controller}"
-        label = (
-            f"{args.controller} controller, {result.mode} mode "
-            f"(batch={result.batch_size})"
-        )
+        label = f"{args.controller} controller (batch={result.batch_size})"
         decision_us = controller.mean_decision_seconds() * 1e6
         rate_note = f"; mean decision {decision_us:.2f} us/request"
     print(
@@ -434,7 +422,7 @@ def _run_loadgen(args: argparse.Namespace, setup) -> int:
             f"frame latency p50 {latency['p50_ms']:.2f} ms, "
             f"p90 {latency['p90_ms']:.2f} ms, "
             f"p99 {latency['p99_ms']:.2f} ms "
-            f"({result.frames} frames of {args.batch_size})"
+            f"({result.frames} frames of {result.batch_size})"
         )
     _print_per_priority(result.per_priority)
     if args.summary_out is not None:
@@ -459,9 +447,7 @@ async def _replay_at_service(args, events):
                 if port is None
                 else Client.connect_tcp(where, port, protocol=args.protocol)
             ))
-        result = await replay_events(
-            clients, events, frame_size=args.batch_size
-        )
+        result = await replay_events(clients, events)
         return result, clients[0].negotiated_protocol
     finally:
         for client in clients:
@@ -491,10 +477,9 @@ def _write_loadgen_summary(path, args, result, target, protocol) -> None:
 
     summary = {
         "schema": "repro-loadgen-summary/v1",
-        "mode": result.mode,
         "target": target,
         "topology": args.topology,
-        "batch_size": args.batch_size,
+        "batch_size": result.batch_size,
         "seed": args.seed,
         "ops": result.total_ops,
         "elapsed_seconds": result.elapsed_seconds,

@@ -21,6 +21,16 @@ __all__ = ["BackoffPolicy", "DegradedModePolicy"]
 #: Each retry waits this many times longer than the one before.
 BACKOFF_FACTOR = 2.0
 
+#: Effective-utilization scale applied to every admission controller
+#: ledger while degraded (0.5 admits against half the verified slot
+#: counts): uncertified reroutes are only tolerable under a
+#: conservative load ceiling.
+ALPHA_FACTOR = 0.5
+#: Simulated seconds between a failure and its repair taking effect
+#: (detection + recomputation time): re-admissions happen at
+#: ``failure_time + REPAIR_LATENCY``.
+REPAIR_LATENCY = 0.02
+
 
 @dataclass(frozen=True)
 class BackoffPolicy:
@@ -47,31 +57,13 @@ class BackoffPolicy:
 
 @dataclass(frozen=True)
 class DegradedModePolicy:
-    """How the harness degrades when no safe repair exists.
+    """How the harness degrades when no safe repair exists: under
+    :data:`ALPHA_FACTOR`, :data:`REPAIR_LATENCY` after the failure.
 
     Attributes
     ----------
-    alpha_factor:
-        Effective-utilization scale applied to every admission
-        controller ledger while degraded (e.g. 0.5 admits against half
-        the verified slot counts).  Uncertified reroutes are only
-        tolerable under a conservative load ceiling.
     backoff:
         Retry policy for re-admissions rejected during the transition.
-    repair_latency:
-        Simulated seconds between a failure and its repair taking
-        effect (detection + recomputation time); re-admissions happen
-        at ``failure_time + repair_latency``.
     """
 
-    alpha_factor: float = 0.5
     backoff: BackoffPolicy = BackoffPolicy()
-    repair_latency: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha_factor <= 1.0):
-            raise FaultInjectionError(
-                f"alpha_factor must be in (0, 1], got {self.alpha_factor}"
-            )
-        if self.repair_latency < 0:
-            raise FaultInjectionError("repair_latency must be >= 0")

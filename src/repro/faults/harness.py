@@ -39,6 +39,7 @@ from ..simulation.events import EventQueue
 from ..simulation.simulator import Simulator
 from ..topology.network import Network
 from ..workload.trace import TraceEvent
+from . import degraded
 from .degraded import DegradedModePolicy
 from .report import FlowAccount, TransitionRecord, TransitionReport
 from .schedule import FaultEvent, FaultSchedule
@@ -251,7 +252,7 @@ class ChaosHarness:
         """
         factor = 1.0
         if self._degraded:
-            factor = min(factor, self.policy.alpha_factor)
+            factor = min(factor, degraded.ALPHA_FACTOR)
         if self.governor is not None and not self.governor.at_top:
             factor = min(factor, self.governor.factor)
         if factor < 1.0:
@@ -631,7 +632,7 @@ class ChaosHarness:
             new_routes = self._fallback_routes(degraded_net, affected)
 
         queue.push(
-            time + self.policy.repair_latency,
+            time + degraded.REPAIR_LATENCY,
             "reroute",
             {
                 "record": record,

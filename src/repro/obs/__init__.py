@@ -46,7 +46,7 @@ from .metrics import (
     MetricsRegistry,
     NullRegistry,
 )
-from .slo import RollingCounter, RollingHistogram, SLOConfig, SLOTracker
+from .slo import RollingCounter, RollingHistogram, SLOTracker
 from .trace import (
     NULL_SPAN,
     NullSpan,
@@ -108,7 +108,6 @@ __all__ = [
     "JsonLinesSpanSink",
     "RollingCounter",
     "RollingHistogram",
-    "SLOConfig",
     "SLOTracker",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_ITERATION_BUCKETS",

@@ -7,31 +7,36 @@ expired slices are zeroed lazily — so p50/p99 latency and the request
 count over the last ``window`` seconds cost O(slices × buckets) to read
 and O(1) to update, with no timestamps stored per observation.
 
-:class:`SLOTracker` compares the measured window against a
-:class:`SLOConfig` and reports *burn rates* (measured / target; > 1
-means the objective is being violated right now), which the service
-surfaces in ``stats``, ``/healthz``, and as gauges on the metrics
-registry.  All clocks are injectable for deterministic tests.
+:class:`SLOTracker` compares the measured window against the
+:data:`P50_MS` / :data:`P99_MS` objectives and reports *burn rates*
+(measured / target; > 1 means the objective is being violated right
+now), which the service surfaces in ``stats``, ``/healthz``, and as
+gauges on the metrics registry.  All clocks are injectable for
+deterministic tests.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from .metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 
 __all__ = [
     "RollingCounter",
     "RollingHistogram",
-    "SLOConfig",
     "SLOTracker",
 ]
 
 
 #: Slices per rolling window: data expires in steps of window / SLICES.
 SLICES = 12
+
+#: Per-op latency objectives of the rolling window, in milliseconds.
+P50_MS = 50.0
+P99_MS = 250.0
+#: Seconds the rolling window spans.
+WINDOW_SECONDS = 60.0
 
 
 class _SliceRing:
@@ -159,31 +164,6 @@ class RollingHistogram:
         return self.bounds[-1]
 
 
-@dataclass(frozen=True)
-class SLOConfig:
-    """Latency objectives for the rolling window.
-
-    A target of zero disables that objective's burn rate (reported as
-    0.0) rather than dividing by it.
-    """
-
-    p50_ms: float = 50.0
-    p99_ms: float = 250.0
-    window_seconds: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.p50_ms < 0 or self.p99_ms < 0:
-            raise ValueError("SLO latency targets must be >= 0")
-        if self.window_seconds <= 0:
-            raise ValueError("window_seconds must be > 0")
-
-
-def _burn(measured: float, target: float) -> float:
-    if target <= 0:
-        return 0.0
-    return measured / target
-
-
 class SLOTracker:
     """Measure rolling per-op latency against an SLO.
 
@@ -193,16 +173,9 @@ class SLOTracker:
     or :meth:`export_gauges` (Prometheus burn-rate series).
     """
 
-    def __init__(
-        self,
-        config: Optional[SLOConfig] = None,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.config = config or SLOConfig()
-        window = self.config.window_seconds
-        self._latency = RollingHistogram(window=window, clock=clock)
-        self._requests = RollingCounter(window=window, clock=clock)
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic):
+        self._latency = RollingHistogram(window=WINDOW_SECONDS, clock=clock)
+        self._requests = RollingCounter(window=WINDOW_SECONDS, clock=clock)
 
     # ------------------------------------------------------------ feed
 
@@ -224,21 +197,17 @@ class SLOTracker:
         }
 
     def snapshot(self) -> Dict[str, Any]:
-        cfg = self.config
         m = self.measured()
         burn_rates = {
-            "p50": _burn(m["p50_ms"], cfg.p50_ms),
-            "p99": _burn(m["p99_ms"], cfg.p99_ms),
+            "p50": m["p50_ms"] / P50_MS,
+            "p99": m["p99_ms"] / P99_MS,
         }
         return {
-            "window_seconds": cfg.window_seconds,
+            "window_seconds": WINDOW_SECONDS,
             "requests": int(m["requests"]),
             "p50_ms": m["p50_ms"],
             "p99_ms": m["p99_ms"],
-            "targets": {
-                "p50_ms": cfg.p50_ms,
-                "p99_ms": cfg.p99_ms,
-            },
+            "targets": {"p50_ms": P50_MS, "p99_ms": P99_MS},
             "burn_rates": burn_rates,
             "breaching": any(b > 1.0 for b in burn_rates.values()),
         }
@@ -246,14 +215,13 @@ class SLOTracker:
     def export_gauges(self, registry: MetricsRegistry) -> None:
         """Publish burn rates and measured quantiles as gauges."""
         m = self.measured()
-        cfg = self.config
         for objective, measured_v, target in (
-            ("p50", m["p50_ms"], cfg.p50_ms),
-            ("p99", m["p99_ms"], cfg.p99_ms),
+            ("p50", m["p50_ms"], P50_MS),
+            ("p99", m["p99_ms"], P99_MS),
         ):
             registry.gauge(
                 "repro_slo_burn_rate", objective=objective
-            ).set(_burn(measured_v, target))
+            ).set(measured_v / target)
         registry.gauge(
             "repro_slo_latency_ms", quantile="0.5"
         ).set(m["p50_ms"])

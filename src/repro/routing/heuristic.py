@@ -214,13 +214,11 @@ class _GreedySelector:
         self,
         network: Network,
         options: HeuristicOptions,
-        n_mode: str,
     ):
         self.network = network
         self.options = options
-        self.n_mode = n_mode
         self.graph = LinkServerGraph(network)
-        self.fan_in = resolve_fan_in(self.graph, n_mode)
+        self.fan_in = resolve_fan_in(self.graph)
         # Candidate routes depend only on the topology, so every selector
         # over the same network shares one generator/cache.
         self._candidates = CandidateGenerator.shared(
@@ -390,13 +388,12 @@ class SafeRouteSelector(_GreedySelector):
         traffic_class: TrafficClass,
         *,
         options: HeuristicOptions = HeuristicOptions(),
-        n_mode: str = "uniform",
     ):
         if not traffic_class.is_realtime:
             raise RoutingError(
                 f"class {traffic_class.name!r} has no finite deadline"
             )
-        super().__init__(network, options, n_mode)
+        super().__init__(network, options)
         self.traffic_class = traffic_class
         self._beta_cache: Dict[float, np.ndarray] = {}
 
@@ -531,7 +528,7 @@ class MultiClassRouteSelector(_GreedySelector):
     ):
         if not registry.realtime_classes():
             raise RoutingError("registry has no real-time class to route")
-        super().__init__(network, HeuristicOptions(), "uniform")
+        super().__init__(network, HeuristicOptions())
         self.registry = registry
 
     def select(

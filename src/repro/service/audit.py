@@ -402,11 +402,6 @@ class AuditLog:
 # ------------------------------------------------------------------ #
 
 
-#: Rotated files :func:`iter_audit` looks for (``path.16`` down to
-#: ``path.1``): more than a writer keeps.
-READ_ROTATED = 16
-
-
 def iter_audit(path: str) -> "AuditRecords":
     """The audit records of ``path`` and its rotated files, oldest
     first, one per decision or marker: a ``frame`` line is expanded into
@@ -440,12 +435,12 @@ class AuditRecords:
         return next(self._records)
 
     def _read(self, path: str) -> Iterator[Dict[str, Any]]:
-        files = [
-            f"{path}.{i}"
-            for i in range(READ_ROTATED, 0, -1)
-            if os.path.exists(f"{path}.{i}")
-        ] + [path]
-        for filename in files:
+        # A writer keeps ``path.1`` .. ``path.<keep>`` with no gap, for
+        # any ``keep``: read upward to the first missing one.
+        files = [path]
+        while os.path.exists(f"{path}.{len(files)}"):
+            files.append(f"{path}.{len(files)}")
+        for filename in reversed(files):
             with open(filename, "r", encoding="utf-8") as fh:
                 first = fh.readline()
                 if first:

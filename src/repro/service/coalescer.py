@@ -8,7 +8,7 @@ decided on arrival, one
 :meth:`~repro.admission.base.AdmissionController.release_batch` call
 per run of its ops.  Only ops submitted behind undecided ones, or while
 the coalescer is paused, go through an :class:`asyncio.Queue`, whose
-drain loop waits up to ``max_delay`` seconds for ``max_batch`` of them.
+drain loop waits up to ``max_delay`` seconds for :data:`MAX_BATCH` of them.
 Every outcome lands in a slot of its frame's :class:`BulkSlots`.
 
 **Decisions are bit-identical to sequential submission.**  The drained
@@ -86,6 +86,10 @@ __all__ = [
 #: batches record how many more there were instead of the tail.
 _SPAN_LINK_CAP = 64
 
+#: Upper bound on ops decided per decision step: a larger frame is
+#: decided in chunks of this many.
+MAX_BATCH = 1024
+
 logger = logging.getLogger("repro.service")
 
 _ADMIT = "admit"
@@ -99,7 +103,7 @@ BULK_OP_RELEASE = _RELEASE
 
 class _Stamp:
     """Telemetry marks of what one :meth:`MicroBatchCoalescer._decide`
-    call decided for a request: a queued op, or one ``max_batch`` chunk
+    call decided for a request: a queued op, or one :data:`MAX_BATCH` chunk
     of a frame decided inline.
 
     ``span_hex`` is the request's span id (the batch span links it);
@@ -249,9 +253,6 @@ class MicroBatchCoalescer:
         The slot-ledger controller
         (:class:`~repro.admission.utilization.UtilizationAdmissionController`
         or a shard of one) every op is decided against.
-    max_batch:
-        Upper bound on ops decided per decision step (a larger frame is
-        decided in chunks).
     max_delay:
         Seconds the drain loop waits for a queued batch to fill once at
         least one op is pending.  ``0`` coalesces only what is already
@@ -262,19 +263,13 @@ class MicroBatchCoalescer:
         self,
         controller: UtilizationAdmissionController,
         *,
-        max_batch: int = 1024,
         max_delay: float = 0.002,
     ):
-        if max_batch < 1:
-            raise ServiceError(
-                f"max_batch must be >= 1, got {max_batch}"
-            )
         if max_delay < 0:
             raise ServiceError(
                 f"max_delay must be >= 0, got {max_delay}"
             )
         self.controller = controller
-        self.max_batch = int(max_batch)
         self.max_delay = float(max_delay)
         #: Optional decision audit log; the server assigns it so every
         #: admit/release decided here is recorded at commit time.
@@ -395,7 +390,7 @@ class MicroBatchCoalescer:
         every undecided op is exactly this frame's order, and batch
         *composition* never affects decisions (the batch kernels are
         sequential-identical by the differential contract) — only op
-        order does.  The frame is chunked by ``max_batch`` so the
+        order does.  The frame is chunked by :data:`MAX_BATCH` so the
         documented per-batch bound holds.  Only ordering (an undecided
         op ahead of the frame) and the pause/stop staging controls
         queue one op per entry instead; an audit log or observability
@@ -413,8 +408,8 @@ class MicroBatchCoalescer:
         if self.pending == 0 and self._paused.is_set():
             outcomes = slots.outcomes
             stamps = []
-            for start in range(0, len(entries), self.max_batch):
-                chunk = entries[start : start + self.max_batch]
+            for start in range(0, len(entries), MAX_BATCH):
+                chunk = entries[start : start + MAX_BATCH]
                 stamp = _Stamp(span_hex)
                 decided = self._decide(
                     [(kind, payload, trace) for _, kind, payload in chunk],
@@ -478,14 +473,14 @@ class MicroBatchCoalescer:
                 return
 
     async def _fill(self, batch: List[_Op]) -> bool:
-        """Drain up to ``max_batch`` ops into ``batch``.
+        """Drain up to :data:`MAX_BATCH` ops into ``batch``.
 
         Greedily takes whatever is already queued, then waits out the
         remaining coalescing window.  Returns True when the stop
         sentinel was encountered (the batch is still processed).
         """
         queue = self._queue
-        while len(batch) < self.max_batch:
+        while len(batch) < MAX_BATCH:
             try:
                 op = queue.get_nowait()
             except asyncio.QueueEmpty:
@@ -493,11 +488,11 @@ class MicroBatchCoalescer:
             if op is None:
                 return True
             batch.append(op)
-        if len(batch) >= self.max_batch or self.max_delay <= 0:
+        if len(batch) >= MAX_BATCH or self.max_delay <= 0:
             return False
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.max_delay
-        while len(batch) < self.max_batch:
+        while len(batch) < MAX_BATCH:
             remaining = deadline - loop.time()
             if remaining <= 0:
                 break

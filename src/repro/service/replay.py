@@ -10,9 +10,9 @@ connections on one event loop.
 Each connection keeps the gateway discipline: a departure is sent only
 for a flow this driver saw admitted, and a frame ends early when a
 departure's own admit is still in it.  Over one connection the server
-therefore decides exactly what :func:`repro.workload.loadgen.drive`
-decides in ``mode="sequential"``, and no departure of a rejected flow
-reaches it.
+therefore decides exactly what
+:func:`repro.admission.statistics.replay_schedule` decides in process,
+and no departure of a rejected flow reaches it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .router import HashRing
 
 __all__ = ["replay_events"]
 
+#: Ops per ``batch`` frame, at most.
+FRAME_SIZE = 1024
+
 
 def _op_of(event: TraceEvent) -> Dict[str, Any]:
     if event.kind == "arrival":
@@ -41,11 +44,9 @@ def _op_of(event: TraceEvent) -> Dict[str, Any]:
 async def replay_events(
     clients: Sequence[AsyncServiceClient],
     events: Sequence[TraceEvent],
-    *,
-    frame_size: int = 512,
 ) -> LoadgenResult:
     """Drive ``events`` over ``clients``, one ``batch`` frame of up to
-    ``frame_size`` ops in flight on each.
+    :data:`FRAME_SIZE` ops in flight on each.
 
     Flows are split by the cluster front door's consistent hash
     (:class:`~repro.service.router.HashRing`): a flow's arrival and
@@ -53,8 +54,6 @@ async def replay_events(
     each connection loads one shard.  ``elapsed_seconds`` spans the
     whole replay, so ``ops_per_second`` is aggregate throughput.
     """
-    if frame_size < 1:
-        raise TrafficError(f"frame_size must be >= 1, got {frame_size}")
     if not clients:
         raise TrafficError("replay_events needs at least one client")
     parts: List[List[TraceEvent]] = [list(events)]
@@ -107,7 +106,7 @@ async def replay_events(
         for event in part:
             # A frame ends when full, or before an op whose flow's
             # admit it still holds.
-            if len(frame) == frame_size or event.flow_id in undecided:
+            if len(frame) == FRAME_SIZE or event.flow_id in undecided:
                 await send(client, frame)
                 frame, undecided = [], set()
             if event.kind == "arrival":
@@ -124,8 +123,7 @@ async def replay_events(
     start = time.perf_counter()
     await asyncio.gather(*map(drive_connection, clients, parts))
     return LoadgenResult(
-        mode="service",
-        batch_size=frame_size,
+        batch_size=FRAME_SIZE,
         num_arrivals=len(outcomes),
         num_admitted=count["admitted"],
         num_rejected=count["rejected"],

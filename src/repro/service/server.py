@@ -58,7 +58,6 @@ from ..errors import (
 )
 from ..obs import (
     OBS,
-    SLOConfig,
     SLOTracker,
     TraceContext,
     new_span_id,
@@ -69,6 +68,7 @@ from . import protocol
 from .coalescer import (
     BULK_OP_ADMIT,
     BULK_OP_RELEASE,
+    MAX_BATCH,
     BulkSlots,
     MicroBatchCoalescer,
     _Stamp,
@@ -92,12 +92,11 @@ class ServiceConfig:
 
     Attributes
     ----------
-    max_batch / max_delay:
-        ``max_batch`` bounds the ops one decision step takes (a larger
-        frame is decided in chunks).  ``max_delay`` is the coalescing
-        window of ops queued behind a paused coalescer: the drain loop
-        waits up to that long for ``max_batch`` of them.  A frame that
-        arrives with nothing undecided ahead of it never waits.
+    max_delay:
+        The coalescing window of ops queued behind a paused coalescer:
+        the drain loop waits up to that long for
+        :data:`~repro.service.coalescer.MAX_BATCH` of them.  A frame
+        that arrives with nothing undecided ahead of it never waits.
     snapshot_path / snapshot_interval:
         Crash-safe snapshot destination and period in seconds (None
         disables periodic writes; the final drain snapshot and the
@@ -110,10 +109,6 @@ class ServiceConfig:
         Decision audit log (:mod:`repro.service.audit`): destination,
         fsync batching, and rotation policy.  ``None`` path disables
         auditing.
-    slo:
-        Rolling-window latency objectives; ``None`` tracks against
-        the :class:`~repro.obs.slo.SLOConfig` defaults but only while
-        observability is enabled.
     drain_grace:
         Seconds the drain sequence keeps the listener (and
         ``/healthz``) answering *after* flipping to ``draining`` —
@@ -125,7 +120,6 @@ class ServiceConfig:
         service; see :mod:`repro.control`).
     """
 
-    max_batch: int = 1024
     max_delay: float = 0.002
     snapshot_path: Optional[str] = None
     snapshot_interval: Optional[float] = None
@@ -135,7 +129,6 @@ class ServiceConfig:
     audit_fsync_every: int = 256
     audit_max_bytes: Optional[int] = None
     audit_keep: int = 4
-    slo: Optional[SLOConfig] = None
     drain_grace: float = 0.0
     governor_interval: float = 0.05
     #: Shard index when this server is one worker of a cluster (set by
@@ -226,9 +219,7 @@ class AdmissionService:
         self.controller = controller
         self.config = config
         self.coalescer = MicroBatchCoalescer(
-            controller,
-            max_batch=config.max_batch,
-            max_delay=config.max_delay,
+            controller, max_delay=config.max_delay
         )
         #: Optional :class:`~repro.control.AlphaGovernor` driving the
         #: effective alpha along a pre-certified ladder; ``None`` keeps
@@ -256,11 +247,9 @@ class AdmissionService:
                 keep=config.audit_keep,
             )
             self.coalescer.audit = self.audit
-        #: Rolling-window SLO tracker; fed only while telemetry is on
-        #: (an explicit ``slo`` config, or observability enabled) so
-        #: the telemetry-off request path stays unchanged.
-        self.slo = SLOTracker(config.slo)
-        self._slo_on = config.slo is not None
+        #: Rolling-window SLO tracker; fed only while observability is
+        #: enabled, so the telemetry-off request path stays unchanged.
+        self.slo = SLOTracker()
         self.metrics_endpoint: Optional[MetricsEndpoint] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
@@ -531,7 +520,7 @@ class AdmissionService:
         """Current congestion sample fed to the alpha governor.
 
         *Queue delay* is the backlog expressed in coalescing windows —
-        ``pending / max_batch`` batches, each costing up to
+        ``pending / MAX_BATCH`` batches, each costing up to
         ``max_delay`` seconds — a deterministic proxy for how long a
         request admitted now has already waited.  *Headroom* is the
         free fraction of the **verified** slot capacity (not the
@@ -542,7 +531,7 @@ class AdmissionService:
 
         pending = self.coalescer.pending
         per_batch = max(self.config.max_delay, 1e-4)
-        queue_delay = (pending / self.config.max_batch) * per_batch
+        queue_delay = (pending / MAX_BATCH) * per_batch
         return GovernorSample(
             queue_delay=queue_delay,
             headroom=self.controller.ledger.verified_headroom(),
@@ -622,10 +611,9 @@ class AdmissionService:
         """Per-frame telemetry scratchpad (``None`` with telemetry
         off), stamped before the frame is decoded."""
         tele: Optional[_ReqTele] = None
-        if self._slo_on or OBS.enabled:
+        if OBS.enabled:
             tele = _ReqTele(time.perf_counter())
             self.slo.record_request()
-        if OBS.enabled:
             OBS.registry.counter("repro_service_requests_total").inc()
         return tele
 
@@ -878,13 +866,12 @@ class AdmissionService:
         """
         t_end = time.perf_counter()
         total = t_end - tele.t_recv
-        if self._slo_on or OBS.enabled:
-            # Per op: a 1024-op frame and a lone op answer to the same
-            # objective.
-            n_ops = n_subops or 1
-            self.slo.observe_latency(total / n_ops, n_ops)
         if not OBS.enabled:
             return
+        # Per op: a 1024-op frame and a lone op answer to the same
+        # objective.
+        n_ops = n_subops or 1
+        self.slo.observe_latency(total / n_ops, n_ops)
         OBS.registry.histogram(
             "repro_service_request_seconds", op=request.op
         ).observe(total)
@@ -935,8 +922,6 @@ class AdmissionService:
         if self._draining:
             return "draining"
         if self.controller.in_degraded_mode:
-            return "degraded"
-        if self._slo_on and self.slo.snapshot()["breaching"]:
             return "degraded"
         return "ok"
 
@@ -1012,7 +997,7 @@ class AdmissionService:
                 if coalescer.batches
                 else 0.0
             ),
-            "max_batch": self.config.max_batch,
+            "max_batch": MAX_BATCH,
             "max_delay": self.config.max_delay,
             "slo": self.slo.snapshot(),
             **{k: v for k, v in self.counts.items()},

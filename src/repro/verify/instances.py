@@ -250,7 +250,7 @@ def preemption_problem(
     """Run one instance: establish all flows but the last on the real
     controller, then send the last through ``admit`` and, if rejected,
     the preemptor.  Returns the first broken property, or ``None``."""
-    from ..control.preempt import PreemptionPolicy
+    from ..control.preempt import MAX_VICTIMS, PreemptionPolicy
 
     controller = build_chain_controller(len(capacities), capacities)
     policy = PreemptionPolicy(protect=protect)
@@ -288,8 +288,8 @@ def preemption_problem(
             )
         if controller.is_established(victim):
             return f"victim {victim!r} is still established"
-    if len(outcome.evicted) > policy.max_victims:
-        return f"{len(outcome.evicted)} victims exceed max_victims"
+    if len(outcome.evicted) > MAX_VICTIMS:
+        return f"{len(outcome.evicted)} victims exceed MAX_VICTIMS"
     if outcome.admitted != controller.is_established(arrival.flow_id):
         return "outcome.admitted disagrees with the established set"
     if not outcome.admitted and (outcome.evicted or state() != before):

@@ -5,10 +5,11 @@ ArrivalSchedule` into the merged arrival/departure event stream and
 :func:`poisson_timeline` draws one flow by flow (the schedules of the
 dynamic experiments and the chaos harness);
 :func:`drive` replays events against any
-:class:`~repro.admission.base.AdmissionController`, either strictly
-sequentially or through the batch engine.
+:class:`~repro.admission.base.AdmissionController` through the batch
+engine (:func:`repro.admission.statistics.replay_schedule` is the
+strictly sequential replay).
 
-Batch mode processes the stream in **epochs** of up to ``batch_size``
+It processes the stream in **epochs** of up to ``batch_size``
 arrivals: departures falling inside an epoch are released before
 (flows admitted in earlier epochs) or after (flows admitted in this
 epoch) the epoch's single ``admit_batch`` call.  Within an epoch the
@@ -204,7 +205,6 @@ class LoadgenResult:
     """Outcome summary of one :func:`drive` run, or of one wire replay
     (:func:`repro.service.replay.replay_events`)."""
 
-    mode: str
     batch_size: int
     num_arrivals: int
     num_admitted: int
@@ -279,7 +279,6 @@ def drive(
     events: Sequence[TraceEvent],
     *,
     batch_size: int = 1024,
-    mode: str = "batch",
 ) -> LoadgenResult:
     """Replay a workload event stream against a controller.
 
@@ -289,8 +288,6 @@ def drive(
     clock starts: ``elapsed_seconds`` measures the admission calls (and
     the bookkeeping needed to route releases), not trace parsing.
     """
-    if mode not in ("batch", "sequential"):
-        raise TrafficError(f"unknown drive mode {mode!r}")
     if batch_size < 1:
         raise TrafficError(f"batch_size must be >= 1, got {batch_size}")
     admitted_ids = set()
@@ -303,72 +300,49 @@ def drive(
         if e.kind == "arrival" and e.priority is not None
     }
     decisions: List[AdmissionDecision] = []
-    if mode == "sequential":
-        # op = FlowSpec to admit, or a bare flow id to release.
-        ops = [
-            e.flow if e.kind == "arrival" else e.flow_id
-            for e in events
-        ]
-        start = time.perf_counter()
-        for op in ops:
-            if isinstance(op, FlowSpec):
-                num_arrivals += 1
-                decision = controller.admit(op)
-                if priority_of:
-                    decisions.append(decision)
+    # Epoch = up to batch_size consecutive arrivals plus the
+    # departure ids interleaved with them.
+    epochs: List[Tuple[List[FlowSpec], List[Hashable]]] = []
+    arrivals: List[FlowSpec] = []
+    departures: List[Hashable] = []
+    for event in events:
+        if event.kind == "arrival":
+            arrivals.append(event.flow)
+            if len(arrivals) == batch_size:
+                epochs.append((arrivals, departures))
+                arrivals, departures = [], []
+        else:
+            departures.append(event.flow_id)
+    if arrivals or departures:
+        epochs.append((arrivals, departures))
+    start = time.perf_counter()
+    for flows, dep_ids in epochs:
+        # Flows admitted in earlier epochs leave before this
+        # epoch's admissions contend for their slots.
+        early = [fid for fid in dep_ids if fid in admitted_ids]
+        if early:
+            controller.release_batch(early)
+            admitted_ids.difference_update(early)
+            num_released += len(early)
+        if flows:
+            num_arrivals += len(flows)
+            decided = controller.admit_batch(flows)
+            if priority_of:
+                decisions.extend(decided)
+            for decision in decided:
                 if decision.admitted:
-                    admitted_ids.add(op.flow_id)
+                    admitted_ids.add(decision.flow_id)
                     num_admitted += 1
-            elif op in admitted_ids:
-                controller.release(op)
-                admitted_ids.discard(op)
-                num_released += 1
-        elapsed = time.perf_counter() - start
-    else:
-        # Epoch = up to batch_size consecutive arrivals plus the
-        # departure ids interleaved with them.
-        epochs: List[Tuple[List[FlowSpec], List[Hashable]]] = []
-        arrivals: List[FlowSpec] = []
-        departures: List[Hashable] = []
-        for event in events:
-            if event.kind == "arrival":
-                arrivals.append(event.flow)
-                if len(arrivals) == batch_size:
-                    epochs.append((arrivals, departures))
-                    arrivals, departures = [], []
-            else:
-                departures.append(event.flow_id)
-        if arrivals or departures:
-            epochs.append((arrivals, departures))
-        start = time.perf_counter()
-        for flows, dep_ids in epochs:
-            # Flows admitted in earlier epochs leave before this
-            # epoch's admissions contend for their slots.
-            early = [fid for fid in dep_ids if fid in admitted_ids]
-            if early:
-                controller.release_batch(early)
-                admitted_ids.difference_update(early)
-                num_released += len(early)
-            if flows:
-                num_arrivals += len(flows)
-                decided = controller.admit_batch(flows)
-                if priority_of:
-                    decisions.extend(decided)
-                for decision in decided:
-                    if decision.admitted:
-                        admitted_ids.add(decision.flow_id)
-                        num_admitted += 1
-            # Same-epoch departures of flows just admitted (the early
-            # ones were already dropped from admitted_ids).
-            late = [fid for fid in dep_ids if fid in admitted_ids]
-            if late:
-                controller.release_batch(late)
-                admitted_ids.difference_update(late)
-                num_released += len(late)
-        elapsed = time.perf_counter() - start
+        # Same-epoch departures of flows just admitted (the early
+        # ones were already dropped from admitted_ids).
+        late = [fid for fid in dep_ids if fid in admitted_ids]
+        if late:
+            controller.release_batch(late)
+            admitted_ids.difference_update(late)
+            num_released += len(late)
+    elapsed = time.perf_counter() - start
     return LoadgenResult(
-        mode=mode,
-        batch_size=batch_size if mode == "batch" else 1,
+        batch_size=batch_size,
         num_arrivals=num_arrivals,
         num_admitted=num_admitted,
         num_rejected=num_arrivals - num_admitted,

@@ -18,30 +18,13 @@ from repro.traffic import TrafficClass, voice_class
 def test_line_route_matches_geometric_closed_form(line4_graph, voice):
     alpha = 0.4
     res = single_class_delays(
-        line4_graph, [["r0", "r1", "r2", "r3"]], voice, alpha,
-        n_mode="uniform",
+        line4_graph, [["r0", "r1", "r2", "r3"]], voice, alpha
     )
     assert res.safe
     n = line4_graph.uniform_fan_in()  # 2 on a chain
     beta = beta_coefficient(alpha, voice.rate, n)
     expected = (voice.burst / voice.rate) * ((1 + beta * voice.rate) ** 3 - 1)
     assert res.worst_route_delay == pytest.approx(expected, rel=1e-6)
-
-
-def test_per_server_mode_not_looser(line4_graph, voice):
-    """Per-server fan-in is a tighter (never larger) bound than uniform."""
-    route = [["r0", "r1", "r2", "r3"]]
-    uni = single_class_delays(line4_graph, route, voice, 0.4, n_mode="uniform")
-    per = single_class_delays(
-        line4_graph, route, voice, 0.4, n_mode="per_server"
-    )
-    assert per.worst_route_delay <= uni.worst_route_delay + 1e-12
-
-
-def test_invalid_n_mode(line4_graph, voice):
-    with pytest.raises(AnalysisError):
-        single_class_delays(line4_graph, [["r0", "r1"]], voice, 0.3,
-                            n_mode="bogus")
 
 
 def test_best_effort_class_rejected(line4_graph):
@@ -51,11 +34,12 @@ def test_best_effort_class_rejected(line4_graph):
 
 
 def test_resolve_fan_in_shapes(mci_graph):
-    uni = resolve_fan_in(mci_graph, "uniform")
-    per = resolve_fan_in(mci_graph, "per_server")
-    assert uni.shape == per.shape == (mci_graph.num_servers,)
-    assert np.all(uni == 6)
-    assert np.all(per <= 6)
+    # One N for every server: the largest router degree (PAPER.md §2),
+    # even where a server's own router has fewer input links.
+    fan_in = resolve_fan_in(mci_graph)
+    assert fan_in.shape == (mci_graph.num_servers,)
+    assert np.all(fan_in == 6)
+    assert np.any(mci_graph.fan_in < 6)
 
 
 def test_mci_sp_routes_safe_at_lower_bound(mci, mci_graph, mci_pairs, voice):
@@ -127,11 +111,10 @@ def test_star_hub_concentration(voice):
         for j in range(4)
         if i != j
     ]
-    res = single_class_delays(graph, routes, voice, 0.3,
-                              n_mode="per_server")
+    res = single_class_delays(graph, routes, voice, 0.3)
     assert res.safe
     hub_out = graph.server_index("hub", "leaf0")
     leaf_out = graph.server_index("leaf0", "hub")
-    # Hub output servers have fan-in 4; leaf outputs fan-in 1 => zero delay.
-    assert res.server_delays[leaf_out] == 0.0
-    assert res.server_delays[hub_out] > 0.0
+    # A leaf's output is every route's first hop (no upstream delay);
+    # the hub's output adds the leaves' delays on top of its own.
+    assert 0.0 < res.server_delays[leaf_out] < res.server_delays[hub_out]

@@ -186,9 +186,7 @@ class TestFlowAware:
         assert 180 * voice.rate <= alpha * 100e6
         routes = [list(f.route) for f in flows]
         flow_res = flow_aware_delays(graph, flows, voice_registry)
-        cfg_res = single_class_delays(
-            graph, routes, voice, alpha, n_mode="per_server"
-        )
+        cfg_res = single_class_delays(graph, routes, voice, alpha)
         assert flow_res.converged and cfg_res.safe
         assert max(flow_res.flow_delays.values()) <= (
             cfg_res.worst_route_delay + 1e-9

@@ -104,12 +104,11 @@ _classes = st.builds(
     p=st.floats(min_value=0.3, max_value=0.7),
     seed=st.integers(min_value=0, max_value=10_000),
     shape=_classes,
-    n_mode=st.sampled_from(["uniform", "per_server"]),
     scales=_scales,
     data=st.data(),
 )
 def test_prop_theorem3_delays_never_decrease_in_alpha(
-    n, p, seed, shape, n_mode, scales, data
+    n, p, seed, shape, scales, data
 ):
     net, graph, paths = _topology(n, p, seed)
     keep = data.draw(
@@ -122,9 +121,7 @@ def test_prop_theorem3_delays_never_decrease_in_alpha(
     )
 
     def solve(alpha):
-        fp = single_class_delays(
-            graph, paths, cls, alpha, n_mode=n_mode
-        ).fixed_point
+        fp = single_class_delays(graph, paths, cls, alpha).fixed_point
         return fp.delays, fp.converged
 
     _assert_nondecreasing(_converged_sweep(solve, scales))
@@ -136,18 +133,14 @@ def test_prop_theorem3_delays_never_decrease_in_alpha(
     p=st.floats(min_value=0.4, max_value=0.8),
     seed=st.integers(min_value=0, max_value=10_000),
     shapes=st.lists(_classes, min_size=2, max_size=3),
-    n_mode=st.sampled_from(["uniform", "per_server"]),
     scales=_scales,
     data=st.data(),
 )
 def test_prop_theorem5_delays_never_decrease_in_a_common_scale(
-    n, p, seed, shapes, n_mode, scales, data
+    n, p, seed, shapes, scales, data
 ):
     net, graph, paths = _topology(n, p, seed)
-    if n_mode == "per_server" and np.any(graph.fan_in < 2):
-        # Theorem 5 needs fan-in >= 2 at every server; the uniform
-        # convention gives every server the network's maximum.
-        n_mode = "uniform"
+    # Theorem 5 needs fan-in >= 2 at every server.
     if graph.uniform_fan_in() < 2:
         return
     classes = [
@@ -174,9 +167,7 @@ def test_prop_theorem5_delays_never_decrease_in_a_common_scale(
 
     def solve(scale):
         alphas = {c.name: scale * w for c, w in zip(classes, weights)}
-        mc = multi_class_delays(
-            graph, routes, registry, alphas, n_mode=n_mode
-        )
+        mc = multi_class_delays(graph, routes, registry, alphas)
         delays = [c.server_delays for c in mc.per_class.values()]
         return np.stack(delays), mc.converged
 

@@ -11,16 +11,16 @@ import pytest
 from repro.admission import UtilizationAdmissionController
 from repro.analysis.verification import verify_assignment
 from repro.config import configure
+from repro.control import preempt
 from repro.control import (
     AlphaGovernor,
     AlphaLadder,
     GovernorConfig,
     GovernorSample,
-    PreemptionPolicy,
     Preemptor,
     certify_ladder,
 )
-from repro.errors import AdmissionError, ConfigurationError, UnknownLinkError
+from repro.errors import ConfigurationError, UnknownLinkError
 from repro.topology import ring_network
 from repro.traffic import ClassRegistry
 from repro.traffic.flows import FlowSpec
@@ -425,14 +425,13 @@ class TestPreemptor:
         assert controller.is_established("h0")
         assert controller.verify_invariants() == []
 
-    def test_max_victims_caps_the_plan(self):
+    def test_max_victims_caps_the_plan(self, monkeypatch):
         cfg = ring_cfg()
         controller = make_controller(cfg)
         fill(controller, ("r0", "r2"), 3, "elastic", "e")
         controller.enter_degraded_mode(1 / 3)  # deficit of 3 per server
-        preemptor = Preemptor(
-            controller, PreemptionPolicy(max_victims=2)
-        )
+        monkeypatch.setattr(preempt, "MAX_VICTIMS", 2)
+        preemptor = Preemptor(controller)
         before = {f.flow_id for f in controller.established_flows}
         outcome = preemptor.try_admit(
             FlowSpec("h0", "voice", "r0", "r2", priority="hard_rt")
@@ -440,10 +439,6 @@ class TestPreemptor:
         assert not outcome.admitted
         assert outcome.evicted == ()
         assert {f.flow_id for f in controller.established_flows} == before
-
-    def test_policy_validation(self):
-        with pytest.raises(AdmissionError):
-            PreemptionPolicy(max_victims=0)
 
 
 class TestBatchPreemptionAudit:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.admission import UtilizationAdmissionController
 from repro.config import configure
+from repro.control import preempt
 from repro.control import (
     AlphaGovernor,
     GovernorConfig,
@@ -203,7 +204,7 @@ class ReferencePreemptor(Preemptor):
         plan = []
         while (
             any(d > 0 for d in remaining.values())
-            and len(plan) < policy.max_victims
+            and len(plan) < preempt.MAX_VICTIMS
         ):
             best = None
             best_gain = 0
@@ -255,7 +256,6 @@ planner_policies = st.builds(
     protect=st.sampled_from(
         [("hard_rt",), (), ("hard_rt", "soft_rt"), ("elastic",)]
     ),
-    max_victims=st.integers(1, 4),
 )
 _PLANNER_REGISTRY = ClassRegistry(
     [
@@ -278,10 +278,18 @@ def _deficit(controller, flow):
 
 
 @settings(deadline=None, max_examples=150)
-@given(ops=planner_ops, policy=planner_policies, eligible=planner_eligible)
-def test_column_planner_is_the_reference_planner(ops, policy, eligible):
+@given(
+    ops=planner_ops,
+    policy=planner_policies,
+    eligible=planner_eligible,
+    max_victims=st.integers(1, 4),
+)
+def test_column_planner_is_the_reference_planner(
+    ops, policy, eligible, max_victims
+):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PreemptionPolicy, "admit_priorities", eligible)
+        patch.setattr(preempt, "MAX_VICTIMS", max_victims)
         _planner_twins_agree(ops, policy)
 
 

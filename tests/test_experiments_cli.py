@@ -56,35 +56,6 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_report_command(tmp_path, capsys):
-    from repro.experiments.cli import main as cli_main
-
-    out = tmp_path / "report.md"
-    records = tmp_path / "records.json"
-    assert (
-        cli_main(
-            [
-                "report",
-                "--output", str(out),
-                "--records", str(records),
-                "--resolution", "0.05",
-            ]
-        )
-        == 0
-    )
-    text = out.read_text()
-    assert "# Reproduction report" in text
-    assert "Table 1" in text
-    assert "| lower_bound | 0.3 |" in text
-    # Records reload cleanly.
-    from repro.experiments import ExperimentRecord
-
-    loaded = json.loads(records.read_text())
-    assert {ExperimentRecord.from_dict(d).experiment_id for d in loaded} == {
-        "table1", "sweep-deadline", "sweep-burst"
-    }
-
-
 def test_simulate_command_success(capsys):
     from repro.experiments.cli import main as cli_main
 
@@ -292,31 +263,15 @@ def test_loadgen_batch_mode(capsys):
                 "loadgen",
                 "--topology", "mci",
                 "--flows", "500",
-                "--batch-size", "64",
                 "--seed", "3",
             ]
         )
         == 0
     )
     out = capsys.readouterr().out
-    assert "batch mode (batch=64)" in out
+    assert "utilization controller (batch=1024)" in out
     assert "500 arrivals" in out
     assert "ops/s" in out
-
-
-def test_loadgen_sequential_mode(capsys):
-    assert (
-        main(
-            [
-                "loadgen",
-                "--topology", "mci",
-                "--flows", "200",
-                "--sequential",
-            ]
-        )
-        == 0
-    )
-    assert "sequential mode" in capsys.readouterr().out
 
 
 def test_loadgen_record_then_replay_matches(tmp_path, capsys):
@@ -326,7 +281,6 @@ def test_loadgen_record_then_replay_matches(tmp_path, capsys):
         "--topology", "mci",
         "--flows", "300",
         "--seed", "9",
-        "--batch-size", "32",
     ]
     assert main(args + ["--record", str(trace)]) == 0
     recorded = capsys.readouterr().out
@@ -336,7 +290,6 @@ def test_loadgen_record_then_replay_matches(tmp_path, capsys):
         [
             "loadgen",
             "--topology", "mci",
-            "--batch-size", "32",
             "--replay", str(trace),
         ]
     ) == 0
@@ -364,7 +317,6 @@ def test_loadgen_sharded_controller(capsys):
                 "--topology", "mci",
                 "--controller", "flowaware",
                 "--flows", "60",
-                "--batch-size", "16",
             ]
         )
         == 0

@@ -119,7 +119,7 @@ class TestHarness:
     def test_chaos_run_survivors_hold(self, cfg, flows):
         harness = ChaosHarness(
             cfg,
-            policy=DegradedModePolicy(repair_latency=0.02),
+            policy=DegradedModePolicy(),
         )
         report = harness.run(
             flows,

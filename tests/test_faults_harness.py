@@ -5,6 +5,7 @@ import pytest
 from repro.admission import SlotShardController
 from repro.config import configure
 from repro.errors import FaultInjectionError
+from repro.faults import degraded
 from repro.faults import (
     BackoffPolicy,
     ChaosHarness,
@@ -64,9 +65,7 @@ class ShardChaosHarness(ChaosHarness):
 
 
 def run_chaos(cfg, flows, faults, harness=ChaosHarness, **kwargs):
-    kwargs.setdefault(
-        "policy", DegradedModePolicy(repair_latency=0.02)
-    )
+    kwargs.setdefault("policy", DegradedModePolicy())
     harness = harness(cfg, policy=kwargs.pop("policy"))
     return harness.run(
         flows, faults, horizon=HORIZON, seed=7, **kwargs
@@ -314,9 +313,7 @@ class TestGracefulDegradation:
         harness = ChaosHarness(
             ring_cfg,
             policy=DegradedModePolicy(
-                alpha_factor=0.5,
                 backoff=BackoffPolicy(base=0.05, max_retries=3),
-                repair_latency=0.02,
             ),
         )
         return harness.run(flows, faults, horizon=HORIZON, seed=3)
@@ -364,9 +361,7 @@ class TestGracefulDegradation:
         harness = ChaosHarness(
             ring_cfg,
             policy=DegradedModePolicy(
-                alpha_factor=0.5,
                 backoff=BackoffPolicy(base=0.05, max_retries=3),
-                repair_latency=0.02,
             ),
         )
         again = harness.run(flows, faults, horizon=HORIZON, seed=3)
@@ -390,7 +385,7 @@ class TestBackoffRetry:
     def hot_events(early_departure: float):
         # Ten flows crowd the (r1, r3) pair; after r1--r2 dies their
         # only detour is the counterclockwise ring, and at
-        # alpha_factor=0.05 its degraded ledger holds just 7 of them.
+        # ALPHA_FACTOR=0.05 its degraded ledger holds just 7 of them.
         from repro.traffic.flows import FlowSpec
         from repro.workload import TraceEvent
 
@@ -414,15 +409,12 @@ class TestBackoffRetry:
             network=net,
         )
 
-    def test_retries_succeed_once_capacity_drains(self, hot_cfg):
+    def test_retries_succeed_once_capacity_drains(self, hot_cfg, monkeypatch):
+        monkeypatch.setattr(degraded, "ALPHA_FACTOR", 0.05)
         harness = ChaosHarness(
             hot_cfg,
             policy=DegradedModePolicy(
-                alpha_factor=0.05,
-                backoff=BackoffPolicy(
-                    base=0.05, max_retries=5
-                ),
-                repair_latency=0.02,
+                backoff=BackoffPolicy(base=0.05, max_retries=5),
             ),
         )
         report = harness.run(
@@ -442,15 +434,12 @@ class TestBackoffRetry:
         assert down.time_to_resolve > 0.02
         assert report.survivors_held()
 
-    def test_exhausted_retries_shed_the_flow(self, hot_cfg):
+    def test_exhausted_retries_shed_the_flow(self, hot_cfg, monkeypatch):
+        monkeypatch.setattr(degraded, "ALPHA_FACTOR", 0.05)
         harness = ChaosHarness(
             hot_cfg,
             policy=DegradedModePolicy(
-                alpha_factor=0.05,
-                backoff=BackoffPolicy(
-                    base=0.05, max_retries=2
-                ),
-                repair_latency=0.02,
+                backoff=BackoffPolicy(base=0.05, max_retries=2),
             ),
         )
         # Blockers hold until 1.8, so both retries (t=0.67, 0.77) fail.

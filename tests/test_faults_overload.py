@@ -12,6 +12,7 @@ import pytest
 
 from repro.config import configure
 from repro.control import GovernorConfig, PreemptionPolicy, certify_ladder
+from repro.faults import degraded
 from repro.faults import (
     ChaosHarness,
     DegradedModePolicy,
@@ -103,7 +104,7 @@ def overload_schedule(cfg):
 def make_harness(cfg, ladder):
     return ChaosHarness(
         cfg,
-        policy=DegradedModePolicy(repair_latency=0.02),
+        policy=DegradedModePolicy(),
         ladder=ladder,
         # Low-water at 40% free: the elastic fill crosses it while the
         # run is still ramping, which is what makes the governor move
@@ -204,7 +205,7 @@ class TestOverloadTransition:
         assert harness.controller.ledger.degradation in (
             1.0,
             *(ladder.factor(r) for r in range(len(ladder))),
-            harness.policy.alpha_factor,
+            degraded.ALPHA_FACTOR,
         )
 
     def test_controller_invariants_after_the_storm(self, overload):

@@ -97,6 +97,22 @@ class TestAuditLog:
         with open(log.path + ".1", encoding="utf-8") as fh:
             assert json.loads(fh.readline()) == {"schema": AUDIT_SCHEMA}
 
+    def test_every_kept_rotation_is_read(self, tmp_path):
+        # Whatever ``keep`` is: the reader once stopped at path.16, so
+        # path.17 .. path.20 were kept but never read.
+        log = make_log(tmp_path, fsync_every=1, max_bytes=1024, keep=20)
+        for i in range(400):
+            log.record_frame([admit_entry(flow(i), True)])
+        log.close()
+        assert os.path.exists(log.path + ".20")
+        kept = []
+        for name in [f"{log.path}.{i}" for i in range(20, 0, -1)] + [log.path]:
+            with open(name, encoding="utf-8") as fh:
+                kept += [json.loads(line) for line in fh][1:]
+        seqs = [r["seq"] for r in iter_audit(log.path)]
+        assert seqs == [r["seq"] for r in kept]
+        assert seqs == list(range(seqs[0], 401))
+
     def test_closed_log_rejects_appends(self, tmp_path):
         log = make_log(tmp_path)
         log.close()

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import os
+import queue
 import re
 import threading
 import time
@@ -14,24 +15,27 @@ from repro.experiments.cli import build_parser, main
 from serve_processes import ClusterProcess
 from repro.service import protocol
 from repro.service.launch import serve_argv
-from repro.service.server import ServiceConfig
+from repro.service.server import AdmissionService, ServiceConfig
 from repro.workload.trace import TraceEvent, write_trace
 
 
 class ServeThread:
     """``repro-ubac serve`` running in a daemon thread (the
-    ``--serve-seconds`` test hook drains it after a fixed budget)."""
+    ``--serve-seconds`` test hook drains it after a fixed budget;
+    :meth:`stop` drains it at once)."""
 
     #: Every serve started in this process.  Each one's main() hands the
-    #: collector back when its budget ends, whichever test is running.
+    #: collector back when it drains, whichever test is running.
     started = []
 
     def __init__(self, argv):
         self.argv = argv
         self.rc = None
+        #: ``(loop, service)`` once it listens (``_tell_serve_threads``).
+        self.listening = queue.Queue()
         self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
         ServeThread.started.append(self)
+        self.thread.start()
 
     def _run(self):
         self.rc = main(self.argv)
@@ -48,6 +52,32 @@ class ServeThread:
         self.thread.join(timeout)
         assert not self.thread.is_alive()
         return self.rc
+
+    def stop(self):
+        """Drain now, as the end of ``--serve-seconds`` would; the exit
+        code.  A serve left to run out its budget is waited out by a
+        later test that joins every serve still running."""
+        if self.thread.is_alive():
+            loop, service = self.listening.get(timeout=30)
+            try:
+                loop.call_soon_threadsafe(service.request_drain)
+            except RuntimeError:  # drained already: its loop is closed
+                pass
+        return self.join()
+
+
+@pytest.fixture(autouse=True)
+def _tell_serve_threads(monkeypatch):
+    """Hand each ServeThread its loop and service as it binds."""
+    start_unix = AdmissionService.start_unix
+
+    async def start_and_tell(service, path):
+        for serve in ServeThread.started:
+            if serve.thread is threading.current_thread():
+                serve.listening.put((asyncio.get_running_loop(), service))
+        return await start_unix(service, path)
+
+    monkeypatch.setattr(AdmissionService, "start_unix", start_and_tell)
 
 
 @pytest.fixture()
@@ -69,6 +99,7 @@ def served(tmp_path):
     )
     server.wait_for_socket(sock)
     yield sock, snap, server
+    assert server.stop() == 0
 
 
 def last_json(out):
@@ -147,8 +178,6 @@ def test_loadgen_drives_the_service(served, capsys):
                 sock,
                 "--flows",
                 "500",
-                "--batch-size",
-                "128",
                 "--seed",
                 "11",
             ]
@@ -243,11 +272,12 @@ def test_serve_rejects_a_bad_service_config(capsys):
 def test_serve_seconds_drains_cleanly(tmp_path, capsys):
     sock = str(tmp_path / "quick.sock")
     rc = main(
-        ["serve", "--socket", sock, "--serve-seconds", "0.3"]
+        ["serve", "--socket", sock, "--preempt", "--serve-seconds", "0.3"]
     )
     assert rc == 0
     out = capsys.readouterr().out
     assert "listening on" in out
+    assert "priority preemption on" in out
     assert "drained after 0 requests" in out
     assert "in 0 batches (mean fill 0.0)" in out
 
@@ -351,26 +381,6 @@ def test_serve_has_no_controller_option(tmp_path, capsys):
         assert "--controller" in capsys.readouterr().err
 
 
-def test_serve_preempt_max_victims(tmp_path, capsys):
-    # An invalid cap fails at startup, before the listener exists.
-    sock = str(tmp_path / "pre.sock")
-    rc = main(
-        ["serve", "--socket", sock, "--preempt",
-         "--preempt-max-victims", "0"]
-    )
-    assert rc == 2
-    assert "max_victims" in capsys.readouterr().out
-    # A valid cap reaches the preemptor and the server comes up.
-    rc = main(
-        ["serve", "--socket", sock, "--preempt",
-         "--preempt-max-victims", "3", "--serve-seconds", "0.3"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "priority preemption on" in out
-    assert "drained after" in out
-
-
 def test_serve_full_telemetry_pipeline(tmp_path, capsys):
     """serve with every telemetry flag + loadgen --summary-out, then
     audit --verify against the drain snapshot and the span stream."""
@@ -394,8 +404,6 @@ def test_serve_full_telemetry_pipeline(tmp_path, capsys):
             "0",
             "--span-out",
             spans,
-            "--slo-p99-ms",
-            "5000",
             "--max-delay-ms",
             "1",
             "--serve-seconds",
@@ -411,8 +419,6 @@ def test_serve_full_telemetry_pipeline(tmp_path, capsys):
                 sock,
                 "--flows",
                 "80",
-                "--batch-size",
-                "32",
                 "--seed",
                 "3",
                 "--summary-out",
@@ -426,14 +432,14 @@ def test_serve_full_telemetry_pipeline(tmp_path, capsys):
     with open(summary, encoding="utf-8") as fh:
         report = json.load(fh)
     assert report["schema"] == "repro-loadgen-summary/v1"
-    assert report["mode"] == "service"
+    assert report["protocol"] == "v1"
     assert report["ops"] > 0
     assert set(report["latency_ms"]) == {"p50_ms", "p90_ms", "p99_ms"}
     assert (
         report["latency_ms"]["p99_ms"] >= report["latency_ms"]["p50_ms"]
     )
 
-    assert server.join() == 0
+    assert server.stop() == 0
     # The serve thread's prints interleave with the captures above, so
     # look across everything captured so far.
     serve_out = loadgen_out + capsys.readouterr().out
@@ -587,8 +593,6 @@ def test_loadgen_fans_out_over_multiple_connections(served, capsys):
                 sock,
                 "--flows",
                 "400",
-                "--batch-size",
-                "64",
                 "--connections",
                 "3",
                 "--seed",
@@ -665,54 +669,39 @@ def test_serve_workers_argument_validation(tmp_path, capsys):
 
 
 def test_serve_workers_forwards_per_worker_options(tmp_path):
-    # --span-out and --slo-* used to be refused under --workers; every
-    # option now reaches the workers, per-worker files as <path>.w<i>.
+    # --span-out used to be refused under --workers; every option now
+    # reaches the workers, per-worker files as <path>.w<i>.
     spans = str(tmp_path / "spans.jsonl")
     with ClusterProcess(
         workers=2,
         socket_path=str(tmp_path / "front.sock"),
         topology="mci",
-        slo_p99_ms=50,
+        max_delay_ms=7,
         span_out=spans,
     ) as cluster:
         cluster.start()
         with cluster.client() as client:
             stats = client.stats()
-        assert [
-            w["slo"]["targets"]["p99_ms"] for w in stats["per_worker"]
-        ] == [50, 50]
+        assert [w["max_delay"] for w in stats["per_worker"]] == [0.007] * 2
         assert cluster.terminate() == 0
     assert os.path.exists(spans + ".w0") and os.path.exists(spans + ".w1")
     assert not os.path.exists(spans)
-
-
-@pytest.mark.parametrize("mode", [[], ["--workers", "2"]])
-def test_serve_bad_alpha_ladder_is_one_usage_error(tmp_path, capsys, mode):
-    # Parsed once, at parse time: both modes answer alike (the cluster
-    # used to spawn its workers and report the first one's exit code).
-    argv = ["serve", "--socket", str(tmp_path / "s.sock"), "--governor",
-            "--alpha-ladder", "0.1,abc"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + mode)
-    assert exc.value.code == 2
-    assert "comma-separated floats" in capsys.readouterr().err
 
 
 # One row per way of spelling things; between them every serve dest is
 # set to a non-default value (checked below), so a new srv.add_argument
 # needs a row here before it can ship.
 SERVE_COMMAND_LINES = [
-    "--socket /tmp/s.sock --topology mci --alpha 0.25 --max-batch 64 "
+    "--socket /tmp/s.sock --topology mci --alpha 0.25 "
     "--max-delay-ms 1.5 --snapshot /tmp/s.json "
     "--snapshot-interval 0.5 --drain-grace 2",
     "--host 0.0.0.0 --port 0 --metrics-port 0 --metrics-host 0.0.0.0 "
     "--metrics-out /tmp/m.prom --trace-out /tmp/t.json --serve-seconds 3",
-    "--socket /tmp/s.sock --workers 4 --governor --alpha-ladder 0.1,0.15,0.2 "
-    "--governor-interval 0.02 --preempt --preempt-max-victims 3",
+    "--socket /tmp/s.sock --workers 4 --governor "
+    "--governor-interval 0.02 --preempt",
     "--socket /tmp/w.sock --shard-index 1 --shard-count 4 --audit /tmp/a.jsonl "
     "--audit-fsync-every 1 --audit-max-bytes 4096 --audit-keep 2",
-    "--socket /tmp/s.sock --span-out /tmp/sp.jsonl --slo-p50-ms 5 "
-    "--slo-p99-ms 50 --slo-window 30",
+    "--socket /tmp/s.sock --span-out /tmp/sp.jsonl",
 ]
 
 
@@ -737,8 +726,8 @@ def test_serve_parser_defaults_are_service_config_defaults():
     config = ServiceConfig()
     assert args.max_delay_ms / 1000.0 == config.max_delay
     for dest in (
-        "max_batch", "audit_fsync_every",
-        "audit_keep", "governor_interval", "drain_grace", "metrics_host",
+        "audit_fsync_every", "audit_keep", "governor_interval",
+        "drain_grace", "metrics_host",
     ):
         assert getattr(args, dest) == getattr(config, dest), dest
 
@@ -768,6 +757,7 @@ def test_serve_single_shard_worker(tmp_path, capsys):
     assert stats["worker_index"] == 0
     assert stats["controller"] == "SlotShardController"
     assert stats["pid"] == os.getpid() or stats["pid"] > 0
+    assert server.stop() == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -4,16 +4,17 @@ import asyncio
 import gc
 import json
 import threading
+from unittest import mock
 
 import pytest
 
 from repro.admission import UtilizationAdmissionController
+from repro.admission.statistics import replay_schedule
 from repro.errors import (
     AdmissionError,
     ProtocolError,
     ServiceError,
     ServiceOverloadedError,
-    TrafficError,
 )
 from repro.faults import BackoffPolicy
 from repro.routing.shortest import shortest_path_routes
@@ -29,12 +30,13 @@ from repro.topology import LinkServerGraph, line_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generators import all_ordered_pairs
-from repro.workload import drive
+from repro.service import replay as replay_module
 from repro.workload.loadgen import (
     LoadgenResult,
     assign_priorities,
     parse_priority_mix,
     poisson_timeline,
+    tally_priorities,
 )
 from repro.workload.trace import TraceEvent, read_trace, write_trace
 
@@ -378,7 +380,8 @@ class TestAsyncClient:
 
 def line4_events():
     """10 arrivals r0->r3, departures for the first 5, one departure of
-    a flow that never arrived (must be skipped, as drive() does)."""
+    a flow that never arrived (must be skipped, as replay_schedule()
+    does)."""
     events = [
         TraceEvent(float(i), "arrival", f"f{i}", "voice", "r0", "r3")
         for i in range(10)
@@ -391,8 +394,8 @@ def line4_events():
 
 
 def replay(sock, events, frame_size=512, wire="v1", connections=1):
-    """``replay_events`` over fresh connections; the result and the
-    server's ``stats`` after it."""
+    """``replay_events`` over fresh connections, ``frame_size`` ops a
+    frame at most; the result and the server's ``stats`` after it."""
 
     async def scenario():
         clients = [
@@ -400,15 +403,34 @@ def replay(sock, events, frame_size=512, wire="v1", connections=1):
             for _ in range(connections)
         ]
         try:
-            result = await replay_events(
-                clients, events, frame_size=frame_size
-            )
+            result = await replay_events(clients, events)
             return result, await clients[0].stats()
         finally:
             for client in clients:
                 await client.close()
 
-    return asyncio.run(scenario())
+    with mock.patch.object(replay_module, "FRAME_SIZE", frame_size):
+        return asyncio.run(scenario())
+
+
+def sequential_reference(controller, events):
+    """What one connection must decide: ``replay_schedule``'s counts,
+    and its per-priority table taken from its lifetimes."""
+    stats = replay_schedule(controller, events)
+    admitted = set(stats.admitted_ids)
+    released = sum(lifetime.stop is not None for lifetime in stats.lifetimes)
+    per_priority = tally_priorities([
+        (e.priority, e.flow_id in admitted)
+        for e in events if e.kind == "arrival"
+    ])
+    return {
+        "arrivals": stats.attempts,
+        "admitted": stats.admitted,
+        "rejected": stats.rejected,
+        "released": released,
+        "skipped": len(events) - stats.attempts - released,
+        "per_priority": per_priority,
+    }
 
 
 def rejecting_line4_events():
@@ -432,16 +454,16 @@ class TestReplayBridge:
     def test_replay_matches_in_process_drive(self, server):
         events = line4_events()
         twin = make_controller()
-        reference = drive(twin, events, mode="sequential")
+        reference = sequential_reference(twin, events)
         result, stats = replay(server.sock, events, frame_size=4)
-        assert result.num_arrivals == reference.num_arrivals == 10
-        assert result.num_admitted == reference.num_admitted == 10
-        assert result.num_rejected == reference.num_rejected == 0
-        assert result.num_released == reference.num_released == 5
-        assert result.num_skipped == reference.num_skipped == 1
+        assert result.num_arrivals == reference["arrivals"] == 10
+        assert result.num_admitted == reference["admitted"] == 10
+        assert result.num_rejected == reference["rejected"] == 0
+        assert result.num_released == reference["released"] == 5
+        assert result.num_skipped == reference["skipped"] == 1
         assert result.num_errors == 0
         assert result.frames == 4
-        assert result.total_ops == reference.total_ops
+        assert result.total_ops == 15
         assert server.service.controller.num_established == 5
         # The departure of the flow that never arrived was not sent.
         assert stats["errors"] == 0
@@ -480,10 +502,6 @@ class TestReplayBridge:
             "r3",
         ]
 
-    def test_frame_size_validation(self, server):
-        with pytest.raises(TrafficError, match="frame_size"):
-            replay(server.sock, [], frame_size=0)
-
 
 class TestReplayDifferential:
     """One connection decides what the in-process sequential replay
@@ -493,28 +511,22 @@ class TestReplayDifferential:
     def test_rejecting_trace_matches_sequential_drive(self, tmp_path, wire):
         events = rejecting_line4_events()
         twin = make_controller(alpha=0.01)
-        reference = drive(twin, events, mode="sequential")
-        assert reference.num_rejected > 100 and reference.per_priority
+        reference = sequential_reference(twin, events)
+        assert reference["rejected"] > 100 and reference["per_priority"]
         with ServerThread(str(tmp_path / "s.sock"), alpha=0.01) as srv:
             result, stats = replay(srv.sock, events, frame_size=64, wire=wire)
-        assert (
-            result.num_arrivals,
-            result.num_admitted,
-            result.num_rejected,
-            result.num_released,
-            result.num_skipped,
-        ) == (
-            reference.num_arrivals,
-            reference.num_admitted,
-            reference.num_rejected,
-            reference.num_released,
-            reference.num_skipped,
-        )
-        assert result.per_priority == reference.per_priority
+        assert {
+            "arrivals": result.num_arrivals,
+            "admitted": result.num_admitted,
+            "rejected": result.num_rejected,
+            "released": result.num_released,
+            "skipped": result.num_skipped,
+            "per_priority": result.per_priority,
+        } == reference
         assert result.num_errors == 0
         assert stats["errors"] == 0
         assert stats["coalesced_ops"] == (
-            reference.num_arrivals + reference.num_released
+            reference["arrivals"] + reference["released"]
         )
         assert stats["established"] == twin.num_established
 
@@ -536,7 +548,7 @@ class TestFrameLatency:
     @staticmethod
     def with_latencies(latencies):
         return LoadgenResult(
-            mode="service", batch_size=1, num_arrivals=0, num_admitted=0,
+            batch_size=1, num_arrivals=0, num_admitted=0,
             num_rejected=0, num_released=0, elapsed_seconds=1.0,
             frame_latencies=tuple(latencies),
         )

@@ -396,8 +396,8 @@ class TestClusterConfig:
             "serve --workers 4 --socket /tmp/x.sock --topology mci "
             "--snapshot /tmp/m.json --snapshot-interval 3.0 "
             "--audit /tmp/a.jsonl --span-out /tmp/sp.jsonl "
-            "--slo-p99-ms 50 --governor --governor-interval 0.02 "
-            "--preempt --preempt-max-victims 3 --metrics-port 9464 "
+            "--max-delay-ms 1.5 --governor --governor-interval 0.02 "
+            "--preempt --metrics-port 9464 "
             "--metrics-host 0.0.0.0 --drain-grace 2 --serve-seconds 9 "
             "--metrics-out /tmp/m.prom --trace-out /tmp/t.json".split()
         )
@@ -414,15 +414,14 @@ class TestClusterConfig:
             assert "--" + dest.replace("_", "-") not in argv, dest
         # ...and everything else verbatim.
         assert (
-            "--slo-p99-ms 50.0" in joined
+            "--max-delay-ms 1.5" in joined
             and "--governor-interval 0.02" in joined
-            and "--preempt-max-victims 3" in joined
             and "--snapshot-interval 3.0" in joined
             and "--topology mci" in joined
         )
         worker = parse(argv)
         assert (worker.shard_index, worker.shard_count) == (2, 4)
-        assert worker.slo_p99_ms == 50 and worker.governor and worker.preempt
+        assert worker.max_delay_ms == 1.5 and worker.governor and worker.preempt
         # No snapshot/audit/span path -> no such flags at all.
         bare = serve_argv(
             worker_options(

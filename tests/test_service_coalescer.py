@@ -19,6 +19,7 @@ from repro.control import Preemptor
 from repro.errors import AdmissionError, ReproError, ServiceError
 from repro.routing.shortest import shortest_path_routes
 from repro.service import MicroBatchCoalescer
+from repro.service import coalescer as coalescer_module
 from repro.service.audit import AuditLog, iter_audit, verify_audit
 from repro.topology import LinkServerGraph, line_network
 from repro.traffic import ClassRegistry, voice_class
@@ -302,8 +303,6 @@ class TestLifecycle:
     def test_validation(self):
         controller, _ = make_controller()
         with pytest.raises(ServiceError):
-            MicroBatchCoalescer(controller, max_batch=0)
-        with pytest.raises(ServiceError):
             MicroBatchCoalescer(controller, max_delay=-1.0)
 
     def test_submit_after_stop_raises(self):
@@ -395,13 +394,12 @@ class TestLifecycle:
 
         asyncio.run(scenario())
 
-    def test_max_batch_splits_large_backlogs(self):
+    def test_max_batch_splits_large_backlogs(self, monkeypatch):
         controller, _ = make_controller()
+        monkeypatch.setattr(coalescer_module, "MAX_BATCH", 8)
 
         async def scenario():
-            coalescer = MicroBatchCoalescer(
-                controller, max_batch=8, max_delay=0.0
-            )
+            coalescer = MicroBatchCoalescer(controller, max_delay=0.0)
             coalescer.start()
             futures = [
                 coalescer.submit_admit(flow(i)) for i in range(20)
@@ -541,18 +539,19 @@ class TestBulkSubmission:
 
         asyncio.run(scenario())
 
-    def test_inline_chunks_by_max_batch(self):
+    def test_inline_chunks_by_max_batch(self, monkeypatch):
         controller, _ = make_controller()
+        monkeypatch.setattr(coalescer_module, "MAX_BATCH", 3)
 
         async def scenario():
-            coalescer = MicroBatchCoalescer(controller, max_batch=3)
+            coalescer = MicroBatchCoalescer(controller)
             coalescer.start()
             slots = coalescer.open_bulk(8)
             coalescer.submit_bulk(
                 slots, self.admit_entries(coalescer, 8)
             )
             await slots.wait()
-            # 8 ops through max_batch=3 -> 3 kernel batches.
+            # 8 ops through MAX_BATCH=3 -> 3 kernel batches.
             assert coalescer.batches == 3
             assert coalescer.largest_batch == 3
             await coalescer.stop()
@@ -602,14 +601,15 @@ class TestBulkSubmission:
 
         asyncio.run(scenario())
 
-    def test_audit_log_keeps_the_inline_path(self, tmp_path):
+    def test_audit_log_keeps_the_inline_path(self, tmp_path, monkeypatch):
         import json
 
         controller, _ = make_controller()
         path = str(tmp_path / "audit.jsonl")
+        monkeypatch.setattr(coalescer_module, "MAX_BATCH", 3)
 
         async def scenario():
-            coalescer = MicroBatchCoalescer(controller, max_batch=3)
+            coalescer = MicroBatchCoalescer(controller)
             coalescer.start()
             coalescer.audit = AuditLog(path)
             slots = coalescer.open_bulk(4)
@@ -626,7 +626,7 @@ class TestBulkSubmission:
         asyncio.run(scenario())
         with open(path, encoding="utf-8") as fh:
             frames = [json.loads(line) for line in fh][1:]
-        # One frame per decision step: 4 ops through max_batch=3.
+        # One frame per decision step: 4 ops through MAX_BATCH=3.
         assert [(f["kind"], f["seq"], f["n"]) for f in frames] == [
             ("frame", 1, 3),
             ("frame", 4, 1),

@@ -141,7 +141,7 @@ def test_v1_phase_full_telemetry(tmp_path, serve, loadgen):
     summary_path = str(tmp_path / "ubac.summary.json")
     server = serve(
         "ubac", snapshot=snap, audit=audit, audit_fsync_every=64,
-        metrics_port=0, span_out=spans, slo_p99_ms=5000, drain_grace=3,
+        metrics_port=0, span_out=spans, drain_grace=3,
     )
     port = metrics_port(server)
     assert_no_openssl(server.proc.pid)
@@ -361,7 +361,7 @@ def test_adversarial_phase_bursts_at_a_cluster(tmp_path, serve, loadgen):
     loadgen(
         "--adversarial", "--flows", 4000, "--burst", 256,
         "--arrival-rate", 4000, "--hot-edges", 2, "--seed", 13,
-        "--batch-size", 256, "--record", trace,
+        "--record", trace,
         "--summary-out", tmp_path / "adv.inproc.json",
     )
     snap = str(tmp_path / "adv.snap.json")
@@ -369,7 +369,7 @@ def test_adversarial_phase_bursts_at_a_cluster(tmp_path, serve, loadgen):
     summary_path = str(tmp_path / "adv.summary.json")
     loadgen(
         "--replay", trace, "--socket", cluster.socket_path,
-        "--connections", 2, "--batch-size", 256,
+        "--connections", 2,
         "--summary-out", summary_path,
     )
     summary = load(summary_path)

@@ -65,9 +65,7 @@ def test_star_convergence_bound_dominates(voice, voice_registry):
                 PacketPattern("greedy", packet_size=640, seed=b * 100 + i),
             )
     report = sim.run(horizon=1.0)
-    bound = single_class_delays(
-        graph, routes, voice, alpha, n_mode="per_server"
-    )
+    bound = single_class_delays(graph, routes, voice, alpha)
     assert bound.safe
     measured = report.max_e2e("voice")
     allowance = _sf_allowance(2, 640, 100e6)
@@ -92,9 +90,7 @@ def test_per_hop_bounds_dominate(voice, voice_registry):
                 PacketPattern("greedy", packet_size=640, seed=7 * b + i),
             )
     report = sim.run(horizon=1.0)
-    bound = single_class_delays(
-        graph, routes, voice, alpha, n_mode="per_server"
-    )
+    bound = single_class_delays(graph, routes, voice, alpha)
     per_hop_allowance = 2 * 640 / 100e6  # own transmission + quantization
     for s in range(graph.num_servers):
         measured = report.recorder._hop_max.get((s, "voice"), 0.0)
@@ -126,14 +122,8 @@ def test_multiclass_bounds_dominate():
                 PacketPattern("greedy", packet_size=8_000, seed=i),
             )
     report = sim.run(horizon=1.0)
-    # Uniform fan-in (paper convention): per-server mode would need the
-    # fan-in >= 2 guard, which leaf servers of a star violate.
     bound = multi_class_delays(
-        graph,
-        {"voice": routes, "video": routes},
-        registry,
-        alphas,
-        n_mode="uniform",
+        graph, {"voice": routes, "video": routes}, registry, alphas
     )
     assert bound.safe
     # Largest packet on the path (video, 8 kb) sets the SF constant.

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.admission import UtilizationAdmissionController
+from repro.admission.statistics import replay_schedule
 from repro.errors import TrafficError
 from repro.routing.shortest import shortest_path_routes
 from repro.traffic.flows import PRIORITIES, FlowSpec
@@ -33,6 +34,7 @@ from repro.workload import (
     trace_lines,
     write_trace,
 )
+from repro.workload.loadgen import tally_priorities
 
 
 class TestZipfPopularity:
@@ -237,14 +239,13 @@ class TestDrive:
             )
 
         events = self._events(mci, mci_pairs)
-        seq = drive(fresh(), events, mode="sequential")
+        seq = replay_schedule(fresh(), events)
         batch = drive(fresh(), events, batch_size=64)
-        assert seq.num_arrivals == batch.num_arrivals == 2000
+        assert seq.attempts == batch.num_arrivals == 2000
         # Epoch reordering can shift which flows win contended slots,
         # but the load is identical and every admitted flow departs.
-        assert seq.total_ops == seq.num_arrivals + seq.num_released
         assert batch.num_admitted == batch.num_released
-        assert seq.num_admitted == seq.num_released
+        assert all(lifetime.stop is not None for lifetime in seq.lifetimes)
 
     def test_batch_mode_uses_requested_epoch_size(
         self, controller, mci, mci_pairs
@@ -262,7 +263,6 @@ class TestDrive:
 
         controller.admit_batch = spy
         result = drive(controller, events, batch_size=128)
-        assert result.mode == "batch"
         assert result.batch_size == 128
         sizes = {d.batch_size for d in returned}
         assert max(sizes) <= 128
@@ -285,6 +285,22 @@ class TestDrive:
         ),
     }
 
+    @staticmethod
+    def _replay(mode, controller, events):
+        """``(per_priority, admitted)`` of one replay: ``drive``'s batch
+        epochs, or ``replay_schedule``'s one call per event with the
+        counts taken from its lifetimes."""
+        if mode == "batch":
+            result = drive(controller, events, batch_size=64)
+            return result.per_priority, result.num_admitted
+        stats = replay_schedule(controller, events)
+        admitted = set(stats.admitted_ids)
+        per_priority = tally_priorities([
+            (e.priority, e.flow_id in admitted)
+            for e in events if e.kind == "arrival"
+        ])
+        return per_priority, stats.admitted
+
     @pytest.mark.parametrize("mode", ["sequential", "batch"])
     def test_per_priority_tallied_from_returned_decisions(
         self, mode, mci, mci_pairs, mci_graph, voice_registry
@@ -298,13 +314,14 @@ class TestDrive:
             parse_priority_mix("hard_rt=1,soft_rt=2,elastic=7"),
             seed=5,
         )
-        result = drive(controller, events, batch_size=64, mode=mode)
-        assert json.dumps(result.per_priority) == self._PER_PRIORITY[mode]
-        assert controller.num_admitted == result.num_admitted
-        assert controller.num_rejected == result.num_rejected
+        per_priority, admitted = self._replay(mode, controller, events)
+        assert json.dumps(per_priority) == self._PER_PRIORITY[mode]
+        assert controller.num_admitted == admitted
+        assert controller.num_rejected == 2000 - admitted
         # A reused controller: the table covers this call's decisions
         # only, while the controller's counters keep the running total.
-        again = drive(
+        again, _ = self._replay(
+            mode,
             controller,
             [
                 TraceEvent(
@@ -313,14 +330,11 @@ class TestDrive:
                     destination=mci_pairs[0][1], priority="hard_rt",
                 )
             ],
-            mode=mode,
         )
-        assert sum(b["arrivals"] for b in again.per_priority.values()) == 1
-        assert controller.num_decisions == result.num_arrivals + 1
+        assert sum(b["arrivals"] for b in again.values()) == 1
+        assert controller.num_decisions == 2000 + 1
 
-    def test_unknown_mode_rejected(self, controller):
-        with pytest.raises(TrafficError):
-            drive(controller, [], mode="nope")
+    def test_non_positive_batch_size_rejected(self, controller):
         with pytest.raises(TrafficError):
             drive(controller, [], batch_size=0)
 

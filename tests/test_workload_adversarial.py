@@ -177,7 +177,7 @@ class TestAdversarialEvents:
             {"voice": 0.4},
             routes,
         )
-        result = drive(controller, events, batch_size=8, mode="batch")
+        result = drive(controller, events, batch_size=8)
         assert result.num_arrivals == 40
         assert result.num_admitted + result.num_rejected == 40
         # Every admitted flow is eventually released by the stream.
