@@ -347,14 +347,9 @@ class AdmissionController(abc.ABC):
             self._record_releases(1)
 
     def _record_releases(self, count: int) -> None:
-        ctrl = type(self).__name__
-        reg = OBS.registry
-        reg.counter(
-            "repro_admission_releases_total", controller=ctrl
+        OBS.registry.counter(
+            "repro_admission_releases_total", controller=type(self).__name__
         ).inc(count)
-        reg.gauge(
-            "repro_admission_established_flows", controller=ctrl
-        ).set(len(self._flows))
 
     def reroute(
         self, flow_id: Hashable, new_route: Sequence[Hashable]
@@ -458,9 +453,6 @@ class AdmissionController(abc.ABC):
         reg.histogram(
             "repro_admission_decision_seconds", controller=ctrl
         ).observe(per_request_seconds, len(outcomes))
-        reg.gauge(
-            "repro_admission_established_flows", controller=ctrl
-        ).set(len(self._flows))
 
     def resolve_route(self, flow: FlowSpec) -> List[Hashable]:
         """The router-level path a flow will use: its pinned route if it

@@ -202,13 +202,9 @@ class UtilizationLedger:
         idx = np.asarray(servers, dtype=np.int64)
         self._used[class_name][idx] += 1
         if OBS.enabled:
-            reg = OBS.registry
-            reg.counter(
+            OBS.registry.counter(
                 "repro_ledger_reserves_total", cls=class_name
             ).inc()
-            reg.gauge(
-                "repro_ledger_slots_in_use", cls=class_name
-            ).inc(idx.size)
 
     def commit_flat(
         self, class_name: str, servers: np.ndarray, n_flows: int
@@ -226,13 +222,9 @@ class UtilizationLedger:
         idx = np.asarray(servers, dtype=np.int64)
         np.add.at(self._used[class_name], idx, 1)
         if OBS.enabled:
-            reg = OBS.registry
-            reg.counter(
+            OBS.registry.counter(
                 "repro_ledger_reserves_total", cls=class_name
             ).inc(n_flows)
-            reg.gauge(
-                "repro_ledger_slots_in_use", cls=class_name
-            ).inc(idx.size)
 
     def release_flat(
         self, class_name: str, servers: np.ndarray, n_flows: int
@@ -254,13 +246,9 @@ class UtilizationLedger:
             )
         used -= counts
         if OBS.enabled:
-            reg = OBS.registry
-            reg.counter(
+            OBS.registry.counter(
                 "repro_ledger_releases_total", cls=class_name
             ).inc(n_flows)
-            reg.gauge(
-                "repro_ledger_slots_in_use", cls=class_name
-            ).dec(idx.size)
 
     def release(self, class_name: str, servers: Sequence[int]) -> None:
         """Release one slot on every listed server."""
@@ -272,13 +260,9 @@ class UtilizationLedger:
             )
         self._used[class_name][idx] -= 1
         if OBS.enabled:
-            reg = OBS.registry
-            reg.counter(
+            OBS.registry.counter(
                 "repro_ledger_releases_total", cls=class_name
             ).inc()
-            reg.gauge(
-                "repro_ledger_slots_in_use", cls=class_name
-            ).dec(idx.size)
 
     # ------------------------------------------------------------------ #
     # introspection (verification hooks)

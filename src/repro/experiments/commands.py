@@ -70,7 +70,6 @@ _FAULTS_PAIRS = [
 def _run_faults(args: argparse.Namespace) -> int:
     from ..config.configured import configure
     from ..errors import ConfigurationError, FaultInjectionError, TrafficError
-    from ..faults.degraded import BackoffPolicy, DegradedModePolicy
     from ..faults.harness import ChaosHarness
     from ..faults.scenario import (
         adversarial_flow_schedule,
@@ -130,11 +129,7 @@ def _run_faults(args: argparse.Namespace) -> int:
                 horizon=args.horizon,
                 seed=args.seed,
             )
-        harness = ChaosHarness(
-            cfg,
-            policy=DegradedModePolicy(backoff=BackoffPolicy()),
-        )
-        report = harness.run(
+        report = ChaosHarness(cfg).run(
             flows,
             faults,
             horizon=args.horizon,

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .degraded import BackoffPolicy, DegradedModePolicy
+    from .degraded import BackoffPolicy
     from .harness import ChaosHarness
     from .report import (
         FlowAccount,
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
     )
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
-    ".degraded": ("BackoffPolicy", "DegradedModePolicy"),
+    ".degraded": ("BackoffPolicy",),
     ".harness": ("ChaosHarness",),
     ".report": ("FlowAccount", "TransitionRecord", "TransitionReport"),
     ".scenario": (

@@ -1,12 +1,12 @@
-"""Degraded-mode and retry policies for graceful degradation.
+"""Degraded-mode constants and the retry policy for graceful degradation.
 
 When a failure leaves no *verified* repair (the Section 5.2 selector
 cannot re-route every casualty safely at the configured ``alpha``), the
 chaos harness falls back to uncertified shortest-path reroutes admitted
-under a reduced effective utilization — :class:`DegradedModePolicy`
-says how much to reduce — and re-admissions that are rejected (no slots
-free yet on the fallback path) retry with exponential backoff —
-:class:`BackoffPolicy` says when, and when to give up and shed the flow.
+under a reduced effective utilization — :data:`ALPHA_FACTOR` says how
+much to reduce — and re-admissions that are rejected (no slots free yet
+on the fallback path) retry with exponential backoff — :data:`BACKOFF`
+says when, and when to give up and shed the flow.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..errors import FaultInjectionError
 
-__all__ = ["BackoffPolicy", "DegradedModePolicy"]
+__all__ = ["BackoffPolicy"]
 
 
 #: Each retry waits this many times longer than the one before.
@@ -55,15 +55,5 @@ class BackoffPolicy:
         return self.base * BACKOFF_FACTOR ** attempt
 
 
-@dataclass(frozen=True)
-class DegradedModePolicy:
-    """How the harness degrades when no safe repair exists: under
-    :data:`ALPHA_FACTOR`, :data:`REPAIR_LATENCY` after the failure.
-
-    Attributes
-    ----------
-    backoff:
-        Retry policy for re-admissions rejected during the transition.
-    """
-
-    backoff: BackoffPolicy = BackoffPolicy()
+#: Retry schedule of the chaos harness's rejected re-admissions.
+BACKOFF = BackoffPolicy()

@@ -40,7 +40,6 @@ from ..simulation.simulator import Simulator
 from ..topology.network import Network
 from ..workload.trace import TraceEvent
 from . import degraded
-from .degraded import DegradedModePolicy
 from .report import FlowAccount, TransitionRecord, TransitionReport
 from .schedule import FaultEvent, FaultSchedule
 
@@ -62,10 +61,9 @@ class ChaosHarness:
     Parameters
     ----------
     cfg:
-        The verified configuration under test.
-    policy:
-        Degraded-mode fallback knobs (alpha scale, backoff, repair
-        latency).
+        The verified configuration under test.  The degraded-mode
+        fallback (alpha scale, backoff, repair latency) is
+        :mod:`repro.faults.degraded`'s constants.
     ladder:
         Optional pre-certified :class:`~repro.control.AlphaLadder`; a
         fresh :class:`~repro.control.AlphaGovernor` over it is stepped
@@ -85,13 +83,11 @@ class ChaosHarness:
         self,
         cfg: ConfiguredNetwork,
         *,
-        policy: DegradedModePolicy = DegradedModePolicy(),
         ladder=None,
         governor_config=None,
         preemption=None,
     ):
         self.cfg = cfg
-        self.policy = policy
         self.ladder = ladder
         self.governor_config = governor_config
         self.preemption = preemption
@@ -712,7 +708,7 @@ class ChaosHarness:
                 self._pending_retries[fid] = record
                 flow = replace(flow, route=tuple(route))
                 queue.push(
-                    time + self.policy.backoff.delay(0),
+                    time + degraded.BACKOFF.delay(0),
                     "retry",
                     _Retry(flow=flow, attempt=0, record=record),
                 )
@@ -749,14 +745,14 @@ class ChaosHarness:
                 self._snapshot()
                 self._resolve_if_done(record, time)
                 return
-        if retry.attempt + 1 >= self.policy.backoff.max_retries:
+        if retry.attempt + 1 >= degraded.BACKOFF.max_retries:
             del self._pending_retries[fid]
             record.shed.append(str(fid))
             self._count("repro_faults_flows_shed_total")
             self._resolve_if_done(record, time)
             return
         queue.push(
-            time + self.policy.backoff.delay(retry.attempt + 1),
+            time + degraded.BACKOFF.delay(retry.attempt + 1),
             "retry",
             _Retry(
                 flow=flow, attempt=retry.attempt + 1, record=record

@@ -5,15 +5,16 @@ kinds cover everything the reproduction needs to quantify (decision
 counts, established-flow population, iteration/latency distributions):
 
 * :class:`Counter` — monotone float, ``inc()`` only;
-* :class:`Gauge` — settable float, ``set()``/``inc()``/``dec()``;
+* :class:`Gauge` — settable float, ``set()``/``inc()``/``max()``;
 * :class:`Histogram` — fixed upper-bound buckets chosen at creation,
   plus running sum and count (Prometheus cumulative-bucket semantics
   are applied at export time).
 
 Series identity is ``(name, sorted labels)``; asking the registry for an
 existing series returns the same object, so call sites never cache
-instrument handles unless they are on a hot path and want to skip the
-dictionary lookup.
+instrument handles.  A repeated ask is one dictionary hit on the
+caller's own spelling ``(name, *labels.items())``; labels are sorted
+only the first time a spelling is seen.
 
 Everything here assumes the **enabled** path.  The zero-cost disabled
 path lives in the no-op twins (:class:`NullCounter` & friends, exposed
@@ -100,9 +101,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def max(self, value: float) -> None:
         """Keep the running maximum (high-water-mark gauges)."""
         if value > self.value:
@@ -183,10 +181,24 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._series: Dict[Tuple[str, LabelItems], object] = {}
         self._kinds: Dict[str, str] = {}
+        #: Series by the spelling a caller asked with: name, then its
+        #: labels in keyword order (unsorted, unstringified).
+        self._spelled: Dict[tuple, object] = {}
 
     # -------------------------------------------------------------- #
 
     def _get(self, factory, name: str, labels: Mapping[str, str], **kw):
+        spelling = (name, *labels.items())
+        series = self._spelled.get(spelling)
+        if series is None:
+            series = self._spelled[spelling] = self._canonical(
+                factory, name, labels, **kw
+            )
+        return series
+
+    def _canonical(
+        self, factory, name: str, labels: Mapping[str, str], **kw
+    ):
         items = _label_items(labels)
         key = (name, items)
         series = self._series.get(key)
@@ -241,6 +253,7 @@ class MetricsRegistry:
         with self._lock:
             self._series.clear()
             self._kinds.clear()
+            self._spelled.clear()
 
     def __len__(self) -> int:
         return len(self._series)
@@ -271,9 +284,6 @@ class NullGauge:
         pass
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def max(self, value: float) -> None:

@@ -559,7 +559,6 @@ class MicroBatchCoalescer:
         entries: Optional[List[bytes]] = (
             None if self.audit is None else []
         )
-        preempted = self.preempted_flows, self.preempted_admits
         i = runs = 0
         try:
             while i < n:
@@ -597,7 +596,7 @@ class MicroBatchCoalescer:
                 self.audit.record_frame(entries)
             if OBS.enabled:
                 batch_hex = self._record_step(
-                    ops, stamps, t_start, now, runs, preempted
+                    ops, stamps, t_start, now, runs
                 )
         except Exception:
             # The decisions stand (they are committed); only their
@@ -616,33 +615,23 @@ class MicroBatchCoalescer:
         t_start: float,
         now: float,
         runs: int,
-        preempted: Tuple[int, int],
     ) -> str:
-        """Metrics and span of one :meth:`_decide` call (observability
-        on): one update of each batch series, and one ``service.batch``
-        span naming the distinct request spans it decided for.  Returns
-        the span's id."""
+        """Histograms and span of one :meth:`_decide` call
+        (observability on): one observation of each batch histogram,
+        and one ``service.batch`` span naming the distinct request spans
+        it decided for.  Returns the span's id.  The batch and
+        preemption counts are :attr:`batches` and ``preempted_*``,
+        which the server's scrape reads."""
         admits = sum(1 for op in ops if op[0] == _ADMIT)
         releases = sum(1 for op in ops if op[0] == _RELEASE)
         reg = OBS.registry
-        reg.counter("repro_service_batches_total").inc()
         reg.histogram(
             "repro_service_batch_fill", buckets=DEFAULT_ITERATION_BUCKETS
         ).observe(admits + releases)
         # What is still queued behind this step (0 for an inline frame).
-        backlog = self._queue.qsize()
-        reg.gauge("repro_service_queue_depth").set(backlog)
         reg.histogram(
             "repro_service_backlog", buckets=DEFAULT_DEPTH_BUCKETS
-        ).observe(backlog)
-        flows, admitted = preempted
-        if self.preempted_admits > admitted:
-            reg.counter("repro_service_preempted_flows_total").inc(
-                self.preempted_flows - flows
-            )
-            reg.counter("repro_service_preempted_admits_total").inc(
-                self.preempted_admits - admitted
-            )
+        ).observe(self._queue.qsize())
         batch_hex = new_span_id()
         # A frame's queued ops all carry its one request span id.
         linked = list(

@@ -284,7 +284,7 @@ class AdmissionService:
         claim_unix_path(path)
         restored = self._restore()
         self._server = await asyncio.start_unix_server(
-            self._on_connection,
+            self._layer.serve,
             path=path,
             limit=protocol.MAX_FRAME_BYTES,
         )
@@ -296,7 +296,7 @@ class AdmissionService:
         """Bind a TCP listener; returns the number of restored flows."""
         restored = self._restore()
         self._server = await asyncio.start_server(
-            self._on_connection,
+            self._layer.serve,
             host=host,
             port=port,
             limit=protocol.MAX_FRAME_BYTES,
@@ -428,6 +428,9 @@ class AdmissionService:
             self._drain_error = exc
             raise
         finally:
+            # The exit snapshot (``serve --metrics-out``) holds every
+            # series a scrape would.
+            self.refresh_gauges()
             if self.audit is not None:
                 self.audit.close()
             if self.metrics_endpoint is not None:
@@ -487,8 +490,6 @@ class AdmissionService:
                 await write
                 raise
             self.counts["snapshots"] += 1
-            if OBS.enabled:
-                OBS.registry.counter("repro_service_snapshots_total").inc()
         return len(snapshot["flows"])
 
     async def _snapshot_op(self, rid: protocol.RequestId) -> Dict[str, Any]:
@@ -553,13 +554,6 @@ class AdmissionService:
         else:
             self.controller.enter_degraded_mode(factor)
         self.counts["governor_moves"] += 1
-        if OBS.enabled:
-            reg = OBS.registry
-            reg.counter("repro_service_governor_moves_total").inc()
-            reg.gauge("repro_service_effective_alpha").set(
-                governor.effective_alpha
-            )
-            reg.gauge("repro_service_governor_rung").set(governor.rung)
         logger.info(
             "governor moved to rung %d (alpha=%.4f, factor=%.4f)",
             governor.rung,
@@ -598,15 +592,6 @@ class AdmissionService:
     # connection handling
     # ------------------------------------------------------------------ #
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if OBS.enabled:
-            OBS.registry.counter(
-                "repro_service_connections_total"
-            ).inc()
-        await self._layer.serve(reader, writer)
-
     def frame_context(self) -> "Optional[_ReqTele]":
         """Per-frame telemetry scratchpad (``None`` with telemetry
         off), stamped before the frame is decoded."""
@@ -614,7 +599,6 @@ class AdmissionService:
         if OBS.enabled:
             tele = _ReqTele(time.perf_counter())
             self.slo.record_request()
-            OBS.registry.counter("repro_service_requests_total").inc()
         return tele
 
     def begin_request(
@@ -1023,34 +1007,50 @@ class AdmissionService:
     # ------------------------------------------------------------------ #
 
     def refresh_gauges(self) -> None:
-        """Push point-in-time state into the metrics registry (called
-        per scrape, so gauges are live even between batches)."""
+        """Write every series that mirrors state or a count the process
+        already keeps, read where it lives (per scrape, and once at
+        drain).  The decision path pushes none of them."""
         if not OBS.enabled:
             return
+        coalescer, controller = self.coalescer, self.controller
+        counts, governor, audit = self.counts, self.governor, self.audit
+        # (series, value): a ``*_total`` series is a counter, the rest
+        # are gauges, and a ``None`` value (no snapshot yet) is skipped.
+        table = [
+            ("repro_service_queue_depth", coalescer.pending),
+            ("repro_service_established_flows", controller.num_established),
+            ("repro_service_draining", self._draining),
+            (
+                "repro_service_uptime_seconds",
+                max(0.0, time.time() - self._started_at),
+            ),
+            ("repro_service_requests_total", counts["requests"]),
+            ("repro_service_connections_total", counts["connections"]),
+            ("repro_service_snapshots_total", counts["snapshots"]),
+            ("repro_service_batches_total", coalescer.batches),
+            ("repro_service_snapshot_age_seconds", self.snapshot_age_seconds()),
+        ]
+        if governor is not None:
+            table += [
+                ("repro_service_effective_alpha", governor.effective_alpha),
+                ("repro_service_governor_rung", governor.rung),
+                ("repro_service_governor_moves_total", counts["governor_moves"]),
+            ]
+        if coalescer.preemptor is not None:
+            table += [
+                ("repro_service_preempted_flows_total", coalescer.preempted_flows),
+                ("repro_service_preempted_admits_total", coalescer.preempted_admits),
+            ]
+        if audit is not None:
+            table.append(("repro_service_audit_records", audit.records_written))
         reg = OBS.registry
-        reg.gauge("repro_service_queue_depth").set(self.coalescer.pending)
-        reg.gauge("repro_service_established_flows").set(
-            self.controller.num_established
-        )
-        reg.gauge("repro_service_draining").set(
-            1.0 if self._draining else 0.0
-        )
-        reg.gauge("repro_service_uptime_seconds").set(
-            max(0.0, time.time() - self._started_at)
-        )
-        age = self.snapshot_age_seconds()
-        if age is not None:
-            reg.gauge("repro_service_snapshot_age_seconds").set(age)
-        if self.governor is not None:
-            reg.gauge("repro_service_effective_alpha").set(
-                self.governor.effective_alpha
-            )
-            reg.gauge("repro_service_governor_rung").set(
-                self.governor.rung
-            )
-        if self.audit is not None:
-            reg.gauge("repro_service_audit_records").set(
-                self.audit.records_written
+        for name, value in table:
+            if value is not None:
+                kind = reg.counter if name.endswith("_total") else reg.gauge
+                kind(name).value = float(value)
+        for cls in controller.registry.realtime_classes():
+            reg.gauge("repro_ledger_slots_in_use", cls=cls.name).value = float(
+                controller.ledger.used_view(cls.name).sum()
             )
         self.slo.export_gauges(reg)
 

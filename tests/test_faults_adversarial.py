@@ -6,7 +6,6 @@ from repro.config import configure
 from repro.errors import FaultInjectionError
 from repro.faults import (
     ChaosHarness,
-    DegradedModePolicy,
     adversarial_flow_schedule,
     configured_flow_schedule,
     default_link_failure_scenario,
@@ -117,10 +116,7 @@ class TestSchedule:
 
 class TestHarness:
     def test_chaos_run_survivors_hold(self, cfg, flows):
-        harness = ChaosHarness(
-            cfg,
-            policy=DegradedModePolicy(),
-        )
+        harness = ChaosHarness(cfg)
         report = harness.run(
             flows,
             default_link_failure_scenario(

@@ -1,9 +1,9 @@
-"""Backoff and degraded-mode policies."""
+"""The backoff policy and the degraded-mode constants."""
 
 import pytest
 
 from repro.errors import FaultInjectionError
-from repro.faults import BackoffPolicy, DegradedModePolicy, degraded
+from repro.faults import BackoffPolicy, degraded
 
 
 class TestBackoffPolicy:
@@ -20,9 +20,11 @@ class TestBackoffPolicy:
             BackoffPolicy(max_retries=-1)
 
 
-class TestDegradedModePolicy:
+class TestDegradedMode:
     def test_defaults_valid(self):
         # A degraded ledger admits against a positive fraction of the
-        # verified slots, and a repair never lands before its failure.
+        # verified slots, a repair never lands before its failure, and
+        # the harness retries a rejected re-admission at least once.
         assert 0 < degraded.ALPHA_FACTOR <= 1
         assert degraded.REPAIR_LATENCY >= 0.0
+        assert degraded.BACKOFF.max_retries >= 1

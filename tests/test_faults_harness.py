@@ -9,7 +9,6 @@ from repro.faults import degraded
 from repro.faults import (
     BackoffPolicy,
     ChaosHarness,
-    DegradedModePolicy,
     FaultEvent,
     FaultSchedule,
     configured_flow_schedule,
@@ -65,9 +64,7 @@ class ShardChaosHarness(ChaosHarness):
 
 
 def run_chaos(cfg, flows, faults, harness=ChaosHarness, **kwargs):
-    kwargs.setdefault("policy", DegradedModePolicy())
-    harness = harness(cfg, policy=kwargs.pop("policy"))
-    return harness.run(
+    return harness(cfg).run(
         flows, faults, horizon=HORIZON, seed=7, **kwargs
     )
 
@@ -297,8 +294,8 @@ class TestGracefulDegradation:
             routing="shortest-path",
         )
 
-    @pytest.fixture(scope="class")
-    def ring_report(self, ring_cfg):
+    @staticmethod
+    def ring_run(ring_cfg):
         flows = configured_flow_schedule(
             ring_cfg, "voice", arrival_rate=40.0, mean_holding=1.0,
             horizon=HORIZON, seed=3,
@@ -310,13 +307,17 @@ class TestGracefulDegradation:
             ],
             network=ring_cfg.network,
         )
-        harness = ChaosHarness(
-            ring_cfg,
-            policy=DegradedModePolicy(
-                backoff=BackoffPolicy(base=0.05, max_retries=3),
-            ),
-        )
-        return harness.run(flows, faults, horizon=HORIZON, seed=3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                degraded, "BACKOFF", BackoffPolicy(base=0.05, max_retries=3)
+            )
+            return ChaosHarness(ring_cfg).run(
+                flows, faults, horizon=HORIZON, seed=3
+            )
+
+    @pytest.fixture(scope="class")
+    def ring_report(self, ring_cfg):
+        return self.ring_run(ring_cfg)
 
     def test_enters_degraded_mode(self, ring_report):
         down = [
@@ -347,24 +348,7 @@ class TestGracefulDegradation:
         }
 
     def test_deterministic(self, ring_cfg, ring_report):
-        flows = configured_flow_schedule(
-            ring_cfg, "voice", arrival_rate=40.0, mean_holding=1.0,
-            horizon=HORIZON, seed=3,
-        )
-        faults = FaultSchedule(
-            [
-                FaultEvent(0.6, "link_down", ("r1", "r2")),
-                FaultEvent(1.5, "link_up", ("r1", "r2")),
-            ],
-            network=ring_cfg.network,
-        )
-        harness = ChaosHarness(
-            ring_cfg,
-            policy=DegradedModePolicy(
-                backoff=BackoffPolicy(base=0.05, max_retries=3),
-            ),
-        )
-        again = harness.run(flows, faults, horizon=HORIZON, seed=3)
+        again = self.ring_run(ring_cfg)
         assert again.to_json() == ring_report.to_json()
 
 
@@ -411,12 +395,10 @@ class TestBackoffRetry:
 
     def test_retries_succeed_once_capacity_drains(self, hot_cfg, monkeypatch):
         monkeypatch.setattr(degraded, "ALPHA_FACTOR", 0.05)
-        harness = ChaosHarness(
-            hot_cfg,
-            policy=DegradedModePolicy(
-                backoff=BackoffPolicy(base=0.05, max_retries=5),
-            ),
+        monkeypatch.setattr(
+            degraded, "BACKOFF", BackoffPolicy(base=0.05, max_retries=5)
         )
+        harness = ChaosHarness(hot_cfg)
         report = harness.run(
             self.hot_events(0.9),
             self.hot_faults(hot_cfg.network),
@@ -436,12 +418,10 @@ class TestBackoffRetry:
 
     def test_exhausted_retries_shed_the_flow(self, hot_cfg, monkeypatch):
         monkeypatch.setattr(degraded, "ALPHA_FACTOR", 0.05)
-        harness = ChaosHarness(
-            hot_cfg,
-            policy=DegradedModePolicy(
-                backoff=BackoffPolicy(base=0.05, max_retries=2),
-            ),
+        monkeypatch.setattr(
+            degraded, "BACKOFF", BackoffPolicy(base=0.05, max_retries=2)
         )
+        harness = ChaosHarness(hot_cfg)
         # Blockers hold until 1.8, so both retries (t=0.67, 0.77) fail.
         report = harness.run(
             self.hot_events(1.8),

@@ -15,7 +15,6 @@ from repro.control import GovernorConfig, PreemptionPolicy, certify_ladder
 from repro.faults import degraded
 from repro.faults import (
     ChaosHarness,
-    DegradedModePolicy,
     FaultEvent,
     FaultSchedule,
     adversarial_flow_schedule,
@@ -104,7 +103,6 @@ def overload_schedule(cfg):
 def make_harness(cfg, ladder):
     return ChaosHarness(
         cfg,
-        policy=DegradedModePolicy(),
         ladder=ladder,
         # Low-water at 40% free: the elastic fill crosses it while the
         # run is still ramping, which is what makes the governor move

@@ -127,19 +127,19 @@ class TestInstrumentedSubsystems:
         latency = reg.get(
             "repro_admission_decision_seconds", controller=name
         )
-        established = reg.get(
-            "repro_admission_established_flows", controller=name
-        )
         releases = reg.get(
             "repro_admission_releases_total", controller=name
         )
+        reserves = reg.get("repro_ledger_reserves_total", cls="voice")
         assert admitted.value == 3
         assert rejected.value == 1
         assert latency.count == 4
-        assert established.value == 2  # 3 admitted - 1 released
         assert releases.value == 1
-        in_use = reg.get("repro_ledger_slots_in_use", cls="voice")
-        assert in_use.value == 2 * 3  # 2 flows on a 3-server path
+        assert reserves.value == 3
+        # Population and slot use are state the controller and ledger
+        # hold; a served scrape reads them, nothing here pushes them.
+        assert reg.get("repro_ledger_slots_in_use", cls="voice") is None
+        assert ctrl.num_established == 2  # 3 admitted - 1 released
         assert _named(obs.get_tracer(), "admission.admit")
 
     def test_routing_series_and_nested_spans(self, enabled_obs, line4,

@@ -31,11 +31,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_inc(self):
         g = Gauge("g")
         g.set(10)
         g.inc(5)
-        g.dec(3)
+        g.inc(-3)
         assert g.value == 12.0
 
     def test_max_keeps_high_water_mark(self):

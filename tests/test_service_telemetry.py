@@ -16,6 +16,7 @@ import pytest
 
 from repro import obs
 from obs_readers import parse_prometheus_text, read_span_lines
+from repro.admission import UtilizationAdmissionController
 from repro.obs import OBS, JsonLinesSpanSink, slo
 from repro.obs.process import process_start_time
 from repro.service import (
@@ -25,8 +26,10 @@ from repro.service import (
     verify_audit,
 )
 from repro.obs.slo import SLOTracker
+from repro.routing.shortest import shortest_path_routes
 from repro.service import protocol
 from repro.service.server import _ReqTele
+from repro.traffic.flows import FlowSpec
 from tests.test_obs_slo import FakeClock
 from tests.test_service_server import (
     flow_obj,
@@ -401,6 +404,72 @@ class TestMetricsEndpoint:
         assert served["flow_rows"] >= 3
         assert 0 < served["flow_table_bytes"] <= 18 * served["flow_rows"]
         assert missing[0] == 404
+
+    def test_mirrored_series_read_what_stats_reports(self, tmp_path):
+        """Series that restate a count or state the service keeps are
+        read at scrape: each equals the ``stats`` value beside it."""
+        obs.enable(fresh=True)
+
+        async def scenario():
+            service, sock = await start_service(
+                tmp_path, metrics_port=0, snapshot_path=str(tmp_path / "s")
+            )
+            port = service.metrics_endpoint.port
+            async with await AsyncServiceClient.connect_unix(
+                sock
+            ) as client:
+                for i in range(5):
+                    await client.request("admit", flow=flow_obj(i))
+                await client.request("release", flow_id="f0")
+                await client.request("snapshot")
+            metrics = await http_get(port, "/metrics")
+            stats = json.loads((await http_get(port, "/stats"))[1])
+            used = int(service.controller.ledger.used_view("voice").sum())
+            await service.drain()
+            return parse_prometheus_text(metrics[1]), stats, used
+
+        samples, stats, used = asyncio.run(scenario())
+        for series, key in (
+            ("repro_service_requests_total", "requests"),
+            ("repro_service_connections_total", "connections"),
+            ("repro_service_snapshots_total", "snapshots"),
+            ("repro_service_batches_total", "batches"),
+            ("repro_service_established_flows", "established"),
+        ):
+            assert samples[(series, ())] == stats[key], series
+        assert stats["snapshots"] == 1 and stats["established"] == 4
+        assert samples[("repro_ledger_slots_in_use", (("cls", "voice"),))] == used > 0
+
+    def test_slot_gauge_is_the_served_ledger_after_a_restore(
+        self, mci, mci_graph, mci_pairs, voice_registry
+    ):
+        """Two ledgers in one process (a snapshot restored into a second
+        controller): the exported slot gauge is the served ledger's
+        use, not the sum of every ledger's reservations."""
+        obs.enable(fresh=True)
+        routes = shortest_path_routes(mci, mci_pairs)
+
+        def controller():
+            return UtilizationAdmissionController(
+                mci_graph, voice_registry, {"voice": 0.3}, routes
+            )
+
+        first = controller()
+        for i, (src, dst) in enumerate(mci_pairs[:100]):
+            assert first.admit(FlowSpec(f"f{i}", "voice", src, dst)).admitted
+        restored = controller()
+        restored.restore(first.snapshot())
+        held = int(restored.ledger.used_view("voice").sum())
+        assert held == int(first.ledger.used_view("voice").sum()) > 0
+        AdmissionService(restored).refresh_gauges()
+        exported = [
+            value
+            for (name, _labels), value in parse_prometheus_text(
+                obs.prometheus_text()
+            ).items()
+            if name == "repro_ledger_slots_in_use"
+        ]
+        assert exported == [held]
 
     def test_healthz_flips_to_503_while_draining(self, tmp_path):
         obs.enable(fresh=True)

@@ -1,0 +1,286 @@
+"""Exact work counts of the decision path, for the tier-1 ratchet.
+
+:func:`count_work` decides seeded frames in-process through
+``MicroBatchCoalescer.submit_bulk`` (the path every served frame takes)
+and counts, with ``sys.setprofile``, the Python calls the decisions
+make.  Timing here swings 20-28 % between runs; a call count repeats
+exactly, so it is what ``tests/test_work_counts.py`` pins.
+
+Three windows, each after a warm-up that fills every cache:
+
+* ``churn``: the memory soak's churn shape (runs of 32 admits, then the
+  releases that bring the window back to 2 000 flows), bare;
+* ``bulk``: ``bulk_churn``-shaped frames on MCI at alpha 0.3 -- 1 024
+  ops, admits and releases interleaved at random (runs of about 2)
+  over a few thousand established flows -- bare;
+* ``bulk_audited``: the same frames with an ``AuditLog`` attached and
+  observability on, which also counts the metrics-registry lookups
+  (calls of ``MetricsRegistry.counter`` / ``gauge`` / ``histogram``).
+
+Run it directly to print the counts of the checkout on ``PYTHONPATH``::
+
+    PYTHONPATH=src python tests/work_counts.py
+"""
+
+from __future__ import annotations
+
+import asyncio
+import gc
+import json
+import os
+import random
+import sys
+import tempfile
+from typing import Dict, List, Tuple
+
+import numpy as np
+
+from repro import obs
+from repro.admission import UtilizationAdmissionController
+from repro.obs.metrics import MetricsRegistry
+from repro.routing.shortest import shortest_path_routes
+from repro.service.audit import AuditLog
+from repro.service.coalescer import (
+    BULK_OP_ADMIT,
+    BULK_OP_RELEASE,
+    MicroBatchCoalescer,
+)
+from repro.topology import LinkServerGraph, mci_backbone
+from repro.traffic import ClassRegistry, voice_class
+from repro.traffic.flows import FlowSpec
+from repro.traffic.generators import all_ordered_pairs
+
+#: Frames decided before a window opens, and frames a window counts.
+WARM_FRAMES = 2
+COUNTED_FRAMES = 4
+
+CHURN_ALPHA = 0.035
+CHURN_FRAME_OPS = 512
+CHURN_RUN_OPS = 32
+CHURN_ESTABLISHED = 2_000
+
+BULK_ALPHA = 0.3
+BULK_FRAME_OPS = 1_024
+BULK_ESTABLISHED = 3_000
+BULK_SEED = 44
+
+_LOOKUPS = frozenset(
+    getattr(MetricsRegistry, name).__code__
+    for name in ("counter", "gauge", "histogram")
+)
+
+Entries = List[Tuple[int, str, object]]
+
+
+def interpreter_key() -> str:
+    """The key pins are filed under: call counts are specific to the
+    interpreter's minor version and numpy's."""
+    numpy_minor = ".".join(np.__version__.split(".")[:2])
+    return "py{}.{}-numpy{}".format(*sys.version_info[:2], numpy_minor)
+
+
+class _Counter:
+    """``sys.setprofile`` hook counting Python calls (generator resumes
+    included) and metrics-registry lookups."""
+
+    def __init__(self):
+        self.calls = 0
+        self.lookups = 0
+
+    def __call__(self, frame, event, _arg):
+        if event == "call":
+            self.calls += 1
+            if frame.f_code in _LOOKUPS:
+                self.lookups += 1
+
+
+def _controller(alpha: float):
+    net = mci_backbone()
+    pairs = all_ordered_pairs(net)
+    controller = UtilizationAdmissionController(
+        LinkServerGraph(net),
+        ClassRegistry.two_class(voice_class()),
+        {"voice": alpha},
+        shortest_path_routes(net, pairs),
+    )
+    return controller, pairs
+
+
+def _decide(coalescer, entries: Entries, counter=None) -> list:
+    slots = coalescer.open_bulk(len(entries))
+    if counter is not None:
+        sys.setprofile(counter)
+    try:
+        coalescer.submit_bulk(slots, entries)
+    finally:
+        sys.setprofile(None)
+    assert slots.remaining == 0, "the frame was not decided inline"
+    return slots.outcomes
+
+
+class _SoakChurn:
+    """Runs of admits, then the releases back to the window."""
+
+    def __init__(self, controller, pairs):
+        self.controller = controller
+        self.pairs = pairs
+        self.window: List[str] = []
+        self.serial = 0
+
+    def frame(self) -> Entries:
+        entries: Entries = []
+        while len(entries) < CHURN_FRAME_OPS:
+            for i in range(self.serial, self.serial + CHURN_RUN_OPS):
+                src, dst = self.pairs[i % len(self.pairs)]
+                flow = FlowSpec(f"soak-{i}", "voice", src, dst)
+                entries.append((len(entries), BULK_OP_ADMIT, flow))
+                self.window.append(flow.flow_id)
+            self.serial += CHURN_RUN_OPS
+            excess = len(self.window) - CHURN_ESTABLISHED
+            if excess > 0:
+                gone, self.window = (
+                    self.window[:excess], self.window[excess:]
+                )
+                for fid in gone:
+                    if self.controller.is_established(fid):
+                        entries.append((len(entries), BULK_OP_RELEASE, fid))
+        return entries
+
+
+class _BulkChurn:
+    """Admits and releases interleaved at random, over a stationary
+    population of established flows."""
+
+    def __init__(self, controller, pairs):
+        self.controller = controller
+        self.pairs = pairs
+        self.rng = random.Random(BULK_SEED)
+        self.live: List[str] = []
+        self.serial = 0
+
+    def _admit(self, entries: Entries) -> None:
+        src, dst = self.rng.choice(self.pairs)
+        flow = FlowSpec(f"bulk-{self.serial}", "voice", src, dst)
+        self.serial += 1
+        entries.append((len(entries), BULK_OP_ADMIT, flow))
+
+    def fill(self) -> Entries:
+        entries: Entries = []
+        while len(entries) < BULK_ESTABLISHED:
+            self._admit(entries)
+        return entries
+
+    def frame(self) -> Entries:
+        entries: Entries = []
+        while len(entries) < BULK_FRAME_OPS:
+            if self.rng.random() < 0.5 or not self.live:
+                self._admit(entries)
+            else:
+                at = self.rng.randrange(len(self.live))
+                self.live[at], self.live[-1] = self.live[-1], self.live[at]
+                entries.append((len(entries), BULK_OP_RELEASE, self.live.pop()))
+        return entries
+
+    def settle(self, entries: Entries, outcomes: list) -> None:
+        for (_slot, kind, payload), outcome in zip(entries, outcomes):
+            if kind == BULK_OP_ADMIT and outcome.admitted:
+                self.live.append(payload.flow_id)
+            elif kind == BULK_OP_RELEASE:
+                assert outcome is True, outcome
+
+
+def _count_churn() -> Dict[str, int]:
+    controller, pairs = _controller(CHURN_ALPHA)
+    coalescer = MicroBatchCoalescer(controller, max_delay=0.0)
+    churn = _SoakChurn(controller, pairs)
+    counter = _Counter()
+    ops = 0
+    for i in range(WARM_FRAMES + COUNTED_FRAMES):
+        entries = churn.frame()
+        counted = i >= WARM_FRAMES
+        _decide(coalescer, entries, counter if counted else None)
+        ops += len(entries) if counted else 0
+    return {"churn_ops": ops, "churn_calls": counter.calls}
+
+
+def _count_bulk(audit_path: str) -> Dict[str, int]:
+    controller, pairs = _controller(BULK_ALPHA)
+    coalescer = MicroBatchCoalescer(controller, max_delay=0.0)
+    churn = _BulkChurn(controller, pairs)
+    fill = churn.fill()
+    churn.settle(fill, _decide(coalescer, fill))
+
+    def window(counter) -> int:
+        ops = 0
+        for i in range(WARM_FRAMES + COUNTED_FRAMES):
+            entries = churn.frame()
+            counted = i >= WARM_FRAMES
+            outcomes = _decide(coalescer, entries, counter if counted else None)
+            churn.settle(entries, outcomes)
+            ops += len(entries) if counted else 0
+        return ops
+
+    bare = _Counter()
+    out = {"bulk_ops": window(bare), "bulk_calls": bare.calls}
+    audited = _Counter()
+    with AuditLog(audit_path) as audit:
+        coalescer.audit = audit
+        obs.enable(fresh=True)
+        try:
+            out["bulk_audited_ops"] = window(audited)
+        finally:
+            obs.disable()
+            obs.reset()
+            coalescer.audit = None
+    out["bulk_audited_calls"] = audited.calls
+    out["bulk_audited_lookups"] = audited.lookups
+    return out
+
+
+def count_work() -> Dict[str, int]:
+    """Every count of the three windows, as a flat ``{name: int}``
+    (each window's ``*_ops`` beside its totals).
+
+    Runs with the cycle collector off, after one collection: otherwise
+    the finalizers of garbage some earlier work left behind (asyncio
+    objects in a test session) run inside a window and are counted.
+    """
+
+    async def run() -> Dict[str, int]:
+        with tempfile.TemporaryDirectory() as tmp:
+            counts = _count_churn()
+            counts.update(_count_bulk(os.path.join(tmp, "audit.jsonl")))
+        return counts
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        return asyncio.run(run())
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def per_op(counts: Dict[str, int]) -> Dict[str, float]:
+    """Calls and lookups per decided op, from :func:`count_work`'s
+    totals."""
+    return {
+        "churn_calls": counts["churn_calls"] / counts["churn_ops"],
+        "bulk_calls": counts["bulk_calls"] / counts["bulk_ops"],
+        "bulk_audited_calls": (
+            counts["bulk_audited_calls"] / counts["bulk_audited_ops"]
+        ),
+        "bulk_audited_lookups": (
+            counts["bulk_audited_lookups"] / counts["bulk_audited_ops"]
+        ),
+    }
+
+
+if __name__ == "__main__":
+    found = count_work()
+    print(json.dumps(
+        {"key": interpreter_key(), "counts": found,
+         "per_op": {k: round(v, 3) for k, v in per_op(found).items()}},
+        indent=2,
+    ))
