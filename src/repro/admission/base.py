@@ -5,7 +5,6 @@ from __future__ import annotations
 import abc
 import logging
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
@@ -42,7 +41,9 @@ _TAG_PRIORITIES = {tag: priority for priority, tag in PRIORITY_TAGS.items()}
 #: ``release_us_per_op.seq``); the numpy path pays a fixed dispatch per
 #: call (``utilization.admit_batch_us_per_op.*`` /
 #: ``release_batch_us_per_op.*``): an admit 15 / 11.5 / 9.7 us at runs
-#: of 3 / 4 / 5, a release 7.4 / 5.1 us at runs of 2 / 3.
+#: of 3 / 4 / 5, a release 7.4 / 5.1 us at runs of 2 / 3.  The ``.seq``
+#: rows time :meth:`~AdmissionController.admit` / ``release``, which are
+#: calls of one to these entries, so they include the call overhead.
 ADMIT_BATCH_MIN_RUN = 5
 RELEASE_BATCH_MIN_RUN = 3
 
@@ -133,6 +134,7 @@ class AdmissionController(abc.ABC):
         # handed, so memory is O(servers + established flows).
         self._num_decisions = 0
         self._num_admitted = 0
+        self._num_released = 0
         self._decision_seconds = 0.0
 
     # ------------------------------------------------------------------ #
@@ -164,7 +166,11 @@ class AdmissionController(abc.ABC):
         self.registry.get(class_name)
 
     def admit(self, flow: FlowSpec) -> AdmissionDecision:
-        """Attempt to establish a flow; returns the decision record."""
+        """Attempt to establish a flow; returns the decision record.
+
+        A batch of one: decided, timed and counted by
+        :meth:`admit_batch_routed`, like every other admission.
+        """
         route = self.check_admit(flow)
         # Span kwargs are only materialized when observability is on.
         obs_span = (
@@ -177,29 +183,15 @@ class AdmissionController(abc.ABC):
             else NULL_SPAN
         )
         with obs_span as sp:
-            start = time.perf_counter()
-            ok, reason = self._admit_impl(flow, route)
-            elapsed = time.perf_counter() - start
-            sp.set(admitted=ok)
-        decision = AdmissionDecision(
-            flow_id=flow.flow_id,
-            admitted=ok,
-            reason=reason,
-            decision_seconds=elapsed,
-        )
-        self._num_decisions += 1
-        self._decision_seconds += elapsed
-        if ok:
-            self._num_admitted += 1
-        elif logger.isEnabledFor(logging.DEBUG):
+            decision = self.admit_batch_routed([flow], [route])[0]
+            sp.set(admitted=decision.admitted)
+        if not decision.admitted and logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "flow %r rejected by %s: %s",
                 flow.flow_id,
                 type(self).__name__,
-                reason,
+                decision.reason,
             )
-        if OBS.enabled:
-            self._record_decisions(((ok, reason),), elapsed)
         return decision
 
     def admit_batch(
@@ -255,11 +247,13 @@ class AdmissionController(abc.ABC):
         path.  Everything downstream (decision records, ledger commits,
         counters) is byte-identical to :meth:`admit_batch`.
 
-        Opens no span and updates each metric series once per call, by
-        count: the service enters here once per run of a decision step,
-        and the step records its own span (``service.batch``).  A run
-        shorter than :data:`ADMIT_BATCH_MIN_RUN` is decided by the
-        sequential loop, which is cheaper there than any batch path.
+        The one place a decision is timed and counted: :meth:`admit` is
+        a call of one.  Opens no span and pushes each series once per
+        call (:meth:`_record_decisions`): the service enters here once
+        per run of a decision step, and the step records its own span
+        (``service.batch``).  A run shorter than
+        :data:`ADMIT_BATCH_MIN_RUN` is decided by the sequential loop,
+        which is cheaper there than any batch path.
         """
         flows = list(flows)
         if not flows:
@@ -295,29 +289,53 @@ class AdmissionController(abc.ABC):
         self._num_admitted += admitted
         self._decision_seconds += elapsed
         if OBS.enabled:
-            ctrl = type(self).__name__
-            reg = OBS.registry
-            reg.counter(
-                "repro_admission_batch_calls_total", controller=ctrl
-            ).inc()
-            reg.counter(
-                "repro_admission_batch_requests_total", controller=ctrl
-            ).inc(batch)
-            reg.histogram(
-                "repro_admission_batch_size",
-                buckets=DEFAULT_ITERATION_BUCKETS,
-                controller=ctrl,
-            ).observe(batch)
-            self._record_decisions(outcomes, elapsed / batch)
+            self._record_decisions(outcomes, admitted, elapsed)
         return decisions
+
+    def _record_decisions(
+        self,
+        outcomes: Sequence[Tuple[bool, str]],
+        admitted: int,
+        elapsed: float,
+    ) -> None:
+        """The series one decision call pushes: the call's size, its
+        amortized cost as one ``observe(cost, n)`` (which fills the
+        buckets exactly as ``n`` single observations would), and its
+        rejections by reason, if any.  The admitted and rejected counts
+        are :attr:`num_admitted` / :attr:`num_rejected`, which a served
+        scrape reads."""
+        ctrl = type(self).__name__
+        reg = OBS.registry
+        batch = len(outcomes)
+        reg.histogram(
+            "repro_admission_batch_size",
+            buckets=DEFAULT_ITERATION_BUCKETS,
+            controller=ctrl,
+        ).observe(batch)
+        reg.histogram(
+            "repro_admission_decision_seconds", controller=ctrl
+        ).observe(elapsed / batch, batch)
+        if admitted == batch:
+            return
+        reasons: Dict[str, int] = {}
+        for ok, reason in outcomes:
+            if not ok:
+                key = _reason_key(reason)
+                reasons[key] = reasons.get(key, 0) + 1
+        for key, count in reasons.items():
+            reg.counter(
+                "repro_admission_rejections_total",
+                controller=ctrl,
+                reason=key,
+            ).inc(count)
 
     def release_batch(self, flow_ids: Sequence[Hashable]) -> None:
         """Tear down many established flows in one call.
 
-        Equivalent to calling :meth:`release` per id in order; the ids
-        must be distinct and all established (validated before any slot
-        is freed).  A run shorter than :data:`RELEASE_BATCH_MIN_RUN` is
-        freed id by id, as :meth:`release` frees one.
+        The one place a release is freed and counted: :meth:`release`
+        is a call of one.  The ids must be distinct and all established
+        (validated before any slot is freed).  A run shorter than
+        :data:`RELEASE_BATCH_MIN_RUN` is freed id by id.
         """
         ids = list(flow_ids)
         if not ids:
@@ -331,25 +349,16 @@ class AdmissionController(abc.ABC):
         else:
             codes, matrix, _lengths, _tags = table.pop_batch(ids)
             self._release_batch_impl(codes, matrix)
-        if OBS.enabled:
-            self._record_releases(len(ids))
+        self._num_released += len(ids)
 
     def release(self, flow_id: Hashable) -> None:
-        """Tear down an established flow.
+        """Tear down an established flow: a :meth:`release_batch` of one.
 
         Frees exactly the route committed at admit time — never
         re-resolved, so intervening ``route_map`` edits cannot release
         the wrong servers.
         """
-        code, servers, _tag = self._flows.pop(flow_id)
-        self._release_impl(code, servers)
-        if OBS.enabled:
-            self._record_releases(1)
-
-    def _record_releases(self, count: int) -> None:
-        OBS.registry.counter(
-            "repro_admission_releases_total", controller=type(self).__name__
-        ).inc(count)
+        self.release_batch([flow_id])
 
     def reroute(
         self, flow_id: Hashable, new_route: Sequence[Hashable]
@@ -417,42 +426,6 @@ class AdmissionController(abc.ABC):
         """The route an established flow was admitted on, read back
         from the servers its row holds."""
         return self.graph.servers_to_route(self._flows.servers_of(flow_id))
-
-    def _record_decisions(
-        self,
-        outcomes: Sequence[Tuple[bool, str]],
-        per_request_seconds: float,
-    ) -> None:
-        """Count one call's ``(ok, reason)`` outcomes: each series is
-        updated once, by count.  Every decision of a call shares its
-        amortized cost, so one ``observe(cost, n)`` fills the decision
-        histogram's buckets exactly as ``n`` single observations would.
-        """
-        ctrl = type(self).__name__
-        reg = OBS.registry
-        reasons = Counter(
-            _reason_key(reason) for ok, reason in outcomes if not ok
-        )
-        rejected = sum(reasons.values())
-        for result, count in (
-            ("admitted", len(outcomes) - rejected),
-            ("rejected", rejected),
-        ):
-            if count:
-                reg.counter(
-                    "repro_admission_decisions_total",
-                    controller=ctrl,
-                    result=result,
-                ).inc(count)
-        for key, count in reasons.items():
-            reg.counter(
-                "repro_admission_rejections_total",
-                controller=ctrl,
-                reason=key,
-            ).inc(count)
-        reg.histogram(
-            "repro_admission_decision_seconds", controller=ctrl
-        ).observe(per_request_seconds, len(outcomes))
 
     def resolve_route(self, flow: FlowSpec) -> List[Hashable]:
         """The router-level path a flow will use: its pinned route if it
@@ -576,6 +549,11 @@ class AdmissionController(abc.ABC):
     @property
     def num_rejected(self) -> int:
         return self._num_decisions - self._num_admitted
+
+    @property
+    def num_released(self) -> int:
+        """Established flows torn down so far (preemptions included)."""
+        return self._num_released
 
     def mean_decision_seconds(self) -> float:
         """Mean per-request decision cost.

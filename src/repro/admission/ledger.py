@@ -21,7 +21,6 @@ from typing import Dict, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import AdmissionError
-from ..obs import OBS
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
 
@@ -192,19 +191,11 @@ class UtilizationLedger:
         the raise protects against races/misuse.
         """
         if not self.available(class_name, servers):
-            if OBS.enabled:
-                OBS.registry.counter(
-                    "repro_ledger_reserve_conflicts_total", cls=class_name
-                ).inc()
             raise AdmissionError(
                 f"no free {class_name!r} slot on some server of the path"
             )
         idx = np.asarray(servers, dtype=np.int64)
         self._used[class_name][idx] += 1
-        if OBS.enabled:
-            OBS.registry.counter(
-                "repro_ledger_reserves_total", cls=class_name
-            ).inc()
 
     def commit_flat(
         self, class_name: str, servers: np.ndarray, n_flows: int
@@ -215,16 +206,13 @@ class UtilizationLedger:
         indices (duplicates across flows expected — each occurrence
         consumes one slot).  The caller (the batch admission kernel) has
         already proven the sequential feasibility of the whole batch, so
-        no availability check is repeated here.  Counter increments
-        match ``n_flows`` individual :meth:`reserve` calls.
+        no availability check is repeated here.  The ledger keeps no
+        per-flow count, so ``n_flows`` is only the caller's statement of
+        how many flows ``servers`` covers.
         """
         self._check_class(class_name)
         idx = np.asarray(servers, dtype=np.int64)
         np.add.at(self._used[class_name], idx, 1)
-        if OBS.enabled:
-            OBS.registry.counter(
-                "repro_ledger_reserves_total", cls=class_name
-            ).inc(n_flows)
 
     def release_flat(
         self, class_name: str, servers: np.ndarray, n_flows: int
@@ -233,8 +221,7 @@ class UtilizationLedger:
 
         ``servers`` concatenates the released flows' server indices.
         The whole batch is validated against current usage before any
-        slot is freed; counter increments match ``n_flows`` individual
-        :meth:`release` calls.
+        slot is freed.  ``n_flows`` is unused, as in :meth:`commit_flat`.
         """
         self._check_class(class_name)
         used = self._used[class_name]
@@ -245,10 +232,6 @@ class UtilizationLedger:
                 f"releasing unreserved {class_name!r} slot"
             )
         used -= counts
-        if OBS.enabled:
-            OBS.registry.counter(
-                "repro_ledger_releases_total", cls=class_name
-            ).inc(n_flows)
 
     def release(self, class_name: str, servers: Sequence[int]) -> None:
         """Release one slot on every listed server."""
@@ -259,10 +242,6 @@ class UtilizationLedger:
                 f"releasing unreserved {class_name!r} slot"
             )
         self._used[class_name][idx] -= 1
-        if OBS.enabled:
-            OBS.registry.counter(
-                "repro_ledger_releases_total", cls=class_name
-            ).inc()
 
     # ------------------------------------------------------------------ #
     # introspection (verification hooks)

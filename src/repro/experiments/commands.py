@@ -20,7 +20,7 @@ def _measure_admission(result) -> None:
 
     Exercises the run-time side of the paper's comparison so a
     ``table1 --metrics-out`` run captures admission-decision series
-    (latency histogram, admit/reject counters) alongside the
+    (latency histogram, call sizes, rejections by reason) alongside the
     configuration-time fixed-point series.
     """
     from ..admission.utilization import UtilizationAdmissionController

@@ -55,7 +55,6 @@ from typing import (
     Sequence,
     Tuple,
     Union,
-    cast,
 )
 
 from ..admission.base import AdmissionDecision
@@ -144,7 +143,7 @@ class _Op(_Stamp):
         kind: str,
         future: Union[asyncio.Future, _SlotFuture],
         payload: Any = None,
-        trace: Optional[TraceContext] = None,
+        trace: Optional[dict] = None,
         span_hex: Optional[str] = None,
         enqueued_at: Optional[float] = None,
     ):
@@ -153,6 +152,7 @@ class _Op(_Stamp):
         #: A :class:`FlowSpec` for an admit, a flow id for a release.
         self.payload = payload
         self.future = future
+        #: The frame's wire trace object (``TraceContext.to_obj()``).
         self.trace = trace
 
 
@@ -380,7 +380,8 @@ class MicroBatchCoalescer:
         releases; slots the server failed during decode are already
         filled and simply absent here.  ``trace`` / ``span_hex`` are the
         frame's wire trace context and request span (the audit log and
-        the batch span read them).
+        the batch span read them); the context is converted to its wire
+        object once, here, for every op of the frame.
 
         When nothing else is undecided (``pending == 0``), the frame is
         decided synchronously right here: :meth:`_decide` runs on the
@@ -405,6 +406,7 @@ class MicroBatchCoalescer:
         """
         if self._closed:
             raise ServiceError("coalescer is stopped")
+        wire = None if trace is None else trace.to_obj()
         if self.pending == 0 and self._paused.is_set():
             outcomes = slots.outcomes
             stamps = []
@@ -412,7 +414,7 @@ class MicroBatchCoalescer:
                 chunk = entries[start : start + MAX_BATCH]
                 stamp = _Stamp(span_hex)
                 decided = self._decide(
-                    [(kind, payload, trace) for _, kind, payload in chunk],
+                    [(kind, payload, wire) for _, kind, payload in chunk],
                     (stamp,),
                 )
                 for entry, outcome in zip(chunk, decided):
@@ -425,7 +427,7 @@ class MicroBatchCoalescer:
                 kind,
                 _SlotFuture(slots, index),
                 payload,
-                trace=trace,
+                trace=wire,
                 span_hex=span_hex,
                 enqueued_at=enqueued_at,
             )
@@ -525,14 +527,15 @@ class MicroBatchCoalescer:
 
     def _decide(
         self,
-        ops: List[Tuple[str, Any, Optional[TraceContext]]],
+        ops: List[Tuple[str, Any, Optional[dict]]],
         stamps: Sequence[_Stamp] = (),
     ) -> List[object]:
         """The one decision step: ordered ops in, ordered outcomes out.
 
         ``ops`` are ``(kind, payload, trace)`` triples — a
         :class:`FlowSpec` for an admit, a flow id for a release, the
-        caller's wire trace context (only the audit entries read it).
+        wire object of the caller's trace context (only the audit
+        entries read it).
         The result holds, op for op, the
         :class:`~repro.admission.base.AdmissionDecision`, ``True`` for
         a release, or the exception the sequential API would have
@@ -610,7 +613,7 @@ class MicroBatchCoalescer:
 
     def _record_step(
         self,
-        ops: List[Tuple[str, Any, Optional[TraceContext]]],
+        ops: List[Tuple[str, Any, Optional[dict]]],
         stamps: Sequence[_Stamp],
         t_start: float,
         now: float,
@@ -622,8 +625,8 @@ class MicroBatchCoalescer:
         it decided for.  Returns the span's id.  The batch and
         preemption counts are :attr:`batches` and ``preempted_*``,
         which the server's scrape reads."""
-        admits = sum(1 for op in ops if op[0] == _ADMIT)
-        releases = sum(1 for op in ops if op[0] == _RELEASE)
+        kinds = [op[0] for op in ops]
+        admits, releases = kinds.count(_ADMIT), kinds.count(_RELEASE)
         reg = OBS.registry
         reg.histogram(
             "repro_service_batch_fill", buckets=DEFAULT_ITERATION_BUCKETS
@@ -654,7 +657,7 @@ class MicroBatchCoalescer:
 
     def _admit_run(
         self,
-        run: List[Tuple[str, Any, Optional[TraceContext]]],
+        run: List[Tuple[str, Any, Optional[dict]]],
         lo: int,
         outcomes: List[object],
         entries: Optional[List[bytes]],
@@ -664,7 +667,7 @@ class MicroBatchCoalescer:
         refuses with an exception — each fails alone, with that
         exception, and never reaches the controller's state.  Audit
         entries go to ``entries`` (``None``: no audit log)."""
-        audit = cast("AuditLog", self.audit)  # used only with entries
+        audit: AuditLog = self.audit  # type: ignore[assignment]  # only with entries
         controller = self.controller
         check_admit = controller.check_admit
         indices: List[int] = []
@@ -677,7 +680,7 @@ class MicroBatchCoalescer:
                 outcomes[i] = exc
                 if entries is not None:
                     entries.append(audit.admit_entry(
-                        flow, False, error=str(exc), trace=_trace_obj(trace)
+                        flow, False, error=str(exc), trace=trace
                     ))
                 continue
             indices.append(i)
@@ -699,7 +702,7 @@ class MicroBatchCoalescer:
                         flow,
                         False,
                         error=f"{type(exc).__name__}: {exc}",
-                        trace=_trace_obj(run[i - lo][2]),
+                        trace=run[i - lo][2],
                     ))
             return
         rescues: Dict[int, Tuple[Hashable, ...]] = {}
@@ -713,7 +716,7 @@ class MicroBatchCoalescer:
             self._admit_entries(
                 flows,
                 routes,
-                [_trace_obj(run[i - lo][2]) for i in indices],
+                [run[i - lo][2] for i in indices],
                 decisions,
                 rescues,
                 entries,
@@ -775,7 +778,7 @@ class MicroBatchCoalescer:
         the established set exactly — even when a victim was admitted
         by the same batch that evicted it.
         """
-        audit = cast("AuditLog", self.audit)
+        audit: AuditLog = self.audit  # type: ignore[assignment]
         established = self.controller.is_established
         ordered = [
             i for i in range(len(flows)) if i not in rescued
@@ -786,10 +789,10 @@ class MicroBatchCoalescer:
                 entries.append(audit.release_entry(
                     victim, True, reason="preempted", trace=trace
                 ))
-            # check_admit's route is the committed one — unless a later
-            # rescue of this batch already evicted the flow again.
+            # check_admit's route is the committed one — unless a rescue
+            # of this run already evicted the flow again.
             route = routes[i]
-            if decision.admitted and not established(flow.flow_id):
+            if decision.admitted and rescued and not established(flow.flow_id):
                 route = None
             entries.append(audit.admit_entry(
                 flow,
@@ -801,14 +804,14 @@ class MicroBatchCoalescer:
 
     def _release_run(
         self,
-        run: List[Tuple[str, Any, Optional[TraceContext]]],
+        run: List[Tuple[str, Any, Optional[dict]]],
         lo: int,
         outcomes: List[object],
         entries: Optional[List[bytes]],
     ) -> None:
         """One ``release_batch`` call for ``run`` (ops ``lo...`` of the
         batch), after failing the ids the sequential API would."""
-        audit = cast("AuditLog", self.audit)  # used only with entries
+        audit: AuditLog = self.audit  # type: ignore[assignment]  # only with entries
         controller = self.controller
         indices: List[int] = []
         fids: List[Hashable] = []
@@ -829,7 +832,7 @@ class MicroBatchCoalescer:
                         fid,
                         False,
                         error="not established",
-                        trace=_trace_obj(trace),
+                        trace=trace,
                     ))
         if not fids:
             return
@@ -847,12 +850,8 @@ class MicroBatchCoalescer:
                     fid,
                     error is None,
                     error=error,
-                    trace=_trace_obj(run[i - lo][2]),
+                    trace=run[i - lo][2],
                 ))
-
-
-def _trace_obj(trace: Optional[TraceContext]) -> Optional[dict]:
-    return None if trace is None else trace.to_obj()
 
 
 def _settle(

@@ -349,6 +349,7 @@ _SUMMED_KEYS = (
     "decisions_total",
     "admitted_total",
     "rejected_total",
+    "released_total",
 )
 
 _STATUS_RANK = {"ok": 0, "degraded": 1, "draining": 2}

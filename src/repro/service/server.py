@@ -967,6 +967,7 @@ class AdmissionService:
             "decisions_total": controller.num_decisions,
             "admitted_total": controller.num_admitted,
             "rejected_total": controller.num_rejected,
+            "released_total": controller.num_released,
             "queue_depth": coalescer.pending,
             "draining": self._draining,
             "status": self._status(),
@@ -1014,44 +1015,62 @@ class AdmissionService:
             return
         coalescer, controller = self.coalescer, self.controller
         counts, governor, audit = self.counts, self.governor, self.audit
-        # (series, value): a ``*_total`` series is a counter, the rest
-        # are gauges, and a ``None`` value (no snapshot yet) is skipped.
+        ctrl = {"controller": type(controller).__name__}
+        # (series, labels, value): a ``*_total`` series is a counter, the
+        # rest are gauges, and a ``None`` value (no snapshot yet) is
+        # skipped.
         table = [
-            ("repro_service_queue_depth", coalescer.pending),
-            ("repro_service_established_flows", controller.num_established),
-            ("repro_service_draining", self._draining),
+            ("repro_service_queue_depth", {}, coalescer.pending),
+            ("repro_service_established_flows", {}, controller.num_established),
+            ("repro_service_draining", {}, self._draining),
             (
                 "repro_service_uptime_seconds",
+                {},
                 max(0.0, time.time() - self._started_at),
             ),
-            ("repro_service_requests_total", counts["requests"]),
-            ("repro_service_connections_total", counts["connections"]),
-            ("repro_service_snapshots_total", counts["snapshots"]),
-            ("repro_service_batches_total", coalescer.batches),
-            ("repro_service_snapshot_age_seconds", self.snapshot_age_seconds()),
+            ("repro_service_requests_total", {}, counts["requests"]),
+            ("repro_service_connections_total", {}, counts["connections"]),
+            ("repro_service_snapshots_total", {}, counts["snapshots"]),
+            ("repro_service_batches_total", {}, coalescer.batches),
+            ("repro_service_snapshot_age_seconds", {}, self.snapshot_age_seconds()),
+            (
+                "repro_admission_decisions_total",
+                {**ctrl, "result": "admitted"},
+                controller.num_admitted,
+            ),
+            (
+                "repro_admission_decisions_total",
+                {**ctrl, "result": "rejected"},
+                controller.num_rejected,
+            ),
+            ("repro_admission_releases_total", ctrl, controller.num_released),
+        ]
+        table += [
+            (
+                "repro_ledger_slots_in_use",
+                {"cls": cls.name},
+                controller.ledger.used_view(cls.name).sum(),
+            )
+            for cls in controller.registry.realtime_classes()
         ]
         if governor is not None:
             table += [
-                ("repro_service_effective_alpha", governor.effective_alpha),
-                ("repro_service_governor_rung", governor.rung),
-                ("repro_service_governor_moves_total", counts["governor_moves"]),
+                ("repro_service_effective_alpha", {}, governor.effective_alpha),
+                ("repro_service_governor_rung", {}, governor.rung),
+                ("repro_service_governor_moves_total", {}, counts["governor_moves"]),
             ]
         if coalescer.preemptor is not None:
             table += [
-                ("repro_service_preempted_flows_total", coalescer.preempted_flows),
-                ("repro_service_preempted_admits_total", coalescer.preempted_admits),
+                ("repro_service_preempted_flows_total", {}, coalescer.preempted_flows),
+                ("repro_service_preempted_admits_total", {}, coalescer.preempted_admits),
             ]
         if audit is not None:
-            table.append(("repro_service_audit_records", audit.records_written))
+            table.append(("repro_service_audit_records", {}, audit.records_written))
         reg = OBS.registry
-        for name, value in table:
+        for name, labels, value in table:
             if value is not None:
                 kind = reg.counter if name.endswith("_total") else reg.gauge
-                kind(name).value = float(value)
-        for cls in controller.registry.realtime_classes():
-            reg.gauge("repro_ledger_slots_in_use", cls=cls.name).value = float(
-                controller.ledger.used_view(cls.name).sum()
-            )
+                kind(name, **labels).value = float(value)
         self.slo.export_gauges(reg)
 
     def scrape_text(self) -> str:

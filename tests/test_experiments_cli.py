@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -114,9 +115,19 @@ def test_table1_metrics_and_trace_out(tmp_path, capsys):
     assert "repro_fixedpoint_iterations_bucket" in names
     assert "repro_fixedpoint_solves_total" in names
     assert "repro_admission_decision_seconds_bucket" in names
-    assert ("repro_admission_decisions_total",
-            (("controller", "UtilizationAdmissionController"),
-             ("result", "admitted"))) in samples
+    # A one-shot snapshot counts decisions in the decision histogram and
+    # rejections by reason; the admitted/rejected tallies are read only
+    # by a served scrape.
+    replay = re.search(r"admission replay .*: (\d+) admitted, (\d+) rejected", out)
+    admitted, rejected = int(replay.group(1)), int(replay.group(2))
+    ctrl = (("controller", "UtilizationAdmissionController"),)
+    assert samples[("repro_admission_decision_seconds_count", ctrl)] == admitted + rejected
+    assert rejected == sum(
+        value
+        for (name, labels), value in samples.items()
+        if name == "repro_admission_rejections_total" and labels[0] == ctrl[0]
+    )
+    assert "repro_admission_decisions_total" not in names
 
     payload = json.loads(trace.read_text())
     events = payload["traceEvents"]

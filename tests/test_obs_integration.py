@@ -116,10 +116,6 @@ class TestInstrumentedSubsystems:
         ctrl.release(0)
         reg = obs.get_registry()
         name = "UtilizationAdmissionController"
-        admitted = reg.get(
-            "repro_admission_decisions_total",
-            controller=name, result="admitted",
-        )
         rejected = reg.get(
             "repro_admission_rejections_total",
             controller=name, reason="utilization_limit",
@@ -127,19 +123,24 @@ class TestInstrumentedSubsystems:
         latency = reg.get(
             "repro_admission_decision_seconds", controller=name
         )
-        releases = reg.get(
-            "repro_admission_releases_total", controller=name
-        )
-        reserves = reg.get("repro_ledger_reserves_total", cls="voice")
-        assert admitted.value == 3
+        sizes = reg.get("repro_admission_batch_size", controller=name)
         assert rejected.value == 1
         assert latency.count == 4
-        assert releases.value == 1
-        assert reserves.value == 3
-        # Population and slot use are state the controller and ledger
-        # hold; a served scrape reads them, nothing here pushes them.
-        assert reg.get("repro_ledger_slots_in_use", cls="voice") is None
+        # admit() is a decision call of one.
+        assert sizes.count == sizes.sum == 4
+        # The decision path pushes nothing else: the admitted, rejected
+        # and released counts are the controller's tallies, and the
+        # population and slot use are state the controller and ledger
+        # hold.  A served scrape reads them all.
+        assert {series.name for series in reg.series()} == {
+            "repro_admission_rejections_total",
+            "repro_admission_decision_seconds",
+            "repro_admission_batch_size",
+        }
+        assert (ctrl.num_admitted, ctrl.num_rejected, ctrl.num_released) == (3, 1, 1)
         assert ctrl.num_established == 2  # 3 admitted - 1 released
+        path = line4_graph.route_servers(["r0", "r1", "r2", "r3"])
+        assert ctrl.ledger.used_view("voice")[path].tolist() == [2, 2, 2]
         assert _named(obs.get_tracer(), "admission.admit")
 
     def test_routing_series_and_nested_spans(self, enabled_obs, line4,

@@ -51,13 +51,11 @@ REGISTRY = ClassRegistry.two_class(voice_class())
 TIGHT_ALPHA = {"voice": 0.002}
 ROOMY_ALPHA = {"voice": 0.05}
 
+#: The series a decision call pushes whose totals do not depend on how
+#: decisions fall into calls (``repro_admission_batch_size`` does).
 _COUNTER_NAMES = (
     "repro_admission_decision_seconds",
-    "repro_admission_decisions_total",
     "repro_admission_rejections_total",
-    "repro_admission_releases_total",
-    "repro_ledger_reserves_total",
-    "repro_ledger_releases_total",
 )
 
 
@@ -117,23 +115,17 @@ def _ledger_state(controller):
 
 
 def _spy(controller):
-    """Collect every decision the controller hands out, whichever
-    public entry point (admit, admit_batch, reroute, restore, a
-    preemptor) produced it."""
+    """Collect every decision the controller hands out.  Every public
+    entry point (admit, admit_batch, reroute, restore, a preemptor)
+    decides through admit_batch_routed."""
     returned = []
-    admit, routed = controller.admit, controller.admit_batch_routed
-
-    def spy_admit(flow):
-        decision = admit(flow)
-        returned.append(decision)
-        return decision
+    routed = controller.admit_batch_routed
 
     def spy_routed(flows, routes):
         decisions = routed(flows, routes)
         returned.extend(decisions)
         return decisions
 
-    controller.admit = spy_admit
     controller.admit_batch_routed = spy_routed
     return returned
 
@@ -450,17 +442,9 @@ class TestDecisionCounters:
 
 
 class TestObsCounterEquivalence:
-    def _counter_totals(self, registry):
-        totals = {}
-        for series in registry.series():
-            name = getattr(series, "name", None)
-            value = getattr(series, "value", None)
-            if name in _COUNTER_NAMES and value is not None:
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
-
     def _drive(self, mode, script):
-        """Run one controller under a fresh registry; return totals."""
+        """Run one controller under a fresh registry; return its
+        tallies and the totals of the series it pushed."""
         obs.enable(fresh=True)
         controller = _make("utilization", TIGHT_ALPHA)
         live = []
@@ -487,7 +471,14 @@ class TestObsCounterEquivalence:
                     for fid in to_release:
                         controller.release(fid)
         final = controller.num_established
-        totals = {}
+        totals = {
+            "tallies": (
+                controller.num_decisions,
+                controller.num_admitted,
+                controller.num_rejected,
+                controller.num_released,
+            )
+        }
         for series in obs.get_registry().series():
             name = getattr(series, "name", None)
             if name not in _COUNTER_NAMES:
@@ -526,22 +517,19 @@ class TestObsCounterEquivalence:
                                   for i in range(5)])
             controller.admit_batch(flows)
             registry = obs.get_registry()
-            calls = registry.get(
-                "repro_admission_batch_calls_total",
-                controller="UtilizationAdmissionController",
-            )
-            requests = registry.get(
-                "repro_admission_batch_requests_total",
+            sizes = registry.get(
+                "repro_admission_batch_size",
                 controller="UtilizationAdmissionController",
             )
             decisions = registry.get(
-                "repro_admission_decisions_total",
+                "repro_admission_decision_seconds",
                 controller="UtilizationAdmissionController",
-                result="admitted",
             )
-            assert calls is not None and calls.value == 1
-            assert requests is not None and requests.value == 5
-            assert decisions is not None and decisions.value == 5
+            # One call of five: the call count and its requests are the
+            # size histogram's count and sum.
+            assert sizes is not None and (sizes.count, sizes.sum) == (1, 5)
+            assert decisions is not None and decisions.count == 5
+            assert controller.num_admitted == 5
         finally:
             obs.disable()
             obs.reset()

@@ -437,6 +437,14 @@ class TestMetricsEndpoint:
             ("repro_service_established_flows", "established"),
         ):
             assert samples[(series, ())] == stats[key], series
+        ctrl = ("controller", "UtilizationAdmissionController")
+        for labels, key in (
+            ((ctrl, ("result", "admitted")), "admitted_total"),
+            ((ctrl, ("result", "rejected")), "rejected_total"),
+        ):
+            assert samples[("repro_admission_decisions_total", labels)] == stats[key], key
+        assert samples[("repro_admission_releases_total", (ctrl,))] == stats["released_total"]
+        assert (stats["admitted_total"], stats["released_total"]) == (5, 1)
         assert stats["snapshots"] == 1 and stats["established"] == 4
         assert samples[("repro_ledger_slots_in_use", (("cls", "voice"),))] == used > 0
 

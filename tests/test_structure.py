@@ -213,6 +213,27 @@ RATCHETS = (
         ),
     ),
     Ratchet(
+        name="No series restates a kept count",
+        why=(
+            "The ledger's reserve/release counters restated the "
+            "controller's admitted and released flows, and admit() "
+            "kept its own tally and series beside admit_batch_routed's: "
+            "1.7 pushes an op, each a count the controller already "
+            "keeps (a served scrape reads num_admitted / num_rejected / "
+            "num_released).  The ledger imports nothing from repro.obs, "
+            "and admit_batch_routed is the one method that counts a "
+            "decision."
+        ),
+        pattern=r"\bobs\b|\bOBS\b|_num_decisions \+?= ",
+        roots=("src/repro/admission/ledger.py", "src/repro/admission/base.py"),
+        offender=("src/repro/admission/ledger.py", "from ..obs import OBS"),
+        allowed=(
+            r"^src/repro/admission/base\.py:\d+:(?!.*_num_decisions)",
+            r"^src/repro/admission/base\.py:\d+:        self\._num_decisions = 0$",
+        ),
+        max_count=1,
+    ),
+    Ratchet(
         name="Audited is the fast path: one audit writer",
         why=(
             "The coalescer collects a decision step's entries and "

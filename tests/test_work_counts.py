@@ -1,6 +1,7 @@
 """Work counts are a ratchet: the decision path's Python calls per op,
-bare and audited with observability on, and the metrics-registry
-lookups the audited path makes (``tests/work_counts.py`` counts them).
+bare and audited with observability on, the metrics-registry lookups
+the audited path makes, and the controller and kernel entries per frame
+shape (``tests/work_counts.py`` counts them).
 
 The pins in ``tests/data/work_counts.json`` are exact and filed per
 interpreter and numpy minor version.  A count above its pin is a
@@ -17,7 +18,7 @@ from work_counts import count_work, interpreter_key, per_op
 PINS = Path(__file__).resolve().parent / "data" / "work_counts.json"
 
 #: Audited-with-observability calls per op over bare ones, at most.
-MAX_AUDITED_RATIO = 2.0
+MAX_AUDITED_RATIO = 1.5
 
 
 def test_work_counts_match_their_pins():

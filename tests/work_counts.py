@@ -17,6 +17,13 @@ Three windows, each after a warm-up that fills every cache:
   observability on, which also counts the metrics-registry lookups
   (calls of ``MetricsRegistry.counter`` / ``gauge`` / ``histogram``).
 
+The two bare windows also count controller entries (calls of
+``admit_batch_routed`` and ``release_batch``) and kernel entries (runs
+that take the numpy path: the utilization controller's own
+``_admit_batch_impl`` / ``_release_batch_impl``), ROADMAP 2(a)'s
+yardstick.  Every count is taken by code object in the profile hook,
+so the decision path carries nothing that only this file reads.
+
 Run it directly to print the counts of the checkout on ``PYTHONPATH``::
 
     PYTHONPATH=src python tests/work_counts.py
@@ -37,6 +44,7 @@ import numpy as np
 
 from repro import obs
 from repro.admission import UtilizationAdmissionController
+from repro.admission.base import AdmissionController
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.shortest import shortest_path_routes
 from repro.service.audit import AuditLog
@@ -64,9 +72,16 @@ BULK_FRAME_OPS = 1_024
 BULK_ESTABLISHED = 3_000
 BULK_SEED = 44
 
-_LOOKUPS = frozenset(
-    getattr(MetricsRegistry, name).__code__
-    for name in ("counter", "gauge", "histogram")
+def _codes(cls, *names):
+    return frozenset(getattr(cls, name).__code__ for name in names)
+
+
+_LOOKUPS = _codes(MetricsRegistry, "counter", "gauge", "histogram")
+_CONTROLLER_ENTRIES = _codes(
+    AdmissionController, "admit_batch_routed", "release_batch"
+)
+_KERNEL_ENTRIES = _codes(
+    UtilizationAdmissionController, "_admit_batch_impl", "_release_batch_impl"
 )
 
 Entries = List[Tuple[int, str, object]]
@@ -81,17 +96,31 @@ def interpreter_key() -> str:
 
 class _Counter:
     """``sys.setprofile`` hook counting Python calls (generator resumes
-    included) and metrics-registry lookups."""
+    included), metrics-registry lookups, and controller and kernel
+    entries."""
 
     def __init__(self):
         self.calls = 0
         self.lookups = 0
+        self.controller_entries = 0
+        self.kernel_entries = 0
 
     def __call__(self, frame, event, _arg):
         if event == "call":
             self.calls += 1
-            if frame.f_code in _LOOKUPS:
+            code = frame.f_code
+            if code in _LOOKUPS:
                 self.lookups += 1
+            elif code in _CONTROLLER_ENTRIES:
+                self.controller_entries += 1
+            elif code in _KERNEL_ENTRIES:
+                self.kernel_entries += 1
+
+    def entries(self, window: str) -> Dict[str, int]:
+        return {
+            f"{window}_controller_entries": self.controller_entries,
+            f"{window}_kernel_entries": self.kernel_entries,
+        }
 
 
 def _controller(alpha: float):
@@ -200,7 +229,7 @@ def _count_churn() -> Dict[str, int]:
         counted = i >= WARM_FRAMES
         _decide(coalescer, entries, counter if counted else None)
         ops += len(entries) if counted else 0
-    return {"churn_ops": ops, "churn_calls": counter.calls}
+    return {"churn_ops": ops, "churn_calls": counter.calls, **counter.entries("churn")}
 
 
 def _count_bulk(audit_path: str) -> Dict[str, int]:
@@ -221,7 +250,7 @@ def _count_bulk(audit_path: str) -> Dict[str, int]:
         return ops
 
     bare = _Counter()
-    out = {"bulk_ops": window(bare), "bulk_calls": bare.calls}
+    out = {"bulk_ops": window(bare), "bulk_calls": bare.calls, **bare.entries("bulk")}
     audited = _Counter()
     with AuditLog(audit_path) as audit:
         coalescer.audit = audit
@@ -263,18 +292,21 @@ def count_work() -> Dict[str, int]:
 
 
 def per_op(counts: Dict[str, int]) -> Dict[str, float]:
-    """Calls and lookups per decided op, from :func:`count_work`'s
-    totals."""
-    return {
-        "churn_calls": counts["churn_calls"] / counts["churn_ops"],
-        "bulk_calls": counts["bulk_calls"] / counts["bulk_ops"],
-        "bulk_audited_calls": (
-            counts["bulk_audited_calls"] / counts["bulk_audited_ops"]
-        ),
-        "bulk_audited_lookups": (
-            counts["bulk_audited_lookups"] / counts["bulk_audited_ops"]
-        ),
-    }
+    """Calls and lookups per decided op, and entries per thousand ops,
+    from :func:`count_work`'s totals."""
+    rates = {}
+    for window in ("churn", "bulk", "bulk_audited"):
+        ops = counts[f"{window}_ops"]
+        for what, scale, suffix in (
+            ("calls", 1, ""),
+            ("lookups", 1, ""),
+            ("controller_entries", 1_000, "_per_kop"),
+            ("kernel_entries", 1_000, "_per_kop"),
+        ):
+            name = f"{window}_{what}"
+            if name in counts:
+                rates[name + suffix] = scale * counts[name] / ops
+    return rates
 
 
 if __name__ == "__main__":
