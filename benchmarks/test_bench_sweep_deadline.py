@@ -26,8 +26,7 @@ def test_bench_sweep_deadline_bounds(benchmark, scenario, capsys):
 
 
 def test_bench_sweep_deadline_with_searches(benchmark, scenario, capsys):
-    """Search columns at three deadlines (coarse resolution for speed),
-    in two worker processes as ``sweep --workers 2`` runs them."""
+    """Search columns at three deadlines (coarse resolution for speed)."""
     sweep = benchmark.pedantic(
         sweep_deadline,
         args=(DEADLINES,),
@@ -35,7 +34,6 @@ def test_bench_sweep_deadline_with_searches(benchmark, scenario, capsys):
             "scenario": scenario,
             "include_searches": True,
             "resolution": 0.02,
-            "workers": 2,
         },
         rounds=1,
         iterations=1,

@@ -10,7 +10,7 @@ increase/hold/decrease actions — here, steps along a pre-certified
 
 The governor is pure and deterministic: it never reads a clock and
 never touches the admission controller itself.  Callers sample their
-telemetry (coalescer queue, SLO tracker, ledger occupancy), feed
+telemetry (coalescer queue, ledger occupancy), feed
 :meth:`AlphaGovernor.observe`, and apply the returned degradation
 factor through the ordinary degraded-mode path.  Because every rung
 was certified up front, any reachable operating point is provably

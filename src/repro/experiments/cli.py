@@ -8,10 +8,12 @@ Commands
   shortest-path routes, or (with ``--bound``/no alpha) run the bounded
   machine-checked admission invariants.
 * ``sweep`` — print a deadline or burst sensitivity sweep.
+* ``simulate`` — packet-simulate a verified alpha on the MCI scenario.
+* ``faults`` — replay a fault schedule against a live co-simulation.
+* ``loadgen`` — drive a controller or a running service with a workload.
 * ``serve`` — run the admission service on a TCP port or Unix socket.
 * ``client`` — one-shot RPC against a running admission service.
 * ``audit`` — inspect or verify a service decision audit log.
-* ``top`` — live terminal view of a serving admission service.
 
 Every command accepts ``--metrics-out FILE`` (Prometheus text; use a
 ``.jsonl`` suffix for JSON lines) and ``--trace-out FILE`` (Chrome-trace
@@ -158,10 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--searches", action="store_true",
         help="also run the SP / heuristic searches per point",
-    )
-    s.add_argument(
-        "--workers", type=int, default=None,
-        help="evaluate sweep points in N parallel processes",
     )
 
     sim = sub.add_parser(
@@ -315,10 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     lg.add_argument("--seed", type=int, default=7, help="workload seed")
-    lg.add_argument(
-        "--workers", type=int, default=None,
-        help="generate workload chunks with N threads (same output)",
-    )
     lg.add_argument(
         "--record", default=None, metavar="FILE",
         help="write the generated event stream as a JSON-lines trace",
@@ -478,13 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rotated audit files to keep",
     )
     srv.add_argument(
-        "--span-out", default=None, metavar="FILE",
-        help=(
-            "stream request/batch spans to this JSON-lines file "
-            "(repro-span/v1; enables observability)"
-        ),
-    )
-    srv.add_argument(
         "--drain-grace", type=float, default=0.0, metavar="SEC",
         help=(
             "keep listeners answering (healthz 503) this long after a "
@@ -574,32 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
             "write the committed decisions as a replayable "
             "repro-workload-trace/v1 file"
         ),
-    )
-
-    tp = sub.add_parser(
-        "top",
-        help="live terminal view of a serving admission service",
-        parents=[common],
-    )
-    tp.add_argument(
-        "--target", default=None, metavar="HOST:PORT",
-        help="TCP address of the service",
-    )
-    tp.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="Unix socket of the service",
-    )
-    tp.add_argument(
-        "--interval", type=float, default=2.0, metavar="SEC",
-        help="seconds between refreshes",
-    )
-    tp.add_argument(
-        "--count", type=int, default=None, metavar="N",
-        help="exit after N refreshes (default: run until interrupted)",
-    )
-    tp.add_argument(
-        "--no-clear", action="store_true",
-        help="append refreshes instead of redrawing the screen",
     )
 
     return parser
@@ -737,13 +698,13 @@ def _run_serve_cluster(args: argparse.Namespace):
             f"{supervisor.merges} manifest merges)"
         )
 
-    return start, banner, summary, None
+    return start, banner, summary
 
 
 def _run_serve(args: argparse.Namespace) -> int:
     """``repro-ubac serve``: one process, or ``--workers N`` of them.
 
-    Either mode hands back ``(start, banner, summary, span_sink)``;
+    Either mode hands back ``(start, banner, summary)``;
     ``start()`` builds its server inside the running loop and returns
     it with the restored-flow count.
     """
@@ -791,10 +752,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         setup = _admission_setup(args.topology)
         ladder = _certified_ladder(args, setup)
         if args.workers is None:
-            built = _run_serve_single(args, setup, ladder)
+            start, banner, summary = _run_serve_single(args, setup, ladder)
         else:
-            built = _run_serve_cluster(args)
-        start, banner, summary, span_sink = built
+            start, banner, summary = _run_serve_cluster(args)
     except (ReproError, ValueError) as exc:
         print(f"FAILURE: {exc}")
         return 2
@@ -805,10 +765,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         # Start-up (bind, restore, spawn) and drain failures alike.
         print(f"FAILURE: {exc}")
         return 1
-    finally:
-        if span_sink is not None:
-            span_sink.close()
-            print(f"wrote span stream to {args.span_out}")
 
 
 def _certified_ladder(args: argparse.Namespace, setup):
@@ -889,19 +845,11 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
     if args.socket is None and args.port is None:
         raise ValueError("specify --socket PATH or --port N")
 
-    # A live scrape endpoint or span stream is pointless without
-    # collection: either flag opts the server process into obs (the
-    # --metrics-out/--trace-out switches still control exit snapshots).
-    if (
-        args.metrics_port is not None or args.span_out is not None
-    ) and not obs.is_enabled():
+    # A live scrape endpoint is pointless without collection: it opts
+    # the server process into obs (the --metrics-out/--trace-out
+    # switches still control exit snapshots).
+    if args.metrics_port is not None and not obs.is_enabled():
         obs.enable(fresh=True)
-    span_sink = None
-    if args.span_out is not None:
-        from ..obs import JsonLinesSpanSink
-
-        span_sink = JsonLinesSpanSink(args.span_out)
-        span_sink.attach(obs.get_tracer())
 
     async def start():
         service = AdmissionService(
@@ -962,7 +910,7 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
                 f"{gov['dec']} dec / {gov['inc']} inc moves"
             )
 
-    return start, banner, summary, span_sink
+    return start, banner, summary
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -1050,9 +998,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .sweeps import sweep_burst, sweep_deadline
 
         run = sweep_deadline if args.parameter == "deadline" else sweep_burst
-        sweep = run(
-            include_searches=args.searches, workers=args.workers
-        )
+        sweep = run(include_searches=args.searches)
         print(sweep.render())
         return 0
 
@@ -1091,14 +1037,13 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         return _run_loadgen(args, _admission_setup(args.topology))
 
-    if args.command in ("faults", "client", "audit", "top"):
+    if args.command in ("faults", "client", "audit"):
         from . import commands
 
         run = {
             "faults": commands._run_faults,
             "client": commands._run_client,
             "audit": commands._run_audit,
-            "top": commands._run_top,
         }[args.command]
         return run(args)
 

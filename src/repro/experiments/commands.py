@@ -1,7 +1,7 @@
 """Runners of ``repro-ubac``'s one-shot commands.
 
-``faults``, ``verify`` (the bounded checker), ``loadgen``, ``client``,
-``audit`` and ``top`` run once and exit, as does the admission replay of
+``faults``, ``verify`` (the bounded checker), ``loadgen``, ``client``
+and ``audit`` run once and exit, as does the admission replay of
 ``table1 --metrics-out``.  :func:`repro.experiments.cli._dispatch`
 imports this module when one of them runs, so a ``serve`` process never
 compiles them (where bytecode is not written, every start compiles
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 
 
 def _measure_admission(result) -> None:
@@ -246,16 +245,6 @@ def _service_address(target, socket_path):
     return host, int(port)
 
 
-def _connect_service_client(target, socket_path, protocol="v1"):
-    """ServiceClient for ``--target HOST:PORT`` / ``--socket PATH``."""
-    from ..service.client import ServiceClient
-
-    where, port = _service_address(target, socket_path)
-    if port is None:
-        return ServiceClient(socket_path=where, protocol=protocol)
-    return ServiceClient(host=where, port=port, protocol=protocol)
-
-
 def _run_loadgen(args: argparse.Namespace, setup) -> int:
     """``repro-ubac loadgen``; ``setup`` is the ``(graph, registry,
     voice, pairs, routes)`` of ``--topology``, built as ``serve`` builds
@@ -336,7 +325,6 @@ def _run_loadgen(args: argparse.Namespace, setup) -> int:
                 mean_holding=args.mean_holding,
                 popularity=popularity,
                 seed=args.seed,
-                workers=args.workers,
             )
         events = schedule_events(schedule, pairs, voice.name)
     if args.priority_mix is not None:
@@ -504,11 +492,15 @@ def _run_client(args: argparse.Namespace) -> int:
     import json
 
     from ..errors import ReproError, ServiceError
+    from ..service.client import ServiceClient
     from ..traffic.flows import FlowSpec, fresh_flow_id
 
+    where, port = _service_address(args.target, args.socket)
     try:
-        client = _connect_service_client(
-            args.target, args.socket, args.protocol
+        client = (
+            ServiceClient(socket_path=where, protocol=args.protocol)
+            if port is None
+            else ServiceClient(host=where, port=port, protocol=args.protocol)
         )
     except ServiceError as exc:
         print(f"FAILURE: {exc}")
@@ -679,113 +671,3 @@ def _run_audit(args: argparse.Namespace) -> int:
             print(f"PROBLEM: {problem}")
         return 1
     return 0
-
-
-def _render_top(stats, prev, interval) -> str:
-    """One refresh of the ``top`` view from a ``stats`` response."""
-    lines = []
-    status = stats.get("status", "?")
-    uptime = stats.get("uptime_seconds", 0.0)
-    startup = stats.get("startup_seconds")  # older servers do not report it
-    restart = stats.get("last_restart_seconds")  # cluster, after a worker died
-    lines.append(
-        f"repro-ubac top — {stats.get('controller', '?')} "
-        f"status: {status}   uptime: {uptime:.1f} s"
-        + (f"   startup: {startup:.2f} s" if startup is not None else "")
-        + (f"   last restart: {restart:.2f} s" if restart is not None else "")
-    )
-    rate = ""
-    if prev is not None and interval > 0:
-        delta = stats.get("requests", 0) - prev.get("requests", 0)
-        rate = f" ({delta / interval:,.0f}/s)"
-    lines.append(
-        f"requests {stats.get('requests', 0):,}{rate}   "
-        f"admitted {stats.get('admitted', 0):,}   "
-        f"rejected {stats.get('rejected', 0):,}   "
-        f"released {stats.get('released', 0):,}   "
-        f"errors {stats.get('errors', 0):,}"
-    )
-    age = stats.get("snapshot_age_seconds")
-    lines.append(
-        f"queue {stats.get('queue_depth', 0)}   "
-        f"established {stats.get('established', 0):,}   "
-        f"batches {stats.get('batches', 0):,} "
-        f"(fill {stats.get('mean_batch_fill', 0.0):.1f})   "
-        f"snapshot age "
-        + (f"{age:.1f} s" if age is not None else "n/a")
-        + (
-            f"   rss {stats['rss_mb']:.1f} MB "
-            f"(peak {stats.get('peak_rss_mb', 0.0):.1f})"
-            if "rss_mb" in stats  # older servers do not report it
-            else ""
-        )
-    )
-    gov = stats.get("governor")
-    if isinstance(gov, dict):
-        line = (
-            f"governor rung {gov.get('rung', 0) + 1}/"
-            f"{gov.get('rungs', '?')}   "
-            f"effective alpha {gov.get('effective_alpha', 0.0):g} "
-            f"(base {gov.get('base_alpha', 0.0):g})   "
-            f"signal {gov.get('signal', '?')}   "
-            f"moves {gov.get('dec', 0)} dec / {gov.get('inc', 0)} inc"
-        )
-        pre = stats.get("preemption")
-        if isinstance(pre, dict):
-            line += (
-                f"   preempted {pre.get('preempted_flows', 0):,} "
-                f"(for {pre.get('preempted_admits', 0):,} admits)"
-            )
-        lines.append(line)
-    elif isinstance(stats.get("preemption"), dict):
-        pre = stats["preemption"]
-        lines.append(
-            f"preempted {pre.get('preempted_flows', 0):,} flows "
-            f"(for {pre.get('preempted_admits', 0):,} hard-RT admits)"
-        )
-    slo = stats.get("slo")
-    if isinstance(slo, dict):
-        burn = slo.get("burn_rates", {})
-        lines.append(
-            f"SLO p50 {slo.get('p50_ms', 0.0):.1f} ms "
-            f"(burn {burn.get('p50', 0.0):.2f})   "
-            f"p99 {slo.get('p99_ms', 0.0):.1f} ms "
-            f"(burn {burn.get('p99', 0.0):.2f})   "
-            + ("BREACHING" if slo.get("breaching") else "within targets")
-        )
-    return "\n".join(lines)
-
-
-def _run_top(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from ..errors import ReproError, ServiceError
-
-    try:
-        client = _connect_service_client(args.target, args.socket)
-    except ServiceError as exc:
-        print(f"FAILURE: {exc}")
-        return 1
-    prev = None
-    refreshes = 0
-    try:
-        with client:
-            while True:
-                try:
-                    stats = client.stats()
-                except ReproError as exc:
-                    print(f"FAILURE: {exc}")
-                    return 1
-                if not args.no_clear and refreshes:
-                    # Cursor home + clear-to-end redraw (same shape
-                    # every refresh, so no full-screen flicker).
-                    sys.stdout.write("\x1b[H\x1b[J")
-                print(_render_top(stats, prev, args.interval))
-                sys.stdout.flush()
-                prev = stats
-                refreshes += 1
-                if args.count is not None and refreshes >= args.count:
-                    return 0
-                _time.sleep(max(args.interval, 0.0))
-    except KeyboardInterrupt:
-        return 0

@@ -4,34 +4,19 @@ The paper reports a single operating point; these sweeps trace how the
 Theorem 4 bounds and the achieved maximum utilizations move with the
 deadline ``D``, the burst ``T``, and the network diameter ``L`` — the
 sensitivity analysis a deployment would need.
-
-Sweep points are independent, so every sweep accepts ``workers=N`` to
-fan the points out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Results keep the input
-order regardless of completion order, so parallel runs are
-bit-for-bit identical to serial ones.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import (
-    Callable,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import List, Optional, Sequence, Tuple
 
 from ..config.bounds import theorem4_lower_bound, theorem4_upper_bound
 from ..config.maximize import (
     max_utilization_heuristic,
     max_utilization_shortest_path,
 )
-from ..errors import ConfigurationError, InfeasibleUtilization
-from ..obs import OBS
+from ..errors import InfeasibleUtilization
 from ..topology.network import Network
 from ..topology.properties import analyze
 from ..traffic.classes import TrafficClass
@@ -92,23 +77,17 @@ class SweepResult:
         return all(a + 1e-12 >= b for a, b in pairs)
 
 
-# ---------------------------------------------------------------------------
-# Point evaluators.  These must stay top-level functions taking one
-# picklable argument tuple: ``workers=N`` ships them to a
-# ProcessPoolExecutor, where closures and lambdas cannot travel.
-# ---------------------------------------------------------------------------
-
-
-def _sweep_point_task(
-    payload: Tuple[
-        float, TrafficClass, str, int, int,
-        Network, Sequence[Tuple[Hashable, Hashable]], bool, float,
-    ]
-) -> SweepPoint:
-    """Evaluate one sweep point: Theorem 4 bounds plus optional searches."""
-    (value, base_class, field, fan_in, diameter, network, pairs,
-     include_searches, resolution) = payload
-    cls = replace(base_class, **{field: value})
+def _table1_columns(
+    fan_in: int,
+    diameter: int,
+    network: Network,
+    pairs: Sequence,
+    cls: TrafficClass,
+    resolution: float,
+    searches: bool,
+) -> Tuple[float, float, Optional[float], Optional[float]]:
+    """Table 1's columns for ``cls``: Theorem 4's bounds and, with
+    ``searches``, the SP and heuristic maxima (None when infeasible)."""
     lb = theorem4_lower_bound(
         fan_in, diameter, cls.burst, cls.rate, cls.deadline
     )
@@ -116,7 +95,7 @@ def _sweep_point_task(
         fan_in, diameter, cls.burst, cls.rate, cls.deadline
     )
     sp = heur = None
-    if include_searches:
+    if searches:
         try:
             sp = max_utilization_shortest_path(
                 network, pairs, cls, resolution=resolution
@@ -126,37 +105,7 @@ def _sweep_point_task(
             ).alpha
         except InfeasibleUtilization:
             sp = heur = None
-    return SweepPoint(
-        parameter=value,
-        lower_bound=lb,
-        upper_bound=ub,
-        shortest_path=sp,
-        heuristic=heur,
-    )
-
-
-def _map_points(
-    task: Callable, payloads: Sequence, workers: Optional[int]
-) -> List:
-    """Run ``task`` over ``payloads``, serially or across processes.
-
-    ``executor.map`` yields results in submission order, so output order
-    is deterministic either way.
-    """
-    if workers is not None and workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    parallel = workers is not None and workers > 1 and len(payloads) > 1
-    if parallel:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(task, payloads))
-    else:
-        points = [task(p) for p in payloads]
-    if OBS.enabled:
-        OBS.registry.counter(
-            "repro_sweep_points_total",
-            mode="parallel" if parallel else "serial",
-        ).inc(len(payloads))
-    return points
+    return lb, ub, sp, heur
 
 
 def _sweep(
@@ -167,17 +116,16 @@ def _sweep(
     scenario: PaperScenario,
     include_searches: bool,
     resolution: float,
-    workers: Optional[int],
 ) -> SweepResult:
-    base = getattr(scenario, "voice")
-    payloads = [
-        (
-            float(value), base, field, scenario.fan_in, scenario.diameter,
-            scenario.network, scenario.pairs, include_searches, resolution,
+    """One point per value of ``field`` of the scenario's class."""
+    points = []
+    for value in values:
+        lb, ub, sp, heur = _table1_columns(
+            scenario.fan_in, scenario.diameter, scenario.network,
+            scenario.pairs, replace(scenario.voice, **{field: float(value)}),
+            resolution, include_searches,
         )
-        for value in values
-    ]
-    points = _map_points(_sweep_point_task, payloads, workers)
+        points.append(SweepPoint(float(value), lb, ub, sp, heur))
     return SweepResult(name=name, unit=unit, points=points)
 
 
@@ -187,13 +135,12 @@ def sweep_deadline(
     scenario: Optional[PaperScenario] = None,
     include_searches: bool = False,
     resolution: float = 0.01,
-    workers: Optional[int] = None,
 ) -> SweepResult:
     """Max utilization vs end-to-end deadline ``D`` (seconds)."""
     sc = scenario if scenario is not None else paper_scenario()
     return _sweep(
         "deadline", "s", deadlines, "deadline", sc, include_searches,
-        resolution, workers,
+        resolution,
     )
 
 
@@ -203,13 +150,11 @@ def sweep_burst(
     scenario: Optional[PaperScenario] = None,
     include_searches: bool = False,
     resolution: float = 0.01,
-    workers: Optional[int] = None,
 ) -> SweepResult:
     """Max utilization vs leaky-bucket burst ``T`` (bits)."""
     sc = scenario if scenario is not None else paper_scenario()
     return _sweep(
         "burst", "bits", bursts, "burst", sc, include_searches, resolution,
-        workers,
     )
 
 
@@ -237,31 +182,16 @@ class CrossTopologyRow:
         )
 
 
-def _cross_topology_task(
-    payload: Tuple[str, Network, TrafficClass, Optional[Sequence], float]
+def _cross_topology_row(
+    name: str, network: Network, cls: TrafficClass, resolution: float
 ) -> CrossTopologyRow:
-    name, network, cls, pairs, resolution = payload
     from ..traffic.generators import all_ordered_pairs
 
     report = analyze(network)
-    if pairs is None:
-        pairs = all_ordered_pairs(network)
-    lb = theorem4_lower_bound(
-        report.max_degree, report.diameter, cls.burst, cls.rate, cls.deadline
+    lb, ub, sp, heur = _table1_columns(
+        report.max_degree, report.diameter, network,
+        all_ordered_pairs(network), cls, resolution, True,
     )
-    ub = theorem4_upper_bound(
-        report.max_degree, report.diameter, cls.burst, cls.rate, cls.deadline
-    )
-    sp = heur = None
-    try:
-        sp = max_utilization_shortest_path(
-            network, pairs, cls, resolution=resolution
-        ).alpha
-        heur = max_utilization_heuristic(
-            network, pairs, cls, resolution=resolution
-        ).alpha
-    except InfeasibleUtilization:
-        sp = heur = None
     return CrossTopologyRow(
         name=name,
         diameter=report.diameter,
@@ -281,8 +211,7 @@ def cross_topology_table(
 ) -> List[CrossTopologyRow]:
     """The Table 1 experiment on several topologies (Ext-H), one row per
     topology in ``topologies`` order."""
-    payloads = [
-        (name, network, traffic_class, None, resolution)
+    return [
+        _cross_topology_row(name, network, traffic_class, resolution)
         for name, network in topologies
     ]
-    return _map_points(_cross_topology_task, payloads, None)

@@ -46,7 +46,6 @@ from .metrics import (
     MetricsRegistry,
     NullRegistry,
 )
-from .slo import RollingCounter, RollingHistogram, SLOTracker
 from .trace import (
     NULL_SPAN,
     NullSpan,
@@ -61,17 +60,15 @@ from .trace import (
 
 if TYPE_CHECKING:
     from .export import to_chrome_trace, to_json_lines, to_prometheus_text
-    from .sinks import SPAN_SCHEMA, JsonLinesSpanSink
 
-# Exporters and the span sink run behind a flag (--metrics-port,
-# --metrics-out, --span-out ...), so they load on first use; the rest of
-# this module is what every instrumented call site reads.
+# Exporters run behind a flag (--metrics-port, --metrics-out,
+# --trace-out), so they load on first use; the rest of this module is
+# what every instrumented call site reads.
 __getattr__, __dir__, _ = lazy_exports(
     __name__,
     globals(),
     {
         ".export": ("to_chrome_trace", "to_json_lines", "to_prometheus_text"),
-        ".sinks": ("SPAN_SCHEMA", "JsonLinesSpanSink"),
     },
 )
 
@@ -82,7 +79,6 @@ __all__ = [
     "is_enabled",
     "reset",
     "get_registry",
-    "get_tracer",
     "counter",
     "gauge",
     "histogram",
@@ -104,11 +100,6 @@ __all__ = [
     "new_trace_id",
     "new_span_id",
     "trace_context_from_obj",
-    "SPAN_SCHEMA",
-    "JsonLinesSpanSink",
-    "RollingCounter",
-    "RollingHistogram",
-    "SLOTracker",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_ITERATION_BUCKETS",
     "DEFAULT_DEPTH_BUCKETS",
@@ -179,10 +170,6 @@ def reset() -> None:
 
 def get_registry() -> Union[MetricsRegistry, NullRegistry]:
     return OBS.registry
-
-
-def get_tracer() -> Optional[Tracer]:
-    return OBS.tracer
 
 
 # ------------------------------------------------------------------ #

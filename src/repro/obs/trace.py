@@ -28,7 +28,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 __all__ = [
     "SpanRecord",
@@ -204,11 +204,6 @@ class Tracer:
         self._local = threading.local()
         self._t0 = time.perf_counter()
         self._dropped = 0
-        #: Streaming consumers of completed spans (e.g. the JSON-lines
-        #: sink): each is called with every :class:`SpanRecord` as it
-        #: lands, *in addition to* the ring buffer — so long service
-        #: runs can persist spans the ring has long since evicted.
-        self._sinks: List[Callable[[SpanRecord], None]] = []
 
     # -------------------------------------------------------------- #
 
@@ -248,17 +243,6 @@ class Tracer:
         self._record(record)
         return record
 
-    def add_sink(self, sink: Callable[[SpanRecord], None]) -> None:
-        """Stream every completed span to ``sink`` (order of arrival)."""
-        self._sinks.append(sink)
-
-    def remove_sink(self, sink: Callable[[SpanRecord], None]) -> None:
-        """Detach a sink; unknown sinks are ignored."""
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            pass
-
     def _stack(self) -> List[int]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
@@ -270,8 +254,6 @@ class Tracer:
         if len(self._buffer) == self.capacity:
             self._dropped += 1
         self._buffer.append(record)
-        for sink in self._sinks:
-            sink(record)
 
     # -------------------------------------------------------------- #
 

@@ -64,7 +64,7 @@ FRONT_DOOR_ONLY = frozenset({
     "drain_grace", "serve_seconds", "metrics_out", "trace_out",
 })
 #: Per-worker files: worker ``i`` gets ``<path>.w<i>``.
-PER_WORKER_PATHS = ("socket", "snapshot", "audit", "span_out")
+PER_WORKER_PATHS = ("socket", "snapshot", "audit")
 
 #: Pause between a worker's death and the launch of its replacement.
 RESTART_DELAY = 0.2

@@ -6,7 +6,7 @@ next to the RPC socket:
 
 * ``GET /metrics`` — the obs registry in Prometheus exposition format
   (``repro.obs.export.to_prometheus_text``), with the service's live
-  gauges (queue depth, snapshot age, SLO burn rates) refreshed first;
+  gauges (queue depth, snapshot age, slots in use) refreshed first;
 * ``GET /healthz`` — JSON health: ``ok`` / ``degraded`` / ``draining``
   with HTTP 200 for the servable states and 503 once the server drains,
   so load balancers can react without parsing;

@@ -750,13 +750,6 @@ class ClusterRouter:
             if out["batches"]
             else 0.0
         )
-        out["slo"] = {
-            "breaching": any(
-                bool(s.get("slo", {}).get("breaching"))
-                for s in per_worker
-                if s is not None
-            ),
-        }
         out["router"] = {
             **{k: v for k, v in self.counts.items()},
             "links": [

@@ -58,7 +58,6 @@ from ..errors import (
 )
 from ..obs import (
     OBS,
-    SLOTracker,
     TraceContext,
     new_span_id,
     trace_context_from_obj,
@@ -247,9 +246,6 @@ class AdmissionService:
                 keep=config.audit_keep,
             )
             self.coalescer.audit = self.audit
-        #: Rolling-window SLO tracker; fed only while observability is
-        #: enabled, so the telemetry-off request path stays unchanged.
-        self.slo = SLOTracker()
         self.metrics_endpoint: Optional[MetricsEndpoint] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
@@ -595,11 +591,9 @@ class AdmissionService:
     def frame_context(self) -> "Optional[_ReqTele]":
         """Per-frame telemetry scratchpad (``None`` with telemetry
         off), stamped before the frame is decoded."""
-        tele: Optional[_ReqTele] = None
         if OBS.enabled:
-            tele = _ReqTele(time.perf_counter())
-            self.slo.record_request()
-        return tele
+            return _ReqTele(time.perf_counter())
+        return None
 
     def begin_request(
         self,
@@ -839,7 +833,7 @@ class AdmissionService:
         ok: bool,
         n_subops: Optional[int],
     ) -> None:
-        """Per-request SLO feed, latency histogram, and span emission.
+        """Per-request latency histogram and span emission.
 
         ``ops`` are the request's coalescer stamps — its queued ops, or
         one per chunk of a frame decided inline — and give the queue and
@@ -852,10 +846,6 @@ class AdmissionService:
         total = t_end - tele.t_recv
         if not OBS.enabled:
             return
-        # Per op: a 1024-op frame and a lone op answer to the same
-        # objective.
-        n_ops = n_subops or 1
-        self.slo.observe_latency(total / n_ops, n_ops)
         OBS.registry.histogram(
             "repro_service_request_seconds", op=request.op
         ).observe(total)
@@ -943,7 +933,6 @@ class AdmissionService:
         body.
         """
         obj = self.health()
-        obj["slo"] = self.slo.snapshot()
         return 503 if obj["status"] == "draining" else 200, obj
 
     def stats(self) -> Dict[str, Any]:
@@ -984,7 +973,6 @@ class AdmissionService:
             ),
             "max_batch": MAX_BATCH,
             "max_delay": self.config.max_delay,
-            "slo": self.slo.snapshot(),
             **{k: v for k, v in self.counts.items()},
         }
         if self.config.worker_index is not None:
@@ -1071,7 +1059,6 @@ class AdmissionService:
             if value is not None:
                 kind = reg.counter if name.endswith("_total") else reg.gauge
                 kind(name, **labels).value = float(value)
-        self.slo.export_gauges(reg)
 
     def scrape_text(self) -> str:
         """Prometheus exposition text for ``GET /metrics``."""

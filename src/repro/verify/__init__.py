@@ -11,10 +11,13 @@ every instance of it (tier-1, no dependencies).  Violations decode into
 the service, and the adversarial regression suite.  Deliberately
 broken kernels and a broken eviction planner
 (:mod:`repro.verify.mutants`) keep the verifier honest: every mutant
-must be caught and decoded, or the run fails.
+must be caught and decoded, or the run fails.  One row samples instead
+of enumerating: seeded contended batches large enough to reach the
+kernel's later interval rounds.
 
 :data:`CHECKS` is the one table of checks (``no_overcommit``,
-``batch_equivalence``, ``preemption_safety``): each row names its
+``batch_equivalence``, ``contended_equivalence``,
+``preemption_safety``): each row names its
 function, the mutants it must catch and its replay through the real
 code.  ``repro-ubac verify`` runs its rows.
 """
@@ -31,6 +34,7 @@ if TYPE_CHECKING:
         exhaustive_no_overcommit,
         exhaustive_preemption_safety,
         iter_release_patterns,
+        sampled_contended_equivalence,
         select_checks,
     )
     from .instances import (
@@ -47,7 +51,9 @@ if TYPE_CHECKING:
     )
     from .mutants import (
         mutant_admit_on_full,
+        mutant_definite_recompute_strict,
         mutant_ignore_contention,
+        mutant_optimistic_recompute_strict,
         mutant_planner_ignores_protect,
     )
 
@@ -55,7 +61,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".bounded": (
         "CHECKS", "Check", "exhaustive_batch_equivalence",
         "exhaustive_no_overcommit", "exhaustive_preemption_safety",
-        "iter_release_patterns", "select_checks",
+        "iter_release_patterns", "sampled_contended_equivalence",
+        "select_checks",
     ),
     ".instances": (
         "INSTANCE_CLASS", "CheckResult", "Counterexample", "VerifyBound",
@@ -64,7 +71,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
         "sequential_slot_decisions", "simulate_sequential",
     ),
     ".mutants": (
-        "mutant_admit_on_full", "mutant_ignore_contention",
+        "mutant_admit_on_full", "mutant_definite_recompute_strict",
+        "mutant_ignore_contention", "mutant_optimistic_recompute_strict",
         "mutant_planner_ignores_protect",
     ),
 })

@@ -17,7 +17,11 @@ VerifyBound` and running the **real production code** on each:
   controller rejects to the real
   :class:`~repro.control.preempt.Preemptor` (or the planner mutant)
   over every assignment of priorities to the established flows: never a
-  protected victim, all or nothing, invariants intact.
+  protected victim, all or nothing, invariants intact;
+* :func:`sampled_contended_equivalence` differences the kernel against
+  the sequential reference on seeded contended batches of 66–512 flows
+  on the bound's chain: the only instances that reach the kernel's
+  later interval rounds, which no batch of a few flows does.
 
 Because the subjects are the shipped kernel and controller — not a
 model of them — a *code* mutant is caught where it lives, and the
@@ -53,6 +57,7 @@ from .instances import (
     Counterexample,
     VerifyBound,
     build_chain_controller,
+    kernel_slot_decisions,
     preemption_problem,
     replay_batch_equivalence,
     replay_no_overcommit,
@@ -62,7 +67,9 @@ from .instances import (
 )
 from .mutants import (
     mutant_admit_on_full,
+    mutant_definite_recompute_strict,
     mutant_ignore_contention,
+    mutant_optimistic_recompute_strict,
     mutant_planner_ignores_protect,
 )
 
@@ -73,8 +80,18 @@ __all__ = [
     "exhaustive_no_overcommit",
     "exhaustive_preemption_safety",
     "iter_release_patterns",
+    "sampled_contended_equivalence",
     "select_checks",
 ]
+
+#: Seeded batches :func:`sampled_contended_equivalence` draws, and the
+#: seed.  A batch past the kernel's scalar-tail cutoff (``max(64, b // 4)``
+#: undecided rows) needs at least 66 rows to run a second interval round.
+CONTENDED_BATCHES = 32
+CONTENDED_SEED = 11
+CONTENDED_ROWS = (66, 512)
+#: Longest route of a contended batch, in chain servers.
+CONTENDED_WIDTH = 5
 
 
 def iter_release_patterns(flows: int):
@@ -214,68 +231,107 @@ def exhaustive_no_overcommit(
     return _result("no_overcommit", start, count)
 
 
+def _equivalence(
+    name: str,
+    instances,
+    kernel: Optional[Callable[..., np.ndarray]],
+    bound: VerifyBound,
+) -> CheckResult:
+    """Difference ``kernel`` (the real
+    :func:`~repro.admission.batch.batch_slot_decisions` unless a mutant
+    is passed) against the sequential reference on each ``(routes,
+    free)`` instance; the first divergence, a kernel that raises
+    included, is decoded into a replayable counterexample."""
+    from ..admission.batch import batch_slot_decisions
+
+    kernel_fn = kernel or batch_slot_decisions
+    start = time.perf_counter()
+    count = 0
+    for routes, free in instances:
+        count += 1
+        expected = sequential_slot_decisions(routes, free)
+        try:
+            actual = kernel_slot_decisions(kernel_fn, routes, free)
+            detail = "diverges from the sequential reference"
+        except AssertionError as exc:
+            actual, detail = [], f"raised: {exc}"
+        if actual != expected:
+            return _result(
+                name, start, count, servers=bound.servers,
+                capacities=tuple(free),
+                routes=tuple(routes),
+                expected=tuple(expected),
+                actual=tuple(actual),
+                detail=f"kernel {kernel_fn.__name__!r} {detail}",
+            )
+    if kernel is not None:
+        raise VerificationError(
+            f"mutant kernel {kernel.__name__!r} matched the sequential "
+            f"reference on all {count} {name} instances of bound "
+            f"{bound.to_dict()} — bound too small to falsify, enlarge it"
+        )
+    return _result(name, start, count)
+
+
 def exhaustive_batch_equivalence(
     bound: VerifyBound,
     kernel: Optional[Callable[..., np.ndarray]] = None,
 ) -> CheckResult:
-    """Check batch-kernel <=> sequential-loop equivalence exhaustively.
-
-    Every (interval-route assignment, pre-batch free vector) instance
-    in the bound is decided by both the batch kernel (the real
-    :func:`~repro.admission.batch.batch_slot_decisions` unless a
-    mutant is passed) and the sequential reference; the first
-    divergence is decoded into a replayable counterexample.  Free
-    vectors range down to ``-1`` so degraded servers (capacity below
-    current usage) are covered.
-    """
-    from ..admission.batch import (
-        PADDING_FREE,
-        batch_slot_decisions,
-        pad_server_matrix,
-    )
-
-    kernel_fn = kernel or batch_slot_decisions
-    kernel_name = getattr(
-        kernel_fn, "__name__", kernel_fn.__class__.__name__
-    )
-    start = time.perf_counter()
-    route_options = bound.interval_routes()
-    pad = bound.servers
-    count = 0
-    free = np.empty(pad + 1, dtype=np.int64)
-    free[pad] = PADDING_FREE
-    for routes in itertools.product(route_options, repeat=bound.flows):
-        rows = [
-            np.arange(lo, hi, dtype=np.int64) for lo, hi in routes
-        ]
-        matrix, _lengths = pad_server_matrix(rows, pad)
-        for free_vals in itertools.product(
-            range(-1, bound.max_capacity + 1), repeat=bound.servers
-        ):
-            count += 1
-            free[:pad] = free_vals
-            kernel_verdicts = [bool(v) for v in kernel_fn(matrix, free)]
-            sequential = sequential_slot_decisions(routes, free_vals)
-            if kernel_verdicts != sequential:
-                return _result(
-                    "batch_equivalence", start, count, servers=bound.servers,
-                    capacities=tuple(free_vals),
-                    routes=tuple(routes),
-                    expected=tuple(sequential),
-                    actual=tuple(kernel_verdicts),
-                    detail=(
-                        f"kernel {kernel_name!r} diverges from the "
-                        "sequential reference"
-                    ),
-                )
-    if kernel is not None:
-        raise VerificationError(
-            f"mutant kernel {kernel_name!r} matched the sequential "
-            f"reference on all {count} instances of bound "
-            f"{bound.to_dict()} — bound too small to falsify, "
-            "enlarge it"
+    """Check batch-kernel <=> sequential-loop equivalence exhaustively:
+    every interval-route assignment of the bound against every
+    pre-batch free vector, down to ``-1`` so degraded servers (capacity
+    below current usage) are covered."""
+    instances = (
+        (routes, free)
+        for routes in itertools.product(
+            bound.interval_routes(), repeat=bound.flows
         )
-    return _result("batch_equivalence", start, count)
+        for free in itertools.product(
+            range(-1, bound.max_capacity + 1), repeat=bound.servers
+        )
+    )
+    return _equivalence("batch_equivalence", instances, kernel, bound)
+
+
+def _contended_batches(servers: int):
+    """:data:`CONTENDED_BATCHES` seeded ``(routes, free)`` batches on a
+    chain of ``servers`` (see :func:`sampled_contended_equivalence`)."""
+    rng = np.random.default_rng(CONTENDED_SEED)
+    low, high = CONTENDED_ROWS
+    for _ in range(CONTENDED_BATCHES):
+        routes = []
+        for _ in range(int(rng.integers(low, high + 1))):
+            lo = int(rng.integers(0, servers))
+            width = int(rng.integers(1, CONTENDED_WIDTH + 1))
+            routes.append((lo, min(servers, lo + width)))
+        demand = np.zeros(servers, dtype=np.int64)
+        for lo, hi in routes:
+            demand[lo:hi] += 1
+        share = rng.uniform(0.1, 0.9, size=servers)
+        less = rng.integers(0, 2, size=servers)
+        yield routes, [int(v) for v in (demand * share).astype(np.int64) - less]
+
+
+def sampled_contended_equivalence(
+    bound: VerifyBound,
+    kernel: Optional[Callable[..., np.ndarray]] = None,
+) -> CheckResult:
+    """Check batch-kernel <=> sequential-loop equivalence on contended
+    batches.
+
+    The exhaustive rows enumerate batches of ``bound.flows`` requests,
+    which the kernel settles in one interval round and its scalar tail;
+    the rounds after a rejection or an admission (the optimistic and
+    definite recomputes) start only past 65 rows.  This row draws
+    :data:`CONTENDED_BATCHES` seeded batches of :data:`CONTENDED_ROWS`
+    interval routes of up to :data:`CONTENDED_WIDTH` servers on the
+    bound's chain, each server's free count a random share (10–90 %) of
+    the batch's demand on it, less 0 or 1 (so down to ``-1``).
+    """
+    return _equivalence(
+        "contended_equivalence", _contended_batches(bound.servers),
+        kernel, bound,
+    )
 
 
 def exhaustive_preemption_safety(
@@ -384,6 +440,19 @@ CHECKS = (
         mutants={
             "admit_on_full": {"kernel": mutant_admit_on_full},
             "ignore_contention": {"kernel": mutant_ignore_contention},
+        },
+        replay=replay_batch_equivalence,
+    ),
+    Check(
+        "contended_equivalence",
+        run=sampled_contended_equivalence,
+        mutants={
+            "optimistic_recompute_strict": {
+                "kernel": mutant_optimistic_recompute_strict,
+            },
+            "definite_recompute_strict": {
+                "kernel": mutant_definite_recompute_strict,
+            },
         },
         replay=replay_batch_equivalence,
     ),

@@ -49,6 +49,7 @@ __all__ = [
     "VerifyBound",
     "build_chain_controller",
     "chain_fixture",
+    "kernel_slot_decisions",
     "preemption_problem",
     "replay_batch_equivalence",
     "replay_no_overcommit",
@@ -307,9 +308,10 @@ def preemption_problem(
 class Counterexample:
     """A decoded violation of one bounded check.
 
-    ``check`` is ``"no_overcommit"``, ``"batch_equivalence"`` or
-    ``"preemption_safety"`` (whose flows carry ``priorities`` and whose
-    last flow is the arrival that went to the preemptor);
+    ``check`` is ``"no_overcommit"``, ``"batch_equivalence"``,
+    ``"contended_equivalence"`` or ``"preemption_safety"`` (whose flows
+    carry ``priorities`` and whose last flow is the arrival that went to
+    the preemptor);
     ``capacities`` holds per-server slot capacities (the pre-batch
     *free* vector for equivalence instances, where negative values model
     degraded servers); ``routes`` are the chain intervals ``[lo, hi)``;
@@ -443,38 +445,48 @@ def replay_no_overcommit(
     }
 
 
+def kernel_slot_decisions(
+    kernel, routes: Sequence[Tuple[int, int]], free: Sequence[int]
+) -> List[bool]:
+    """``kernel``'s verdicts on interval ``routes`` over a chain of
+    ``len(free)`` servers with pre-batch free counts ``free``."""
+    from ..admission.batch import PADDING_FREE, pad_server_matrix
+
+    pad = len(free)
+    rows = [np.arange(lo, hi, dtype=np.int64) for lo, hi in routes]
+    matrix, _lengths = pad_server_matrix(rows, pad)
+    vector = np.empty(pad + 1, dtype=np.int64)
+    vector[:pad] = np.asarray(free, dtype=np.int64)
+    vector[pad] = PADDING_FREE
+    return [bool(v) for v in kernel(matrix, vector)]
+
+
 def replay_batch_equivalence(
     cx: Counterexample, kernel=None
 ) -> Dict[str, Any]:
-    """Replay a batch-equivalence counterexample against a kernel.
+    """Replay a batch-equivalence counterexample (exhaustive or
+    contended) against a kernel.
 
     ``kernel`` defaults to the real
     :func:`~repro.admission.batch.batch_slot_decisions`; pass a mutant
     (:mod:`repro.verify.mutants`) to confirm the decoded instance
-    really splits it from the sequential reference (``reproduced``).
+    really splits it from the sequential reference (``reproduced``).  A
+    kernel that raises on the instance reproduces it too.
     """
-    from ..admission.batch import (
-        PADDING_FREE,
-        batch_slot_decisions,
-        pad_server_matrix,
-    )
+    from ..admission.batch import batch_slot_decisions
 
-    if cx.check != "batch_equivalence":
+    if cx.check not in ("batch_equivalence", "contended_equivalence"):
         raise VerificationError(
-            f"expected a batch_equivalence counterexample, "
+            f"expected a batch-equivalence counterexample, "
             f"got {cx.check!r}"
         )
-    kernel = kernel or batch_slot_decisions
-    pad = cx.servers
-    rows = [
-        np.arange(lo, hi, dtype=np.int64) for lo, hi in cx.routes
-    ]
-    matrix, _lengths = pad_server_matrix(rows, pad)
-    free = np.empty(pad + 1, dtype=np.int64)
-    free[:pad] = np.asarray(cx.capacities, dtype=np.int64)
-    free[pad] = PADDING_FREE
-    kernel_verdicts = [bool(v) for v in kernel(matrix, free)]
     sequential = sequential_slot_decisions(cx.routes, cx.capacities)
+    try:
+        kernel_verdicts = kernel_slot_decisions(
+            kernel or batch_slot_decisions, cx.routes, cx.capacities
+        )
+    except AssertionError:
+        kernel_verdicts = None
     return {
         "sequential_verdicts": sequential,
         "kernel_verdicts": kernel_verdicts,

@@ -12,20 +12,29 @@ mutant, under which name.
 
 The kernel mutants mirror the real kernel's calling convention — a
 padded server-index matrix plus a free-slot vector whose last entry is
-the virtual padding slot — but are written as plain loops so the
-planted bug is the *only* difference from the sequential reference.
+the virtual padding slot.  Two are written as plain loops so the planted
+bug is the *only* difference from the sequential reference; the
+``*_recompute_strict`` pair is the shipped numpy kernel itself with one
+token changed in a later interval round, which only a batch past the
+scalar tail's cutoff reaches.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
+from ..errors import VerificationError
+
 __all__ = [
     "mutant_admit_on_full",
+    "mutant_definite_recompute_strict",
     "mutant_ignore_contention",
+    "mutant_optimistic_recompute_strict",
     "mutant_planner_ignores_protect",
 ]
 
@@ -62,6 +71,61 @@ def mutant_ignore_contention(
     crossing counts exist to prevent.
     """
     return np.asarray((free[matrix] > 0).all(axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _one_token_kernel(line: str, planted: str) -> Callable[..., np.ndarray]:
+    """The shipped numpy slot kernel, recompiled with its one source
+    line ``line`` replaced by ``planted``.  A kernel that no longer has
+    exactly one such line is a :class:`VerificationError`: the mutant
+    must follow the code it breaks, not silently stop planting."""
+    from ..admission.kernels import batch_slot_decisions_numpy as kernel
+
+    source = inspect.getsource(kernel)
+    if source.count(line) != 1:
+        raise VerificationError(
+            f"the slot kernel no longer has one line {line!r}: move the "
+            "mutant with it"
+        )
+    namespace = dict(kernel.__globals__)
+    code = compile(
+        source.replace(line, planted), kernel.__code__.co_filename, "exec"
+    )
+    exec(code, namespace)
+    return namespace[kernel.__name__]
+
+
+def mutant_optimistic_recompute_strict(
+    matrix: np.ndarray, free: np.ndarray
+) -> np.ndarray:
+    """The kernel with its optimistic recompute strict (``>`` where
+    ``>=`` belongs).
+
+    After a round that rejected something, the optimistic bound counts
+    every earlier request still possibly admitted; a request whose
+    count only *equals* a server's free slots then passes it, and is
+    admitted onto a full server: an overcommit.
+    """
+    return _one_token_kernel(
+        "crossings_before(admitted | undecided) >= base_free",
+        "crossings_before(admitted | undecided) > base_free",
+    )(matrix, free)
+
+
+def mutant_definite_recompute_strict(
+    matrix: np.ndarray, free: np.ndarray
+) -> np.ndarray:
+    """The kernel with its definite recompute strict.
+
+    After a round that admitted something, the definite bound counts
+    only requests known admitted; strict, it stops rejecting the
+    requests that land exactly on a full server, and the iteration
+    stalls ("no progress") or leaves them to the scalar tail.
+    """
+    return _one_token_kernel(
+        "crossings_before(admitted) >= base_free",
+        "crossings_before(admitted) > base_free",
+    )(matrix, free)
 
 
 def mutant_planner_ignores_protect(controller: Any, policy: Any) -> Any:

@@ -9,16 +9,15 @@ Determinism contract
 --------------------
 Generation is **chunked**: arrivals ``[k * CHUNK_SIZE, (k+1) *
 CHUNK_SIZE)`` always come from ``np.random.SeedSequence(seed,
-spawn_key=(k,))``, regardless of how many worker threads compute
-chunks.  ``workers`` therefore only parallelizes the work; the output
-stream is a pure function of ``(seed, num_flows, rates, popularity)``.  The determinism tests pin this byte-for-byte.
+spawn_key=(k,))``, so the output stream is a pure function of
+``(seed, num_flows, rates, popularity)``.  The determinism tests pin
+this byte-for-byte.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -103,13 +102,8 @@ def open_loop_schedule(
     mean_holding: float,
     popularity: ZipfPairPopularity,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> ArrivalSchedule:
-    """Generate a deterministic open-loop schedule of ``num_flows``.
-
-    ``workers`` computes chunks in a thread pool; the result is
-    identical for every worker count (including ``None`` — inline).
-    """
+    """Generate a deterministic open-loop schedule of ``num_flows``."""
     if num_flows < 0:
         raise TrafficError(f"num_flows must be >= 0, got {num_flows}")
     if arrival_rate <= 0 or mean_holding <= 0:
@@ -120,22 +114,10 @@ def open_loop_schedule(
         min(CHUNK_SIZE, num_flows - start)
         for start in range(0, num_flows, CHUNK_SIZE)
     ]
-    if workers is not None and workers > 1 and len(counts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts: List[Tuple[np.ndarray, ...]] = list(
-                pool.map(
-                    lambda kc: _chunk(
-                        seed, kc[0], kc[1], arrival_rate,
-                        mean_holding, popularity,
-                    ),
-                    enumerate(counts),
-                )
-            )
-    else:
-        parts = [
-            _chunk(seed, k, c, arrival_rate, mean_holding, popularity)
-            for k, c in enumerate(counts)
-        ]
+    parts = [
+        _chunk(seed, k, c, arrival_rate, mean_holding, popularity)
+        for k, c in enumerate(counts)
+    ]
     if not parts:
         empty_f = np.empty(0, dtype=np.float64)
         return ArrivalSchedule(

@@ -1,18 +1,14 @@
 """Readers of the telemetry the package writes, for the tests.
 
 :func:`parse_prometheus_text` reads the Prometheus exposition format
-back (enough to round-trip ``repro.obs.export.to_prometheus_text``);
-:func:`read_span_lines` reads a ``JsonLinesSpanSink`` file back.
+back (enough to round-trip ``repro.obs.export.to_prometheus_text``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from typing import Any, Dict, List, Tuple
-
-from repro.obs.sinks import SPAN_SCHEMA
+from typing import Dict, List, Tuple
 
 
 # The labels section is a sequence of bare chars and quoted strings;
@@ -85,26 +81,3 @@ def parse_prometheus_text(
             value = float(raw)
         samples[(m.group("name"), labels)] = value
     return samples
-
-
-def read_span_lines(
-    path: str,
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read a span-sink file back: ``(header, span objects)``.
-
-    Raises ``ValueError`` on a missing/foreign header so downstream
-    tooling cannot silently mis-join unrelated JSON-lines files.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"span file {path!r} is empty")
-    header = json.loads(lines[0])
-    if (
-        not isinstance(header, dict)
-        or header.get("schema") != SPAN_SCHEMA
-    ):
-        raise ValueError(
-            f"span file {path!r} has no {SPAN_SCHEMA!r} header"
-        )
-    return header, [json.loads(line) for line in lines[1:]]

@@ -10,6 +10,8 @@ pins the kernel to the sequential reference on:
   (interval routes over a line network),
 * adversarial random traces (negative free counts, duplicate servers
   on one route, saturated and uncontended extremes, the padding slot),
+* contended batches of 66–512 rows that run the interval rounds after
+  the first (the optimistic and definite recomputes),
 * and edge cases that exercise each numpy fast path (uncontended
   bincount exit, scalar tail, zero-width, empty batch).
 
@@ -19,6 +21,9 @@ reference on at least one instance while the real kernel agrees.
 """
 
 from __future__ import annotations
+
+import linecache
+import sys
 
 import numpy as np
 
@@ -207,6 +212,103 @@ def test_scalar_tail_on_contended_batch():
     verdict = assert_all_backends_agree(matrix, free)
     # The workload is genuinely contended: both verdicts occur.
     assert verdict.any() and not verdict.all()
+
+
+# ---------------------------------------------------------------------------
+# Contended batches: the interval rounds after the first
+# ---------------------------------------------------------------------------
+
+#: The source lines of the kernel's two later-round recomputes.
+OPTIMISTIC_RECOMPUTE = "crossings_before(admitted | undecided) >= base_free"
+DEFINITE_RECOMPUTE = "crossings_before(admitted) >= base_free"
+
+
+def contended_instance(rng):
+    """A batch that stays contended past the kernel's first round.
+
+    66–512 rows (the scalar tail takes over at ``max(64, b >> 2)``
+    undecided rows, so 65 cannot reach a second round) on 2–8 servers.
+    Every row crosses server 0, whose free count is at most an eighth
+    of the batch; each adds 0–4 servers drawn with replacement (routes
+    of width 1–5, duplicates included).  The other free counts run
+    from -1 to the batch's demand on the server.
+    """
+    servers = int(rng.integers(2, 9))
+    b = int(rng.integers(66, 513))
+    rows = [
+        np.r_[0, rng.integers(0, servers, size=int(rng.integers(0, 5)))]
+        for _ in range(b)
+    ]
+    matrix, _ = pad_server_matrix(rows, pad=servers)
+    demand = np.bincount(np.concatenate(rows), minlength=servers)
+    free = np.empty(servers + 1, dtype=np.int64)
+    free[:servers] = rng.integers(-1, demand + 1)
+    free[0] = rng.integers(1, b // 8 + 1)
+    free[servers] = PADDING_FREE
+    return matrix, free
+
+
+def recomputes(matrix, free):
+    """The kernel's later-round recomputes on one batch, in order."""
+    seen = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name == "crossings_before":
+            caller = frame.f_back
+            line = linecache.getline(
+                caller.f_code.co_filename, caller.f_lineno
+            )
+            seen.extend(
+                name
+                for name, text in (
+                    ("optimistic", OPTIMISTIC_RECOMPUTE),
+                    ("definite", DEFINITE_RECOMPUTE),
+                )
+                if text in line
+            )
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        batch_slot_decisions_numpy(matrix, free.copy())
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_contended_batches_run_the_later_rounds():
+    rng = np.random.default_rng(1)
+    ran = []
+    for trial in range(24):
+        matrix, free = contended_instance(rng)
+        verdict = assert_all_backends_agree(matrix, free)
+        assert verdict.any() and not verdict.all()
+        later = recomputes(matrix, free)
+        # At least one recompute: the kernel ran a second round.
+        assert later, (matrix.shape, free.tolist())
+        ran += later
+    assert {"optimistic", "definite"} <= set(ran)
+
+
+#: The kernel mutants only the contended row can catch.
+(CONTENDED,) = select_checks(["contended_equivalence"])
+
+
+def test_contended_mutants_diverge_where_backends_agree():
+    rng = np.random.default_rng(1)
+    caught = set()
+    for trial in range(24):
+        matrix, free = contended_instance(rng)
+        reference = assert_all_backends_agree(matrix, free)
+        for name, planted in CONTENDED.mutants.items():
+            try:
+                got = planted["kernel"](matrix, free.copy())
+            except AssertionError:  # the stalled iteration
+                caught.add(name)
+                continue
+            if (got != reference).any():
+                caught.add(name)
+    assert caught == set(CONTENDED.mutants)
 
 
 # ---------------------------------------------------------------------------

@@ -58,24 +58,6 @@ def test_searches_included_when_requested(sc):
     assert p.heuristic >= p.shortest_path - 0.05
 
 
-def test_parallel_sweep_matches_serial(sc):
-    """workers=N must be bit-identical to serial, in the same order."""
-    kwargs = dict(
-        deadlines=(0.08, 0.1), scenario=sc, include_searches=True,
-        resolution=0.05,
-    )
-    serial = sweep_deadline(**kwargs)
-    parallel = sweep_deadline(workers=2, **kwargs)
-    assert serial.points == parallel.points
-
-
-def test_workers_must_be_positive():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        sweep_deadline(deadlines=(0.05, 0.1), workers=0)
-
-
 def test_cross_topology_table_rows_in_input_order():
     from repro.experiments import cross_topology_table
     from repro.topology import mci_backbone, nsfnet_backbone

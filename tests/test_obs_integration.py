@@ -49,7 +49,7 @@ class TestDisabledByDefault:
             "from repro.obs.metrics import NullRegistry\n"
             "assert not obs.is_enabled()\n"
             "assert isinstance(obs.get_registry(), NullRegistry)\n"
-            "assert obs.get_tracer() is None\n"
+            "assert obs.OBS.tracer is None\n"
             "assert obs.prometheus_text() == ''\n"
             "assert obs.chrome_trace()['traceEvents'] == []\n"
         )
@@ -70,7 +70,7 @@ class TestDisabledByDefault:
         obs.disable()
         registry = obs.get_registry()
         before = len(registry)
-        tracer = obs.get_tracer()
+        tracer = obs.OBS.tracer
         spans_before = 0 if tracer is None else len(tracer)
         routes = _sp_routes(line4)
         result = single_class_delays(
@@ -82,7 +82,7 @@ class TestDisabledByDefault:
         ctrl.admit(FlowSpec(1, "voice", "r0", "r3"))
         ctrl.release(1)
         assert len(registry) == before
-        tracer = obs.get_tracer()
+        tracer = obs.OBS.tracer
         assert tracer is None or len(tracer) == spans_before
 
 
@@ -101,7 +101,7 @@ class TestInstrumentedSubsystems:
         assert solves is not None and solves.value >= 1
         hist = reg.get("repro_fixedpoint_iterations")
         assert hist is not None and hist.count >= 1
-        assert _named(obs.get_tracer(), "fixedpoint.solve")
+        assert _named(obs.OBS.tracer, "fixedpoint.solve")
 
     def test_admission_series(self, enabled_obs, line4, line4_graph,
                               voice_registry):
@@ -141,7 +141,7 @@ class TestInstrumentedSubsystems:
         assert ctrl.num_established == 2  # 3 admitted - 1 released
         path = line4_graph.route_servers(["r0", "r1", "r2", "r3"])
         assert ctrl.ledger.used_view("voice")[path].tolist() == [2, 2, 2]
-        assert _named(obs.get_tracer(), "admission.admit")
+        assert _named(obs.OBS.tracer, "admission.admit")
 
     def test_routing_series_and_nested_spans(self, enabled_obs, line4,
                                              voice_registry):
@@ -159,7 +159,7 @@ class TestInstrumentedSubsystems:
         )
         assert cache.value >= 1
         # fixed-point solves nest under the routing.select span
-        tracer = obs.get_tracer()
+        tracer = obs.OBS.tracer
         select_spans = _named(tracer, "routing.select")
         solve_spans = _named(tracer, "fixedpoint.solve")
         assert select_spans and solve_spans
@@ -190,7 +190,7 @@ class TestInstrumentedSubsystems:
             "repro_simulation_max_queue_depth_packets", cls="voice"
         )
         assert depth is not None and depth.value >= 0
-        assert _named(obs.get_tracer(), "simulation.run")
+        assert _named(obs.OBS.tracer, "simulation.run")
 
     def test_reset_clears_collected_data(self, enabled_obs, line4,
                                          line4_graph, voice_registry):
@@ -200,7 +200,7 @@ class TestInstrumentedSubsystems:
         assert len(obs.get_registry()) > 0
         obs.reset()
         assert len(obs.get_registry()) == 0
-        assert len(obs.get_tracer()) == 0
+        assert len(obs.OBS.tracer) == 0
 
 
 class TestLogging:

@@ -186,7 +186,6 @@ def test_a_served_process_maps_no_openssl(tmp_path, flags):
             "metrics_port": 0,
             "snapshot": str(tmp_path / "s.json"),
             "governor": True,
-            "span_out": str(tmp_path / "spans.jsonl"),
             "preempt": True,
         }
     with ServiceProcess(

@@ -4,7 +4,6 @@ import asyncio
 import json
 import os
 import queue
-import re
 import threading
 import time
 
@@ -69,15 +68,20 @@ class ServeThread:
 @pytest.fixture(autouse=True)
 def _tell_serve_threads(monkeypatch):
     """Hand each ServeThread its loop and service as it binds."""
-    start_unix = AdmissionService.start_unix
 
-    async def start_and_tell(service, path):
-        for serve in ServeThread.started:
-            if serve.thread is threading.current_thread():
-                serve.listening.put((asyncio.get_running_loop(), service))
-        return await start_unix(service, path)
+    def telling(start):
+        async def start_and_tell(service, *where):
+            for serve in ServeThread.started:
+                if serve.thread is threading.current_thread():
+                    serve.listening.put((asyncio.get_running_loop(), service))
+            return await start(service, *where)
 
-    monkeypatch.setattr(AdmissionService, "start_unix", start_and_tell)
+        return start_and_tell
+
+    for name in ("start_unix", "start_tcp"):
+        monkeypatch.setattr(
+            AdmissionService, name, telling(getattr(AdmissionService, name))
+        )
 
 
 @pytest.fixture()
@@ -209,6 +213,22 @@ def test_loadgen_replays_a_trace_at_the_service(
     assert "replaying 6 events" in out
     assert "5 admitted" in out
     assert "1 released" in out
+
+
+def test_serve_and_client_over_tcp(capsys):
+    server = ServeThread(
+        ["serve", "--host", "127.0.0.1", "--port", "0",
+         "--serve-seconds", "20"]
+    )
+    loop, service = server.listening.get(timeout=30)
+    server.listening.put((loop, service))
+    deadline = time.monotonic() + 30
+    while service.port is None and time.monotonic() < deadline:
+        time.sleep(0.02)
+    target = f"127.0.0.1:{service.port}"
+    assert main(["client", "health", "--target", target]) == 0
+    assert last_json(capsys.readouterr().out)["status"] == "ok"
+    assert server.stop() == 0
 
 
 def test_client_argument_validation(tmp_path, capsys):
@@ -383,11 +403,13 @@ def test_serve_has_no_controller_option(tmp_path, capsys):
 
 def test_serve_full_telemetry_pipeline(tmp_path, capsys):
     """serve with every telemetry flag + loadgen --summary-out, then
-    audit --verify against the drain snapshot and the span stream."""
+    audit --verify of the rotated log against the drain snapshot, and
+    the exit metrics and trace."""
     sock = str(tmp_path / "s.sock")
     snap = str(tmp_path / "snap.json")
     audit = str(tmp_path / "audit.jsonl")
-    spans = str(tmp_path / "spans.jsonl")
+    trace = str(tmp_path / "trace.json")
+    metrics = str(tmp_path / "exit.prom")
     summary = str(tmp_path / "summary.json")
     server = ServeThread(
         [
@@ -400,10 +422,16 @@ def test_serve_full_telemetry_pipeline(tmp_path, capsys):
             audit,
             "--audit-fsync-every",
             "1",
+            "--audit-max-bytes",
+            "4096",
+            "--audit-keep",
+            "64",
             "--metrics-port",
             "0",
-            "--span-out",
-            spans,
+            "--metrics-out",
+            metrics,
+            "--trace-out",
+            trace,
             "--max-delay-ms",
             "1",
             "--serve-seconds",
@@ -444,17 +472,25 @@ def test_serve_full_telemetry_pipeline(tmp_path, capsys):
     # look across everything captured so far.
     serve_out = loadgen_out + capsys.readouterr().out
     assert "telemetry endpoint on http://" in serve_out
-    assert "wrote span stream" in serve_out
+    assert "wrote Chrome trace" in serve_out
+    assert "wrote metrics snapshot" in serve_out
 
-    # The span stream is self-describing and non-empty.
-    from obs_readers import read_span_lines
+    # The exit snapshot holds what a scrape reads at drain.
+    from obs_readers import parse_prometheus_text
 
-    _header, span_objs = read_span_lines(spans)
-    names = {s["name"] for s in span_objs}
+    with open(metrics, encoding="utf-8") as fh:
+        samples = parse_prometheus_text(fh.read())
+    assert samples[("repro_service_requests_total", ())] > 0
+
+    # The exit trace holds the served requests and their batches.
+    with open(trace, encoding="utf-8") as fh:
+        names = {event["name"] for event in json.load(fh)["traceEvents"]}
     assert "service.request" in names
     assert "service.batch" in names
 
-    # The audit log verifies against the final drain snapshot.
+    # The audit log rotated, and verifies against the final drain
+    # snapshot across its files.
+    assert os.path.exists(audit + ".1")
     rc = main(["audit", audit, "--verify", "--snapshot", snap])
     assert rc == 0
     out = capsys.readouterr().out
@@ -534,51 +570,6 @@ def test_audit_cli_detects_an_inconsistent_log(tmp_path, capsys):
 
 def test_audit_cli_missing_file(tmp_path, capsys):
     rc = main(["audit", str(tmp_path / "nope.jsonl")])
-    assert rc == 1
-    assert "FAILURE" in capsys.readouterr().out
-
-
-def test_top_renders_live_stats(served, capsys):
-    sock, _snap, _server = served
-    assert (
-        main(
-            [
-                "top",
-                "--socket",
-                sock,
-                "--count",
-                "2",
-                "--interval",
-                "0.05",
-                "--no-clear",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "repro-ubac top" in out
-    assert "requests" in out
-    assert "SLO" in out
-    assert out.count("uptime") == 2  # one header per refresh
-    assert re.search(r"rss \d+\.\d MB \(peak \d+\.\d\)", out)
-    assert re.search(r"startup: \d+\.\d\d s", out)
-    assert "last restart" not in out  # a single server has no supervisor
-
-
-def test_top_shows_the_last_worker_restart_gap():
-    from repro.experiments.commands import _render_top
-
-    stats = {"controller": "cluster", "startup_seconds": 1.234}
-    assert "last restart" not in _render_top(stats, None, 1.0)
-    stats["last_restart_seconds"] = 0.481
-    header = _render_top(stats, None, 1.0).splitlines()[0]
-    assert header.endswith("startup: 1.23 s   last restart: 0.48 s")
-
-
-def test_top_connect_failure(tmp_path, capsys):
-    rc = main(
-        ["top", "--socket", str(tmp_path / "nope.sock"), "--count", "1"]
-    )
     assert rc == 1
     assert "FAILURE" in capsys.readouterr().out
 
@@ -669,23 +660,22 @@ def test_serve_workers_argument_validation(tmp_path, capsys):
 
 
 def test_serve_workers_forwards_per_worker_options(tmp_path):
-    # --span-out used to be refused under --workers; every option now
-    # reaches the workers, per-worker files as <path>.w<i>.
-    spans = str(tmp_path / "spans.jsonl")
+    # Every option reaches the workers, per-worker files as <path>.w<i>.
+    audit = str(tmp_path / "audit.jsonl")
     with ClusterProcess(
         workers=2,
         socket_path=str(tmp_path / "front.sock"),
         topology="mci",
         max_delay_ms=7,
-        span_out=spans,
+        audit=audit,
     ) as cluster:
         cluster.start()
         with cluster.client() as client:
             stats = client.stats()
         assert [w["max_delay"] for w in stats["per_worker"]] == [0.007] * 2
         assert cluster.terminate() == 0
-    assert os.path.exists(spans + ".w0") and os.path.exists(spans + ".w1")
-    assert not os.path.exists(spans)
+    assert os.path.exists(audit + ".w0") and os.path.exists(audit + ".w1")
+    assert not os.path.exists(audit)
 
 
 # One row per way of spelling things; between them every serve dest is
@@ -701,7 +691,6 @@ SERVE_COMMAND_LINES = [
     "--governor-interval 0.02 --preempt",
     "--socket /tmp/w.sock --shard-index 1 --shard-count 4 --audit /tmp/a.jsonl "
     "--audit-fsync-every 1 --audit-max-bytes 4096 --audit-keep 2",
-    "--socket /tmp/s.sock --span-out /tmp/sp.jsonl",
 ]
 
 

@@ -395,7 +395,7 @@ class TestClusterConfig:
         operator = parse(
             "serve --workers 4 --socket /tmp/x.sock --topology mci "
             "--snapshot /tmp/m.json --snapshot-interval 3.0 "
-            "--audit /tmp/a.jsonl --span-out /tmp/sp.jsonl "
+            "--audit /tmp/a.jsonl "
             "--max-delay-ms 1.5 --governor --governor-interval 0.02 "
             "--preempt --metrics-port 9464 "
             "--metrics-host 0.0.0.0 --drain-grace 2 --serve-seconds 9 "
@@ -407,7 +407,6 @@ class TestClusterConfig:
         assert "--socket /tmp/x.sock.w2" in joined
         assert "--snapshot /tmp/m.json.w2" in joined
         assert "--audit /tmp/a.jsonl.w2" in joined
-        assert "--span-out /tmp/sp.jsonl.w2" in joined
         assert "--shard-index 2 --shard-count 4" in joined
         # ...nothing that belongs to the front door...
         for dest in FRONT_DOOR_ONLY:
@@ -422,13 +421,13 @@ class TestClusterConfig:
         worker = parse(argv)
         assert (worker.shard_index, worker.shard_count) == (2, 4)
         assert worker.max_delay_ms == 1.5 and worker.governor and worker.preempt
-        # No snapshot/audit/span path -> no such flags at all.
+        # No snapshot/audit path -> no such flags at all.
         bare = serve_argv(
             worker_options(
                 vars(parse(["serve", "--socket", "/tmp/x.sock"])), 0, 2
             )
         )
-        assert not {"--snapshot", "--audit", "--span-out"} & set(bare)
+        assert not {"--snapshot", "--audit"} & set(bare)
 
 
 # --------------------------------------------------------------------- #

@@ -39,7 +39,7 @@ import urllib.request
 
 import pytest
 
-from obs_readers import parse_prometheus_text, read_span_lines
+from obs_readers import parse_prometheus_text
 from repro.service import ServiceClient, iter_audit, verify_audit
 from repro.topology import nsfnet_backbone
 from repro.traffic.flows import FlowSpec
@@ -137,11 +137,11 @@ def drain(server, timeout):
 def test_v1_phase_full_telemetry(tmp_path, serve, loadgen):
     snap = str(tmp_path / "ubac.snap.json")
     audit = str(tmp_path / "ubac.audit.jsonl")
-    spans = str(tmp_path / "ubac.spans.jsonl")
+    trace = str(tmp_path / "ubac.trace.json")
     summary_path = str(tmp_path / "ubac.summary.json")
     server = serve(
         "ubac", snapshot=snap, audit=audit, audit_fsync_every=64,
-        metrics_port=0, span_out=spans, drain_grace=3,
+        metrics_port=0, trace_out=trace, drain_grace=3,
     )
     port = metrics_port(server)
     assert_no_openssl(server.proc.pid)
@@ -190,7 +190,6 @@ def test_v1_phase_full_telemetry(tmp_path, serve, loadgen):
     assert stats["requests"] > 0, stats
     assert stats["batches"] > 0, stats
     assert stats["admitted"] > 0, stats
-    assert stats["slo"]["breaching"] is False, stats["slo"]
     assert stats["decisions_total"] == (
         stats["admitted_total"] + stats["rejected_total"]
     ), stats
@@ -227,8 +226,8 @@ def test_v1_phase_full_telemetry(tmp_path, serve, loadgen):
     decided = stats["admitted"] + stats["rejected"]
     assert report["admitted"] + report["rejected"] == decided, (report, stats)
     assert report["released"] == stats["released"], (report, stats)
-    _header, span_objs = read_span_lines(spans)
-    names = {span["name"] for span in span_objs}
+    # The exit trace holds the served requests and their batches.
+    names = {event["name"] for event in load(trace)["traceEvents"]}
     assert "service.request" in names, sorted(names)[:10]
     assert "service.batch" in names, sorted(names)[:10]
 

@@ -1,5 +1,5 @@
 """End-to-end service telemetry: wire-propagated tracing, the audit
-log feed, the HTTP scrape endpoint, and SLO surfacing.
+log feed, the HTTP scrape endpoint, and the stats document.
 
 All in-process: service and client share one event loop *and one
 global tracer*, so a single `records()` sweep sees both halves of every
@@ -10,14 +10,13 @@ against the in-process endpoint.
 
 import asyncio
 import json
-import time
 
 import pytest
 
 from repro import obs
-from obs_readers import parse_prometheus_text, read_span_lines
+from obs_readers import parse_prometheus_text
 from repro.admission import UtilizationAdmissionController
-from repro.obs import OBS, JsonLinesSpanSink, slo
+from repro.obs import OBS
 from repro.obs.process import process_start_time
 from repro.service import (
     AdmissionService,
@@ -25,15 +24,11 @@ from repro.service import (
     iter_audit,
     verify_audit,
 )
-from repro.obs.slo import SLOTracker
 from repro.routing.shortest import shortest_path_routes
 from repro.service import protocol
-from repro.service.server import _ReqTele
 from repro.traffic.flows import FlowSpec
-from tests.test_obs_slo import FakeClock
 from tests.test_service_server import (
     flow_obj,
-    make_controller,
     start_service,
 )
 
@@ -166,10 +161,7 @@ class TestTraceProparation:
         batch span back.  ``queued``: a single admit is pending ahead of
         the frame, so the frame's ops travel through the queue and one
         drain decides both requests."""
-        spans_path = str(tmp_path / "spans.jsonl")
         obs.enable(fresh=True)
-        sink = JsonLinesSpanSink(spans_path)
-        sink.attach(OBS.tracer)
         ids = [f"g{i}" for i in range(50)]
 
         async def scenario():
@@ -207,20 +199,15 @@ class TestTraceProparation:
                 assert all(r["ok"] for r in await results)
             await service.drain()
 
-        try:
-            asyncio.run(scenario())
-        finally:
-            sink.close()
-        _header, spans = read_span_lines(spans_path)
+        asyncio.run(scenario())
         (request,) = [
-            s for s in spans
-            if s["name"] == "service.request"
-            and s["attrs"]["op"] == frame
+            s for s in spans_by_name("service.request")
+            if s.attrs["op"] == frame
         ]
-        mine = request["attrs"]["span_hex"]
+        mine = request.attrs["span_hex"]
         batches = {
-            s["attrs"]["span_hex"]: s["attrs"]
-            for s in spans if s["name"] == "service.batch"
+            s.attrs["span_hex"]: s.attrs
+            for s in spans_by_name("service.batch")
         }
         named = [
             hex_id
@@ -233,7 +220,7 @@ class TestTraceProparation:
             attrs for attrs in batches.values()
             if mine in attrs["request_spans"].split(",")
         ]
-        assert request["attrs"]["batch_span"] == deciding["span_hex"]
+        assert request.attrs["batch_span"] == deciding["span_hex"]
         assert deciding["ops"] == 100 + (path == "queued")
         assert "request_spans_truncated" not in deciding
 
@@ -376,9 +363,6 @@ class TestMetricsEndpoint:
         samples = parse_prometheus_text(metrics[1])
         assert samples[("repro_service_established_flows", ())] == 3
         assert ("repro_service_queue_depth", ()) in samples
-        assert any(
-            name == "repro_slo_burn_rate" for name, _ in samples
-        )
         rss = samples[("process_resident_memory_bytes", ())]
         peak = samples[("process_peak_resident_memory_bytes", ())]
         assert 1 << 20 < rss <= peak < 1 << 32
@@ -389,7 +373,6 @@ class TestMetricsEndpoint:
         assert healthz[0] == 200
         health = json.loads(healthz[1])
         assert health["status"] == "ok"
-        assert health["slo"]["requests"] >= 3
         # Process start -> listening is the same from health and stats;
         # the process start itself is the /metrics gauge.
         assert (
@@ -540,9 +523,8 @@ class TestMetricsEndpoint:
         assert samples[("process_start_time_seconds", ())] > 1e9
 
 
-class TestSLOSurface:
-    def test_stats_carry_slo_and_introspection_keys(self, tmp_path):
-        # SLO tracking runs under observability, against the constants.
+class TestStatsSurface:
+    def test_stats_carry_introspection_keys(self, tmp_path):
         obs.enable(fresh=True)
 
         async def scenario():
@@ -559,58 +541,6 @@ class TestSLOSurface:
         assert stats["status"] == "ok"
         assert stats["uptime_seconds"] >= 0.0
         assert "snapshot_age_seconds" in stats
-        assert stats["slo"]["requests"] >= 1
-        assert stats["slo"]["breaching"] is False
-
-    @pytest.mark.parametrize(
-        "op, n_subops, seconds, breaching",
-        [
-            # 102.4 ms of frame is 0.1 ms per decided op.
-            ("bulk", 1024, 0.1024, False),
-            ("admit", None, 0.060, True),
-        ],
-    )
-    def test_the_objective_is_per_op_whatever_the_frame_size(
-        self, op, n_subops, seconds, breaching, monkeypatch
-    ):
-        obs.enable(fresh=True)
-        monkeypatch.setattr(slo, "P99_MS", 5000.0)
-        service = AdmissionService(make_controller())
-        service.slo = SLOTracker(clock=FakeClock())
-        tele = _ReqTele(time.perf_counter() - seconds)
-        request = protocol.Request(id=1, op=op, body={})
-        service._finish_telemetry(request, tele, [], True, n_subops)
-        assert service.slo.snapshot()["breaching"] is breaching
-
-    def test_breaching_slo_is_reported_and_still_serves(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(slo, "P99_MS", 5.0)
-
-        async def scenario():
-            service, sock = await start_service(tmp_path, metrics_port=0)
-            # Synthesize slow requests directly into the tracker:
-            # 500 ms each against a 5 ms p99 objective.
-            for _ in range(10):
-                service.slo.record_request()
-                service.slo.observe_latency(0.5)
-            port = service.metrics_endpoint.port
-            healthz = await http_get(port, "/healthz")
-            async with await AsyncServiceClient.connect_unix(
-                sock
-            ) as client:
-                resp = await client.request("admit", flow=flow_obj(1))
-            await service.drain()
-            return healthz, resp
-
-        healthz, resp = asyncio.run(scenario())
-        # A breach is reported, not acted on: no outage, still serving.
-        assert healthz[0] == 200
-        body = json.loads(healthz[1])
-        assert body["status"] == "ok"
-        assert body["slo"]["breaching"] is True
-        assert body["slo"]["burn_rates"]["p99"] > 1.0
-        assert resp["admitted"] is True
 
     def test_audit_stats_block_reports_the_log(self, tmp_path):
         audit_path = str(tmp_path / "audit.jsonl")

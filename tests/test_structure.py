@@ -371,9 +371,6 @@ RATCHETS = (
             "src/repro/service/replay.py",
             "from concurrent.futures import ThreadPoolExecutor",
         ),
-        # Schedule generation in parallel chunks (loadgen --workers),
-        # long before anything reaches a socket.
-        allowed=(r"^src/repro/workload/arrivals\.py:",),
     ),
     Ratchet(
         name="One slot ledger: no per-edge quota controller",
@@ -934,8 +931,6 @@ UNUSED_CONSTANTS = {}
 UNPASSED_OPTIONS = {
     # The argv the tests run the CLI with.
     "repro.experiments.cli.main.argv": SEAM,
-    # The fake clock the rolling-window tests step.
-    "repro.obs.slo.SLOTracker.clock": SEAM,
     # How long a client keeps dialling a server that is (re)starting.
     "repro.service.client.ServiceClient.backoff": DEPLOYMENT,
     # Where a command runs: the socket it dials and the framing that
@@ -944,9 +939,9 @@ UNPASSED_OPTIONS = {
     **{
         f"repro-ubac {flag}": DEPLOYMENT
         for flag in (
-            "sweep --workers", "loadgen --workers", "loadgen --socket",
+            "loadgen --socket",
             "loadgen --protocol", "client --socket", "client --protocol",
-            "top --socket", "serve --snapshot-interval",
+            "serve --snapshot-interval",
             "serve --audit-fsync-every", "serve --audit-max-bytes",
             "serve --audit-keep",
         )

@@ -63,6 +63,6 @@ def test_every_series_in_the_doc_tables_is_spelled_in_the_source():
 def test_both_directions_fire_on_planted_docs():
     retired = "repro_admission_established_flows"
     assert unspelled(DOC + f"\n| `admission.*` | `{retired}` |\n") == [retired]
-    assert undocumented(DOC.replace("repro_sweep_points_total", "")) == [
-        "repro_sweep_points_total"
+    assert undocumented(DOC.replace("repro_ledger_slots_in_use", "")) == [
+        "repro_ledger_slots_in_use"
     ]

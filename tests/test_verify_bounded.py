@@ -270,10 +270,11 @@ class TestRunner:
     def test_default_selection_is_the_whole_table(self):
         assert select_checks() == CHECKS
         assert [row.name for row in CHECKS] == [
-            "no_overcommit", "batch_equivalence", "preemption_safety",
+            "no_overcommit", "batch_equivalence", "contended_equivalence",
+            "preemption_safety",
         ]
         assert select_checks(["preemption_safety", "no_overcommit"]) == (
-            CHECKS[0], CHECKS[2],
+            CHECKS[0], CHECKS[3],
         )
 
     def test_unknown_inputs_rejected(self):

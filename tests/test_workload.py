@@ -79,17 +79,6 @@ class TestOpenLoopSchedule:
         assert np.array_equal(a.holdings, b.holdings)
         assert np.array_equal(a.pair_indices, b.pair_indices)
 
-    def test_worker_count_does_not_change_the_stream(self):
-        pop = ZipfPairPopularity(num_pairs=20, skew=1.0)
-        kwargs = dict(
-            arrival_rate=100.0, mean_holding=5.0, popularity=pop, seed=11,
-        )
-        serial = open_loop_schedule(10_000, workers=None, **kwargs)
-        threaded = open_loop_schedule(10_000, workers=3, **kwargs)
-        assert np.array_equal(serial.times, threaded.times)
-        assert np.array_equal(serial.holdings, threaded.holdings)
-        assert np.array_equal(serial.pair_indices, threaded.pair_indices)
-
     def test_times_monotonic_and_holdings_positive(self):
         pop = ZipfPairPopularity(num_pairs=4, skew=1.0)
         schedule = open_loop_schedule(
