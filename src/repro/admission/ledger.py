@@ -130,13 +130,13 @@ class UtilizationLedger:
     def set_capacity(
         self, class_name: str, slots: Sequence[int]
     ) -> None:
-        """Replace a class's verified slot vector (rebalance hook).
+        """Replace a class's verified slot vector.
 
         Installs ``slots`` as the new full capacity and recomputes the
         effective view (degradation and blocked servers still apply).
         ``used`` is untouched: shrinking below current usage never
         evicts established flows, it just blocks new admissions until
-        the ledger drains — the quota-shard rebalance contract.
+        the ledger drains.
         """
         self._check_class(class_name)
         arr = np.asarray(slots, dtype=np.int64)

@@ -18,7 +18,7 @@ The Ext-L bench quantifies that against the shared ledger.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -91,53 +91,17 @@ class SlotShardController(UtilizationAdmissionController):
         shard_count: int,
     ):
         super().__init__(graph, registry, alphas, route_map)
-        # The ledger starts at the full verified capacity; keep a copy
-        # of it per class before installing this worker's share.
-        self._full_slots: Dict[str, np.ndarray] = {
-            name: self.ledger.slots(name) for name in self._slot_classes
-        }
-        self._shard_index = -1
-        self._shard_count = 0
-        self.reshard(shard_index, shard_count)
-
-    def reshard(self, shard_index: int, shard_count: int) -> None:
-        """Install shard ``shard_index`` of ``shard_count``.
-
-        The rebalance hook for cluster resizes: usage is preserved
-        verbatim, so a worker whose new share is below its current usage
-        simply cannot admit until it drains — capacity is never minted.
-        """
-        if shard_count < 1:
-            raise AdmissionError(
-                f"need at least one shard, got {shard_count}"
-            )
         if not 0 <= shard_index < shard_count:
             raise AdmissionError(
                 f"shard index {shard_index} out of range "
                 f"[0, {shard_count})"
             )
-        self._shard_index = int(shard_index)
-        self._shard_count = int(shard_count)
+        # The ledger starts at the full verified capacity; install this
+        # worker's share of it.
         for name in self._slot_classes:
-            plan = plan_slot_shards(self._full_slots[name], shard_count)
+            plan = plan_slot_shards(self.ledger.slots(name), shard_count)
             self.ledger.set_capacity(name, plan[shard_index])
-
-    @property
-    def shard_index(self) -> int:
-        return self._shard_index
-
-    @property
-    def shard_count(self) -> int:
-        return self._shard_count
 
     def shard_slots(self, class_name: str) -> np.ndarray:
         """Per-server slot share this worker admits against."""
         return self.ledger.slots(class_name)
-
-    def verified_slots(self, class_name: str) -> np.ndarray:
-        """Full certified per-server slots (the sum over all shards)."""
-        if class_name not in self._full_slots:
-            raise AdmissionError(
-                f"class {class_name!r} is not a registered real-time class"
-            )
-        return self._full_slots[class_name].copy()

@@ -7,8 +7,8 @@ owning shard ``i`` of ``N`` of the verified slot capacity
 :func:`repro.admission.plan_slot_shards` so the shard quotas sum to
 exactly the certified slots), plus the
 :class:`~repro.service.router.ClusterRouter` front door on the public
-socket.  The wire protocol is unchanged; clients cannot tell a cluster
-from a single server except through the extra ``cluster`` discovery op.
+socket.  The wire protocol is unchanged, and the ops are the single
+server's own; only ``stats`` tells a cluster from a single server.
 
 Fault handling:
 
@@ -43,7 +43,7 @@ from ..faults.degraded import BackoffPolicy
 from .client import AsyncServiceClient
 from .http import MetricsEndpoint
 from .launch import serve_child
-from .router import ClusterRouter, HashRing
+from .router import ClusterRouter
 from .snapshots import (
     SnapshotStore,
     merge_cluster_snapshot,
@@ -165,7 +165,6 @@ class ClusterSupervisor:
 
     def __init__(self, config: ClusterConfig, options: Mapping[str, Any]):
         self.config = config
-        self.ring = HashRing(config.workers)
         options = {
             **options,
             "socket": config.socket_path,
@@ -177,7 +176,6 @@ class ClusterSupervisor:
         ]
         self.router = ClusterRouter(
             [w.socket_path for w in self.workers],
-            ring=self.ring,
             on_snapshot=(
                 self._snapshot_op
                 if config.snapshot_path is not None
@@ -368,7 +366,7 @@ class ClusterSupervisor:
         if not (resized or missing):
             return
         shards = split_cluster_snapshot(
-            manifest, self.config.workers, self.ring.worker_of
+            manifest, self.config.workers, self.router.ring.worker_of
         )
         for worker, shard in zip(self.workers, shards):
             if worker.snapshot_path is not None:

@@ -28,9 +28,7 @@ Every router→worker hop speaks v2 (a worker is always this repository's
 * **aggregation** — ``stats``/``health`` fan out to every worker and
   come back as one cluster view (summed counters, worst status,
   ``per_worker`` breakdown incl. pids), which also feeds the
-  ``/metrics`` endpoint; the router-only ``cluster`` op advertises the
-  worker sockets and ring parameters so a multi-connection load
-  generator can connect to workers directly.
+  ``/metrics`` endpoint.
 
 A dead worker fails its in-flight requests with ``unavailable`` (the
 supervisor restarts it and the link reconnects); requests for flows
@@ -75,8 +73,8 @@ __all__ = ["HashRing", "WorkerLink", "ClusterRouter"]
 
 logger = logging.getLogger("repro.service")
 
-#: Ring salt: part of the advertised parameters, never derived from
-#: process state, so every participant builds the identical ring.
+#: Ring salt: a constant, never derived from process state, so every
+#: participant builds the identical ring.
 DEFAULT_RING_SALT = "repro-cluster"
 DEFAULT_VIRTUAL_NODES = 64
 
@@ -107,12 +105,10 @@ class HashRing:
         if workers < 1:
             raise ServiceError(f"need at least one worker, got {workers}")
         self.workers = int(workers)
-        self.virtual_nodes = DEFAULT_VIRTUAL_NODES
-        self.salt = DEFAULT_RING_SALT
         points: List[Tuple[int, int]] = []
         for w in range(workers):
-            for v in range(self.virtual_nodes):
-                points.append((_hash64(f"{self.salt}/{w}/{v}"), w))
+            for v in range(DEFAULT_VIRTUAL_NODES):
+                points.append((_hash64(f"{DEFAULT_RING_SALT}/{w}/{v}"), w))
         points.sort()
         self._hashes = [h for h, _ in points]
         self._owners = [w for _, w in points]
@@ -122,17 +118,9 @@ class HashRing:
         # Type-tagged so the str "1" and the int 1 (both legal wire
         # flow ids) hash independently.
         tag = "s" if isinstance(flow_id, str) else "i"
-        h = _hash64(f"{self.salt}#{tag}:{flow_id}")
+        h = _hash64(f"{DEFAULT_RING_SALT}#{tag}:{flow_id}")
         i = bisect.bisect_right(self._hashes, h) % len(self._hashes)
         return self._owners[i]
-
-    def params(self) -> Dict[str, Any]:
-        """Wire-advertised ring parameters (the ``cluster`` op)."""
-        return {
-            "workers": self.workers,
-            "virtual_nodes": self.virtual_nodes,
-            "salt": self.salt,
-        }
 
 
 class WorkerLink:
@@ -403,7 +391,6 @@ class ClusterRouter:
         self,
         worker_sockets: Sequence[str],
         *,
-        ring: Optional[HashRing] = None,
         on_snapshot: Optional[
             Callable[[], Awaitable[Dict[str, Any]]]
         ] = None,
@@ -411,13 +398,7 @@ class ClusterRouter:
     ):
         if not worker_sockets:
             raise ServiceError("cluster needs at least one worker")
-        self.worker_sockets = [str(p) for p in worker_sockets]
-        self.ring = ring or HashRing(len(worker_sockets))
-        if self.ring.workers != len(worker_sockets):
-            raise ServiceError(
-                f"ring is sized for {self.ring.workers} workers, "
-                f"got {len(worker_sockets)} sockets"
-            )
+        self.ring = HashRing(len(worker_sockets))
         self.max_frame_bytes = protocol.MAX_FRAME_BYTES
         #: Async callback (the supervisor's merge) behind the
         #: ``snapshot`` op; None answers ``unavailable``.
@@ -426,8 +407,7 @@ class ClusterRouter:
         #: (the supervisor contributes restart counts).
         self.extra_stats = extra_stats
         self.links = [
-            WorkerLink(i, path)
-            for i, path in enumerate(self.worker_sockets)
+            WorkerLink(i, path) for i, path in enumerate(worker_sockets)
         ]
         self._server: Optional[asyncio.AbstractServer] = None
         self._draining = False
@@ -562,15 +542,6 @@ class ClusterRouter:
             return self._cluster_health(rid)
         if op == "stats":
             return self._cluster_stats_response(rid)
-        if op == "cluster":
-            return protocol.ok_response(
-                rid,
-                {
-                    "schema": protocol.PROTOCOL_SCHEMA,
-                    "sockets": list(self.worker_sockets),
-                    **self.ring.params(),
-                },
-            )
         if op == "snapshot":
             if self.on_snapshot is None:
                 return protocol.error_response(
@@ -584,7 +555,7 @@ class ClusterRouter:
                 rid,
                 protocol.UNKNOWN_OP,
                 f"unknown op {op!r} (expected one of "
-                f"{', '.join(protocol.OPS)} or cluster)",
+                f"{', '.join(protocol.OPS)})",
             )
         if self._draining:
             return protocol.error_response(

@@ -135,28 +135,19 @@ class TestSlotShardController:
         assert np.array_equal(total, verified)
         for s in shards:
             assert np.all(s.shard_slots(voice.name) <= verified)
-            assert np.array_equal(s.verified_slots(voice.name), verified)
 
-    def test_reshard_keeps_established_flows(self, setup):
+    def test_shard_index_out_of_range_is_refused(self, setup):
         graph, registry, voice, routes = setup
-        shard = SlotShardController(
-            graph,
-            registry,
-            {voice.name: 0.3},
-            routes,
-            shard_index=0,
-            shard_count=2,
-        )
-        admitted = []
-        pairs = list(routes.keys())
-        for i in range(10):
-            src, dst = pairs[i % len(pairs)]
-            if shard.admit(FlowSpec(f"f{i}", voice.name, src, dst)).admitted:
-                admitted.append(f"f{i}")
-        assert admitted
-        shard.reshard(1, 3)
-        assert shard.num_established == len(admitted)
-        assert shard.shard_index == 1 and shard.shard_count == 3
+        for index, count in ((2, 2), (-1, 2), (0, 0)):
+            with pytest.raises(AdmissionError):
+                SlotShardController(
+                    graph,
+                    registry,
+                    {voice.name: 0.3},
+                    routes,
+                    shard_index=index,
+                    shard_count=count,
+                )
 
 
 # --------------------------------------------------------------------- #
@@ -216,13 +207,12 @@ class TestHashRing:
             HashRing(0)
 
     def test_different_salts_give_different_rings(self, monkeypatch):
-        monkeypatch.setattr(router_module, "DEFAULT_RING_SALT", "a")
-        a = HashRing(4)
-        monkeypatch.setattr(router_module, "DEFAULT_RING_SALT", "b")
-        b = HashRing(4)
-        assignments_a = [a.worker_of(f"f{i}") for i in range(300)]
-        assignments_b = [b.worker_of(f"f{i}") for i in range(300)]
-        assert assignments_a != assignments_b
+        assignments = []
+        for salt in ("a", "b"):
+            monkeypatch.setattr(router_module, "DEFAULT_RING_SALT", salt)
+            ring = HashRing(4)
+            assignments.append([ring.worker_of(f"f{i}") for i in range(300)])
+        assert assignments[0] != assignments[1]
 
 
 # --------------------------------------------------------------------- #
@@ -453,9 +443,6 @@ class TestClusterEndToEnd:
         ) as cluster:
             cluster.start()
             with cluster.client() as client:
-                info = client.request("cluster")
-                assert info["workers"] == 2
-                assert len(info["sockets"]) == 2
                 admitted = []
                 for i, (src, dst) in enumerate(mci_pairs[:30]):
                     decision = client.admit(

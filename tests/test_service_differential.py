@@ -446,3 +446,38 @@ def test_mixed_bulk_frame_through_the_front_door_is_the_single_server(tmp_path):
             one_frame(v1_batch, where, workers=workers)
         )
         assert (v1_established, v1_errors) == (established, errors)
+
+
+def test_a_cluster_op_is_unknown_at_a_front_door_as_at_a_plain_serve(tmp_path):
+    """No op is the router's alone: ``cluster`` earns the plain serve's
+    own ``unknown_op`` bytes at a front door too (``stats`` carries the
+    worker count)."""
+
+    async def answer(workers):
+        services = [AdmissionService(make_shard(i, max(workers, 1)))
+                    for i in range(max(workers, 1))]
+        sockets = [str(tmp_path / f"op{workers}-{i}.sock")
+                   for i in range(len(services))]
+        for service, sock in zip(services, sockets):
+            await service.start_unix(sock)
+        router = ClusterRouter(sockets) if workers else None
+        door = sockets[0]
+        if router is not None:
+            door = str(tmp_path / f"op{workers}-front.sock")
+            await router.start_unix(door)
+        try:
+            reader, writer = await asyncio.open_unix_connection(door)
+            writer.write(wire.encode_frame({"id": 3, "op": "cluster"}))
+            await writer.drain()
+            line = await asyncio.wait_for(reader.readline(), 5)
+            writer.close()
+        finally:
+            if router is not None:
+                await router.stop()
+            for service in services:
+                await service.drain()
+        return line
+
+    single = asyncio.run(answer(0))
+    assert wire.decode_frame(single)["error"]["code"] == wire.UNKNOWN_OP
+    assert asyncio.run(answer(2)) == single

@@ -19,7 +19,9 @@ One test per phase, each on its own server:
   controller with the slot invariants checked as the bursts land;
 * **overload** — a governed, preempting 2-worker cluster under a 2x
   priority ramp: every worker's effective alpha on the certified
-  ladder mid-run, no hard-RT rejection, every preemption audited.
+  ladder mid-run, no hard-RT rejection, every preemption audited;
+* **metrics host** — ``--metrics-host 127.0.0.2`` on a plain serve and
+  on a front door: ``/metrics`` answers there and nowhere else.
 
 Every server listens on a socket under ``tmp_path`` with its metrics
 endpoint on port 0, and is stopped by a fixture finalizer whether the
@@ -114,9 +116,9 @@ def metrics_port(server):
     return int(found.group(1))
 
 
-def http_get(port, path):
+def http_get(port, path, host="127.0.0.1"):
     """``(status, body)`` of one GET on the telemetry endpoint."""
-    url = f"http://127.0.0.1:{port}{path}"
+    url = f"http://{host}:{port}{path}"
     try:
         with urllib.request.urlopen(url, timeout=10) as resp:
             return resp.status, resp.read().decode()
@@ -282,9 +284,8 @@ def test_cluster_phase_four_workers(tmp_path, serve, loadgen):
     assert summary["connections"] == 4, summary
     assert summary["admitted"] + summary["rejected"] == 10000, summary
     with ServiceClient(socket_path=sock) as client:
-        topology = client.request("cluster")
         stats = client.stats()
-    assert topology is not None and topology["workers"] == 4, topology
+    assert stats["workers"] == stats["workers_up"] == 4, stats
     assert stats["queue_depth"] == 0, stats
     # Summed over the workers by the front door.
     assert stats["errors"] == 0, stats
@@ -498,3 +499,22 @@ def test_overload_phase_governed_cluster_rides_a_ramp(
         assert report["ok"], (shard, report["problems"])
         preempted += report["preempted"]
     assert preempted > 0, "no preempted releases in audit logs"
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_metrics_host_is_the_only_address_the_endpoint_answers(serve, workers):
+    """Off its default, ``--metrics-host`` is where ``/metrics`` listens:
+    127.0.0.2 answers, and 127.0.0.1 refuses on the same port."""
+    options = {"metrics_port": 0, "metrics_host": "127.0.0.2"}
+    if workers:
+        options["workers"] = workers
+    server = serve(f"host{workers}", **options)
+    port = metrics_port(server)
+    status, body = http_get(port, "/metrics", host="127.0.0.2")
+    assert status == 200, body
+    assert "process_start_time_seconds" in body, body
+    if workers:
+        assert f"repro_cluster_workers {workers}" in body, body
+    with pytest.raises(urllib.error.URLError) as refused:
+        http_get(port, "/metrics")
+    assert isinstance(refused.value.reason, ConnectionRefusedError)

@@ -98,9 +98,11 @@ SURFACE = (
     ),
     Row(
         "serve --workers", ("--workers", "--shard-index", "--shard-count"),
-        "Ext-L: the admitted-share price of a cluster of slot shards "
-        "(aim 2, ROADMAP 3(c))",
+        "Ext-L: the admitted-share price of a cluster of slot shards; "
+        "aim 2: its scale-out ceiling, worker over router calls per op, "
+        "held at 2x or more (ROADMAP 3(c))",
         (
+            "tests/test_work_counts.py::test_work_counts_match_their_pins",
             "tests/test_service_smoke.py::test_cluster_phase_four_workers",
             "tests/test_service_cli.py::test_serve_single_shard_worker",
             "benchmarks/test_bench_sharded_admission.py",
@@ -170,6 +172,8 @@ SURFACE = (
         (
             "benchmarks/waterfall/loadgen.py",
             "tests/test_service_smoke.py::test_v1_phase_full_telemetry",
+            "tests/test_service_smoke.py::"
+            "test_metrics_host_is_the_only_address_the_endpoint_answers",
             "tests/test_service_cli.py::"
             "test_serve_parser_defaults_are_service_config_defaults",
         ),

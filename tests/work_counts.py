@@ -6,7 +6,7 @@ and counts, with ``sys.setprofile``, the Python calls the decisions
 make.  Timing here swings 20-28 % between runs; a call count repeats
 exactly, so it is what ``tests/test_work_counts.py`` pins.
 
-Three windows, each after a warm-up that fills every cache:
+Five windows, each after a warm-up that fills every cache:
 
 * ``churn``: the memory soak's churn shape (runs of 32 admits, then the
   releases that bring the window back to 2 000 flows), bare;
@@ -15,7 +15,23 @@ Three windows, each after a warm-up that fills every cache:
   over a few thousand established flows -- bare;
 * ``bulk_audited``: the same frames with an ``AuditLog`` attached and
   observability on, which also counts the metrics-registry lookups
-  (calls of ``MetricsRegistry.counter`` / ``gauge`` / ``histogram``).
+  (calls of ``MetricsRegistry.counter`` / ``gauge`` / ``histogram``);
+* ``router`` and ``worker``: ``bulk``-shaped frames, packed as a v2
+  client sends them, through a two-worker cluster front door.
+  ``router`` counts ``ClusterRouter.begin_bulk`` (the split per owner,
+  each owner's ``B`` frame encoded), the link taking each frame off
+  its outbox, decoding each owner's ``R`` frame, and the merge and
+  encode of the client's ``R`` frame.  ``worker`` counts the two
+  ``SlotShardController`` shards deciding their halves from
+  ``AdmissionService.begin_bulk`` to their ``R`` frame;
+* ``serve``: the same packed frames decided by one plain serve from the
+  same boundary, the yardstick a worker's calls per op are read
+  against.
+
+``ceiling_x`` (worker calls over router calls per op) is the cluster's
+scale-out ceiling: the router is one process, so however many workers
+share the decisions it cannot pass ``ceiling_x`` times one worker's
+rate.  Sockets are left out on both sides of each hop.
 
 The two bare windows also count controller entries (calls of
 ``admit_batch_routed`` and ``release_batch``) and kernel entries (runs
@@ -43,16 +59,20 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro import obs
-from repro.admission import UtilizationAdmissionController
+from repro.admission import SlotShardController, UtilizationAdmissionController
 from repro.admission.base import AdmissionController
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.shortest import shortest_path_routes
+from repro.service import protocol
 from repro.service.audit import AuditLog
 from repro.service.coalescer import (
     BULK_OP_ADMIT,
     BULK_OP_RELEASE,
     MicroBatchCoalescer,
 )
+from repro.service.conn import Connection
+from repro.service.router import ClusterRouter
+from repro.service.server import AdmissionService
 from repro.topology import LinkServerGraph, mci_backbone
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import FlowSpec
@@ -71,6 +91,12 @@ BULK_ALPHA = 0.3
 BULK_FRAME_OPS = 1_024
 BULK_ESTABLISHED = 3_000
 BULK_SEED = 44
+
+CLUSTER_WORKERS = 2
+
+#: Worker calls per op over router calls per op, at least: below it the
+#: cluster cannot beat one process on any number of cores.
+MIN_CEILING_X = 2.0
 
 def _codes(cls, *names):
     return frozenset(getattr(cls, name).__code__ for name in names)
@@ -123,14 +149,15 @@ class _Counter:
         }
 
 
-def _controller(alpha: float):
+def _controller(alpha: float, cls=UtilizationAdmissionController, **shard):
     net = mci_backbone()
     pairs = all_ordered_pairs(net)
-    controller = UtilizationAdmissionController(
+    controller = cls(
         LinkServerGraph(net),
         ClassRegistry.two_class(voice_class()),
         {"voice": alpha},
         shortest_path_routes(net, pairs),
+        **shard,
     )
     return controller, pairs
 
@@ -180,8 +207,7 @@ class _BulkChurn:
     """Admits and releases interleaved at random, over a stationary
     population of established flows."""
 
-    def __init__(self, controller, pairs):
-        self.controller = controller
+    def __init__(self, pairs):
         self.pairs = pairs
         self.rng = random.Random(BULK_SEED)
         self.live: List[str] = []
@@ -210,12 +236,18 @@ class _BulkChurn:
                 entries.append((len(entries), BULK_OP_RELEASE, self.live.pop()))
         return entries
 
-    def settle(self, entries: Entries, outcomes: list) -> None:
-        for (_slot, kind, payload), outcome in zip(entries, outcomes):
-            if kind == BULK_OP_ADMIT and outcome.admitted:
+    def settle(self, entries: Entries, took_effect: List[bool]) -> None:
+        """Keep the admitted flows; every release must have released."""
+        for (_slot, kind, payload), done in zip(entries, took_effect):
+            if kind == BULK_OP_ADMIT and done:
                 self.live.append(payload.flow_id)
             elif kind == BULK_OP_RELEASE:
-                assert outcome is True, outcome
+                assert done, payload
+
+
+def _took_effect(outcomes: list) -> List[bool]:
+    """Per coalescer outcome: an admit admitted, or a release done."""
+    return [o is True or o.admitted for o in outcomes]
 
 
 def _count_churn() -> Dict[str, int]:
@@ -235,9 +267,9 @@ def _count_churn() -> Dict[str, int]:
 def _count_bulk(audit_path: str) -> Dict[str, int]:
     controller, pairs = _controller(BULK_ALPHA)
     coalescer = MicroBatchCoalescer(controller, max_delay=0.0)
-    churn = _BulkChurn(controller, pairs)
+    churn = _BulkChurn(pairs)
     fill = churn.fill()
-    churn.settle(fill, _decide(coalescer, fill))
+    churn.settle(fill, _took_effect(_decide(coalescer, fill)))
 
     def window(counter) -> int:
         ops = 0
@@ -245,7 +277,7 @@ def _count_bulk(audit_path: str) -> Dict[str, int]:
             entries = churn.frame()
             counted = i >= WARM_FRAMES
             outcomes = _decide(coalescer, entries, counter if counted else None)
-            churn.settle(entries, outcomes)
+            churn.settle(entries, _took_effect(outcomes))
             ops += len(entries) if counted else 0
         return ops
 
@@ -266,20 +298,156 @@ def _count_bulk(audit_path: str) -> Dict[str, int]:
     return out
 
 
-def count_work() -> Dict[str, int]:
-    """Every count of the three windows, as a flat ``{name: int}``
-    (each window's ``*_ops`` beside its totals).
+class _Sink:
+    """The write half of a connection, keeping what is written."""
 
-    Runs with the cycle collector off, after one collection: otherwise
-    the finalizers of garbage some earlier work left behind (asyncio
-    objects in a test session) run inside a window and are counted.
-    """
+    def __init__(self):
+        self.frames: List[bytes] = []
+
+    def write(self, frame: bytes) -> None:
+        self.frames.append(frame)
+
+    async def drain(self) -> None:
+        pass
+
+
+def _v2_conn() -> Tuple[Connection, _Sink]:
+    sink = _Sink()
+    conn = Connection(None, sink)
+    conn.proto = 2
+    return conn, sink
+
+
+def _run(coro) -> None:
+    """Drive a handler's coroutine to its end.  It must not suspend:
+    every answer it awaits is already there."""
+    try:
+        coro.send(None)
+    except StopIteration:
+        return
+    coro.close()
+    raise AssertionError("the handler waited on something")
+
+
+def _packed_of(entries: Entries) -> list:
+    """``entries`` as the packed sub-ops a v2 client sends."""
+    return [
+        [protocol.BULK_ADMIT, f.flow_id, f.class_name, f.source,
+         f.destination, None]
+        if kind == BULK_OP_ADMIT
+        else [protocol.BULK_RELEASE, f]
+        for _slot, kind, f in entries
+    ]
+
+
+def _slots(frame: bytes) -> list:
+    """The slots of one ``R`` frame."""
+    tag, body = protocol.decode_payload_v2(
+        frame[protocol.FRAME_HEADER_BYTES:]
+    )
+    assert tag == protocol.TAG_RESULTS, tag
+    return protocol.parse_bulk_request(body)[1]
+
+
+class _Cluster:
+    """A front door over two shard services, in one process: each
+    owner's ``B`` frame is handed to its service and the ``R`` frame it
+    writes back settles the link, as the sockets would."""
+
+    def __init__(self):
+        self.services = [
+            AdmissionService(_controller(
+                BULK_ALPHA, SlotShardController,
+                shard_index=i, shard_count=CLUSTER_WORKERS,
+            )[0])
+            for i in range(CLUSTER_WORKERS)
+        ]
+        self.router = ClusterRouter(
+            [f"worker-{i}.sock" for i in range(CLUSTER_WORKERS)]
+        )
+        self.rid = 0
+
+    def decide(self, subops: list, router=None, worker=None) -> list:
+        self.rid += 1
+        client, sink = _v2_conn()
+        sys.setprofile(router)
+        pending = self.router.begin_bulk(client, self.rid, subops, None)
+        sys.setprofile(None)
+        for link, service in zip(self.router.links, self.services):
+            while not link._outbox.empty():
+                sys.setprofile(router)
+                rid, frame, future = link._outbox.get_nowait()
+                link._pending[rid] = future
+                sys.setprofile(None)
+                tag, body = protocol.decode_payload_v2(
+                    frame[protocol.FRAME_HEADER_BYTES:]
+                )
+                assert tag == protocol.TAG_BULK, tag
+                conn, answer = _v2_conn()
+                sys.setprofile(worker)
+                _run(service.begin_bulk(conn, rid, body[1], None))
+                sys.setprofile(None)
+                (reply,) = answer.frames
+                sys.setprofile(router)
+                link._settle(
+                    {"id": rid, "ok": True, "_packed": _slots(reply)}
+                )
+                sys.setprofile(None)
+        sys.setprofile(router)
+        _run(pending)
+        sys.setprofile(None)
+        (reply,) = sink.frames
+        return _slots(reply)
+
+
+def _serve(service: AdmissionService, subops: list, rid: int,
+           counter=None) -> list:
+    conn, sink = _v2_conn()
+    sys.setprofile(counter)
+    _run(service.begin_bulk(conn, rid, subops, None))
+    sys.setprofile(None)
+    (reply,) = sink.frames
+    return _slots(reply)
+
+
+def _count_cluster() -> Dict[str, int]:
+    """The ``router``, ``worker`` and ``serve`` windows.  The frames
+    follow the cluster's answers; the plain serve decides the same
+    packed frames."""
+    cluster = _Cluster()
+    single = AdmissionService(_controller(BULK_ALPHA)[0])
+    churn = _BulkChurn(all_ordered_pairs(mci_backbone()))
+    router, worker, serve = _Counter(), _Counter(), _Counter()
+    ops = 0
+    for i in range(1 + WARM_FRAMES + COUNTED_FRAMES):
+        entries = churn.fill() if i == 0 else churn.frame()
+        subops = _packed_of(entries)
+        counted = i > WARM_FRAMES
+        slots = cluster.decide(
+            subops, router if counted else None, worker if counted else None
+        )
+        _serve(single, subops, i, serve if counted else None)
+        churn.settle(entries, [
+            slot[0] in (protocol.SLOT_ADMITTED, protocol.SLOT_RELEASED)
+            for slot in slots
+        ])
+        ops += len(entries) if counted else 0
+    return {
+        "cluster_ops": ops,
+        "router_calls": router.calls,
+        "worker_calls": worker.calls,
+        "serve_calls": serve.calls,
+    }
+
+
+def _quiet(windows) -> Dict[str, int]:
+    """``windows()`` run in an event loop with the cycle collector off,
+    after one collection: otherwise the finalizers of garbage some
+    earlier work left behind (asyncio objects in a test session) run
+    inside a window and are counted."""
 
     async def run() -> Dict[str, int]:
-        with tempfile.TemporaryDirectory() as tmp:
-            counts = _count_churn()
-            counts.update(_count_bulk(os.path.join(tmp, "audit.jsonl")))
-        return counts
+        return windows()
 
     enabled = gc.isenabled()
     gc.collect()
@@ -289,6 +457,30 @@ def count_work() -> Dict[str, int]:
     finally:
         if enabled:
             gc.enable()
+
+
+def count_work() -> Dict[str, int]:
+    """Every count of the five windows, as a flat ``{name: int}``
+    (each window's ``*_ops`` beside its totals)."""
+
+    def windows() -> Dict[str, int]:
+        with tempfile.TemporaryDirectory() as tmp:
+            counts = _count_churn()
+            counts.update(_count_bulk(os.path.join(tmp, "audit.jsonl")))
+            counts.update(_count_cluster())
+        return counts
+
+    return _quiet(windows)
+
+
+def count_cluster() -> Dict[str, int]:
+    """The ``router``, ``worker`` and ``serve`` windows alone."""
+    return _quiet(_count_cluster)
+
+
+def ceiling_x(counts: Dict[str, int]) -> float:
+    """Worker calls per op over router calls per op."""
+    return counts["worker_calls"] / counts["router_calls"]
 
 
 def per_op(counts: Dict[str, int]) -> Dict[str, float]:
@@ -306,6 +498,9 @@ def per_op(counts: Dict[str, int]) -> Dict[str, float]:
             name = f"{window}_{what}"
             if name in counts:
                 rates[name + suffix] = scale * counts[name] / ops
+    for window in ("router", "worker", "serve"):
+        calls = counts[f"{window}_calls"]
+        rates[f"{window}_calls"] = calls / counts["cluster_ops"]
     return rates
 
 
@@ -313,6 +508,7 @@ if __name__ == "__main__":
     found = count_work()
     print(json.dumps(
         {"key": interpreter_key(), "counts": found,
-         "per_op": {k: round(v, 3) for k, v in per_op(found).items()}},
+         "per_op": {k: round(v, 3) for k, v in per_op(found).items()},
+         "ceiling_x": round(ceiling_x(found), 3)},
         indent=2,
     ))
