@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +19,7 @@ from ..errors import (
 from ..obs import DEFAULT_ITERATION_BUCKETS, NULL_SPAN, OBS
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
-from ..traffic.flows import PRIORITY_TAGS, FlowSpec, route_fault
+from ..traffic.flows import PRIORITY_TAGS, FlowSpec, frozen_record, route_fault
 from .flowtable import FlowTable, Pair, Record
 
 __all__ = ["AdmissionDecision", "AdmissionController"]
@@ -68,9 +68,10 @@ def _reason_key(reason: str) -> str:
     return "other"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AdmissionDecision:
-    """Outcome of one admission attempt.
+    """Outcome of one admission attempt (slotted: a frame holds one
+    per admit until its response is written).
 
     Attributes
     ----------
@@ -96,6 +97,13 @@ class AdmissionDecision:
     reason: str
     decision_seconds: float
     batch_size: int = 1
+
+
+# The slot stores of the hot constructor in ``admit_batch_routed``, in
+# field order.
+_SET_FLOW_ID, _SET_ADMITTED, _SET_REASON, _SET_SECONDS, _SET_BATCH = (
+    getattr(AdmissionDecision, name).__set__ for name in AdmissionDecision.__slots__
+)
 
 
 class AdmissionController(abc.ABC):
@@ -270,18 +278,17 @@ class AdmissionController(abc.ABC):
         admitted = sum(1 for ok, _ in outcomes if ok)
         decisions: List[AdmissionDecision] = []
         append = decisions.append
-        # Hot loop: __new__ + direct __dict__ stores skip the frozen
-        # dataclass __init__ (which pays object.__setattr__ per field,
-        # ~2x the whole construction cost at 1M decisions).
+        # Hot loop: __new__ + direct slot stores skip the frozen
+        # dataclass __init__ (a Python call paying object.__setattr__
+        # per field, ~2x the whole construction cost).
         new = AdmissionDecision.__new__
         for flow, (ok, reason) in zip(flows, outcomes):
             decision = new(AdmissionDecision)
-            d = decision.__dict__
-            d["decision_seconds"] = elapsed
-            d["batch_size"] = batch
-            d["flow_id"] = flow.flow_id
-            d["admitted"] = ok
-            d["reason"] = reason
+            _SET_SECONDS(decision, elapsed)
+            _SET_BATCH(decision, batch)
+            _SET_FLOW_ID(decision, flow.flow_id)
+            _SET_ADMITTED(decision, ok)
+            _SET_REASON(decision, reason)
             append(decision)
         # The batch shares one wall-clock measurement, so its amortized
         # per-request costs sum to exactly ``elapsed``.

@@ -77,7 +77,7 @@ class UtilizationLedger:
             self._capacity[name] = slots
             self._capacity_full[name] = slots.copy()
             self._used[name] = np.zeros(graph.num_servers, dtype=np.int64)
-        if np.any(total > 1.0 + 1e-12):
+        if (total > 1.0 + 1e-12).any():
             raise AdmissionError(
                 "sum of class utilizations exceeds link capacity"
             )
@@ -145,7 +145,7 @@ class UtilizationLedger:
                 f"capacity vector shape {arr.shape} != "
                 f"({self.graph.num_servers},)"
             )
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise AdmissionError("slot capacity must be non-negative")
         self._capacity_full[class_name] = arr.copy()
         self._recompute_effective()
@@ -177,25 +177,33 @@ class UtilizationLedger:
         """
         self._check_class(class_name)
         idx = np.asarray(servers, dtype=np.int64)
-        return bool(
-            np.all(
-                self._used[class_name][idx] < self._capacity[class_name][idx]
-            )
-        )
+        fits = self._used[class_name][idx] < self._capacity[class_name][idx]
+        return bool(fits.all())
+
+    def try_reserve(self, class_name: str, servers: Sequence[int]) -> bool:
+        """Reserve one slot on every listed server if each has one free.
+
+        The run-time admission test and its commit in one pass: True
+        with the slots held, or False with the ledger unchanged (never
+        a partial reservation).
+        """
+        self._check_class(class_name)
+        idx = np.asarray(servers, dtype=np.int64)
+        used = self._used[class_name]
+        if not (used[idx] < self._capacity[class_name][idx]).all():
+            return False
+        used[idx] += 1
+        return True
 
     def reserve(self, class_name: str, servers: Sequence[int]) -> None:
         """Atomically reserve one slot on every listed server.
 
         Raises :class:`AdmissionError` (leaving the ledger unchanged) if
-        any server is full — callers should test :meth:`available` first;
-        the raise protects against races/misuse.
+        any server is full; :meth:`try_reserve` is the same commit
+        answering False instead.
         """
-        if not self.available(class_name, servers):
-            raise AdmissionError(
-                f"no free {class_name!r} slot on some server of the path"
-            )
-        idx = np.asarray(servers, dtype=np.int64)
-        self._used[class_name][idx] += 1
+        if not self.try_reserve(class_name, servers):
+            raise AdmissionError(f"no free {class_name!r} slot on some server of the path")
 
     def commit_flat(
         self, class_name: str, servers: np.ndarray, n_flows: int
@@ -227,7 +235,7 @@ class UtilizationLedger:
         used = self._used[class_name]
         idx = np.asarray(servers, dtype=np.int64)
         counts = np.bincount(idx, minlength=used.size)
-        if np.any(used < counts):
+        if (used < counts).any():
             raise AdmissionError(
                 f"releasing unreserved {class_name!r} slot"
             )
@@ -237,7 +245,7 @@ class UtilizationLedger:
         """Release one slot on every listed server."""
         self._check_class(class_name)
         idx = np.asarray(servers, dtype=np.int64)
-        if np.any(self._used[class_name][idx] <= 0):
+        if (self._used[class_name][idx] <= 0).any():
             raise AdmissionError(
                 f"releasing unreserved {class_name!r} slot"
             )

@@ -74,6 +74,12 @@ class UtilizationAdmissionController(AdmissionController):
             c.name: self._class_codes[c.name]
             for c in registry.realtime_classes()
         }
+        # What a flow whose path has a full server is told, per slot
+        # class: one wording for the sequential and the batch path.
+        self._full = {
+            name: (False, f"utilization limit reached for class {name!r} on the path")
+            for name in self._slot_classes
+        }
 
     def _check_class(self, class_name: str) -> None:
         # A real-time class registered after this controller was built
@@ -97,12 +103,8 @@ class UtilizationAdmissionController(AdmissionController):
         # guaranteed, no slot held.
         servers = self.servers_for(flow, route)
         if flow.class_name in self._slot_classes:
-            if not self.ledger.available(flow.class_name, servers):
-                return False, (
-                    f"utilization limit reached for class "
-                    f"{flow.class_name!r} on the path"
-                )
-            self.ledger.reserve(flow.class_name, servers)
+            if not self.ledger.try_reserve(flow.class_name, servers):
+                return self._full[flow.class_name]
         self._establish(flow, servers)
         return _ADMITTED
 
@@ -161,11 +163,7 @@ class UtilizationAdmissionController(AdmissionController):
                 )
             if n_ok < len(members):
                 admitted[members] = ok
-                rejected = (
-                    False,
-                    f"utilization limit reached for class {name!r} "
-                    "on the path",
-                )
+                rejected = self._full[name]
                 for r in np.flatnonzero(~ok).tolist():
                     outcomes[members[r]] = rejected
         # One flow-table write for the whole batch, in batch order:

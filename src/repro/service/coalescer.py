@@ -91,13 +91,10 @@ MAX_BATCH = 1024
 
 logger = logging.getLogger("repro.service")
 
-_ADMIT = "admit"
-_RELEASE = "release"
-
-#: Public aliases for the bulk-entry ``kind`` field of
-#: :meth:`MicroBatchCoalescer.submit_bulk`.
-BULK_OP_ADMIT = _ADMIT
-BULK_OP_RELEASE = _RELEASE
+#: The ``kind`` of an :data:`Entry` (what
+#: :meth:`MicroBatchCoalescer.submit_bulk` takes): an admit or a release.
+BULK_OP_ADMIT = "admit"
+BULK_OP_RELEASE = "release"
 
 
 class _Stamp:
@@ -133,24 +130,28 @@ class _Stamp:
         self.batch_hex: Optional[str] = None
 
 
+#: One op as submitted and decided: ``(slot, kind, payload)`` — its
+#: slot in the frame, :data:`BULK_OP_ADMIT` or :data:`BULK_OP_RELEASE`,
+#: and a :class:`FlowSpec` for an admit or a flow id for a release.
+Entry = Tuple[int, str, Any]
+
+
 class _Op(_Stamp):
     """One queued op: an admit or a release."""
 
-    __slots__ = ("kind", "payload", "future", "trace")
+    __slots__ = ("entry", "future", "trace")
 
     def __init__(
         self,
-        kind: str,
+        entry: Entry,
         future: Union[asyncio.Future, _SlotFuture],
-        payload: Any = None,
         trace: Optional[dict] = None,
         span_hex: Optional[str] = None,
         enqueued_at: Optional[float] = None,
     ):
         super().__init__(span_hex, enqueued_at)
-        self.kind = kind
-        #: A :class:`FlowSpec` for an admit, a flow id for a release.
-        self.payload = payload
+        #: The submitted entry itself, which :meth:`_decide` reads.
+        self.entry = entry
         self.future = future
         #: The frame's wire trace object (``TraceContext.to_obj()``).
         self.trace = trace
@@ -331,12 +332,12 @@ class MicroBatchCoalescer:
         to its :class:`~repro.admission.base.AdmissionDecision` (or an
         :class:`~repro.errors.AdmissionError`-family exception, exactly
         where the sequential API would raise)."""
-        return self._submit_lone(_ADMIT, flow)
+        return self._submit_lone(BULK_OP_ADMIT, flow)
 
     def submit_release(self, flow_id: Hashable) -> "asyncio.Future":
         """Submit a release as a frame of one; the future resolves to
         ``True``."""
-        return self._submit_lone(_RELEASE, flow_id)
+        return self._submit_lone(BULK_OP_RELEASE, flow_id)
 
     def _submit_lone(self, kind: str, payload: Any) -> "asyncio.Future":
         slots = _LoneSlot(1, self)
@@ -354,7 +355,7 @@ class MicroBatchCoalescer:
     ) -> None:
         """Enqueue one bulk admit; the outcome lands in ``slots``."""
         self._submit_slot(
-            _Op(_ADMIT, _SlotFuture(slots, index), flow), slots
+            _Op((index, BULK_OP_ADMIT, flow), _SlotFuture(slots, index)), slots
         )
 
     def submit_bulk_release(
@@ -362,23 +363,25 @@ class MicroBatchCoalescer:
     ) -> None:
         """Enqueue one bulk release; the outcome lands in ``slots``."""
         self._submit_slot(
-            _Op(_RELEASE, _SlotFuture(slots, index), flow_id), slots
+            _Op((index, BULK_OP_RELEASE, flow_id), _SlotFuture(slots, index)), slots
         )
 
     def submit_bulk(
         self,
         slots: BulkSlots,
-        entries: List[Tuple[int, str, Any]],
+        entries: List[Entry],
         *,
         trace: Optional[TraceContext] = None,
         span_hex: Optional[str] = None,
     ) -> List[_Stamp]:
         """Submit one frame's ops, deciding them inline when safe.
 
-        ``entries`` are ``(slot_index, kind, payload)`` triples in frame
-        order — a :class:`FlowSpec` payload for admits, a flow id for
-        releases; slots the server failed during decode are already
-        filled and simply absent here.  ``trace`` / ``span_hex`` are the
+        ``entries`` are :data:`Entry` triples ``(slot_index, kind,
+        payload)`` in frame order — a :class:`FlowSpec` payload for
+        admits, a flow id for releases; slots the server failed during
+        decode are already filled and simply absent here.  They are the
+        one record per op: :meth:`_decide` reads them as they are, and a
+        queued op keeps its entry.  ``trace`` / ``span_hex`` are the
         frame's wire trace context and request span (the audit log and
         the batch span read them); the context is converted to its wire
         object once, here, for every op of the frame.
@@ -391,12 +394,13 @@ class MicroBatchCoalescer:
         every undecided op is exactly this frame's order, and batch
         *composition* never affects decisions (the batch kernels are
         sequential-identical by the differential contract) — only op
-        order does.  The frame is chunked by :data:`MAX_BATCH` so the
-        documented per-batch bound holds.  Only ordering (an undecided
-        op ahead of the frame) and the pause/stop staging controls
-        queue one op per entry instead; an audit log or observability
-        never does, because ``_decide`` writes the audit frame and the
-        batch telemetry wherever it runs.
+        order does.  A frame larger than :data:`MAX_BATCH` is decided
+        in chunks of that many, so the documented per-batch bound holds;
+        one that fits is decided as it is, not copied.  Only ordering
+        (an undecided op ahead of the frame) and the pause/stop staging
+        controls queue one op per entry instead; an audit log or
+        observability never does, because ``_decide`` writes the audit
+        frame and the batch telemetry wherever it runs.
 
         Returns the telemetry stamps of the frame: one per inline chunk,
         or the queued ops themselves, so the server's request span can
@@ -410,13 +414,11 @@ class MicroBatchCoalescer:
         if self.pending == 0 and self._paused.is_set():
             outcomes = slots.outcomes
             stamps = []
+            whole = len(entries) <= MAX_BATCH
             for start in range(0, len(entries), MAX_BATCH):
-                chunk = entries[start : start + MAX_BATCH]
+                chunk = entries if whole else entries[start : start + MAX_BATCH]
                 stamp = _Stamp(span_hex)
-                decided = self._decide(
-                    [(kind, payload, wire) for _, kind, payload in chunk],
-                    (stamp,),
-                )
+                decided = self._decide(chunk, [wire] * len(chunk), (stamp,))
                 for entry, outcome in zip(chunk, decided):
                     outcomes[entry[0]] = outcome
                 stamps.append(stamp)
@@ -424,14 +426,13 @@ class MicroBatchCoalescer:
         enqueued_at = time.perf_counter()
         ops = [
             _Op(
-                kind,
-                _SlotFuture(slots, index),
-                payload,
+                entry,
+                _SlotFuture(slots, entry[0]),
                 trace=wire,
                 span_hex=span_hex,
                 enqueued_at=enqueued_at,
             )
-            for index, kind, payload in entries
+            for entry in entries
         ]
         for op in ops:
             self._submit_slot(op, slots)
@@ -516,7 +517,7 @@ class MicroBatchCoalescer:
         settle every future from its outcome, and record how long each
         decided op waited in the queue."""
         outcomes = self._decide(
-            [(op.kind, op.payload, op.trace) for op in ops], ops
+            [op.entry for op in ops], [op.trace for op in ops], ops
         )
         for op, outcome in zip(ops, outcomes):
             _settle(op.future, outcome)
@@ -527,15 +528,15 @@ class MicroBatchCoalescer:
 
     def _decide(
         self,
-        ops: List[Tuple[str, Any, Optional[dict]]],
+        ops: Sequence[Entry],
+        traces: Sequence[Optional[dict]],
         stamps: Sequence[_Stamp] = (),
     ) -> List[object]:
         """The one decision step: ordered ops in, ordered outcomes out.
 
-        ``ops`` are ``(kind, payload, trace)`` triples — a
-        :class:`FlowSpec` for an admit, a flow id for a release, the
-        wire object of the caller's trace context (only the audit
-        entries read it).
+        ``ops`` are the submitted :data:`Entry` triples (their slot is
+        not read here); ``traces[i]`` is the wire object of op ``i``'s
+        trace context (only the audit entries read it).
         The result holds, op for op, the
         :class:`~repro.admission.base.AdmissionDecision`, ``True`` for
         a release, or the exception the sequential API would have
@@ -566,10 +567,10 @@ class MicroBatchCoalescer:
         try:
             while i < n:
                 lo = i
-                if ops[i][0] == _ADMIT:
+                if ops[i][1] == BULK_OP_ADMIT:
                     seen: set = set()
-                    while i < n and ops[i][0] == _ADMIT:
-                        fid = ops[i][1].flow_id
+                    while i < n and ops[i][1] == BULK_OP_ADMIT:
+                        fid = ops[i][2].flow_id
                         if fid in seen:
                             # Split: this attempt must see the earlier
                             # occurrence's committed outcome first.
@@ -577,12 +578,12 @@ class MicroBatchCoalescer:
                         seen.add(fid)
                         i += 1
                     runs += 1
-                    self._admit_run(ops[lo:i], lo, outcomes, entries)
+                    self._admit_run(ops, traces, range(lo, i), outcomes, entries)
                 else:
-                    while i < n and ops[i][0] == _RELEASE:
+                    while i < n and ops[i][1] == BULK_OP_RELEASE:
                         i += 1
                     runs += 1
-                    self._release_run(ops[lo:i], lo, outcomes, entries)
+                    self._release_run(ops, traces, range(lo, i), outcomes, entries)
         except Exception as exc:
             logger.exception("batch decision failed; failing batch")
             for j in range(n):
@@ -613,7 +614,7 @@ class MicroBatchCoalescer:
 
     def _record_step(
         self,
-        ops: List[Tuple[str, Any, Optional[dict]]],
+        ops: Sequence[Entry],
         stamps: Sequence[_Stamp],
         t_start: float,
         now: float,
@@ -625,8 +626,8 @@ class MicroBatchCoalescer:
         it decided for.  Returns the span's id.  The batch and
         preemption counts are :attr:`batches` and ``preempted_*``,
         which the server's scrape reads."""
-        kinds = [op[0] for op in ops]
-        admits, releases = kinds.count(_ADMIT), kinds.count(_RELEASE)
+        kinds = [op[1] for op in ops]
+        admits, releases = kinds.count(BULK_OP_ADMIT), kinds.count(BULK_OP_RELEASE)
         reg = OBS.registry
         reg.histogram(
             "repro_service_batch_fill", buckets=DEFAULT_ITERATION_BUCKETS
@@ -657,13 +658,14 @@ class MicroBatchCoalescer:
 
     def _admit_run(
         self,
-        run: List[Tuple[str, Any, Optional[dict]]],
-        lo: int,
+        ops: Sequence[Entry],
+        traces: Sequence[Optional[dict]],
+        run: range,
         outcomes: List[object],
         entries: Optional[List[bytes]],
     ) -> None:
-        """One ``admit_batch_routed`` call for ``run`` (ops ``lo...`` of
-        the batch), after filtering the requests the sequential API
+        """One ``admit_batch_routed`` call for the ops at the positions
+        ``run``, after filtering the requests the sequential API
         refuses with an exception — each fails alone, with that
         exception, and never reaches the controller's state.  Audit
         entries go to ``entries`` (``None``: no audit log)."""
@@ -673,14 +675,15 @@ class MicroBatchCoalescer:
         indices: List[int] = []
         flows: List[FlowSpec] = []
         routes: List = []
-        for i, (_kind, flow, trace) in enumerate(run, lo):
+        for i in run:
+            flow = ops[i][2]
             try:
                 route = check_admit(flow)
             except ReproError as exc:
                 outcomes[i] = exc
                 if entries is not None:
                     entries.append(audit.admit_entry(
-                        flow, False, error=str(exc), trace=trace
+                        flow, False, error=str(exc), trace=traces[i]
                     ))
                 continue
             indices.append(i)
@@ -702,7 +705,7 @@ class MicroBatchCoalescer:
                         flow,
                         False,
                         error=f"{type(exc).__name__}: {exc}",
-                        trace=run[i - lo][2],
+                        trace=traces[i],
                     ))
             return
         rescues: Dict[int, Tuple[Hashable, ...]] = {}
@@ -716,7 +719,7 @@ class MicroBatchCoalescer:
             self._admit_entries(
                 flows,
                 routes,
-                [run[i - lo][2] for i in indices],
+                [traces[i] for i in indices],
                 decisions,
                 rescues,
                 entries,
@@ -804,19 +807,21 @@ class MicroBatchCoalescer:
 
     def _release_run(
         self,
-        run: List[Tuple[str, Any, Optional[dict]]],
-        lo: int,
+        ops: Sequence[Entry],
+        traces: Sequence[Optional[dict]],
+        run: range,
         outcomes: List[object],
         entries: Optional[List[bytes]],
     ) -> None:
-        """One ``release_batch`` call for ``run`` (ops ``lo...`` of the
-        batch), after failing the ids the sequential API would."""
+        """One ``release_batch`` call for the ops at the positions
+        ``run``, after failing the ids the sequential API would."""
         audit: AuditLog = self.audit  # type: ignore[assignment]  # only with entries
         controller = self.controller
         indices: List[int] = []
         fids: List[Hashable] = []
         run_ids: set = set()
-        for i, (_kind, fid, trace) in enumerate(run, lo):
+        for i in run:
+            fid = ops[i][2]
             if controller.is_established(fid) and fid not in run_ids:
                 run_ids.add(fid)
                 indices.append(i)
@@ -832,7 +837,7 @@ class MicroBatchCoalescer:
                         fid,
                         False,
                         error="not established",
-                        trace=trace,
+                        trace=traces[i],
                     ))
         if not fids:
             return
@@ -850,7 +855,7 @@ class MicroBatchCoalescer:
                     fid,
                     error is None,
                     error=error,
-                    trace=run[i - lo][2],
+                    trace=traces[i],
                 ))
 
 

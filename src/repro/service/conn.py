@@ -279,16 +279,21 @@ class ConnectionLayer:
                     conn.proto = 2
                     return True
                 continue
-            self.counts["requests"] += 1
-            ctx = self.handler.frame_context()
-            try:
-                request = protocol.parse_request(
-                    line, max_bytes=self.max_frame_bytes
-                )
-            except ProtocolError as exc:
-                self._refuse(conn, None, exc)
-                continue
-            self._begin_request(conn, request, ctx)
+            self._begin_v1(conn, line)
+            # Handed off: the frame now lives only as long as its
+            # request task, not while the next one is read.
+            del line
+
+    def _begin_v1(self, conn: Connection, line: bytes) -> None:
+        """Decode one delimited v1 line and begin its request."""
+        self.counts["requests"] += 1
+        ctx = self.handler.frame_context()
+        try:
+            request = protocol.parse_request(line, max_bytes=self.max_frame_bytes)
+        except ProtocolError as exc:
+            self._refuse(conn, None, exc)
+            return
+        self._begin_request(conn, request, ctx)
 
     async def _read_v2(self, conn: Connection) -> None:
         """Length-prefixed binary frame loop (after negotiation)."""
@@ -301,30 +306,31 @@ class ConnectionLayer:
                 return
             if payload is None:
                 return
-            self.counts["requests"] += 1
-            ctx = self.handler.frame_context()
-            try:
-                tag, obj = protocol.decode_payload_v2(
-                    payload, max_bytes=self.max_frame_bytes
+            self._begin_v2(conn, payload)
+            del payload  # as in _read_v1: held by its request task only
+
+    def _begin_v2(self, conn: Connection, payload: bytes) -> None:
+        """Decode one delimited v2 payload and begin its request."""
+        self.counts["requests"] += 1
+        ctx = self.handler.frame_context()
+        try:
+            tag, obj = protocol.decode_payload_v2(payload, max_bytes=self.max_frame_bytes)
+            if tag == protocol.TAG_RESULTS:
+                raise ProtocolError(
+                    protocol.BAD_REQUEST,
+                    "unexpected bulk-response frame from a client",
                 )
-                if tag == protocol.TAG_RESULTS:
-                    raise ProtocolError(
-                        protocol.BAD_REQUEST,
-                        "unexpected bulk-response frame from a client",
-                    )
-                if tag == protocol.TAG_JSON:
-                    obj = protocol.request_from_obj(obj)
-            except ProtocolError as exc:
-                # Well-delimited, so the stream is still in sync.
-                self._refuse(conn, None, exc)
-                continue
             if tag == protocol.TAG_JSON:
-                self._begin_request(conn, obj, ctx)
-            else:
-                rid, subops = protocol.parse_bulk_request(obj)
-                self._begin(
-                    conn, rid, self.handler.begin_bulk, rid, subops, ctx
-                )
+                obj = protocol.request_from_obj(obj)
+        except ProtocolError as exc:
+            # Well-delimited, so the stream is still in sync.
+            self._refuse(conn, None, exc)
+            return
+        if tag == protocol.TAG_JSON:
+            self._begin_request(conn, obj, ctx)
+        else:
+            rid, subops = protocol.parse_bulk_request(obj)
+            self._begin(conn, rid, self.handler.begin_bulk, rid, subops, ctx)
 
     def _peek_hello(self, line: bytes) -> Optional[protocol.Request]:
         """The parsed request iff this line is a ``hello``."""

@@ -447,6 +447,11 @@ def parse_bulk_request(obj: Any) -> Tuple[RequestId, list]:
 
 
 _FLOW_NEW = FlowSpec.__new__
+# The slot stores of the route-less fast path in ``bulk_admit_flow``,
+# in field order.
+_SET_ID, _SET_CLASS, _SET_SRC, _SET_DST, _SET_ROUTE, _SET_PRI = (
+    getattr(FlowSpec, name).__set__ for name in FlowSpec.__slots__
+)
 
 
 def bulk_admit_flow(sub: list) -> FlowSpec:
@@ -484,23 +489,22 @@ def bulk_admit_flow(sub: list) -> FlowSpec:
     if route is None:
         # Hot path: a frozen dataclass pays ``object.__setattr__`` per
         # field in ``__init__``, so the common route-less flow is built
-        # through ``__dict__`` directly.  With no pinned route the only
-        # ``__post_init__`` rule left is the endpoint-distinctness
-        # check, replicated here with the identical message.
+        # through its slot descriptors directly.  With no pinned route
+        # the only ``__post_init__`` rule left is the
+        # endpoint-distinctness check, replicated here with the
+        # identical message.
         if src == dst:
             raise ProtocolError(
                 BAD_REQUEST,
                 f"flow {fid!r}: source equals destination ({src!r})",
             )
         flow = _FLOW_NEW(FlowSpec)
-        flow.__dict__.update(
-            flow_id=fid,
-            class_name=cls,
-            source=src,
-            destination=dst,
-            route=None,
-            priority=pri,
-        )
+        _SET_ID(flow, fid)
+        _SET_CLASS(flow, cls)
+        _SET_SRC(flow, src)
+        _SET_DST(flow, dst)
+        _SET_ROUTE(flow, None)
+        _SET_PRI(flow, pri)
         return flow
     try:
         return FlowSpec(fid, cls, src, dst, tuple(route), pri)

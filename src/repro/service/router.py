@@ -50,6 +50,7 @@ from typing import (
     Coroutine,
     Dict,
     Hashable,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -115,12 +116,30 @@ class HashRing:
 
     def worker_of(self, flow_id: Hashable) -> int:
         """Index of the worker owning a flow id."""
-        # Type-tagged so the str "1" and the int 1 (both legal wire
-        # flow ids) hash independently.
-        tag = "s" if isinstance(flow_id, str) else "i"
-        h = _hash64(f"{DEFAULT_RING_SALT}#{tag}:{flow_id}")
-        i = bisect.bisect_right(self._hashes, h) % len(self._hashes)
-        return self._owners[i]
+        return self.workers_of((flow_id,))[0]
+
+    def workers_of(self, flow_ids: Iterable[Any]) -> List[int]:
+        """Index of the worker owning each flow id, in order (a frame's
+        owners in one call).
+
+        Only a wire flow id — a string or an integer — is hashed;
+        anything else goes to worker 0: no worker accepts it, and each
+        refuses it with the single server's bytes.
+        """
+        hashes, owners = self._hashes, self._owners
+        found = []
+        for fid in flow_ids:
+            # Type-tagged so the str "1" and the int 1 hash independently.
+            if isinstance(fid, str):
+                tag = "s"
+            elif isinstance(fid, int) and not isinstance(fid, bool):
+                tag = "i"
+            else:
+                found.append(0)
+                continue
+            h = _hash64(f"{DEFAULT_RING_SALT}#{tag}:{fid}")
+            found.append(owners[bisect.bisect_right(hashes, h) % len(hashes)])
+        return found
 
 
 class WorkerLink:
@@ -348,9 +367,12 @@ _STATUS_RANK = {"ok": 0, "degraded": 1, "draining": 2}
 _Split = Tuple[int, List[Tuple[int, List[int], Any]]]
 
 
-def _packed_flow_id(sub: Any) -> Any:
-    """The flow id a packed sub-op names (``sub[1]``), or None."""
-    return sub[1] if isinstance(sub, list) and len(sub) > 1 else None
+def _packed_flow_ids(subops: list) -> list:
+    """The flow id each packed sub-op names (``sub[1]``), or None."""
+    return [
+        sub[1] if isinstance(sub, list) and len(sub) > 1 else None
+        for sub in subops
+    ]
 
 
 def _v1_flow_id(sub: Any, op: Optional[str] = None) -> Any:
@@ -499,7 +521,11 @@ class ClusterRouter:
                 conn,
             )
         return self._send_bulk(
-            conn, rid, self._split(subops, _packed_flow_id, WorkerLink.call_bulk)
+            conn,
+            rid,
+            self._split(
+                subops, _packed_flow_ids(subops), WorkerLink.call_bulk
+            ),
         )
 
     async def _send_bulk(
@@ -515,18 +541,6 @@ class ClusterRouter:
     def _owner(self, flow_id: Any) -> WorkerLink:
         fid = protocol.validate_flow_id(flow_id)
         return self.links[self.ring.worker_of(fid)]
-
-    def _worker_of(self, flow_id: Any) -> int:
-        """Index of the worker owning ``flow_id``.
-
-        An id no worker accepts goes to worker 0: a refused op never
-        touches admission state, so any worker's refusal is the same
-        bytes as the single server's.
-        """
-        try:
-            return self.ring.worker_of(protocol.validate_flow_id(flow_id))
-        except ProtocolError:
-            return 0
 
     def _begin(self, request: protocol.Request) -> Any:
         """Synchronous routing of one request.
@@ -562,7 +576,9 @@ class ClusterRouter:
                 rid, protocol.UNAVAILABLE, "cluster is draining"
             )
         if op == "admit":
-            link = self.links[self._worker_of(_v1_flow_id(body, "admit"))]
+            # An id no worker accepts goes to worker 0 (HashRing.
+            # workers_of): a refused op never touches admission state.
+            link = self.links[self.ring.worker_of(_v1_flow_id(body, "admit"))]
             return self._forward(link, op, body)
         if op in ("release", "query"):
             if "flow_id" not in body:
@@ -582,24 +598,27 @@ class ClusterRouter:
         # be packed (or carries a trace) goes as a carrier ``batch``.
         packed = None if extra else protocol.pack_batch_ops(ops)
         if packed is not None:
-            return self._split(packed, _packed_flow_id, WorkerLink.call_bulk)
+            return self._split(
+                packed, _packed_flow_ids(packed), WorkerLink.call_bulk
+            )
         return self._split(
             ops,
-            _v1_flow_id,
+            [_v1_flow_id(sub) for sub in ops],
             lambda link, subs: link.call("batch", {"ops": subs, **extra}),
         )
 
     def _split(
         self,
         subops: list,
-        flow_id_of: Callable[[Any], Any],
+        flow_ids: list,
         call: Callable[[WorkerLink, list], Any],
     ) -> _Split:
         """Forward a frame's sub-ops, as they are, in one ``call`` per
-        owning worker."""
+        owning worker; ``flow_ids[i]`` is the id sub-op ``i`` names (or
+        None)."""
         per_worker: Dict[int, Tuple[List[int], list]] = {}
-        for slot, sub in enumerate(subops):
-            w = self._worker_of(flow_id_of(sub))
+        owners = self.ring.workers_of(flow_ids)
+        for slot, (sub, w) in enumerate(zip(subops, owners)):
             part = per_worker.get(w)
             if part is None:
                 part = per_worker[w] = ([], [])
@@ -619,12 +638,15 @@ class ClusterRouter:
         """The frame's packed slots: each worker's, back in position."""
         n, parts = split
         merged: list = [None] * n
+        failed = False
         for w, slots, answer in parts:
             if asyncio.isfuture(answer):
                 answer = await answer
             for slot, packed in zip(slots, _slots_of(w, answer, len(slots))):
                 merged[slot] = packed
-        if any(slot[0] == protocol.SLOT_ERROR for slot in merged):
+                if packed[0] == protocol.SLOT_ERROR:
+                    failed = True
+        if failed:
             self.counts["errors"] += 1
         return merged
 

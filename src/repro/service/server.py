@@ -649,11 +649,13 @@ class AdmissionService:
         submit the well-formed ones in order; a malformed one keeps its
         slot as an inline error.
 
-        The per-sub-op work is deliberately minimal — decode into a
-        :class:`~repro.traffic.flows.FlowSpec` or a flow id and one
-        ``(slot, kind, payload)`` entry on a shared :class:`BulkSlots`
-        collector.  Returns the collector and the frame's telemetry
-        stamps (one per inline chunk, or the ops the coalescer queued).
+        The per-sub-op work is deliberately minimal: decode into a
+        :class:`~repro.traffic.flows.FlowSpec` or a flow id, and build
+        its ``(slot, kind, payload)`` entry — the one record per op,
+        which the coalescer decides from as it is (a queued op keeps
+        it).  Outcomes land in a shared :class:`BulkSlots` collector.
+        Returns the collector and the frame's telemetry stamps (one per
+        inline chunk, or the ops the coalescer queued).
         """
         slots = self.coalescer.open_bulk(len(subops))
         entries: List[Tuple[int, str, Any]] = []
@@ -665,14 +667,9 @@ class AdmissionService:
             except ProtocolError as exc:
                 slots.fill(i, exc)
                 continue
-            op = BULK_OP_ADMIT if kind == bulk_admit else BULK_OP_RELEASE
-            append((i, op, arg))
-        return slots, self.coalescer.submit_bulk(
-            slots,
-            entries,
-            trace=None if tele is None else tele.trace,
-            span_hex=None if tele is None else tele.span_hex,
-        )
+            append((i, BULK_OP_ADMIT if kind == bulk_admit else BULK_OP_RELEASE, arg))
+        trace, span = (None, None) if tele is None else (tele.trace, tele.span_hex)
+        return slots, self.coalescer.submit_bulk(slots, entries, trace=trace, span_hex=span)
 
     def _bulk_slot(self, outcome: Any) -> List[Any]:
         """Packed response slot for one settled outcome, counted.

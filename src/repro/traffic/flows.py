@@ -9,7 +9,7 @@ run-time admission controller and the flow-aware baseline both operate on
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from ..errors import TrafficError
@@ -46,6 +46,28 @@ def priority_rank(priority: Optional[str]) -> int:
     return 0 if priority is None else _PRIORITY_RANKS[priority]
 
 
+def frozen_record(cls: type) -> type:
+    """``@dataclass(frozen=True, slots=True)``, spelled so that Python
+    3.9 (whose ``dataclass`` has no ``slots``) builds the same class.
+
+    The frozen dataclass is rebuilt with one slot per field and no
+    ``__dict__``; equality, hashing, ``repr`` and ``replace`` are the
+    dataclass's own.  An instance pickles and copies as a call of the
+    class on its fields, since a frozen one cannot be restored through
+    ``setattr``.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    skip = {*names, "__dict__", "__weakref__"}
+    body = {k: v for k, v in cls.__dict__.items() if k not in skip}
+    body.update(__slots__=names, __qualname__=cls.__qualname__, __reduce__=_reduce_record)
+    return type(cls)(cls.__name__, cls.__bases__, body)
+
+
+def _reduce_record(self: Any) -> tuple:
+    return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 _flow_counter = itertools.count(1)
 
 
@@ -73,9 +95,12 @@ def route_fault(
     return ""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class FlowSpec:
     """One unidirectional flow request.
+
+    Slotted: a decoded frame holds one per admit until it is decided,
+    and a slotted record is a quarter of one with a ``__dict__``.
 
     Parameters
     ----------

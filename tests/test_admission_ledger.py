@@ -1,5 +1,7 @@
 """The utilization ledger."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,44 @@ def test_reserve_is_atomic(line4_graph, voice_registry):
     with pytest.raises(AdmissionError):
         tiny.reserve("voice", long)
     np.testing.assert_array_equal(tiny.used_view("voice"), before)
+
+
+def test_try_reserve_is_available_and_reserve_in_one_pass(
+    line4_graph, voice_registry
+):
+    """``try_reserve`` answers as ``available`` and commits as
+    ``reserve``; a refusal leaves the ledger unchanged, and no server
+    is ever overcommitted."""
+    tiny = {"voice": 0.001008}  # 3 slots per server
+    one = UtilizationLedger(line4_graph, voice_registry, tiny)
+    two = UtilizationLedger(line4_graph, voice_registry, tiny)
+    routes = [
+        line4_graph.route_servers(route)
+        for route in (
+            ["r0", "r1"], ["r1", "r2"], ["r2", "r3"], ["r0", "r1", "r2", "r3"]
+        )
+    ]
+    rng = random.Random(5)
+    held = []
+    for _ in range(400):
+        if held and rng.random() < 0.3:
+            servers = held.pop(rng.randrange(len(held)))
+            one.release("voice", servers)
+            two.release("voice", servers)
+            continue
+        servers = rng.choice(routes)
+        before = one.used_view("voice").copy()
+        fits = two.available("voice", servers)
+        assert one.try_reserve("voice", servers) == fits
+        if fits:
+            two.reserve("voice", servers)
+            held.append(servers)
+        else:
+            np.testing.assert_array_equal(one.used_view("voice"), before)
+        np.testing.assert_array_equal(
+            one.used_view("voice"), two.used_view("voice")
+        )
+        assert (one.used_view("voice") <= one.slots("voice")).all()
 
 
 def test_release_unreserved_raises(ledger, line4_graph):

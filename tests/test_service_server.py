@@ -8,6 +8,9 @@ snapshot/restore over the wire.
 """
 
 import asyncio
+import dataclasses
+import gc
+import inspect
 import json
 import os
 import threading
@@ -33,7 +36,7 @@ from repro.service import (
 )
 from repro.service.audit import iter_audit, verify_audit
 from repro.service.coalescer import MicroBatchCoalescer
-from repro.service.conn import propose_v2
+from repro.service.conn import ConnectionLayer, propose_v2
 from repro.topology import LinkServerGraph, line_network, ring_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import PRIORITIES, FlowSpec
@@ -1273,6 +1276,114 @@ class TestProtocolNegotiation(FrontDoorCases):
         asyncio.run(scenario())
 
 
+#: The coroutines of a listener's read loops.
+_READ_LOOPS = frozenset(
+    f.__code__
+    for f in (
+        ConnectionLayer.serve,
+        ConnectionLayer._read_v1,
+        ConnectionLayer._read_v2,
+    )
+)
+
+
+def _carries(obj, marker, depth=0):
+    """Whether ``obj`` is, or holds, a decoded or raw copy of text that
+    contains ``marker`` (through containers and records only)."""
+    if isinstance(obj, (bytes, bytearray)):
+        return marker.encode() in obj
+    if isinstance(obj, str):
+        return marker in obj
+    if depth > 8:
+        return False
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        items = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        return False
+    return any(_carries(item, marker, depth + 1) for item in items)
+
+
+def _held_by_read_loops(marker):
+    """``(loop, held type)`` for everything a read loop still holds of
+    a frame that named ``marker``."""
+    gc.collect()
+    return [
+        (obj.cr_code.co_name, type(ref).__name__)
+        for obj in gc.get_objects()
+        if inspect.iscoroutine(obj) and obj.cr_code in _READ_LOOPS
+        for ref in gc.get_referents(obj)
+        if _carries(ref, marker)
+    ]
+
+
+class TestReadLoopLetsGoOfEachFrame(FrontDoorCases):
+    """Once a frame is answered and its connection waits for the next,
+    the read loop holds nothing of it: a frame lives as long as its
+    request task, so a server never holds two decoded frames of one
+    connection."""
+
+    @pytest.mark.parametrize("proto", ["v2", "v1"])
+    def test_an_answered_frame_is_not_held_while_the_next_is_read(
+        self, tmp_path, proto
+    ):
+        marker = "frame-marker-5e1"
+        admit = {**flow_obj(0), "id": f"{marker}-admitted"}
+        gone = f"{marker}-never-admitted"
+
+        async def scenario():
+            service, sock = await self.start(tmp_path)
+            reader, writer = await raw_connection(sock)
+            try:
+                if proto == "v2":
+                    assert await propose_v2(
+                        reader, writer, protocol.MAX_FRAME_BYTES
+                    ) == 2
+                    writer.write(protocol.encode_bulk_request(
+                        1,
+                        [[protocol.BULK_ADMIT, admit["id"], "voice",
+                          admit["src"], admit["dst"], None],
+                         [protocol.BULK_RELEASE, gone]],
+                    ))
+                    await writer.drain()
+                    header = await asyncio.wait_for(
+                        reader.readexactly(protocol.FRAME_HEADER_BYTES), 10
+                    )
+                    tag, (_rid, slots) = protocol.decode_payload_v2(
+                        await reader.readexactly(
+                            int.from_bytes(header, "big")
+                        )
+                    )
+                    assert tag == protocol.TAG_RESULTS
+                    kinds = [slot[0] for slot in slots]
+                    assert kinds == [
+                        protocol.SLOT_ADMITTED, protocol.SLOT_ERROR
+                    ]
+                else:
+                    resp = await rpc(reader, writer, {
+                        "id": 1,
+                        "op": "batch",
+                        "ops": [
+                            {"op": "admit", "flow": admit},
+                            {"op": "release", "flow_id": gone},
+                        ],
+                    })
+                    results = resp["result"]["results"]
+                    assert results[0]["result"]["admitted"]
+                    assert not results[1]["ok"]
+                # Answered; the loop is back waiting for a next frame.
+                await asyncio.sleep(0.05)
+                return _held_by_read_loops(marker)
+            finally:
+                writer.close()
+                await service.stop()
+
+        assert asyncio.run(scenario()) == []
+
+
 class TestProtocolHardeningRouter(TestProtocolHardening):
     door = "router"
 
@@ -1282,4 +1393,8 @@ class TestProtocolNegotiationRouter(TestProtocolNegotiation):
 
 
 class TestLoneOpIsAFrameOfOneRouter(TestLoneOpIsAFrameOfOne):
+    door = "router"
+
+
+class TestReadLoopLetsGoOfEachFrameRouter(TestReadLoopLetsGoOfEachFrame):
     door = "router"

@@ -28,6 +28,14 @@ Five windows, each after a warm-up that fills every cache:
   same boundary, the yardstick a worker's calls per op are read
   against.
 
+``frame_heap_bytes`` is not a call count but the heap one served frame
+costs: the tracemalloc peak of one more ``bulk``-shaped packed frame,
+from ``decode_payload_v2`` of its payload through a plain serve's
+``AdmissionService.begin_bulk`` to the ``R`` frame it writes, with the
+decoded frame let go once ``begin_bulk`` returns, as the read loop lets
+go of it.  It is taken in a fresh interpreter, where it repeats to the
+byte, as the call counts do.
+
 ``ceiling_x`` (worker calls over router calls per op) is the cluster's
 scale-out ceiling: the router is one process, so however many workers
 share the decisions it cannot pass ``ceiling_x`` times one worker's
@@ -52,12 +60,16 @@ import gc
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
+import tracemalloc
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+import repro
 from repro import obs
 from repro.admission import SlotShardController, UtilizationAdmissionController
 from repro.admission.base import AdmissionController
@@ -410,6 +422,58 @@ def _serve(service: AdmissionService, subops: list, rid: int,
     return _slots(reply)
 
 
+def _count_frame_heap() -> Dict[str, int]:
+    """``frame_heap_bytes``: the tracemalloc peak of one ``bulk``-shaped
+    packed frame served by one plain serve, after the fill and the
+    warm-up frames, from ``decode_payload_v2`` of its payload through
+    ``AdmissionService.begin_bulk`` to the ``R`` frame it writes.  The
+    decoded frame is let go once ``begin_bulk`` has returned, as the
+    read loop lets go of it; the response coroutine then runs to its
+    write."""
+    service = AdmissionService(_controller(BULK_ALPHA)[0])
+    churn = _BulkChurn(all_ordered_pairs(mci_backbone()))
+    for i in range(1 + WARM_FRAMES):
+        entries = churn.fill() if i == 0 else churn.frame()
+        slots = _serve(service, _packed_of(entries), i)
+        churn.settle(entries, [
+            slot[0] in (protocol.SLOT_ADMITTED, protocol.SLOT_RELEASED)
+            for slot in slots
+        ])
+    rid = 1 + WARM_FRAMES
+    payload = protocol.encode_bulk_request(
+        rid, _packed_of(churn.frame())
+    )[protocol.FRAME_HEADER_BYTES:]
+    conn, sink = _v2_conn()
+    tracemalloc.start()
+    try:
+        _tag, body = protocol.decode_payload_v2(payload)
+        work = service.begin_bulk(
+            conn, *protocol.parse_bulk_request(body), None
+        )
+        del body
+        _run(work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sink.frames) == 1, "the frame was not answered"
+    return {"frame_heap_bytes": peak}
+
+
+def _frame_heap_in_a_fresh_process() -> Dict[str, int]:
+    """The ``frame_heap_bytes`` window alone in a fresh interpreter, on
+    the checkout this process imports.  What one frame allocates
+    depends on what earlier work left in CPython's free lists, so only
+    a process that ran nothing else repeats it to the byte."""
+    paths = [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = "import json, work_counts as w; print(json.dumps(w._quiet(w._count_frame_heap)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def _count_cluster() -> Dict[str, int]:
     """The ``router``, ``worker`` and ``serve`` windows.  The frames
     follow the cluster's answers; the plain serve decides the same
@@ -460,8 +524,8 @@ def _quiet(windows) -> Dict[str, int]:
 
 
 def count_work() -> Dict[str, int]:
-    """Every count of the five windows, as a flat ``{name: int}``
-    (each window's ``*_ops`` beside its totals)."""
+    """Every count of the windows and ``frame_heap_bytes``, as a flat
+    ``{name: int}`` (each window's ``*_ops`` beside its totals)."""
 
     def windows() -> Dict[str, int]:
         with tempfile.TemporaryDirectory() as tmp:
@@ -470,7 +534,7 @@ def count_work() -> Dict[str, int]:
             counts.update(_count_cluster())
         return counts
 
-    return _quiet(windows)
+    return {**_quiet(windows), **_frame_heap_in_a_fresh_process()}
 
 
 def count_cluster() -> Dict[str, int]:
