@@ -123,20 +123,16 @@ class AdmissionController(abc.ABC):
         self.graph = graph
         self.registry = registry
         self.route_map = self._checked_routes(route_map)
-        # The one per-flow record.  A row keeps the servers committed at
-        # admit time, and the committed route is read back from them;
-        # they are freed verbatim at release, so a later route_map
-        # change (or re-resolution) cannot free the wrong servers.
+        # The one per-flow record.  A flow names the route it committed
+        # at admit time (every configured one is interned here); it is
+        # freed verbatim at release, so a later route_map change (or
+        # re-resolution) cannot free the wrong servers.
         self._flows = FlowTable(pad=graph.num_servers)
-        # Class code of a row: an index over every registry class, so a
+        self._configure(self.route_map)
+        # Class code of a flow: an index over every registry class, so a
         # best-effort flow round-trips (it simply holds no slot).
         self._class_names = registry.names()
         self._class_codes = {n: i for i, n in enumerate(self._class_names)}
-        self._flows.fit_class_code(len(self._class_names) - 1)
-        # Pair -> server-index array for configured routes, so repeated
-        # admissions (and whole batches) skip per-hop index lookups.
-        # Invalidated by update_routes.
-        self._server_cache: Dict[Pair, "np.ndarray"] = {}
         # Streaming decision accounting: one update per admit()/batch
         # call, nothing retained — callers keep the decisions they are
         # handed, so memory is O(servers + established flows).
@@ -404,8 +400,15 @@ class AdmissionController(abc.ABC):
         construction: one that is malformed raises and nothing is
         replaced.
         """
-        self.route_map.update(self._checked_routes(routes))
-        self._server_cache.clear()
+        checked = self._checked_routes(routes)
+        self.route_map.update(checked)
+        self._configure(checked)
+
+    def _configure(self, routes: Mapping[Pair, Sequence[Hashable]]) -> None:
+        """Intern ``routes`` as their pairs' configured routes."""
+        for pair, path in routes.items():
+            servers = self.graph.route_servers(path)
+            self._flows.configure(self._flows.pair_code(pair), servers)
 
     def _checked_routes(
         self, routes: Mapping[Pair, Sequence[Hashable]]
@@ -459,19 +462,29 @@ class AdmissionController(abc.ABC):
     def servers_for(
         self, flow: FlowSpec, route: Sequence[Hashable]
     ) -> np.ndarray:
-        """Server indices of a flow's route, cached per configured pair.
-
-        Flows with a pinned route bypass the cache (the pin may differ
-        from the configured path); the cached arrays are treated as
-        read-only by every caller.
-        """
+        """Server indices of a flow's route: a configured route's are
+        read from the flow table, where it is interned, and a pinned
+        route is translated per call."""
         if flow.route is None:
-            servers = self._server_cache.get(flow.pair)
-            if servers is None:
-                servers = self.graph.route_servers(route)
-                self._server_cache[flow.pair] = servers
-            return servers
+            return self._flows.configured_servers((flow.source, flow.destination))
         return self.graph.route_servers(route)
+
+    def _route_codes(
+        self, flows: Sequence[FlowSpec], routes: Sequence[Sequence[Hashable]]
+    ) -> np.ndarray:
+        """The flow-table route code of each flow's route: a configured
+        route's is one take over the pair codes, a pinned one is
+        interned."""
+        table = self._flows
+        get = table.pair_codes.get
+        codes = table.configured_routes(
+            [get((f.source, f.destination), -1) for f in flows]
+        )
+        for i in [i for i, f in enumerate(flows) if f.route is not None]:
+            pair = table.pair_code((flows[i].source, flows[i].destination))
+            servers = self.graph.route_servers(routes[i])
+            codes[i] = table.route_code(pair, servers)
+        return codes
 
     # ------------------------------------------------------------------ #
     # machine-checked invariants
@@ -585,7 +598,6 @@ class AdmissionController(abc.ABC):
         if code is None:
             self.registry.get(class_name)
             code = len(self._class_names)
-            self._flows.fit_class_code(code)
             self._class_codes[class_name] = code
             self._class_names.append(class_name)
         return code
@@ -594,14 +606,13 @@ class AdmissionController(abc.ABC):
         """Record an admitted flow on the ``servers`` of its committed
         route, whatever its class: whether it holds a slot on them is
         its class's to say."""
-        self._flows.add(
-            flow.flow_id,
-            self._class_code(flow.class_name),
-            servers,
-            PRIORITY_TAGS[flow.priority],
-            self._flows.pair_code((flow.source, flow.destination)),
-            flow.route is not None,
-        )
+        table = self._flows
+        code = self._class_codes.get(flow.class_name)
+        if code is None:
+            code = self._class_code(flow.class_name)
+        pair = table.pair_code((flow.source, flow.destination))
+        tag = PRIORITY_TAGS[flow.priority]
+        table.add(flow.flow_id, code, servers, tag, pair, flow.route is not None)
 
     def _materialise(self, record: Record) -> FlowRecord:
         """The :class:`FlowSpec` a flow-table record stands for, and

@@ -1,44 +1,36 @@
-"""The flow record: established flows as columns, not objects.
+"""The flow record: a flow is one dict entry, its route a reference.
 
 The edge controller remembers a flow only so that it can release it.
-:class:`FlowTable` is everything it remembers: one ``flow id -> row``
+:class:`FlowTable` is everything it remembers: one ``flow id -> value``
 dict (ids are arbitrary hashables; the dict's insertion order is the
-establishment order) and, per row, flat columns — class code, priority
-tag, the padded row of committed server indices, an interned
-source/destination pair and a pinned bit.  The server row is the only
-place a row says where its flow is: the committed route is read back
-from it (``LinkServerGraph.servers_to_route``).  No per-flow object
-hangs off a row: whoever needs a ``FlowSpec`` back (snapshots, the
-chaos harness) rebuilds it from :meth:`records` and :meth:`servers_of`,
-and whole batches are committed, freed or scanned with a handful of
-vectorized operations.
+establishment order) whose value is an int packing the flow's route
+code, class code, priority tag and pinned bit.  Flows alike in all four
+share one int object, so a flow costs its id and one dict entry.
 
-Rows are recycled through a free list; the columns grow by doubling and
-the server matrix widens on demand when a longer route arrives.
+Routes are fixed at configuration time, so committed server rows are
+few: each distinct one, with its source/destination pair, is interned
+once in the route table — a padded server matrix, lengths, pair codes,
+a live count per route and a ``(pair, servers) -> code`` dict.  A
+pair's configured route counts as a holder of its own
+(:meth:`configure`), so its code is stable; a pinned or replaced route
+is freed when nothing holds it, and its row reused.  The server row is
+the only place a flow says where it is: the committed route is read
+back from it (``LinkServerGraph.servers_to_route``), and a ``FlowSpec``
+is rebuilt from :meth:`records` and :meth:`servers_of` by whoever needs
+one.  Batches are committed, freed or scanned by gathering through the
+route codes.
 
-Each integer column holds the narrowest signed type that fits its range
-(:func:`narrowest`): the server matrix follows ``pad`` (``int8`` up to
-127 servers), class codes and priority tags start at ``int8``, route
-lengths follow the matrix width and pair codes the number of distinct
-pairs.  numpy wraps an out-of-range array write silently, so a column
-is widened *before* it is handed a value it cannot hold — when a longer
-route arrives, when a class code is minted (:meth:`fit_class_code`) or
-a pair is interned — never after.  What the table hands out
-(:meth:`pop`, :meth:`pop_batch`, :meth:`servers_of`, :meth:`holders`)
-is ``int64``, whatever the columns hold.
+Each integer column of the route table holds the narrowest signed type
+that fits its range (:func:`narrowest`): the server matrix follows
+``pad`` (``int8`` up to 127 servers), lengths the matrix width and pair
+codes the number of pairs.  numpy wraps an out-of-range array write
+silently, so a column is widened *before* it is handed a value it cannot
+hold, never after.  What the table hands out is ``int64``.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,18 +38,22 @@ from ..errors import AdmissionError
 
 __all__ = ["FlowTable"]
 
-#: Class code of a row that holds no flow (class codes are >= 0).
-NO_CLASS = -1
-
-#: Rows and server columns a new table starts with.
+#: Route rows and server columns a new table starts with.
 INITIAL_CAPACITY = 64
 INITIAL_WIDTH = 4
 
 #: What the table hands out, whatever its columns hold (a dtype object:
 #: ``astype`` resolves one faster than the scalar type).
 _INT64 = np.dtype(np.int64)
-#: Bytes a slot of the id column costs (one list pointer).
+#: Bytes a slot of a list costs (one pointer).
 _POINTER_BYTES = np.dtype(np.intp).itemsize
+
+# A flow's value, from the low bit: pinned (1 bit), priority tag + 1
+# (3 bits: tags -1 .. 6), route code (32 bits), class code (the rest).
+# The same shifts and masks unpack a Python int and an int64 array.
+_TAG_SHIFT, _TAG_MASK = 1, 7
+_ROUTE_SHIFT, _ROUTE_MASK = 4, (1 << 32) - 1
+_CLASS_SHIFT = 36
 
 Pair = Tuple[Hashable, Hashable]
 #: ``(flow id, class code, tag, pair, pinned)``.
@@ -73,13 +69,25 @@ def narrowest(high: int) -> np.dtype:
 def _fit(column: np.ndarray, high: int) -> np.ndarray:
     """``column``, or a wider copy of it if it cannot hold ``high``."""
     dtype = narrowest(high)
-    if dtype.itemsize <= column.dtype.itemsize:
-        return column
-    return column.astype(dtype)
+    return column if dtype.itemsize <= column.itemsize else column.astype(dtype)
+
+
+def _doubled(column: np.ndarray, fill) -> np.ndarray:
+    """``column`` with as many rows again, filled with ``fill``."""
+    return np.concatenate([column, np.full(column.shape, fill, column.dtype)])
+
+
+def _route(value):
+    """The route code of a flow's value (or of an array of them)."""
+    return value >> _ROUTE_SHIFT & _ROUTE_MASK
+
+
+def _absent(flow_id: Hashable) -> AdmissionError:
+    return AdmissionError(f"flow {flow_id!r} is not established")
 
 
 class FlowTable:
-    """Established-flow store keyed by flow id, backed by flat arrays.
+    """Established-flow store keyed by flow id, over a table of routes.
 
     Parameters
     ----------
@@ -87,195 +95,199 @@ class FlowTable:
         Sentinel server index filling unused matrix cells (the
         controllers use ``graph.num_servers``, their kernels' virtual
         padding slot); it fixes the matrix's integer type.
-    The matrix starts ``INITIAL_CAPACITY`` rows by ``INITIAL_WIDTH``
-    columns; both grow automatically.
+    The route table starts ``INITIAL_CAPACITY`` rows by
+    ``INITIAL_WIDTH`` columns; both grow automatically.
     """
 
     __slots__ = (
-        "pad", "_index", "_ids", "_codes", "_tags", "_servers",
-        "_lengths", "_pairs", "_pinned", "_free",
-        "_pair_codes", "_pair_names",
+        "pad", "pair_codes", "_pair_names", "_values", "_canon", "_keys",
+        "_servers", "_lengths", "_pairs", "_live", "_free", "_loose",
+        "_configured",
     )
 
     def __init__(self, pad: int):
-        capacity = INITIAL_CAPACITY
-        width = INITIAL_WIDTH
         self.pad = int(pad)
-        self._index: Dict[Hashable, int] = {}
-        # The id column is a plain list: it is only ever read and
-        # written an element at a time.
-        self._ids: List[Hashable] = [None] * capacity
-        # Class codes widen as they are minted (fit_class_code); the
-        # priority tags are PRIORITY_TAGS, -1 .. 3.
-        self._codes = np.full(capacity, NO_CLASS, dtype=np.int8)
-        self._tags = np.full(capacity, -1, dtype=np.int8)
-        self._servers = np.full(
-            (capacity, width), self.pad, dtype=narrowest(self.pad)
-        )
-        self._lengths = np.zeros(capacity, dtype=narrowest(width))
-        self._pairs = np.full(capacity, -1, dtype=narrowest(0))
-        self._pinned = np.zeros(capacity, dtype=bool)
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
-        # Endpoints are a fact of their own (a committed route must join
-        # them), stored once per distinct pair rather than per flow.
-        self._pair_codes: Dict[Pair, int] = {}
+        #: ``pair -> code`` of every interned source/destination pair.
+        self.pair_codes: Dict[Pair, int] = {}
         self._pair_names: List[Pair] = []
+        self._values: Dict[Hashable, int] = {}
+        # The one int object each distinct value is held as.
+        self._canon: Dict[int, int] = {}
+        self._keys: Dict[Tuple[int, bytes], int] = {}
+        rows = INITIAL_CAPACITY
+        self._servers = np.full((rows, INITIAL_WIDTH), self.pad, narrowest(self.pad))
+        self._lengths = np.zeros(rows, narrowest(INITIAL_WIDTH))
+        self._pairs = np.full(rows, -1, narrowest(0))
+        # Flows on the route, plus one while it is its pair's configured
+        # route; -1 on a free row.  A list: it changes a flow at a time.
+        self._live: List[int] = [-1] * rows
+        self._free: List[int] = list(range(rows - 1, -1, -1))
+        # Routes that may have no holder: freed by _tidy unless held.
+        self._loose: List[int] = []
+        # Pair code -> its configured route's code, or -1.
+        self._configured = np.full(rows, -1, np.int32)
 
     # ------------------------------------------------------------------ #
-    # growth
+    # the route table
     # ------------------------------------------------------------------ #
 
-    def _grow_rows(self) -> None:
-        old = self._servers.shape[0]
+    def pair_code(self, pair: Pair) -> int:
+        """The interned code of a source/destination pair."""
+        code = self.pair_codes.get(pair)
+        if code is None:
+            code = len(self._pair_names)
+            self._pairs = _fit(self._pairs, code)
+            if code == self._configured.size:
+                self._configured = _doubled(self._configured, -1)
+            self.pair_codes[pair] = code
+            self._pair_names.append(pair)
+        return code
 
-        def grown(column: np.ndarray, fill) -> np.ndarray:
-            return np.concatenate(
-                [column, np.full((old,) + column.shape[1:], fill,
-                                 dtype=column.dtype)]
-            )
+    def route_code(self, pair: int, servers: np.ndarray) -> int:
+        """The code of route ``servers`` of pair code ``pair`` (-1: no
+        pair), interned if it is new: then it is freed at the next add
+        unless a flow is added on it."""
+        row = servers.astype(self._servers.dtype)
+        key = (pair, row.tobytes())
+        code = self._keys.get(key)
+        if code is None:
+            if not self._free:
+                rows = len(self._live)
+                self._servers = _doubled(self._servers, self.pad)
+                self._lengths = _doubled(self._lengths, 0)
+                self._pairs = _doubled(self._pairs, -1)
+                self._live.extend([-1] * rows)
+                self._free.extend(range(2 * rows - 1, rows - 1, -1))
+            extra = row.size - self._servers.shape[1]
+            if extra > 0:
+                widths = ((0, 0), (0, extra))
+                self._servers = np.pad(self._servers, widths, constant_values=self.pad)
+                self._lengths = _fit(self._lengths, row.size)
+            code = self._keys[key] = self._free.pop()
+            self._servers[code, :row.size] = row
+            self._lengths[code] = row.size
+            self._pairs[code] = pair
+            self._live[code] = 0
+            self._loose.append(code)
+        return code
 
-        self._ids.extend([None] * old)
-        self._codes = grown(self._codes, NO_CLASS)
-        self._tags = grown(self._tags, -1)
-        self._servers = grown(self._servers, self.pad)
-        self._lengths = grown(self._lengths, 0)
-        self._pairs = grown(self._pairs, -1)
-        self._pinned = grown(self._pinned, False)
-        self._free.extend(range(2 * old - 1, old - 1, -1))
+    def configure(self, pair: int, servers: np.ndarray) -> None:
+        """Make ``servers`` the configured route of pair code ``pair``;
+        the route it replaces is freed once no flow holds it."""
+        code = self.route_code(pair, servers)
+        old = int(self._configured[pair])
+        self._configured[pair] = code
+        self._live[code] += 1
+        if old >= 0:
+            self._live[old] -= 1
+            self._loose.append(old)
+        self._tidy()
 
-    def _ensure_width(self, width: int) -> None:
-        have = self._servers.shape[1]
-        if width <= have:
-            return
-        extra = np.full(
-            (self._servers.shape[0], width - have), self.pad,
-            dtype=self._servers.dtype,
-        )
-        self._servers = np.concatenate([self._servers, extra], axis=1)
-        self._lengths = _fit(self._lengths, width)
+    def configured_routes(self, pairs: Sequence[int]) -> np.ndarray:
+        """The configured route code of each pair code (-1: none)."""
+        return self._configured.take(pairs)
 
-    def _alloc(self, n: int) -> List[int]:
-        while len(self._free) < n:
-            self._grow_rows()
-        rows = self._free[-n:]
-        del self._free[-n:]
-        return rows
+    def configured_servers(self, pair: Pair) -> np.ndarray:
+        """The servers of ``pair``'s configured route."""
+        route = self._configured[self.pair_codes[pair]]
+        return self._servers[route, :self._lengths[route]].astype(_INT64)
+
+    def servers_matrix(self, routes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(matrix, lengths)`` of route codes: their server rows,
+        padded with :attr:`pad` to the longest of them."""
+        lengths = self._lengths.take(routes).astype(_INT64)
+        width = int(lengths.max()) if lengths.size else 0
+        # take() then slice: gathering whole rows is far cheaper than
+        # indexing rows and columns at once.
+        return self._servers.take(routes, axis=0)[:, :width].astype(_INT64), lengths
+
+    def _tidy(self) -> None:
+        """Free the loose routes nothing holds — one interned for a
+        refused flow, a pinned or replaced one whose last holder went —
+        and the shared values that name them."""
+        live = self._live
+        dead = {route for route in self._loose if not live[route]}
+        self._loose.clear()
+        if dead:
+            at = sorted(dead)
+            lengths, pairs = self._lengths.tolist(), self._pairs.tolist()
+            for route in at:
+                del self._keys[pairs[route], self._servers[route, :lengths[route]].tobytes()]
+                live[route] = -1
+            self._free.extend(at)
+            self._servers[at], self._lengths[at], self._pairs[at] = self.pad, 0, -1
+            for value in [v for v in self._canon if _route(v) in dead]:
+                del self._canon[value]
 
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
 
-    def pair_code(self, pair: Pair) -> int:
-        """The interned code of a source/destination pair."""
-        code = self._pair_codes.get(pair)
-        if code is None:
-            code = len(self._pair_names)
-            self._pairs = _fit(self._pairs, code)
-            self._pair_codes[pair] = code
-            self._pair_names.append(pair)
-        return code
-
-    def fit_class_code(self, code: int) -> None:
-        """Widen the class column, if it must, so that it holds
-        ``code`` — called by whoever mints class codes, before the
-        first row carries it."""
-        self._codes = _fit(self._codes, code)
-
     def add(
-        self,
-        flow_id: Hashable,
-        code: int,
-        servers: np.ndarray,
-        tag: int = -1,
-        pair: int = -1,
-        pinned: bool = False,
+        self, flow_id: Hashable, code: int, servers: np.ndarray,
+        tag: int = -1, pair: int = -1, pinned: bool = False,
     ) -> None:
         """Record one flow: its class ``code``, the ``servers`` of the
         route it was admitted on, its priority ``tag``, its
         :meth:`pair_code` and whether its route was ``pinned``."""
-        if flow_id in self._index:
-            raise AdmissionError(
-                f"flow {flow_id!r} is already established"
-            )
-        n = int(servers.size)
-        self._ensure_width(n)
-        (row,) = self._alloc(1)
-        self._ids[row] = flow_id
-        self._codes[row] = code
-        self._tags[row] = tag
-        self._lengths[row] = n
-        self._servers[row, :] = self.pad
-        if n:
-            self._servers[row, :n] = servers
-        self._pairs[row] = pair
-        self._pinned[row] = pinned
-        self._index[flow_id] = row
+        if flow_id in self._values:
+            raise AdmissionError(f"flow {flow_id!r} is already established")
+        route = self.route_code(pair, servers)
+        value = code << _CLASS_SHIFT | route << _ROUTE_SHIFT | (tag + 1) << _TAG_SHIFT | pinned
+        self._values[flow_id] = self._canon.setdefault(value, value)
+        self._live[route] += 1
+        if self._loose:
+            self._tidy()
 
-    def add_batch(
-        self,
-        flow_ids: Sequence[Hashable],
-        code,
-        matrix: np.ndarray,
-        lengths: np.ndarray,
-        tags=None,
-        pairs=None,
-        pinned=None,
+    def add_routed(
+        self, flow_ids: Sequence[Hashable], code, routes, tags=-1, pinned=False
     ) -> None:
-        """Record many flows from a padded server matrix, in the given
-        (establishment) order.  ``code``, ``tags``, ``pairs`` and
+        """Record many flows on interned ``routes`` (one code per flow),
+        in the given (establishment) order.  ``code``, ``tags`` and
         ``pinned`` are one value for the batch or one per flow.  All or
         nothing: an id that is already established (or repeats) raises
         with the table unchanged."""
-        n = len(flow_ids)
-        if n == 0:
-            return
-        width = matrix.shape[1]
-        self._ensure_width(width)
-        rows = self._alloc(n)
-        index = self._index
-        ids = self._ids
-        for k, (fid, row) in enumerate(zip(flow_ids, rows)):
-            if fid in index:
-                for undo, undo_row in zip(flow_ids[:k], rows):
-                    del index[undo]
-                    ids[undo_row] = None
-                self._free.extend(rows)
-                raise AdmissionError(
-                    f"flow {fid!r} is already established"
-                )
-            index[fid] = row
-            ids[row] = fid
-        at = np.asarray(rows, dtype=np.intp)
-        # put(), not an indexed assignment: it casts int64 input into a
-        # narrow column without the assignment's cast set-up, which is
-        # most of a short run's cost.
-        self._codes.put(at, code)
-        self._tags.put(at, -1 if tags is None else tags)
-        self._lengths.put(at, lengths)
-        # Reused rows may hold a previous occupant's longer route; clear
-        # the tail beyond this batch's width before writing.
-        self._servers[at, width:] = self.pad
-        self._servers[at, :width] = matrix
-        self._pairs.put(at, -1 if pairs is None else pairs)
-        self._pinned.put(at, False if pinned is None else pinned)
+        routes = np.asarray(routes, _INT64)
+        packed = routes << _ROUTE_SHIFT
+        packed |= np.asarray(code, _INT64) << _CLASS_SHIFT
+        packed |= (np.asarray(tags, _INT64) + 1) << _TAG_SHIFT
+        packed |= np.asarray(pinned, _INT64)
+        index, live = self._values, self._live
+        setdefault = self._canon.setdefault
+        try:
+            for k, (fid, value) in enumerate(zip(flow_ids, packed.tolist())):
+                if fid in index:
+                    for undo in flow_ids[:k]:
+                        del index[undo]
+                    raise AdmissionError(f"flow {fid!r} is already established")
+                index[fid] = setdefault(value, value)
+            for route in routes.tolist():
+                live[route] += 1
+        finally:
+            if self._loose:
+                self._tidy()
+
+    def add_batch(
+        self, flow_ids: Sequence[Hashable], code, matrix: np.ndarray, lengths: np.ndarray
+    ) -> None:
+        """:meth:`add_routed` from a padded server matrix, each row
+        interned as a route of no pair."""
+        routes = [self.route_code(-1, row[:n]) for row, n in zip(matrix, lengths.tolist())]
+        self.add_routed(flow_ids, code, routes)
 
     def pop(self, flow_id: Hashable) -> Tuple[int, np.ndarray, int]:
         """Remove a flow; returns ``(code, servers, tag)``."""
         try:
-            row = self._index.pop(flow_id)
+            value = self._values.pop(flow_id)
         except KeyError:
-            raise AdmissionError(
-                f"flow {flow_id!r} is not established"
-            ) from None
-        n = int(self._lengths[row])
-        servers = self._servers[row, :n].astype(_INT64)
-        code = int(self._codes[row])
-        tag = int(self._tags[row])
-        # A free row keeps nothing alive: not even the id.
-        self._ids[row] = None
-        self._codes[row] = NO_CLASS
-        self._free.append(row)
-        return code, servers, tag
+            raise _absent(flow_id) from None
+        route = _route(value)
+        servers = self._servers[route, :self._lengths[route]].astype(_INT64)
+        self._live[route] -= 1
+        if not self._live[route]:
+            self._loose.append(route)
+            self._tidy()
+        return value >> _CLASS_SHIFT, servers, (value >> _TAG_SHIFT & _TAG_MASK) - 1
 
     def check_poppable(self, flow_ids: Sequence[Hashable]) -> None:
         """Raise what :meth:`pop_batch` raises for ``flow_ids`` — the
@@ -285,8 +297,8 @@ class FlowTable:
         for fid in flow_ids:
             if fid in seen:
                 raise AdmissionError(f"duplicate flow id {fid!r} in batch")
-            if fid not in self._index:
-                raise AdmissionError(f"flow {fid!r} is not established")
+            if fid not in self._values:
+                raise _absent(fid)
             seen.add(fid)
 
     def pop_batch(
@@ -299,166 +311,147 @@ class FlowTable:
         established, and a call that raises removed none of them (the
         survivors keep their establishment order).
         """
-        index = self._index
+        index = self._values
         get = index.get
-        rows = [get(fid, -1) for fid in flow_ids]
-        if len(set(rows)) != len(rows) or -1 in rows:
+        values = [get(fid) for fid in flow_ids]
+        if None in values or len(set(flow_ids)) != len(values):
             self.check_poppable(flow_ids)
-        ids = self._ids
-        for fid, row in zip(flow_ids, rows):
+        for fid in flow_ids:
             del index[fid]
-            ids[row] = None
-        at = np.asarray(rows, dtype=np.intp)
-        # take() then slice: gathering whole rows is far cheaper than
-        # indexing rows and columns at once.
-        lengths = self._lengths.take(at).astype(_INT64)
-        width = max(lengths.tolist(), default=0)
-        matrix = self._servers.take(at, axis=0)[:, :width].astype(_INT64)
-        codes = self._codes.take(at).astype(_INT64)
-        tags = self._tags.take(at).astype(_INT64)
-        self._codes.put(at, NO_CLASS)
-        self._free.extend(rows)
-        return codes, matrix, lengths, tags
+        packed = np.array(values, _INT64)
+        routes = _route(packed)
+        matrix, lengths = self.servers_matrix(routes)
+        live = self._live
+        for route in routes.tolist():
+            live[route] -= 1
+            if not live[route]:
+                self._loose.append(route)
+        if self._loose:
+            self._tidy()
+        return packed >> _CLASS_SHIFT, matrix, lengths, (packed >> _TAG_SHIFT & _TAG_MASK) - 1
 
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
 
     def __contains__(self, flow_id: Hashable) -> bool:
-        return flow_id in self._index
+        return flow_id in self._values
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._index)
+        return iter(self._values)
 
     @property
     def rows(self) -> int:
-        """Rows allocated, free ones included."""
-        return len(self._ids)
+        """Rows of the route table, free ones included."""
+        return len(self._live)
 
     @property
     def nbytes(self) -> int:
-        """The table's fixed-width part: every column's buffer plus one
-        pointer per slot of the id column (not the ids and index those
-        point into)."""
-        columns = (
-            self._codes, self._tags, self._servers, self._lengths,
-            self._pairs, self._pinned,
-        )
-        return sum(c.nbytes for c in columns) + _POINTER_BYTES * len(
-            self._ids
-        )
+        """The route rows' fixed-width bytes: servers, length, pair code
+        and a live-count pointer per row."""
+        columns = (self._servers, self._lengths, self._pairs)
+        return sum(c.nbytes for c in columns) + _POINTER_BYTES * len(self._live)
 
-    def _row(self, flow_id: Hashable) -> int:
+    def _value(self, flow_id: Hashable) -> int:
         try:
-            return self._index[flow_id]
+            return self._values[flow_id]
         except KeyError:
-            raise AdmissionError(
-                f"flow {flow_id!r} is not established"
-            ) from None
+            raise _absent(flow_id) from None
+
+    def _packed(self) -> np.ndarray:
+        """Every flow's value, in establishment order."""
+        return np.fromiter(self._values.values(), _INT64, len(self._values))
 
     def servers_of(self, flow_id: Hashable) -> np.ndarray:
         """Committed server indices of an established flow (copy)."""
-        row = self._row(flow_id)
-        return self._servers[row, : int(self._lengths[row])].astype(_INT64)
+        route = _route(self._value(flow_id))
+        return self._servers[route, :self._lengths[route]].astype(_INT64)
+
+    def _record(self, flow_id: Hashable, value: int) -> Record:
+        pair = self._pairs[_route(value)]
+        tag = (value >> _TAG_SHIFT & _TAG_MASK) - 1
+        name = self._pair_names[pair] if pair >= 0 else None
+        return flow_id, value >> _CLASS_SHIFT, tag, name, bool(value & 1)
 
     def record(self, flow_id: Hashable) -> Record:
         """Everything kept about one established flow but its servers."""
-        row = self._row(flow_id)
-        pair = int(self._pairs[row])
-        return (
-            flow_id,
-            int(self._codes[row]),
-            int(self._tags[row]),
-            self._pair_names[pair] if pair >= 0 else None,
-            bool(self._pinned[row]),
-        )
+        return self._record(flow_id, self._value(flow_id))
 
     def records(self) -> List[Record]:
         """:meth:`record` of every flow, in establishment order."""
-        codes = self._codes.tolist()
-        tags = self._tags.tolist()
-        pairs = self._pairs.tolist()
-        pinned = self._pinned.tolist()
-        names = self._pair_names
-        return [
-            (
-                fid,
-                codes[row],
-                tags[row],
-                names[pairs[row]] if pairs[row] >= 0 else None,
-                pinned[row],
-            )
-            for fid, row in self._index.items()
-        ]
+        return [self._record(fid, v) for fid, v in self._values.items()]
 
     def holders(
         self, code: int, tags: Sequence[int], servers: Sequence[int]
     ) -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
         """Flows of class ``code``, tagged with one of ``tags``, that
         hold a slot on any of ``servers`` — one masked scan of the
-        columns.  Returns ``(flow_ids, tags, hits)`` with ``hits[j, i]``
-        true when flow ``i`` holds ``servers[j]``."""
-        mask = np.zeros(self._codes.size, dtype=bool)
-        for tag in tags:
-            mask |= self._tags == tag
-        mask &= self._codes == code
-        rows = np.flatnonzero(mask)
-        # Transposed, so that every reduction runs along the long axis.
-        held = np.ascontiguousarray(self._servers[rows].T)
-        hits = np.empty((len(servers), rows.size), dtype=bool)
+        values, the servers looked up per route.  Returns ``(flow_ids,
+        tags, hits)`` with ``hits[j, i]`` true when flow ``i`` holds
+        ``servers[j]``."""
+        packed = self._packed()
+        flow_tags = (packed >> _TAG_SHIFT & _TAG_MASK) - 1
+        routes = _route(packed)
+        on_route = np.zeros((len(servers), self.rows), bool)
         for j, server in enumerate(servers):
-            (held == server).any(axis=0, out=hits[j])
-        keep = hits.any(axis=0)
-        rows = rows[keep]
-        ids = self._ids
-        return (
-            [ids[r] for r in rows.tolist()],
-            self._tags[rows].astype(_INT64),
-            hits[:, keep],
-        )
+            (self._servers == server).any(axis=1, out=on_route[j])
+        mask = np.zeros(packed.size, bool)
+        for tag in tags:
+            mask |= flow_tags == tag
+        mask &= on_route.any(axis=0)[routes] & (packed >> _CLASS_SHIFT == code)
+        keep = np.flatnonzero(mask)
+        every = list(self._values)
+        ids = [every[i] for i in keep.tolist()]
+        return ids, flow_tags[keep], on_route[:, routes[keep]]
 
     def usage(self, code: int) -> np.ndarray:
         """Slots the flows of class ``code`` hold, per server — what a
         ledger's ``used`` vector must equal."""
-        held = self._servers[self._codes == code]
-        return np.bincount(held.ravel(), minlength=self.pad + 1)[: self.pad]
+        packed = self._packed()
+        flows = np.bincount(_route(packed[packed >> _CLASS_SHIFT == code]), minlength=self.rows)
+        weights = np.repeat(flows, self._servers.shape[1])
+        held = np.bincount(self._servers.ravel(), weights=weights, minlength=self.pad + 1)
+        return held[: self.pad].astype(_INT64)
 
     def verify(self) -> List[str]:
-        """Self-consistency of the two directions of the index:
-        ``id -> row`` against the ``row -> id`` column, and the rows in
-        use against the free list.  Returns the violations found."""
+        """Self-consistency of the values and the route table: every
+        flow holds the shared value of a route in use, each route's
+        live count is its holders, each route row is what its key says,
+        and the free list is the rows that hold no route.  Returns the
+        violations found."""
         problems: List[str] = []
-        ids = self._ids
-        codes = self._codes
-        for fid, row in self._index.items():
-            if codes[row] == NO_CLASS:
+        live = np.array(self._live)
+        named: Dict[int, List[Hashable]] = {}
+        for fid, value in self._values.items():
+            route = _route(value)
+            if route >= live.size or live[route] < 0:
+                problems.append(f"flow {fid!r} names route {route}, which is free")
+            elif self._canon.get(value) is not value:
+                problems.append(f"flow {fid!r} holds its own copy of its value")
+            named.setdefault(route, []).append(fid)
+        configured = np.bincount(self._configured[self._configured >= 0], minlength=live.size)
+        in_use = np.flatnonzero(live >= 0).tolist()
+        for route in in_use:
+            fids = named.get(route, [])
+            holders = configured[route] + len(fids)
+            if live[route] != holders:
                 problems.append(
-                    f"flow {fid!r} indexes flow-table row {row}, which "
-                    "holds no flow"
+                    f"route {route} counts {live[route]} holders, but {holders} "
+                    f"hold it (flows {fids!r})"
                 )
-            elif ids[row] != fid:
+            row, n, pair = self._servers[route], self._lengths[route], self._pairs[route]
+            if self._keys.get((pair, row[:n].tobytes())) != route or (row[n:] != self.pad).any():
                 problems.append(
-                    f"flow {fid!r} indexes flow-table row {row}, which "
-                    f"belongs to {ids[row]!r}"
+                    f"route row {route} holds servers {row.tolist()} of pair "
+                    f"code {pair}, not its key's"
                 )
-        live = np.flatnonzero(codes != NO_CLASS)
-        for row in sorted(set(live.tolist()) - set(self._index.values())):
-            problems.append(
-                f"flow-table row {row} holds {ids[row]!r}, which no "
-                "flow id indexes"
-            )
-        if sorted(self._free) != np.flatnonzero(codes == NO_CLASS).tolist():
-            problems.append(
-                "flow-table free list is not the set of rows that hold "
-                "no flow"
-            )
-        for row in sorted(self._free):
-            if ids[row] is not None:
-                problems.append(
-                    f"free flow-table row {row} still keeps the id "
-                    f"{ids[row]!r} alive"
-                )
+        if sorted(self._keys.values()) != in_use:
+            problems.append("the route keys are not the route rows in use")
+        if sorted(self._free) != np.flatnonzero(live < 0).tolist():
+            problems.append("the free route list is not the set of rows that hold no route")
+        if any(_route(v) >= live.size or live[_route(v)] < 0 for v in self._canon):
+            problems.append("a canonical value names a free route")
         return problems

@@ -32,7 +32,6 @@ from .batch import (
     PADDING_FREE,
     batch_slot_decisions,
     flat_committed_servers,
-    pad_server_matrix,
 )
 from .ledger import UtilizationLedger
 
@@ -138,11 +137,10 @@ class UtilizationAdmissionController(AdmissionController):
         codes = np.empty(n, dtype=np.int64)
         for name, members in by_class.items():
             codes[members] = self._class_code(name)
-        # Every row is resolved before the first commit: a route that
+        # Every route is resolved before the first commit: one that
         # does not translate raises here, with nothing to undo.
-        matrix, lengths = pad_server_matrix(
-            [self.servers_for(f, r) for f, r in zip(flows, routes)], pad
-        )
+        route_codes = self._route_codes(flows, routes)
+        matrix = table.servers_matrix(route_codes)[0]
         admitted = np.ones(n, dtype=bool)
         for name, members in by_class.items():
             if name not in slot_classes:
@@ -167,24 +165,17 @@ class UtilizationAdmissionController(AdmissionController):
                 for r in np.flatnonzero(~ok).tolist():
                     outcomes[members[r]] = rejected
         # One flow-table write for the whole batch, in batch order:
-        # snapshots list flows in the order they were established.
+        # snapshots list flows in the order they were established.  It
+        # runs with no winner too: that frees a pinned route interned
+        # for a refused flow.
         winners = np.flatnonzero(admitted)
-        pair_code = table.pair_code
-        ids, columns = [], []
+        ids, tags, pins = [], [], []
         for i in winners.tolist():
             flow = flows[i]
             ids.append(flow.flow_id)
-            columns.append((
-                PRIORITY_TAGS[flow.priority],
-                pair_code((flow.source, flow.destination)),
-                flow.route is not None,
-            ))
-        if ids:
-            tags, pairs, pins = zip(*columns)
-            table.add_batch(
-                ids, codes[winners], matrix[winners], lengths[winners],
-                tags, pairs, pins,
-            )
+            tags.append(PRIORITY_TAGS[flow.priority])
+            pins.append(flow.route is not None)
+        table.add_routed(ids, codes[winners], route_codes[winners], tags, pins)
         return outcomes
 
     def _release_batch_impl(
@@ -244,9 +235,7 @@ class UtilizationAdmissionController(AdmissionController):
 
     def headroom(self, class_name: str, pair: Pair) -> int:
         """How many more flows of the class fit on the pair's route."""
-        servers = self._server_cache.get(pair)
-        if servers is None:
-            servers = self.graph.route_servers(self._configured_route(pair))
+        servers = self.graph.route_servers(self._configured_route(pair))
         free = (
             self.ledger.capacity_view(class_name)[servers]
             - self.ledger.used_view(class_name)[servers]

@@ -506,18 +506,21 @@ async def read_responses(
             return
         if line.strip():
             deliver(protocol.decode_frame(line, max_bytes=max_bytes))
+        del line  # nothing of a delivered frame waits for the next
     while True:
         payload = await read_frame(reader, max_bytes)
         if payload is None:
             return
-        tag, obj = protocol.decode_payload_v2(payload, max_bytes=max_bytes)
-        if tag == protocol.TAG_RESULTS:
-            rid, slots = protocol.parse_bulk_request(obj)
-            deliver({"id": rid, "ok": True, "_packed": slots})
-        elif tag == protocol.TAG_JSON:
-            deliver(obj)
-        else:
-            raise ProtocolError(
-                protocol.BAD_REQUEST,
-                "unexpected bulk-request frame from the peer",
-            )
+        deliver(_response_v2(payload, max_bytes))
+        del payload
+
+
+def _response_v2(payload: bytes, max_bytes: int) -> Dict[str, Any]:
+    """One v2 response payload, v1-shaped (see :func:`read_responses`)."""
+    tag, obj = protocol.decode_payload_v2(payload, max_bytes=max_bytes)
+    if tag == protocol.TAG_RESULTS:
+        rid, slots = protocol.parse_bulk_request(obj)
+        return {"id": rid, "ok": True, "_packed": slots}
+    if tag != protocol.TAG_JSON:
+        raise ProtocolError(protocol.BAD_REQUEST, "unexpected bulk-request frame from the peer")
+    return obj

@@ -1,7 +1,7 @@
 """Unit tests for the vectorized batch-admission machinery.
 
 Covers the :mod:`repro.admission.batch` slot kernel in isolation, the
-array-backed :class:`~repro.admission.flowtable.FlowTable`, and the
+dict-and-route-table :class:`~repro.admission.flowtable.FlowTable`, and the
 batch-aware :class:`~repro.admission.base.AdmissionDecision` records
 (amortized per-request timing).  The end-to-end sequential/batch
 equivalence lives in ``test_property_batch_admission.py``.
@@ -25,7 +25,6 @@ from repro.admission import (
 )
 from repro.admission import flowtable
 from repro.admission.base import ADMIT_BATCH_MIN_RUN, AdmissionDecision
-from repro.admission.flowtable import NO_CLASS
 from repro.errors import AdmissionError
 from repro.routing.shortest import shortest_path_routes
 from repro.traffic import BEST_EFFORT_PRIORITY, ClassRegistry, TrafficClass
@@ -139,13 +138,19 @@ def _best_effort(name, rank):
     )
 
 
+def _routes(table, rows, pair=-1):
+    """Route codes of server ``rows``, interned as routes of ``pair``."""
+    return [table.route_code(pair, np.asarray(r, dtype=np.int64)) for r in rows]
+
+
 def _int8_only(high):
     """The planted offender: every column fixed to ``int8``."""
     return np.dtype(np.int8)
 
 
 def _table(pad, width=flowtable.INITIAL_WIDTH, capacity=flowtable.INITIAL_CAPACITY):
-    """A FlowTable that starts ``capacity`` rows by ``width`` columns."""
+    """A FlowTable whose route table starts ``capacity`` rows by
+    ``width`` columns."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(flowtable, "INITIAL_WIDTH", width)
         patch.setattr(flowtable, "INITIAL_CAPACITY", capacity)
@@ -238,10 +243,8 @@ def _pair_codes_round_trip():
     for k in (127, 128, 32_768):
         table.add(f"seq-{k}", 0, one, pair=k)
     picks = [32_767, 32_769, 39_999]
-    matrix, lengths = pad_server_matrix([one] * len(picks), pad=9)
-    table.add_batch(
-        [f"batch-{k}" for k in picks], 0, matrix, lengths, pairs=picks,
-    )
+    routes = [_routes(table, [one], k)[0] for k in picks]
+    table.add_routed([f"batch-{k}" for k in picks], 0, routes)
     for fid, _code, _tag, pair, _pinned in table.records():
         assert pair == pairs[int(fid.split("-")[1])], fid
     assert table.verify() == []
@@ -261,14 +264,17 @@ class TestFlowTable:
         table = _table(9, width=2, capacity=1)
         table.add("long", 0, np.array([1, 2, 3, 4], dtype=np.int64))
         table.pop("long")
-        # The recycled row previously held a 4-wide route; a 1-wide
-        # batch must not resurrect the stale columns.
+        # The recycled route row previously held a 4-wide route; a
+        # 1-wide batch must not resurrect the stale columns.
         matrix, lengths = pad_server_matrix(
             [np.array([5], dtype=np.int64)], pad=9
         )
         table.add_batch(["short"], 1, matrix, lengths)
+        assert table.rows == 1
+        assert table._servers.tolist() == [[5, 9, 9, 9]]
         _, servers, _ = table.pop("short")
         assert servers.tolist() == [5]
+        assert table.verify() == []
 
     def test_pop_batch_returns_all_columns(self):
         table = FlowTable(pad=9)
@@ -284,13 +290,17 @@ class TestFlowTable:
         assert len(table) == 0
 
     def test_growth_beyond_initial_capacity(self):
-        table = _table(5, capacity=2)
+        """100 distinct routes grow a 2-row route table to 128 rows,
+        which then stay, free, for the next routes."""
+        table = _table(200, capacity=2)
         for i in range(100):
-            table.add(i, NO_CLASS, np.empty(0, dtype=np.int64))
-        assert len(table) == 100
+            table.add(i, 0, np.array([i, i + 1], dtype=np.int64))
+        assert len(table) == 100 and table.rows == 128
+        assert table.verify() == []
         for i in range(100):
-            table.pop(i)
-        assert len(table) == 0
+            assert table.pop(i)[1].tolist() == [i, i + 1]
+        assert len(table) == 0 and table.rows == 128
+        assert len(table._free) == 128 and table.verify() == []
 
     def test_duplicate_and_missing_ids_raise(self):
         table = FlowTable(pad=5)
@@ -311,7 +321,7 @@ class TestFlowTable:
             [np.array([1, 2]), np.array([3]), np.array([4])], pad=9
         )
         table.add_batch(["f0", "f1", "f2"], 0, matrix, lengths)
-        free = list(table._free)
+        live = list(table._live)
         for ids, message in [
             (["f0", "f1", "nope"], "flow 'nope' is not established"),
             (["f1", "f0", "f1"], "duplicate flow id 'f1' in batch"),
@@ -320,13 +330,14 @@ class TestFlowTable:
             with pytest.raises(AdmissionError, match=message):
                 table.pop_batch(ids)
             assert list(table) == ["f0", "f1", "f2"]
-            assert table._free == free
+            assert table._live == live
             assert table.verify() == []
         assert table.servers_of("f0").tolist() == [1, 2]
         table.pop_batch(["f1", "f0"])
         assert list(table) == ["f2"] and table.verify() == []
 
     def test_add_batch_is_all_or_nothing(self):
+        """A refused batch leaves no flow, and no route it interned."""
         table = FlowTable(pad=9)
         one, one_len = pad_server_matrix([np.array([1])], pad=9)
         table.add_batch(["f0"], 0, one, one_len)
@@ -337,7 +348,8 @@ class TestFlowTable:
         for ids in (["new", "f0"], ["new", "new"]):
             with pytest.raises(AdmissionError, match="already established"):
                 table.add_batch(ids, 0, two, two_len)
-            assert list(table) == ["f0"] and table._free == free
+            assert list(table) == ["f0"] and len(table._keys) == 1
+            assert sorted(table._free) == sorted(free)
             assert table.verify() == []
 
     def test_a_recycled_row_keeps_nothing_of_its_last_occupant(self):
@@ -349,8 +361,8 @@ class TestFlowTable:
         )
         table.pop("pinned")
         other = table.pair_code(("x", "y"))
-        matrix, lengths = pad_server_matrix([np.array([5])], pad=9)
-        table.add_batch(["bare"], 0, matrix, lengths, None, other)
+        table.add_routed(["bare"], 0, _routes(table, [[5]], other))
+        assert table.rows == 1
         assert table.record("bare") == ("bare", 0, -1, ("x", "y"), False)
         assert table.servers_of("bare").tolist() == [5]
         assert table.usage(0).tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0]
@@ -360,10 +372,9 @@ class TestFlowTable:
         table = FlowTable(pad=9)
         rows = [np.array([1, 2]), np.array([2, 3]), np.array([4]),
                 np.array([1, 2]), np.array([2])]
-        matrix, lengths = pad_server_matrix(rows, pad=9)
-        table.add_batch(
+        table.add_routed(
             ["a", "b", "c", "other-class", "protected"],
-            [0, 0, 0, 1, 0], matrix, lengths, [1, -1, 1, 1, 3],
+            [0, 0, 0, 1, 0], _routes(table, rows), [1, -1, 1, 1, 3],
         )
         table.pop("c")  # a freed row is not a candidate
         ids, tags, hits = table.holders(0, [-1, 1], [2, 3])
@@ -383,17 +394,68 @@ class TestFlowTable:
     def test_columns_take_the_narrowest_type_that_fits(self):
         table = FlowTable(pad=70)  # MCI
         assert table._servers.dtype == np.int8
-        assert table._codes.dtype == table._tags.dtype == np.int8
         assert table._lengths.dtype == table._pairs.dtype == np.int8
         # MCI's 306 ordered pairs take a two-byte pair code.
         for k in range(306):
             table.pair_code((k, "d"))
         assert table._pairs.dtype == np.int16
-        # 4 servers; code, tag, length, pinned and the pair; the id slot.
-        assert table.nbytes == table.rows * (4 + 6 + 8)
+        # Per route row: 4 servers, the length, the pair and a pointer
+        # to the live count.
+        assert table.nbytes == table.rows * (4 + 1 + 2 + 8)
         assert FlowTable(pad=127)._servers.dtype == np.int8
         assert FlowTable(pad=128)._servers.dtype == np.int16
         assert FlowTable(pad=40_000)._servers.dtype == np.int32
+
+    def test_a_flow_is_one_entry_holding_a_shared_value(self):
+        """Flows alike in route, class, tag and pin hold one int
+        object between them; the route is stored once."""
+        table = FlowTable(pad=9)
+        pair = table.pair_code(("a", "b"))
+        route = np.array([1, 2], dtype=np.int64)
+        for i in range(3):
+            table.add(f"s{i}", 0, route, 1, pair)
+        table.add_routed(
+            ["b0", "b1", "b2"], 0, _routes(table, [route] * 3, pair), 1,
+            [False, False, True],
+        )
+        values = table._values
+        assert len({id(values[f]) for f in ["s0", "s1", "s2", "b0", "b1"]}) == 1
+        assert values["b2"] is not values["b0"] and values["b2"] == values["b0"] | 1
+        assert len(table._keys) == 1 and max(table._live) == 6
+        assert table.record("b2") == ("b2", 0, 1, ("a", "b"), True)
+        assert table.verify() == []
+
+    def test_verify_reports_each_planted_fault(self):
+        table = FlowTable(pad=9)
+        ab, cd = table.pair_code(("a", "b")), table.pair_code(("c", "d"))
+        table.add("x", 0, np.array([1, 2]), -1, ab)
+        table.add("y", 0, np.array([3, 4]), -1, cd)
+        assert table.verify() == []
+        x, y = table._values["x"], table._values["y"]
+        # A flow whose value names another pair's route.
+        table._values["x"] = y
+        problems = table.verify()
+        assert any("'x'" in p and p.startswith("route ") for p in problems)
+        table._values["x"] = x
+        # A live count that disagrees with the flows.
+        table._live[0] += 1
+        assert table.verify() == [
+            "route 0 counts 2 holders, but 1 hold it (flows ['x'])"
+        ]
+        table._live[0] -= 1
+        # A route row whose servers differ from its key.
+        table._servers[1, 0] = 5
+        assert table.verify() == [
+            "route row 1 holds servers [5, 4, 9, 9] of pair code 1, not "
+            "its key's"
+        ]
+        table._servers[1, 0] = 3
+        # A flow on a route that was freed under it.
+        table._live[1] = -1
+        table._free.append(1)
+        problems = table.verify()
+        assert "flow 'y' names route 1, which is free" in problems
+        assert "the route keys are not the route rows in use" in problems
 
     @pytest.mark.parametrize("pad", [127, 128])
     def test_the_server_matrix_holds_pad(self, pad):
@@ -410,19 +472,14 @@ class TestFlowTable:
     def test_pair_codes_past_32767(self):
         _pair_codes_round_trip()
 
-    @pytest.mark.parametrize(
-        "check", ["servers", "lengths", "classes", "pairs"]
-    )
+    @pytest.mark.parametrize("check", ["servers", "lengths", "pairs"])
     def test_a_table_fixed_to_int8_fails_the_boundaries(
-        self, check, monkeypatch, mci, mci_graph, mci_pairs, voice
+        self, check, monkeypatch
     ):
         monkeypatch.setattr(flowtable, "narrowest", _int8_only)
         run = {
             "servers": lambda: _servers_round_trip(128),
             "lengths": _lengths_round_trip,
-            "classes": lambda: _class_codes_round_trip(
-                mci, mci_graph, mci_pairs, voice
-            ),
             "pairs": _pair_codes_round_trip,
         }[check]
         # numpy refuses an out-of-range Python int, and wraps an
@@ -453,21 +510,15 @@ class TestFlowTable:
         table.pop(popped[0])
 
         ids = watched(3)
-        matrix, lengths = pad_server_matrix(
-            [np.array([k]) for k in range(3)], pad=9
-        )
-        table.add_batch(ids, 0, matrix, lengths, None, pair, True)
+        table.add_routed(ids, 0, _routes(table, [[0], [1], [2]], pair), -1, True)
         popped = names(ids)
         del ids
         table.pop_batch(popped)
 
         ids = watched(2)
         refused = ids + ["stays"]
-        matrix, lengths = pad_server_matrix(
-            [np.array([k]) for k in range(3)], pad=9
-        )
         with pytest.raises(AdmissionError, match="already established"):
-            table.add_batch(refused, 0, matrix, lengths, None, pair)
+            table.add_routed(refused, 0, _routes(table, [[0], [1], [2]], pair))
         del ids, refused, popped
         gc.collect()
         assert [r for r in refs if r() is not None] == []

@@ -7,6 +7,7 @@ from repro.admission import (
     FlowAwareAdmissionController,
     UtilizationAdmissionController,
 )
+from repro.admission.flowtable import _route
 from repro.errors import AdmissionError
 from repro.routing import shortest_path_routes
 from repro.topology import LinkServerGraph, Network, line_network
@@ -155,41 +156,47 @@ class TestUtilizationController:
         self, line4_graph, voice_registry, line_routes
     ):
         """The flow table is the only flow record, so what can still
-        disagree is inside it — ``id -> row`` against ``row -> id`` —
-        and between a row's servers and the ledger or its route."""
+        disagree is inside it — a flow's value against the route it
+        names, a route's live count against the flows that name it, a
+        route row against the key it was interned by — and between a
+        route's servers and the ledger or the flow's pair."""
         ctrl = _controller(line4_graph, voice_registry, line_routes)
         assert ctrl.admit(_flow("kept")).admitted
         assert ctrl.admit(_flow("other", "r3", "r0")).admitted
         assert ctrl.verify_invariants() == []
         table = ctrl._flows
-        kept, other = table._index["kept"], table._index["other"]
-        # An id that indexes another flow's row, whose own row nothing
-        # indexes any more.
-        table._index["kept"] = other
-        assert ctrl.verify_invariants()[:2] == [
-            f"flow 'kept' indexes flow-table row {other}, which belongs "
-            "to 'other'",
-            f"flow-table row {kept} holds 'kept', which no flow id "
-            "indexes",
-        ]
-        table._index["kept"] = kept
+        values = table._values
+        kept, other = values["kept"], values["other"]
+        route, other_route = _route(kept), _route(other)
+        # A flow whose value names another pair's route: neither
+        # route's count is its flows any more, nor the ledger's usage.
+        values["kept"] = other
+        problems = ctrl.verify_invariants()
+        assert f"route {route} counts 2 holders, but 1 hold it (flows [])" in problems
+        assert (
+            f"route {other_route} counts 2 holders, but 3 hold it "
+            "(flows ['kept', 'other'])"
+        ) in problems
+        assert any(p.startswith("ledger mismatch") for p in problems)
+        values["kept"] = kept
         assert ctrl.verify_invariants() == []
-        # A row whose servers are not what the ledger counted (and
-        # chain into no route).
-        held = table._servers[kept].copy()
-        table._servers[kept, 0] = table._servers[other, 0]
+        # A route row whose servers are not what the ledger counted
+        # (and chain into no route), nor its key.
+        held = table._servers[route].copy()
+        table._servers[route, 0] = table._servers[other_route, 0]
         problems = ctrl.verify_invariants()
         assert any(p.startswith("ledger mismatch") for p in problems)
         assert any(p.startswith("flow 'kept' holds servers") for p in problems)
-        table._servers[kept] = held
-        # A row that was given back while its id still points at it.
-        ctrl.ledger.release("voice", ctrl._flows.servers_of("kept"))
-        table._codes[kept] = -1
+        assert any(p.startswith(f"route row {route} ") for p in problems)
+        table._servers[route] = held
+        assert ctrl.verify_invariants() == []
+        # A route that was given back while a flow still names it.
+        table._live[route] = -1
+        table._free.append(route)
         assert ctrl.verify_invariants() == [
-            f"flow 'kept' indexes flow-table row {kept}, which holds "
-            "no flow",
-            "flow-table free list is not the set of rows that hold no "
-            "flow",
+            f"flow 'kept' names route {route}, which is free",
+            "the route keys are not the route rows in use",
+            "a canonical value names a free route",
         ]
 
     def test_headroom_of_an_unconfigured_pair_is_an_admission_error(

@@ -16,11 +16,15 @@ after every step:
   ``restore(snapshot())`` on a fresh controller;
 * the ledger against the servers of every recorded route, so a flow
   admitted before ``update_routes`` releases exactly what it committed
-  and a recycled row leaks nothing of its previous occupant (route
-  tail, pair, pinned bit).
+  and a recycled route row leaks nothing of its previous route (tail,
+  pair);
+* once every flow is released, a route table that holds the configured
+  routes alone.
 
-Around it: a malformed configured route is refused where it enters,
-and a server row planted with another pair's servers is reported.
+Around it: a malformed configured route is refused where it enters, a
+route row planted with another pair's servers is reported, and hostile
+churn over many distinct pinned routes leaves the route table and the
+shared values bounded by the configured and the live routes.
 
 It runs on two rings: six routers (12 link servers, every column of
 the table ``int8``) and 65 routers (130 link servers, past ``int8``, so
@@ -41,6 +45,7 @@ from repro.admission import (
     SlotShardController,
     UtilizationAdmissionController,
 )
+from repro.admission.flowtable import _route
 from repro.errors import AdmissionError, ConfigurationError
 from repro.routing.shortest import shortest_path_routes
 from repro.topology import LinkServerGraph, ring_network
@@ -248,10 +253,14 @@ def round_trip(ring, kind, ops, alpha):
             for flow, route in model.established.values()
         ]
         assert restored.verify_invariants() == []
-    # Whatever the route map says by now, every flow frees what it took.
+    # Whatever the route map says by now, every flow frees what it took,
+    # and every route no pair is configured with goes.
     controller.release_batch(list(model.established))
     model.established.clear()
     check(controller, model)
+    table = controller._flows
+    assert len(table._keys) == len(controller.route_map)
+    assert table.verify() == []
 
 
 @pytest.mark.parametrize("kind", ["utilization", "slotshard", "flow-aware"])
@@ -350,16 +359,59 @@ def test_a_malformed_configured_route_is_refused_where_it_enters(
 
 @pytest.mark.parametrize("kind", ["utilization", "slotshard"])
 def test_a_row_planted_with_another_pairs_servers_is_reported(kind):
-    """Two voice flows of different pairs swap server rows: the ledger
-    still adds up, but each row now says its flow is somewhere else."""
+    """The route rows of two voice flows of different pairs swap
+    servers: the ledger still adds up, but each row now says its flow
+    is somewhere else, and differs from the key it was interned by."""
     controller = SMALL.make(kind, 0.5)
     for fid, pair in (("a", ("r0", "r2")), ("b", ("r3", "r5"))):
         assert controller.admit(FlowSpec(fid, "voice", *pair)).admitted
     assert controller.verify_invariants() == []
     table = controller._flows
-    a, b = table._index["a"], table._index["b"]
+    a, b = _route(table._values["a"]), _route(table._values["b"])
     table._servers[[a, b]] = table._servers[[b, a]]
     problems = controller.verify_invariants()
     for fid in ("'a'", "'b'"):
         assert any(f"flow {fid}" in p for p in problems), problems
+    for route in (a, b):
+        assert any(p.startswith(f"route row {route} ") for p in problems)
     assert not any(p.startswith("ledger mismatch") for p in problems)
+
+
+def test_hostile_pinned_churn_leaves_the_configured_and_the_live_routes():
+    """Rounds of flows pinned the long way round, every one on a route
+    of its own, batched and one at a time, then all but a few released:
+    the route table's keys and the shared values come back to the
+    configured routes plus the survivors', and its rows stop growing
+    after the first round."""
+    ring = Ring(65, routers=range(0, 65, 4))
+    controller = ring.make("utilization", 0.5)
+    table = controller._flows
+    configured = set(table._keys.values())
+    assert len(configured) == len(ring.pairs)
+    survivors, rows = [], []
+    for rnd in range(3):
+        flows = [
+            FlowSpec(
+                f"p{rnd}-{i}", "best-effort" if i % 4 else "voice", *pair,
+                route=max(
+                    (ring.way_round(pair, c) for c in (True, False)), key=len
+                ),
+            )
+            for i, pair in enumerate(ring.pairs)
+        ]
+        decisions = controller.admit_batch(flows[:200])
+        decisions += [controller.admit(flow) for flow in flows[200:]]
+        admitted = [f.flow_id for f, d in zip(flows, decisions) if d.admitted]
+        assert len(admitted) > 200
+        survivors.append(admitted[-1])
+        controller.release_batch(admitted[:100])
+        for fid in admitted[100:-1]:
+            controller.release(fid)
+        rows.append(table.rows)
+        live = {_route(table._values[fid]) for fid in survivors}
+        assert set(table._keys.values()) == configured | live
+        assert {_route(v) for v in table._canon} <= configured | live
+        assert controller.verify_invariants() == []
+    assert rows[0] == rows[-1]
+    controller.release_batch(survivors)
+    assert set(table._keys.values()) == configured

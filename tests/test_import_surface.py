@@ -82,12 +82,13 @@ MAX_REPRO_MODULES = {"plain": 42, "everything": 47}
 
 #: Statement lines (`code_lines`) of the `repro.*` modules a serve loads,
 #: plain and with every flag (plain: 7285 before the knobs only tests set
-#: became constants, 7034 before the SLO tracker went; everything: 8073
-#: before it and the span sink went).  Under `PYTHONDONTWRITEBYTECODE=1`,
+#: became constants, 7034 before the SLO tracker went, 6814 before the
+#: flow table became a dict over interned routes; everything: 8073
+#: before the tracker and the span sink went, 7777 before the routes).  Under `PYTHONDONTWRITEBYTECODE=1`,
 #: the benchmark's setting, every start compiles all of them: the
 #: largest start-up cost this package controls (`docs/performance.md`,
 #: *Cold start*).
-MAX_SERVED_CODE_LINES = {"plain": 6814, "everything": 7777}
+MAX_SERVED_CODE_LINES = {"plain": 6783, "everything": 7746}
 
 
 def serve_argv(tmp_path, *flags):
@@ -282,6 +283,91 @@ def test_a_served_release_does_not_import_numpy_ma(served_once):
     codes it knows instead."""
     assert "repro.admission.kernels" in served_once["modules"]
     assert under(served_once["modules"], "numpy.ma") == []
+
+
+_SERVE_EVERY_OUTCOME = """
+import json, os, signal, sys, threading, time
+from repro.experiments import cli
+from repro.service.client import ServiceClient
+
+sock = sys.argv[1]
+seen = {}
+
+def ops(prefix):
+    # 31 slots a link on Seattle <-> Denver at alpha 0.01: 31 admits,
+    # one refused, a hard-RT arrival that evicts, a release and an
+    # error.
+    admits = [(f"{prefix}{i}", "elastic") for i in range(32)]
+    return admits + [(f"{prefix}-hard", "hard_rt")], [f"{prefix}1", "nobody"]
+
+def v1_frame():
+    admits, releases = ops("a")
+    return [
+        {"op": "admit", "flow": {"id": fid, "cls": "voice", "src": "Seattle",
+                                 "dst": "Denver", "pri": pri}}
+        for fid, pri in admits
+    ] + [{"op": "release", "flow_id": fid} for fid in releases]
+
+def v2_frame():
+    admits, releases = ops("b")
+    return [[0, fid, "voice", "Denver", "Seattle", None, pri]
+            for fid, pri in admits] + [[1, fid] for fid in releases]
+
+def v1_outcome(result):
+    if not result["ok"]:
+        return "error"
+    if "admitted" in result["result"]:
+        return "admitted" if result["result"]["admitted"] else "rejected"
+    return "released"
+
+def drive():
+    try:
+        deadline = time.monotonic() + 60
+        while not os.path.exists(sock) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with ServiceClient(socket_path=sock) as v1, ServiceClient(
+            socket_path=sock, protocol="v2"
+        ) as v2:
+            before = set(sys.modules)
+            v1_results = v1.batch(v1_frame())
+            v2_slots = v2.bulk(v2_frame(), raw=True)
+            seen["imported"] = sorted(set(sys.modules) - before)
+            seen["v1"] = [v1_outcome(r) for r in v1_results]
+            seen["v2"] = [slot[0] for slot in v2_slots]
+            seen["preemption"] = v1.stats()["preemption"]
+    finally:
+        os.kill(os.getpid(), signal.SIGTERM)  # drain: main() returns
+
+thread = threading.Thread(target=drive)
+thread.start()
+code = cli.main(["serve", "--socket", sock, "--topology", "mci", "--alpha",
+                 "0.01", "--preempt", "--serve-seconds", "120"])
+thread.join()
+print(json.dumps({"code": code, **seen}))
+"""
+
+
+def test_serving_every_outcome_imports_nothing(tmp_path):
+    """Once `serve` listens, a v1 `batch` frame and a v2 `B` frame that
+    each admit, refuse, preempt, release and fail import no module: a
+    lazy import inside a decision costs its resident memory in every
+    served process (`np.unique` pulled `numpy.ma` in, +1.57 MB) and its
+    time in the frame that first takes that path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVE_EVERY_OUTCOME, str(tmp_path / "u.sock")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] in (0, None), proc.stdout
+    outcome = ["admitted"] * 31 + ["rejected", "admitted", "released", "error"]
+    assert result["v1"] == outcome
+    assert result["v2"] == [0] * 31 + [1, 0, 2, 3]
+    assert result["preemption"]["preempted_admits"] == 2
+    assert result["imported"] == []
 
 
 def test_no_collection_before_the_listener(served_once):

@@ -46,6 +46,7 @@ from repro.service.coalescer import (
     MicroBatchCoalescer,
 )
 from repro.traffic.flows import FlowSpec
+from work_counts import bytes_per_wire_established_flow
 
 WARM_OPS = 20_000
 TOTAL_OPS = 60_000
@@ -352,20 +353,17 @@ def test_an_obs_on_frame_leaves_at_most_two_spans(tmp_path):
 # bytes per established flow
 # --------------------------------------------------------------------- #
 
-WIRE_FRAME_FLOWS = 1_024
 #: Ceiling on what one established flow may keep alive, per fill of the
-#: table.  What it must keep: the decoded id string (~57 B), one slot of
-#: the id -> row dict (~50 B at 6 000 flows), the row int (32 B) and the
-#: columns — 18 B a row on MCI since each holds the narrowest integer
-#: type that fits it (81 B in int64) — the last two at the table's
-#: power-of-two capacity.  That is ~187 B at 6 000 flows in 8 192 rows
-#: (272 B in int64), and ~221 B at 4 100 flows, just after the table
-#: doubled (346 B in int64).  A record that keeps the decoded
-#: ``FlowSpec`` per flow (the planted offender) is at 505-527 B since
-#: ``FlowSpec`` is slotted (760-800 B while it had a ``__dict__``), so
-#: the 4 100-flow gate is 250 B (280 B before): the planted record must
-#: still cost more than twice the gate.
-MAX_BYTES_PER_FLOW = {6_000: 230, 4_100: 250}
+#: id dict.  What it must keep: the decoded id string (~57 B) and one
+#: entry of the ``flow id -> value`` dict (~40 B); the value is an int
+#: shared by every flow on the same route, class, priority and pin, and
+#: the route is interned once in the route table.  That is ~99 B at
+#: 6 000 flows and ~93 B at 4 100 (~187 and ~221 B while each flow had
+#: a row of columns, a row int and an id-list slot, gated at 230 and
+#: 250 B).  A record that keeps the decoded ``FlowSpec`` per flow (the
+#: planted offender) is at 407-423 B: it must cost more than twice the
+#: gate.
+MAX_BYTES_PER_FLOW = {6_000: 130, 4_100: 130}
 
 
 class _KeepsTheSpec(UtilizationAdmissionController):
@@ -381,56 +379,6 @@ class _KeepsTheSpec(UtilizationAdmissionController):
         return outcomes
 
 
-def _bytes_per_wire_established_flow(controller, pairs, flows):
-    """Establish ``flows`` flows the way a served process does —
-    packed ``B`` frames encoded, then ``decode_payload_v2`` ->
-    ``decode_bulk_subop`` -> ``submit_bulk``, so every string of every
-    flow is freshly decoded — and return what the heap grew by per
-    established flow."""
-    from repro.service import protocol
-
-    priorities = ("elastic", "soft_rt", "hard_rt", None)
-
-    def frame(start):
-        subops = []
-        for i in range(start, min(start + WIRE_FRAME_FLOWS, flows)):
-            src, dst = pairs[i % len(pairs)]
-            subops.append(
-                [0, f"wire-{i}", "voice", src, dst, None,
-                 priorities[i % len(priorities)]]
-            )
-        return protocol.encode_bulk_request(start, subops)
-
-    async def scenario():
-        coalescer = MicroBatchCoalescer(controller, max_delay=0.0)
-        coalescer.start()
-        try:
-            for start in range(0, flows, WIRE_FRAME_FLOWS):
-                wire = frame(start)
-                _tag, body = protocol.decode_payload_v2(
-                    wire[protocol.FRAME_HEADER_BYTES:]
-                )
-                _rid, subops = protocol.parse_bulk_request(body)
-                entries = [
-                    (i, BULK_OP_ADMIT, protocol.decode_bulk_subop(sub)[1])
-                    for i, sub in enumerate(subops)
-                ]
-                slots = coalescer.open_bulk(len(entries))
-                coalescer.submit_bulk(slots, entries)
-                assert slots.remaining == 0  # decided inline
-                del wire, body, subops, entries, slots
-        finally:
-            await coalescer.stop()
-
-    before = _traced_bytes()
-    asyncio.run(scenario())
-    growth = _traced_bytes() - before
-    # Every flow fits at alpha 0.3.
-    assert controller.num_established == flows
-    assert controller.verify_invariants() == []
-    return growth / controller.num_established
-
-
 def _gate_bytes_per_flow(flows, mci, mci_graph, mci_pairs, voice_registry):
     gate = MAX_BYTES_PER_FLOW[flows]
     routes = shortest_path_routes(mci, mci_pairs)
@@ -441,7 +389,7 @@ def _gate_bytes_per_flow(flows, mci, mci_graph, mci_pairs, voice_registry):
             controller = cls(
                 mci_graph, voice_registry, {"voice": 0.3}, routes
             )
-            per_flow[cls] = _bytes_per_wire_established_flow(
+            per_flow[cls] = bytes_per_wire_established_flow(
                 controller, mci_pairs, flows
             )
             del controller
@@ -462,18 +410,18 @@ def test_an_established_flow_keeps_a_row_not_an_object(
 def test_a_just_doubled_table_keeps_a_row_not_an_object(
     mci, mci_graph, mci_pairs, voice_registry
 ):
-    """Just past a doubling, half the rows are free and every column
-    costs twice what it does when full: the worst fill."""
+    """The fill the flow table once doubled its rows at: the id dict
+    is all that still grows with the flows."""
     _gate_bytes_per_flow(4_100, mci, mci_graph, mci_pairs, voice_registry)
 
 
 # --------------------------------------------------------------------- #
-# what a flow row costs, from the running system
+# what a route row costs, from the running system
 # --------------------------------------------------------------------- #
 
-#: Ceiling on the fixed-width bytes of a flow-table row a served MCI
-#: process reports: 18 B with every column in the narrowest integer
-#: type that fits it, 81 B when they were all int64.
+#: Ceiling on the bytes of a route-table row a served MCI process
+#: reports (servers, length, pair code and a live-count pointer: 15 B):
+#: 18 B, what a flow row cost when every flow had one.
 MAX_ROW_BYTES = 18
 
 
@@ -490,6 +438,11 @@ def _scrape_stats(port):
 
 
 def test_a_served_process_reports_what_a_flow_row_costs(tmp_path, mci_pairs):
+    """A served process reports a route table that holds a row for
+    every configured route from the start, at no more than
+    ``MAX_ROW_BYTES`` a row, and that does not grow with the flows on
+    those routes: two waves of flows over the same pairs leave
+    ``flow_rows`` and ``flow_table_bytes`` where they were."""
     from serve_processes import ServiceProcess
 
     flows = 200
@@ -499,20 +452,24 @@ def test_a_served_process_reports_what_a_flow_row_costs(tmp_path, mci_pairs):
     ) as server:
         server.start()
         with server.client() as client:
-            client.batch([
-                {"op": "admit", "flow": {
-                    "id": f"f{i}", "cls": "voice", "src": src, "dst": dst,
-                }}
-                for i, (src, dst) in enumerate(mci_pairs[:flows])
-            ])
-            stats = client.stats()
+            stats = [client.stats()]
+            for wave in range(2):
+                client.batch([
+                    {"op": "admit", "flow": {
+                        "id": f"f{wave}-{i}", "cls": "voice",
+                        "src": src, "dst": dst,
+                    }}
+                    for i, (src, dst) in enumerate(mci_pairs[:flows])
+                ])
+                stats.append(client.stats())
         port = re.search(
             r"telemetry endpoint on http://[^:]+:(\d+)/", server.read_log()
         )
         scraped = _scrape_stats(int(port.group(1)))
         assert server.terminate() == 0
-    assert stats["established"] == flows <= stats["flow_rows"]
-    assert stats["flow_table_bytes"] <= MAX_ROW_BYTES * stats["flow_rows"]
-    # The same two numbers from the scrape endpoint.
+    assert [s["established"] for s in stats] == [0, flows, 2 * flows]
+    assert stats[0]["flow_rows"] >= len(mci_pairs)
+    assert stats[0]["flow_table_bytes"] <= MAX_ROW_BYTES * stats[0]["flow_rows"]
+    # The same two numbers after each wave, and from the scrape endpoint.
     for key in ("flow_rows", "flow_table_bytes"):
-        assert scraped[key] == stats[key]
+        assert {s[key] for s in stats} == {scraped[key]}

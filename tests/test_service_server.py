@@ -36,7 +36,7 @@ from repro.service import (
 )
 from repro.service.audit import iter_audit, verify_audit
 from repro.service.coalescer import MicroBatchCoalescer
-from repro.service.conn import ConnectionLayer, propose_v2
+from repro.service.conn import ConnectionLayer, propose_v2, read_responses
 from repro.topology import LinkServerGraph, line_network, ring_network
 from repro.traffic import ClassRegistry, voice_class
 from repro.traffic.flows import PRIORITIES, FlowSpec
@@ -1307,17 +1307,25 @@ def _carries(obj, marker, depth=0):
     return any(_carries(item, marker, depth + 1) for item in items)
 
 
-def _held_by_read_loops(marker):
+def _held_by_read_loops(marker, loops=_READ_LOOPS):
     """``(loop, held type)`` for everything a read loop still holds of
     a frame that named ``marker``."""
     gc.collect()
     return [
         (obj.cr_code.co_name, type(ref).__name__)
         for obj in gc.get_objects()
-        if inspect.iscoroutine(obj) and obj.cr_code in _READ_LOOPS
+        if inspect.iscoroutine(obj) and obj.cr_code in loops
         for ref in gc.get_referents(obj)
         if _carries(ref, marker)
     ]
+
+
+def _running(loops):
+    """How many coroutines of ``loops`` are alive."""
+    return sum(
+        1 for obj in gc.get_objects()
+        if inspect.iscoroutine(obj) and obj.cr_code in loops
+    )
 
 
 class TestReadLoopLetsGoOfEachFrame(FrontDoorCases):
@@ -1382,6 +1390,40 @@ class TestReadLoopLetsGoOfEachFrame(FrontDoorCases):
                 await service.stop()
 
         assert asyncio.run(scenario()) == []
+
+
+class TestDiallingLoopLetsGoOfEachFrame:
+    """The dialling side's read loop (``conn.read_responses``, which a
+    client and a front door's worker link run) holds nothing of a
+    response it delivered while it awaits the next one."""
+
+    _LOOPS = frozenset({read_responses.__code__})
+
+    @pytest.mark.parametrize("door", ["server", "router"])
+    @pytest.mark.parametrize("proto", ["v2", "v1"])
+    def test_a_delivered_response_is_not_held_while_the_next_is_read(
+        self, tmp_path, door, proto
+    ):
+        marker = "dial-marker-7c3"
+
+        async def scenario():
+            starter = start_router if door == "router" else start_service
+            service, sock = await starter(tmp_path)
+            client = await AsyncServiceClient.connect_unix(sock, protocol=proto)
+            try:
+                (result,) = await client.batch(
+                    [{"op": "release", "flow_id": f"{marker}-never-admitted"}]
+                )
+                assert not result["ok"] and marker in result["error"]["message"]
+                # Delivered; each loop is back waiting for a next frame.
+                await asyncio.sleep(0.05)
+                return _running(self._LOOPS), _held_by_read_loops(marker, self._LOOPS)
+            finally:
+                await client.close()
+                await service.drain()
+
+        # The client's loop, and the front door's link to its worker.
+        assert asyncio.run(scenario()) == (1 + (door == "router"), [])
 
 
 class TestProtocolHardeningRouter(TestProtocolHardening):

@@ -9,19 +9,25 @@ The pins in ``tests/data/work_counts.json`` are exact and filed per
 interpreter and numpy minor version.  A count above its pin is a
 regression; a count below it is a gain that must be written down, so it
 fails too until the pin is lowered.  On an interpreter with no pins
-only the ratio of audited to bare calls and the cluster's ceiling are
-checked.
+only the calls the audited path adds to the bare one and the cluster's
+ceiling are checked.
 """
 
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.service import audit as audit_module
 from repro.service import protocol
 from repro.service import router as router_module
+from repro.service.audit import AuditLog
 
 from work_counts import (
     MIN_CEILING_X,
+    audited_extra_calls,
     ceiling_x,
+    count_bulk,
     count_cluster,
     count_work,
     interpreter_key,
@@ -30,14 +36,16 @@ from work_counts import (
 
 PINS = Path(__file__).resolve().parent / "data" / "work_counts.json"
 
-#: Audited-with-observability calls per op over bare ones, at most.
-MAX_AUDITED_RATIO = 1.5
+#: Calls per op the audited, obs-on path may make beyond the bare one:
+#: a difference, not a ratio, so a bare path that gets cheaper does not
+#: tighten it, and the audited path's growth is what it bounds.
+MAX_AUDITED_EXTRA_CALLS = 6.5
 
 
 def test_work_counts_match_their_pins():
     counts = count_work()
     rates = per_op(counts)
-    assert rates["bulk_audited_calls"] <= MAX_AUDITED_RATIO * rates["bulk_calls"], rates
+    assert audited_extra_calls(counts) <= MAX_AUDITED_EXTRA_CALLS, rates
     # The router is one process: below this the cluster cannot beat one
     # process on any number of cores (ROADMAP 3(c)).
     assert ceiling_x(counts) >= MIN_CEILING_X, rates
@@ -77,3 +85,29 @@ def test_a_router_that_decodes_each_subop_is_caught(monkeypatch):
     pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
     if pins is not None:
         assert planted["router_calls"] > pins["router_calls"]
+
+
+def _one_call_more(entry):
+    """``entry`` behind one more Python call."""
+
+    def planted(*args, **kwargs):
+        return entry(*args, **kwargs)
+
+    return staticmethod(planted)
+
+
+def test_an_audit_entry_one_call_dearer_is_caught(monkeypatch):
+    """Planted: every audit entry costs one more call.  The bare path
+    does not move, the audited one grows by a call an op, and that is
+    past ``MAX_AUDITED_EXTRA_CALLS``."""
+    shipped = count_bulk()
+    for name in ("admit_entry", "release_entry"):
+        monkeypatch.setattr(
+            AuditLog, name, _one_call_more(getattr(audit_module, name))
+        )
+    planted = count_bulk()
+    assert planted["bulk_calls"] == shipped["bulk_calls"]
+    grown = audited_extra_calls(planted) - audited_extra_calls(shipped)
+    assert grown == pytest.approx(1.0, abs=0.01)
+    assert audited_extra_calls(shipped) <= MAX_AUDITED_EXTRA_CALLS
+    assert audited_extra_calls(planted) > MAX_AUDITED_EXTRA_CALLS

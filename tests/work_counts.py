@@ -36,6 +36,11 @@ decoded frame let go once ``begin_bulk`` returns, as the read loop lets
 go of it.  It is taken in a fresh interpreter, where it repeats to the
 byte, as the call counts do.
 
+``flow_heap_bytes`` is the heap an established flow keeps: what the
+traced heap grew by, per flow, while :func:`bytes_per_wire_established_flow`
+established 6 000 flows on MCI the way a served process does.  It too
+is taken in a fresh interpreter.
+
 ``ceiling_x`` (worker calls over router calls per op) is the cluster's
 scale-out ceiling: the router is one process, so however many workers
 share the decisions it cannot pass ``ceiling_x`` times one worker's
@@ -105,6 +110,9 @@ BULK_ESTABLISHED = 3_000
 BULK_SEED = 44
 
 CLUSTER_WORKERS = 2
+
+FLOW_HEAP_FLOWS = 6_000
+WIRE_FRAME_FLOWS = 1_024
 
 #: Worker calls per op over router calls per op, at least: below it the
 #: cluster cannot beat one process on any number of cores.
@@ -459,14 +467,79 @@ def _count_frame_heap() -> Dict[str, int]:
     return {"frame_heap_bytes": peak}
 
 
-def _frame_heap_in_a_fresh_process() -> Dict[str, int]:
-    """The ``frame_heap_bytes`` window alone in a fresh interpreter, on
-    the checkout this process imports.  What one frame allocates
-    depends on what earlier work left in CPython's free lists, so only
-    a process that ran nothing else repeats it to the byte."""
+def bytes_per_wire_established_flow(controller, pairs, flows: int) -> float:
+    """Establish ``flows`` flows the way a served process does —
+    packed ``B`` frames encoded, then ``decode_payload_v2`` ->
+    ``decode_bulk_subop`` -> ``submit_bulk``, so every string of every
+    flow is freshly decoded — and return what the traced heap grew by
+    per established flow (the caller has ``tracemalloc`` tracing)."""
+    priorities = ("elastic", "soft_rt", "hard_rt", None)
+
+    def frame(start):
+        subops = []
+        for i in range(start, min(start + WIRE_FRAME_FLOWS, flows)):
+            src, dst = pairs[i % len(pairs)]
+            subops.append(
+                [0, f"wire-{i}", "voice", src, dst, None,
+                 priorities[i % len(priorities)]]
+            )
+        return protocol.encode_bulk_request(start, subops)
+
+    async def scenario():
+        coalescer = MicroBatchCoalescer(controller, max_delay=0.0)
+        coalescer.start()
+        try:
+            for start in range(0, flows, WIRE_FRAME_FLOWS):
+                wire = frame(start)
+                _tag, body = protocol.decode_payload_v2(
+                    wire[protocol.FRAME_HEADER_BYTES:]
+                )
+                _rid, subops = protocol.parse_bulk_request(body)
+                entries = [
+                    (i, BULK_OP_ADMIT, protocol.decode_bulk_subop(sub)[1])
+                    for i, sub in enumerate(subops)
+                ]
+                slots = coalescer.open_bulk(len(entries))
+                coalescer.submit_bulk(slots, entries)
+                assert slots.remaining == 0  # decided inline
+                del wire, body, subops, entries, slots
+        finally:
+            await coalescer.stop()
+
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    asyncio.run(scenario())
+    gc.collect()
+    growth = tracemalloc.get_traced_memory()[0] - before
+    # Every flow fits at alpha 0.3.
+    assert controller.num_established == flows
+    assert controller.verify_invariants() == []
+    return growth / controller.num_established
+
+
+def _count_flow_heap() -> Dict[str, int]:
+    """``flow_heap_bytes``: :func:`bytes_per_wire_established_flow` at
+    ``FLOW_HEAP_FLOWS`` flows, to the byte."""
+    controller, pairs = _controller(BULK_ALPHA)
+    tracemalloc.start()
+    try:
+        per_flow = bytes_per_wire_established_flow(
+            controller, pairs, FLOW_HEAP_FLOWS
+        )
+    finally:
+        tracemalloc.stop()
+    return {"flow_heap_bytes": round(per_flow)}
+
+
+def _in_a_fresh_process(call: str) -> Dict[str, int]:
+    """``call`` (an expression over ``w``, this module) alone in a
+    fresh interpreter, on the checkout this process imports.  What a
+    window allocates depends on what earlier work left in CPython's
+    free lists, so only a process that ran nothing else repeats it to
+    the byte."""
     paths = [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    code = "import json, work_counts as w; print(json.dumps(w._quiet(w._count_frame_heap)))"
+    code = f"import json, work_counts as w; print(json.dumps({call}))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120, check=True,
@@ -524,8 +597,9 @@ def _quiet(windows) -> Dict[str, int]:
 
 
 def count_work() -> Dict[str, int]:
-    """Every count of the windows and ``frame_heap_bytes``, as a flat
-    ``{name: int}`` (each window's ``*_ops`` beside its totals)."""
+    """Every count of the windows, ``frame_heap_bytes`` and
+    ``flow_heap_bytes``, as a flat ``{name: int}`` (each window's
+    ``*_ops`` beside its totals)."""
 
     def windows() -> Dict[str, int]:
         with tempfile.TemporaryDirectory() as tmp:
@@ -534,7 +608,25 @@ def count_work() -> Dict[str, int]:
             counts.update(_count_cluster())
         return counts
 
-    return {**_quiet(windows), **_frame_heap_in_a_fresh_process()}
+    return {
+        **_quiet(windows),
+        **_in_a_fresh_process("w._quiet(w._count_frame_heap)"),
+        **_in_a_fresh_process("w._count_flow_heap()"),
+    }
+
+
+def count_bulk() -> Dict[str, int]:
+    """The ``bulk`` and ``bulk_audited`` windows alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _quiet(lambda: _count_bulk(os.path.join(tmp, "audit.jsonl")))
+
+
+def audited_extra_calls(counts: Dict[str, int]) -> float:
+    """Calls per op the audited, obs-on path makes beyond the bare one."""
+    return (
+        counts["bulk_audited_calls"] / counts["bulk_audited_ops"]
+        - counts["bulk_calls"] / counts["bulk_ops"]
+    )
 
 
 def count_cluster() -> Dict[str, int]:
