@@ -418,12 +418,38 @@ class TestFlowTable:
             ["b0", "b1", "b2"], 0, _routes(table, [route] * 3, pair), 1,
             [False, False, True],
         )
-        values = table._values
-        assert len({id(values[f]) for f in ["s0", "s1", "s2", "b0", "b1"]}) == 1
-        assert values["b2"] is not values["b0"] and values["b2"] == values["b0"] | 1
+        value = table._value
+        assert len({id(value(f)) for f in ["s0", "s1", "s2", "b0", "b1"]}) == 1
+        assert value("b2") is not value("b0") and value("b2") == value("b0") | 1
         assert len(table._keys) == 1 and max(table._live) == 6
         assert table.record("b2") == ("b2", 0, 1, ("a", "b"), True)
         assert table.verify() == []
+
+    def test_segments_seal_and_merge_in_establishment_order(self, monkeypatch):
+        """Two inserts a segment: the add past them seals the open
+        segment; each seal merges adjacent sealed segments that
+        releases have thinned until they fit in one, and drops the
+        ones they emptied."""
+        monkeypatch.setattr(flowtable, "SEGMENT_INSERTS", 2)
+        table = FlowTable(pad=9)
+        servers = np.array([1, 2])
+
+        def layout():
+            assert table.verify() == []
+            return [list(seg) for seg in table._segs]
+
+        for fid in "abcde":
+            table.add(fid, 0, servers)
+        assert layout() == [["a", "b"], ["c", "d"], ["e"]]
+        table.pop("d")
+        table.pop("a")
+        assert layout() == [["b"], ["c"], ["e"]]
+        table.add_routed(["f", "g"], 0, _routes(table, [servers] * 2))
+        assert layout() == [["b", "c"], ["e"], ["f", "g"]]
+        table.pop("e")
+        table.add("h", 0, servers)
+        assert layout() == [["b", "c"], ["f", "g"], ["h"]]
+        assert list(table) == ["b", "c", "f", "g", "h"] and table._sealed == [2, 2]
 
     def test_verify_reports_each_planted_fault(self):
         table = FlowTable(pad=9)
@@ -431,12 +457,29 @@ class TestFlowTable:
         table.add("x", 0, np.array([1, 2]), -1, ab)
         table.add("y", 0, np.array([3, 4]), -1, cd)
         assert table.verify() == []
-        x, y = table._values["x"], table._values["y"]
+        (segment,) = table._segs
+        x, y = segment["x"], segment["y"]
         # A flow whose value names another pair's route.
-        table._values["x"] = y
+        segment["x"] = y
         problems = table.verify()
         assert any("'x'" in p and p.startswith("route ") for p in problems)
-        table._values["x"] = x
+        segment["x"] = x
+        # An id held by two segments (here a sealed one and the open
+        # one), which pop would release once and leave established.
+        table._segs, table._sealed = [{"x": x}, segment], [1]
+        assert table.verify()[0] == "flow 'x' is in segments 0 and 1"
+        # Two adjacent sealed segments that fit in one, left unmerged.
+        table._segs, table._sealed = [{"x": x}, {"y": y}, {}], [1, 1]
+        assert table.verify() == [
+            "sealed segments 0 and 1 were sealed with 1 and 1 flows: they fit in one"
+        ]
+        # A sealed segment that gained a flow, and seal sizes that do
+        # not match the segments.
+        table._segs, table._sealed = [segment, {}], [1]
+        assert table.verify() == ["sealed segment 0 holds 2 flows, sealed with 1"]
+        table._segs, table._sealed = [segment], [2]
+        assert table.verify() == ["1 seal sizes for 0 sealed segments"]
+        table._sealed = []
         # A live count that disagrees with the flows.
         table._live[0] += 1
         assert table.verify() == [

@@ -165,7 +165,7 @@ class TestUtilizationController:
         assert ctrl.admit(_flow("other", "r3", "r0")).admitted
         assert ctrl.verify_invariants() == []
         table = ctrl._flows
-        values = table._values
+        (values,) = table._segs
         kept, other = values["kept"], values["other"]
         route, other_route = _route(kept), _route(other)
         # A flow whose value names another pair's route: neither

@@ -21,6 +21,11 @@ after every step:
 * once every flow is released, a route table that holds the configured
   routes alone.
 
+The same sequences run again with ``flowtable.SEGMENT_INSERTS`` at 2
+to 4, so that they cross the id index's seals and merges; and the table
+alone is driven through batches whose duplicate or absent id lives in
+an older segment, against an insertion-ordered dict of ids.
+
 Around it: a malformed configured route is refused where it enters, a
 route row planted with another pair's servers is reported, and hostile
 churn over many distinct pinned routes leaves the route table and the
@@ -33,7 +38,9 @@ of 127).
 """
 
 import re
+from contextlib import nullcontext
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,7 +52,8 @@ from repro.admission import (
     SlotShardController,
     UtilizationAdmissionController,
 )
-from repro.admission.flowtable import _route
+from repro.admission import flowtable
+from repro.admission.flowtable import FlowTable, _route
 from repro.errors import AdmissionError, ConfigurationError
 from repro.routing.shortest import shortest_path_routes
 from repro.topology import LinkServerGraph, ring_network
@@ -277,6 +285,111 @@ def test_the_store_round_trips_past_the_int8_server_column(kind, ops, alpha):
     round_trip(WIDE, kind, ops, alpha)
 
 
+#: Segment sizes small enough that a sequence of a few ops seals and
+#: merges segments of the id index.
+SMALL_SEGMENTS = (2, 3, 4)
+
+
+@pytest.mark.parametrize("kind", ["utilization", "slotshard", "flow-aware"])
+@settings(deadline=None, max_examples=40)
+@given(
+    ops=SMALL.ops(),
+    alpha=st.sampled_from(ALPHAS),
+    inserts=st.sampled_from(SMALL_SEGMENTS),
+)
+def test_the_store_round_trips_across_seals_and_merges(kind, ops, alpha, inserts):
+    """Records in establishment order, the ledger, snapshots and the
+    restore round trip, with the id index sealing a segment every few
+    inserts and merging segments as releases thin them."""
+    with mock.patch.object(flowtable, "SEGMENT_INSERTS", inserts):
+        round_trip(SMALL, kind, ops, alpha)
+
+
+#: Table-level ops: ``(kind, picks, fault)``.  An add takes one fresh
+#: id per pick; a pop takes the established ids at the picked positions
+#: of the establishment order.  ``fault`` then spoils the batch: an id
+#: repeated, an established id added, or an absent id popped.
+TABLE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add_routed", "pop", "pop_batch"]),
+        st.lists(st.integers(0, 1 << 16), min_size=1, max_size=5),
+        st.sampled_from([None, None, "repeat", "foreign"]),
+    ),
+    max_size=60,
+)
+
+
+def _table_batch(kind, picks, fault, model, serial):
+    """The ids of one table op, and whether the op must succeed."""
+    order = list(model)
+    if kind.startswith("add"):
+        ids = [f"f{serial + k}" for k in range(len(picks))]
+        if fault == "foreign" and order:
+            ids[-1] = order[picks[-1] % len(order)]
+    else:
+        if not order:
+            return [f"absent{serial}"], False
+        ids = list(dict.fromkeys(order[p % len(order)] for p in picks))
+        if fault == "foreign":
+            ids.append(f"absent{serial}")
+    if kind in ("add", "pop"):
+        ids = ids[-1:]
+    elif fault == "repeat":
+        ids.append(ids[0])
+    ok = len(set(ids)) == len(ids) and all(
+        (fid in model) != kind.startswith("add") for fid in ids
+    )
+    return ids, ok
+
+
+@settings(deadline=None, max_examples=150)
+@given(ops=TABLE_OPS, inserts=st.sampled_from(SMALL_SEGMENTS))
+def test_batches_are_all_or_nothing_across_segments(ops, inserts):
+    """``add``, ``add_routed``, ``pop`` and ``pop_batch`` against an
+    insertion-ordered dict: an op with an id that is already
+    established or absent — wherever in the index it lives — or that
+    repeats raises and changes nothing; otherwise the table holds the
+    dict's ids, in its order, and :meth:`FlowTable.verify` finds
+    nothing (no id in two segments, no adjacent sealed segments that
+    fitted in one at the last seal)."""
+    with mock.patch.object(flowtable, "SEGMENT_INSERTS", inserts):
+        table = FlowTable(pad=9)
+        pair = table.pair_code(("a", "b"))
+        table.configure(pair, np.array([1, 2]))
+        (route,) = table.configured_routes([pair]).tolist()
+        model = {}
+        for serial, (kind, picks, fault) in enumerate(ops):
+            ids, ok = _table_batch(kind, picks, fault, model, 10 * serial)
+            before = table.records()
+            with nullcontext() if ok else pytest.raises(AdmissionError):
+                if kind == "add":
+                    table.add(ids[0], 1, np.array([1, 2]), 2, pair)
+                elif kind == "add_routed":
+                    table.add_routed(ids, 1, [route] * len(ids), 2)
+                elif kind == "pop":
+                    table.pop(ids[0])
+                else:
+                    table.pop_batch(ids)
+            if not ok:
+                assert table.records() == before
+            elif kind.startswith("add"):
+                model.update(dict.fromkeys(ids))
+                # A batch is never split, and never overfills a segment
+                # that holds anything else.
+                assert table._inserts <= max(inserts, len(ids))
+            else:
+                for fid in ids:
+                    del model[fid]
+            assert list(table) == list(model)
+            assert len(table) == len(model)
+            assert table.records() == [(fid, 1, 2, ("a", "b"), False) for fid in model]
+            assert all(fid in table for fid in model)
+            assert table.verify() == []
+            # At most 2 n / SEGMENT_INSERTS + 2 dicts to probe, n the
+            # flows at the last seal.
+            assert len(table._segs) <= 2 * sum(table._sealed) / inserts + 2
+
+
 def test_update_routes_replaces_route_lists_and_never_mutates_them():
     """``update_routes`` replaces the configured route's list, never
     mutates it, and an established flow keeps the route it was
@@ -367,7 +480,7 @@ def test_a_row_planted_with_another_pairs_servers_is_reported(kind):
         assert controller.admit(FlowSpec(fid, "voice", *pair)).admitted
     assert controller.verify_invariants() == []
     table = controller._flows
-    a, b = _route(table._values["a"]), _route(table._values["b"])
+    a, b = _route(table._value("a")), _route(table._value("b"))
     table._servers[[a, b]] = table._servers[[b, a]]
     problems = controller.verify_invariants()
     for fid in ("'a'", "'b'"):
@@ -408,7 +521,7 @@ def test_hostile_pinned_churn_leaves_the_configured_and_the_live_routes():
         for fid in admitted[100:-1]:
             controller.release(fid)
         rows.append(table.rows)
-        live = {_route(table._values[fid]) for fid in survivors}
+        live = {_route(table._value(fid)) for fid in survivors}
         assert set(table._keys.values()) == configured | live
         assert {_route(v) for v in table._canon} <= configured | live
         assert controller.verify_invariants() == []

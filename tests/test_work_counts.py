@@ -2,8 +2,9 @@
 bare and audited with observability on, the metrics-registry lookups
 the audited path makes, the controller and kernel entries per frame
 shape, the calls per op of a cluster front door, its shard workers and
-a plain serve on the same frames, and the heap one served frame costs
-(``tests/work_counts.py`` counts them).
+a plain serve on the same frames, the heap one served frame costs, the
+heap an established flow keeps and the most the flow table's id index
+holds at once beyond that (``tests/work_counts.py`` counts them).
 
 The pins in ``tests/data/work_counts.json`` are exact and filed per
 interpreter and numpy minor version.  A count above its pin is a
@@ -29,6 +30,7 @@ from work_counts import (
     ceiling_x,
     count_bulk,
     count_cluster,
+    count_index_peak,
     count_work,
     interpreter_key,
     per_op,
@@ -111,3 +113,17 @@ def test_an_audit_entry_one_call_dearer_is_caught(monkeypatch):
     assert grown == pytest.approx(1.0, abs=0.01)
     assert audited_extra_calls(shipped) <= MAX_AUDITED_EXTRA_CALLS
     assert audited_extra_calls(planted) > MAX_AUDITED_EXTRA_CALLS
+
+
+def test_an_id_index_of_one_dict_is_caught():
+    """Planted: the flow table's id index as one dict (a segment no
+    population fills).  Churn at a stationary 8 000 flows rebuilds it
+    whole, into a table of twice the size and then again at that size,
+    and each rebuild holds the old table beside the new one: more than
+    twice what the segmented index ever holds at once."""
+    shipped = count_index_peak()["index_peak_bytes"]
+    planted = count_index_peak(segment_inserts=1 << 62)["index_peak_bytes"]
+    assert planted >= 2 * shipped, (planted, shipped)
+    pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
+    if pins is not None:
+        assert planted >= 2 * pins["index_peak_bytes"]

@@ -41,6 +41,20 @@ traced heap grew by, per flow, while :func:`bytes_per_wire_established_flow`
 established 6 000 flows on MCI the way a served process does.  It too
 is taken in a fresh interpreter.
 
+``index_peak_bytes`` is the most the flow table's id index holds at
+once beyond what it keeps: while 30 000 admits and releases churn a
+filled 8 000-flow ``FlowTable`` through ``add_routed`` / ``pop_batch``
+at a stationary population, the largest tracemalloc peak of one call
+above the heap before and after it, in a fresh interpreter.  One dict
+is rebuilt whole under such churn (CPython does not reuse its deleted
+entries) and holds its old and its new table at once; the segmented
+index rebuilds one segment at a time.
+
+:func:`vmhwm_trace` is not pinned (resident memory is page-grained and
+allocator-dependent): it serves ``bulk``-shaped packed frames to a
+plain serve in a fresh interpreter and returns, per frame, the step of
+``VmHWM``, split into anonymous and file-backed pages.
+
 ``ceiling_x`` (worker calls over router calls per op) is the cluster's
 scale-out ceiling: the router is one process, so however many workers
 share the decisions it cannot pass ``ceiling_x`` times one worker's
@@ -53,7 +67,8 @@ that take the numpy path: the utilization controller's own
 yardstick.  Every count is taken by code object in the profile hook,
 so the decision path carries nothing that only this file reads.
 
-Run it directly to print the counts of the checkout on ``PYTHONPATH``::
+Run it directly to print the counts of the checkout on ``PYTHONPATH``,
+and the frames of :func:`vmhwm_trace` that raised the high-water mark::
 
     PYTHONPATH=src python tests/work_counts.py
 """
@@ -70,13 +85,14 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 import repro
 from repro import obs
 from repro.admission import SlotShardController, UtilizationAdmissionController
+from repro.admission import flowtable
 from repro.admission.base import AdmissionController
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.shortest import shortest_path_routes
@@ -113,6 +129,15 @@ CLUSTER_WORKERS = 2
 
 FLOW_HEAP_FLOWS = 6_000
 WIRE_FRAME_FLOWS = 1_024
+
+INDEX_PEAK_FLOWS = 8_000
+INDEX_PEAK_OPS = 30_000
+INDEX_PEAK_RUN = 8
+
+#: The trace's stationary population (``bulk_churn`` holds ≈ 8 200 at
+#: its end) and the churn frames it serves once that is reached.
+TRACE_ESTABLISHED = 8_000
+TRACE_FRAMES = 48
 
 #: Worker calls per op over router calls per op, at least: below it the
 #: cluster cannot beat one process on any number of cores.
@@ -239,9 +264,9 @@ class _BulkChurn:
         self.serial += 1
         entries.append((len(entries), BULK_OP_ADMIT, flow))
 
-    def fill(self) -> Entries:
+    def fill(self, flows: int = BULK_ESTABLISHED) -> Entries:
         entries: Entries = []
-        while len(entries) < BULK_ESTABLISHED:
+        while len(entries) < flows:
             self._admit(entries)
         return entries
 
@@ -519,7 +544,10 @@ def bytes_per_wire_established_flow(controller, pairs, flows: int) -> float:
 
 def _count_flow_heap() -> Dict[str, int]:
     """``flow_heap_bytes``: :func:`bytes_per_wire_established_flow` at
-    ``FLOW_HEAP_FLOWS`` flows, to the byte."""
+    ``FLOW_HEAP_FLOWS`` flows, in whole bytes, truncated: the figure
+    repeats only to about 0.01 B a flow (some 50 B over the fill move
+    from run to run, outside the flow table), so a figure near a half
+    byte would round either way."""
     controller, pairs = _controller(BULK_ALPHA)
     tracemalloc.start()
     try:
@@ -528,10 +556,106 @@ def _count_flow_heap() -> Dict[str, int]:
         )
     finally:
         tracemalloc.stop()
-    return {"flow_heap_bytes": round(per_flow)}
+    return {"flow_heap_bytes": int(per_flow)}
 
 
-def _in_a_fresh_process(call: str) -> Dict[str, int]:
+def _count_index_peak(segment_inserts: Optional[int] = None) -> Dict[str, int]:
+    """``index_peak_bytes``: while ``INDEX_PEAK_OPS`` admits and
+    releases, in runs of ``INDEX_PEAK_RUN``, churn a filled
+    ``INDEX_PEAK_FLOWS``-flow table at a stationary population, the
+    largest tracemalloc peak of one ``add_routed`` or ``pop_batch``
+    call above the heap before and after it — what the index holds at
+    once beyond what it keeps.  ``segment_inserts`` replaces
+    ``flowtable.SEGMENT_INSERTS`` (a huge value makes the index one
+    dict)."""
+    if segment_inserts is not None:
+        flowtable.SEGMENT_INSERTS = segment_inserts
+    rng = random.Random(BULK_SEED)
+    tracemalloc.start()
+    try:
+        table = flowtable.FlowTable(pad=9)
+        pair = table.pair_code(("a", "b"))
+        table.configure(pair, np.array([1, 2]))
+        route = int(table.configured_routes([pair])[0])
+        live = [f"flow-{i}" for i in range(INDEX_PEAK_FLOWS)]
+        for start in range(0, INDEX_PEAK_FLOWS, BULK_FRAME_OPS):
+            run = live[start:start + BULK_FRAME_OPS]
+            table.add_routed(run, 0, [route] * len(run))
+        serial, worst = INDEX_PEAK_FLOWS, 0
+        routes = [route] * INDEX_PEAK_RUN
+        for _ in range(INDEX_PEAK_OPS // (2 * INDEX_PEAK_RUN)):
+            run = [f"flow-{i}" for i in range(serial, serial + INDEX_PEAK_RUN)]
+            serial += INDEX_PEAK_RUN
+            gone = []
+            for _ in range(INDEX_PEAK_RUN):
+                at = rng.randrange(len(live))
+                live[at], live[-1] = live[-1], live[at]
+                gone.append(live.pop())
+            live.extend(run)
+            for call, args in ((table.add_routed, (run, 0, routes)), (table.pop_batch, (gone,))):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call(*args)
+                now, peak = tracemalloc.get_traced_memory()
+                worst = max(worst, peak - max(before, now))
+    finally:
+        tracemalloc.stop()
+    assert len(table) == INDEX_PEAK_FLOWS and table.verify() == []
+    return {"index_peak_bytes": worst}
+
+
+def _status_kb(*fields: str) -> List[int]:
+    """``fields`` of ``/proc/self/status``, in kB."""
+    found = {}
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            name, _, value = line.partition(":")
+            found[name] = value
+    return [int(found[name].split()[0]) for name in fields]
+
+
+def _vmhwm_trace() -> List[Dict[str, int]]:
+    """:func:`vmhwm_trace` in this process."""
+    service = AdmissionService(_controller(BULK_ALPHA)[0])
+    churn = _BulkChurn(all_ordered_pairs(mci_backbone()))
+    fill = churn.fill(TRACE_ESTABLISHED)
+    frames = [fill[i:i + BULK_FRAME_OPS] for i in range(0, len(fill), BULK_FRAME_OPS)]
+    rows = []
+    hwm, file = _status_kb("VmHWM", "RssFile")
+    for rid in range(len(frames) + TRACE_FRAMES):
+        entries = frames[rid] if rid < len(frames) else churn.frame()
+        slots = _serve(service, _packed_of(entries), rid)
+        churn.settle(entries, [
+            slot[0] in (protocol.SLOT_ADMITTED, protocol.SLOT_RELEASED)
+            for slot in slots
+        ])
+        now, now_file = _status_kb("VmHWM", "RssFile")
+        step = now - hwm
+        paged = min(step, max(0, now_file - file))
+        rows.append({
+            "frame": rid, "fill": rid < len(frames),
+            "established": service.controller.num_established,
+            "hwm_kb": step, "anon_kb": step - paged, "file_kb": paged,
+        })
+        hwm, file = now, now_file
+    return rows
+
+
+def vmhwm_trace() -> List[Dict[str, int]]:
+    """Per frame, in a fresh interpreter: ``bulk``-shaped packed frames
+    served by a plain serve on MCI at alpha 0.3 — frames of
+    ``BULK_FRAME_OPS`` admits to ``TRACE_ESTABLISHED`` flows, then
+    ``TRACE_FRAMES`` frames of admits and releases interleaved at
+    random — and after each the step of ``VmHWM`` (kB), split into the
+    file-backed pages the frame paged in (``file_kb``, at most the
+    step) and the rest (``anon_kb``, anonymous: heap and the like).
+    Empty where there is no ``/proc/self/status``."""
+    if not os.path.exists("/proc/self/status"):
+        return []
+    return _in_a_fresh_process("w._quiet(w._vmhwm_trace)")
+
+
+def _in_a_fresh_process(call: str) -> Any:
     """``call`` (an expression over ``w``, this module) alone in a
     fresh interpreter, on the checkout this process imports.  What a
     window allocates depends on what earlier work left in CPython's
@@ -597,9 +721,9 @@ def _quiet(windows) -> Dict[str, int]:
 
 
 def count_work() -> Dict[str, int]:
-    """Every count of the windows, ``frame_heap_bytes`` and
-    ``flow_heap_bytes``, as a flat ``{name: int}`` (each window's
-    ``*_ops`` beside its totals)."""
+    """Every count of the windows, ``frame_heap_bytes``,
+    ``flow_heap_bytes`` and ``index_peak_bytes``, as a flat
+    ``{name: int}`` (each window's ``*_ops`` beside its totals)."""
 
     def windows() -> Dict[str, int]:
         with tempfile.TemporaryDirectory() as tmp:
@@ -612,7 +736,14 @@ def count_work() -> Dict[str, int]:
         **_quiet(windows),
         **_in_a_fresh_process("w._quiet(w._count_frame_heap)"),
         **_in_a_fresh_process("w._count_flow_heap()"),
+        **count_index_peak(),
     }
+
+
+def count_index_peak(segment_inserts: Optional[int] = None) -> Dict[str, int]:
+    """``index_peak_bytes`` alone, in a fresh interpreter (see
+    :func:`_count_index_peak` for ``segment_inserts``)."""
+    return _in_a_fresh_process(f"w._count_index_peak({segment_inserts!r})")
 
 
 def count_bulk() -> Dict[str, int]:
@@ -668,3 +799,11 @@ if __name__ == "__main__":
          "ceiling_x": round(ceiling_x(found), 3)},
         indent=2,
     ))
+    trace = vmhwm_trace()
+    print("VmHWM steps (kB) of the frames that raised it:")
+    for row in trace:
+        if row["hwm_kb"]:
+            print("  frame {frame:3d} {phase:5s} {established:5d} flows: +{hwm_kb} "
+                  "(anon {anon_kb}, file {file_kb})".format(
+                      phase="fill" if row["fill"] else "churn", **row))
+    print("  total +{} kB over {} frames".format(sum(r["hwm_kb"] for r in trace), len(trace)))
