@@ -8,17 +8,19 @@ alike in all four share one int object, so a flow costs its id and one
 dict entry.
 
 The index is an ordered list of small dicts, its *segments*.  A new
-flow goes into the last, open one.  An add that would take the open
-segment past :data:`SEGMENT_INSERTS` inserts first seals it and opens
-a new one (a batch is never split), and each seal merges adjacent
-sealed segments whose flows now fit in one (``{**a, **b}``) and drops
-the ones releases emptied.  So the segments in order are the
-establishment order, a lookup probes at most ``2 n / SEGMENT_INSERTS +
-2`` dicts (``n`` the flows at the last seal), and no table CPython
-rebuilds — a segment growing, or a merge — holds more than one
-segment's entries.  One dict is rebuilt whole under churn, since its
-deleted entries are not reused: at a stationary 6.5k flows, copied
-from 16 384 into 32 768 slots while both tables are held.
+flow goes into the last, open one.  Once the open segment has taken
+its share of inserts — :data:`SEGMENT_INSERTS`, or an eighth of the
+flows if that is more — it takes no batch its table has no room for:
+that batch opens the next segment (a batch is never split), so the
+table CPython grew is sealed full rather than grown again.  Each seal
+merges adjacent sealed segments whose flows now fit in one share
+(``{**a, **b}``) and drops the ones releases emptied.  So the segments
+in order are the establishment order, a lookup probes at most
+``2 * SEGMENT_SHARES + 2`` dicts, and a table CPython rebuilds — a
+segment growing, or a merge — holds about a share of the flows, never
+all of them.  One dict is rebuilt whole under churn, since its deleted
+entries are not reused: at a stationary 6.5k flows, copied from 16 384
+into 32 768 slots while both tables are held.
 
 Routes are fixed at configuration time, so committed server rows are
 few: each distinct one, with its source/destination pair, is interned
@@ -43,6 +45,7 @@ hold, never after.  What the table hands out is ``int64``.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain, compress
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
@@ -56,13 +59,14 @@ __all__ = ["FlowTable"]
 INITIAL_CAPACITY = 64
 INITIAL_WIDTH = 4
 
-#: Inserts the open segment of the id index takes before it is sealed:
-#: a segment's dict stays at 4 096 slots or fewer (≈ 52 KB with str
-#: ids), and an 8 000-flow table probes about seven of them per lookup.
-#: 1 024 probes twice as many, for a high-water mark 0.1 MB lower on
-#: one served churn (`bulk_churn`) and 0.09 MB higher on another
-#: (`single_rpc`).
+#: Inserts the open segment of the id index takes at least before it
+#: is sealed; it is sealed once its table is full, at 2 730 inserts
+#: (4 096 slots, ≈ 52 KB with str ids) when it grew insert by insert.
 SEGMENT_INSERTS = 2048
+#: Past ``SEGMENT_INSERTS * SEGMENT_SHARES`` flows the open segment
+#: takes ``1 / SEGMENT_SHARES`` of them, so a lookup probes a bounded
+#: number of dicts at any population.
+SEGMENT_SHARES = 8
 
 #: What the table hands out, whatever its columns hold (a dtype object:
 #: ``astype`` resolves one faster than the scalar type).
@@ -122,7 +126,7 @@ class FlowTable:
     """
 
     __slots__ = (
-        "pad", "pair_codes", "_pair_names", "_segs", "_inserts", "_sealed",
+        "pad", "pair_codes", "_pair_names", "_segs", "_inserts", "_share", "_sealed",
         "_canon", "_keys", "_servers", "_lengths", "_pairs", "_live",
         "_free", "_loose", "_configured",
     )
@@ -133,10 +137,12 @@ class FlowTable:
         self.pair_codes: Dict[Pair, int] = {}
         self._pair_names: List[Pair] = []
         # The id index: sealed segments, then the open one, which has
-        # taken _inserts inserts; what each sealed one held at the last
-        # seal.
+        # taken _inserts[0] inserts (in C: an int object would be
+        # allocated anew at every add); the share of inserts the open
+        # one takes and what each sealed one held, both at the last seal.
         self._segs: List[Dict[Hashable, int]] = [{}]
-        self._inserts = 0
+        self._inserts = array("q", [0])
+        self._share = SEGMENT_INSERTS
         self._sealed: List[int] = []
         # The one int object each distinct value is held as.
         self._canon: Dict[int, int] = {}
@@ -247,18 +253,17 @@ class FlowTable:
                 del self._canon[value]
 
     def _seal(self) -> None:
-        """Seal the open segment and open a new one, merge adjacent
-        sealed segments whose flows fit in one and drop the empty
-        ones."""
+        """The open segment was just sealed and a new one appended:
+        merge adjacent sealed segments whose flows fit in one share and
+        drop the empty ones."""
         segs = self._segs
-        segs.append({})
-        self._inserts = 0
+        share = self._share = max(SEGMENT_INSERTS, sum(map(len, segs)) // SEGMENT_SHARES)
         # In place, so each merged pair is let go before the next merge.
         at = 0
         while at < len(segs) - 1:
             if not segs[at]:
                 del segs[at]
-            elif at and len(segs[at - 1]) + len(segs[at]) <= SEGMENT_INSERTS:
+            elif at and len(segs[at - 1]) + len(segs[at]) <= share:
                 segs[at - 1:at + 1] = [{**segs[at - 1], **segs[at]}]
             else:
                 at += 1
@@ -280,10 +285,13 @@ class FlowTable:
                 raise AdmissionError(f"flow {flow_id!r} is already established")
         route = self.route_code(pair, servers)
         value = code << _CLASS_SHIFT | route << _ROUTE_SHIFT | (tag + 1) << _TAG_SHIFT | pinned
-        if self._inserts >= SEGMENT_INSERTS:
+        inserts = self._inserts[0]
+        if inserts >= self._share and inserts >= (2 << max(4, 3 * inserts // 2).bit_length()) // 3:
+            self._segs.append({})
             self._seal()
+            inserts = 0
         self._segs[-1][flow_id] = self._canon.setdefault(value, value)
-        self._inserts += 1
+        self._inserts[0] = inserts + 1
         self._live[route] += 1
         if self._loose:
             self._tidy()
@@ -295,29 +303,40 @@ class FlowTable:
         in the given (establishment) order.  ``code``, ``tags`` and
         ``pinned`` are one value for the batch or one per flow.  All or
         nothing: an id that is already established (or repeats) raises
-        with the table unchanged.  A batch that would take the open
-        segment past ``SEGMENT_INSERTS`` inserts seals it first and goes
-        whole into the next."""
+        with the table unchanged.  A batch the open segment is full for
+        goes whole into a new one, sealing it once the batch is in."""
         routes = np.asarray(routes, _INT64)
-        if self._inserts and self._inserts + routes.size > SEGMENT_INSERTS:
-            self._seal()
         packed = routes << _ROUTE_SHIFT
         packed |= np.asarray(code, _INT64) << _CLASS_SHIFT
         packed |= (np.asarray(tags, _INT64) + 1) << _TAG_SHIFT
         packed |= np.asarray(pinned, _INT64)
-        segs, index, live = self._segs, self._segs[-1], self._live
-        setdefault = self._canon.setdefault
+        segs, live, inserts = self._segs, self._live, self._inserts[0]
+        # Full: the open segment has taken its share of inserts and its
+        # table has no room for the batch.  A dict that took n inserts
+        # holds 2/3 of the power of two above 3n/2 entries, 5 at least
+        # (CPython's growth), and releases do not give entries back.
+        room = (2 << max(4, 3 * inserts // 2).bit_length()) // 3
+        fresh = inserts >= self._share and inserts + routes.size > room
+        if fresh:
+            segs.append({})
+            inserts = 0
+        index, setdefault = segs[-1], self._canon.setdefault
         try:
             for k, (fid, value) in enumerate(zip(flow_ids, packed.tolist())):
                 for seg in segs:
                     if fid in seg:
-                        for undo in flow_ids[:k]:
-                            del index[undo]
+                        if fresh:
+                            segs.pop()
+                        else:
+                            for undo in flow_ids[:k]:
+                                del index[undo]
                         raise AdmissionError(f"flow {fid!r} is already established")
                 index[fid] = setdefault(value, value)
             for route in routes.tolist():
                 live[route] += 1
-            self._inserts += routes.size
+            self._inserts[0] = inserts + routes.size
+            if fresh:
+                self._seal()
         finally:
             if self._loose:
                 self._tidy()
@@ -476,16 +495,68 @@ class FlowTable:
 
     def usage(self, code: int) -> np.ndarray:
         """Slots the flows of class ``code`` hold, per server — what a
-        ledger's ``used`` vector must equal
-        (:func:`repro.admission.flowcheck.usage`)."""
-        from .flowcheck import usage
-
-        return usage(self, code)
+        ledger's ``used`` vector must equal."""
+        packed = self._packed()
+        flows = np.bincount(_route(packed[packed >> _CLASS_SHIFT == code]), minlength=self.rows)
+        weights = np.repeat(flows, self._servers.shape[1])
+        held = np.bincount(self._servers.ravel(), weights=weights, minlength=self.pad + 1)
+        return held[: self.pad].astype(_INT64)
 
     def verify(self) -> List[str]:
         """Self-consistency of the id index, the values and the route
-        table (:func:`repro.admission.flowcheck.verify_table`): the
-        violations found."""
-        from .flowcheck import verify_table
-
-        return verify_table(self)
+        table: no id is in two segments; the last seal left no sealed
+        segment empty and no two adjacent ones that fit in one share,
+        and none has gained a flow since; every flow holds the shared
+        value of a route in use, each route's live count is its
+        holders, each route row is what its key says, and the free list
+        is the rows that hold no route.  Returns the violations found."""
+        problems: List[str] = []
+        segs, sealed, held = self._segs, self._sealed, {}
+        for at, seg in enumerate(segs):
+            for fid in seg:
+                if held.setdefault(fid, at) != at:
+                    problems.append(f"flow {fid!r} is in segments {held[fid]} and {at}")
+        if len(sealed) != len(segs) - 1:
+            problems.append(f"{len(sealed)} seal sizes for {len(segs) - 1} sealed segments")
+        for at, (seg, size) in enumerate(zip(segs, sealed)):
+            if not size:
+                problems.append(f"sealed segment {at} was sealed empty")
+            elif len(seg) > size:
+                problems.append(f"sealed segment {at} holds {len(seg)} flows, sealed with {size}")
+            elif at and sealed[at - 1] + size <= self._share:
+                problems.append(
+                    f"sealed segments {at - 1} and {at} were sealed with "
+                    f"{sealed[at - 1]} and {size} flows: they fit in one"
+                )
+        live = np.array(self._live)
+        named: Dict[int, List[Hashable]] = {}
+        for fid, value in chain.from_iterable(map(dict.items, segs)):
+            route = _route(value)
+            if route >= live.size or live[route] < 0:
+                problems.append(f"flow {fid!r} names route {route}, which is free")
+            elif self._canon.get(value) is not value:
+                problems.append(f"flow {fid!r} holds its own copy of its value")
+            named.setdefault(route, []).append(fid)
+        configured = np.bincount(self._configured[self._configured >= 0], minlength=live.size)
+        in_use = np.flatnonzero(live >= 0).tolist()
+        for route in in_use:
+            fids = named.get(route, [])
+            holders = configured[route] + len(fids)
+            if live[route] != holders:
+                problems.append(
+                    f"route {route} counts {live[route]} holders, but {holders} "
+                    f"hold it (flows {fids!r})"
+                )
+            row, n, pair = self._servers[route], self._lengths[route], self._pairs[route]
+            if self._keys.get((pair, row[:n].tobytes())) != route or (row[n:] != self.pad).any():
+                problems.append(
+                    f"route row {route} holds servers {row.tolist()} of pair "
+                    f"code {pair}, not its key's"
+                )
+        if sorted(self._keys.values()) != in_use:
+            problems.append("the route keys are not the route rows in use")
+        if sorted(self._free) != np.flatnonzero(live < 0).tolist():
+            problems.append("the free route list is not the set of rows that hold no route")
+        if any(_route(v) >= live.size or live[_route(v)] < 0 for v in self._canon):
+            problems.append("a canonical value names a free route")
+        return problems

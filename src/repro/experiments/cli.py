@@ -914,140 +914,13 @@ def _run_serve_single(args: argparse.Namespace, setup, ladder):
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "bounds":
-        from ..config.bounds import utilization_bounds
-        from .reporting import format_table
-
-        bounds = utilization_bounds(
-            args.fan_in, args.diameter, args.burst, args.rate, args.deadline
-        )
-        print(
-            format_table(
-                ["Lower Bound", "Upper Bound"],
-                [[f"{bounds.lower:.4f}", f"{bounds.upper:.4f}"]],
-                title=(
-                    f"Theorem 4 bounds (N={args.fan_in}, L={args.diameter}, "
-                    f"T={args.burst:g} b, rho={args.rate:g} b/s, "
-                    f"D={args.deadline:g} s)"
-                ),
-            )
-        )
-        return 0
-
-    if args.command == "table1":
-        from .reporting import format_metrics_snapshot
-        from .table1 import run_table1
-
-        result = run_table1(resolution=args.resolution)
-        print(result.render())
-        print(
-            f"\nordering LB <= SP < heuristic <= UB: "
-            f"{'holds' if result.ordering_holds else 'VIOLATED'}"
-        )
-        print(f"heuristic / SP improvement: {result.improvement:.2f}x")
-        if obs.is_enabled():
-            # Run-time side of the paper's cost comparison, then the
-            # snapshot of everything the regeneration recorded.
-            from .commands import _measure_admission
-
-            _measure_admission(result)
-            print()
-            print(format_metrics_snapshot())
-        return 0
-
-    if args.command == "verify":
-        bounded_flags = (
-            args.bound is not None
-            or args.mutant is not None
-            or args.cx_dir is not None
-            or args.checks is not None
-        )
-        if args.alpha is None:
-            from .commands import _run_verify_bounded
-
-            return _run_verify_bounded(args)
-        if bounded_flags:
-            raise SystemExit(
-                "give either an alpha (paper-scenario check) or the "
-                "bounded-checker flags, not both"
-            )
-        from ..config.procedures import verify_safe_assignment
-        from ..routing.shortest import shortest_path_routes
-        from .scenarios import paper_scenario
-
-        sc = paper_scenario()
-        routes = shortest_path_routes(sc.network, sc.pairs)
-        result = verify_safe_assignment(
-            sc.network,
-            list(routes.values()),
-            sc.registry,
-            {sc.voice.name: args.alpha},
-        )
-        verdict = "SUCCESS" if result.success else "FAILURE"
-        print(f"{verdict}: alpha={args.alpha}")
-        worst = result.worst_route_delay[sc.voice.name]
-        print(
-            f"worst route bound {worst * 1e3:.2f} ms "
-            f"(deadline {sc.voice.deadline * 1e3:.0f} ms)"
-        )
-        if not result.success:
-            print(result.reason)
-        return 0 if result.success else 1
-
-    if args.command == "sweep":
-        from .sweeps import sweep_burst, sweep_deadline
-
-        run = sweep_deadline if args.parameter == "deadline" else sweep_burst
-        sweep = run(include_searches=args.searches)
-        print(sweep.render())
-        return 0
-
-    if args.command == "simulate":
-        from ..config.configured import configure
-        from ..errors import ConfigurationError
-        from .scenarios import paper_scenario
-
-        sc = paper_scenario()
-        try:
-            cfg = configure(
-                sc.network,
-                sc.registry,
-                {sc.voice.name: args.alpha},
-                routing="shortest-path",
-            )
-        except ConfigurationError as exc:
-            print(f"FAILURE: alpha={args.alpha} does not verify: {exc}")
-            return 1
-        misses = cfg.validate_by_simulation(
-            flows_per_route=args.flows_per_route, horizon=args.horizon
-        )
-        print(
-            f"alpha={args.alpha} verified; adversarial simulation over "
-            f"{args.horizon:g} s: deadline misses = {misses}"
-        )
-        ok = all(v == 0 for v in misses.values())
-        print("guarantees held" if ok else "GUARANTEE VIOLATION")
-        return 0 if ok else 1
-
     if args.command == "serve":
         return _run_serve(args)
+    from . import commands
 
     if args.command == "loadgen":
-        from .commands import _run_loadgen
-
-        return _run_loadgen(args, _admission_setup(args.topology))
-
-    if args.command in ("faults", "client", "audit"):
-        from . import commands
-
-        run = {
-            "faults": commands._run_faults,
-            "client": commands._run_client,
-            "audit": commands._run_audit,
-        }[args.command]
-        return run(args)
-
-    raise AssertionError("unreachable")  # pragma: no cover
+        return commands._run_loadgen(args, _admission_setup(args.topology))
+    return getattr(commands, f"_run_{args.command}")(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -426,10 +426,11 @@ class TestFlowTable:
         assert table.verify() == []
 
     def test_segments_seal_and_merge_in_establishment_order(self, monkeypatch):
-        """Two inserts a segment: the add past them seals the open
-        segment; each seal merges adjacent sealed segments that
-        releases have thinned until they fit in one, and drops the
-        ones they emptied."""
+        """A share of two inserts: the open segment takes its share,
+        then what its table has room for (5 in CPython's smallest), and
+        a batch it has no room for opens the next segment; each seal
+        merges adjacent sealed segments that releases have thinned until
+        they fit in one share, and drops the ones they emptied."""
         monkeypatch.setattr(flowtable, "SEGMENT_INSERTS", 2)
         table = FlowTable(pad=9)
         servers = np.array([1, 2])
@@ -438,18 +439,43 @@ class TestFlowTable:
             assert table.verify() == []
             return [list(seg) for seg in table._segs]
 
-        for fid in "abcde":
+        for fid in "abcdef":
             table.add(fid, 0, servers)
-        assert layout() == [["a", "b"], ["c", "d"], ["e"]]
-        table.pop("d")
+        assert layout() == [list("abcde"), ["f"]] and table._sealed == [5]
+        table.add_routed(list("ghij"), 0, _routes(table, [servers] * 4))
+        assert layout() == [list("abcde"), list("fghij")]
+        for fid in "bcdefghi":
+            table.pop(fid)
+        assert layout() == [["a"], ["j"]]
+        # Refused with the open segment full: nothing seals or merges.
+        with pytest.raises(AdmissionError, match="'a' is already established"):
+            table.add_routed(["k", "a"], 0, _routes(table, [servers] * 2))
+        assert layout() == [["a"], ["j"]] and table._sealed == [5]
+        assert table._inserts[0] == 5
+        table.add_routed(["k", "l"], 0, _routes(table, [servers] * 2))
+        assert layout() == [["a", "j"], ["k", "l"]] and table._sealed == [2]
         table.pop("a")
-        assert layout() == [["b"], ["c"], ["e"]]
-        table.add_routed(["f", "g"], 0, _routes(table, [servers] * 2))
-        assert layout() == [["b", "c"], ["e"], ["f", "g"]]
-        table.pop("e")
-        table.add("h", 0, servers)
-        assert layout() == [["b", "c"], ["f", "g"], ["h"]]
-        assert list(table) == ["b", "c", "f", "g", "h"] and table._sealed == [2, 2]
+        table.pop("j")
+        table.add_routed(list("mno"), 0, _routes(table, [servers] * 3))
+        assert layout() == [[], list("klmno")]
+        table.add("p", 0, servers)
+        assert layout() == [list("klmno"), ["p"]] and table._sealed == [5]
+        assert list(table) == list("klmnop")
+
+    def test_the_share_of_a_segment_grows_with_the_flows(self, monkeypatch):
+        """Past ``SEGMENT_INSERTS * SEGMENT_SHARES`` flows a segment
+        takes an eighth of them, so the index stays a bounded number of
+        dicts however many flows it holds."""
+        monkeypatch.setattr(flowtable, "SEGMENT_INSERTS", 2)
+        table = FlowTable(pad=9)
+        route = _routes(table, [np.array([1, 2])])
+        for start in range(0, 400, 4):
+            ids = [f"f{i}" for i in range(start, start + 4)]
+            table.add_routed(ids, 0, route * 4)
+        assert table.verify() == []
+        # The share is set at each seal from the flows it found.
+        assert table._share == sum(table._sealed) // flowtable.SEGMENT_SHARES > 2
+        assert len(table._segs) <= 2 * flowtable.SEGMENT_SHARES + 2
 
     def test_verify_reports_each_planted_fault(self):
         table = FlowTable(pad=9)

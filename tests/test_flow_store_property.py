@@ -374,9 +374,9 @@ def test_batches_are_all_or_nothing_across_segments(ops, inserts):
                 assert table.records() == before
             elif kind.startswith("add"):
                 model.update(dict.fromkeys(ids))
-                # A batch is never split, and never overfills a segment
-                # that holds anything else.
-                assert table._inserts <= max(inserts, len(ids))
+                # A batch is never split: all of it is in the open
+                # segment.
+                assert all(fid in table._segs[-1] for fid in ids)
             else:
                 for fid in ids:
                     del model[fid]
@@ -385,9 +385,9 @@ def test_batches_are_all_or_nothing_across_segments(ops, inserts):
             assert table.records() == [(fid, 1, 2, ("a", "b"), False) for fid in model]
             assert all(fid in table for fid in model)
             assert table.verify() == []
-            # At most 2 n / SEGMENT_INSERTS + 2 dicts to probe, n the
-            # flows at the last seal.
-            assert len(table._segs) <= 2 * sum(table._sealed) / inserts + 2
+            # At most 2 n / share + 2 dicts to probe, n the flows and
+            # share the open segment's share at the last seal.
+            assert len(table._segs) <= 2 * sum(table._sealed) / table._share + 2
 
 
 def test_update_routes_replaces_route_lists_and_never_mutates_them():
