@@ -6,6 +6,7 @@ slots.  A *slot* is one homogeneous class flow — the paper's model polices
 every class-``i`` flow to the class envelope ``(T_i, rho_i)``, so a server
 with bandwidth fraction ``alpha_i`` of capacity ``C`` supports at most
 ``floor(alpha_i * C / rho_i)`` flows of class ``i`` (constraint (8)).
+:func:`granted_slots` is the one place that floor is taken, exactly.
 
 The ledger enforces exactly that constraint with atomic multi-server
 reserve/release, which is all the admission controller needs:
@@ -15,8 +16,7 @@ that core routers stay flow-unaware.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,19 @@ from ..errors import AdmissionError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
 
-__all__ = ["UtilizationLedger"]
+__all__ = ["UtilizationLedger", "granted_slots"]
+
+
+def granted_slots(alpha: float, capacities, rate: float) -> np.ndarray:
+    """Exact ``floor(alpha * C / rate)`` per server, in integers over the
+    floats' exact values: float64 rounds twice and can land on the next
+    integer, one flow more than a certificate at ``alpha`` covers."""
+    a_num, a_den = float(alpha).as_integer_ratio()
+    r_num, r_den = float(rate).as_integer_ratio()
+    caps = np.asarray(capacities, dtype=np.float64)
+    ratios = map(float.as_integer_ratio, caps.ravel().tolist())
+    floors = [a_num * r_den * c_num // (a_den * r_num * c_den) for c_num, c_den in ratios]
+    return np.array(floors, dtype=np.int64).reshape(caps.shape)
 
 
 class UtilizationLedger:
@@ -37,9 +49,10 @@ class UtilizationLedger:
 
     * :meth:`block_servers` zeroes the effective capacity of dead link
       servers so no new flow can reserve across a failed link;
-    * :meth:`set_degradation` scales every capacity by a factor in
-      (0, 1], the "lower effective alpha" fallback used when no verified
-      repair exists.
+    * :meth:`limit` caps every class at a second slot vector — the
+      :func:`granted_slots` of a lower, certified alpha (a governor
+      rung) or of the fault fallback's scaled alpha.  Effective slots
+      are ``min(verified, limit)``.
 
     Either may push effective capacity below current usage; established
     flows are never evicted — admissions simply stay blocked until the
@@ -59,9 +72,9 @@ class UtilizationLedger:
             raise AdmissionError("no real-time class to account for")
         self._capacity: Dict[str, np.ndarray] = {}
         self._capacity_full: Dict[str, np.ndarray] = {}
+        self._limit: Optional[Mapping[str, np.ndarray]] = None
         self._used: Dict[str, np.ndarray] = {}
         self._blocked: np.ndarray = np.zeros(graph.num_servers, dtype=bool)
-        self._degradation = 1.0
         total = np.zeros(graph.num_servers)
         for name in self._class_names:
             if name not in alphas:
@@ -72,8 +85,7 @@ class UtilizationLedger:
                     f"alpha for {name!r} must be in (0, 1], got {alpha}"
                 )
             total += alpha
-            rate = registry.get(name).rate
-            slots = np.floor(alpha * graph.capacities / rate).astype(np.int64)
+            slots = granted_slots(alpha, graph.capacities, registry.get(name).rate)
             self._capacity[name] = slots
             self._capacity_full[name] = slots.copy()
             self._used[name] = np.zeros(graph.num_servers, dtype=np.int64)
@@ -88,9 +100,9 @@ class UtilizationLedger:
 
     def _recompute_effective(self) -> None:
         for name in self._class_names:
-            eff = np.floor(
-                self._capacity_full[name] * self._degradation
-            ).astype(np.int64)
+            eff = self._capacity_full[name].copy()
+            if self._limit is not None:
+                np.minimum(eff, self._limit[name], out=eff)
             eff[self._blocked] = 0
             self._capacity[name] = eff
 
@@ -109,23 +121,16 @@ class UtilizationLedger:
         """Indices of currently blocked servers."""
         return np.flatnonzero(self._blocked)
 
-    def set_degradation(self, factor: float) -> None:
-        """Scale all slot capacities by ``factor`` (degraded mode)."""
-        if not (0.0 < factor <= 1.0):
-            raise AdmissionError(
-                f"degradation factor must be in (0, 1], got {factor}"
-            )
-        self._degradation = float(factor)
-        self._recompute_effective()
-
-    def clear_degradation(self) -> None:
-        """Return to the full verified capacities."""
-        self._degradation = 1.0
+    def limit(self, slots: Optional[Mapping[str, np.ndarray]]) -> None:
+        """Cap every class's effective slots at ``slots[class]``, per
+        server; ``None`` lifts the cap (degraded mode)."""
+        self._limit = slots
         self._recompute_effective()
 
     @property
-    def degradation(self) -> float:
-        return self._degradation
+    def limited(self) -> bool:
+        """Whether a :meth:`limit` is in force."""
+        return self._limit is not None
 
     def set_capacity(
         self, class_name: str, slots: Sequence[int]
@@ -133,7 +138,7 @@ class UtilizationLedger:
         """Replace a class's verified slot vector.
 
         Installs ``slots`` as the new full capacity and recomputes the
-        effective view (degradation and blocked servers still apply).
+        effective view (a limit and blocked servers still apply).
         ``used`` is untouched: shrinking below current usage never
         evicts established flows, it just blocks new admissions until
         the ledger drains.
@@ -257,7 +262,7 @@ class UtilizationLedger:
 
     def verified_slots(self, class_name: str) -> np.ndarray:
         """Per-server *verified* (full) slot capacity — the certified
-        ceiling that degraded operation shrinks from (read-only copy)."""
+        ceiling that a limit shrinks from (read-only copy)."""
         self._check_class(class_name)
         return self._capacity_full[class_name].copy()
 

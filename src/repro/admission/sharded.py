@@ -74,8 +74,9 @@ class SlotShardController(UtilizationAdmissionController):
 
     The controller behaves exactly like
     :class:`~repro.admission.utilization.UtilizationAdmissionController`
-    against the reduced ledger, so snapshots/restore, degraded mode and
-    the batch kernel all work unchanged.  :meth:`snapshot` keeps the
+    against the reduced ledger, so snapshots/restore, a limit (this
+    worker's row of the limit's slots) and the batch kernel all work
+    unchanged.  :meth:`snapshot` keeps the
     *full* verified alphas, which keeps shard snapshots mergeable into
     one cluster-wide `repro-admission-snapshot/v1` cut.
     """
@@ -96,11 +97,15 @@ class SlotShardController(UtilizationAdmissionController):
                 f"shard index {shard_index} out of range "
                 f"[0, {shard_count})"
             )
+        self._shard = (shard_index, shard_count)
         # The ledger starts at the full verified capacity; install this
         # worker's share of it.
         for name in self._slot_classes:
-            plan = plan_slot_shards(self.ledger.slots(name), shard_count)
-            self.ledger.set_capacity(name, plan[shard_index])
+            self.ledger.set_capacity(name, self._share(self.ledger.slots(name)))
+
+    def _share(self, slots: np.ndarray) -> np.ndarray:
+        index, count = self._shard
+        return plan_slot_shards(slots, count)[index]
 
     def shard_slots(self, class_name: str) -> np.ndarray:
         """Per-server slot share this worker admits against."""

@@ -14,7 +14,7 @@ measure.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .batch import (
     batch_slot_decisions,
     flat_committed_servers,
 )
-from .ledger import UtilizationLedger
+from .ledger import UtilizationLedger, granted_slots
 
 __all__ = ["UtilizationAdmissionController"]
 
@@ -201,23 +201,24 @@ class UtilizationAdmissionController(AdmissionController):
         """Re-enable previously blocked link servers."""
         self.ledger.unblock_servers(servers)
 
-    def enter_degraded_mode(self, factor: float) -> None:
-        """Admit against ``factor * alpha`` effective utilization.
+    def limit(self, alphas: Optional[Mapping[str, float]]) -> None:
+        """Admit against the slots of the per-class ``alphas`` as well
+        as the verified ones; ``None`` lifts the limit.
 
-        The graceful-degradation fallback when a failure leaves no
-        verified repair: uncertified reroutes are only accepted under a
-        conservatively reduced load ceiling.  Established flows are
-        never evicted.
+        A governor rung applies the alphas its ladder certified; the
+        graceful-degradation fallback, when a failure leaves no
+        verified repair, a conservatively scaled copy of the verified
+        ones.  Established flows are never evicted.
         """
-        self.ledger.set_degradation(factor)
+        caps = self.graph.capacities
+        self.ledger.limit(None if alphas is None else {
+            name: self._share(granted_slots(alphas[name], caps, self.registry.get(name).rate))
+            for name in self._slot_classes
+        })
 
-    def exit_degraded_mode(self) -> None:
-        """Restore the full verified utilization ceiling."""
-        self.ledger.clear_degradation()
-
-    @property
-    def in_degraded_mode(self) -> bool:
-        return self.ledger.degradation < 1.0
+    def _share(self, slots: np.ndarray) -> np.ndarray:
+        """What of a slot vector this controller admits against: all."""
+        return slots
 
     # ------------------------------------------------------------------ #
 

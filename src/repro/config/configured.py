@@ -26,6 +26,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from ..analysis.verification import VerificationResult, verify_assignment
 from ..errors import ConfigurationError, SimulationError
+from ..admission.ledger import granted_slots
 from ..admission.utilization import UtilizationAdmissionController
 from ..routing.heuristic import SafeRouteSelector
 from ..routing.shortest import shortest_path_routes
@@ -85,9 +86,8 @@ class ConfiguredNetwork:
 
     def slots_per_link(self, class_name: str) -> int:
         """Certified concurrent flows of a class on a uniform-capacity link."""
-        cls = self.registry.get(class_name)
-        capacity = self._graph.uniform_capacity()
-        return int(self.alphas[class_name] * capacity / cls.rate)
+        rate = self.registry.get(class_name).rate
+        return int(granted_slots(self.alphas[class_name], self._graph.uniform_capacity(), rate))
 
     # ------------------------------------------------------------------ #
     # factories

@@ -11,8 +11,8 @@ increase/hold/decrease actions — here, steps along a pre-certified
 The governor is pure and deterministic: it never reads a clock and
 never touches the admission controller itself.  Callers sample their
 telemetry (coalescer queue, ledger occupancy), feed
-:meth:`AlphaGovernor.observe`, and apply the returned degradation
-factor through the ordinary degraded-mode path.  Because every rung
+:meth:`AlphaGovernor.observe`, and apply the returned per-class alphas
+as the controller's limit.  Because every rung
 was certified up front, any reachable operating point is provably
 deadline-safe — the state machine cannot escape the ladder.
 """
@@ -131,12 +131,12 @@ class AlphaGovernor:
 
     @property
     def effective_alpha(self) -> float:
-        return self.ladder.alpha(self.rung)
+        return self.ladder.rungs[self.rung]
 
     @property
-    def factor(self) -> float:
-        """Current ledger degradation factor (1.0 at the top rung)."""
-        return self.ladder.factor(self.rung)
+    def alphas(self) -> Dict[str, float]:
+        """The per-class alphas the current rung certified."""
+        return self.ladder.class_alphas(self.rung)
 
     @property
     def at_top(self) -> bool:
@@ -175,10 +175,11 @@ class AlphaGovernor:
             return SIGNAL_UNDERUSE
         return SIGNAL_NORMAL
 
-    def observe(self, sample: GovernorSample) -> Optional[float]:
-        """Feed one sample; returns the new factor iff the rung moved.
+    def observe(self, sample: GovernorSample) -> Optional[Dict[str, float]]:
+        """Feed one sample; returns the new rung's :attr:`alphas` iff
+        the rung moved.
 
-        ``None`` means hold — the caller's previously applied factor is
+        ``None`` means hold — the caller's previously applied limit is
         still in force.
         """
         self.samples += 1
@@ -205,7 +206,7 @@ class AlphaGovernor:
         # fresh evidence.
         self._over_streak = 0
         self._under_streak = 0
-        return self.factor
+        return self.alphas
 
     # ------------------------------------------------------------------ #
 
@@ -216,7 +217,6 @@ class AlphaGovernor:
             "rungs": len(self.ladder),
             "effective_alpha": self.effective_alpha,
             "base_alpha": self.ladder.base,
-            "factor": self.factor,
             "action": self.action,
             "signal": self.signal,
             "samples": self.samples,

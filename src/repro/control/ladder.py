@@ -8,12 +8,10 @@ configuration pipeline uses — before being admitted to the ladder, so a
 runtime governor stepping between rungs can never apply an operating
 point that was not proven deadline-safe.
 
-Rungs are *applied* as a degradation factor ``rung / base`` on the slot
-ledger (:meth:`repro.admission.utilization.UtilizationAdmissionController
-.enter_degraded_mode`).  The effective per-server slot count at factor
-``f`` is ``floor(floor(base * C / rho) * f)`` which, for ``f = rung /
-base <= 1``, never exceeds ``floor(rung * C / rho)`` — the slot count
-the rung's own certificate covers.  Shrinking only the *effective* view
+A rung is *applied* as the per-class alphas :func:`certify_ladder`
+verified (:meth:`AlphaLadder.class_alphas`): the controller's ``limit``
+admits against their exact slot counts, so the count a rung grants is
+the count its certificate names.  Limiting only the *effective* view
 (never the verified ceiling) also means moving down a rung never
 invalidates established flows: they were admitted under a certificate
 that still holds, and ``verify_invariants()`` stays green throughout.
@@ -33,6 +31,14 @@ from ..traffic.classes import ClassRegistry
 __all__ = ["AlphaLadder", "certify_ladder"]
 
 
+def _scaled(base_alphas: Mapping[str, float], alpha: float) -> Dict[str, float]:
+    """Class ``c`` at the common scale ``alpha``: ``alpha * (base_alphas[c]
+    / base)``.  ``base / base`` is exactly 1: a one-class rung is its own
+    alpha, not a float an ulp off it."""
+    base = max(float(a) for a in base_alphas.values())
+    return {name: alpha * (float(a) / base) for name, a in base_alphas.items()}
+
+
 @dataclass(frozen=True)
 class AlphaLadder:
     """An ascending, fully certified sequence of scalar alphas.
@@ -42,12 +48,15 @@ class AlphaLadder:
     rungs:
         Strictly increasing alphas; ``rungs[-1]`` is the configured
         base alpha the deployment was verified at.
+    base_alphas:
+        The configured per-class assignment the rungs scale.
     rejected:
         Candidate alphas that failed certification (kept for
         observability — they are *not* reachable).
     """
 
     rungs: Tuple[float, ...]
+    base_alphas: Mapping[str, float]
     rejected: Tuple[float, ...] = field(default=())
 
     def __post_init__(self):
@@ -64,6 +73,8 @@ class AlphaLadder:
                 raise ConfigurationError(
                     f"ladder rungs must be positive, got {a!r}"
                 )
+        if max(self.base_alphas.values()) != self.base:
+            raise ConfigurationError(f"the top rung {self.base!r} is not the largest base alpha")
 
     # ------------------------------------------------------------------ #
 
@@ -80,20 +91,9 @@ class AlphaLadder:
     def __len__(self) -> int:
         return len(self.rungs)
 
-    def alpha(self, rung: int) -> float:
-        """The alpha at a rung index."""
-        return self.rungs[rung]
-
-    def factor(self, rung: int) -> float:
-        """Ledger degradation factor applying this rung (``<= 1.0``)."""
-        return self.rungs[rung] / self.base
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rungs": list(self.rungs),
-            "base": self.base,
-            "rejected": list(self.rejected),
-        }
+    def class_alphas(self, rung: int) -> Dict[str, float]:
+        """The per-class alphas certified at a rung index."""
+        return _scaled(self.base_alphas, self.rungs[rung])
 
 
 def certify_ladder(
@@ -107,7 +107,7 @@ def certify_ladder(
 
     Every candidate (plus the base alpha itself, which always tops the
     ladder) is scaled onto the deployment's per-class assignment —
-    candidate ``a`` maps class ``c`` to ``base_alphas[c] * a / base``
+    candidate ``a`` maps class ``c`` to ``a * (base_alphas[c] / base)``
     where ``base`` is the largest configured alpha — and run through
     :func:`verify_assignment`.  Only candidates whose certificate
     SUCCEEDs become rungs; the rest are recorded in
@@ -131,13 +131,8 @@ def certify_ladder(
 
     def _certified(alpha: float) -> bool:
         nonlocal warm
-        scaled = {
-            name: float(a) * alpha / base
-            for name, a in base_alphas.items()
-        }
-        result = verify_assignment(
-            network, route_list, registry, scaled, warm_start=warm
-        )
+        scaled = _scaled(base_alphas, alpha)
+        result = verify_assignment(network, route_list, registry, scaled, warm_start=warm)
         if result.success:
             warm = result.server_delays
         return result.success
@@ -155,6 +150,4 @@ def certify_ladder(
             f"base alpha {base:g} fails verification; refusing to build "
             "a ladder on an uncertified configuration"
         )
-    return AlphaLadder(
-        rungs=(*accepted, base), rejected=tuple(sorted(set(rejected)))
-    )
+    return AlphaLadder((*accepted, base), dict(base_alphas), tuple(sorted(set(rejected))))

@@ -21,10 +21,10 @@ __all__ = ["BackoffPolicy"]
 #: Each retry waits this many times longer than the one before.
 BACKOFF_FACTOR = 2.0
 
-#: Effective-utilization scale applied to every admission controller
-#: ledger while degraded (0.5 admits against half the verified slot
-#: counts): uncertified reroutes are only tolerable under a
-#: conservative load ceiling.
+#: Scale of every verified alpha while degraded: the controller admits
+#: against the exact slots of ``ALPHA_FACTOR * alpha`` (0.5: about half
+#: the verified slots).  Uncertified reroutes are only tolerable under
+#: a conservative load ceiling.
 ALPHA_FACTOR = 0.5
 #: Simulated seconds between a failure and its repair taking effect
 #: (detection + recomputation time): re-admissions happen at

@@ -68,8 +68,8 @@ class ChaosHarness:
         Optional pre-certified :class:`~repro.control.AlphaLadder`; a
         fresh :class:`~repro.control.AlphaGovernor` over it is stepped
         on every arrival (headroom-driven — the harness has no service
-        queue), and its rung composes with the fault fallback as
-        ``min(governor factor, degraded factor)``.
+        queue), and its rung's alphas compose with the fault
+        fallback's as their per-class min.
     governor_config:
         Detector knobs for the governor (with ``ladder``).
     preemption:
@@ -238,23 +238,22 @@ class ChaosHarness:
     # overload control plane (optional governor + preemption)
     # ------------------------------------------------------------------ #
 
-    def _apply_factor(self) -> None:
+    def _apply_limit(self) -> None:
         """Compose the fault fallback and the governor rung.
 
-        The ledger sees ``min(degraded factor, governor factor)`` —
-        both sources only shrink the *effective* view, so the
-        composition is at least as conservative as either alone and
-        never touches the verified ceiling.
+        The controller admits against the per-class min of the
+        fallback's ``ALPHA_FACTOR * alpha`` and the rung's certified
+        alphas: at least as conservative as either alone, and the
+        verified ceiling is never touched.
         """
-        factor = 1.0
+        limits = []
         if self._degraded:
-            factor = min(factor, degraded.ALPHA_FACTOR)
+            limits.append({c: degraded.ALPHA_FACTOR * a for c, a in self.cfg.alphas.items()})
         if self.governor is not None and not self.governor.at_top:
-            factor = min(factor, self.governor.factor)
-        if factor < 1.0:
-            self.controller.enter_degraded_mode(factor)
-        else:
-            self.controller.exit_degraded_mode()
+            limits.append(self.governor.alphas)
+        self.controller.limit(
+            {c: min(limit[c] for limit in limits) for c in limits[0]} if limits else None
+        )
 
     def _governor_step(self) -> None:
         """One headroom-driven governor observation per arrival.
@@ -275,7 +274,7 @@ class ChaosHarness:
         )
         if moved is not None:
             self._report.governor_moves += 1
-            self._apply_factor()
+            self._apply_limit()
 
     def _try_preempt(self, flow, time: float) -> bool:
         """Admit a rejected arrival by evicting lower-priority flows."""
@@ -498,7 +497,7 @@ class ChaosHarness:
             # (any governor rung below top stays composed in).
             if self._degraded:
                 self._degraded = False
-                self._apply_factor()
+                self._apply_limit()
                 if OBS.enabled:
                     OBS.registry.gauge(
                         "repro_faults_degraded_mode"
@@ -527,7 +526,7 @@ class ChaosHarness:
         self.controller = fresh
         if self.preemptor is not None:
             self.preemptor.controller = fresh
-        self._apply_factor()
+        self._apply_limit()
         self._controller_up = True
         self._restore_from_snapshot(time)
         for fid in self._pending_departures:
@@ -620,7 +619,7 @@ class ChaosHarness:
             record.degraded_mode_entered = True
             if not self._degraded:
                 self._degraded = True
-                self._apply_factor()
+                self._apply_limit()
                 if OBS.enabled:
                     OBS.registry.gauge(
                         "repro_faults_degraded_mode"

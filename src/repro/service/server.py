@@ -534,29 +534,23 @@ class AdmissionService:
             headroom=self.controller.ledger.verified_headroom(),
         )
 
-    def governor_step(self) -> Optional[float]:
+    def governor_step(self) -> Optional[Dict[str, float]]:
         """Run one governor observation; applies any rung move to the
-        controller.  Returns the newly applied degradation factor, or
+        controller.  Returns the newly applied per-class alphas, or
         None when the governor held.  Synchronous (no awaits), so the
         ledger transition is atomic with respect to batch decisions."""
         governor = self.governor
         if governor is None:
             return None
-        factor = governor.observe(self.governor_sample())
-        if factor is None:
+        alphas = governor.observe(self.governor_sample())
+        if alphas is None:
             return None
-        if governor.at_top:
-            self.controller.exit_degraded_mode()
-        else:
-            self.controller.enter_degraded_mode(factor)
+        self.controller.limit(None if governor.at_top else alphas)
         self.counts["governor_moves"] += 1
         logger.info(
-            "governor moved to rung %d (alpha=%.4f, factor=%.4f)",
-            governor.rung,
-            governor.effective_alpha,
-            factor,
+            "governor moved to rung %d (alpha=%.4f)", governor.rung, governor.effective_alpha
         )
-        return factor
+        return alphas
 
     async def _governor_loop(self) -> None:
         interval = self.config.governor_interval
@@ -892,7 +886,7 @@ class AdmissionService:
         """One-word serving state, worst condition first."""
         if self._draining:
             return "draining"
-        if self.controller.in_degraded_mode:
+        if self.controller.ledger.limited:
             return "degraded"
         return "ok"
 

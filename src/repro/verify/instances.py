@@ -164,7 +164,7 @@ def sequential_slot_decisions(
     """Reference sequential loop the batch kernel must match.
 
     ``free`` is the pre-batch free-slot vector (may be negative under
-    degradation); request ``i`` is admitted iff every server of its
+    a limit); request ``i`` is admitted iff every server of its
     interval still has a slot after the earlier admitted requests.
     """
     load = [0] * len(free)

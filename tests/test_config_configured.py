@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -100,7 +101,8 @@ class TestBundle:
         assert ("Miami", "Seattle") not in cfg.routes  # not in the demand
 
     def test_slots_per_link(self, cfg):
-        assert cfg.slots_per_link("voice") == int(0.35 * 100e6 / 32_000)
+        exact = Fraction(0.35) * Fraction(100e6) / Fraction(32_000)
+        assert cfg.slots_per_link("voice") == math.floor(exact)
 
     def test_controller_factory(self, cfg):
         from repro.traffic import FlowSpec

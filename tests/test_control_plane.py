@@ -52,30 +52,30 @@ def make_controller(cfg):
 
 class TestAlphaLadder:
     def test_accessors(self):
-        ladder = AlphaLadder((0.1, 0.2, 0.4))
+        ladder = AlphaLadder((0.1, 0.2, 0.4), {"voice": 0.4, "video": 0.2})
         assert len(ladder) == 3
         assert ladder.base == 0.4
         assert ladder.top == 2
-        assert ladder.alpha(0) == 0.1
-        assert ladder.factor(0) == pytest.approx(0.25)
-        assert ladder.factor(2) == pytest.approx(1.0)
-        assert ladder.to_dict() == {
-            "rungs": [0.1, 0.2, 0.4],
-            "base": 0.4,
-            "rejected": [],
-        }
+        # The class at the base takes each rung exactly; the others
+        # keep their share of it.
+        assert ladder.class_alphas(0) == {"voice": 0.1, "video": 0.05}
+        assert ladder.class_alphas(2) == {"voice": 0.4, "video": 0.2}
 
     def test_rungs_must_strictly_increase(self):
         with pytest.raises(ConfigurationError):
-            AlphaLadder((0.2, 0.1))
+            AlphaLadder((0.2, 0.1), {"voice": 0.1})
         with pytest.raises(ConfigurationError):
-            AlphaLadder((0.2, 0.2))
+            AlphaLadder((0.2, 0.2), {"voice": 0.2})
 
     def test_rungs_must_be_positive_and_nonempty(self):
         with pytest.raises(ConfigurationError):
-            AlphaLadder(())
+            AlphaLadder((), {"voice": 0.2})
         with pytest.raises(ConfigurationError):
-            AlphaLadder((-0.1, 0.2))
+            AlphaLadder((-0.1, 0.2), {"voice": 0.2})
+
+    def test_top_rung_is_the_largest_base_alpha(self):
+        with pytest.raises(ConfigurationError, match="not the largest"):
+            AlphaLadder((0.1, 0.2), {"voice": 0.3})
 
 
 class TestCertifyLadder:
@@ -155,7 +155,7 @@ class TestCertifyLadder:
 # AlphaGovernor
 # --------------------------------------------------------------------- #
 
-LADDER = AlphaLadder((0.1, 0.2, 0.4))
+LADDER = AlphaLadder((0.1, 0.2, 0.4), {"voice": 0.4})
 PRESSED = GovernorSample(queue_delay=0.0, headroom=0.0)
 DRAINED = GovernorSample(queue_delay=0.0, headroom=1.0)
 
@@ -165,7 +165,7 @@ class TestAlphaGovernor:
         governor = AlphaGovernor(LADDER)
         assert governor.at_top
         assert governor.effective_alpha == LADDER.base
-        assert governor.factor == 1.0
+        assert governor.alphas == {"voice": 0.4}
 
     def test_overuse_streak_triggers_dec(self):
         governor = AlphaGovernor(LADDER)
@@ -173,8 +173,8 @@ class TestAlphaGovernor:
         assert governor.observe(PRESSED) is None
         assert governor.signal == "normal"
         # ...two consecutive are.
-        factor = governor.observe(PRESSED)
-        assert factor == pytest.approx(0.5)
+        alphas = governor.observe(PRESSED)
+        assert alphas == {"voice": 0.2}
         assert governor.rung == 1
         assert governor.signal == "overuse"
         assert governor.action == "dec"
@@ -199,9 +199,9 @@ class TestAlphaGovernor:
         governor.observe(PRESSED)
         governor.observe(PRESSED)
         assert governor.rung == 1
-        factors = [governor.observe(DRAINED) for _ in range(4)]
-        assert factors[:3] == [None, None, None]
-        assert factors[3] == pytest.approx(1.0)  # underuse_samples=4
+        moves = [governor.observe(DRAINED) for _ in range(4)]
+        assert moves[:3] == [None, None, None]
+        assert moves[3] == {"voice": 0.4}  # underuse_samples=4
         assert governor.at_top
         assert governor.inc_count == 1
 
@@ -223,10 +223,10 @@ class TestAlphaGovernor:
         assert governor.observe(
             GovernorSample(queue_delay=0.010, headroom=1.0)
         ) is None
-        factor = governor.observe(
+        alphas = governor.observe(
             GovernorSample(queue_delay=0.012, headroom=1.0)
         )
-        assert factor == pytest.approx(0.5)
+        assert alphas == {"voice": 0.2}
         # A *falling* above-threshold delay is not overuse (and full
         # headroom is not underuse while the queue sits above
         # threshold): the governor holds.
@@ -245,7 +245,6 @@ class TestAlphaGovernor:
             "rungs": 3,
             "effective_alpha": 0.4,
             "base_alpha": 0.4,
-            "factor": 1.0,
             "action": "hold",
             "signal": "normal",
             "samples": 1,
@@ -415,7 +414,7 @@ class TestPreemptor:
         cfg = ring_cfg()
         controller = make_controller(cfg)
         fill(controller, ("r0", "r2"), 3, "elastic", "e")
-        controller.enter_degraded_mode(1 / 3)  # 3 slots -> 1 effective
+        controller.limit({"voice": 0.1 / 3})  # 3 slots -> 1 effective
         preemptor = Preemptor(controller)
         outcome = preemptor.try_admit(
             FlowSpec("h0", "voice", "r0", "r2", priority="hard_rt")
@@ -429,7 +428,7 @@ class TestPreemptor:
         cfg = ring_cfg()
         controller = make_controller(cfg)
         fill(controller, ("r0", "r2"), 3, "elastic", "e")
-        controller.enter_degraded_mode(1 / 3)  # deficit of 3 per server
+        controller.limit({"voice": 0.1 / 3})  # deficit of 3 per server
         monkeypatch.setattr(preempt, "MAX_VICTIMS", 2)
         preemptor = Preemptor(controller)
         before = {f.flow_id for f in controller.established_flows}

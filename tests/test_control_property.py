@@ -96,14 +96,11 @@ def test_ledger_never_exceeds_rung_certificate(samples):
     controller = make_controller(_CFG)
     governor = AlphaGovernor(_LADDER)
     for delay, headroom in samples:
-        factor = governor.observe(
+        alphas = governor.observe(
             GovernorSample(queue_delay=delay, headroom=headroom)
         )
-        if factor is not None:
-            if governor.at_top:
-                controller.exit_degraded_mode()
-            else:
-                controller.enter_degraded_mode(factor)
+        if alphas is not None:
+            controller.limit(None if governor.at_top else alphas)
         # The applied alpha is always a certified rung...
         assert governor.effective_alpha in _LADDER.rungs
         assert 0 <= governor.rung <= _LADDER.top
@@ -243,8 +240,9 @@ planner_ops = st.lists(
         # A rescue may evict a flow its own batch just admitted.
         st.tuples(st.just("batch"), st.lists(_planner_flow, max_size=6)),
         st.tuples(st.just("release"), st.sampled_from(PLANNER_IDS)),
-        # Effective capacity below usage: per-server deficits above one.
-        st.tuples(st.just("degrade"), st.sampled_from([0.34, 0.67, 1.0])),
+        # Effective capacity below usage: per-server deficits above one
+        # (the limit's alphas, under the verified 0.1 of both classes).
+        st.tuples(st.just("degrade"), st.sampled_from([0.034, 0.067, 0.1])),
     ),
     max_size=30,
 )
@@ -320,7 +318,7 @@ def _planner_twins_agree(ops, policy):
                     controller.release(op[1])
         elif op[0] == "degrade":
             for controller, _p in twins:
-                controller.enter_degraded_mode(op[1])
+                controller.limit({"voice": op[1], "other": op[1]})
         else:
             established = twins[0][0].is_established
             batch = op[1] if op[0] == "batch" else [op[1]]

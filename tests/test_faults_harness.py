@@ -407,7 +407,7 @@ class TestBackoffRetry:
         )
         down = report.transitions[0]
         assert not down.repair_success
-        assert len(down.rerouted) == 7  # degraded cap: floor(156*0.05)
+        assert len(down.rerouted) == 7  # floor(0.025 * 10e6 / 32e3)
         assert down.retries > 0
         assert sum(a.retries for a in report.flows.values()) == down.retries
         # The three overflow flows got in after the 0.9 departures.

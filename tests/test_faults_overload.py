@@ -10,9 +10,9 @@ bit-deterministic.
 
 import pytest
 
+from repro.admission.ledger import granted_slots
 from repro.config import configure
 from repro.control import GovernorConfig, PreemptionPolicy, certify_ladder
-from repro.faults import degraded
 from repro.faults import (
     ChaosHarness,
     FaultEvent,
@@ -191,20 +191,22 @@ class TestOverloadTransition:
             )
 
     def test_every_applied_alpha_is_a_certified_rung(
-        self, overload, ladder
+        self, cfg, overload, ladder
     ):
         harness, _report = overload
         governor = harness.governor
         assert 0 <= governor.rung <= ladder.top
         assert governor.effective_alpha in ladder.rungs
-        # The only degradation the ledger ever saw is a ladder factor
-        # (possibly composed with the fault fallback — both certified
-        # or strictly more conservative).
-        assert harness.controller.ledger.degradation in (
-            1.0,
-            *(ladder.factor(r) for r in range(len(ladder))),
-            degraded.ALPHA_FACTOR,
+        # The only limit the ledger can hold is a rung's certified
+        # slots, the fault fallback's, or their min: never above the
+        # rung the governor stands on.
+        effective = harness.controller.ledger.slots("voice")
+        rung = granted_slots(
+            governor.effective_alpha,
+            cfg.graph.capacities,
+            cfg.registry.get("voice").rate,
         )
+        assert (effective <= rung).all()
 
     def test_controller_invariants_after_the_storm(self, overload):
         harness, _report = overload
@@ -264,7 +266,7 @@ class TestGovernorWithoutFaults:
         assert governor.dec_count >= 1
         assert governor.inc_count >= 1
         assert governor.at_top  # fully recovered after the burst
-        assert not harness.controller.in_degraded_mode
+        assert not harness.controller.ledger.limited
         assert report.governor_moves == (
             governor.dec_count + governor.inc_count
         )

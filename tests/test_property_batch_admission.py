@@ -31,6 +31,7 @@ from repro.admission import (  # noqa: E402
     SlotShardController,
     UtilizationAdmissionController,
 )
+from repro.admission.ledger import granted_slots  # noqa: E402
 from repro.control import Preemptor  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 from repro.routing.shortest import shortest_path_routes  # noqa: E402
@@ -85,8 +86,8 @@ _step = st.tuples(
     st.integers(0, 2 ** 16),  # release-selection seed
 )
 _script = st.lists(_step, min_size=1, max_size=6)
-#: Effective-capacity scale of a degraded slot ledger (1.0: whole).
-_degradation = st.floats(0.05, 1.0)
+#: A limit's alphas as a share of the verified ones (1.0: no limit).
+_limit_share = st.floats(0.05, 1.0)
 
 
 def _flows_of(step_index, batch):
@@ -145,12 +146,12 @@ def _assert_counters_match(controller, returned):
     )
 
 
-def _run_script(kind, alphas, script, degradation=1.0):
+def _run_script(kind, alphas, script, limit_share=1.0):
     """Drive batch and sequential twins; assert equivalence throughout.
 
-    From the second step on, a slot-ledger pair admits against
-    ``degradation`` of every capacity, so kernel-sized runs meet servers
-    at or already past their degraded ceiling.
+    From the second step on, a slot-ledger pair admits under a limit of
+    ``limit_share`` of every verified alpha, so kernel-sized runs meet
+    servers at or already past their reduced ceiling.
     """
     batch_ctrl = _make(kind, alphas)
     seq_ctrl = _make(kind, alphas)
@@ -158,9 +159,10 @@ def _run_script(kind, alphas, script, degradation=1.0):
     seq_returned = _spy(seq_ctrl)
     live = []
     for step_index, (batch, release_seed) in enumerate(script):
-        if step_index == 1 and degradation < 1.0:
-            batch_ctrl.enter_degraded_mode(degradation)
-            seq_ctrl.enter_degraded_mode(degradation)
+        if step_index == 1 and limit_share < 1.0:
+            limit = {name: limit_share * a for name, a in alphas.items()}
+            batch_ctrl.limit(limit)
+            seq_ctrl.limit(limit)
         flows = _flows_of(step_index, batch)
         got = batch_ctrl.admit_batch(flows)
         want = [seq_ctrl.admit(flow) for flow in flows]
@@ -192,26 +194,49 @@ def _run_script(kind, alphas, script, degradation=1.0):
 
 class TestUtilizationEquivalence:
     @settings(max_examples=25, deadline=None)
-    @given(script=_script, degradation=_degradation)
-    def test_tight_assignment(self, script, degradation):
-        _run_script("utilization", TIGHT_ALPHA, script, degradation)
+    @given(script=_script, limit_share=_limit_share)
+    def test_tight_assignment(self, script, limit_share):
+        _run_script("utilization", TIGHT_ALPHA, script, limit_share)
 
     @settings(max_examples=10, deadline=None)
-    @given(script=_script, degradation=_degradation)
-    def test_roomy_assignment(self, script, degradation):
-        _run_script("utilization", ROOMY_ALPHA, script, degradation)
+    @given(script=_script, limit_share=_limit_share)
+    def test_roomy_assignment(self, script, limit_share):
+        _run_script("utilization", ROOMY_ALPHA, script, limit_share)
 
 
 class TestShardedEquivalence:
     @settings(max_examples=25, deadline=None)
-    @given(script=_script, degradation=_degradation)
-    def test_tight_assignment(self, script, degradation):
-        _run_script("slotshard", TIGHT_ALPHA, script, degradation)
+    @given(script=_script, limit_share=_limit_share)
+    def test_tight_assignment(self, script, limit_share):
+        _run_script("slotshard", TIGHT_ALPHA, script, limit_share)
 
     @settings(max_examples=10, deadline=None)
-    @given(script=_script, degradation=_degradation)
-    def test_roomy_assignment(self, script, degradation):
-        _run_script("slotshard", ROOMY_ALPHA, script, degradation)
+    @given(script=_script, limit_share=_limit_share)
+    def test_roomy_assignment(self, script, limit_share):
+        _run_script("slotshard", ROOMY_ALPHA, script, limit_share)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.floats(0.001, 0.05),
+        share=_limit_share,
+        shards=st.sampled_from([1, 2, 3]),
+    )
+    def test_shards_of_a_limit_sum_to_its_slots(self, alpha, share, shards):
+        # Each worker takes its row of the limit's exact slots, so the
+        # workers of a rung admit, between them, exactly the rung's.
+        limit = {"voice": share * alpha}
+        total = np.zeros(GRAPH.num_servers, dtype=np.int64)
+        for index in range(shards):
+            shard = SlotShardController(
+                GRAPH, REGISTRY, {"voice": alpha}, ROUTES,
+                shard_index=index, shard_count=shards,
+            )
+            shard.limit(limit)
+            total += shard.ledger.slots("voice")
+        rate = REGISTRY.get("voice").rate
+        assert total.tolist() == granted_slots(
+            limit["voice"], GRAPH.capacities, rate
+        ).tolist()
 
 
 class TestFlowAwareEquivalence:

@@ -757,6 +757,24 @@ RATCHETS = (
         allowed=(r"^src/repro/config/maximize\.py:\d+:",),
     ),
     Ratchet(
+        name="One slot count: granted_slots",
+        why=(
+            "ledger.granted_slots is the one exact floor of alpha*C/rho; "
+            "the float floor it replaced granted one flow more than the "
+            "certified alpha on 54 of 1 000 alphas, and a float factor "
+            "over it one more than the rung's own floor on 2 363 ladder "
+            "pairs (docs/verification.md)."
+        ),
+        pattern=r"\b(floor|int)\(.*capacit.*[*/]",
+        roots=(
+            "src/repro/admission", "src/repro/control", "src/repro/config",
+        ),
+        offender=(
+            "src/repro/config/configured.py",
+            "        return int(self.alphas[class_name] * capacity / cls.rate)",
+        ),
+    ),
+    Ratchet(
         name="No served-product asserts in CI YAML",
         why=(
             "A heredoc assert or a served process started from the "
