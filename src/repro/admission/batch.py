@@ -1,12 +1,13 @@
-"""Vectorized batch admission kernel.
+"""Batch admission kernel.
 
 The paper's run-time admission test is a pure per-server capacity
-compare, so a whole batch of requests can be decided with NumPy
-reductions instead of a Python loop per flow.  The only subtlety is
+compare, so a whole batch of requests can be decided in one call
+instead of one controller call per flow.  The only subtlety is
 **intra-batch contention**: processing the batch sequentially, an
 earlier admitted request consumes slots that later requests must see.
 :func:`batch_slot_decisions` reproduces those sequential decisions
-exactly without materializing the loop.
+exactly: one ``bincount`` admits a batch that fits whole, and any other
+batch runs the test-then-commit loop over plain lists.
 
 Routes enter as a **padded server-index matrix** (requests x max route
 length); padding cells point at one virtual slot whose free count is
@@ -20,9 +21,8 @@ server **before** the batch, ``capacity - used``, and may be negative
 (degraded operation).  It returns ``bool[b]`` where ``admitted[i]`` is
 exactly what a sequential loop (test every server, then commit on
 success) would have decided for request ``i``.  The function *is* the
-vectorized numpy kernel of :mod:`repro.admission.kernels`, which the
-kernel differential suite pins bit-identical to the plain sequential
-loop kept beside it.
+kernel of :mod:`repro.admission.kernels`, which the kernel differential
+suite pins bit-identical to the sequential reference kept beside it.
 """
 
 from __future__ import annotations

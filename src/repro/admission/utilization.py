@@ -117,7 +117,7 @@ class UtilizationAdmissionController(AdmissionController):
         flows: Sequence[FlowSpec],
         routes: Sequence[Sequence[Hashable]],
     ) -> List[Tuple[bool, str]]:
-        """Vectorized batch decision, sequential-identical by design.
+        """Batch decision, sequential-identical by design.
 
         Classes hold independent ledgers, so the batch splits by class;
         within a class the kernel resolves intra-batch contention in

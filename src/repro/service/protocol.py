@@ -296,7 +296,9 @@ flow_to_obj = FlowSpec.to_obj
 
 
 def flow_from_obj(obj: Any) -> FlowSpec:
-    """Validated :class:`FlowSpec` from a wire flow object."""
+    """Validated :class:`FlowSpec` from a wire flow object: the packed
+    admit sub-op's validator (:func:`bulk_admit_flow`) on its fields, so
+    a flow is refused for the same fault in either form."""
     if not isinstance(obj, dict):
         raise ProtocolError(
             BAD_REQUEST,
@@ -307,27 +309,10 @@ def flow_from_obj(obj: Any) -> FlowSpec:
             raise ProtocolError(
                 BAD_REQUEST, f"flow object is missing {key!r}"
             )
-    validate_flow_id(obj["id"], what="flow id")
-    cls = obj["cls"]
-    if not isinstance(cls, str):
-        raise ProtocolError(BAD_REQUEST, "flow cls must be a string")
-    route = obj.get("route")
-    if route is not None and (
-        not isinstance(route, list) or len(route) < 2
-    ):
-        raise ProtocolError(
-            BAD_REQUEST, "flow route must be a list of >= 2 routers"
-        )
-    pri = obj.get("pri")
-    if pri is not None and pri not in PRIORITIES:
-        raise ProtocolError(
-            BAD_REQUEST,
-            f"flow pri must be one of {PRIORITIES}, got {pri!r}",
-        )
-    try:
-        return FlowSpec.from_obj(obj)
-    except Exception as exc:  # TrafficError and friends: bad field values
-        raise ProtocolError(BAD_REQUEST, str(exc)) from None
+    return bulk_admit_flow([
+        BULK_ADMIT, obj["id"], obj["cls"], obj["src"], obj["dst"],
+        obj.get("route"), obj.get("pri"),
+    ])
 
 
 def ok_response(
@@ -472,8 +457,6 @@ def bulk_admit_flow(sub: list) -> FlowSpec:
             f"packed admit sub-op must have 6 or 7 fields, "
             f"got {len(sub)}",
         )
-    # The checks run in flow_from_obj's order, so an entry with two
-    # faults is refused for the same one in either form.
     validate_flow_id(fid, what="flow id")
     if not isinstance(cls, str):
         raise ProtocolError(BAD_REQUEST, "flow cls must be a string")

@@ -11,13 +11,10 @@ every instance of it (tier-1, no dependencies).  Violations decode into
 the service, and the adversarial regression suite.  Deliberately
 broken kernels and a broken eviction planner
 (:mod:`repro.verify.mutants`) keep the verifier honest: every mutant
-must be caught and decoded, or the run fails.  One row samples instead
-of enumerating: seeded contended batches large enough to reach the
-kernel's later interval rounds.
+must be caught and decoded, or the run fails.
 
 :data:`CHECKS` is the one table of checks (``no_overcommit``,
-``batch_equivalence``, ``contended_equivalence``,
-``preemption_safety``): each row names its
+``batch_equivalence``, ``preemption_safety``): each row names its
 function, the mutants it must catch and its replay through the real
 code.  ``repro-ubac verify`` runs its rows.
 """
@@ -34,7 +31,6 @@ if TYPE_CHECKING:
         exhaustive_no_overcommit,
         exhaustive_preemption_safety,
         iter_release_patterns,
-        sampled_contended_equivalence,
         select_checks,
     )
     from .instances import (
@@ -46,14 +42,13 @@ if TYPE_CHECKING:
         replay_batch_equivalence,
         replay_no_overcommit,
         replay_preemption_safety,
-        sequential_slot_decisions,
         simulate_sequential,
     )
     from .mutants import (
         mutant_admit_on_full,
-        mutant_definite_recompute_strict,
+        mutant_bincount_exit_any,
         mutant_ignore_contention,
-        mutant_optimistic_recompute_strict,
+        mutant_loop_admit_on_full,
         mutant_planner_ignores_protect,
     )
 
@@ -61,18 +56,17 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".bounded": (
         "CHECKS", "Check", "exhaustive_batch_equivalence",
         "exhaustive_no_overcommit", "exhaustive_preemption_safety",
-        "iter_release_patterns", "sampled_contended_equivalence",
-        "select_checks",
+        "iter_release_patterns", "select_checks",
     ),
     ".instances": (
         "INSTANCE_CLASS", "CheckResult", "Counterexample", "VerifyBound",
         "build_chain_controller", "replay_batch_equivalence",
         "replay_no_overcommit", "replay_preemption_safety",
-        "sequential_slot_decisions", "simulate_sequential",
+        "simulate_sequential",
     ),
     ".mutants": (
-        "mutant_admit_on_full", "mutant_definite_recompute_strict",
-        "mutant_ignore_contention", "mutant_optimistic_recompute_strict",
+        "mutant_admit_on_full", "mutant_bincount_exit_any",
+        "mutant_ignore_contention", "mutant_loop_admit_on_full",
         "mutant_planner_ignores_protect",
     ),
 })

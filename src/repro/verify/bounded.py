@@ -12,23 +12,21 @@ VerifyBound` and running the **real production code** on each:
 * :func:`exhaustive_batch_equivalence` runs the real
   :func:`~repro.admission.batch.batch_slot_decisions` kernel (or a
   deliberately broken mutant from :mod:`repro.verify.mutants`) against
-  the sequential reference on every (routes, free-vector) instance;
+  the sequential reference
+  (:func:`~repro.admission.kernels.batch_slot_decisions_sequential`) on
+  every (routes, free-vector) instance;
 * :func:`exhaustive_preemption_safety` hands every arrival the
   controller rejects to the real
   :class:`~repro.control.preempt.Preemptor` (or the planner mutant)
   over every assignment of priorities to the established flows: never a
-  protected victim, all or nothing, invariants intact;
-* :func:`sampled_contended_equivalence` differences the kernel against
-  the sequential reference on seeded contended batches of 66–512 flows
-  on the bound's chain: the only instances that reach the kernel's
-  later interval rounds, which no batch of a few flows does.
+  protected victim, all or nothing, invariants intact.
 
 Because the subjects are the shipped kernel and controller — not a
 model of them — a *code* mutant is caught where it lives, and the
 checker runs in tier-1 with no optional dependencies.  CCAC's
 constraint encodings (SNIPPETS.md) stay the modelling reference for
 new properties.  At the default bound (3 flows x 2 servers) that is
-~1.5k controller instances and ~400 kernel calls, well under a second,
+~1.5k controller instances and ~430 kernel instances, well under a second,
 and ~7.8k preemption instances in ~1.5 s.
 
 :data:`CHECKS` is the one list of them: a :class:`Check` row names the
@@ -62,14 +60,13 @@ from .instances import (
     replay_batch_equivalence,
     replay_no_overcommit,
     replay_preemption_safety,
-    sequential_slot_decisions,
     simulate_sequential,
 )
 from .mutants import (
     mutant_admit_on_full,
-    mutant_definite_recompute_strict,
+    mutant_bincount_exit_any,
     mutant_ignore_contention,
-    mutant_optimistic_recompute_strict,
+    mutant_loop_admit_on_full,
     mutant_planner_ignores_protect,
 )
 
@@ -80,18 +77,8 @@ __all__ = [
     "exhaustive_no_overcommit",
     "exhaustive_preemption_safety",
     "iter_release_patterns",
-    "sampled_contended_equivalence",
     "select_checks",
 ]
-
-#: Seeded batches :func:`sampled_contended_equivalence` draws, and the
-#: seed.  A batch past the kernel's scalar-tail cutoff (``max(64, b // 4)``
-#: undecided rows) needs at least 66 rows to run a second interval round.
-CONTENDED_BATCHES = 32
-CONTENDED_SEED = 11
-CONTENDED_ROWS = (66, 512)
-#: Longest route of a contended batch, in chain servers.
-CONTENDED_WIDTH = 5
 
 
 def iter_release_patterns(flows: int):
@@ -231,48 +218,6 @@ def exhaustive_no_overcommit(
     return _result("no_overcommit", start, count)
 
 
-def _equivalence(
-    name: str,
-    instances,
-    kernel: Optional[Callable[..., np.ndarray]],
-    bound: VerifyBound,
-) -> CheckResult:
-    """Difference ``kernel`` (the real
-    :func:`~repro.admission.batch.batch_slot_decisions` unless a mutant
-    is passed) against the sequential reference on each ``(routes,
-    free)`` instance; the first divergence, a kernel that raises
-    included, is decoded into a replayable counterexample."""
-    from ..admission.batch import batch_slot_decisions
-
-    kernel_fn = kernel or batch_slot_decisions
-    start = time.perf_counter()
-    count = 0
-    for routes, free in instances:
-        count += 1
-        expected = sequential_slot_decisions(routes, free)
-        try:
-            actual = kernel_slot_decisions(kernel_fn, routes, free)
-            detail = "diverges from the sequential reference"
-        except AssertionError as exc:
-            actual, detail = [], f"raised: {exc}"
-        if actual != expected:
-            return _result(
-                name, start, count, servers=bound.servers,
-                capacities=tuple(free),
-                routes=tuple(routes),
-                expected=tuple(expected),
-                actual=tuple(actual),
-                detail=f"kernel {kernel_fn.__name__!r} {detail}",
-            )
-    if kernel is not None:
-        raise VerificationError(
-            f"mutant kernel {kernel.__name__!r} matched the sequential "
-            f"reference on all {count} {name} instances of bound "
-            f"{bound.to_dict()} — bound too small to falsify, enlarge it"
-        )
-    return _result(name, start, count)
-
-
 def exhaustive_batch_equivalence(
     bound: VerifyBound,
     kernel: Optional[Callable[..., np.ndarray]] = None,
@@ -280,58 +225,49 @@ def exhaustive_batch_equivalence(
     """Check batch-kernel <=> sequential-loop equivalence exhaustively:
     every interval-route assignment of the bound against every
     pre-batch free vector, down to ``-1`` so degraded servers (capacity
-    below current usage) are covered."""
-    instances = (
-        (routes, free)
-        for routes in itertools.product(
-            bound.interval_routes(), repeat=bound.flows
-        )
+    below current usage) are covered.
+
+    ``kernel`` is the real
+    :func:`~repro.admission.batch.batch_slot_decisions` unless a mutant
+    is passed; the first instance on which it and
+    :func:`~repro.admission.kernels.batch_slot_decisions_sequential`
+    disagree is decoded into a replayable counterexample."""
+    from ..admission.batch import batch_slot_decisions
+    from ..admission.kernels import batch_slot_decisions_sequential
+
+    kernel_fn = kernel or batch_slot_decisions
+    start = time.perf_counter()
+    count = 0
+    for routes in itertools.product(
+        bound.interval_routes(), repeat=bound.flows
+    ):
         for free in itertools.product(
             range(-1, bound.max_capacity + 1), repeat=bound.servers
+        ):
+            count += 1
+            expected = kernel_slot_decisions(
+                batch_slot_decisions_sequential, routes, free
+            )
+            actual = kernel_slot_decisions(kernel_fn, routes, free)
+            if actual != expected:
+                return _result(
+                    "batch_equivalence", start, count,
+                    servers=bound.servers,
+                    capacities=tuple(free),
+                    routes=tuple(routes),
+                    expected=tuple(expected),
+                    actual=tuple(actual),
+                    detail=f"kernel {kernel_fn.__name__!r} diverges from "
+                    "the sequential reference",
+                )
+    if kernel is not None:
+        raise VerificationError(
+            f"mutant kernel {kernel.__name__!r} matched the sequential "
+            f"reference on all {count} batch_equivalence instances of "
+            f"bound {bound.to_dict()} — bound too small to falsify, "
+            "enlarge it"
         )
-    )
-    return _equivalence("batch_equivalence", instances, kernel, bound)
-
-
-def _contended_batches(servers: int):
-    """:data:`CONTENDED_BATCHES` seeded ``(routes, free)`` batches on a
-    chain of ``servers`` (see :func:`sampled_contended_equivalence`)."""
-    rng = np.random.default_rng(CONTENDED_SEED)
-    low, high = CONTENDED_ROWS
-    for _ in range(CONTENDED_BATCHES):
-        routes = []
-        for _ in range(int(rng.integers(low, high + 1))):
-            lo = int(rng.integers(0, servers))
-            width = int(rng.integers(1, CONTENDED_WIDTH + 1))
-            routes.append((lo, min(servers, lo + width)))
-        demand = np.zeros(servers, dtype=np.int64)
-        for lo, hi in routes:
-            demand[lo:hi] += 1
-        share = rng.uniform(0.1, 0.9, size=servers)
-        less = rng.integers(0, 2, size=servers)
-        yield routes, [int(v) for v in (demand * share).astype(np.int64) - less]
-
-
-def sampled_contended_equivalence(
-    bound: VerifyBound,
-    kernel: Optional[Callable[..., np.ndarray]] = None,
-) -> CheckResult:
-    """Check batch-kernel <=> sequential-loop equivalence on contended
-    batches.
-
-    The exhaustive rows enumerate batches of ``bound.flows`` requests,
-    which the kernel settles in one interval round and its scalar tail;
-    the rounds after a rejection or an admission (the optimistic and
-    definite recomputes) start only past 65 rows.  This row draws
-    :data:`CONTENDED_BATCHES` seeded batches of :data:`CONTENDED_ROWS`
-    interval routes of up to :data:`CONTENDED_WIDTH` servers on the
-    bound's chain, each server's free count a random share (10–90 %) of
-    the batch's demand on it, less 0 or 1 (so down to ``-1``).
-    """
-    return _equivalence(
-        "contended_equivalence", _contended_batches(bound.servers),
-        kernel, bound,
-    )
+    return _result("batch_equivalence", start, count)
 
 
 def exhaustive_preemption_safety(
@@ -440,19 +376,8 @@ CHECKS = (
         mutants={
             "admit_on_full": {"kernel": mutant_admit_on_full},
             "ignore_contention": {"kernel": mutant_ignore_contention},
-        },
-        replay=replay_batch_equivalence,
-    ),
-    Check(
-        "contended_equivalence",
-        run=sampled_contended_equivalence,
-        mutants={
-            "optimistic_recompute_strict": {
-                "kernel": mutant_optimistic_recompute_strict,
-            },
-            "definite_recompute_strict": {
-                "kernel": mutant_definite_recompute_strict,
-            },
+            "loop_admit_on_full": {"kernel": mutant_loop_admit_on_full},
+            "bincount_exit_any": {"kernel": mutant_bincount_exit_any},
         },
         replay=replay_batch_equivalence,
     ),

@@ -54,7 +54,6 @@ __all__ = [
     "replay_batch_equivalence",
     "replay_no_overcommit",
     "replay_preemption_safety",
-    "sequential_slot_decisions",
     "simulate_sequential",
 ]
 
@@ -156,26 +155,6 @@ def simulate_sequential(
             if load[s] > capacities[s]:
                 violations.append((i, s, load[s], capacities[s]))
     return verdicts, violations
-
-
-def sequential_slot_decisions(
-    routes: Sequence[Tuple[int, int]], free: Sequence[int]
-) -> List[bool]:
-    """Reference sequential loop the batch kernel must match.
-
-    ``free`` is the pre-batch free-slot vector (may be negative under
-    a limit); request ``i`` is admitted iff every server of its
-    interval still has a slot after the earlier admitted requests.
-    """
-    load = [0] * len(free)
-    out: List[bool] = []
-    for lo, hi in routes:
-        ok = all(load[s] < free[s] for s in range(lo, hi))
-        out.append(ok)
-        if ok:
-            for s in range(lo, hi):
-                load[s] += 1
-    return out
 
 
 # --------------------------------------------------------------------- #
@@ -308,8 +287,8 @@ def preemption_problem(
 class Counterexample:
     """A decoded violation of one bounded check.
 
-    ``check`` is ``"no_overcommit"``, ``"batch_equivalence"``,
-    ``"contended_equivalence"`` or ``"preemption_safety"`` (whose flows
+    ``check`` is ``"no_overcommit"``, ``"batch_equivalence"`` or
+    ``"preemption_safety"`` (whose flows
     carry ``priorities`` and whose last flow is the arrival that went to
     the preemptor);
     ``capacities`` holds per-server slot capacities (the pre-batch
@@ -464,29 +443,29 @@ def kernel_slot_decisions(
 def replay_batch_equivalence(
     cx: Counterexample, kernel=None
 ) -> Dict[str, Any]:
-    """Replay a batch-equivalence counterexample (exhaustive or
-    contended) against a kernel.
+    """Replay a batch-equivalence counterexample against a kernel.
 
     ``kernel`` defaults to the real
     :func:`~repro.admission.batch.batch_slot_decisions`; pass a mutant
     (:mod:`repro.verify.mutants`) to confirm the decoded instance
-    really splits it from the sequential reference (``reproduced``).  A
-    kernel that raises on the instance reproduces it too.
+    really splits it from the sequential reference
+    (:func:`~repro.admission.kernels.batch_slot_decisions_sequential`):
+    ``reproduced``.
     """
     from ..admission.batch import batch_slot_decisions
+    from ..admission.kernels import batch_slot_decisions_sequential
 
-    if cx.check not in ("batch_equivalence", "contended_equivalence"):
+    if cx.check != "batch_equivalence":
         raise VerificationError(
-            f"expected a batch-equivalence counterexample, "
+            f"expected a batch_equivalence counterexample, "
             f"got {cx.check!r}"
         )
-    sequential = sequential_slot_decisions(cx.routes, cx.capacities)
-    try:
-        kernel_verdicts = kernel_slot_decisions(
-            kernel or batch_slot_decisions, cx.routes, cx.capacities
-        )
-    except AssertionError:
-        kernel_verdicts = None
+    sequential = kernel_slot_decisions(
+        batch_slot_decisions_sequential, cx.routes, cx.capacities
+    )
+    kernel_verdicts = kernel_slot_decisions(
+        kernel or batch_slot_decisions, cx.routes, cx.capacities
+    )
     return {
         "sequential_verdicts": sequential,
         "kernel_verdicts": kernel_verdicts,

@@ -12,11 +12,10 @@ mutant, under which name.
 
 The kernel mutants mirror the real kernel's calling convention — a
 padded server-index matrix plus a free-slot vector whose last entry is
-the virtual padding slot.  Two are written as plain loops so the planted
-bug is the *only* difference from the sequential reference; the
-``*_recompute_strict`` pair is the shipped numpy kernel itself with one
-token changed in a later interval round, which only a batch past the
-scalar tail's cutoff reaches.
+the virtual padding slot.  Two are written from scratch so the planted
+bug is the *only* difference from the sequential reference; the other
+two are the shipped kernel itself with one token changed, one in its
+bincount exit and one in its loop.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ from ..errors import VerificationError
 
 __all__ = [
     "mutant_admit_on_full",
-    "mutant_definite_recompute_strict",
+    "mutant_bincount_exit_any",
     "mutant_ignore_contention",
-    "mutant_optimistic_recompute_strict",
+    "mutant_loop_admit_on_full",
     "mutant_planner_ignores_protect",
 ]
 
@@ -95,36 +94,32 @@ def _one_token_kernel(line: str, planted: str) -> Callable[..., np.ndarray]:
     return namespace[kernel.__name__]
 
 
-def mutant_optimistic_recompute_strict(
+def mutant_loop_admit_on_full(
     matrix: np.ndarray, free: np.ndarray
 ) -> np.ndarray:
-    """The kernel with its optimistic recompute strict (``>`` where
-    ``>=`` belongs).
+    """The kernel with its loop's slot test lax (``< 0`` where ``<= 0``
+    belongs).
 
-    After a round that rejected something, the optimistic bound counts
-    every earlier request still possibly admitted; a request whose
-    count only *equals* a server's free slots then passes it, and is
-    admitted onto a full server: an overcommit.
+    A contended batch's request that reaches a server with no slot
+    ``left`` passes it anyway and takes the slot it does not have: an
+    overcommit, the admit-on-full bug inside the shipped loop.
     """
     return _one_token_kernel(
-        "crossings_before(admitted | undecided) >= base_free",
-        "crossings_before(admitted | undecided) > base_free",
+        "left[server] <= 0", "left[server] < 0"
     )(matrix, free)
 
 
-def mutant_definite_recompute_strict(
+def mutant_bincount_exit_any(
     matrix: np.ndarray, free: np.ndarray
 ) -> np.ndarray:
-    """The kernel with its definite recompute strict.
+    """The kernel with its bincount exit taken when *any* server fits
+    its total demand (``.any()`` where ``.all()`` belongs).
 
-    After a round that admitted something, the definite bound counts
-    only requests known admitted; strict, it stops rejecting the
-    requests that land exactly on a full server, and the iteration
-    stalls ("no progress") or leaves them to the scalar tail.
+    The padding slot always fits, so every batch leaves through the
+    exit admitted whole, contended or not.
     """
     return _one_token_kernel(
-        "crossings_before(admitted) >= base_free",
-        "crossings_before(admitted) > base_free",
+        "(totals <= free).all()", "(totals <= free).any()"
     )(matrix, free)
 
 

@@ -2,18 +2,17 @@
 reference.
 
 The batch slot decision has one semantics — the sequential
-test-then-commit loop in :mod:`repro.admission.kernels` — and one fast
-implementation (the vectorized numpy interval iteration).  This suite
-pins the kernel to the sequential reference on:
+test-then-commit loop in :mod:`repro.admission.kernels` — and one
+production kernel (a bincount exit, then the same loop over Python
+lists).  This suite pins the kernel to the sequential reference on:
 
 * chain instances shaped like the ``repro.verify`` bounded models
   (interval routes over a line network),
 * adversarial random traces (negative free counts, duplicate servers
   on one route, saturated and uncontended extremes, the padding slot),
-* contended batches of 66–512 rows that run the interval rounds after
-  the first (the optimistic and definite recomputes),
-* and edge cases that exercise each numpy fast path (uncontended
-  bincount exit, scalar tail, zero-width, empty batch).
+* contended batches of 66–1 024 rows,
+* and edge cases at each exit (uncontended bincount exit, zero-width,
+  empty batch).
 
 It also proves the differential harness *can* fail: each planted
 mutant from :mod:`repro.verify.mutants` must diverge from the
@@ -21,9 +20,6 @@ reference on at least one instance while the real kernel agrees.
 """
 
 from __future__ import annotations
-
-import linecache
-import sys
 
 import numpy as np
 
@@ -170,7 +166,7 @@ def test_negative_free_rejects_but_only_on_crossed_servers():
 
 
 # ---------------------------------------------------------------------------
-# Numpy fast-path edges
+# Kernel exits
 # ---------------------------------------------------------------------------
 
 
@@ -198,8 +194,9 @@ def test_uncontended_bincount_boundary():
 
 
 def test_scalar_tail_on_contended_batch():
-    # A large batch at 3/4 capacity drives the interval iteration into
-    # its scalar-tail finish; the verdict must still be bit-identical.
+    # A 1 024-row batch (the largest a served frame hands the kernel)
+    # at 3/4 capacity runs the loop over every row; the verdict must
+    # still be bit-identical.
     rng = np.random.default_rng(7)
     servers, width, b = 32, 4, 1024
     rows = np.stack(
@@ -215,23 +212,18 @@ def test_scalar_tail_on_contended_batch():
 
 
 # ---------------------------------------------------------------------------
-# Contended batches: the interval rounds after the first
+# Contended batches
 # ---------------------------------------------------------------------------
-
-#: The source lines of the kernel's two later-round recomputes.
-OPTIMISTIC_RECOMPUTE = "crossings_before(admitted | undecided) >= base_free"
-DEFINITE_RECOMPUTE = "crossings_before(admitted) >= base_free"
 
 
 def contended_instance(rng):
-    """A batch that stays contended past the kernel's first round.
+    """A batch that stays contended all the way down.
 
-    66–512 rows (the scalar tail takes over at ``max(64, b >> 2)``
-    undecided rows, so 65 cannot reach a second round) on 2–8 servers.
-    Every row crosses server 0, whose free count is at most an eighth
-    of the batch; each adds 0–4 servers drawn with replacement (routes
-    of width 1–5, duplicates included).  The other free counts run
-    from -1 to the batch's demand on the server.
+    66–512 rows on 2–8 servers.  Every row crosses server 0, whose free
+    count is at most an eighth of the batch; each adds 0–4 servers
+    drawn with replacement (routes of width 1–5, duplicates included).
+    The other free counts run from -1 to the batch's demand on the
+    server.
     """
     servers = int(rng.integers(2, 9))
     b = int(rng.integers(66, 513))
@@ -248,69 +240,6 @@ def contended_instance(rng):
     return matrix, free
 
 
-def recomputes(matrix, free):
-    """The kernel's later-round recomputes on one batch, in order."""
-    seen = []
-
-    def profile(frame, event, _arg):
-        if event == "call" and frame.f_code.co_name == "crossings_before":
-            caller = frame.f_back
-            line = linecache.getline(
-                caller.f_code.co_filename, caller.f_lineno
-            )
-            seen.extend(
-                name
-                for name, text in (
-                    ("optimistic", OPTIMISTIC_RECOMPUTE),
-                    ("definite", DEFINITE_RECOMPUTE),
-                )
-                if text in line
-            )
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        batch_slot_decisions_numpy(matrix, free.copy())
-    finally:
-        sys.setprofile(previous)
-    return seen
-
-
-def test_contended_batches_run_the_later_rounds():
-    rng = np.random.default_rng(1)
-    ran = []
-    for trial in range(24):
-        matrix, free = contended_instance(rng)
-        verdict = assert_all_backends_agree(matrix, free)
-        assert verdict.any() and not verdict.all()
-        later = recomputes(matrix, free)
-        # At least one recompute: the kernel ran a second round.
-        assert later, (matrix.shape, free.tolist())
-        ran += later
-    assert {"optimistic", "definite"} <= set(ran)
-
-
-#: The kernel mutants only the contended row can catch.
-(CONTENDED,) = select_checks(["contended_equivalence"])
-
-
-def test_contended_mutants_diverge_where_backends_agree():
-    rng = np.random.default_rng(1)
-    caught = set()
-    for trial in range(24):
-        matrix, free = contended_instance(rng)
-        reference = assert_all_backends_agree(matrix, free)
-        for name, planted in CONTENDED.mutants.items():
-            try:
-                got = planted["kernel"](matrix, free.copy())
-            except AssertionError:  # the stalled iteration
-                caught.add(name)
-                continue
-            if (got != reference).any():
-                caught.add(name)
-    assert caught == set(CONTENDED.mutants)
-
-
 # ---------------------------------------------------------------------------
 # Planted mutants: the differential must be falsifiable
 # ---------------------------------------------------------------------------
@@ -321,6 +250,19 @@ def test_contended_mutants_diverge_where_backends_agree():
 KERNEL_MUTANTS = {
     name: planted["kernel"] for name, planted in EQUIVALENCE.mutants.items()
 }
+
+
+def test_contended_mutants_diverge_where_backends_agree():
+    rng = np.random.default_rng(1)
+    caught = set()
+    for trial in range(24):
+        matrix, free = contended_instance(rng)
+        reference = assert_all_backends_agree(matrix, free)
+        assert reference.any() and not reference.all()
+        for name, mutant in KERNEL_MUTANTS.items():
+            if (mutant(matrix, free.copy()) != reference).any():
+                caught.add(name)
+    assert caught == set(KERNEL_MUTANTS)
 
 
 def test_planted_mutants_diverge_where_backends_agree():

@@ -89,14 +89,16 @@ MAX_REPRO_MODULES = {"plain": 42, "everything": 47}
 #: became constants, 7034 before the SLO tracker went, 6814 before the
 #: flow table became a dict over interned routes, 6783 before the
 #: one-shot commands' bodies left `cli` for `commands`, 6737 before a
-#: limit became a slot vector instead of a float factor; everything:
-#: 8073 before the tracker and the span sink went, 7777 before the
-#: routes, 7746 before the commands moved, 7700 before the limit).
+#: limit became a slot vector instead of a float factor, 6722 before
+#: the slot kernel's interval rounds gave way to its sequential loop;
+#: everything: 8073 before the tracker and the span sink went, 7777
+#: before the routes, 7746 before the commands moved, 7700 before the
+#: limit, 7684 before the rounds).
 #: Under `PYTHONDONTWRITEBYTECODE=1`,
 #: the benchmark's setting, every start compiles all of them: the
 #: largest start-up cost this package controls (`docs/performance.md`,
 #: *Cold start*).
-MAX_SERVED_CODE_LINES = {"plain": 6722, "everything": 7684}
+MAX_SERVED_CODE_LINES = {"plain": 6629, "everything": 7591}
 
 
 def serve_argv(tmp_path, *flags):

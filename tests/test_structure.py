@@ -874,9 +874,6 @@ CALLER_ROOTS = ("src", "benchmarks/waterfall", *PAPER_BENCHES)
 #: the running code against, and a topology builder the property and
 #: simulation tests run on.
 UNCALLED = {
-    "repro.admission.kernels.batch_slot_decisions_sequential": (
-        "the per-row reference the numpy slot kernel is differenced against"
-    ),
     "repro.analysis.distribution.aggregate_envelope_delay": (
         "the aggregate-envelope delay lemma2_delay is checked against"
     ),

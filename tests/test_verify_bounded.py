@@ -6,6 +6,7 @@ the real batch kernel and the real preemptor) — no solver required.
 
 import pytest
 
+from repro.admission.kernels import batch_slot_decisions_sequential
 from repro.errors import VerificationError
 from repro.verify import (
     CHECKS,
@@ -19,9 +20,9 @@ from repro.verify import (
     replay_no_overcommit,
     replay_preemption_safety,
     select_checks,
-    sequential_slot_decisions,
     simulate_sequential,
 )
+from repro.verify.instances import kernel_slot_decisions
 
 (EQUIVALENCE,) = select_checks(["batch_equivalence"])
 KERNEL_MUTANTS = {
@@ -91,9 +92,9 @@ class TestSequentialModel:
     def test_slot_decisions_respect_negative_free(self):
         # Degraded ledgers can go negative; nothing may be admitted
         # through such a server.
-        assert sequential_slot_decisions([(0, 1), (1, 2)], [-1, 1]) == [
-            False, True,
-        ]
+        assert kernel_slot_decisions(
+            batch_slot_decisions_sequential, [(0, 1), (1, 2)], [-1, 1]
+        ) == [False, True]
 
 
 class TestChainController:
@@ -270,11 +271,10 @@ class TestRunner:
     def test_default_selection_is_the_whole_table(self):
         assert select_checks() == CHECKS
         assert [row.name for row in CHECKS] == [
-            "no_overcommit", "batch_equivalence", "contended_equivalence",
-            "preemption_safety",
+            "no_overcommit", "batch_equivalence", "preemption_safety",
         ]
         assert select_checks(["preemption_safety", "no_overcommit"]) == (
-            CHECKS[0], CHECKS[3],
+            CHECKS[0], CHECKS[2],
         )
 
     def test_unknown_inputs_rejected(self):
