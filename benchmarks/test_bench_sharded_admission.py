@@ -119,7 +119,7 @@ def test_bench_slot_shards_vs_shared(benchmark, scenario, sp_routes,
         assert sum(s.admitted for s in stats) <= shared.admitted
         # The shards partition the verified certificate exactly.
         np.testing.assert_array_equal(
-            sum(shard.shard_slots("voice") for shard in shards), verified
+            sum(np.array(shard.shard_slots("voice")) for shard in shards), verified
         )
     # One shard is the shared ledger: same flows, decision for decision.
     (_only,), (single,) = clusters[1]

@@ -8,15 +8,14 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .base import AdmissionController, AdmissionDecision
     from .batch import (
-        PADDING_FREE,
         batch_slot_decisions,
-        flat_committed_servers,
         pad_server_matrix,
     )
     from .flowaware import FlowAwareAdmissionController
     from .kernels import (
+        PADDING_FREE,
         active_slot_kernel,
-        batch_slot_decisions_numpy,
+        batch_slot_decisions_lists,
         batch_slot_decisions_sequential,
     )
     from .flowtable import FlowTable
@@ -28,12 +27,11 @@ if TYPE_CHECKING:
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".base": ("AdmissionController", "AdmissionDecision"),
     ".batch": (
-        "PADDING_FREE", "batch_slot_decisions", "flat_committed_servers",
-        "pad_server_matrix",
+        "batch_slot_decisions", "pad_server_matrix",
     ),
     ".flowaware": ("FlowAwareAdmissionController",),
     ".kernels": (
-        "active_slot_kernel", "batch_slot_decisions_numpy",
+        "PADDING_FREE", "active_slot_kernel", "batch_slot_decisions_lists",
         "batch_slot_decisions_sequential",
     ),
     ".flowtable": ("FlowTable",),

@@ -8,8 +8,6 @@ import time
 from dataclasses import replace
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import (
     AdmissionError,
     ConfigurationError,
@@ -38,9 +36,9 @@ _TAG_PRIORITIES = {tag: priority for priority, tag in PRIORITY_TAGS.items()}
 #: the measured crossover (2-vCPU Xeon, MCI, 8 000 flows established).
 #: The loop costs a flat ~11 us an admit and ~6.5 us a release (the
 #: waterfall's ``utilization.admit_us_per_op.seq`` /
-#: ``release_us_per_op.seq``); the numpy path pays a fixed dispatch per
-#: call (``utilization.admit_batch_us_per_op.*`` /
-#: ``release_batch_us_per_op.*``): an admit 15 / 11.5 / 9.7 us at runs
+#: ``release_us_per_op.seq``); the batch path, measured while it ran on
+#: numpy, pays a fixed cost per call (``utilization.admit_batch_us_per_op.*``
+#: / ``release_batch_us_per_op.*``): an admit 15 / 11.5 / 9.7 us at runs
 #: of 3 / 4 / 5, a release 7.4 / 5.1 us at runs of 2 / 3.  The ``.seq``
 #: rows time :meth:`~AdmissionController.admit` / ``release``, which are
 #: calls of one to these entries, so they include the call overhead.
@@ -350,8 +348,8 @@ class AdmissionController(abc.ABC):
                 code, servers, _tag = table.pop(fid)
                 self._release_impl(code, servers)
         else:
-            codes, matrix, _lengths, _tags = table.pop_batch(ids)
-            self._release_batch_impl(codes, matrix)
+            codes, rows, _tags = table.pop_rows(ids)
+            self._release_batch_impl(codes, rows)
         self._num_released += len(ids)
 
     def release(self, flow_id: Hashable) -> None:
@@ -461,7 +459,7 @@ class AdmissionController(abc.ABC):
 
     def servers_for(
         self, flow: FlowSpec, route: Sequence[Hashable]
-    ) -> np.ndarray:
+    ) -> Sequence[int]:
         """Server indices of a flow's route: a configured route's are
         read from the flow table, where it is interned, and a pinned
         route is translated per call."""
@@ -471,19 +469,19 @@ class AdmissionController(abc.ABC):
 
     def _route_codes(
         self, flows: Sequence[FlowSpec], routes: Sequence[Sequence[Hashable]]
-    ) -> np.ndarray:
+    ) -> List[int]:
         """The flow-table route code of each flow's route: a configured
-        route's is one take over the pair codes, a pinned one is
-        interned."""
+        route's is its pair's, a pinned one is interned."""
         table = self._flows
         get = table.pair_codes.get
-        codes = table.configured_routes(
-            [get((f.source, f.destination), -1) for f in flows]
-        )
-        for i in [i for i, f in enumerate(flows) if f.route is not None]:
-            pair = table.pair_code((flows[i].source, flows[i].destination))
-            servers = self.graph.route_servers(routes[i])
-            codes[i] = table.route_code(pair, servers)
+        pairs = []
+        for f in flows:
+            pairs.append(get((f.source, f.destination), -1))
+        codes = table.configured_routes(pairs)
+        for i, f in enumerate(flows):
+            if f.route is not None:
+                pair = table.pair_code((f.source, f.destination))
+                codes[i] = table.route_code(pair, self.graph.route_servers(routes[i]))
         return codes
 
     # ------------------------------------------------------------------ #
@@ -602,7 +600,7 @@ class AdmissionController(abc.ABC):
             self._class_names.append(class_name)
         return code
 
-    def _establish(self, flow: FlowSpec, servers: np.ndarray) -> None:
+    def _establish(self, flow: FlowSpec, servers: Sequence[int]) -> None:
         """Record an admitted flow on the ``servers`` of its committed
         route, whatever its class: whether it holds a slot on them is
         its class's to say."""
@@ -641,7 +639,7 @@ class AdmissionController(abc.ABC):
         :meth:`_establish` the flow.  Returns (ok, reason)."""
 
     @abc.abstractmethod
-    def _release_impl(self, code: int, servers: np.ndarray) -> None:
+    def _release_impl(self, code: int, servers: Sequence[int]) -> None:
         """Free what a flow of class ``code`` held on ``servers``; its
         flow-table row is already gone."""
 
@@ -666,11 +664,9 @@ class AdmissionController(abc.ABC):
         ]
 
     def _release_batch_impl(
-        self, codes: np.ndarray, matrix: np.ndarray
+        self, codes: Sequence[int], rows: Sequence[Sequence[int]]
     ) -> None:
-        """Free what a popped batch held (``FlowTable.pop_batch``'s
-        class codes and padded server matrix); default is the
-        sequential loop."""
-        pad = self._flows.pad
-        for code, row in zip(codes.tolist(), matrix):
-            self._release_impl(code, row[row != pad])
+        """Free what a popped batch held (``FlowTable.pop_rows``'s class
+        codes and server rows); default is the sequential loop."""
+        for code, row in zip(codes, rows):
+            self._release_impl(code, row)

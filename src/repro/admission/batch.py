@@ -6,8 +6,14 @@ instead of one controller call per flow.  The only subtlety is
 **intra-batch contention**: processing the batch sequentially, an
 earlier admitted request consumes slots that later requests must see.
 :func:`batch_slot_decisions` reproduces those sequential decisions
-exactly: one ``bincount`` admits a batch that fits whole, and any other
-batch runs the test-then-commit loop over plain lists.
+exactly: a whole-fit count admits a batch that fits whole, and any
+other batch runs the test-then-commit loop over plain lists
+(:func:`~repro.admission.kernels.batch_slot_decisions_lists`, the
+kernel the controller calls on its server rows and ledger lists).
+
+This module is its ndarray face, kept for the frozen waterfall until
+ROADMAP 1(b) (``benchmarks/waterfall/layers.py`` times the kernel on a
+padded matrix): no served process imports it.
 
 Routes enter as a **padded server-index matrix** (requests x max route
 length); padding cells point at one virtual slot whose free count is
@@ -20,9 +26,9 @@ indexing into ``free`` and padding cells pointing at an entry that holds
 server **before** the batch, ``capacity - used``, and may be negative
 (degraded operation).  It returns ``bool[b]`` where ``admitted[i]`` is
 exactly what a sequential loop (test every server, then commit on
-success) would have decided for request ``i``.  The function *is* the
-kernel of :mod:`repro.admission.kernels`, which the kernel differential
-suite pins bit-identical to the sequential reference kept beside it.
+success) would have decided for request ``i``.  It runs the kernel of
+:mod:`repro.admission.kernels`, which the kernel differential suite
+pins bit-identical to the sequential reference kept beside it.
 """
 
 from __future__ import annotations
@@ -31,46 +37,43 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .kernels import batch_slot_decisions_numpy as batch_slot_decisions
+from .kernels import PADDING_FREE, batch_slot_decisions_lists
 
 __all__ = [
     "PADDING_FREE",
     "pad_server_matrix",
     "batch_slot_decisions",
-    "flat_committed_servers",
 ]
 
-#: Free-slot count of the virtual padding server: larger than any
-#: possible intra-batch occurrence count, far below int64 overflow.
-PADDING_FREE = np.int64(2) ** 62
+
+def batch_slot_decisions(matrix: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """The kernel's verdicts on a padded ``matrix`` and a ``free``
+    vector, as a ``bool`` array.  Kept for the frozen waterfall until
+    ROADMAP 1(b)."""
+    verdicts = batch_slot_decisions_lists(matrix.tolist(), free.tolist())
+    return np.array(verdicts, dtype=bool)
 
 
 def pad_server_matrix(
-    rows: Sequence[np.ndarray], pad: int
+    rows: Sequence[Sequence[int]], pad: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length server-index rows into a padded matrix.
+    """Stack variable-length server-index rows (tuples, lists or
+    arrays) into a padded matrix.
 
     Returns ``(matrix, lengths)`` where ``matrix`` is ``int64[n, Lmax]``
     with unused cells set to ``pad`` and ``lengths[i]`` is the true
-    length of row ``i``.
+    length of row ``i``.  Kept for the frozen waterfall until ROADMAP
+    1(b).
     """
     n = len(rows)
     lengths = np.fromiter(
-        (r.size for r in rows), dtype=np.int64, count=n
+        (len(r) for r in rows), dtype=np.int64, count=n
     )
     width = int(lengths.max()) if n else 0
     matrix = np.full((n, width), pad, dtype=np.int64)
     if width and lengths.sum():
         mask = np.arange(width) < lengths[:, None]
         matrix[mask] = np.concatenate(
-            [r for r in rows if r.size]
+            [np.asarray(r, dtype=np.int64) for r in rows if len(r)]
         )
     return matrix, lengths
-
-
-def flat_committed_servers(
-    matrix: np.ndarray, admitted: np.ndarray, pad: int
-) -> np.ndarray:
-    """All (non-padding) server occurrences of the admitted rows."""
-    selected = matrix[admitted]
-    return selected[selected != pad]

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Hashable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from ..analysis.netcalc import flow_aware_delays
 from ..errors import AnalysisError
 from ..obs import DEFAULT_ITERATION_BUCKETS, OBS
@@ -100,6 +98,6 @@ class FlowAwareAdmissionController(AdmissionController):
                 )
         return True, ""
 
-    def _release_impl(self, code: int, servers: np.ndarray) -> None:
+    def _release_impl(self, code: int, servers: Sequence[int]) -> None:
         # All state is the established-flow set kept by the base class.
         return None

@@ -35,21 +35,22 @@ is rebuilt from :meth:`records` and :meth:`servers_of` by whoever needs
 one.  Batches are committed, freed or scanned by gathering through the
 route codes.
 
-Each integer column of the route table holds the narrowest signed type
-that fits its range (:func:`narrowest`): the server matrix follows
-``pad`` (``int8`` up to 127 servers), lengths the matrix width and pair
-codes the number of pairs.  numpy wraps an out-of-range array write
-silently, so a column is widened *before* it is handed a value it cannot
-hold, never after.  What the table hands out is ``int64``.
+Each column of the route table is an ``array.array`` of the narrowest
+signed type that fits its range (:func:`narrowest`): the server matrix,
+flat and row-major, follows ``pad`` (``b``, one byte, up to 127
+servers), lengths the matrix width and pair codes the number of pairs.
+A column is widened *before* it is handed a value it cannot hold.  A
+server row comes out as a slice of that column (iterating one yields
+ints); :meth:`FlowTable.pop_batch` alone still hands out ``int64``
+arrays, for the frozen waterfall.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import chain, compress
+from struct import calcsize
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import AdmissionError
 
@@ -68,15 +69,11 @@ SEGMENT_INSERTS = 2048
 #: number of dicts at any population.
 SEGMENT_SHARES = 8
 
-#: What the table hands out, whatever its columns hold (a dtype object:
-#: ``astype`` resolves one faster than the scalar type).
-_INT64 = np.dtype(np.int64)
 #: Bytes a slot of a list costs (one pointer).
-_POINTER_BYTES = np.dtype(np.intp).itemsize
+_POINTER_BYTES = calcsize("P")
 
 # A flow's value, from the low bit: pinned (1 bit), priority tag + 1
 # (3 bits: tags -1 .. 6), route code (32 bits), class code (the rest).
-# The same shifts and masks unpack a Python int and an int64 array.
 _TAG_SHIFT, _TAG_MASK = 1, 7
 _ROUTE_SHIFT, _ROUTE_MASK = 4, (1 << 32) - 1
 _CLASS_SHIFT = 36
@@ -86,25 +83,26 @@ Pair = Tuple[Hashable, Hashable]
 Record = Tuple[Hashable, int, int, Optional[Pair], bool]
 
 
-def narrowest(high: int) -> np.dtype:
-    """The narrowest signed integer type holding every value from -1
-    (a column's "none") to ``high``."""
-    return np.min_scalar_type(-(max(int(high), 0) + 1))
+def narrowest(high: int) -> str:
+    """The ``array`` typecode of the narrowest signed integer type
+    holding every value from -1 (a column's "none") to ``high``."""
+    high = max(int(high), 0)
+    for typecode in "bhiq":
+        if high >> (8 * array(typecode).itemsize - 1) == 0:
+            return typecode
+    raise OverflowError(f"{high} does not fit a signed 64-bit integer")
 
 
-def _fit(column: np.ndarray, high: int) -> np.ndarray:
+def _fit(column: array, high: int) -> array:
     """``column``, or a wider copy of it if it cannot hold ``high``."""
-    dtype = narrowest(high)
-    return column if dtype.itemsize <= column.itemsize else column.astype(dtype)
+    typecode = narrowest(high)
+    if array(typecode).itemsize <= column.itemsize:
+        return column
+    return array(typecode, column)
 
 
-def _doubled(column: np.ndarray, fill) -> np.ndarray:
-    """``column`` with as many rows again, filled with ``fill``."""
-    return np.concatenate([column, np.full(column.shape, fill, column.dtype)])
-
-
-def _route(value):
-    """The route code of a flow's value (or of an array of them)."""
+def _route(value: int) -> int:
+    """The route code of a flow's value."""
     return value >> _ROUTE_SHIFT & _ROUTE_MASK
 
 
@@ -119,15 +117,15 @@ class FlowTable:
     ----------
     pad:
         Sentinel server index filling unused matrix cells (the
-        controllers use ``graph.num_servers``, their kernels' virtual
-        padding slot); it fixes the matrix's integer type.
+        controllers use ``graph.num_servers``); it fixes the server
+        column's integer type.
     The route table starts ``INITIAL_CAPACITY`` rows by
     ``INITIAL_WIDTH`` columns; both grow automatically.
     """
 
     __slots__ = (
         "pad", "pair_codes", "_pair_names", "_segs", "_inserts", "_share", "_sealed",
-        "_canon", "_keys", "_servers", "_lengths", "_pairs", "_live",
+        "_canon", "_keys", "_servers", "_width", "_lengths", "_pairs", "_live",
         "_free", "_loose", "_configured",
     )
 
@@ -148,17 +146,18 @@ class FlowTable:
         self._canon: Dict[int, int] = {}
         self._keys: Dict[Tuple[int, bytes], int] = {}
         rows = INITIAL_CAPACITY
-        self._servers = np.full((rows, INITIAL_WIDTH), self.pad, narrowest(self.pad))
-        self._lengths = np.zeros(rows, narrowest(INITIAL_WIDTH))
-        self._pairs = np.full(rows, -1, narrowest(0))
+        self._width = INITIAL_WIDTH
+        self._servers = array(narrowest(self.pad), [self.pad]) * (rows * self._width)
+        self._lengths = array(narrowest(self._width), [0]) * rows
+        self._pairs = array(narrowest(0), [-1]) * rows
         # Flows on the route, plus one while it is its pair's configured
-        # route; -1 on a free row.  A list: it changes a flow at a time.
+        # route; -1 on a free row.
         self._live: List[int] = [-1] * rows
         self._free: List[int] = list(range(rows - 1, -1, -1))
         # Routes that may have no holder: freed by _tidy unless held.
         self._loose: List[int] = []
         # Pair code -> its configured route's code, or -1.
-        self._configured = np.full(rows, -1, np.int32)
+        self._configured: List[int] = []
 
     # ------------------------------------------------------------------ #
     # the route table
@@ -170,45 +169,56 @@ class FlowTable:
         if code is None:
             code = len(self._pair_names)
             self._pairs = _fit(self._pairs, code)
-            if code == self._configured.size:
-                self._configured = _doubled(self._configured, -1)
+            self._configured.append(-1)
             self.pair_codes[pair] = code
             self._pair_names.append(pair)
         return code
 
-    def route_code(self, pair: int, servers: np.ndarray) -> int:
+    def _row(self, route: int) -> array:
+        """The servers of route code ``route`` (a copy)."""
+        at = route * self._width
+        return self._servers[at:at + self._lengths[route]]
+
+    def route_code(self, pair: int, servers: Sequence[int]) -> int:
         """The code of route ``servers`` of pair code ``pair`` (-1: no
         pair), interned if it is new: then it is freed at the next add
         unless a flow is added on it."""
-        row = servers.astype(self._servers.dtype)
+        row = array(self._servers.typecode, servers)
         key = (pair, row.tobytes())
         code = self._keys.get(key)
         if code is None:
             if not self._free:
                 rows = len(self._live)
-                self._servers = _doubled(self._servers, self.pad)
-                self._lengths = _doubled(self._lengths, 0)
-                self._pairs = _doubled(self._pairs, -1)
+                self._servers.extend(array(self._servers.typecode, [self.pad]) * (rows * self._width))
+                self._lengths.extend([0] * rows)
+                self._pairs.extend([-1] * rows)
                 self._live.extend([-1] * rows)
                 self._free.extend(range(2 * rows - 1, rows - 1, -1))
-            extra = row.size - self._servers.shape[1]
-            if extra > 0:
-                widths = ((0, 0), (0, extra))
-                self._servers = np.pad(self._servers, widths, constant_values=self.pad)
-                self._lengths = _fit(self._lengths, row.size)
+            if len(row) > self._width:
+                self._widen(len(row))
             code = self._keys[key] = self._free.pop()
-            self._servers[code, :row.size] = row
-            self._lengths[code] = row.size
+            at = code * self._width
+            self._servers[at:at + len(row)] = row
+            self._lengths[code] = len(row)
             self._pairs[code] = pair
             self._live[code] = 0
             self._loose.append(code)
         return code
 
-    def configure(self, pair: int, servers: np.ndarray) -> None:
+    def _widen(self, width: int) -> None:
+        """Re-lay the server matrix out ``width`` columns wide."""
+        old, w = self._servers, self._width
+        new = array(old.typecode, [self.pad]) * (len(self._live) * width)
+        for r in range(len(self._live)):
+            new[r * width:r * width + w] = old[r * w:(r + 1) * w]
+        self._servers, self._width = new, width
+        self._lengths = _fit(self._lengths, width)
+
+    def configure(self, pair: int, servers: Sequence[int]) -> None:
         """Make ``servers`` the configured route of pair code ``pair``;
         the route it replaces is freed once no flow holds it."""
         code = self.route_code(pair, servers)
-        old = int(self._configured[pair])
+        old = self._configured[pair]
         self._configured[pair] = code
         self._live[code] += 1
         if old >= 0:
@@ -216,23 +226,23 @@ class FlowTable:
             self._loose.append(old)
         self._tidy()
 
-    def configured_routes(self, pairs: Sequence[int]) -> np.ndarray:
+    def configured_routes(self, pairs: Sequence[int]) -> List[int]:
         """The configured route code of each pair code (-1: none)."""
-        return self._configured.take(pairs)
+        configured = self._configured
+        return [configured[p] for p in pairs]
 
-    def configured_servers(self, pair: Pair) -> np.ndarray:
+    def configured_servers(self, pair: Pair) -> array:
         """The servers of ``pair``'s configured route."""
-        route = self._configured[self.pair_codes[pair]]
-        return self._servers[route, :self._lengths[route]].astype(_INT64)
+        return self._row(self._configured[self.pair_codes[pair]])
 
-    def servers_matrix(self, routes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(matrix, lengths)`` of route codes: their server rows,
-        padded with :attr:`pad` to the longest of them."""
-        lengths = self._lengths.take(routes).astype(_INT64)
-        width = int(lengths.max()) if lengths.size else 0
-        # take() then slice: gathering whole rows is far cheaper than
-        # indexing rows and columns at once.
-        return self._servers.take(routes, axis=0)[:, :width].astype(_INT64), lengths
+    def route_rows(self, routes: Sequence[int]) -> List[array]:
+        """The server row of each route code."""
+        servers, lengths, width = self._servers, self._lengths, self._width
+        rows = []
+        for route in routes:
+            at = route * width
+            rows.append(servers[at:at + lengths[route]])
+        return rows
 
     def _tidy(self) -> None:
         """Free the loose routes nothing holds — one interned for a
@@ -243,12 +253,15 @@ class FlowTable:
         self._loose.clear()
         if dead:
             at = sorted(dead)
-            lengths, pairs = self._lengths.tolist(), self._pairs.tolist()
+            pad, width = self.pad, self._width
             for route in at:
-                del self._keys[pairs[route], self._servers[route, :lengths[route]].tobytes()]
+                del self._keys[self._pairs[route], self._row(route).tobytes()]
                 live[route] = -1
+                self._servers[route * width:(route + 1) * width] = array(
+                    self._servers.typecode, [pad]) * width
+                self._lengths[route] = 0
+                self._pairs[route] = -1
             self._free.extend(at)
-            self._servers[at], self._lengths[at], self._pairs[at] = self.pad, 0, -1
             for value in [v for v in self._canon if _route(v) in dead]:
                 del self._canon[value]
 
@@ -274,7 +287,7 @@ class FlowTable:
     # ------------------------------------------------------------------ #
 
     def add(
-        self, flow_id: Hashable, code: int, servers: np.ndarray,
+        self, flow_id: Hashable, code: int, servers: Sequence[int],
         tag: int = -1, pair: int = -1, pinned: bool = False,
     ) -> None:
         """Record one flow: its class ``code``, the ``servers`` of the
@@ -297,32 +310,31 @@ class FlowTable:
             self._tidy()
 
     def add_routed(
-        self, flow_ids: Sequence[Hashable], code, routes, tags=-1, pinned=False
+        self, flow_ids: Sequence[Hashable], code, routes: Sequence[int], tags=-1, pinned=False
     ) -> None:
         """Record many flows on interned ``routes`` (one code per flow),
         in the given (establishment) order.  ``code``, ``tags`` and
-        ``pinned`` are one value for the batch or one per flow.  All or
+        ``pinned`` are one int for the batch or one per flow.  All or
         nothing: an id that is already established (or repeats) raises
         with the table unchanged.  A batch the open segment is full for
         goes whole into a new one, sealing it once the batch is in."""
-        routes = np.asarray(routes, _INT64)
-        packed = routes << _ROUTE_SHIFT
-        packed |= np.asarray(code, _INT64) << _CLASS_SHIFT
-        packed |= (np.asarray(tags, _INT64) + 1) << _TAG_SHIFT
-        packed |= np.asarray(pinned, _INT64)
+        n = len(routes)
+        codes = [code] * n if isinstance(code, int) else code
+        tags = [tags] * n if isinstance(tags, int) else tags
+        pins = [pinned] * n if isinstance(pinned, int) else pinned
         segs, live, inserts = self._segs, self._live, self._inserts[0]
         # Full: the open segment has taken its share of inserts and its
         # table has no room for the batch.  A dict that took n inserts
         # holds 2/3 of the power of two above 3n/2 entries, 5 at least
         # (CPython's growth), and releases do not give entries back.
         room = (2 << max(4, 3 * inserts // 2).bit_length()) // 3
-        fresh = inserts >= self._share and inserts + routes.size > room
+        fresh = inserts >= self._share and inserts + n > room
         if fresh:
             segs.append({})
             inserts = 0
         index, setdefault = segs[-1], self._canon.setdefault
         try:
-            for k, (fid, value) in enumerate(zip(flow_ids, packed.tolist())):
+            for k, fid in enumerate(flow_ids):
                 for seg in segs:
                     if fid in seg:
                         if fresh:
@@ -331,25 +343,30 @@ class FlowTable:
                             for undo in flow_ids[:k]:
                                 del index[undo]
                         raise AdmissionError(f"flow {fid!r} is already established")
+                value = (
+                    codes[k] << _CLASS_SHIFT | routes[k] << _ROUTE_SHIFT
+                    | (tags[k] + 1) << _TAG_SHIFT | pins[k]
+                )
                 index[fid] = setdefault(value, value)
-            for route in routes.tolist():
+            for route in routes:
                 live[route] += 1
-            self._inserts[0] = inserts + routes.size
+            self._inserts[0] = inserts + n
             if fresh:
                 self._seal()
         finally:
             if self._loose:
                 self._tidy()
 
-    def add_batch(
-        self, flow_ids: Sequence[Hashable], code, matrix: np.ndarray, lengths: np.ndarray
-    ) -> None:
-        """:meth:`add_routed` from a padded server matrix, each row
-        interned as a route of no pair."""
-        routes = [self.route_code(-1, row[:n]) for row, n in zip(matrix, lengths.tolist())]
+    def add_batch(self, flow_ids: Sequence[Hashable], code, matrix, lengths) -> None:
+        """:meth:`add_routed` from a padded server matrix (an ``int64``
+        array) and its row lengths, each row interned as a route of no
+        pair.  Kept for the frozen waterfall until ROADMAP 1(b)."""
+        routes = [
+            self.route_code(-1, row[:n]) for row, n in zip(matrix.tolist(), lengths.tolist())
+        ]
         self.add_routed(flow_ids, code, routes)
 
-    def pop(self, flow_id: Hashable) -> Tuple[int, np.ndarray, int]:
+    def pop(self, flow_id: Hashable) -> Tuple[int, array, int]:
         """Remove a flow; returns ``(code, servers, tag)``."""
         for seg in self._segs:
             value = seg.pop(flow_id, None)
@@ -358,7 +375,7 @@ class FlowTable:
         else:
             raise _absent(flow_id)
         route = _route(value)
-        servers = self._servers[route, :self._lengths[route]].astype(_INT64)
+        servers = self._row(route)
         self._live[route] -= 1
         if not self._live[route]:
             self._loose.append(route)
@@ -366,7 +383,7 @@ class FlowTable:
         return value >> _CLASS_SHIFT, servers, (value >> _TAG_SHIFT & _TAG_MASK) - 1
 
     def check_poppable(self, flow_ids: Sequence[Hashable]) -> None:
-        """Raise what :meth:`pop_batch` raises for ``flow_ids`` — the
+        """Raise what :meth:`pop_rows` raises for ``flow_ids`` — the
         first id that repeats or is not established — and change
         nothing."""
         segs, seen = self._segs, set()
@@ -380,15 +397,15 @@ class FlowTable:
                 raise _absent(fid)
             seen.add(fid)
 
-    def pop_batch(
+    def pop_rows(
         self, flow_ids: Sequence[Hashable]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Remove many flows; returns ``(codes, matrix, lengths, tags)``.
+    ) -> Tuple[List[int], List[array], List[int]]:
+        """Remove many flows; returns ``(codes, rows, tags)``, a class
+        code, a server row and a tag per flow.
 
-        The matrix is padded with :attr:`pad` and sliced to the longest
-        popped route.  All or nothing: the ids must be distinct and all
-        established, and a call that raises removed none of them (the
-        survivors keep their establishment order).
+        All or nothing: the ids must be distinct and all established,
+        and a call that raises removed none of them (the survivors keep
+        their establishment order).
         """
         segs, values, held = self._segs, [], []
         for fid in flow_ids:
@@ -402,17 +419,35 @@ class FlowTable:
             self.check_poppable(flow_ids)
         for fid, seg in zip(flow_ids, held):
             del seg[fid]
-        packed = np.array(values, _INT64)
-        routes = _route(packed)
-        matrix, lengths = self.servers_matrix(routes)
-        live = self._live
-        for route in routes.tolist():
+        servers, lengths, width = self._servers, self._lengths, self._width
+        live, loose = self._live, self._loose
+        codes, rows, tags = [], [], []
+        for value in values:
+            route = value >> _ROUTE_SHIFT & _ROUTE_MASK
+            at = route * width
+            rows.append(servers[at:at + lengths[route]])
+            codes.append(value >> _CLASS_SHIFT)
+            tags.append((value >> _TAG_SHIFT & _TAG_MASK) - 1)
             live[route] -= 1
             if not live[route]:
-                self._loose.append(route)
-        if self._loose:
+                loose.append(route)
+        if loose:
             self._tidy()
-        return packed >> _CLASS_SHIFT, matrix, lengths, (packed >> _TAG_SHIFT & _TAG_MASK) - 1
+        return codes, rows, tags
+
+    def pop_batch(self, flow_ids: Sequence[Hashable]):
+        """:meth:`pop_rows` as ``int64`` arrays ``(codes, matrix,
+        lengths, tags)``, the matrix padded with :attr:`pad` to the
+        longest popped route.  Kept for the frozen waterfall until
+        ROADMAP 1(b)."""
+        import numpy as np
+
+        codes, rows, tags = self.pop_rows(flow_ids)
+        lengths = np.array([len(row) for row in rows], dtype=np.int64)
+        matrix = np.full((len(rows), int(lengths.max(initial=0))), self.pad, dtype=np.int64)
+        for i, row in enumerate(rows):
+            matrix[i, :len(row)] = row
+        return np.array(codes, np.int64), matrix, lengths, np.array(tags, np.int64)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -440,7 +475,7 @@ class FlowTable:
         """The route rows' fixed-width bytes: servers, length, pair code
         and a live-count pointer per row."""
         columns = (self._servers, self._lengths, self._pairs)
-        return sum(c.nbytes for c in columns) + _POINTER_BYTES * len(self._live)
+        return sum(c.itemsize * len(c) for c in columns) + _POINTER_BYTES * len(self._live)
 
     def _value(self, flow_id: Hashable) -> int:
         for seg in self._segs:
@@ -448,14 +483,9 @@ class FlowTable:
                 return seg[flow_id]
         raise _absent(flow_id)
 
-    def _packed(self) -> np.ndarray:
-        """Every flow's value, in establishment order."""
-        return np.fromiter(chain.from_iterable(map(dict.values, self._segs)), _INT64, len(self))
-
-    def servers_of(self, flow_id: Hashable) -> np.ndarray:
-        """Committed server indices of an established flow (copy)."""
-        route = _route(self._value(flow_id))
-        return self._servers[route, :self._lengths[route]].astype(_INT64)
+    def servers_of(self, flow_id: Hashable) -> array:
+        """Committed server indices of an established flow (a copy)."""
+        return self._row(_route(self._value(flow_id)))
 
     def _record(self, flow_id: Hashable, value: int) -> Record:
         pair = self._pairs[_route(value)]
@@ -473,34 +503,60 @@ class FlowTable:
 
     def holders(
         self, code: int, tags: Sequence[int], servers: Sequence[int]
-    ) -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
+    ) -> Tuple[List[Hashable], List[int], List[Tuple[bool, ...]]]:
         """Flows of class ``code``, tagged with one of ``tags``, that
-        hold a slot on any of ``servers`` — one masked scan of the
-        values, the servers looked up per route.  Returns ``(flow_ids,
-        tags, hits)`` with ``hits[j, i]`` true when flow ``i`` holds
-        ``servers[j]``."""
-        packed = self._packed()
-        flow_tags = (packed >> _TAG_SHIFT & _TAG_MASK) - 1
-        routes = _route(packed)
-        on_route = np.zeros((len(servers), self.rows), bool)
-        for j, server in enumerate(servers):
-            (self._servers == server).any(axis=1, out=on_route[j])
-        mask = np.zeros(packed.size, bool)
-        for tag in tags:
-            mask |= flow_tags == tag
-        mask &= on_route.any(axis=0)[routes] & (packed >> _CLASS_SHIFT == code)
-        keep = np.flatnonzero(mask)
-        ids = list(compress(chain.from_iterable(self._segs), mask.tolist()))
-        return ids, flow_tags[keep], on_route[:, routes[keep]]
+        hold a slot on any of ``servers``.  Returns ``(flow_ids, tags,
+        hits)`` with ``hits[i][j]`` true when flow ``i`` holds
+        ``servers[j]``.
 
-    def usage(self, code: int) -> np.ndarray:
+        The match is decided per route, not per flow: one pass over the
+        route rows finds the routes that cross ``servers``, and each
+        such route, tag and pinned bit is one value flows share.  The
+        flows are then one pass of set lookups, in C."""
+        # The server column's bytes, searched in C for each server's
+        # bytes; a match off a cell boundary is not that server.
+        cells, size = self._servers.tobytes(), self._servers.itemsize
+        row_bytes = size * self._width
+        crossing: Dict[int, List[bool]] = {}
+        for j, server in enumerate(servers):
+            needle = array(self._servers.typecode, [server]).tobytes()
+            at = cells.find(needle)
+            while at >= 0:
+                if at % size == 0:
+                    hits = crossing.get(at // row_bytes)
+                    if hits is None:
+                        hits = crossing[at // row_bytes] = [False] * len(servers)
+                    hits[j] = True
+                at = cells.find(needle, at + 1)
+        hits_of: Dict[int, Tuple[bool, ...]] = {}
+        tag_of: Dict[int, int] = {}
+        for route, hits in crossing.items():
+            base = code << _CLASS_SHIFT | route << _ROUTE_SHIFT
+            for tag in tags:
+                value = base | (tag + 1) << _TAG_SHIFT
+                hits_of[value] = hits_of[value | 1] = tuple(hits)
+                tag_of[value] = tag_of[value | 1] = tag
+        segs = self._segs
+        kept = compress(
+            chain.from_iterable(map(dict.items, segs)),
+            map(hits_of.__contains__, chain.from_iterable(map(dict.values, segs))),
+        )
+        ids, tags_found, hits_found = [], [], []
+        for fid, value in kept:
+            ids.append(fid)
+            tags_found.append(tag_of[value])
+            hits_found.append(hits_of[value])
+        return ids, tags_found, hits_found
+
+    def usage(self, code: int) -> array:
         """Slots the flows of class ``code`` hold, per server — what a
-        ledger's ``used`` vector must equal."""
-        packed = self._packed()
-        flows = np.bincount(_route(packed[packed >> _CLASS_SHIFT == code]), minlength=self.rows)
-        weights = np.repeat(flows, self._servers.shape[1])
-        held = np.bincount(self._servers.ravel(), weights=weights, minlength=self.pad + 1)
-        return held[: self.pad].astype(_INT64)
+        ledger's ``used`` vector must equal (an ``array('q')``)."""
+        held = array("q", [0]) * self.pad
+        for value in chain.from_iterable(map(dict.values, self._segs)):
+            if value >> _CLASS_SHIFT == code:
+                for server in self._row(_route(value)):
+                    held[server] += 1
+        return held
 
     def verify(self) -> List[str]:
         """Self-consistency of the id index, the values and the route
@@ -528,17 +584,21 @@ class FlowTable:
                     f"sealed segments {at - 1} and {at} were sealed with "
                     f"{sealed[at - 1]} and {size} flows: they fit in one"
                 )
-        live = np.array(self._live)
+        live = self._live
         named: Dict[int, List[Hashable]] = {}
         for fid, value in chain.from_iterable(map(dict.items, segs)):
             route = _route(value)
-            if route >= live.size or live[route] < 0:
+            if route >= len(live) or live[route] < 0:
                 problems.append(f"flow {fid!r} names route {route}, which is free")
             elif self._canon.get(value) is not value:
                 problems.append(f"flow {fid!r} holds its own copy of its value")
             named.setdefault(route, []).append(fid)
-        configured = np.bincount(self._configured[self._configured >= 0], minlength=live.size)
-        in_use = np.flatnonzero(live >= 0).tolist()
+        configured = [0] * len(live)
+        for route in self._configured:
+            if route >= 0:
+                configured[route] += 1
+        in_use = [route for route, count in enumerate(live) if count >= 0]
+        width = self._width
         for route in in_use:
             fids = named.get(route, [])
             holders = configured[route] + len(fids)
@@ -547,16 +607,19 @@ class FlowTable:
                     f"route {route} counts {live[route]} holders, but {holders} "
                     f"hold it (flows {fids!r})"
                 )
-            row, n, pair = self._servers[route], self._lengths[route], self._pairs[route]
-            if self._keys.get((pair, row[:n].tobytes())) != route or (row[n:] != self.pad).any():
+            row = self._servers[route * width:(route + 1) * width]
+            n, pair = self._lengths[route], self._pairs[route]
+            if self._keys.get((pair, row[:n].tobytes())) != route or any(
+                s != self.pad for s in row[n:]
+            ):
                 problems.append(
                     f"route row {route} holds servers {row.tolist()} of pair "
                     f"code {pair}, not its key's"
                 )
         if sorted(self._keys.values()) != in_use:
             problems.append("the route keys are not the route rows in use")
-        if sorted(self._free) != np.flatnonzero(live < 0).tolist():
+        if sorted(self._free) != [route for route, count in enumerate(live) if count < 0]:
             problems.append("the free route list is not the set of rows that hold no route")
-        if any(_route(v) >= live.size or live[_route(v)] < 0 for v in self._canon):
+        if any(_route(v) >= len(live) or live[_route(v)] < 0 for v in self._canon):
             problems.append("a canonical value names a free route")
         return problems

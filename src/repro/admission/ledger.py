@@ -16,9 +16,7 @@ that core routers stay flow-unaware.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..errors import AdmissionError
 from ..topology.servergraph import LinkServerGraph
@@ -27,20 +25,30 @@ from ..traffic.classes import ClassRegistry
 __all__ = ["UtilizationLedger", "granted_slots"]
 
 
-def granted_slots(alpha: float, capacities, rate: float) -> np.ndarray:
-    """Exact ``floor(alpha * C / rate)`` per server, in integers over the
-    floats' exact values: float64 rounds twice and can land on the next
-    integer, one flow more than a certificate at ``alpha`` covers."""
+def granted_slots(alpha: float, capacities, rate: float):
+    """Exact ``floor(alpha * C / rate)`` per server (a list), or for one
+    capacity (an int), in integers over the floats' exact values:
+    float64 rounds twice and can land on the next integer, one flow
+    more than a certificate at ``alpha`` covers."""
     a_num, a_den = float(alpha).as_integer_ratio()
     r_num, r_den = float(rate).as_integer_ratio()
-    caps = np.asarray(capacities, dtype=np.float64)
-    ratios = map(float.as_integer_ratio, caps.ravel().tolist())
-    floors = [a_num * r_den * c_num // (a_den * r_num * c_den) for c_num, c_den in ratios]
-    return np.array(floors, dtype=np.int64).reshape(caps.shape)
+    num, den = a_num * r_den, a_den * r_num
+    if isinstance(capacities, (int, float)):
+        c_num, c_den = float(capacities).as_integer_ratio()
+        return num * c_num // (den * c_den)
+    floors = []
+    for capacity in capacities:
+        c_num, c_den = float(capacity).as_integer_ratio()
+        floors.append(num * c_num // (den * c_den))
+    return floors
 
 
 class UtilizationLedger:
     """Slot accounting for every (link server, real-time class) pair.
+
+    Every vector is a ``list[int]`` indexed by server: the run-time
+    test is a compare of two ints per server, which no array library
+    makes cheaper at a route's length.
 
     Degraded operation (fault tolerance)
     ------------------------------------
@@ -70,12 +78,13 @@ class UtilizationLedger:
         self._class_names = [c.name for c in registry.realtime_classes()]
         if not self._class_names:
             raise AdmissionError("no real-time class to account for")
-        self._capacity: Dict[str, np.ndarray] = {}
-        self._capacity_full: Dict[str, np.ndarray] = {}
-        self._limit: Optional[Mapping[str, np.ndarray]] = None
-        self._used: Dict[str, np.ndarray] = {}
-        self._blocked: np.ndarray = np.zeros(graph.num_servers, dtype=bool)
-        total = np.zeros(graph.num_servers)
+        n = graph.num_servers
+        self._capacity: Dict[str, List[int]] = {}
+        self._capacity_full: Dict[str, List[int]] = {}
+        self._limit: Optional[Mapping[str, Sequence[int]]] = None
+        self._used: Dict[str, List[int]] = {}
+        self._blocked: List[bool] = [False] * n
+        total = 0.0
         for name in self._class_names:
             if name not in alphas:
                 raise AdmissionError(f"missing alpha for class {name!r}")
@@ -86,10 +95,10 @@ class UtilizationLedger:
                 )
             total += alpha
             slots = granted_slots(alpha, graph.capacities, registry.get(name).rate)
-            self._capacity[name] = slots
-            self._capacity_full[name] = slots.copy()
-            self._used[name] = np.zeros(graph.num_servers, dtype=np.int64)
-        if (total > 1.0 + 1e-12).any():
+            self._capacity_full[name] = [int(s) for s in slots]
+            self._capacity[name] = list(self._capacity_full[name])
+            self._used[name] = [0] * n
+        if total > 1.0 + 1e-12:
             raise AdmissionError(
                 "sum of class utilizations exceeds link capacity"
             )
@@ -99,29 +108,31 @@ class UtilizationLedger:
     # ------------------------------------------------------------------ #
 
     def _recompute_effective(self) -> None:
+        blocked = self._blocked
         for name in self._class_names:
-            eff = self._capacity_full[name].copy()
+            eff = list(self._capacity_full[name])
             if self._limit is not None:
-                np.minimum(eff, self._limit[name], out=eff)
-            eff[self._blocked] = 0
-            self._capacity[name] = eff
+                eff = [min(a, int(b)) for a, b in zip(eff, self._limit[name])]
+            self._capacity[name] = [0 if b else c for c, b in zip(eff, blocked)]
 
     def block_servers(self, servers: Sequence[int]) -> None:
         """Zero the effective capacity of dead link servers."""
-        self._blocked[np.asarray(servers, dtype=np.int64)] = True
+        for s in servers:
+            self._blocked[s] = True
         self._recompute_effective()
 
     def unblock_servers(self, servers: Sequence[int]) -> None:
         """Restore capacity of previously blocked servers."""
-        self._blocked[np.asarray(servers, dtype=np.int64)] = False
+        for s in servers:
+            self._blocked[s] = False
         self._recompute_effective()
 
     @property
-    def blocked_servers(self) -> np.ndarray:
+    def blocked_servers(self) -> List[int]:
         """Indices of currently blocked servers."""
-        return np.flatnonzero(self._blocked)
+        return [s for s, b in enumerate(self._blocked) if b]
 
-    def limit(self, slots: Optional[Mapping[str, np.ndarray]]) -> None:
+    def limit(self, slots: Optional[Mapping[str, Sequence[int]]]) -> None:
         """Cap every class's effective slots at ``slots[class]``, per
         server; ``None`` lifts the cap (degraded mode)."""
         self._limit = slots
@@ -144,35 +155,52 @@ class UtilizationLedger:
         the ledger drains.
         """
         self._check_class(class_name)
-        arr = np.asarray(slots, dtype=np.int64)
-        if arr.shape != (self.graph.num_servers,):
+        full = [int(s) for s in slots]
+        if len(full) != self.graph.num_servers:
             raise AdmissionError(
-                f"capacity vector shape {arr.shape} != "
-                f"({self.graph.num_servers},)"
+                f"capacity vector of {len(full)} servers != "
+                f"{self.graph.num_servers}"
             )
-        if (arr < 0).any():
+        if any(s < 0 for s in full):
             raise AdmissionError("slot capacity must be non-negative")
-        self._capacity_full[class_name] = arr.copy()
+        self._capacity_full[class_name] = full
         self._recompute_effective()
 
     # ------------------------------------------------------------------ #
 
-    def slots(self, class_name: str) -> np.ndarray:
-        """Per-server flow capacity of a class (read-only copy)."""
+    def slots(self, class_name: str) -> List[int]:
+        """Per-server flow capacity of a class (a copy)."""
         self._check_class(class_name)
-        return self._capacity[class_name].copy()
+        return list(self._capacity[class_name])
 
-    def capacity_view(self, class_name: str) -> np.ndarray:
+    def capacity_view(self, class_name: str) -> List[int]:
         """Per-server slot capacity, **no copy** — callers must not
-        mutate.  Hot-path twin of :meth:`slots` for the batch engine."""
+        mutate.  Kept for the frozen waterfall until ROADMAP 1(b), which
+        subtracts :meth:`used_view` from it; served code reads
+        :meth:`free`."""
         self._check_class(class_name)
         return self._capacity[class_name]
 
-    def used_view(self, class_name: str) -> np.ndarray:
+    def used_slots(self, class_name: str) -> List[int]:
         """Per-server reserved slots, **no copy** — callers must not
-        mutate.  Hot-path twin of :meth:`used` for the batch engine."""
+        mutate."""
         self._check_class(class_name)
         return self._used[class_name]
+
+    def used_view(self, class_name: str):
+        """Per-server reserved slots as an ``int64`` array (a copy).
+
+        Kept for the frozen waterfall until ROADMAP 1(b); served code
+        reads :meth:`used_slots`."""
+        import numpy as np
+
+        return np.array(self.used_slots(class_name), dtype=np.int64)
+
+    def free(self, class_name: str) -> List[int]:
+        """Per-server free slots, ``capacity - used`` (a new list; below
+        zero where a limit or a block cut under the usage)."""
+        self._check_class(class_name)
+        return list(map(int.__sub__, self._capacity[class_name], self._used[class_name]))
 
     def available(self, class_name: str, servers: Sequence[int]) -> bool:
         """Can one more flow of the class fit on every listed server?
@@ -181,9 +209,11 @@ class UtilizationLedger:
         O(path length) integer comparisons.
         """
         self._check_class(class_name)
-        idx = np.asarray(servers, dtype=np.int64)
-        fits = self._used[class_name][idx] < self._capacity[class_name][idx]
-        return bool(fits.all())
+        used, cap = self._used[class_name], self._capacity[class_name]
+        for s in servers:
+            if used[s] >= cap[s]:
+                return False
+        return True
 
     def try_reserve(self, class_name: str, servers: Sequence[int]) -> bool:
         """Reserve one slot on every listed server if each has one free.
@@ -193,11 +223,12 @@ class UtilizationLedger:
         a partial reservation).
         """
         self._check_class(class_name)
-        idx = np.asarray(servers, dtype=np.int64)
-        used = self._used[class_name]
-        if not (used[idx] < self._capacity[class_name][idx]).all():
-            return False
-        used[idx] += 1
+        used, cap = self._used[class_name], self._capacity[class_name]
+        for s in servers:
+            if used[s] >= cap[s]:
+                return False
+        for s in servers:
+            used[s] += 1
         return True
 
     def reserve(self, class_name: str, servers: Sequence[int]) -> None:
@@ -211,7 +242,7 @@ class UtilizationLedger:
             raise AdmissionError(f"no free {class_name!r} slot on some server of the path")
 
     def commit_flat(
-        self, class_name: str, servers: np.ndarray, n_flows: int
+        self, class_name: str, servers: Sequence[int], n_flows: int
     ) -> None:
         """Commit pre-decided reservations for ``n_flows`` admitted flows.
 
@@ -224,49 +255,65 @@ class UtilizationLedger:
         how many flows ``servers`` covers.
         """
         self._check_class(class_name)
-        idx = np.asarray(servers, dtype=np.int64)
-        np.add.at(self._used[class_name], idx, 1)
+        used = self._used[class_name]
+        for s in servers:
+            used[s] += 1
 
     def release_flat(
-        self, class_name: str, servers: np.ndarray, n_flows: int
+        self, class_name: str, servers: Sequence[int], n_flows: int
     ) -> None:
         """Release reservations of ``n_flows`` flows in one operation.
 
         ``servers`` concatenates the released flows' server indices.
-        The whole batch is validated against current usage before any
-        slot is freed.  ``n_flows`` is unused, as in :meth:`commit_flat`.
+        The whole batch is validated against current usage before it
+        counts: a batch that would free an unreserved slot raises with
+        the ledger unchanged.  ``n_flows`` is unused, as in
+        :meth:`commit_flat`.
         """
         self._check_class(class_name)
         used = self._used[class_name]
-        idx = np.asarray(servers, dtype=np.int64)
-        counts = np.bincount(idx, minlength=used.size)
-        if (used < counts).any():
-            raise AdmissionError(
-                f"releasing unreserved {class_name!r} slot"
-            )
-        used -= counts
+        done = 0
+        for s in servers:
+            if used[s] <= 0:
+                for undo in servers[:done]:
+                    used[undo] += 1
+                raise AdmissionError(
+                    f"releasing unreserved {class_name!r} slot"
+                )
+            used[s] -= 1
+            done += 1
 
     def release(self, class_name: str, servers: Sequence[int]) -> None:
         """Release one slot on every listed server."""
         self._check_class(class_name)
-        idx = np.asarray(servers, dtype=np.int64)
-        if (self._used[class_name][idx] <= 0).any():
-            raise AdmissionError(
-                f"releasing unreserved {class_name!r} slot"
-            )
-        self._used[class_name][idx] -= 1
+        used = self._used[class_name]
+        for s in servers:
+            if used[s] <= 0:
+                raise AdmissionError(
+                    f"releasing unreserved {class_name!r} slot"
+                )
+        for s in servers:
+            used[s] -= 1
 
     # ------------------------------------------------------------------ #
     # introspection (verification hooks)
     # ------------------------------------------------------------------ #
 
-    def verified_slots(self, class_name: str) -> np.ndarray:
+    def verified_list(self, class_name: str) -> List[int]:
         """Per-server *verified* (full) slot capacity — the certified
-        ceiling that a limit shrinks from (read-only copy)."""
+        ceiling that a limit shrinks from (a copy)."""
         self._check_class(class_name)
-        return self._capacity_full[class_name].copy()
+        return list(self._capacity_full[class_name])
 
-    def overcommitted(self, class_name: str) -> np.ndarray:
+    def verified_slots(self, class_name: str):
+        """:meth:`verified_list` as an ``int64`` array.
+
+        Kept for the frozen waterfall until ROADMAP 1(b)."""
+        import numpy as np
+
+        return np.array(self.verified_list(class_name), dtype=np.int64)
+
+    def overcommitted(self, class_name: str) -> List[int]:
         """Server indices where reserved slots exceed the verified
         capacity.
 
@@ -275,12 +322,14 @@ class UtilizationLedger:
         every server at every instant.  Usage above the *effective*
         (degraded) capacity is legal and expected after faults; usage
         above the verified ceiling would void the certificate.  A
-        correct controller always returns an empty array.
+        correct controller always returns an empty list.
         """
         self._check_class(class_name)
-        return np.flatnonzero(
-            self._used[class_name] > self._capacity_full[class_name]
-        )
+        return [
+            s for s, (u, c) in enumerate(
+                zip(self._used[class_name], self._capacity_full[class_name])
+            ) if u > c
+        ]
 
     def verified_headroom(self) -> float:
         """Free fraction of the **verified** slot capacity, all classes.
@@ -291,8 +340,8 @@ class UtilizationLedger:
         """
         total = used = 0
         for name in self._class_names:
-            total += int(self._capacity_full[name].sum())
-            used += int(self._used[name].sum())
+            total += sum(self._capacity_full[name])
+            used += sum(self._used[name])
         if total <= 0:
             return 1.0
         return max(0.0, (total - used) / total)

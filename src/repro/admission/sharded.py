@@ -18,9 +18,8 @@ The Ext-L bench quantifies that against the shared ledger.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
-
-import numpy as np
+from operator import index
+from typing import Hashable, List, Mapping, Sequence
 
 from ..errors import AdmissionError
 from ..topology.servergraph import LinkServerGraph
@@ -34,12 +33,12 @@ __all__ = [
 ]
 
 
-def plan_slot_shards(total_slots: np.ndarray, n_shards: int) -> np.ndarray:
+def plan_slot_shards(total_slots: Sequence[int], n_shards: int) -> List[List[int]]:
     """Partition per-server slot capacity among ``n_shards`` owners.
 
     ``total_slots`` is the verified per-server slot vector of one class;
-    the result is an ``(n_shards, n_servers)`` integer matrix whose
-    columns sum to **exactly** ``total_slots`` — the partition never
+    the result is ``n_shards`` rows of ``n_servers`` ints whose columns
+    sum to **exactly** ``total_slots`` — the partition never
     mints capacity, so any owner admitting against its private row
     preserves the certified utilization bound no matter how the owners
     interleave.
@@ -51,13 +50,19 @@ def plan_slot_shards(total_slots: np.ndarray, n_shards: int) -> np.ndarray:
     """
     if n_shards < 1:
         raise AdmissionError(f"need at least one shard, got {n_shards}")
-    total = np.asarray(total_slots, dtype=np.int64)
-    if total.ndim != 1:
-        raise AdmissionError("total_slots must be one-dimensional")
-    if np.any(total < 0):
-        raise AdmissionError("total_slots must be non-negative")
-    base, extra = np.divmod(total, n_shards)
-    return base[None, :] + (np.arange(n_shards)[:, None] < extra[None, :])
+    total = []
+    for slots in total_slots:
+        try:
+            slots = index(slots)
+        except TypeError:
+            raise AdmissionError("total_slots must be one-dimensional") from None
+        if slots < 0:
+            raise AdmissionError("total_slots must be non-negative")
+        total.append(slots)
+    return [
+        [slots // n_shards + (owner < slots % n_shards) for slots in total]
+        for owner in range(n_shards)
+    ]
 
 
 class SlotShardController(UtilizationAdmissionController):
@@ -103,10 +108,10 @@ class SlotShardController(UtilizationAdmissionController):
         for name in self._slot_classes:
             self.ledger.set_capacity(name, self._share(self.ledger.slots(name)))
 
-    def _share(self, slots: np.ndarray) -> np.ndarray:
+    def _share(self, slots: List[int]) -> List[int]:
         index, count = self._shard
         return plan_slot_shards(slots, count)[index]
 
-    def shard_slots(self, class_name: str) -> np.ndarray:
+    def shard_slots(self, class_name: str) -> List[int]:
         """Per-server slot share this worker admits against."""
         return self.ledger.slots(class_name)

@@ -14,9 +14,8 @@ measure.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import AdmissionError
 from ..topology.servergraph import LinkServerGraph
@@ -28,11 +27,7 @@ from ..traffic.flows import (
     flow_record,
 )
 from .base import AdmissionController, Pair
-from .batch import (
-    PADDING_FREE,
-    batch_slot_decisions,
-    flat_committed_servers,
-)
+from .kernels import batch_slot_decisions_lists
 from .ledger import UtilizationLedger, granted_slots
 
 __all__ = ["UtilizationAdmissionController"]
@@ -107,7 +102,7 @@ class UtilizationAdmissionController(AdmissionController):
         self._establish(flow, servers)
         return _ADMITTED
 
-    def _release_impl(self, code: int, servers: np.ndarray) -> None:
+    def _release_impl(self, code: int, servers: Sequence[int]) -> None:
         name = self._class_names[code]
         if name in self._slot_classes:
             self.ledger.release(name, servers)
@@ -126,7 +121,7 @@ class UtilizationAdmissionController(AdmissionController):
         """
         table = self._flows
         slot_classes = self._slot_classes
-        pad = self.graph.num_servers
+        ledger = self.ledger
         n = len(flows)
         outcomes: List[Tuple[bool, str]] = [_ADMITTED] * n
         by_class: Dict[str, List[int]] = {}
@@ -134,60 +129,58 @@ class UtilizationAdmissionController(AdmissionController):
             by_class.setdefault(flow.class_name, []).append(i)
         # Unknown names must still raise like the sequential path — and
         # before any state is mutated.
-        codes = np.empty(n, dtype=np.int64)
+        codes = [0] * n
         for name, members in by_class.items():
-            codes[members] = self._class_code(name)
+            code = self._class_code(name)
+            for i in members:
+                codes[i] = code
         # Every route is resolved before the first commit: one that
         # does not translate raises here, with nothing to undo.
         route_codes = self._route_codes(flows, routes)
-        matrix = table.servers_matrix(route_codes)[0]
-        admitted = np.ones(n, dtype=bool)
+        rows = table.route_rows(route_codes)
+        admitted = None
         for name, members in by_class.items():
             if name not in slot_classes:
                 continue
-            rows = matrix[members]
-            free = np.empty(pad + 1, dtype=np.int64)
-            np.subtract(
-                self.ledger.capacity_view(name),
-                self.ledger.used_view(name),
-                out=free[:pad],
-            )
-            free[pad] = PADDING_FREE
-            ok = batch_slot_decisions(rows, free)
-            n_ok = int(np.count_nonzero(ok))
+            class_rows = rows if len(members) == n else list(map(rows.__getitem__, members))
+            ok = batch_slot_decisions_lists(class_rows, ledger.free(name))
+            n_ok = ok.count(True)
             if n_ok:
-                self.ledger.commit_flat(
-                    name, flat_committed_servers(rows, ok, pad), n_ok
-                )
+                flat = list(chain.from_iterable(compress(class_rows, ok)))
+                ledger.commit_flat(name, flat, n_ok)
             if n_ok < len(members):
-                admitted[members] = ok
+                if admitted is None:
+                    admitted = [True] * n
                 rejected = self._full[name]
-                for r in np.flatnonzero(~ok).tolist():
-                    outcomes[members[r]] = rejected
+                for r, good in enumerate(ok):
+                    if not good:
+                        admitted[members[r]] = False
+                        outcomes[members[r]] = rejected
         # One flow-table write for the whole batch, in batch order:
         # snapshots list flows in the order they were established.  It
         # runs with no winner too: that frees a pinned route interned
         # for a refused flow.
-        winners = np.flatnonzero(admitted)
         ids, tags, pins = [], [], []
-        for i in winners.tolist():
-            flow = flows[i]
+        if admitted is not None:
+            codes = list(compress(codes, admitted))
+            route_codes = list(compress(route_codes, admitted))
+            flows = list(compress(flows, admitted))
+        for flow in flows:
             ids.append(flow.flow_id)
             tags.append(PRIORITY_TAGS[flow.priority])
             pins.append(flow.route is not None)
-        table.add_routed(ids, codes[winners], route_codes[winners], tags, pins)
+        table.add_routed(ids, codes, route_codes, tags, pins)
         return outcomes
 
     def _release_batch_impl(
-        self, codes: np.ndarray, matrix: np.ndarray
+        self, codes: Sequence[int], rows: Sequence[Sequence[int]]
     ) -> None:
-        pad = self._flows.pad
         for name, code in self._slot_classes.items():
-            mask = codes == code
-            count = int(np.count_nonzero(mask))
+            mine = list(map(code.__eq__, codes))
+            count = mine.count(True)
             if count:
-                held = matrix[mask]
-                self.ledger.release_flat(name, held[held != pad], count)
+                held = list(chain.from_iterable(compress(rows, mine)))
+                self.ledger.release_flat(name, held, count)
 
     # ------------------------------------------------------------------ #
     # degraded operation (fault tolerance)
@@ -216,7 +209,7 @@ class UtilizationAdmissionController(AdmissionController):
             for name in self._slot_classes
         })
 
-    def _share(self, slots: np.ndarray) -> np.ndarray:
+    def _share(self, slots: List[int]) -> List[int]:
         """What of a slot vector this controller admits against: all."""
         return slots
 
@@ -224,10 +217,10 @@ class UtilizationAdmissionController(AdmissionController):
 
     def slot_holders(
         self, class_name: str, tags: Sequence[int], servers: Sequence[int]
-    ) -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
+    ) -> Tuple[List[Hashable], List[int], List[Tuple[bool, ...]]]:
         """Established flows of a class, tagged with one of ``tags``
         (``PRIORITY_TAGS``), that hold a slot on any of
-        ``servers``: ``(flow_ids, tags, hits)`` with ``hits[j, i]`` true
+        ``servers``: ``(flow_ids, tags, hits)`` with ``hits[i][j]`` true
         when flow ``i`` holds ``servers[j]`` — one scan of the flow
         table, whatever the number of established flows."""
         return self._flows.holders(
@@ -237,11 +230,8 @@ class UtilizationAdmissionController(AdmissionController):
     def headroom(self, class_name: str, pair: Pair) -> int:
         """How many more flows of the class fit on the pair's route."""
         servers = self.graph.route_servers(self._configured_route(pair))
-        free = (
-            self.ledger.capacity_view(class_name)[servers]
-            - self.ledger.used_view(class_name)[servers]
-        )
-        return int(free.min())
+        free = self.ledger.free(class_name)
+        return min(free[s] for s in servers)
 
     # ------------------------------------------------------------------ #
     # machine-checked invariants
@@ -266,20 +256,19 @@ class UtilizationAdmissionController(AdmissionController):
         problems = super().verify_invariants()
         table = self._flows
         for name, code in self._slot_classes.items():
+            used = self.ledger.used_slots(name)
+            verified = self.ledger.verified_list(name)
             for s in self.ledger.overcommitted(name):
-                used = int(self.ledger.used_view(name)[s])
-                cap = int(self.ledger.verified_slots(name)[s])
                 problems.append(
-                    f"over-commit: class {name!r} server {int(s)} holds "
-                    f"{used} slots but only {cap} are verified"
+                    f"over-commit: class {name!r} server {s} holds "
+                    f"{used[s]} slots but only {verified[s]} are verified"
                 )
-            expected = table.usage(code)
-            actual = self.ledger.used_view(name)
-            if not np.array_equal(expected, actual):
-                diff = np.flatnonzero(expected != actual)
+            expected = table.usage(code).tolist()
+            if expected != used:
+                diff = [s for s, (e, u) in enumerate(zip(expected, used)) if e != u]
                 problems.append(
                     f"ledger mismatch: class {name!r} usage on servers "
-                    f"{diff.tolist()} cannot be reconstructed from the "
+                    f"{diff} cannot be reconstructed from the "
                     "established flows"
                 )
         slot_codes = set(self._slot_classes.values())

@@ -19,6 +19,9 @@ Two practical consequences are exploited here:
 A diverging iteration (utilization too high for this route structure)
 is reported as ``converged=False`` with ``diverged=True`` once the iterates
 cross ``DEFAULT_CEILING``, or when the iteration budget is exhausted.
+The stop rules and the result record live in
+:mod:`repro.analysis.theorem3`, beside the plain-Python restatement of
+the one-class solve that verification runs.
 
 There is one loop.  Every ``Z`` in this package has the form
 ``d = f(Y(d))``: the loop computes ``Y`` from the route system and hands
@@ -35,15 +38,19 @@ workspace to all of them; without one, a solve makes its own.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Optional, Protocol, Union
 
 import numpy as np
 
 from ..errors import AnalysisError
-from ..obs import DEFAULT_ITERATION_BUCKETS, OBS
 from .routesystem import RouteSystem, _grown
+from .theorem3 import (
+    DEFAULT_CEILING,
+    DEFAULT_TOLERANCE,
+    MAX_ITERATIONS,
+    FixedPointResult,
+    observed_solve,
+)
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -52,18 +59,6 @@ __all__ = [
     "Theorem3Map",
     "solve_fixed_point",
 ]
-
-logger = logging.getLogger("repro.analysis.fixedpoint")
-
-#: Absolute convergence tolerance on per-server delays, in seconds.
-#: 1 ns is far below any meaningful queueing-delay scale in the model.
-DEFAULT_TOLERANCE = 1e-9
-
-#: Delay ceiling (seconds) above which the iteration is declared divergent.
-DEFAULT_CEILING = 1e6
-
-#: Iteration budget of one solve.
-MAX_ITERATIONS = 100_000
 
 #: Per-route deadlines: one bound per route, or a scalar applied to all.
 Deadlines = Union[np.ndarray, float, None]
@@ -74,43 +69,6 @@ class DelayMap(Protocol):
 
     def apply(self, y: np.ndarray, out: np.ndarray) -> None:
         """Write ``Z`` for upstream-jitter vector ``y`` into ``out``."""
-
-
-@dataclass
-class FixedPointResult:
-    """Outcome of a delay fixed-point computation.
-
-    Attributes
-    ----------
-    delays:
-        ``float64[S]`` per-server delay bounds at the final iterate.
-    route_delays:
-        ``float64[R]`` end-to-end bounds per route at the final iterate.
-    converged:
-        True if the iteration reached the fixed point within tolerance.
-    deadline_violated:
-        True if the computation stopped early because some route's
-        end-to-end delay exceeded its deadline (sound: delays only grow).
-    diverged:
-        True if the iterates crossed the divergence ceiling.
-    iterations:
-        Number of iterations performed.
-    residual:
-        Largest per-server delay change at the final iteration.
-    """
-
-    delays: np.ndarray
-    route_delays: np.ndarray
-    converged: bool
-    deadline_violated: bool
-    diverged: bool
-    iterations: int
-    residual: float
-
-    @property
-    def safe(self) -> bool:
-        """Converged with no deadline violation."""
-        return self.converged and not self.deadline_violated
 
 
 class FixedPointWorkspace:
@@ -246,61 +204,18 @@ def solve_fixed_point(
     """
     if workspace is None:
         workspace = FixedPointWorkspace()
-    # Fast path: observability off (the default) adds one attribute load.
-    if not OBS.enabled:
-        return _solve(
+    return observed_solve(
+        lambda: _solve(
             system,
             update,
             workspace=workspace,
             initial=initial,
             deadlines=deadlines,
-        )
-
-    warm = initial is not None
-    with OBS.span(
-        "fixedpoint.solve",
+        ),
         routes=system.num_routes,
         servers=system.num_servers,
-        warm_start=warm,
-    ) as sp:
-        result = _solve(
-            system,
-            update,
-            workspace=workspace,
-            initial=initial,
-            deadlines=deadlines,
-        )
-        outcome = _outcome(result)
-        sp.set(iterations=result.iterations, outcome=outcome)
-    reg = OBS.registry
-    reg.counter("repro_fixedpoint_solves_total", outcome=outcome).inc()
-    reg.counter("repro_fixedpoint_iterations_total").inc(result.iterations)
-    reg.histogram(
-        "repro_fixedpoint_iterations", buckets=DEFAULT_ITERATION_BUCKETS
-    ).observe(result.iterations)
-    reg.gauge("repro_fixedpoint_last_residual").set(result.residual)
-    if warm:
-        reg.counter("repro_fixedpoint_warm_starts_total").inc()
-    if result.deadline_violated and not result.converged:
-        reg.counter("repro_fixedpoint_early_failures_total").inc()
-    if result.diverged:
-        logger.debug(
-            "fixed point diverged after %d iterations "
-            "(%d routes, ceiling crossed)",
-            result.iterations,
-            system.num_routes,
-        )
-    return result
-
-
-def _outcome(result: FixedPointResult) -> str:
-    if result.converged:
-        return "converged"
-    if result.deadline_violated:
-        return "deadline_violated"
-    if result.diverged:
-        return "diverged"
-    return "budget_exhausted"
+        warm=initial is not None,
+    )
 
 
 def _solve(

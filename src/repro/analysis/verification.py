@@ -6,21 +6,22 @@ end-to-end deadline is guaranteed.  This module is the user-facing wrapper
 over :mod:`repro.analysis.delays` (two-class systems) and
 :mod:`repro.analysis.multiclass` (general systems); it always runs the
 multi-class machinery when more than one real-time class is registered and
-the fast single-class path otherwise — tests pin both paths to each other.
+the single-class path otherwise — tests pin both paths to each other.  The
+single-class path is :func:`~repro.analysis.theorem3.theorem3_fixed_point`,
+plain Python bit-identical to the numpy solver, so a process that only
+certifies and serves a one-class configuration never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
-from ..errors import AnalysisError, ConfigurationError
+from ..errors import ConfigurationError
 from ..topology.network import Network
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry, TrafficClass
-from .delays import single_class_delays
+from .theorem3 import theorem3_fixed_point
 
 __all__ = ["VerificationResult", "verify_assignment"]
 
@@ -47,6 +48,9 @@ class VerificationResult:
         ``{class_name: deadline - worst bound}`` (negative when violated).
     iterations:
         Fixed-point iterations spent.
+    server_delays, route_delays:
+        Per class, the per-server and per-route bounds: lists for one
+        real-time class, ``float64`` arrays for several.
     """
 
     success: bool
@@ -54,8 +58,8 @@ class VerificationResult:
     worst_route_delay: Dict[str, float]
     slack: Dict[str, float]
     iterations: int
-    server_delays: Dict[str, np.ndarray] = field(repr=False, default_factory=dict)
-    route_delays: Dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    server_delays: Dict[str, Any] = field(repr=False, default_factory=dict)
+    route_delays: Dict[str, Any] = field(repr=False, default_factory=dict)
 
 
 def _normalize_routes(
@@ -81,7 +85,7 @@ def verify_assignment(
     registry: ClassRegistry,
     alphas: Mapping[str, float],
     *,
-    warm_start: Optional[Mapping[str, np.ndarray]] = None,
+    warm_start: Optional[Mapping[str, Sequence[float]]] = None,
 ) -> VerificationResult:
     """Run the Figure 2 verification procedure.
 
@@ -127,11 +131,11 @@ def verify_assignment(
 
     if len(rt_classes) == 1:
         cls = rt_classes[0]
-        result = single_class_delays(
+        fp = theorem3_fixed_point(
             graph, routes_by_class[cls.name], cls, float(alphas[cls.name]),
             warm_start=None if warm_start is None else warm_start[cls.name],
         )
-        fp = result.fixed_point
+        worst = max(fp.route_delays) if fp.route_delays else 0.0
         if fp.diverged:
             reason = (
                 f"delay fixed point diverged for class {cls.name!r}: "
@@ -140,7 +144,7 @@ def verify_assignment(
         elif fp.deadline_violated:
             reason = (
                 f"class {cls.name!r} misses its deadline: worst route "
-                f"bound {result.worst_route_delay * 1e3:.2f} ms "
+                f"bound {worst * 1e3:.2f} ms "
                 f"> {cls.deadline * 1e3:.2f} ms"
             )
         elif not fp.converged:
@@ -150,8 +154,8 @@ def verify_assignment(
         return VerificationResult(
             success=fp.safe,
             reason=reason,
-            worst_route_delay={cls.name: result.worst_route_delay},
-            slack={cls.name: result.slack},
+            worst_route_delay={cls.name: worst},
+            slack={cls.name: cls.deadline - worst},
             iterations=fp.iterations,
             server_delays={cls.name: fp.delays},
             route_delays={cls.name: fp.route_delays},
@@ -159,6 +163,8 @@ def verify_assignment(
 
     # More than one real-time class: the paper's scenarios (and every
     # served configuration) have one, so only this branch loads it.
+    import numpy as np
+
     from .multiclass import multi_class_delays
 
     mc = multi_class_delays(

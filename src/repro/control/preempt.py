@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, Hashable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..errors import ReproError
 from ..traffic.flows import PRIORITY_TAGS, FlowSpec, priority_rank
 
@@ -109,19 +107,16 @@ class Preemptor:
             return PreemptionOutcome(
                 False, (), "best-effort flows hold no slots"
             )
-        servers = ctrl.servers_for(flow, route)
-        free = (
-            ledger.capacity_view(cls)[servers]
-            - ledger.used_view(cls)[servers]
-        )
+        free = ledger.free(cls)
         # Per-server slot deficit: each eviction frees exactly one slot
         # on every server of the victim's route, and the arrival needs
         # one free slot everywhere — so server ``s`` needs ``1 - free``
         # evictions.  Under a degraded/governed ledger ``free`` can be
         # negative, making the deficit larger than one.
-        deficit: Dict[int, int] = {
-            int(s): 1 - int(f) for s, f in zip(servers, free) if f <= 0
-        }
+        deficit: Dict[int, int] = {}
+        for s in ctrl.servers_for(flow, route):
+            if free[s] <= 0:
+                deficit[s] = 1 - free[s]
         saturated: Set[int] = set(deficit)
         if not saturated:
             # The rejection is stale: in a batched preemption pass
@@ -132,7 +127,7 @@ class Preemptor:
             if decision.admitted:
                 return PreemptionOutcome(True, (), "", decision)
             return PreemptionOutcome(False, (), "no saturated server")
-        blocked = set(int(s) for s in ledger.blocked_servers)
+        blocked = set(ledger.blocked_servers)
         if saturated & blocked:
             return PreemptionOutcome(
                 False, (), "route crosses a blocked server"
@@ -180,23 +175,36 @@ class Preemptor:
         ids, tags, hits = self.controller.slot_holders(
             flow.class_name, evictable, servers
         )
-        # A tag is its priority's rank, but for unset (-1, rank 0).
-        ranks = np.maximum(tags, 0).tolist()
-        order = sorted(
-            range(len(ids)), key=lambda i: (ranks[i], repr(ids[i]))
-        )
-        hits = hits[:, order]
-        remaining = np.array([deficit[s] for s in servers])
+        # A tag is its priority's rank, but for unset (-1, rank 0); the
+        # index keeps a stable sort's order among equal keys.
+        ranks = [0 if tag < 0 else tag for tag in tags]
+        order = sorted(zip(ranks, map(repr, ids), range(len(ids))))
+        # Candidates that hold the same servers gain alike at every
+        # step: queue them by that pattern, best-ranked first, so a
+        # step compares patterns, not flows.
+        queues: Dict[Tuple[bool, ...], List[int]] = {}
+        for at, (_rank, _key, i) in enumerate(order):
+            queues.setdefault(hits[i], []).append(at)
+        heads = dict.fromkeys(queues, 0)
+        remaining = [deficit[s] for s in servers]
         plan: List[Hashable] = []
-        while (remaining > 0).any() and len(plan) < MAX_VICTIMS:
-            gain = hits[remaining > 0].sum(axis=0)
-            if not gain.any():
+        while any(r > 0 for r in remaining) and len(plan) < MAX_VICTIMS:
+            best = None
+            for pattern, queue in queues.items():
+                head = heads[pattern]
+                if head == len(queue):
+                    continue
+                gain = sum(1 for hit, r in zip(pattern, remaining) if hit and r > 0)
+                # The first of equal gains in rank order: the tie-break.
+                key = (gain, -queue[head])
+                if gain and (best is None or key > best[0]):
+                    best = (key, pattern)
+            if best is None:
                 return None
-            # argmax takes the first of equal gains: the tie-break.
-            best = int(gain.argmax())
-            plan.append(ids[order[best]])
-            remaining -= hits[:, best]
-            hits[:, best] = False
-        if (remaining > 0).any():
+            pattern = best[1]
+            plan.append(ids[order[queues[pattern][heads[pattern]]][2]])
+            heads[pattern] += 1
+            remaining = [r - hit for r, hit in zip(remaining, pattern)]
+        if any(r > 0 for r in remaining):
             return None
         return plan

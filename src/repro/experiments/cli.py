@@ -41,7 +41,11 @@ __all__ = ["main", "build_parser"]
 #: ``_blake2`` compute the same digests.  A ``None`` entry in
 #: ``sys.modules`` is CPython's import blocker, and both stdlib modules
 #: fall back cleanly behind it.  A TLS feature must remove this first.
-NOT_SERVED_MODULES = ("ssl", "_hashlib")
+#: Nor numpy (≈ 0.1 s to import, ≈ 11.7 MB resident): the run-time
+#: path counts slots in lists and the start-up Figure 2 is plain Python
+#: (``analysis.theorem3``), so an import of it in a served process is a
+#: bug, and fails loudly instead of costing start-up and memory.
+NOT_SERVED_MODULES = ("ssl", "_hashlib", "numpy")
 
 
 def build_parser() -> argparse.ArgumentParser:

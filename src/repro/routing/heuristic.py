@@ -247,7 +247,7 @@ class _GreedySelector:
         raw = self._candidates(*pair)
         servers = self._server_cand_cache.get(pair)
         if servers is None:
-            servers = [self.graph.route_servers(c) for c in raw]
+            servers = [np.array(self.graph.route_servers(c), dtype=np.int64) for c in raw]
             self._server_cand_cache[pair] = servers
         return raw, servers
 
@@ -499,7 +499,7 @@ class SafeRouteSelector(_GreedySelector):
             [cls],
             [self._ordered(pairs)],
             update,
-            [self.graph.route_servers(p) for p in fixed_routes or ()],
+            [np.array(self.graph.route_servers(p), dtype=np.int64) for p in fixed_routes or ()],
         )
         worst = run.system.route_delays(run.delays)
         return SelectionOutcome(

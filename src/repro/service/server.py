@@ -1028,7 +1028,7 @@ class AdmissionService:
             (
                 "repro_ledger_slots_in_use",
                 {"cls": cls.name},
-                controller.ledger.used_view(cls.name).sum(),
+                sum(controller.ledger.used_slots(cls.name)),
             )
             for cls in controller.registry.realtime_classes()
         ]

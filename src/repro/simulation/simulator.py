@@ -121,7 +121,7 @@ class Simulator:
             raise SimulationError(
                 f"flow {flow.flow_id!r}: stop must exceed start"
             )
-        servers = self.graph.route_servers(route)
+        servers = np.array(self.graph.route_servers(route), dtype=np.int64)
         if servers.size == 0:
             raise SimulationError(
                 f"flow {flow.flow_id!r}: route has no link servers"

@@ -2,12 +2,16 @@
 
 The delay analysis (Section 5.1.1 of the paper) works on **link servers** —
 the output queues of directed links — not on routers.  This module flattens a
-:class:`~repro.topology.network.Network` into integer-indexed arrays so the
-numeric kernels in :mod:`repro.analysis` can be fully vectorized:
+:class:`~repro.topology.network.Network` into integer indices, which the
+run-time ledger counts slots over and the analysis kernels vectorize
+over:
 
 * every directed link ``u -> v`` gets a dense index ``0 .. S-1``;
-* per-server capacity and fan-in live in NumPy arrays;
-* router-level paths translate to arrays of server indices.
+* per-server capacity and fan-in are tuples indexed by it;
+* router-level paths translate to tuples of server indices.
+
+The graph holds no array: a served process builds one and never loads
+numpy.
 
 Fan-in is the paper's ``N`` — the number of input links a packet can arrive
 on at the server's router.  The paper assumes a uniform ``N`` (the maximum
@@ -18,8 +22,6 @@ either convention.
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import TopologyError, UnknownLinkError
 from .network import Network
@@ -39,9 +41,9 @@ class LinkServerGraph:
     Attributes
     ----------
     capacities:
-        ``float64[S]`` — per-server link capacity (bits/second).
+        ``S`` floats — per-server link capacity (bits/second).
     fan_in:
-        ``int64[S]`` — per-server number of input links (paper's ``N_k``).
+        ``S`` ints — per-server number of input links (paper's ``N_k``).
     """
 
     def __init__(self, network: Network):
@@ -61,8 +63,8 @@ class LinkServerGraph:
         self._index: Dict[Tuple[Hashable, Hashable], int] = {
             key: i for i, key in enumerate(keys)
         }
-        self.capacities = np.asarray(caps, dtype=np.float64)
-        self.fan_in = np.asarray(fan_in, dtype=np.int64)
+        self.capacities: Tuple[float, ...] = tuple(map(float, caps))
+        self.fan_in: Tuple[int, ...] = tuple(fan_in)
 
     # ------------------------------------------------------------------ #
     # size / lookup
@@ -88,8 +90,8 @@ class LinkServerGraph:
 
     def uniform_capacity(self) -> float:
         """The common capacity ``C``; raises if capacities differ."""
-        c0 = float(self.capacities[0])
-        if not np.all(self.capacities == c0):
+        c0 = self.capacities[0]
+        if any(c != c0 for c in self.capacities):
             raise TopologyError(
                 "network has heterogeneous link capacities; "
                 "no uniform C exists"
@@ -98,29 +100,35 @@ class LinkServerGraph:
 
     def uniform_fan_in(self) -> int:
         """The paper's uniform ``N``: the maximum fan-in over all servers."""
-        return int(self.fan_in.max())
+        return max(self.fan_in)
 
     # ------------------------------------------------------------------ #
     # route translation
     # ------------------------------------------------------------------ #
 
-    def route_servers(self, router_path: Sequence[Hashable]) -> np.ndarray:
+    def route_servers(self, router_path: Sequence[Hashable]) -> Tuple[int, ...]:
         """Translate a router-level path into server indices.
 
-        ``[v0, v1, ..., vm]`` becomes the ``int64[m]`` array of the servers
+        ``[v0, v1, ..., vm]`` becomes the tuple of the ``m`` servers
         ``v0->v1, v1->v2, ..., v(m-1)->vm``.  A single-node path yields an
-        empty array (source == destination: no queueing).
+        empty tuple (source == destination: no queueing).
         """
         if len(router_path) < 1:
             raise TopologyError("route must contain at least one router")
-        out = np.empty(len(router_path) - 1, dtype=np.int64)
-        for i in range(len(router_path) - 1):
-            out[i] = self.server_index(router_path[i], router_path[i + 1])
-        return out
+        index = self._index
+        out = []
+        tail = router_path[0]
+        for head in router_path[1:]:
+            server = index.get((tail, head))
+            if server is None:
+                raise UnknownLinkError(tail, head)
+            out.append(server)
+            tail = head
+        return tuple(out)
 
     def routes_servers(
         self, router_paths: Sequence[Sequence[Hashable]]
-    ) -> List[np.ndarray]:
+    ) -> List[Tuple[int, ...]]:
         """Vector form of :meth:`route_servers` for many paths."""
         return [self.route_servers(p) for p in router_paths]
 

@@ -10,7 +10,8 @@ VerifyBound` and running the **real production code** on each:
   :meth:`verify_invariants` after every single event and comparing
   verdicts against the executable model;
 * :func:`exhaustive_batch_equivalence` runs the real
-  :func:`~repro.admission.batch.batch_slot_decisions` kernel (or a
+  :func:`~repro.admission.kernels.batch_slot_decisions_lists` kernel,
+  the one the controller calls (or a
   deliberately broken mutant from :mod:`repro.verify.mutants`) against
   the sequential reference
   (:func:`~repro.admission.kernels.batch_slot_decisions_sequential`) on
@@ -43,8 +44,6 @@ from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
-
-import numpy as np
 
 from ..errors import VerificationError
 from ..traffic.flows import PRIORITIES, FlowSpec
@@ -220,7 +219,7 @@ def exhaustive_no_overcommit(
 
 def exhaustive_batch_equivalence(
     bound: VerifyBound,
-    kernel: Optional[Callable[..., np.ndarray]] = None,
+    kernel: Optional[Callable[..., List[bool]]] = None,
 ) -> CheckResult:
     """Check batch-kernel <=> sequential-loop equivalence exhaustively:
     every interval-route assignment of the bound against every
@@ -228,14 +227,16 @@ def exhaustive_batch_equivalence(
     below current usage) are covered.
 
     ``kernel`` is the real
-    :func:`~repro.admission.batch.batch_slot_decisions` unless a mutant
+    :func:`~repro.admission.kernels.batch_slot_decisions_lists` unless a mutant
     is passed; the first instance on which it and
     :func:`~repro.admission.kernels.batch_slot_decisions_sequential`
     disagree is decoded into a replayable counterexample."""
-    from ..admission.batch import batch_slot_decisions
-    from ..admission.kernels import batch_slot_decisions_sequential
+    from ..admission.kernels import (
+        batch_slot_decisions_lists,
+        batch_slot_decisions_sequential,
+    )
 
-    kernel_fn = kernel or batch_slot_decisions
+    kernel_fn = kernel or batch_slot_decisions_lists
     start = time.perf_counter()
     count = 0
     for routes in itertools.product(

@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import VerificationError
 from ..traffic.flows import FlowSpec, priority_rank
 from ..workload.trace import TraceEvent, merge_events
@@ -201,7 +199,7 @@ def build_chain_controller(
     controller = UtilizationAdmissionController(
         graph, registry, {INSTANCE_CLASS: 0.5}, routes
     )
-    slots = np.full(graph.num_servers, _MAX_FLOWS + 1, dtype=np.int64)
+    slots = [_MAX_FLOWS + 1] * graph.num_servers
     for s, cap in enumerate(capacities):
         slots[graph.server_index(f"r{s}", f"r{s + 1}")] = int(cap)
     controller.ledger.set_capacity(INSTANCE_CLASS, slots)
@@ -249,7 +247,7 @@ def preemption_problem(
     def state():
         return (
             controller.snapshot(),
-            controller.ledger.used_view(INSTANCE_CLASS).tolist(),
+            list(controller.ledger.used_slots(INSTANCE_CLASS)),
         )
 
     before = state()
@@ -405,11 +403,11 @@ def replay_no_overcommit(
             controller.release(event.flow_id)
             admitted.discard(event.flow_id)
         invariant_problems.extend(controller.verify_invariants())
-        used = controller.ledger.used_view(INSTANCE_CLASS)
-        verified = controller.ledger.verified_slots(INSTANCE_CLASS)
+        used = controller.ledger.used_slots(INSTANCE_CLASS)
+        verified = controller.ledger.verified_list(INSTANCE_CLASS)
         for s_model, s_graph in enumerate(forward):
             if used[s_graph] > verified[s_graph]:
-                overcommits.append((s_model, int(used[s_graph])))
+                overcommits.append((s_model, used[s_graph]))
     return {
         "model_verdicts": model_verdicts,
         "model_violations": model_violations,
@@ -428,16 +426,11 @@ def kernel_slot_decisions(
     kernel, routes: Sequence[Tuple[int, int]], free: Sequence[int]
 ) -> List[bool]:
     """``kernel``'s verdicts on interval ``routes`` over a chain of
-    ``len(free)`` servers with pre-batch free counts ``free``."""
-    from ..admission.batch import PADDING_FREE, pad_server_matrix
-
-    pad = len(free)
-    rows = [np.arange(lo, hi, dtype=np.int64) for lo, hi in routes]
-    matrix, _lengths = pad_server_matrix(rows, pad)
-    vector = np.empty(pad + 1, dtype=np.int64)
-    vector[:pad] = np.asarray(free, dtype=np.int64)
-    vector[pad] = PADDING_FREE
-    return [bool(v) for v in kernel(matrix, vector)]
+    ``len(free)`` servers with pre-batch free counts ``free``, fed as
+    the controller feeds the kernel: a list of servers per request and
+    a fresh list of free counts (the kernel consumes it)."""
+    rows = [list(range(lo, hi)) for lo, hi in routes]
+    return [bool(v) for v in kernel(rows, [int(f) for f in free])]
 
 
 def replay_batch_equivalence(
@@ -445,15 +438,17 @@ def replay_batch_equivalence(
 ) -> Dict[str, Any]:
     """Replay a batch-equivalence counterexample against a kernel.
 
-    ``kernel`` defaults to the real
-    :func:`~repro.admission.batch.batch_slot_decisions`; pass a mutant
+    ``kernel`` defaults to the kernel the controller calls,
+    :func:`~repro.admission.kernels.batch_slot_decisions_lists`; pass a mutant
     (:mod:`repro.verify.mutants`) to confirm the decoded instance
     really splits it from the sequential reference
     (:func:`~repro.admission.kernels.batch_slot_decisions_sequential`):
     ``reproduced``.
     """
-    from ..admission.batch import batch_slot_decisions
-    from ..admission.kernels import batch_slot_decisions_sequential
+    from ..admission.kernels import (
+        batch_slot_decisions_lists,
+        batch_slot_decisions_sequential,
+    )
 
     if cx.check != "batch_equivalence":
         raise VerificationError(
@@ -464,7 +459,7 @@ def replay_batch_equivalence(
         batch_slot_decisions_sequential, cx.routes, cx.capacities
     )
     kernel_verdicts = kernel_slot_decisions(
-        kernel or batch_slot_decisions, cx.routes, cx.capacities
+        kernel or batch_slot_decisions_lists, cx.routes, cx.capacities
     )
     return {
         "sequential_verdicts": sequential,

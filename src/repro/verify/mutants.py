@@ -10,12 +10,14 @@ them, at the default bound, or the run fails.  The rows of
 :data:`repro.verify.bounded.CHECKS` say which check must catch which
 mutant, under which name.
 
-The kernel mutants mirror the real kernel's calling convention — a
-padded server-index matrix plus a free-slot vector whose last entry is
-the virtual padding slot.  Two are written from scratch so the planted
-bug is the *only* difference from the sequential reference; the other
-two are the shipped kernel itself with one token changed, one in its
-bincount exit and one in its loop.
+The kernel mutants mirror the calling convention of the kernel the
+controller calls (:func:`~repro.admission.kernels.\
+batch_slot_decisions_lists`): rows of server indices and a list of free
+slots per server, in; a list of verdicts, out.  Two are written from
+scratch so the planted bug is the *only* difference from the sequential
+reference; the other two are the shipped kernel itself with one token
+changed, one in its whole-fit exit (a count of each server's demand, a
+bincount) and one in its loop.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import replace
-from typing import Any, Callable
-
-import numpy as np
+from typing import Any, Callable, List, Sequence
 
 from ..errors import VerificationError
 
@@ -39,8 +39,8 @@ __all__ = [
 
 
 def mutant_admit_on_full(
-    matrix: np.ndarray, free: np.ndarray
-) -> np.ndarray:
+    rows: Sequence[Sequence[int]], free: Sequence[int]
+) -> List[bool]:
     """Admits when a server is exactly full (``<=`` where ``<`` belongs).
 
     The slot test must be strict — ``used < capacity`` — or one extra
@@ -48,37 +48,37 @@ def mutant_admit_on_full(
     void.  This is the admission-control analogue of an off-by-one
     boundary bug.
     """
-    n_requests = matrix.shape[0]
-    admitted = np.zeros(n_requests, dtype=bool)
-    crossings = np.zeros(free.size, dtype=np.int64)
-    for i in range(n_requests):
-        row = matrix[i]
-        if np.all(crossings[row] <= free[row]):  # planted: <= not <
-            admitted[i] = True
-            np.add.at(crossings, row, 1)
+    crossings = [0] * len(free)
+    admitted = []
+    for row in rows:
+        ok = all(crossings[s] <= free[s] for s in row)  # planted: <= not <
+        if ok:
+            for s in row:
+                crossings[s] += 1
+        admitted.append(ok)
     return admitted
 
 
 def mutant_ignore_contention(
-    matrix: np.ndarray, free: np.ndarray
-) -> np.ndarray:
+    rows: Sequence[Sequence[int]], free: Sequence[int]
+) -> List[bool]:
     """Decides every request against the pre-batch free counts.
 
     Forgets that earlier requests in the same batch already claimed
     slots — the bug batching introduces when intra-batch contention is
-    not threaded through, and exactly what the kernel's prefix-sum
-    crossing counts exist to prevent.
+    not threaded through, and exactly what the kernel's running
+    ``left`` counts exist to prevent.
     """
-    return np.asarray((free[matrix] > 0).all(axis=1))
+    return [all(free[s] > 0 for s in row) for row in rows]
 
 
 @functools.lru_cache(maxsize=None)
-def _one_token_kernel(line: str, planted: str) -> Callable[..., np.ndarray]:
-    """The shipped numpy slot kernel, recompiled with its one source
-    line ``line`` replaced by ``planted``.  A kernel that no longer has
+def _one_token_kernel(line: str, planted: str) -> Callable[..., List[bool]]:
+    """The shipped slot kernel, recompiled with its one source line
+    ``line`` replaced by ``planted``.  A kernel that no longer has
     exactly one such line is a :class:`VerificationError`: the mutant
     must follow the code it breaks, not silently stop planting."""
-    from ..admission.kernels import batch_slot_decisions_numpy as kernel
+    from ..admission.kernels import batch_slot_decisions_lists as kernel
 
     source = inspect.getsource(kernel)
     if source.count(line) != 1:
@@ -95,8 +95,8 @@ def _one_token_kernel(line: str, planted: str) -> Callable[..., np.ndarray]:
 
 
 def mutant_loop_admit_on_full(
-    matrix: np.ndarray, free: np.ndarray
-) -> np.ndarray:
+    rows: Sequence[Sequence[int]], free: List[int]
+) -> List[bool]:
     """The kernel with its loop's slot test lax (``< 0`` where ``<= 0``
     belongs).
 
@@ -106,21 +106,23 @@ def mutant_loop_admit_on_full(
     """
     return _one_token_kernel(
         "left[server] <= 0", "left[server] < 0"
-    )(matrix, free)
+    )(rows, free)
 
 
 def mutant_bincount_exit_any(
-    matrix: np.ndarray, free: np.ndarray
-) -> np.ndarray:
-    """The kernel with its bincount exit taken when *any* server fits
-    its total demand (``.any()`` where ``.all()`` belongs).
+    rows: Sequence[Sequence[int]], free: List[int]
+) -> List[bool]:
+    """The kernel with its whole-fit exit taken when *any* server fits
+    its total demand (``any`` where ``all`` belongs).
 
-    The padding slot always fits, so every batch leaves through the
-    exit admitted whole, contended or not.
+    A server no request crosses always fits, so a batch that leaves any
+    server untouched leaves through the exit admitted whole, contended
+    or not.
     """
     return _one_token_kernel(
-        "(totals <= free).all()", "(totals <= free).any()"
-    )(matrix, free)
+        "if all(map(int.__le__, totals, left)):",
+        "if any(map(int.__le__, totals, left)):",
+    )(rows, free)
 
 
 def mutant_planner_ignores_protect(controller: Any, policy: Any) -> Any:

@@ -109,7 +109,7 @@ def hot_servers(
         raise TrafficError("hot_servers needs a non-empty route table")
     crossings = np.zeros(graph.num_servers, dtype=np.int64)
     for path in routes.values():
-        np.add.at(crossings, graph.route_servers(path), 1)
+        np.add.at(crossings, list(graph.route_servers(path)), 1)
     order = np.lexsort((np.arange(graph.num_servers), -crossings))
     return [int(s) for s in order[:top]]
 
@@ -147,9 +147,7 @@ schedule_events` orders them) with flow ids ``{id_prefix}{seed}_{i}``.
     attack_pairs = [
         pair
         for pair in sorted(routes, key=repr)
-        if targets.intersection(
-            graph.route_servers(routes[pair]).tolist()
-        )
+        if targets.intersection(graph.route_servers(routes[pair]))
     ]
     if not attack_pairs:  # defensive: hot servers come from the routes
         attack_pairs = sorted(routes, key=repr)

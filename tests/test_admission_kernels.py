@@ -3,15 +3,16 @@ reference.
 
 The batch slot decision has one semantics — the sequential
 test-then-commit loop in :mod:`repro.admission.kernels` — and one
-production kernel (a bincount exit, then the same loop over Python
-lists).  This suite pins the kernel to the sequential reference on:
+production kernel (a whole-fit exit, then the same loop over Python
+lists), and its ndarray adapter.  This suite pins both to the
+sequential reference on:
 
 * chain instances shaped like the ``repro.verify`` bounded models
   (interval routes over a line network),
 * adversarial random traces (negative free counts, duplicate servers
   on one route, saturated and uncontended extremes, the padding slot),
 * contended batches of 66–1 024 rows,
-* and edge cases at each exit (uncontended bincount exit, zero-width,
+* and edge cases at each exit (uncontended whole-fit exit, zero-width,
   empty batch).
 
 It also proves the differential harness *can* fail: each planted
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.admission import kernels, utilization
 from repro.admission.batch import (
     PADDING_FREE,
     batch_slot_decisions,
@@ -30,7 +32,7 @@ from repro.admission.batch import (
 )
 from repro.admission.kernels import (
     active_slot_kernel,
-    batch_slot_decisions_numpy,
+    batch_slot_decisions_lists,
     batch_slot_decisions_sequential,
 )
 from repro.verify.bounded import select_checks
@@ -81,16 +83,19 @@ def random_instance(rng, *, allow_duplicates=True, allow_negative=True):
 
 
 def assert_all_backends_agree(matrix, free):
-    reference = batch_slot_decisions_sequential(matrix, free.copy())
-    assert reference.dtype == np.bool_
-    got = batch_slot_decisions_numpy(matrix, free.copy())
-    assert got.dtype == np.bool_
-    assert (got == reference).all(), (
-        f"the numpy kernel diverged from sequential\n"
-        f"matrix={matrix.tolist()} free={free.tolist()}\n"
-        f"sequential={reference.tolist()} numpy={got.tolist()}"
+    """The list kernel and its ndarray adapter against the reference;
+    the verdicts come back as a ``bool`` array."""
+    rows = matrix.tolist()
+    reference = batch_slot_decisions_sequential(rows, free.tolist())
+    got = batch_slot_decisions_lists(rows, free.tolist())
+    assert got == reference, (
+        f"the list kernel diverged from sequential\n"
+        f"matrix={rows} free={free.tolist()}\n"
+        f"sequential={reference} lists={got}"
     )
-    return reference
+    adapted = batch_slot_decisions(matrix, free.copy())
+    assert adapted.dtype == np.bool_ and adapted.tolist() == reference
+    return np.array(reference, dtype=bool).reshape(len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,7 @@ def test_contended_mutants_diverge_where_backends_agree():
         reference = assert_all_backends_agree(matrix, free)
         assert reference.any() and not reference.all()
         for name, mutant in KERNEL_MUTANTS.items():
-            if (mutant(matrix, free.copy()) != reference).any():
+            if mutant(matrix.tolist(), free.tolist()) != reference.tolist():
                 caught.add(name)
     assert caught == set(KERNEL_MUTANTS)
 
@@ -274,8 +279,8 @@ def test_planted_mutants_diverge_where_backends_agree():
         )
         reference = assert_all_backends_agree(matrix, free)
         for name, mutant in KERNEL_MUTANTS.items():
-            got = mutant(matrix, free.copy())
-            if (got != reference).any():
+            got = mutant(matrix.tolist(), free.tolist())
+            if got != reference.tolist():
                 caught[name] = True
         if all(caught.values()):
             break
@@ -291,8 +296,8 @@ def test_planted_mutants_diverge_where_backends_agree():
 # ---------------------------------------------------------------------------
 
 
-def test_batch_slot_decisions_is_the_numpy_kernel():
+def test_the_controller_calls_the_list_kernel():
     # No dispatcher sits between the controller and the kernel; a
     # future one has to show up as a diff of this identity.
-    assert batch_slot_decisions is batch_slot_decisions_numpy
-    assert active_slot_kernel() == "numpy"
+    assert utilization.batch_slot_decisions_lists is kernels.batch_slot_decisions_lists
+    assert active_slot_kernel() == "lists"

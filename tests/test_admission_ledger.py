@@ -18,13 +18,13 @@ def ledger(line4_graph, voice_registry):
 
 def test_slot_arithmetic(ledger, voice):
     # floor(0.3 * 100e6 / 32000) = 937
-    assert np.all(ledger.slots("voice") == 937)
+    assert ledger.slots("voice") == [937] * ledger.graph.num_servers
 
 
 def test_reserve_release_roundtrip(ledger, line4_graph):
     servers = line4_graph.route_servers(["r0", "r1", "r2"])
     ledger.reserve("voice", servers)
-    assert np.all(ledger.used_view("voice")[servers] == 1)
+    assert np.all(ledger.used_view("voice")[list(servers)] == 1)
     ledger.release("voice", servers)
     assert np.all(ledger.used_view("voice") == 0)
 
@@ -164,3 +164,18 @@ def test_total_reserved_rate(line4_graph, voice):
     ledger.reserve("video", servers)
     total = _utilization(ledger, "voice") + _utilization(ledger, "video")
     assert total[servers[0]] * 100e6 == pytest.approx(voice.rate + video_class().rate)
+
+
+def test_a_refused_flat_release_frees_nothing(ledger, line4_graph):
+    """``release_flat`` checks the whole batch before it counts: a batch
+    whose last crossing is unreserved raises with every slot still
+    held, the ones it walked past included."""
+    held = line4_graph.route_servers(["r0", "r1", "r2"])
+    ledger.commit_flat("voice", list(held) * 2, 2)
+    before = list(ledger.used_slots("voice"))
+    stray = line4_graph.route_servers(["r2", "r3"])
+    with pytest.raises(AdmissionError):
+        ledger.release_flat("voice", list(held) + list(stray), 2)
+    assert ledger.used_slots("voice") == before
+    ledger.release_flat("voice", list(held) * 2, 2)
+    assert not any(ledger.used_slots("voice"))

@@ -39,7 +39,7 @@ def test_resolve_fan_in_shapes(mci_graph):
     fan_in = resolve_fan_in(mci_graph)
     assert fan_in.shape == (mci_graph.num_servers,)
     assert np.all(fan_in == 6)
-    assert np.any(mci_graph.fan_in < 6)
+    assert np.any(np.asarray(mci_graph.fan_in) < 6)
 
 
 def test_mci_sp_routes_safe_at_lower_bound(mci, mci_graph, mci_pairs, voice):

@@ -76,7 +76,7 @@ _LADDER = certify_ladder(
 _RUNG_SLOTS = {
     rung: UtilizationAdmissionController(
         _CFG.graph, _CFG.registry, {"voice": rung}, _CFG.routes
-    ).ledger.slots("voice")
+    ).ledger.verified_slots("voice")
     for rung in _LADDER.rungs
 }
 
@@ -106,7 +106,7 @@ def test_ledger_never_exceeds_rung_certificate(samples):
         assert 0 <= governor.rung <= _LADDER.top
         # ...and the effective ledger stays inside that rung's own
         # verified slot vector, elementwise.
-        effective = controller.ledger.slots("voice")
+        effective = np.array(controller.ledger.slots("voice"))
         certified = _RUNG_SLOTS[governor.effective_alpha]
         assert (effective <= certified).all(), (
             f"rung {governor.rung}: effective {effective} exceeds "
@@ -159,7 +159,7 @@ def test_preemption_never_evicts_hard_rt(ops):
             if controller.is_established(fid):
                 controller.release(fid)
         used = controller.ledger.used_view("voice")
-        slots = controller.ledger.slots("voice")
+        slots = np.array(controller.ledger.slots("voice"))
         assert (used <= slots).all()
     assert controller.verify_invariants() == []
 
@@ -267,12 +267,8 @@ _PLANNER_REGISTRY = ClassRegistry(
 def _deficit(controller, flow):
     """The per-server deficit ``try_admit`` hands its planner."""
     servers = controller.servers_for(flow, controller.check_admit(flow))
-    ledger = controller.ledger
-    free = (
-        ledger.capacity_view(flow.class_name)[servers]
-        - ledger.used_view(flow.class_name)[servers]
-    )
-    return {int(s): 1 - int(f) for s, f in zip(servers, free) if f <= 0}
+    free = controller.ledger.free(flow.class_name)
+    return {s: 1 - free[s] for s in servers if free[s] <= 0}
 
 
 @settings(deadline=None, max_examples=150)

@@ -206,7 +206,7 @@ class TestOverloadTransition:
             cfg.graph.capacities,
             cfg.registry.get("voice").rate,
         )
-        assert (effective <= rung).all()
+        assert all(e <= r for e, r in zip(effective, rung))
 
     def test_controller_invariants_after_the_storm(self, overload):
         harness, _report = overload

@@ -170,7 +170,7 @@ class DictOfRecords:
         used = np.zeros(graph.num_servers, dtype=np.int64)
         for flow, route in self.established.values():
             if flow.class_name == "voice":
-                used[graph.route_servers(route)] += 1
+                used[list(graph.route_servers(route))] += 1
         return used
 
 
@@ -355,8 +355,8 @@ def test_batches_are_all_or_nothing_across_segments(ops, inserts):
     with mock.patch.object(flowtable, "SEGMENT_INSERTS", inserts):
         table = FlowTable(pad=9)
         pair = table.pair_code(("a", "b"))
-        table.configure(pair, np.array([1, 2]))
-        (route,) = table.configured_routes([pair]).tolist()
+        table.configure(pair, (1, 2))
+        (route,) = table.configured_routes([pair])
         model = {}
         for serial, (kind, picks, fault) in enumerate(ops):
             ids, ok = _table_batch(kind, picks, fault, model, 10 * serial)
@@ -481,7 +481,10 @@ def test_a_row_planted_with_another_pairs_servers_is_reported(kind):
     assert controller.verify_invariants() == []
     table = controller._flows
     a, b = _route(table._value("a")), _route(table._value("b"))
-    table._servers[[a, b]] = table._servers[[b, a]]
+    width = table._width
+    rows = [table._servers[r * width:(r + 1) * width] for r in (a, b)]
+    for r, row in zip((b, a), rows):
+        table._servers[r * width:(r + 1) * width] = row
     problems = controller.verify_invariants()
     for fid in ("'a'", "'b'"):
         assert any(f"flow {fid}" in p for p in problems), problems

@@ -49,7 +49,7 @@ def alphas_off_the_exact_floor(graph):
     capacity = graph.uniform_capacity()
     return [
         alpha for alpha in GRID
-        if (UtilizationLedger(graph, REGISTRY, {"voice": alpha}).slots("voice")
+        if (UtilizationLedger(graph, REGISTRY, {"voice": alpha}).verified_slots("voice")
             != exact_floor(alpha, capacity)).any()
     ]
 
@@ -72,7 +72,7 @@ def pairs_above_the_rung():
         rung = ladder.class_alphas(k)["voice"]
         slots = ledger.granted_slots(rung, capacity, VOICE.rate)
         at_bases.limit({"voice": np.full(WIDE.num_servers, slots)})
-        over += int(np.count_nonzero(at_bases.slots("voice")[k + 1:] > exact[k]))
+        over += int(np.count_nonzero(np.array(at_bases.slots("voice")[k + 1:]) > exact[k]))
     return over
 
 

@@ -140,7 +140,7 @@ class TestInstrumentedSubsystems:
         assert (ctrl.num_admitted, ctrl.num_rejected, ctrl.num_released) == (3, 1, 1)
         assert ctrl.num_established == 2  # 3 admitted - 1 released
         path = line4_graph.route_servers(["r0", "r1", "r2", "r3"])
-        assert ctrl.ledger.used_view("voice")[path].tolist() == [2, 2, 2]
+        assert ctrl.ledger.used_view("voice")[list(path)].tolist() == [2, 2, 2]
         assert _named(obs.OBS.tracer, "admission.admit")
 
     def test_routing_series_and_nested_spans(self, enabled_obs, line4,

@@ -236,7 +236,7 @@ class TestShardedEquivalence:
         rate = REGISTRY.get("voice").rate
         assert total.tolist() == granted_slots(
             limit["voice"], GRAPH.capacities, rate
-        ).tolist()
+        )
 
 
 class TestFlowAwareEquivalence:

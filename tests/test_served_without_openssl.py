@@ -1,4 +1,4 @@
-"""A served process runs as a CPython built without OpenSSL.
+"""A served process runs as a CPython built without OpenSSL, or numpy.
 
 ``import asyncio`` loads ``ssl`` (libssl and libcrypto, ≈ 4 MB
 resident) only to offer TLS transports, and ``hashlib`` maps libcrypto
@@ -13,6 +13,11 @@ for that to cost nothing:
 * every digest a served process computes is the one OpenSSL computed,
   so audit logs and snapshots written before verify after, and a flow's
   shard does not depend on which ``hashlib`` backend loaded.
+
+numpy (≈ 11.7 MB resident, ≈ 0.1 s to import) is blocked the same way:
+the run-time path counts slots in integer lists and the start-up
+Figure 2 is plain Python.  The same served processes must map none of
+its shared objects (``_multiarray_umath``, the bundled OpenBLAS).
 """
 
 import json
@@ -128,6 +133,7 @@ def test_digests_are_pinned_without_openssl():
 # --------------------------------------------------------------------- #
 
 OPENSSL = re.compile(r"libssl|libcrypto")
+NUMPY = re.compile(r"numpy|_multiarray_umath|openblas")
 
 on_linux = pytest.mark.skipif(
     not os.path.exists("/proc/self/maps"), reason="reads /proc/PID/maps"
@@ -161,10 +167,11 @@ def children(pid):
 
 def assert_no_openssl(pid):
     paths = mapped(pid)
-    # It is a served process (numpy's core is mapped) ...
-    assert any("_multiarray_umath" in path for path in paths), pid
-    # ... and OpenSSL is not.
+    # It is a served process (asyncio's C core is mapped) ...
+    assert any("_asyncio" in path for path in paths), pid
+    # ... and neither OpenSSL nor any of numpy is.
     assert sorted(p for p in paths if OPENSSL.search(p)) == [], pid
+    assert sorted(p for p in paths if NUMPY.search(p)) == [], pid
 
 
 def serve_one_flow(process):

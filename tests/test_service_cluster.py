@@ -68,7 +68,7 @@ class TestPlanSlotShards:
     @given(totals=slot_totals, shards=st.integers(1, 12))
     @settings(deadline=None, max_examples=120)
     def test_columns_sum_exactly_to_verified_totals(self, totals, shards):
-        plan = plan_slot_shards(np.array(totals, dtype=np.int64), shards)
+        plan = np.array(plan_slot_shards(np.array(totals, dtype=np.int64), shards))
         assert plan.shape == (shards, len(totals))
         assert np.all(plan >= 0)
         # The safety invariant: per server, shard quotas sum to the
@@ -84,7 +84,7 @@ class TestPlanSlotShards:
         # snapshot was taken under.
         total = np.array(totals, dtype=np.int64)
         plan = plan_slot_shards(total, shards)
-        assert plan.dtype == np.int64
+        assert all(type(n) is int for row in plan for n in row)
         for r in range(shards):
             assert np.array_equal(
                 plan[r], total // shards + (r < total % shards)
@@ -119,7 +119,7 @@ class TestSlotShardController:
         full = UtilizationAdmissionController(
             graph, registry, {voice.name: 0.3}, routes
         )
-        verified = full.ledger.slots(voice.name)
+        verified = np.array(full.ledger.slots(voice.name))
         shards = [
             SlotShardController(
                 graph,
@@ -131,10 +131,10 @@ class TestSlotShardController:
             )
             for i in range(4)
         ]
-        total = sum(s.shard_slots(voice.name) for s in shards)
+        total = sum(np.array(s.shard_slots(voice.name)) for s in shards)
         assert np.array_equal(total, verified)
         for s in shards:
-            assert np.all(s.shard_slots(voice.name) <= verified)
+            assert np.all(np.array(s.shard_slots(voice.name)) <= verified)
 
     def test_shard_index_out_of_range_is_refused(self, setup):
         graph, registry, voice, routes = setup

@@ -675,7 +675,11 @@ RATCHETS = (
             "one ran used to depend on whether the caller passed a "
             "workspace, and Theorem 5 kept a third loop of its own.  "
             "netcalc.py's loop is the flow-aware baseline's envelope "
-            "iteration (eqs. 2-3), a different fixed point over flows."
+            "iteration (eqs. 2-3), a different fixed point over flows.  "
+            "theorem3.py's loop is the one-class solve restated over "
+            "lists, so a served process certifies its alpha without "
+            "numpy; tests/test_theorem3_differential.py pins it to "
+            "solve_fixed_point bit for bit."
         ),
         pattern=(
             r"GrowableRouteSystem|_solve_scratch"
@@ -687,7 +691,7 @@ RATCHETS = (
             "    for iterations in range(1, max_iterations + 1):",
         ),
         allowed=(
-            r"^src/repro/analysis/(fixedpoint|netcalc)\.py:\d+:"
+            r"^src/repro/analysis/(fixedpoint|netcalc|theorem3)\.py:\d+:"
             r".*range\(1, \w*ITERATIONS \+ 1\)",
         ),
     ),

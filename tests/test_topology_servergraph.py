@@ -63,13 +63,13 @@ def test_uniform_fan_in_is_max(mci_graph):
 
 def test_route_translation(line4_graph):
     servers = line4_graph.route_servers(["r0", "r1", "r2", "r3"])
-    assert servers.shape == (3,)
+    assert len(servers) == 3 and all(type(s) is int for s in servers)
     assert line4_graph._keys[int(servers[0])] == ("r0", "r1")
     assert line4_graph._keys[int(servers[-1])] == ("r2", "r3")
 
 
 def test_route_translation_single_node(line4_graph):
-    assert line4_graph.route_servers(["r0"]).size == 0
+    assert line4_graph.route_servers(["r0"]) == ()
 
 
 def test_route_translation_invalid_hop(line4_graph):
@@ -79,7 +79,7 @@ def test_route_translation_invalid_hop(line4_graph):
 
 def test_routes_servers_batch(line4_graph):
     routes = line4_graph.routes_servers([["r0", "r1"], ["r1", "r2", "r3"]])
-    assert [r.size for r in routes] == [1, 2]
+    assert [len(r) for r in routes] == [1, 2]
 
 
 def test_servers_to_route_inverse(line4_graph):

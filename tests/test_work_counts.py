@@ -2,8 +2,9 @@
 bare and audited with observability on, the metrics-registry lookups
 the audited path makes, the controller and kernel entries per frame
 shape, the calls per op of a cluster front door, its shard workers and
-a plain serve on the same frames, the heap one served frame costs, the
-heap an established flow keeps and the most the flow table's id index
+a plain serve on the same frames, the calls of a lone admit and release
+over each protocol, the heap one served frame costs, the heap an
+established flow keeps and the most the flow table's id index
 holds at once beyond that (``tests/work_counts.py`` counts them).
 
 The pins in ``tests/data/work_counts.json`` are exact and filed per
@@ -23,6 +24,7 @@ from repro.service import audit as audit_module
 from repro.service import protocol
 from repro.service import router as router_module
 from repro.service.audit import AuditLog
+from repro.service.server import AdmissionService
 
 from work_counts import (
     MIN_CEILING_X,
@@ -31,6 +33,7 @@ from work_counts import (
     count_bulk,
     count_cluster,
     count_index_peak,
+    count_lone,
     count_work,
     interpreter_key,
     per_op,
@@ -127,3 +130,24 @@ def test_an_id_index_of_one_dict_is_caught():
     pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
     if pins is not None:
         assert planted >= 2 * pins["index_peak_bytes"]
+
+
+def test_a_lone_request_one_call_dearer_is_caught(monkeypatch):
+    """Planted: every request costs one more Python call on its way in.
+    A lone admit and its release are two requests, so each protocol's
+    pinned count grows by two, and the exact pin refuses it."""
+    shipped = count_lone()
+    entry = AdmissionService.begin_request
+
+    def planted(self, *args):
+        return entry(self, *args)
+
+    monkeypatch.setattr(AdmissionService, "begin_request", planted)
+    grown = count_lone()
+    for proto in ("v1", "v2"):
+        key = f"lone_{proto}_calls"
+        assert grown[key] == shipped[key] + 2, (key, grown, shipped)
+    pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
+    if pins is not None:
+        assert grown["lone_v1_calls"] > pins["lone_v1_calls"]
+        assert grown["lone_v2_calls"] > pins["lone_v2_calls"]

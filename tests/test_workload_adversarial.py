@@ -161,7 +161,7 @@ class TestAdversarialEvents:
             if e.kind == "arrival":
                 servers = graph.route_servers(
                     routes[(e.source, e.destination)]
-                ).tolist()
+                )
                 assert hot.intersection(servers)
 
     def test_invalid_parameters_rejected(self, chain):

@@ -26,7 +26,17 @@ Five windows, each after a warm-up that fills every cache:
   ``AdmissionService.begin_bulk`` to their ``R`` frame;
 * ``serve``: the same packed frames decided by one plain serve from the
   same boundary, the yardstick a worker's calls per op are read
-  against.
+  against;
+* ``lone_v1`` and ``lone_v2``: one admit and then its release, each a
+  request of its own, from the bytes of the request (a v1 line, a v2
+  JSON carrier frame) through ``AdmissionService.begin_request`` to the
+  response it writes, on a plain serve with a few thousand flows
+  established (both requests' calls summed per protocol, and their C
+  calls beside them: ``lone_v1_c_calls``, ``lone_v2_c_calls``).
+
+The ``bulk`` window also counts C calls (``bulk_c_calls``: the profile
+hook's ``c_call`` events, builtins and C methods and functions alike),
+what the Python call count does not see.
 
 ``frame_heap_bytes`` is not a call count but the heap one served frame
 costs: the tracemalloc peak of one more ``bulk``-shaped packed frame,
@@ -34,7 +44,8 @@ from ``decode_payload_v2`` of its payload through a plain serve's
 ``AdmissionService.begin_bulk`` to the ``R`` frame it writes, with the
 decoded frame let go once ``begin_bulk`` returns, as the read loop lets
 go of it.  It is taken in a fresh interpreter, where it repeats to the
-byte, as the call counts do.
+byte, as the call counts do, and one that never imported numpy: no
+array library's block cache sits in what it reads.
 
 ``flow_heap_bytes`` is the heap an established flow keeps: what the
 traced heap grew by, per flow, while :func:`bytes_per_wire_established_flow`
@@ -84,10 +95,9 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from importlib.metadata import version
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
 
 import repro
 from repro import obs
@@ -161,23 +171,26 @@ Entries = List[Tuple[int, str, object]]
 def interpreter_key() -> str:
     """The key pins are filed under: call counts are specific to the
     interpreter's minor version and numpy's."""
-    numpy_minor = ".".join(np.__version__.split(".")[:2])
+    numpy_minor = ".".join(version("numpy").split(".")[:2])
     return "py{}.{}-numpy{}".format(*sys.version_info[:2], numpy_minor)
 
 
 class _Counter:
     """``sys.setprofile`` hook counting Python calls (generator resumes
-    included), metrics-registry lookups, and controller and kernel
-    entries."""
+    included), C calls, metrics-registry lookups, and controller and
+    kernel entries."""
 
     def __init__(self):
         self.calls = 0
+        self.c_calls = 0
         self.lookups = 0
         self.controller_entries = 0
         self.kernel_entries = 0
 
     def __call__(self, frame, event, _arg):
-        if event == "call":
+        if event == "c_call":
+            self.c_calls += 1
+        elif event == "call":
             self.calls += 1
             code = frame.f_code
             if code in _LOOKUPS:
@@ -327,7 +340,10 @@ def _count_bulk(audit_path: str) -> Dict[str, int]:
         return ops
 
     bare = _Counter()
-    out = {"bulk_ops": window(bare), "bulk_calls": bare.calls, **bare.entries("bulk")}
+    out = {
+        "bulk_ops": window(bare), "bulk_calls": bare.calls,
+        "bulk_c_calls": bare.c_calls, **bare.entries("bulk"),
+    }
     audited = _Counter()
     with AuditLog(audit_path) as audit:
         coalescer.audit = audit
@@ -356,10 +372,10 @@ class _Sink:
         pass
 
 
-def _v2_conn() -> Tuple[Connection, _Sink]:
+def _v2_conn(proto: int = 2) -> Tuple[Connection, _Sink]:
     sink = _Sink()
     conn = Connection(None, sink)
-    conn.proto = 2
+    conn.proto = proto
     return conn, sink
 
 
@@ -455,6 +471,56 @@ def _serve(service: AdmissionService, subops: list, rid: int,
     return _slots(reply)
 
 
+def _lone(service: AdmissionService, proto: int, rid: int, body: dict,
+          counter=None) -> dict:
+    """One request of its own, from its bytes to the response written:
+    a v1 line, or a v2 JSON carrier frame."""
+    conn, sink = _v2_conn(proto)
+    wire = (protocol.encode_frame_v2 if proto == 2 else protocol.encode_frame)(
+        {"id": rid, **body}
+    )
+    sys.setprofile(counter)
+    if proto == 2:
+        _tag, obj = protocol.decode_payload_v2(wire[protocol.FRAME_HEADER_BYTES:])
+        request = protocol.request_from_obj(obj)
+    else:
+        request = protocol.parse_request(wire)
+    _run(service.begin_request(conn, request, None))
+    sys.setprofile(None)
+    (reply,) = sink.frames
+    if proto == 2:
+        reply = protocol.decode_payload_v2(reply[protocol.FRAME_HEADER_BYTES:])[1]
+    else:
+        reply = protocol.decode_frame(reply)
+    assert reply["ok"], reply
+    return reply["result"]
+
+
+def _count_lone() -> Dict[str, int]:
+    """The ``lone_v1`` and ``lone_v2`` windows: after the ``bulk`` fill
+    and one uncounted admit and release per protocol, one admit and its
+    release per protocol, each a request of its own."""
+    service = AdmissionService(_controller(BULK_ALPHA)[0])
+    churn = _BulkChurn(all_ordered_pairs(mci_backbone()))
+    _serve(service, _packed_of(churn.fill()), 0)
+    src, dst = churn.pairs[0]
+    out = {}
+    rid = 1
+    for counted in (False, True):
+        for proto in (1, 2):
+            counter = _Counter() if counted else None
+            fid = f"lone-v{proto}-{counted}"
+            flow = {"id": fid, "cls": "voice", "src": src, "dst": dst}
+            admitted = _lone(service, proto, rid, {"op": "admit", "flow": flow}, counter)
+            released = _lone(service, proto, rid + 1, {"op": "release", "flow_id": fid}, counter)
+            assert admitted["admitted"] and released["released"], (admitted, released)
+            rid += 2
+            if counted:
+                out[f"lone_v{proto}_calls"] = counter.calls
+                out[f"lone_v{proto}_c_calls"] = counter.c_calls
+    return out
+
+
 def _count_frame_heap() -> Dict[str, int]:
     """``frame_heap_bytes``: the tracemalloc peak of one ``bulk``-shaped
     packed frame served by one plain serve, after the fill and the
@@ -489,6 +555,8 @@ def _count_frame_heap() -> Dict[str, int]:
     finally:
         tracemalloc.stop()
     assert len(sink.frames) == 1, "the frame was not answered"
+    # What was read is the served frame's heap, not an array library's.
+    assert "numpy" not in sys.modules
     return {"frame_heap_bytes": peak}
 
 
@@ -575,7 +643,7 @@ def _count_index_peak(segment_inserts: Optional[int] = None) -> Dict[str, int]:
     try:
         table = flowtable.FlowTable(pad=9)
         pair = table.pair_code(("a", "b"))
-        table.configure(pair, np.array([1, 2]))
+        table.configure(pair, (1, 2))
         route = int(table.configured_routes([pair])[0])
         live = [f"flow-{i}" for i in range(INDEX_PEAK_FLOWS)]
         for start in range(0, INDEX_PEAK_FLOWS, BULK_FRAME_OPS):
@@ -730,6 +798,7 @@ def count_work() -> Dict[str, int]:
             counts = _count_churn()
             counts.update(_count_bulk(os.path.join(tmp, "audit.jsonl")))
             counts.update(_count_cluster())
+            counts.update(_count_lone())
         return counts
 
     return {
@@ -750,6 +819,11 @@ def count_bulk() -> Dict[str, int]:
     """The ``bulk`` and ``bulk_audited`` windows alone."""
     with tempfile.TemporaryDirectory() as tmp:
         return _quiet(lambda: _count_bulk(os.path.join(tmp, "audit.jsonl")))
+
+
+def count_lone() -> Dict[str, int]:
+    """The ``lone_v1`` and ``lone_v2`` windows alone."""
+    return _quiet(_count_lone)
 
 
 def audited_extra_calls(counts: Dict[str, int]) -> float:
