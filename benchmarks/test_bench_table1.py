@@ -10,6 +10,7 @@ shape — see EXPERIMENTS.md.
 
 import pytest
 
+from repro.analysis.theorem3 import dependency_order
 from repro.config import critical_alpha, utilization_bounds
 from repro.experiments import PAPER_TABLE1
 from repro.experiments.table1 import Table1Result, run_table1
@@ -77,3 +78,14 @@ def test_bench_table1_full(benchmark, scenario, capsys):
     assert {k: round(a, 3) for k, a in measured.items()} == {
         "SP": 0.404, "heuristic": 0.503,
     }
+    # Section 5.2 keeps the server dependencies acyclic: the heuristic's
+    # routes leave no cycle for the start-up solve to iterate, while SP's
+    # leave one of 12 servers (of the 70 both route sets cross).
+    cycles = {}
+    for name, run in (("SP", result.shortest_path), ("heuristic", result.heuristic)):
+        order = dependency_order(
+            scenario.graph.routes_servers(list(run.routes.values()))
+        )
+        assert sum(map(len, order)) == 70
+        cycles[name] = [len(c) for c in order if len(c) > 1]
+    assert cycles == {"SP": [12], "heuristic": []}

@@ -20,8 +20,8 @@ A diverging iteration (utilization too high for this route structure)
 is reported as ``converged=False`` with ``diverged=True`` once the iterates
 cross ``DEFAULT_CEILING``, or when the iteration budget is exhausted.
 The stop rules and the result record live in
-:mod:`repro.analysis.theorem3`, beside the plain-Python restatement of
-the one-class solve that verification runs.
+:mod:`repro.analysis.theorem3`, beside the plain-Python one-class solve
+that verification runs (the same system, solved in dependency order).
 
 There is one loop.  Every ``Z`` in this package has the form
 ``d = f(Y(d))``: the loop computes ``Y`` from the route system and hands

@@ -8,8 +8,9 @@ over :mod:`repro.analysis.delays` (two-class systems) and
 multi-class machinery when more than one real-time class is registered and
 the single-class path otherwise — tests pin both paths to each other.  The
 single-class path is :func:`~repro.analysis.theorem3.theorem3_fixed_point`,
-plain Python bit-identical to the numpy solver, so a process that only
-certifies and serves a one-class configuration never loads numpy.
+plain Python that reaches the numpy solver's verdicts in dependency
+order, so a process that only certifies and serves a one-class
+configuration never loads numpy.
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ excess load waits in the socket.  This package closes the loop at
 runtime while keeping every operating point provably safe:
 
 * :mod:`repro.control.ladder` — a pre-certified ladder of alphas.
-  Every rung is re-verified through the existing Figure 2 fixed-point
-  procedure at construction time; an alpha that fails verification
-  never enters the ladder, so no uncertified bound can ever be applied.
+  Its base is verified through the existing Figure 2 fixed-point
+  procedure at construction time, and every rung below it is certified
+  by that fixed point (delays only fall with alpha); a base that fails
+  verification builds no ladder, so no uncertified bound can ever be
+  applied.
 * :mod:`repro.control.governor` — an increase/hold/decrease controller
   modeled on the GCC ``RemoteRateController``/``OveruseDetector`` state
   machine, keyed on measured queue-delay gradients and occupancy

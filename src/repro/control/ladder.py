@@ -1,15 +1,26 @@
 """Pre-certified ladders of utilization bounds.
 
 An :class:`AlphaLadder` is an ascending sequence of scalar alphas whose
-top rung is the configured (already verified) bound.  Every rung below
-it was passed through :func:`repro.analysis.verification.\
+top rung is the configured (verified) bound.  :func:`certify_ladder`
+passes that base through :func:`repro.analysis.verification.\
 verify_assignment` — the same Figure 2 fixed-point procedure the
-configuration pipeline uses — before being admitted to the ladder, so a
-runtime governor stepping between rungs can never apply an operating
-point that was not proven deadline-safe.
+configuration pipeline uses — and admits every candidate below it by
+monotonicity, so a runtime governor stepping between rungs can never
+apply an operating point that was not proven deadline-safe.
+
+The argument: a rung scales every class's alpha by the same factor
+below one.  Theorem 3's ``beta = alpha (N - 1) / (rho (N - alpha))``
+grows with alpha, and ``Z`` is monotone in the delays, so the base's
+least fixed point ``d*`` satisfies ``Z_rung(d*) <= Z_base(d*) = d*``:
+it is a post-fixed point of every lower rung's map, and by
+Knaster-Tarski each lower rung's least fixed point lies below it.  The
+iteration from zero converges there, and every route's delay is at
+most the base's, which met its deadline.  ``tests/test_config_search.py``
+pins the lemma for Theorem 3 and Theorem 5, and
+``tests/test_control_plane.py`` re-verifies every admitted rung.
 
 A rung is *applied* as the per-class alphas :func:`certify_ladder`
-verified (:meth:`AlphaLadder.class_alphas`): the controller's ``limit``
+certified (:meth:`AlphaLadder.class_alphas`): the controller's ``limit``
 admits against their exact slot counts, so the count a rung grants is
 the count its certificate names.  Limiting only the *effective* view
 (never the verified ceiling) also means moving down a rung never
@@ -105,18 +116,13 @@ def certify_ladder(
 ) -> AlphaLadder:
     """Build an :class:`AlphaLadder` from candidate alphas.
 
-    Every candidate (plus the base alpha itself, which always tops the
-    ladder) is scaled onto the deployment's per-class assignment —
-    candidate ``a`` maps class ``c`` to ``a * (base_alphas[c] / base)``
-    where ``base`` is the largest configured alpha — and run through
-    :func:`verify_assignment`.  Only candidates whose certificate
-    SUCCEEDs become rungs; the rest are recorded in
-    :attr:`AlphaLadder.rejected`.
-
-    Candidates are verified in ascending order and the base last, each
-    warm-started from the delays of the last certified rung: the least
-    fixed point never decreases as the common scale grows, so a lower
-    rung's delays lie below every later one's.
+    The base assignment — ``base_alphas``, whose largest alpha ``base``
+    tops the ladder — is run through :func:`verify_assignment`.  Every
+    candidate in ``(0, base)`` becomes a rung: scaled onto the
+    deployment's per-class assignment (candidate ``a`` maps class ``c``
+    to ``a * (base_alphas[c] / base)``), it is certified by the base's
+    own fixed point (see the module docstring).  The other candidates
+    are recorded in :attr:`AlphaLadder.rejected`.
 
     Raises :class:`ConfigurationError` if the base assignment itself
     fails verification (a mis-configured deployment must not start).
@@ -126,28 +132,18 @@ def certify_ladder(
     base = max(float(a) for a in base_alphas.values())
     if base <= 0:
         raise ConfigurationError(f"base alpha must be positive, got {base}")
-    route_list = [list(r) for r in routes]
-    warm = None
-
-    def _certified(alpha: float) -> bool:
-        nonlocal warm
-        scaled = _scaled(base_alphas, alpha)
-        result = verify_assignment(network, route_list, registry, scaled, warm_start=warm)
-        if result.success:
-            warm = result.server_delays
-        return result.success
-
-    alphas = [float(raw) for raw in candidates]
-    # Above (or at) base is never a rung: the base already tops the
-    # ladder and anything beyond it is outside the configured
-    # certificate's envelope.
-    rejected = [a for a in alphas if not 0 < a < base and a != base]
-    accepted = []
-    for alpha in sorted({a for a in alphas if 0 < a < base}):
-        (accepted if _certified(alpha) else rejected).append(alpha)
-    if not _certified(base):
+    verdict = verify_assignment(
+        network, [list(r) for r in routes], registry,
+        _scaled(base_alphas, base),
+    )
+    if not verdict.success:
         raise ConfigurationError(
             f"base alpha {base:g} fails verification; refusing to build "
             "a ladder on an uncertified configuration"
         )
-    return AlphaLadder((*accepted, base), dict(base_alphas), tuple(sorted(set(rejected))))
+    alphas = {float(raw) for raw in candidates}
+    # Above the base is outside the configured certificate's envelope;
+    # the base itself already tops the ladder.
+    rungs = sorted(a for a in alphas if 0 < a < base)
+    rejected = sorted(a for a in alphas if not 0 < a <= base)
+    return AlphaLadder((*rungs, base), dict(base_alphas), tuple(rejected))

@@ -414,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
             "close the overload loop at runtime: degrade the effective "
             "alpha down a pre-certified ladder (0.5, 0.625, 0.75 and "
             "0.875 of --alpha) under queue pressure and restore it when "
-            "drained (every rung re-verified through the fixed-point "
-            "procedure at startup; one that fails is never applied)"
+            "drained (every rung certified at startup by the fixed point "
+            "that verifies --alpha)"
         ),
     )
     srv.add_argument(

@@ -352,11 +352,13 @@ class _GreedySelector:
         update, so the previous solution lies below the new least fixed
         point.
         """
-        # Note: an exact one-pass solver exists for acyclic systems
-        # (repro.analysis.acyclic), but the warm-started vectorized
-        # iteration converges in a handful of cheap NumPy steps here and
-        # measures faster than the per-server Python pass, so the
-        # iterative path stays the hot path.
+        # Note: the start-up solve (repro.analysis.theorem3) settles the
+        # servers in dependency order, one pass where the routes are
+        # acyclic, but it rebuilds that order for every route set.  Each
+        # candidate here is one push on a route system whose warm-started
+        # numpy iteration converges in a handful of steps, so the search
+        # keeps it until the dependency order is maintained across
+        # pushes (ROADMAP item 22).
         warm = run.delays
         # Sound pre-solve rejection: the candidate's end-to-end delay at
         # the warm iterate only grows under the monotone update, so if it

@@ -1,16 +1,20 @@
 """Unit coverage of the adaptive overload control plane.
 
-Three pieces: the pre-certified :class:`AlphaLadder` (every rung must
-re-pass the Figure 2 fixed-point verification — the deadline-safety
-anchor), the :class:`AlphaGovernor` INC/HOLD/DEC state machine, and the
+Three pieces: the pre-certified :class:`AlphaLadder` (its base passes
+the Figure 2 fixed-point verification, and every rung below it must
+re-pass it on its own — the deadline-safety anchor), the
+:class:`AlphaGovernor` INC/HOLD/DEC state machine, and the
 :class:`Preemptor` sacrifice policy against a live controller.
 """
+
+import inspect
 
 import pytest
 
 from repro.admission import UtilizationAdmissionController
 from repro.analysis.verification import verify_assignment
-from repro.config import configure
+from repro.config import configure, critical_alpha
+from repro.control import ladder as ladder_module
 from repro.control import preempt
 from repro.control import (
     AlphaGovernor,
@@ -21,8 +25,14 @@ from repro.control import (
     certify_ladder,
 )
 from repro.errors import ConfigurationError, UnknownLinkError
-from repro.topology import ring_network
-from repro.traffic import ClassRegistry
+from repro.routing.shortest import shortest_path_routes
+from repro.topology import (
+    LinkServerGraph,
+    mci_backbone,
+    nsfnet_backbone,
+    ring_network,
+)
+from repro.traffic import ClassRegistry, all_ordered_pairs
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generators import voice_class
 
@@ -101,19 +111,59 @@ class TestCertifyLadder:
             )
             assert report.success, f"rung {rung} lost its certificate"
 
-    def test_failing_base_refuses_to_build(self):
+    @staticmethod
+    def refuses_a_failing_base(certify):
         # alpha 0.9 misses the voice deadline on this ring (see
         # TestCertifyLadder above: 0.9 lands in `rejected` as a
         # candidate) — as a *base* it must abort construction instead.
         cfg = ring_cfg(alpha=0.3)
         with pytest.raises(ConfigurationError):
-            certify_ladder(
+            certify(
                 cfg.network,
                 list(cfg.routes.values()),
                 cfg.registry,
                 {"voice": 0.9},
                 [0.1],
             )
+
+    def test_failing_base_refuses_to_build(self):
+        self.refuses_a_failing_base(certify_ladder)
+
+    def test_a_ladder_that_verifies_its_lowest_candidate_is_caught(self):
+        """Planted: the one solve spent on the lowest candidate, not on
+        the base.  Nothing then stands behind the rungs above it."""
+        source = inspect.getsource(certify_ladder)
+        line = "_scaled(base_alphas, base),"
+        assert source.count(line) == 1
+        namespace = dict(vars(ladder_module))
+        exec(source.replace(line, "_scaled(base_alphas, min(map(float, candidates))),"), namespace)
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            self.refuses_a_failing_base(namespace["certify_ladder"])
+
+    @pytest.mark.parametrize(
+        "topology", [mci_backbone, nsfnet_backbone], ids=["mci", "nsfnet"]
+    )
+    def test_every_admitted_rung_verifies_on_its_own(self, topology):
+        """The base's certificate admits each rung below it; each one,
+        verified on its own, must agree, for bases up to the largest
+        alpha these routes certify."""
+        network = topology()
+        graph = LinkServerGraph(network)
+        paths = list(shortest_path_routes(network, all_ordered_pairs(network)).values())
+        voice = voice_class()
+        registry = ClassRegistry.two_class(voice)
+        top = critical_alpha(graph, paths, voice)
+        for base in (top / 4, top / 2, 3 * top / 4, top):
+            ladder = certify_ladder(
+                graph, paths, registry, {"voice": base},
+                [base * k / 10 for k in range(1, 10)],
+            )
+            assert len(ladder) == 10 and ladder.rejected == ()
+            for rung in range(len(ladder)):
+                report = verify_assignment(
+                    graph, paths, registry, ladder.class_alphas(rung)
+                )
+                assert report.success, (base, ladder.rungs[rung])
 
     def test_failing_base_keeps_its_message(self):
         cfg = ring_cfg(alpha=0.3)

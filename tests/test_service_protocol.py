@@ -1,6 +1,10 @@
 """Unit tests for the admission-service wire protocol."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -215,3 +219,77 @@ class TestJsonBackendSeam:
             with pytest.raises(ProtocolError) as err:
                 protocol.decode_frame(bad)
             assert err.value.code == protocol.BAD_REQUEST
+
+
+#: One serve in this interpreter, with orjson importable or blocked
+#: (``sys.argv[2] == "json"``): a v1 admit and its release, each a
+#: request of its own, and one v2 bulk frame, over both codecs' clients.
+_SERVE_WITH_A_BACKEND = """
+import json, os, signal, sys, threading, time
+if sys.argv[2] == "json":
+    sys.modules["orjson"] = None
+from repro.experiments import cli
+from repro.service import protocol
+from repro.service.client import ServiceClient
+
+sock = sys.argv[1]
+seen = {"backend": protocol.JSON_BACKEND}
+
+def drive():
+    try:
+        deadline = time.monotonic() + 60
+        while not os.path.exists(sock) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with ServiceClient(socket_path=sock) as v1, ServiceClient(
+            socket_path=sock, protocol="v2"
+        ) as v2:
+            flow = {"id": "f\u00e9", "cls": "voice", "src": "Seattle",
+                    "dst": "Denver"}
+            seen["admit"] = v1.request("admit", flow=flow)
+            seen["release"] = v1.request("release", flow_id="f\u00e9")
+            seen["bulk"] = v2.bulk(
+                [[0, f"b{i}", "voice", "Denver", "Seattle", None]
+                 for i in range(40)] + [[1, "b3"], [1, "nobody"]],
+                raw=True,
+            )
+    finally:
+        os.kill(os.getpid(), signal.SIGTERM)  # drain: main() returns
+
+thread = threading.Thread(target=drive)
+thread.start()
+code = cli.main(["serve", "--socket", sock, "--topology", "mci", "--alpha",
+                 "0.01", "--serve-seconds", "120"])
+thread.join()
+print(json.dumps({"code": code, **seen}))
+"""
+
+
+def _served_with(backend, tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVE_WITH_A_BACKEND,
+         str(tmp_path / f"{backend}.sock"), backend],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result.pop("code") in (0, None), proc.stdout
+    return result
+
+
+def test_a_serve_without_orjson_answers_as_one_with_it(tmp_path):
+    """pyproject does not declare orjson, so a clean install serves
+    through the stdlib branch of the codec seam.  Served in a fresh
+    interpreter that cannot import orjson, a v1 admit and release and a
+    v2 bulk frame (31 admitted, the rest refused, a release and an
+    error) get the replies the default serve gives."""
+    stdlib = _served_with("json", tmp_path)
+    default = _served_with("default", tmp_path)
+    assert stdlib.pop("backend") == "json"
+    assert default.pop("backend") in ("orjson", "json")
+    assert stdlib == default
+    assert stdlib["admit"]["admitted"] and stdlib["release"]["released"]
+    assert [slot[0] for slot in stdlib["bulk"]] == [0] * 31 + [1] * 9 + [2, 3]

@@ -676,10 +676,12 @@ RATCHETS = (
             "workspace, and Theorem 5 kept a third loop of its own.  "
             "netcalc.py's loop is the flow-aware baseline's envelope "
             "iteration (eqs. 2-3), a different fixed point over flows.  "
-            "theorem3.py's loop is the one-class solve restated over "
-            "lists, so a served process certifies its alpha without "
-            "numpy; tests/test_theorem3_differential.py pins it to "
-            "solve_fixed_point bit for bit."
+            "theorem3.py's loop is the one-class solve over lists, "
+            "iterating only the cyclic components of the route set's "
+            "dependency graph, so a served process certifies its alpha "
+            "without numpy; tests/test_theorem3_differential.py pins it "
+            "to solve_fixed_point's verdicts and, within 1e-8 s, its "
+            "delays."
         ),
         pattern=(
             r"GrowableRouteSystem|_solve_scratch"

@@ -4,8 +4,10 @@ the audited path makes, the controller and kernel entries per frame
 shape, the calls per op of a cluster front door, its shard workers and
 a plain serve on the same frames, the calls of a lone admit and release
 over each protocol, the heap one served frame costs, the heap an
-established flow keeps and the most the flow table's id index
-holds at once beyond that (``tests/work_counts.py`` counts them).
+established flow keeps, the most the flow table's id index
+holds at once beyond that, and the fixed-point solves, iterations and
+server evaluations of ``serve --governor``'s start-up certification
+(``tests/work_counts.py`` counts them).
 
 The pins in ``tests/data/work_counts.json`` are exact and filed per
 interpreter and numpy minor version.  A count above its pin is a
@@ -20,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.verification import verify_assignment
+from repro.control import ladder as ladder_module
 from repro.service import audit as audit_module
 from repro.service import protocol
 from repro.service import router as router_module
@@ -31,6 +35,7 @@ from work_counts import (
     audited_extra_calls,
     ceiling_x,
     count_bulk,
+    count_certify,
     count_cluster,
     count_index_peak,
     count_lone,
@@ -151,3 +156,29 @@ def test_a_lone_request_one_call_dearer_is_caught(monkeypatch):
     if pins is not None:
         assert grown["lone_v1_calls"] > pins["lone_v1_calls"]
         assert grown["lone_v2_calls"] > pins["lone_v2_calls"]
+
+
+def test_a_ladder_that_also_solves_its_lowest_candidate_is_caught(monkeypatch):
+    """Planted: a ladder that verifies its lowest candidate as well as
+    its base, as one that did not trust the base's fixed point would.
+    The solve it adds is one more than the pin allows, and its
+    iterations and server evaluations come with it."""
+    shipped = count_certify()
+    certify_ladder = ladder_module.certify_ladder
+
+    def planted(network, routes, registry, base_alphas, candidates):
+        lowest = min(candidates)
+        verify_assignment(
+            network, [list(r) for r in routes], registry,
+            {name: lowest for name in base_alphas},
+        )
+        return certify_ladder(network, routes, registry, base_alphas, candidates)
+
+    monkeypatch.setattr(ladder_module, "certify_ladder", planted)
+    grown = count_certify()
+    assert grown["certify_solves"] == shipped["certify_solves"] + 1
+    assert grown["certify_iterations"] > shipped["certify_iterations"]
+    assert grown["certify_servers"] > shipped["certify_servers"]
+    pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
+    if pins is not None:
+        assert grown["certify_solves"] > pins["certify_solves"]

@@ -34,6 +34,13 @@ Five windows, each after a warm-up that fills every cache:
   established (both requests' calls summed per protocol, and their C
   calls beside them: ``lone_v1_c_calls``, ``lone_v2_c_calls``).
 
+``certify`` is not a decision window but the start-up certification of
+``serve --topology mci --alpha 0.3 --governor`` (``cli._certified_ladder``
+on ``cli._admission_setup``): the fixed-point solves it runs
+(``certify_solves``), the iterations they report (``certify_iterations``,
+spent in cyclic components only) and the servers they evaluate
+(``certify_servers``: calls of the solver's one-server Theorem 3 map).
+
 The ``bulk`` window also counts C calls (``bulk_c_calls``: the profile
 hook's ``c_call`` events, builtins and C methods and functions alike),
 what the Python call count does not see.
@@ -86,6 +93,7 @@ and the frames of :func:`vmhwm_trace` that raised the high-water mark::
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import gc
 import json
@@ -104,6 +112,8 @@ from repro import obs
 from repro.admission import SlotShardController, UtilizationAdmissionController
 from repro.admission import flowtable
 from repro.admission.base import AdmissionController
+from repro.analysis import theorem3
+from repro.experiments import cli
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.shortest import shortest_path_routes
 from repro.service import protocol
@@ -164,6 +174,17 @@ _CONTROLLER_ENTRIES = _codes(
 _KERNEL_ENTRIES = _codes(
     UtilizationAdmissionController, "_admit_batch_impl", "_release_batch_impl"
 )
+
+#: The solve every start-up certification runs, and the one-server map
+#: it evaluates once per server per pass.
+_SOLVE = theorem3.theorem3_fixed_point.__code__
+_SERVER_MAP = next(
+    const for const in _SOLVE.co_consts
+    if getattr(const, "co_name", None) == "delay"
+)
+
+#: ``serve --alpha`` of the ``certify`` window.
+CERTIFY_ALPHA = 0.3
 
 Entries = List[Tuple[int, str, object]]
 
@@ -521,6 +542,42 @@ def _count_lone() -> Dict[str, int]:
     return out
 
 
+class _Certified:
+    """``sys.setprofile`` hook counting fixed-point solves, the
+    iterations they return and the servers they evaluate."""
+
+    def __init__(self):
+        self.solves = 0
+        self.iterations = 0
+        self.servers = 0
+
+    def __call__(self, frame, event, arg):
+        if event == "call" and frame.f_code is _SERVER_MAP:
+            self.servers += 1
+        elif event == "return" and frame.f_code is _SOLVE:
+            self.solves += 1
+            self.iterations += arg.iterations
+
+
+def _count_certify() -> Dict[str, int]:
+    """The ``certify`` window: what ``serve --governor`` certifies on
+    MCI before it listens."""
+    setup = cli._admission_setup("mci")
+    args = argparse.Namespace(alpha=CERTIFY_ALPHA, governor=True)
+    counter = _Certified()
+    sys.setprofile(counter)
+    try:
+        ladder = cli._certified_ladder(args, setup)
+    finally:
+        sys.setprofile(None)
+    assert len(ladder) == 5, ladder
+    return {
+        "certify_solves": counter.solves,
+        "certify_iterations": counter.iterations,
+        "certify_servers": counter.servers,
+    }
+
+
 def _count_frame_heap() -> Dict[str, int]:
     """``frame_heap_bytes``: the tracemalloc peak of one ``bulk``-shaped
     packed frame served by one plain serve, after the fill and the
@@ -799,6 +856,7 @@ def count_work() -> Dict[str, int]:
             counts.update(_count_bulk(os.path.join(tmp, "audit.jsonl")))
             counts.update(_count_cluster())
             counts.update(_count_lone())
+            counts.update(_count_certify())
         return counts
 
     return {
@@ -824,6 +882,11 @@ def count_bulk() -> Dict[str, int]:
 def count_lone() -> Dict[str, int]:
     """The ``lone_v1`` and ``lone_v2`` windows alone."""
     return _quiet(_count_lone)
+
+
+def count_certify() -> Dict[str, int]:
+    """The ``certify`` window alone."""
+    return _quiet(_count_certify)
 
 
 def audited_extra_calls(counts: Dict[str, int]) -> float:
