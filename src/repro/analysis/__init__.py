@@ -15,12 +15,7 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .beta import beta_coefficient, theorem3_delay, uniform_worst_delay
-    from .delays import (
-        SingleClassResult,
-        resolve_fan_in,
-        single_class_delays,
-        theorem3_update,
-    )
+    from .delays import SingleClassResult, single_class_delays, theorem3_update
     from .distribution import (
         aggregate_envelope_delay,
         busy_period_terms,
@@ -31,7 +26,6 @@ if TYPE_CHECKING:
     from .fixedpoint import (
         DEFAULT_TOLERANCE,
         FixedPointResult,
-        FixedPointWorkspace,
         Theorem3Map,
         solve_fixed_point,
     )
@@ -43,17 +37,14 @@ if TYPE_CHECKING:
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".beta": ("beta_coefficient", "theorem3_delay", "uniform_worst_delay"),
-    ".delays": (
-        "SingleClassResult", "resolve_fan_in", "single_class_delays",
-        "theorem3_update",
-    ),
+    ".delays": ("SingleClassResult", "single_class_delays", "theorem3_update"),
     ".distribution": (
         "aggregate_envelope_delay", "busy_period_terms", "even_split",
         "lemma2_delay", "theorem2_worst_delay",
     ),
     ".fixedpoint": (
-        "DEFAULT_TOLERANCE", "FixedPointResult", "FixedPointWorkspace",
-        "Theorem3Map", "solve_fixed_point",
+        "DEFAULT_TOLERANCE", "FixedPointResult", "Theorem3Map",
+        "solve_fixed_point",
     ),
     ".multiclass": ("ClassDelays", "MultiClassResult", "multi_class_delays"),
     ".netcalc": ("FlowAwareResult", "flow_aware_delays", "static_priority_delay"),

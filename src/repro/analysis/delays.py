@@ -5,7 +5,7 @@ best-effort traffic, which static priority makes invisible to the analysis).
 :func:`single_class_delays` runs the full Figure 2 pipeline for a set of
 routes:
 
-1. build the Theorem 3 update map ``d_k = beta_k * (T + rho * Y_k)``,
+1. build the Theorem 3 update map ``d_k = beta * (T + rho * Y_k)``,
 2. iterate to the least fixed point (:mod:`repro.analysis.fixedpoint`),
 3. report per-server and per-route end-to-end delay bounds.
 """
@@ -13,7 +13,7 @@ routes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -21,61 +21,35 @@ from ..errors import AnalysisError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import TrafficClass
 from .beta import beta_coefficient
-from .fixedpoint import (
-    FixedPointResult,
-    FixedPointWorkspace,
-    Theorem3Map,
-    solve_fixed_point,
-)
+from .fixedpoint import FixedPointResult, Theorem3Map, solve_fixed_point
 from .routesystem import RouteSystem
 
 __all__ = [
-    "resolve_fan_in",
     "theorem3_update",
     "SingleClassResult",
     "single_class_delays",
 ]
 
 
-def resolve_fan_in(graph: LinkServerGraph) -> np.ndarray:
-    """Per-server fan-in vector: every server uses the network-wide
-    maximum fan-in ``N``, the one ``N`` the paper's analysis takes."""
-    n = graph.uniform_fan_in()
-    return np.full(graph.num_servers, n, dtype=np.float64)
-
-
 def theorem3_update(
-    system: RouteSystem,
-    burst: float,
-    rate: float,
-    alpha: float,
-    fan_in: np.ndarray,
-    *,
-    beta_full: Optional[np.ndarray] = None,
+    system: RouteSystem, burst: float, rate: float, beta: float
 ) -> Theorem3Map:
     """The monotone map ``Z`` of eq. (14) for the two-class system.
 
-    Servers not traversed by any route carry no real-time traffic and keep
-    zero delay; this keeps reported vectors clean and does not affect any
-    route sum.
+    ``beta`` is Theorem 3's coefficient at the network's one ``N``
+    (:func:`~repro.analysis.beta.beta_coefficient`), the same on every
+    server.  Servers not traversed by any route carry no real-time
+    traffic and keep zero delay; this keeps reported vectors clean and
+    does not affect any route sum.
 
     Returns a :class:`~repro.analysis.fixedpoint.Theorem3Map` for
-    :func:`~repro.analysis.fixedpoint.solve_fixed_point`.  ``beta_full``
-    optionally supplies a precomputed unmasked
-    ``beta_coefficient(alpha, rate, fan_in)`` so callers probing many
-    route sets at one utilization skip recomputing it per trial.
+    :func:`~repro.analysis.fixedpoint.solve_fixed_point`.
     """
     if burst < 0 or rate <= 0:
         raise AnalysisError("need burst >= 0 and rate > 0")
-    if beta_full is None:
-        beta_full = np.asarray(beta_coefficient(alpha, rate, fan_in))
-    if beta_full.shape != (system.num_servers,):
-        raise AnalysisError(
-            f"fan_in shape {beta_full.shape} does not match "
-            f"{system.num_servers} servers"
-        )
-    beta = np.where(system.touched_servers, beta_full, 0.0)
-    return Theorem3Map(system, burst, rate, beta)
+    return Theorem3Map(
+        system, burst, rate, np.where(system.touched_servers, beta, 0.0)
+    )
 
 
 @dataclass
@@ -122,7 +96,6 @@ def single_class_delays(
     alpha: float,
     *,
     warm_start: Optional[np.ndarray] = None,
-    workspace: Optional[FixedPointWorkspace] = None,
 ) -> SingleClassResult:
     """Compute configuration-time delay bounds for one real-time class.
 
@@ -140,9 +113,6 @@ def single_class_delays(
         Optional per-server delay vector known to lie below the least
         fixed point (e.g. the solution for a subset of the routes, or for
         the same routes at a lower ``alpha``).
-    workspace:
-        Optional solver buffers to reuse across calls (e.g. by the binary
-        search over ``alpha``).
     """
     if not traffic_class.is_realtime:
         raise AnalysisError(
@@ -150,9 +120,10 @@ def single_class_delays(
         )
     server_routes = graph.routes_servers(router_paths)
     system = RouteSystem(server_routes, graph.num_servers)
-    fan_in = resolve_fan_in(graph)
+    rate = traffic_class.rate
     update = theorem3_update(
-        system, traffic_class.burst, traffic_class.rate, alpha, fan_in
+        system, traffic_class.burst, rate,
+        beta_coefficient(alpha, rate, graph.uniform_fan_in()),
     )
     # The iteration stops as soon as some route provably misses the
     # deadline.
@@ -161,7 +132,6 @@ def single_class_delays(
         update,
         initial=warm_start,
         deadlines=traffic_class.deadline,
-        workspace=workspace,
     )
     return SingleClassResult(
         fixed_point=result,

@@ -30,10 +30,8 @@ it to the map's ``apply(y, out)``, which writes ``f(Y)`` in place —
 :class:`~repro.analysis.multiclass.Theorem5Map` for several, stacked into
 one route system.  The cumulative-sum pass shared by ``Y`` and the
 per-route delay sums is computed once per iteration, and every
-intermediate lives in the buffers of a :class:`FixedPointWorkspace`, so
-the inner loop performs zero heap allocation.  Route selection solves
-thousands of fixed points per configuration run and passes one
-workspace to all of them; without one, a solve makes its own.
+intermediate lives in buffers the solve allocates once, so the inner
+loop performs zero heap allocation.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from typing import Optional, Protocol, Union
 import numpy as np
 
 from ..errors import AnalysisError
-from .routesystem import RouteSystem, _grown
+from .routesystem import RouteSystem
 from .theorem3 import (
     DEFAULT_CEILING,
     DEFAULT_TOLERANCE,
@@ -55,7 +53,6 @@ from .theorem3 import (
 __all__ = [
     "DEFAULT_TOLERANCE",
     "FixedPointResult",
-    "FixedPointWorkspace",
     "Theorem3Map",
     "solve_fixed_point",
 ]
@@ -69,80 +66,6 @@ class DelayMap(Protocol):
 
     def apply(self, y: np.ndarray, out: np.ndarray) -> None:
         """Write ``Z`` for upstream-jitter vector ``y`` into ``out``."""
-
-
-class FixedPointWorkspace:
-    """Reusable buffers for allocation-free fixed-point iteration.
-
-    One workspace serves any sequence of solves; ``ensure`` is called at
-    the start of each solve and only reallocates when a dimension first
-    exceeds the high-water mark, so a workspace owned by a selector
-    amortizes to zero allocation across an entire binary search.  Buffers
-    are handed out as views of the live prefix, so callers must copy
-    anything they keep (the solver copies its result vectors before
-    returning).
-    """
-
-    __slots__ = (
-        "_servers",
-        "_occ",
-        "_routes",
-        "d",
-        "d_next",
-        "y",
-        "work",
-        "d_occ",
-        "csum",
-        "prefix",
-        "base",
-        "route_lo",
-        "route_hi",
-        "route_d",
-        "route_cmp",
-        "resizes",
-    )
-
-    def __init__(self):
-        self._servers = 0
-        self._occ = 0
-        self._routes = 0
-        self.resizes = 0
-        self._alloc_servers(16)
-        self._alloc_occ(64)
-        self._alloc_routes(16)
-
-    def _alloc_servers(self, n: int) -> None:
-        self._servers = n
-        self.d = np.empty(n, dtype=np.float64)
-        self.d_next = np.empty(n, dtype=np.float64)
-        self.y = np.empty(n, dtype=np.float64)
-        self.work = np.empty(n, dtype=np.float64)
-
-    def _alloc_occ(self, n: int) -> None:
-        self._occ = n
-        self.d_occ = np.empty(n, dtype=np.float64)
-        self.csum = np.empty(n + 1, dtype=np.float64)
-        self.prefix = np.empty(n, dtype=np.float64)
-        self.base = np.empty(n, dtype=np.float64)
-
-    def _alloc_routes(self, n: int) -> None:
-        self._routes = n
-        self.route_lo = np.empty(n, dtype=np.float64)
-        self.route_hi = np.empty(n, dtype=np.float64)
-        self.route_d = np.empty(n, dtype=np.float64)
-        self.route_cmp = np.empty(n, dtype=bool)
-
-    def ensure(self, num_servers: int, num_occ: int, num_routes: int) -> None:
-        """Make every buffer large enough for the given system sizes."""
-        if num_servers > self._servers:
-            self._alloc_servers(_grown(num_servers, self._servers))
-            self.resizes += 1
-        if num_occ > self._occ:
-            self._alloc_occ(_grown(num_occ, self._occ))
-            self.resizes += 1
-        if num_routes > self._routes:
-            self._alloc_routes(_grown(num_routes, self._routes))
-            self.resizes += 1
 
 
 class Theorem3Map:
@@ -179,7 +102,6 @@ def solve_fixed_point(
     *,
     initial: Optional[np.ndarray] = None,
     deadlines: Deadlines = None,
-    workspace: Optional[FixedPointWorkspace] = None,
 ) -> FixedPointResult:
     """Iterate ``d <- update(d)`` to the least fixed point.
 
@@ -198,19 +120,10 @@ def solve_fixed_point(
     deadlines:
         Optional per-route deadlines enabling early failure: a
         ``float64[R]`` array or a scalar applied to every route.
-    workspace:
-        Buffers to reuse (e.g. across the probes of a binary search);
-        a solve without one makes its own.
     """
-    if workspace is None:
-        workspace = FixedPointWorkspace()
     return observed_solve(
         lambda: _solve(
-            system,
-            update,
-            workspace=workspace,
-            initial=initial,
-            deadlines=deadlines,
+            system, update, initial=initial, deadlines=deadlines
         ),
         routes=system.num_routes,
         servers=system.num_servers,
@@ -222,11 +135,9 @@ def _solve(
     system: RouteSystem,
     update: DelayMap,
     *,
-    workspace: FixedPointWorkspace,
     initial: Optional[np.ndarray],
     deadlines: Deadlines,
 ) -> FixedPointResult:
-    ws = workspace
     S = system.num_servers
     M = system.num_occurrences
     R = system.num_routes
@@ -237,7 +148,6 @@ def _solve(
                 f"deadlines has shape {deadlines.shape}, expected a scalar "
                 f"or ({R},)"
             )
-    ws.ensure(S, M, R)
 
     occ_server = system.occ_server
     occ_start = system.occ_start
@@ -245,18 +155,11 @@ def _solve(
     start_lo = starts[:-1]
     start_hi = starts[1:]
 
-    d = ws.d[:S]
-    d_next = ws.d_next[:S]
-    y = ws.y[:S]
-    work = ws.work[:S]
-    d_occ = ws.d_occ[:M]
-    csum = ws.csum[: M + 1]
-    prefix = ws.prefix[:M]
-    base = ws.base[:M]
-    lo_buf = ws.route_lo[:R]
-    hi_buf = ws.route_hi[:R]
-    route_d = ws.route_d[:R]
-    route_cmp = ws.route_cmp[:R]
+    d, d_next, y, work = np.empty((4, S))
+    d_occ, prefix, base = np.empty((3, M))
+    csum = np.empty(M + 1)
+    lo_buf, hi_buf, route_d = np.empty((3, R))
+    route_cmp = np.empty(R, dtype=bool)
 
     csum_tail = csum[1:]
     csum_head = csum[:M]

@@ -42,7 +42,6 @@ import numpy as np
 from ..errors import AnalysisError
 from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry, TrafficClass
-from .delays import resolve_fan_in
 from .fixedpoint import FixedPointResult, solve_fixed_point
 from .routesystem import RouteSystem
 
@@ -125,7 +124,7 @@ def multi_class_delays(
     for cls in rt_classes:
         if cls.name not in routes_by_class:
             raise AnalysisError(f"missing routes for class {cls.name!r}")
-    fan_in = resolve_fan_in(graph)
+    fan_in = graph.uniform_fan_in()
     alpha_vec = class_alphas(rt_classes, alphas, fan_in)
 
     n_classes = len(rt_classes)
@@ -174,13 +173,13 @@ def multi_class_delays(
 def class_alphas(
     rt_classes: Sequence[TrafficClass],
     alphas: Mapping[str, float],
-    fan_in: np.ndarray,
+    fan_in: int,
 ) -> np.ndarray:
     """The per-class alpha vector (priority order), validated.
 
     Every real-time class needs an alpha in ``(0, 1]``, their sum must not
-    exceed 1, and with several classes every server needs fan-in >= 2
-    (monotonicity of the Theorem 5 update).
+    exceed 1, and with several classes the network's ``N`` must be at
+    least 2 (monotonicity of the Theorem 5 update).
     """
     for cls in rt_classes:
         if cls.name not in alphas:
@@ -194,9 +193,9 @@ def class_alphas(
         raise AnalysisError(
             f"total real-time utilization {alpha_vec.sum():.4f} exceeds 1"
         )
-    if len(rt_classes) > 1 and np.any(fan_in < 2):
+    if len(rt_classes) > 1 and fan_in < 2:
         raise AnalysisError(
-            "multi-class analysis requires fan-in >= 2 at every server "
+            "multi-class analysis requires fan-in N >= 2 "
             "(monotonicity of the Theorem 5 update)"
         )
     return alpha_vec
@@ -242,7 +241,7 @@ class Theorem5Map:
 
     ``touched[i, k]`` says whether some class-``i`` route traverses
     server ``k``; classes absent from a server are masked out of the
-    interference sums there.
+    interference sums there.  ``fan_in`` is the network's one ``N``.
     """
 
     def __init__(
@@ -251,14 +250,14 @@ class Theorem5Map:
         bursts: np.ndarray,
         rates: np.ndarray,
         alphas: np.ndarray,
-        fan_in: np.ndarray,
+        fan_in: int,
     ):
         self.touched = touched
         self.bursts = bursts[:, None]
         self.rates = rates[:, None]
         self.a_coef = (alphas / rates)[:, None]
         self.g_coef = alphas[:, None] / (
-            rates[:, None] * (fan_in[None, :] - alphas[:, None])
+            rates[:, None] * (fan_in - alphas[:, None])
         )
         self.cum_incl = np.cumsum(alphas)           # sum_{l<=i} alpha_l
         self.cum_excl = self.cum_incl - alphas      # sum_{l<i} alpha_l

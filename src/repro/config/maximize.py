@@ -36,7 +36,6 @@ from typing import (
 import numpy as np
 
 from ..analysis.delays import single_class_delays
-from ..analysis.fixedpoint import FixedPointWorkspace
 from ..errors import AnalysisError, ConfigurationError, InfeasibleUtilization
 from ..topology.network import Network
 from ..topology.properties import analyze
@@ -154,17 +153,23 @@ def critical_alpha(
     higher could the utilization of a verified configuration go before
     its certificate breaks?
 
-    Built from the same fixed point as verification, so the answer is a
-    certificate, not an estimate.  Returns 1.0 if it verifies there and
-    raises :class:`AnalysisError` if even ``CRITICAL_ALPHA_FLOOR`` does
-    not.
+    Each probe solves the numpy fixed point of
+    :func:`~repro.analysis.delays.single_class_delays`;
+    :func:`~repro.analysis.verification.verify_assignment` runs the
+    plain-Python :func:`~repro.analysis.theorem3.theorem3_fixed_point`
+    on the same system.  Two tests pin their verdicts together:
+    ``tests/test_theorem3_differential.py`` (the same verdict on every
+    system it draws), and
+    ``tests/test_control_plane.py::TestCertifyLadder::test_every_admitted_rung_verifies_on_its_own``,
+    which certifies at this function's answer on MCI and NSFNET.  So
+    the answer is a certificate, not an estimate.  Returns 1.0 if it
+    verifies there and raises :class:`AnalysisError` if even
+    ``CRITICAL_ALPHA_FLOOR`` does not.
     """
-    workspace = FixedPointWorkspace()
 
     def safe(alpha: float, warm) -> Optional[Tuple[Any, np.ndarray]]:
         result = single_class_delays(
-            graph, router_paths, traffic_class, alpha,
-            warm_start=warm, workspace=workspace,
+            graph, router_paths, traffic_class, alpha, warm_start=warm
         )
         return (result, result.server_delays) if result.safe else None
 
@@ -213,8 +218,8 @@ def max_utilization_heuristic(
     retried with verified shortest-path routes, and the search never
     reports less than the guaranteed bound.
 
-    One selector (and its candidate, ordering, and solver-buffer caches)
-    serves every probe of the binary search; the SP fallback checks
+    One selector (and its candidate and ordering caches) serves every
+    probe of the binary search; the SP fallback checks
     warm-start from the converged delays of the last SP success (see
     :func:`bisect_alpha`).
     """
@@ -223,7 +228,6 @@ def max_utilization_heuristic(
     graph = selector.graph
     sp_routes = shortest_path_routes(network, pairs)
     sp_paths = list(sp_routes.values())
-    workspace = FixedPointWorkspace()
 
     def feasible(alpha: float, sp_warm) -> Optional[Tuple[RouteMap, Any]]:
         outcome = selector.select(pairs, alpha)
@@ -232,8 +236,7 @@ def max_utilization_heuristic(
             # keep the SP-fallback warm state from the last SP success.
             return outcome.routes, sp_warm
         check = single_class_delays(
-            graph, sp_paths, traffic_class, alpha,
-            warm_start=sp_warm, workspace=workspace,
+            graph, sp_paths, traffic_class, alpha, warm_start=sp_warm
         )
         if check.safe:
             return dict(sp_routes), check.server_delays
@@ -261,19 +264,16 @@ def max_utilization_shortest_path(
     """Maximum safe utilization with fixed shortest-path routes (baseline).
 
     Each probe warm-starts the fixed-point iteration from the converged
-    delays of the best feasible probe so far (see :func:`bisect_alpha`),
-    and all probes share one solver workspace.
+    delays of the best feasible probe so far (see :func:`bisect_alpha`).
     """
     bounds = _theorem4_interval(network, traffic_class)
     graph = LinkServerGraph(network)
     routes = shortest_path_routes(network, pairs)
     paths = list(routes.values())
-    workspace = FixedPointWorkspace()
 
     def feasible(alpha: float, warm) -> Optional[Tuple[RouteMap, Any]]:
         result = single_class_delays(
-            graph, paths, traffic_class, alpha,
-            warm_start=warm, workspace=workspace,
+            graph, paths, traffic_class, alpha, warm_start=warm
         )
         if not result.safe:
             return None

@@ -41,13 +41,8 @@ import networkx as nx
 import numpy as np
 
 from ..analysis.beta import beta_coefficient
-from ..analysis.delays import resolve_fan_in, theorem3_update
-from ..analysis.fixedpoint import (
-    DelayMap,
-    FixedPointResult,
-    FixedPointWorkspace,
-    solve_fixed_point,
-)
+from ..analysis.delays import theorem3_update
+from ..analysis.fixedpoint import DelayMap, FixedPointResult, solve_fixed_point
 from ..analysis.multiclass import (
     MultiClassResult,
     Theorem5Map,
@@ -204,10 +199,9 @@ class _Run:
 class _GreedySelector:
     """The greedy loop and the topology-derived state it reuses.
 
-    One instance caches candidate routes, their link-server form, pair
-    distances and the solver workspace, and can be reused across
-    utilization levels — the binary search of Section 5.3 calls
-    ``select`` repeatedly.
+    One instance caches candidate routes, their link-server form and pair
+    distances, and can be reused across utilization levels — the binary
+    search of Section 5.3 calls ``select`` repeatedly.
     """
 
     def __init__(
@@ -218,14 +212,13 @@ class _GreedySelector:
         self.network = network
         self.options = options
         self.graph = LinkServerGraph(network)
-        self.fan_in = resolve_fan_in(self.graph)
+        self.fan_in = self.graph.uniform_fan_in()
         # Candidate routes depend only on the topology, so every selector
         # over the same network shares one generator/cache.
         self._candidates = CandidateGenerator.shared(
             network, k=K_CANDIDATES, detour_slack=DETOUR_SLACK
         )
         self._distances: Dict[Hashable, Dict[Hashable, int]] = {}
-        self._workspace = FixedPointWorkspace()
         self._last_system: Optional[RouteSystem] = None
         self._server_cand_cache: Dict[Pair, List[np.ndarray]] = {}
 
@@ -283,7 +276,6 @@ class _GreedySelector:
                 run.system,
                 update(run.system),
                 deadlines=deadlines[: len(committed)],
-                workspace=self._workspace,
             )
             run.delays, run.solved = base.delays, base
             if not base.safe:  # the committed routes alone violate
@@ -374,7 +366,6 @@ class _GreedySelector:
                 update(system),
                 initial=warm,
                 deadlines=deadlines[: system.num_routes],
-                workspace=self._workspace,
             )
         finally:
             system.pop()
@@ -397,17 +388,6 @@ class SafeRouteSelector(_GreedySelector):
             )
         super().__init__(network, options)
         self.traffic_class = traffic_class
-        self._beta_cache: Dict[float, np.ndarray] = {}
-
-    def _beta_full(self, alpha: float) -> np.ndarray:
-        """Unmasked Theorem 3 coefficients, cached per utilization level."""
-        beta = self._beta_cache.get(alpha)
-        if beta is None:
-            beta = np.asarray(
-                beta_coefficient(alpha, self.traffic_class.rate, self.fan_in)
-            )
-            self._beta_cache[alpha] = beta
-        return beta
 
     # ------------------------------------------------------------------ #
 
@@ -463,13 +443,9 @@ class SafeRouteSelector(_GreedySelector):
         )
         grow = self._last_system
         if grow is not None:
-            # Incremental-path health: pushes/pops instead of rebuilds,
-            # and how rarely the solver workspace had to regrow.
+            # Incremental-path health: pushes/pops instead of rebuilds.
             reg.counter("repro_routing_route_pushes_total").inc(grow.pushes)
             reg.counter("repro_routing_route_pops_total").inc(grow.pops)
-        reg.gauge("repro_routing_workspace_resizes").set(
-            self._workspace.resizes
-        )
         if not outcome.success:
             logger.debug(
                 "route selection failed at pair %r (alpha=%g, "
@@ -489,13 +465,11 @@ class SafeRouteSelector(_GreedySelector):
         fixed_routes: Optional[Sequence[Sequence[Hashable]]] = None,
     ) -> SelectionOutcome:
         cls = self.traffic_class
-        beta_full = self._beta_full(alpha)
+        # One beta per selection: every candidate's map shares it.
+        beta = beta_coefficient(alpha, cls.rate, self.fan_in)
 
         def update(system: RouteSystem) -> DelayMap:
-            return theorem3_update(
-                system, cls.burst, cls.rate, alpha, self.fan_in,
-                beta_full=beta_full,
-            )
+            return theorem3_update(system, cls.burst, cls.rate, beta)
 
         run = self._greedy(
             [cls],

@@ -14,9 +14,10 @@ The graph holds no array: a served process builds one and never loads
 numpy.
 
 Fan-in is the paper's ``N`` — the number of input links a packet can arrive
-on at the server's router.  The paper assumes a uniform ``N`` (the maximum
-router degree); we record per-server fan-in too so the analysis can use
-either convention.
+on at the server's router.  The paper assumes a uniform ``N``, the maximum
+router degree, and the analysis uses only that one ``N``
+(:meth:`LinkServerGraph.uniform_fan_in`); the per-server fan-in it is the
+maximum of is kept beside it.
 """
 
 from __future__ import annotations

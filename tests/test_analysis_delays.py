@@ -8,7 +8,7 @@ from repro.analysis import (
     single_class_delays,
     uniform_worst_delay,
 )
-from repro.analysis.delays import resolve_fan_in
+from repro.analysis import RouteSystem, theorem3_update
 from repro.errors import AnalysisError
 from repro.routing import shortest_path_routes
 from repro.topology import LinkServerGraph, line_network, star_network
@@ -33,13 +33,23 @@ def test_best_effort_class_rejected(line4_graph):
         single_class_delays(line4_graph, [["r0", "r1"]], be, 0.3)
 
 
-def test_resolve_fan_in_shapes(mci_graph):
+def test_one_beta_on_every_touched_server(mci, mci_graph, mci_pairs, voice):
     # One N for every server: the largest router degree (PAPER.md §2),
-    # even where a server's own router has fewer input links.
-    fan_in = resolve_fan_in(mci_graph)
-    assert fan_in.shape == (mci_graph.num_servers,)
-    assert np.all(fan_in == 6)
-    assert np.any(np.asarray(mci_graph.fan_in) < 6)
+    # even where a server's own router has fewer input links.  So the
+    # map carries one beta on every server a route crosses, 0 elsewhere.
+    alpha = 0.3
+    paths = list(shortest_path_routes(mci, mci_pairs[:20]).values())
+    system = RouteSystem(mci_graph.routes_servers(paths), mci_graph.num_servers)
+    beta = beta_coefficient(alpha, voice.rate, mci_graph.uniform_fan_in())
+    assert beta == beta_coefficient(alpha, voice.rate, 6)
+    update = theorem3_update(system, voice.burst, voice.rate, beta)
+    touched = system.touched_servers
+    assert update.beta.shape == (mci_graph.num_servers,)
+    assert np.all(update.beta[touched] == beta)
+    assert np.all(update.beta[~touched] == 0.0)
+    assert not np.all(touched)
+    fan_in = np.asarray(mci_graph.fan_in)
+    assert np.any(fan_in[touched] < 6)
 
 
 def test_mci_sp_routes_safe_at_lower_bound(mci, mci_graph, mci_pairs, voice):

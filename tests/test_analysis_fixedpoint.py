@@ -10,7 +10,6 @@ from repro.analysis import (
     theorem3_update,
 )
 from repro.analysis import fixedpoint
-from repro.analysis.delays import resolve_fan_in
 from repro.errors import AnalysisError
 
 T, RHO = 640.0, 32_000.0
@@ -23,8 +22,9 @@ def _line_system(hops: int, num_servers: int = None):
 
 
 def _update(system, alpha, fan_in=6):
-    n = np.full(system.num_servers, float(fan_in))
-    return theorem3_update(system, T, RHO, alpha, n)
+    return theorem3_update(
+        system, T, RHO, beta_coefficient(alpha, RHO, fan_in)
+    )
 
 
 class TestFeedbackFree:

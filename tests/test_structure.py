@@ -763,6 +763,23 @@ RATCHETS = (
         allowed=(r"^src/repro/config/maximize\.py:\d+:",),
     ),
     Ratchet(
+        name="One N, one beta, buffers per solve",
+        why=(
+            "Theorem 3 takes one N, the largest router degree, so beta is "
+            "one number per class and alpha. A per-server N vector "
+            "(resolve_fan_in), a beta vector handed in beside it "
+            "(beta_full) and a buffer pool shared across solves "
+            "(FixedPointWorkspace, workspace=) carried about 160 lines and "
+            "three options for answers identical to the bit without them."
+        ),
+        pattern=r"FixedPointWorkspace|workspace=|resolve_fan_in|beta_full",
+        roots=("src/repro",),
+        offender=(
+            "src/repro/config/maximize.py",
+            "            warm_start=warm, workspace=workspace,",
+        ),
+    ),
+    Ratchet(
         name="One slot count: granted_slots",
         why=(
             "ledger.granted_slots is the one exact floor of alpha*C/rho; "

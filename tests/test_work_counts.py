@@ -5,9 +5,10 @@ shape, the calls per op of a cluster front door, its shard workers and
 a plain serve on the same frames, the calls of a lone admit and release
 over each protocol, the heap one served frame costs, the heap an
 established flow keeps, the most the flow table's id index
-holds at once beyond that, and the fixed-point solves, iterations and
-server evaluations of ``serve --governor``'s start-up certification
-(``tests/work_counts.py`` counts them).
+holds at once beyond that, the fixed-point solves, iterations and
+server evaluations of ``serve --governor``'s start-up certification,
+and the numpy solves and iterations of three configuration-time
+searches (``tests/work_counts.py`` counts them).
 
 The pins in ``tests/data/work_counts.json`` are exact and filed per
 interpreter and numpy minor version.  A count above its pin is a
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.verification import verify_assignment
+from repro.config import maximize, procedures
 from repro.control import ladder as ladder_module
 from repro.service import audit as audit_module
 from repro.service import protocol
@@ -39,6 +41,7 @@ from work_counts import (
     count_cluster,
     count_index_peak,
     count_lone,
+    count_search,
     count_work,
     interpreter_key,
     per_op,
@@ -182,3 +185,28 @@ def test_a_ladder_that_also_solves_its_lowest_candidate_is_caught(monkeypatch):
     pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
     if pins is not None:
         assert grown["certify_solves"] > pins["certify_solves"]
+
+
+def test_a_cold_started_bisection_is_caught(monkeypatch):
+    """Planted: a bisection that hands every probe ``warm=None``, so
+    each solve starts from zero jitter.  The three searches probe the
+    same alphas, so their solves do not move, but each one iterates
+    more than its pin allows."""
+    shipped = count_search()
+    bisect_alpha = maximize.bisect_alpha
+
+    def cold(feasible, lo, hi, **kwargs):
+        return bisect_alpha(
+            lambda alpha, warm: feasible(alpha, None), lo, hi, **kwargs
+        )
+
+    monkeypatch.setattr(maximize, "bisect_alpha", cold)
+    monkeypatch.setattr(procedures, "bisect_alpha", cold)
+    planted = count_search()
+    pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
+    for name in ("critical", "sp", "scale"):
+        solves, iterations = f"search_{name}_solves", f"search_{name}_iterations"
+        assert planted[solves] == shipped[solves], name
+        assert planted[iterations] > shipped[iterations], name
+        if pins is not None:
+            assert planted[iterations] > pins[iterations], name

@@ -41,6 +41,17 @@ on ``cli._admission_setup``): the fixed-point solves it runs
 spent in cyclic components only) and the servers they evaluate
 (``certify_servers``: calls of the solver's one-server Theorem 3 map).
 
+``search`` is not a decision window either but three configuration-time
+searches on MCI's shortest-path routes, each counted in numpy
+fixed-point solves (``search_*_solves``: returns of
+``fixedpoint._solve``) and the iterations they report
+(``search_*_iterations``): ``critical_alpha`` at its default resolution
+(``critical``), ``max_utilization_shortest_path`` at its default
+resolution (``sp``), and ``maximize_multiclass_scale`` at voice : video
+= 1 : 2, resolution ``1e-3`` (``scale``).  Every probe after the first
+feasible one warm-starts from it, which is what the iteration pins
+hold.
+
 The ``bulk`` window also counts C calls (``bulk_c_calls``: the profile
 hook's ``c_call`` events, builtins and C methods and functions alike),
 what the Python call count does not see.
@@ -127,7 +138,7 @@ from repro.service.conn import Connection
 from repro.service.router import ClusterRouter
 from repro.service.server import AdmissionService
 from repro.topology import LinkServerGraph, mci_backbone
-from repro.traffic import ClassRegistry, voice_class
+from repro.traffic import ClassRegistry, video_class, voice_class
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generators import all_ordered_pairs
 
@@ -185,6 +196,11 @@ _SERVER_MAP = next(
 
 #: ``serve --alpha`` of the ``certify`` window.
 CERTIFY_ALPHA = 0.3
+
+#: ``maximize_multiclass_scale``'s weights and resolution in the
+#: ``search`` window.
+SEARCH_SCALE_WEIGHTS = {"voice": 1.0, "video": 2.0}
+SEARCH_SCALE_RESOLUTION = 1e-3
 
 Entries = List[Tuple[int, str, object]]
 
@@ -542,19 +558,22 @@ def _count_lone() -> Dict[str, int]:
     return out
 
 
-class _Certified:
-    """``sys.setprofile`` hook counting fixed-point solves, the
-    iterations they return and the servers they evaluate."""
+class _Solves:
+    """``sys.setprofile`` hook counting the returns of ``solve`` (a
+    code object), the iterations they report, and the calls of
+    ``server``, a solver's one-server map."""
 
-    def __init__(self):
+    def __init__(self, solve=_SOLVE, server=_SERVER_MAP):
+        self.solve = solve
+        self.server = server
         self.solves = 0
         self.iterations = 0
         self.servers = 0
 
     def __call__(self, frame, event, arg):
-        if event == "call" and frame.f_code is _SERVER_MAP:
+        if event == "call" and frame.f_code is self.server:
             self.servers += 1
-        elif event == "return" and frame.f_code is _SOLVE:
+        elif event == "return" and frame.f_code is self.solve:
             self.solves += 1
             self.iterations += arg.iterations
 
@@ -564,7 +583,7 @@ def _count_certify() -> Dict[str, int]:
     MCI before it listens."""
     setup = cli._admission_setup("mci")
     args = argparse.Namespace(alpha=CERTIFY_ALPHA, governor=True)
-    counter = _Certified()
+    counter = _Solves()
     sys.setprofile(counter)
     try:
         ladder = cli._certified_ladder(args, setup)
@@ -576,6 +595,44 @@ def _count_certify() -> Dict[str, int]:
         "certify_iterations": counter.iterations,
         "certify_servers": counter.servers,
     }
+
+
+def _count_search() -> Dict[str, int]:
+    """The ``search`` window: the numpy solves and iterations of three
+    searches over MCI's shortest-path routes.  Imported here: the
+    ``frame_heap_bytes`` interpreter must never load numpy."""
+    from repro.analysis import fixedpoint
+    from repro.config import (
+        critical_alpha,
+        max_utilization_shortest_path,
+        maximize_multiclass_scale,
+    )
+
+    network = mci_backbone()
+    graph = LinkServerGraph(network)
+    pairs = all_ordered_pairs(network)
+    paths = list(shortest_path_routes(network, pairs).values())
+    voice = voice_class()
+    registry = ClassRegistry([voice, video_class()])
+    searches = {
+        "critical": lambda: critical_alpha(graph, paths, voice),
+        "sp": lambda: max_utilization_shortest_path(network, pairs, voice),
+        "scale": lambda: maximize_multiclass_scale(
+            network, {"voice": paths, "video": paths}, registry,
+            SEARCH_SCALE_WEIGHTS, resolution=SEARCH_SCALE_RESOLUTION,
+        ),
+    }
+    out = {}
+    for name, search in searches.items():
+        counter = _Solves(fixedpoint._solve.__code__)
+        sys.setprofile(counter)
+        try:
+            search()
+        finally:
+            sys.setprofile(None)
+        out[f"search_{name}_solves"] = counter.solves
+        out[f"search_{name}_iterations"] = counter.iterations
+    return out
 
 
 def _count_frame_heap() -> Dict[str, int]:
@@ -857,6 +914,7 @@ def count_work() -> Dict[str, int]:
             counts.update(_count_cluster())
             counts.update(_count_lone())
             counts.update(_count_certify())
+            counts.update(_count_search())
         return counts
 
     return {
@@ -887,6 +945,11 @@ def count_lone() -> Dict[str, int]:
 def count_certify() -> Dict[str, int]:
     """The ``certify`` window alone."""
     return _quiet(_count_certify)
+
+
+def count_search() -> Dict[str, int]:
+    """The ``search`` window alone."""
+    return _quiet(_count_search)
 
 
 def audited_extra_calls(counts: Dict[str, int]) -> float:
