@@ -22,43 +22,35 @@ all of them.  One dict is rebuilt whole under churn, since its deleted
 entries are not reused: at a stationary 6.5k flows, copied from 16 384
 into 32 768 slots while both tables are held.
 
-Routes are fixed at configuration time, so committed server rows are
-few: each distinct one, with its source/destination pair, is interned
-once in the route table — a padded server matrix, lengths, pair codes,
-a live count per route and a ``(pair, servers) -> code`` dict.  A
-pair's configured route counts as a holder of its own
-(:meth:`configure`), so its code is stable; a pinned or replaced route
-is freed when nothing holds it, and its row reused.  The server row is
-the only place a flow says where it is: the committed route is read
-back from it (``LinkServerGraph.servers_to_route``), and a ``FlowSpec``
-is rebuilt from :meth:`records` and :meth:`servers_of` by whoever needs
-one.  Batches are committed, freed or scanned by gathering through the
-route codes.
-
-Each column of the route table is an ``array.array`` of the narrowest
-signed type that fits its range (:func:`narrowest`): the server matrix,
-flat and row-major, follows ``pad`` (``b``, one byte, up to 127
-servers), lengths the matrix width and pair codes the number of pairs.
-A column is widened *before* it is handed a value it cannot hold.  A
-server row comes out as a slice of that column (iterating one yields
-ints); :meth:`FlowTable.pop_batch` alone still hands out ``int64``
-arrays, for the frozen waterfall.
+Routes are fixed at configuration time, so committed routes are few:
+each distinct one, with its source/destination pair, is interned once
+in the route table — a list of server tuples indexed by route code
+(the tuple ``LinkServerGraph.route_servers`` returns), pair codes, a
+live count per route and a ``(pair, servers) -> code`` dict keyed on
+those same tuples.  A pair's configured route counts as a holder of
+its own (:meth:`configure`), so its code is stable; a pinned or
+replaced route is freed when nothing holds it, and its code reused.
+The server tuple is the only place a flow says where it is: the
+committed route is read back from it
+(``LinkServerGraph.servers_to_route``), and a ``FlowSpec`` is rebuilt
+from :meth:`records` and :meth:`servers_of` by whoever needs one.
+Batches are committed, freed or scanned by gathering the stored tuples
+through the route codes; :meth:`FlowTable.pop_batch` alone still hands
+out ``int64`` arrays, for the frozen waterfall.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import chain, compress
+from operator import not_
 from struct import calcsize
+from sys import getsizeof
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import AdmissionError
 
 __all__ = ["FlowTable"]
-
-#: Route rows and server columns a new table starts with.
-INITIAL_CAPACITY = 64
-INITIAL_WIDTH = 4
 
 #: Inserts the open segment of the id index takes at least before it
 #: is sealed; it is sealed once its table is full, at 2 730 inserts
@@ -79,26 +71,9 @@ _ROUTE_SHIFT, _ROUTE_MASK = 4, (1 << 32) - 1
 _CLASS_SHIFT = 36
 
 Pair = Tuple[Hashable, Hashable]
+Servers = Tuple[int, ...]
 #: ``(flow id, class code, tag, pair, pinned)``.
 Record = Tuple[Hashable, int, int, Optional[Pair], bool]
-
-
-def narrowest(high: int) -> str:
-    """The ``array`` typecode of the narrowest signed integer type
-    holding every value from -1 (a column's "none") to ``high``."""
-    high = max(int(high), 0)
-    for typecode in "bhiq":
-        if high >> (8 * array(typecode).itemsize - 1) == 0:
-            return typecode
-    raise OverflowError(f"{high} does not fit a signed 64-bit integer")
-
-
-def _fit(column: array, high: int) -> array:
-    """``column``, or a wider copy of it if it cannot hold ``high``."""
-    typecode = narrowest(high)
-    if array(typecode).itemsize <= column.itemsize:
-        return column
-    return array(typecode, column)
 
 
 def _route(value: int) -> int:
@@ -116,17 +91,14 @@ class FlowTable:
     Parameters
     ----------
     pad:
-        Sentinel server index filling unused matrix cells (the
-        controllers use ``graph.num_servers``); it fixes the server
-        column's integer type.
-    The route table starts ``INITIAL_CAPACITY`` rows by
-    ``INITIAL_WIDTH`` columns; both grow automatically.
+        The number of servers (the controllers use
+        ``graph.num_servers``): :meth:`usage` counts that many, and
+        :meth:`pop_batch` pads its matrix with it.
     """
 
     __slots__ = (
         "pad", "pair_codes", "_pair_names", "_segs", "_inserts", "_share", "_sealed",
-        "_canon", "_keys", "_servers", "_width", "_lengths", "_pairs", "_live",
-        "_free", "_loose", "_configured",
+        "_canon", "_keys", "_routes", "_pairs", "_live", "_free", "_loose", "_configured",
     )
 
     def __init__(self, pad: int):
@@ -144,16 +116,14 @@ class FlowTable:
         self._sealed: List[int] = []
         # The one int object each distinct value is held as.
         self._canon: Dict[int, int] = {}
-        self._keys: Dict[Tuple[int, bytes], int] = {}
-        rows = INITIAL_CAPACITY
-        self._width = INITIAL_WIDTH
-        self._servers = array(narrowest(self.pad), [self.pad]) * (rows * self._width)
-        self._lengths = array(narrowest(self._width), [0]) * rows
-        self._pairs = array(narrowest(0), [-1]) * rows
-        # Flows on the route, plus one while it is its pair's configured
-        # route; -1 on a free row.
-        self._live: List[int] = [-1] * rows
-        self._free: List[int] = list(range(rows - 1, -1, -1))
+        self._keys: Dict[Tuple[int, Servers], int] = {}
+        # Per route code: its servers (() on a free row), its pair code
+        # (-1: none, or a free row) and the flows on it, plus one while
+        # it is its pair's configured route (-1 on a free row).
+        self._routes: List[Servers] = []
+        self._pairs: List[int] = []
+        self._live: List[int] = []
+        self._free: List[int] = []
         # Routes that may have no holder: freed by _tidy unless held.
         self._loose: List[int] = []
         # Pair code -> its configured route's code, or -1.
@@ -168,51 +138,31 @@ class FlowTable:
         code = self.pair_codes.get(pair)
         if code is None:
             code = len(self._pair_names)
-            self._pairs = _fit(self._pairs, code)
             self._configured.append(-1)
             self.pair_codes[pair] = code
             self._pair_names.append(pair)
         return code
 
-    def _row(self, route: int) -> array:
-        """The servers of route code ``route`` (a copy)."""
-        at = route * self._width
-        return self._servers[at:at + self._lengths[route]]
-
     def route_code(self, pair: int, servers: Sequence[int]) -> int:
         """The code of route ``servers`` of pair code ``pair`` (-1: no
         pair), interned if it is new: then it is freed at the next add
         unless a flow is added on it."""
-        row = array(self._servers.typecode, servers)
-        key = (pair, row.tobytes())
+        if type(servers) is not tuple:
+            servers = tuple(map(int, servers))
+        key = (pair, servers)
         code = self._keys.get(key)
         if code is None:
-            if not self._free:
-                rows = len(self._live)
-                self._servers.extend(array(self._servers.typecode, [self.pad]) * (rows * self._width))
-                self._lengths.extend([0] * rows)
-                self._pairs.extend([-1] * rows)
-                self._live.extend([-1] * rows)
-                self._free.extend(range(2 * rows - 1, rows - 1, -1))
-            if len(row) > self._width:
-                self._widen(len(row))
-            code = self._keys[key] = self._free.pop()
-            at = code * self._width
-            self._servers[at:at + len(row)] = row
-            self._lengths[code] = len(row)
-            self._pairs[code] = pair
-            self._live[code] = 0
+            if self._free:
+                code = self._free.pop()
+                self._routes[code], self._pairs[code], self._live[code] = servers, pair, 0
+            else:
+                code = len(self._routes)
+                self._routes.append(servers)
+                self._pairs.append(pair)
+                self._live.append(0)
+            self._keys[key] = code
             self._loose.append(code)
         return code
-
-    def _widen(self, width: int) -> None:
-        """Re-lay the server matrix out ``width`` columns wide."""
-        old, w = self._servers, self._width
-        new = array(old.typecode, [self.pad]) * (len(self._live) * width)
-        for r in range(len(self._live)):
-            new[r * width:r * width + w] = old[r * w:(r + 1) * w]
-        self._servers, self._width = new, width
-        self._lengths = _fit(self._lengths, width)
 
     def configure(self, pair: int, servers: Sequence[int]) -> None:
         """Make ``servers`` the configured route of pair code ``pair``;
@@ -231,18 +181,13 @@ class FlowTable:
         configured = self._configured
         return [configured[p] for p in pairs]
 
-    def configured_servers(self, pair: Pair) -> array:
+    def configured_servers(self, pair: Pair) -> Servers:
         """The servers of ``pair``'s configured route."""
-        return self._row(self._configured[self.pair_codes[pair]])
+        return self._routes[self._configured[self.pair_codes[pair]]]
 
-    def route_rows(self, routes: Sequence[int]) -> List[array]:
-        """The server row of each route code."""
-        servers, lengths, width = self._servers, self._lengths, self._width
-        rows = []
-        for route in routes:
-            at = route * width
-            rows.append(servers[at:at + lengths[route]])
-        return rows
+    def route_rows(self, routes: Sequence[int]) -> List[Servers]:
+        """The servers of each route code."""
+        return list(map(self._routes.__getitem__, routes))
 
     def _tidy(self) -> None:
         """Free the loose routes nothing holds — one interned for a
@@ -253,14 +198,10 @@ class FlowTable:
         self._loose.clear()
         if dead:
             at = sorted(dead)
-            pad, width = self.pad, self._width
+            routes, pairs = self._routes, self._pairs
             for route in at:
-                del self._keys[self._pairs[route], self._row(route).tobytes()]
-                live[route] = -1
-                self._servers[route * width:(route + 1) * width] = array(
-                    self._servers.typecode, [pad]) * width
-                self._lengths[route] = 0
-                self._pairs[route] = -1
+                del self._keys[pairs[route], routes[route]]
+                routes[route], pairs[route], live[route] = (), -1, -1
             self._free.extend(at)
             for value in [v for v in self._canon if _route(v) in dead]:
                 del self._canon[value]
@@ -366,7 +307,7 @@ class FlowTable:
         ]
         self.add_routed(flow_ids, code, routes)
 
-    def pop(self, flow_id: Hashable) -> Tuple[int, array, int]:
+    def pop(self, flow_id: Hashable) -> Tuple[int, Servers, int]:
         """Remove a flow; returns ``(code, servers, tag)``."""
         for seg in self._segs:
             value = seg.pop(flow_id, None)
@@ -375,7 +316,7 @@ class FlowTable:
         else:
             raise _absent(flow_id)
         route = _route(value)
-        servers = self._row(route)
+        servers = self._routes[route]
         self._live[route] -= 1
         if not self._live[route]:
             self._loose.append(route)
@@ -399,9 +340,9 @@ class FlowTable:
 
     def pop_rows(
         self, flow_ids: Sequence[Hashable]
-    ) -> Tuple[List[int], List[array], List[int]]:
+    ) -> Tuple[List[int], List[Servers], List[int]]:
         """Remove many flows; returns ``(codes, rows, tags)``, a class
-        code, a server row and a tag per flow.
+        code, the servers and a tag per flow.
 
         All or nothing: the ids must be distinct and all established,
         and a call that raises removed none of them (the survivors keep
@@ -419,13 +360,11 @@ class FlowTable:
             self.check_poppable(flow_ids)
         for fid, seg in zip(flow_ids, held):
             del seg[fid]
-        servers, lengths, width = self._servers, self._lengths, self._width
-        live, loose = self._live, self._loose
+        routes, live, loose = self._routes, self._live, self._loose
         codes, rows, tags = [], [], []
         for value in values:
             route = value >> _ROUTE_SHIFT & _ROUTE_MASK
-            at = route * width
-            rows.append(servers[at:at + lengths[route]])
+            rows.append(routes[route])
             codes.append(value >> _CLASS_SHIFT)
             tags.append((value >> _TAG_SHIFT & _TAG_MASK) - 1)
             live[route] -= 1
@@ -468,14 +407,15 @@ class FlowTable:
     @property
     def rows(self) -> int:
         """Rows of the route table, free ones included."""
-        return len(self._live)
+        return len(self._routes)
 
     @property
     def nbytes(self) -> int:
-        """The route rows' fixed-width bytes: servers, length, pair code
-        and a live-count pointer per row."""
-        columns = (self._servers, self._lengths, self._pairs)
-        return sum(c.itemsize * len(c) for c in columns) + _POINTER_BYTES * len(self._live)
+        """The route table's bytes: each route's server tuple, and per
+        row its three list slots (servers, pair code, live count)."""
+        routes = self._routes
+        tuples = sum(getsizeof(routes[route]) for route in self._keys.values())
+        return tuples + 3 * _POINTER_BYTES * len(routes)
 
     def _value(self, flow_id: Hashable) -> int:
         for seg in self._segs:
@@ -483,9 +423,9 @@ class FlowTable:
                 return seg[flow_id]
         raise _absent(flow_id)
 
-    def servers_of(self, flow_id: Hashable) -> array:
-        """Committed server indices of an established flow (a copy)."""
-        return self._row(_route(self._value(flow_id)))
+    def servers_of(self, flow_id: Hashable) -> Servers:
+        """Committed server indices of an established flow."""
+        return self._routes[_route(self._value(flow_id))]
 
     def _record(self, flow_id: Hashable, value: int) -> Record:
         pair = self._pairs[_route(value)]
@@ -510,31 +450,21 @@ class FlowTable:
         ``servers[j]``.
 
         The match is decided per route, not per flow: one pass over the
-        route rows finds the routes that cross ``servers``, and each
+        route tuples finds the routes that cross ``servers``, and each
         such route, tag and pinned bit is one value flows share.  The
         flows are then one pass of set lookups, in C."""
-        # The server column's bytes, searched in C for each server's
-        # bytes; a match off a cell boundary is not that server.
-        cells, size = self._servers.tobytes(), self._servers.itemsize
-        row_bytes = size * self._width
-        crossing: Dict[int, List[bool]] = {}
-        for j, server in enumerate(servers):
-            needle = array(self._servers.typecode, [server]).tobytes()
-            at = cells.find(needle)
-            while at >= 0:
-                if at % size == 0:
-                    hits = crossing.get(at // row_bytes)
-                    if hits is None:
-                        hits = crossing[at // row_bytes] = [False] * len(servers)
-                    hits[j] = True
-                at = cells.find(needle, at + 1)
+        routes = self._routes
+        # In C: the codes of the routes that share a server with
+        # ``servers`` (a free row is ()).
+        crossing = compress(range(len(routes)), map(not_, map(set(servers).isdisjoint, routes)))
         hits_of: Dict[int, Tuple[bool, ...]] = {}
         tag_of: Dict[int, int] = {}
-        for route, hits in crossing.items():
+        for route in crossing:
+            hits = tuple(map(routes[route].__contains__, servers))
             base = code << _CLASS_SHIFT | route << _ROUTE_SHIFT
             for tag in tags:
                 value = base | (tag + 1) << _TAG_SHIFT
-                hits_of[value] = hits_of[value | 1] = tuple(hits)
+                hits_of[value] = hits_of[value | 1] = hits
                 tag_of[value] = tag_of[value | 1] = tag
         segs = self._segs
         kept = compress(
@@ -554,7 +484,7 @@ class FlowTable:
         held = array("q", [0]) * self.pad
         for value in chain.from_iterable(map(dict.values, self._segs)):
             if value >> _CLASS_SHIFT == code:
-                for server in self._row(_route(value)):
+                for server in self._routes[_route(value)]:
                     held[server] += 1
         return held
 
@@ -564,8 +494,9 @@ class FlowTable:
         segment empty and no two adjacent ones that fit in one share,
         and none has gained a flow since; every flow holds the shared
         value of a route in use, each route's live count is its
-        holders, each route row is what its key says, and the free list
-        is the rows that hold no route.  Returns the violations found."""
+        holders, each key's route row holds the key's pair and servers,
+        and the free list is the rows that hold no route.  Returns the
+        violations found."""
         problems: List[str] = []
         segs, sealed, held = self._segs, self._sealed, {}
         for at, seg in enumerate(segs):
@@ -598,7 +529,6 @@ class FlowTable:
             if route >= 0:
                 configured[route] += 1
         in_use = [route for route, count in enumerate(live) if count >= 0]
-        width = self._width
         for route in in_use:
             fids = named.get(route, [])
             holders = configured[route] + len(fids)
@@ -607,14 +537,12 @@ class FlowTable:
                     f"route {route} counts {live[route]} holders, but {holders} "
                     f"hold it (flows {fids!r})"
                 )
-            row = self._servers[route * width:(route + 1) * width]
-            n, pair = self._lengths[route], self._pairs[route]
-            if self._keys.get((pair, row[:n].tobytes())) != route or any(
-                s != self.pad for s in row[n:]
-            ):
+        for (pair, servers), route in self._keys.items():
+            row, row_pair = self._routes[route], self._pairs[route]
+            if row is not servers or row_pair != pair:
                 problems.append(
-                    f"route row {route} holds servers {row.tolist()} of pair "
-                    f"code {pair}, not its key's"
+                    f"route row {route} holds servers {list(row)} of pair "
+                    f"code {row_pair}, not its key's"
                 )
         if sorted(self._keys.values()) != in_use:
             problems.append("the route keys are not the route rows in use")

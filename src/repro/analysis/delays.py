@@ -5,9 +5,14 @@ best-effort traffic, which static priority makes invisible to the analysis).
 :func:`single_class_delays` runs the full Figure 2 pipeline for a set of
 routes:
 
-1. build the Theorem 3 update map ``d_k = beta * (T + rho * Y_k)``,
-2. iterate to the least fixed point (:mod:`repro.analysis.fixedpoint`),
-3. report per-server and per-route end-to-end delay bounds.
+1. compile the routes into a :class:`RouteSystem` (:func:`route_system`),
+2. build the Theorem 3 update map ``d_k = beta * (T + rho * Y_k)``,
+3. iterate to the least fixed point (:mod:`repro.analysis.fixedpoint`),
+4. report per-server and per-route end-to-end delay bounds.
+
+Steps 2-4 are :func:`solve_single_class`: a search that probes one
+fixed route set at many ``alpha`` compiles it once and solves it per
+probe.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from .routesystem import RouteSystem
 __all__ = [
     "theorem3_update",
     "SingleClassResult",
+    "route_system",
     "single_class_delays",
+    "solve_single_class",
 ]
 
 
@@ -50,6 +57,13 @@ def theorem3_update(
     return Theorem3Map(
         system, burst, rate, np.where(system.touched_servers, beta, 0.0)
     )
+
+
+def _realtime(traffic_class: TrafficClass) -> None:
+    if not traffic_class.is_realtime:
+        raise AnalysisError(
+            f"class {traffic_class.name!r} has no finite deadline"
+        )
 
 
 @dataclass
@@ -94,8 +108,6 @@ def single_class_delays(
     router_paths: Sequence[Sequence[Hashable]],
     traffic_class: TrafficClass,
     alpha: float,
-    *,
-    warm_start: Optional[np.ndarray] = None,
 ) -> SingleClassResult:
     """Compute configuration-time delay bounds for one real-time class.
 
@@ -109,17 +121,37 @@ def single_class_delays(
         The real-time class (must have a finite deadline).
     alpha:
         Link-bandwidth fraction allocated to the class.
-    warm_start:
-        Optional per-server delay vector known to lie below the least
-        fixed point (e.g. the solution for a subset of the routes, or for
-        the same routes at a lower ``alpha``).
     """
-    if not traffic_class.is_realtime:
-        raise AnalysisError(
-            f"class {traffic_class.name!r} has no finite deadline"
-        )
-    server_routes = graph.routes_servers(router_paths)
-    system = RouteSystem(server_routes, graph.num_servers)
+    _realtime(traffic_class)
+    return solve_single_class(
+        graph, route_system(graph, router_paths), traffic_class, alpha
+    )
+
+
+def route_system(
+    graph: LinkServerGraph, router_paths: Sequence[Sequence[Hashable]]
+) -> RouteSystem:
+    """The :class:`RouteSystem` of ``router_paths`` over ``graph``'s
+    servers, what :func:`solve_single_class` solves."""
+    return RouteSystem(graph.routes_servers(router_paths), graph.num_servers)
+
+
+def solve_single_class(
+    graph: LinkServerGraph,
+    system: RouteSystem,
+    traffic_class: TrafficClass,
+    alpha: float,
+    *,
+    warm_start: Optional[np.ndarray] = None,
+) -> SingleClassResult:
+    """:func:`single_class_delays` of the routes compiled into
+    ``system`` (:func:`route_system`), which it does not change.
+
+    ``warm_start`` is an optional per-server delay vector known to lie
+    below the least fixed point (e.g. the solution for a subset of the
+    routes, or for the same routes at a lower ``alpha``).
+    """
+    _realtime(traffic_class)
     rate = traffic_class.rate
     update = theorem3_update(
         system, traffic_class.burst, rate,

@@ -224,9 +224,10 @@ def theorem3_fixed_point(
 ) -> FixedPointResult:
     """The least fixed point of Theorem 3's ``Z``, in dependency order.
 
-    Same inputs, checks (raised in the same order, with the same
-    messages) and result record as ``single_class_delays(...)
-    .fixed_point``; ``delays`` and ``route_delays`` are lists.  The
+    Same inputs (``warm_start`` as ``solve_single_class`` takes it),
+    checks (raised in the same order, with the same messages) and
+    result record as ``single_class_delays(...).fixed_point``;
+    ``delays`` and ``route_delays`` are lists.  The
     servers are settled one strongly connected component at a time
     (:func:`dependency_order`), each from the final delays upstream of
     it: a server on no cycle is evaluated once, exactly, and only a

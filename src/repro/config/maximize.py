@@ -35,7 +35,7 @@ from typing import (
 
 import numpy as np
 
-from ..analysis.delays import single_class_delays
+from ..analysis.delays import route_system, solve_single_class
 from ..errors import AnalysisError, ConfigurationError, InfeasibleUtilization
 from ..topology.network import Network
 from ..topology.properties import analyze
@@ -153,8 +153,8 @@ def critical_alpha(
     higher could the utilization of a verified configuration go before
     its certificate breaks?
 
-    Each probe solves the numpy fixed point of
-    :func:`~repro.analysis.delays.single_class_delays`;
+    The routes are compiled once, and each probe solves the numpy fixed
+    point of :func:`~repro.analysis.delays.solve_single_class` on them;
     :func:`~repro.analysis.verification.verify_assignment` runs the
     plain-Python :func:`~repro.analysis.theorem3.theorem3_fixed_point`
     on the same system.  Two tests pin their verdicts together:
@@ -167,9 +167,11 @@ def critical_alpha(
     ``CRITICAL_ALPHA_FLOOR`` does not.
     """
 
+    system = route_system(graph, router_paths)
+
     def safe(alpha: float, warm) -> Optional[Tuple[Any, np.ndarray]]:
-        result = single_class_delays(
-            graph, router_paths, traffic_class, alpha, warm_start=warm
+        result = solve_single_class(
+            graph, system, traffic_class, alpha, warm_start=warm
         )
         return (result, result.server_delays) if result.safe else None
 
@@ -227,7 +229,7 @@ def max_utilization_heuristic(
     selector = SafeRouteSelector(network, traffic_class, options=options)
     graph = selector.graph
     sp_routes = shortest_path_routes(network, pairs)
-    sp_paths = list(sp_routes.values())
+    sp_system = route_system(graph, list(sp_routes.values()))
 
     def feasible(alpha: float, sp_warm) -> Optional[Tuple[RouteMap, Any]]:
         outcome = selector.select(pairs, alpha)
@@ -235,8 +237,8 @@ def max_utilization_heuristic(
             # The heuristic's own probes warm-start internally per pair;
             # keep the SP-fallback warm state from the last SP success.
             return outcome.routes, sp_warm
-        check = single_class_delays(
-            graph, sp_paths, traffic_class, alpha, warm_start=sp_warm
+        check = solve_single_class(
+            graph, sp_system, traffic_class, alpha, warm_start=sp_warm
         )
         if check.safe:
             return dict(sp_routes), check.server_delays
@@ -269,11 +271,11 @@ def max_utilization_shortest_path(
     bounds = _theorem4_interval(network, traffic_class)
     graph = LinkServerGraph(network)
     routes = shortest_path_routes(network, pairs)
-    paths = list(routes.values())
+    system = route_system(graph, list(routes.values()))
 
     def feasible(alpha: float, warm) -> Optional[Tuple[RouteMap, Any]]:
-        result = single_class_delays(
-            graph, paths, traffic_class, alpha, warm_start=warm
+        result = solve_single_class(
+            graph, system, traffic_class, alpha, warm_start=warm
         )
         if not result.safe:
             return None

@@ -226,9 +226,9 @@ def encode_frame(obj: Dict[str, Any]) -> bytes:
 
     Both the server and the client encode through this single seam;
     when :mod:`orjson` is importable it is used automatically
-    (``JSON_BACKEND == "orjson"``), with a per-object stdlib fallback,
-    so installing the optional dependency speeds up every frame on the
-    wire without any configuration.
+    (``JSON_BACKEND == "orjson"``), with a per-object stdlib fallback;
+    pyproject declares it, and an install that cannot import it serves
+    the same frames through :mod:`json`, without any configuration.
     """
     return encode_json(obj) + b"\n"
 

@@ -9,6 +9,8 @@ equivalence lives in ``test_property_batch_admission.py``.
 
 import gc
 import math
+import struct
+import sys
 import weakref
 
 import numpy as np
@@ -134,35 +136,21 @@ def _routes(table, rows, pair=-1):
     return [table.route_code(pair, np.asarray(r, dtype=np.int64)) for r in rows]
 
 
-def _int8_only(high):
-    """The planted offender: every column fixed to one byte."""
-    return "b"
-
-
-def _table(pad, width=flowtable.INITIAL_WIDTH, capacity=flowtable.INITIAL_CAPACITY):
-    """A FlowTable whose route table starts ``capacity`` rows by
-    ``width`` columns."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flowtable, "INITIAL_WIDTH", width)
-        patch.setattr(flowtable, "INITIAL_CAPACITY", capacity)
-        return FlowTable(pad=pad)
-
-
-# Boundary checks: each passes on the real table and must fail on a
-# table whose columns never widen past int8.
+# Boundary checks: values past one and two signed bytes survive every
+# path in and out of the table.
 
 
 def _servers_round_trip(pad):
     """A server index one below ``pad``, and ``pad`` itself, survive
-    every path in and out of the matrix."""
+    every path in and out of the table and ``pop_batch``'s matrix."""
     top = pad - 1
-    table = _table(pad, width=2)
+    table = FlowTable(pad=pad)
     table.add("seq", 0, np.array([top, 0, top - 1], dtype=np.int64))
     matrix, lengths = pad_server_matrix(
         [np.array([top]), np.array([1, top])], pad=pad
     )
     table.add_batch(["b0", "b1"], 0, matrix, lengths)
-    assert table.servers_of("seq").tolist() == [top, 0, top - 1]
+    assert table.servers_of("seq") == (top, 0, top - 1)
     assert table.usage(0)[top] == 3
     ids, tags, hits = table.holders(0, [-1], [top])
     assert sorted(ids) == ["b0", "b1", "seq"] and hits == [(True,)] * 3
@@ -173,20 +161,6 @@ def _servers_round_trip(pad):
     assert popped_lengths.tolist() == [2, 1] and codes.tolist() == [0, 0]
     _code, servers, _tag = table.pop("seq")
     assert list(servers) == [top, 0, top - 1]
-    assert table.verify() == []
-
-
-def _lengths_round_trip():
-    """Routes longer than 127 hops, through ``add`` and ``add_batch``."""
-    table = _table(300, width=2)
-    long = np.arange(200, dtype=np.int64)
-    table.add("seq", 0, long)
-    matrix, lengths = pad_server_matrix([long[:150], long], pad=300)
-    table.add_batch(["b0", "b1"], 0, matrix, lengths)
-    assert table.servers_of("seq").tolist() == list(range(200))
-    _codes, popped, popped_lengths, _tags = table.pop_batch(["b0", "b1"])
-    assert popped_lengths.tolist() == [150, 200]
-    assert popped[0, :150].tolist() == list(range(150))
     assert table.verify() == []
 
 
@@ -247,23 +221,23 @@ class TestFlowTable:
         assert "a" in table and len(table) == 1
         code, servers, tag = table.pop("a")
         assert (code, tag) == (0, 5)
-        assert servers.tolist() == [1, 2]
+        assert servers == (1, 2)
         assert "a" not in table and len(table) == 0
 
     def test_row_reuse_clears_stale_tail(self):
-        table = _table(9, width=2, capacity=1)
+        table = FlowTable(pad=9)
         table.add("long", 0, np.array([1, 2, 3, 4], dtype=np.int64))
         table.pop("long")
-        # The recycled route row previously held a 4-wide route; a
-        # 1-wide batch must not resurrect the stale columns.
+        # The recycled route row previously held a 4-server route; a
+        # 1-server batch must not resurrect the stale servers.
         matrix, lengths = pad_server_matrix(
             [np.array([5], dtype=np.int64)], pad=9
         )
         table.add_batch(["short"], 1, matrix, lengths)
         assert table.rows == 1
-        assert table._servers.tolist() == [5, 9, 9, 9]
+        assert table._routes == [(5,)]
         _, servers, _ = table.pop("short")
-        assert servers.tolist() == [5]
+        assert servers == (5,)
         assert table.verify() == []
 
     def test_pop_batch_returns_all_columns(self):
@@ -280,17 +254,21 @@ class TestFlowTable:
         assert len(table) == 0
 
     def test_growth_beyond_initial_capacity(self):
-        """100 distinct routes grow a 2-row route table to 128 rows,
-        which then stay, free, for the next routes."""
-        table = _table(200, capacity=2)
+        """100 distinct routes take 100 rows of the route table, which
+        then stay, free, for the next routes."""
+        table = FlowTable(pad=200)
         for i in range(100):
             table.add(i, 0, np.array([i, i + 1], dtype=np.int64))
-        assert len(table) == 100 and table.rows == 128
+        assert len(table) == 100 and table.rows == 100
         assert table.verify() == []
         for i in range(100):
-            assert table.pop(i)[1].tolist() == [i, i + 1]
-        assert len(table) == 0 and table.rows == 128
-        assert len(table._free) == 128 and table.verify() == []
+            assert table.pop(i)[1] == (i, i + 1)
+        assert len(table) == 0 and table.rows == 100
+        assert len(table._free) == 100 and table.verify() == []
+        for i in range(100):
+            table.add(i, 0, (i + 1, i))
+        assert table.rows == 100 and not table._free
+        assert table.verify() == []
 
     def test_duplicate_and_missing_ids_raise(self):
         table = FlowTable(pad=5)
@@ -322,7 +300,7 @@ class TestFlowTable:
             assert list(table) == ["f0", "f1", "f2"]
             assert table._live == live
             assert table.verify() == []
-        assert table.servers_of("f0").tolist() == [1, 2]
+        assert table.servers_of("f0") == (1, 2)
         table.pop_batch(["f1", "f0"])
         assert list(table) == ["f2"] and table.verify() == []
 
@@ -331,7 +309,6 @@ class TestFlowTable:
         table = FlowTable(pad=9)
         one, one_len = pad_server_matrix([np.array([1])], pad=9)
         table.add_batch(["f0"], 0, one, one_len)
-        free = list(table._free)
         two, two_len = pad_server_matrix(
             [np.array([2]), np.array([3])], pad=9
         )
@@ -339,11 +316,12 @@ class TestFlowTable:
             with pytest.raises(AdmissionError, match="already established"):
                 table.add_batch(ids, 0, two, two_len)
             assert list(table) == ["f0"] and len(table._keys) == 1
-            assert sorted(table._free) == sorted(free)
+            # The rows it took are free again: one row is in use.
+            assert table.rows - len(table._free) == 1
             assert table.verify() == []
 
     def test_a_recycled_row_keeps_nothing_of_its_last_occupant(self):
-        table = _table(9, capacity=1)
+        table = FlowTable(pad=9)
         pair = table.pair_code(("a", "d"))
         table.add(
             "pinned", 1, np.array([1, 2, 3, 4], dtype=np.int64), 3,
@@ -354,7 +332,7 @@ class TestFlowTable:
         table.add_routed(["bare"], 0, _routes(table, [[5]], other))
         assert table.rows == 1
         assert table.record("bare") == ("bare", 0, -1, ("x", "y"), False)
-        assert table.servers_of("bare").tolist() == [5]
+        assert table.servers_of("bare") == (5,)
         assert table.usage(0).tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0]
         assert table.usage(1).tolist() == [0] * 9
 
@@ -375,26 +353,29 @@ class TestFlowTable:
         assert ids == tags == hits == []
 
     def test_servers_of_returns_copy(self):
+        """What comes out is the stored tuple, which no caller can
+        write through to the table."""
         table = FlowTable(pad=5)
         table.add("a", 0, np.array([1, 2], dtype=np.int64))
         view = table.servers_of("a")
-        view[0] = view[1] = 0
-        assert table.servers_of("a").tolist() == [1, 2]
+        with pytest.raises(TypeError):
+            view[0] = 0
+        assert table.servers_of("a") == (1, 2)
 
-    def test_columns_take_the_narrowest_type_that_fits(self):
+    def test_nbytes_counts_each_route_tuple_and_three_slots_a_row(self):
+        """Per route in use its server tuple, and per row, free ones
+        included, its three list slots: servers, pair code and live
+        count."""
         table = FlowTable(pad=70)  # MCI
-        assert table._servers.typecode == "b"
-        assert table._lengths.typecode == table._pairs.typecode == "b"
-        # MCI's 306 ordered pairs take a two-byte pair code.
-        for k in range(306):
-            table.pair_code((k, "d"))
-        assert table._pairs.typecode == "h"
-        # Per route row: 4 servers, the length, the pair and a pointer
-        # to the live count.
-        assert table.nbytes == table.rows * (4 + 1 + 2 + 8)
-        assert FlowTable(pad=127)._servers.itemsize == 1
-        assert FlowTable(pad=128)._servers.itemsize == 2
-        assert FlowTable(pad=40_000)._servers.itemsize == 4
+        slots = 3 * struct.calcsize("P")
+        pair = table.pair_code(("a", "b"))
+        table.configure(pair, (1, 2, 3))
+        table.add("x", 0, (4,), pair=pair)
+        assert table.rows == 2
+        assert table.nbytes == sys.getsizeof((1, 2, 3)) + sys.getsizeof((4,)) + 2 * slots
+        table.pop("x")
+        assert table.rows == 2
+        assert table.nbytes == sys.getsizeof((1, 2, 3)) + 2 * slots
 
     def test_a_flow_is_one_entry_holding_a_shared_value(self):
         """Flows alike in route, class, tag and pin hold one int
@@ -503,12 +484,12 @@ class TestFlowTable:
         ]
         table._live[0] -= 1
         # A route row whose servers differ from its key.
-        table._servers[1 * table._width] = 5
+        held = table._routes[1]
+        table._routes[1] = (5, 4)
         assert table.verify() == [
-            "route row 1 holds servers [5, 4, 9, 9] of pair code 1, not "
-            "its key's"
+            "route row 1 holds servers [5, 4] of pair code 1, not its key's"
         ]
-        table._servers[1 * table._width] = 3
+        table._routes[1] = held
         # A flow on a route that was freed under it.
         table._live[1] = -1
         table._free.append(1)
@@ -520,8 +501,19 @@ class TestFlowTable:
     def test_the_server_matrix_holds_pad(self, pad):
         _servers_round_trip(pad)
 
-    def test_a_longer_route_widens_the_length_column(self):
-        _lengths_round_trip()
+    def test_routes_longer_than_127_hops_round_trip(self):
+        """Through ``add`` and ``add_batch``, and out of
+        ``pop_batch``."""
+        table = FlowTable(pad=300)
+        long = np.arange(200, dtype=np.int64)
+        table.add("seq", 0, long)
+        matrix, lengths = pad_server_matrix([long[:150], long], pad=300)
+        table.add_batch(["b0", "b1"], 0, matrix, lengths)
+        assert table.servers_of("seq") == tuple(range(200))
+        _codes, popped, popped_lengths, _tags = table.pop_batch(["b0", "b1"])
+        assert popped_lengths.tolist() == [150, 200]
+        assert popped[0, :150].tolist() == list(range(150))
+        assert table.verify() == []
 
     def test_class_codes_past_127(
         self, mci, mci_graph, mci_pairs, voice
@@ -530,21 +522,6 @@ class TestFlowTable:
 
     def test_pair_codes_past_32767(self):
         _pair_codes_round_trip()
-
-    @pytest.mark.parametrize("check", ["servers", "lengths", "pairs"])
-    def test_a_table_fixed_to_int8_fails_the_boundaries(
-        self, check, monkeypatch
-    ):
-        monkeypatch.setattr(flowtable, "narrowest", _int8_only)
-        run = {
-            "servers": lambda: _servers_round_trip(128),
-            "lengths": _lengths_round_trip,
-            "pairs": _pair_codes_round_trip,
-        }[check]
-        # array refuses an out-of-range int: the check fails on that,
-        # or on what a narrower column would have kept.
-        with pytest.raises((AssertionError, OverflowError)):
-            run()
 
     def test_a_freed_row_keeps_nothing_alive(self):
         """``pop``, ``pop_batch`` and a refused ``add_batch`` let go of
@@ -747,10 +724,7 @@ class TestLateRealtimeClass:
         assert all(d.admitted for d in controller.admit_batch(flows[1:]))
         # A best-effort row holds its route's servers, and no slot.
         route = controller.route_map[flows[0].pair]
-        assert (
-            controller._flows.servers_of("b0").tolist()
-            == list(controller.graph.route_servers(route))
-        )
+        assert controller._flows.servers_of("b0") == controller.graph.route_servers(route)
         assert not controller.ledger.used_view("voice").any()
         assert controller.established_flows == flows
         assert controller.verify_invariants() == []

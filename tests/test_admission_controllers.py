@@ -182,15 +182,13 @@ class TestUtilizationController:
         assert ctrl.verify_invariants() == []
         # A route row whose servers are not what the ledger counted
         # (and chain into no route), nor its key.
-        width = table._width
-        row = slice(route * width, (route + 1) * width)
-        held = table._servers[row]
-        table._servers[route * width] = table._servers[other_route * width]
+        held = table._routes[route]
+        table._routes[route] = table._routes[other_route][:1] + held[1:]
         problems = ctrl.verify_invariants()
         assert any(p.startswith("ledger mismatch") for p in problems)
         assert any(p.startswith("flow 'kept' holds servers") for p in problems)
         assert any(p.startswith(f"route row {route} ") for p in problems)
-        table._servers[row] = held
+        table._routes[route] = held
         assert ctrl.verify_invariants() == []
         # A route that was given back while a flow still names it.
         table._live[route] = -1

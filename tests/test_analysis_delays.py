@@ -9,6 +9,7 @@ from repro.analysis import (
     uniform_worst_delay,
 )
 from repro.analysis import RouteSystem, theorem3_update
+from repro.analysis.delays import route_system, solve_single_class
 from repro.errors import AnalysisError
 from repro.routing import shortest_path_routes
 from repro.topology import LinkServerGraph, line_network, star_network
@@ -101,8 +102,8 @@ def test_slack_and_violations(line4_graph, voice):
 def test_warm_start_equivalence(line4_graph, voice):
     routes = [["r0", "r1", "r2"], ["r2", "r1", "r0"]]
     cold = single_class_delays(line4_graph, routes, voice, 0.3)
-    warm = single_class_delays(
-        line4_graph, routes, voice, 0.3,
+    warm = solve_single_class(
+        line4_graph, route_system(line4_graph, routes), voice, 0.3,
         warm_start=cold.server_delays * 0.9,
     )
     np.testing.assert_allclose(

@@ -189,9 +189,7 @@ class ReferencePreemptor(Preemptor):
                 continue
             if other.class_name != flow.class_name:
                 continue
-            overlap = saturated.intersection(
-                ctrl._flows.servers_of(other.flow_id).tolist()
-            )
+            overlap = saturated.intersection(ctrl._flows.servers_of(other.flow_id))
             if overlap:
                 candidates.append(
                     (rank, repr(other.flow_id), other.flow_id, overlap)

@@ -420,9 +420,9 @@ def test_a_just_doubled_table_keeps_a_row_not_an_object(
 # --------------------------------------------------------------------- #
 
 #: Ceiling on the bytes of a route-table row a served MCI process
-#: reports (servers, length, pair code and a live-count pointer: 15 B):
-#: 18 B, what a flow row cost when every flow had one.
-MAX_ROW_BYTES = 18
+#: reports: three list slots (24 B) and the tuple of a route of at most
+#: 4 servers, MCI's longest shortest path (72 B); ≈ 82 B measured.
+MAX_ROW_BYTES = 96
 
 
 def _scrape_stats(port):

@@ -281,8 +281,8 @@ def _served_with(backend, tmp_path):
 
 
 def test_a_serve_without_orjson_answers_as_one_with_it(tmp_path):
-    """pyproject does not declare orjson, so a clean install serves
-    through the stdlib branch of the codec seam.  Served in a fresh
+    """pyproject declares orjson, but an install that cannot import it
+    serves through the stdlib branch of the codec seam.  Served in a fresh
     interpreter that cannot import orjson, a v1 admit and release and a
     v2 bulk frame (31 admitted, the rest refused, a release and an
     error) get the replies the default serve gives."""

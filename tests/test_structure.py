@@ -780,6 +780,23 @@ RATCHETS = (
         ),
     ),
     Ratchet(
+        name="A route's servers are one tuple",
+        why=(
+            "The flow table interns each configured or pinned route once, "
+            "as the server tuple LinkServerGraph.route_servers returns; the "
+            "padded narrowest-typecode server matrix, its widening and its "
+            "byte search were sized for per-flow rows, and on the MCI serve "
+            "held 306 routes in 512 rows beside a (pair, bytes) key per "
+            "route, and a slice allocated per admitted or released op."
+        ),
+        pattern=r"narrowest|typecode|tobytes",
+        roots=("src/repro/admission/flowtable.py",),
+        offender=(
+            "src/repro/admission/flowtable.py",
+            "        key = (pair, array(narrowest(self.pad), servers).tobytes())",
+        ),
+    ),
+    Ratchet(
         name="One slot count: granted_slots",
         why=(
             "ledger.granted_slots is the one exact floor of alpha*C/rho; "

@@ -3,7 +3,7 @@
 ``verify_assignment`` runs :func:`repro.analysis.theorem3.\
 theorem3_fixed_point` for one real-time class (every ``serve``
 start-up), and the route searches run
-:func:`repro.analysis.delays.single_class_delays`.  Both must reach the
+:func:`repro.analysis.delays.solve_single_class`.  Both must reach the
 same verdict on the same configuration, or a served alpha could be one
 the searches would refuse.  The two no longer compute alike: the
 searches iterate every server at once, while ``theorem3_fixed_point``
@@ -28,7 +28,7 @@ from operator import sub
 import pytest
 
 from repro.analysis import theorem3
-from repro.analysis.delays import single_class_delays
+from repro.analysis.delays import route_system, single_class_delays, solve_single_class
 from repro.analysis.verification import verify_assignment
 from repro.routing.shortest import shortest_path_routes
 from repro.topology import LinkServerGraph, mci_backbone, nsfnet_backbone
@@ -79,8 +79,8 @@ def mismatches(solve, graph, paths, alpha, warm=None, cls=VOICE):
     """What ``solve`` (a ``theorem3_fixed_point``) reports otherwise
     than the numpy solver: its verdict, and where both converged, its
     delays and route delays past ``AGREE``."""
-    ref = single_class_delays(
-        graph, paths, cls, alpha, warm_start=warm
+    ref = solve_single_class(
+        graph, route_system(graph, paths), cls, alpha, warm_start=warm
     ).fixed_point
     got = solve(graph, paths, cls, alpha, warm_start=warm)
     if _outcome(got) != _outcome(ref):

@@ -7,15 +7,17 @@ over each protocol, the heap one served frame costs, the heap an
 established flow keeps, the most the flow table's id index
 holds at once beyond that, the fixed-point solves, iterations and
 server evaluations of ``serve --governor``'s start-up certification,
-and the numpy solves and iterations of three configuration-time
-searches (``tests/work_counts.py`` counts them).
+the numpy solves, iterations and route-system builds of three
+configuration-time searches, and the calls of one churn frame and of
+one preemption against 500, 2 000 and 6 000 established flows
+(``tests/work_counts.py`` counts them).
 
 The pins in ``tests/data/work_counts.json`` are exact and filed per
 interpreter and numpy minor version.  A count above its pin is a
 regression; a count below it is a gain that must be written down, so it
 fails too until the pin is lowered.  On an interpreter with no pins
-only the calls the audited path adds to the bare one and the cluster's
-ceiling are checked.
+only the calls the audited path adds to the bare one, the cluster's
+ceiling and the churn frame's growth with the flows are checked.
 """
 
 import json
@@ -23,6 +25,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.admission import flowtable
+from repro.analysis.routesystem import RouteSystem
 from repro.analysis.verification import verify_assignment
 from repro.config import maximize, procedures
 from repro.control import ladder as ladder_module
@@ -33,6 +37,7 @@ from repro.service.audit import AuditLog
 from repro.service.server import AdmissionService
 
 from work_counts import (
+    MAX_SCALING_RATIO,
     MIN_CEILING_X,
     audited_extra_calls,
     ceiling_x,
@@ -41,10 +46,12 @@ from work_counts import (
     count_cluster,
     count_index_peak,
     count_lone,
+    count_scaling,
     count_search,
     count_work,
     interpreter_key,
     per_op,
+    scaling_ratio,
 )
 
 PINS = Path(__file__).resolve().parent / "data" / "work_counts.json"
@@ -62,6 +69,8 @@ def test_work_counts_match_their_pins():
     # The router is one process: below this the cluster cannot beat one
     # process on any number of cores (ROADMAP 3(c)).
     assert ceiling_x(counts) >= MIN_CEILING_X, rates
+    # Run-time admission is O(route length), not O(established flows).
+    assert scaling_ratio(counts) <= MAX_SCALING_RATIO, counts
     pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
     if pins is None:
         return
@@ -210,3 +219,51 @@ def test_a_cold_started_bisection_is_caught(monkeypatch):
         assert planted[iterations] > shipped[iterations], name
         if pins is not None:
             assert planted[iterations] > pins[iterations], name
+
+
+def test_a_search_that_recompiles_its_routes_per_probe_is_caught(monkeypatch):
+    """Planted: fixed-route searches that compile their route system
+    again at every probe, as each probe of ``critical_alpha`` and
+    ``max_utilization_shortest_path`` did through
+    ``single_class_delays``.  They probe and solve as before, but build
+    once per solve beside the one build a search makes, past the pin of
+    one build per search."""
+    shipped = count_search()
+    solve = maximize.solve_single_class
+
+    def recompiled(graph, system, *args, **kwargs):
+        starts = system.route_start.tolist()
+        routes = [system.occ_server[a:b] for a, b in zip(starts, starts[1:])]
+        return solve(graph, RouteSystem(routes, system.num_servers), *args, **kwargs)
+
+    monkeypatch.setattr(maximize, "solve_single_class", recompiled)
+    planted = count_search()
+    pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
+    for name in ("critical", "sp"):
+        solves, builds = f"search_{name}_solves", f"search_{name}_builds"
+        assert shipped[builds] == 1, name
+        assert planted[solves] == shipped[solves], name
+        assert planted[builds] == 1 + planted[solves], name
+        if pins is not None:
+            assert planted[builds] > pins[builds], name
+
+
+def test_an_id_lookup_that_walks_the_flows_is_caught(monkeypatch):
+    """Planted: an established-id lookup that walks every flow in
+    Python, as a list of flow records would.  The churn frame's calls
+    per op then grow with the flows, past ``MAX_SCALING_RATIO`` from
+    500 to 6 000, and so do the preemption's."""
+    shipped = count_scaling()
+
+    def walked(self, flow_id):
+        return any(fid == flow_id for fid in self)
+
+    monkeypatch.setattr(flowtable.FlowTable, "__contains__", walked)
+    planted = count_scaling()
+    assert scaling_ratio(shipped) <= MAX_SCALING_RATIO
+    assert scaling_ratio(planted) > MAX_SCALING_RATIO
+    assert planted["preempt_6000_calls"] > planted["preempt_500_calls"]
+    pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
+    if pins is not None:
+        for flows in (500, 2_000, 6_000):
+            assert planted[f"scaling_{flows}_calls"] > pins[f"scaling_{flows}_calls"]

@@ -34,6 +34,19 @@ Five windows, each after a warm-up that fills every cache:
   established (both requests' calls summed per protocol, and their C
   calls beside them: ``lone_v1_c_calls``, ``lone_v2_c_calls``).
 
+``scaling_<N>``: one fixed 200-op frame (pairs of admits, then pairs
+of releases of flows it finds established) against ``N`` = 500, 2 000
+and 6 000 elastic flows on MCI at alpha 0.3, written into the flow table
+with ``add_routed`` and committed to the ledger beside it, after one
+warm-up frame of the same shape.  The paper's run-time test is
+O(route length) whatever the number of established flows (PAPER.md,
+item 2), so the calls per op at 6 000 may exceed those at 500 by
+``MAX_SCALING_RATIO`` at most.  ``preempt_<N>_calls`` is one
+``Preemptor.try_admit`` at each size, after that frame: a hard-RT
+arrival on a route that elastic arrivals have filled, rescued by one
+eviction -- the one path that scans every established flow
+(``FlowTable.holders``).
+
 ``certify`` is not a decision window but the start-up certification of
 ``serve --topology mci --alpha 0.3 --governor`` (``cli._certified_ladder``
 on ``cli._admission_setup``): the fixed-point solves it runs
@@ -44,8 +57,10 @@ spent in cyclic components only) and the servers they evaluate
 ``search`` is not a decision window either but three configuration-time
 searches on MCI's shortest-path routes, each counted in numpy
 fixed-point solves (``search_*_solves``: returns of
-``fixedpoint._solve``) and the iterations they report
-(``search_*_iterations``): ``critical_alpha`` at its default resolution
+``fixedpoint._solve``), the iterations they report
+(``search_*_iterations``) and the route systems they compile
+(``search_*_builds``: calls of ``RouteSystem.__init__``; a fixed-route
+search compiles its routes once): ``critical_alpha`` at its default resolution
 (``critical``), ``max_utilization_shortest_path`` at its default
 resolution (``sp``), and ``maximize_multiclass_scale`` at voice : video
 = 1 : 2, resolution ``1e-3`` (``scale``).  Every probe after the first
@@ -115,6 +130,7 @@ import sys
 import tempfile
 import tracemalloc
 from importlib.metadata import version
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -124,6 +140,7 @@ from repro.admission import SlotShardController, UtilizationAdmissionController
 from repro.admission import flowtable
 from repro.admission.base import AdmissionController
 from repro.analysis import theorem3
+from repro.control.preempt import Preemptor
 from repro.experiments import cli
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.shortest import shortest_path_routes
@@ -139,7 +156,7 @@ from repro.service.router import ClusterRouter
 from repro.service.server import AdmissionService
 from repro.topology import LinkServerGraph, mci_backbone
 from repro.traffic import ClassRegistry, video_class, voice_class
-from repro.traffic.flows import FlowSpec
+from repro.traffic.flows import PRIORITY_TAGS, FlowSpec
 from repro.traffic.generators import all_ordered_pairs
 
 #: Frames decided before a window opens, and frames a window counts.
@@ -169,6 +186,13 @@ INDEX_PEAK_RUN = 8
 #: its end) and the churn frames it serves once that is reached.
 TRACE_ESTABLISHED = 8_000
 TRACE_FRAMES = 48
+
+#: Established flows of the ``scaling`` window, the ops of its frame,
+#: and how much more its calls per op may be at the most flows than at
+#: the fewest.
+SCALING_FLOWS = (500, 2_000, 6_000)
+SCALING_FRAME_OPS = 200
+MAX_SCALING_RATIO = 1.05
 
 #: Worker calls per op over router calls per op, at least: below it the
 #: cluster cannot beat one process on any number of cores.
@@ -558,21 +582,98 @@ def _count_lone() -> Dict[str, int]:
     return out
 
 
+def _filled(established: int):
+    """A controller on MCI at ``BULK_ALPHA`` holding ``established``
+    elastic voice flows, ``fill-<i>`` on pair ``i`` modulo the pairs,
+    written with ``add_routed`` in frames of ``BULK_FRAME_OPS`` and
+    committed to the ledger beside it: no admit is replayed."""
+    controller, pairs = _controller(BULK_ALPHA)
+    table, code = controller._flows, controller._class_code("voice")
+    routes = table.configured_routes(
+        [table.pair_codes[pairs[i % len(pairs)]] for i in range(established)]
+    )
+    for start in range(0, established, BULK_FRAME_OPS):
+        run = routes[start:start + BULK_FRAME_OPS]
+        ids = [f"fill-{i}" for i in range(start, start + len(run))]
+        table.add_routed(ids, code, run, PRIORITY_TAGS["elastic"])
+        controller.ledger.commit_flat(
+            "voice", list(chain.from_iterable(table.route_rows(run))), len(run)
+        )
+    assert controller.verify_invariants() == []
+    return controller, pairs
+
+
+def _scaling_frame(prefix: str, released: int, pairs) -> Entries:
+    """``SCALING_FRAME_OPS`` ops: two admits of ``<prefix>-<k>``, then
+    two releases of ``fill-<released + k>``, over and over."""
+    entries: Entries = []
+    for k in range(0, SCALING_FRAME_OPS // 2, 2):
+        for j in (k, k + 1):
+            src, dst = pairs[j % len(pairs)]
+            entries.append((len(entries), BULK_OP_ADMIT, FlowSpec(f"{prefix}-{j}", "voice", src, dst)))
+        for j in (k, k + 1):
+            entries.append((len(entries), BULK_OP_RELEASE, f"fill-{released + j}"))
+    return entries
+
+
+def _count_scaling() -> Dict[str, int]:
+    """The ``scaling_<N>`` windows and ``preempt_<N>_calls``."""
+    out = {}
+    for established in SCALING_FLOWS:
+        controller, pairs = _filled(established)
+        coalescer = MicroBatchCoalescer(controller, max_delay=0.0)
+        _decide(coalescer, _scaling_frame("warm", SCALING_FRAME_OPS // 2, pairs))
+        counter = _Counter()
+        outcomes = _decide(coalescer, _scaling_frame("scale", 0, pairs), counter)
+        assert all(_took_effect(outcomes)), "the frame must admit and release all it asks"
+        assert controller.num_established == established
+        out[f"scaling_{established}_calls"] = counter.calls
+        src, dst = pairs[0]
+        serial = 0
+        while controller.admit(FlowSpec(f"sat-{serial}", "voice", src, dst, priority="elastic")).admitted:
+            serial += 1
+        hard = FlowSpec("hard", "voice", src, dst, priority="hard_rt")
+        assert not controller.admit(hard).admitted
+        preemptor, counter = Preemptor(controller), _Counter()
+        sys.setprofile(counter)
+        try:
+            outcome = preemptor.try_admit(hard)
+        finally:
+            sys.setprofile(None)
+        assert outcome.admitted and len(outcome.evicted) == 1, outcome
+        out[f"preempt_{established}_calls"] = counter.calls
+    out["scaling_ops"] = SCALING_FRAME_OPS
+    return out
+
+
+def scaling_ratio(counts: Dict[str, int]) -> float:
+    """Calls per op of the ``scaling`` frame at the most established
+    flows over those at the fewest."""
+    return counts[f"scaling_{SCALING_FLOWS[-1]}_calls"] / counts[f"scaling_{SCALING_FLOWS[0]}_calls"]
+
+
 class _Solves:
     """``sys.setprofile`` hook counting the returns of ``solve`` (a
     code object), the iterations they report, and the calls of
-    ``server``, a solver's one-server map."""
+    ``server``, a solver's one-server map, and of ``build``, what
+    compiles the solver's routes."""
 
-    def __init__(self, solve=_SOLVE, server=_SERVER_MAP):
+    def __init__(self, solve=_SOLVE, server=_SERVER_MAP, build=None):
         self.solve = solve
         self.server = server
+        self.build = build
         self.solves = 0
         self.iterations = 0
         self.servers = 0
+        self.builds = 0
 
     def __call__(self, frame, event, arg):
-        if event == "call" and frame.f_code is self.server:
-            self.servers += 1
+        if event == "call":
+            code = frame.f_code
+            if code is self.server:
+                self.servers += 1
+            elif code is self.build:
+                self.builds += 1
         elif event == "return" and frame.f_code is self.solve:
             self.solves += 1
             self.iterations += arg.iterations
@@ -598,10 +699,12 @@ def _count_certify() -> Dict[str, int]:
 
 
 def _count_search() -> Dict[str, int]:
-    """The ``search`` window: the numpy solves and iterations of three
-    searches over MCI's shortest-path routes.  Imported here: the
-    ``frame_heap_bytes`` interpreter must never load numpy."""
+    """The ``search`` window: the numpy solves, iterations and route
+    system builds of three searches over MCI's shortest-path routes.
+    Imported here: the ``frame_heap_bytes`` interpreter must never load
+    numpy."""
     from repro.analysis import fixedpoint
+    from repro.analysis.routesystem import RouteSystem
     from repro.config import (
         critical_alpha,
         max_utilization_shortest_path,
@@ -624,7 +727,7 @@ def _count_search() -> Dict[str, int]:
     }
     out = {}
     for name, search in searches.items():
-        counter = _Solves(fixedpoint._solve.__code__)
+        counter = _Solves(fixedpoint._solve.__code__, build=RouteSystem.__init__.__code__)
         sys.setprofile(counter)
         try:
             search()
@@ -632,6 +735,7 @@ def _count_search() -> Dict[str, int]:
             sys.setprofile(None)
         out[f"search_{name}_solves"] = counter.solves
         out[f"search_{name}_iterations"] = counter.iterations
+        out[f"search_{name}_builds"] = counter.builds
     return out
 
 
@@ -915,6 +1019,7 @@ def count_work() -> Dict[str, int]:
             counts.update(_count_lone())
             counts.update(_count_certify())
             counts.update(_count_search())
+            counts.update(_count_scaling())
         return counts
 
     return {
@@ -950,6 +1055,11 @@ def count_certify() -> Dict[str, int]:
 def count_search() -> Dict[str, int]:
     """The ``search`` window alone."""
     return _quiet(_count_search)
+
+
+def count_scaling() -> Dict[str, int]:
+    """The ``scaling`` windows and ``preempt_<N>_calls`` alone."""
+    return _quiet(_count_scaling)
 
 
 def audited_extra_calls(counts: Dict[str, int]) -> float:
