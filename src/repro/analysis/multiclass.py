@@ -35,7 +35,9 @@ in place of the Theorem 3 map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence
+from typing import (
+    Callable, Dict, Hashable, List, Mapping, Optional, Sequence,
+)
 
 import numpy as np
 
@@ -44,10 +46,12 @@ from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry, TrafficClass
 from .fixedpoint import FixedPointResult, solve_fixed_point
 from .routesystem import RouteSystem
+from .verification import VerificationResult
 
 __all__ = [
     "MultiClassResult", "ClassDelays", "Theorem5Map", "class_alphas",
-    "multi_class_delays", "split_by_class",
+    "multi_class_delays", "multi_class_solver", "multi_class_verifier",
+    "split_by_class",
 ]
 
 
@@ -98,8 +102,6 @@ def multi_class_delays(
     routes_by_class: Mapping[str, Sequence[Sequence[Hashable]]],
     registry: ClassRegistry,
     alphas: Mapping[str, float],
-    *,
-    warm_start: Optional[np.ndarray] = None,
 ) -> MultiClassResult:
     """Configuration-time delay bounds for every real-time class.
 
@@ -111,12 +113,24 @@ def multi_class_delays(
     alphas:
         Bandwidth fraction per real-time class; their sum must not
         exceed 1.
-    warm_start:
-        Optional ``float64[num_classes, num_servers]`` delay matrix known
-        to lie below the least fixed point (classes in priority order).
-        Adding routes only enlarges the monotone update, so the converged
-        matrix of a route subset is a valid warm start — the multi-class
-        route selector relies on this.
+    """
+    return multi_class_solver(graph, routes_by_class, registry)(alphas, None)
+
+
+def multi_class_solver(
+    graph: LinkServerGraph,
+    routes_by_class: Mapping[str, Sequence[Sequence[Hashable]]],
+    registry: ClassRegistry,
+) -> Callable[[Mapping[str, float], Optional[np.ndarray]], MultiClassResult]:
+    """:func:`multi_class_delays` on fixed routes as a function of
+    ``(alphas, warm_start)``: the routes are compiled here, once, and
+    each call only solves them.
+
+    ``warm_start`` is ``None`` or a ``float64[num_classes, num_servers]``
+    delay matrix known to lie below the least fixed point (classes in
+    priority order): the converged matrix at a pointwise lower
+    assignment, or of a route subset (adding routes only enlarges the
+    monotone update).
     """
     rt_classes: List[TrafficClass] = registry.realtime_classes()
     if not rt_classes:
@@ -125,8 +139,6 @@ def multi_class_delays(
         if cls.name not in routes_by_class:
             raise AnalysisError(f"missing routes for class {cls.name!r}")
     fan_in = graph.uniform_fan_in()
-    alpha_vec = class_alphas(rt_classes, alphas, fan_in)
-
     n_classes = len(rt_classes)
     n_servers = graph.num_servers
     # One route system over C*S servers: class i's routes live on servers
@@ -143,31 +155,85 @@ def multi_class_delays(
         n_classes * n_servers,
     )
     counts = [len(routes) for routes in class_routes]
-    deadlines = np.asarray([c.deadline for c in rt_classes])
-    initial = None
-    if warm_start is not None:
-        initial = np.asarray(warm_start, dtype=np.float64)
-        if initial.shape != (n_classes, n_servers):
-            raise AnalysisError(
-                f"warm start has shape {initial.shape}, expected "
-                f"({n_classes}, {n_servers})"
-            )
-        initial = initial.reshape(-1)
+    deadlines = np.repeat([c.deadline for c in rt_classes], counts)
 
-    update = Theorem5Map(
-        system.touched_servers.reshape(n_classes, n_servers),
-        np.asarray([c.burst for c in rt_classes]),
-        np.asarray([c.rate for c in rt_classes]),
-        alpha_vec,
-        fan_in,
-    )
-    result = solve_fixed_point(
-        system,
-        update,
-        initial=initial,
-        deadlines=np.repeat(deadlines, counts),
-    )
-    return split_by_class(result, rt_classes, counts)
+    def solve(
+        alphas: Mapping[str, float], warm_start: Optional[np.ndarray]
+    ) -> MultiClassResult:
+        alpha_vec = class_alphas(rt_classes, alphas, fan_in)
+        initial = None
+        if warm_start is not None:
+            initial = np.asarray(warm_start, dtype=np.float64)
+            if initial.shape != (n_classes, n_servers):
+                raise AnalysisError(
+                    f"warm start has shape {initial.shape}, expected "
+                    f"({n_classes}, {n_servers})"
+                )
+            initial = initial.reshape(-1)
+        update = Theorem5Map(
+            system.touched_servers.reshape(n_classes, n_servers),
+            np.asarray([c.burst for c in rt_classes]),
+            np.asarray([c.rate for c in rt_classes]),
+            alpha_vec,
+            fan_in,
+        )
+        result = solve_fixed_point(
+            system, update, initial=initial, deadlines=deadlines
+        )
+        return split_by_class(result, rt_classes, counts)
+
+    return solve
+
+
+def multi_class_verifier(
+    graph: LinkServerGraph,
+    routes_by_class: Mapping[str, Sequence[Sequence[Hashable]]],
+    registry: ClassRegistry,
+) -> Callable[..., VerificationResult]:
+    """The Figure 2 verdict of several real-time classes on fixed
+    routes: ``verify(alphas, warm_start=None)`` is
+    :func:`~repro.analysis.verification.verify_assignment` of
+    ``routes_by_class``, compiled once (:func:`multi_class_solver`);
+    ``warm_start`` is the per-class ``server_delays`` of an earlier
+    result."""
+    rt_classes = registry.realtime_classes()
+    solve = multi_class_solver(graph, routes_by_class, registry)
+
+    def verify(
+        alphas: Mapping[str, float],
+        *,
+        warm_start: Optional[Mapping[str, Sequence[float]]] = None,
+    ) -> VerificationResult:
+        mc = solve(alphas, None if warm_start is None else np.stack(
+            [warm_start[c.name] for c in rt_classes]
+        ))
+        if mc.diverged:
+            reason = "multi-class delay fixed point diverged"
+        elif mc.deadline_violated or not mc.safe:
+            misses = [
+                n for n, c in mc.per_class.items() if not c.meets_deadline
+            ]
+            reason = (
+                f"classes miss deadlines: {misses}"
+                if misses
+                else "deadline violated during iteration"
+            )
+        elif not mc.converged:
+            reason = "fixed point did not converge within iteration budget"
+        else:
+            reason = ""
+        per_class = mc.per_class.items()
+        return VerificationResult(
+            success=mc.safe,
+            reason=reason,
+            worst_route_delay={n: c.worst_route_delay for n, c in per_class},
+            slack={n: c.slack for n, c in per_class},
+            iterations=mc.iterations,
+            server_delays={n: c.server_delays for n, c in per_class},
+            route_delays={n: c.route_delays for n, c in per_class},
+        )
+
+    return verify
 
 
 def class_alphas(

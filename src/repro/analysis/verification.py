@@ -164,39 +164,8 @@ def verify_assignment(
 
     # More than one real-time class: the paper's scenarios (and every
     # served configuration) have one, so only this branch loads it.
-    import numpy as np
+    from .multiclass import multi_class_verifier
 
-    from .multiclass import multi_class_delays
-
-    mc = multi_class_delays(
-        graph, routes_by_class, registry, alphas,
-        warm_start=None if warm_start is None else np.stack(
-            [warm_start[c.name] for c in rt_classes]
-        ),
-    )
-    worst = {n: c.worst_route_delay for n, c in mc.per_class.items()}
-    slack = {n: c.slack for n, c in mc.per_class.items()}
-    if mc.diverged:
-        reason = "multi-class delay fixed point diverged"
-    elif mc.deadline_violated or not mc.safe:
-        misses = [
-            n for n, c in mc.per_class.items() if not c.meets_deadline
-        ]
-        reason = (
-            f"classes miss deadlines: {misses}"
-            if misses
-            else "deadline violated during iteration"
-        )
-    elif not mc.converged:
-        reason = "fixed point did not converge within iteration budget"
-    else:
-        reason = ""
-    return VerificationResult(
-        success=mc.safe,
-        reason=reason,
-        worst_route_delay=worst,
-        slack=slack,
-        iterations=mc.iterations,
-        server_delays={n: c.server_delays for n, c in mc.per_class.items()},
-        route_delays={n: c.route_delays for n, c in mc.per_class.items()},
+    return multi_class_verifier(graph, routes_by_class, registry)(
+        alphas, warm_start=warm_start
     )

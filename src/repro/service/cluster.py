@@ -33,15 +33,14 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
-import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional
 
 from ..errors import ServiceError
 from ..faults.degraded import BackoffPolicy
 from .client import AsyncServiceClient
-from .http import MetricsEndpoint
+from .conn import Lifecycle, check_lifecycle_config
 from .launch import serve_child
 from .router import ClusterRouter
 from .snapshots import (
@@ -112,18 +111,7 @@ class ClusterConfig:
             )
         if not self.socket_path:
             raise ServiceError("cluster needs a front-door socket path")
-        if (
-            self.snapshot_interval is not None
-            and self.snapshot_path is None
-        ):
-            raise ServiceError("snapshot_interval requires snapshot_path")
-        if (
-            self.snapshot_interval is not None
-            and self.snapshot_interval <= 0
-        ):
-            raise ServiceError("snapshot_interval must be positive")
-        if self.drain_grace < 0:
-            raise ServiceError("drain_grace must be >= 0")
+        check_lifecycle_config(self)
 
 
 @dataclass
@@ -154,13 +142,31 @@ class _Worker:
         return None if self.proc is None else self.proc.pid
 
 
-class ClusterSupervisor:
+async def _ask(
+    worker: _Worker,
+    request: Callable[[AsyncServiceClient], Awaitable[Dict[str, Any]]],
+    retries: int,
+) -> Dict[str, Any]:
+    """One request to ``worker`` over a short-lived direct connection."""
+    client = await AsyncServiceClient.connect_unix(
+        worker.socket_path,
+        backoff=BackoffPolicy(base=0.05, max_retries=retries),
+    )
+    try:
+        return await request(client)
+    finally:
+        await client.close()
+
+
+class ClusterSupervisor(Lifecycle):
     """Run N shard workers plus the front-door router, restart on death.
 
     ``options`` are the operator's own ``serve`` options by parser dest
     (``vars()`` of the parsed namespace); each worker is started from
     them through :func:`worker_options`.  The front-door socket and the
-    manifest path are ``config``'s.
+    manifest path are ``config``'s.  The process's ``counts`` are its
+    front door's: a failed periodic merge counts in the router's
+    ``errors``.
     """
 
     def __init__(self, config: ClusterConfig, options: Mapping[str, Any]):
@@ -183,10 +189,10 @@ class ClusterSupervisor:
             ),
             extra_stats=self._extra_stats,
         )
+        self.counts = self.router.counts
         self.manifest_store: Optional[SnapshotStore] = None
         if config.snapshot_path is not None:
             self.manifest_store = SnapshotStore(config.snapshot_path)
-        self.metrics_endpoint: Optional[MetricsEndpoint] = None
         self.restarts = 0
         #: Death of a worker to its replacement answering ``health``,
         #: for the most recent restart: the window in which that shard's
@@ -194,10 +200,7 @@ class ClusterSupervisor:
         self.last_restart_seconds: Optional[float] = None
         self.merges = 0
         self.restored = 0
-        self._draining = False
-        self._drain_error: Optional[Exception] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._merge_task: Optional["asyncio.Task"] = None
+        self._where = config.socket_path
         self._merge_lock: Optional[asyncio.Lock] = None
 
     # -------------------------------------------------------------- #
@@ -207,7 +210,6 @@ class ClusterSupervisor:
     async def start(self) -> int:
         """Split any manifest, launch every worker, open the front
         door; returns the number of flows restored cluster-wide."""
-        self._stopped = asyncio.Event()
         self._merge_lock = asyncio.Lock()
         self._prepare_worker_snapshots()
         await asyncio.gather(
@@ -220,19 +222,15 @@ class ClusterSupervisor:
             )
         self.restored = await self._count_restored()
         await self.router.start_unix(self.config.socket_path)
-        if self.config.metrics_port is not None:
-            self.metrics_endpoint = MetricsEndpoint(
-                self.router,  # type: ignore[arg-type]
-                host=self.config.metrics_host,
-                port=self.config.metrics_port,
-            )
-            await self.metrics_endpoint.start()
+        await self._open(self.router)
         if (
             self.manifest_store is not None
             and self.config.snapshot_interval is not None
         ):
-            self._merge_task = asyncio.get_running_loop().create_task(
-                self._merge_loop(), name="repro-cluster-merge"
+            self.every(
+                self.config.snapshot_interval,
+                lambda: self._merge_once(trigger_workers=True),
+                "manifest merge",
             )
         logger.info(
             "cluster of %d workers serving on %s (restored %d flows)",
@@ -242,58 +240,14 @@ class ClusterSupervisor:
         )
         return self.restored
 
-    def install_signal_handlers(self) -> None:
-        """Drain gracefully on SIGTERM/SIGINT (no-op where unsupported)."""
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.request_drain)
-            except (NotImplementedError, ValueError, RuntimeError):
-                return
-
-    def request_drain(self) -> None:
-        """Start :meth:`drain` in the background (signal handlers,
-        timers); :meth:`serve_forever` reports how it ended."""
-        task = asyncio.get_running_loop().create_task(self.drain())
-        # serve_forever() re-raises a failed drain; retrieve it here so
-        # the detached task does not also warn at exit.
-        task.add_done_callback(lambda t: t.cancelled() or t.exception())
-
-    async def serve_forever(self) -> None:
-        """Block until :meth:`drain` completes; re-raises its failure
-        (a final manifest that could not be written)."""
-        if self._stopped is None:
-            raise ServiceError("cluster is not started")
-        await self._stopped.wait()
-        if self._drain_error is not None:
-            raise self._drain_error
-
-    async def drain(self) -> None:
-        """Graceful shutdown: front door first, then the workers, then
-        one final manifest merge."""
-        if self._draining:
-            return
-        self._draining = True
-        if self.config.drain_grace > 0:
-            await asyncio.sleep(self.config.drain_grace)
-        if self._merge_task is not None:
-            self._merge_task.cancel()
-            await asyncio.gather(
-                self._merge_task, return_exceptions=True
-            )
-            self._merge_task = None
+    async def _wind_down(self) -> None:
+        """Front door first, then the workers, then one final manifest
+        merge of the shard snapshots they wrote as they drained."""
         await self.router.stop()
-        for worker in self.workers:
-            if worker.monitor is not None:
-                worker.monitor.cancel()
-        await asyncio.gather(
-            *(
-                worker.monitor
-                for worker in self.workers
-                if worker.monitor is not None
-            ),
-            return_exceptions=True,
-        )
+        monitors = [w.monitor for w in self.workers if w.monitor is not None]
+        for monitor in monitors:
+            monitor.cancel()
+        await asyncio.gather(*monitors, return_exceptions=True)
         for worker in self.workers:
             if worker.proc is not None and worker.proc.returncode is None:
                 try:
@@ -308,32 +262,8 @@ class ClusterSupervisor:
             ),
             return_exceptions=True,
         )
-        # Workers wrote final shard snapshots during their drain;
-        # merge them into the authoritative cluster cut.
-        try:
-            if self.manifest_store is not None:
-                await self._merge_once()
-        except Exception as exc:
-            # The front door is closed and the workers are gone:
-            # shutdown must finish (serve_forever() released) or the
-            # supervisor can only be killed.  The failure is not
-            # swallowed.
-            logger.error("final manifest merge failed: %s", exc)
-            self._drain_error = exc
-            raise
-        finally:
-            if self.metrics_endpoint is not None:
-                await self.metrics_endpoint.stop()
-                self.metrics_endpoint = None
-            if self._stopped is not None:
-                self._stopped.set()
-        logger.info(
-            "cluster on %s drained", self.config.socket_path
-        )
-
-    async def stop(self) -> None:
-        """Alias for :meth:`drain` (test/operator convenience)."""
-        await self.drain()
+        if self.manifest_store is not None:
+            await self._merge_once()
 
     # -------------------------------------------------------------- #
     # worker processes
@@ -397,14 +327,7 @@ class ClusterSupervisor:
                     f"(see {worker.log_path})"
                 )
             try:
-                client = await AsyncServiceClient.connect_unix(
-                    worker.socket_path,
-                    backoff=BackoffPolicy(base=0.05, max_retries=0),
-                )
-                try:
-                    return await client.health()
-                finally:
-                    await client.close()
+                return await _ask(worker, AsyncServiceClient.health, 0)
             except (ServiceError, OSError) as exc:
                 last_error = exc
                 await asyncio.sleep(0.05)
@@ -463,31 +386,16 @@ class ClusterSupervisor:
             pass
 
     async def _count_restored(self) -> int:
-        """Sum of flows the workers restored from their snapshots."""
-        stats = await self._worker_stats_direct()
-        return sum(
-            int(s.get("restored", 0)) for s in stats if s is not None
-        )
-
-    async def _worker_stats_direct(
-        self,
-    ) -> List[Optional[Dict[str, Any]]]:
-        """Per-worker stats over short-lived direct connections (used
-        before the router's links are up)."""
-        out: List[Optional[Dict[str, Any]]] = []
+        """Sum of flows the workers restored from their snapshots (asked
+        directly: the router's links are not up yet)."""
+        restored = 0
         for worker in self.workers:
             try:
-                client = await AsyncServiceClient.connect_unix(
-                    worker.socket_path,
-                    backoff=BackoffPolicy(base=0.05, max_retries=2),
-                )
-                try:
-                    out.append(await client.stats())
-                finally:
-                    await client.close()
+                stats = await _ask(worker, AsyncServiceClient.stats, 2)
             except (ServiceError, OSError):
-                out.append(None)
-        return out
+                continue
+            restored += int(stats.get("restored", 0))
+        return restored
 
     def _extra_stats(self) -> Dict[str, Any]:
         """Supervisor contribution to the aggregated ``stats`` op."""
@@ -508,18 +416,6 @@ class ClusterSupervisor:
         """The router's ``snapshot`` op: fresh shard cuts, one merge."""
         path, flows = await self._merge_once(trigger_workers=True)
         return {"path": path, "flows": flows}
-
-    async def _merge_loop(self) -> None:
-        assert self.config.snapshot_interval is not None
-        try:
-            while True:
-                await asyncio.sleep(self.config.snapshot_interval)
-                try:
-                    await self._merge_once(trigger_workers=True)
-                except (ServiceError, OSError) as exc:
-                    logger.error("manifest merge failed: %s", exc)
-        except asyncio.CancelledError:
-            pass
 
     async def _merge_once(
         self, *, trigger_workers: bool = False

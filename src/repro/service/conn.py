@@ -22,6 +22,12 @@ fails whoever was waiting on it.  The fault stays on its own connection.
 entry points, called from inside the read loop before the next frame is
 read, which is what makes one connection's decisions order-identical to
 sequential submission.
+
+**The process lifecycle** around a listener is :class:`Lifecycle`, the
+one start-to-exit of the single server and of the cluster supervisor:
+signal handlers, drain on request, periodic tasks with one failure
+policy, the telemetry endpoint, and a drain skeleton each owner fills
+with its own steps.
 """
 
 from __future__ import annotations
@@ -30,8 +36,11 @@ import asyncio
 import errno
 import logging
 import os
+import signal
 import socket
-from typing import Any, Callable, Coroutine, Dict, Optional, Protocol, Set
+from typing import (
+    Any, Callable, Coroutine, Dict, Optional, Protocol, Set, Tuple,
+)
 
 from ..errors import ProtocolError, ServiceError
 from . import protocol
@@ -41,6 +50,8 @@ __all__ = [
     "Connection",
     "ConnectionLayer",
     "FrameHandler",
+    "Lifecycle",
+    "check_lifecycle_config",
     "claim_unix_path",
     "close_writer",
     "propose_v2",
@@ -217,14 +228,48 @@ class FrameHandler(Protocol):
 
 
 class ConnectionLayer:
-    """Read loops, negotiation and response tasks of one listener."""
+    """Listener, read loops, negotiation and response tasks."""
 
     def __init__(self, handler: FrameHandler, max_frame_bytes: int):
         self.handler = handler
         self.counts = handler.counts
         self.max_frame_bytes = int(max_frame_bytes)
         self.connections: Set[Connection] = set()
+        self.server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set["asyncio.Task"] = set()
+
+    async def listen(
+        self,
+        prepare: Callable[[], Any],
+        path: Optional[str] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ) -> Any:
+        """Bind the Unix socket ``path`` (claimed first, see
+        :func:`claim_unix_path`), else TCP ``host:port``; returns what
+        ``prepare`` returns.  ``prepare`` runs once the path is free and
+        before anything can connect (a server restores its snapshot
+        there)."""
+        if path is not None:
+            claim_unix_path(path)
+        prepared = prepare()
+        if path is not None:
+            self.server = await asyncio.start_unix_server(
+                self.serve, path=path, limit=self.max_frame_bytes
+            )
+        else:
+            self.server = await asyncio.start_server(
+                self.serve, host=host, port=port, limit=self.max_frame_bytes
+            )
+        return prepared
+
+    async def quiesce(self) -> None:
+        """Stop accepting, then :meth:`settle`; the connections stay
+        open (answering ``unavailable``) until :meth:`close`."""
+        if self.server is not None:
+            self.server.close()
+            await self.server.wait_closed()
+        await self.settle()
 
     async def serve(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -438,6 +483,161 @@ class ConnectionLayer:
         task = asyncio.get_running_loop().create_task(work)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+
+
+# ---------------------------------------------------------------------- #
+# process lifecycle
+# ---------------------------------------------------------------------- #
+
+
+def check_lifecycle_config(config: Any) -> None:
+    """Refuse settings :class:`Lifecycle` cannot run: a periodic
+    snapshot with no positive period or no path, a telemetry port off
+    the range, a negative drain grace."""
+    if config.snapshot_interval is not None:
+        if config.snapshot_interval <= 0:
+            raise ServiceError("snapshot_interval must be positive")
+        if config.snapshot_path is None:
+            raise ServiceError("snapshot_interval requires snapshot_path")
+    port = config.metrics_port
+    if port is not None and not 0 <= port <= 65535:
+        raise ServiceError(f"metrics_port must be in [0, 65535], got {port}")
+    if config.drain_grace < 0:
+        raise ServiceError("drain_grace must be >= 0")
+
+
+class Lifecycle:
+    """Start to exit of one served process.
+
+    An owner (``AdmissionService``, ``ClusterSupervisor``) has a
+    ``config`` with ``drain_grace``, ``metrics_host`` and
+    ``metrics_port``, and ``counts`` with an ``errors`` key.  It calls
+    :meth:`_open` once it listens and :meth:`every` for its periodic
+    steps, and writes its own drain steps: :meth:`_wind_down`, up to
+    and including the final cut (which may fail), and :meth:`_let_go`,
+    what must happen even then.
+    """
+
+    config: Any
+    counts: Dict[str, int]
+    metrics_endpoint: Any = None
+    _draining = False
+    _drain_error: Optional[Exception] = None
+    _stopped: Optional[asyncio.Event] = None
+    _periodic: Tuple["asyncio.Task", ...] = ()
+    _where = "?"
+
+    async def _open(self, fronted: Any) -> None:
+        """Mark the process started; open the telemetry endpoint over
+        ``fronted`` (its ``scrape_text`` / ``healthz`` / ``stats``)
+        when ``metrics_port`` is set."""
+        self._stopped = asyncio.Event()
+        if self.config.metrics_port is not None:
+            from .http import MetricsEndpoint
+
+            self.metrics_endpoint = MetricsEndpoint(
+                fronted,
+                host=self.config.metrics_host,
+                port=self.config.metrics_port,
+            )
+            await self.metrics_endpoint.start()
+
+    def every(self, interval: float, step: Callable[[], Any], what: str) -> None:
+        """Run ``step`` (a function or a coroutine function) every
+        ``interval`` seconds until drain.
+
+        The one failure policy: a step that raises is logged at ERROR
+        and counted in ``errors``, and the next tick runs as usual — a
+        periodic crash-safety step never stops without a word.
+        """
+
+        async def tick() -> None:
+            while True:
+                await asyncio.sleep(interval)
+                try:
+                    done = step()
+                    if asyncio.iscoroutine(done):
+                        await done
+                except Exception:
+                    self.counts["errors"] += 1
+                    logger.exception("%s failed", what)
+
+        task = asyncio.get_running_loop().create_task(tick(), name=what)
+        self._periodic += (task,)
+
+    def install_signal_handlers(self) -> None:
+        """Drain gracefully on SIGTERM/SIGINT (no-op where unsupported)."""
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, self.request_drain)
+            except (NotImplementedError, ValueError, RuntimeError):
+                # Non-main thread or platform without signal support
+                # (asyncio wraps the set_wakeup_fd ValueError in a
+                # RuntimeError): callers fall back to stop()/drain().
+                return
+
+    def request_drain(self) -> None:
+        """Start :meth:`drain` in the background (signal handlers,
+        timers); :meth:`serve_forever` reports how it ended."""
+        task = asyncio.get_running_loop().create_task(self.drain())
+        # serve_forever() re-raises a failed drain; retrieve it here so
+        # the detached task does not also warn at exit.
+        task.add_done_callback(lambda t: t.cancelled() or t.exception())
+
+    async def serve_forever(self) -> None:
+        """Block until :meth:`drain` completes; re-raises its failure
+        (a final cut that could not be written)."""
+        if self._stopped is None:
+            raise ServiceError(f"{type(self).__name__} is not started")
+        await self._stopped.wait()
+        if self._drain_error is not None:
+            raise self._drain_error
+
+    async def drain(self) -> None:
+        """Graceful shutdown: flip to draining, hold ``drain_grace``,
+        stop the periodic steps, then the owner's own steps."""
+        if self._draining:
+            return
+        self._draining = True
+        if self.config.drain_grace > 0:
+            # The draining state is already visible (health op and
+            # /healthz answer 503, admission ops get "unavailable");
+            # hold the listeners open so load balancers can observe
+            # the flip before connections start closing.
+            await asyncio.sleep(self.config.drain_grace)
+        for task in self._periodic:
+            task.cancel()
+        await asyncio.gather(*self._periodic, return_exceptions=True)
+        self._periodic = ()
+        try:
+            await self._wind_down()
+        except Exception as exc:
+            # The listeners are already closed: shutdown must finish
+            # (serve_forever() released) or the process can only be
+            # killed.  The failure is not swallowed.
+            logger.error("final cut on %s failed: %s", self._where, exc)
+            self._drain_error = exc
+            raise
+        finally:
+            self._let_go()
+            if self.metrics_endpoint is not None:
+                await self.metrics_endpoint.stop()
+                self.metrics_endpoint = None
+            if self._stopped is not None:
+                self._stopped.set()
+        logger.info("%s on %s drained", type(self).__name__, self._where)
+
+    async def stop(self) -> None:
+        """Alias for :meth:`drain` (test/operator convenience)."""
+        await self.drain()
+
+    async def _wind_down(self) -> None:
+        """The owner's drain steps, up to and including the final cut."""
+        raise NotImplementedError
+
+    def _let_go(self) -> None:
+        """What the owner's drain does even when the final cut fails."""
 
 
 # ---------------------------------------------------------------------- #

@@ -25,6 +25,8 @@ import json
 import logging
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
+from .conn import close_writer
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .server import AdmissionService
 
@@ -118,11 +120,7 @@ class MetricsEndpoint:
         except (ConnectionError, OSError, asyncio.LimitOverrunError):
             pass
         finally:
-            try:
-                if not writer.is_closing():
-                    writer.close()
-            except Exception:  # pragma: no cover - teardown races
-                pass
+            close_writer(writer)
 
     @staticmethod
     async def _call(method: Any) -> Any:

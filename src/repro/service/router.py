@@ -64,7 +64,6 @@ from . import protocol
 from .conn import (
     Connection,
     ConnectionLayer,
-    claim_unix_path,
     close_writer,
     propose_v2,
     read_responses,
@@ -431,10 +430,8 @@ class ClusterRouter:
         self.links = [
             WorkerLink(i, path) for i, path in enumerate(worker_sockets)
         ]
-        self._server: Optional[asyncio.AbstractServer] = None
         self._draining = False
         self._started_at = time.time()
-        self._where = "?"
         self.counts: Dict[str, int] = {
             "requests": 0,
             "errors": 0,
@@ -451,15 +448,7 @@ class ClusterRouter:
 
     async def start_unix(self, path: str) -> None:
         """Connect every worker link and open the front door."""
-        claim_unix_path(path)
-        for link in self.links:
-            link.start()
-        self._server = await asyncio.start_unix_server(
-            self._layer.serve,
-            path=path,
-            limit=self.max_frame_bytes,
-        )
-        self._where = path
+        await self._layer.listen(self._start_links, path=path)
         self._started_at = time.time()
         logger.info(
             "cluster front door on %s routing to %d workers",
@@ -467,20 +456,20 @@ class ClusterRouter:
             len(self.links),
         )
 
+    def _start_links(self) -> None:
+        for link in self.links:
+            link.start()
+
     async def stop(self) -> None:
         """Stop accepting, answer in-flight requests, close links."""
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         # A down link never writes its queue: answer those requests
-        # now, or settle() waits on them for as long as the shard is
+        # now, or quiesce() waits on them for as long as the shard is
         # gone.
         for link in self.links:
             if not link.up:
                 await link.stop()
-        await self._layer.settle()
+        await self._layer.quiesce()
         for link in self.links:
             await link.stop()
         self._layer.close()

@@ -24,7 +24,13 @@ Around that core:
 * **crash-safe periodic snapshots** — the established-flow set (with
   committed routes pinned) is atomically persisted every
   ``snapshot_interval`` seconds, so a restarted server re-admits its
-  flows on their original paths before accepting new traffic.
+  flows on their original paths before accepting new traffic; a failed
+  write is logged and counted, and the next tick writes again.
+
+Listener, signals, drain skeleton and periodic steps are
+:class:`~repro.service.conn.Lifecycle`'s; this class adds its own drain
+steps (stop the coalescer, write the final snapshot, close the audit
+log).
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
-import signal
 import time
 from dataclasses import dataclass
 from typing import (
@@ -72,12 +77,11 @@ from .coalescer import (
     MicroBatchCoalescer,
     _Stamp,
 )
-from .conn import Connection, ConnectionLayer, claim_unix_path
+from .conn import Connection, ConnectionLayer, Lifecycle, check_lifecycle_config
 
 if TYPE_CHECKING:
     from ..control.governor import GovernorSample
     from .audit import AuditLog
-    from .http import MetricsEndpoint
     from .snapshots import SnapshotStore
 
 __all__ = ["ServiceConfig", "AdmissionService"]
@@ -137,27 +141,7 @@ class ServiceConfig:
     worker_index: Optional[int] = None
 
     def __post_init__(self):
-        if (
-            self.snapshot_interval is not None
-            and self.snapshot_interval <= 0
-        ):
-            raise ServiceError("snapshot_interval must be positive")
-        if (
-            self.snapshot_interval is not None
-            and self.snapshot_path is None
-        ):
-            raise ServiceError(
-                "snapshot_interval requires snapshot_path"
-            )
-        if self.metrics_port is not None and not (
-            0 <= self.metrics_port <= 65535
-        ):
-            raise ServiceError(
-                f"metrics_port must be in [0, 65535], "
-                f"got {self.metrics_port}"
-            )
-        if self.drain_grace < 0:
-            raise ServiceError("drain_grace must be >= 0")
+        check_lifecycle_config(self)
         if self.governor_interval <= 0:
             raise ServiceError("governor_interval must be positive")
 
@@ -196,7 +180,7 @@ def _decoded(entry: Tuple[int, Any]) -> Tuple[int, Any]:
     return entry
 
 
-class AdmissionService:
+class AdmissionService(Lifecycle):
     """Serve admission control for one controller over one socket."""
 
     def __init__(
@@ -224,7 +208,6 @@ class AdmissionService:
         #: effective alpha along a pre-certified ladder; ``None`` keeps
         #: behaviour bit-identical to a governor-less build.
         self.governor = governor
-        self._governor_task: Optional["asyncio.Task"] = None
         if preemptor is not None:
             self.coalescer.preemptor = preemptor
         # What a flag turns on is imported here, where the flag is acted
@@ -246,14 +229,7 @@ class AdmissionService:
                 keep=config.audit_keep,
             )
             self.coalescer.audit = self.audit
-        self.metrics_endpoint: Optional[MetricsEndpoint] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._snapshot_task: Optional["asyncio.Task"] = None
         self._snapshot_lock: Optional[asyncio.Lock] = None
-        self._draining = False
-        self._drain_error: Optional[Exception] = None
-        self._where = "?"
         self._started_at = time.time()
         # Lifetime counters surfaced by the ``stats`` op.
         self.counts: Dict[str, int] = {
@@ -272,41 +248,24 @@ class AdmissionService:
         self._layer = ConnectionLayer(self, protocol.MAX_FRAME_BYTES)
 
     # ------------------------------------------------------------------ #
-    # lifecycle
+    # lifecycle (conn.Lifecycle runs it; these are this server's steps)
     # ------------------------------------------------------------------ #
 
     async def start_unix(self, path: str) -> int:
         """Bind a Unix socket; returns the number of restored flows."""
-        claim_unix_path(path)
-        restored = self._restore()
-        self._server = await asyncio.start_unix_server(
-            self._layer.serve,
-            path=path,
-            limit=protocol.MAX_FRAME_BYTES,
-        )
-        self._where = path
-        await self._started()
-        return restored
+        return await self._start(path=path)
 
     async def start_tcp(self, host: str, port: int) -> int:
         """Bind a TCP listener; returns the number of restored flows."""
-        restored = self._restore()
-        self._server = await asyncio.start_server(
-            self._layer.serve,
-            host=host,
-            port=port,
-            limit=protocol.MAX_FRAME_BYTES,
-        )
-        self._where = f"{host}:{self.port}"
-        await self._started()
-        return restored
+        return await self._start(host=host, port=port)
 
     @property
     def port(self) -> Optional[int]:
         """Bound TCP port (None for Unix sockets)."""
-        if self._server is None or not self._server.sockets:
+        server = self._layer.server
+        if server is None or not server.sockets:
             return None
-        name = self._server.sockets[0].getsockname()
+        name = server.sockets[0].getsockname()
         return name[1] if isinstance(name, tuple) else None
 
     def _restore(self) -> int:
@@ -322,9 +281,10 @@ class AdmissionService:
             )
         return restored
 
-    async def _started(self) -> None:
+    async def _start(self, **where: Any) -> int:
+        restored = await self._layer.listen(self._restore, **where)
+        self._where = where.get("path") or f"{where['host']}:{self.port}"
         self._started_at = time.time()
-        self._stopped = asyncio.Event()
         self.coalescer.start()
         if self.audit is not None:
             # Every launch marks what it resumed from, so the audit
@@ -333,113 +293,27 @@ class AdmissionService:
             self.audit.mark_restore(
                 f.flow_id for f in self.controller.established_flows
             )
-        if (
-            self.store is not None
-            and self.config.snapshot_interval is not None
-        ):
-            self._snapshot_task = asyncio.get_running_loop().create_task(
-                self._snapshot_loop(), name="repro-service-snapshots"
-            )
+        if self.config.snapshot_interval is not None:
+            self.every(self.config.snapshot_interval, self.write_snapshot, "periodic snapshot")
         if self.governor is not None:
-            self._governor_task = asyncio.get_running_loop().create_task(
-                self._governor_loop(), name="repro-service-governor"
-            )
-        if self.config.metrics_port is not None:
-            from .http import MetricsEndpoint
-
-            self.metrics_endpoint = MetricsEndpoint(
-                self,
-                host=self.config.metrics_host,
-                port=self.config.metrics_port,
-            )
-            await self.metrics_endpoint.start()
+            self.every(self.config.governor_interval, self.governor_step, "governor step")
+        await self._open(self)
         logger.info("admission service listening on %s", self._where)
+        return restored
 
-    def install_signal_handlers(self) -> None:
-        """Drain gracefully on SIGTERM/SIGINT (no-op where unsupported)."""
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.request_drain)
-            except (NotImplementedError, ValueError, RuntimeError):
-                # Non-main thread or platform without signal support
-                # (asyncio wraps the set_wakeup_fd ValueError in a
-                # RuntimeError): callers fall back to stop()/drain().
-                return
-
-    def request_drain(self) -> None:
-        """Start :meth:`drain` in the background (signal handlers,
-        timers); :meth:`serve_forever` reports how it ended."""
-        task = asyncio.get_running_loop().create_task(self.drain())
-        # serve_forever() re-raises a failed drain; retrieve it here so
-        # the detached task does not also warn at exit.
-        task.add_done_callback(lambda t: t.cancelled() or t.exception())
-
-    async def serve_forever(self) -> None:
-        """Block until :meth:`drain` completes; re-raises its failure
-        (a final snapshot that could not be written)."""
-        if self._stopped is None:
-            raise ServiceError("service is not started")
-        await self._stopped.wait()
-        if self._drain_error is not None:
-            raise self._drain_error
-
-    async def drain(self) -> None:
-        """Graceful shutdown: stop accepting, answer everything
-        in-flight, stop the coalescer, snapshot, close."""
-        if self._draining:
-            return
-        self._draining = True
-        if self.config.drain_grace > 0:
-            # The draining state is already visible (health op and
-            # /healthz answer 503, admission ops get "unavailable");
-            # hold the listeners open so load balancers can observe
-            # the flip before connections start closing.
-            await asyncio.sleep(self.config.drain_grace)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._snapshot_task is not None:
-            self._snapshot_task.cancel()
-            await asyncio.gather(
-                self._snapshot_task, return_exceptions=True
-            )
-            self._snapshot_task = None
-        if self._governor_task is not None:
-            self._governor_task.cancel()
-            await asyncio.gather(
-                self._governor_task, return_exceptions=True
-            )
-            self._governor_task = None
-        await self._layer.settle()
+    async def _wind_down(self) -> None:
+        await self._layer.quiesce()
         await self.coalescer.stop()
-        try:
-            if self.store is not None:
-                await self.write_snapshot()
-        except Exception as exc:
-            # The listeners are already closed: shutdown must finish
-            # (audit fsynced, serve_forever() released) or the process
-            # can only be killed.  The failure is not swallowed.
-            logger.error("final snapshot failed: %s", exc)
-            self._drain_error = exc
-            raise
-        finally:
-            # The exit snapshot (``serve --metrics-out``) holds every
-            # series a scrape would.
-            self.refresh_gauges()
-            if self.audit is not None:
-                self.audit.close()
-            if self.metrics_endpoint is not None:
-                await self.metrics_endpoint.stop()
-                self.metrics_endpoint = None
-            self._layer.close()
-            if self._stopped is not None:
-                self._stopped.set()
-        logger.info("admission service on %s drained", self._where)
+        if self.store is not None:
+            await self.write_snapshot()
 
-    async def stop(self) -> None:
-        """Alias for :meth:`drain` (test/operator convenience)."""
-        await self.drain()
+    def _let_go(self) -> None:
+        # The exit snapshot (``serve --metrics-out``) holds every
+        # series a scrape would.
+        self.refresh_gauges()
+        if self.audit is not None:
+            self.audit.close()
+        self._layer.close()
 
     # ------------------------------------------------------------------ #
     # snapshots
@@ -449,7 +323,7 @@ class AdmissionService:
         """Persist the current state; returns the number of flows in
         the cut written.
 
-        The one snapshot writer: the periodic loop, the ``snapshot`` op
+        The one snapshot writer: the periodic step, the ``snapshot`` op
         and drain all come here, one write at a time, so two writes
         never share ``<path>.tmp`` and a caller that returns knows the
         file holds its cut or a newer one.  The cut is taken
@@ -480,7 +354,7 @@ class AdmissionService:
             try:
                 await asyncio.shield(write)
             except asyncio.CancelledError:
-                # Drain cancels the periodic loop: the lock is held
+                # Drain cancels the periodic step: the lock is held
                 # until the file is written, or the next write would
                 # start on the same tmp file.
                 await write
@@ -502,12 +376,6 @@ class AdmissionService:
         return protocol.ok_response(
             rid, {"path": self.store.path, "flows": flows}
         )
-
-    async def _snapshot_loop(self) -> None:
-        assert self.config.snapshot_interval is not None
-        while True:
-            await asyncio.sleep(self.config.snapshot_interval)
-            await self.write_snapshot()
 
     # ------------------------------------------------------------------ #
     # adaptive overload control (alpha governor)
@@ -551,15 +419,6 @@ class AdmissionService:
             "governor moved to rung %d (alpha=%.4f)", governor.rung, governor.effective_alpha
         )
         return alphas
-
-    async def _governor_loop(self) -> None:
-        interval = self.config.governor_interval
-        try:
-            while True:
-                await asyncio.sleep(interval)
-                self.governor_step()
-        except asyncio.CancelledError:
-            pass
 
     # ------------------------------------------------------------------ #
     # refusal

@@ -59,16 +59,13 @@ async def start_layer(tmp_path, max_frame_bytes=protocol.MAX_FRAME_BYTES):
     handler = RecordingHandler()
     layer = ConnectionLayer(handler, max_frame_bytes)
     sock = str(tmp_path / "conn.sock")
-    server = await asyncio.start_unix_server(
-        layer.serve, path=sock, limit=max_frame_bytes
-    )
-    return handler, layer, server, sock
+    await layer.listen(lambda: None, path=sock)
+    return handler, layer, layer.server, sock
 
 
 async def stop_layer(layer, server):
-    server.close()
-    await server.wait_closed()
-    await layer.settle()
+    await layer.quiesce()
+    assert not server.is_serving()
     layer.close()
 
 

@@ -9,9 +9,11 @@ snapshot/restore over the wire.
 
 import asyncio
 import dataclasses
+import errno
 import gc
 import inspect
 import json
+import logging
 import os
 import threading
 
@@ -823,7 +825,7 @@ class TestLifecycleAndSnapshots:
             }
             await client.close()
             # Crash, not drain: just abandon the process state.
-            service._server.close()
+            service._layer.server.close()
             return routes
 
         async def second_life(routes):
@@ -865,6 +867,91 @@ class TestLifecycleAndSnapshots:
         asyncio.run(scenario())
         data = json.load(open(snap))
         assert [f["flow_id"] for f in data["flows"]] == ["f1"]
+
+    def test_a_failed_periodic_snapshot_does_not_stop_the_next(
+        self, tmp_path, caplog
+    ):
+        # One full disk used to end the periodic snapshots for good:
+        # no ERROR record, no error counted, and the drain's gather
+        # swallowed the exception, so the crash-safe cut silently aged.
+        snap = str(tmp_path / "snap.json")
+
+        async def scenario():
+            service, _sock = await start_service(
+                tmp_path, snapshot_path=snap, snapshot_interval=0.05
+            )
+            store, write = service.store, service.store.write
+            failed = []
+
+            def full_once(snapshot):
+                if not failed:
+                    failed.append(snapshot)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                write(snapshot)
+
+            store.write = full_once
+            for _ in range(250):
+                if failed and store.writes >= 2:
+                    break
+                await asyncio.sleep(0.02)
+            periodic = store.writes
+            await service.drain()
+            return service, failed, periodic
+
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            service, failed, periodic = asyncio.run(scenario())
+        assert len(failed) == 1
+        assert periodic >= 2  # written after the failed one
+        assert service.counts["errors"] == 1
+        assert service.counts["snapshots"] == service.store.writes
+        errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert ["periodic snapshot failed"] == [
+            r.getMessage() for r in errors
+        ]
+        assert "No space left" in errors[0].exc_text
+
+    def test_a_failed_governor_step_does_not_stop_the_next(
+        self, tmp_path, caplog
+    ):
+        # The governor step rides the same periodic runner as the
+        # snapshots, under the same failure policy.
+        class FlakyGovernor:
+            at_top, rung, effective_alpha = True, 0, 0.3
+
+            def __init__(self):
+                self.samples = 0
+
+            def observe(self, sample):
+                self.samples += 1
+                if self.samples == 1:
+                    raise RuntimeError("planted governor fault")
+                return None
+
+        governor = FlakyGovernor()
+
+        async def scenario():
+            service = AdmissionService(
+                make_controller(),
+                ServiceConfig(governor_interval=0.01),
+                governor=governor,
+            )
+            await service.start_unix(str(tmp_path / "g.sock"))
+            for _ in range(250):
+                if governor.samples >= 3:
+                    break
+                await asyncio.sleep(0.01)
+            await service.drain()
+            return service
+
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            service = asyncio.run(scenario())
+        assert governor.samples >= 3
+        assert service.counts["errors"] == 1
+        assert service.counts["governor_moves"] == 0
+        assert [
+            r.getMessage() for r in caplog.records
+            if r.levelno == logging.ERROR
+        ] == ["governor step failed"]
 
     def test_one_snapshot_writer_at_a_time(self, tmp_path):
         # A worker of a cluster with --snapshot-interval writes on its

@@ -108,6 +108,37 @@ RATCHETS = (
         ),
     ),
     Ratchet(
+        name="One lifecycle: one signal installer",
+        why=(
+            "SIGTERM/SIGINT, request_drain, serve_forever and the drain "
+            "skeleton are conn.Lifecycle's; a second add_signal_handler "
+            "is the copy in server.py and cluster.py coming back, whose "
+            "periodic snapshot loop had drifted into dying silently."
+        ),
+        pattern=r"add_signal_handler",
+        roots=("src/repro/service",),
+        offender=(
+            "src/repro/service/cluster.py",
+            "                loop.add_signal_handler(sig, self.request_drain)",
+        ),
+        allowed=(r"^src/repro/service/conn\.py:",),
+    ),
+    Ratchet(
+        name="One lifecycle: one listener bind",
+        why=(
+            "ConnectionLayer.listen claims the path and binds with the "
+            "layer's frame limit for the server and the router alike; a "
+            "second start_unix_server is a listener that skips one."
+        ),
+        pattern=r"start_unix_server",
+        roots=("src/repro/service",),
+        offender=(
+            "src/repro/service/router.py",
+            "        self._server = await asyncio.start_unix_server(",
+        ),
+        allowed=(r"^src/repro/service/conn\.py:",),
+    ),
+    Ratchet(
         name="One decision core: one admit kernel call site",
         why=(
             "MicroBatchCoalescer._decide is the only caller of the "
@@ -1409,9 +1440,10 @@ class Callers:
                 self._class(path, module, stmt, owner, f"{qualname}.{stmt.name}")
             else:
                 self._collect(stmt, methods.get(id(stmt), owner), node.name, attrs)
-        # A class decorator is called on the class: a use its owner makes.
-        for decorator in node.decorator_list:
-            self._collect(decorator, owner, None)
+        # A class decorator is called on the class, and a base class is
+        # what its methods run on: uses its owner makes.
+        for expr in node.decorator_list + node.bases:
+            self._collect(expr, owner, None)
 
     def _stdlib_defines(self, path, cls, name, seen=()) -> bool:
         """Whether a base of ``cls`` outside ``src/`` defines ``name``."""
@@ -1759,6 +1791,23 @@ def test_a_bench_tier1_does_not_run_keeps_nothing_alive(tmp_path):
     assert [line.rsplit(": ", 1)[1] for line in found] == ["planted_table"]
     (tmp_path / PAPER_BENCHES[-1]).write_text(call)
     assert not Callers(caller_sources(tmp_path)).report({})["names"]
+
+
+def test_a_base_class_lives_with_its_subclasses(tmp_path):
+    # A base is what a live subclass's inherited methods run on; the
+    # base of a dead class is dead with it.
+    (tmp_path / "src/repro").mkdir(parents=True)
+    (tmp_path / "src/repro/planted.py").write_text(
+        "class PlantedBase:\n    def run(self):\n        return 1\n"
+        "class PlantedLive(PlantedBase):\n    pass\n"
+        "class PlantedDeadBase:\n    pass\n"
+        "class PlantedDead(PlantedDeadBase):\n    pass\n"
+        "def main():\n    return PlantedLive().run()\n"
+    )
+    found = Callers(caller_sources(tmp_path), ["main"]).report({})["names"]
+    assert {line.rsplit(": ", 1)[1] for line in found} == {
+        "PlantedDeadBase", "PlantedDead",
+    }
 
 
 ROWS = pytest.mark.parametrize("kind", sorted(ALLOWANCES))

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.admission import flowtable
+from repro.analysis import multiclass
 from repro.analysis.routesystem import RouteSystem
 from repro.analysis.verification import verify_assignment
 from repro.config import maximize, procedures
@@ -225,21 +226,27 @@ def test_a_search_that_recompiles_its_routes_per_probe_is_caught(monkeypatch):
     """Planted: fixed-route searches that compile their route system
     again at every probe, as each probe of ``critical_alpha`` and
     ``max_utilization_shortest_path`` did through
-    ``single_class_delays``.  They probe and solve as before, but build
-    once per solve beside the one build a search makes, past the pin of
-    one build per search."""
+    ``single_class_delays``, and each of ``maximize_multiclass_scale``
+    through ``verify_assignment``.  They probe and solve as before, but
+    build once per solve beside the one build a search makes, past the
+    pin of one build per search."""
     shipped = count_search()
-    solve = maximize.solve_single_class
+    solve, solver = maximize.solve_single_class, multiclass.multi_class_solver
 
     def recompiled(graph, system, *args, **kwargs):
         starts = system.route_start.tolist()
         routes = [system.occ_server[a:b] for a, b in zip(starts, starts[1:])]
         return solve(graph, RouteSystem(routes, system.num_servers), *args, **kwargs)
 
+    def recompiled_mc(*compile_args):
+        solver(*compile_args)  # the search's own build
+        return lambda *args: solver(*compile_args)(*args)
+
     monkeypatch.setattr(maximize, "solve_single_class", recompiled)
+    monkeypatch.setattr(multiclass, "multi_class_solver", recompiled_mc)
     planted = count_search()
     pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
-    for name in ("critical", "sp"):
+    for name in ("critical", "sp", "scale"):
         solves, builds = f"search_{name}_solves", f"search_{name}_builds"
         assert shipped[builds] == 1, name
         assert planted[solves] == shipped[solves], name
