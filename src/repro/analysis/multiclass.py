@@ -46,12 +46,10 @@ from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry, TrafficClass
 from .fixedpoint import FixedPointResult, solve_fixed_point
 from .routesystem import RouteSystem
-from .verification import VerificationResult
 
 __all__ = [
     "MultiClassResult", "ClassDelays", "Theorem5Map", "class_alphas",
-    "multi_class_delays", "multi_class_solver", "multi_class_verifier",
-    "split_by_class",
+    "multi_class_delays", "multi_class_solver", "split_by_class",
 ]
 
 
@@ -183,57 +181,6 @@ def multi_class_solver(
         return split_by_class(result, rt_classes, counts)
 
     return solve
-
-
-def multi_class_verifier(
-    graph: LinkServerGraph,
-    routes_by_class: Mapping[str, Sequence[Sequence[Hashable]]],
-    registry: ClassRegistry,
-) -> Callable[..., VerificationResult]:
-    """The Figure 2 verdict of several real-time classes on fixed
-    routes: ``verify(alphas, warm_start=None)`` is
-    :func:`~repro.analysis.verification.verify_assignment` of
-    ``routes_by_class``, compiled once (:func:`multi_class_solver`);
-    ``warm_start`` is the per-class ``server_delays`` of an earlier
-    result."""
-    rt_classes = registry.realtime_classes()
-    solve = multi_class_solver(graph, routes_by_class, registry)
-
-    def verify(
-        alphas: Mapping[str, float],
-        *,
-        warm_start: Optional[Mapping[str, Sequence[float]]] = None,
-    ) -> VerificationResult:
-        mc = solve(alphas, None if warm_start is None else np.stack(
-            [warm_start[c.name] for c in rt_classes]
-        ))
-        if mc.diverged:
-            reason = "multi-class delay fixed point diverged"
-        elif mc.deadline_violated or not mc.safe:
-            misses = [
-                n for n, c in mc.per_class.items() if not c.meets_deadline
-            ]
-            reason = (
-                f"classes miss deadlines: {misses}"
-                if misses
-                else "deadline violated during iteration"
-            )
-        elif not mc.converged:
-            reason = "fixed point did not converge within iteration budget"
-        else:
-            reason = ""
-        per_class = mc.per_class.items()
-        return VerificationResult(
-            success=mc.safe,
-            reason=reason,
-            worst_route_delay={n: c.worst_route_delay for n, c in per_class},
-            slack={n: c.slack for n, c in per_class},
-            iterations=mc.iterations,
-            server_delays={n: c.server_delays for n, c in per_class},
-            route_delays={n: c.route_delays for n, c in per_class},
-        )
-
-    return verify
 
 
 def class_alphas(

@@ -16,7 +16,7 @@ configuration never loads numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
 from ..topology.network import Network
@@ -24,7 +24,7 @@ from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry, TrafficClass
 from .theorem3 import theorem3_fixed_point
 
-__all__ = ["VerificationResult", "verify_assignment"]
+__all__ = ["VerificationResult", "assignment_verifier", "verify_assignment"]
 
 RoutesInput = Union[
     Sequence[Sequence[Hashable]],
@@ -85,8 +85,6 @@ def verify_assignment(
     routes: RoutesInput,
     registry: ClassRegistry,
     alphas: Mapping[str, float],
-    *,
-    warm_start: Optional[Mapping[str, Sequence[float]]] = None,
 ) -> VerificationResult:
     """Run the Figure 2 verification procedure.
 
@@ -101,10 +99,6 @@ def verify_assignment(
         Traffic classes; at least one must be real-time.
     alphas:
         Per-class utilization assignment for every real-time class.
-    warm_start:
-        The ``server_delays`` of an earlier result on the same routes at
-        a pointwise lower assignment: its least fixed point lies below
-        this one's, so the iteration may start there.
 
     Returns
     -------
@@ -112,6 +106,20 @@ def verify_assignment(
         With ``success=True`` iff every class's worst-case end-to-end
         delay bound is within its deadline for every route.
     """
+    return assignment_verifier(network, routes, registry)(alphas)
+
+
+def assignment_verifier(
+    network: Union[Network, LinkServerGraph],
+    routes: RoutesInput,
+    registry: ClassRegistry,
+) -> Callable[..., VerificationResult]:
+    """:func:`verify_assignment` on fixed routes, as a function
+    ``verify(alphas, *, warm_start=None)``: the routes are compiled
+    here, once, for every assignment it verifies.  ``warm_start`` is
+    the ``server_delays`` of an earlier result at a pointwise lower
+    assignment: its least fixed point lies below this one's, so the
+    iteration may start there."""
     graph = (
         network
         if isinstance(network, LinkServerGraph)
@@ -120,52 +128,77 @@ def verify_assignment(
     rt_classes = registry.realtime_classes()
     if not rt_classes:
         raise ConfigurationError("registry has no real-time class to verify")
-    for cls in rt_classes:
-        if cls.name not in alphas:
-            raise ConfigurationError(f"missing alpha for class {cls.name!r}")
-        a = float(alphas[cls.name])
-        if not (0.0 < a <= 1.0):
-            raise ConfigurationError(
-                f"alpha for class {cls.name!r} must be in (0, 1], got {a}"
-            )
     routes_by_class = _normalize_routes(routes, rt_classes)
+    solve = None
+    if len(rt_classes) > 1:
+        # The paper's scenarios (and every served configuration) have
+        # one real-time class, so only several load numpy.
+        from .multiclass import multi_class_solver
 
-    if len(rt_classes) == 1:
-        cls = rt_classes[0]
-        fp = theorem3_fixed_point(
-            graph, routes_by_class[cls.name], cls, float(alphas[cls.name]),
-            warm_start=None if warm_start is None else warm_start[cls.name],
-        )
-        worst = max(fp.route_delays) if fp.route_delays else 0.0
-        if fp.diverged:
+        solve = multi_class_solver(graph, routes_by_class, registry)
+
+    def verify(
+        alphas: Mapping[str, float],
+        *,
+        warm_start: Optional[Mapping[str, Sequence[float]]] = None,
+    ) -> VerificationResult:
+        for cls in rt_classes:
+            if cls.name not in alphas:
+                raise ConfigurationError(f"missing alpha for class {cls.name!r}")
+            a = float(alphas[cls.name])
+            if not (0.0 < a <= 1.0):
+                raise ConfigurationError(
+                    f"alpha for class {cls.name!r} must be in (0, 1], got {a}"
+                )
+        if solve is None:
+            (cls,) = rt_classes
+            done = theorem3_fixed_point(
+                graph, routes_by_class[cls.name], cls, float(alphas[cls.name]),
+                warm_start=None if warm_start is None else warm_start[cls.name],
+            )
+            worst = max(done.route_delays) if done.route_delays else 0.0
+            per_class = {cls.name: (worst, done.delays, done.route_delays)}
+        else:
+            done = solve(alphas, None if warm_start is None else [
+                warm_start[c.name] for c in rt_classes
+            ])
+            per_class = {
+                n: (c.worst_route_delay, c.server_delays, c.route_delays)
+                for n, c in done.per_class.items()
+            }
+        # One class's verdict names its worst bound; several classes'
+        # name the classes that miss their deadlines.
+        misses = [c.name for c in rt_classes if per_class[c.name][0] > c.deadline]
+        if done.diverged and solve is None:
             reason = (
                 f"delay fixed point diverged for class {cls.name!r}: "
                 "utilization too high for this route set"
             )
-        elif fp.deadline_violated:
+        elif done.diverged:
+            reason = "multi-class delay fixed point diverged"
+        elif solve is not None and not done.safe:
+            reason = (
+                f"classes miss deadlines: {misses}"
+                if misses
+                else "deadline violated during iteration"
+            )
+        elif done.deadline_violated:
             reason = (
                 f"class {cls.name!r} misses its deadline: worst route "
-                f"bound {worst * 1e3:.2f} ms "
-                f"> {cls.deadline * 1e3:.2f} ms"
+                f"bound {worst * 1e3:.2f} ms > {cls.deadline * 1e3:.2f} ms"
             )
-        elif not fp.converged:
+        elif not done.converged:
             reason = "fixed point did not converge within iteration budget"
         else:
             reason = ""
         return VerificationResult(
-            success=fp.safe,
+            success=done.safe,
             reason=reason,
-            worst_route_delay={cls.name: worst},
-            slack={cls.name: cls.deadline - worst},
-            iterations=fp.iterations,
-            server_delays={cls.name: fp.delays},
-            route_delays={cls.name: fp.route_delays},
+            worst_route_delay={n: p[0] for n, p in per_class.items()},
+            slack={c.name: c.deadline - per_class[c.name][0] for c in rt_classes},
+            iterations=done.iterations,
+            server_delays={n: p[1] for n, p in per_class.items()},
+            route_delays={n: p[2] for n, p in per_class.items()},
         )
 
-    # More than one real-time class: the paper's scenarios (and every
-    # served configuration) have one, so only this branch loads it.
-    from .multiclass import multi_class_verifier
-
-    return multi_class_verifier(graph, routes_by_class, registry)(
-        alphas, warm_start=warm_start
-    )
+    return verify

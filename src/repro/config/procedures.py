@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple,
+    Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple,
 )
 
-from ..analysis.verification import VerificationResult, verify_assignment
+from ..analysis.verification import (
+    VerificationResult, assignment_verifier, verify_assignment,
+)
 from ..errors import ConfigurationError
 from ..topology.network import Network
-from ..topology.servergraph import LinkServerGraph
 from ..traffic.classes import ClassRegistry
 from .maximize import bisect_alpha
 
@@ -81,28 +82,16 @@ def maximize_multiclass_scale(
             raise ConfigurationError(
                 f"positive weight required for class {cls.name!r}"
             )
-        if cls.name not in routes:
-            raise ConfigurationError(f"no routes given for class {cls.name!r}")
     w = {c.name: float(weights[c.name]) for c in rt}
     w_sum = sum(w.values())
     w_max = max(w.values())
     cap = min(1.0 / w_sum, 1.0 / w_max)
     high = cap if scale_high is None else min(float(scale_high), cap)
 
-    graph = LinkServerGraph(network)
-    compiled: Optional[Callable[..., VerificationResult]] = None
-    if len(rt) > 1:
-        # Several classes: the fixed routes compile once, for every probe.
-        from ..analysis.multiclass import multi_class_verifier
-
-        compiled = multi_class_verifier(graph, routes, registry)
+    verify = assignment_verifier(network, routes, registry)
 
     def check(t: float, warm) -> Optional[Tuple[VerificationResult, Any]]:
-        alphas = {name: t * wi for name, wi in w.items()}
-        if compiled is None:
-            result = verify_assignment(graph, routes, registry, alphas, warm_start=warm)
-        else:
-            result = compiled(alphas, warm_start=warm)
+        result = verify({n: t * wi for n, wi in w.items()}, warm_start=warm)
         return (result, result.server_delays) if result.success else None
 
     # Probe the top first: everything may already fit.

@@ -240,20 +240,14 @@ class ConnectionLayer:
 
     async def listen(
         self,
-        prepare: Callable[[], Any],
         path: Optional[str] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-    ) -> Any:
+    ) -> None:
         """Bind the Unix socket ``path`` (claimed first, see
-        :func:`claim_unix_path`), else TCP ``host:port``; returns what
-        ``prepare`` returns.  ``prepare`` runs once the path is free and
-        before anything can connect (a server restores its snapshot
-        there)."""
+        :func:`claim_unix_path`), else TCP ``host:port``."""
         if path is not None:
             claim_unix_path(path)
-        prepared = prepare()
-        if path is not None:
             self.server = await asyncio.start_unix_server(
                 self.serve, path=path, limit=self.max_frame_bytes
             )
@@ -261,7 +255,6 @@ class ConnectionLayer:
             self.server = await asyncio.start_server(
                 self.serve, host=host, port=port, limit=self.max_frame_bytes
             )
-        return prepared
 
     async def quiesce(self) -> None:
         """Stop accepting, then :meth:`settle`; the connections stay
@@ -548,11 +541,14 @@ class Lifecycle:
 
         The one failure policy: a step that raises is logged at ERROR
         and counted in ``errors``, and the next tick runs as usual — a
-        periodic crash-safety step never stops without a word.
+        periodic crash-safety step never stops without a word.  Once
+        drain has begun there is no next tick: a step that finishes
+        after drain cancelled it (a snapshot write holds its file until
+        written) ends the runner even if it fails.
         """
 
         async def tick() -> None:
-            while True:
+            while not self._draining:
                 await asyncio.sleep(interval)
                 try:
                     done = step()

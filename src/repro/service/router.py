@@ -448,17 +448,15 @@ class ClusterRouter:
 
     async def start_unix(self, path: str) -> None:
         """Connect every worker link and open the front door."""
-        await self._layer.listen(self._start_links, path=path)
+        for link in self.links:
+            link.start()
+        await self._layer.listen(path=path)
         self._started_at = time.time()
         logger.info(
             "cluster front door on %s routing to %d workers",
             path,
             len(self.links),
         )
-
-    def _start_links(self) -> None:
-        for link in self.links:
-            link.start()
 
     async def stop(self) -> None:
         """Stop accepting, answer in-flight requests, close links."""

@@ -282,7 +282,8 @@ class AdmissionService(Lifecycle):
         return restored
 
     async def _start(self, **where: Any) -> int:
-        restored = await self._layer.listen(self._restore, **where)
+        restored = self._restore()
+        await self._layer.listen(**where)
         self._where = where.get("path") or f"{where['host']}:{self.port}"
         self._started_at = time.time()
         self.coalescer.start()

@@ -59,7 +59,7 @@ async def start_layer(tmp_path, max_frame_bytes=protocol.MAX_FRAME_BYTES):
     handler = RecordingHandler()
     layer = ConnectionLayer(handler, max_frame_bytes)
     sock = str(tmp_path / "conn.sock")
-    await layer.listen(lambda: None, path=sock)
+    await layer.listen(path=sock)
     return handler, layer, layer.server, sock
 
 

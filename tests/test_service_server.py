@@ -910,6 +910,49 @@ class TestLifecycleAndSnapshots:
         ]
         assert "No space left" in errors[0].exc_text
 
+    def test_a_periodic_snapshot_failing_under_drain_lets_drain_finish(
+        self, tmp_path, caplog
+    ):
+        # Drain cancels the periodic step mid-write; the write holds its
+        # file until done and then fails, so the OSError arrives in
+        # place of the cancellation.  Counted as one more failed tick,
+        # it would send the runner back to sleep with the cancel spent,
+        # and drain would wait on it for good.
+        snap = str(tmp_path / "snap.json")
+
+        async def scenario():
+            service, _sock = await start_service(
+                tmp_path, snapshot_path=snap, snapshot_interval=0.05
+            )
+            store, write = service.store, service.store.write
+            entered, released = threading.Event(), threading.Event()
+
+            def full_under_drain(snapshot):
+                if entered.is_set():
+                    return write(snapshot)  # the drain's final cut
+                entered.set()
+                released.wait(5)
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            store.write = full_under_drain
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, entered.wait, 5)
+            drain = asyncio.ensure_future(service.drain())
+            await asyncio.sleep(0.05)  # drain has cancelled the step
+            released.set()
+            await asyncio.wait_for(drain, 2)
+            return service
+
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            service = asyncio.run(scenario())
+        assert service.counts["errors"] == 1
+        assert service.store.writes == service.counts["snapshots"] == 1
+        assert json.load(open(snap))["flows"] == []
+        assert ["periodic snapshot failed"] == [
+            r.getMessage() for r in caplog.records
+            if r.levelno == logging.ERROR
+        ]
+
     def test_a_failed_governor_step_does_not_stop_the_next(
         self, tmp_path, caplog
     ):
