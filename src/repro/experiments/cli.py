@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import logging
 import os
 import sys
 from typing import List, Optional
@@ -762,6 +763,13 @@ def _run_serve(args: argparse.Namespace) -> int:
     except (ReproError, ValueError) as exc:
         print(f"FAILURE: {exc}")
         return 2
+    # While it serves, what the service logs at WARNING and above (a
+    # failed periodic step or final cut, a dead worker) reaches stderr;
+    # the library's loggers are silent everywhere else.
+    stderr = logging.StreamHandler(sys.stderr)
+    stderr.setLevel(logging.WARNING)
+    stderr.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logging.getLogger("repro").addHandler(stderr)
     try:
         asyncio.run(_serve())
         return 0
@@ -769,6 +777,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         # Start-up (bind, restore, spawn) and drain failures alike.
         print(f"FAILURE: {exc}")
         return 1
+    finally:
+        logging.getLogger("repro").removeHandler(stderr)
 
 
 def _certified_ladder(args: argparse.Namespace, setup):

@@ -164,9 +164,9 @@ class ClusterSupervisor(Lifecycle):
     ``options`` are the operator's own ``serve`` options by parser dest
     (``vars()`` of the parsed namespace); each worker is started from
     them through :func:`worker_options`.  The front-door socket and the
-    manifest path are ``config``'s.  The process's ``counts`` are its
-    front door's: a failed periodic merge counts in the router's
-    ``errors``.
+    manifest path are ``config``'s.  The process's layer and ``counts``
+    are its front door's: SIGTERM flips the router's drain flag, and a
+    failed periodic merge counts in the router's ``errors``.
     """
 
     def __init__(self, config: ClusterConfig, options: Mapping[str, Any]):
@@ -189,6 +189,7 @@ class ClusterSupervisor(Lifecycle):
             ),
             extra_stats=self._extra_stats,
         )
+        self._layer = self.router._layer
         self.counts = self.router.counts
         self.manifest_store: Optional[SnapshotStore] = None
         if config.snapshot_path is not None:
@@ -222,7 +223,7 @@ class ClusterSupervisor(Lifecycle):
             )
         self.restored = await self._count_restored()
         await self.router.start_unix(self.config.socket_path)
-        await self._open(self.router)
+        await self._open()
         if (
             self.manifest_store is not None
             and self.config.snapshot_interval is not None
@@ -340,12 +341,12 @@ class ClusterSupervisor(Lifecycle):
         """Restart the worker whenever its process dies un-drained."""
         died_at: Optional[float] = None
         try:
-            while not self._draining:
+            while not self._layer.draining:
                 proc = worker.proc
                 if proc is None:
                     return
                 code = await proc.wait()
-                if self._draining:
+                if self._layer.draining:
                     return
                 if died_at is None:
                     died_at = time.monotonic()

@@ -23,6 +23,13 @@ entry points, called from inside the read loop before the next frame is
 read, which is what makes one connection's decisions order-identical to
 sequential submission.
 
+**The drain state** of a served process is its layer's: one
+``draining`` flag and one listening time, which every status surface
+reads (:meth:`ConnectionLayer.header`) and which decides the one
+refusal rule — a draining process answers the ops in
+:data:`REFUSED_WHILE_DRAINING` with ``unavailable`` and every other op
+as usual.
+
 **The process lifecycle** around a listener is :class:`Lifecycle`, the
 one start-to-exit of the single server and of the cluster supervisor:
 signal handlers, drain on request, periodic tasks with one failure
@@ -38,11 +45,13 @@ import logging
 import os
 import signal
 import socket
+import time
 from typing import (
     Any, Callable, Coroutine, Dict, Optional, Protocol, Set, Tuple,
 )
 
 from ..errors import ProtocolError, ServiceError
+from ..obs.process import startup_seconds
 from . import protocol
 from .protocol import RequestId
 
@@ -51,6 +60,7 @@ __all__ = [
     "ConnectionLayer",
     "FrameHandler",
     "Lifecycle",
+    "REFUSED_WHILE_DRAINING",
     "check_lifecycle_config",
     "claim_unix_path",
     "close_writer",
@@ -64,6 +74,12 @@ _LATE_HELLO = ProtocolError(
     protocol.BAD_REQUEST, "hello must be the first request on a connection"
 )
 _SCHEMAS = (protocol.PROTOCOL_SCHEMA, protocol.PROTOCOL_SCHEMA_V2)
+_DRAINING = ProtocolError(protocol.UNAVAILABLE, "server is draining")
+
+#: What a draining process refuses (``bulk`` is a packed v2 frame):
+#: every op that would change admission state.  Health, stats, query
+#: and snapshot are answered until the connections close.
+REFUSED_WHILE_DRAINING = frozenset(("admit", "release", "batch", "bulk"))
 
 #: What a handler entry point returns: the response half of a request.
 Work = Coroutine[Any, Any, None]
@@ -228,7 +244,8 @@ class FrameHandler(Protocol):
 
 
 class ConnectionLayer:
-    """Listener, read loops, negotiation and response tasks."""
+    """Listener, read loops, negotiation and response tasks, and the
+    drain state of the process they serve."""
 
     def __init__(self, handler: FrameHandler, max_frame_bytes: int):
         self.handler = handler
@@ -237,6 +254,10 @@ class ConnectionLayer:
         self.connections: Set[Connection] = set()
         self.server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set["asyncio.Task"] = set()
+        #: Set once, by :meth:`begin_drain`.
+        self.draining = False
+        #: When :meth:`listen` bound (construction until then).
+        self.started_at = time.time()
 
     async def listen(
         self,
@@ -255,6 +276,23 @@ class ConnectionLayer:
             self.server = await asyncio.start_server(
                 self.serve, host=host, port=port, limit=self.max_frame_bytes
             )
+        self.started_at = time.time()
+
+    def begin_drain(self) -> bool:
+        """Flip to draining; False when it already was."""
+        was, self.draining = self.draining, True
+        return not was
+
+    def header(self, status: str = "ok") -> Dict[str, Any]:
+        """The serving state every status surface (``health``, ``stats``,
+        ``/healthz``, the gauges) reports: ``status`` is the owner's own
+        word (``ok``, ``degraded``) until the process drains."""
+        return {
+            "status": "draining" if self.draining else status,
+            "draining": self.draining,
+            "uptime_seconds": max(0.0, time.time() - self.started_at),
+            "startup_seconds": startup_seconds(self.started_at),
+        }
 
     async def quiesce(self) -> None:
         """Stop accepting, then :meth:`settle`; the connections stay
@@ -368,7 +406,7 @@ class ConnectionLayer:
             self._begin_request(conn, obj, ctx)
         else:
             rid, subops = protocol.parse_bulk_request(obj)
-            self._begin(conn, rid, self.handler.begin_bulk, rid, subops, ctx)
+            self._begin(conn, rid, "bulk", self.handler.begin_bulk, rid, subops, ctx)
 
     def _peek_hello(self, line: bytes) -> Optional[protocol.Request]:
         """The parsed request iff this line is a ``hello``."""
@@ -422,18 +460,18 @@ class ConnectionLayer:
             # carrier frame: renegotiation is not supported.
             self._refuse(conn, request.id, _LATE_HELLO)
             return
-        self._begin(
-            conn, request.id, self.handler.begin_request, request, ctx
-        )
+        self._begin(conn, request.id, request.op, self.handler.begin_request, request, ctx)
 
     def _begin(
         self,
         conn: Connection,
         rid: RequestId,
+        op: str,
         entry: Callable[..., Work],
         *args: Any,
     ) -> None:
-        """Call one handler entry point and start its response task."""
+        """Call one handler entry point and start its response task;
+        the one place a draining process refuses an op."""
         if rid in conn.inflight:
             message = (
                 f"request id {rid!r} is already in flight "
@@ -442,6 +480,9 @@ class ConnectionLayer:
             self._refuse(
                 conn, rid, ProtocolError(protocol.DUPLICATE_ID, message)
             )
+            return
+        if self.draining and op in REFUSED_WHILE_DRAINING:
+            self._refuse(conn, rid, _DRAINING)
             return
         try:
             work = entry(conn, *args)
@@ -504,32 +545,33 @@ class Lifecycle:
 
     An owner (``AdmissionService``, ``ClusterSupervisor``) has a
     ``config`` with ``drain_grace``, ``metrics_host`` and
-    ``metrics_port``, and ``counts`` with an ``errors`` key.  It calls
-    :meth:`_open` once it listens and :meth:`every` for its periodic
-    steps, and writes its own drain steps: :meth:`_wind_down`, up to
-    and including the final cut (which may fail), and :meth:`_let_go`,
-    what must happen even then.
+    ``metrics_port``, ``counts`` with an ``errors`` key, and ``_layer``,
+    the :class:`ConnectionLayer` of its public socket, whose drain flag
+    is the process's.  It calls :meth:`_open` once it listens and
+    :meth:`every` for its periodic steps, and writes its own drain
+    steps: :meth:`_wind_down`, up to and including the final cut (which
+    may fail), and :meth:`_let_go`, what must happen even then.
     """
 
     config: Any
     counts: Dict[str, int]
+    _layer: ConnectionLayer
     metrics_endpoint: Any = None
-    _draining = False
     _drain_error: Optional[Exception] = None
     _stopped: Optional[asyncio.Event] = None
     _periodic: Tuple["asyncio.Task", ...] = ()
     _where = "?"
 
-    async def _open(self, fronted: Any) -> None:
+    async def _open(self) -> None:
         """Mark the process started; open the telemetry endpoint over
-        ``fronted`` (its ``scrape_text`` / ``healthz`` / ``stats``)
-        when ``metrics_port`` is set."""
+        the layer's handler (its ``scrape_text`` / ``health`` /
+        ``stats``) when ``metrics_port`` is set."""
         self._stopped = asyncio.Event()
         if self.config.metrics_port is not None:
             from .http import MetricsEndpoint
 
             self.metrics_endpoint = MetricsEndpoint(
-                fronted,
+                self._layer.handler,
                 host=self.config.metrics_host,
                 port=self.config.metrics_port,
             )
@@ -548,7 +590,7 @@ class Lifecycle:
         """
 
         async def tick() -> None:
-            while not self._draining:
+            while not self._layer.draining:
                 await asyncio.sleep(interval)
                 try:
                     done = step()
@@ -593,14 +635,13 @@ class Lifecycle:
     async def drain(self) -> None:
         """Graceful shutdown: flip to draining, hold ``drain_grace``,
         stop the periodic steps, then the owner's own steps."""
-        if self._draining:
+        if not self._layer.begin_drain():
             return
-        self._draining = True
         if self.config.drain_grace > 0:
             # The draining state is already visible (health op and
-            # /healthz answer 503, admission ops get "unavailable");
-            # hold the listeners open so load balancers can observe
-            # the flip before connections start closing.
+            # /healthz answer 503, REFUSED_WHILE_DRAINING ops get
+            # "unavailable"); hold the listeners open so load balancers
+            # can observe the flip before connections start closing.
             await asyncio.sleep(self.config.drain_grace)
         for task in self._periodic:
             task.cancel()

@@ -23,12 +23,9 @@ import asyncio
 import inspect
 import json
 import logging
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .conn import close_writer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .server import AdmissionService
 
 __all__ = ["MetricsEndpoint"]
 
@@ -40,7 +37,7 @@ _MAX_REQUEST_BYTES = 16384
 class MetricsEndpoint:
     """Serve ``/metrics``, ``/healthz``, ``/stats`` for one service.
 
-    The fronted object needs ``scrape_text()``, ``healthz()`` and
+    The fronted object needs ``scrape_text()``, ``health()`` and
     ``stats()``; each may be synchronous (the single-process
     :class:`~repro.service.server.AdmissionService`) or a coroutine
     function (the cluster front door, whose aggregation awaits the
@@ -49,7 +46,7 @@ class MetricsEndpoint:
 
     def __init__(
         self,
-        service: "AdmissionService",
+        service: Any,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -138,12 +135,10 @@ class MetricsEndpoint:
                 await self._call(self.service.scrape_text),
             )
         if path == "/healthz":
-            status, obj = await self._call(self.service.healthz)
-            return (
-                status,
-                "application/json",
-                json.dumps(obj, sort_keys=True) + "\n",
-            )
+            obj = await self._call(self.service.health)
+            # 503 once draining: load balancers stop routing unparsed.
+            status = 503 if obj["status"] == "draining" else 200
+            return status, "application/json", json.dumps(obj, sort_keys=True) + "\n"
         if path == "/stats":
             stats = await self._call(self.service.stats)
             return (

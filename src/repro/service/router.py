@@ -42,7 +42,6 @@ import asyncio
 import bisect
 import hashlib
 import logging
-import time
 from typing import (
     Any,
     Awaitable,
@@ -59,7 +58,7 @@ from typing import (
 
 from ..errors import ProtocolError, ServiceError
 from ..obs import OBS, to_prometheus_text
-from ..obs.process import process_text, startup_seconds
+from ..obs.process import process_text
 from . import protocol
 from .conn import (
     Connection,
@@ -430,8 +429,6 @@ class ClusterRouter:
         self.links = [
             WorkerLink(i, path) for i, path in enumerate(worker_sockets)
         ]
-        self._draining = False
-        self._started_at = time.time()
         self.counts: Dict[str, int] = {
             "requests": 0,
             "errors": 0,
@@ -451,7 +448,6 @@ class ClusterRouter:
         for link in self.links:
             link.start()
         await self._layer.listen(path=path)
-        self._started_at = time.time()
         logger.info(
             "cluster front door on %s routing to %d workers",
             path,
@@ -460,7 +456,7 @@ class ClusterRouter:
 
     async def stop(self) -> None:
         """Stop accepting, answer in-flight requests, close links."""
-        self._draining = True
+        self._layer.begin_drain()
         # A down link never writes its queue: answer those requests
         # now, or quiesce() waits on them for as long as the shard is
         # gone.
@@ -499,14 +495,6 @@ class ClusterRouter:
         decoder, so a malformed entry earns the same bytes (and the
         same ``errors`` count) either way.
         """
-        if self._draining:
-            return self._finish(
-                protocol.Request(id=rid, op="bulk", body={}),
-                protocol.error_response(
-                    rid, protocol.UNAVAILABLE, "cluster is draining"
-                ),
-                conn,
-            )
         return self._send_bulk(
             conn,
             rid,
@@ -540,9 +528,9 @@ class ClusterRouter:
         body = request.body
         rid = request.id
         if op == "health":
-            return self._cluster_health(rid)
+            return self._answer(rid, self.health())
         if op == "stats":
-            return self._cluster_stats_response(rid)
+            return self._answer(rid, self.stats())
         if op == "snapshot":
             if self.on_snapshot is None:
                 return protocol.error_response(
@@ -557,10 +545,6 @@ class ClusterRouter:
                 protocol.UNKNOWN_OP,
                 f"unknown op {op!r} (expected one of "
                 f"{', '.join(protocol.OPS)})",
-            )
-        if self._draining:
-            return protocol.error_response(
-                rid, protocol.UNAVAILABLE, "cluster is draining"
             )
         if op == "admit":
             # An id no worker accepts goes to worker 0 (HashRing.
@@ -693,22 +677,21 @@ class ClusterRouter:
             out.append(frame.get("result") if frame.get("ok") else None)
         return out
 
-    def worker_stats(self) -> "Awaitable[List[Optional[Dict[str, Any]]]]":
-        """Per-worker ``stats`` results (None for dead workers)."""
-        return self._fan_out("stats")
+    @staticmethod
+    async def _answer(
+        rid: protocol.RequestId, result: Awaitable[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        return protocol.ok_response(rid, await result)
 
-    async def cluster_stats(self) -> Dict[str, Any]:
+    async def stats(self) -> Dict[str, Any]:
         """Aggregated cluster stats with a ``per_worker`` breakdown."""
-        per_worker = await self.worker_stats()
+        per_worker = await self._fan_out("stats")
         out: Dict[str, Any] = {
             "schema": protocol.PROTOCOL_SCHEMA,
             "controller": "cluster",
             "workers": len(self.links),
             "workers_up": sum(1 for s in per_worker if s is not None),
-            "status": self._cluster_status(per_worker),
-            "draining": self._draining,
-            "uptime_seconds": max(0.0, time.time() - self._started_at),
-            "startup_seconds": startup_seconds(self._started_at),
+            **self._layer.header(self._cluster_status(per_worker)),
         }
         for key in _SUMMED_KEYS:
             out[key] = sum(
@@ -756,11 +739,9 @@ class ClusterRouter:
         ]
         return out
 
-    def _cluster_status(
-        self, per_worker: Sequence[Optional[Dict[str, Any]]]
-    ) -> str:
-        if self._draining:
-            return "draining"
+    @staticmethod
+    def _cluster_status(per_worker: Sequence[Optional[Dict[str, Any]]]) -> str:
+        """The worst worker's status; an unreachable one is degraded."""
         worst = "ok"
         for s in per_worker:
             status = "degraded" if s is None else str(
@@ -770,20 +751,9 @@ class ClusterRouter:
                 worst = status
         return worst
 
-    async def _cluster_stats_response(
-        self, rid: protocol.RequestId
-    ) -> Dict[str, Any]:
-        return protocol.ok_response(rid, await self.cluster_stats())
-
-    async def _cluster_health(
-        self, rid: protocol.RequestId
-    ) -> Dict[str, Any]:
-        return protocol.ok_response(rid, await self.cluster_health())
-
-    async def cluster_health(self) -> Dict[str, Any]:
+    async def health(self) -> Dict[str, Any]:
         per_worker = await self._fan_out("health")
         return {
-            "status": self._cluster_status(per_worker),
             "schema": protocol.PROTOCOL_SCHEMA,
             "workers": len(self.links),
             "workers_up": sum(1 for s in per_worker if s is not None),
@@ -797,9 +767,7 @@ class ClusterRouter:
                 for s in per_worker
                 if s is not None
             ),
-            "draining": self._draining,
-            "uptime_seconds": max(0.0, time.time() - self._started_at),
-            "startup_seconds": startup_seconds(self._started_at),
+            **self._layer.header(self._cluster_status(per_worker)),
             "per_worker": [
                 (
                     {"worker_index": i, **s}
@@ -823,19 +791,12 @@ class ClusterRouter:
         return protocol.ok_response(rid, result)
 
     # -------------------------------------------------------------- #
-    # telemetry endpoint hooks (MetricsEndpoint-compatible, async)
+    # telemetry endpoint hook (health and stats are the ops' own)
     # -------------------------------------------------------------- #
-
-    async def healthz(self) -> Tuple[int, Dict[str, Any]]:
-        obj = await self.cluster_health()
-        return 503 if obj["status"] == "draining" else 200, obj
-
-    async def stats(self) -> Dict[str, Any]:
-        return await self.cluster_stats()
 
     async def scrape_text(self) -> str:
         """Prometheus exposition of the per-worker aggregation."""
-        stats = await self.cluster_stats()
+        stats = await self.stats()
         lines = [
             "# TYPE repro_cluster_workers gauge",
             f"repro_cluster_workers {stats['workers']}",

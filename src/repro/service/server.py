@@ -67,7 +67,7 @@ from ..obs import (
     new_span_id,
     trace_context_from_obj,
 )
-from ..obs.process import process_memory_mb, process_text, startup_seconds
+from ..obs.process import process_memory_mb, process_text
 from . import protocol
 from .coalescer import (
     BULK_OP_ADMIT,
@@ -230,7 +230,6 @@ class AdmissionService(Lifecycle):
             )
             self.coalescer.audit = self.audit
         self._snapshot_lock: Optional[asyncio.Lock] = None
-        self._started_at = time.time()
         # Lifetime counters surfaced by the ``stats`` op.
         self.counts: Dict[str, int] = {
             "requests": 0,
@@ -285,7 +284,6 @@ class AdmissionService(Lifecycle):
         restored = self._restore()
         await self._layer.listen(**where)
         self._where = where.get("path") or f"{where['host']}:{self.port}"
-        self._started_at = time.time()
         self.coalescer.start()
         if self.audit is not None:
             # Every launch marks what it resumed from, so the audit
@@ -298,7 +296,7 @@ class AdmissionService(Lifecycle):
             self.every(self.config.snapshot_interval, self.write_snapshot, "periodic snapshot")
         if self.governor is not None:
             self.every(self.config.governor_interval, self.governor_step, "governor step")
-        await self._open(self)
+        await self._open()
         logger.info("admission service listening on %s", self._where)
         return restored
 
@@ -422,23 +420,6 @@ class AdmissionService(Lifecycle):
         return alphas
 
     # ------------------------------------------------------------------ #
-    # refusal
-    # ------------------------------------------------------------------ #
-
-    def _refusal(
-        self, rid: protocol.RequestId
-    ) -> Optional[Dict[str, Any]]:
-        """The ready error response of an admission request while the
-        server drains, else ``None``.  Load is never refused here: a
-        connection's next frame is read once this one is decided, so
-        excess load waits in the socket."""
-        if self._draining:
-            return protocol.error_response(
-                rid, protocol.UNAVAILABLE, "server is draining"
-            )
-        return None
-
-    # ------------------------------------------------------------------ #
     # connection handling
     # ------------------------------------------------------------------ #
 
@@ -486,8 +467,7 @@ class AdmissionService(Lifecycle):
             tele.parsed("bulk")
         return self._finish(
             protocol.Request(id=rid, op="bulk", body={}),
-            self._refusal(rid)
-            or self._submit_frame(subops, protocol.decode_bulk_subop, tele),
+            self._submit_frame(subops, protocol.decode_bulk_subop, tele),
             conn,
             tele,
         )
@@ -605,9 +585,6 @@ class AdmissionService(Lifecycle):
                 f"unknown op {op!r} (expected one of "
                 f"{', '.join(protocol.OPS)})",
             )
-        refusal = self._refusal(rid)
-        if refusal is not None:
-            return refusal
         if op == "batch":
             ops = body.get("ops")
             if not isinstance(ops, list):
@@ -743,12 +720,10 @@ class AdmissionService(Lifecycle):
     # ------------------------------------------------------------------ #
 
     def _status(self) -> str:
-        """One-word serving state, worst condition first."""
-        if self._draining:
-            return "draining"
-        if self.controller.ledger.limited:
-            return "degraded"
-        return "ok"
+        """``degraded`` while a limit holds the ledger below its
+        verified capacity, else ``ok`` (the layer's header says
+        ``draining`` over either)."""
+        return "degraded" if self.controller.ledger.limited else "ok"
 
     def snapshot_age_seconds(self) -> Optional[float]:
         """Seconds since the last durable snapshot (None: no store or
@@ -759,13 +734,10 @@ class AdmissionService(Lifecycle):
 
     def health(self) -> Dict[str, Any]:
         obj = {
-            "status": self._status(),
             "schema": protocol.PROTOCOL_SCHEMA,
             "established": self.controller.num_established,
             "queue_depth": self.coalescer.pending,
-            "draining": self._draining,
-            "uptime_seconds": max(0.0, time.time() - self._started_at),
-            "startup_seconds": startup_seconds(self._started_at),
+            **self._layer.header(self._status()),
         }
         if self.governor is not None:
             snap = self.governor.snapshot()
@@ -775,16 +747,6 @@ class AdmissionService(Lifecycle):
                 "at_top": self.governor.at_top,
             }
         return obj
-
-    def healthz(self) -> Tuple[int, Dict[str, Any]]:
-        """(HTTP status, body) for ``GET /healthz``.
-
-        ``ok``/``degraded`` answer 200 (still servable), ``draining``
-        answers 503 so load balancers stop routing without parsing the
-        body.
-        """
-        obj = self.health()
-        return 503 if obj["status"] == "draining" else 200, obj
 
     def stats(self) -> Dict[str, Any]:
         coalescer = self.coalescer
@@ -809,10 +771,7 @@ class AdmissionService(Lifecycle):
             "rejected_total": controller.num_rejected,
             "released_total": controller.num_released,
             "queue_depth": coalescer.pending,
-            "draining": self._draining,
-            "status": self._status(),
-            "uptime_seconds": max(0.0, time.time() - self._started_at),
-            "startup_seconds": startup_seconds(self._started_at),
+            **self._layer.header(self._status()),
             "snapshot_age_seconds": self.snapshot_age_seconds(),
             "batches": coalescer.batches,
             "coalesced_ops": coalescer.coalesced_ops,
@@ -855,18 +814,15 @@ class AdmissionService(Lifecycle):
         coalescer, controller = self.coalescer, self.controller
         counts, governor, audit = self.counts, self.governor, self.audit
         ctrl = {"controller": type(controller).__name__}
+        header = self._layer.header()
         # (series, labels, value): a ``*_total`` series is a counter, the
         # rest are gauges, and a ``None`` value (no snapshot yet) is
         # skipped.
         table = [
             ("repro_service_queue_depth", {}, coalescer.pending),
             ("repro_service_established_flows", {}, controller.num_established),
-            ("repro_service_draining", {}, self._draining),
-            (
-                "repro_service_uptime_seconds",
-                {},
-                max(0.0, time.time() - self._started_at),
-            ),
+            ("repro_service_draining", {}, header["draining"]),
+            ("repro_service_uptime_seconds", {}, header["uptime_seconds"]),
             ("repro_service_requests_total", {}, counts["requests"]),
             ("repro_service_connections_total", {}, counts["connections"]),
             ("repro_service_snapshots_total", {}, counts["snapshots"]),

@@ -15,12 +15,16 @@ The safety argument, property-tested:
 
 The e2e tests launch a real ``serve --workers 2`` cluster (supervisor
 subprocess, shard-worker grandchildren) and exercise the front door,
-the kill -9 worker chaos path, and the merged-manifest restart.
+the kill -9 worker chaos path, the merged-manifest restart, and the
+drain grace, answered alike by a cluster and a single server.
 """
 
+import functools
 import json
 import os
+import re
 import signal
+import socket
 import threading
 import time
 
@@ -34,12 +38,22 @@ from repro.admission import (
     UtilizationAdmissionController,
     plan_slot_shards,
 )
-from repro.errors import AdmissionError, FaultInjectionError, ServiceError
-from serve_processes import ClusterProcess, kill_worker_restart_check
+from repro.errors import (
+    AdmissionError,
+    FaultInjectionError,
+    ProtocolError,
+    ServiceError,
+)
+from serve_processes import (
+    ClusterProcess,
+    ServiceProcess,
+    kill_worker_restart_check,
+)
 from repro.routing.shortest import shortest_path_routes
 from repro.service import merge_cluster_snapshot, split_cluster_snapshot
 from repro.experiments.cli import build_parser
 from repro.service import router as router_module
+from repro.service.client import ServiceClient
 from repro.service.cluster import (
     FRONT_DOOR_ONLY,
     ClusterConfig,
@@ -656,3 +670,85 @@ class TestClusterEndToEnd:
         with pytest.raises(FaultInjectionError):
             cluster.kill_worker(0)  # never started
         cluster.stop()
+
+
+# --------------------------------------------------------------------- #
+# the drain grace, at either front door
+# --------------------------------------------------------------------- #
+
+
+def _metrics_port(server) -> int:
+    """The telemetry port the banner announces (``--metrics-port 0``)."""
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        found = re.search(
+            r"telemetry endpoint on http://[^:]+:(\d+)/", server.read_log()
+        )
+        if found:
+            return int(found.group(1))
+        time.sleep(0.05)
+    raise AssertionError(f"no telemetry banner: {server.read_log()}")
+
+
+def _healthz(port: int):
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        raw = b""
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=["single", "workers2"])
+def test_drain_grace_is_answered_alike_at_both_front_doors(
+    tmp_path, mci_pairs, workers
+):
+    """Inside ``--drain-grace`` after SIGTERM, a ``--workers`` front door
+    answers as a single server does: ``health`` and ``/healthz`` show
+    the drain, admit, release, batch and bulk are ``unavailable``, and
+    query and stats are answered.  A cluster used to keep a drain flag
+    of its own that only flipped once the grace was over."""
+    process = (
+        ServiceProcess if workers is None
+        else functools.partial(ClusterProcess, workers=workers)
+    )
+    (src, dst), (src2, dst2) = mci_pairs[:2]
+    late = {"id": "late", "cls": "voice", "src": src2, "dst": dst2}
+    with process(
+        socket_path=str(tmp_path / "front.sock"), topology="mci",
+        metrics_port=0, drain_grace=3.0,
+    ) as server:
+        server.start()
+        port = _metrics_port(server)
+        v1 = server.client()
+        v2 = ServiceClient(socket_path=server.socket_path, protocol="v2")
+        assert v1.admit(FlowSpec("kept", "voice", src, dst)).admitted
+        assert _healthz(port)[0] == 200
+        server.proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 2.0
+        while not v1.health()["draining"] and time.monotonic() < deadline:
+            time.sleep(0.02)
+        health = v1.health()
+        assert (health["status"], health["draining"]) == ("draining", True)
+        status, body = _healthz(port)
+        assert (status, body["status"]) == (503, "draining")
+        refused = {
+            "admit": lambda: v1.admit(FlowSpec("late", "voice", src2, dst2)),
+            "release": lambda: v1.release("kept"),
+            "batch": lambda: v1.batch([{"op": "admit", "flow": late}]),
+            "bulk": lambda: v2.bulk([[0, "late", "voice", src2, dst2, None]]),
+        }
+        for op, call in refused.items():
+            with pytest.raises(ProtocolError) as info:
+                call()
+            assert info.value.code == "unavailable", op
+        assert v1.query("kept") is True
+        stats = v1.stats()
+        assert stats["draining"] is True and stats["established"] == 1
+        v1.close()
+        v2.close()
+        assert server.proc.wait(timeout=30) == 0

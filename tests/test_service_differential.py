@@ -399,7 +399,7 @@ async def one_frame(frame, tmp_path, *, workers):
         errors = (
             services[0].counts["errors"]
             if router is None
-            else (await router.cluster_stats())["errors"]
+            else (await router.stats())["errors"]
         )
     finally:
         if router is not None:

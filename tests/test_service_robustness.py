@@ -1,6 +1,7 @@
 """The front door under hostile conditions: a second server aimed at a
-live socket path, file descriptors running out, and a peer that stops
-half way through a frame while the server drains.
+live socket path, file descriptors running out, a peer that stops
+half way through a frame while the server drains, and a periodic step
+that fails (which the operator reads on stderr).
 
 Each runs the real ``repro-ubac serve`` binary in a subprocess
 (:class:`~serve_processes.ServiceProcess`) and talks to it over raw
@@ -11,7 +12,9 @@ import asyncio
 import json
 import os
 import resource
+import shutil
 import socket
+import subprocess
 import time
 
 import pytest
@@ -19,6 +22,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.experiments.cli import main
 from serve_processes import ServiceProcess
+from repro.service.launch import serve_child
 from repro.service.router import ClusterRouter
 from repro.service.server import AdmissionService
 
@@ -206,3 +210,60 @@ def test_half_open_peer_does_not_hold_up_the_drain(tmp_path):
         assert [f["flow_id"] for f in flows] == ["in-flight"]
         half_open.close()
         other.close()
+
+
+# --------------------------------------------------------------------- #
+# what a served process logs reaches stderr
+# --------------------------------------------------------------------- #
+
+
+def serve_apart(tmp_path, **options):
+    """A real ``serve`` under :class:`ServiceProcess`, its stdout and
+    stderr in two files (``out.log``, ``err.log``); started and
+    healthy."""
+    server = ServiceProcess(socket_path=str(tmp_path / "s.sock"), **options)
+    with serve_child(str(tmp_path / "out.log"), server.options) as (argv, io):
+        with open(tmp_path / "err.log", "wb") as err:
+            server.proc = subprocess.Popen(argv, **{**io, "stderr": err})
+    server.wait_healthy()
+    return server
+
+
+def test_a_failed_periodic_snapshot_reaches_stderr(tmp_path):
+    # The `repro` logger had only its NullHandler in a served process:
+    # the failure was counted in `errors` and written nowhere.
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    server = serve_apart(
+        tmp_path, topology="mci", snapshot=str(snaps / "s.json"),
+        snapshot_interval=0.2,
+    )
+    with server:
+        shutil.rmtree(snaps)
+        deadline = time.monotonic() + 20.0
+        with server.client() as client:
+            while client.stats()["errors"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            errors = client.stats()["errors"]
+        snaps.mkdir()  # the drain's final cut lands again
+        assert server.terminate() == 0
+    err = (tmp_path / "err.log").read_text()
+    assert errors >= 1
+    assert "periodic snapshot failed" in err
+    assert "periodic snapshot failed" not in (tmp_path / "out.log").read_text()
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_a_clean_serve_prints_its_banner_and_summary_only(tmp_path, workers):
+    options = {
+        "socket": str(tmp_path / "s.sock"), "topology": "mci",
+        "serve_seconds": 0.5, "workers": workers,
+    }
+    with serve_child(str(tmp_path / "unused.log"), options) as (argv, io):
+        done = subprocess.run(
+            argv, env=io["env"], capture_output=True, text=True, timeout=120
+        )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    banner, summary = done.stdout.splitlines()
+    assert "listening on" in banner and "drained after" in summary

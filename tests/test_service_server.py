@@ -797,12 +797,12 @@ class TestLifecycleAndSnapshots:
         async def scenario():
             service, sock = await start_service(tmp_path)
             reader, writer = await raw_connection(sock)
-            service._draining = True
+            service._layer.draining = True
             resp = await rpc(
                 reader, writer, {"id": 1, "op": "admit", "flow": flow_obj(1)}
             )
             assert resp["error"]["code"] == "unavailable"
-            service._draining = False
+            service._layer.draining = False
             writer.close()
             await service.drain()
 

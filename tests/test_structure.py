@@ -124,6 +124,26 @@ RATCHETS = (
         allowed=(r"^src/repro/service/conn\.py:",),
     ),
     Ratchet(
+        name="One drain state: the listener holds it",
+        why=(
+            "A served process's drain flag and listening time live on "
+            "its ConnectionLayer, which every status surface and the "
+            "refusal rule read; a second copy is the router's own flag "
+            "coming back, which set only after --drain-grace and left a "
+            "cluster answering health `ok` and forwarding admits."
+        ),
+        pattern=(
+            r"(?<![\w\"'])_?(draining|started_at)\b\s*"
+            r"(:\s*[\w\[\]., ]+)?=(?!=)"
+        ),
+        roots=("src/repro",),
+        offender=(
+            "src/repro/service/router.py",
+            "        self._draining = True",
+        ),
+        allowed=(r"^src/repro/service/conn\.py:",),
+    ),
+    Ratchet(
         name="One lifecycle: one listener bind",
         why=(
             "ConnectionLayer.listen claims the path and binds with the "

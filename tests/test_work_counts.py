@@ -3,7 +3,8 @@ bare and audited with observability on, the metrics-registry lookups
 the audited path makes, the controller and kernel entries per frame
 shape, the calls per op of a cluster front door, its shard workers and
 a plain serve on the same frames, the calls of a lone admit and release
-over each protocol, the heap one served frame costs, the heap an
+over each protocol, on a plain serve and through the front door, the
+heap one served frame costs, the heap an
 established flow keeps, the most the flow table's id index
 holds at once beyond that, the fixed-point solves, iterations and
 server evaluations of ``serve --governor``'s start-up certification,
@@ -35,6 +36,7 @@ from repro.service import audit as audit_module
 from repro.service import protocol
 from repro.service import router as router_module
 from repro.service.audit import AuditLog
+from repro.service.router import ClusterRouter
 from repro.service.server import AdmissionService
 
 from work_counts import (
@@ -169,6 +171,32 @@ def test_a_lone_request_one_call_dearer_is_caught(monkeypatch):
     if pins is not None:
         assert grown["lone_v1_calls"] > pins["lone_v1_calls"]
         assert grown["lone_v2_calls"] > pins["lone_v2_calls"]
+
+
+@pytest.mark.parametrize("side", ["router", "worker"])
+def test_a_front_door_lone_request_one_call_dearer_is_caught(monkeypatch, side):
+    """Planted: every request costs one more Python call on its way into
+    the front door, or into the worker behind it.  The front-door lone
+    window sums two requests per protocol over both protocols, so that
+    side's count grows by four, the other side's does not move, and the
+    ceiling moves off its pin: each exact pin refuses it."""
+    shipped = count_cluster()
+    handler = ClusterRouter if side == "router" else AdmissionService
+    entry = handler.begin_request
+
+    def planted(self, *args):
+        return entry(self, *args)
+
+    monkeypatch.setattr(handler, "begin_request", planted)
+    grown = count_cluster()
+    other = "worker" if side == "router" else "router"
+    assert grown[f"{side}_lone_calls"] == shipped[f"{side}_lone_calls"] + 4
+    assert grown[f"{other}_lone_calls"] == shipped[f"{other}_lone_calls"]
+    assert grown["lone_ceiling_x"] != shipped["lone_ceiling_x"]
+    pins = json.loads(PINS.read_text(encoding="utf-8")).get(interpreter_key())
+    if pins is not None:
+        assert grown[f"{side}_lone_calls"] > pins[f"{side}_lone_calls"]
+        assert grown["lone_ceiling_x"] != pins["lone_ceiling_x"]
 
 
 def test_a_ladder_that_also_solves_its_lowest_candidate_is_caught(monkeypatch):

@@ -32,7 +32,17 @@ Five windows, each after a warm-up that fills every cache:
   JSON carrier frame) through ``AdmissionService.begin_request`` to the
   response it writes, on a plain serve with a few thousand flows
   established (both requests' calls summed per protocol, and their C
-  calls beside them: ``lone_v1_c_calls``, ``lone_v2_c_calls``).
+  calls beside them: ``lone_v1_c_calls``, ``lone_v2_c_calls``);
+* ``router_lone`` and ``worker_lone``: the same requests, over both
+  protocols and summed, through the two-worker front door once its
+  frames are decided.  ``router_lone`` counts the client request's
+  decode, ``ClusterRouter.begin_request``, the link taking the owner's
+  JSON carrier frame off its outbox, decoding the worker's reply and
+  the response written; ``worker_lone`` the owner decoding that carrier
+  frame and its ``AdmissionService.begin_request`` to its reply.
+  ``lone_ceiling_x`` is ``worker_lone_calls`` over ``router_lone_calls``
+  (rounded to three places): the front door's ceiling for lone ops,
+  as ``ceiling_x`` is for frames.
 
 ``scaling_<N>``: one fixed 200-op frame (pairs of admits, then pairs
 of releases of flows it finds established) against ``N`` = 500, 2 000
@@ -521,6 +531,50 @@ class _Cluster:
         (reply,) = sink.frames
         return _slots(reply)
 
+    def lone(self, proto: int, rid: int, body: dict, router=None,
+             worker=None) -> dict:
+        """One request of its own through the front door, as
+        :func:`_lone` serves it: its owner's JSON carrier frame is taken
+        off the link's outbox, decoded and begun by that worker's
+        ``begin_request``, and the worker's reply settles the link."""
+        client, sink = _v2_conn(proto)
+        wire = (protocol.encode_frame_v2 if proto == 2 else protocol.encode_frame)(
+            {"id": rid, **body}
+        )
+        sys.setprofile(router)
+        if proto == 2:
+            _tag, obj = protocol.decode_payload_v2(wire[protocol.FRAME_HEADER_BYTES:])
+            request = protocol.request_from_obj(obj)
+        else:
+            request = protocol.parse_request(wire)
+        pending = self.router.begin_request(client, request, None)
+        sys.setprofile(None)
+        for link, service in zip(self.router.links, self.services):
+            while not link._outbox.empty():
+                sys.setprofile(router)
+                link_rid, frame, future = link._outbox.get_nowait()
+                link._pending[link_rid] = future
+                sys.setprofile(None)
+                conn, answer = _v2_conn()
+                sys.setprofile(worker)
+                _tag, obj = protocol.decode_payload_v2(frame[protocol.FRAME_HEADER_BYTES:])
+                _run(service.begin_request(conn, protocol.request_from_obj(obj), None))
+                sys.setprofile(None)
+                (reply,) = answer.frames
+                sys.setprofile(router)
+                link._settle(protocol.decode_payload_v2(reply[protocol.FRAME_HEADER_BYTES:])[1])
+                sys.setprofile(None)
+        sys.setprofile(router)
+        _run(pending)
+        sys.setprofile(None)
+        (reply,) = sink.frames
+        if proto == 2:
+            reply = protocol.decode_payload_v2(reply[protocol.FRAME_HEADER_BYTES:])[1]
+        else:
+            reply = protocol.decode_frame(reply)
+        assert reply["ok"], reply
+        return reply["result"]
+
 
 def _serve(service: AdmissionService, subops: list, rid: int,
            counter=None) -> list:
@@ -958,9 +1012,9 @@ def _in_a_fresh_process(call: str) -> Any:
 
 
 def _count_cluster() -> Dict[str, int]:
-    """The ``router``, ``worker`` and ``serve`` windows.  The frames
-    follow the cluster's answers; the plain serve decides the same
-    packed frames."""
+    """The ``router``, ``worker`` and ``serve`` windows, then the front
+    door's lone window.  The frames follow the cluster's answers; the
+    plain serve decides the same packed frames."""
     cluster = _Cluster()
     single = AdmissionService(_controller(BULK_ALPHA)[0])
     churn = _BulkChurn(all_ordered_pairs(mci_backbone()))
@@ -984,6 +1038,31 @@ def _count_cluster() -> Dict[str, int]:
         "router_calls": router.calls,
         "worker_calls": worker.calls,
         "serve_calls": serve.calls,
+        **_count_cluster_lone(cluster, churn.pairs[0]),
+    }
+
+
+def _count_cluster_lone(cluster: _Cluster, pair) -> Dict[str, int]:
+    """``router_lone_calls`` and ``worker_lone_calls``: :func:`_count_lone`'s
+    requests through the filled front door (one uncounted admit and
+    release per protocol, then one counted), both protocols summed;
+    ``lone_ceiling_x`` is the one over the other."""
+    src, dst = pair
+    router, worker = _Counter(), _Counter()
+    rid = 1
+    for counted in (False, True):
+        for proto in (1, 2):
+            counters = (router, worker) if counted else (None, None)
+            fid = f"front-lone-v{proto}-{counted}"
+            flow = {"id": fid, "cls": "voice", "src": src, "dst": dst}
+            admitted = cluster.lone(proto, rid, {"op": "admit", "flow": flow}, *counters)
+            released = cluster.lone(proto, rid + 1, {"op": "release", "flow_id": fid}, *counters)
+            assert admitted["admitted"] and released["released"], (admitted, released)
+            rid += 2
+    return {
+        "router_lone_calls": router.calls,
+        "worker_lone_calls": worker.calls,
+        "lone_ceiling_x": round(worker.calls / router.calls, 3),
     }
 
 
