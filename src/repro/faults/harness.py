@@ -25,15 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..admission.statistics import Lifetime
 from ..admission.utilization import UtilizationAdmissionController
 from ..config.configured import ConfiguredNetwork
 from ..config.repair import repair_routes
-from ..errors import AdmissionError, FaultInjectionError
+from ..errors import AdmissionError, FaultInjectionError, NoRouteError
 from ..obs import OBS
 from ..routing.partition import route_uses_link, route_uses_router
+from ..routing.shortest import shortest_path_routes
 from ..simulation.cosim import simulate_lifetimes
 from ..simulation.events import EventQueue
 from ..simulation.simulator import Simulator
@@ -663,17 +662,14 @@ class ChaosHarness:
     def _fallback_routes(
         self, degraded_net: Network, affected: List[Pair]
     ) -> Dict[Pair, List[Hashable]]:
-        """Uncertified hop-shortest reroutes; unreachable pairs dropped."""
-        graph = degraded_net.graph
+        """Uncertified hop-shortest reroutes, tied as the serve ties
+        them (:func:`~repro.routing.shortest.shortest_path_routes`);
+        unreachable pairs dropped."""
         out: Dict[Pair, List[Hashable]] = {}
-        for src, dst in affected:
-            if src not in graph or dst not in graph:
-                continue
+        for pair in affected:
             try:
-                out[(src, dst)] = list(
-                    nx.shortest_path(graph, src, dst)
-                )
-            except nx.NetworkXNoPath:
+                out.update(shortest_path_routes(degraded_net, [pair]))
+            except NoRouteError:
                 continue
         return out
 

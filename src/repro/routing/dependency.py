@@ -8,54 +8,57 @@ packets is reduced, and so is the delay" — Section 5.2, heuristic (2)).
 
 :class:`ServerDependencyGraph` maintains the union as routes are
 committed and answers "would adding this route create a cycle?" queries.
+Its edges are :func:`repro.analysis.theorem3.dependency_order`'s: one
+from each server to the next one on any route.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Sequence, Set
 
 __all__ = ["ServerDependencyGraph"]
 
-Edge = Tuple[int, int]
-
-
-def _route_edges(servers: Sequence[int]) -> List[Edge]:
-    return [
-        (int(servers[i]), int(servers[i + 1]))
-        for i in range(len(servers) - 1)
-    ]
-
 
 class ServerDependencyGraph:
-    """Directed dependency graph over link-server indices with multiplicity."""
+    """Directed dependency graph over link-server indices, as successor
+    sets."""
 
     def __init__(self):
-        self._graph = nx.DiGraph()
+        self._succ: Dict[int, Set[int]] = {}
 
     def add_route(self, servers: Sequence[int]) -> None:
         """Register a route's dependency edges."""
-        self._graph.add_edges_from(_route_edges(servers))
+        for a, b in zip(servers, servers[1:]):
+            self._succ.setdefault(int(a), set()).add(int(b))
 
     def creates_cycle(self, servers: Sequence[int]) -> bool:
         """Would adding this route introduce a new directed cycle?
 
-        A new edge ``(a, b)`` closes a cycle iff ``a`` is reachable from
-        ``b`` in the graph extended with the route's new edges.  Correct
-        whether or not the existing union already contains cycles.
+        With the route's new edges ``(a_i, b_i)`` numbered in route
+        order, a cycle runs through one of them iff some head ``b_j``
+        reaches a tail ``a_i``, ``i <= j``, over the committed edges: the
+        route walks from ``a_i`` to ``b_j``, and a way back that takes a
+        new edge can be cut at the last one it takes.  So one search,
+        from the latest head first, visits each server once.  Correct
+        whether or not the committed union already has cycles.
         """
-        new_edges = [
-            e for e in _route_edges(servers) if not self._graph.has_edge(*e)
+        succ = self._succ
+        new = [
+            (int(a), int(b)) for a, b in zip(servers, servers[1:])
+            if b not in succ.get(a, ())
         ]
-        if not new_edges:
-            # Reusing existing edges cannot introduce a new cycle.
-            return False
-        self._graph.add_edges_from(new_edges)
-        try:
-            # A cycle through a new edge (a, b) exists iff b reaches a.
-            return any(
-                nx.has_path(self._graph, b, a) for a, b in new_edges
-            )
-        finally:
-            self._graph.remove_edges_from(new_edges)
+        first_tail: Dict[int, int] = {}  # the first new edge a tail leaves by
+        for i, (a, _) in enumerate(new):
+            first_tail.setdefault(a, i)
+        reached: Set[int] = set()
+        for j in range(len(new) - 1, -1, -1):
+            stack = [new[j][1]]
+            while stack:
+                v = stack.pop()
+                if v in reached:
+                    continue
+                if first_tail.get(v, j + 1) <= j:
+                    return True
+                reached.add(v)
+                stack.extend(succ.get(v, ()))
+        return False

@@ -37,7 +37,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..analysis.beta import beta_coefficient
@@ -152,27 +151,24 @@ def check_pairs(pairs: Sequence[Pair]) -> None:
 def farthest_first(
     network: Network,
     pairs: Sequence[Pair],
-    distances: Dict[Hashable, Dict[Hashable, int]],
+    paths: Dict[Hashable, Dict[Hashable, List[Hashable]]],
 ) -> List[Pair]:
     """Heuristic (1): pairs by decreasing hop distance, ties by name.
 
-    ``distances`` caches one breadth-first search per source across
-    calls.  A pair with an unknown or unreachable router raises
+    ``paths`` caches one :meth:`Network.shortest_paths_from` per source
+    across calls.  A pair with an unknown or unreachable router raises
     :class:`~repro.errors.NoRouteError`.
     """
 
     def hops(pair: Pair) -> int:
         src, dst = pair
-        if src not in distances:
-            try:
-                distances[src] = nx.single_source_shortest_path_length(
-                    network.graph, src
-                )
-            except nx.NodeNotFound:
-                raise NoRouteError(src, dst) from None
-        if dst not in distances[src]:
+        if src not in paths:
+            if src not in network:
+                raise NoRouteError(src, dst)
+            paths[src] = network.shortest_paths_from(src)
+        if dst not in paths[src]:
             raise NoRouteError(src, dst)
-        return int(distances[src][dst])
+        return len(paths[src][dst]) - 1
 
     return sorted(pairs, key=lambda p: (-hops(p), str(p[0]), str(p[1])))
 
@@ -199,8 +195,8 @@ class _Run:
 class _GreedySelector:
     """The greedy loop and the topology-derived state it reuses.
 
-    One instance caches candidate routes, their link-server form and pair
-    distances, and can be reused across utilization levels — the binary
+    One instance caches candidate routes, their link-server form and the
+    shortest paths that order pairs, and can be reused across utilization levels — the binary
     search of Section 5.3 calls ``select`` repeatedly.
     """
 
@@ -218,7 +214,7 @@ class _GreedySelector:
         self._candidates = CandidateGenerator.shared(
             network, k=K_CANDIDATES, detour_slack=DETOUR_SLACK
         )
-        self._distances: Dict[Hashable, Dict[Hashable, int]] = {}
+        self._paths: Dict[Hashable, Dict[Hashable, List[Hashable]]] = {}
         self._last_system: Optional[RouteSystem] = None
         self._server_cand_cache: Dict[Pair, List[np.ndarray]] = {}
 
@@ -227,7 +223,7 @@ class _GreedySelector:
         check_pairs(pairs)
         if not self.options.order_by_distance:
             return list(pairs)
-        return farthest_first(self.network, pairs, self._distances)
+        return farthest_first(self.network, pairs, self._paths)
 
     def _server_candidates(
         self, pair: Pair

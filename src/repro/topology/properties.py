@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..errors import TopologyError
 from .network import Network
 
@@ -47,22 +45,27 @@ def analyze(network: Network) -> TopologyReport:
     """Compute a :class:`TopologyReport` for a connected network."""
     if not network.is_connected():
         raise TopologyError("topology report requires a connected network")
-    g = network.graph
-    degrees = [int(d) for _, d in g.degree]
-    caps = {data["capacity"] for _, _, data in g.edges(data=True)}
+    routers = network.routers()
+    degrees = [network.degree(r) for r in routers]
+    caps = {link.capacity for link in network.directed_links()}
     uniform = len(caps) == 1
+    hops = [
+        [len(path) - 1 for path in network.shortest_paths_from(r).values()]
+        for r in routers
+    ]
+    eccentricity = [max(h) for h in hops]
+    pairs = len(routers) * (len(routers) - 1)
     return TopologyReport(
         name=network.name,
         num_routers=network.num_routers,
         num_physical_links=network.num_physical_links,
         num_link_servers=network.num_link_servers,
-        diameter=int(nx.diameter(g)),
+        diameter=max(eccentricity),
         max_degree=max(degrees),
         min_degree=min(degrees),
         mean_degree=sum(degrees) / len(degrees),
-        radius=int(nx.radius(g)),
-        average_shortest_path=float(nx.average_shortest_path_length(g)),
+        radius=min(eccentricity),
+        average_shortest_path=sum(map(sum, hops)) / pairs if pairs else 0.0,
         is_uniform_capacity=uniform,
         capacity=caps.pop() if uniform else float("nan"),
     )
-

@@ -15,6 +15,7 @@ from repro.faults import (
     default_link_failure_scenario,
     most_loaded_link,
 )
+from repro.routing.shortest import shortest_path_routes
 from repro.topology import ring_network
 from repro.traffic import ClassRegistry
 from repro.traffic.generators import voice_class
@@ -350,6 +351,34 @@ class TestGracefulDegradation:
     def test_deterministic(self, ring_cfg, ring_report):
         again = self.ring_run(ring_cfg)
         assert again.to_json() == ring_report.to_json()
+
+
+class TestFallbackRoutes:
+    def test_a_tied_pair_falls_back_onto_the_serves_route(self, mci, voice_registry):
+        """With LosAngeles -- Phoenix down, LosAngeles reaches Phoenix in
+        two hops through Denver or through Dallas.  The serve's search
+        takes Denver; networkx's bidirectional `shortest_path` took
+        Dallas, a route neither the serve nor a repair would choose."""
+        pair = ("LosAngeles", "Phoenix")
+        harness = ChaosHarness(configure(
+            mci, voice_registry, {"voice": 0.35}, pairs=[pair],
+            routing="shortest-path",
+        ))
+        harness._failed_links = {frozenset(pair)}
+        harness._failed_routers = set()
+        degraded_net = harness._degraded_network()
+        routes = harness._fallback_routes(degraded_net, [pair])
+        assert routes == shortest_path_routes(degraded_net, [pair])
+        assert routes[pair] == ["LosAngeles", "Denver", "Phoenix"]
+
+    def test_pairs_of_a_failed_router_are_dropped(self, cfg):
+        harness = ChaosHarness(cfg)
+        harness._failed_links = set()
+        harness._failed_routers = {"Miami"}
+        routes = harness._fallback_routes(
+            harness._degraded_network(), PAIRS[:2]
+        )
+        assert list(routes) == [("Boston", "Phoenix")]
 
 
 class TestBackoffRetry:

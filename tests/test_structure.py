@@ -616,17 +616,23 @@ RATCHETS = (
         why=(
             "A module-level networkx import on the serve path costs "
             "every server and every restarted worker ~300 modules of "
-            "start-up."
+            "start-up.  Hop counts, fallback routes and dependency "
+            "cycles come from Network's own search and the successor "
+            "sets of routing.dependency; networkx is kept for Yen's "
+            "k-shortest candidates, the frozen Network.graph they run "
+            "on, and the seeded random-graph generators the builders "
+            "call lazily (builders.py is compiled by every serve)."
         ),
-        pattern=r"^import networkx|^from networkx",
-        roots=(
-            "src/repro/topology/network.py",
-            "src/repro/topology/builders.py",
-            "src/repro/routing/shortest.py",
-        ),
+        pattern=r"^\s*(import networkx|from networkx)",
+        roots=("src/repro",),
         offender=(
-            "src/repro/topology/network.py",
+            "src/repro/routing/dependency.py",
             "import networkx as nx",
+        ),
+        allowed=(
+            r"^src/repro/routing/candidates\.py:\d+:import networkx as nx$",
+            r"^src/repro/topology/network\.py:\d+:\s+import networkx as nx$",
+            r"^src/repro/topology/builders\.py:\d+:    import networkx as nx$",
         ),
     ),
     Ratchet(
@@ -770,14 +776,16 @@ RATCHETS = (
         why=(
             "heuristic.farthest_first is the one heuristic (1) ordering "
             "and owns the distance lookup; each of its three copies "
-            "raised a raw KeyError for an unknown router."
+            "raised a raw KeyError for an unknown router.  The other "
+            "search in routing/ is shortest_path_routes, the serve's."
         ),
-        pattern=r"single_source_shortest_path_length",
+        pattern=r"shortest_paths_from\(|single_source_shortest_path",
         roots=("src/repro/routing",),
         offender=(
             "src/repro/routing/candidates.py",
-            "        dist[src] = nx.single_source_shortest_path_length(g, src)",
+            "        dist[src] = network.shortest_paths_from(src)",
         ),
+        allowed=(r"^src/repro/routing/shortest\.py:",),
         max_count=1,
     ),
     Ratchet(

@@ -2,6 +2,7 @@
 
 import math
 
+import networkx as nx
 import pytest
 
 from repro.errors import TopologyError
@@ -10,7 +11,34 @@ from repro.topology import (
     analyze,
     line_network,
     mci_backbone,
+    nsfnet_backbone,
+    random_network,
 )
+
+REFERENCE = {
+    "mci": mci_backbone,
+    "nsfnet": nsfnet_backbone,
+    **{
+        f"gnp-{n}-{seed}": lambda n=n, seed=seed: random_network(n, 0.3, seed)
+        for n in (2, 9, 16)
+        for seed in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_report_equals_networkx(name):
+    """Network's own searches give networkx's figures, to the last bit."""
+    network = REFERENCE[name]()
+    g = network.graph
+    report = analyze(network)
+    assert report.diameter == nx.diameter(g)
+    assert report.radius == nx.radius(g)
+    assert report.average_shortest_path == nx.average_shortest_path_length(g)
+    degrees = [d for _, d in g.degree]
+    assert (report.max_degree, report.min_degree, report.mean_degree) == (
+        max(degrees), min(degrees), sum(degrees) / len(degrees),
+    )
 
 
 def test_report_mci(mci):
