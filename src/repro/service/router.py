@@ -784,9 +784,12 @@ class ClusterRouter:
         assert self.on_snapshot is not None
         try:
             result = await self.on_snapshot()
-        except ServiceError as exc:
+        except Exception as exc:
+            # A failed merge (ENOSPC on the manifest, an unreadable
+            # shard) is answered, as at a single server: never a
+            # response task that dies with the client left waiting.
             return protocol.error_response(
-                rid, protocol.INTERNAL, str(exc)
+                rid, protocol.INTERNAL, f"{type(exc).__name__}: {exc}"
             )
         return protocol.ok_response(rid, result)
 

@@ -348,11 +348,12 @@ def waxman_network(
         g = nx.waxman_graph(
             n, beta=alpha, alpha=beta, seed=seed + attempt
         )
-        if nx.is_connected(g):
-            edges = [(f"w{u}", f"w{v}") for u, v in g.edges()]
-            return Network.from_edges(
-                edges, capacity=capacity, name=f"waxman-{n}-{seed}"
-            )
+        # An isolated router is in no edge: a sample is connected iff
+        # its network has all n routers and they reach one another.
+        edges = [(f"w{u}", f"w{v}") for u, v in g.edges()]
+        net = Network.from_edges(edges, capacity=capacity, name=f"waxman-{n}-{seed}")
+        if net.num_routers == n and net.is_connected():
+            return net
     raise TopologyError(
         f"no connected Waxman({n}) found in {max_tries} tries; "
         "increase alpha/beta"
@@ -381,11 +382,10 @@ def random_network(
 
     for attempt in range(RANDOM_TRIES):
         g = nx.gnp_random_graph(n, p, seed=seed + attempt)
-        if nx.is_connected(g):
-            edges = [(f"r{u}", f"r{v}") for u, v in g.edges()]
-            return Network.from_edges(
-                edges, capacity=DEFAULT_CAPACITY, name=f"gnp-{n}-{seed}"
-            )
+        edges = [(f"r{u}", f"r{v}") for u, v in g.edges()]
+        net = Network.from_edges(edges, capacity=DEFAULT_CAPACITY, name=f"gnp-{n}-{seed}")
+        if net.num_routers == n and net.is_connected():  # as in waxman_network
+            return net
     raise TopologyError(
         f"no connected G({n}, {p}) found in {RANDOM_TRIES} tries; increase p"
     )

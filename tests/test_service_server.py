@@ -319,22 +319,41 @@ class TestProtocolHardening(FrontDoorCases):
 
         asyncio.run(scenario())
 
+    # Every refusal is a ``bad_request``; the ids keep the code.
     @pytest.mark.parametrize(
-        "frame,code",
+        "frame,message",
         [
-            ({"id": 1, "op": "query"}, "bad_request"),
-            ({"id": 1, "op": "release"}, "bad_request"),
-            ({"id": 1, "op": "admit"}, "bad_request"),
-            ({"id": 1, "op": "admit", "flow": "nope"}, "bad_request"),
-            ({"id": 1, "op": "batch"}, "bad_request"),
-            ({"id": 1, "op": "batch", "ops": 7}, "bad_request"),
+            ({"id": 1, "op": "query"}, "query needs flow_id"),
+            ({"id": 1, "op": "release"}, "release needs flow_id"),
+            ({"id": 1, "op": "admit"}, "flow must be an object, got NoneType"),
+            (
+                {"id": 1, "op": "admit", "flow": "nope"},
+                "flow must be an object, got str",
+            ),
+            ({"id": 1, "op": "batch"}, "batch needs an ops list"),
+            ({"id": 1, "op": "batch", "ops": 7}, "batch needs an ops list"),
             # Unhashable / non-scalar flow ids must be rejected at the
             # wire, never reach the controller's ledger lookups.
-            ({"id": 1, "op": "query", "flow_id": ["x"]}, "bad_request"),
-            ({"id": 1, "op": "query", "flow_id": None}, "bad_request"),
-            ({"id": 1, "op": "release", "flow_id": ["x"]}, "bad_request"),
-            ({"id": 1, "op": "release", "flow_id": True}, "bad_request"),
-            ({"id": 1, "op": "release", "flow_id": 1.5}, "bad_request"),
+            (
+                {"id": 1, "op": "query", "flow_id": ["x"]},
+                "flow_id must be a string or integer, got list",
+            ),
+            (
+                {"id": 1, "op": "query", "flow_id": None},
+                "flow_id must be a string or integer, got NoneType",
+            ),
+            (
+                {"id": 1, "op": "release", "flow_id": ["x"]},
+                "flow_id must be a string or integer, got list",
+            ),
+            (
+                {"id": 1, "op": "release", "flow_id": True},
+                "flow_id must be a string or integer, got bool",
+            ),
+            (
+                {"id": 1, "op": "release", "flow_id": 1.5},
+                "flow_id must be a string or integer, got float",
+            ),
             (
                 {
                     "id": 1,
@@ -346,20 +365,22 @@ class TestProtocolHardening(FrontDoorCases):
                         "dst": "r3",
                     },
                 },
-                "bad_request",
+                "flow id must be a string or integer, got list",
             ),
         ],
+        ids=[f"frame{i}-bad_request" for i in range(12)],
     )
     def test_body_validation_errors_carry_the_id(
-        self, tmp_path, frame, code
+        self, tmp_path, frame, message
     ):
+        """The whole refusal, code and message (recorded from the
+        single server), under the request's id, at either door."""
+
         async def scenario():
             service, sock = await self.start(tmp_path)
             reader, writer = await raw_connection(sock)
             resp = await rpc(reader, writer, frame)
-            assert resp["ok"] is False
-            assert resp["id"] == 1
-            assert resp["error"]["code"] == code
+            assert resp == _refused(1, "bad_request", message)
             writer.close()
             await service.drain()
 
@@ -439,6 +460,42 @@ class TestProtocolHardening(FrontDoorCases):
 
         asyncio.run(scenario())
 
+
+    def test_a_failed_snapshot_is_answered_and_counted(self, tmp_path):
+        """A snapshot whose write fails (here ENOSPC) is answered
+        ``internal`` with the exception's type and message and counted
+        in ``errors`` — at a front door too, whose merge used to let an
+        ``OSError`` end the response task with nothing written."""
+
+        def full(*_args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        async def scenario():
+            service, sock = await self.start(
+                tmp_path, snapshot_path=str(tmp_path / "snap.json")
+            )
+            if self.door == "router":
+                async def merge():
+                    full()
+
+                service.router.on_snapshot = merge
+                counts = service.router.counts
+            else:
+                service.store.write = full
+                counts = service.counts
+            reader, writer = await raw_connection(sock)
+            before = counts["errors"]
+            resp = await rpc(reader, writer, {"id": 7, "op": "snapshot"})
+            assert resp == _refused(
+                7, "internal", "OSError: [Errno 28] No space left on device"
+            )
+            assert counts["errors"] == before + 1
+            writer.close()
+            if self.door == "server":
+                del service.store.write  # the final cut writes again
+            await service.drain()
+
+        asyncio.run(scenario())
 
     @pytest.mark.parametrize("audited", [False, True])
     @pytest.mark.parametrize("wire", ["v1", "v2"])

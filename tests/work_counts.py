@@ -40,6 +40,8 @@ Five windows, each after a warm-up that fills every cache:
   JSON carrier frame off its outbox, decoding the worker's reply and
   the response written; ``worker_lone`` the owner decoding that carrier
   frame and its ``AdmissionService.begin_request`` to its reply.
+  Their C calls are counted beside them (``router_lone_c_calls``,
+  ``worker_lone_c_calls``), as the plain serve's are.
   ``lone_ceiling_x`` is ``worker_lone_calls`` over ``router_lone_calls``
   (rounded to three places): the front door's ceiling for lone ops,
   as ``ceiling_x`` is for frames.
@@ -1043,7 +1045,8 @@ def _count_cluster() -> Dict[str, int]:
 
 
 def _count_cluster_lone(cluster: _Cluster, pair) -> Dict[str, int]:
-    """``router_lone_calls`` and ``worker_lone_calls``: :func:`_count_lone`'s
+    """``router_lone_calls`` and ``worker_lone_calls`` (and their C
+    calls): :func:`_count_lone`'s
     requests through the filled front door (one uncounted admit and
     release per protocol, then one counted), both protocols summed;
     ``lone_ceiling_x`` is the one over the other."""
@@ -1061,7 +1064,9 @@ def _count_cluster_lone(cluster: _Cluster, pair) -> Dict[str, int]:
             rid += 2
     return {
         "router_lone_calls": router.calls,
+        "router_lone_c_calls": router.c_calls,
         "worker_lone_calls": worker.calls,
+        "worker_lone_c_calls": worker.c_calls,
         "lone_ceiling_x": round(worker.calls / router.calls, 3),
     }
 
